@@ -2,9 +2,10 @@
 //! exact/wildcard search and migration for the bit-address index vs the
 //! multi-hash access module vs a full scan.
 
+use amri_core::parallel::SideTasks;
 use amri_core::{
     BitAddressIndex, CostReceipt, IndexConfig, IngestStage, IoFaultConfig, MultiHashIndex,
-    ScanIndex, SearchOutcome, SearchScratch, SpillConfig, SpillTier, StateIndex, StateStore,
+    ScanIndex, SearchScratch, SequentialExecutor, SpillConfig, SpillTier, StateIndex, StateStore,
     StorageProfile, TupleKey,
 };
 use amri_engine::WorkerPool;
@@ -20,19 +21,6 @@ fn jas(i: u64) -> AttrVec {
 
 fn populated_bitaddr(n: u64, bits: Vec<u8>) -> BitAddressIndex {
     let mut idx = BitAddressIndex::new(IndexConfig::new(bits).unwrap());
-    let mut r = CostReceipt::new();
-    for i in 0..n {
-        idx.insert(TupleKey(i as u32), &jas(i), &mut r);
-    }
-    idx
-}
-
-fn populated_hash(n: u64, k: usize) -> MultiHashIndex {
-    let patterns: Vec<AccessPattern> = AccessPattern::all(3)
-        .filter(|p| !p.is_empty())
-        .take(k)
-        .collect();
-    let mut idx = MultiHashIndex::new(patterns);
     let mut r = CostReceipt::new();
     for i in 0..n {
         idx.insert(TupleKey(i as u32), &jas(i), &mut r);
@@ -75,29 +63,11 @@ fn bench_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("index_search_10k");
     let n = 10_000;
     let bitaddr = populated_bitaddr(n, vec![8, 8, 8]);
-    let hash = populated_hash(n, 7);
     let exact = SearchRequest::new(AccessPattern::full(3), jas(500));
     let wild = SearchRequest::new(
         AccessPattern::from_positions(&[0], 3).unwrap(),
         AttrVec::from_slice(&[500 % 64, 0, 0]).unwrap(),
     );
-    // The allocating wrapper benches stay on the deprecated `search` on
-    // purpose: BENCH_index.json medians were captured against it, and the
-    // `_into` variants below measure the replacement.
-    #[allow(deprecated)]
-    g.bench_function("bitaddr_exact", |b| {
-        b.iter(|| {
-            let mut r = CostReceipt::new();
-            black_box(bitaddr.search(black_box(&exact), &mut r))
-        })
-    });
-    #[allow(deprecated)]
-    g.bench_function("bitaddr_one_attr_wildcard", |b| {
-        b.iter(|| {
-            let mut r = CostReceipt::new();
-            black_box(bitaddr.search(black_box(&wild), &mut r))
-        })
-    });
     // The engine's actual hot path: scratch-buffered, zero allocations
     // in steady state.
     g.bench_function("bitaddr_exact_into", |b| {
@@ -116,15 +86,8 @@ fn bench_search(c: &mut Criterion) {
             black_box(scratch.hits.len())
         })
     });
-    #[allow(deprecated)]
-    g.bench_function("multihash7_exact", |b| {
-        b.iter(|| {
-            let mut r = CostReceipt::new();
-            black_box(hash.search(black_box(&exact), &mut r))
-        })
-    });
     g.bench_function("scan_reference", |b| {
-        // What a NeedScan costs at state level: compare all 10k tuples.
+        // What the arena-scan fallback costs at state level: compare all 10k tuples.
         let tuples: Vec<AttrVec> = (0..n).map(jas).collect();
         b.iter(|| {
             let mut hits = 0u32;
@@ -136,26 +99,18 @@ fn bench_search(c: &mut Criterion) {
             black_box(hits)
         })
     });
-    let scan = ScanIndex::new();
-    #[allow(deprecated)]
-    g.bench_function("scan_index_defers", |b| {
-        b.iter(|| {
-            let mut r = CostReceipt::new();
-            black_box(matches!(
-                scan.search(&exact, &mut r),
-                SearchOutcome::NeedScan
-            ))
-        })
-    });
     g.finish();
 }
 
-/// Sharded batch probe through the engine's persistent worker pool at 1,
-/// 2 and 4 threads — the tentpole's scaling claim. The index, shard
-/// count (4) and request batch are identical across thread counts, so
-/// the ids differ only in executor parallelism; `BENCH_parallel.json`
-/// records the medians and derived speedups. These ids are deliberately
-/// *not* in `BENCH_index.json`, so `bench_guard.sh` never gates on them.
+/// Sharded probes through the engine's persistent worker pool at 1, 2
+/// and 4 threads: 64 requests, each its own dispatch through the index's
+/// one read entry with nothing staged — the shape `ProbeOperator` issues.
+/// The index, shard count (4) and requests are identical across thread
+/// counts, so the ids differ only in executor parallelism. The probe
+/// family in `BENCH_parallel.json` was measured on the removed
+/// one-dispatch-per-batch path and is history, not a baseline for this
+/// loop. These ids are deliberately *not* in `BENCH_index.json`, so
+/// `bench_guard.sh` never gates on them.
 fn bench_parallel(c: &mut Criterion) {
     let mut g = c.benchmark_group("index_parallel_10k");
     g.sample_size(20);
@@ -165,8 +120,8 @@ fn bench_parallel(c: &mut Criterion) {
     for i in 0..n {
         idx.insert(TupleKey(i as u32), &jas(i), &mut r);
     }
-    // One batch of single-attribute wildcard probes (2^16 candidate
-    // buckets each — the wide, slab-walking shape that parallelizes).
+    // Single-attribute wildcard probes (2^16 candidate buckets each —
+    // the wide, slab-walking shape that parallelizes).
     let reqs: Vec<SearchRequest> = (0..64u64)
         .map(|i| {
             SearchRequest::new(
@@ -182,16 +137,21 @@ fn bench_parallel(c: &mut Criterion) {
             |b, &threads| {
                 let pool = WorkerPool::new(std::num::NonZeroUsize::new(threads).unwrap());
                 let mut scratch = SearchScratch::new();
+                let mut stage = IngestStage::new();
                 b.iter(|| {
                     let mut receipt = CostReceipt::new();
                     let mut hits = 0usize;
-                    idx.search_batch_with(
-                        black_box(&reqs),
-                        &mut scratch,
-                        &mut receipt,
-                        &pool,
-                        |_, h| hits += h.len(),
-                    );
+                    for req in black_box(&reqs) {
+                        idx.apply_stage_then_search(
+                            &mut stage,
+                            req,
+                            &mut scratch,
+                            &mut receipt,
+                            &pool,
+                            &SideTasks::none(),
+                        );
+                        hits += scratch.hits.len();
+                    }
                     black_box(hits)
                 });
             },
@@ -208,7 +168,11 @@ fn bench_migrate(c: &mut Criterion) {
             || populated_bitaddr(10_000, vec![8, 8, 8]),
             |mut idx| {
                 let mut r = CostReceipt::new();
-                idx.migrate(IndexConfig::new(vec![4, 10, 10]).unwrap(), &mut r);
+                idx.migrate_with(
+                    IndexConfig::new(vec![4, 10, 10]).unwrap(),
+                    &mut r,
+                    &SequentialExecutor,
+                );
                 black_box(r.moved)
             },
             criterion::BatchSize::LargeInput,
@@ -512,19 +476,27 @@ fn bench_spill_cached(c: &mut Criterion) {
         )
     });
 
-    // Expiry-order readahead: plan the next-oldest blocks and drain the
-    // prefetch — the background work a grid point overlaps with compute.
+    // Expiry-order readahead: plan the next-oldest blocks, then drain the
+    // prefetch the way the engine does — as side tasks of the next probe
+    // (so the timed region includes that probe's arena scan).
+    let probe = SearchRequest::new(AccessPattern::full(3), jas(0));
     g.bench_function("readahead_drain_2", |b| {
         let profile = StorageProfile {
             readahead_blocks: 2,
             ..StorageProfile::default()
         };
         b.iter_batched(
-            || half_spilled("readahead", profile, CACHE),
-            |mut store| {
+            || {
+                (
+                    half_spilled("readahead", profile, CACHE),
+                    SearchScratch::new(),
+                )
+            },
+            |(mut store, mut scratch)| {
                 let mut r = CostReceipt::new();
                 store.schedule_readahead();
-                store.drain_prefetch(&mut r, &exec);
+                let mut stage = IngestStage::new();
+                store.apply_staged_then_search(&probe, &mut scratch, &mut r, &mut stage, &exec);
                 black_box(store.cache_used_bytes())
             },
             criterion::BatchSize::LargeInput,

@@ -12,8 +12,8 @@ use crate::bitaddr::{BitAddressIndex, IngestStage};
 use crate::config::IndexConfig;
 use crate::cost::{CostParams, CostReceipt};
 use crate::error::CoreError;
+use crate::parallel::{SequentialExecutor, ShardExecutor};
 use crate::state::{SearchScratch, StateStore, TupleKey};
-use crate::tier::{SpillOutcome, SpillStats, SpillTier};
 use crate::tuner::{Tuner, TunerConfig, TunerEvent, TunerKind};
 use amri_stream::{AttrId, SearchRequest, StreamId, Tuple, VirtualTime, WindowSpec};
 
@@ -103,9 +103,18 @@ impl AmriState {
         self
     }
 
-    /// The underlying store (read access for the engine and tests).
+    /// The underlying store: every index-agnostic operation (expiry,
+    /// eviction, spilling, materialization, accounting) is called on it
+    /// directly.
     pub fn store(&self) -> &StateStore<BitAddressIndex> {
         &self.store
+    }
+
+    /// Mutable access to the underlying store. Searches should go through
+    /// [`apply_staged_then_search`](Self::apply_staged_then_search) so the
+    /// assessor sees their patterns.
+    pub fn store_mut(&mut self) -> &mut StateStore<BitAddressIndex> {
+        &mut self.store
     }
 
     /// The tuner (read access for metrics).
@@ -113,310 +122,52 @@ impl AmriState {
         &self.tuner
     }
 
-    /// Live tuples.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// True iff no tuples are live.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
     /// Current index configuration.
     pub fn config(&self) -> &IndexConfig {
         self.store.index().config()
     }
 
-    /// Bytes occupied (store + index; assessor entries are charged by the
-    /// engine via [`crate::layout::ASSESS_ENTRY_BYTES`]).
+    /// Bytes occupied (store + index + assessor entries at
+    /// [`crate::layout::ASSESS_ENTRY_BYTES`] each).
     pub fn memory_bytes(&self) -> u64 {
         self.store.memory_bytes()
             + self.tuner.assessor_entries() as u64 * crate::layout::ASSESS_ENTRY_BYTES
     }
 
-    /// Insert an arriving tuple.
+    /// Insert an arriving tuple, eagerly (see [`StateStore::insert`]).
     pub fn insert(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> TupleKey {
         self.store.insert(tuple, receipt)
     }
 
-    /// Insert a batch of arriving tuples in order; returns how many were
-    /// stored. Cost accounting is identical to per-tuple [`insert`](Self::insert).
-    pub fn insert_batch(
-        &mut self,
-        tuples: impl IntoIterator<Item = Tuple>,
-        receipt: &mut CostReceipt,
-    ) -> usize {
-        self.store.insert_batch(tuples, receipt)
-    }
-
-    /// Expire out-of-window tuples at `now`.
-    pub fn expire(&mut self, now: VirtualTime, receipt: &mut CostReceipt) -> usize {
-        self.store.expire(now, receipt)
-    }
-
-    /// Arrival time of the oldest live tuple, if any.
-    pub fn oldest_ts(&self) -> Option<VirtualTime> {
-        self.store.oldest_ts()
-    }
-
-    /// Forcibly evict up to `max` of the oldest live tuples (memory
-    /// pressure); see [`StateStore::evict_oldest`].
-    pub fn evict_oldest(&mut self, max: usize, receipt: &mut CostReceipt) -> usize {
-        self.store.evict_oldest(max, receipt)
-    }
-
-    /// [`evict_oldest`](Self::evict_oldest) with the per-shard index
-    /// unlinks fanned out through `exec`; identical outcome and charges.
-    pub fn evict_oldest_with(
-        &mut self,
-        max: usize,
-        receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-    ) -> usize {
-        self.store.evict_oldest_with(max, receipt, exec)
-    }
-
-    /// [`insert`](Self::insert) with the physical index linking staged for
-    /// a later flush; arena slot, window order, and charges are identical.
-    pub fn insert_staged(
-        &mut self,
-        tuple: Tuple,
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) -> TupleKey {
-        self.store.insert_staged(tuple, receipt, stage)
-    }
-
-    /// [`expire`](Self::expire) with the index unlinks staged in arrival
-    /// order; arena frees and charges are identical.
-    pub fn expire_staged(
-        &mut self,
-        now: VirtualTime,
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) -> usize {
-        self.store.expire_staged(now, receipt, stage)
-    }
-
-    /// Flush every staged index operation through `exec` (no charges —
-    /// costs were taken at stage time).
-    pub fn apply_staged(
-        &mut self,
-        stage: &mut IngestStage,
-        exec: &dyn crate::parallel::ShardExecutor,
-    ) {
-        self.store.apply_staged(stage, exec);
-    }
-
-    /// Flush the stage and serve `req` in one fused dispatch (ingest–probe
-    /// overlap), feeding the request's pattern to the assessor exactly as
-    /// [`search_into`](Self::search_into) does.
+    /// Flush the stage and serve `req` in one fused dispatch (see
+    /// [`StateStore::apply_staged_then_search`]), feeding the request's
+    /// pattern to the assessor. The zero-allocation hot path.
     pub fn apply_staged_then_search(
         &mut self,
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
         stage: &mut IngestStage,
-        exec: &dyn crate::parallel::ShardExecutor,
+        exec: &dyn ShardExecutor,
     ) {
         self.tuner.record(req.pattern);
         self.store
             .apply_staged_then_search(req, scratch, receipt, stage, exec);
     }
 
-    /// Answer a search request into a caller-owned scratch buffer, feeding
-    /// the request's pattern to the assessor. The zero-allocation hot path.
+    /// [`apply_staged_then_search`](Self::apply_staged_then_search) with
+    /// nothing staged, inline.
     pub fn search_into(
         &mut self,
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
     ) {
-        self.tuner.record(req.pattern);
-        self.store.search_into(req, scratch, receipt);
+        let mut stage = IngestStage::new();
+        self.apply_staged_then_search(req, scratch, receipt, &mut stage, &SequentialExecutor);
     }
 
-    /// [`search_into`](Self::search_into) with an explicit shard-task
-    /// executor: assessor recording stays sequential, the sharded probe
-    /// fans out through `exec`. Results are identical for any executor.
-    pub fn search_into_with(
-        &mut self,
-        req: &SearchRequest,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-    ) {
-        self.tuner.record(req.pattern);
-        self.store.search_into_with(req, scratch, receipt, exec);
-    }
-
-    /// Re-partition the underlying bit-address arena into `shard_count`
-    /// shards (construction-time plumbing; charges nothing).
-    ///
-    /// # Panics
-    /// Panics unless `shard_count` is a power of two (≥ 1).
-    pub fn set_shards(&mut self, shard_count: usize) {
-        self.store.set_shards(shard_count);
-    }
-
-    /// Serve a batch of search requests through one reused scratch buffer,
-    /// feeding every request's pattern to the assessor. `on_result` receives
-    /// each request's position in the batch and its matches.
-    pub fn search_batch<'r>(
-        &mut self,
-        reqs: impl IntoIterator<Item = &'r SearchRequest>,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        mut on_result: impl FnMut(usize, &[TupleKey]),
-    ) {
-        for (i, req) in reqs.into_iter().enumerate() {
-            self.tuner.record(req.pattern);
-            self.store.search_into(req, scratch, receipt);
-            on_result(i, &scratch.hits);
-        }
-    }
-
-    /// [`search_batch`](Self::search_batch) with an explicit shard-task
-    /// executor: every pattern is recorded sequentially up front, then the
-    /// store serves the whole batch through one executor dispatch (see
-    /// [`StateStore::search_batch_with`]). Hits, hit order, and receipts
-    /// are identical to the sequential batch.
-    pub fn search_batch_with(
-        &mut self,
-        reqs: &[SearchRequest],
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-        on_result: impl FnMut(usize, &[TupleKey]),
-    ) {
-        for req in reqs {
-            self.tuner.record(req.pattern);
-        }
-        self.store
-            .search_batch_with(reqs, scratch, receipt, exec, on_result);
-    }
-
-    /// Answer a search request, feeding its pattern to the assessor.
-    ///
-    /// Compatibility wrapper over [`search_into`](Self::search_into);
-    /// allocates the returned `Vec` per call.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates per call; use `search_into` with a reused `SearchScratch`"
-    )]
-    pub fn search(&mut self, req: &SearchRequest, receipt: &mut CostReceipt) -> Vec<TupleKey> {
-        let mut scratch = SearchScratch::new();
-        self.search_into(req, &mut scratch, receipt);
-        scratch.hits
-    }
-
-    /// The stored tuple for a key returned by [`search`](Self::search).
-    /// `None` for empty slots *and* for spill-resident tuples — use
-    /// [`materialize`](Self::materialize) to read the latter back.
-    pub fn tuple(&self, key: TupleKey) -> Option<&Tuple> {
-        self.store.tuple(key)
-    }
-
-    /// Attach a disk spill tier; see [`StateStore::enable_spill`].
-    pub fn enable_spill(&mut self, tier: SpillTier) {
-        self.store.enable_spill(tier);
-    }
-
-    /// True iff a spill tier is attached.
-    pub fn has_tier(&self) -> bool {
-        self.store.tier().is_some()
-    }
-
-    /// Spill-resident tuples.
-    pub fn spilled_len(&self) -> usize {
-        self.store.spilled_len()
-    }
-
-    /// Fraction of live tuples that are spill-resident (0.0 without a tier).
-    pub fn spilled_frac(&self) -> f64 {
-        self.store.spilled_frac()
-    }
-
-    /// Bytes the spill tier occupies on disk (0 without a tier).
-    pub fn disk_bytes(&self) -> u64 {
-        self.store.disk_bytes()
-    }
-
-    /// The tier's lifetime spill/promote/fault counters.
-    pub fn spill_stats(&self) -> SpillStats {
-        self.store.spill_stats()
-    }
-
-    /// Arrival time of the oldest *RAM-resident* live tuple, if any — the
-    /// tier policy's spill victim signal.
-    pub fn oldest_resident_ts(&self) -> Option<VirtualTime> {
-        self.store.oldest_resident_ts()
-    }
-
-    /// Spill up to `max` of the oldest RAM-resident tuples to the tier;
-    /// see [`StateStore::spill_oldest`]. Returns how many moved.
-    pub fn spill_oldest(&mut self, max: usize, receipt: &mut CostReceipt) -> usize {
-        self.store.spill_oldest(max, receipt)
-    }
-
-    /// Promote the hottest spilled block back to RAM; see
-    /// [`StateStore::promote_hottest`].
-    pub fn promote_hottest(&mut self, min_reads: u32, receipt: &mut CostReceipt) -> SpillOutcome {
-        self.store.promote_hottest(min_reads, receipt)
-    }
-
-    /// Read a spill-resident tuple's full attributes back from disk; see
-    /// [`StateStore::materialize`]. `Err(lost)` reports tuples purged after
-    /// an unrecoverable block read.
-    pub fn materialize(
-        &mut self,
-        key: TupleKey,
-        receipt: &mut CostReceipt,
-    ) -> Result<Option<Tuple>, usize> {
-        self.store.materialize(key, receipt)
-    }
-
-    /// Batch-materialize probe hits with coalesced spill reads (see
-    /// [`StateStore::materialize_batch`]).
-    pub fn materialize_batch(
-        &mut self,
-        keys: &[TupleKey],
-        out: &mut Vec<Option<Tuple>>,
-        receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-    ) -> usize {
-        self.store.materialize_batch(keys, out, receipt, exec)
-    }
-
-    /// Queue expiry-order readahead (see
-    /// [`StateStore::schedule_readahead`]).
-    pub fn schedule_readahead(&mut self) {
-        self.store.schedule_readahead();
-    }
-
-    /// Run queued readahead now (see [`StateStore::drain_prefetch`]).
-    pub fn drain_prefetch(
-        &mut self,
-        receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-    ) {
-        self.store.drain_prefetch(receipt, exec);
-    }
-
-    /// Bytes the spill tier's decoded-block cache currently holds.
-    pub fn cache_used_bytes(&self) -> u64 {
-        self.store.cache_used_bytes()
-    }
-
-    /// Observed block-cache hit fraction (see
-    /// [`StateStore::cache_hit_frac`]).
-    pub fn cache_hit_frac(&self) -> f64 {
-        self.store.cache_hit_frac()
-    }
-
-    /// Take a tuning decision if due; migrates the physical index on
-    /// [`TunerEvent::Retune`] and reports what happened.
+    /// [`maybe_retune_with`](Self::maybe_retune_with), inline.
     pub fn maybe_retune(
         &mut self,
         now: VirtualTime,
@@ -425,20 +176,15 @@ impl AmriState {
         window_secs: f64,
         receipt: &mut CostReceipt,
     ) -> Option<RetuneReport> {
-        self.maybe_retune_with(
-            now,
-            lambda_d,
-            lambda_r,
-            window_secs,
-            receipt,
-            &crate::parallel::SequentialExecutor,
-        )
+        let exec = &SequentialExecutor;
+        self.maybe_retune_with(now, lambda_d, lambda_r, window_secs, receipt, exec)
     }
 
-    /// [`maybe_retune`](Self::maybe_retune) with the migration's rebucket
-    /// and relink passes fanned out shard-by-shard through `exec` (see
-    /// [`BitAddressIndex::migrate_with`]); decision, outcome, and charges
-    /// are identical for any executor.
+    /// Take a tuning decision if due; migrates the physical index on
+    /// [`TunerEvent::Retune`] — rebucket and relink passes fanned out
+    /// shard-by-shard through `exec` (see
+    /// [`BitAddressIndex::migrate_with`]) — and reports what happened.
+    /// Decision, outcome, and charges are identical for any executor.
     pub fn maybe_retune_with(
         &mut self,
         now: VirtualTime,
@@ -446,7 +192,7 @@ impl AmriState {
         lambda_r: f64,
         window_secs: f64,
         receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
+        exec: &dyn ShardExecutor,
     ) -> Option<RetuneReport> {
         let spilled_frac = self.store.spilled_frac();
         let cache_hit_frac = self.store.cache_hit_frac();
@@ -568,10 +314,10 @@ mod tests {
         s.insert(tuple(2, 0, &[7, 0, 1]), &mut r);
         let hits = search(&mut s, &req(0b111, &[7, 8, 9]), &mut r);
         assert_eq!(hits, vec![k]);
-        assert_eq!(s.tuple(k).unwrap().id, TupleId(1));
+        assert_eq!(s.store().tuple(k).unwrap().id, TupleId(1));
         assert_eq!(s.tuner().window_requests(), 1);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
+        assert_eq!(s.store().len(), 2);
+        assert!(!s.store().is_empty());
     }
 
     #[test]
@@ -608,11 +354,15 @@ mod tests {
         let mut r = CostReceipt::new();
         s.insert(tuple(1, 0, &[1, 1, 1]), &mut r);
         s.insert(tuple(2, 40, &[1, 1, 1]), &mut r);
-        let removed = s.expire(VirtualTime::from_secs(35), &mut r);
+        let mut stage = IngestStage::new();
+        let removed = s
+            .store_mut()
+            .expire_staged(VirtualTime::from_secs(35), &mut r, &mut stage);
         assert_eq!(removed, 1);
+        s.store_mut().apply_staged(&mut stage, &SequentialExecutor);
         let hits = search(&mut s, &req(0b111, &[1, 1, 1]), &mut r);
         assert_eq!(hits.len(), 1);
-        assert_eq!(s.tuple(hits[0]).unwrap().id, TupleId(2));
+        assert_eq!(s.store().tuple(hits[0]).unwrap().id, TupleId(2));
     }
 
     #[test]

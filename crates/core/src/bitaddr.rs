@@ -13,7 +13,7 @@
 //! Unlike the multi-hash baseline, **nothing per-tuple is stored beyond the
 //! bucket entry itself** — no hash-key links — which is the §III argument
 //! for low maintenance cost; and *adapting* the index is a single
-//! re-bucketing pass ([`BitAddressIndex::migrate`]).
+//! re-bucketing pass ([`BitAddressIndex::migrate_with`]).
 //!
 //! ## Physical layout: flat bucket arena
 //!
@@ -50,8 +50,8 @@
 use crate::config::{IndexConfig, ProbePlan};
 use crate::cost::CostReceipt;
 use crate::layout;
-use crate::parallel::{SequentialExecutor, ShardExecutor, SlotArena};
-use crate::state::{SearchScratch, ShardSlot, StagedIndex, StateIndex, TupleKey};
+use crate::parallel::{run_fused, SequentialExecutor, ShardExecutor, SideTasks, SlotArena};
+use crate::state::{SearchScratch, ShardSlot, StateIndex, TupleKey};
 use amri_stream::{AttrVec, FxHashMap, SearchRequest};
 
 /// Null link in the intrusive bucket chains.
@@ -92,7 +92,21 @@ enum StagedOp {
     Remove { bucket: u64, key: TupleKey },
 }
 
-/// Per-shard lanes of deferred index maintenance (see [`StagedIndex`]).
+impl StagedOp {
+    /// The insertion of `key` into `bucket`, as a not-yet-linked node.
+    fn insert(key: TupleKey, jas: &AttrVec, bucket: u64) -> Self {
+        StagedOp::Insert(Node {
+            key,
+            jas: *jas,
+            bucket,
+            next: NIL,
+            prev: NIL,
+        })
+    }
+}
+
+/// Per-shard lanes of deferred index maintenance (see the staging hooks
+/// of [`StateIndex`]).
 /// Cost receipts are charged when an op is *staged* — insert/remove
 /// charges are data-independent, so staging is exact — and the physical
 /// link/unlink work is replayed later, one task per shard, in arrival
@@ -126,6 +140,11 @@ impl IngestStage {
         }
         self.ops[s].push(op);
         self.pending += 1;
+    }
+
+    /// Shard `s`'s staged run (empty when nothing was ever routed to it).
+    fn lane(&self, s: usize) -> &[StagedOp] {
+        self.ops.get(s).map_or(&[], Vec::as_slice)
     }
 
     fn clear(&mut self) {
@@ -318,13 +337,20 @@ impl Shard {
         }
     }
 
-    /// Replay one staged maintenance operation. Ops arrive in this shard's
-    /// original arrival order, so the resulting slab and chain state equal
-    /// eager sequential maintenance.
+    /// The one link/unlink entry: perform a routed maintenance operation.
     fn apply(&mut self, op: StagedOp) {
         match op {
             StagedOp::Insert(node) => self.push_and_link(node),
             StagedOp::Remove { bucket, key } => self.remove_by_key(bucket, key),
+        }
+    }
+
+    /// Replay this shard's staged lane. Ops arrive in the shard's original
+    /// arrival order, so the resulting slab and chain state equal eager
+    /// sequential maintenance.
+    fn replay(&mut self, lane: &[StagedOp]) {
+        for &op in lane {
+            self.apply(op);
         }
     }
 
@@ -439,17 +465,36 @@ impl BitAddressIndex {
         if shard_count == self.shards.len() {
             return;
         }
+        let all = self.drain_nodes();
+        self.shard_bits = shard_count.trailing_zeros();
+        self.shards.resize_with(shard_count, Shard::default);
+        self.relink(all, &SequentialExecutor);
+    }
+
+    /// Empty every shard, returning the nodes gathered shard-major in
+    /// slab order — the deterministic arrival order a redistribution
+    /// replays.
+    fn drain_nodes(&mut self) -> Vec<Node> {
         let mut all: Vec<Node> = Vec::with_capacity(self.entries());
         for shard in &mut self.shards {
             all.append(&mut shard.nodes);
             shard.heads.clear();
         }
-        self.shard_bits = shard_count.trailing_zeros();
-        self.shards.resize_with(shard_count, Shard::default);
-        let (bits, total) = (self.shard_bits, self.config.total_bits());
-        for node in all {
-            self.shards[shard_index(node.bucket, bits, total)].push_and_link(node);
+        all
+    }
+
+    /// Route `nodes` (bucket ids already current) to their owning shards
+    /// and link them in order, one task per shard.
+    fn relink(&mut self, nodes: Vec<Node>, exec: &dyn ShardExecutor) {
+        let mut stage = IngestStage::new();
+        for node in nodes {
+            stage.push(
+                self.shards.len(),
+                self.shard_of(node.bucket),
+                StagedOp::Insert(node),
+            );
         }
+        self.apply_stage(&mut stage, exec);
     }
 
     /// The shard a bucket id routes to.
@@ -628,38 +673,25 @@ impl BitAddressIndex {
     /// Adapt the index to `new_config`: relocate every entry to the buckets
     /// the new key map defines (§III: "adapting BI requires ... the
     /// relocation of each tuple"). Charges one hash per indexed attribute
-    /// per entry plus one move per entry.
-    ///
-    /// The rebuild is in place when no entry changes shard (always true
-    /// for a single shard, and whenever the partitioning bits are stable
-    /// across the two configurations): a contiguous pass over each slab
-    /// re-derives every node's bucket id, then the chains are relinked
-    /// through the existing nodes with no per-entry allocation. Only when
-    /// an entry's top bucket bits change does the migrate fall back to
-    /// gathering the slabs (shard-major, slab order) and redistributing —
-    /// deterministic either way, and charged identically.
-    pub fn migrate(&mut self, new_config: IndexConfig, receipt: &mut CostReceipt) {
-        self.migrate_with(new_config, receipt, &SequentialExecutor);
-    }
-
-    /// [`BitAddressIndex::migrate`] with the rebucket and relink passes
-    /// fanned out shard-by-shard over `exec` (one task per shard, two
-    /// dispatches at most), so tuner reconfiguration no longer serializes
-    /// the pipeline. Identical outcome — slab order, chain order, charges
-    /// — to the sequential migrate:
+    /// per entry plus one move per entry. The rebucket and relink passes
+    /// fan out shard-by-shard over `exec` (one task per shard, two
+    /// dispatches at most), so tuner reconfiguration does not serialize
+    /// the pipeline; slab order, chain order and charges are identical
+    /// for any executor:
     ///
     /// 1. **Rebucket** (parallel): each shard re-derives its nodes' bucket
     ///    ids from the new key map and records whether any entry now
     ///    belongs to a different shard. Per-shard work is independent and
     ///    order-free.
-    /// 2. **Relink** (parallel) when no entry crossed shards: each shard
-    ///    clears its chains and relinks its slab in slab order — exactly
-    ///    the in-place sequential pass.
-    /// 3. **Redistribute** otherwise: nodes are gathered shard-major (a
-    ///    deterministic sequential pass fixing arrival order), staged per
-    ///    destination shard, and each destination relinks its staged run
-    ///    in one parallel task — the same discipline as
-    ///    [`BitAddressIndex::insert_batch_with`].
+    /// 2. **Relink** (parallel) when no entry crossed shards (always true
+    ///    for a single shard, and whenever the partitioning bits are
+    ///    stable across the two configurations): each shard clears its
+    ///    chains and relinks its slab in slab order, in place, with no
+    ///    per-entry allocation.
+    /// 3. **Redistribute** otherwise: nodes are gathered shard-major in
+    ///    slab order (a deterministic sequential pass fixing arrival
+    ///    order), staged per destination shard, and each destination
+    ///    relinks its staged run in one parallel task.
     pub fn migrate_with(
         &mut self,
         new_config: IndexConfig,
@@ -673,20 +705,6 @@ impl BitAddressIndex {
         receipt.moved += entries;
         let (shard_bits, total_bits) = (self.shard_bits, self.config.total_bits());
         let s_count = self.shards.len();
-        if s_count == 1 {
-            // Single shard: rebucket and relink inline — exactly the
-            // pre-sharding migrate path.
-            let config = &self.config;
-            let shard = &mut self.shards[0];
-            for node in &mut shard.nodes {
-                node.bucket = config.bucket_of(&node.jas);
-            }
-            shard.heads.clear();
-            for idx in 0..shard.nodes.len() as u32 {
-                shard.link_at_tail(idx);
-            }
-            return;
-        }
         let mut crossed_flags = vec![false; s_count];
         {
             let config = &self.config;
@@ -715,53 +733,51 @@ impl BitAddressIndex {
                 }
             });
         } else {
-            // Cross-shard relocation: gather deterministically
-            // (shard-major, slab order — the arrival order the sequential
-            // migrate produces), stage per destination, relink in
-            // parallel.
-            let mut all: Vec<Node> = Vec::with_capacity(entries as usize);
-            for shard in &mut self.shards {
-                all.append(&mut shard.nodes);
-                shard.heads.clear();
-            }
-            let mut staged: Vec<Vec<Node>> = (0..s_count).map(|_| Vec::new()).collect();
-            for node in all {
-                staged[shard_index(node.bucket, shard_bits, total_bits)].push(node);
-            }
-            let staged = &staged;
-            let shards = SlotArena::new(&mut self.shards[..s_count]);
-            exec.run_tasks(s_count, &|s| {
-                // SAFETY: task `s` claims only shard `s`, exactly once.
-                let shard = unsafe { shards.claim(s) };
-                for node in &staged[s] {
-                    shard.push_and_link(*node);
-                }
-            });
+            // Cross-shard relocation: gather deterministically, then
+            // re-route and relink per destination shard.
+            let all = self.drain_nodes();
+            self.relink(all, exec);
         }
     }
 
-    /// The sharded search core: plan once, probe every compatible shard,
+    /// The one probe core: plan once, charge, dispatch one task per shard,
     /// merge hits and costs in fixed shard order, then canonicalize.
     ///
-    /// With `S` shards the plan is sliced per shard
-    /// ([`ProbePlan::shard_slice`] partitions the candidate-id set), each
-    /// compatible shard's probe writes into its own pre-claimed slot, and
-    /// the slots are drained `0..S` — so the merged receipt is independent
-    /// of which threads ran the probes and in what order they finished.
-    /// Hits are then sorted by [`TupleKey`]: the raw walk order (chain
-    /// order for a narrow probe, slab order for a wide one) depends on the
-    /// shard partition and on each shard's swap-remove history, whereas
-    /// arena keys are assigned by the unsharded state store — sorting is
-    /// the only order every shard count can agree on. Downstream routing
-    /// consumes hits in order, so without the canonical sort the join-job
-    /// queue (and every adaptive decision fed by it) would observe the
-    /// shard count.
-    fn search_sharded(
-        &self,
+    /// `shard_task(s, plan, hits, receipt)` is everything that happens
+    /// inside shard `s`: replay whatever is staged for it, probe it under
+    /// its slice of the plan (`None` when the shard owns no candidate
+    /// id), and return its occupied-bucket count afterwards. With `S`
+    /// shards the plan is sliced per shard ([`ProbePlan::shard_slice`]
+    /// partitions the candidate-id set), each task writes into its own
+    /// pre-claimed slot, and the slots are drained `0..S` — so the merged
+    /// receipt is independent of which threads ran the tasks and in what
+    /// order they finished. `side` rides the same dispatch. A single
+    /// shard runs inline, straight into the caller's scratch.
+    ///
+    /// Shards pick their own walk strategy but never charge probes
+    /// themselves: the canonical charge is the cheaper of enumerating
+    /// every candidate id and touching every occupied bucket, against the
+    /// *global* post-replay occupancy, so receipts are shard-count
+    /// invariant. Hits are then sorted by [`TupleKey`]: the raw walk order
+    /// (chain order for a narrow probe, slab order for a wide one) depends
+    /// on the shard partition and on each shard's swap-remove history,
+    /// whereas arena keys are assigned by the unsharded state store —
+    /// sorting is the only order every shard count can agree on.
+    /// Downstream routing consumes hits in order, so without the canonical
+    /// sort the join-job queue (and every adaptive decision fed by it)
+    /// would observe the shard count.
+    #[allow(clippy::too_many_arguments)]
+    fn probe_shards(
+        config: &IndexConfig,
+        shard_bits: u32,
+        s_count: usize,
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
         exec: &dyn ShardExecutor,
+        side: &SideTasks<'_>,
+        shard_task: impl Fn(usize, Option<&ProbePlan>, &mut Vec<TupleKey>, &mut CostReceipt) -> usize
+            + Sync,
     ) {
         scratch.hits.clear();
         // Hash the specified-and-indexed attributes once (C_hash,Sr) —
@@ -769,164 +785,51 @@ impl BitAddressIndex {
         let hashed = req
             .pattern
             .positions()
-            .filter(|&i| self.config.bits_of(i) > 0)
+            .filter(|&i| config.bits_of(i) > 0)
             .count() as u64;
         receipt.hash_ops += hashed;
-
-        let plan = self.config.probe_plan(req.pattern, req.values.as_slice());
-        // Canonical probe charge against global totals (shard-count
-        // invariant): the cheaper of enumerating every candidate id and
-        // touching every occupied bucket. Shards pick their own walk
-        // strategy but never charge probes themselves.
-        receipt.bucket_probes += plan.candidate_buckets().min(self.occupied_buckets() as u64);
-        if self.shards.len() == 1 {
-            self.shards[0].probe(&plan, req, &mut scratch.hits, receipt);
-            scratch.hits.sort_unstable();
-            return;
-        }
-        let (shard_bits, total_bits) = (self.shard_bits, self.config.total_bits());
-        let n = self.shards.len();
-        let mut slots = scratch.take_shard_slots();
-        slots.resize_with(n, ShardSlot::default);
-        {
-            let arena = SlotArena::new(&mut slots[..n]);
-            exec.run_tasks(n, &|s| {
-                // SAFETY: task `s` claims only slot `s`, exactly once.
-                let slot = unsafe { arena.claim(s) };
-                slot.hits.clear();
-                slot.receipt = CostReceipt::new();
-                if let Some(slice) = plan.shard_slice(s as u64, shard_bits, total_bits) {
-                    self.shards[s].probe(&slice, req, &mut slot.hits, &mut slot.receipt);
-                }
-            });
-        }
-        for slot in &slots[..n] {
-            scratch.hits.extend_from_slice(&slot.hits);
-            receipt.merge(&slot.receipt);
-        }
-        scratch.hits.sort_unstable();
-        scratch.put_shard_slots(slots);
-    }
-
-    /// Batch-amortized sharded search: one executor dispatch covers the
-    /// whole request batch (task `s` probes *every* request against shard
-    /// `s`), then results are merged per request in shard order and handed
-    /// to `on_result` in request order.
-    ///
-    /// Semantically identical — hits, order, and receipt totals — to
-    /// calling [`StateIndex::search_into`] per request, but the per-batch
-    /// (rather than per-request) fan-out is what makes small probes worth
-    /// parallelizing at all.
-    pub fn search_batch_with(
-        &self,
-        reqs: &[SearchRequest],
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        exec: &dyn ShardExecutor,
-        mut on_result: impl FnMut(usize, &[TupleKey]),
-    ) {
-        let s_count = self.shards.len();
-        if s_count == 1 {
-            for (r, req) in reqs.iter().enumerate() {
-                self.search_sharded(req, scratch, receipt, exec);
-                on_result(r, &scratch.hits);
-            }
-            return;
-        }
-        let (shard_bits, total_bits) = (self.shard_bits, self.config.total_bits());
-        // Plan (and charge hashes for) every request up front, sequentially
-        // — identical charges to the per-request path.
-        let mut plans = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            let hashed = req
-                .pattern
-                .positions()
-                .filter(|&i| self.config.bits_of(i) > 0)
-                .count() as u64;
-            receipt.hash_ops += hashed;
-            plans.push(self.config.probe_plan(req.pattern, req.values.as_slice()));
-        }
-        let mut slots = scratch.take_shard_slots();
-        let want = reqs.len() * s_count;
-        slots.resize_with(want.max(slots.len()), ShardSlot::default);
-        {
-            let arena = SlotArena::new(&mut slots[..want]);
-            let plans = &plans;
-            exec.run_tasks(s_count, &|s| {
-                for (r, req) in reqs.iter().enumerate() {
-                    // SAFETY: slot `r * s_count + s` belongs to task `s`
-                    // alone; the stride keeps tasks disjoint.
-                    let slot = unsafe { arena.claim(r * s_count + s) };
+        let plan = config.probe_plan(req.pattern, req.values.as_slice());
+        let occupied = if s_count == 1 {
+            side.run_leftover(exec);
+            shard_task(0, Some(&plan), &mut scratch.hits, receipt)
+        } else {
+            let total_bits = config.total_bits();
+            let mut slots = scratch.take_shard_slots();
+            slots.resize_with(s_count.max(slots.len()), ShardSlot::default);
+            {
+                let arena = SlotArena::new(&mut slots[..s_count]);
+                let task = |s: usize| {
+                    // SAFETY: task `s` claims only slot `s`, exactly once.
+                    let slot = unsafe { arena.claim(s) };
                     slot.hits.clear();
                     slot.receipt = CostReceipt::new();
-                    if let Some(slice) = plans[r].shard_slice(s as u64, shard_bits, total_bits) {
-                        self.shards[s].probe(&slice, req, &mut slot.hits, &mut slot.receipt);
-                    }
-                }
-            });
-        }
-        let occupied = self.occupied_buckets() as u64;
-        for r in 0..reqs.len() {
-            scratch.hits.clear();
-            for slot in &slots[r * s_count..(r + 1) * s_count] {
+                    let slice = plan.shard_slice(s as u64, shard_bits, total_bits);
+                    slot.occupied =
+                        shard_task(s, slice.as_ref(), &mut slot.hits, &mut slot.receipt);
+                };
+                run_fused(exec, s_count, &task, side);
+            }
+            let mut occupied = 0;
+            for slot in &slots[..s_count] {
                 scratch.hits.extend_from_slice(&slot.hits);
                 receipt.merge(&slot.receipt);
+                occupied += slot.occupied;
             }
-            // Same canonical per-request probe charge as search_sharded.
-            receipt.bucket_probes += plans[r].candidate_buckets().min(occupied);
-            scratch.hits.sort_unstable();
-            on_result(r, &scratch.hits);
-        }
-        scratch.put_shard_slots(slots);
+            scratch.put_shard_slots(slots);
+            occupied
+        };
+        receipt.bucket_probes += plan.candidate_buckets().min(occupied as u64);
+        scratch.hits.sort_unstable();
     }
 
-    /// Parallel batch insert: receipts and bucket ids are computed (and
-    /// arrival order fixed) sequentially, then each shard's staged run of
-    /// nodes is appended and linked by an independent task. Per-shard slab
-    /// and chain order equal the sequential outcome by construction —
-    /// arrival order is decided before any task runs.
-    pub fn insert_batch_with(
-        &mut self,
-        entries: &[(TupleKey, AttrVec)],
-        receipt: &mut CostReceipt,
-        exec: &dyn ShardExecutor,
-    ) {
-        receipt.hash_ops += self.config.indexed_attrs() as u64 * entries.len() as u64;
-        receipt.bucket_probes += entries.len() as u64;
-        if self.shards.len() == 1 {
-            for &(key, jas) in entries {
-                let bucket = self.config.bucket_of(&jas);
-                self.shards[0].push_and_link(Node {
-                    key,
-                    jas,
-                    bucket,
-                    next: NIL,
-                    prev: NIL,
-                });
-            }
-            return;
-        }
-        let s_count = self.shards.len();
-        let mut staged: Vec<Vec<Node>> = (0..s_count).map(|_| Vec::new()).collect();
-        for &(key, jas) in entries {
-            let bucket = self.config.bucket_of(&jas);
-            staged[self.shard_of(bucket)].push(Node {
-                key,
-                jas,
-                bucket,
-                next: NIL,
-                prev: NIL,
-            });
-        }
-        let staged = &staged;
-        let arena = SlotArena::new(&mut self.shards[..s_count]);
-        exec.run_tasks(s_count, &|s| {
-            // SAFETY: task `s` claims only shard `s`, exactly once.
-            let shard = unsafe { arena.claim(s) };
-            for node in &staged[s] {
-                shard.push_and_link(*node);
-            }
-        });
+    /// Charge one maintenance operation — `indexed_attrs` hashes plus one
+    /// bucket probe, data-independent, so charging at stage time is exact
+    /// — and route it: returns the owning shard and the bucket id.
+    fn route(&self, jas: &AttrVec, receipt: &mut CostReceipt) -> (usize, u64) {
+        receipt.hash_ops += self.config.indexed_attrs() as u64;
+        receipt.bucket_probes += 1;
+        let bucket = self.config.bucket_of(jas);
+        (self.shard_of(bucket), bucket)
     }
 
     /// Serialize the full physical structure — the (possibly tuned)
@@ -1039,61 +942,48 @@ impl BitAddressIndex {
 
 impl StateIndex for BitAddressIndex {
     fn insert(&mut self, key: TupleKey, jas: &AttrVec, receipt: &mut CostReceipt) {
-        receipt.hash_ops += self.config.indexed_attrs() as u64;
-        receipt.bucket_probes += 1;
-        let bucket = self.config.bucket_of(jas);
-        let s = self.shard_of(bucket);
-        self.shards[s].push_and_link(Node {
-            key,
-            jas: *jas,
-            bucket,
-            next: NIL,
-            prev: NIL,
-        });
+        let (s, bucket) = self.route(jas, receipt);
+        self.shards[s].apply(StagedOp::insert(key, jas, bucket));
     }
 
     fn remove(&mut self, key: TupleKey, jas: &AttrVec, receipt: &mut CostReceipt) {
-        receipt.hash_ops += self.config.indexed_attrs() as u64;
-        receipt.bucket_probes += 1;
-        let bucket = self.config.bucket_of(jas);
-        let s = self.shard_of(bucket);
-        self.shards[s].remove_by_key(bucket, key);
+        let (s, bucket) = self.route(jas, receipt);
+        self.shards[s].apply(StagedOp::Remove { bucket, key });
     }
 
-    /// Parallel batch remove: charges and bucket routing are computed
-    /// sequentially (fixing the unlink order per shard), then each shard's
-    /// chain walks run as one independent task — the removal mirror of
-    /// [`BitAddressIndex::insert_batch_with`].
-    fn remove_batch_with(
+    fn stage_insert(
         &mut self,
-        entries: &[(TupleKey, AttrVec)],
+        key: TupleKey,
+        jas: &AttrVec,
         receipt: &mut CostReceipt,
-        exec: &dyn ShardExecutor,
+        stage: &mut IngestStage,
     ) {
-        receipt.hash_ops += self.config.indexed_attrs() as u64 * entries.len() as u64;
-        receipt.bucket_probes += entries.len() as u64;
-        let s_count = self.shards.len();
-        if s_count == 1 {
-            for &(key, jas) in entries {
-                let bucket = self.config.bucket_of(&jas);
-                self.shards[0].remove_by_key(bucket, key);
-            }
+        let (s, bucket) = self.route(jas, receipt);
+        stage.push(self.shards.len(), s, StagedOp::insert(key, jas, bucket));
+    }
+
+    fn stage_remove(
+        &mut self,
+        key: TupleKey,
+        jas: &AttrVec,
+        receipt: &mut CostReceipt,
+        stage: &mut IngestStage,
+    ) {
+        let (s, bucket) = self.route(jas, receipt);
+        stage.push(self.shards.len(), s, StagedOp::Remove { bucket, key });
+    }
+
+    fn apply_stage(&mut self, stage: &mut IngestStage, exec: &dyn ShardExecutor) {
+        if stage.is_empty() {
             return;
         }
-        let mut staged: Vec<Vec<(u64, TupleKey)>> = (0..s_count).map(|_| Vec::new()).collect();
-        for &(key, jas) in entries {
-            let bucket = self.config.bucket_of(&jas);
-            staged[self.shard_of(bucket)].push((bucket, key));
-        }
-        let staged = &staged;
-        let arena = SlotArena::new(&mut self.shards[..s_count]);
+        let s_count = self.shards.len();
+        let shards = SlotArena::new(&mut self.shards[..]);
         exec.run_tasks(s_count, &|s| {
             // SAFETY: task `s` claims only shard `s`, exactly once.
-            let shard = unsafe { arena.claim(s) };
-            for &(bucket, key) in &staged[s] {
-                shard.remove_by_key(bucket, key);
-            }
+            unsafe { shards.claim(s) }.replay(stage.lane(s));
         });
+        stage.clear();
     }
 
     fn search_into(
@@ -1102,41 +992,60 @@ impl StateIndex for BitAddressIndex {
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
     ) -> bool {
-        self.search_sharded(req, scratch, receipt, &SequentialExecutor);
+        let shards = &self.shards;
+        Self::probe_shards(
+            &self.config,
+            self.shard_bits,
+            shards.len(),
+            req,
+            scratch,
+            receipt,
+            &SequentialExecutor,
+            &SideTasks::none(),
+            |s, plan, hits, receipt| {
+                if let Some(plan) = plan {
+                    shards[s].probe(plan, req, hits, receipt);
+                }
+                shards[s].heads.len()
+            },
+        );
         true
     }
 
-    fn search_into_with(
-        &self,
+    fn apply_stage_then_search(
+        &mut self,
+        stage: &mut IngestStage,
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
         exec: &dyn ShardExecutor,
+        side: &SideTasks<'_>,
     ) -> bool {
-        self.search_sharded(req, scratch, receipt, exec);
-        true
-    }
-
-    fn insert_batch_with(
-        &mut self,
-        entries: &[(TupleKey, AttrVec)],
-        receipt: &mut CostReceipt,
-        exec: &dyn ShardExecutor,
-    ) {
-        BitAddressIndex::insert_batch_with(self, entries, receipt, exec);
-    }
-
-    fn search_batch_with(
-        &self,
-        reqs: &[SearchRequest],
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        exec: &dyn ShardExecutor,
-        on_result: &mut dyn FnMut(usize, &[TupleKey]),
-    ) -> bool {
-        BitAddressIndex::search_batch_with(self, reqs, scratch, receipt, exec, |i, hits| {
-            on_result(i, hits)
-        });
+        // Task `s` replays shard `s`'s staged run before probing it, so
+        // the probe sees exactly that shard's post-apply state while other
+        // shards are still applying theirs.
+        let s_count = self.shards.len();
+        let shards = SlotArena::new(&mut self.shards[..]);
+        Self::probe_shards(
+            &self.config,
+            self.shard_bits,
+            s_count,
+            req,
+            scratch,
+            receipt,
+            exec,
+            side,
+            |s, plan, hits, receipt| {
+                // SAFETY: task `s` claims only shard `s`, exactly once.
+                let shard = unsafe { shards.claim(s) };
+                shard.replay(stage.lane(s));
+                if let Some(plan) = plan {
+                    shard.probe(plan, req, hits, receipt);
+                }
+                shard.heads.len()
+            },
+        );
+        stage.clear();
         true
     }
 
@@ -1159,174 +1068,9 @@ impl StateIndex for BitAddressIndex {
     }
 }
 
-impl StagedIndex for BitAddressIndex {
-    type Stage = IngestStage;
-
-    fn stage_insert(
-        &self,
-        key: TupleKey,
-        jas_values: &AttrVec,
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) {
-        receipt.hash_ops += self.config.indexed_attrs() as u64;
-        receipt.bucket_probes += 1;
-        let bucket = self.config.bucket_of(jas_values);
-        stage.push(
-            self.shards.len(),
-            self.shard_of(bucket),
-            StagedOp::Insert(Node {
-                key,
-                jas: *jas_values,
-                bucket,
-                next: NIL,
-                prev: NIL,
-            }),
-        );
-    }
-
-    fn stage_remove(
-        &self,
-        key: TupleKey,
-        jas_values: &AttrVec,
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) {
-        receipt.hash_ops += self.config.indexed_attrs() as u64;
-        receipt.bucket_probes += 1;
-        let bucket = self.config.bucket_of(jas_values);
-        stage.push(
-            self.shards.len(),
-            self.shard_of(bucket),
-            StagedOp::Remove { bucket, key },
-        );
-    }
-
-    fn apply_stage(&mut self, stage: &mut IngestStage, exec: &dyn ShardExecutor) {
-        if stage.pending == 0 {
-            return;
-        }
-        let s_count = self.shards.len();
-        debug_assert!(
-            stage.ops.len() >= s_count,
-            "stage routed against a different shard count"
-        );
-        if s_count == 1 {
-            let shard = &mut self.shards[0];
-            for op in &stage.ops[0] {
-                shard.apply(*op);
-            }
-        } else {
-            let ops = &stage.ops;
-            let arena = SlotArena::new(&mut self.shards[..s_count]);
-            exec.run_tasks(s_count, &|s| {
-                // SAFETY: task `s` claims only shard `s`, exactly once.
-                let shard = unsafe { arena.claim(s) };
-                for op in &ops[s] {
-                    shard.apply(*op);
-                }
-            });
-        }
-        stage.clear();
-    }
-
-    fn apply_stage_then_search(
-        &mut self,
-        stage: &mut IngestStage,
-        req: &SearchRequest,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        exec: &dyn ShardExecutor,
-        side: &crate::parallel::SideTasks<'_>,
-    ) -> bool {
-        let s_count = self.shards.len();
-        if stage.pending == 0 || s_count == 1 {
-            // Nothing to overlap: drain (inline for one shard), run the
-            // side I/O as its own dispatch, and fall through to the plain
-            // sharded search.
-            self.apply_stage(stage, exec);
-            side.run_leftover(exec);
-            self.search_sharded(req, scratch, receipt, exec);
-            return true;
-        }
-        debug_assert!(
-            stage.ops.len() >= s_count,
-            "stage routed against a different shard count"
-        );
-        // Fused apply+probe: plan and charge sequentially (identical to
-        // search_sharded), then one dispatch where task `s` replays shard
-        // `s`'s staged run before probing it — shard `s`'s probe sees
-        // exactly its post-apply state while other shards are still
-        // applying theirs.
-        scratch.hits.clear();
-        let hashed = req
-            .pattern
-            .positions()
-            .filter(|&i| self.config.bits_of(i) > 0)
-            .count() as u64;
-        receipt.hash_ops += hashed;
-        let plan = self.config.probe_plan(req.pattern, req.values.as_slice());
-        let (shard_bits, total_bits) = (self.shard_bits, self.config.total_bits());
-        let mut slots = scratch.take_shard_slots();
-        slots.resize_with(s_count.max(slots.len()), ShardSlot::default);
-        {
-            let ops = &stage.ops;
-            let shards = SlotArena::new(&mut self.shards[..s_count]);
-            let arena = SlotArena::new(&mut slots[..s_count]);
-            // The probe's speculative spill reads ride the same dispatch:
-            // indices past `s_count` are pure file I/O into caller-owned
-            // slots, so disk time overlaps apply+probe work.
-            crate::parallel::run_fused(
-                exec,
-                s_count,
-                &|s| {
-                    // SAFETY: task `s` claims only shard `s` and slot `s`,
-                    // exactly once each.
-                    let shard = unsafe { shards.claim(s) };
-                    for op in &ops[s] {
-                        shard.apply(*op);
-                    }
-                    let slot = unsafe { arena.claim(s) };
-                    slot.hits.clear();
-                    slot.receipt = CostReceipt::new();
-                    if let Some(slice) = plan.shard_slice(s as u64, shard_bits, total_bits) {
-                        shard.probe(&slice, req, &mut slot.hits, &mut slot.receipt);
-                    }
-                },
-                side,
-            );
-        }
-        for slot in &slots[..s_count] {
-            scratch.hits.extend_from_slice(&slot.hits);
-            receipt.merge(&slot.receipt);
-        }
-        // Canonical probe charge, computed *after* the dispatch so the
-        // occupancy reflects the staged ops the probe just saw — the same
-        // post-apply totals the drain-then-search path charges against.
-        receipt.bucket_probes += plan.candidate_buckets().min(self.occupied_buckets() as u64);
-        scratch.hits.sort_unstable();
-        scratch.put_shard_slots(slots);
-        stage.clear();
-        true
-    }
-}
-
-impl crate::state::StateStore<BitAddressIndex> {
-    /// Re-partition the underlying bit-address arena into `shard_count`
-    /// shards (see [`BitAddressIndex::set_shard_count`]). Applied at
-    /// construction time by the engine; charges nothing.
-    ///
-    /// # Panics
-    /// Panics unless `shard_count` is a power of two (≥ 1).
-    pub fn set_shards(&mut self, shard_count: usize) {
-        self.index_mut().set_shard_count(shard_count);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::SearchOutcome;
     use amri_stream::AccessPattern;
     use proptest::prelude::*;
 
@@ -1347,17 +1091,15 @@ mod tests {
         idx
     }
 
+    /// The hits of one probe, or `None` if the index deferred to a scan.
     fn search(
         idx: &BitAddressIndex,
         request: &SearchRequest,
         r: &mut CostReceipt,
-    ) -> SearchOutcome {
+    ) -> Option<Vec<TupleKey>> {
         let mut scratch = SearchScratch::new();
-        if idx.search_into(request, &mut scratch, r) {
-            SearchOutcome::Matches(scratch.hits)
-        } else {
-            SearchOutcome::NeedScan
-        }
+        idx.search_into(request, &mut scratch, r)
+            .then_some(scratch.hits)
     }
 
     #[test]
@@ -1370,7 +1112,7 @@ mod tests {
 
         let mut r = CostReceipt::new();
         let got = search(&idx, &req(0b111, 3, &[10, 20, 30]), &mut r);
-        assert_eq!(got, SearchOutcome::Matches(vec![TupleKey(1)]));
+        assert_eq!(got, Some(vec![TupleKey(1)]));
         assert_eq!(r.bucket_probes, 1, "full pattern probes one bucket");
     }
 
@@ -1382,8 +1124,7 @@ mod tests {
         idx.insert(TupleKey(1), &jas(&[7, 1, 1]), &mut r);
         idx.insert(TupleKey(2), &jas(&[7, 2, 2]), &mut r);
         idx.insert(TupleKey(3), &jas(&[8, 1, 1]), &mut r);
-        let SearchOutcome::Matches(mut got) = search(&idx, &req(0b001, 3, &[7, 0, 0]), &mut r)
-        else {
+        let Some(mut got) = search(&idx, &req(0b001, 3, &[7, 0, 0]), &mut r) else {
             panic!("bit-address never scans");
         };
         got.sort();
@@ -1419,7 +1160,7 @@ mod tests {
         idx.insert(TupleKey(2), &jas(&[5, 5, 5]), &mut r); // same bucket
         idx.remove(TupleKey(1), &jas(&[5, 5, 5]), &mut r);
         assert_eq!(idx.entries(), 1);
-        let SearchOutcome::Matches(got) = search(&idx, &req(0b111, 3, &[5, 5, 5]), &mut r) else {
+        let Some(got) = search(&idx, &req(0b111, 3, &[5, 5, 5]), &mut r) else {
             panic!()
         };
         assert_eq!(got, vec![TupleKey(2)]);
@@ -1431,13 +1172,17 @@ mod tests {
     fn migration_relocates_every_entry() {
         let mut idx = populated(IndexConfig::new(vec![6, 0, 0]).unwrap(), 50);
         let mut r = CostReceipt::new();
-        idx.migrate(IndexConfig::new(vec![0, 0, 6]).unwrap(), &mut r);
+        idx.migrate_with(
+            IndexConfig::new(vec![0, 0, 6]).unwrap(),
+            &mut r,
+            &SequentialExecutor,
+        );
         assert_eq!(r.moved, 50);
         assert_eq!(idx.entries(), 50);
         assert_eq!(idx.config().bits(), &[0, 0, 6]);
         // Every tuple still findable under the new configuration.
         let mut rr = CostReceipt::new();
-        let SearchOutcome::Matches(got) = search(&idx, &req(0b100, 3, &[0, 0, 3]), &mut rr) else {
+        let Some(got) = search(&idx, &req(0b100, 3, &[0, 0, 3]), &mut rr) else {
             panic!()
         };
         // i % 5 == 3 for i in 0..50 → 10 tuples.
@@ -1448,7 +1193,7 @@ mod tests {
     fn migration_to_trivial_config_is_one_bucket() {
         let mut idx = populated(IndexConfig::new(vec![4, 4, 4]).unwrap(), 30);
         let mut r = CostReceipt::new();
-        idx.migrate(IndexConfig::trivial(3), &mut r);
+        idx.migrate_with(IndexConfig::trivial(3), &mut r, &SequentialExecutor);
         assert_eq!(idx.occupied_buckets(), 1);
         assert_eq!(idx.max_bucket(), 30);
     }
@@ -1547,8 +1292,7 @@ mod tests {
         for victim in [0u32, 4, 7] {
             idx.remove(TupleKey(victim), &jas(&[1, 2, 3]), &mut r);
         }
-        let SearchOutcome::Matches(mut got) = search(&idx, &req(0b000, 3, &[0, 0, 0]), &mut r)
-        else {
+        let Some(mut got) = search(&idx, &req(0b000, 3, &[0, 0, 0]), &mut r) else {
             panic!()
         };
         got.sort();
@@ -1584,43 +1328,6 @@ mod tests {
     }
 
     proptest! {
-        /// `search_into` through a dirty, reused scratch returns exactly
-        /// the key set the allocating `search` wrapper does. This is the
-        /// one test that exercises the deprecated wrapper on purpose.
-        #[test]
-        #[allow(deprecated)]
-        fn search_into_equals_search(
-            bits in proptest::collection::vec(0u8..5, 3),
-            tuples in proptest::collection::vec(proptest::collection::vec(0u64..6, 3), 1..60),
-            masks in proptest::collection::vec(0u32..8, 1..6),
-            probe in proptest::collection::vec(0u64..6, 3),
-        ) {
-            let mut idx = BitAddressIndex::new(IndexConfig::new(bits).unwrap());
-            let mut r = CostReceipt::new();
-            for (i, t) in tuples.iter().enumerate() {
-                idx.insert(TupleKey(i as u32), &jas(t), &mut r);
-            }
-            // One scratch reused across every request: stale contents
-            // must never bleed into later answers.
-            let mut scratch = SearchScratch::new();
-            for mask in masks {
-                let request = req(mask, 3, &probe);
-                let mut r_into = CostReceipt::new();
-                prop_assert!(idx.search_into(&request, &mut scratch, &mut r_into));
-                let mut via_scratch = scratch.hits.clone();
-                via_scratch.sort();
-                let mut r_old = CostReceipt::new();
-                let SearchOutcome::Matches(mut via_search) = idx.search(&request, &mut r_old)
-                else {
-                    panic!("bit-address never defers to scan");
-                };
-                via_search.sort();
-                prop_assert_eq!(via_scratch, via_search);
-                // Both paths charge the identical receipt.
-                prop_assert_eq!(r_into, r_old);
-            }
-        }
-
         /// Entries survive arbitrary interleavings of inserts and removes
         /// with the slab kept dense (`swap_remove` fixups).
         #[test]
@@ -1644,7 +1351,7 @@ mod tests {
                 }
             }
             let request = req(mask, 3, &probe);
-            let SearchOutcome::Matches(mut got) = search(&idx, &request, &mut r) else {
+            let Some(mut got) = search(&idx, &request, &mut r) else {
                 panic!()
             };
             got.sort();
@@ -1674,7 +1381,7 @@ mod tests {
                 idx.insert(TupleKey(i as u32), &jas(t), &mut r);
             }
             let request = req(mask, 3, &probe);
-            let SearchOutcome::Matches(mut got) = search(&idx, &request, &mut r) else {
+            let Some(mut got) = search(&idx, &request, &mut r) else {
                 panic!("bit-address never defers to scan");
             };
             got.sort();
@@ -1688,11 +1395,13 @@ mod tests {
             prop_assert_eq!(got, expected);
         }
 
-        /// Memory-pressure eviction through `StateStore::evict_oldest`
+        /// Memory-pressure eviction through `StateStore::evict_oldest_with`
         /// interleaved with inserts and searches: after every step the
         /// flat arena stays dense with cycle-free, fully consistent
         /// chains, and `search_into` agrees with a scan oracle over the
-        /// model's survivor set.
+        /// model's survivor set. Eviction runs through one reusable
+        /// `IngestStage` and charges, per evicted entry, exactly one base
+        /// op, `indexed_attrs` hashes and one bucket probe.
         #[test]
         fn eviction_interleavings_keep_the_arena_sound(
             bits in proptest::collection::vec(0u8..4, 3),
@@ -1707,12 +1416,14 @@ mod tests {
             use amri_stream::{AttrId, StreamId, Tuple, TupleId, VirtualTime, WindowSpec};
 
             let config = IndexConfig::new(bits).unwrap();
+            let hashes_per_entry = config.indexed_attrs() as u64;
             let mut store = StateStore::new(
                 StreamId(0),
                 vec![AttrId(0), AttrId(1), AttrId(2)],
                 WindowSpec::secs(1_000_000), // never expires: evictions only
                 BitAddressIndex::new(config),
             );
+            let mut stage = IngestStage::new();
             // Oracle: arrival-ordered (key, jas) survivors.
             let mut model: Vec<(TupleKey, Vec<u64>)> = Vec::new();
             let mut r = CostReceipt::new();
@@ -1733,8 +1444,21 @@ mod tests {
                     model.push((key, attrs.clone()));
                 } else if op < 7 {
                     // Evict the `count` oldest live tuples.
-                    let evicted = store.evict_oldest(count, &mut r);
+                    let mut charged = CostReceipt::new();
+                    let evicted = store.evict_oldest_with(
+                        count,
+                        &mut charged,
+                        &mut stage,
+                        &SequentialExecutor,
+                    );
                     prop_assert_eq!(evicted, count.min(model.len()));
+                    prop_assert!(stage.is_empty(), "eviction must drain the stage it filled");
+                    let n = evicted as u64;
+                    let mut expected = CostReceipt::new();
+                    expected.base_ops = n;
+                    expected.hash_ops = n * hashes_per_entry;
+                    expected.bucket_probes = n;
+                    prop_assert_eq!(charged, expected, "eviction charges diverged");
                     model.drain(..evicted);
                 } else {
                     // Search and compare against the oracle scan.
@@ -1771,11 +1495,11 @@ mod tests {
                 idx.insert(TupleKey(i as u32), &jas(t), &mut r);
             }
             let request = req(mask, 3, &probe);
-            let SearchOutcome::Matches(mut before) = search(&idx, &request, &mut r) else {
+            let Some(mut before) = search(&idx, &request, &mut r) else {
                 panic!()
             };
-            idx.migrate(IndexConfig::new(bits_b).unwrap(), &mut r);
-            let SearchOutcome::Matches(mut after) = search(&idx, &request, &mut r) else {
+            idx.migrate_with(IndexConfig::new(bits_b).unwrap(), &mut r, &SequentialExecutor);
+            let Some(mut after) = search(&idx, &request, &mut r) else {
                 panic!()
             };
             before.sort();
@@ -1810,10 +1534,10 @@ mod tests {
                 req(0b000, 3, &[0, 0, 0]),
             ] {
                 let mut r = CostReceipt::new();
-                let SearchOutcome::Matches(mut a) = search(&one, &request, &mut r) else {
+                let Some(mut a) = search(&one, &request, &mut r) else {
                     panic!()
                 };
-                let SearchOutcome::Matches(mut b) = search(&many, &request, &mut r) else {
+                let Some(mut b) = search(&many, &request, &mut r) else {
                     panic!()
                 };
                 a.sort();
@@ -1843,7 +1567,7 @@ mod tests {
         let mut idx = populated(IndexConfig::new(vec![4, 4, 4]).unwrap(), 150);
         let request = req(0b010, 3, &[0, 5, 0]);
         let mut r = CostReceipt::new();
-        let SearchOutcome::Matches(mut before) = search(&idx, &request, &mut r) else {
+        let Some(mut before) = search(&idx, &request, &mut r) else {
             panic!()
         };
         for shards in [8usize, 2, 4, 1] {
@@ -1851,7 +1575,7 @@ mod tests {
             assert_eq!(idx.shard_count(), shards);
             assert_eq!(idx.entries(), 150);
             idx.check_integrity().unwrap();
-            let SearchOutcome::Matches(mut after) = search(&idx, &request, &mut r) else {
+            let Some(mut after) = search(&idx, &request, &mut r) else {
                 panic!()
             };
             before.sort();
@@ -1861,67 +1585,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_insert_batch_matches_sequential_inserts() {
-        let config = IndexConfig::new(vec![4, 4, 4]).unwrap();
-        let entries: Vec<(TupleKey, AttrVec)> = (0u64..120)
-            .map(|i| (TupleKey(i as u32), jas(&[i % 9, i % 6, i % 4])))
-            .collect();
-        let mut seq = BitAddressIndex::with_shards(config.clone(), 4);
-        let mut seq_r = CostReceipt::new();
-        for (k, v) in &entries {
-            seq.insert(*k, v, &mut seq_r);
-        }
-        let mut batch = BitAddressIndex::with_shards(config, 4);
-        let mut batch_r = CostReceipt::new();
-        batch.insert_batch_with(&entries, &mut batch_r, &SequentialExecutor);
-        batch.check_integrity().unwrap();
-        assert_eq!(batch_r, seq_r, "batch insert must charge identically");
-        // Same structure ⇒ same hit order, not just the same set.
-        let request = req(0b001, 3, &[5, 0, 0]);
-        let mut scratch = SearchScratch::new();
-        let mut r = CostReceipt::new();
-        assert!(seq.search_into(&request, &mut scratch, &mut r));
-        let want = scratch.hits.clone();
-        assert!(batch.search_into(&request, &mut scratch, &mut r));
-        assert_eq!(scratch.hits, want);
-    }
-
-    #[test]
-    fn sharded_search_batch_matches_per_request_calls() {
-        let idx = populated_sharded(IndexConfig::new(vec![4, 4, 4]).unwrap(), 4, 250);
-        let reqs: Vec<SearchRequest> = (0u64..12)
-            .map(|i| req(0b001 + (i % 7) as u32, 3, &[i % 10, i % 7, i % 5]))
-            .collect();
-        let mut scratch = SearchScratch::new();
-        let mut single_r = CostReceipt::new();
-        let mut singles: Vec<Vec<TupleKey>> = Vec::new();
-        for request in &reqs {
-            assert!(idx.search_into(request, &mut scratch, &mut single_r));
-            singles.push(scratch.hits.clone());
-        }
-        let mut batch_r = CostReceipt::new();
-        let mut batched: Vec<Vec<TupleKey>> = vec![Vec::new(); reqs.len()];
-        idx.search_batch_with(
-            &reqs,
-            &mut scratch,
-            &mut batch_r,
-            &SequentialExecutor,
-            |i, hits| batched[i] = hits.to_vec(),
-        );
-        assert_eq!(batched, singles, "batched hits/order must match singles");
-        assert_eq!(batch_r, single_r, "batched receipts must match singles");
-    }
-
-    #[test]
     fn sharded_migration_crossing_shards_stays_sound() {
         // [6,0,0] → [0,0,6] flips which attribute feeds the top bits, so
         // entries must hop shards: the gather-and-redistribute path.
         let mut idx = populated_sharded(IndexConfig::new(vec![6, 0, 0]).unwrap(), 4, 80);
         let mut r = CostReceipt::new();
-        idx.migrate(IndexConfig::new(vec![0, 0, 6]).unwrap(), &mut r);
+        idx.migrate_with(
+            IndexConfig::new(vec![0, 0, 6]).unwrap(),
+            &mut r,
+            &SequentialExecutor,
+        );
         assert_eq!(r.moved, 80);
         idx.check_integrity().unwrap();
-        let SearchOutcome::Matches(got) = search(&idx, &req(0b100, 3, &[0, 0, 3]), &mut r) else {
+        let Some(got) = search(&idx, &req(0b100, 3, &[0, 0, 3]), &mut r) else {
             panic!()
         };
         assert_eq!(got.len(), 16, "i % 5 == 3 for i in 0..80");

@@ -273,7 +273,6 @@ impl StateIndex for MultiHashIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::SearchOutcome;
     use proptest::prelude::*;
 
     fn ap(mask: u32) -> AccessPattern {
@@ -284,13 +283,15 @@ mod tests {
         AttrVec::from_slice(vals).unwrap()
     }
 
-    fn search(m: &MultiHashIndex, request: &SearchRequest, r: &mut CostReceipt) -> SearchOutcome {
+    /// The hits of one probe, or `None` if the module deferred to a scan.
+    fn search(
+        m: &MultiHashIndex,
+        request: &SearchRequest,
+        r: &mut CostReceipt,
+    ) -> Option<Vec<TupleKey>> {
         let mut scratch = SearchScratch::new();
-        if m.search_into(request, &mut scratch, r) {
-            SearchOutcome::Matches(scratch.hits)
-        } else {
-            SearchOutcome::NeedScan
-        }
+        m.search_into(request, &mut scratch, r)
+            .then_some(scratch.hits)
     }
 
     fn req(mask: u32, vals: &[u64]) -> SearchRequest {
@@ -336,7 +337,7 @@ mod tests {
         m.insert(TupleKey(3), &jas(&[7, 5, 47]), &mut r);
         let mut r = CostReceipt::new();
         let out = search(&m, &req(0b101, &[2012, 0, 47]), &mut r);
-        assert_eq!(out, SearchOutcome::Matches(vec![TupleKey(1)]));
+        assert_eq!(out, Some(vec![TupleKey(1)]));
         // One lookup on the 1-attribute index: 1 hash op.
         assert_eq!(r.hash_ops, 1);
         // Both A1=2012 tuples hit the bucket; both compared.
@@ -348,10 +349,7 @@ mod tests {
         // §I-A: sr₂ = {A3=47}. No index is a subset of {A3} → full scan.
         let m = paper_module();
         let mut r = CostReceipt::new();
-        assert_eq!(
-            search(&m, &req(0b100, &[0, 0, 47]), &mut r),
-            SearchOutcome::NeedScan
-        );
+        assert_eq!(search(&m, &req(0b100, &[0, 0, 47]), &mut r), None);
     }
 
     #[test]
@@ -373,7 +371,7 @@ mod tests {
         m.insert(TupleKey(2), &jas(&[1, 2, 3]), &mut r);
         m.remove(TupleKey(1), &jas(&[1, 2, 3]), &mut r);
         assert_eq!(m.entries(), 3);
-        let SearchOutcome::Matches(got) = search(&m, &req(0b011, &[1, 2, 0]), &mut r) else {
+        let Some(got) = search(&m, &req(0b011, &[1, 2, 0]), &mut r) else {
             panic!()
         };
         assert_eq!(got, vec![TupleKey(2)]);
@@ -416,7 +414,7 @@ mod tests {
         assert_eq!(m.n_indices(), 2);
         assert_eq!(r.moved, 10, "only the new sub-index is rebuilt");
         // New index serves B-only requests now.
-        let SearchOutcome::Matches(got) = search(&m, &req(0b010, &[0, 1, 0]), &mut r) else {
+        let Some(got) = search(&m, &req(0b010, &[0, 1, 0]), &mut r) else {
             panic!()
         };
         assert_eq!(got.len(), tuples.iter().filter(|(_, v)| v[1] == 1).count());
@@ -438,13 +436,13 @@ mod tests {
             }
             let request = req(mask, &probe);
             match search(&m, &request, &mut r) {
-                SearchOutcome::NeedScan => {
+                None => {
                     // Legal only when no sub-index is a subset of the request.
                     for p in m.patterns() {
                         prop_assert!(!p.benefits(request.pattern));
                     }
                 }
-                SearchOutcome::Matches(mut got) => {
+                Some(mut got) => {
                     got.sort();
                     let mut expected: Vec<TupleKey> = tuples
                         .iter()

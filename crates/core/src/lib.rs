@@ -124,7 +124,7 @@ pub use error::CoreError;
 pub use hash_index::MultiHashIndex;
 pub use parallel::{SequentialExecutor, ShardExecutor, SlotArena};
 pub use scan::ScanIndex;
-pub use state::{SearchOutcome, SearchScratch, StagedIndex, StateIndex, StateStore, TupleKey};
+pub use state::{SearchScratch, StateIndex, StateStore, TupleKey};
 pub use tier::{
     BlockMeta, BlockReadError, BlockWriteError, IoFaultConfig, SpillConfig, SpillOutcome,
     SpillStats, SpillTier,

@@ -120,7 +120,9 @@ impl<'a> SideTasks<'a> {
     /// A dispatch that wants to fuse the bundle must call this exactly
     /// once and, when nonzero, run every claimed task.
     pub fn take_fire(&self) -> usize {
-        if self.fired.swap(true, std::sync::atomic::Ordering::AcqRel) {
+        // The empty bundle is the common case on the probe hot path: skip
+        // the atomic.
+        if self.n == 0 || self.fired.swap(true, std::sync::atomic::Ordering::AcqRel) {
             0
         } else {
             self.n

@@ -8,8 +8,10 @@
 //! the identical storage code and differs only in the index, mirroring the
 //! paper's controlled comparison.
 
+use crate::bitaddr::IngestStage;
 use crate::cost::CostReceipt;
 use crate::layout;
+use crate::parallel::{ShardExecutor, SideTasks, SlotArena};
 use crate::tier::{BlockReadError, SpillEntry, SpillOutcome, SpillStats, SpillTier};
 use amri_stream::{
     AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime, WindowBuffer, WindowSpec,
@@ -18,15 +20,6 @@ use amri_stream::{
 /// Key of a stored tuple within its state's arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TupleKey(pub u32);
-
-/// What an index returns for a search.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SearchOutcome {
-    /// Keys of tuples already equality-matched against the request.
-    Matches(Vec<TupleKey>),
-    /// The index cannot serve this request; the caller must scan the arena.
-    NeedScan,
-}
 
 /// One shard's private result slot during a sharded search: hits and cost
 /// charges accumulate here, then merge into the caller's scratch/receipt in
@@ -37,6 +30,8 @@ pub(crate) struct ShardSlot {
     pub(crate) hits: Vec<TupleKey>,
     /// Costs charged inside this shard.
     pub(crate) receipt: CostReceipt,
+    /// This shard's occupied-bucket count as the probe saw it.
+    pub(crate) occupied: usize,
 }
 
 /// Caller-owned, reusable buffer a search writes its matches into.
@@ -54,9 +49,8 @@ pub(crate) struct ShardSlot {
 pub struct SearchScratch {
     /// Matches of the most recent `search_into` call.
     pub hits: Vec<TupleKey>,
-    /// Per-shard result slots for sharded searches (one per shard, or one
-    /// per request × shard for batch probes); buffers are reused across
-    /// calls.
+    /// Per-shard result slots for sharded searches (one per shard);
+    /// buffers are reused across calls.
     shard_slots: Vec<ShardSlot>,
 }
 
@@ -91,56 +85,67 @@ impl SearchScratch {
 /// Implementations receive the tuple's JAS-aligned values on insert/remove
 /// and fill in a [`CostReceipt`] for every primitive action, so the engine
 /// charges virtual time faithfully.
+///
+/// The engine drives every index through the *staged* hooks: the cost
+/// charges and shard routing of an insert/remove happen at arrival time,
+/// while a sharded index may defer the physical link/unlink work into an
+/// [`IngestStage`] and replay it per shard in arrival order — inline or
+/// fanned out across a worker pool. Because every operation touches
+/// exactly one shard and each shard replays its own subsequence in the
+/// original order, the applied structure is byte-identical to eager
+/// sequential maintenance regardless of the executor. The hooks default to
+/// the eager [`insert`](Self::insert)/[`remove`](Self::remove) primitives,
+/// which is all an unsharded index needs: its stage stays empty.
+///
+/// Contract: the stage must be drained (applied) before any observation
+/// of the index — searches, memory accounting, migration, snapshots —
+/// and before the index is reconfigured.
 pub trait StateIndex {
-    /// Index a newly stored tuple.
+    /// Index a newly stored tuple, eagerly.
     fn insert(&mut self, key: TupleKey, jas_values: &AttrVec, receipt: &mut CostReceipt);
 
-    /// Index a batch of newly stored tuples in order, with an explicit
-    /// shard-task executor. A sharded index stages the batch per shard and
-    /// links each shard's run through `exec`; this default simply loops
-    /// [`insert`](Self::insert). Either way the resulting structure and
-    /// receipt totals equal sequential insertion — arrival order is fixed
-    /// before any task runs.
-    fn insert_batch_with(
-        &mut self,
-        entries: &[(TupleKey, AttrVec)],
-        receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-    ) {
-        let _ = exec;
-        for (key, jas) in entries {
-            self.insert(*key, jas, receipt);
-        }
-    }
-
-    /// Remove an expired tuple.
+    /// Remove an expired tuple, eagerly.
     fn remove(&mut self, key: TupleKey, jas_values: &AttrVec, receipt: &mut CostReceipt);
 
-    /// Remove a batch of tuples in order, with an explicit shard-task
-    /// executor. A sharded index groups the batch per shard and unlinks
-    /// each shard's run through `exec`; this default simply loops
-    /// [`remove`](Self::remove). Either way the resulting structure and
-    /// receipt totals equal sequential removal — the batch order is fixed
-    /// before any task runs.
-    fn remove_batch_with(
+    /// Charge the insertion of `key` now; the physical linking may be
+    /// deferred into `stage` until [`apply_stage`](Self::apply_stage).
+    fn stage_insert(
         &mut self,
-        entries: &[(TupleKey, AttrVec)],
+        key: TupleKey,
+        jas_values: &AttrVec,
         receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
+        stage: &mut IngestStage,
     ) {
-        let _ = exec;
-        for (key, jas) in entries {
-            self.remove(*key, jas, receipt);
-        }
+        let _ = stage;
+        self.insert(key, jas_values, receipt);
+    }
+
+    /// Charge the removal of `key` now; the physical unlinking may be
+    /// deferred into `stage` until [`apply_stage`](Self::apply_stage).
+    fn stage_remove(
+        &mut self,
+        key: TupleKey,
+        jas_values: &AttrVec,
+        receipt: &mut CostReceipt,
+        stage: &mut IngestStage,
+    ) {
+        let _ = stage;
+        self.remove(key, jas_values, receipt);
+    }
+
+    /// Apply every staged operation, fanning the per-shard runs out
+    /// through `exec`. Charges nothing — all costs were taken at stage
+    /// time. Leaves the stage empty.
+    fn apply_stage(&mut self, stage: &mut IngestStage, exec: &dyn ShardExecutor) {
+        let _ = (stage, exec);
     }
 
     /// Find tuples matching `req` (equality on the specified attributes),
     /// writing them into `scratch.hits` (cleared first).
     ///
     /// Returns `true` when the index served the request; `false` when it
-    /// cannot (the [`SearchOutcome::NeedScan`] case) and the caller must
-    /// scan the arena. Steady-state calls must not allocate: results go
-    /// into the caller's reusable buffer.
+    /// cannot and the caller must scan the arena. Steady-state calls must
+    /// not allocate: results go into the caller's reusable buffer.
     fn search_into(
         &self,
         req: &SearchRequest,
@@ -148,57 +153,34 @@ pub trait StateIndex {
         receipt: &mut CostReceipt,
     ) -> bool;
 
-    /// [`search_into`](Self::search_into) with an explicit shard-task
-    /// executor. Sharded indexes fan the probe out across their shards
-    /// through `exec` and merge in fixed shard order, so the result is
-    /// identical for any executor; unsharded indexes ignore `exec` (this
-    /// default).
-    fn search_into_with(
-        &self,
+    /// Apply the staged operations and then serve `req`. A sharded index
+    /// fuses both into one executor dispatch: task *s* replays shard *s*'s
+    /// staged run and immediately probes that shard, so ingest work on one
+    /// shard overlaps with probe work on another. Results and receipts are
+    /// identical to [`apply_stage`](Self::apply_stage) followed by
+    /// [`search_into`](Self::search_into) — each shard's probe only
+    /// depends on that shard's post-apply state. Returns the served flag
+    /// of `search_into`.
+    ///
+    /// `side` carries this probe's speculative spill-block reads (see
+    /// [`SideTasks`]): a sharded index fuses them into its own dispatch so
+    /// the virtual disk time overlaps shard probe work; this default runs
+    /// them as a plain leftover dispatch. Every implementation must
+    /// guarantee the bundle has fired before returning; side tasks write
+    /// only into caller-owned slots, so *where* they ran never shows in
+    /// hits or receipts.
+    fn apply_stage_then_search(
+        &mut self,
+        stage: &mut IngestStage,
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
+        exec: &dyn ShardExecutor,
+        side: &SideTasks<'_>,
     ) -> bool {
-        let _ = exec;
+        self.apply_stage(stage, exec);
+        side.run_leftover(exec);
         self.search_into(req, scratch, receipt)
-    }
-
-    /// Serve a whole batch of requests through `exec` in one dispatch,
-    /// handing each request's hits to `on_result` in request order.
-    /// Returns `true` when the index served the batch; `false` when the
-    /// caller should fall back to per-request search (this default — an
-    /// index without a batch-amortized path opts out). Implementations
-    /// must produce exactly the hits, hit order, and receipt totals of
-    /// per-request [`search_into`](Self::search_into) calls.
-    fn search_batch_with(
-        &self,
-        reqs: &[SearchRequest],
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-        on_result: &mut dyn FnMut(usize, &[TupleKey]),
-    ) -> bool {
-        let _ = (reqs, scratch, receipt, exec, on_result);
-        false
-    }
-
-    /// Find tuples matching `req`, returning an owned result.
-    ///
-    /// Compatibility wrapper over [`search_into`](Self::search_into); it
-    /// allocates a fresh buffer per call, so hot paths should prefer
-    /// `search_into` with a reused [`SearchScratch`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates per call; use `search_into` with a reused `SearchScratch`"
-    )]
-    fn search(&self, req: &SearchRequest, receipt: &mut CostReceipt) -> SearchOutcome {
-        let mut scratch = SearchScratch::new();
-        if self.search_into(req, &mut scratch, receipt) {
-            SearchOutcome::Matches(scratch.hits)
-        } else {
-            SearchOutcome::NeedScan
-        }
     }
 
     /// Bytes this index currently occupies under the memory model.
@@ -210,77 +192,6 @@ pub trait StateIndex {
 
     /// Human-readable kind for reports.
     fn kind(&self) -> &'static str;
-}
-
-/// A [`StateIndex`] whose physical maintenance can be *staged*: the cost
-/// charges and shard routing of an insert/remove happen at arrival time
-/// (they are data-independent for the bit-address index), while the
-/// link/unlink work is deferred into a [`Stage`](StagedIndex::Stage) and
-/// later replayed per shard in arrival order — sequentially or fanned out
-/// across a worker pool. Because every operation touches exactly one
-/// shard and each shard replays its own subsequence in the original
-/// order, the applied structure is byte-identical to eager sequential
-/// maintenance regardless of the executor.
-///
-/// Contract: the stage must be drained (applied) before any observation
-/// of the index — searches, memory accounting, migration, snapshots —
-/// and before the index is reconfigured.
-pub trait StagedIndex: StateIndex {
-    /// Deferred per-shard maintenance operations.
-    type Stage: Default + Send;
-
-    /// Charge and stage the insertion of `key`; physical linking is
-    /// deferred until [`apply_stage`](Self::apply_stage).
-    fn stage_insert(
-        &self,
-        key: TupleKey,
-        jas_values: &AttrVec,
-        receipt: &mut CostReceipt,
-        stage: &mut Self::Stage,
-    );
-
-    /// Charge and stage the removal of `key`; physical unlinking is
-    /// deferred until [`apply_stage`](Self::apply_stage).
-    fn stage_remove(
-        &self,
-        key: TupleKey,
-        jas_values: &AttrVec,
-        receipt: &mut CostReceipt,
-        stage: &mut Self::Stage,
-    );
-
-    /// Apply every staged operation, fanning the per-shard runs out
-    /// through `exec`. Charges nothing — all costs were taken at stage
-    /// time. Leaves the stage empty.
-    fn apply_stage(&mut self, stage: &mut Self::Stage, exec: &dyn crate::parallel::ShardExecutor);
-
-    /// Apply the staged operations and then serve `req`, fused into one
-    /// executor dispatch: task *s* replays shard *s*'s staged run and
-    /// immediately probes that shard, so ingest work on one shard
-    /// overlaps with probe work on another. Results and receipts are
-    /// identical to [`apply_stage`](Self::apply_stage) followed by
-    /// [`search_into_with`](StateIndex::search_into_with) — each shard's
-    /// probe only depends on that shard's post-apply state. Returns the
-    /// served flag of `search_into`.
-    ///
-    /// `side` carries this probe's speculative spill-block reads (see
-    /// [`SideTasks`](crate::parallel::SideTasks)): the index fuses them
-    /// into its own dispatch (via
-    /// [`run_fused`](crate::parallel::run_fused)) so the virtual disk
-    /// time overlaps shard probe work, or runs them as a plain leftover
-    /// dispatch on paths with nothing to fuse. Every implementation must
-    /// guarantee the bundle has fired before returning; side tasks write
-    /// only into caller-owned slots, so *where* they ran never shows in
-    /// hits or receipts.
-    fn apply_stage_then_search(
-        &mut self,
-        stage: &mut Self::Stage,
-        req: &SearchRequest,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-        side: &crate::parallel::SideTasks<'_>,
-    ) -> bool;
 }
 
 /// One arena slot's contents: a fully resident tuple, or the RAM stub of
@@ -378,22 +289,24 @@ impl Slab {
 
 /// The windowed, indexed store backing one join state.
 #[derive(Debug, Clone)]
-pub struct StateStore<I> {
+pub struct StateStore<I: ?Sized> {
     stream: StreamId,
     /// Schema attribute ids forming the JAS, in JAS-position order.
     jas: Vec<AttrId>,
     arena: Slab,
     window: WindowBuffer<TupleKey>,
-    index: I,
     /// Payload bytes per tuple (schema-declared, memory accounting only).
     payload_bytes: u32,
-    /// Reusable drain buffer for [`StateStore::expire`] (borrow discipline:
+    /// Reusable drain buffer for [`StateStore::expire_staged`] (borrow discipline:
     /// the window queue and the arena/index cannot be borrowed at once).
     expire_buf: Vec<TupleKey>,
     /// The disk spill tier, when enabled for this state.
     tier: Option<SpillTier>,
     /// Live slots currently spill-resident (stub in RAM, attrs on disk).
     spilled: usize,
+    /// The index — the last field, so a `&StateStore<I>` unsizes to
+    /// `&StateStore<dyn StateIndex>` wherever the index type is irrelevant.
+    index: I,
 }
 
 impl<I: StateIndex> StateStore<I> {
@@ -418,7 +331,9 @@ impl<I: StateIndex> StateStore<I> {
         self.payload_bytes = bytes;
         self
     }
+}
 
+impl<I: StateIndex + ?Sized> StateStore<I> {
     /// The stream this state stores.
     #[inline]
     pub fn stream(&self) -> StreamId {
@@ -472,11 +387,13 @@ impl<I: StateIndex> StateStore<I> {
         self.jas.iter().map(|a| tuple.attrs[a.idx()]).collect()
     }
 
-    /// Store an arriving tuple and index it.
+    /// The arena/window half of an arrival: claim a slot, queue the
+    /// window entry, charge the base op. Sequential by design — slot
+    /// assignment and window order are what every later step keys on.
     ///
     /// # Panics
     /// Panics if the tuple is from a different stream.
-    pub fn insert(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> TupleKey {
+    fn admit(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> (TupleKey, AttrVec) {
         assert_eq!(tuple.stream, self.stream, "tuple from wrong stream");
         let jas_values = self.jas_values(&tuple);
         let key = self
@@ -484,91 +401,85 @@ impl<I: StateIndex> StateStore<I> {
             .insert(StoredTuple::Resident { tuple, jas_values });
         self.window.push(tuple.ts, key);
         receipt.base_ops += 1;
+        (key, jas_values)
+    }
+
+    /// Store an arriving tuple and index it eagerly — the stage-less
+    /// convenience over [`insert_staged`](Self::insert_staged).
+    ///
+    /// # Panics
+    /// Panics if the tuple is from a different stream.
+    pub fn insert(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> TupleKey {
+        let (key, jas_values) = self.admit(tuple, receipt);
         self.index.insert(key, &jas_values, receipt);
         key
     }
 
-    /// Store a batch of arriving tuples in order; returns how many were
-    /// stored. The batch-granular ingest entry point of the runtime layer:
-    /// cost accounting is identical to calling [`insert`](Self::insert) per
-    /// tuple, so batch and single-tuple ingest stay interchangeable.
+    /// Store an arriving tuple, charging full ingest cost now but staging
+    /// the index linking for a later [`apply_staged`](Self::apply_staged).
     ///
     /// # Panics
-    /// Panics if any tuple is from a different stream.
-    pub fn insert_batch(
+    /// Panics if the tuple is from a different stream.
+    pub fn insert_staged(
         &mut self,
-        tuples: impl IntoIterator<Item = Tuple>,
+        tuple: Tuple,
         receipt: &mut CostReceipt,
-    ) -> usize {
-        let mut stored = 0;
-        for tuple in tuples {
-            self.insert(tuple, receipt);
-            stored += 1;
-        }
-        stored
+        stage: &mut IngestStage,
+    ) -> TupleKey {
+        let (key, jas_values) = self.admit(tuple, receipt);
+        self.index.stage_insert(key, &jas_values, receipt, stage);
+        key
     }
 
-    /// [`insert_batch`](Self::insert_batch) with an explicit shard-task
-    /// executor: storage slots, window entries, and arrival order are fixed
-    /// sequentially up front, then the index ingests the staged batch in
-    /// one call (fanning out across shards when it is sharded). Contents
-    /// and cost accounting are identical to per-tuple
-    /// [`insert`](Self::insert).
-    ///
-    /// # Panics
-    /// Panics if any tuple is from a different stream.
-    pub fn insert_batch_with(
+    /// Free `key`'s arena slot and stage its index removal — the shared
+    /// tail of expiry and eviction. A spilled stub releases its block
+    /// reference. Returns whether the key was live.
+    fn retire(
         &mut self,
-        tuples: impl IntoIterator<Item = Tuple>,
+        key: TupleKey,
         receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-    ) -> usize {
-        let mut staged: Vec<(TupleKey, AttrVec)> = Vec::new();
-        for tuple in tuples {
-            assert_eq!(tuple.stream, self.stream, "tuple from wrong stream");
-            let jas_values = self.jas_values(&tuple);
-            let key = self
-                .arena
-                .insert(StoredTuple::Resident { tuple, jas_values });
-            self.window.push(tuple.ts, key);
-            receipt.base_ops += 1;
-            staged.push((key, jas_values));
-        }
-        self.index.insert_batch_with(&staged, receipt, exec);
-        staged.len()
-    }
-
-    /// Expire every tuple that has slid out of the window at `now`;
-    /// returns how many were removed.
-    pub fn expire(&mut self, now: VirtualTime, receipt: &mut CostReceipt) -> usize {
-        let mut removed = 0;
-        // Drain the expiration queue into the state-owned reusable buffer,
-        // then unindex. Steady state touches no allocator: the buffer's
-        // capacity covers the per-tick expiry batch after warm-up.
-        let mut expired = std::mem::take(&mut self.expire_buf);
-        expired.clear();
-        expired.extend(self.window.expire(now).map(|(_, k)| k));
-        for &key in &expired {
-            if let Some(stored) = self.arena.remove(key) {
-                self.note_removed(&stored);
-                receipt.base_ops += 1;
-                self.index.remove(key, stored.jas_values(), receipt);
-                removed += 1;
-            }
-        }
-        self.expire_buf = expired;
-        removed
-    }
-
-    /// Bookkeeping for a slot leaving the arena: a spilled stub releases
-    /// its block reference.
-    fn note_removed(&mut self, stored: &StoredTuple) {
+        stage: &mut IngestStage,
+    ) -> bool {
+        let Some(stored) = self.arena.remove(key) else {
+            return false;
+        };
         if let StoredTuple::Spilled { block, .. } = stored {
             self.spilled -= 1;
             if let Some(tier) = self.tier.as_mut() {
-                tier.note_dropped(*block);
+                tier.note_dropped(block);
             }
         }
+        receipt.base_ops += 1;
+        self.index
+            .stage_remove(key, stored.jas_values(), receipt, stage);
+        true
+    }
+
+    /// Expire every tuple that has slid out of the window at `now`;
+    /// returns how many were removed. The window drains and the arena
+    /// frees slots immediately (preserving free-list order), while the
+    /// unlink work joins the stage *in order* — so a staged removal and a
+    /// staged same-key re-insert within one batch replay exactly as they
+    /// would have executed eagerly.
+    pub fn expire_staged(
+        &mut self,
+        now: VirtualTime,
+        receipt: &mut CostReceipt,
+        stage: &mut IngestStage,
+    ) -> usize {
+        // Drain the expiration queue into the state-owned reusable buffer
+        // (the window queue and the arena/index cannot be borrowed at
+        // once). Steady state touches no allocator: the buffer's capacity
+        // covers the per-tick expiry batch after warm-up.
+        let mut expired = std::mem::take(&mut self.expire_buf);
+        expired.clear();
+        expired.extend(self.window.expire(now).map(|(_, k)| k));
+        let mut removed = 0;
+        for &key in &expired {
+            removed += usize::from(self.retire(key, receipt, stage));
+        }
+        self.expire_buf = expired;
+        removed
     }
 
     /// Arrival time of the oldest live tuple, if any — the eviction-order
@@ -589,166 +500,113 @@ impl<I: StateIndex> StateStore<I> {
     }
 
     /// Forcibly remove up to `max` of the **oldest** live tuples — the
-    /// memory-pressure eviction path. Unlike [`expire`](Self::expire) this
-    /// ignores the window: evicted tuples may still be live, trading recall
-    /// for survival. Removal goes through the same index `remove` path as
-    /// expiry (for [`crate::bitaddr::BitAddressIndex`] that is the
-    /// chain-preserving `swap_remove`), so index integrity is identical to
-    /// normal operation. Returns how many tuples were evicted.
-    pub fn evict_oldest(&mut self, max: usize, receipt: &mut CostReceipt) -> usize {
+    /// memory-pressure eviction path. Unlike
+    /// [`expire_staged`](Self::expire_staged) this ignores the window:
+    /// evicted tuples may still be live, trading recall for survival.
+    /// Window pops and arena removals (and thus free-list order) stay
+    /// sequential in eviction order; the unlinks join whatever `stage`
+    /// already holds and the whole stage is applied through `exec`, so
+    /// the index is observable again on return. Returns how many tuples
+    /// were evicted.
+    pub fn evict_oldest_with(
+        &mut self,
+        max: usize,
+        receipt: &mut CostReceipt,
+        stage: &mut IngestStage,
+        exec: &dyn ShardExecutor,
+    ) -> usize {
         let mut evicted = 0;
         while evicted < max {
             let Some((_, key)) = self.window.pop_oldest() else {
                 break;
             };
-            if let Some(stored) = self.arena.remove(key) {
-                self.note_removed(&stored);
-                receipt.base_ops += 1;
-                self.index.remove(key, stored.jas_values(), receipt);
-                evicted += 1;
-            }
+            evicted += usize::from(self.retire(key, receipt, stage));
         }
+        self.index.apply_stage(stage, exec);
         evicted
     }
 
-    /// [`evict_oldest`](Self::evict_oldest) with an explicit shard-task
-    /// executor: window pops, arena removals (and thus free-list order)
-    /// stay sequential in eviction order, then the index unlinks the whole
-    /// batch in one call — fanned out per shard when it is sharded.
-    /// Contents and cost accounting are identical to per-tuple eviction.
-    pub fn evict_oldest_with(
-        &mut self,
-        max: usize,
-        receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-    ) -> usize {
-        let mut batch: Vec<(TupleKey, AttrVec)> = Vec::new();
-        while batch.len() < max {
-            let Some((_, key)) = self.window.pop_oldest() else {
-                break;
-            };
-            if let Some(stored) = self.arena.remove(key) {
-                self.note_removed(&stored);
-                receipt.base_ops += 1;
-                batch.push((key, *stored.jas_values()));
-            }
-        }
-        self.index.remove_batch_with(&batch, receipt, exec);
-        batch.len()
+    /// Apply every staged index operation through `exec`. Charges nothing.
+    pub fn apply_staged(&mut self, stage: &mut IngestStage, exec: &dyn ShardExecutor) {
+        self.index.apply_stage(stage, exec);
     }
 
-    /// Answer a search request into a caller-owned scratch buffer.
+    /// Apply the staged operations and serve `req` — the one read entry.
     ///
     /// `scratch.hits` is cleared and then filled with the keys of matching
-    /// live tuples. Falls back to a full arena scan when the index cannot
-    /// serve the request, charging two comparisons per live tuple — the
-    /// §I-A "no suitable hash index exists" path. Steady-state calls do not
-    /// allocate.
-    pub fn search_into(
-        &self,
-        req: &SearchRequest,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-    ) {
-        debug_assert_eq!(req.pattern.n_attrs(), self.jas_width());
-        if !self.index.search_into(req, scratch, receipt) {
-            scratch.hits.clear();
-            for (key, stored) in self.arena.iter() {
-                // A full scan materializes the stored tuple and then
-                // compares: twice the work of an in-bucket comparison
-                // over inline JAS values (§I-A's "complete scans" are
-                // what drown the few-index access modules).
-                receipt.comparisons += 2;
-                if req.matches(stored.jas_values()) {
-                    scratch.hits.push(key);
-                }
-            }
-        }
-    }
-
-    /// [`search_into`](Self::search_into) with an explicit shard-task
-    /// executor: a sharded index probes its shards through `exec`
-    /// (sequentially or on a worker pool) and merges in fixed shard order,
-    /// so hits and receipts are identical for any executor. The scan
-    /// fallback is inherently unsharded and runs inline.
-    pub fn search_into_with(
-        &self,
-        req: &SearchRequest,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-    ) {
-        debug_assert_eq!(req.pattern.n_attrs(), self.jas_width());
-        if !self.index.search_into_with(req, scratch, receipt, exec) {
-            scratch.hits.clear();
-            for (key, stored) in self.arena.iter() {
-                receipt.comparisons += 2;
-                if req.matches(stored.jas_values()) {
-                    scratch.hits.push(key);
-                }
-            }
-        }
-    }
-
-    /// Serve a batch of search requests through one reused scratch buffer,
-    /// invoking `on_result` with each request's position in the batch and
-    /// its matches. The batch-granular probe entry point of the runtime
-    /// layer: receipts accumulate exactly as per-request
-    /// [`search_into`](Self::search_into) calls would, and the scratch is
-    /// reused across the whole batch so steady state never allocates.
-    pub fn search_batch<'r>(
-        &self,
-        reqs: impl IntoIterator<Item = &'r SearchRequest>,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        mut on_result: impl FnMut(usize, &[TupleKey]),
-    ) {
-        for (i, req) in reqs.into_iter().enumerate() {
-            self.search_into(req, scratch, receipt);
-            on_result(i, &scratch.hits);
-        }
-    }
-
-    /// [`search_batch`](Self::search_batch) with an explicit shard-task
-    /// executor. When the index has a batch-amortized sharded path (the
-    /// bit-address index), the whole batch goes through one executor
-    /// dispatch; otherwise this falls back to per-request
-    /// [`search_into_with`](Self::search_into_with). Hits, hit order, and
-    /// receipt totals are identical either way.
-    pub fn search_batch_with(
-        &self,
-        reqs: &[SearchRequest],
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-        mut on_result: impl FnMut(usize, &[TupleKey]),
-    ) {
-        if self
-            .index
-            .search_batch_with(reqs, scratch, receipt, exec, &mut |i, hits| {
-                on_result(i, hits)
-            })
-        {
-            return;
-        }
-        for (i, req) in reqs.iter().enumerate() {
-            self.search_into_with(req, scratch, receipt, exec);
-            on_result(i, &scratch.hits);
-        }
-    }
-
-    /// Answer a search request: returns the keys of matching live tuples.
+    /// live tuples, in canonical key order when an index served them. A
+    /// sharded index replays the stage and probes in one fused executor
+    /// dispatch (see [`StateIndex::apply_stage_then_search`]). Falls back
+    /// to a full arena scan when the index cannot serve the request,
+    /// charging two comparisons per live tuple — the §I-A "no suitable
+    /// hash index exists" path; the stage is applied either way. With an
+    /// empty stage and nothing queued on the tier, steady-state calls do
+    /// not allocate.
     ///
-    /// Compatibility wrapper over [`search_into`](Self::search_into); it
-    /// allocates the returned `Vec` per call.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates per call; use `search_into` with a reused `SearchScratch`"
-    )]
-    pub fn search(&self, req: &SearchRequest, receipt: &mut CostReceipt) -> Vec<TupleKey> {
-        let mut scratch = SearchScratch::new();
-        self.search_into(req, &mut scratch, receipt);
-        scratch.hits
+    /// Any readahead queued by [`schedule_readahead`] rides the same
+    /// dispatch as side tasks: the index fuses the speculative spill
+    /// reads with its apply+probe shard work, and their decoded blocks
+    /// are merged into the cache sequentially afterwards — so the wall
+    /// clock overlaps I/O with compute while every observable effect
+    /// (admissions, counters, virtual-clock charges) lands in a fixed
+    /// order. Speculative reads draw no fault coins; each admitted block
+    /// charges one `read_ns` through [`SpillTier::finish_prefetch`].
+    ///
+    /// [`schedule_readahead`]: Self::schedule_readahead
+    pub fn apply_staged_then_search(
+        &mut self,
+        req: &SearchRequest,
+        scratch: &mut SearchScratch,
+        receipt: &mut CostReceipt,
+        stage: &mut IngestStage,
+        exec: &dyn ShardExecutor,
+    ) {
+        debug_assert_eq!(req.pattern.n_attrs(), self.jas_width());
+        let plan = self
+            .tier
+            .as_mut()
+            .map(SpillTier::take_prefetch_io)
+            .unwrap_or_default();
+        let mut slots: Vec<Option<Vec<SpillEntry>>> = vec![None; plan.len()];
+        let served = {
+            // `tier` and `index` are disjoint fields: the side tasks read
+            // the tier's block file by borrowed path while the index
+            // replays and probes.
+            let path = self.tier.as_ref().map(SpillTier::file_path);
+            let arena = SlotArena::new(&mut slots);
+            let side_fn = |i: usize| {
+                let (_, offset, len) = plan[i];
+                let path = path.expect("a prefetch plan implies a tier");
+                // SAFETY: prefetch task `i` claims only slot `i`, once.
+                *unsafe { arena.claim(i) } = crate::tier::read_spill_entries_at(path, offset, len);
+            };
+            let side = SideTasks::new(plan.len(), &side_fn);
+            self.index
+                .apply_stage_then_search(stage, req, scratch, receipt, exec, &side)
+        };
+        if let Some(tier) = self.tier.as_mut() {
+            for (&(id, _, _), slot) in plan.iter().zip(slots.iter_mut()) {
+                tier.finish_prefetch(id, slot.take(), receipt);
+            }
+        }
+        if !served {
+            self.scan_into(req, &mut scratch.hits, receipt);
+        }
+    }
+
+    /// The arena-scan fallback: compare every live tuple against `req`.
+    fn scan_into(&self, req: &SearchRequest, hits: &mut Vec<TupleKey>, receipt: &mut CostReceipt) {
+        hits.clear();
+        for (key, stored) in self.arena.iter() {
+            // A full scan materializes the stored tuple and then
+            // compares: twice the work of an in-bucket comparison
+            // over inline JAS values (§I-A's "complete scans" are
+            // what drown the few-index access modules).
+            receipt.comparisons += 2;
+            if req.matches(stored.jas_values()) {
+                hits.push(key);
+            }
+        }
     }
 
     /// The stored tuple for `key`, if live **and fully in RAM**. A
@@ -844,9 +702,8 @@ impl<I: StateIndex> StateStore<I> {
     /// first, collect up to `readahead_blocks` distinct live, uncached
     /// spill blocks, and hand them to the tier. The next probe's fused
     /// dispatch issues the reads as side tasks overlapped with shard
-    /// compute ([`apply_staged_then_search`]); flavors without a staged
-    /// dispatch drain them via [`drain_prefetch`](Self::drain_prefetch).
-    /// No-op without an enabled cache.
+    /// compute ([`apply_staged_then_search`]). No-op without an enabled
+    /// cache.
     ///
     /// [`apply_staged_then_search`]: Self::apply_staged_then_search
     pub fn schedule_readahead(&mut self) {
@@ -875,42 +732,6 @@ impl<I: StateIndex> StateStore<I> {
             .as_mut()
             .expect("tier checked above")
             .set_prefetch_plan(plan);
-    }
-
-    /// Run any queued readahead now, as its own executor dispatch — the
-    /// path for index flavors whose probes are not staged (and therefore
-    /// never fuse side tasks). Speculative reads draw no fault coins; each
-    /// admitted block charges one `read_ns` through
-    /// [`SpillTier::finish_prefetch`].
-    pub fn drain_prefetch(
-        &mut self,
-        receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
-    ) {
-        let Some(tier) = self.tier.as_mut() else {
-            return;
-        };
-        let plan = tier.take_prefetch_io();
-        if plan.is_empty() {
-            return;
-        }
-        let path = tier.file_path().clone();
-        let mut slots: Vec<Option<Vec<SpillEntry>>> = vec![None; plan.len()];
-        {
-            let arena = crate::parallel::SlotArena::new(&mut slots);
-            let plan_ref: &[(u32, u64, u32)] = &plan;
-            let path_ref = &path;
-            exec.run_tasks(plan.len(), &|i| {
-                let (_, offset, len) = plan_ref[i];
-                // SAFETY: prefetch task `i` claims only slot `i`, once.
-                *unsafe { arena.claim(i) } =
-                    crate::tier::read_spill_entries_at(path_ref, offset, len);
-            });
-        }
-        let tier = self.tier.as_mut().expect("tier checked above");
-        for (&(id, _, _), slot) in plan.iter().zip(slots.iter_mut()) {
-            tier.finish_prefetch(id, slot.take(), receipt);
-        }
     }
 
     /// Spill up to `max` of the **oldest resident** tuples into one disk
@@ -1085,7 +906,7 @@ impl<I: StateIndex> StateStore<I> {
         keys: &[TupleKey],
         out: &mut Vec<Option<Tuple>>,
         receipt: &mut CostReceipt,
-        exec: &dyn crate::parallel::ShardExecutor,
+        exec: &dyn ShardExecutor,
     ) -> usize {
         out.clear();
         out.reserve(keys.len());
@@ -1294,141 +1115,10 @@ impl<I: StateIndex> StateStore<I> {
     }
 }
 
-impl<I: StagedIndex> StateStore<I> {
-    /// Store an arriving tuple, charging full ingest cost now but staging
-    /// the index linking for a later [`apply_staged`](Self::apply_staged).
-    /// Arena slot assignment, window order, and receipts are identical to
-    /// [`insert`](Self::insert); only the physical index work is deferred.
-    ///
-    /// # Panics
-    /// Panics if the tuple is from a different stream.
-    pub fn insert_staged(
-        &mut self,
-        tuple: Tuple,
-        receipt: &mut CostReceipt,
-        stage: &mut I::Stage,
-    ) -> TupleKey {
-        assert_eq!(tuple.stream, self.stream, "tuple from wrong stream");
-        let jas_values = self.jas_values(&tuple);
-        let key = self
-            .arena
-            .insert(StoredTuple::Resident { tuple, jas_values });
-        self.window.push(tuple.ts, key);
-        receipt.base_ops += 1;
-        self.index.stage_insert(key, &jas_values, receipt, stage);
-        key
-    }
-
-    /// [`expire`](Self::expire) with staged index removal: the window
-    /// drains and the arena frees slots immediately (preserving free-list
-    /// order), while the unlink work joins the stage *in order* — so a
-    /// staged removal and a staged same-key re-insert within one batch
-    /// replay exactly as they would have executed eagerly.
-    pub fn expire_staged(
-        &mut self,
-        now: VirtualTime,
-        receipt: &mut CostReceipt,
-        stage: &mut I::Stage,
-    ) -> usize {
-        let mut removed = 0;
-        let mut expired = std::mem::take(&mut self.expire_buf);
-        expired.clear();
-        expired.extend(self.window.expire(now).map(|(_, k)| k));
-        for &key in &expired {
-            if let Some(stored) = self.arena.remove(key) {
-                self.note_removed(&stored);
-                receipt.base_ops += 1;
-                self.index
-                    .stage_remove(key, stored.jas_values(), receipt, stage);
-                removed += 1;
-            }
-        }
-        self.expire_buf = expired;
-        removed
-    }
-
-    /// Apply every staged index operation through `exec`. Charges nothing.
-    pub fn apply_staged(
-        &mut self,
-        stage: &mut I::Stage,
-        exec: &dyn crate::parallel::ShardExecutor,
-    ) {
-        self.index.apply_stage(stage, exec);
-    }
-
-    /// Apply the staged operations and serve `req` in one fused executor
-    /// dispatch (see [`StagedIndex::apply_stage_then_search`]). Falls back
-    /// to the arena scan when the index cannot serve the request — the
-    /// stage is applied either way.
-    ///
-    /// Any readahead queued by [`schedule_readahead`] rides the same
-    /// dispatch as side tasks: the index fuses the speculative spill
-    /// reads with its apply+probe shard work, and their decoded blocks
-    /// are merged into the cache sequentially afterwards — so the wall
-    /// clock overlaps I/O with compute while every observable effect
-    /// (admissions, counters, virtual-clock charges) lands in a fixed
-    /// order.
-    ///
-    /// [`schedule_readahead`]: Self::schedule_readahead
-    pub fn apply_staged_then_search(
-        &mut self,
-        req: &SearchRequest,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        stage: &mut I::Stage,
-        exec: &dyn crate::parallel::ShardExecutor,
-    ) {
-        debug_assert_eq!(req.pattern.n_attrs(), self.jas_width());
-        let plan = self
-            .tier
-            .as_mut()
-            .map(SpillTier::take_prefetch_io)
-            .unwrap_or_default();
-        let path = self
-            .tier
-            .as_ref()
-            .map(|t| t.file_path().clone())
-            .unwrap_or_default();
-        let mut slots: Vec<Option<Vec<SpillEntry>>> = vec![None; plan.len()];
-        let served = {
-            let arena = crate::parallel::SlotArena::new(&mut slots);
-            let plan_ref: &[(u32, u64, u32)] = &plan;
-            let path_ref = &path;
-            let side_fn = |i: usize| {
-                let (_, offset, len) = plan_ref[i];
-                // SAFETY: prefetch task `i` claims only slot `i`, once.
-                *unsafe { arena.claim(i) } =
-                    crate::tier::read_spill_entries_at(path_ref, offset, len);
-            };
-            let side = crate::parallel::SideTasks::new(plan.len(), &side_fn);
-            let served = self
-                .index
-                .apply_stage_then_search(stage, req, scratch, receipt, exec, &side);
-            // The index guarantees the bundle fired, but stay safe against
-            // future implementations: leftovers are idempotent.
-            side.run_leftover(exec);
-            served
-        };
-        if let Some(tier) = self.tier.as_mut() {
-            for (&(id, _, _), slot) in plan.iter().zip(slots.iter_mut()) {
-                tier.finish_prefetch(id, slot.take(), receipt);
-            }
-        }
-        if !served {
-            scratch.hits.clear();
-            for (key, stored) in self.arena.iter() {
-                receipt.comparisons += 2;
-                if req.matches(stored.jas_values()) {
-                    scratch.hits.push(key);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::SequentialExecutor;
     use crate::scan::ScanIndex;
     use amri_stream::{AccessPattern, TupleId};
 
@@ -1451,14 +1141,26 @@ mod tests {
         )
     }
 
+    // A scan index never defers work, so these helpers hand the store a
+    // throwaway stage that stays empty.
+
     fn search_vec(
-        s: &StateStore<ScanIndex>,
+        s: &mut StateStore<ScanIndex>,
         req: &SearchRequest,
         r: &mut CostReceipt,
     ) -> Vec<TupleKey> {
         let mut scratch = SearchScratch::new();
-        s.search_into(req, &mut scratch, r);
+        let mut stage = IngestStage::new();
+        s.apply_staged_then_search(req, &mut scratch, r, &mut stage, &SequentialExecutor);
         scratch.hits
+    }
+
+    fn expire(s: &mut StateStore<ScanIndex>, secs: u64, r: &mut CostReceipt) -> usize {
+        s.expire_staged(VirtualTime::from_secs(secs), r, &mut IngestStage::new())
+    }
+
+    fn evict(s: &mut StateStore<ScanIndex>, max: usize, r: &mut CostReceipt) -> usize {
+        s.evict_oldest_with(max, r, &mut IngestStage::new(), &SequentialExecutor)
     }
 
     #[test]
@@ -1476,7 +1178,7 @@ mod tests {
             AttrVec::from_slice(&[5, 0]).unwrap(),
         );
         let mut r = CostReceipt::new();
-        let hits = search_vec(&s, &req, &mut r);
+        let hits = search_vec(&mut s, &req, &mut r);
         assert_eq!(hits.len(), 2);
         assert_eq!(r.comparisons, 4, "scan charges two comparisons per tuple");
 
@@ -1485,12 +1187,12 @@ mod tests {
             AccessPattern::full(2),
             AttrVec::from_slice(&[5, 7]).unwrap(),
         );
-        let hits = search_vec(&s, &req, &mut CostReceipt::new());
+        let hits = search_vec(&mut s, &req, &mut CostReceipt::new());
         assert_eq!(hits, vec![k1]);
 
         // Expire: window 10s (half-open); at t=10 only the t=0 tuple is gone.
         let mut r = CostReceipt::new();
-        let removed = s.expire(VirtualTime::from_secs(10), &mut r);
+        let removed = expire(&mut s, 10, &mut r);
         assert_eq!(removed, 1);
         assert_eq!(s.len(), 1);
         assert!(s.tuple(k1).is_none());
@@ -1501,7 +1203,7 @@ mod tests {
             AccessPattern::from_positions(&[0], 2).unwrap(),
             AttrVec::from_slice(&[5, 0]).unwrap(),
         );
-        assert_eq!(search_vec(&s, &req, &mut CostReceipt::new()).len(), 1);
+        assert_eq!(search_vec(&mut s, &req, &mut CostReceipt::new()).len(), 1);
     }
 
     #[test]
@@ -1530,7 +1232,7 @@ mod tests {
         let mut s = store();
         let mut r = CostReceipt::new();
         let k1 = s.insert(mk_tuple(1, 0, &[1, 0, 1]), &mut r);
-        s.expire(VirtualTime::from_secs(20), &mut r);
+        expire(&mut s, 20, &mut r);
         let k2 = s.insert(mk_tuple(2, 21, &[2, 0, 2]), &mut r);
         assert_eq!(k1, k2, "freed slot must be reused");
         assert_eq!(s.len(), 1);
@@ -1547,7 +1249,7 @@ mod tests {
         }
         let full = s.memory_bytes();
         assert!(full > empty + 10 * 100, "payload must be accounted");
-        s.expire(VirtualTime::from_secs(20), &mut r);
+        expire(&mut s, 20, &mut r);
         assert_eq!(s.memory_bytes(), empty);
     }
 
@@ -1562,7 +1264,7 @@ mod tests {
             AccessPattern::empty(2),
             AttrVec::from_slice(&[0, 0]).unwrap(),
         );
-        assert_eq!(search_vec(&s, &req, &mut CostReceipt::new()).len(), 5);
+        assert_eq!(search_vec(&mut s, &req, &mut CostReceipt::new()).len(), 5);
     }
 
     #[test]
@@ -1575,7 +1277,7 @@ mod tests {
         assert_eq!(s.oldest_ts(), Some(VirtualTime::from_secs(0)));
         // All five are live under the 10 s window; evict the two oldest.
         let mut r = CostReceipt::new();
-        assert_eq!(s.evict_oldest(2, &mut r), 2);
+        assert_eq!(evict(&mut s, 2, &mut r), 2);
         assert!(r.base_ops >= 2, "eviction charges the removal cost");
         assert_eq!(s.len(), 3);
         assert!(s.tuple(keys[0]).is_none());
@@ -1587,37 +1289,12 @@ mod tests {
             AccessPattern::empty(2),
             AttrVec::from_slice(&[0, 0]).unwrap(),
         );
-        assert_eq!(search_vec(&s, &req, &mut CostReceipt::new()).len(), 3);
+        assert_eq!(search_vec(&mut s, &req, &mut CostReceipt::new()).len(), 3);
         // Asking for more than remain drains the state and stops cleanly.
-        assert_eq!(s.evict_oldest(100, &mut CostReceipt::new()), 3);
+        assert_eq!(evict(&mut s, 100, &mut CostReceipt::new()), 3);
         assert!(s.is_empty());
         assert_eq!(s.oldest_ts(), None);
-        assert_eq!(s.evict_oldest(1, &mut CostReceipt::new()), 0);
-    }
-
-    #[test]
-    fn insert_batch_matches_sequential_inserts() {
-        let mut batched = store();
-        let mut sequential = store();
-        let tuples: Vec<Tuple> = (0..20).map(|i| mk_tuple(i, i, &[i, 0, i % 3])).collect();
-        let mut r_batch = CostReceipt::new();
-        let stored = batched.insert_batch(tuples.clone(), &mut r_batch);
-        assert_eq!(stored, 20);
-        let mut r_seq = CostReceipt::new();
-        for t in tuples {
-            sequential.insert(t, &mut r_seq);
-        }
-        assert_eq!(r_batch, r_seq, "batch ingest must charge identical costs");
-        assert_eq!(batched.len(), sequential.len());
-        assert_eq!(batched.memory_bytes(), sequential.memory_bytes());
-        let req = SearchRequest::new(
-            AccessPattern::from_positions(&[1], 2).unwrap(),
-            AttrVec::from_slice(&[0, 1]).unwrap(),
-        );
-        assert_eq!(
-            search_vec(&batched, &req, &mut CostReceipt::new()),
-            search_vec(&sequential, &req, &mut CostReceipt::new()),
-        );
+        assert_eq!(evict(&mut s, 1, &mut CostReceipt::new()), 0);
     }
 
     fn spill_store(tag: &str, faults: crate::tier::IoFaultConfig) -> StateStore<ScanIndex> {
@@ -1659,7 +1336,7 @@ mod tests {
             AccessPattern::from_positions(&[0], 2).unwrap(),
             AttrVec::from_slice(&[0, 0]).unwrap(),
         );
-        let hits = search_vec(&s, &req, &mut CostReceipt::new());
+        let hits = search_vec(&mut s, &req, &mut CostReceipt::new());
         assert_eq!(hits.len(), 3, "spilled stubs still match searches");
 
         // Resident key: tuple() works; spilled key: tuple() is None but
@@ -1697,7 +1374,7 @@ mod tests {
         let reads_before = s.spill_stats().blocks_read;
         // Window is 10 s: at t=11 the two spilled (t=0,1) and nothing else
         // expire; expiry of stubs must not read the block.
-        assert_eq!(s.expire(VirtualTime::from_secs(11), &mut r), 2);
+        assert_eq!(expire(&mut s, 11, &mut r), 2);
         assert_eq!(s.spilled_len(), 0);
         assert_eq!(s.spill_stats().blocks_read, reads_before);
         // The block is now dead and cannot be promoted.
@@ -1727,7 +1404,7 @@ mod tests {
             AccessPattern::empty(2),
             AttrVec::from_slice(&[0, 0]).unwrap(),
         );
-        assert_eq!(search_vec(&s, &req, &mut CostReceipt::new()).len(), 2);
+        assert_eq!(search_vec(&mut s, &req, &mut CostReceipt::new()).len(), 2);
         // The purged key is dead now.
         assert_eq!(s.materialize(victim, &mut CostReceipt::new()), Ok(None));
     }
@@ -1774,40 +1451,5 @@ mod tests {
         let b = twin.materialize(TupleKey(2), &mut CostReceipt::new());
         assert_eq!(a, b);
         assert!(matches!(a, Ok(Some(_))));
-    }
-
-    #[test]
-    fn search_batch_reuses_one_scratch_and_matches_singles() {
-        let mut s = store();
-        let mut r = CostReceipt::new();
-        for i in 0..12 {
-            s.insert(mk_tuple(i, 0, &[i % 4, 0, i % 3]), &mut r);
-        }
-        let reqs: Vec<SearchRequest> = (0..4)
-            .map(|v| {
-                SearchRequest::new(
-                    AccessPattern::from_positions(&[0], 2).unwrap(),
-                    AttrVec::from_slice(&[v, 0]).unwrap(),
-                )
-            })
-            .collect();
-        // Batch pass through one scratch.
-        let mut scratch = SearchScratch::new();
-        let mut r_batch = CostReceipt::new();
-        let mut batch_results: Vec<(usize, Vec<TupleKey>)> = Vec::new();
-        s.search_batch(reqs.iter(), &mut scratch, &mut r_batch, |i, hits| {
-            batch_results.push((i, hits.to_vec()));
-        });
-        // Reference: one search_into per request.
-        let mut r_single = CostReceipt::new();
-        for (i, req) in reqs.iter().enumerate() {
-            let hits = search_vec(&s, req, &mut r_single);
-            assert_eq!(batch_results[i], (i, hits), "request {i} diverged");
-        }
-        assert_eq!(
-            r_batch, r_single,
-            "batch probes must charge identical costs"
-        );
-        assert_eq!(batch_results.len(), reqs.len());
     }
 }

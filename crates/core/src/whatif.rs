@@ -251,7 +251,7 @@ mod realized_cost_props {
             WindowSpec::secs(WINDOW_SECS as u64),
             BitAddressIndex::new(config.clone()),
         );
-        store.set_shards(shards);
+        store.index_mut().set_shard_count(shards);
         let mut rng = seed.wrapping_mul(2).wrapping_add(1);
         let mut ingest = CostReceipt::new();
         for i in 0..N_TUPLES {
@@ -264,12 +264,19 @@ mod realized_cost_props {
         }
         let mut serve = CostReceipt::new();
         let mut scratch = SearchScratch::new();
+        let mut stage = crate::IngestStage::new();
         for _ in 0..N_REQUESTS {
             let req = SearchRequest::new(
                 AccessPattern::new(mask, 3),
                 AttrVec::from_slice(&[next(&mut rng), next(&mut rng), next(&mut rng)]).unwrap(),
             );
-            store.search_into(&req, &mut scratch, &mut serve);
+            store.apply_staged_then_search(
+                &req,
+                &mut scratch,
+                &mut serve,
+                &mut stage,
+                &crate::SequentialExecutor,
+            );
         }
         let realized = params.c_h * (ingest.hash_ops + serve.hash_ops) as f64
             + params.c_c * (ingest.comparisons + serve.comparisons) as f64

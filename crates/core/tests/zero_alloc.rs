@@ -1,10 +1,13 @@
 //! Steady-state searches must never touch the allocator.
 //!
 //! A counting global allocator wraps `System`; after warming the scratch
-//! buffer up to its steady-state capacity, a burst of `search_into` calls
-//! (narrow probes, wide wildcard probes, and scan fallbacks) must record
-//! exactly zero allocations. This is the acceptance check for the flat
-//! bucket arena + scratch-buffered search hot path.
+//! buffer up to its steady-state capacity, a burst of searches — bare
+//! index probes (narrow and wide wildcard) and the store-level read entry
+//! with an empty stage (scan fallback, plain and sharded bit-address
+//! stores, and a store with a cache-enabled spill tier attached but no
+//! readahead queued) — must record exactly zero allocations. This is the
+//! acceptance check for the flat bucket arena + scratch-buffered search
+//! hot path.
 //!
 //! The file holds a single `#[test]` so no concurrent test can allocate
 //! while the counter is armed.
@@ -13,8 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use amri_core::{
-    BitAddressIndex, CostReceipt, IndexConfig, ScanIndex, SearchScratch, StateIndex, StateStore,
-    TupleKey,
+    BitAddressIndex, CostReceipt, IndexConfig, IngestStage, ScanIndex, SearchScratch,
+    SequentialExecutor, SpillConfig, SpillTier, StateIndex, StateStore, TupleKey,
 };
 use amri_stream::{
     AccessPattern, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime, WindowSpec,
@@ -63,6 +66,44 @@ fn req(mask: u32, vals: &[u64]) -> SearchRequest {
     SearchRequest::new(AccessPattern::new(mask, 3), jas(vals))
 }
 
+/// A store over `index` holding the same 1000 tuples in every case.
+fn loaded_store<I: StateIndex>(index: I) -> StateStore<I> {
+    let mut store = StateStore::new(
+        StreamId(0),
+        vec![
+            amri_stream::AttrId(0),
+            amri_stream::AttrId(1),
+            amri_stream::AttrId(2),
+        ],
+        WindowSpec::secs(1_000_000),
+        index,
+    );
+    let mut r = CostReceipt::new();
+    for i in 0..1_000u64 {
+        store.insert(
+            Tuple::new(
+                TupleId(i),
+                StreamId(0),
+                VirtualTime::ZERO,
+                jas(&[i % 64, i % 37, i % 19]),
+            ),
+            &mut r,
+        );
+    }
+    store
+}
+
+/// One search through the store's read entry: nothing staged, inline.
+fn serve(
+    store: &mut StateStore<dyn StateIndex>,
+    request: &SearchRequest,
+    scratch: &mut SearchScratch,
+    stage: &mut IngestStage,
+) {
+    let mut r = CostReceipt::new();
+    store.apply_staged_then_search(request, scratch, &mut r, stage, &SequentialExecutor);
+}
+
 #[test]
 fn steady_state_search_into_does_not_allocate() {
     // --- Bit-address index: narrow (exact) and wide (wildcard) probes. ---
@@ -78,30 +119,42 @@ fn steady_state_search_into_does_not_allocate() {
         idx.search_into(&req(0b111, &[i % 64, i % 37, i % 19]), &mut scratch, &mut r);
     }
 
-    // --- Scan fallback through StateStore (the NeedScan path). ---
-    let mut store = StateStore::new(
-        StreamId(0),
-        vec![
-            amri_stream::AttrId(0),
-            amri_stream::AttrId(1),
-            amri_stream::AttrId(2),
-        ],
-        WindowSpec::secs(1_000_000),
-        ScanIndex::new(),
+    // --- The store-level read entry with an empty stage: the scan
+    // fallback, a plain and a 4-shard bit-address store, and a
+    // bit-address store with a cache-enabled spill tier attached whose
+    // oldest half is spilled but which has no readahead queued. ---
+    let config = || IndexConfig::new(vec![4, 4, 4]).unwrap();
+    let spill_dir = std::env::temp_dir().join(format!("amri-zero-alloc-{}", std::process::id()));
+    let mut tiered = loaded_store(BitAddressIndex::new(config()));
+    tiered.enable_spill(
+        SpillTier::create(&SpillConfig {
+            dir: spill_dir.clone(),
+            file_name: "s0.blocks".into(),
+            profile: Default::default(),
+            faults: Default::default(),
+            seed: 7,
+            cache_bytes: 1 << 20,
+        })
+        .unwrap(),
     );
-    for i in 0..1_000u64 {
-        store.insert(
-            Tuple::new(
-                TupleId(i),
-                StreamId(0),
-                VirtualTime::ZERO,
-                jas(&[i % 64, i % 37, i % 19]),
-            ),
-            &mut r,
-        );
+    assert_eq!(tiered.spill_oldest(500, &mut r), 500);
+    let mut scan = loaded_store(ScanIndex::new());
+    let mut plain = loaded_store(BitAddressIndex::new(config()));
+    let mut sharded = loaded_store(BitAddressIndex::with_shards(config(), 4));
+    let mut stores: [(&mut StateStore<dyn StateIndex>, SearchScratch); 4] = [
+        (&mut scan, SearchScratch::new()),
+        (&mut plain, SearchScratch::new()),
+        (&mut sharded, SearchScratch::new()),
+        (&mut tiered, SearchScratch::new()),
+    ];
+    let mut stage = IngestStage::new();
+    // Warm-up: grow each scratch (and the sharded probe's slots) to the
+    // widest fan-out of the burst once.
+    for v in 0..64u64 {
+        for (store, store_scratch) in &mut stores {
+            serve(store, &req(0b001, &[v, 0, 0]), store_scratch, &mut stage);
+        }
     }
-    let mut scan_scratch = SearchScratch::new();
-    store.search_into(&req(0b001, &[1, 0, 0]), &mut scan_scratch, &mut r);
 
     // --- Armed: a burst of searches must record zero allocations. ---
     ALLOCS.store(0, Ordering::SeqCst);
@@ -117,8 +170,10 @@ fn steady_state_search_into_does_not_allocate() {
                 &mut r,
             );
         }
-        // Arena scan fallback.
-        store.search_into(&req(0b001, &[round % 64, 0, 0]), &mut scan_scratch, &mut r);
+        for (store, store_scratch) in &mut stores {
+            let request = req(0b001, &[round % 64, 0, 0]);
+            serve(store, &request, store_scratch, &mut stage);
+        }
     }
     ARMED.store(false, Ordering::SeqCst);
     let allocs = ALLOCS.load(Ordering::SeqCst);
@@ -128,5 +183,8 @@ fn steady_state_search_into_does_not_allocate() {
         "steady-state search_into must not allocate, saw {allocs} allocations"
     );
     // Sanity: the searches actually produced matches.
-    assert!(!scratch.hits.is_empty() || !scan_scratch.hits.is_empty());
+    for (_, store_scratch) in &stores {
+        assert!(!store_scratch.hits.is_empty());
+    }
+    let _ = std::fs::remove_dir_all(spill_dir);
 }

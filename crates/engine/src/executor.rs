@@ -208,20 +208,6 @@ pub struct Executor<W> {
 }
 
 impl<W: StreamWorkload> Executor<W> {
-    /// Build an engine run.
-    ///
-    /// # Panics
-    /// Panics where [`try_new`](Self::try_new) would error: a state's JAS
-    /// wider than [`amri_stream::MAX_ATTRS`], per-state vectors that
-    /// disagree with the query, or invalid degradation/fault parameters.
-    #[deprecated(note = "predates the typed EngineError layer; use `try_new` and handle the error")]
-    pub fn new(query: &SpjQuery, workload: W, mode: IndexingMode, config: EngineConfig) -> Self {
-        match Self::try_new(query, workload, mode, config) {
-            Ok(exec) => exec,
-            Err(e) => panic!("invalid engine configuration: {e}"),
-        }
-    }
-
     /// The engine configuration this run was built with. A host uses it
     /// for admission control: `config().budget.bytes` is the tenant's
     /// memory reservation against the global budget.

@@ -224,8 +224,16 @@ impl<C: Clock> RunContext<C> {
                 .fault
                 .as_ref()
                 .map_or(0, |f| f.phantom_bytes(self.clock.now())),
-            spilled: self.stems.iter().map(|s| s.state.disk_bytes()).sum(),
-            cache: self.stems.iter().map(|s| s.state.cache_used_bytes()).sum(),
+            spilled: self
+                .stems
+                .iter()
+                .map(|s| s.state.store().disk_bytes())
+                .sum(),
+            cache: self
+                .stems
+                .iter()
+                .map(|s| s.state.store().cache_used_bytes())
+                .sum(),
         }
     }
 
@@ -253,7 +261,7 @@ impl<C: Clock> RunContext<C> {
                     .stems
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, s)| s.state.oldest_resident_ts().map(|t| (t, i)))
+                    .filter_map(|(i, s)| s.state.store().oldest_resident_ts().map(|t| (t, i)))
                     .min();
                 let Some((_, idx)) = victim else {
                     break; // nothing resident anywhere
@@ -272,6 +280,7 @@ impl<C: Clock> RunContext<C> {
             for stem in &mut self.stems {
                 let outcome = stem
                     .state
+                    .store_mut()
                     .promote_hottest(policy.promote_min_reads, &mut receipt);
                 if outcome.lost > 0 {
                     self.spill_lost += outcome.lost as u64;
@@ -288,7 +297,7 @@ impl<C: Clock> RunContext<C> {
         // next probe dispatch reads them overlapped with shard compute.
         // No-op without an enabled block cache.
         for stem in &mut self.stems {
-            stem.state.schedule_readahead();
+            stem.state.store_mut().schedule_readahead();
         }
         self.clock.advance(self.run.params.ticks(&receipt));
     }
@@ -321,14 +330,18 @@ impl<C: Clock> RunContext<C> {
                     .stems
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, s)| s.state.oldest_ts().map(|t| (t, i)))
+                    .filter_map(|(i, s)| s.state.store().oldest_ts().map(|t| (t, i)))
                     .min();
                 let Some((_, idx)) = victim else {
                     break; // every state drained; nothing left to shed
                 };
-                let evicted = self.stems[idx].state.evict_oldest_with(
+                // The unlinks ride the STeM's reusable ingest stage and are
+                // applied before the next memory report.
+                let stem = &mut self.stems[idx];
+                let evicted = stem.state.store_mut().evict_oldest_with(
                     gov.evict_chunk(),
                     &mut receipt,
+                    &mut stem.ingest_stage,
                     &self.pool,
                 );
                 if evicted == 0 {

@@ -591,7 +591,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
         let pattern_stats = ctx.observers.iter().map(|o| o.frequent(0.0)).collect();
         let mut spill = amri_core::SpillStats::default();
         for s in &ctx.stems {
-            spill.merge(&s.state.spill_stats());
+            spill.merge(&s.state.store().spill_stats());
         }
         let mut degradation = ctx.governor.map(|g| g.report).unwrap_or_default();
         // Tuples lost to unrecoverable spill blocks are degradation too,

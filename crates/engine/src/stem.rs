@@ -14,7 +14,8 @@
 use amri_core::assess::{Assessor, AssessorKind};
 use amri_core::{
     AmriState, BitAddressIndex, CostParams, CostReceipt, IndexConfig, IngestStage, MultiHashIndex,
-    ScanIndex, SearchScratch, StateStore, TuneLedger, TunerConfig, TunerKind, TupleKey,
+    ScanIndex, SearchScratch, SequentialExecutor, ShardExecutor, StateIndex, StateStore,
+    TuneLedger, TunerConfig, TunerKind, TupleKey,
 };
 use amri_stream::{
     AccessPattern, AttrId, SearchRequest, StreamId, Tuple, VirtualDuration, VirtualTime, WindowSpec,
@@ -138,20 +139,50 @@ pub struct StemRetune {
     pub moved: u64,
 }
 
+/// The flavor's backing store with its index type erased — the four arms
+/// every index-agnostic operation shares, written once. `$store` picks
+/// [`AmriState::store`] or [`AmriState::store_mut`] to match `$state`'s
+/// mutability.
+macro_rules! erased_store {
+    ($state:expr, $store:ident) => {
+        match $state {
+            JoinState::Amri(s) => s.$store(),
+            JoinState::MultiHash { store, .. } => store,
+            JoinState::StaticBitmap(s) => s,
+            JoinState::Scan(s) => s,
+        }
+    };
+}
+
 impl JoinState {
+    /// The backing store, whatever its index: every index-agnostic read
+    /// (window ages, spill and cache accounting, stored tuples) is called
+    /// on it directly.
+    pub fn store(&self) -> &StateStore<dyn StateIndex> {
+        erased_store!(self, store)
+    }
+
+    /// The backing store, mutably: eviction, spilling, promotion and
+    /// readahead are called on it directly. Searches go through
+    /// [`flush_ingest_then_search`](Self::flush_ingest_then_search) so the
+    /// flavor's tuner sees their patterns.
+    pub fn store_mut(&mut self) -> &mut StateStore<dyn StateIndex> {
+        erased_store!(self, store_mut)
+    }
+
     /// Live tuples in the state.
     pub fn len(&self) -> usize {
-        match self {
-            JoinState::Amri(s) => s.len(),
-            JoinState::MultiHash { store, .. } => store.len(),
-            JoinState::StaticBitmap(s) => s.len(),
-            JoinState::Scan(s) => s.len(),
-        }
+        self.store().len()
     }
 
     /// True iff the state holds no tuples.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Live tuples currently spill-resident.
+    pub fn spilled_len(&self) -> usize {
+        self.store().spilled_len()
     }
 
     /// Flavor label for reports.
@@ -169,201 +200,21 @@ impl JoinState {
     /// realized retune benefit, regret vs the static seed IC). Zero for
     /// the non-AMRI flavors, whose tuning has no what-if accounting.
     pub fn tune_ledger(&self) -> TuneLedger {
-        match self {
-            JoinState::Amri(s) => s.tuner().ledger(),
-            _ => TuneLedger::default(),
+        if let JoinState::Amri(s) = self {
+            s.tuner().ledger()
+        } else {
+            TuneLedger::default()
         }
     }
 
-    /// Insert an arriving tuple.
-    pub fn insert(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> TupleKey {
-        match self {
-            JoinState::Amri(s) => s.insert(tuple, receipt),
-            JoinState::MultiHash { store, .. } => store.insert(tuple, receipt),
-            JoinState::StaticBitmap(s) => s.insert(tuple, receipt),
-            JoinState::Scan(s) => s.insert(tuple, receipt),
-        }
-    }
-
-    /// Expire out-of-window tuples.
-    pub fn expire(&mut self, now: VirtualTime, receipt: &mut CostReceipt) -> usize {
-        match self {
-            JoinState::Amri(s) => s.expire(now, receipt),
-            JoinState::MultiHash { store, .. } => store.expire(now, receipt),
-            JoinState::StaticBitmap(s) => s.expire(now, receipt),
-            JoinState::Scan(s) => s.expire(now, receipt),
-        }
-    }
-
-    /// Arrival time of the oldest live tuple, if any — the key the
-    /// overload governor compares when choosing which state to shed from.
-    pub fn oldest_ts(&self) -> Option<VirtualTime> {
-        match self {
-            JoinState::Amri(s) => s.oldest_ts(),
-            JoinState::MultiHash { store, .. } => store.oldest_ts(),
-            JoinState::StaticBitmap(s) => s.oldest_ts(),
-            JoinState::Scan(s) => s.oldest_ts(),
-        }
-    }
-
-    /// Forcibly evict up to `max` of the oldest live tuples (memory
-    /// pressure); every flavor removes through its normal index-removal
-    /// path, so structural invariants match ordinary expiry.
-    pub fn evict_oldest(&mut self, max: usize, receipt: &mut CostReceipt) -> usize {
-        match self {
-            JoinState::Amri(s) => s.evict_oldest(max, receipt),
-            JoinState::MultiHash { store, .. } => store.evict_oldest(max, receipt),
-            JoinState::StaticBitmap(s) => s.evict_oldest(max, receipt),
-            JoinState::Scan(s) => s.evict_oldest(max, receipt),
-        }
-    }
-
-    /// [`evict_oldest`](Self::evict_oldest) with the per-shard index
-    /// unlinks fanned out through `exec`. Window pops, arena frees, and
-    /// charges are sequential and identical to the eager path; only the
-    /// bit-address flavors have sharded unlink work to parallelize.
-    pub fn evict_oldest_with(
-        &mut self,
-        max: usize,
-        receipt: &mut CostReceipt,
-        exec: &dyn amri_core::ShardExecutor,
-    ) -> usize {
-        match self {
-            JoinState::Amri(s) => s.evict_oldest_with(max, receipt, exec),
-            JoinState::MultiHash { store, .. } => store.evict_oldest_with(max, receipt, exec),
-            JoinState::StaticBitmap(s) => s.evict_oldest_with(max, receipt, exec),
-            JoinState::Scan(s) => s.evict_oldest_with(max, receipt, exec),
-        }
-    }
-
-    /// Ingest one arrival: expire out-of-window tuples, then store the
-    /// tuple — charging exactly what the eager
-    /// [`expire`](Self::expire)+[`insert`](Self::insert) pair charges, but
-    /// deferring the bit-address flavors' physical index link/unlink work
-    /// into `stage` (replayed per shard by
-    /// [`flush_ingest`](Self::flush_ingest) /
-    /// [`flush_ingest_then_search`](Self::flush_ingest_then_search)). The
-    /// hash and scan flavors have no sharded maintenance path and ingest
-    /// eagerly; their stage stays empty.
-    pub fn ingest_arrival(
-        &mut self,
-        tuple: Tuple,
-        now: VirtualTime,
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) {
-        match self {
-            JoinState::Amri(s) => {
-                s.expire_staged(now, receipt, stage);
-                s.insert_staged(tuple, receipt, stage);
-            }
-            JoinState::StaticBitmap(s) => {
-                s.expire_staged(now, receipt, stage);
-                s.insert_staged(tuple, receipt, stage);
-            }
-            other => {
-                other.expire(now, receipt);
-                other.insert(tuple, receipt);
-            }
-        }
-    }
-
-    /// Flush every staged ingest operation through `exec` (no charges —
-    /// costs were taken at ingest time). Must run before any observation
-    /// of the state: searches, memory accounting, retuning, snapshots.
-    pub fn flush_ingest(&mut self, stage: &mut IngestStage, exec: &dyn amri_core::ShardExecutor) {
-        match self {
-            JoinState::Amri(s) => s.apply_staged(stage, exec),
-            JoinState::StaticBitmap(s) => s.apply_staged(stage, exec),
-            JoinState::MultiHash { .. } | JoinState::Scan(_) => {
-                debug_assert!(stage.is_empty(), "non-bit-address flavors never stage");
-            }
-        }
-    }
-
-    /// Flush the stage and serve `req` in one fused executor dispatch
-    /// (ingest–probe overlap: task *s* replays shard *s*'s staged ops and
-    /// immediately probes it). Pattern recording and receipts match
-    /// [`flush_ingest`](Self::flush_ingest) followed by
-    /// [`search_into_with`](Self::search_into_with) exactly.
-    pub fn flush_ingest_then_search(
-        &mut self,
-        req: &SearchRequest,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-        exec: &dyn amri_core::ShardExecutor,
-    ) {
-        match self {
-            JoinState::Amri(s) => s.apply_staged_then_search(req, scratch, receipt, stage, exec),
-            JoinState::StaticBitmap(s) => {
-                s.apply_staged_then_search(req, scratch, receipt, stage, exec)
-            }
-            JoinState::MultiHash { store, tuner } => {
-                debug_assert!(stage.is_empty(), "non-bit-address flavors never stage");
-                if let Some(t) = tuner {
-                    t.record(req.pattern);
-                }
-                // No staged dispatch to fuse readahead into: run any
-                // queued speculative spill reads as their own dispatch
-                // before the probe.
-                store.drain_prefetch(receipt, exec);
-                store.search_into(req, scratch, receipt);
-            }
-            JoinState::Scan(s) => {
-                debug_assert!(stage.is_empty(), "non-bit-address flavors never stage");
-                s.drain_prefetch(receipt, exec);
-                s.search_into(req, scratch, receipt);
-            }
-        }
-    }
-
-    /// Answer a search request into a caller-owned scratch buffer; every
-    /// flavor records the pattern into its tuner's statistics if it has
-    /// one. The zero-allocation hot path: the engine reuses one scratch
-    /// per STeM ([`Stem::scratch`]) across all requests.
-    pub fn search_into(
-        &mut self,
-        req: &SearchRequest,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-    ) {
-        match self {
-            JoinState::Amri(s) => s.search_into(req, scratch, receipt),
-            JoinState::MultiHash { store, tuner } => {
-                if let Some(t) = tuner {
-                    t.record(req.pattern);
-                }
-                store.search_into(req, scratch, receipt);
-            }
-            JoinState::StaticBitmap(s) => s.search_into(req, scratch, receipt),
-            JoinState::Scan(s) => s.search_into(req, scratch, receipt),
-        }
-    }
-
-    /// [`search_into`](Self::search_into) with an explicit shard-task
-    /// executor: the bit-address flavors (AMRI, static bitmap) fan a
-    /// sharded probe out through `exec` and merge in fixed shard order;
-    /// the hash and scan flavors have no sharded path and run inline.
-    /// Hits, hit order, and receipts are identical for any executor.
-    pub fn search_into_with(
-        &mut self,
-        req: &SearchRequest,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-        exec: &dyn amri_core::ShardExecutor,
-    ) {
-        match self {
-            JoinState::Amri(s) => s.search_into_with(req, scratch, receipt, exec),
-            JoinState::MultiHash { store, tuner } => {
-                if let Some(t) = tuner {
-                    t.record(req.pattern);
-                }
-                store.search_into(req, scratch, receipt);
-            }
-            JoinState::StaticBitmap(s) => s.search_into_with(req, scratch, receipt, exec),
-            JoinState::Scan(s) => s.search_into(req, scratch, receipt),
-        }
+    /// Accounted bytes (store + index + the flavor's tuning statistics).
+    pub fn memory_bytes(&self) -> u64 {
+        let stat_entries = match self {
+            JoinState::Amri(s) => s.tuner().assessor_entries(),
+            JoinState::MultiHash { tuner: Some(t), .. } => t.entries(),
+            _ => 0,
+        };
+        self.store().memory_bytes() + stat_entries as u64 * amri_core::layout::ASSESS_ENTRY_BYTES
     }
 
     /// Re-partition the flavor's bit-address arena into `shard_count`
@@ -374,193 +225,119 @@ impl JoinState {
     /// Panics unless `shard_count` is a power of two (≥ 1).
     pub fn set_shards(&mut self, shard_count: usize) {
         match self {
-            JoinState::Amri(s) => s.set_shards(shard_count),
-            JoinState::StaticBitmap(s) => s.set_shards(shard_count),
+            JoinState::Amri(s) => s.store_mut().index_mut().set_shard_count(shard_count),
+            JoinState::StaticBitmap(s) => s.index_mut().set_shard_count(shard_count),
             JoinState::MultiHash { .. } | JoinState::Scan(_) => {}
-        }
-    }
-
-    /// Answer a search request; every flavor records the pattern into its
-    /// tuner's statistics if it has one.
-    ///
-    /// Compatibility wrapper over [`search_into`](Self::search_into);
-    /// allocates the returned `Vec` per call.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates per call; use `search_into` with a reused `SearchScratch`"
-    )]
-    pub fn search(&mut self, req: &SearchRequest, receipt: &mut CostReceipt) -> Vec<TupleKey> {
-        let mut scratch = SearchScratch::new();
-        self.search_into(req, &mut scratch, receipt);
-        scratch.hits
-    }
-
-    /// The stored tuple behind a search hit.
-    pub fn tuple(&self, key: TupleKey) -> Option<&Tuple> {
-        match self {
-            JoinState::Amri(s) => s.tuple(key),
-            JoinState::MultiHash { store, .. } => store.tuple(key),
-            JoinState::StaticBitmap(s) => s.tuple(key),
-            JoinState::Scan(s) => s.tuple(key),
         }
     }
 
     /// Attach a disk spill tier to the flavor's backing store — cold
     /// tuples can then leave RAM as probe-ready stubs.
     pub fn enable_spill(&mut self, tier: amri_core::SpillTier) {
-        match self {
-            JoinState::Amri(s) => s.enable_spill(tier),
-            JoinState::MultiHash { store, .. } => store.enable_spill(tier),
-            JoinState::StaticBitmap(s) => s.enable_spill(tier),
-            JoinState::Scan(s) => s.enable_spill(tier),
-        }
+        self.store_mut().enable_spill(tier);
     }
 
-    /// Read the full tuple behind a search hit: free for RAM-resident
-    /// tuples, a charged block read for spill-resident ones.
-    ///
-    /// # Errors
-    /// The number of tuples lost when the backing block is unrecoverable
-    /// (its stubs are purged — typed degradation, not a panic).
-    pub fn materialize(
+    /// Spill up to `max` of the oldest resident tuples into one disk
+    /// block (see [`StateStore::spill_oldest`]).
+    pub fn spill_oldest(&mut self, max: usize, receipt: &mut CostReceipt) -> usize {
+        self.store_mut().spill_oldest(max, receipt)
+    }
+
+    /// Ingest one arrival: expire out-of-window tuples, then store the
+    /// tuple. Every cost is charged now; a sharded index defers its
+    /// physical link/unlink work into `stage` (replayed per shard by
+    /// [`flush_ingest`](Self::flush_ingest) /
+    /// [`flush_ingest_then_search`](Self::flush_ingest_then_search)), an
+    /// unsharded one applies it immediately and leaves the stage empty.
+    pub fn ingest_arrival(
         &mut self,
-        key: TupleKey,
+        tuple: Tuple,
+        now: VirtualTime,
         receipt: &mut CostReceipt,
-    ) -> Result<Option<Tuple>, usize> {
+        stage: &mut IngestStage,
+    ) {
+        let store = self.store_mut();
+        store.expire_staged(now, receipt, stage);
+        store.insert_staged(tuple, receipt, stage);
+    }
+
+    /// Flush every staged ingest operation through `exec` (no charges —
+    /// costs were taken at ingest time). Must run before any observation
+    /// of the state: memory accounting, retuning, eviction, snapshots.
+    pub fn flush_ingest(&mut self, stage: &mut IngestStage, exec: &dyn ShardExecutor) {
+        self.store_mut().apply_staged(stage, exec);
+    }
+
+    /// Flush the stage and serve `req` into the caller's scratch in one
+    /// fused executor dispatch (ingest–probe overlap: task *s* replays
+    /// shard *s*'s staged ops and immediately probes it), recording the
+    /// pattern into the flavor's tuner statistics if it has one. The
+    /// zero-allocation hot path — the engine reuses one scratch per STeM
+    /// ([`Stem::scratch`]) — so each flavor's store is called by its
+    /// concrete type.
+    pub fn flush_ingest_then_search(
+        &mut self,
+        req: &SearchRequest,
+        scratch: &mut SearchScratch,
+        receipt: &mut CostReceipt,
+        stage: &mut IngestStage,
+        exec: &dyn ShardExecutor,
+    ) {
         match self {
-            JoinState::Amri(s) => s.materialize(key, receipt),
-            JoinState::MultiHash { store, .. } => store.materialize(key, receipt),
-            JoinState::StaticBitmap(s) => s.materialize(key, receipt),
-            JoinState::Scan(s) => s.materialize(key, receipt),
+            JoinState::Amri(s) => s.apply_staged_then_search(req, scratch, receipt, stage, exec),
+            JoinState::MultiHash { store, tuner } => {
+                if let Some(t) = tuner {
+                    t.record(req.pattern);
+                }
+                store.apply_staged_then_search(req, scratch, receipt, stage, exec)
+            }
+            JoinState::StaticBitmap(s) => {
+                s.apply_staged_then_search(req, scratch, receipt, stage, exec)
+            }
+            JoinState::Scan(s) => s.apply_staged_then_search(req, scratch, receipt, stage, exec),
         }
     }
 
-    /// Materialize a whole batch of search hits into `out`, one
-    /// [`StateStore::materialize_batch`] call: with the spill tier's block
-    /// cache enabled, spilled hits are grouped by block and each distinct
-    /// block is read once (coalescing); cacheless, this is exactly the
-    /// per-key sequence. Returns tuples lost to unrecoverable blocks.
+    /// Materialize a whole batch of search hits into `out` (see
+    /// [`StateStore::materialize_batch`]). Returns tuples lost to
+    /// unrecoverable blocks.
     pub fn materialize_batch(
         &mut self,
         keys: &[TupleKey],
         out: &mut Vec<Option<Tuple>>,
         receipt: &mut CostReceipt,
-        exec: &dyn amri_core::ShardExecutor,
+        exec: &dyn ShardExecutor,
     ) -> usize {
-        match self {
-            JoinState::Amri(s) => s.materialize_batch(keys, out, receipt, exec),
-            JoinState::MultiHash { store, .. } => store.materialize_batch(keys, out, receipt, exec),
-            JoinState::StaticBitmap(s) => s.materialize_batch(keys, out, receipt, exec),
-            JoinState::Scan(s) => s.materialize_batch(keys, out, receipt, exec),
-        }
+        self.store_mut().materialize_batch(keys, out, receipt, exec)
     }
 
-    /// Queue expiry-order readahead of the next-oldest uncached spill
-    /// blocks (no-op without an enabled cache); the next probe dispatch
-    /// issues the reads overlapped with its shard compute.
-    pub fn schedule_readahead(&mut self) {
-        match self {
-            JoinState::Amri(s) => s.schedule_readahead(),
-            JoinState::MultiHash { store, .. } => store.schedule_readahead(),
-            JoinState::StaticBitmap(s) => s.schedule_readahead(),
-            JoinState::Scan(s) => s.schedule_readahead(),
-        }
+    /// Insert an arriving tuple, eagerly (see [`StateStore::insert`]).
+    pub fn insert(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> TupleKey {
+        self.store_mut().insert(tuple, receipt)
     }
 
-    /// Bytes held by the spill tier's decoded-block cache (the
-    /// `MemoryReport` cache column; 0 without one).
-    pub fn cache_used_bytes(&self) -> u64 {
-        match self {
-            JoinState::Amri(s) => s.cache_used_bytes(),
-            JoinState::MultiHash { store, .. } => store.cache_used_bytes(),
-            JoinState::StaticBitmap(s) => s.cache_used_bytes(),
-            JoinState::Scan(s) => s.cache_used_bytes(),
-        }
+    /// Expire out-of-window tuples with nothing left staged: the stage-less
+    /// convenience over [`StateStore::expire_staged`].
+    pub fn expire(&mut self, now: VirtualTime, receipt: &mut CostReceipt) -> usize {
+        let mut stage = IngestStage::new();
+        let removed = self.store_mut().expire_staged(now, receipt, &mut stage);
+        self.flush_ingest(&mut stage, &SequentialExecutor);
+        removed
     }
 
-    /// Arrival instant of the oldest RAM-resident tuple, if any.
-    pub fn oldest_resident_ts(&self) -> Option<VirtualTime> {
-        match self {
-            JoinState::Amri(s) => s.oldest_resident_ts(),
-            JoinState::MultiHash { store, .. } => store.oldest_resident_ts(),
-            JoinState::StaticBitmap(s) => s.oldest_resident_ts(),
-            JoinState::Scan(s) => s.oldest_resident_ts(),
-        }
-    }
-
-    /// Spill up to `max` of the oldest resident tuples into one disk
-    /// block; returns how many moved (0 without a tier or on a torn
-    /// write — data never leaves RAM un-verified).
-    pub fn spill_oldest(&mut self, max: usize, receipt: &mut CostReceipt) -> usize {
-        match self {
-            JoinState::Amri(s) => s.spill_oldest(max, receipt),
-            JoinState::MultiHash { store, .. } => store.spill_oldest(max, receipt),
-            JoinState::StaticBitmap(s) => s.spill_oldest(max, receipt),
-            JoinState::Scan(s) => s.spill_oldest(max, receipt),
-        }
-    }
-
-    /// Promote the hottest spill block (≥ `min_reads` materialization
-    /// reads) back into RAM.
-    pub fn promote_hottest(
+    /// [`flush_ingest_then_search`](Self::flush_ingest_then_search) with
+    /// nothing staged, inline.
+    pub fn search_into(
         &mut self,
-        min_reads: u32,
+        req: &SearchRequest,
+        scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
-    ) -> amri_core::SpillOutcome {
-        match self {
-            JoinState::Amri(s) => s.promote_hottest(min_reads, receipt),
-            JoinState::MultiHash { store, .. } => store.promote_hottest(min_reads, receipt),
-            JoinState::StaticBitmap(s) => s.promote_hottest(min_reads, receipt),
-            JoinState::Scan(s) => s.promote_hottest(min_reads, receipt),
-        }
+    ) {
+        let mut stage = IngestStage::new();
+        self.flush_ingest_then_search(req, scratch, receipt, &mut stage, &SequentialExecutor);
     }
 
-    /// The spill tier's cumulative counters (zeros without a tier).
-    pub fn spill_stats(&self) -> amri_core::SpillStats {
-        match self {
-            JoinState::Amri(s) => s.spill_stats(),
-            JoinState::MultiHash { store, .. } => store.spill_stats(),
-            JoinState::StaticBitmap(s) => s.spill_stats(),
-            JoinState::Scan(s) => s.spill_stats(),
-        }
-    }
-
-    /// Live tuples currently spill-resident.
-    pub fn spilled_len(&self) -> usize {
-        match self {
-            JoinState::Amri(s) => s.spilled_len(),
-            JoinState::MultiHash { store, .. } => store.spilled_len(),
-            JoinState::StaticBitmap(s) => s.spilled_len(),
-            JoinState::Scan(s) => s.spilled_len(),
-        }
-    }
-
-    /// Bytes of live spilled data on disk (informational; not RAM).
-    pub fn disk_bytes(&self) -> u64 {
-        match self {
-            JoinState::Amri(s) => s.disk_bytes(),
-            JoinState::MultiHash { store, .. } => store.disk_bytes(),
-            JoinState::StaticBitmap(s) => s.disk_bytes(),
-            JoinState::Scan(s) => s.disk_bytes(),
-        }
-    }
-
-    /// Accounted bytes (store + index + statistics).
-    pub fn memory_bytes(&self) -> u64 {
-        match self {
-            JoinState::Amri(s) => s.memory_bytes(),
-            JoinState::MultiHash { store, tuner } => {
-                store.memory_bytes()
-                    + tuner.as_ref().map_or(0, |t| {
-                        t.entries() as u64 * amri_core::layout::ASSESS_ENTRY_BYTES
-                    })
-            }
-            JoinState::StaticBitmap(s) => s.memory_bytes(),
-            JoinState::Scan(s) => s.memory_bytes(),
-        }
-    }
-
-    /// Take a tuning decision if this flavor tunes and one is due.
+    /// [`maybe_retune_with`](Self::maybe_retune_with), inline.
     pub fn maybe_retune(
         &mut self,
         now: VirtualTime,
@@ -569,18 +346,12 @@ impl JoinState {
         window_secs: f64,
         receipt: &mut CostReceipt,
     ) -> Option<StemRetune> {
-        self.maybe_retune_with(
-            now,
-            lambda_d,
-            lambda_r,
-            window_secs,
-            receipt,
-            &amri_core::SequentialExecutor,
-        )
+        let exec = &SequentialExecutor;
+        self.maybe_retune_with(now, lambda_d, lambda_r, window_secs, receipt, exec)
     }
 
-    /// [`maybe_retune`](Self::maybe_retune) with AMRI's index migration
-    /// fanned out shard-by-shard through `exec` (see
+    /// Take a tuning decision if this flavor tunes and one is due. AMRI's
+    /// index migration fans out shard-by-shard through `exec` (see
     /// [`AmriState::maybe_retune_with`]); the hash flavor's retarget has
     /// no sharded arena and stays sequential. Decisions, outcomes, and
     /// charges are identical for any executor.
@@ -591,7 +362,7 @@ impl JoinState {
         lambda_r: f64,
         window_secs: f64,
         receipt: &mut CostReceipt,
-        exec: &dyn amri_core::ShardExecutor,
+        exec: &dyn ShardExecutor,
     ) -> Option<StemRetune> {
         match self {
             JoinState::Amri(s) => s
@@ -711,7 +482,8 @@ pub struct Stem {
     /// The state.
     pub state: JoinState,
     /// Reusable search buffer: one per STeM, so the executor's inner loop
-    /// never allocates per request ([`JoinState::search_into`]).
+    /// never allocates per request
+    /// ([`JoinState::flush_ingest_then_search`]).
     pub scratch: SearchScratch,
     /// Reusable staged-ingest lanes ([`JoinState::ingest_arrival`]).
     /// Transient like `scratch` — always drained before any observation
@@ -925,7 +697,7 @@ mod tests {
             hits.sort();
             assert_eq!(hits.len(), 10, "{}: A==2 count", state.kind());
             // Resolve a hit back to its tuple.
-            let t = state.tuple(hits[0]).unwrap();
+            let t = state.store().tuple(hits[0]).unwrap();
             assert_eq!(t.attrs[0], 2);
             receipts.push((state.kind(), r));
         }

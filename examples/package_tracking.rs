@@ -83,9 +83,9 @@ fn main() {
     for (name, sr) in [("sr1 <A1,*,A3>", &sr1), ("sr2 <*,*,A3>", &sr2)] {
         println!("\nsearch {name}:");
         for (label, hits, receipt) in [
-            run(&hash_state, sr),
-            run(&bi_state, sr),
-            run(&scan_state, sr),
+            run(&mut hash_state, sr),
+            run(&mut bi_state, sr),
+            run(&mut scan_state, sr),
         ] {
             println!(
                 "  {label:<12} {hits:>4} hits  {:>8} comparisons  {:>6} bucket probes  {:>8.0} ticks",
@@ -101,12 +101,19 @@ fn main() {
     );
 }
 
-fn run<I: amri_core::StateIndex>(
-    state: &StateStore<I>,
+/// One search through the store's read entry, nothing staged, inline.
+fn run(
+    state: &mut StateStore<dyn amri_core::StateIndex>,
     sr: &SearchRequest,
 ) -> (&'static str, usize, CostReceipt) {
     let mut scratch = amri_core::SearchScratch::new();
     let mut receipt = CostReceipt::new();
-    state.search_into(sr, &mut scratch, &mut receipt);
+    state.apply_staged_then_search(
+        sr,
+        &mut scratch,
+        &mut receipt,
+        &mut amri_core::IngestStage::new(),
+        &amri_core::SequentialExecutor,
+    );
     (state.index().kind(), scratch.hits.len(), receipt)
 }

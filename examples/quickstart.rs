@@ -46,7 +46,7 @@ fn main() {
     }
     println!(
         "stored {} tuples ({} hash ops charged)",
-        state.len(),
+        state.store().len(),
         receipt.hash_ops
     );
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate BENCH_parallel.json: measure the three parallel-path benches
-# — sharded batch probe, staged parallel ingest (insert + expire), and
-# sharded migration — at 1, 2 and 4 worker threads, and record medians,
+# — sharded per-request probe, staged parallel ingest (insert + expire),
+# and sharded migration — at 1, 2 and 4 worker threads, and record medians,
 # derived speedups and the environment the numbers were taken on.
 #
 # Like bench_guard.sh, each median is the *minimum* over BENCH_RUNS runs
@@ -79,7 +79,7 @@ jq -n \
     --argjson degraded "$DEGRADED" \
     --arg kernel "$(uname -sr)" --arg arch "$(uname -m)" '
 {
-  description: "Scaling evidence for the multicore tentpole, full pipeline: three benches over the identical 10k-entry 4-shard BitAddressIndex through the engine WorkerPool at 1, 2 and 4 threads. index_parallel_10k/wildcard_batch_probe_threads probes a 64-request single-attribute-wildcard batch (2^16 candidate buckets per request); ingest_parallel_10k/insert_expire_threads runs the staged write path (10k inserts in 256-tuple bursts, each burst applied per shard through the pool, then one staged whole-window expiry); migrate_parallel_10k/bitaddr_sharded_rebucket_threads reconfigures [8,8,8] -> [4,10,10] via the shard-crossing gather+redistribute protocol. Index, shard count and inputs are identical across thread counts and every result is byte-identical by construction, so the ids differ only in executor parallelism.",
+  description: "Scaling evidence for the multicore tentpole, full pipeline: three benches over the identical 10k-entry 4-shard BitAddressIndex through the engine WorkerPool at 1, 2 and 4 threads. index_parallel_10k/wildcard_batch_probe_threads probes 64 single-attribute-wildcard requests (2^16 candidate buckets each), one pool dispatch per request through the one read entry of the index (recordings made before the multi-request batch path was removed timed one dispatch per 64-request batch: history, not a baseline for this loop); ingest_parallel_10k/insert_expire_threads runs the staged write path (10k inserts in 256-tuple bursts, each burst applied per shard through the pool, then one staged whole-window expiry); migrate_parallel_10k/bitaddr_sharded_rebucket_threads reconfigures [8,8,8] -> [4,10,10] via the shard-crossing gather+redistribute protocol. Index, shard count and inputs are identical across thread counts and every result is byte-identical by construction, so the ids differ only in executor parallelism.",
   regenerate: "scripts/bench_parallel.sh  # best-of-N medians; BENCH_RUNS to change N",
   environment: {
     cores: $cores,

@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
+# Every deprecated wrapper was removed with its sibling path; none may
+# grow back.
+echo "==> no deprecated items under crates/ tests/ examples/"
+if grep -rn deprecated crates tests examples; then echo "a deprecated item reappeared"; exit 1; fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -181,5 +186,17 @@ diff "$FLEET_DIR/results/fleet_summary.csv" "$FLEET_DIR/results/fleet_migrated_s
     || { echo "migrated fleet diverged from uninterrupted hosted run"; exit 1; }
 echo "hosted, solo and migrated fleet summaries byte-identical"
 rm -rf "$FLEET_DIR"
+
+# The frozen benchmark package path-depends on crates/* but sits outside
+# the workspace, so nothing above compiles it: build it against the
+# current public API, then run every workload once at smoke scale — each
+# checks its own identity (pass≡pass, t2≡t1, spilled≡all-RAM,
+# resume≡uninterrupted, hosted≡solo) and the run exits non-zero on any
+# violation.
+echo "==> benchmark package builds against the current API; smoke identities hold"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+BENCH_SMOKE="$(mktemp)"
+bash benchmark/run.sh --smoke --reps 1 --out "${BENCH_SMOKE}"
+rm -f "${BENCH_SMOKE}"
 
 echo "CI green."

@@ -4,7 +4,10 @@
 //! from the bit-address index, the multi-hash module, and the scan
 //! reference. Figures compare their costs; this file pins their semantics.
 
-use amri_core::{BitAddressIndex, CostReceipt, IndexConfig, MultiHashIndex, ScanIndex, StateStore};
+use amri_core::{
+    BitAddressIndex, CostReceipt, IndexConfig, IngestStage, MultiHashIndex, ScanIndex,
+    SequentialExecutor, StateStore,
+};
 use amri_stream::{
     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime,
     WindowSpec,
@@ -34,9 +37,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Time must be monotone for window pushes: scripts carry arbitrary times,
-/// so we run them through a monotonic clock (max-so-far).
+/// so we run them through a monotonic clock (max-so-far). Every flavor is
+/// driven through the engine's one write path and one read path: arrivals
+/// and expirations accumulate in the stage, a search applies it and
+/// probes, and an adaptation flushes first.
 struct Runner<I: amri_core::StateIndex> {
     store: StateStore<I>,
+    stage: IngestStage,
     now: u64,
     seq: u64,
 }
@@ -50,6 +57,7 @@ impl<I: amri_core::StateIndex> Runner<I> {
                 WindowSpec::secs(20),
                 index,
             ),
+            stage: IngestStage::new(),
             now: 0,
             seq: 0,
         }
@@ -64,23 +72,37 @@ impl<I: amri_core::StateIndex> Runner<I> {
             AttrVec::from_slice(&vals).unwrap(),
         );
         self.seq += 1;
-        self.store.insert(tuple, &mut CostReceipt::new());
+        self.store
+            .insert_staged(tuple, &mut CostReceipt::new(), &mut self.stage);
     }
 
     fn expire(&mut self, t: u64) {
         self.now = self.now.max(t);
-        self.store
-            .expire(VirtualTime::from_secs(self.now), &mut CostReceipt::new());
+        self.store.expire_staged(
+            VirtualTime::from_secs(self.now),
+            &mut CostReceipt::new(),
+            &mut self.stage,
+        );
     }
 
-    fn search(&self, mask: u32, vals: [u64; 3]) -> Vec<u64> {
+    fn flush(&mut self) {
+        self.store
+            .apply_staged(&mut self.stage, &SequentialExecutor);
+    }
+
+    fn search(&mut self, mask: u32, vals: [u64; 3]) -> Vec<u64> {
         let req = SearchRequest::new(
             AccessPattern::new(mask, 3),
             AttrVec::from_slice(&vals).unwrap(),
         );
         let mut scratch = amri_core::SearchScratch::new();
-        self.store
-            .search_into(&req, &mut scratch, &mut CostReceipt::new());
+        self.store.apply_staged_then_search(
+            &req,
+            &mut scratch,
+            &mut CostReceipt::new(),
+            &mut self.stage,
+            &SequentialExecutor,
+        );
         let mut keys = scratch.hits;
         keys.sort();
         keys.iter()
@@ -146,10 +168,13 @@ proptest! {
                     );
                 }
                 Op::Adapt(i) => {
-                    bitaddr
-                        .store
-                        .index_mut()
-                        .migrate(config(i), &mut CostReceipt::new());
+                    bitaddr.flush();
+                    bitaddr.store.index_mut().migrate_with(
+                        config(i),
+                        &mut CostReceipt::new(),
+                        &SequentialExecutor,
+                    );
+                    hash.flush();
                     let live: Vec<(amri_core::TupleKey, AttrVec)> = hash
                         .store
                         .iter_jas()

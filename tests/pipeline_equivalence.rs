@@ -255,7 +255,7 @@ impl<W: StreamWorkload> Reference<W> {
                 let now = clock.now();
                 let mut matches = 0usize;
                 for &key in &stem.scratch.hits {
-                    let Some(t) = stem.state.tuple(key) else {
+                    let Some(t) = stem.state.store().tuple(key) else {
                         continue;
                     };
                     if !window.live(t.ts, now) {

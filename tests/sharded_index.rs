@@ -9,7 +9,10 @@
 //! entry/memory accounting, and a structurally sound arena in every
 //! shard after every structural change.
 
-use amri_core::{BitAddressIndex, CostReceipt, IndexConfig, StateStore};
+use amri_core::{
+    BitAddressIndex, CostReceipt, IndexConfig, IngestStage, MultiHashIndex, ScanIndex,
+    SearchScratch, SequentialExecutor, ShardExecutor, StateIndex, StateStore, TupleKey,
+};
 use amri_stream::{
     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime,
     WindowSpec,
@@ -58,23 +61,61 @@ fn config(i: u8) -> IndexConfig {
     IndexConfig::new(bits).unwrap()
 }
 
-/// Monotone-clock script runner over a sharded store (same shape as the
-/// cross-flavor equivalence runner).
-struct Runner {
-    store: StateStore<BitAddressIndex>,
+/// What a script needs from an index beyond [`StateIndex`]: the
+/// bit-address index can migrate and check its own arena; the hash and
+/// scan flavors ignore both.
+trait Scripted: StateIndex {
+    fn migrate(&mut self, _i: u8, _receipt: &mut CostReceipt, _exec: &dyn ShardExecutor) {}
+
+    fn check_sound(&self) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+impl Scripted for BitAddressIndex {
+    fn migrate(&mut self, i: u8, receipt: &mut CostReceipt, exec: &dyn ShardExecutor) {
+        self.migrate_with(config(i), receipt, exec);
+    }
+
+    fn check_sound(&self) -> Result<(), String> {
+        self.check_integrity()?;
+        let per_shard: usize = self.shard_fill_stats().iter().map(|f| f.entries).sum();
+        if per_shard != self.entries() {
+            return Err(format!(
+                "shard fill stats cover {per_shard} entries, index holds {}",
+                self.entries()
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl Scripted for MultiHashIndex {}
+
+impl Scripted for ScanIndex {}
+
+/// The independent eager reference: no [`StateStore`], no stage, no
+/// executor — a bare index driven through the [`StateIndex::insert`] /
+/// [`StateIndex::remove`] / [`StateIndex::search_into`] primitives, with
+/// the window, the per-slot base charge and the arena-scan fallback
+/// modelled by hand. Keys are never reused (the store's slab does reuse
+/// them), which no compared observable depends on.
+struct EagerReference<I> {
+    index: I,
+    /// Live tuples in arrival order: (arrival second, key, JAS values).
+    /// A tuple's id equals its key.
+    live: std::collections::VecDeque<(u64, TupleKey, AttrVec)>,
+    receipt: CostReceipt,
     now: u64,
     seq: u64,
 }
 
-impl Runner {
-    fn new(shards: usize) -> Self {
-        Runner {
-            store: StateStore::new(
-                StreamId(0),
-                vec![AttrId(0), AttrId(1), AttrId(2)],
-                WindowSpec::secs(20),
-                BitAddressIndex::with_shards(config(0), shards),
-            ),
+impl<I: Scripted> EagerReference<I> {
+    fn new(index: I) -> Self {
+        EagerReference {
+            index,
+            live: Default::default(),
+            receipt: CostReceipt::new(),
             now: 0,
             seq: 0,
         }
@@ -82,105 +123,92 @@ impl Runner {
 
     fn insert(&mut self, vals: [u64; 3], t: u64) {
         self.now = self.now.max(t);
-        let tuple = Tuple::new(
-            TupleId(self.seq),
-            StreamId(0),
-            VirtualTime::from_secs(self.now),
-            AttrVec::from_slice(&vals).unwrap(),
-        );
+        let key = TupleKey(self.seq as u32);
         self.seq += 1;
-        self.store.insert(tuple, &mut CostReceipt::new());
+        let jas = AttrVec::from_slice(&vals).unwrap();
+        self.receipt.base_ops += 1;
+        self.index.insert(key, &jas, &mut self.receipt);
+        self.live.push_back((self.now, key, jas));
+    }
+
+    fn unindex_oldest(&mut self) {
+        let (_, key, jas) = self.live.pop_front().expect("caller checked");
+        self.receipt.base_ops += 1;
+        self.index.remove(key, &jas, &mut self.receipt);
     }
 
     fn expire(&mut self, t: u64) {
         self.now = self.now.max(t);
-        self.store
-            .expire(VirtualTime::from_secs(self.now), &mut CostReceipt::new());
+        let (window, now) = (WindowSpec::secs(20), VirtualTime::from_secs(self.now));
+        while self
+            .live
+            .front()
+            .is_some_and(|&(ts, ..)| !window.live(VirtualTime::from_secs(ts), now))
+        {
+            self.unindex_oldest();
+        }
     }
 
-    /// Sorted tuple ids matching the request — the shard-count-invariant
-    /// answer set.
-    fn search(&self, mask: u32, vals: [u64; 3]) -> Vec<u64> {
+    fn evict(&mut self, n: usize) -> usize {
+        let evicted = n.min(self.live.len());
+        for _ in 0..evicted {
+            self.unindex_oldest();
+        }
+        evicted
+    }
+
+    fn search(&mut self, mask: u32, vals: [u64; 3]) -> Vec<u64> {
         let req = SearchRequest::new(
             AccessPattern::new(mask, 3),
             AttrVec::from_slice(&vals).unwrap(),
         );
-        let mut scratch = amri_core::SearchScratch::new();
-        self.store
-            .search_into(&req, &mut scratch, &mut CostReceipt::new());
-        let mut ids: Vec<u64> = scratch
-            .hits
-            .iter()
-            .map(|k| self.store.tuple(*k).unwrap().id.0)
-            .collect();
+        let mut scratch = SearchScratch::new();
+        if !self
+            .index
+            .search_into(&req, &mut scratch, &mut self.receipt)
+        {
+            for (_, key, jas) in &self.live {
+                self.receipt.comparisons += 2;
+                if req.matches(jas) {
+                    scratch.hits.push(*key);
+                }
+            }
+        }
+        let mut ids: Vec<u64> = scratch.hits.iter().map(|k| k.0 as u64).collect();
         ids.sort_unstable();
         ids
     }
-
-    /// Arena integrity across every shard, plus the accounting invariant
-    /// that per-shard fill statistics cover exactly the live entries.
-    fn check_sound(&self) -> Result<(), String> {
-        let index = self.store.index();
-        index.check_integrity()?;
-        let per_shard: usize = index.shard_fill_stats().iter().map(|f| f.entries).sum();
-        if per_shard != amri_core::StateIndex::entries(index) {
-            return Err(format!(
-                "shard fill stats cover {per_shard} entries, index holds {}",
-                amri_core::StateIndex::entries(index)
-            ));
-        }
-        Ok(())
-    }
-
-    /// Apply one scripted op to this runner alone (searches are pure and
-    /// compared separately by the callers that need them).
-    fn apply(&mut self, op: &Op) {
-        match *op {
-            Op::Insert(vals, t) => self.insert(vals, t),
-            Op::Expire(t) => self.expire(t),
-            Op::Search(..) => {}
-            Op::Migrate(i) => {
-                self.store
-                    .index_mut()
-                    .migrate(config(i), &mut CostReceipt::new());
-            }
-            Op::Evict(n) => {
-                self.store.evict_oldest(n as usize, &mut CostReceipt::new());
-            }
-        }
-    }
 }
 
-/// Script runner for the staged-vs-eager write-path comparison: same
-/// store shape as [`Runner`], but with an explicit cumulative receipt and
-/// an [`amri_core::IngestStage`] when `staged`. The flush discipline
-/// mirrors the engine's: inserts and expirations accumulate in the stage
-/// across steps; any observation of the index (search, migrate, evict)
-/// flushes first — searches through the fused apply-then-probe dispatch,
-/// the rest via an explicit `apply_staged`.
-struct IngestRunner {
-    store: StateStore<BitAddressIndex>,
-    stage: amri_core::IngestStage,
+/// Monotone-clock script runner for the staged write path, over any index
+/// flavor (same store shape as the cross-flavor equivalence runner), with
+/// an explicit cumulative receipt and a persistent [`IngestStage`]. The
+/// flush discipline mirrors the
+/// engine's: inserts and expirations accumulate in the stage across steps;
+/// any observation of the index flushes first — searches through the
+/// fused apply-then-probe dispatch, migration via an explicit
+/// `apply_staged`, eviction by riding the same stage.
+struct IngestRunner<I> {
+    store: StateStore<I>,
+    stage: IngestStage,
     receipt: CostReceipt,
     now: u64,
     seq: u64,
-    staged: bool,
 }
 
-impl IngestRunner {
-    fn new(shards: usize, staged: bool) -> Self {
+impl<I: Scripted> IngestRunner<I> {
+    fn new(index: I) -> Self {
         IngestRunner {
             store: StateStore::new(
                 StreamId(0),
                 vec![AttrId(0), AttrId(1), AttrId(2)],
                 WindowSpec::secs(20),
-                BitAddressIndex::with_shards(config(0), shards),
+                index,
             ),
-            stage: amri_core::IngestStage::new(),
+            stage: IngestStage::new(),
             receipt: CostReceipt::new(),
             now: 0,
             seq: 0,
-            staged,
         }
     }
 
@@ -193,56 +221,36 @@ impl IngestRunner {
             AttrVec::from_slice(&vals).unwrap(),
         );
         self.seq += 1;
-        if self.staged {
-            self.store
-                .insert_staged(tuple, &mut self.receipt, &mut self.stage);
-        } else {
-            self.store.insert(tuple, &mut self.receipt);
-        }
+        self.store
+            .insert_staged(tuple, &mut self.receipt, &mut self.stage);
     }
 
     fn expire(&mut self, t: u64) {
         self.now = self.now.max(t);
         let now = VirtualTime::from_secs(self.now);
-        if self.staged {
-            self.store
-                .expire_staged(now, &mut self.receipt, &mut self.stage);
-        } else {
-            self.store.expire(now, &mut self.receipt);
-        }
+        self.store
+            .expire_staged(now, &mut self.receipt, &mut self.stage);
     }
 
-    fn flush(&mut self, exec: &dyn amri_core::ShardExecutor) {
-        if self.staged {
-            self.store.apply_staged(&mut self.stage, exec);
-        }
+    fn flush(&mut self, exec: &dyn ShardExecutor) {
+        self.store.apply_staged(&mut self.stage, exec);
     }
 
-    /// Sorted matching tuple ids; for staged runners the pending stage is
-    /// applied and the probe served in one fused dispatch.
-    fn search(
-        &mut self,
-        mask: u32,
-        vals: [u64; 3],
-        exec: &dyn amri_core::ShardExecutor,
-    ) -> Vec<u64> {
+    /// Sorted matching tuple ids; the pending stage is applied and the
+    /// probe served in one fused dispatch.
+    fn search(&mut self, mask: u32, vals: [u64; 3], exec: &dyn ShardExecutor) -> Vec<u64> {
         let req = SearchRequest::new(
             AccessPattern::new(mask, 3),
             AttrVec::from_slice(&vals).unwrap(),
         );
-        let mut scratch = amri_core::SearchScratch::new();
-        if self.staged {
-            self.store.apply_staged_then_search(
-                &req,
-                &mut scratch,
-                &mut self.receipt,
-                &mut self.stage,
-                exec,
-            );
-        } else {
-            self.store
-                .search_into(&req, &mut scratch, &mut self.receipt);
-        }
+        let mut scratch = SearchScratch::new();
+        self.store.apply_staged_then_search(
+            &req,
+            &mut scratch,
+            &mut self.receipt,
+            &mut self.stage,
+            exec,
+        );
         let mut ids: Vec<u64> = scratch
             .hits
             .iter()
@@ -252,33 +260,144 @@ impl IngestRunner {
         ids
     }
 
-    fn migrate(&mut self, i: u8, exec: &dyn amri_core::ShardExecutor) {
+    fn migrate(&mut self, i: u8, exec: &dyn ShardExecutor) {
         self.flush(exec);
-        self.store
-            .index_mut()
-            .migrate_with(config(i), &mut self.receipt, exec);
+        self.store.index_mut().migrate(i, &mut self.receipt, exec);
     }
 
-    fn evict(&mut self, n: usize, exec: &dyn amri_core::ShardExecutor) -> usize {
+    /// Evict through the runner's reusable stage; the store applies the
+    /// whole stage, so it must come back empty.
+    fn evict(&mut self, n: usize, exec: &dyn ShardExecutor) -> usize {
+        let evicted = self
+            .store
+            .evict_oldest_with(n, &mut self.receipt, &mut self.stage, exec);
+        assert!(self.stage.is_empty(), "eviction left staged work behind");
+        evicted
+    }
+
+    /// Apply one scripted op and leave the index applied, so snapshots and
+    /// accounting can observe it (searches are compared separately by the
+    /// callers that need them).
+    fn apply(&mut self, op: &Op, exec: &dyn ShardExecutor) {
+        match *op {
+            Op::Insert(vals, t) => self.insert(vals, t),
+            Op::Expire(t) => self.expire(t),
+            Op::Search(..) => {}
+            Op::Migrate(i) => self.migrate(i, exec),
+            Op::Evict(n) => {
+                self.evict(n as usize, exec);
+            }
+        }
         self.flush(exec);
-        if self.staged {
-            self.store.evict_oldest_with(n, &mut self.receipt, exec)
-        } else {
-            self.store.evict_oldest(n, &mut self.receipt)
+    }
+}
+
+/// A runner over a `shards`-way bit-address store.
+fn sharded_runner(shards: usize) -> IngestRunner<BitAddressIndex> {
+    IngestRunner::new(BitAddressIndex::with_shards(config(0), shards))
+}
+
+/// One script through the staged path of every `candidate` — alternating
+/// a real 2-thread `WorkerPool` and the inline `SequentialExecutor`, so
+/// both dispatch paths are exercised — against the eager `reference`.
+fn check_staged_matches_eager<I: Scripted>(ops: &[Op], reference: I, candidates: Vec<I>) {
+    let pool = amri_engine::WorkerPool::new(std::num::NonZeroUsize::new(2).unwrap());
+    let execs: [&dyn ShardExecutor; 2] = [&pool, &SequentialExecutor];
+    let mut reference = EagerReference::new(reference);
+    let mut candidates: Vec<IngestRunner<I>> =
+        candidates.into_iter().map(IngestRunner::new).collect();
+
+    for (step, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Insert(vals, t) => {
+                reference.insert(vals, t);
+                for c in &mut candidates {
+                    c.insert(vals, t);
+                }
+            }
+            Op::Expire(t) => {
+                reference.expire(t);
+                for c in &mut candidates {
+                    c.expire(t);
+                }
+            }
+            Op::Search(mask, vals) => {
+                let want = reference.search(mask, vals);
+                for (i, c) in candidates.iter_mut().enumerate() {
+                    let got = c.search(mask, vals, execs[i % 2]);
+                    prop_assert_eq!(
+                        &got,
+                        &want,
+                        "staged search diverged at step {} (candidate {})",
+                        step,
+                        i
+                    );
+                }
+            }
+            Op::Migrate(i) => {
+                reference
+                    .index
+                    .migrate(i, &mut reference.receipt, &SequentialExecutor);
+                for (ci, c) in candidates.iter_mut().enumerate() {
+                    c.migrate(i, execs[ci % 2]);
+                    let sound = c.store.index().check_sound();
+                    prop_assert!(sound.is_ok(), "after staged migrate: {:?}", sound);
+                }
+            }
+            Op::Evict(n) => {
+                // The receipt comparison below pins the eviction charges
+                // to the eager ones: per evicted entry one base op plus
+                // whatever `StateIndex::remove` charges — for the
+                // bit-address index `indexed_attrs` hashes + 1 bucket probe.
+                let want = reference.evict(n as usize);
+                for (ci, c) in candidates.iter_mut().enumerate() {
+                    let got = c.evict(n as usize, execs[ci % 2]);
+                    prop_assert_eq!(got, want, "staged eviction count diverged");
+                    let sound = c.store.index().check_sound();
+                    prop_assert!(sound.is_ok(), "after staged evict: {:?}", sound);
+                }
+            }
+        }
+        // Cost accounting is path-invariant at every step: staged ops
+        // charge at stage time, exactly what eager execution charges.
+        // Live-tuple counts agree too (the arena half is never
+        // deferred). Index-internal views (entries, memory) are only
+        // comparable at flush points — see the terminal sweep.
+        for c in &candidates {
+            prop_assert_eq!(
+                c.receipt,
+                reference.receipt,
+                "receipts diverged at step {}",
+                step
+            );
+            prop_assert_eq!(c.store.len(), reference.live.len());
         }
     }
 
-    fn check_sound(&self) -> Result<(), String> {
-        let index = self.store.index();
-        index.check_integrity()?;
-        let per_shard: usize = index.shard_fill_stats().iter().map(|f| f.entries).sum();
-        if per_shard != amri_core::StateIndex::entries(index) {
-            return Err(format!(
-                "shard fill stats cover {per_shard} entries, index holds {}",
-                amri_core::StateIndex::entries(index)
-            ));
+    // Terminal sweep: flush everything, then the staged stores must be
+    // indistinguishable from the eager reference in every observable.
+    for (ci, c) in candidates.iter_mut().enumerate() {
+        c.flush(execs[ci % 2]);
+        let sound = c.store.index().check_sound();
+        prop_assert!(sound.is_ok(), "terminal staged integrity: {:?}", sound);
+        prop_assert_eq!(c.store.index().entries(), reference.index.entries());
+        prop_assert_eq!(
+            c.store.index().memory_bytes(),
+            reference.index.memory_bytes()
+        );
+    }
+    for mask in 0..8u32 {
+        for v in 0..6u64 {
+            let vals = [v, (v + 1) % 6, (v + 2) % 6];
+            let want = reference.search(mask, vals);
+            for (ci, c) in candidates.iter_mut().enumerate() {
+                prop_assert_eq!(
+                    c.search(mask, vals, execs[ci % 2]),
+                    want.clone(),
+                    "terminal staged probe diverged"
+                );
+            }
         }
-        Ok(())
     }
 }
 
@@ -289,70 +408,52 @@ proptest! {
     fn every_shard_count_agrees_on_random_scripts(
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
-        let mut runners: Vec<Runner> = [1usize, 2, 4, 8].iter().map(|&s| Runner::new(s)).collect();
+        let exec = &SequentialExecutor;
+        let mut runners: Vec<_> = [1usize, 2, 4, 8].iter().map(|&s| sharded_runner(s)).collect();
         for (step, op) in ops.iter().enumerate() {
             match *op {
-                Op::Insert(vals, t) => {
-                    for r in &mut runners {
-                        r.insert(vals, t);
-                    }
-                }
-                Op::Expire(t) => {
-                    for r in &mut runners {
-                        r.expire(t);
-                    }
-                }
                 Op::Search(mask, vals) => {
-                    let want = runners[0].search(mask, vals);
-                    for (i, r) in runners.iter().enumerate().skip(1) {
+                    let want = runners[0].search(mask, vals, exec);
+                    for (i, r) in runners.iter_mut().enumerate().skip(1) {
                         prop_assert_eq!(
-                            &r.search(mask, vals), &want,
+                            &r.search(mask, vals, exec), &want,
                             "shard count {} diverged at step {}", 1usize << i, step
                         );
                     }
                 }
-                Op::Migrate(i) => {
-                    for r in &mut runners {
-                        r.store
-                            .index_mut()
-                            .migrate(config(i), &mut CostReceipt::new());
-                        let sound = r.check_sound();
-                        prop_assert!(sound.is_ok(), "after migrate: {:?}", sound);
-                    }
-                }
                 Op::Evict(n) => {
-                    let evicted = runners[0]
-                        .store
-                        .evict_oldest(n as usize, &mut CostReceipt::new());
+                    let evicted = runners[0].evict(n as usize, exec);
                     for r in &mut runners[1..] {
-                        let e = r.store.evict_oldest(n as usize, &mut CostReceipt::new());
-                        prop_assert_eq!(e, evicted, "eviction count diverged");
-                        let sound = r.check_sound();
-                        prop_assert!(sound.is_ok(), "after evict: {:?}", sound);
+                        prop_assert_eq!(r.evict(n as usize, exec), evicted, "eviction count diverged");
                     }
                 }
+                _ => {
+                    for r in &mut runners {
+                        r.apply(op, exec);
+                    }
+                }
+            }
+            for r in &runners {
+                let sound = r.store.index().check_sound();
+                prop_assert!(sound.is_ok(), "after {:?}: {:?}", op, sound);
             }
             // Accounting is shard-count-invariant at every step: each
             // bucket lives in exactly one shard.
             let entries = runners[0].store.len();
-            let mem = amri_core::StateIndex::memory_bytes(runners[0].store.index());
+            let mem = runners[0].store.index().memory_bytes();
             for r in &runners[1..] {
                 prop_assert_eq!(r.store.len(), entries);
-                prop_assert_eq!(amri_core::StateIndex::memory_bytes(r.store.index()), mem);
+                prop_assert_eq!(r.store.index().memory_bytes(), mem);
             }
         }
         // Terminal sweep: every pattern over a value grid, every shard
-        // count, one final integrity pass.
-        for r in &runners {
-            let sound = r.check_sound();
-            prop_assert!(sound.is_ok(), "terminal integrity: {:?}", sound);
-        }
+        // count.
         for mask in 0..8u32 {
             for v in 0..6u64 {
                 let vals = [v, (v + 1) % 6, (v + 2) % 6];
-                let want = runners[0].search(mask, vals);
-                for r in &runners[1..] {
-                    prop_assert_eq!(&r.search(mask, vals), &want);
+                let want = runners[0].search(mask, vals, exec);
+                for r in &mut runners[1..] {
+                    prop_assert_eq!(&r.search(mask, vals, exec), &want);
                 }
             }
         }
@@ -373,10 +474,11 @@ proptest! {
         tail in proptest::collection::vec(op_strategy(), 1..20),
     ) {
         use amri_core::snapshot_io::{SectionReader, SectionWriter};
+        let exec = &SequentialExecutor;
         for shards in [1usize, 2, 4, 8] {
-            let mut original = Runner::new(shards);
+            let mut original = sharded_runner(shards);
             for op in &ops {
-                original.apply(op);
+                original.apply(op, exec);
             }
 
             let mut w = SectionWriter::new();
@@ -384,7 +486,7 @@ proptest! {
             original.store.index().save(&mut w);
             let bytes = w.into_bytes();
 
-            let mut restored = Runner::new(shards);
+            let mut restored = sharded_runner(shards);
             let mut r = SectionReader::new(&bytes);
             restored.store.restore_state(&mut r).expect("state section");
             *restored.store.index_mut() =
@@ -393,7 +495,7 @@ proptest! {
             restored.now = original.now;
             restored.seq = original.seq;
 
-            let sound = restored.check_sound();
+            let sound = restored.store.index().check_sound();
             prop_assert!(sound.is_ok(), "restored integrity: {:?}", sound);
             prop_assert_eq!(restored.store.len(), original.store.len());
             prop_assert_eq!(
@@ -405,8 +507,8 @@ proptest! {
                 for v in 0..6u64 {
                     let vals = [v, (v + 1) % 6, (v + 2) % 6];
                     prop_assert_eq!(
-                        restored.search(mask, vals),
-                        original.search(mask, vals),
+                        restored.search(mask, vals, exec),
+                        original.search(mask, vals, exec),
                         "probe diverged at {} shards", shards
                     );
                 }
@@ -416,135 +518,59 @@ proptest! {
             // (free-list order, bucket chains): continuing the script on
             // both sides must stay in lockstep.
             for op in &tail {
-                original.apply(op);
-                restored.apply(op);
+                original.apply(op, exec);
+                restored.apply(op, exec);
                 if let Op::Search(mask, vals) = *op {
                     prop_assert_eq!(
-                        restored.search(mask, vals),
-                        original.search(mask, vals),
+                        restored.search(mask, vals, exec),
+                        original.search(mask, vals, exec),
                         "post-restore script diverged at {} shards", shards
                     );
                 }
             }
-            let sound = restored.check_sound();
+            let sound = restored.store.index().check_sound();
             prop_assert!(sound.is_ok(), "post-restore integrity: {:?}", sound);
         }
     }
 
-    /// Tentpole write-path invariance: the staged parallel ingest path —
-    /// `insert_staged`/`expire_staged` accumulating an [`IngestStage`],
-    /// flushed through a real 2-thread `WorkerPool` or the inline
-    /// `SequentialExecutor`, with fused apply+search, batched eviction and
-    /// parallel migration — must be indistinguishable from the eager,
-    /// unsharded, sequential reference: identical result sets, identical
+    /// Write-path invariance, for every index flavor: the staged ingest
+    /// path — `insert_staged`/`expire_staged` accumulating an
+    /// [`IngestStage`], flushed through a real 2-thread `WorkerPool` or
+    /// the inline `SequentialExecutor`, with fused apply+search, staged
+    /// eviction and parallel migration — must be indistinguishable from
+    /// the eager, unsharded, sequential reference built on the bare
+    /// `StateIndex` primitives: identical result sets, identical
     /// cumulative cost receipts after every op, identical live-tuple
-    /// counts, and a structurally sound arena at every flush point.
+    /// counts, and a structurally sound arena at every flush point. The
+    /// bit-address index runs staged at every shard count; the hash and
+    /// scan flavors inherit the staging hooks that apply immediately and
+    /// run once per executor.
     #[test]
     fn staged_parallel_ingest_matches_sequential_eager(
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
-        use amri_core::{SequentialExecutor, ShardExecutor};
-        use amri_engine::WorkerPool;
-
-        let pool = WorkerPool::new(std::num::NonZeroUsize::new(2).unwrap());
-        let seq_exec = SequentialExecutor;
-
-        let mut reference = IngestRunner::new(1, false);
-        // Staged candidates at every shard count; alternate real-pool and
-        // inline executors so both dispatch paths are exercised.
-        let mut candidates: Vec<IngestRunner> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&s| IngestRunner::new(s, true))
-            .collect();
-        let execs: [&dyn ShardExecutor; 2] = [&pool, &seq_exec];
-
-        for (step, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Insert(vals, t) => {
-                    reference.insert(vals, t);
-                    for c in &mut candidates {
-                        c.insert(vals, t);
-                    }
-                }
-                Op::Expire(t) => {
-                    reference.expire(t);
-                    for c in &mut candidates {
-                        c.expire(t);
-                    }
-                }
-                Op::Search(mask, vals) => {
-                    let want = reference.search(mask, vals, &seq_exec);
-                    for (i, c) in candidates.iter_mut().enumerate() {
-                        let got = c.search(mask, vals, execs[i % 2]);
-                        prop_assert_eq!(
-                            &got, &want,
-                            "staged search diverged at step {} ({} shards)",
-                            step, 1usize << i
-                        );
-                    }
-                }
-                Op::Migrate(i) => {
-                    reference.migrate(i, &seq_exec);
-                    for (ci, c) in candidates.iter_mut().enumerate() {
-                        c.migrate(i, execs[ci % 2]);
-                        let sound = c.check_sound();
-                        prop_assert!(sound.is_ok(), "after staged migrate: {:?}", sound);
-                    }
-                }
-                Op::Evict(n) => {
-                    let want = reference.evict(n as usize, &seq_exec);
-                    for (ci, c) in candidates.iter_mut().enumerate() {
-                        let got = c.evict(n as usize, execs[ci % 2]);
-                        prop_assert_eq!(got, want, "staged eviction count diverged");
-                        let sound = c.check_sound();
-                        prop_assert!(sound.is_ok(), "after staged evict: {:?}", sound);
-                    }
-                }
-            }
-            // Cost accounting is path-invariant at every step: staged ops
-            // charge at stage time, exactly what eager execution charges.
-            // Live-tuple counts agree too (the arena half is never
-            // deferred). Index-internal views (entries, memory) are only
-            // comparable at flush points — see the terminal sweep.
-            for c in &candidates {
-                prop_assert_eq!(
-                    c.receipt, reference.receipt,
-                    "receipts diverged at step {}", step
-                );
-                prop_assert_eq!(c.store.len(), reference.store.len());
-            }
-        }
-
-        // Terminal sweep: flush everything, then the staged stores must be
-        // indistinguishable from the eager reference in every observable.
-        for (ci, c) in candidates.iter_mut().enumerate() {
-            c.flush(execs[ci % 2]);
-        }
-        for c in &mut candidates {
-            let sound = c.check_sound();
-            prop_assert!(sound.is_ok(), "terminal staged integrity: {:?}", sound);
-            prop_assert_eq!(
-                amri_core::StateIndex::entries(c.store.index()),
-                amri_core::StateIndex::entries(reference.store.index())
-            );
-            prop_assert_eq!(
-                amri_core::StateIndex::memory_bytes(c.store.index()),
-                amri_core::StateIndex::memory_bytes(reference.store.index())
-            );
-        }
-        for mask in 0..8u32 {
-            for v in 0..6u64 {
-                let vals = [v, (v + 1) % 6, (v + 2) % 6];
-                let want = reference.search(mask, vals, &seq_exec);
-                for (ci, c) in candidates.iter_mut().enumerate() {
-                    prop_assert_eq!(
-                        c.search(mask, vals, execs[ci % 2]),
-                        want.clone(),
-                        "terminal staged probe diverged"
-                    );
-                }
-            }
-        }
+        check_staged_matches_eager(
+            &ops,
+            BitAddressIndex::new(config(0)),
+            [1usize, 2, 4, 8]
+                .iter()
+                .map(|&s| BitAddressIndex::with_shards(config(0), s))
+                .collect(),
+        );
+        let module = || {
+            MultiHashIndex::new(
+                [0b001, 0b011, 0b110]
+                    .iter()
+                    .map(|&m| AccessPattern::new(m, 3))
+                    .collect(),
+            )
+        };
+        check_staged_matches_eager(&ops, module(), vec![module(), module()]);
+        check_staged_matches_eager(
+            &ops,
+            ScanIndex::new(),
+            vec![ScanIndex::new(), ScanIndex::new()],
+        );
     }
 
     /// Collector round trip: every assessment method restored from a

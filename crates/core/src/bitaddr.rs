@@ -50,7 +50,9 @@
 use crate::config::{IndexConfig, ProbePlan};
 use crate::cost::CostReceipt;
 use crate::layout;
-use crate::parallel::{run_fused, SequentialExecutor, ShardExecutor, SideTasks, SlotArena};
+use crate::parallel::{
+    run_fused, SequentialExecutor, ShardExecutor, SideTasks, SlotArena, RELINK_NS, WALK_NS,
+};
 use crate::state::{SearchScratch, ShardSlot, StateIndex, TupleKey};
 use amri_stream::{AttrVec, FxHashMap, SearchRequest};
 
@@ -705,12 +707,13 @@ impl BitAddressIndex {
         receipt.moved += entries;
         let (shard_bits, total_bits) = (self.shard_bits, self.config.total_bits());
         let s_count = self.shards.len();
+        let work_ns = entries * RELINK_NS;
         let mut crossed_flags = vec![false; s_count];
         {
             let config = &self.config;
             let shards = SlotArena::new(&mut self.shards[..s_count]);
             let flags = SlotArena::new(&mut crossed_flags[..s_count]);
-            exec.run_tasks(s_count, &|s| {
+            exec.run_sized(s_count, work_ns, &|s| {
                 // SAFETY: task `s` claims only shard `s` and flag `s`,
                 // exactly once each.
                 let shard = unsafe { shards.claim(s) };
@@ -724,7 +727,7 @@ impl BitAddressIndex {
         if !crossed_flags.iter().any(|&f| f) {
             // In-place relink, one task per shard.
             let shards = SlotArena::new(&mut self.shards[..s_count]);
-            exec.run_tasks(s_count, &|s| {
+            exec.run_sized(s_count, work_ns, &|s| {
                 // SAFETY: task `s` claims only shard `s`, exactly once.
                 let shard = unsafe { shards.claim(s) };
                 shard.heads.clear();
@@ -751,8 +754,12 @@ impl BitAddressIndex {
     /// partitions the candidate-id set), each task writes into its own
     /// pre-claimed slot, and the slots are drained `0..S` — so the merged
     /// receipt is independent of which threads ran the tasks and in what
-    /// order they finished. `side` rides the same dispatch. A single
-    /// shard runs inline, straight into the caller's scratch.
+    /// order they finished. `side` rides the same dispatch, which is sized
+    /// for the executor's gate from what the caller already holds: the
+    /// `staged` ops riding along at [`RELINK_NS`] plus the walk —
+    /// candidate buckets, capped by the `entries` there can be once the
+    /// stage is in — at [`WALK_NS`]. A single shard runs inline, straight
+    /// into the caller's scratch.
     ///
     /// Shards pick their own walk strategy but never charge probes
     /// themselves: the canonical charge is the cheaper of enumerating
@@ -771,6 +778,8 @@ impl BitAddressIndex {
         config: &IndexConfig,
         shard_bits: u32,
         s_count: usize,
+        staged: usize,
+        entries: usize,
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
@@ -807,7 +816,9 @@ impl BitAddressIndex {
                     slot.occupied =
                         shard_task(s, slice.as_ref(), &mut slot.hits, &mut slot.receipt);
                 };
-                run_fused(exec, s_count, &task, side);
+                let work_ns = staged as u64 * RELINK_NS
+                    + plan.candidate_buckets().min((entries + staged) as u64) * WALK_NS;
+                run_fused(exec, s_count, work_ns, &task, side);
             }
             let mut occupied = 0;
             for slot in &slots[..s_count] {
@@ -978,8 +989,9 @@ impl StateIndex for BitAddressIndex {
             return;
         }
         let s_count = self.shards.len();
+        let work_ns = stage.pending_ops() as u64 * RELINK_NS;
         let shards = SlotArena::new(&mut self.shards[..]);
-        exec.run_tasks(s_count, &|s| {
+        exec.run_sized(s_count, work_ns, &|s| {
             // SAFETY: task `s` claims only shard `s`, exactly once.
             unsafe { shards.claim(s) }.replay(stage.lane(s));
         });
@@ -997,6 +1009,8 @@ impl StateIndex for BitAddressIndex {
             &self.config,
             self.shard_bits,
             shards.len(),
+            0,
+            self.entries(),
             req,
             scratch,
             receipt,
@@ -1025,11 +1039,14 @@ impl StateIndex for BitAddressIndex {
         // the probe sees exactly that shard's post-apply state while other
         // shards are still applying theirs.
         let s_count = self.shards.len();
+        let entries = self.entries();
         let shards = SlotArena::new(&mut self.shards[..]);
         Self::probe_shards(
             &self.config,
             self.shard_bits,
             s_count,
+            stage.pending_ops(),
+            entries,
             req,
             scratch,
             receipt,

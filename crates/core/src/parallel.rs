@@ -20,6 +20,17 @@ use std::marker::PhantomData;
 pub trait ShardExecutor {
     /// Execute `task(0)`, `task(1)`, ..., `task(n - 1)`.
     fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync));
+
+    /// [`run_tasks`](Self::run_tasks) carrying the caller's estimate of
+    /// the tasks' total work, in nanoseconds (see [`WALK_NS`]). The index
+    /// reports work; the executor decides: one whose hand-off costs more
+    /// than `work_ns` may run the tasks inline instead. Tasks write
+    /// disjoint slots merged in index order, so the choice is
+    /// unobservable. The default drops the estimate.
+    fn run_sized(&self, n: usize, work_ns: u64, task: &(dyn Fn(usize) + Sync)) {
+        let _ = work_ns;
+        self.run_tasks(n, task);
+    }
 }
 
 /// The zero-overhead executor: runs tasks inline, in index order.
@@ -143,26 +154,47 @@ impl<'a> SideTasks<'a> {
     pub fn run_leftover(&self, exec: &dyn ShardExecutor) {
         let n = self.take_fire();
         if n > 0 {
-            exec.run_tasks(n, &|i| self.run(i));
+            exec.run_sized(n, BLOCK_IO_NS, &|i| self.run(i));
         }
     }
 }
 
-/// Dispatch `n` shard tasks and the side bundle as one fused
-/// `run_tasks(n + m)` call: indices `0..n` run `task`, the rest run the
-/// side tasks. When the bundle is empty (or already claimed) this is a
-/// plain `run_tasks(n, task)`.
+// Per-unit work estimates for `run_sized`, in ns: floors, from std-only
+// timing loops on the reference host (2 vCPUs) at 1 k–50 k entries. They
+// size a dispatch from counts the caller already holds; the executor
+// compares the total against its own hand-off cost. A floor errs towards
+// running inline, which can forgo a speedup but never loses to one thread.
+
+/// One candidate bucket or slab entry of a probe walk: a wide probe
+/// streams the slab at 1–2 ns per entry, a narrow one pays a hash lookup
+/// per candidate id on top.
+pub const WALK_NS: u64 = 1;
+
+/// One index entry linked, unlinked or rebucketed: an in-place migration
+/// pass reads 8.5–10 ns per entry and a replayed link about the same into
+/// warm shards (30–40 ns into growing ones); a replayed unlink 25–86 ns.
+pub const RELINK_NS: u64 = 10;
+
+/// The size of any dispatch that reads spill blocks: device latency
+/// dwarfs a hand-off, so no executor's threshold should hold it back.
+pub const BLOCK_IO_NS: u64 = u64::MAX;
+
+/// Dispatch `n` shard tasks and the side bundle as one fused call:
+/// indices `0..n` run `task`, the rest run the side tasks. When the
+/// bundle is empty (or already claimed) this is `run_sized(n, work_ns,
+/// task)`; a non-empty bundle makes it `n + m` tasks of [`BLOCK_IO_NS`].
 pub fn run_fused(
     exec: &dyn ShardExecutor,
     n: usize,
+    work_ns: u64,
     task: &(dyn Fn(usize) + Sync),
     side: &SideTasks<'_>,
 ) {
     let m = side.take_fire();
     if m == 0 {
-        exec.run_tasks(n, task);
+        exec.run_sized(n, work_ns, task);
     } else {
-        exec.run_tasks(n + m, &|i| {
+        exec.run_sized(n + m, BLOCK_IO_NS, &|i| {
             if i < n {
                 task(i);
             } else {
@@ -204,13 +236,14 @@ mod tests {
         run_fused(
             &SequentialExecutor,
             3,
+            0,
             &|i| order.lock().unwrap().push(i),
             &side,
         );
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
         assert_eq!(*side_hits.lock().unwrap(), vec![0, 1]);
         // A second dispatch (or leftover run) must not re-fire the bundle.
-        run_fused(&SequentialExecutor, 1, &|_| {}, &side);
+        run_fused(&SequentialExecutor, 1, 0, &|_| {}, &side);
         side.run_leftover(&SequentialExecutor);
         assert_eq!(*side_hits.lock().unwrap(), vec![0, 1]);
     }

@@ -37,7 +37,7 @@
 
 use crate::cost::{CostReceipt, StorageProfile};
 use crate::layout;
-use crate::parallel::{ShardExecutor, SlotArena};
+use crate::parallel::{ShardExecutor, SlotArena, BLOCK_IO_NS};
 use crate::snapshot_io::{open_block, seal_block, SectionReader, SectionWriter, SnapshotError};
 use crate::state::TupleKey;
 use amri_stream::{AttrVec, TupleId, VirtualTime};
@@ -876,7 +876,7 @@ impl SpillTier {
                 // SAFETY: each task claims only its own slot, once.
                 *unsafe { arena.claim(i) } = Some(read);
             };
-            exec.run_tasks(live.len(), &task);
+            exec.run_sized(live.len(), BLOCK_IO_NS, &task);
         }
         // Merge sequentially in plan order: charges, counters, and cache
         // admissions happen exactly as a sequential read sequence would.

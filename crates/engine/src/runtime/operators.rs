@@ -150,8 +150,9 @@ impl<C: Clock> Operator<C> for TuneOperator {
         for (i, stem) in stems.iter_mut().enumerate() {
             let lambda_r = stem.requests_served as f64 / elapsed;
             let mut receipt = CostReceipt::new();
-            // Migration work fans out shard-by-shard over the run's
-            // worker pool; at parallelism 1 the pool runs it inline.
+            // Migration work is split shard by shard; the run's worker
+            // pool takes it when the state is large enough to repay the
+            // hand-off (see `WorkerPool::run_sized`), else it runs inline.
             let retuned = stem.state.maybe_retune_with(
                 due,
                 lambda_now,
@@ -395,15 +396,17 @@ impl<C: Clock> Operator<C> for ProbeOperator {
         }
         let stem = &mut stems[target.idx()];
         // Scratch-buffered search: the per-STeM buffer is reused across
-        // requests, so steady state never allocates here. One pool
+        // requests, so steady state never allocates here. One sized
         // dispatch replays the target's staged ingest ops and probes each
         // shard — per-shard apply-before-probe keeps results identical to
-        // the sequential flush-then-search, while ingest maintenance on
-        // one shard overlaps probe work on another. Probes only match
-        // tuples with `ts < origin_ts` (the MJoin rule below), which is
-        // the semantic visibility barrier that makes same-batch overlap
-        // legal at all. At the default parallelism of 1 the pool runs it
-        // inline — the exact sequential path.
+        // the sequential flush-then-search. A probe step is a few staged
+        // ops and about one match, far below a hand-off's worth of work,
+        // so the pool runs it on this thread at any parallelism; only a
+        // dispatch sized above the pool's threshold, or one carrying
+        // spill reads, crosses threads, where maintenance on one shard
+        // overlaps probe work on another. Probes only match tuples with
+        // `ts < origin_ts` (the MJoin rule below), which is the semantic
+        // visibility barrier that makes same-batch overlap legal at all.
         stem.state.flush_ingest_then_search(
             &req,
             &mut stem.scratch,

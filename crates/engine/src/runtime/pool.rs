@@ -4,29 +4,40 @@
 //! of `parallelism - 1` std threads (the dispatching thread is the
 //! remaining worker): one pool per pipeline run, reused for every
 //! dispatch, so the steady state spawns nothing and allocates nothing.
-//! With a `parallelism` of 1 the pool holds no threads at all and
-//! `run_tasks` degenerates to the inline sequential loop — the default
+//! With a `parallelism` of 1 the pool holds no threads at all and every
+//! dispatch degenerates to the inline sequential loop — the default
 //! engine configuration pays nothing for the machinery's existence.
 //!
-//! Dispatch protocol: the caller publishes the task (a lifetime-erased
-//! pointer valid until `run_tasks` returns), bumps the epoch, and wakes
+//! Hand-off protocol: the caller publishes the task (a lifetime-erased
+//! pointer valid until `hand_off` returns), bumps the epoch, and wakes
 //! the workers; everyone — workers and caller alike — claims indices from
 //! a shared epoch-tagged cursor until the epoch drains, then the caller
 //! blocks until the last claimant signals completion. Correctness does
 //! not depend on which thread runs which index: shard tasks write
 //! disjoint result slots and the caller merges them in fixed shard order
 //! (see `amri_core::parallel`), which is what keeps parallel output
-//! byte-identical to sequential.
+//! byte-identical to sequential. A task that panics still counts as
+//! finished; the first payload is re-raised on the dispatcher once the
+//! epoch has drained, and the pool stays usable.
+//!
+//! That hand-off is only worth paying for enough work. Index dispatches
+//! arrive through `run_sized` with an estimate of their total work; a
+//! bare `run_tasks` is sized by timing its first task. Either way the
+//! pool runs anything under [`HANDOFF_NS`] on the caller — the same tasks
+//! in index order, so the choice never shows in any result.
 
+use std::any::Any;
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
-use amri_core::ShardExecutor;
+use amri_core::{SequentialExecutor, ShardExecutor};
 
 /// A `&(dyn Fn(usize) + Sync)` with its lifetime erased for the duration
-/// of one `run_tasks` call.
+/// of one `hand_off` call.
 type RawTask = *const (dyn Fn(usize) + Sync);
 
 /// The published work for one dispatch epoch, guarded by [`Shared::job`].
@@ -39,13 +50,17 @@ struct JobSlot {
     n: usize,
     /// Set once, on drop: workers exit.
     shutdown: bool,
+    /// The first panic payload a task of the current epoch raised, on
+    /// whichever thread; the dispatcher re-raises it after the handshake.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 // SAFETY: the raw task pointer is only dereferenced by a thread that has
-// CAS-claimed an index of the pointer's own epoch, and `run_tasks` keeps
+// CAS-claimed an index of the pointer's own epoch, and `hand_off` keeps
 // the referent alive until every claimed index of that epoch has finished
 // (it blocks on the `pending == 0` handshake before returning). `Sync` on
-// the referent makes the concurrent calls themselves sound.
+// the referent makes the concurrent calls themselves sound. Every other
+// field is `Send` on its own.
 unsafe impl Send for JobSlot {}
 
 struct Shared {
@@ -89,9 +104,18 @@ impl Shared {
             {
                 continue;
             }
+            // A panicking task must still count as finished: unwinding
+            // past the decrement would leave the dispatcher waiting on
+            // `done` forever (worker) or free the closure under the
+            // workers' feet (dispatcher). `AssertUnwindSafe`: `hand_off`
+            // re-raises the payload, so nobody sees the state the task
+            // left behind without seeing the panic.
             // SAFETY: per the contract — the successful claim pins the
             // epoch (pending ≥ 1 until we finish), so the referent lives.
-            unsafe { (*task)(idx) };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| unsafe { (*task)(idx) })) {
+                let mut job = self.job.lock().expect("job mutex poisoned");
+                job.panic.get_or_insert(payload);
+            }
             if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                 let _guard = self.done_mutex.lock().expect("done mutex poisoned");
                 self.done.notify_all();
@@ -122,6 +146,24 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Estimated work (ns) below which [`WorkerPool::run_sized`] runs a
+/// dispatch on the caller instead of handing it off.
+///
+/// Measured on the reference host (2 vCPUs, dispatcher and worker pinned
+/// to different CPUs, worker parked — with the gate on, pooled dispatches
+/// are rare, so the worker is always cold). The hand-off alone, a 4-task
+/// dispatch of empty tasks, reads 9–14 µs p50 and 10–22 µs p90: a futex
+/// wake of the worker, then the dispatcher's own sleep and wake on `done`.
+/// Four equal spin tasks on 2 threads lose to inline at 50 µs of total
+/// work (63 vs 50 µs), tie at 100 µs (91–117 vs 100) and win at 250 µs
+/// (182–202 vs 250). Memory-bound index work breaks even later: an
+/// in-place `migrate_with` at 4 shards, two dispatches of `entries ×
+/// RELINK_NS` each, loses at 16 k entries (375–402 vs 343–354 µs), ties
+/// at 24 k (506–511 vs 486–501) and wins at 32 k (558–586 vs 579–662).
+/// 250 µs is where neither curve loses. A host with cheaper wake-ups
+/// breaks even earlier; this one cannot show it, so that is unproven.
+const HANDOFF_NS: u64 = 250_000;
+
 /// A persistent pool of shard-task workers (see the module docs).
 ///
 /// Construct once per run with the configured parallelism and pass it as
@@ -146,6 +188,7 @@ impl WorkerPool {
                 task: None,
                 n: 0,
                 shutdown: false,
+                panic: None,
             }),
             work: Condvar::new(),
             cursor: AtomicU64::new(0),
@@ -173,6 +216,12 @@ impl WorkerPool {
     pub fn parallelism(&self) -> usize {
         self.workers.len() + 1
     }
+
+    /// Dispatches handed to the worker threads so far (inline runs are
+    /// not counted). A pure observer.
+    pub fn epochs(&self) -> u64 {
+        self.shared.job.lock().expect("job mutex poisoned").epoch
+    }
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -184,31 +233,55 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl ShardExecutor for WorkerPool {
+    fn run_sized(&self, n: usize, work_ns: u64, task: &(dyn Fn(usize) + Sync)) {
+        if self.workers.is_empty() || n <= 1 || work_ns < HANDOFF_NS {
+            SequentialExecutor.run_tasks(n, task);
+        } else {
+            self.hand_off(0, n, task);
+        }
+    }
+
+    /// A dispatch that comes without an estimate is sized here: index 0
+    /// runs on the caller either way, timed, and the rest are taken to
+    /// cost the same each.
     fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
         if self.workers.is_empty() || n <= 1 {
-            for i in 0..n {
-                task(i);
-            }
-            return;
+            return SequentialExecutor.run_tasks(n, task);
         }
+        let start = Instant::now();
+        task(0);
+        let rest_ns = start.elapsed().as_nanos() * (n as u128 - 1);
+        if rest_ns < u128::from(HANDOFF_NS) {
+            (1..n).for_each(task);
+        } else {
+            self.hand_off(1, n, task);
+        }
+    }
+}
+
+impl WorkerPool {
+    /// Run indices `first..n` of `task` on the workers and the caller
+    /// (`n - first ≥ 1`, at least one worker).
+    fn hand_off(&self, first: usize, n: usize, task: &(dyn Fn(usize) + Sync)) {
         assert!(
             !self.dispatching.swap(true, Ordering::Acquire),
             "re-entrant WorkerPool dispatch"
         );
-        // Erase the task's lifetime for publication. Sound because this
-        // call does not return until every claimed index has finished
-        // (the `pending == 0` handshake below) and the epoch tag stops
-        // late claims.
+        // SAFETY: erases the task's lifetime for publication. Sound
+        // because this call does not return until every claimed index has
+        // finished (the `pending == 0` handshake below) and the epoch tag
+        // stops late claims.
         let raw: RawTask = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), RawTask>(task) };
         let epoch = {
             let mut job = self.shared.job.lock().expect("job mutex poisoned");
             job.epoch += 1;
             job.task = Some(raw);
             job.n = n;
-            self.shared.pending.store(n, Ordering::Release);
-            self.shared
-                .cursor
-                .store((job.epoch & 0xffff_ffff) << 32, Ordering::Release);
+            self.shared.pending.store(n - first, Ordering::Release);
+            self.shared.cursor.store(
+                (job.epoch & 0xffff_ffff) << 32 | first as u64,
+                Ordering::Release,
+            );
             job.epoch
         };
         self.shared.work.notify_all();
@@ -222,8 +295,15 @@ impl ShardExecutor for WorkerPool {
         drop(guard);
         // Retire the pointer before returning control (and the referent's
         // lifetime) to the caller.
-        self.shared.job.lock().expect("job mutex poisoned").task = None;
+        let panicked = {
+            let mut job = self.shared.job.lock().expect("job mutex poisoned");
+            job.task = None;
+            job.panic.take()
+        };
         self.dispatching.store(false, Ordering::Release);
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -246,6 +326,11 @@ mod tests {
         WorkerPool::new(NonZeroUsize::new(n).unwrap())
     }
 
+    /// Dispatch past the gate: an estimate no threshold exceeds.
+    fn hand_off(p: &WorkerPool, n: usize, task: &(dyn Fn(usize) + Sync)) {
+        p.run_sized(n, u64::MAX, task);
+    }
+
     #[test]
     fn parallelism_one_spawns_no_threads_and_runs_inline() {
         let p = pool(1);
@@ -259,7 +344,7 @@ mod tests {
     fn every_index_runs_exactly_once() {
         let p = pool(4);
         let counts: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
-        p.run_tasks(64, &|i| {
+        hand_off(&p, 64, &|i| {
             counts[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, c) in counts.iter().enumerate() {
@@ -272,7 +357,7 @@ mod tests {
         let p = pool(3);
         for round in 0..500u32 {
             let sum = AtomicU32::new(0);
-            p.run_tasks(8, &|i| {
+            hand_off(&p, 8, &|i| {
                 sum.fetch_add(round + i as u32, Ordering::Relaxed);
             });
             assert_eq!(sum.load(Ordering::Relaxed), 8 * round + 28);
@@ -285,7 +370,7 @@ mod tests {
         let p = pool(2);
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        p.run_tasks(2, &|_| {
+        hand_off(&p, 2, &|_| {
             let now = live.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(std::time::Duration::from_millis(30));
@@ -310,10 +395,120 @@ mod tests {
     fn drop_joins_cleanly_with_work_done() {
         let p = pool(4);
         let sum = AtomicU32::new(0);
-        p.run_tasks(16, &|i| {
+        hand_off(&p, 16, &|i| {
             sum.fetch_add(i as u32, Ordering::Relaxed);
         });
         drop(p);
         assert_eq!(sum.load(Ordering::Relaxed), 120);
+    }
+
+    #[test]
+    fn sized_dispatches_under_the_handoff_cost_stay_on_the_caller() {
+        let p = pool(2);
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        p.run_sized(4, HANDOFF_NS - 1, &|i| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(i);
+        });
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(p.epochs(), 0, "an inline run is not a pooled dispatch");
+        p.run_sized(4, HANDOFF_NS, &|_| {});
+        assert_eq!(p.epochs(), 1);
+        // No workers: nothing to hand off to, whatever the estimate.
+        let solo = pool(1);
+        solo.run_sized(4, u64::MAX, &|_| {});
+        assert_eq!(solo.epochs(), 0);
+    }
+
+    #[test]
+    fn unsized_dispatches_are_sized_by_their_first_task() {
+        let p = pool(2);
+        let caller = std::thread::current().id();
+        p.run_tasks(4, &|_| assert_eq!(std::thread::current().id(), caller));
+        assert_eq!(p.epochs(), 0, "four empty tasks are not worth a hand-off");
+        // Three more of a task that took at least HANDOFF_NS are.
+        let counts: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(0)).collect();
+        p.run_tasks(4, &|i| {
+            assert!(i != 0 || std::thread::current().id() == caller);
+            std::thread::sleep(std::time::Duration::from_nanos(HANDOFF_NS));
+            counts[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(p.epochs(), 1);
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    /// A 2-index dispatch on a 2-thread pool whose tasks rendezvous, so
+    /// each thread claims exactly one index; the task panics on the
+    /// worker or on the dispatcher as asked.
+    fn panic_on(p: &WorkerPool, on_worker: bool) {
+        let dispatcher = std::thread::current().id();
+        let both_claimed = std::sync::Barrier::new(2);
+        hand_off(p, 2, &|_| {
+            both_claimed.wait();
+            if (std::thread::current().id() != dispatcher) == on_worker {
+                panic!("task failed");
+            }
+        });
+    }
+
+    #[test]
+    fn a_panicking_task_surfaces_on_the_dispatcher_and_the_pool_survives() {
+        let p = pool(2);
+        for on_worker in [true, false] {
+            let caught = catch_unwind(AssertUnwindSafe(|| panic_on(&p, on_worker)));
+            let payload = caught.expect_err("the task's panic must reach the dispatcher");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"task failed"));
+            let counts: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+            hand_off(&p, 64, &|i| {
+                counts[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        }
+    }
+
+    /// Thousands of short epochs with seeded jitter inside tasks and
+    /// between dispatches, so a dispatch finds the workers parked cold,
+    /// mid-wake-up, or still leaving the previous epoch's drain loop —
+    /// the interleavings the epoch-tagged cursor and the lifetime-erased
+    /// pointer exist for. Every index must run exactly once per epoch.
+    #[test]
+    fn stress_short_epochs_with_jitter_run_every_index_once() {
+        fn next(state: &AtomicU64) -> u64 {
+            // splitmix64 over a shared counter: any thread may draw.
+            let mut z = state
+                .fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed)
+                .wrapping_add(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn jitter(state: &AtomicU64) {
+            match next(state) % 64 {
+                0 => std::thread::sleep(std::time::Duration::from_micros(50)),
+                1..=8 => std::thread::yield_now(),
+                _ => {}
+            }
+        }
+        let p = pool(3);
+        let rng = AtomicU64::new(42);
+        let counts: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+        for epoch in 1..=6000u32 {
+            let n = if epoch % 2 == 0 { 2 } else { 64 };
+            hand_off(&p, n, &|i| {
+                jitter(&rng);
+                counts[i].fetch_add(1, Ordering::Relaxed);
+            });
+            let ran: Vec<u32> = counts
+                .iter()
+                .map(|c| c.swap(0, Ordering::Relaxed))
+                .collect();
+            assert!(
+                ran[..n].iter().all(|&c| c == 1) && ran[n..].iter().all(|&c| c == 0),
+                "epoch {epoch} (n = {n}): per-index run counts {ran:?}"
+            );
+            jitter(&rng);
+        }
+        assert_eq!(p.epochs(), 6000);
     }
 }

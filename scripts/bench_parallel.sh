@@ -8,10 +8,11 @@
 # (noise only inflates a run). Unlike bench_guard.sh this script is a
 # recorder, not a gate: wall-clock scaling depends on how many cores the
 # host actually has, so the honest artifact is medians + core count, and
-# readers judge the speedup against the recorded environment. On a
-# single-core host the three thread counts are expected to tie (the
-# deterministic merge makes extra threads pure overhead there); >= 2x at
-# 4 threads is only reachable with >= 4 cores.
+# readers judge the speedup against the recorded environment. Every
+# dispatch here goes through the pool's work-size gate exactly as in the
+# engine: what is too small to repay a hand-off runs on the caller at any
+# thread count. >= 2x at 4 threads is only reachable with >= 4 cores and
+# dispatches large enough to clear the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,13 +24,13 @@ for arg in "$@"; do
     esac
 done
 
-# On a <4-core host the thread counts tie by construction, so regenerating
-# would silently replace committed multi-core scaling evidence with tied
-# medians. Refuse unless the caller explicitly says that's what they want.
+# A <4-core host cannot show 4-thread scaling, so regenerating there would
+# silently replace a multi-core recording with one that cannot. Refuse
+# unless the caller explicitly says that's what they want.
 if [[ "$(nproc)" -lt 4 && -f BENCH_parallel.json && "$FORCE" -ne 1 ]]; then
     echo "refusing to overwrite BENCH_parallel.json: this host has $(nproc) core(s)," >&2
-    echo "so the recorded >=4-core speedups would be replaced by tied single-core" >&2
-    echo "medians. Re-run on a >=4-core host, or pass --force to record this" >&2
+    echo "so a >=4-core recording would be replaced by one that cannot show" >&2
+    echo "4-thread scaling. Re-run on a >=4-core host, or pass --force to record this" >&2
     echo "environment anyway (the JSON records the core count either way)." >&2
     exit 1
 fi
@@ -66,8 +67,8 @@ M2="$(median_for migrate_parallel_10k/bitaddr_sharded_rebucket_threads/2)"
 M4="$(median_for migrate_parallel_10k/bitaddr_sharded_rebucket_threads/4)"
 CORES="$(nproc)"
 # A <4-core recording only happens under --force (the guard above exits
-# otherwise). Stamp it explicitly so downstream readers of the JSON can't
-# mistake a tie-by-physics single-core run for a scaling regression.
+# otherwise). Stamp it explicitly so downstream readers of the JSON know
+# the 4-thread column oversubscribes the host.
 DEGRADED=false
 if [[ "$CORES" -lt 4 ]]; then DEGRADED=true; fi
 
@@ -79,7 +80,7 @@ jq -n \
     --argjson degraded "$DEGRADED" \
     --arg kernel "$(uname -sr)" --arg arch "$(uname -m)" '
 {
-  description: "Scaling evidence for the multicore tentpole, full pipeline: three benches over the identical 10k-entry 4-shard BitAddressIndex through the engine WorkerPool at 1, 2 and 4 threads. index_parallel_10k/wildcard_batch_probe_threads probes 64 single-attribute-wildcard requests (2^16 candidate buckets each), one pool dispatch per request through the one read entry of the index (recordings made before the multi-request batch path was removed timed one dispatch per 64-request batch: history, not a baseline for this loop); ingest_parallel_10k/insert_expire_threads runs the staged write path (10k inserts in 256-tuple bursts, each burst applied per shard through the pool, then one staged whole-window expiry); migrate_parallel_10k/bitaddr_sharded_rebucket_threads reconfigures [8,8,8] -> [4,10,10] via the shard-crossing gather+redistribute protocol. Index, shard count and inputs are identical across thread counts and every result is byte-identical by construction, so the ids differ only in executor parallelism.",
+  description: "Scaling evidence for the multicore tentpole, full pipeline: three benches over the identical 10k-entry 4-shard BitAddressIndex through the engine WorkerPool at 1, 2 and 4 threads. index_parallel_10k/wildcard_batch_probe_threads probes 64 single-attribute-wildcard requests (2^16 candidate buckets each), one sized dispatch per request through the one read entry of the index (recordings made before the multi-request batch path was removed timed one dispatch per 64-request batch: history, not a baseline for this loop); ingest_parallel_10k/insert_expire_threads runs the staged write path (10k inserts in 256-tuple bursts, each burst applied per shard through the pool, then one staged whole-window expiry); migrate_parallel_10k/bitaddr_sharded_rebucket_threads reconfigures [8,8,8] -> [4,10,10] via the shard-crossing gather+redistribute protocol. Index, shard count and inputs are identical across thread counts and every result is byte-identical by construction, so the ids differ only in executor parallelism. Every dispatch passes the work-size gate of the pool (ShardExecutor::run_sized against HANDOFF_NS in runtime/pool.rs) as it does in the engine: at 10k entries every dispatch here is sized below it (a wide probe 10 us, a 256-op ingest burst 2.6 us, the 10k-op expiry and each migration pass 100 us, against 250 us), so all three benches run on the caller at every thread count and measure that the gate costs nothing, not that threads help.",
   regenerate: "scripts/bench_parallel.sh  # best-of-N medians; BENCH_RUNS to change N",
   environment: {
     cores: $cores,
@@ -113,7 +114,7 @@ jq -n \
     if $cores >= 4 then
       "Measured on a \($cores)-core host; the >= 2.0x-at-4-threads target applies to the probe and migrate benches (parallel fraction ~1.0). Staged ingest keeps its arena/window half sequential by design, so its ceiling is set by the index-linking share of the write path."
     else
-      "Measured on a \($cores)-core host: wall-clock speedup from threads is capped at \($cores)x here regardless of implementation, so the three thread counts tying (speedup ~1.0x) is the expected — and desirable — result. It demonstrates the correctness half of the scaling claim that IS measurable on one core: the sharded parallel paths (shard planning, staged-op replay, cross-thread dispatch, deterministic merge) cost no more than the sequential paths, i.e. parallelism is overhead-free to turn on. The >= 2.0x-at-4-threads throughput target requires re-running scripts/bench_parallel.sh on a host with >= 4 cores; the per-shard work units these benches dispatch (bucket-range walks, staged-op lanes, shard rebuckets) are independent with no shared mutable state, so the parallel fraction of probe and migrate is ~1.0, while staged ingest is bounded by its sequential arena/window half."
+      "Measured on a \($cores)-core host: the 1-vs-2-thread columns are what this host can show (with 1 core, not even those); the 4-thread column oversubscribes it. A ratio near 1.0 means the dispatch ran on the caller (gated); separate runs of one id spread about +-10% on this host (the ingest id at threads 1 read 3.9-4.8 ms over five runs), so ratios within 0.1 of 1.0 are a tie. The first recording of this file (1 core, before the gate, every dispatch handed off) read probe 0.57x, ingest 0.79-0.88x and migrate 0.41-0.47x at 2-4 threads: a dispatch overhead of 1.3-2.4x. The >= 2.0x-at-4-threads target is unproven: it needs >= 4 cores and dispatches large enough to clear the gate."
     end
   )
 }' > BENCH_parallel.json

@@ -199,4 +199,16 @@ BENCH_SMOKE="$(mktemp)"
 bash benchmark/run.sh --smoke --reps 1 --out "${BENCH_SMOKE}"
 rm -f "${BENCH_SMOKE}"
 
+# Parallelism must never lose to its own 1-thread twin: one short traced
+# run of the parallel workload (exit 0 = every identity and the layer
+# breakdown hold), its speedup read by metric name. Ungated, the pool's
+# hand-off per probe step put this at 0.17.
+echo "==> parallelism 2 keeps up with parallelism 1 (sharded_mt, traced)"
+POOL_RUN="$(mktemp)"
+bash benchmark/run.sh --workload sharded_mt --seed 7 --seconds 4 --trace 1 > "${POOL_RUN}"
+awk '$1 == "engine.pool.speedup_vs_t1" { seen = 1; print; if ($2 + 0 < 0.8) exit 1 }
+     END { if (!seen) exit 1 }' "${POOL_RUN}" \
+    || { echo "engine.pool.speedup_vs_t1 missing or below 0.8"; exit 1; }
+rm -f "${POOL_RUN}"
+
 echo "CI green."

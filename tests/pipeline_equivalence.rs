@@ -390,12 +390,14 @@ fn quick_scale_all_four_modes_are_byte_identical() {
 /// Run one scenario at `shards = 4` with `parallelism` 1 and 4 and
 /// require byte-identical results: the deterministic shard-then-slot
 /// merge makes thread count an implementation detail, not an observable.
+/// Returns `(dispatches, jobs)` of the `parallelism = 4` run: how many
+/// dispatches its pool handed to the worker threads, over how many probes.
 fn assert_parallelism_invariant(
     mode: IndexingMode,
     scale: Scale,
     seed: u64,
     truncate: Option<u64>,
-) {
+) -> (u64, u64) {
     let mut sc = paper_scenario(scale, seed);
     if let Some(secs) = truncate {
         sc.engine.duration = VirtualDuration::from_secs(secs);
@@ -406,22 +408,27 @@ fn assert_parallelism_invariant(
         .expect("valid engine configuration")
         .run();
     sc.engine.parallelism = std::num::NonZeroUsize::new(4).unwrap();
-    let par = Executor::try_new(&sc.query, sc.workload(), mode.clone(), sc.engine.clone())
+    let mut par = Executor::try_new(&sc.query, sc.workload(), mode.clone(), sc.engine.clone())
         .expect("valid engine configuration")
-        .run();
+        .into_pipeline();
+    while par.step_once() != amri_engine::SessionStatus::Finished {}
+    let ctx = par.context();
+    let counts = (ctx.pool.epochs(), ctx.jobs_processed);
+    let par = par.into_result_with_stats().0;
     assert_eq!(
         format!("{seq:#?}"),
         format!("{par:#?}"),
         "parallelism=4 diverged from parallelism=1 ({}, {scale:?}, seed {seed})",
         mode.label()
     );
+    counts
 }
 
 #[test]
 fn paper_scale_parallelism_is_byte_identical() {
     // The §V configuration truncated exactly like the frozen-reference
     // pin above: 120 grid points, retunes, the first drift phases.
-    assert_parallelism_invariant(
+    let (dispatches, jobs) = assert_parallelism_invariant(
         IndexingMode::Amri {
             assessor: AssessorKind::Cdia(CombineStrategy::HighestCount),
             initial: None,
@@ -429,6 +436,16 @@ fn paper_scale_parallelism_is_byte_identical() {
         Scale::Paper,
         42,
         Some(120),
+    );
+    // The work-size gate: a probe step finds about one match among
+    // ~1500 entries, nowhere near a hand-off's worth of work, so the pool
+    // must not be paying one per probe (before the gate: one per probe
+    // plus one per flush). Only a retune's migration passes may qualify —
+    // at most a few dozen in this run.
+    assert!(jobs > 100_000, "the run must probe: {jobs} jobs");
+    assert!(
+        dispatches < 100,
+        "{dispatches} pooled dispatches over {jobs} probes"
     );
 }
 

@@ -11,7 +11,7 @@ use amri_core::assess::AssessorKind;
 use amri_core::StorageProfile;
 use amri_engine::{
     load_latest, CheckpointPolicy, Checkpointer, EngineError, Executor, FaultKind, IndexingMode,
-    MemoryBudget, RunOutcome, RunResult, SpillSettings,
+    MemoryBudget, RunOutcome, RunResult, SessionStatus, SpillSettings,
 };
 use amri_stream::VirtualDuration;
 use amri_synth::scenario::{paper_scenario, PaperScenario, Scale};
@@ -106,14 +106,19 @@ proptest! {
         prop_assert_eq!(spilled.outcome, RunOutcome::Completed);
         prop_assert!(spilled.spill.spilled_tuples > 0, "the tier must engage");
 
+        // Stepped by hand so the pool's dispatch count can be read before
+        // the pipeline is consumed.
         let cached_run = |threads: usize| {
             let mut sc = scenario(seed, shards, threads);
             sc.engine.budget = MemoryBudget { bytes: budget };
             sc.engine.spill = Some(cached_settings(&dir.join(format!("cached-t{threads}"))));
-            executor(&sc, amri_mode()).run()
+            let mut pipeline = executor(&sc, amri_mode()).into_pipeline();
+            while pipeline.step_once() != SessionStatus::Finished {}
+            let pooled = pipeline.context().pool.epochs();
+            (pipeline.into_result_with_stats().0, pooled)
         };
-        let cached_t1 = cached_run(1);
-        let cached_t4 = cached_run(4);
+        let (cached_t1, _) = cached_run(1);
+        let (cached_t4, pooled_t4) = cached_run(4);
 
         // Cache on vs off: identical once the cache's own counters are
         // normalized (a hit still charges heat and blocks_read, so every
@@ -131,6 +136,12 @@ proptest! {
             format!("{cached_t4:#?}"),
             "threads 1 vs 4 diverged (seed {}, {} shards)", seed, shards
         );
+        // Block I/O is never gated, so the comparison above is not two
+        // inline runs: a readahead plan fused with S > 1 shard tasks is a
+        // multi-task dispatch, and the 4-thread run hands it off.
+        if shards > 1 && cached_t4.spill.prefetched_blocks > 0 {
+            prop_assert!(pooled_t4 > 0, "readahead must reach the worker threads");
+        }
         if cached_t1.spill.blocks_read > 0 {
             prop_assert!(
                 cached_t1.spill.cache_hits + cached_t1.spill.cache_misses > 0,

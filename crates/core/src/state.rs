@@ -304,6 +304,9 @@ pub struct StateStore<I: ?Sized> {
     tier: Option<SpillTier>,
     /// Live slots currently spill-resident (stub in RAM, attrs on disk).
     spilled: usize,
+    /// Reusable read plan of [`StateStore::materialize_batch`]: the
+    /// distinct spill blocks behind one batch of hits.
+    batch_blocks: Vec<u32>,
     /// The index — the last field, so a `&StateStore<I>` unsizes to
     /// `&StateStore<dyn StateIndex>` wherever the index type is irrelevant.
     index: I,
@@ -323,6 +326,7 @@ impl<I: StateIndex> StateStore<I> {
             expire_buf: Vec::new(),
             tier: None,
             spilled: 0,
+            batch_blocks: Vec::new(),
         }
     }
 
@@ -570,15 +574,16 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         let mut slots: Vec<Option<Vec<SpillEntry>>> = vec![None; plan.len()];
         let served = {
             // `tier` and `index` are disjoint fields: the side tasks read
-            // the tier's block file by borrowed path while the index
+            // the tier's block file through its borrowed handle
+            // (positional reads, no shared cursor) while the index
             // replays and probes.
-            let path = self.tier.as_ref().map(SpillTier::file_path);
+            let file = self.tier.as_ref().map(SpillTier::file);
             let arena = SlotArena::new(&mut slots);
             let side_fn = |i: usize| {
                 let (_, offset, len) = plan[i];
-                let path = path.expect("a prefetch plan implies a tier");
+                let file = file.expect("a prefetch plan implies a tier");
                 // SAFETY: prefetch task `i` claims only slot `i`, once.
-                *unsafe { arena.claim(i) } = crate::tier::read_spill_entries_at(path, offset, len);
+                *unsafe { arena.claim(i) } = crate::tier::read_spill_entries_at(file, offset, len);
             };
             let side = SideTasks::new(plan.len(), &side_fn);
             self.index
@@ -912,28 +917,30 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         out.reserve(keys.len());
         let mut lost = 0;
         if self.tier.as_ref().is_some_and(SpillTier::cache_enabled) {
-            // Group the spilled hits by block, first-occurrence order: the
-            // deterministic read plan. Hits beyond the first per block are
-            // the reads coalescing saved.
-            let mut plan: Vec<(u32, u64)> = Vec::new();
+            // The distinct blocks behind the spilled hits, first-occurrence
+            // order: the deterministic read plan. Hits beyond the first
+            // per block are the reads coalescing saved.
+            let mut blocks = std::mem::take(&mut self.batch_blocks);
+            blocks.clear();
+            let mut spilled_hits = 0u64;
             for &key in keys {
                 if let Some(StoredTuple::Spilled { block, .. }) = self.arena.get(key) {
-                    match plan.iter_mut().find(|(b, _)| b == block) {
-                        Some((_, n)) => *n += 1,
-                        None => plan.push((*block, 1)),
+                    spilled_hits += 1;
+                    if !blocks.contains(block) {
+                        blocks.push(*block);
                     }
                 }
             }
-            if !plan.is_empty() {
+            if !blocks.is_empty() {
                 let tier = self.tier.as_mut().expect("cache implies a tier");
-                tier.note_coalesced(plan.iter().map(|&(_, n)| n - 1).sum());
-                let ids: Vec<u32> = plan.iter().map(|&(b, _)| b).collect();
-                for (block, err) in tier.preload_missing(&ids, receipt, exec) {
+                tier.note_coalesced(spilled_hits - blocks.len() as u64);
+                for (block, err) in tier.preload_missing(&blocks, receipt, exec) {
                     if !matches!(err, BlockReadError::Gone) {
                         lost += self.purge_block(block, receipt);
                     }
                 }
             }
+            self.batch_blocks = blocks;
         }
         // Serve per key — warm hits when the preload above ran, the plain
         // PR 8 read sequence when cacheless.
@@ -1303,13 +1310,22 @@ mod tests {
         let n = N.fetch_add(1, Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("amri-state-spill-{}-{tag}-{n}", std::process::id()));
+        spill_store_in(dir, faults, 0)
+    }
+
+    /// A store whose tier keeps its blocks in `dir/s0.blocks`.
+    fn spill_store_in(
+        dir: std::path::PathBuf,
+        faults: crate::tier::IoFaultConfig,
+        cache_bytes: u64,
+    ) -> StateStore<ScanIndex> {
         let tier = SpillTier::create(&crate::tier::SpillConfig {
             dir,
             file_name: "s0.blocks".into(),
             profile: crate::cost::StorageProfile::default(),
             faults,
             seed: 11,
-            cache_bytes: 0,
+            cache_bytes,
         })
         .unwrap();
         let mut s = store().with_payload_bytes(64);
@@ -1407,6 +1423,38 @@ mod tests {
         assert_eq!(search_vec(&mut s, &req, &mut CostReceipt::new()).len(), 2);
         // The purged key is dead now.
         assert_eq!(s.materialize(victim, &mut CostReceipt::new()), Ok(None));
+    }
+
+    #[test]
+    fn block_corrupted_under_the_open_handle_is_purged() {
+        let dir = std::env::temp_dir().join(format!("amri-state-corrupt-{}", std::process::id()));
+        let mut s = spill_store_in(dir.clone(), Default::default(), 1 << 20);
+        let mut r = CostReceipt::new();
+        let keys: Vec<TupleKey> = (0..5)
+            .map(|i| s.insert(mk_tuple(i, i, &[i, 0, i]), &mut r))
+            .collect();
+        assert_eq!(s.spill_oldest(3, &mut r), 3);
+        // The tier has held its handle since `create`; flip the block's
+        // last byte on disk behind it.
+        let file = dir.join("s0.blocks");
+        let mut raw = std::fs::read(&file).unwrap();
+        *raw.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&file, &raw).unwrap();
+        let mut out = Vec::new();
+        let lost = s.materialize_batch(
+            &keys,
+            &mut out,
+            &mut r,
+            &crate::parallel::SequentialExecutor,
+        );
+        assert_eq!(lost, 3, "the whole block's stubs are purged");
+        assert_eq!(s.spill_stats().lost_blocks, 1);
+        assert_eq!(s.spilled_len(), 0);
+        assert_eq!(s.disk_bytes(), 0);
+        assert_eq!(s.cache_used_bytes(), 0, "a corrupt block is never cached");
+        assert!(out[..3].iter().all(Option::is_none));
+        assert!(out[3..].iter().all(Option::is_some));
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -21,6 +21,11 @@
 //!   at the same offset up to [`WRITE_ATTEMPTS`] times; persistent failure
 //!   aborts the spill and the tuples simply stay resident — a torn block
 //!   never loses data.
+//! * **One handle, one verification.** The tier opens its block file once
+//!   per (re)creation and holds that read-write handle; every frame is
+//!   read with one positional read (no shared cursor, so speculative side
+//!   tasks borrow the same handle), verified exactly once, and decoded
+//!   straight from the verified body.
 //! * **Seeded fault injection.** [`IoFaultConfig`] drives a splitmix64
 //!   coin stream with a *fixed draw discipline* — one draw per write, three
 //!   per modeled read, none for verify-reads or restore-time file rebuilds
@@ -40,10 +45,12 @@ use crate::layout;
 use crate::parallel::{ShardExecutor, SlotArena, BLOCK_IO_NS};
 use crate::snapshot_io::{open_block, seal_block, SectionReader, SectionWriter, SnapshotError};
 use crate::state::TupleKey;
-use amri_stream::{AttrVec, TupleId, VirtualTime};
+use amri_stream::{AttrVec, TupleId, VirtualTime, MAX_ATTRS};
 use serde::{Deserialize, Serialize};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::fs::File;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Retry budget for a torn block write (first attempt + two retries).
 pub const WRITE_ATTEMPTS: u32 = 3;
@@ -72,36 +79,97 @@ pub struct SpillEntry {
     pub attrs: AttrVec,
 }
 
-/// Decode a verified spill-block frame into its tuple records — the body
-/// codec [`spill_oldest`](crate::state::StateStore::spill_oldest) writes.
-/// `None` on any framing/decode mismatch (the caller treats that as
-/// corruption).
+/// Bytes of one record's fixed head in a spill-block body: arena key
+/// (`u32`), tuple id (`u64`), arrival time (`u64`) and the attribute
+/// count byte. `8 · count` attribute bytes follow it.
+const RECORD_HEAD: usize = 21;
+
+/// Verify a spill-block frame and decode it into its tuple records — the
+/// body codec [`spill_oldest`](crate::state::StateStore::spill_oldest)
+/// writes. `None` on any framing/decode mismatch (the caller treats that
+/// as corruption).
 pub fn decode_spill_block(frame: &[u8]) -> Option<Vec<SpillEntry>> {
-    let mut r = open_block(frame).ok()?;
-    let n = r.get_usize().ok()?;
+    decode_entries(open_block(frame).ok()?)
+}
+
+/// Decode the records of a block body [`open_block`] already verified,
+/// striding over them: one bounds check for a record's head, one for its
+/// attribute bytes. `None` exactly where a field-by-field
+/// [`SectionReader`] decode fails — a record cut short, an attribute
+/// count above [`MAX_ATTRS`], a record count the body cannot hold.
+fn decode_entries(mut body: SectionReader<'_>) -> Option<Vec<SpillEntry>> {
+    let n = body.get_usize().ok()?;
+    let mut rest = body.rest();
+    // Every record is at least its head, which bounds the allocation by
+    // the bytes actually present.
+    if n > rest.len() / RECORD_HEAD {
+        return None;
+    }
+    let le64 = |b: &[u8]| u64::from_le_bytes(*b.first_chunk().expect("eight bytes"));
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
+        let (head, tail) = rest.split_first_chunk::<RECORD_HEAD>()?;
+        let width = usize::from(head[RECORD_HEAD - 1]);
+        if width > MAX_ATTRS {
+            return None;
+        }
+        let (vals, tail) = tail.split_at_checked(8 * width)?;
+        let mut attrs = [0u64; MAX_ATTRS];
+        for (attr, val) in attrs.iter_mut().zip(vals.chunks_exact(8)) {
+            *attr = le64(val);
+        }
         entries.push(SpillEntry {
-            key: TupleKey(r.get_u32().ok()?),
-            id: TupleId(r.get_u64().ok()?),
-            ts: r.get_time().ok()?,
-            attrs: r.get_attrs().ok()?,
+            key: TupleKey(u32::from_le_bytes(*head.first_chunk().expect("four bytes"))),
+            id: TupleId(le64(&head[4..])),
+            ts: VirtualTime(le64(&head[12..])),
+            attrs: AttrVec::from_slice(&attrs[..width]).ok()?,
         });
+        rest = tail;
     }
     Some(entries)
 }
 
+/// The one device read: fill `buf` with the `len` bytes at `offset`.
+/// Positional, so concurrent readers of one handle share no cursor.
+fn pread_frame(file: &File, offset: u64, len: u32, buf: &mut Vec<u8>) -> std::io::Result<()> {
+    buf.resize(len as usize, 0);
+    file.read_exact_at(buf, offset)
+}
+
+/// [`pread_frame`] plus the one checksum pass over what it read: the
+/// verified body of the frame at `offset`.
+fn read_verified<'a>(
+    file: &File,
+    offset: u64,
+    len: u32,
+    buf: &'a mut Vec<u8>,
+) -> Result<SectionReader<'a>, BlockReadError> {
+    pread_frame(file, offset, len, buf).map_err(|e| BlockReadError::Io(e.to_string()))?;
+    open_block(buf).map_err(|e| BlockReadError::Corrupt(e.to_string()))
+}
+
+/// Read, verify and decode the frame at `offset` through `buf`.
+fn read_entries(
+    file: &File,
+    offset: u64,
+    len: u32,
+    buf: &mut Vec<u8>,
+) -> Result<Vec<SpillEntry>, BlockReadError> {
+    decode_entries(read_verified(file, offset, len, buf)?).ok_or_else(undecodable)
+}
+
+fn undecodable() -> BlockReadError {
+    BlockReadError::Corrupt("spill block body does not decode".into())
+}
+
 /// Read and decode one frame straight off the block file — the body of a
-/// speculative side-I/O task (prefetch fused into a probe dispatch). Pure
-/// read-only file access with full checksum verification; any failure
-/// collapses to `None`, which [`SpillTier::finish_prefetch`] treats as a
-/// silently abandoned speculation.
-pub fn read_spill_entries_at(path: &Path, offset: u64, len: u32) -> Option<Vec<SpillEntry>> {
-    let mut file = std::fs::File::open(path).ok()?;
-    file.seek(SeekFrom::Start(offset)).ok()?;
-    let mut frame = vec![0u8; len as usize];
-    file.read_exact(&mut frame).ok()?;
-    decode_spill_block(&frame)
+/// speculative side-I/O task (prefetch fused into a probe dispatch), on
+/// the handle borrowed from [`SpillTier::file`]. Pure positional read
+/// with full checksum verification; any failure collapses to `None`,
+/// which [`SpillTier::finish_prefetch`] treats as a silently abandoned
+/// speculation.
+pub fn read_spill_entries_at(file: &File, offset: u64, len: u32) -> Option<Vec<SpillEntry>> {
+    read_entries(file, offset, len, &mut Vec::new()).ok()
 }
 
 /// Injected disk-fault probabilities. All-zero ([`Default`]) injects
@@ -316,10 +384,13 @@ struct CacheSlot {
 
 /// Deterministic decoded-block LRU over one tier's spill blocks.
 ///
-/// Recency is a monotone virtual touch counter (no wall clock); the slot
-/// table is indexed by block id and victims are found by a linear
-/// min-touch scan (no hash-map iteration order), so every eviction
-/// decision is a pure function of the operation sequence. Occupancy is
+/// Recency is a monotone virtual touch counter (no wall clock). The slot
+/// table is indexed by block id, so a hit is one indexed load; the ids of
+/// the occupied slots are also kept densely in `resident`, and victims
+/// are found by a linear min-touch scan over those alone — eviction costs
+/// what is cached, not what was ever written. Touches are unique, so the
+/// minimum — and with it every eviction decision — is a pure function of
+/// the operation sequence whatever order `resident` is in. Occupancy is
 /// accounted in on-disk frame bytes and evicted under the same
 /// high/low-water discipline as the engine's `TierPolicy`: exceeding
 /// [`CACHE_HIGH_WATER`] of the budget drains least-recently-touched
@@ -330,11 +401,14 @@ pub struct BlockCache {
     seq: u64,
     used: u64,
     slots: Vec<Option<CacheSlot>>,
+    /// Ids of the occupied `slots`, unordered (removal swaps the last in).
+    resident: Vec<u32>,
 }
 
 /// Comparable cache shape: budget, touch sequence, occupied bytes and
-/// per-slot `(bytes, touch)` — everything a snapshot carries.
-type CacheMeta = (u64, u64, u64, Vec<Option<(u64, u64)>>);
+/// the resident `(id, bytes, touch)` in id order — everything a snapshot
+/// carries.
+type CacheMeta = (u64, u64, u64, Vec<(u32, u64, u64)>);
 
 impl BlockCache {
     fn new(budget: u64) -> Self {
@@ -343,21 +417,24 @@ impl BlockCache {
             seq: 0,
             used: 0,
             slots: Vec::new(),
+            resident: Vec::new(),
         }
     }
 
     /// Cache metadata as comparable shape (entries and warmth excluded —
     /// a lazily-rewarmed twin is the same cache).
     fn meta(&self) -> CacheMeta {
-        (
-            self.budget,
-            self.seq,
-            self.used,
-            self.slots
-                .iter()
-                .map(|s| s.as_ref().map(|s| (s.bytes, s.touch)))
-                .collect(),
-        )
+        (self.budget, self.seq, self.used, self.resident_meta())
+    }
+
+    /// Resident `(id, bytes, touch)` in ascending id order (deterministic;
+    /// snapshots and comparisons iterate this way).
+    fn resident_meta(&self) -> Vec<(u32, u64, u64)> {
+        let mut ids = self.resident.clone();
+        ids.sort_unstable();
+        ids.into_iter()
+            .filter_map(|id| self.slot(id).map(|s| (id, s.bytes, s.touch)))
+            .collect()
     }
 
     fn slot(&self, id: u32) -> Option<&CacheSlot> {
@@ -385,6 +462,18 @@ impl BlockCache {
         }
     }
 
+    /// Occupy slot `id`, replacing whatever it held.
+    fn place(&mut self, id: u32, slot: CacheSlot) {
+        if self.slots.len() <= id as usize {
+            self.slots.resize_with(id as usize + 1, || None);
+        }
+        self.used += slot.bytes;
+        match self.slots[id as usize].replace(slot) {
+            Some(old) => self.used -= old.bytes,
+            None => self.resident.push(id),
+        }
+    }
+
     /// Insert `id`, evicting under the high/low-water discipline. Returns
     /// the entries back when the block alone exceeds the whole budget
     /// (never cached; the caller serves it transiently instead).
@@ -398,19 +487,16 @@ impl BlockCache {
         if bytes > self.budget {
             return Err(entries);
         }
-        if self.slots.len() <= id as usize {
-            self.slots.resize_with(id as usize + 1, || None);
-        }
         self.seq += 1;
-        if let Some(old) = self.slots[id as usize].replace(CacheSlot {
-            entries,
-            bytes,
-            touch: self.seq,
-            warm: true,
-        }) {
-            self.used -= old.bytes;
-        }
-        self.used += bytes;
+        self.place(
+            id,
+            CacheSlot {
+                entries,
+                bytes,
+                touch: self.seq,
+                warm: true,
+            },
+        );
         let high = (self.budget as f64 * CACHE_HIGH_WATER).floor() as u64;
         let low = (self.budget as f64 * CACHE_LOW_WATER).floor() as u64;
         if self.used > high {
@@ -419,15 +505,12 @@ impl BlockCache {
                 // admitted (it holds the max touch, so the scan cannot
                 // pick it while another slot exists).
                 let victim = self
-                    .slots
+                    .resident
                     .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.as_ref().map(|s| (i, s.touch)))
-                    .filter(|&(i, _)| i != id as usize)
-                    .min_by_key(|&(_, touch)| touch)
-                    .map(|(i, _)| i);
-                let Some(victim) = victim else { break };
-                self.remove(victim as u32);
+                    .filter(|&&r| r != id)
+                    .min_by_key(|&&r| self.slot(r).map(|s| s.touch));
+                let Some(&victim) = victim else { break };
+                self.remove(victim);
                 stats.cache_evictions += 1;
             }
         }
@@ -439,6 +522,9 @@ impl BlockCache {
     fn remove(&mut self, id: u32) {
         if let Some(slot) = self.slots.get_mut(id as usize).and_then(|s| s.take()) {
             self.used -= slot.bytes;
+            let at = self.resident.iter().position(|&r| r == id);
+            self.resident
+                .swap_remove(at.expect("an occupied slot is listed in `resident`"));
         }
     }
 
@@ -451,15 +537,6 @@ impl BlockCache {
     pub fn budget_bytes(&self) -> u64 {
         self.budget
     }
-
-    /// Cached block ids in ascending id order (deterministic; tests and
-    /// snapshots iterate this way).
-    fn cached_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i as u32))
-    }
 }
 
 /// One state's disk spill tier: the block file, its metadata table, the
@@ -468,11 +545,18 @@ impl BlockCache {
 #[derive(Debug, Clone)]
 pub struct SpillTier {
     path: PathBuf,
+    /// The block file, opened read-write where it is (re)created and held
+    /// for the tier's life: every read and write is positional on this
+    /// one descriptor. Clones share it.
+    file: Arc<File>,
     profile: StorageProfile,
     faults: IoFaultConfig,
     rng: u64,
     file_len: u64,
     blocks: Vec<BlockMeta>,
+    /// Frame bytes of the blocks with `live > 0`, kept in step with
+    /// `blocks` so [`disk_bytes`](Self::disk_bytes) never walks the table.
+    live_disk_bytes: u64,
     stats: SpillStats,
     cache: Option<BlockCache>,
     /// Expiry-order readahead plan queued at the last maintenance grid
@@ -483,12 +567,30 @@ pub struct SpillTier {
     /// Never consulted as a cache — every cacheless fetch re-reads the
     /// device — it only gives the returned slice a place to live.
     scratch: Option<(u32, Vec<SpillEntry>)>,
+    /// The one reusable frame buffer: demand reads land here to be
+    /// verified and decoded, appends read back through it.
+    frame_buf: Vec<u8>,
+    /// Reusable read plan of [`preload_missing`](Self::preload_missing);
+    /// empty between calls.
+    preload_plan: Vec<PlannedRead>,
+}
+
+/// One uncached block of a coalesced fill: its pre-drawn fault outcome
+/// going in, its decode coming out.
+#[derive(Debug, Clone)]
+struct PlannedRead {
+    id: u32,
+    meta: BlockMeta,
+    /// `io_ns` to charge; `Err` = injected device loss.
+    outcome: Result<u64, u64>,
+    read: Option<Result<Vec<SpillEntry>, BlockReadError>>,
 }
 
 impl PartialEq for SpillTier {
-    /// Structural equality over replayable state: the decode scratch is
-    /// excluded (it is not observable), and the cache compares by
-    /// metadata shape so a lazily-rewarmed restore equals its live twin.
+    /// Structural equality over replayable state: the handle and the
+    /// scratch buffers are excluded (they are not observable), and the
+    /// cache compares by metadata shape so a lazily-rewarmed restore
+    /// equals its live twin.
     fn eq(&self, other: &Self) -> bool {
         self.path == other.path
             && self.profile == other.profile
@@ -512,19 +614,35 @@ impl SpillTier {
     pub fn create(cfg: &SpillConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(&cfg.dir)?;
         let path = cfg.dir.join(&cfg.file_name);
-        std::fs::File::create(&path)?; // truncate
+        let file = Arc::new(Self::open_truncated(&path)?);
         Ok(SpillTier {
             path,
+            file,
             profile: cfg.profile,
             faults: cfg.faults,
             rng: cfg.seed ^ 0x9E37_79B9_7F4A_7C15,
             file_len: 0,
             blocks: Vec::new(),
+            live_disk_bytes: 0,
             stats: SpillStats::default(),
             cache: (cfg.cache_bytes > 0).then(|| BlockCache::new(cfg.cache_bytes)),
             pending_prefetch: Vec::new(),
             scratch: None,
+            frame_buf: Vec::new(),
+            preload_plan: Vec::new(),
         })
+    }
+
+    /// Create-or-truncate the block file and return the handle the tier
+    /// keeps. The only place the file is opened: per-operation opens were
+    /// most of a cold read's cost.
+    fn open_truncated(path: &Path) -> std::io::Result<File> {
+        std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(path)
     }
 
     fn next_coin(&mut self) -> u64 {
@@ -559,11 +677,7 @@ impl SpillTier {
     /// Bytes of live block frames on disk (the memory the tier moved out
     /// of RAM, reported — not charged — by the memory model).
     pub fn disk_bytes(&self) -> u64 {
-        self.blocks
-            .iter()
-            .filter(|m| m.live > 0)
-            .map(|m| m.len as u64)
-            .sum()
+        self.live_disk_bytes
     }
 
     /// RAM bytes of the metadata table under the memory model.
@@ -585,50 +699,50 @@ impl SpillTier {
         tuples: u32,
         receipt: &mut CostReceipt,
     ) -> Result<u32, BlockWriteError> {
-        let frame = seal_block(body);
+        let mut frame = seal_block(body);
         let coin = self.next_coin();
         let io = |e: std::io::Error| BlockWriteError::Io(e.to_string());
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.path)
-            .map_err(io)?;
         let offset = self.file_len;
+        let len = frame.len() as u32;
         for attempt in 0..WRITE_ATTEMPTS {
             let torn = self.faults.torn_write_prob > 0.0
                 && unit(mix(coin ^ u64::from(attempt))) < self.faults.torn_write_prob;
-            let mut written = frame.clone();
+            // Tear the tail for the duration of the write: the body loses
+            // its last byte's integrity, exactly what a power cut
+            // mid-append produces.
+            let last = frame.len() - 1;
             if torn {
-                // Tear the tail: the body loses its last byte's integrity,
-                // exactly what a power cut mid-append produces.
-                let last = written.len() - 1;
-                written[last] ^= 0xFF;
+                frame[last] ^= 0xFF;
                 self.stats.torn_writes += 1;
             }
-            file.seek(SeekFrom::Start(offset)).map_err(io)?;
-            file.write_all(&written).map_err(io)?;
+            let wrote = self.file.write_all_at(&frame, offset);
+            if torn {
+                frame[last] ^= 0xFF;
+            }
+            wrote.map_err(io)?;
             receipt.io_ns += self.profile.write_ns;
             // Write-verify (no coin draws, cost covered by write_ns).
-            let mut back = vec![0u8; frame.len()];
-            file.seek(SeekFrom::Start(offset)).map_err(io)?;
-            file.read_exact(&mut back).map_err(io)?;
-            if open_block(&back).is_ok() {
-                self.file_len = offset + frame.len() as u64;
+            pread_frame(&self.file, offset, len, &mut self.frame_buf).map_err(io)?;
+            if open_block(&self.frame_buf).is_ok() {
+                self.file_len = offset + u64::from(len);
                 let id = self.blocks.len() as u32;
                 self.blocks.push(BlockMeta {
                     offset,
-                    len: frame.len() as u32,
+                    len,
                     tuples,
                     live: tuples,
                     reads: 0,
                 });
+                if tuples > 0 {
+                    self.live_disk_bytes += u64::from(len);
+                }
                 self.stats.blocks_written += 1;
                 self.stats.spilled_tuples += u64::from(tuples);
                 return Ok(id);
             }
         }
         // Leave no torn residue behind the committed length.
-        file.set_len(self.file_len).map_err(io)?;
+        self.file.set_len(self.file_len).map_err(io)?;
         Err(BlockWriteError::Torn)
     }
 
@@ -646,42 +760,34 @@ impl SpillTier {
         id: u32,
         receipt: &mut CostReceipt,
     ) -> Result<Vec<u8>, BlockReadError> {
-        let frame = self.read_device(id, receipt)?;
+        let meta = self.begin_device_read(id, receipt)?;
+        let mut frame = Vec::new();
+        read_verified(&self.file, meta.offset, meta.len, &mut frame)?;
         self.note_demand_read(id);
         Ok(frame)
     }
 
-    /// One modeled device read: three fault coins, `read_ns` per attempt
-    /// plus any spike, but **no** demand counters (`blocks_read` / block
-    /// heat) — those belong to whoever serves the demand, which may be
-    /// the cache.
-    fn read_device(
+    /// The modeled half of one device read: three fault coins, `read_ns`
+    /// per attempt plus any spike — charged whether or not the bytes then
+    /// verify — but **no** demand counters (`blocks_read` / block heat);
+    /// those belong to whoever serves the demand, which may be the cache.
+    /// Returns the extent for the caller to read.
+    fn begin_device_read(
         &mut self,
         id: u32,
         receipt: &mut CostReceipt,
-    ) -> Result<Vec<u8>, BlockReadError> {
+    ) -> Result<BlockMeta, BlockReadError> {
         let (c_err, c_retry, c_spike) = (self.next_coin(), self.next_coin(), self.next_coin());
         let meta = match self.blocks.get(id as usize) {
             Some(m) if m.live > 0 => *m,
             _ => return Err(BlockReadError::Gone),
         };
-        let io_ns = self.injected_read_ns(c_err, c_retry, c_spike);
-        let io_ns = match io_ns {
-            Ok(ns) => ns,
-            Err(ns) => {
-                // The retry failed too: the device lost this block.
-                self.stats.read_ns += ns;
-                receipt.io_ns += ns;
-                return Err(BlockReadError::Device);
-            }
-        };
-        let frame = self.read_frame(&meta).map_err(|e| match e {
-            ReadFrameError::Io(msg) => BlockReadError::Io(msg),
-            ReadFrameError::Corrupt(msg) => BlockReadError::Corrupt(msg),
-        });
+        let outcome = self.injected_read_ns(c_err, c_retry, c_spike);
+        let (Ok(io_ns) | Err(io_ns)) = outcome;
         self.stats.read_ns += io_ns;
         receipt.io_ns += io_ns;
-        frame
+        // `Err`: the retry failed too — the device lost this block.
+        outcome.map(|_| meta).map_err(|_| BlockReadError::Device)
     }
 
     /// Resolve one read's injected-fault coins: `Ok(io_ns)` for a read
@@ -736,10 +842,14 @@ impl SpillTier {
         id: u32,
         receipt: &mut CostReceipt,
     ) -> Result<&[SpillEntry], BlockReadError> {
-        let corrupt = || BlockReadError::Corrupt("spill block body does not decode".into());
         if self.cache.is_none() {
-            let frame = self.read_block(id, receipt)?;
-            let entries = decode_spill_block(&frame).ok_or_else(corrupt)?;
+            let meta = self.begin_device_read(id, receipt)?;
+            let body = read_verified(&self.file, meta.offset, meta.len, &mut self.frame_buf)?;
+            let decoded = decode_entries(body);
+            // Counted like `read_block`: once the frame verified, whether
+            // or not its body then decodes.
+            self.note_demand_read(id);
+            let entries = decoded.ok_or_else(undecodable)?;
             let slot = self.scratch.insert((id, entries));
             return Ok(&slot.1);
         }
@@ -754,11 +864,7 @@ impl SpillTier {
                 // no coins and charges nothing — the uninterrupted twin
                 // already has the bytes in RAM.
                 let meta = self.blocks[id as usize];
-                let frame = self.read_frame(&meta).map_err(|e| match e {
-                    ReadFrameError::Io(msg) => BlockReadError::Io(msg),
-                    ReadFrameError::Corrupt(msg) => BlockReadError::Corrupt(msg),
-                })?;
-                let entries = decode_spill_block(&frame).ok_or_else(corrupt)?;
+                let entries = read_entries(&self.file, meta.offset, meta.len, &mut self.frame_buf)?;
                 self.cache
                     .as_mut()
                     .expect("cache checked above")
@@ -773,12 +879,11 @@ impl SpillTier {
             return Ok(cache.touch_get(id).expect("slot checked above"));
         }
         self.stats.cache_misses += 1;
-        let frame = self.read_device(id, receipt)?;
-        let entries = decode_spill_block(&frame).ok_or_else(corrupt)?;
+        let meta = self.begin_device_read(id, receipt)?;
+        let entries = read_entries(&self.file, meta.offset, meta.len, &mut self.frame_buf)?;
         self.note_demand_read(id);
-        let bytes = u64::from(self.blocks[id as usize].len);
         let cache = self.cache.as_mut().expect("cache checked above");
-        match cache.admit(id, entries, bytes, &mut self.stats) {
+        match cache.admit(id, entries, u64::from(meta.len), &mut self.stats) {
             Ok(()) => {
                 let cache = self.cache.as_ref().expect("cache checked above");
                 Ok(&cache.slot(id).expect("just admitted").entries)
@@ -789,16 +894,6 @@ impl SpillTier {
                 Ok(&slot.1)
             }
         }
-    }
-
-    fn read_frame(&self, meta: &BlockMeta) -> Result<Vec<u8>, ReadFrameError> {
-        let io = |e: std::io::Error| ReadFrameError::Io(e.to_string());
-        let mut file = std::fs::File::open(&self.path).map_err(io)?;
-        file.seek(SeekFrom::Start(meta.offset)).map_err(io)?;
-        let mut frame = vec![0u8; meta.len as usize];
-        file.read_exact(&mut frame).map_err(io)?;
-        open_block(&frame).map_err(|e| ReadFrameError::Corrupt(e.to_string()))?;
-        Ok(frame)
     }
 
     /// Coalesced cold-batch fill: read the distinct uncached blocks `ids`
@@ -812,7 +907,8 @@ impl SpillTier {
     /// to purge; those blocks drew their coins and charged their latency
     /// exactly like a sequential failed read.
     ///
-    /// No-op unless the cache is enabled.
+    /// No-op unless the cache is enabled; draws nothing, reads nothing and
+    /// allocates nothing when every block of `ids` is already cached.
     pub fn preload_missing(
         &mut self,
         ids: &[u32],
@@ -824,15 +920,10 @@ impl SpillTier {
             return failures;
         }
         // Pre-draw: one (err, retry, spike) triple per block, in order —
-        // the same stream a sequence of read_device calls would draw.
-        struct Plan {
-            id: u32,
-            meta: BlockMeta,
-            outcome: Result<u64, u64>, // io_ns, Err = injected device loss
-        }
-        let mut plan: Vec<Plan> = Vec::with_capacity(ids.len());
+        // the same stream a sequence of device reads would draw.
+        let mut plan = std::mem::take(&mut self.preload_plan);
         for &id in ids {
-            if self.cache.as_ref().is_some_and(|c| c.contains(id)) {
+            if self.cached(id) {
                 continue;
             }
             let (c_err, c_retry, c_spike) = (self.next_coin(), self.next_coin(), self.next_coin());
@@ -844,74 +935,61 @@ impl SpillTier {
                 }
             };
             let outcome = self.injected_read_ns(c_err, c_retry, c_spike);
-            plan.push(Plan { id, meta, outcome });
+            plan.push(PlannedRead {
+                id,
+                meta,
+                outcome,
+                read: None,
+            });
         }
-        // Fan the surviving reads out: each task opens the file itself
-        // (read-only), verifies, and decodes into its private slot.
-        let mut slots: Vec<Option<Result<Vec<SpillEntry>, ReadFrameError>>> =
-            plan.iter().map(|_| None).collect();
-        {
-            let live: Vec<usize> = plan
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.outcome.is_ok())
-                .map(|(i, _)| i)
-                .collect();
-            let arena = SlotArena::new(&mut slots);
-            let path = self.path.clone();
-            let task = |t: usize| {
-                let i = live[t];
-                let meta = plan[i].meta;
-                let read = (|| {
-                    let io = |e: std::io::Error| ReadFrameError::Io(e.to_string());
-                    let mut file = std::fs::File::open(&path).map_err(io)?;
-                    file.seek(SeekFrom::Start(meta.offset)).map_err(io)?;
-                    let mut frame = vec![0u8; meta.len as usize];
-                    file.read_exact(&mut frame).map_err(io)?;
-                    open_block(&frame).map_err(|e| ReadFrameError::Corrupt(e.to_string()))?;
-                    decode_spill_block(&frame).ok_or_else(|| {
-                        ReadFrameError::Corrupt("spill block body does not decode".into())
-                    })
-                })();
-                // SAFETY: each task claims only its own slot, once.
-                *unsafe { arena.claim(i) } = Some(read);
-            };
-            exec.run_sized(live.len(), BLOCK_IO_NS, &task);
+        // Read what the injected faults let through. One block reads
+        // inline through the tier's own frame buffer; several fan out,
+        // each task on the shared handle with a buffer of its own.
+        let file: &File = &self.file;
+        let read_into = |p: &mut PlannedRead, buf: &mut Vec<u8>| {
+            if p.outcome.is_ok() {
+                p.read = Some(read_entries(file, p.meta.offset, p.meta.len, buf));
+            }
+        };
+        match plan.as_mut_slice() {
+            [] => {}
+            [only] => read_into(only, &mut self.frame_buf),
+            many => {
+                let n = many.len();
+                let arena = SlotArena::new(many);
+                let task = |i: usize| {
+                    // SAFETY: each task claims only its own plan entry, once.
+                    read_into(unsafe { arena.claim(i) }, &mut Vec::new());
+                };
+                exec.run_sized(n, BLOCK_IO_NS, &task);
+            }
         }
         // Merge sequentially in plan order: charges, counters, and cache
         // admissions happen exactly as a sequential read sequence would.
-        for (p, slot) in plan.into_iter().zip(slots) {
-            match p.outcome {
-                Err(io_ns) => {
-                    self.stats.read_ns += io_ns;
-                    receipt.io_ns += io_ns;
-                    failures.push((p.id, BlockReadError::Device));
-                }
-                Ok(io_ns) => {
-                    self.stats.read_ns += io_ns;
-                    receipt.io_ns += io_ns;
-                    match slot.expect("live plan entries ran") {
-                        Ok(entries) => {
-                            self.stats.cache_misses += 1;
-                            let cache = self.cache.as_mut().expect("cache checked above");
-                            // A budget-oversized block stays uncached; the
-                            // per-key fetch will serve it as its own miss.
-                            if let Err(_big) =
-                                cache.admit(p.id, entries, u64::from(p.meta.len), &mut self.stats)
-                            {
-                                self.stats.cache_misses -= 1;
-                            }
-                        }
-                        Err(ReadFrameError::Io(msg)) => {
-                            failures.push((p.id, BlockReadError::Io(msg)))
-                        }
-                        Err(ReadFrameError::Corrupt(msg)) => {
-                            failures.push((p.id, BlockReadError::Corrupt(msg)));
-                        }
+        for p in plan.drain(..) {
+            let (Ok(io_ns) | Err(io_ns)) = p.outcome;
+            self.stats.read_ns += io_ns;
+            receipt.io_ns += io_ns;
+            if p.outcome.is_err() {
+                failures.push((p.id, BlockReadError::Device));
+                continue;
+            }
+            match p.read.expect("live plan entries ran") {
+                Ok(entries) => {
+                    let cache = self.cache.as_mut().expect("cache checked above");
+                    // A budget-oversized block stays uncached; the
+                    // per-key fetch will serve it as its own miss.
+                    if cache
+                        .admit(p.id, entries, u64::from(p.meta.len), &mut self.stats)
+                        .is_ok()
+                    {
+                        self.stats.cache_misses += 1;
                     }
                 }
+                Err(e) => failures.push((p.id, e)),
             }
         }
+        self.preload_plan = plan;
         failures
     }
 
@@ -989,9 +1067,10 @@ impl SpillTier {
         }
     }
 
-    /// The block file's path (side I/O tasks read it directly).
-    pub fn file_path(&self) -> &PathBuf {
-        &self.path
+    /// The block file's handle (side I/O tasks read through it
+    /// positionally, sharing no cursor with the tier or each other).
+    pub fn file(&self) -> &File {
+        &self.file
     }
 
     /// True iff the decoded-block cache is enabled.
@@ -1023,6 +1102,9 @@ impl SpillTier {
     /// Note that one live stub of `id` expired or was evicted.
     pub fn note_dropped(&mut self, id: u32) {
         if let Some(m) = self.blocks.get_mut(id as usize) {
+            if m.live == 1 {
+                self.live_disk_bytes -= u64::from(m.len);
+            }
             m.live = m.live.saturating_sub(1);
             if m.live == 0 {
                 // The block died by expiry: invalidate, don't count an
@@ -1039,6 +1121,7 @@ impl SpillTier {
     pub fn mark_dead(&mut self, id: u32, lost: bool) {
         if let Some(m) = self.blocks.get_mut(id as usize) {
             if m.live > 0 {
+                self.live_disk_bytes -= u64::from(m.len);
                 if lost {
                     self.stats.lost_blocks += 1;
                 } else {
@@ -1100,15 +1183,17 @@ impl SpillTier {
             w.put_u64(v);
         }
         w.put_usize(self.blocks.len());
+        let mut frame = Vec::new();
         for meta in &self.blocks {
             w.put_u32(meta.tuples);
             w.put_u32(meta.live);
             w.put_u32(meta.reads);
             if meta.live > 0 {
-                // Verbatim byte copy; verification happens on future reads.
-                let frame = self
-                    .read_frame_unverified(meta)
-                    .unwrap_or_else(|_| Vec::new());
+                // Verbatim byte copy; verification happens on future
+                // reads. An unreadable frame is saved empty.
+                if pread_frame(&self.file, meta.offset, meta.len, &mut frame).is_err() {
+                    frame.clear();
+                }
                 w.put_bytes(&frame);
             }
         }
@@ -1125,23 +1210,14 @@ impl SpillTier {
         w.put_bool(self.cache.is_some());
         if let Some(cache) = &self.cache {
             w.put_u64(cache.seq);
-            let cached: Vec<u32> = cache.cached_ids().collect();
-            w.put_usize(cached.len());
-            for id in cached {
-                let slot = cache.slot(id).expect("cached_ids yields resident slots");
+            let resident = cache.resident_meta();
+            w.put_usize(resident.len());
+            for (id, bytes, touch) in resident {
                 w.put_u32(id);
-                w.put_u64(slot.touch);
-                w.put_u64(slot.bytes);
+                w.put_u64(touch);
+                w.put_u64(bytes);
             }
         }
-    }
-
-    fn read_frame_unverified(&self, meta: &BlockMeta) -> std::io::Result<Vec<u8>> {
-        let mut file = std::fs::File::open(&self.path)?;
-        file.seek(SeekFrom::Start(meta.offset))?;
-        let mut frame = vec![0u8; meta.len as usize];
-        file.read_exact(&mut frame)?;
-        Ok(frame)
     }
 
     /// Restore tier state from a [`save`](Self::save)d section: truncates
@@ -1176,8 +1252,8 @@ impl SpillTier {
             cache_evictions: vals[14],
         };
         let n = r.get_usize()?;
-        let mut file =
-            std::fs::File::create(&self.path).map_err(|e| SnapshotError::Io(e.to_string()))?;
+        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
+        let file = Self::open_truncated(&self.path).map_err(io)?;
         let mut blocks = Vec::with_capacity(n);
         let mut offset = 0u64;
         for _ in 0..n {
@@ -1186,8 +1262,7 @@ impl SpillTier {
             let reads = r.get_u32()?;
             if live > 0 {
                 let frame = r.get_bytes()?;
-                file.write_all(frame)
-                    .map_err(|e| SnapshotError::Io(e.to_string()))?;
+                file.write_all_at(frame, offset).map_err(io)?;
                 blocks.push(BlockMeta {
                     offset,
                     len: frame.len() as u32,
@@ -1228,33 +1303,31 @@ impl SpillTier {
                 // touch. Dropped silently when this tier was configured
                 // without a cache (resume under a different config).
                 if let Some(cache) = restored_cache.as_mut() {
-                    if cache.slots.len() <= id as usize {
-                        cache.slots.resize_with(id as usize + 1, || None);
-                    }
-                    cache.slots[id as usize] = Some(CacheSlot {
-                        entries: Vec::new(),
-                        bytes,
-                        touch,
-                        warm: false,
-                    });
-                    cache.used += bytes;
+                    cache.place(
+                        id,
+                        CacheSlot {
+                            entries: Vec::new(),
+                            bytes,
+                            touch,
+                            warm: false,
+                        },
+                    );
                 }
             }
         }
+        self.file = Arc::new(file);
         self.rng = rng;
         self.stats = stats;
         self.blocks = blocks;
+        // Every live frame was rewritten densely, so the live bytes are
+        // the file.
+        self.live_disk_bytes = offset;
         self.file_len = offset;
         self.pending_prefetch = pending;
         self.cache = restored_cache;
         self.scratch = None;
         Ok(())
     }
-}
-
-enum ReadFrameError {
-    Io(String),
-    Corrupt(String),
 }
 
 #[cfg(test)]
@@ -1348,14 +1421,10 @@ mod tests {
         assert_eq!(t.stats().blocks_written, 0);
         assert_eq!(t.n_blocks(), 0);
         // The file holds no torn residue; a later write starts clean.
-        let ok = t.read_frame_unverified(&BlockMeta {
-            offset: 0,
-            len: 0,
-            tuples: 0,
-            live: 0,
-            reads: 0,
-        });
-        assert!(ok.unwrap().is_empty());
+        assert_eq!(std::fs::metadata(&t.path).unwrap().len(), 0);
+        t.faults = IoFaultConfig::default();
+        let id = t.append_block(body(&[1, 2]), 2, &mut rc).unwrap();
+        assert_eq!(read_vals(&t.read_block(id, &mut rc).unwrap()), vec![1, 2]);
     }
 
     #[test]
@@ -1692,15 +1761,8 @@ mod tests {
         assert_eq!(io.len(), 2);
         let before = rc.io_ns;
         for (id, offset, len) in io {
-            let meta = BlockMeta {
-                offset,
-                len,
-                tuples: 1,
-                live: 1,
-                reads: 0,
-            };
-            let frame = t.read_frame_unverified(&meta).unwrap();
-            t.finish_prefetch(id, decode_spill_block(&frame), &mut rc);
+            let decoded = read_spill_entries_at(t.file(), offset, len);
+            t.finish_prefetch(id, decoded, &mut rc);
         }
         assert_eq!(t.rng, rng, "speculative reads draw no coins");
         assert_eq!(rc.io_ns, before + 1000, "one read_ns per prefetched block");
@@ -1766,5 +1828,227 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(live.stats(), twin.stats());
         assert_eq!(live.rng, twin.rng);
+    }
+    /// The field-by-field decode the stride decoder replaced, kept as its
+    /// reference.
+    fn decode_by_fields(mut r: SectionReader<'_>) -> Option<Vec<SpillEntry>> {
+        let n = r.get_usize().ok()?;
+        let mut entries = Vec::new();
+        for _ in 0..n {
+            entries.push(SpillEntry {
+                key: TupleKey(r.get_u32().ok()?),
+                id: TupleId(r.get_u64().ok()?),
+                ts: r.get_time().ok()?,
+                attrs: r.get_attrs().ok()?,
+            });
+        }
+        Some(entries)
+    }
+
+    proptest::proptest! {
+        /// The stride decoder agrees with the field-by-field reference on
+        /// intact bodies and rejects exactly the malformed ones it does.
+        #[test]
+        fn stride_decode_equals_field_decode(
+            records in proptest::collection::vec(
+                (
+                    0u32..u32::MAX,
+                    0u64..u64::MAX,
+                    0u64..u64::MAX,
+                    proptest::collection::vec(0u64..u64::MAX, 0..MAX_ATTRS + 1),
+                ),
+                0..40,
+            ),
+            damage in 0u8..5,
+            amount in 0usize..4096,
+        ) {
+            let mut w = SectionWriter::new();
+            w.put_usize(records.len());
+            let mut width_at = Vec::new();
+            for (key, id, ts, attrs) in &records {
+                w.put_u32(*key);
+                w.put_u64(*id);
+                w.put_time(VirtualTime(*ts));
+                width_at.push(w.len());
+                w.put_attrs(&AttrVec::from_slice(attrs).unwrap());
+            }
+            let mut body = w.into_bytes();
+            let malformed = match damage {
+                // A record (or the count itself) cut short.
+                1 => {
+                    body.truncate(body.len() - 1 - amount % body.len());
+                    true
+                }
+                // An attribute count above MAX_ATTRS.
+                2 if !records.is_empty() => {
+                    body[width_at[amount % records.len()]] =
+                        (MAX_ATTRS + 1 + amount % 100) as u8;
+                    true
+                }
+                // A record count larger than the body holds.
+                3 => {
+                    let n = (records.len() + 1 + amount) as u64;
+                    body[..8].copy_from_slice(&n.to_le_bytes());
+                    true
+                }
+                // Bytes past the last record are ignored by both.
+                4 => {
+                    body.extend(std::iter::repeat_n(0xA5, amount % 64));
+                    false
+                }
+                _ => false,
+            };
+            let strided = decode_entries(SectionReader::new(&body));
+            proptest::prop_assert_eq!(&strided, &decode_by_fields(SectionReader::new(&body)));
+            proptest::prop_assert_eq!(strided.is_none(), malformed);
+            if let Some(entries) = strided {
+                proptest::prop_assert_eq!(entries.len(), records.len());
+                for (e, (key, id, ts, attrs)) in entries.iter().zip(&records) {
+                    proptest::prop_assert_eq!((e.key.0, e.id.0, e.ts.0), (*key, *id, *ts));
+                    proptest::prop_assert_eq!(e.attrs.as_slice(), attrs.as_slice());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corruption_under_the_open_handle_is_caught_on_every_read_path() {
+        let mut t = tier_cached(
+            "corrupt-open",
+            IoFaultConfig::default(),
+            StorageProfile::default(),
+            1 << 20,
+        );
+        let mut rc = CostReceipt::new();
+        let ids: Vec<u32> = (0..3u32)
+            .map(|i| t.append_block(entry_body(&[i]), 1, &mut rc).unwrap())
+            .collect();
+        // The handle has been open since `create`; flip one body byte of
+        // every block behind it.
+        let mut raw = std::fs::read(&t.path).unwrap();
+        for &id in &ids {
+            let meta = *t.block(id).unwrap();
+            raw[(meta.offset + u64::from(meta.len)) as usize - 1] ^= 0x01;
+        }
+        std::fs::write(&t.path, &raw).unwrap();
+        assert!(matches!(
+            t.fetch_entries(ids[0], &mut rc),
+            Err(BlockReadError::Corrupt(_))
+        ));
+        let failures = t.preload_missing(&ids[1..], &mut rc, &crate::parallel::SequentialExecutor);
+        assert_eq!(failures.len(), 2);
+        assert!(failures
+            .iter()
+            .all(|(_, e)| matches!(e, BlockReadError::Corrupt(_))));
+        let meta = *t.block(ids[0]).unwrap();
+        assert_eq!(read_spill_entries_at(t.file(), meta.offset, meta.len), None);
+        assert!(matches!(
+            t.read_block(ids[0], &mut rc),
+            Err(BlockReadError::Corrupt(_))
+        ));
+        assert_eq!(t.cache_used_bytes(), 0, "nothing corrupt was admitted");
+    }
+
+    #[test]
+    fn handle_serves_reads_after_restore_rewrote_the_file_and_after_clone() {
+        let mut t = tier(
+            "reopen",
+            IoFaultConfig::default(),
+            StorageProfile::default(),
+        );
+        let mut rc = CostReceipt::new();
+        let a = t.append_block(body(&[1, 2, 3]), 3, &mut rc).unwrap();
+        let b = t.append_block(body(&[4, 5]), 2, &mut rc).unwrap();
+        t.mark_dead(a, false);
+        let mut w = SectionWriter::new();
+        t.save(&mut w);
+        let bytes = w.into_bytes();
+        // Restoring in place truncates and rewrites the file densely:
+        // `b` moves to offset 0 and the fresh handle must follow it.
+        let before = t.block(b).unwrap().offset;
+        t.restore_from(&mut SectionReader::new(&bytes)).unwrap();
+        assert_eq!(t.block(b).unwrap().offset, 0);
+        assert_ne!(before, 0);
+        assert_eq!(read_vals(&t.read_block(b, &mut rc).unwrap()), vec![4, 5]);
+        // A clone shares the handle, and outlives the original.
+        let mut twin = t.clone();
+        drop(t);
+        assert_eq!(read_vals(&twin.read_block(b, &mut rc).unwrap()), vec![4, 5]);
+        let c = twin.append_block(body(&[6]), 1, &mut rc).unwrap();
+        assert_eq!(read_vals(&twin.read_block(c, &mut rc).unwrap()), vec![6]);
+    }
+
+    #[test]
+    fn a_file_shorter_than_a_blocks_extent_is_a_typed_error() {
+        let mut t = tier_cached(
+            "short",
+            IoFaultConfig::default(),
+            StorageProfile::default(),
+            1 << 20,
+        );
+        let mut rc = CostReceipt::new();
+        let a = t.append_block(entry_body(&[1]), 1, &mut rc).unwrap();
+        let b = t.append_block(entry_body(&[2, 3]), 2, &mut rc).unwrap();
+        // Cut the file in the middle of `b` behind the tier's back.
+        let meta = *t.block(b).unwrap();
+        let cut = meta.offset + u64::from(meta.len) / 2;
+        let other = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&t.path)
+            .unwrap();
+        other.set_len(cut).unwrap();
+        assert!(matches!(
+            t.read_block(b, &mut rc),
+            Err(BlockReadError::Io(_))
+        ));
+        assert!(matches!(
+            t.fetch_entries(b, &mut rc),
+            Err(BlockReadError::Io(_))
+        ));
+        let failures = t.preload_missing(&[b], &mut rc, &crate::parallel::SequentialExecutor);
+        assert!(matches!(failures[..], [(id, BlockReadError::Io(_))] if id == b));
+        assert_eq!(read_spill_entries_at(t.file(), meta.offset, meta.len), None);
+        // A snapshot still encodes (the unreadable frame is saved empty)
+        // and the intact block is untouched.
+        let mut w = SectionWriter::new();
+        t.save(&mut w);
+        assert_eq!(t.fetch_entries(a, &mut rc).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn disk_bytes_tracks_the_live_blocks() {
+        let walk = |t: &SpillTier| -> u64 {
+            t.blocks
+                .iter()
+                .filter(|m| m.live > 0)
+                .map(|m| u64::from(m.len))
+                .sum()
+        };
+        let mut t = tier("disk", IoFaultConfig::default(), StorageProfile::default());
+        let mut rc = CostReceipt::new();
+        let a = t.append_block(body(&[1, 2]), 2, &mut rc).unwrap();
+        let b = t.append_block(body(&[3]), 1, &mut rc).unwrap();
+        let c = t.append_block(body(&[4, 5, 6]), 3, &mut rc).unwrap();
+        assert_eq!(t.disk_bytes(), walk(&t));
+        t.note_dropped(a);
+        assert_eq!(
+            t.disk_bytes(),
+            walk(&t),
+            "one of two stubs dropped: still live"
+        );
+        t.note_dropped(a);
+        t.note_dropped(a); // already dead: must not be subtracted twice
+        assert_eq!(t.disk_bytes(), walk(&t));
+        t.mark_dead(b, true);
+        t.mark_dead(b, false);
+        assert_eq!(t.disk_bytes(), walk(&t));
+        assert_eq!(t.disk_bytes(), u64::from(t.block(c).unwrap().len));
+        let mut w = SectionWriter::new();
+        t.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut twin = tier("disk2", IoFaultConfig::default(), StorageProfile::default());
+        twin.restore_from(&mut SectionReader::new(&bytes)).unwrap();
+        assert_eq!(twin.disk_bytes(), walk(&twin));
+        assert_eq!(twin.disk_bytes(), t.disk_bytes());
     }
 }

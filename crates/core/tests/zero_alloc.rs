@@ -9,6 +9,12 @@
 //! acceptance check for the flat bucket arena + scratch-buffered search
 //! hot path.
 //!
+//! The spill read path is held to the same standard: materializing a
+//! batch of spilled hits whose blocks are all cached allocates nothing,
+//! and a batch that misses one block allocates at most once — the decoded
+//! entry vector the cache admits. The read plans and the frame buffer are
+//! reused.
+//!
 //! The file holds a single `#[test]` so no concurrent test can allocate
 //! while the counter is armed.
 
@@ -186,5 +192,51 @@ fn steady_state_search_into_does_not_allocate() {
     for (_, store_scratch) in &stores {
         assert!(!store_scratch.hits.is_empty());
     }
+
+    // --- Spilled hits. Block 0 holds keys 0..500; three more blocks of
+    // 64 follow (keys 500..564, 564..628, 628..692). ---
+    for _ in 0..3 {
+        assert_eq!(tiered.spill_oldest(64, &mut r), 64);
+    }
+    let keys = |ids: std::ops::Range<u32>| ids.map(TupleKey);
+    let warm_keys: Vec<TupleKey> = keys(0..16)
+        .chain(keys(500..516))
+        .chain(keys(628..644))
+        .collect();
+    let cold_keys: Vec<TupleKey> = keys(564..580).collect();
+    let mut out = Vec::new();
+    // Warm-up: cache blocks 0, 1 and 3 (block 2 stays cold), growing the
+    // output buffer, both read plans and the cache's tables once.
+    assert_eq!(
+        tiered.materialize_batch(&warm_keys, &mut out, &mut r, &SequentialExecutor),
+        0
+    );
+    let misses_before = tiered.spill_stats().cache_misses;
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    for _ in 0..100 {
+        tiered.materialize_batch(&warm_keys, &mut out, &mut r, &SequentialExecutor);
+    }
+    ARMED.store(false, Ordering::SeqCst);
+    let warm_allocs = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        warm_allocs, 0,
+        "an all-cached materialize_batch must not allocate, saw {warm_allocs} allocations"
+    );
+    assert_eq!(tiered.spill_stats().cache_misses, misses_before);
+    assert!(out.iter().all(Option::is_some));
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    tiered.materialize_batch(&cold_keys, &mut out, &mut r, &SequentialExecutor);
+    ARMED.store(false, Ordering::SeqCst);
+    let miss_allocs = ALLOCS.load(Ordering::SeqCst);
+    assert!(
+        miss_allocs <= 1,
+        "a single-block miss may allocate only the admitted entry vector, saw {miss_allocs}"
+    );
+    assert_eq!(tiered.spill_stats().cache_misses, misses_before + 1);
+    assert!(out.iter().all(Option::is_some));
     let _ = std::fs::remove_dir_all(spill_dir);
 }

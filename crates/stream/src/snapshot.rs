@@ -239,6 +239,12 @@ impl<'a> SectionReader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// The bytes not yet consumed, without consuming them — for a decoder
+    /// that strides over fixed-shape records itself.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.remaining() < n {
             return Err(SnapshotError::Truncated);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Bench regression guard: rerun the micro-index Criterion bench and fail
 # if any median regresses more than THRESHOLD_PCT (default 15%) against
-# the recorded "arena" baselines in BENCH_index.json.
+# the recorded "arena" baselines in BENCH_index.json or the spill-group
+# medians in BENCH_spill.json.
 #
 # Single medians still jitter ±30% on a busy single-core box (the
 # nanosecond-scale benches especially), so the guard takes the *minimum*
@@ -13,7 +14,6 @@ cd "$(dirname "$0")/.."
 
 THRESHOLD_PCT="${THRESHOLD_PCT:-15}"
 BENCH_RUNS="${BENCH_RUNS:-3}"
-BASELINE="BENCH_index.json"
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
 
@@ -47,7 +47,9 @@ while IFS=$'\t' read -r key base; do
     fi
 done < <(jq -r '.micro_index_median_ns | to_entries[]
                 | select(.value.arena != null)
-                | [.key, (.value.arena | tostring)] | @tsv' "$BASELINE")
+                | [.key, (.value.arena | tostring)] | @tsv' BENCH_index.json
+         jq -r '.micro_index_median_ns | to_entries[]
+                | [.key, (.value | tostring)] | @tsv' BENCH_spill.json)
 
 if [ "$fail" != 0 ]; then
     echo "bench guard FAILED: median regression beyond ${THRESHOLD_PCT}% (or missing bench)"

@@ -8,13 +8,16 @@
 # Like bench_parallel.sh, each median is the *minimum* over BENCH_RUNS
 # runs (noise only inflates a run). The two acceptance bars are recorded
 # in the JSON: a warm hit must beat the cold materialize by >= 5x and the
-# coalesced 64-hit batch must beat 64 independent reads by >= 3x.
+# coalesced 64-hit batch must beat 64 independent reads by >= 3x. The
+# `retired` key of the file being replaced (medians of read paths since
+# rewritten, kept as history) is carried over verbatim.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCH_RUNS="${BENCH_RUNS:-3}"
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
+RETIRED="$(jq -c '.retired // null' BENCH_spill.json 2>/dev/null || echo null)"
 
 # `spill` is a substring match, so one invocation covers the PR-8 group
 # (spill_4k: round trip + cold materialize) and the fast-path group
@@ -46,9 +49,10 @@ jq -n \
     --argjson batch "$BATCH" --argjson indep "$INDEP" \
     --argjson readahead "$READAHEAD" \
     --argjson cores "$CORES" --argjson runs "$BENCH_RUNS" \
+    --argjson retired "$RETIRED" \
     --arg kernel "$(uname -sr)" --arg arch "$(uname -m)" '
 {
-  description: "Spill-tier read fast path: all benches over the identical 4k-tuple ScanIndex StateStore with half its window spilled to the checksummed block store in 256-tuple blocks. spill_4k/materialize_spilled_hit is the PR-8 baseline (cacheless cold materialize: one verified device read + decode + entry scan). spill_cached_4k/cold_read is the same read through an empty 1 MiB decoded-block cache (miss + admission); warm_hit re-reads a cached block (no file I/O, no checksum, no decode); coalesced_batch_64 materializes 64 stub hits of one probe batch grouped by block (one verified read serves all 64); independent_64 is the baseline it replaces (64 cacheless reads, one per hit); readahead_drain_2 plans a 2-block expiry-order prefetch and drains it into the cache as side tasks of the next probe (the timed region includes the arena scan of that probe; recordings made while the stand-alone drain_prefetch existed timed the plan and drain alone).",
+  description: "Spill-tier read fast path: all benches over the identical 4k-tuple ScanIndex StateStore with half its window spilled to the checksummed block store in 256-tuple blocks. spill_4k/materialize_spilled_hit is the PR-8 baseline (cacheless cold materialize: one verified device read + decode + entry scan). spill_cached_4k/cold_read is the same read through an empty 1 MiB decoded-block cache (miss + admission); warm_hit re-reads a cached block (no file I/O, no checksum, no decode); coalesced_batch_64 materializes 64 stub hits of one probe batch grouped by block (one verified read serves all 64); independent_64 is the baseline it replaces (64 cacheless reads, one per hit); readahead_drain_2 plans a 2-block expiry-order prefetch and drains it into the cache as side tasks of the next probe (the timed region includes the arena scan of that probe; recordings made while the stand-alone drain_prefetch existed timed the plan and drain alone). The single-read ids (materialize_spilled_hit, cold_read, coalesced_batch_64) time one device read plus the teardown of the 4k-tuple store the routine consumes, and move +-30 % with host state between runs; independent_64 pays that teardown once per 64 reads and is the id that resolves the per-read cost.",
   regenerate: "scripts/bench_spill.sh  # best-of-N medians; BENCH_RUNS to change N",
   environment: {
     cores: $cores,
@@ -80,7 +84,7 @@ jq -n \
     coalesced_batch_vs_64_independent_min: 3.0,
     pass: (($mat / $warm) >= 5.0 and ($indep / $batch) >= 3.0)
   }
-}' > BENCH_spill.json
+} + (if $retired == null then {} else {retired: $retired} end)' > BENCH_spill.json
 
 echo "==> wrote BENCH_spill.json"
 jq '{medians: .micro_index_median_ns, speedup: .speedup, pass: .acceptance.pass}' BENCH_spill.json

@@ -12,6 +12,20 @@ cargo fmt --all -- --check
 echo "==> no deprecated items under crates/ tests/ examples/"
 if grep -rn deprecated crates tests examples; then echo "a deprecated item reappeared"; exit 1; fi
 
+# The spill tier opens its block file where the file is (re)created and
+# nowhere else: a per-read or per-append open was most of a cold read.
+echo "==> tier.rs opens the block file only in create / restore_from"
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        /^ *\/\// { next }
+        match($0, /fn [a-z_0-9]+/) { current = substr($0, RSTART + 3, RLENGTH - 3) }
+        /File::open|File::create|OpenOptions|open_truncated\(/ \
+            && current !~ /^(create|restore_from|open_truncated)$/ {
+            print FILENAME ":" FNR ": " $0; found = 1
+        }
+        END { exit !found }' crates/core/src/tier.rs; then
+    echo "the block file is opened outside create / restore_from"; exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -2,7 +2,10 @@
 //! narrow (full-pattern) and wide (one-attribute) requests, plus insert
 //! cost, as the §III trade-off predicts.
 
-use amri_core::{BitAddressIndex, CostReceipt, IndexConfig, SearchScratch, StateIndex, TupleKey};
+use amri_core::{
+    BitAddressIndex, CostReceipt, IndexConfig, SearchScratch, SequentialExecutor, StateIndex,
+    TupleKey,
+};
 use amri_stream::{AccessPattern, AttrVec, SearchRequest};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -36,14 +39,24 @@ fn bench(c: &mut Criterion) {
             let mut scratch = SearchScratch::new();
             b.iter(|| {
                 let mut r = CostReceipt::new();
-                black_box(idx.search_into(black_box(&exact), &mut scratch, &mut r))
+                black_box(idx.search_into(
+                    black_box(&exact),
+                    &mut scratch,
+                    &mut r,
+                    &SequentialExecutor,
+                ))
             })
         });
         g.bench_with_input(BenchmarkId::new("one_attr", bits), &bits, |b, _| {
             let mut scratch = SearchScratch::new();
             b.iter(|| {
                 let mut r = CostReceipt::new();
-                black_box(idx.search_into(black_box(&wide), &mut scratch, &mut r))
+                black_box(idx.search_into(
+                    black_box(&wide),
+                    &mut scratch,
+                    &mut r,
+                    &SequentialExecutor,
+                ))
             })
         });
     }

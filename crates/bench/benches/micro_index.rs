@@ -2,7 +2,6 @@
 //! exact/wildcard search and migration for the bit-address index vs the
 //! multi-hash access module vs a full scan.
 
-use amri_core::parallel::SideTasks;
 use amri_core::{
     BitAddressIndex, CostReceipt, IndexConfig, IngestStage, IoFaultConfig, MultiHashIndex,
     ScanIndex, SearchScratch, SequentialExecutor, SpillConfig, SpillTier, StateIndex, StateStore,
@@ -74,7 +73,7 @@ fn bench_search(c: &mut Criterion) {
         let mut scratch = SearchScratch::new();
         b.iter(|| {
             let mut r = CostReceipt::new();
-            bitaddr.search_into(black_box(&exact), &mut scratch, &mut r);
+            bitaddr.search_into(black_box(&exact), &mut scratch, &mut r, &SequentialExecutor);
             black_box(scratch.hits.len())
         })
     });
@@ -82,7 +81,7 @@ fn bench_search(c: &mut Criterion) {
         let mut scratch = SearchScratch::new();
         b.iter(|| {
             let mut r = CostReceipt::new();
-            bitaddr.search_into(black_box(&wild), &mut scratch, &mut r);
+            bitaddr.search_into(black_box(&wild), &mut scratch, &mut r, &SequentialExecutor);
             black_box(scratch.hits.len())
         })
     });
@@ -104,7 +103,7 @@ fn bench_search(c: &mut Criterion) {
 
 /// Sharded probes through the engine's persistent worker pool at 1, 2
 /// and 4 threads: 64 requests, each its own dispatch through the index's
-/// one read entry with nothing staged — the shape `ProbeOperator` issues.
+/// `search_into` — the shape `ProbeOperator` issues.
 /// The index, shard count (4) and requests are identical across thread
 /// counts, so the ids differ only in executor parallelism. The probe
 /// family in `BENCH_parallel.json` was measured on the removed
@@ -137,19 +136,11 @@ fn bench_parallel(c: &mut Criterion) {
             |b, &threads| {
                 let pool = WorkerPool::new(std::num::NonZeroUsize::new(threads).unwrap());
                 let mut scratch = SearchScratch::new();
-                let mut stage = IngestStage::new();
                 b.iter(|| {
                     let mut receipt = CostReceipt::new();
                     let mut hits = 0usize;
                     for req in black_box(&reqs) {
-                        idx.apply_stage_then_search(
-                            &mut stage,
-                            req,
-                            &mut scratch,
-                            &mut receipt,
-                            &pool,
-                            &SideTasks::none(),
-                        );
+                        idx.search_into(req, &mut scratch, &mut receipt, &pool);
                         hits += scratch.hits.len();
                     }
                     black_box(hits)
@@ -477,8 +468,9 @@ fn bench_spill_cached(c: &mut Criterion) {
     });
 
     // Expiry-order readahead: plan the next-oldest blocks, then drain the
-    // prefetch the way the engine does — as side tasks of the next probe
-    // (so the timed region includes that probe's arena scan).
+    // prefetch the way the engine does — ahead of the next probe, inside
+    // the store's read entry (so the timed region includes that probe's
+    // arena scan).
     let probe = SearchRequest::new(AccessPattern::full(3), jas(0));
     g.bench_function("readahead_drain_2", |b| {
         let profile = StorageProfile {
@@ -495,8 +487,7 @@ fn bench_spill_cached(c: &mut Criterion) {
             |(mut store, mut scratch)| {
                 let mut r = CostReceipt::new();
                 store.schedule_readahead();
-                let mut stage = IngestStage::new();
-                store.apply_staged_then_search(&probe, &mut scratch, &mut r, &mut stage, &exec);
+                store.search(&probe, &mut scratch, &mut r, &exec);
                 black_box(store.cache_used_bytes())
             },
             criterion::BatchSize::LargeInput,

@@ -8,7 +8,7 @@
 //! cost receipt like any other work.
 
 use crate::assess::AssessorKind;
-use crate::bitaddr::{BitAddressIndex, IngestStage};
+use crate::bitaddr::BitAddressIndex;
 use crate::config::IndexConfig;
 use crate::cost::{CostParams, CostReceipt};
 use crate::error::CoreError;
@@ -111,8 +111,7 @@ impl AmriState {
     }
 
     /// Mutable access to the underlying store. Searches should go through
-    /// [`apply_staged_then_search`](Self::apply_staged_then_search) so the
-    /// assessor sees their patterns.
+    /// [`search`](Self::search) so the assessor sees their patterns.
     pub fn store_mut(&mut self) -> &mut StateStore<BitAddressIndex> {
         &mut self.store
     }
@@ -139,32 +138,27 @@ impl AmriState {
         self.store.insert(tuple, receipt)
     }
 
-    /// Flush the stage and serve `req` in one fused dispatch (see
-    /// [`StateStore::apply_staged_then_search`]), feeding the request's
+    /// Serve `req` (see [`StateStore::search`]), feeding the request's
     /// pattern to the assessor. The zero-allocation hot path.
-    pub fn apply_staged_then_search(
+    pub fn search(
         &mut self,
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
         exec: &dyn ShardExecutor,
     ) {
         self.tuner.record(req.pattern);
-        self.store
-            .apply_staged_then_search(req, scratch, receipt, stage, exec);
+        self.store.search(req, scratch, receipt, exec);
     }
 
-    /// [`apply_staged_then_search`](Self::apply_staged_then_search) with
-    /// nothing staged, inline.
+    /// [`search`](Self::search), inline.
     pub fn search_into(
         &mut self,
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
     ) {
-        let mut stage = IngestStage::new();
-        self.apply_staged_then_search(req, scratch, receipt, &mut stage, &SequentialExecutor);
+        self.search(req, scratch, receipt, &SequentialExecutor);
     }
 
     /// [`maybe_retune_with`](Self::maybe_retune_with), inline.
@@ -354,7 +348,7 @@ mod tests {
         let mut r = CostReceipt::new();
         s.insert(tuple(1, 0, &[1, 1, 1]), &mut r);
         s.insert(tuple(2, 40, &[1, 1, 1]), &mut r);
-        let mut stage = IngestStage::new();
+        let mut stage = crate::IngestStage::new();
         let removed = s
             .store_mut()
             .expire_staged(VirtualTime::from_secs(35), &mut r, &mut stage);

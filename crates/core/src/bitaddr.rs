@@ -50,11 +50,10 @@
 use crate::config::{IndexConfig, ProbePlan};
 use crate::cost::CostReceipt;
 use crate::layout;
-use crate::parallel::{
-    run_fused, SequentialExecutor, ShardExecutor, SideTasks, SlotArena, RELINK_NS, WALK_NS,
-};
+use crate::parallel::{for_each_slot, SequentialExecutor, ShardExecutor, RELINK_NS, WALK_NS};
 use crate::state::{SearchScratch, ShardSlot, StateIndex, TupleKey};
 use amri_stream::{AttrVec, FxHashMap, SearchRequest};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Null link in the intrusive bucket chains.
 const NIL: u32 = u32::MAX;
@@ -706,30 +705,24 @@ impl BitAddressIndex {
         receipt.hash_ops += hashes_per_entry * entries;
         receipt.moved += entries;
         let (shard_bits, total_bits) = (self.shard_bits, self.config.total_bits());
-        let s_count = self.shards.len();
         let work_ns = entries * RELINK_NS;
-        let mut crossed_flags = vec![false; s_count];
-        {
-            let config = &self.config;
-            let shards = SlotArena::new(&mut self.shards[..s_count]);
-            let flags = SlotArena::new(&mut crossed_flags[..s_count]);
-            exec.run_sized(s_count, work_ns, &|s| {
-                // SAFETY: task `s` claims only shard `s` and flag `s`,
-                // exactly once each.
-                let shard = unsafe { shards.claim(s) };
-                let flag = unsafe { flags.claim(s) };
-                for node in &mut shard.nodes {
-                    node.bucket = config.bucket_of(&node.jas);
-                    *flag |= shard_index(node.bucket, shard_bits, total_bits) != s;
-                }
-            });
-        }
-        if !crossed_flags.iter().any(|&f| f) {
+        // Only "did any entry cross" is ever read, and only after the
+        // dispatch has drained, so one relaxed flag serves every shard.
+        let crossed = AtomicBool::new(false);
+        let config = &self.config;
+        for_each_slot(exec, work_ns, &mut self.shards, |s, shard| {
+            let mut left = false;
+            for node in &mut shard.nodes {
+                node.bucket = config.bucket_of(&node.jas);
+                left |= shard_index(node.bucket, shard_bits, total_bits) != s;
+            }
+            if left {
+                crossed.store(true, Ordering::Relaxed);
+            }
+        });
+        if !crossed.into_inner() {
             // In-place relink, one task per shard.
-            let shards = SlotArena::new(&mut self.shards[..s_count]);
-            exec.run_sized(s_count, work_ns, &|s| {
-                // SAFETY: task `s` claims only shard `s`, exactly once.
-                let shard = unsafe { shards.claim(s) };
+            for_each_slot(exec, work_ns, &mut self.shards, |_, shard| {
                 shard.heads.clear();
                 for idx in 0..shard.nodes.len() as u32 {
                     shard.link_at_tail(idx);
@@ -746,47 +739,34 @@ impl BitAddressIndex {
     /// The one probe core: plan once, charge, dispatch one task per shard,
     /// merge hits and costs in fixed shard order, then canonicalize.
     ///
-    /// `shard_task(s, plan, hits, receipt)` is everything that happens
-    /// inside shard `s`: replay whatever is staged for it, probe it under
-    /// its slice of the plan (`None` when the shard owns no candidate
-    /// id), and return its occupied-bucket count afterwards. With `S`
-    /// shards the plan is sliced per shard ([`ProbePlan::shard_slice`]
-    /// partitions the candidate-id set), each task writes into its own
-    /// pre-claimed slot, and the slots are drained `0..S` — so the merged
+    /// With `S` shards the plan is sliced per shard
+    /// ([`ProbePlan::shard_slice`] partitions the candidate-id set; a
+    /// shard that owns no candidate id is skipped), each task writes into
+    /// its own slot, and the slots are drained `0..S` — so the merged
     /// receipt is independent of which threads ran the tasks and in what
-    /// order they finished. `side` rides the same dispatch, which is sized
-    /// for the executor's gate from what the caller already holds: the
-    /// `staged` ops riding along at [`RELINK_NS`] plus the walk —
-    /// candidate buckets, capped by the `entries` there can be once the
-    /// stage is in — at [`WALK_NS`]. A single shard runs inline, straight
-    /// into the caller's scratch.
+    /// order they finished. The dispatch is sized for the executor's gate
+    /// from what the caller already holds: candidate buckets, capped by
+    /// the entries there are, at [`WALK_NS`]. A single shard runs inline,
+    /// straight into the caller's scratch.
     ///
     /// Shards pick their own walk strategy but never charge probes
     /// themselves: the canonical charge is the cheaper of enumerating
     /// every candidate id and touching every occupied bucket, against the
-    /// *global* post-replay occupancy, so receipts are shard-count
-    /// invariant. Hits are then sorted by [`TupleKey`]: the raw walk order
-    /// (chain order for a narrow probe, slab order for a wide one) depends
-    /// on the shard partition and on each shard's swap-remove history,
-    /// whereas arena keys are assigned by the unsharded state store —
-    /// sorting is the only order every shard count can agree on.
-    /// Downstream routing consumes hits in order, so without the canonical
-    /// sort the join-job queue (and every adaptive decision fed by it)
-    /// would observe the shard count.
-    #[allow(clippy::too_many_arguments)]
+    /// *global* occupancy, so receipts are shard-count invariant. Hits
+    /// are then sorted by [`TupleKey`]: the raw walk order (chain order
+    /// for a narrow probe, slab order for a wide one) depends on the shard
+    /// partition and on each shard's swap-remove history, whereas arena
+    /// keys are assigned by the unsharded state store — sorting is the
+    /// only order every shard count can agree on. Downstream routing
+    /// consumes hits in order, so without the canonical sort the join-job
+    /// queue (and every adaptive decision fed by it) would observe the
+    /// shard count.
     fn probe_shards(
-        config: &IndexConfig,
-        shard_bits: u32,
-        s_count: usize,
-        staged: usize,
-        entries: usize,
+        &self,
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
         exec: &dyn ShardExecutor,
-        side: &SideTasks<'_>,
-        shard_task: impl Fn(usize, Option<&ProbePlan>, &mut Vec<TupleKey>, &mut CostReceipt) -> usize
-            + Sync,
     ) {
         scratch.hits.clear();
         // Hash the specified-and-indexed attributes once (C_hash,Sr) —
@@ -794,42 +774,32 @@ impl BitAddressIndex {
         let hashed = req
             .pattern
             .positions()
-            .filter(|&i| config.bits_of(i) > 0)
+            .filter(|&i| self.config.bits_of(i) > 0)
             .count() as u64;
         receipt.hash_ops += hashed;
-        let plan = config.probe_plan(req.pattern, req.values.as_slice());
-        let occupied = if s_count == 1 {
-            side.run_leftover(exec);
-            shard_task(0, Some(&plan), &mut scratch.hits, receipt)
+        let plan = self.config.probe_plan(req.pattern, req.values.as_slice());
+        let s_count = self.shards.len();
+        if s_count == 1 {
+            self.shards[0].probe(&plan, req, &mut scratch.hits, receipt);
         } else {
-            let total_bits = config.total_bits();
+            let total_bits = self.config.total_bits();
             let mut slots = scratch.take_shard_slots();
             slots.resize_with(s_count.max(slots.len()), ShardSlot::default);
-            {
-                let arena = SlotArena::new(&mut slots[..s_count]);
-                let task = |s: usize| {
-                    // SAFETY: task `s` claims only slot `s`, exactly once.
-                    let slot = unsafe { arena.claim(s) };
-                    slot.hits.clear();
-                    slot.receipt = CostReceipt::new();
-                    let slice = plan.shard_slice(s as u64, shard_bits, total_bits);
-                    slot.occupied =
-                        shard_task(s, slice.as_ref(), &mut slot.hits, &mut slot.receipt);
-                };
-                let work_ns = staged as u64 * RELINK_NS
-                    + plan.candidate_buckets().min((entries + staged) as u64) * WALK_NS;
-                run_fused(exec, s_count, work_ns, &task, side);
-            }
-            let mut occupied = 0;
+            let work_ns = plan.candidate_buckets().min(self.entries() as u64) * WALK_NS;
+            for_each_slot(exec, work_ns, &mut slots[..s_count], |s, slot| {
+                slot.hits.clear();
+                slot.receipt = CostReceipt::new();
+                if let Some(slice) = plan.shard_slice(s as u64, self.shard_bits, total_bits) {
+                    self.shards[s].probe(&slice, req, &mut slot.hits, &mut slot.receipt);
+                }
+            });
             for slot in &slots[..s_count] {
                 scratch.hits.extend_from_slice(&slot.hits);
                 receipt.merge(&slot.receipt);
-                occupied += slot.occupied;
             }
             scratch.put_shard_slots(slots);
-            occupied
-        };
-        receipt.bucket_probes += plan.candidate_buckets().min(occupied as u64);
+        }
+        receipt.bucket_probes += plan.candidate_buckets().min(self.occupied_buckets() as u64);
         scratch.hits.sort_unstable();
     }
 
@@ -988,12 +958,9 @@ impl StateIndex for BitAddressIndex {
         if stage.is_empty() {
             return;
         }
-        let s_count = self.shards.len();
         let work_ns = stage.pending_ops() as u64 * RELINK_NS;
-        let shards = SlotArena::new(&mut self.shards[..]);
-        exec.run_sized(s_count, work_ns, &|s| {
-            // SAFETY: task `s` claims only shard `s`, exactly once.
-            unsafe { shards.claim(s) }.replay(stage.lane(s));
+        for_each_slot(exec, work_ns, &mut self.shards, |s, shard| {
+            shard.replay(stage.lane(s));
         });
         stage.clear();
     }
@@ -1003,66 +970,9 @@ impl StateIndex for BitAddressIndex {
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
-    ) -> bool {
-        let shards = &self.shards;
-        Self::probe_shards(
-            &self.config,
-            self.shard_bits,
-            shards.len(),
-            0,
-            self.entries(),
-            req,
-            scratch,
-            receipt,
-            &SequentialExecutor,
-            &SideTasks::none(),
-            |s, plan, hits, receipt| {
-                if let Some(plan) = plan {
-                    shards[s].probe(plan, req, hits, receipt);
-                }
-                shards[s].heads.len()
-            },
-        );
-        true
-    }
-
-    fn apply_stage_then_search(
-        &mut self,
-        stage: &mut IngestStage,
-        req: &SearchRequest,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
         exec: &dyn ShardExecutor,
-        side: &SideTasks<'_>,
     ) -> bool {
-        // Task `s` replays shard `s`'s staged run before probing it, so
-        // the probe sees exactly that shard's post-apply state while other
-        // shards are still applying theirs.
-        let s_count = self.shards.len();
-        let entries = self.entries();
-        let shards = SlotArena::new(&mut self.shards[..]);
-        Self::probe_shards(
-            &self.config,
-            self.shard_bits,
-            s_count,
-            stage.pending_ops(),
-            entries,
-            req,
-            scratch,
-            receipt,
-            exec,
-            side,
-            |s, plan, hits, receipt| {
-                // SAFETY: task `s` claims only shard `s`, exactly once.
-                let shard = unsafe { shards.claim(s) };
-                shard.replay(stage.lane(s));
-                if let Some(plan) = plan {
-                    shard.probe(plan, req, hits, receipt);
-                }
-                shard.heads.len()
-            },
-        );
-        stage.clear();
+        self.probe_shards(req, scratch, receipt, exec);
         true
     }
 
@@ -1115,7 +1025,7 @@ mod tests {
         r: &mut CostReceipt,
     ) -> Option<Vec<TupleKey>> {
         let mut scratch = SearchScratch::new();
-        idx.search_into(request, &mut scratch, r)
+        idx.search_into(request, &mut scratch, r, &SequentialExecutor)
             .then_some(scratch.hits)
     }
 
@@ -1333,14 +1243,29 @@ mod tests {
         idx.insert(TupleKey(1), &jas(&[1, 1, 1]), &mut r);
         idx.insert(TupleKey(2), &jas(&[2, 2, 2]), &mut r);
         let mut scratch = SearchScratch::new();
-        assert!(idx.search_into(&req(0b111, 3, &[1, 1, 1]), &mut scratch, &mut r));
+        assert!(idx.search_into(
+            &req(0b111, 3, &[1, 1, 1]),
+            &mut scratch,
+            &mut r,
+            &SequentialExecutor
+        ));
         assert_eq!(scratch.hits, vec![TupleKey(1)]);
         // A second request through the same scratch must not leak the
         // first request's hits.
-        assert!(idx.search_into(&req(0b111, 3, &[2, 2, 2]), &mut scratch, &mut r));
+        assert!(idx.search_into(
+            &req(0b111, 3, &[2, 2, 2]),
+            &mut scratch,
+            &mut r,
+            &SequentialExecutor
+        ));
         assert_eq!(scratch.hits, vec![TupleKey(2)]);
         // ...and a miss leaves it empty.
-        assert!(idx.search_into(&req(0b111, 3, &[9, 9, 9]), &mut scratch, &mut r));
+        assert!(idx.search_into(
+            &req(0b111, 3, &[9, 9, 9]),
+            &mut scratch,
+            &mut r,
+            &SequentialExecutor
+        ));
         assert!(scratch.hits.is_empty());
     }
 
@@ -1479,7 +1404,7 @@ mod tests {
                     model.drain(..evicted);
                 } else {
                     // Search and compare against the oracle scan.
-                    prop_assert!(store.index().search_into(&request, &mut scratch, &mut r));
+                    prop_assert!(store.index().search_into(&request, &mut scratch, &mut r, &SequentialExecutor));
                     let mut got = scratch.hits.clone();
                     got.sort();
                     let mut expected: Vec<TupleKey> = model
@@ -1570,11 +1495,11 @@ mod tests {
         let request = req(0b001, 3, &[4, 0, 0]);
         let mut scratch = SearchScratch::new();
         let mut r = CostReceipt::new();
-        assert!(idx.search_into(&request, &mut scratch, &mut r));
+        assert!(idx.search_into(&request, &mut scratch, &mut r, &SequentialExecutor));
         let first = scratch.hits.clone();
         let first_receipt = r;
         let mut r = CostReceipt::new();
-        assert!(idx.search_into(&request, &mut scratch, &mut r));
+        assert!(idx.search_into(&request, &mut scratch, &mut r, &SequentialExecutor));
         assert_eq!(scratch.hits, first, "hit order must be reproducible");
         assert_eq!(r, first_receipt, "receipt must be reproducible");
     }

@@ -15,6 +15,7 @@
 
 use crate::cost::CostReceipt;
 use crate::layout;
+use crate::parallel::ShardExecutor;
 use crate::state::{SearchScratch, StateIndex, TupleKey};
 use amri_stream::{fx_hash_u64, AccessPattern, AttrVec, FxHashMap, SearchRequest};
 
@@ -230,6 +231,7 @@ impl StateIndex for MultiHashIndex {
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
+        _exec: &dyn ShardExecutor,
     ) -> bool {
         scratch.hits.clear();
         let Some(i) = self.best_sub(req.pattern) else {
@@ -290,7 +292,7 @@ mod tests {
         r: &mut CostReceipt,
     ) -> Option<Vec<TupleKey>> {
         let mut scratch = SearchScratch::new();
-        m.search_into(request, &mut scratch, r)
+        m.search_into(request, &mut scratch, r, &crate::SequentialExecutor)
             .then_some(scratch.hits)
     }
 

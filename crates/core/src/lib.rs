@@ -122,7 +122,7 @@ pub use config::IndexConfig;
 pub use cost::{ApStat, CostParams, CostReceipt, StorageProfile, WorkloadProfile};
 pub use error::CoreError;
 pub use hash_index::MultiHashIndex;
-pub use parallel::{SequentialExecutor, ShardExecutor, SlotArena};
+pub use parallel::{for_each_slot, SequentialExecutor, ShardExecutor};
 pub use scan::ScanIndex;
 pub use state::{SearchScratch, StateIndex, StateStore, TupleKey};
 pub use tier::{

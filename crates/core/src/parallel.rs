@@ -13,11 +13,17 @@ use std::marker::PhantomData;
 
 /// Runs `n` independent tasks, each exactly once.
 ///
-/// Implementations may interleave or parallelize tasks arbitrarily, but
-/// must not drop, duplicate, or outlive them: when `run_tasks` returns,
-/// every index in `0..n` has been passed to `task` exactly once and the
-/// closure is no longer referenced.
-pub trait ShardExecutor {
+/// Implementations may interleave or parallelize tasks arbitrarily.
+///
+/// # Safety
+/// An implementation must not drop, duplicate, or outlive the tasks: when
+/// `run_tasks` or `run_sized` returns — or unwinds — every index the
+/// closure was called with is in `0..n`, none was passed twice, and the
+/// closure is no longer referenced by any thread. [`for_each_slot`] hands
+/// task `i` an exclusive `&mut` to slot `i` on the strength of this
+/// contract, so an executor that runs an index twice creates aliasing
+/// mutable references from safe code.
+pub unsafe trait ShardExecutor {
     /// Execute `task(0)`, `task(1)`, ..., `task(n - 1)`.
     fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync));
 
@@ -37,7 +43,9 @@ pub trait ShardExecutor {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialExecutor;
 
-impl ShardExecutor for SequentialExecutor {
+// SAFETY: one pass of a `for` loop over `0..n` on the calling thread: each
+// index once, and the borrow of `task` ends with the call.
+unsafe impl ShardExecutor for SequentialExecutor {
     fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
         for i in 0..n {
             task(i);
@@ -47,17 +55,12 @@ impl ShardExecutor for SequentialExecutor {
 
 /// A disjoint-slot view over a mutable slice, claimable from `Fn` tasks.
 ///
-/// Shard tasks each write into their own pre-allocated result slot; the
-/// executor only hands out `&(dyn Fn(usize) + Sync)`, so tasks cannot
-/// borrow the slot vector mutably through safe code. `SlotArena` carries
-/// the raw base pointer instead and [`claim`](Self::claim)s one exclusive
-/// `&mut` per index.
-///
-/// # Safety contract
-/// The caller must guarantee that no index is claimed more than once per
-/// `run_tasks` call (the shard loop claims slot `i` from task `i` only)
-/// and that the arena does not outlive the borrowed slice.
-pub struct SlotArena<'a, T> {
+/// The executor only hands out `&(dyn Fn(usize) + Sync)`, so tasks cannot
+/// borrow a slot vector mutably through safe code. `SlotArena` carries the
+/// raw base pointer instead and [`claim`](Self::claim)s one exclusive
+/// `&mut` per index. Private: [`for_each_slot`] is its one user and the
+/// only place the claim contract has to be upheld.
+struct SlotArena<'a, T> {
     ptr: *mut T,
     len: usize,
     _marker: PhantomData<&'a mut [T]>,
@@ -70,7 +73,7 @@ unsafe impl<T: Send> Sync for SlotArena<'_, T> {}
 
 impl<'a, T> SlotArena<'a, T> {
     /// Wrap a slice whose slots will each be claimed by exactly one task.
-    pub fn new(slots: &'a mut [T]) -> Self {
+    fn new(slots: &'a mut [T]) -> Self {
         SlotArena {
             ptr: slots.as_mut_ptr(),
             len: slots.len(),
@@ -87,76 +90,34 @@ impl<'a, T> SlotArena<'a, T> {
     /// # Panics
     /// Panics if `i` is out of bounds.
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn claim(&self, i: usize) -> &mut T {
+    unsafe fn claim(&self, i: usize) -> &mut T {
         assert!(i < self.len, "slot {i} out of bounds (len {})", self.len);
         &mut *self.ptr.add(i)
     }
 }
 
-/// A bundle of independent side tasks (typically speculative block I/O)
-/// that a sharded dispatch can fuse into its own `run_tasks` call, so the
-/// side work overlaps shard work on the same pool instead of running as a
-/// separate, serialized dispatch.
+/// Run `work(i, &mut slots[i])` for every slot, as one dispatch of
+/// `slots.len()` tasks sized `work_ns` through `exec` — the one place
+/// sharded work turns a `&mut [T]` into per-task exclusive borrows.
 ///
-/// Side tasks must be order-independent and write only into disjoint,
-/// pre-allocated slots (the [`SlotArena`] pattern); the caller merges
-/// their results sequentially afterwards, so *which* dispatch carried
-/// them — or whether they ran inline — never shows in observable state.
-/// [`take_fire`](Self::take_fire) hands the bundle out exactly once:
-/// the first dispatch to claim it runs it, later dispatches see it empty,
-/// and a caller whose index never dispatched runs the leftovers inline
-/// via [`run_leftover`](Self::run_leftover).
-pub struct SideTasks<'a> {
-    n: usize,
-    run: &'a (dyn Fn(usize) + Sync),
-    fired: std::sync::atomic::AtomicBool,
-}
-
-impl<'a> SideTasks<'a> {
-    /// Bundle `n` tasks backed by `run`.
-    pub fn new(n: usize, run: &'a (dyn Fn(usize) + Sync)) -> Self {
-        SideTasks {
-            n,
-            run,
-            fired: std::sync::atomic::AtomicBool::new(n == 0),
-        }
-    }
-
-    /// The empty bundle (already fired).
-    pub fn none() -> SideTasks<'static> {
-        SideTasks::new(0, &|_| {})
-    }
-
-    /// Number of side tasks when not yet claimed by a dispatch, else 0.
-    /// A dispatch that wants to fuse the bundle must call this exactly
-    /// once and, when nonzero, run every claimed task.
-    pub fn take_fire(&self) -> usize {
-        // The empty bundle is the common case on the probe hot path: skip
-        // the atomic.
-        if self.n == 0 || self.fired.swap(true, std::sync::atomic::Ordering::AcqRel) {
-            0
-        } else {
-            self.n
-        }
-    }
-
-    /// Run side task `i` (valid for `i < ` the count [`take_fire`]
-    /// returned).
-    ///
-    /// [`take_fire`]: Self::take_fire
-    pub fn run(&self, i: usize) {
-        (self.run)(i);
-    }
-
-    /// Run any not-yet-claimed tasks through `exec` — the fallback for
-    /// callers whose fused dispatch never happened (empty stage, scan
-    /// fallback). Idempotent.
-    pub fn run_leftover(&self, exec: &dyn ShardExecutor) {
-        let n = self.take_fire();
-        if n > 0 {
-            exec.run_sized(n, BLOCK_IO_NS, &|i| self.run(i));
-        }
-    }
+/// Each task writes only its own slot and the caller merges the slots in
+/// index order afterwards, so which thread ran which task never shows. A
+/// panic in `work` reaches the caller once the dispatch has drained.
+pub fn for_each_slot<T: Send>(
+    exec: &dyn ShardExecutor,
+    work_ns: u64,
+    slots: &mut [T],
+    work: impl Fn(usize, &mut T) + Sync,
+) {
+    let n = slots.len();
+    let arena = SlotArena::new(slots);
+    exec.run_sized(n, work_ns, &|i| {
+        // SAFETY: the `ShardExecutor` contract passes each index at most
+        // once and lets go of the closure before `run_sized` returns, so
+        // task `i` holds the only reference to slot `i`, inside the
+        // arena's borrow of `slots`.
+        work(i, unsafe { arena.claim(i) });
+    });
 }
 
 // Per-unit work estimates for `run_sized`, in ns: floors, from std-only
@@ -179,31 +140,6 @@ pub const RELINK_NS: u64 = 10;
 /// dwarfs a hand-off, so no executor's threshold should hold it back.
 pub const BLOCK_IO_NS: u64 = u64::MAX;
 
-/// Dispatch `n` shard tasks and the side bundle as one fused call:
-/// indices `0..n` run `task`, the rest run the side tasks. When the
-/// bundle is empty (or already claimed) this is `run_sized(n, work_ns,
-/// task)`; a non-empty bundle makes it `n + m` tasks of [`BLOCK_IO_NS`].
-pub fn run_fused(
-    exec: &dyn ShardExecutor,
-    n: usize,
-    work_ns: u64,
-    task: &(dyn Fn(usize) + Sync),
-    side: &SideTasks<'_>,
-) {
-    let m = side.take_fire();
-    if m == 0 {
-        exec.run_sized(n, work_ns, task);
-    } else {
-        exec.run_sized(n + m, BLOCK_IO_NS, &|i| {
-            if i < n {
-                task(i);
-            } else {
-                side.run(i - n);
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,37 +161,6 @@ mod tests {
             *slot = i as u64 * 10;
         });
         assert_eq!(slots, vec![0, 10, 20, 30, 40, 50, 60, 70]);
-    }
-
-    #[test]
-    fn fused_dispatch_runs_shards_then_side_tasks_once() {
-        let order = std::sync::Mutex::new(Vec::new());
-        let side_hits = std::sync::Mutex::new(Vec::new());
-        let side_fn = |i: usize| side_hits.lock().unwrap().push(i);
-        let side = SideTasks::new(2, &side_fn);
-        run_fused(
-            &SequentialExecutor,
-            3,
-            0,
-            &|i| order.lock().unwrap().push(i),
-            &side,
-        );
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
-        assert_eq!(*side_hits.lock().unwrap(), vec![0, 1]);
-        // A second dispatch (or leftover run) must not re-fire the bundle.
-        run_fused(&SequentialExecutor, 1, 0, &|_| {}, &side);
-        side.run_leftover(&SequentialExecutor);
-        assert_eq!(*side_hits.lock().unwrap(), vec![0, 1]);
-    }
-
-    #[test]
-    fn leftover_side_tasks_run_when_no_dispatch_claimed_them() {
-        let hits = std::sync::Mutex::new(0usize);
-        let side_fn = |_i: usize| *hits.lock().unwrap() += 1;
-        let side = SideTasks::new(3, &side_fn);
-        side.run_leftover(&SequentialExecutor);
-        assert_eq!(*hits.lock().unwrap(), 3);
-        assert_eq!(SideTasks::none().take_fire(), 0);
     }
 
     #[test]

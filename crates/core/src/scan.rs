@@ -5,6 +5,7 @@
 //! "non-adapting" comparisons start from.
 
 use crate::cost::CostReceipt;
+use crate::parallel::ShardExecutor;
 use crate::state::{SearchScratch, StateIndex, TupleKey};
 use amri_stream::{AttrVec, SearchRequest};
 
@@ -51,6 +52,7 @@ impl StateIndex for ScanIndex {
         _req: &SearchRequest,
         scratch: &mut SearchScratch,
         _receipt: &mut CostReceipt,
+        _exec: &dyn ShardExecutor,
     ) -> bool {
         scratch.hits.clear();
         false
@@ -85,7 +87,7 @@ mod tests {
         let req = SearchRequest::new(AccessPattern::full(1), AttrVec::from_slice(&[1]).unwrap());
         let mut scratch = crate::state::SearchScratch::new();
         assert!(
-            !idx.search_into(&req, &mut scratch, &mut r),
+            !idx.search_into(&req, &mut scratch, &mut r, &crate::SequentialExecutor),
             "scan index always defers: search_into must return false"
         );
         assert_eq!(r.total_actions(), 0, "scan index itself charges nothing");

@@ -11,7 +11,7 @@
 use crate::bitaddr::IngestStage;
 use crate::cost::CostReceipt;
 use crate::layout;
-use crate::parallel::{ShardExecutor, SideTasks, SlotArena};
+use crate::parallel::ShardExecutor;
 use crate::tier::{BlockReadError, SpillEntry, SpillOutcome, SpillStats, SpillTier};
 use amri_stream::{
     AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime, WindowBuffer, WindowSpec,
@@ -30,8 +30,6 @@ pub(crate) struct ShardSlot {
     pub(crate) hits: Vec<TupleKey>,
     /// Costs charged inside this shard.
     pub(crate) receipt: CostReceipt,
-    /// This shard's occupied-bucket count as the probe saw it.
-    pub(crate) occupied: usize,
 }
 
 /// Caller-owned, reusable buffer a search writes its matches into.
@@ -141,7 +139,9 @@ pub trait StateIndex {
     }
 
     /// Find tuples matching `req` (equality on the specified attributes),
-    /// writing them into `scratch.hits` (cleared first).
+    /// writing them into `scratch.hits` (cleared first). A sharded index
+    /// fans its per-shard walks out through `exec`; the stage must already
+    /// be applied.
     ///
     /// Returns `true` when the index served the request; `false` when it
     /// cannot and the caller must scan the arena. Steady-state calls must
@@ -151,37 +151,8 @@ pub trait StateIndex {
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
-    ) -> bool;
-
-    /// Apply the staged operations and then serve `req`. A sharded index
-    /// fuses both into one executor dispatch: task *s* replays shard *s*'s
-    /// staged run and immediately probes that shard, so ingest work on one
-    /// shard overlaps with probe work on another. Results and receipts are
-    /// identical to [`apply_stage`](Self::apply_stage) followed by
-    /// [`search_into`](Self::search_into) — each shard's probe only
-    /// depends on that shard's post-apply state. Returns the served flag
-    /// of `search_into`.
-    ///
-    /// `side` carries this probe's speculative spill-block reads (see
-    /// [`SideTasks`]): a sharded index fuses them into its own dispatch so
-    /// the virtual disk time overlaps shard probe work; this default runs
-    /// them as a plain leftover dispatch. Every implementation must
-    /// guarantee the bundle has fired before returning; side tasks write
-    /// only into caller-owned slots, so *where* they ran never shows in
-    /// hits or receipts.
-    fn apply_stage_then_search(
-        &mut self,
-        stage: &mut IngestStage,
-        req: &SearchRequest,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
         exec: &dyn ShardExecutor,
-        side: &SideTasks<'_>,
-    ) -> bool {
-        self.apply_stage(stage, exec);
-        side.run_leftover(exec);
-        self.search_into(req, scratch, receipt)
-    }
+    ) -> bool;
 
     /// Bytes this index currently occupies under the memory model.
     fn memory_bytes(&self) -> u64;
@@ -535,66 +506,33 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         self.index.apply_stage(stage, exec);
     }
 
-    /// Apply the staged operations and serve `req` — the one read entry.
+    /// Serve `req` — the one read entry. The stage must already be
+    /// applied ([`apply_staged`](Self::apply_staged)).
     ///
     /// `scratch.hits` is cleared and then filled with the keys of matching
     /// live tuples, in canonical key order when an index served them. A
-    /// sharded index replays the stage and probes in one fused executor
-    /// dispatch (see [`StateIndex::apply_stage_then_search`]). Falls back
-    /// to a full arena scan when the index cannot serve the request,
+    /// sharded index fans its per-shard walks out through `exec`. Falls
+    /// back to a full arena scan when the index cannot serve the request,
     /// charging two comparisons per live tuple — the §I-A "no suitable
-    /// hash index exists" path; the stage is applied either way. With an
-    /// empty stage and nothing queued on the tier, steady-state calls do
-    /// not allocate.
+    /// hash index exists" path. With nothing queued on the tier,
+    /// steady-state calls do not allocate.
     ///
-    /// Any readahead queued by [`schedule_readahead`] rides the same
-    /// dispatch as side tasks: the index fuses the speculative spill
-    /// reads with its apply+probe shard work, and their decoded blocks
-    /// are merged into the cache sequentially afterwards — so the wall
-    /// clock overlaps I/O with compute while every observable effect
-    /// (admissions, counters, virtual-clock charges) lands in a fixed
-    /// order. Speculative reads draw no fault coins; each admitted block
-    /// charges one `read_ns` through [`SpillTier::finish_prefetch`].
+    /// Any readahead queued by [`schedule_readahead`] runs first, through
+    /// the same `exec` ([`SpillTier::run_readahead`]).
     ///
     /// [`schedule_readahead`]: Self::schedule_readahead
-    pub fn apply_staged_then_search(
+    pub fn search(
         &mut self,
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
         exec: &dyn ShardExecutor,
     ) {
         debug_assert_eq!(req.pattern.n_attrs(), self.jas_width());
-        let plan = self
-            .tier
-            .as_mut()
-            .map(SpillTier::take_prefetch_io)
-            .unwrap_or_default();
-        let mut slots: Vec<Option<Vec<SpillEntry>>> = vec![None; plan.len()];
-        let served = {
-            // `tier` and `index` are disjoint fields: the side tasks read
-            // the tier's block file through its borrowed handle
-            // (positional reads, no shared cursor) while the index
-            // replays and probes.
-            let file = self.tier.as_ref().map(SpillTier::file);
-            let arena = SlotArena::new(&mut slots);
-            let side_fn = |i: usize| {
-                let (_, offset, len) = plan[i];
-                let file = file.expect("a prefetch plan implies a tier");
-                // SAFETY: prefetch task `i` claims only slot `i`, once.
-                *unsafe { arena.claim(i) } = crate::tier::read_spill_entries_at(file, offset, len);
-            };
-            let side = SideTasks::new(plan.len(), &side_fn);
-            self.index
-                .apply_stage_then_search(stage, req, scratch, receipt, exec, &side)
-        };
         if let Some(tier) = self.tier.as_mut() {
-            for (&(id, _, _), slot) in plan.iter().zip(slots.iter_mut()) {
-                tier.finish_prefetch(id, slot.take(), receipt);
-            }
+            tier.run_readahead(receipt, exec);
         }
-        if !served {
+        if !self.index.search_into(req, scratch, receipt, exec) {
             self.scan_into(req, &mut scratch.hits, receipt);
         }
     }
@@ -705,12 +643,8 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
 
     /// Queue the expiry-order readahead plan: walk the window oldest
     /// first, collect up to `readahead_blocks` distinct live, uncached
-    /// spill blocks, and hand them to the tier. The next probe's fused
-    /// dispatch issues the reads as side tasks overlapped with shard
-    /// compute ([`apply_staged_then_search`]). No-op without an enabled
-    /// cache.
-    ///
-    /// [`apply_staged_then_search`]: Self::apply_staged_then_search
+    /// spill blocks, and hand them to the tier, which reads them at the
+    /// next [`search`](Self::search). No-op without an enabled cache.
     pub fn schedule_readahead(&mut self) {
         let Some(tier) = self.tier.as_ref() else {
             return;
@@ -1157,8 +1091,7 @@ mod tests {
         r: &mut CostReceipt,
     ) -> Vec<TupleKey> {
         let mut scratch = SearchScratch::new();
-        let mut stage = IngestStage::new();
-        s.apply_staged_then_search(req, &mut scratch, r, &mut stage, &SequentialExecutor);
+        s.search(req, &mut scratch, r, &SequentialExecutor);
         scratch.hits
     }
 

@@ -23,9 +23,9 @@
 //!   never loses data.
 //! * **One handle, one verification.** The tier opens its block file once
 //!   per (re)creation and holds that read-write handle; every frame is
-//!   read with one positional read (no shared cursor, so speculative side
-//!   tasks borrow the same handle), verified exactly once, and decoded
-//!   straight from the verified body.
+//!   read with one positional read (no shared cursor, so fanned-out block
+//!   reads share the handle), verified exactly once, and decoded straight
+//!   from the verified body.
 //! * **Seeded fault injection.** [`IoFaultConfig`] drives a splitmix64
 //!   coin stream with a *fixed draw discipline* — one draw per write, three
 //!   per modeled read, none for verify-reads or restore-time file rebuilds
@@ -42,7 +42,7 @@
 
 use crate::cost::{CostReceipt, StorageProfile};
 use crate::layout;
-use crate::parallel::{ShardExecutor, SlotArena, BLOCK_IO_NS};
+use crate::parallel::{for_each_slot, ShardExecutor, BLOCK_IO_NS};
 use crate::snapshot_io::{open_block, seal_block, SectionReader, SectionWriter, SnapshotError};
 use crate::state::TupleKey;
 use amri_stream::{AttrVec, TupleId, VirtualTime, MAX_ATTRS};
@@ -160,16 +160,6 @@ fn read_entries(
 
 fn undecodable() -> BlockReadError {
     BlockReadError::Corrupt("spill block body does not decode".into())
-}
-
-/// Read and decode one frame straight off the block file — the body of a
-/// speculative side-I/O task (prefetch fused into a probe dispatch), on
-/// the handle borrowed from [`SpillTier::file`]. Pure positional read
-/// with full checksum verification; any failure collapses to `None`,
-/// which [`SpillTier::finish_prefetch`] treats as a silently abandoned
-/// speculation.
-pub fn read_spill_entries_at(file: &File, offset: u64, len: u32) -> Option<Vec<SpillEntry>> {
-    read_entries(file, offset, len, &mut Vec::new()).ok()
 }
 
 /// Injected disk-fault probabilities. All-zero ([`Default`]) injects
@@ -560,7 +550,7 @@ pub struct SpillTier {
     stats: SpillStats,
     cache: Option<BlockCache>,
     /// Expiry-order readahead plan queued at the last maintenance grid
-    /// point, drained by the next fused probe dispatch.
+    /// point, drained by the next [`run_readahead`](Self::run_readahead).
     pending_prefetch: Vec<u32>,
     /// Cacheless decode scratch: the most recent block served through
     /// [`fetch_entries`](Self::fetch_entries) with the cache disabled.
@@ -570,13 +560,14 @@ pub struct SpillTier {
     /// The one reusable frame buffer: demand reads land here to be
     /// verified and decoded, appends read back through it.
     frame_buf: Vec<u8>,
-    /// Reusable read plan of [`preload_missing`](Self::preload_missing);
-    /// empty between calls.
+    /// Reusable read plan of [`preload_missing`](Self::preload_missing)
+    /// and [`run_readahead`](Self::run_readahead); empty between calls.
     preload_plan: Vec<PlannedRead>,
 }
 
-/// One uncached block of a coalesced fill: its pre-drawn fault outcome
-/// going in, its decode coming out.
+/// One uncached block of a coalesced fill or a readahead: its pre-drawn
+/// fault outcome going in (a readahead draws none: always `Ok`), its
+/// decode coming out.
 #[derive(Debug, Clone)]
 struct PlannedRead {
     id: u32,
@@ -942,28 +933,7 @@ impl SpillTier {
                 read: None,
             });
         }
-        // Read what the injected faults let through. One block reads
-        // inline through the tier's own frame buffer; several fan out,
-        // each task on the shared handle with a buffer of its own.
-        let file: &File = &self.file;
-        let read_into = |p: &mut PlannedRead, buf: &mut Vec<u8>| {
-            if p.outcome.is_ok() {
-                p.read = Some(read_entries(file, p.meta.offset, p.meta.len, buf));
-            }
-        };
-        match plan.as_mut_slice() {
-            [] => {}
-            [only] => read_into(only, &mut self.frame_buf),
-            many => {
-                let n = many.len();
-                let arena = SlotArena::new(many);
-                let task = |i: usize| {
-                    // SAFETY: each task claims only its own plan entry, once.
-                    read_into(unsafe { arena.claim(i) }, &mut Vec::new());
-                };
-                exec.run_sized(n, BLOCK_IO_NS, &task);
-            }
-        }
+        self.read_planned(&mut plan, exec);
         // Merge sequentially in plan order: charges, counters, and cache
         // admissions happen exactly as a sequential read sequence would.
         for p in plan.drain(..) {
@@ -998,11 +968,30 @@ impl SpillTier {
         self.stats.coalesced_reads += n;
     }
 
+    /// Read what the injected faults let through of `plan`: one block
+    /// inline through the tier's own frame buffer; several fanned out as
+    /// one [`BLOCK_IO_NS`] dispatch, each task on the shared handle with a
+    /// buffer of its own.
+    fn read_planned(&mut self, plan: &mut [PlannedRead], exec: &dyn ShardExecutor) {
+        let file: &File = &self.file;
+        let read_into = |p: &mut PlannedRead, buf: &mut Vec<u8>| {
+            if p.outcome.is_ok() {
+                p.read = Some(read_entries(file, p.meta.offset, p.meta.len, buf));
+            }
+        };
+        match plan {
+            [] => {}
+            [only] => read_into(only, &mut self.frame_buf),
+            many => for_each_slot(exec, BLOCK_IO_NS, many, |_, p| {
+                read_into(p, &mut Vec::new());
+            }),
+        }
+    }
+
     /// Queue an expiry-order readahead plan (distinct live block ids,
     /// oldest first), replacing any previous plan. Ignored without a
-    /// cache. The plan is drained by the next probe's fused dispatch via
-    /// [`take_prefetch_io`](Self::take_prefetch_io) /
-    /// [`finish_prefetch`](Self::finish_prefetch).
+    /// cache. The plan is drained by the next
+    /// [`run_readahead`](Self::run_readahead).
     pub fn set_prefetch_plan(&mut self, ids: Vec<u32>) {
         if self.cache.is_some() {
             self.pending_prefetch = ids;
@@ -1014,63 +1003,48 @@ impl SpillTier {
         &self.pending_prefetch
     }
 
-    /// Drain the readahead plan into raw read descriptors
-    /// `(id, offset, len)` for still-live, still-uncached blocks — the
-    /// side tasks a probe dispatch fuses in. Speculative reads draw **no
-    /// fault coins**: an injected fault on a prefetch would be observable
-    /// only through the cache, and the cache is not allowed to change
-    /// observable state.
-    pub fn take_prefetch_io(&mut self) -> Vec<(u32, u64, u32)> {
-        let plan = std::mem::take(&mut self.pending_prefetch);
-        if self.cache.is_none() {
-            return Vec::new();
-        }
-        plan.into_iter()
-            .filter(|&id| !self.cache.as_ref().is_some_and(|c| c.contains(id)))
-            .filter_map(|id| {
-                self.blocks
-                    .get(id as usize)
-                    .filter(|m| m.live > 0)
-                    .map(|m| (id, m.offset, m.len))
-            })
-            .collect()
-    }
-
-    /// Complete one readahead: admit the decoded block (when still live
-    /// and still uncached), count it, and charge one `read_ns` of
-    /// (virtual) disk time — the wall-clock read overlapped probe
-    /// compute, but the modeled device still spent the latency. A failed
-    /// speculative read (`None`) charges and changes nothing.
-    pub fn finish_prefetch(
-        &mut self,
-        id: u32,
-        decoded: Option<Vec<SpillEntry>>,
-        receipt: &mut CostReceipt,
-    ) {
-        let Some(entries) = decoded else { return };
-        if !matches!(self.blocks.get(id as usize), Some(m) if m.live > 0) {
+    /// Drain the readahead plan: read its still-live, still-uncached
+    /// blocks through `exec` and admit the decodes into the cache in plan
+    /// order, counting each and charging one `read_ns` of (virtual) disk
+    /// time per admitted block. Speculative reads draw **no fault coins**
+    /// — an injected fault on a readahead would be observable only
+    /// through the cache, and the cache is not allowed to change
+    /// observable state — and one that fails to read or verify charges
+    /// and changes nothing. Allocates nothing when nothing is queued.
+    pub fn run_readahead(&mut self, receipt: &mut CostReceipt, exec: &dyn ShardExecutor) {
+        if self.pending_prefetch.is_empty() || self.cache.is_none() {
             return;
         }
-        let Some(cache) = self.cache.as_mut() else {
-            return;
-        };
-        if cache.contains(id) {
-            return;
+        let ids = std::mem::take(&mut self.pending_prefetch);
+        let mut plan = std::mem::take(&mut self.preload_plan);
+        for id in ids {
+            match self.blocks.get(id as usize) {
+                Some(&meta) if meta.live > 0 && !self.cached(id) => plan.push(PlannedRead {
+                    id,
+                    meta,
+                    outcome: Ok(self.profile.read_ns),
+                    read: None,
+                }),
+                _ => {}
+            }
         }
-        let bytes = u64::from(self.blocks[id as usize].len);
-        let cache = self.cache.as_mut().expect("checked above");
-        if cache.admit(id, entries, bytes, &mut self.stats).is_ok() {
-            self.stats.prefetched_blocks += 1;
-            let io_ns = self.profile.read_ns;
-            self.stats.read_ns += io_ns;
-            receipt.io_ns += io_ns;
+        self.read_planned(&mut plan, exec);
+        let cache = self.cache.as_mut().expect("cache checked above");
+        let io_ns = self.profile.read_ns;
+        for p in plan.drain(..) {
+            let Some(Ok(entries)) = p.read else { continue };
+            // `contains`: a plan that names a block twice admits it once.
+            if !cache.contains(p.id)
+                && cache
+                    .admit(p.id, entries, u64::from(p.meta.len), &mut self.stats)
+                    .is_ok()
+            {
+                self.stats.prefetched_blocks += 1;
+                self.stats.read_ns += io_ns;
+                receipt.io_ns += io_ns;
+            }
         }
-    }
-
-    /// The block file's handle (side I/O tasks read through it
-    /// positionally, sharing no cursor with the tier or each other).
-    pub fn file(&self) -> &File {
-        &self.file
+        self.preload_plan = plan;
     }
 
     /// True iff the decoded-block cache is enabled.
@@ -1757,13 +1731,9 @@ mod tests {
         t.set_prefetch_plan(vec![a, b]);
         assert_eq!(t.prefetch_pending(), &[a, b]);
         let rng = t.rng;
-        let io = t.take_prefetch_io();
-        assert_eq!(io.len(), 2);
         let before = rc.io_ns;
-        for (id, offset, len) in io {
-            let decoded = read_spill_entries_at(t.file(), offset, len);
-            t.finish_prefetch(id, decoded, &mut rc);
-        }
+        t.run_readahead(&mut rc, &crate::parallel::SequentialExecutor);
+        assert!(t.prefetch_pending().is_empty(), "the plan is drained");
         assert_eq!(t.rng, rng, "speculative reads draw no coins");
         assert_eq!(rc.io_ns, before + 1000, "one read_ns per prefetched block");
         assert_eq!(t.stats().prefetched_blocks, 2);
@@ -1940,12 +1910,19 @@ mod tests {
         assert!(failures
             .iter()
             .all(|(_, e)| matches!(e, BlockReadError::Corrupt(_))));
-        let meta = *t.block(ids[0]).unwrap();
-        assert_eq!(read_spill_entries_at(t.file(), meta.offset, meta.len), None);
         assert!(matches!(
             t.read_block(ids[0], &mut rc),
             Err(BlockReadError::Corrupt(_))
         ));
+        // Readahead verifies too — one block inline, two fanned out — and
+        // abandons what fails without a charge.
+        let charged = rc.io_ns;
+        for plan in [&ids[..1], &ids[1..]] {
+            t.set_prefetch_plan(plan.to_vec());
+            t.run_readahead(&mut rc, &crate::parallel::SequentialExecutor);
+        }
+        assert_eq!(rc.io_ns, charged);
+        assert_eq!(t.stats().prefetched_blocks, 0);
         assert_eq!(t.cache_used_bytes(), 0, "nothing corrupt was admitted");
     }
 
@@ -2007,7 +1984,9 @@ mod tests {
         ));
         let failures = t.preload_missing(&[b], &mut rc, &crate::parallel::SequentialExecutor);
         assert!(matches!(failures[..], [(id, BlockReadError::Io(_))] if id == b));
-        assert_eq!(read_spill_entries_at(t.file(), meta.offset, meta.len), None);
+        t.set_prefetch_plan(vec![b]);
+        t.run_readahead(&mut rc, &crate::parallel::SequentialExecutor);
+        assert!(!t.cached(b), "a readahead that cannot read admits nothing");
         // A snapshot still encodes (the unreadable frame is saved empty)
         // and the intact block is untouched.
         let mut w = SectionWriter::new();

@@ -264,19 +264,12 @@ mod realized_cost_props {
         }
         let mut serve = CostReceipt::new();
         let mut scratch = SearchScratch::new();
-        let mut stage = crate::IngestStage::new();
         for _ in 0..N_REQUESTS {
             let req = SearchRequest::new(
                 AccessPattern::new(mask, 3),
                 AttrVec::from_slice(&[next(&mut rng), next(&mut rng), next(&mut rng)]).unwrap(),
             );
-            store.apply_staged_then_search(
-                &req,
-                &mut scratch,
-                &mut serve,
-                &mut stage,
-                &crate::SequentialExecutor,
-            );
+            store.search(&req, &mut scratch, &mut serve, &crate::SequentialExecutor);
         }
         let realized = params.c_h * (ingest.hash_ops + serve.hash_ops) as f64
             + params.c_c * (ingest.comparisons + serve.comparisons) as f64

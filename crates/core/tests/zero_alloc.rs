@@ -3,7 +3,7 @@
 //! A counting global allocator wraps `System`; after warming the scratch
 //! buffer up to its steady-state capacity, a burst of searches — bare
 //! index probes (narrow and wide wildcard) and the store-level read entry
-//! with an empty stage (scan fallback, plain and sharded bit-address
+//! (scan fallback, plain and sharded bit-address
 //! stores, and a store with a cache-enabled spill tier attached but no
 //! readahead queued) — must record exactly zero allocations. This is the
 //! acceptance check for the flat bucket arena + scratch-buffered search
@@ -22,8 +22,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use amri_core::{
-    BitAddressIndex, CostReceipt, IndexConfig, IngestStage, ScanIndex, SearchScratch,
-    SequentialExecutor, SpillConfig, SpillTier, StateIndex, StateStore, TupleKey,
+    BitAddressIndex, CostReceipt, IndexConfig, ScanIndex, SearchScratch, SequentialExecutor,
+    SpillConfig, SpillTier, StateIndex, StateStore, TupleKey,
 };
 use amri_stream::{
     AccessPattern, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime, WindowSpec,
@@ -99,15 +99,14 @@ fn loaded_store<I: StateIndex>(index: I) -> StateStore<I> {
     store
 }
 
-/// One search through the store's read entry: nothing staged, inline.
+/// One search through the store's read entry, inline.
 fn serve(
     store: &mut StateStore<dyn StateIndex>,
     request: &SearchRequest,
     scratch: &mut SearchScratch,
-    stage: &mut IngestStage,
 ) {
     let mut r = CostReceipt::new();
-    store.apply_staged_then_search(request, scratch, &mut r, stage, &SequentialExecutor);
+    store.search(request, scratch, &mut r, &SequentialExecutor);
 }
 
 #[test]
@@ -119,13 +118,19 @@ fn steady_state_search_into_does_not_allocate() {
         idx.insert(TupleKey(i as u32), &jas(&[i % 64, i % 37, i % 19]), &mut r);
     }
     let mut scratch = SearchScratch::new();
+    let exec = &SequentialExecutor;
     // Warm-up: grow scratch.hits to the steady-state fan-out once.
     for i in 0..64u64 {
-        idx.search_into(&req(0b001, &[i, 0, 0]), &mut scratch, &mut r);
-        idx.search_into(&req(0b111, &[i % 64, i % 37, i % 19]), &mut scratch, &mut r);
+        idx.search_into(&req(0b001, &[i, 0, 0]), &mut scratch, &mut r, exec);
+        idx.search_into(
+            &req(0b111, &[i % 64, i % 37, i % 19]),
+            &mut scratch,
+            &mut r,
+            exec,
+        );
     }
 
-    // --- The store-level read entry with an empty stage: the scan
+    // --- The store-level read entry: the scan
     // fallback, a plain and a 4-shard bit-address store, and a
     // bit-address store with a cache-enabled spill tier attached whose
     // oldest half is spilled but which has no readahead queued. ---
@@ -153,12 +158,11 @@ fn steady_state_search_into_does_not_allocate() {
         (&mut sharded, SearchScratch::new()),
         (&mut tiered, SearchScratch::new()),
     ];
-    let mut stage = IngestStage::new();
     // Warm-up: grow each scratch (and the sharded probe's slots) to the
     // widest fan-out of the burst once.
     for v in 0..64u64 {
         for (store, store_scratch) in &mut stores {
-            serve(store, &req(0b001, &[v, 0, 0]), store_scratch, &mut stage);
+            serve(store, &req(0b001, &[v, 0, 0]), store_scratch);
         }
     }
 
@@ -168,17 +172,18 @@ fn steady_state_search_into_does_not_allocate() {
     for round in 0..100u64 {
         for i in 0..64u64 {
             // Wide wildcard probe (256 candidate ids > occupied buckets).
-            idx.search_into(&req(0b001, &[i, 0, 0]), &mut scratch, &mut r);
+            idx.search_into(&req(0b001, &[i, 0, 0]), &mut scratch, &mut r, exec);
             // Narrow exact probe (one candidate id).
             idx.search_into(
                 &req(0b111, &[i % 64, (i + round) % 37, i % 19]),
                 &mut scratch,
                 &mut r,
+                exec,
             );
         }
         for (store, store_scratch) in &mut stores {
             let request = req(0b001, &[round % 64, 0, 0]);
-            serve(store, &request, store_scratch, &mut stage);
+            serve(store, &request, store_scratch);
         }
     }
     ARMED.store(false, Ordering::SeqCst);

@@ -293,9 +293,9 @@ impl<C: Clock> RunContext<C> {
             }
         }
         // Queue expiry-order readahead for the next grid interval: each
-        // state nominates its next-oldest uncached spill blocks, and the
-        // next probe dispatch reads them overlapped with shard compute.
-        // No-op without an enabled block cache.
+        // state nominates its next-oldest uncached spill blocks, and its
+        // tier reads them ahead of the next probe. No-op without an
+        // enabled block cache.
         for stem in &mut self.stems {
             stem.state.store_mut().schedule_readahead();
         }

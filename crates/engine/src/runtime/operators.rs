@@ -289,9 +289,8 @@ impl<W: StreamWorkload, C: Clock> Operator<C> for IngestOperator<W> {
 /// Expiry and insertion charge eagerly (arena slot, window order, and
 /// receipts are exactly the sequential path's), but the physical index
 /// link/unlink work is *staged* per shard; the same iteration's probe
-/// step replays it — fused with the probe's own shard fan-out — so
-/// ingest maintenance on one shard overlaps probe work on another. The
-/// stage is always drained before anything observes the index.
+/// step replays it, one task per shard, before it probes. The stage is
+/// always drained before anything observes the index.
 fn deliver<C: Clock>(
     ctx: &mut RunContext<C>,
     s: usize,
@@ -350,7 +349,7 @@ impl<C: Clock> Operator<C> for ProbeOperator {
             }
         };
         let Some(job) = popped else {
-            // No job to fuse with: drain every STeM's staged ingest work
+            // No job to probe for: drain every STeM's staged ingest work
             // before reporting idle — the pipeline observes memory (and
             // may checkpoint) at the loop boundary, and the visibility
             // contract requires an applied index by then.
@@ -386,9 +385,8 @@ impl<C: Clock> Operator<C> for ProbeOperator {
         let req = SearchRequest::new(pattern, values);
         observers[target.idx()].record(pattern);
         let mut receipt = CostReceipt::new();
-        // Drain the staged ingest work of every *other* STeM first (plain
-        // per-shard replay); the probe target's stage rides along in the
-        // fused dispatch below instead.
+        // Drain the staged ingest work of every *other* STeM first; the
+        // probe target's stage is flushed by its own read call below.
         for (i, stem) in stems.iter_mut().enumerate() {
             if i != target.idx() {
                 stem.state.flush_ingest(&mut stem.ingest_stage, pool);
@@ -396,17 +394,12 @@ impl<C: Clock> Operator<C> for ProbeOperator {
         }
         let stem = &mut stems[target.idx()];
         // Scratch-buffered search: the per-STeM buffer is reused across
-        // requests, so steady state never allocates here. One sized
-        // dispatch replays the target's staged ingest ops and probes each
-        // shard — per-shard apply-before-probe keeps results identical to
-        // the sequential flush-then-search. A probe step is a few staged
-        // ops and about one match, far below a hand-off's worth of work,
-        // so the pool runs it on this thread at any parallelism; only a
-        // dispatch sized above the pool's threshold, or one carrying
-        // spill reads, crosses threads, where maintenance on one shard
-        // overlaps probe work on another. Probes only match tuples with
-        // `ts < origin_ts` (the MJoin rule below), which is the semantic
-        // visibility barrier that makes same-batch overlap legal at all.
+        // requests, so steady state never allocates here. Apply, then
+        // probe: two sized dispatches. A probe step is a few staged ops
+        // and about one match, far below a hand-off's worth of work, so
+        // the pool runs both on this thread at any parallelism; only a
+        // dispatch sized above the pool's threshold, or the tier's block
+        // reads, crosses threads.
         stem.state.flush_ingest_then_search(
             &req,
             &mut stem.scratch,

@@ -232,7 +232,13 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-impl ShardExecutor for WorkerPool {
+// SAFETY: inline runs are `SequentialExecutor`'s loop (or `task(0)` then
+// `1..n`). A hand-off claims each index of `first..n` once through the
+// epoch-tagged CAS cursor — a stale claimant cannot take an index of a
+// later epoch — and `hand_off` returns or re-raises only after
+// `pending == 0`, having retired the task pointer, so no thread still
+// references the closure.
+unsafe impl ShardExecutor for WorkerPool {
     fn run_sized(&self, n: usize, work_ns: u64, task: &(dyn Fn(usize) + Sync)) {
         if self.workers.is_empty() || n <= 1 || work_ns < HANDOFF_NS {
             SequentialExecutor.run_tasks(n, task);

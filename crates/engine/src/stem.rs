@@ -268,13 +268,11 @@ impl JoinState {
         self.store_mut().apply_staged(stage, exec);
     }
 
-    /// Flush the stage and serve `req` into the caller's scratch in one
-    /// fused executor dispatch (ingest–probe overlap: task *s* replays
-    /// shard *s*'s staged ops and immediately probes it), recording the
-    /// pattern into the flavor's tuner statistics if it has one. The
-    /// zero-allocation hot path — the engine reuses one scratch per STeM
-    /// ([`Stem::scratch`]) — so each flavor's store is called by its
-    /// concrete type.
+    /// Flush the stage, then serve `req` into the caller's scratch,
+    /// recording the pattern into the flavor's tuner statistics if it has
+    /// one. The zero-allocation hot path — the engine reuses one scratch
+    /// per STeM ([`Stem::scratch`]) — so each flavor's store is searched
+    /// by its concrete type.
     pub fn flush_ingest_then_search(
         &mut self,
         req: &SearchRequest,
@@ -283,18 +281,17 @@ impl JoinState {
         stage: &mut IngestStage,
         exec: &dyn ShardExecutor,
     ) {
+        self.flush_ingest(stage, exec);
         match self {
-            JoinState::Amri(s) => s.apply_staged_then_search(req, scratch, receipt, stage, exec),
+            JoinState::Amri(s) => s.search(req, scratch, receipt, exec),
             JoinState::MultiHash { store, tuner } => {
                 if let Some(t) = tuner {
                     t.record(req.pattern);
                 }
-                store.apply_staged_then_search(req, scratch, receipt, stage, exec)
+                store.search(req, scratch, receipt, exec)
             }
-            JoinState::StaticBitmap(s) => {
-                s.apply_staged_then_search(req, scratch, receipt, stage, exec)
-            }
-            JoinState::Scan(s) => s.apply_staged_then_search(req, scratch, receipt, stage, exec),
+            JoinState::StaticBitmap(s) => s.search(req, scratch, receipt, exec),
+            JoinState::Scan(s) => s.search(req, scratch, receipt, exec),
         }
     }
 

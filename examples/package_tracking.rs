@@ -101,18 +101,17 @@ fn main() {
     );
 }
 
-/// One search through the store's read entry, nothing staged, inline.
+/// One search through the store's read entry, inline.
 fn run(
     state: &mut StateStore<dyn amri_core::StateIndex>,
     sr: &SearchRequest,
 ) -> (&'static str, usize, CostReceipt) {
     let mut scratch = amri_core::SearchScratch::new();
     let mut receipt = CostReceipt::new();
-    state.apply_staged_then_search(
+    state.search(
         sr,
         &mut scratch,
         &mut receipt,
-        &mut amri_core::IngestStage::new(),
         &amri_core::SequentialExecutor,
     );
     (state.index().kind(), scratch.hits.len(), receipt)

@@ -80,7 +80,7 @@ jq -n \
     --argjson degraded "$DEGRADED" \
     --arg kernel "$(uname -sr)" --arg arch "$(uname -m)" '
 {
-  description: "Scaling evidence for the multicore tentpole, full pipeline: three benches over the identical 10k-entry 4-shard BitAddressIndex through the engine WorkerPool at 1, 2 and 4 threads. index_parallel_10k/wildcard_batch_probe_threads probes 64 single-attribute-wildcard requests (2^16 candidate buckets each), one sized dispatch per request through the one read entry of the index (recordings made before the multi-request batch path was removed timed one dispatch per 64-request batch: history, not a baseline for this loop); ingest_parallel_10k/insert_expire_threads runs the staged write path (10k inserts in 256-tuple bursts, each burst applied per shard through the pool, then one staged whole-window expiry); migrate_parallel_10k/bitaddr_sharded_rebucket_threads reconfigures [8,8,8] -> [4,10,10] via the shard-crossing gather+redistribute protocol. Index, shard count and inputs are identical across thread counts and every result is byte-identical by construction, so the ids differ only in executor parallelism. Every dispatch passes the work-size gate of the pool (ShardExecutor::run_sized against HANDOFF_NS in runtime/pool.rs) as it does in the engine: at 10k entries every dispatch here is sized below it (a wide probe 10 us, a 256-op ingest burst 2.6 us, the 10k-op expiry and each migration pass 100 us, against 250 us), so all three benches run on the caller at every thread count and measure that the gate costs nothing, not that threads help.",
+  description: "Scaling evidence for the multicore tentpole, full pipeline: three benches over the identical 10k-entry 4-shard BitAddressIndex through the engine WorkerPool at 1, 2 and 4 threads. index_parallel_10k/wildcard_batch_probe_threads probes 64 single-attribute-wildcard requests (2^16 candidate buckets each), one sized dispatch per request through search_into of the index (recordings made before the multi-request batch path was removed timed one dispatch per 64-request batch: history, not a baseline for this loop); ingest_parallel_10k/insert_expire_threads runs the staged write path (10k inserts in 256-tuple bursts, each burst applied per shard through the pool, then one staged whole-window expiry); migrate_parallel_10k/bitaddr_sharded_rebucket_threads reconfigures [8,8,8] -> [4,10,10] via the shard-crossing gather+redistribute protocol. Index, shard count and inputs are identical across thread counts and every result is byte-identical by construction, so the ids differ only in executor parallelism. Every dispatch passes the work-size gate of the pool (ShardExecutor::run_sized against HANDOFF_NS in runtime/pool.rs) as it does in the engine: at 10k entries every dispatch here is sized below it (a wide probe 10 us, a 256-op ingest burst 2.6 us, the 10k-op expiry and each migration pass 100 us, against 250 us), so all three benches run on the caller at every thread count and measure that the gate costs nothing, not that threads help.",
   regenerate: "scripts/bench_parallel.sh  # best-of-N medians; BENCH_RUNS to change N",
   environment: {
     cores: $cores,

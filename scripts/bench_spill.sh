@@ -52,7 +52,7 @@ jq -n \
     --argjson retired "$RETIRED" \
     --arg kernel "$(uname -sr)" --arg arch "$(uname -m)" '
 {
-  description: "Spill-tier read fast path: all benches over the identical 4k-tuple ScanIndex StateStore with half its window spilled to the checksummed block store in 256-tuple blocks. spill_4k/materialize_spilled_hit is the PR-8 baseline (cacheless cold materialize: one verified device read + decode + entry scan). spill_cached_4k/cold_read is the same read through an empty 1 MiB decoded-block cache (miss + admission); warm_hit re-reads a cached block (no file I/O, no checksum, no decode); coalesced_batch_64 materializes 64 stub hits of one probe batch grouped by block (one verified read serves all 64); independent_64 is the baseline it replaces (64 cacheless reads, one per hit); readahead_drain_2 plans a 2-block expiry-order prefetch and drains it into the cache as side tasks of the next probe (the timed region includes the arena scan of that probe; recordings made while the stand-alone drain_prefetch existed timed the plan and drain alone). The single-read ids (materialize_spilled_hit, cold_read, coalesced_batch_64) time one device read plus the teardown of the 4k-tuple store the routine consumes, and move +-30 % with host state between runs; independent_64 pays that teardown once per 64 reads and is the id that resolves the per-read cost.",
+  description: "Spill-tier read fast path: all benches over the identical 4k-tuple ScanIndex StateStore with half its window spilled to the checksummed block store in 256-tuple blocks. spill_4k/materialize_spilled_hit is the PR-8 baseline (cacheless cold materialize: one verified device read + decode + entry scan). spill_cached_4k/cold_read is the same read through an empty 1 MiB decoded-block cache (miss + admission); warm_hit re-reads a cached block (no file I/O, no checksum, no decode); coalesced_batch_64 materializes 64 stub hits of one probe batch grouped by block (one verified read serves all 64); independent_64 is the baseline it replaces (64 cacheless reads, one per hit); readahead_drain_2 plans a 2-block expiry-order prefetch and drains it into the cache ahead of the next probe, inside the store's read entry (the timed region includes the arena scan of that probe; recordings made while the stand-alone drain_prefetch existed timed the plan and drain alone). The single-read ids (materialize_spilled_hit, cold_read, coalesced_batch_64) time one device read plus the teardown of the 4k-tuple store the routine consumes, and move +-30 % with host state between runs; independent_64 pays that teardown once per 64 reads and is the id that resolves the per-read cost.",
   regenerate: "scripts/bench_spill.sh  # best-of-N medians; BENCH_RUNS to change N",
   environment: {
     cores: $cores,

@@ -4,6 +4,34 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# diff_without A.csv B.csv NAME...: diff two CSVs with the columns the
+# header calls NAME... dropped from both. Fails — rather than comparing
+# the wrong columns — when either header lacks one of the names.
+diff_without() {
+    local a="$1" b="$2" side
+    shift 2
+    for side in "$a" "$b"; do
+        awk -F, -v OFS=, -v names="$*" '
+            NR == 1 {
+                n = split(names, want, " ")
+                for (i = 1; i <= n; i++) {
+                    for (c = 1; c <= NF && $c != want[i]; c++);
+                    if (c > NF) {
+                        print FILENAME ": no column named " want[i] > "/dev/stderr"
+                        exit 2
+                    }
+                    drop[c] = 1
+                }
+            }
+            {
+                row = ""
+                for (c = 1; c <= NF; c++) if (!(c in drop)) row = row (row == "" ? "" : OFS) $c
+                print row
+            }' "$side" > "${side}.kept" || return 2
+    done
+    diff "${a}.kept" "${b}.kept"
+}
+
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
@@ -11,6 +39,21 @@ cargo fmt --all -- --check
 # grow back.
 echo "==> no deprecated items under crates/ tests/ examples/"
 if grep -rn deprecated crates tests examples; then echo "a deprecated item reappeared"; exit 1; fi
+
+# Nor may the fused ingest–probe–readahead dispatch, which no probe of any
+# benchmark workload ever handed to a worker (DESIGN §4).
+echo "==> no fused-dispatch machinery under crates/ tests/ examples/"
+if grep -rnE 'SideTasks|run_fused|take_fire|run_leftover|apply_stage_then_search|take_prefetch_io' \
+    crates tests examples; then
+    echo "the fused dispatch reappeared"; exit 1
+fi
+
+# Sharded work borrows its slots through `parallel::for_each_slot`; that
+# file is the only one in the core crate allowed to say `unsafe`.
+echo "==> crates/core/src: unsafe only in parallel.rs"
+if grep -rlw unsafe crates/core/src | grep -v '^crates/core/src/parallel\.rs$'; then
+    echo "unsafe outside crates/core/src/parallel.rs"; exit 1
+fi
 
 # The spill tier opens its block file where the file is (re)created and
 # nowhere else: a per-read or per-append open was most of a cold read.
@@ -66,9 +109,9 @@ echo "summary CSVs identical across repeated --threads 4 sweeps"
 # --threads 4 one byte-for-byte — the tentpole invariant (parallel ingest,
 # probe and migration are pure implementation detail). Series CSVs carry
 # no thread count and must be identical verbatim; summary CSVs record the
-# thread count in column 15, which is blanked on both sides before the
-# diff so every *measured* column (outputs, peaks, retunes, faults,
-# ingest_ns/migrate_ns/migrate_stalls) must agree exactly.
+# thread count in the `threads` column, which is dropped from both sides
+# before the diff so every *measured* column (outputs, peaks, retunes,
+# faults, ingest_ns/migrate_ns/migrate_stalls) must agree exactly.
 echo "==> ingest-parallel equivalence (--threads 1 vs --threads 4)"
 (cd "$SEQ_DIR" && "$OLDPWD"/target/release/all_experiments --quick --threads 1 > /dev/null)
 for csv in fig6_assessment fig6_hash fig7_compare; do
@@ -76,8 +119,7 @@ for csv in fig6_assessment fig6_hash fig7_compare; do
         || { echo "thread counts diverged: ${csv}"; exit 1; }
 done
 for csv in fig6_assessment_summary fig6_hash_summary fig7_compare_summary; do
-    diff <(awk -F, -v OFS=, '{$15=""}1' "$SEQ_DIR/results/${csv}.csv") \
-         <(awk -F, -v OFS=, '{$15=""}1' "$PAR_A/results/${csv}.csv") \
+    diff_without "$SEQ_DIR/results/${csv}.csv" "$PAR_A/results/${csv}.csv" threads \
         || { echo "thread counts diverged: ${csv}"; exit 1; }
 done
 echo "--threads 1 and --threads 4 sweeps byte-identical (modulo the recorded thread count)"
@@ -123,7 +165,7 @@ rm -rf "${CRASH_OUT}"
 # replay bit-for-bit. The bin exits non-zero on any violation; the diffs
 # below additionally pin that every measured column of the spilled
 # summary — spill counters included — is byte-identical across thread
-# counts (column 15 is the recorded thread count, blanked as above).
+# counts (the recorded thread count dropped as above).
 echo "==> spill-tier matrix (OOM budget survives via disk, identical across threads)"
 SPILL_A="$(mktemp -d)"
 SPILL_B="$(mktemp -d)"
@@ -131,23 +173,21 @@ cargo run --release -q -p amri-bench --bin spill_matrix -- \
     --quick --threads 1 --spill-cache 262144 --out "${SPILL_A}"
 cargo run --release -q -p amri-bench --bin spill_matrix -- \
     --quick --threads 4 --spill-cache 262144 --out "${SPILL_B}"
-diff <(awk -F, -v OFS=, '{$15=""}1' "${SPILL_A}/spilled_summary.csv") \
-     <(awk -F, -v OFS=, '{$15=""}1' "${SPILL_B}/spilled_summary.csv") \
+diff_without "${SPILL_A}/spilled_summary.csv" "${SPILL_B}/spilled_summary.csv" threads \
     || { echo "spilled summary diverged across thread counts"; exit 1; }
 diff "${SPILL_A}/spill_identity.csv" "${SPILL_B}/spill_identity.csv" \
     || { echo "spill identity report diverged across thread counts"; exit 1; }
 # The spill fast path (decoded-block cache + coalesced reads + readahead)
 # must be a pure acceleration: the cache-enabled cell's summary, with the
-# five cache-counter columns (27-31) cut, must be byte-identical to the
+# five cache-counter columns dropped, must be byte-identical to the
 # cacheless cell's at both thread counts — and byte-identical across
 # thread counts with the cache counters *included*.
 for d in "${SPILL_A}" "${SPILL_B}"; do
-    diff <(cut -d, -f1-26,32 "${d}/spilled_summary.csv") \
-         <(cut -d, -f1-26,32 "${d}/spilled_cached_summary.csv") \
+    diff_without "${d}/spilled_summary.csv" "${d}/spilled_cached_summary.csv" \
+        cache_hits cache_misses coalesced_reads prefetched_blocks cache_evictions \
         || { echo "cache-enabled spill run diverged from the cacheless one"; exit 1; }
 done
-diff <(awk -F, -v OFS=, '{$15=""}1' "${SPILL_A}/spilled_cached_summary.csv") \
-     <(awk -F, -v OFS=, '{$15=""}1' "${SPILL_B}/spilled_cached_summary.csv") \
+diff_without "${SPILL_A}/spilled_cached_summary.csv" "${SPILL_B}/spilled_cached_summary.csv" threads \
     || { echo "cached spilled summary diverged across thread counts"; exit 1; }
 echo "spill matrix green: beyond-RAM windows, byte-identical across threads 1 and 4, cache on or off"
 rm -rf "${SPILL_A}" "${SPILL_B}"
@@ -156,15 +196,14 @@ rm -rf "${SPILL_A}" "${SPILL_B}"
 # The retune decisions — including the bandit's arm statistics, backoff
 # timers and RNG draws — all happen on the sequential tune path, so the
 # same-seed duel must emit a byte-identical summary CSV (regret/thrash
-# columns included) at --threads 1 and --threads 4; column 15 is the
-# recorded thread count, blanked as above.
+# columns included) at --threads 1 and --threads 4, the recorded thread
+# count dropped as above.
 echo "==> tuner duel replay (--threads 1 vs --threads 4)"
 DUEL_A="$(mktemp -d)"
 DUEL_B="$(mktemp -d)"
 (cd "$DUEL_A" && "$OLDPWD"/target/release/tuner_duel --quick --threads 1 > /dev/null)
 (cd "$DUEL_B" && "$OLDPWD"/target/release/tuner_duel --quick --threads 4 > /dev/null)
-diff <(awk -F, -v OFS=, '{$15=""}1' "$DUEL_A/results/tuner_duel_summary.csv") \
-     <(awk -F, -v OFS=, '{$15=""}1' "$DUEL_B/results/tuner_duel_summary.csv") \
+diff_without "$DUEL_A/results/tuner_duel_summary.csv" "$DUEL_B/results/tuner_duel_summary.csv" threads \
     || { echo "tuner duel diverged across thread counts"; exit 1; }
 echo "tuner duel byte-identical across threads 1 and 4"
 rm -rf "$DUEL_A" "$DUEL_B"

@@ -96,11 +96,11 @@ impl<I: amri_core::StateIndex> Runner<I> {
             AttrVec::from_slice(&vals).unwrap(),
         );
         let mut scratch = amri_core::SearchScratch::new();
-        self.store.apply_staged_then_search(
+        self.flush();
+        self.store.search(
             &req,
             &mut scratch,
             &mut CostReceipt::new(),
-            &mut self.stage,
             &SequentialExecutor,
         );
         let mut keys = scratch.hits;

@@ -4,8 +4,8 @@
 
 use amri_core::assess::AssessorKind;
 use amri_core::{
-    AmriState, CostParams, CostReceipt, IndexConfig, IngestStage, ScanIndex, SearchScratch,
-    SequentialExecutor, StateStore, TunerConfig, TupleKey,
+    AmriState, CostParams, CostReceipt, IndexConfig, ScanIndex, SearchScratch, SequentialExecutor,
+    StateStore, TunerConfig, TupleKey,
 };
 
 /// Scratch-buffered search, collected: the migration probes care about the
@@ -78,13 +78,7 @@ proptest! {
             let mut got = search_amri(&mut amri, &req, &mut r);
             let mut expect = {
                 let mut scratch = SearchScratch::new();
-                reference.apply_staged_then_search(
-                    &req,
-                    &mut scratch,
-                    &mut r,
-                    &mut IngestStage::new(),
-                    &SequentialExecutor,
-                );
+                reference.search(&req, &mut scratch, &mut r, &SequentialExecutor);
                 scratch.hits
             };
             got.sort();

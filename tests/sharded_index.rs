@@ -165,7 +165,7 @@ impl<I: Scripted> EagerReference<I> {
         let mut scratch = SearchScratch::new();
         if !self
             .index
-            .search_into(&req, &mut scratch, &mut self.receipt)
+            .search_into(&req, &mut scratch, &mut self.receipt, &SequentialExecutor)
         {
             for (_, key, jas) in &self.live {
                 self.receipt.comparisons += 2;
@@ -185,9 +185,8 @@ impl<I: Scripted> EagerReference<I> {
 /// an explicit cumulative receipt and a persistent [`IngestStage`]. The
 /// flush discipline mirrors the
 /// engine's: inserts and expirations accumulate in the stage across steps;
-/// any observation of the index flushes first — searches through the
-/// fused apply-then-probe dispatch, migration via an explicit
-/// `apply_staged`, eviction by riding the same stage.
+/// any observation of the index flushes first — searches and migration
+/// via an explicit `apply_staged`, eviction by riding the same stage.
 struct IngestRunner<I> {
     store: StateStore<I>,
     stage: IngestStage,
@@ -236,21 +235,17 @@ impl<I: Scripted> IngestRunner<I> {
         self.store.apply_staged(&mut self.stage, exec);
     }
 
-    /// Sorted matching tuple ids; the pending stage is applied and the
-    /// probe served in one fused dispatch.
+    /// Sorted matching tuple ids; the pending stage is applied, then the
+    /// probe served.
     fn search(&mut self, mask: u32, vals: [u64; 3], exec: &dyn ShardExecutor) -> Vec<u64> {
         let req = SearchRequest::new(
             AccessPattern::new(mask, 3),
             AttrVec::from_slice(&vals).unwrap(),
         );
         let mut scratch = SearchScratch::new();
-        self.store.apply_staged_then_search(
-            &req,
-            &mut scratch,
-            &mut self.receipt,
-            &mut self.stage,
-            exec,
-        );
+        self.flush(exec);
+        self.store
+            .search(&req, &mut scratch, &mut self.receipt, exec);
         let mut ids: Vec<u64> = scratch
             .hits
             .iter()
@@ -303,7 +298,9 @@ fn sharded_runner(shards: usize) -> IngestRunner<BitAddressIndex> {
 /// crosses to the worker threads.
 struct Ungated<'a>(&'a amri_engine::WorkerPool);
 
-impl ShardExecutor for Ungated<'_> {
+// SAFETY: forwards every dispatch to `WorkerPool`, unchanged but for its
+// size, so the pool's exactly-once / does-not-outlive guarantee carries.
+unsafe impl ShardExecutor for Ungated<'_> {
     fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
         self.0.run_sized(n, u64::MAX, task);
     }
@@ -428,7 +425,9 @@ struct Recording<'a> {
     sized: std::sync::Mutex<Vec<(usize, u64)>>,
 }
 
-impl ShardExecutor for Recording<'_> {
+// SAFETY: forwards every dispatch to `WorkerPool` as it came; the pool's
+// guarantee carries.
+unsafe impl ShardExecutor for Recording<'_> {
     fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
         self.pool.run_tasks(n, task);
     }
@@ -459,8 +458,8 @@ fn small_dispatches_stay_inline_and_large_ones_reach_the_threads() {
     assert_eq!(r.search(0b111, [6, 6, 6], &exec), vec![6]);
     assert_eq!(
         *exec.sized.lock().unwrap(),
-        vec![(4, 64 * RELINK_NS + WALK_NS), (4, WALK_NS)],
-        "64 staged links rode the first probe; one candidate bucket each"
+        vec![(4, 64 * RELINK_NS), (4, WALK_NS), (4, WALK_NS)],
+        "64 staged links applied, then one candidate bucket per probe"
     );
     assert_eq!(pool.epochs(), 0, "a small probe must not cross threads");
 
@@ -477,6 +476,112 @@ fn small_dispatches_stay_inline_and_large_ones_reach_the_threads() {
     assert_eq!(sized[0], (4, ENTRIES * RELINK_NS), "the rebucket pass");
     assert_eq!(sized.len(), 2, "rebucket, then relink or redistribute");
     assert_eq!(pool.epochs(), before + 2, "both passes must cross threads");
+}
+
+/// `for_each_slot` is the one place a dispatch becomes per-task `&mut`
+/// borrows: through the ungated pool every index runs exactly once with
+/// a slot of its own, an empty slice runs nothing, and a task's panic
+/// reaches the dispatcher and leaves the pool usable.
+#[test]
+fn for_each_slot_claims_every_slot_once_and_propagates_a_task_panic() {
+    use amri_core::for_each_slot;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let pool = amri_engine::WorkerPool::new(std::num::NonZeroUsize::new(2).unwrap());
+    let exec = Ungated(&pool);
+    let mut slots = vec![0u32; 64];
+    for round in 1..=2 {
+        for_each_slot(&exec, 0, &mut slots, |i, slot| *slot += i as u32 + 1);
+        let want: Vec<u32> = (1..=64).map(|v| v * round).collect();
+        assert_eq!(slots, want, "each slot written by its own task, once");
+    }
+    assert_eq!(pool.epochs(), 2, "both dispatches crossed threads");
+    for_each_slot(&exec, 0, &mut [0u32; 0], |_, _| panic!("no slot, no task"));
+
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        for_each_slot(&exec, 0, &mut slots, |i, _| {
+            if i == 3 {
+                panic!("slot 3 failed");
+            }
+        });
+    }));
+    let payload = caught.expect_err("the task's panic must reach the dispatcher");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"slot 3 failed"));
+    for_each_slot(&exec, 0, &mut slots, |_, slot| *slot = 7);
+    assert_eq!(slots, vec![7; 64], "the pool survives the panic");
+}
+
+/// `SpillTier::run_readahead` reads through whatever executor the probe
+/// brought and merges in plan order, so the inline executor, a gated
+/// 2-thread pool and the same pool ungated leave the same tier — counters,
+/// coin stream, cache residency and recency — and the same charge. A plan
+/// entry that died or got cached since it was queued is skipped without a
+/// charge; two blocks or more are one `BLOCK_IO_NS` dispatch, fewer none.
+#[test]
+fn readahead_is_executor_invariant_and_sized_as_block_io() {
+    use amri_core::parallel::BLOCK_IO_NS;
+    use amri_core::snapshot_io::SectionWriter;
+    use amri_core::{SpillConfig, SpillTier, StorageProfile};
+    const READ_NS: u64 = 500;
+    let block = |key: u32| {
+        let mut w = SectionWriter::new();
+        w.put_usize(1);
+        w.put_u32(key);
+        w.put_u64(u64::from(key));
+        w.put_time(VirtualTime::ZERO);
+        w.put_attrs(&AttrVec::new());
+        w
+    };
+    let dir = std::env::temp_dir().join(format!("amri-readahead-exec-{}", std::process::id()));
+    let run = |tag: &str, exec: &dyn ShardExecutor| {
+        let mut t = SpillTier::create(&SpillConfig {
+            dir: dir.join(tag),
+            file_name: "s0.blocks".into(),
+            profile: StorageProfile {
+                read_ns: READ_NS,
+                ..StorageProfile::default()
+            },
+            faults: Default::default(),
+            seed: 7,
+            cache_bytes: 1 << 20,
+        })
+        .unwrap();
+        let mut rc = CostReceipt::new();
+        let ids: Vec<u32> = (0..5)
+            .map(|k| t.append_block(block(k), 1, &mut rc).unwrap())
+            .collect();
+        // Queue four; before the probe one is fetched (cached) and one dies.
+        t.set_prefetch_plan(ids[..4].to_vec());
+        t.fetch_entries(ids[1], &mut rc).unwrap();
+        t.mark_dead(ids[2], false);
+        let before = rc.io_ns;
+        t.run_readahead(&mut rc, exec);
+        assert_eq!(rc.io_ns, before + 2 * READ_NS, "{tag}: two admitted blocks");
+        assert_eq!(t.stats().prefetched_blocks, 2, "{tag}");
+        assert!(t.cached(ids[0]) && t.cached(ids[3]) && !t.cached(ids[2]));
+        // A one-block plan, then nothing queued.
+        t.set_prefetch_plan(vec![ids[4]]);
+        t.run_readahead(&mut rc, exec);
+        t.run_readahead(&mut rc, exec);
+        assert_eq!(t.stats().prefetched_blocks, 3, "{tag}");
+        let mut saved = SectionWriter::new();
+        t.save(&mut saved);
+        (saved.into_bytes(), rc)
+    };
+    let pool = amri_engine::WorkerPool::new(std::num::NonZeroUsize::new(2).unwrap());
+    let gated = Recording {
+        pool: &pool,
+        sized: Default::default(),
+    };
+    let inline = run("inline", &SequentialExecutor);
+    assert_eq!(run("gated", &gated), inline);
+    assert_eq!(
+        *gated.sized.lock().unwrap(),
+        vec![(2, BLOCK_IO_NS)],
+        "the two-block plan is the only dispatch"
+    );
+    assert_eq!(pool.epochs(), 1, "and block I/O passes the gate");
+    assert_eq!(run("ungated", &Ungated(&pool)), inline);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
@@ -614,8 +719,8 @@ proptest! {
     /// Write-path invariance, for every index flavor: the staged ingest
     /// path — `insert_staged`/`expire_staged` accumulating an
     /// [`IngestStage`], flushed through a real 2-thread `WorkerPool`
-    /// (gated and ungated) or the inline `SequentialExecutor`, with fused
-    /// apply+search, staged eviction and parallel migration — must be
+    /// (gated and ungated) or the inline `SequentialExecutor`, with
+    /// apply-then-search, staged eviction and parallel migration — must be
     /// indistinguishable from
     /// the eager, unsharded, sequential reference built on the bare
     /// `StateIndex` primitives: identical result sets, identical

@@ -41,38 +41,13 @@ impl AmriState {
     /// * `kind` — which assessment method tunes it.
     /// * `initial` — the starting index configuration (the paper seeds it
     ///   from quasi-training statistics; [`IndexConfig::even`] works too).
-    ///
-    /// # Errors
-    /// Propagates tuner parameter validation.
-    pub fn new(
-        stream: StreamId,
-        jas: Vec<AttrId>,
-        window: WindowSpec,
-        kind: AssessorKind,
-        initial: IndexConfig,
-        tuner_config: TunerConfig,
-        params: CostParams,
-    ) -> Result<Self, CoreError> {
-        Self::new_with_tuner(
-            stream,
-            jas,
-            window,
-            kind,
-            initial,
-            tuner_config,
-            params,
-            TunerKind::Paper,
-        )
-    }
-
-    /// [`new`](Self::new) with an explicit tuning policy: the paper's
-    /// greedy tuner, the safe bandit tuner, or the pinned static seed IC
-    /// (see [`TunerKind`]).
+    /// * `tuner_kind` — the tuning policy: the paper's greedy tuner, the
+    ///   safe bandit, or the pinned static seed IC (see [`TunerKind`]).
     ///
     /// # Errors
     /// Propagates tuner parameter validation.
     #[allow(clippy::too_many_arguments)]
-    pub fn new_with_tuner(
+    pub fn new(
         stream: StreamId,
         jas: Vec<AttrId>,
         window: WindowSpec,
@@ -274,6 +249,7 @@ mod tests {
                 ..TunerConfig::default()
             },
             CostParams::default(),
+            TunerKind::Paper,
         )
         .unwrap()
     }

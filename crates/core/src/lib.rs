@@ -42,7 +42,7 @@
 //! ```
 //! use amri_core::assess::AssessorKind;
 //! use amri_core::state::SearchScratch;
-//! use amri_core::{AmriState, CostParams, CostReceipt, IndexConfig, TunerConfig};
+//! use amri_core::{AmriState, CostParams, CostReceipt, IndexConfig, TunerConfig, TunerKind};
 //! use amri_hh::CombineStrategy;
 //! use amri_stream::{
 //!     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId,
@@ -63,6 +63,7 @@
 //!         ..TunerConfig::default()
 //!     },
 //!     CostParams::default(),
+//!     TunerKind::Paper,
 //! )?;
 //!
 //! let mut receipt = CostReceipt::new();
@@ -129,7 +130,5 @@ pub use tier::{
     BlockMeta, BlockReadError, BlockWriteError, IoFaultConfig, SpillConfig, SpillOutcome,
     SpillStats, SpillTier,
 };
-pub use tuner::{
-    BanditTuner, IndexTuner, StaticTuner, TuneLedger, Tuner, TunerConfig, TunerEvent, TunerKind,
-};
+pub use tuner::{TuneLedger, Tuner, TunerConfig, TunerEvent, TunerKind};
 pub use whatif::WindowObservation;

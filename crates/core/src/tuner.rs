@@ -1,40 +1,46 @@
-//! The online index tuners: periodically turn assessment statistics into a
+//! The online index tuner: periodically turn assessment statistics into a
 //! (possibly) better index configuration.
 //!
-//! Three policies live behind the [`Tuner`] seam, selected by
-//! [`TunerKind`]:
+//! There is one [`Tuner`] and one decision loop ([`Tuner::maybe_retune`]):
+//! gate on period and volume, ask the assessor for the θ-frequent access
+//! patterns, settle the previous retune against the fresh window, accrue
+//! regret versus the seed configuration, pick a candidate, and migrate if
+//! it clears the gates. [`TunerKind`] selects the policy, and the policies
+//! differ at four points of that loop only:
 //!
-//! * [`IndexTuner`] — the **paper** tuner. Every `assess_period` of
-//!   virtual time it asks its assessor for the θ-frequent access
-//!   patterns, runs configuration selection over them, and — if the
-//!   predicted cost improvement clears a hysteresis margin — migrates
-//!   immediately (§IV). Fast to adapt, but under adversarial drift the
-//!   migration cost can exceed the benefit and the index thrashes.
-//! * [`BanditTuner`] — the **safe** tuner. Index configurations are
-//!   bandit arms (the static seed IC is always an arm); every decision
-//!   point the [what-if evaluator](crate::whatif) prices *all* arms
-//!   against the observed window, exploration is seeded and
-//!   deterministic, and three safety mechanisms throttle migration:
-//!   a candidate must beat the incumbent by its amortized migration
-//!   cost over a configurable horizon, a retune whose realized benefit
-//!   misses its what-if prediction triggers exponential backoff, and
-//!   cumulative realized regret crossing a bound forces a hard,
-//!   permanent fallback to the static IC ("DBA bandits", PAPERS.md).
-//! * [`StaticTuner`] — the oracle-less baseline: the seed IC, forever.
+//! * **Paper** — the paper's tuner (§IV). The candidate is the greedy
+//!   selection over the window's frequent patterns and the only gate is
+//!   the hysteresis margin, so it migrates immediately. Fast to adapt,
+//!   but under adversarial drift the migration cost can exceed the
+//!   benefit and the index thrashes.
+//! * **Bandit** — the safe tuner. Index configurations are bandit arms
+//!   (the static seed IC is always an arm); every decision point the
+//!   [what-if evaluator](crate::whatif) prices *all* arms against the
+//!   observed window, exploration is seeded and deterministic, and three
+//!   safety mechanisms throttle migration: a candidate must beat the
+//!   incumbent by its amortized migration cost over a configurable
+//!   horizon, a retune whose realized benefit misses its what-if
+//!   prediction triggers exponential backoff, and cumulative realized
+//!   regret crossing a bound forces a hard, permanent fallback to the
+//!   static IC ("DBA bandits", PAPERS.md).
+//! * **Static** — the oracle-less baseline: the seed IC, forever. It
+//!   holds no assessor, records nothing and never decides.
 //!
-//! Both adaptive tuners keep a [`TuneLedger`] — cumulative predicted and
+//! Every policy keeps a [`TuneLedger`] — cumulative predicted and
 //! realized retune benefit plus realized regret versus the static seed
-//! IC, in virtual nanoseconds — so thrash is observable in every run's
-//! maintenance columns, not just the duel benchmark. All decisions are
-//! taken on the engine's sequential tuning path and the bandit's RNG is
-//! a serialized `u64` stream, so the same seed yields byte-identical
-//! decisions at any thread count and across checkpoint/restore.
+//! IC, in virtual nanoseconds (all zero under the static policy) — so
+//! thrash is observable in every run's maintenance columns, not just the
+//! duel benchmark. All decisions are taken on the engine's sequential
+//! tuning path and the bandit's RNG is a serialized `u64` stream, so the
+//! same seed yields byte-identical decisions at any thread count and
+//! across checkpoint/restore.
 
 use crate::assess::{Assessor, AssessorKind};
 use crate::config::IndexConfig;
 use crate::cost::CostParams;
 use crate::error::CoreError;
 use crate::selection::select_config_greedy_capped;
+use crate::snapshot_io::{expect_tag, SectionReader, SectionWriter, SnapshotError};
 use crate::whatif::{self, WindowObservation};
 use amri_stream::{AccessPattern, VirtualDuration, VirtualTime};
 
@@ -164,6 +170,12 @@ impl TunerConfig {
         if self.assess_period.is_zero() {
             return Err(CoreError::InvalidParameter("zero assess_period".into()));
         }
+        if !(0.0..1.0).contains(&self.hysteresis) {
+            return Err(CoreError::InvalidParameter(format!(
+                "hysteresis {} outside [0,1)",
+                self.hysteresis
+            )));
+        }
         if self.total_bits > 64 {
             return Err(CoreError::InvalidParameter(format!(
                 "total_bits {} exceeds 64",
@@ -247,7 +259,7 @@ pub struct TuneLedger {
 }
 
 impl TuneLedger {
-    fn save(&self, w: &mut crate::snapshot_io::SectionWriter) {
+    fn save(&self, w: &mut SectionWriter) {
         w.put_u64(self.retunes);
         w.put_u64(self.predicted_benefit_ns);
         w.put_u64(self.realized_benefit_ns as u64);
@@ -255,9 +267,7 @@ impl TuneLedger {
         w.put_u64(self.static_cost_ns);
     }
 
-    fn restore(
-        r: &mut crate::snapshot_io::SectionReader<'_>,
-    ) -> Result<Self, crate::snapshot_io::SnapshotError> {
+    fn restore(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
         Ok(TuneLedger {
             retunes: r.get_u64()?,
             predicted_benefit_ns: r.get_u64()?,
@@ -295,17 +305,15 @@ struct PendingRetune {
 }
 
 impl PendingRetune {
-    fn save(&self, w: &mut crate::snapshot_io::SectionWriter) {
+    fn save(&self, w: &mut SectionWriter) {
         save_config(w, &self.prev);
         w.put_f64(self.predicted_rate);
         w.put_time(self.decided_at);
     }
 
-    fn restore(
-        r: &mut crate::snapshot_io::SectionReader<'_>,
-    ) -> Result<Self, crate::snapshot_io::SnapshotError> {
+    fn restore(r: &mut SectionReader<'_>, width: usize) -> Result<Self, SnapshotError> {
         Ok(PendingRetune {
-            prev: restore_config(r)?,
+            prev: restore_config(r, width)?,
             predicted_rate: r.get_f64()?,
             decided_at: r.get_time()?,
         })
@@ -337,7 +345,7 @@ impl PendingRetune {
     }
 }
 
-fn save_config(w: &mut crate::snapshot_io::SectionWriter, config: &IndexConfig) {
+fn save_config(w: &mut SectionWriter, config: &IndexConfig) {
     let bits = config.bits();
     w.put_usize(bits.len());
     for &b in bits {
@@ -345,298 +353,20 @@ fn save_config(w: &mut crate::snapshot_io::SectionWriter, config: &IndexConfig) 
     }
 }
 
-fn restore_config(
-    r: &mut crate::snapshot_io::SectionReader<'_>,
-) -> Result<IndexConfig, crate::snapshot_io::SnapshotError> {
-    use crate::snapshot_io::SnapshotError;
-    let width = r.get_usize()?;
+/// Read one configuration; every configuration a tuner section holds
+/// must have the width the tuner was constructed for.
+fn restore_config(r: &mut SectionReader<'_>, width: usize) -> Result<IndexConfig, SnapshotError> {
+    let found = r.get_usize()?;
+    if found != width {
+        return Err(SnapshotError::Malformed(format!(
+            "tuner config width {found} != constructed width {width}"
+        )));
+    }
     let mut bits = Vec::with_capacity(width);
     for _ in 0..width {
         bits.push(r.get_u8()?);
     }
     IndexConfig::new(bits).map_err(|e| SnapshotError::Malformed(format!("tuner config: {e}")))
-}
-
-/// The paper's online tuner for one state.
-pub struct IndexTuner {
-    assessor: Box<dyn Assessor>,
-    config: TunerConfig,
-    params: CostParams,
-    width: usize,
-    current: IndexConfig,
-    static_config: IndexConfig,
-    last_decision: VirtualTime,
-    decisions: u64,
-    migrations: u64,
-    pending: Option<PendingRetune>,
-    ledger: TuneLedger,
-}
-
-impl IndexTuner {
-    /// Build a tuner for a state with `width` JAS attributes, using the
-    /// given assessment method, starting from `initial` configuration.
-    ///
-    /// # Errors
-    /// Propagates [`TunerConfig::validate`] failures and a width mismatch.
-    pub fn new(
-        kind: AssessorKind,
-        width: usize,
-        initial: IndexConfig,
-        config: TunerConfig,
-        params: CostParams,
-    ) -> Result<Self, CoreError> {
-        config.validate()?;
-        if initial.width() != width {
-            return Err(CoreError::WidthMismatch {
-                config: initial.width(),
-                jas: width,
-            });
-        }
-        Ok(IndexTuner {
-            assessor: kind.build(width, config.epsilon, config.seed),
-            config,
-            params,
-            width,
-            current: initial.clone(),
-            static_config: initial,
-            last_decision: VirtualTime::ZERO,
-            decisions: 0,
-            migrations: 0,
-            pending: None,
-            ledger: TuneLedger::default(),
-        })
-    }
-
-    /// The configuration the tuner currently endorses.
-    pub fn current(&self) -> &IndexConfig {
-        &self.current
-    }
-
-    /// The assessment method in use.
-    pub fn assessor_kind(&self) -> AssessorKind {
-        self.assessor.kind()
-    }
-
-    /// Requests recorded in the current assessment window.
-    pub fn window_requests(&self) -> u64 {
-        self.assessor.n()
-    }
-
-    /// Statistics entries currently materialized.
-    pub fn assessor_entries(&self) -> usize {
-        self.assessor.entries()
-    }
-
-    /// Decisions taken (including "keep") and migrations triggered.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.decisions, self.migrations)
-    }
-
-    /// The cumulative safety ledger (predicted/realized retune benefit,
-    /// regret versus the static seed IC).
-    pub fn ledger(&self) -> TuneLedger {
-        self.ledger
-    }
-
-    /// Record a search request's access pattern.
-    #[inline]
-    pub fn record(&mut self, ap: AccessPattern) {
-        self.assessor.record(ap);
-    }
-
-    /// Possibly take a tuning decision at `now`, given the ambient rates
-    /// (`lambda_d` tuples/s, `lambda_r` requests/s), the window length,
-    /// and the fraction of the window currently spill-resident on disk
-    /// (`spilled_frac`, 0 without a storage tier). The spill fraction
-    /// folds the tier's [`crate::cost::StorageProfile`] into `C_D`, so
-    /// the tuner prices scans that touch disk-resident buckets;
-    /// `cache_hit_frac` (the tier's observed block-cache hit rate, 0
-    /// without a cache) discounts those touches toward `cache_hit_ns`, so
-    /// ICs whose cold STeMs are actually cache-resident stop being
-    /// over-penalized.
-    ///
-    /// On [`TunerEvent::Retune`] the tuner already treats the returned
-    /// configuration as current; the caller must migrate the physical index.
-    pub fn maybe_retune(
-        &mut self,
-        now: VirtualTime,
-        lambda_d: f64,
-        lambda_r: f64,
-        window_secs: f64,
-        spilled_frac: f64,
-        cache_hit_frac: f64,
-    ) -> TunerEvent {
-        if now.since(self.last_decision) < self.config.assess_period
-            || self.assessor.n() < self.config.min_requests
-        {
-            return TunerEvent::Skipped;
-        }
-        let prev_decision = self.last_decision;
-        self.last_decision = now;
-        self.decisions += 1;
-        let frequent = self.assessor.frequent(self.config.theta);
-        self.assessor.reset();
-        if frequent.is_empty() {
-            return TunerEvent::Kept {
-                current_cd: 0.0,
-                candidate_cd: 0.0,
-            };
-        }
-        let obs = WindowObservation::new(lambda_d, lambda_r, window_secs, frequent)
-            .with_spilled_frac(spilled_frac)
-            .with_cache_hit_frac(cache_hit_frac);
-        if let Some(pending) = self.pending.take() {
-            // The paper tuner records the miss but never throttles on it.
-            let _missed = pending.settle(&mut self.ledger, &self.params, &self.current, &obs, now);
-        }
-        let current_cd = whatif::price(&self.params, &self.current, &obs);
-        let static_cd = whatif::price(&self.params, &self.static_config, &obs);
-        self.ledger.accrue_regret(
-            current_cd,
-            static_cd,
-            now.since(prev_decision).as_secs_f64(),
-        );
-        let candidate = select_config_greedy_capped(
-            self.config.total_bits,
-            self.width,
-            &obs.profile(),
-            &self.params,
-            self.config.max_bits_per_attr,
-        );
-        let candidate_cd = whatif::price(&self.params, &candidate, &obs);
-        if candidate != self.current && candidate_cd < current_cd * (1.0 - self.config.hysteresis) {
-            self.pending = Some(PendingRetune {
-                prev: std::mem::replace(&mut self.current, candidate.clone()),
-                predicted_rate: current_cd - candidate_cd,
-                decided_at: now,
-            });
-            self.migrations += 1;
-            self.ledger.retunes += 1;
-            TunerEvent::Retune {
-                config: candidate,
-                current_cd,
-                candidate_cd,
-                based_on: obs.frequent,
-            }
-        } else {
-            TunerEvent::Kept {
-                current_cd,
-                candidate_cd,
-            }
-        }
-    }
-
-    /// Serialize the mutable tuning state: the endorsed configuration, the
-    /// decision clock and counters, the safety ledger, and the assessor's
-    /// statistics. The constructor arguments (method, width,
-    /// [`TunerConfig`], [`CostParams`]) are not captured — restore
-    /// rebuilds the tuner from configuration and loads this section into
-    /// it.
-    pub fn save(&self, w: &mut crate::snapshot_io::SectionWriter) {
-        w.put_str("TUNER");
-        save_config(w, &self.current);
-        w.put_time(self.last_decision);
-        w.put_u64(self.decisions);
-        w.put_u64(self.migrations);
-        save_config(w, &self.static_config);
-        match &self.pending {
-            Some(p) => {
-                w.put_bool(true);
-                p.save(w);
-            }
-            None => w.put_bool(false),
-        }
-        self.ledger.save(w);
-        self.assessor.save(w);
-    }
-
-    /// Overwrite this tuner's mutable state from a [`save`](Self::save)d
-    /// section. The receiver must be freshly constructed with the original
-    /// configuration.
-    pub fn restore_from(
-        &mut self,
-        r: &mut crate::snapshot_io::SectionReader<'_>,
-    ) -> Result<(), crate::snapshot_io::SnapshotError> {
-        use crate::snapshot_io::SnapshotError;
-        crate::snapshot_io::expect_tag(r, "TUNER")?;
-        let current = restore_config(r)?;
-        if current.width() != self.width {
-            return Err(SnapshotError::Malformed(format!(
-                "tuner width {} != constructed width {}",
-                current.width(),
-                self.width
-            )));
-        }
-        self.current = current;
-        self.last_decision = r.get_time()?;
-        self.decisions = r.get_u64()?;
-        self.migrations = r.get_u64()?;
-        self.static_config = restore_config(r)?;
-        self.pending = if r.get_bool()? {
-            Some(PendingRetune::restore(r)?)
-        } else {
-            None
-        };
-        self.ledger = TuneLedger::restore(r)?;
-        self.assessor.load(r)
-    }
-}
-
-impl std::fmt::Debug for IndexTuner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IndexTuner")
-            .field("kind", &self.assessor.kind().label())
-            .field("current", &self.current)
-            .field("decisions", &self.decisions)
-            .field("migrations", &self.migrations)
-            .field("ledger", &self.ledger)
-            .finish()
-    }
-}
-
-/// The no-op tuner: the seed configuration, forever. The baseline arm of
-/// the duel benchmark and the configuration the bandit's hard fallback
-/// reverts to. Records nothing (zero assessment memory, zero hot-path
-/// cost).
-pub struct StaticTuner {
-    current: IndexConfig,
-}
-
-impl StaticTuner {
-    /// Pin `initial` for the whole run.
-    pub fn new(initial: IndexConfig) -> Self {
-        StaticTuner { current: initial }
-    }
-
-    /// The pinned configuration.
-    pub fn current(&self) -> &IndexConfig {
-        &self.current
-    }
-
-    /// Serialize (just the pinned configuration, for the width check on
-    /// restore).
-    pub fn save(&self, w: &mut crate::snapshot_io::SectionWriter) {
-        w.put_str("STUN");
-        save_config(w, &self.current);
-    }
-
-    /// Restore; width-checked like the adaptive tuners.
-    pub fn restore_from(
-        &mut self,
-        r: &mut crate::snapshot_io::SectionReader<'_>,
-    ) -> Result<(), crate::snapshot_io::SnapshotError> {
-        crate::snapshot_io::expect_tag(r, "STUN")?;
-        self.current = restore_config(r)?;
-        Ok(())
-    }
-}
-
-impl std::fmt::Debug for StaticTuner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StaticTuner")
-            .field("current", &self.current)
-            .finish()
-    }
 }
 
 /// One bandit arm: a candidate index configuration and its running
@@ -662,18 +392,10 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The safe bandit tuner (see the module docs for the decision loop).
-pub struct BanditTuner {
-    assessor: Box<dyn Assessor>,
-    config: TunerConfig,
-    params: CostParams,
-    width: usize,
-    current: IndexConfig,
-    static_config: IndexConfig,
+/// What the bandit policy keeps beyond the shared window bookkeeping.
+struct Bandit {
+    /// Arm 0 is the static seed IC and is never evicted.
     arms: Vec<Arm>,
-    last_decision: VirtualTime,
-    decisions: u64,
-    migrations: u64,
     rng: u64,
     /// Decision windows migration stays blocked after a missed retune.
     cooldown_windows: u32,
@@ -681,21 +403,164 @@ pub struct BanditTuner {
     backoff_level: u32,
     /// Hard fallback engaged: pinned to the static IC, permanently.
     fallback: bool,
-    pending: Option<PendingRetune>,
-    ledger: TuneLedger,
 }
 
-impl BanditTuner {
+impl Bandit {
     /// Cap on the exponential backoff exponent (2^6 = 64 blocked
     /// windows) so a long unlucky streak cannot freeze tuning forever.
     const MAX_BACKOFF_LEVEL: u32 = 6;
 
-    /// Build a bandit tuner; `initial` becomes both the incumbent and
-    /// the never-evicted static arm.
+    /// A retune settled: a realized benefit that missed its what-if
+    /// prediction doubles the migration cooldown (exponential backoff);
+    /// a hit resets it.
+    fn settled(&mut self, missed: bool) {
+        if missed {
+            self.backoff_level = (self.backoff_level + 1).min(Self::MAX_BACKOFF_LEVEL);
+            self.cooldown_windows = 1 << self.backoff_level;
+        } else {
+            self.backoff_level = 0;
+        }
+    }
+
+    /// Latch the hard fallback once cumulative realized regret crosses
+    /// `bound_frac` of the static IC's own cumulative cost; true from
+    /// then on.
+    fn past_regret_bound(&mut self, ledger: &TuneLedger, bound_frac: f64) -> bool {
+        if !self.fallback
+            && ledger.static_cost_ns > 0
+            && ledger.regret_vs_static_ns as f64 > bound_frac * ledger.static_cost_ns as f64
+        {
+            self.fallback = true;
+        }
+        self.fallback
+    }
+
+    /// Refresh and price the arm set, then pick one arm by seeded
+    /// ε-greedy; returns its index.
+    fn choose(
+        &mut self,
+        greedy: IndexConfig,
+        current: &IndexConfig,
+        config: &TunerConfig,
+        params: &CostParams,
+        obs: &WindowObservation,
+    ) -> usize {
+        // The greedy winner for *this* window joins as a challenger (the
+        // what-if evaluator makes pricing it free — no index is built).
+        if !self.arms.iter().any(|a| a.config == greedy) {
+            self.arms.push(Arm {
+                config: greedy,
+                pulls: 0,
+                last_price: 0.0,
+            });
+        }
+        for arm in &mut self.arms {
+            arm.last_price = whatif::price(params, &arm.config, obs);
+        }
+        fn by_price((i, a): &(usize, &Arm), (j, b): &(usize, &Arm)) -> std::cmp::Ordering {
+            a.last_price
+                .partial_cmp(&b.last_price)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(i.cmp(j))
+        }
+        // Evict the worst-priced challenger when over budget (never the
+        // static arm 0, never the incumbent).
+        while self.arms.len() > config.max_arms {
+            let worst = self
+                .arms
+                .iter()
+                .enumerate()
+                .skip(1)
+                .filter(|(_, a)| a.config != *current)
+                .max_by(by_price)
+                .map(|(i, _)| i);
+            match worst {
+                Some(i) => {
+                    self.arms.remove(i);
+                }
+                None => break,
+            }
+        }
+        // Both draws always happen so the RNG stream's shape is
+        // independent of the outcome.
+        let explore_draw = splitmix64(&mut self.rng);
+        let arm_draw = splitmix64(&mut self.rng);
+        if explore_draw % u64::from(config.explore_one_in) == 0 {
+            (arm_draw % self.arms.len() as u64) as usize
+        } else {
+            let cheapest = self.arms.iter().enumerate().min_by(by_price);
+            cheapest.map_or(0, |(i, _)| i)
+        }
+    }
+
+    fn save(&self, w: &mut SectionWriter) {
+        w.put_usize(self.arms.len());
+        for arm in &self.arms {
+            save_config(w, &arm.config);
+            w.put_u64(arm.pulls);
+            w.put_f64(arm.last_price);
+        }
+        w.put_u64(self.rng);
+        w.put_u32(self.cooldown_windows);
+        w.put_u32(self.backoff_level);
+        w.put_bool(self.fallback);
+    }
+
+    fn restore(r: &mut SectionReader<'_>, width: usize) -> Result<Self, SnapshotError> {
+        let n_arms = r.get_usize()?;
+        if n_arms == 0 {
+            return Err(SnapshotError::Malformed("bandit tuner with no arms".into()));
+        }
+        let mut arms = Vec::with_capacity(n_arms);
+        for _ in 0..n_arms {
+            arms.push(Arm {
+                config: restore_config(r, width)?,
+                pulls: r.get_u64()?,
+                last_price: r.get_f64()?,
+            });
+        }
+        Ok(Bandit {
+            arms,
+            rng: r.get_u64()?,
+            cooldown_windows: r.get_u32()?,
+            backoff_level: r.get_u32()?,
+            fallback: r.get_bool()?,
+        })
+    }
+}
+
+/// The online tuner for one state: the shared window bookkeeping plus
+/// whatever the [`TunerKind`] policy adds (see the module docs).
+pub struct Tuner {
+    kind: TunerKind,
+    /// `None` under the static policy, which records nothing.
+    assessor: Option<Box<dyn Assessor>>,
+    config: TunerConfig,
+    params: CostParams,
+    width: usize,
+    current: IndexConfig,
+    /// The seed configuration: the regret baseline, and what the
+    /// bandit's hard fallback reverts to.
+    static_config: IndexConfig,
+    last_decision: VirtualTime,
+    decisions: u64,
+    migrations: u64,
+    pending: Option<PendingRetune>,
+    ledger: TuneLedger,
+    /// `Some` under the bandit policy only.
+    bandit: Option<Bandit>,
+}
+
+impl Tuner {
+    /// Build a tuner for a state with `width` JAS attributes that runs
+    /// the `tuner_kind` policy over the `kind` assessment method,
+    /// starting from `initial` — which stays the regret baseline and the
+    /// bandit's never-evicted static arm.
     ///
     /// # Errors
     /// Propagates [`TunerConfig::validate`] failures and a width mismatch.
     pub fn new(
+        tuner_kind: TunerKind,
         kind: AssessorKind,
         width: usize,
         initial: IndexConfig,
@@ -709,28 +574,37 @@ impl BanditTuner {
                 jas: width,
             });
         }
-        Ok(BanditTuner {
-            assessor: kind.build(width, config.epsilon, config.seed),
-            rng: config.seed ^ 0xBA_4D17,
+        Ok(Tuner {
+            kind: tuner_kind,
+            assessor: (tuner_kind != TunerKind::Static)
+                .then(|| kind.build(width, config.epsilon, config.seed)),
+            bandit: (tuner_kind == TunerKind::Bandit).then(|| Bandit {
+                arms: vec![Arm {
+                    config: initial.clone(),
+                    pulls: 0,
+                    last_price: 0.0,
+                }],
+                rng: config.seed ^ 0xBA_4D17,
+                cooldown_windows: 0,
+                backoff_level: 0,
+                fallback: false,
+            }),
             config,
             params,
             width,
             current: initial.clone(),
-            static_config: initial.clone(),
-            arms: vec![Arm {
-                config: initial,
-                pulls: 0,
-                last_price: 0.0,
-            }],
+            static_config: initial,
             last_decision: VirtualTime::ZERO,
             decisions: 0,
             migrations: 0,
-            cooldown_windows: 0,
-            backoff_level: 0,
-            fallback: false,
             pending: None,
             ledger: TuneLedger::default(),
         })
+    }
+
+    /// Which policy this is.
+    pub fn kind(&self) -> TunerKind {
+        self.kind
     }
 
     /// The configuration the tuner currently endorses.
@@ -738,19 +612,15 @@ impl BanditTuner {
         &self.current
     }
 
-    /// The assessment method in use.
-    pub fn assessor_kind(&self) -> AssessorKind {
-        self.assessor.kind()
-    }
-
-    /// Requests recorded in the current assessment window.
+    /// Requests recorded in the current assessment window (0 under the
+    /// static policy, which records nothing).
     pub fn window_requests(&self) -> u64 {
-        self.assessor.n()
+        self.assessor.as_ref().map_or(0, |a| a.n())
     }
 
-    /// Statistics entries currently materialized.
+    /// Statistics entries currently materialized (memory accounting).
     pub fn assessor_entries(&self) -> usize {
-        self.assessor.entries()
+        self.assessor.as_ref().map_or(0, |a| a.entries())
     }
 
     /// Decisions taken (including "keep") and migrations triggered.
@@ -758,29 +628,36 @@ impl BanditTuner {
         (self.decisions, self.migrations)
     }
 
-    /// The cumulative safety ledger.
+    /// The cumulative safety ledger (predicted/realized retune benefit,
+    /// regret versus the static seed IC; all-zero under the static
+    /// policy).
     pub fn ledger(&self) -> TuneLedger {
         self.ledger
     }
 
-    /// True once the hard regret-bound fallback has engaged.
-    pub fn fallen_back(&self) -> bool {
-        self.fallback
-    }
-
-    /// Arms currently in play (static + challengers).
-    pub fn arm_count(&self) -> usize {
-        self.arms.len()
-    }
-
-    /// Record a search request's access pattern.
+    /// Record a search request's access pattern (a no-op under the
+    /// static policy).
     #[inline]
     pub fn record(&mut self, ap: AccessPattern) {
-        self.assessor.record(ap);
+        if let Some(assessor) = &mut self.assessor {
+            assessor.record(ap);
+        }
     }
 
-    /// The bandit's tuning decision; same contract as
-    /// [`IndexTuner::maybe_retune`].
+    /// Possibly take a tuning decision at `now`, given the ambient rates
+    /// (`lambda_d` tuples/s, `lambda_r` requests/s), the window length,
+    /// and the fraction of the window currently spill-resident on disk
+    /// (`spilled_frac`, 0 without a storage tier). The spill fraction
+    /// folds the tier's [`crate::cost::StorageProfile`] into `C_D`, so
+    /// the tuner prices scans that touch disk-resident buckets;
+    /// `cache_hit_frac` (the tier's observed block-cache hit rate, 0
+    /// without a cache) discounts those touches toward `cache_hit_ns`, so
+    /// ICs whose cold STeMs are actually cache-resident stop being
+    /// over-penalized.
+    ///
+    /// On [`TunerEvent::Retune`] the tuner already treats the returned
+    /// configuration as current; the caller must migrate the physical
+    /// index. The static policy always skips.
     pub fn maybe_retune(
         &mut self,
         now: VirtualTime,
@@ -790,16 +667,19 @@ impl BanditTuner {
         spilled_frac: f64,
         cache_hit_frac: f64,
     ) -> TunerEvent {
+        let Some(assessor) = &mut self.assessor else {
+            return TunerEvent::Skipped;
+        };
         if now.since(self.last_decision) < self.config.assess_period
-            || self.assessor.n() < self.config.min_requests
+            || assessor.n() < self.config.min_requests
         {
             return TunerEvent::Skipped;
         }
         let prev_decision = self.last_decision;
         self.last_decision = now;
         self.decisions += 1;
-        let frequent = self.assessor.frequent(self.config.theta);
-        self.assessor.reset();
+        let frequent = assessor.frequent(self.config.theta);
+        assessor.reset();
         if frequent.is_empty() {
             return TunerEvent::Kept {
                 current_cd: 0.0,
@@ -810,20 +690,17 @@ impl BanditTuner {
             .with_spilled_frac(spilled_frac)
             .with_cache_hit_frac(cache_hit_frac);
 
-        // 1. Settle the previous retune against the fresh window: a
-        //    realized benefit that misses its what-if prediction doubles
-        //    the migration cooldown (exponential backoff); a hit resets
-        //    it.
+        // Settle the previous retune against the fresh window. Policy
+        // point 1: the paper policy records a miss but never throttles on
+        // it; the bandit backs off.
         if let Some(pending) = self.pending.take() {
-            if pending.settle(&mut self.ledger, &self.params, &self.current, &obs, now) {
-                self.backoff_level = (self.backoff_level + 1).min(Self::MAX_BACKOFF_LEVEL);
-                self.cooldown_windows = 1 << self.backoff_level;
-            } else {
-                self.backoff_level = 0;
+            let missed = pending.settle(&mut self.ledger, &self.params, &self.current, &obs, now);
+            if let Some(bandit) = &mut self.bandit {
+                bandit.settled(missed);
             }
         }
 
-        // 2. Regret accounting for the span the incumbent governed.
+        // Regret accounting for the span the incumbent governed.
         let current_cd = whatif::price(&self.params, &self.current, &obs);
         let static_cd = whatif::price(&self.params, &self.static_config, &obs);
         self.ledger.accrue_regret(
@@ -832,20 +709,17 @@ impl BanditTuner {
             now.since(prev_decision).as_secs_f64(),
         );
 
-        // 3. Hard fallback: cumulative realized regret crossed the
-        //    bound — revert to the static IC and never migrate again.
-        if !self.fallback
-            && self.ledger.static_cost_ns > 0
-            && self.ledger.regret_vs_static_ns as f64
-                > self.config.regret_bound_frac * self.ledger.static_cost_ns as f64
-        {
-            self.fallback = true;
-        }
-        if self.fallback {
-            if self.current != self.static_config {
-                self.current = self.static_config.clone();
-                self.migrations += 1;
-                self.ledger.retunes += 1;
+        // Policy point 2 (bandit): past the regret bound, revert to the
+        // static IC and never migrate again.
+        if let Some(bandit) = &mut self.bandit {
+            if bandit.past_regret_bound(&self.ledger, self.config.regret_bound_frac) {
+                if self.current == self.static_config {
+                    return TunerEvent::Kept {
+                        current_cd,
+                        candidate_cd: static_cd,
+                    };
+                }
+                self.migrate_to(self.static_config.clone());
                 return TunerEvent::Retune {
                     config: self.static_config.clone(),
                     current_cd,
@@ -853,15 +727,11 @@ impl BanditTuner {
                     based_on: obs.frequent,
                 };
             }
-            return TunerEvent::Kept {
-                current_cd,
-                candidate_cd: static_cd,
-            };
         }
 
-        // 4. Refresh the arm set: the greedy winner for *this* window
-        //    joins as a challenger (the what-if evaluator makes pricing
-        //    it free — no index is built).
+        // Policy point 3: the candidate is the greedy winner for this
+        // window (paper), or the arm seeded ε-greedy picks once that
+        // winner has joined the what-if priced arm set (bandit).
         let greedy = select_config_greedy_capped(
             self.config.total_bits,
             self.width,
@@ -869,91 +739,47 @@ impl BanditTuner {
             &self.params,
             self.config.max_bits_per_attr,
         );
-        if !self.arms.iter().any(|a| a.config == greedy) {
-            self.arms.push(Arm {
-                config: greedy,
-                pulls: 0,
-                last_price: 0.0,
-            });
-        }
-        // 5. What-if price every arm under the observed window.
-        for arm in &mut self.arms {
-            arm.last_price = whatif::price(&self.params, &arm.config, &obs);
-        }
-        // Evict the worst-priced challenger when over budget (never the
-        // static arm 0, never the incumbent).
-        while self.arms.len() > self.config.max_arms {
-            let worst = self
-                .arms
-                .iter()
-                .enumerate()
-                .skip(1)
-                .filter(|(_, a)| a.config != self.current)
-                .max_by(|(i, a), (j, b)| {
-                    a.last_price
-                        .partial_cmp(&b.last_price)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(i.cmp(j))
-                })
-                .map(|(i, _)| i);
-            match worst {
-                Some(i) => {
-                    self.arms.remove(i);
-                }
-                None => break,
+        let (candidate, candidate_cd, chosen) = match &mut self.bandit {
+            None => {
+                let price = whatif::price(&self.params, &greedy, &obs);
+                (greedy, price, None)
             }
-        }
-
-        // 6. Seeded ε-greedy selection. Both draws always happen so the
-        //    RNG stream's shape is independent of the outcome.
-        let explore_draw = splitmix64(&mut self.rng);
-        let arm_draw = splitmix64(&mut self.rng);
-        let exploit = self
-            .arms
-            .iter()
-            .enumerate()
-            .min_by(|(i, a), (j, b)| {
-                a.last_price
-                    .partial_cmp(&b.last_price)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(i.cmp(j))
-            })
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let chosen = if explore_draw % u64::from(self.config.explore_one_in) == 0 {
-            (arm_draw % self.arms.len() as u64) as usize
-        } else {
-            exploit
+            Some(bandit) => {
+                let i = bandit.choose(greedy, &self.current, &self.config, &self.params, &obs);
+                let arm = &bandit.arms[i];
+                (arm.config.clone(), arm.last_price, Some(i))
+            }
         };
-        let candidate_cd = self.arms[chosen].last_price;
-        let candidate = self.arms[chosen].config.clone();
 
-        // 7. Migration throttling. Backoff cooldown first; then the
-        //    candidate must clear the hysteresis margin *and* beat the
-        //    incumbent by its amortized migration cost over the horizon.
-        if self.cooldown_windows > 0 {
-            self.cooldown_windows -= 1;
-            return TunerEvent::Kept {
-                current_cd,
-                candidate_cd,
-            };
-        }
-        let horizon_secs =
-            f64::from(self.config.horizon_windows) * self.config.assess_period.as_secs_f64();
-        let amortized_gate = (current_cd - candidate_cd) * horizon_secs
-            > whatif::migration_cost_ticks(&self.params, &obs);
-        if candidate != self.current
+        // Policy point 4: what must hold besides the hysteresis margin.
+        // Paper: nothing. Bandit: no backoff cooldown in force, and the
+        // candidate beats the incumbent by its amortized migration cost
+        // over the horizon.
+        let clears_policy_gates = match &mut self.bandit {
+            None => true,
+            Some(bandit) if bandit.cooldown_windows > 0 => {
+                bandit.cooldown_windows -= 1;
+                false
+            }
+            Some(_) => {
+                let horizon_secs = f64::from(self.config.horizon_windows)
+                    * self.config.assess_period.as_secs_f64();
+                (current_cd - candidate_cd) * horizon_secs
+                    > whatif::migration_cost_ticks(&self.params, &obs)
+            }
+        };
+        if clears_policy_gates
+            && candidate != self.current
             && candidate_cd < current_cd * (1.0 - self.config.hysteresis)
-            && amortized_gate
         {
-            self.arms[chosen].pulls += 1;
+            if let (Some(bandit), Some(i)) = (&mut self.bandit, chosen) {
+                bandit.arms[i].pulls += 1;
+            }
             self.pending = Some(PendingRetune {
-                prev: std::mem::replace(&mut self.current, candidate.clone()),
+                prev: self.migrate_to(candidate.clone()),
                 predicted_rate: current_cd - candidate_cd,
                 decided_at: now,
             });
-            self.migrations += 1;
-            self.ledger.retunes += 1;
             TunerEvent::Retune {
                 config: candidate,
                 current_cd,
@@ -968,319 +794,149 @@ impl BanditTuner {
         }
     }
 
-    /// Serialize the full mutable bandit state: incumbent and static
-    /// configurations, the arm set with its statistics, the decision
-    /// clock and counters, the RNG stream, the backoff machine, the
-    /// pending settlement, the safety ledger, and the assessor.
-    pub fn save(&self, w: &mut crate::snapshot_io::SectionWriter) {
-        w.put_str("BTUN");
+    /// Endorse `config`, counting the migration; returns the displaced
+    /// configuration.
+    fn migrate_to(&mut self, config: IndexConfig) -> IndexConfig {
+        self.migrations += 1;
+        self.ledger.retunes += 1;
+        std::mem::replace(&mut self.current, config)
+    }
+
+    /// The snapshot section tag: one per policy, so a snapshot taken
+    /// under one `--tuner` cannot silently restore into another.
+    fn section_tag(&self) -> &'static str {
+        match self.kind {
+            TunerKind::Paper => "TUNER",
+            TunerKind::Bandit => "BTUN",
+            TunerKind::Static => "STUN",
+        }
+    }
+
+    /// Serialize the mutable tuning state under the policy's tag: the
+    /// endorsed and seed configurations, the decision clock and counters,
+    /// the pending settlement, the safety ledger, the bandit's arm set,
+    /// RNG stream and backoff machine, and the assessor's statistics. The
+    /// constructor arguments (policy, method, width, [`TunerConfig`],
+    /// [`CostParams`]) are not captured — restore rebuilds the tuner from
+    /// configuration and loads this section into it.
+    pub fn save(&self, w: &mut SectionWriter) {
+        w.put_str(self.section_tag());
         save_config(w, &self.current);
         save_config(w, &self.static_config);
-        w.put_usize(self.arms.len());
-        for arm in &self.arms {
-            save_config(w, &arm.config);
-            w.put_u64(arm.pulls);
-            w.put_f64(arm.last_price);
-        }
         w.put_time(self.last_decision);
         w.put_u64(self.decisions);
         w.put_u64(self.migrations);
-        w.put_u64(self.rng);
-        w.put_u32(self.cooldown_windows);
-        w.put_u32(self.backoff_level);
-        w.put_bool(self.fallback);
-        match &self.pending {
-            Some(p) => {
-                w.put_bool(true);
-                p.save(w);
-            }
-            None => w.put_bool(false),
+        w.put_bool(self.pending.is_some());
+        if let Some(pending) = &self.pending {
+            pending.save(w);
         }
         self.ledger.save(w);
-        self.assessor.save(w);
+        if let Some(bandit) = &self.bandit {
+            bandit.save(w);
+        }
+        if let Some(assessor) = &self.assessor {
+            assessor.save(w);
+        }
     }
 
     /// Overwrite this tuner's mutable state from a [`save`](Self::save)d
-    /// section. The receiver must be freshly constructed with the
-    /// original configuration.
-    pub fn restore_from(
-        &mut self,
-        r: &mut crate::snapshot_io::SectionReader<'_>,
-    ) -> Result<(), crate::snapshot_io::SnapshotError> {
-        use crate::snapshot_io::SnapshotError;
-        crate::snapshot_io::expect_tag(r, "BTUN")?;
-        let current = restore_config(r)?;
-        if current.width() != self.width {
-            return Err(SnapshotError::Malformed(format!(
-                "bandit tuner width {} != constructed width {}",
-                current.width(),
-                self.width
-            )));
-        }
-        self.current = current;
-        self.static_config = restore_config(r)?;
-        let n_arms = r.get_usize()?;
-        if n_arms == 0 {
-            return Err(SnapshotError::Malformed("bandit tuner with no arms".into()));
-        }
-        let mut arms = Vec::with_capacity(n_arms);
-        for _ in 0..n_arms {
-            arms.push(Arm {
-                config: restore_config(r)?,
-                pulls: r.get_u64()?,
-                last_price: r.get_f64()?,
-            });
-        }
-        self.arms = arms;
+    /// section. The receiver must be freshly constructed with the original
+    /// configuration.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Malformed`] when the section was written under
+    /// another policy or holds a configuration of another width; decode
+    /// errors pass through.
+    pub fn restore_from(&mut self, r: &mut SectionReader<'_>) -> Result<(), SnapshotError> {
+        expect_tag(r, self.section_tag())?;
+        self.current = restore_config(r, self.width)?;
+        self.static_config = restore_config(r, self.width)?;
         self.last_decision = r.get_time()?;
         self.decisions = r.get_u64()?;
         self.migrations = r.get_u64()?;
-        self.rng = r.get_u64()?;
-        self.cooldown_windows = r.get_u32()?;
-        self.backoff_level = r.get_u32()?;
-        self.fallback = r.get_bool()?;
         self.pending = if r.get_bool()? {
-            Some(PendingRetune::restore(r)?)
+            Some(PendingRetune::restore(r, self.width)?)
         } else {
             None
         };
         self.ledger = TuneLedger::restore(r)?;
-        self.assessor.load(r)
-    }
-}
-
-impl std::fmt::Debug for BanditTuner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BanditTuner")
-            .field("kind", &self.assessor.kind().label())
-            .field("current", &self.current)
-            .field("arms", &self.arms.len())
-            .field("decisions", &self.decisions)
-            .field("migrations", &self.migrations)
-            .field("rng", &self.rng)
-            .field("cooldown_windows", &self.cooldown_windows)
-            .field("backoff_level", &self.backoff_level)
-            .field("fallback", &self.fallback)
-            .field("ledger", &self.ledger)
-            .finish()
-    }
-}
-
-/// The tuning-policy seam: one of the three tuners, dispatched by the
-/// [`TunerKind`] chosen at engine configuration time. All policies share
-/// the recording/decide/save contract, so [`crate::AmriState`] and the
-/// engine never branch on the kind themselves.
-pub enum Tuner {
-    /// The paper's greedy tuner.
-    Paper(IndexTuner),
-    /// The safe bandit tuner.
-    Bandit(BanditTuner),
-    /// The pinned seed configuration.
-    Static(StaticTuner),
-}
-
-impl Tuner {
-    /// Build the tuner variant `tuner_kind` selects.
-    ///
-    /// # Errors
-    /// Propagates [`TunerConfig::validate`] failures and width mismatches.
-    pub fn new(
-        tuner_kind: TunerKind,
-        kind: AssessorKind,
-        width: usize,
-        initial: IndexConfig,
-        config: TunerConfig,
-        params: CostParams,
-    ) -> Result<Self, CoreError> {
-        Ok(match tuner_kind {
-            TunerKind::Paper => {
-                Tuner::Paper(IndexTuner::new(kind, width, initial, config, params)?)
-            }
-            TunerKind::Bandit => {
-                Tuner::Bandit(BanditTuner::new(kind, width, initial, config, params)?)
-            }
-            TunerKind::Static => {
-                config.validate()?;
-                if initial.width() != width {
-                    return Err(CoreError::WidthMismatch {
-                        config: initial.width(),
-                        jas: width,
-                    });
-                }
-                Tuner::Static(StaticTuner::new(initial))
-            }
-        })
-    }
-
-    /// Which policy this is.
-    pub fn kind(&self) -> TunerKind {
-        match self {
-            Tuner::Paper(_) => TunerKind::Paper,
-            Tuner::Bandit(_) => TunerKind::Bandit,
-            Tuner::Static(_) => TunerKind::Static,
+        if let Some(bandit) = &mut self.bandit {
+            *bandit = Bandit::restore(r, self.width)?;
         }
-    }
-
-    /// The configuration the tuner currently endorses.
-    pub fn current(&self) -> &IndexConfig {
-        match self {
-            Tuner::Paper(t) => t.current(),
-            Tuner::Bandit(t) => t.current(),
-            Tuner::Static(t) => t.current(),
-        }
-    }
-
-    /// Requests recorded in the current assessment window (0 for the
-    /// static tuner, which records nothing).
-    pub fn window_requests(&self) -> u64 {
-        match self {
-            Tuner::Paper(t) => t.window_requests(),
-            Tuner::Bandit(t) => t.window_requests(),
-            Tuner::Static(_) => 0,
-        }
-    }
-
-    /// Statistics entries currently materialized (memory accounting).
-    pub fn assessor_entries(&self) -> usize {
-        match self {
-            Tuner::Paper(t) => t.assessor_entries(),
-            Tuner::Bandit(t) => t.assessor_entries(),
-            Tuner::Static(_) => 0,
-        }
-    }
-
-    /// Decisions taken (including "keep") and migrations triggered.
-    pub fn stats(&self) -> (u64, u64) {
-        match self {
-            Tuner::Paper(t) => t.stats(),
-            Tuner::Bandit(t) => t.stats(),
-            Tuner::Static(_) => (0, 0),
-        }
-    }
-
-    /// The cumulative safety ledger (all-zero for the static tuner).
-    pub fn ledger(&self) -> TuneLedger {
-        match self {
-            Tuner::Paper(t) => t.ledger(),
-            Tuner::Bandit(t) => t.ledger(),
-            Tuner::Static(_) => TuneLedger::default(),
-        }
-    }
-
-    /// Record a search request's access pattern (no-op for the static
-    /// tuner).
-    #[inline]
-    pub fn record(&mut self, ap: AccessPattern) {
-        match self {
-            Tuner::Paper(t) => t.record(ap),
-            Tuner::Bandit(t) => t.record(ap),
-            Tuner::Static(_) => {}
-        }
-    }
-
-    /// Possibly take a tuning decision; see [`IndexTuner::maybe_retune`].
-    /// The static tuner always skips.
-    pub fn maybe_retune(
-        &mut self,
-        now: VirtualTime,
-        lambda_d: f64,
-        lambda_r: f64,
-        window_secs: f64,
-        spilled_frac: f64,
-        cache_hit_frac: f64,
-    ) -> TunerEvent {
-        match self {
-            Tuner::Paper(t) => t.maybe_retune(
-                now,
-                lambda_d,
-                lambda_r,
-                window_secs,
-                spilled_frac,
-                cache_hit_frac,
-            ),
-            Tuner::Bandit(t) => t.maybe_retune(
-                now,
-                lambda_d,
-                lambda_r,
-                window_secs,
-                spilled_frac,
-                cache_hit_frac,
-            ),
-            Tuner::Static(_) => TunerEvent::Skipped,
-        }
-    }
-
-    /// Serialize the active variant (each writes its own tag, so a
-    /// snapshot taken under one `--tuner` cannot silently restore into
-    /// another).
-    pub fn save(&self, w: &mut crate::snapshot_io::SectionWriter) {
-        match self {
-            Tuner::Paper(t) => t.save(w),
-            Tuner::Bandit(t) => t.save(w),
-            Tuner::Static(t) => t.save(w),
-        }
-    }
-
-    /// Restore the active variant from its [`save`](Self::save)d section.
-    pub fn restore_from(
-        &mut self,
-        r: &mut crate::snapshot_io::SectionReader<'_>,
-    ) -> Result<(), crate::snapshot_io::SnapshotError> {
-        match self {
-            Tuner::Paper(t) => t.restore_from(r),
-            Tuner::Bandit(t) => t.restore_from(r),
-            Tuner::Static(t) => t.restore_from(r),
+        match &mut self.assessor {
+            Some(assessor) => assessor.load(r),
+            None => Ok(()),
         }
     }
 }
 
 impl std::fmt::Debug for Tuner {
-    // Transparent: render the inner tuner so existing Debug-based
-    // byte-identity oracles keep their pre-seam shape for the paper path.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Tuner::Paper(t) => t.fmt(f),
-            Tuner::Bandit(t) => t.fmt(f),
-            Tuner::Static(t) => t.fmt(f),
+        let mut d = f.debug_struct("Tuner");
+        d.field("policy", &self.kind.label())
+            .field(
+                "assessor",
+                &self.assessor.as_ref().map(|a| a.kind().label()),
+            )
+            .field("current", &self.current)
+            .field("decisions", &self.decisions)
+            .field("migrations", &self.migrations)
+            .field("pending", &self.pending)
+            .field("ledger", &self.ledger);
+        if let Some(bandit) = &self.bandit {
+            d.field("arms", &bandit.arms.len())
+                .field("rng", &bandit.rng)
+                .field("cooldown_windows", &bandit.cooldown_windows)
+                .field("backoff_level", &bandit.backoff_level)
+                .field("fallback", &bandit.fallback);
         }
+        d.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot_io::{SectionReader, SectionWriter};
     use amri_hh::CombineStrategy;
 
     fn ap(mask: u32) -> AccessPattern {
         AccessPattern::new(mask, 3)
     }
 
-    fn tuner(kind: AssessorKind) -> IndexTuner {
-        IndexTuner::new(
-            kind,
-            3,
-            IndexConfig::even(3, 12).unwrap(),
-            TunerConfig {
-                assess_period: VirtualDuration::from_secs(10),
-                min_requests: 50,
-                total_bits: 12,
-                ..TunerConfig::default()
-            },
-            CostParams::default(),
-        )
-        .unwrap()
+    /// The `policy` tuner over a 3-attribute JAS, seeded with the even
+    /// 12-bit IC.
+    fn build(
+        policy: TunerKind,
+        kind: AssessorKind,
+        config: TunerConfig,
+        params: CostParams,
+    ) -> Tuner {
+        let initial = IndexConfig::even(3, 12).unwrap();
+        Tuner::new(policy, kind, 3, initial, config, params).unwrap()
     }
 
-    fn bandit(config: TunerConfig) -> BanditTuner {
-        BanditTuner::new(
+    fn tuner(kind: AssessorKind) -> Tuner {
+        let config = TunerConfig {
+            assess_period: VirtualDuration::from_secs(10),
+            min_requests: 50,
+            total_bits: 12,
+            ..TunerConfig::default()
+        };
+        build(TunerKind::Paper, kind, config, CostParams::default())
+    }
+
+    fn bandit(config: TunerConfig) -> Tuner {
+        build(
+            TunerKind::Bandit,
             AssessorKind::Sria,
-            3,
-            IndexConfig::even(3, 12).unwrap(),
             config,
             CostParams::default(),
         )
-        .unwrap()
+    }
+
+    /// The bandit-only state of a bandit tuner.
+    fn bandit_state(t: &Tuner) -> &Bandit {
+        t.bandit.as_ref().expect("a bandit tuner")
     }
 
     fn bandit_config() -> TunerConfig {
@@ -1299,7 +955,7 @@ mod tests {
     /// Drive `t` through one full decision: record `n` copies of each
     /// pattern, then decide at `at_secs`.
     fn decide(
-        t: &mut BanditTuner,
+        t: &mut Tuner,
         patterns: &[u32],
         n: usize,
         at_secs: u64,
@@ -1364,23 +1020,27 @@ mod tests {
         .validate()
         .is_err());
         assert!(TunerConfig { max_arms: 1, ..ok }.validate().is_err());
+        // A NaN or >= 1 margin never retunes; a negative one migrates
+        // toward worse configurations.
+        for hysteresis in [f64::NAN, 1.0, -0.05] {
+            let bad = TunerConfig { hysteresis, ..ok }.validate();
+            assert!(
+                matches!(&bad, Err(CoreError::InvalidParameter(m)) if m.contains("hysteresis")),
+                "hysteresis {hysteresis}: {bad:?}"
+            );
+        }
         // Width mismatch:
-        assert!(IndexTuner::new(
-            AssessorKind::Sria,
-            3,
-            IndexConfig::even(2, 4).unwrap(),
-            ok,
-            CostParams::default()
-        )
-        .is_err());
-        assert!(BanditTuner::new(
-            AssessorKind::Sria,
-            3,
-            IndexConfig::even(2, 4).unwrap(),
-            ok,
-            CostParams::default()
-        )
-        .is_err());
+        for policy in [TunerKind::Paper, TunerKind::Bandit] {
+            assert!(Tuner::new(
+                policy,
+                AssessorKind::Sria,
+                3,
+                IndexConfig::even(2, 4).unwrap(),
+                ok,
+                CostParams::default()
+            )
+            .is_err());
+        }
     }
 
     #[test]
@@ -1496,7 +1156,8 @@ mod tests {
         // Records below theta only — frequent() comes back empty at θ=0.1
         // only if nothing clears it; with one pattern it's 100%. Use zero
         // min_requests instead to hit the empty-frequent path.
-        let mut t2 = IndexTuner::new(
+        let mut t2 = Tuner::new(
+            TunerKind::Paper,
             AssessorKind::Sria,
             3,
             IndexConfig::trivial(3),
@@ -1555,17 +1216,15 @@ mod tests {
         // A brutally expensive move (c_move ×16667): the same candidate
         // still clears the hysteresis margin, but its advantage cannot
         // amortize relocating the window within the 4-window horizon.
-        let mut t = BanditTuner::new(
+        let mut t = build(
+            TunerKind::Bandit,
             AssessorKind::Sria,
-            3,
-            IndexConfig::even(3, 12).unwrap(),
             bandit_config(),
             CostParams {
                 c_move: 1000.0,
                 ..CostParams::default()
             },
-        )
-        .unwrap();
+        );
         let event = decide(&mut t, &[0b001], 500, 10, 40.0);
         assert!(
             matches!(event, TunerEvent::Kept { .. }),
@@ -1595,7 +1254,7 @@ mod tests {
             matches!(e2, TunerEvent::Kept { .. }),
             "first window after a miss must be cooled down: {e2:?}"
         );
-        assert_eq!(t.backoff_level, 1);
+        assert_eq!(bandit_state(&t).backoff_level, 1);
         // Window 3: cooldown (2^1 = 2 windows) still holds.
         let e3 = decide(&mut t, &[0b100], 500, 30, 40.0);
         assert!(matches!(e3, TunerEvent::Kept { .. }));
@@ -1610,7 +1269,11 @@ mod tests {
         // backoff resets.
         let e5 = decide(&mut t, &[0b100], 500, 50, 40.0);
         assert!(matches!(e5, TunerEvent::Kept { .. }));
-        assert_eq!(t.backoff_level, 0, "a hit must reset the backoff");
+        assert_eq!(
+            bandit_state(&t).backoff_level,
+            0,
+            "a hit must reset the backoff"
+        );
     }
 
     #[test]
@@ -1628,7 +1291,7 @@ mod tests {
         // worse than the even static config → regret accrues → bound
         // trips → forced migration back to the static IC.
         let e = decide(&mut t, &[0b100], 500, 20, 40.0);
-        assert!(t.fallen_back(), "regret bound must trip");
+        assert!(bandit_state(&t).fallback, "regret bound must trip");
         assert!(
             matches!(e, TunerEvent::Retune { ref config, .. } if config == &IndexConfig::even(3, 12).unwrap()),
             "fallback must revert to the static IC: {e:?}"
@@ -1652,9 +1315,9 @@ mod tests {
         decide(&mut t, &[0b001], 500, 10, 40.0);
         decide(&mut t, &[0b010], 500, 20, 40.0);
         decide(&mut t, &[0b100], 500, 30, 40.0);
-        assert!(t.arm_count() <= 2);
+        assert!(bandit_state(&t).arms.len() <= 2);
         assert_eq!(
-            t.arms[0].config,
+            bandit_state(&t).arms[0].config,
             IndexConfig::even(3, 12).unwrap(),
             "the static seed IC must never be evicted"
         );
@@ -1676,7 +1339,7 @@ mod tests {
                 let e = decide(&mut t, &[m], 500, 10 * (i as u64 + 1), 40.0);
                 log.push(format!("{e:?}"));
             }
-            (log, t.rng)
+            (log, bandit_state(&t).rng)
         };
         let (log_a, rng_a) = run(7);
         let (log_b, rng_b) = run(7);
@@ -1692,32 +1355,234 @@ mod tests {
     }
 
     #[test]
-    fn bandit_state_round_trips_through_a_snapshot() {
-        let mk = || {
-            bandit(TunerConfig {
-                explore_one_in: 2,
+    fn tuner_state_round_trips_through_a_snapshot() {
+        const A: u32 = 0b001;
+        const C: u32 = 0b100;
+        // (policy, windows driven before the snapshot, regret bound,
+        // pending retune at the snapshot, cooldown in force).
+        let cases: [(TunerKind, &[u32], f64, bool, bool); 8] = [
+            (TunerKind::Paper, &[A, A], 0.15, false, false),
+            (TunerKind::Paper, &[A], 0.15, true, false),
+            (TunerKind::Bandit, &[A, A], 0.15, false, false),
+            (TunerKind::Bandit, &[A], 0.15, true, false),
+            // The flip is a miss, which starts a cooldown, and trips the
+            // regret bound: fallen back, nonzero ledger, advanced RNG.
+            (TunerKind::Bandit, &[A, C], 0.15, false, true),
+            // Under a loose bound the cooldown is what holds the incumbent.
+            (TunerKind::Bandit, &[A, C], 1000.0, false, true),
+            (TunerKind::Static, &[], 0.15, false, false),
+            (TunerKind::Static, &[A], 0.15, false, false),
+        ];
+        for (policy, before, regret_bound_frac, pending, cooling) in cases {
+            let case = format!("{policy:?} after {before:?}, bound {regret_bound_frac}");
+            let mk = || {
+                let config = TunerConfig {
+                    explore_one_in: 2,
+                    regret_bound_frac,
+                    ..bandit_config()
+                };
+                build(policy, AssessorKind::Sria, config, CostParams::default())
+            };
+            let mut live = mk();
+            for (i, &m) in before.iter().enumerate() {
+                decide(&mut live, &[m], 500, 10 * (i as u64 + 1), 40.0);
+            }
+            assert_eq!(live.pending.is_some(), pending, "{case}");
+            let cooldown = live.bandit.as_ref().map_or(0, |b| b.cooldown_windows);
+            assert_eq!(cooldown > 0, cooling, "{case}");
+            let mut w = SectionWriter::new();
+            live.save(&mut w);
+            let bytes = w.into_bytes();
+            let mut restored = mk();
+            let mut r = SectionReader::new(&bytes);
+            restored.restore_from(&mut r).unwrap();
+            assert_eq!(format!("{live:#?}"), format!("{restored:#?}"), "{case}");
+            // And the two must keep agreeing on every subsequent decision.
+            for (i, &m) in [C, 0b010, A].iter().enumerate() {
+                let at = 10 * (before.len() + i + 1) as u64;
+                let a = decide(&mut live, &[m], 500, at, 40.0);
+                let b = decide(&mut restored, &[m], 500, at, 40.0);
+                assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "{case}: decision {i} diverged"
+                );
+            }
+            assert_eq!(format!("{live:#?}"), format!("{restored:#?}"), "{case}");
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_configuration_of_another_width() {
+        // A section in `save`'s layout, one width per configuration it
+        // holds: [current, seed, pending.prev, the bandit's one arm].
+        let section = |policy: TunerKind, widths: [usize; 4]| {
+            let config = |w: &mut SectionWriter, width: usize| {
+                save_config(w, &IndexConfig::trivial(width));
+            };
+            let mut w = SectionWriter::new();
+            w.put_str(match policy {
+                TunerKind::Paper => "TUNER",
+                TunerKind::Bandit => "BTUN",
+                TunerKind::Static => "STUN",
+            });
+            config(&mut w, widths[0]);
+            config(&mut w, widths[1]);
+            w.put_time(VirtualTime::from_secs(10));
+            w.put_u64(1);
+            w.put_u64(1);
+            w.put_bool(true);
+            config(&mut w, widths[2]);
+            w.put_f64(1.0);
+            w.put_time(VirtualTime::from_secs(10));
+            TuneLedger::default().save(&mut w);
+            if policy == TunerKind::Bandit {
+                w.put_usize(1);
+                config(&mut w, widths[3]);
+                w.put_u64(0);
+                w.put_f64(0.0);
+                w.put_u64(7);
+                w.put_u32(0);
+                w.put_u32(0);
+                w.put_bool(false);
+            }
+            if policy != TunerKind::Static {
+                let config = TunerConfig::default();
+                AssessorKind::Sria
+                    .build(3, config.epsilon, config.seed)
+                    .save(&mut w);
+            }
+            w.into_bytes()
+        };
+        for policy in [TunerKind::Paper, TunerKind::Bandit, TunerKind::Static] {
+            let restore = |widths: [usize; 4]| {
+                let bytes = section(policy, widths);
+                let config = TunerConfig::default();
+                let mut t = build(policy, AssessorKind::Sria, config, CostParams::default());
+                t.restore_from(&mut SectionReader::new(&bytes))
+            };
+            assert_eq!(restore([3; 4]), Ok(()), "{policy:?}: the layout itself");
+            let positions = if policy == TunerKind::Bandit { 4 } else { 3 };
+            for at in 0..positions {
+                let mut widths = [3; 4];
+                widths[at] = 2;
+                let refused = restore(widths);
+                assert!(
+                    matches!(&refused, Err(SnapshotError::Malformed(m)) if m.contains("width 2")),
+                    "{policy:?}, position {at}: {refused:?}"
+                );
+            }
+        }
+    }
+
+    /// The scripted stream of `decision_sequences_are_pinned`: three
+    /// phases (A, then B for one window and C for three, then A again),
+    /// one decision window per entry.
+    const SCRIPT: [u32; 10] = [
+        0b001, 0b001, 0b001, 0b010, 0b100, 0b100, 0b100, 0b001, 0b001, 0b001,
+    ];
+
+    /// Drive `kind` through [`SCRIPT`]: one line per decision (event,
+    /// endorsed configuration, ledger), then one line of the policy
+    /// state `Debug` shows (`None` where the policy has no such field).
+    fn decision_trace(kind: TunerKind) -> Vec<String> {
+        let mut t = Tuner::new(
+            kind,
+            AssessorKind::Sria,
+            3,
+            IndexConfig::even(3, 12).unwrap(),
+            TunerConfig {
+                explore_one_in: 3,
+                max_arms: 3,
+                regret_bound_frac: 7.0,
                 ..bandit_config()
+            },
+            CostParams::default(),
+        )
+        .unwrap();
+        let mut lines = Vec::new();
+        for (i, &m) in SCRIPT.iter().enumerate() {
+            for _ in 0..500 {
+                t.record(ap(m));
+            }
+            let at = VirtualTime::from_secs(10 * (i as u64 + 1));
+            let tag = match t.maybe_retune(at, 40.0, 500.0, 30.0, 0.0, 0.0) {
+                TunerEvent::Skipped => "skip",
+                TunerEvent::Kept { .. } => "keep",
+                TunerEvent::Retune { .. } => "retune",
+            };
+            let l = t.ledger();
+            lines.push(format!(
+                "{tag} {} retunes={} predicted={} realized={} regret={} static={}",
+                t.current(),
+                l.retunes,
+                l.predicted_benefit_ns,
+                l.realized_benefit_ns,
+                l.regret_vs_static_ns,
+                l.static_cost_ns
+            ));
+        }
+        let debug = format!("{t:?}");
+        let field = |name: &str| {
+            let key = format!("{name}: ");
+            debug.find(&key).map(|at| {
+                let rest = &debug[at + key.len()..];
+                rest[..rest.find([',', ' ']).unwrap_or(rest.len())].to_string()
             })
         };
-        let mut live = mk();
-        decide(&mut live, &[0b001], 500, 10, 40.0);
-        decide(&mut live, &[0b100], 500, 20, 40.0);
-        // Mid-flight: pending settlement, nonzero ledger, advanced RNG.
-        let mut w = SectionWriter::new();
-        live.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = mk();
-        let mut r = SectionReader::new(&bytes);
-        restored.restore_from(&mut r).unwrap();
-        assert_eq!(format!("{live:#?}"), format!("{restored:#?}"));
-        // And the two must keep agreeing on every subsequent decision.
-        for (i, &m) in [0b100u32, 0b010, 0b001].iter().enumerate() {
-            let at = 30 + 10 * i as u64;
-            let a = decide(&mut live, &[m], 500, at, 40.0);
-            let b = decide(&mut restored, &[m], 500, at, 40.0);
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "decision {i} diverged");
-        }
-        assert_eq!(format!("{live:#?}"), format!("{restored:#?}"));
+        lines.push(format!(
+            "arms={:?} rng={:?} cooldown={:?} backoff={:?} fallback={:?}",
+            field("arms"),
+            field("rng"),
+            field("cooldown_windows"),
+            field("backoff_level"),
+            field("fallback")
+        ));
+        lines
+    }
+
+    /// The literal decision sequence of each policy over [`SCRIPT`],
+    /// recorded before the three tuner structs became one: the paper
+    /// policy chases every flip; the bandit retunes twice, misses its
+    /// second prediction (window 5) and sits out the cooldown, then
+    /// trips the regret bound at window 7, reverts to the seed IC and
+    /// draws no further random numbers; the static policy never decides.
+    #[test]
+    fn decision_sequences_are_pinned() {
+        let paper = [
+            "retune IC[A:12|B:0|C:0] retunes=1 predicted=0 realized=0 regret=0 static=4246000",
+            "keep IC[A:12|B:0|C:0] retunes=1 predicted=3799352 realized=3799352 regret=0 static=8492000",
+            "keep IC[A:12|B:0|C:0] retunes=1 predicted=3799352 realized=3799352 regret=0 static=12738000",
+            "retune IC[A:0|B:12|C:0] retunes=2 predicted=3799352 realized=3799352 regret=55786000 static=16984000",
+            "retune IC[A:0|B:0|C:12] retunes=3 predicted=63384704 realized=3799352 regret=111572000 static=21230000",
+            "keep IC[A:0|B:0|C:12] retunes=3 predicted=122970056 realized=63384704 regret=111572000 static=25476000",
+            "keep IC[A:0|B:0|C:12] retunes=3 predicted=122970056 realized=63384704 regret=111572000 static=29722000",
+            "retune IC[A:12|B:0|C:0] retunes=4 predicted=122970056 realized=63384704 regret=167358000 static=33968000",
+            "keep IC[A:12|B:0|C:0] retunes=4 predicted=182555408 realized=122970056 regret=167358000 static=38214000",
+            "keep IC[A:12|B:0|C:0] retunes=4 predicted=182555408 realized=122970056 regret=167358000 static=42460000",
+            "arms=None rng=None cooldown=None backoff=None fallback=None",
+        ];
+        let bandit = [
+            "retune IC[A:12|B:0|C:0] retunes=1 predicted=0 realized=0 regret=0 static=4246000",
+            "keep IC[A:12|B:0|C:0] retunes=1 predicted=3799352 realized=3799352 regret=0 static=8492000",
+            "keep IC[A:12|B:0|C:0] retunes=1 predicted=3799352 realized=3799352 regret=0 static=12738000",
+            "retune IC[A:0|B:12|C:0] retunes=2 predicted=3799352 realized=3799352 regret=55786000 static=16984000",
+            "keep IC[A:0|B:12|C:0] retunes=2 predicted=63384704 realized=3799352 regret=111572000 static=21230000",
+            "keep IC[A:0|B:12|C:0] retunes=2 predicted=63384704 realized=3799352 regret=167358000 static=25476000",
+            "retune IC[A:4|B:4|C:4] retunes=3 predicted=63384704 realized=3799352 regret=223144000 static=29722000",
+            "keep IC[A:4|B:4|C:4] retunes=3 predicted=63384704 realized=3799352 regret=223144000 static=33968000",
+            "keep IC[A:4|B:4|C:4] retunes=3 predicted=63384704 realized=3799352 regret=223144000 static=38214000",
+            "keep IC[A:4|B:4|C:4] retunes=3 predicted=63384704 realized=3799352 regret=223144000 static=42460000",
+            "arms=Some(\"3\") rng=Some(\"7681369315913181500\") cooldown=Some(\"0\") backoff=Some(\"1\") fallback=Some(\"true\")",
+        ];
+        let mut fixed = vec![
+            "skip IC[A:4|B:4|C:4] retunes=0 predicted=0 realized=0 regret=0 static=0";
+            SCRIPT.len()
+        ];
+        fixed.push("arms=None rng=None cooldown=None backoff=None fallback=None");
+        assert_eq!(decision_trace(TunerKind::Paper), paper);
+        assert_eq!(decision_trace(TunerKind::Bandit), bandit);
+        assert_eq!(decision_trace(TunerKind::Static), fixed);
     }
 
     #[test]

@@ -540,7 +540,7 @@ impl Stem {
 
 /// Convenience constructors for the four flavors.
 impl JoinState {
-    /// An AMRI state (see [`AmriState::new_with_tuner`]).
+    /// An AMRI state (see [`AmriState::new`]).
     #[allow(clippy::too_many_arguments)]
     pub fn amri(
         stream: StreamId,
@@ -553,7 +553,7 @@ impl JoinState {
         payload_bytes: u32,
         tuner_kind: TunerKind,
     ) -> Result<Self, amri_core::CoreError> {
-        let s = AmriState::new_with_tuner(
+        let s = AmriState::new(
             stream, jas, window, kind, initial, tuner, params, tuner_kind,
         )?
         .with_payload_bytes(payload_bytes);

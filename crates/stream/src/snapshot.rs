@@ -44,8 +44,9 @@ use std::hash::Hasher;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AMRISNAP";
 
 /// Current format revision. Bump on any layout change; readers refuse
-/// other revisions with [`SnapshotError::Version`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// other revisions with [`SnapshotError::Version`]. Revision 2 gave the
+/// three tuner policies' sections one field order.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be written, parsed, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

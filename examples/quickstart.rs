@@ -4,7 +4,9 @@
 //! Run with `cargo run -p amri-apps --example quickstart`.
 
 use amri_core::assess::AssessorKind;
-use amri_core::{AmriState, CostParams, CostReceipt, IndexConfig, SearchScratch, TunerConfig};
+use amri_core::{
+    AmriState, CostParams, CostReceipt, IndexConfig, SearchScratch, TunerConfig, TunerKind,
+};
 use amri_hh::CombineStrategy;
 use amri_stream::{
     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualDuration,
@@ -28,6 +30,7 @@ fn main() {
             ..TunerConfig::default()
         },
         CostParams::default(),
+        TunerKind::Paper,
     )
     .expect("valid configuration");
 

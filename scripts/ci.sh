@@ -48,6 +48,13 @@ if grep -rnE 'SideTasks|run_fused|take_fire|run_leftover|apply_stage_then_search
     echo "the fused dispatch reappeared"; exit 1
 fi
 
+# Nor may the three sibling tuner structs: the policies are points of one
+# `Tuner::maybe_retune` (DESIGN §11).
+echo "==> one Tuner under crates/ tests/ examples/"
+if grep -rnE 'IndexTuner|BanditTuner|StaticTuner' crates tests examples; then
+    echo "a sibling tuner struct reappeared"; exit 1
+fi
+
 # Sharded work borrows its slots through `parallel::for_each_slot`; that
 # file is the only one in the core crate allowed to say `unsafe`.
 echo "==> crates/core/src: unsafe only in parallel.rs"

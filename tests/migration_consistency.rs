@@ -5,7 +5,7 @@
 use amri_core::assess::AssessorKind;
 use amri_core::{
     AmriState, CostParams, CostReceipt, IndexConfig, ScanIndex, SearchScratch, SequentialExecutor,
-    StateStore, TunerConfig, TupleKey,
+    StateStore, TunerConfig, TunerKind, TupleKey,
 };
 
 /// Scratch-buffered search, collected: the migration probes care about the
@@ -37,6 +37,7 @@ fn build_amri(seed: u64) -> AmriState {
             ..TunerConfig::default()
         },
         CostParams::default(),
+        TunerKind::Paper,
     )
     .unwrap()
 }

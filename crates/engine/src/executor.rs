@@ -161,7 +161,7 @@ pub struct EngineConfig {
     /// same `shards`, every value of `parallelism` produces byte-identical
     /// results; 1 runs everything inline on the caller.
     pub parallelism: std::num::NonZeroUsize,
-    /// Most drained batch buffers the backlog queue retains for reuse
+    /// Most drained chunk buffers the backlog queue retains for reuse
     /// ([`amri_stream::JobQueue::with_caps`]). Spare buffers are working
     /// storage — never observable in results, never snapshotted — so this
     /// only trades steady-state allocation against resident memory. A

@@ -14,6 +14,7 @@
 //! * **Lottery** — Eddy's classic ticket scheme: sample the next operator
 //!   with probability inversely proportional to its observed fan-out.
 
+use amri_stream::tuple::MAX_STREAMS;
 use amri_stream::{StreamId, StreamMask};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -141,7 +142,12 @@ pub struct RoutingPolicy {
 
 impl RoutingPolicy {
     /// Instantiate `kind` for an `n_streams`-way query.
+    ///
+    /// # Panics
+    /// Panics on an exploration rate outside `[0, 1]` or more than
+    /// [`MAX_STREAMS`] streams.
     pub fn new(kind: PolicyKind, n_streams: usize) -> Self {
+        assert!(n_streams <= MAX_STREAMS, "at most {MAX_STREAMS} streams");
         if let PolicyKind::SelectivityGreedy { exploration } | PolicyKind::Lottery { exploration } =
             kind
         {
@@ -163,10 +169,17 @@ impl RoutingPolicy {
     /// # Panics
     /// Panics if every state is already visited.
     pub fn choose(&self, visited: StreamMask, stats: &RouterStats, rng: &mut StdRng) -> StreamId {
-        let unvisited: Vec<StreamId> = (0..self.n_streams as u16)
-            .map(StreamId)
-            .filter(|s| !visited.covers(*s))
-            .collect();
+        // The candidates live on the stack: this runs once per routing
+        // job, and the steady-state request loop allocates nothing.
+        let mut candidates = [StreamId(0); MAX_STREAMS];
+        let mut n = 0;
+        for s in (0..self.n_streams as u16).map(StreamId) {
+            if !visited.covers(s) {
+                candidates[n] = s;
+                n += 1;
+            }
+        }
+        let unvisited = &candidates[..n];
         assert!(!unvisited.is_empty(), "tuple already complete");
         if unvisited.len() == 1 {
             return unvisited[0];
@@ -196,13 +209,14 @@ impl RoutingPolicy {
                 if rng.gen::<f64>() < exploration {
                     return unvisited[rng.gen_range(0..unvisited.len())];
                 }
-                let weights: Vec<f64> = unvisited
-                    .iter()
-                    .map(|s| 1.0 / (1.0 + stats.fanout(*s).max(0.0)))
-                    .collect();
+                let mut tickets = [0.0f64; MAX_STREAMS];
+                for (w, s) in tickets.iter_mut().zip(unvisited) {
+                    *w = 1.0 / (1.0 + stats.fanout(*s).max(0.0));
+                }
+                let weights = &tickets[..n];
                 let total: f64 = weights.iter().sum();
                 let mut pick = rng.gen::<f64>() * total;
-                for (s, w) in unvisited.iter().zip(&weights) {
+                for (s, w) in unvisited.iter().zip(weights) {
                     if pick < *w {
                         return *s;
                     }

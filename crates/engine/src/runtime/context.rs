@@ -9,7 +9,8 @@ use crate::runtime::fault::{FaultPlan, FaultState};
 use crate::stem::Stem;
 use amri_core::{layout, CostParams, CostReceipt};
 use amri_stream::{
-    Clock, JobQueue, PartialTuple, SpjQuery, VirtualClock, VirtualDuration, VirtualTime,
+    Clock, JobQueue, Pack, Packed, PartialTuple, SpjQuery, Tuple, VirtualClock, VirtualDuration,
+    VirtualTime,
 };
 use serde::{Deserialize, Serialize};
 
@@ -17,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// tuple that spawned it. Probes only match *older* tuples (`ts <
 /// origin_ts`) — the MJoin rule that makes every join result get produced
 /// exactly once, by the job of its newest constituent.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Job {
     /// The partial tuple being routed.
     pub pt: PartialTuple,
@@ -25,6 +26,55 @@ pub struct Job {
     pub origin_ts: VirtualTime,
     /// When this job entered the backlog (sojourn-time metric).
     pub enqueued: VirtualTime,
+}
+
+/// A queued job is `origin_ts`, `enqueued`, then the partial tuple's packed
+/// words (header, `min_ts`, covered values): with the queue's two framing
+/// words, `6 + Σ covered arity` words — for the §V shape (4 streams × 3
+/// attributes) 9, 12 or 15 words = 72, 96 or 120 B, inside the 144 B
+/// `layout::queued_request_bytes(4, 3)` charges, where the struct is 464 B.
+/// The header's 4-bit part lengths hold because `SpjQuery::new` rejects a
+/// schema wider than `MAX_ATTRS`.
+impl Pack<Job> for Job {
+    fn pack(&self, out: &mut Vec<u64>) {
+        out.extend([self.origin_ts.0, self.enqueued.0]);
+        self.pt.pack(out);
+    }
+}
+
+impl Packed for Job {
+    fn unpack(words: &[u64]) -> Job {
+        Job {
+            origin_ts: VirtualTime(words[0]),
+            enqueued: VirtualTime(words[1]),
+            pt: PartialTuple::unpack(&words[2..]),
+        }
+    }
+}
+
+/// The job a probe hit spawns — `parent` extended by `matched` on the
+/// probed stream, entering the backlog at `enqueued` — as something to
+/// encode straight into the queue: it packs exactly the words of
+/// `Job { pt: parent.pt.extend(matched.stream, matched.attrs, matched.ts),
+/// origin_ts: parent.origin_ts, enqueued }` without cloning the parent's
+/// 448-byte partial tuple to build it.
+pub(crate) struct FollowUp<'a> {
+    /// The job whose probe produced the hit.
+    pub parent: &'a Job,
+    /// The matched tuple of the probed stream.
+    pub matched: &'a Tuple,
+    /// When the follow-up enters the backlog.
+    pub enqueued: VirtualTime,
+}
+
+impl Pack<Job> for FollowUp<'_> {
+    fn pack(&self, out: &mut Vec<u64>) {
+        out.extend([self.parent.origin_ts.0, self.enqueued.0]);
+        let hit = self.matched;
+        self.parent
+            .pt
+            .pack_extended(hit.stream, &hit.attrs, hit.ts, out);
+    }
 }
 
 /// How a run ended.
@@ -142,7 +192,7 @@ pub struct RunContext<C: Clock = VirtualClock> {
     /// the quasi-training path; independent of the flavors' own
     /// assessment).
     pub observers: Vec<amri_core::assess::Sria>,
-    /// The backlog of routing jobs, stored batch-granular, drained FIFO.
+    /// The backlog of routing jobs, stored as packed words, drained FIFO.
     pub backlog: JobQueue<Job>,
     /// The cumulative-throughput series being recorded.
     pub series: ThroughputSeries,
@@ -355,5 +405,154 @@ impl<C: Clock> RunContext<C> {
         gov.sample(due);
         self.governor = Some(gov);
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amri_stream::tuple::MAX_STREAMS;
+    use amri_stream::{
+        AttrVec, SectionReader, SectionWriter, StreamId, StreamMask, TupleId, MAX_ATTRS,
+    };
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// A job of any shape the engine can queue: every non-empty covered
+    /// mask over `MAX_STREAMS` streams, each covered part 0..=`MAX_ATTRS`
+    /// values wide.
+    fn any_job() -> impl Strategy<Value = Job> {
+        (
+            1u16..1 << MAX_STREAMS,
+            vec(vec(proptest::num::u64::ANY, 0..=MAX_ATTRS), MAX_STREAMS),
+            vec(proptest::num::u64::ANY, 3),
+        )
+            .prop_map(|(mask, parts, times)| {
+                let covered = StreamMask(mask);
+                let parts = covered
+                    .streams()
+                    .map(|s| AttrVec::from_slice(&parts[s.idx()]).unwrap());
+                Job {
+                    pt: PartialTuple::from_parts(covered, VirtualTime(times[0]), parts),
+                    origin_ts: VirtualTime(times[1]),
+                    enqueued: VirtualTime(times[2]),
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The packed queue against its oracle, at every job shape: any
+        /// push/pop/pop_newest interleaving across chunk boundaries equals
+        /// a `VecDeque<Job>`, `iter()` lists the drain order, and a
+        /// snapshot round-trip restores the same sequence.
+        #[test]
+        fn packed_backlog_matches_vecdeque_at_every_job_shape(
+            batch_capacity in 1usize..6,
+            ops in vec((0u8..5, any_job()), 1..200),
+        ) {
+            let mut q = JobQueue::with_batch_capacity(batch_capacity);
+            let mut oracle: VecDeque<Job> = VecDeque::new();
+            for (op, job) in ops {
+                match op {
+                    0..=2 => {
+                        q.push(job);
+                        oracle.push_back(job);
+                    }
+                    3 => prop_assert_eq!(q.pop(), oracle.pop_front()),
+                    _ => prop_assert_eq!(q.pop_newest(), oracle.pop_back()),
+                }
+                prop_assert_eq!(q.len(), oracle.len());
+            }
+            prop_assert_eq!(q.iter().collect::<VecDeque<_>>(), oracle.clone());
+
+            let mut w = SectionWriter::new();
+            q.save_jobs(&mut w, |w, job| {
+                let mut words = Vec::new();
+                job.pack(&mut words);
+                w.put_usize(words.len());
+                words.into_iter().for_each(|x| w.put_u64(x));
+            });
+            let bytes = w.into_bytes();
+            let mut restored = JobQueue::load_jobs(&mut SectionReader::new(&bytes), |r| {
+                let n = r.get_usize()?;
+                let words = (0..n).map(|_| r.get_u64()).collect::<Result<Vec<_>, _>>()?;
+                Ok(Job::unpack(&words))
+            })
+            .unwrap();
+            prop_assert_eq!(restored.iter().collect::<VecDeque<_>>(), oracle.clone());
+            while let Some(want) = oracle.pop_front() {
+                prop_assert_eq!(q.pop(), Some(want));
+                prop_assert_eq!(restored.pop(), Some(want));
+            }
+            prop_assert_eq!(q.pop(), None);
+            prop_assert_eq!(restored.pop_newest(), None);
+        }
+    }
+
+    #[test]
+    fn follow_up_packs_as_the_extended_job() {
+        let base = Tuple::new(
+            TupleId(1),
+            StreamId(2),
+            VirtualTime::from_secs(8),
+            AttrVec::from_slice(&[1, 2, 3]).unwrap(),
+        );
+        let parent = Job {
+            pt: PartialTuple::from_base(&base),
+            origin_ts: base.ts,
+            enqueued: VirtualTime::from_secs(9),
+        };
+        let matched = Tuple::new(
+            TupleId(2),
+            StreamId(0),
+            VirtualTime::from_secs(5),
+            AttrVec::from_slice(&[4, 5, 6]).unwrap(),
+        );
+        let enqueued = VirtualTime::from_secs(10);
+        let mut q = JobQueue::new();
+        q.push_packed(&FollowUp {
+            parent: &parent,
+            matched: &matched,
+            enqueued,
+        });
+        let want = Job {
+            pt: parent.pt.extend(matched.stream, matched.attrs, matched.ts),
+            origin_ts: parent.origin_ts,
+            enqueued,
+        };
+        assert_eq!(q.pop(), Some(want));
+    }
+
+    /// The point of the packed backlog: a queued job of the §V shape (4
+    /// streams × 3 attributes, 1–3 of them covered) holds no more heap
+    /// than the memory model charges for it, where the `Job` struct a
+    /// `VecDeque` would store is more than three times that charge.
+    #[test]
+    fn a_queued_job_costs_no_more_than_the_model_charges() {
+        let charged = layout::queued_request_bytes(4, 3) as usize;
+        assert!(std::mem::size_of::<Job>() > 3 * charged);
+        let attrs = AttrVec::from_slice(&[7, 8, 9]).unwrap();
+        let mut q = JobQueue::new();
+        for i in 0..10_000u64 {
+            let covered = StreamMask(match i % 3 {
+                0 => 0b0001,
+                1 => 0b0101,
+                _ => 0b1101,
+            });
+            let parts = covered.streams().map(|_| attrs);
+            q.push(Job {
+                pt: PartialTuple::from_parts(covered, VirtualTime(i), parts),
+                origin_ts: VirtualTime(i),
+                enqueued: VirtualTime(i),
+            });
+        }
+        let per_job = q.heap_bytes().div_ceil(q.len());
+        assert!(
+            per_job <= charged,
+            "{per_job} B per queued job > {charged} B charged"
+        );
     }
 }

@@ -18,7 +18,7 @@
 use crate::error::EngineError;
 use crate::memory::MemoryReport;
 use crate::runtime::context::Job;
-use amri_stream::{JobQueue, VirtualTime};
+use amri_stream::{JobQueue, Pack, VirtualTime};
 use serde::{Deserialize, Serialize};
 
 /// Tuples evicted per eviction round before the memory report is
@@ -256,9 +256,9 @@ impl Governor {
 
     /// Admit `job` to the backlog, shedding per policy if the queue is at
     /// its cap. The queue never exceeds `max_backlog` through this path.
-    pub fn admit(&mut self, backlog: &mut JobQueue<Job>, job: Job, now: VirtualTime) {
+    pub fn admit(&mut self, backlog: &mut JobQueue<Job>, job: &impl Pack<Job>, now: VirtualTime) {
         if backlog.len() < self.policy.max_backlog {
-            backlog.push(job);
+            backlog.push_packed(job);
             return;
         }
         let drop_incoming = match self.policy.shedding {
@@ -270,7 +270,7 @@ impl Governor {
         self.note_degraded(now);
         if !drop_incoming {
             backlog.pop();
-            backlog.push(job);
+            backlog.push_packed(job);
         }
     }
 
@@ -398,12 +398,12 @@ fn water_bytes(budget_bytes: u64, fraction: f64) -> u64 {
 pub(crate) fn push_governed(
     governor: &mut Option<Governor>,
     backlog: &mut JobQueue<Job>,
-    job: Job,
+    job: &impl Pack<Job>,
     now: VirtualTime,
 ) {
     match governor {
         Some(gov) => gov.admit(backlog, job, now),
-        None => backlog.push(job),
+        None => backlog.push_packed(job),
     }
 }
 
@@ -491,7 +491,7 @@ mod tests {
         let mut gov = Governor::new(policy(SheddingPolicy::DropOldest, 3));
         let mut q = JobQueue::new();
         for i in 0..5 {
-            gov.admit(&mut q, job(i), VirtualTime::from_secs(i));
+            gov.admit(&mut q, &job(i), VirtualTime::from_secs(i));
         }
         assert_eq!(q.len(), 3);
         assert_eq!(gov.report.shed_jobs, 2);
@@ -514,7 +514,7 @@ mod tests {
         let mut gov = Governor::new(policy(SheddingPolicy::DropNewest, 3));
         let mut q = JobQueue::new();
         for i in 0..5 {
-            gov.admit(&mut q, job(i), VirtualTime::from_secs(i));
+            gov.admit(&mut q, &job(i), VirtualTime::from_secs(i));
         }
         assert_eq!(q.len(), 3);
         assert_eq!(gov.report.shed_jobs, 2);
@@ -531,7 +531,7 @@ mod tests {
                 Governor::new(policy(SheddingPolicy::Probabilistic { drop_prob: 0.5 }, 4));
             let mut q = JobQueue::new();
             for i in 0..50 {
-                gov.admit(&mut q, job(i), VirtualTime::from_secs(i));
+                gov.admit(&mut q, &job(i), VirtualTime::from_secs(i));
             }
             let kept: Vec<u64> = std::iter::from_fn(|| q.pop())
                 .map(|j| j.origin_ts.0 / 1_000_000)
@@ -593,7 +593,7 @@ mod tests {
         let mut gov = Governor::new(policy(SheddingPolicy::DropOldest, 1));
         let mut q = JobQueue::new();
         for i in 0..10 {
-            gov.admit(&mut q, job(i), VirtualTime::from_secs(i));
+            gov.admit(&mut q, &job(i), VirtualTime::from_secs(i));
             gov.note_evicted((i % 2) as usize, VirtualTime::from_secs(i));
             gov.sample(VirtualTime::from_secs(i));
         }

@@ -40,7 +40,7 @@
 //!   its threads and still merge deterministically.
 //!
 //! Partial tuples flow between ingest and probe through a
-//! [`amri_stream::JobQueue`] in batch-granular storage; the probe operator
+//! [`amri_stream::JobQueue`] as packed words; the probe operator
 //! drains it strictly FIFO, one job per step, which keeps every run
 //! byte-identical to the pre-refactor executor (the equivalence test pins
 //! this). The MJoin exactly-once rule (`ts < origin_ts`) lives in

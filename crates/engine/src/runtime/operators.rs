@@ -9,14 +9,14 @@
 //! byte-identical.
 
 use crate::metrics::RetuneRecord;
-use crate::runtime::context::{digest_fold, Job, RunContext, RunOutcome};
+use crate::runtime::context::{digest_fold, FollowUp, Job, RunContext, RunOutcome};
 use crate::runtime::degrade::push_governed;
 use crate::runtime::fault::ArrivalFate;
 use amri_core::assess::Assessor;
 use amri_core::CostReceipt;
 use amri_stream::{
-    AttrVec, Clock, PartialTuple, SearchRequest, StreamId, Tuple, TupleId, VirtualDuration,
-    VirtualTime,
+    AttrVec, Clock, PartialTuple, SearchRequest, StreamId, StreamMask, Tuple, TupleId,
+    VirtualDuration, VirtualTime,
 };
 
 /// Supplies attribute values for arriving tuples — implemented by
@@ -309,7 +309,7 @@ fn deliver<C: Clock>(
     push_governed(
         &mut ctx.governor,
         &mut ctx.backlog,
-        Job {
+        &Job {
             pt: PartialTuple::from_base(&tuple),
             origin_ts: ts,
             enqueued: now,
@@ -322,10 +322,11 @@ fn deliver<C: Clock>(
 /// reusable per-STeM scratch, applies window, MJoin-dedup and residual
 /// predicates, and emits outputs or follow-up jobs.
 ///
-/// One job per step: the backlog is batch-granular storage, but draining
-/// it a job at a time preserves the pre-refactor interleaving with
-/// sampling and ingest (and therefore byte-identical results). A parallel
-/// runtime can pop whole batches via [`amri_stream::JobQueue::pop_batch`].
+/// One job per step: draining the backlog a job at a time preserves the
+/// pre-refactor interleaving with sampling and ingest (and therefore
+/// byte-identical results). The step touches a job's bytes twice — the
+/// decode on `pop`, and one [`FollowUp`] encode per surviving hit — and
+/// allocates nothing in steady state.
 #[derive(Debug, Default)]
 pub struct ProbeOperator;
 
@@ -348,7 +349,8 @@ impl<C: Clock> Operator<C> for ProbeOperator {
                 ctx.backlog.pop()
             }
         };
-        let Some(job) = popped else {
+        // Borrowed, not moved out: a decoded `Job` is 464 bytes.
+        let Some(job) = &popped else {
             // No job to probe for: drain every STeM's staged ingest work
             // before reporting idle — the pipeline observes memory (and
             // may checkpoint) at the loop boundary, and the visibility
@@ -360,7 +362,7 @@ impl<C: Clock> Operator<C> for ProbeOperator {
             return StepStatus::Idle;
         };
         let n = ctx.query.n_streams();
-        let pt = job.pt;
+        let pt = &job.pt;
         ctx.sojourn_ticks += ctx.clock.now().since(job.enqueued).0;
         ctx.jobs_processed += 1;
         let RunContext {
@@ -381,14 +383,15 @@ impl<C: Clock> Operator<C> for ProbeOperator {
             ..
         } = ctx;
         let target = router.choose_next(pt.covered);
-        let (pattern, values, residual) = graph.probe_values(&pt, target);
+        let (pattern, values, residual) = graph.probe_values(pt, target);
         let req = SearchRequest::new(pattern, values);
         observers[target.idx()].record(pattern);
         let mut receipt = CostReceipt::new();
-        // Drain the staged ingest work of every *other* STeM first; the
-        // probe target's stage is flushed by its own read call below.
+        // Drain the staged ingest work of every *other* STeM first (almost
+        // always none: only the arrivals since the last probe staged any);
+        // the probe target's stage is flushed by its own read call below.
         for (i, stem) in stems.iter_mut().enumerate() {
-            if i != target.idx() {
+            if i != target.idx() && !stem.ingest_stage.is_empty() {
                 stem.state.flush_ingest(&mut stem.ingest_stage, pool);
             }
         }
@@ -410,36 +413,22 @@ impl<C: Clock> Operator<C> for ProbeOperator {
         stem.requests_served += 1;
         let window = query.windows[target.idx()];
         let now = clock.now();
+        let target_jas = graph.jas(target);
+        let completes = pt.covered.with(target) == StreamMask::all(n);
         let mut matches = 0usize;
-        // Materialize every hit up front, one batch call: free for
-        // RAM-resident tuples; for spill-resident ones the tier's block
-        // cache (when enabled) groups hits by block and reads each
-        // distinct block once — cacheless, this is exactly the per-hit
-        // read sequence. A lost block — double read error or real
-        // corruption — purges its stubs and counts as typed degradation,
-        // never a panic; its hits come back `None`.
-        let mut mat = std::mem::take(&mut stem.mat_buf);
-        let lost = stem
-            .state
-            .materialize_batch(&stem.scratch.hits, &mut mat, &mut receipt, pool);
-        if lost > 0 {
-            *spill_lost += lost as u64;
-            spill_first_at.get_or_insert(now);
-        }
-        for slot in &mat {
-            let Some(t) = *slot else { continue };
+        let mut on_hit = |t: &Tuple| {
             // Lazy expiry: skip tuples that slid out of the window.
             if !window.live(t.ts, now) {
-                continue;
+                return;
             }
             // MJoin dedup: only match tuples older than the job's origin
             // arrival.
             if t.ts >= job.origin_ts {
-                continue;
+                return;
             }
             // Residual (non-equality) predicates.
             let ok = residual.iter().all(|b| {
-                let lhs = t.attrs[graph.jas(target)[b.jas_pos].idx()];
+                let lhs = t.attrs[target_jas[b.jas_pos].idx()];
                 let rhs = pt
                     .part(b.src_stream)
                     .expect("graph only emits residuals whose source stream the partial covers")
@@ -447,37 +436,64 @@ impl<C: Clock> Operator<C> for ProbeOperator {
                 b.op.eval(lhs, rhs)
             });
             if !ok {
-                continue;
+                return;
             }
             matches += 1;
-            let extended = pt.extend(target, t.attrs, t.ts);
-            if extended.is_complete(n) {
+            if completes {
                 *outputs += 1;
                 // Fold the completed output into the order-sensitive run
-                // digest — the identity witness the spill matrix pins.
+                // digest — the identity witness the spill matrix pins:
+                // origin, then every stream's part ascending, the target's
+                // being the matched tuple.
                 let mut h = digest_fold(*output_digest, job.origin_ts.0);
-                for s in 0..n {
-                    if let Some(part) = extended.part(StreamId(s as u16)) {
-                        for &v in part.as_slice() {
-                            h = digest_fold(h, v);
-                        }
+                for s in (0..n as u16).map(StreamId) {
+                    let part = if s == target {
+                        &t.attrs
+                    } else {
+                        pt.part(s)
+                            .expect("a completing probe's parent covers every other stream")
+                    };
+                    for &v in part.as_slice() {
+                        h = digest_fold(h, v);
                     }
                 }
                 *output_digest = h;
             } else {
-                push_governed(
-                    governor,
-                    backlog,
-                    Job {
-                        pt: extended,
-                        origin_ts: job.origin_ts,
-                        enqueued: now,
-                    },
-                    now,
-                );
+                let follow_up = FollowUp {
+                    parent: job,
+                    matched: t,
+                    enqueued: now,
+                };
+                push_governed(governor, backlog, &follow_up, now);
             }
+        };
+        if stem.state.spilled_len() == 0 {
+            // Every hit is RAM-resident: read it where it lives.
+            let store = stem.state.store();
+            for &key in &stem.scratch.hits {
+                if let Some(t) = store.tuple(key) {
+                    on_hit(t);
+                }
+            }
+        } else {
+            // Some of the state is on disk: materialize every hit up
+            // front, one batch call. The tier's block cache (when enabled)
+            // groups hits by block and reads each distinct block once —
+            // cacheless, this is exactly the per-hit read sequence. A lost
+            // block — double read error or real corruption — purges its
+            // stubs and counts as typed degradation, never a panic; its
+            // hits come back `None`.
+            let mut mat = std::mem::take(&mut stem.mat_buf);
+            let lost =
+                stem.state
+                    .materialize_batch(&stem.scratch.hits, &mut mat, &mut receipt, pool);
+            if lost > 0 {
+                *spill_lost += lost as u64;
+                spill_first_at.get_or_insert(now);
+            }
+            mat.iter().flatten().for_each(&mut on_hit);
+            stem.mat_buf = mat;
         }
-        stem.mat_buf = mat;
         stem.matches_returned += matches as u64;
         let ticks = run.params.ticks(&receipt);
         router.observe(target, matches, ticks.0);

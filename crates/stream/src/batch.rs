@@ -1,22 +1,27 @@
-//! Batched job flow — the backlog representation of the runtime layer.
+//! Packed job flow — the backlog representation of the runtime layer.
 //!
-//! The engine's backlog used to be a `VecDeque` of individual routing jobs;
-//! batch-granular operator pipelines (the precondition for multicore stream
-//! joins — Shahvarani & Jacobsen's index-based multicore join, Hu & Qiu's
-//! runtime-optimized multi-way join) need work to move between operators in
-//! *batches*. [`JobQueue`] keeps the backlog as a FIFO of [`Batch`]es while
-//! preserving single-job order **exactly**: `push` → `pop` round-trips in
-//! precisely `VecDeque` order, so the deterministic simulation harness can
-//! drain job-by-job while a future parallel runtime hands whole batches to
-//! worker operators.
+//! A queued routing job is charged `layout::queued_request_bytes` by the
+//! memory model, so that is what it may cost: [`JobQueue`] stores each job
+//! as **packed words** — only the values it carries, framed by its word
+//! count on both sides — inside chunks of `batch_capacity` jobs, instead
+//! of as a fixed-size struct sized for the widest query the engine
+//! accepts. The element type supplies the word layout ([`Packed`]); the
+//! queue owns framing, chunking and recycling.
 //!
-//! Steady state allocates nothing: drained batch buffers are recycled into
-//! a spare pool and reused for new tail batches.
+//! Single-job order is preserved **exactly**: `push` → `pop` round-trips
+//! in precisely `VecDeque` order under any `pop`/`pop_newest`
+//! interleaving, so the deterministic simulation harness drains
+//! job-by-job with byte-identical results.
+//!
+//! Steady state allocates nothing: drained chunk buffers are recycled into
+//! a spare pool and reused for new tail chunks.
 
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 
-/// Default jobs per batch. 64 keeps a batch within a few cache lines of
-/// job headers while giving a parallel consumer enough work per handoff.
+/// Default jobs per chunk. 64 packed jobs of the paper's shape fill a few
+/// KiB — large enough that chunk turnover is rare, small enough that a
+/// drained chunk returns its memory promptly.
 pub const DEFAULT_BATCH_CAPACITY: usize = 64;
 
 /// Default bound on a [`JobQueue`]'s spare-buffer pool (see
@@ -24,154 +29,90 @@ pub const DEFAULT_BATCH_CAPACITY: usize = 64;
 /// smaller cap to bound aggregate spare-buffer memory.
 pub const DEFAULT_MAX_SPARE_BUFFERS: usize = 8;
 
-/// One batch of jobs, in arrival order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Batch<T> {
-    items: Vec<T>,
+/// Something that can write itself as the packed words of one queued `T`
+/// — a `T`, or a cheaper stand-in that encodes the same job without
+/// building it (see [`JobQueue::push_packed`]).
+pub trait Pack<T> {
+    /// Append the job's words to `out` (never touching what is there).
+    fn pack(&self, out: &mut Vec<u64>);
 }
 
-impl<T> Batch<T> {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Batch { items: Vec::new() }
-    }
-
-    /// An empty batch with pre-sized storage.
-    pub fn with_capacity(cap: usize) -> Self {
-        Batch {
-            items: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Wrap an existing buffer (used by [`JobQueue`] to recycle storage).
-    fn from_vec(items: Vec<T>) -> Self {
-        Batch { items }
-    }
-
-    /// Append a job to the batch.
-    #[inline]
-    pub fn push(&mut self, item: T) {
-        self.items.push(item);
-    }
-
-    /// Remove and return the newest (last-pushed) job, if any.
-    #[inline]
-    pub fn pop(&mut self) -> Option<T> {
-        self.items.pop()
-    }
-
-    /// Jobs in the batch.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True iff the batch holds no jobs.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The jobs, oldest first.
-    #[inline]
-    pub fn as_slice(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Iterate the jobs, oldest first.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.items.iter()
-    }
-
-    /// Consume the batch, yielding its jobs oldest-first.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
-
-    /// Split the batch into `parts` contiguous runs of near-equal length
-    /// (sizes differ by at most one, order preserved) — the fan-out shape
-    /// a parallel consumer hands to `parts` shard workers. Trailing runs
-    /// are empty when the batch holds fewer jobs than `parts`, so every
-    /// worker index stays addressable.
-    ///
-    /// # Panics
-    /// Panics when `parts` is zero.
-    pub fn split(&self, parts: usize) -> impl Iterator<Item = &[T]> + '_ {
-        assert!(parts > 0, "parts must be positive");
-        let len = self.items.len();
-        let base = len / parts;
-        let extra = len % parts;
-        let mut start = 0usize;
-        (0..parts).map(move |i| {
-            let take = base + usize::from(i < extra);
-            let run = &self.items[start..start + take];
-            start += take;
-            run
-        })
-    }
+/// A [`JobQueue`] element: packs as itself and decodes back.
+pub trait Packed: Pack<Self> + Sized {
+    /// Rebuild the job from exactly the words its [`Pack::pack`] wrote.
+    fn unpack(words: &[u64]) -> Self;
 }
 
-impl<T> From<Vec<T>> for Batch<T> {
-    fn from(items: Vec<T>) -> Self {
-        Batch { items }
-    }
-}
-
-impl<T> IntoIterator for Batch<T> {
-    type Item = T;
-    type IntoIter = std::vec::IntoIter<T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.into_iter()
-    }
-}
-
-impl<'a, T> IntoIterator for &'a Batch<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.iter()
-    }
-}
-
-/// A FIFO backlog of jobs stored batch-granularly.
+/// A FIFO backlog of jobs stored as packed words, chunk-granularly.
 ///
-/// Pushes fill an open tail batch; once it reaches the batch capacity it is
-/// sealed and a fresh (recycled) buffer opens. Pops drain the oldest sealed
-/// batch job-by-job before touching younger ones, so the queue is
-/// indistinguishable from `VecDeque<T>` at the job level — the property the
-/// byte-identical §V equivalence suite pins — while `pop_batch` lets a
-/// batch-first consumer take whole batches.
+/// Pushes encode into an open tail chunk; once it holds the batch capacity
+/// it is sealed and a fresh (recycled) buffer opens. Pops decode the
+/// oldest chunk job-by-job through a cursor before touching younger ones,
+/// so the queue is indistinguishable from `VecDeque<T>` at the job level —
+/// the property the byte-identical §V equivalence suite pins.
+///
+/// Inside a chunk every job is framed `[n, n payload words, n]`: the
+/// leading count lets `pop` walk forwards, the trailing one lets
+/// [`pop_newest`](Self::pop_newest) walk backwards.
 #[derive(Debug, Clone)]
 pub struct JobQueue<T> {
-    /// Head batch being drained, **reversed** so `Vec::pop` yields FIFO
-    /// order in O(1) without requiring `T: Clone`.
-    active: Vec<T>,
-    /// Sealed batches waiting behind the active one, oldest first.
-    sealed: VecDeque<Batch<T>>,
-    /// Open tail batch that `push` appends to.
-    tail: Batch<T>,
+    /// Head chunk being drained; the jobs before `cursor` are gone. Empty
+    /// (cursor 0) whenever it holds no undrained job.
+    active: Vec<u64>,
+    /// Word offset of the oldest undrained job in `active`.
+    cursor: usize,
+    /// Sealed chunks waiting behind the active one, oldest first.
+    sealed: VecDeque<Vec<u64>>,
+    /// Open tail chunk that `push` encodes into.
+    tail: Vec<u64>,
+    /// Jobs in `tail` (it seals at `batch_capacity`).
+    tail_jobs: usize,
     /// Total queued jobs across active + sealed + tail.
     len: usize,
     batch_capacity: usize,
     /// Drained buffers kept for reuse (steady state never allocates).
-    spare: Vec<Vec<T>>,
+    spare: Vec<Vec<u64>>,
     /// Most spare buffers retained (see [`Self::with_caps`]).
     spare_cap: usize,
+    /// Largest capacity any tail chunk has grown to. Every buffer entering
+    /// the tail role is sized to it up front, so once the widest chunk of
+    /// a workload has been seen, chunk turnover stops reallocating.
+    chunk_words: usize,
+    _jobs: PhantomData<T>,
 }
 
-impl<T> Default for JobQueue<T> {
+impl<T: Packed> Default for JobQueue<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> JobQueue<T> {
+/// Decode and remove the newest job of a non-empty chunk.
+fn take_last<T: Packed>(chunk: &mut Vec<u64>) -> T {
+    let end = chunk.len() - 1;
+    let n = chunk[end] as usize;
+    let item = T::unpack(&chunk[end - n..end]);
+    chunk.truncate(end - n - 1);
+    item
+}
+
+/// Decode the jobs framed in `words`, oldest first.
+fn jobs_of<T: Packed>(mut words: &[u64]) -> impl Iterator<Item = T> + '_ {
+    std::iter::from_fn(move || {
+        let (&n, rest) = words.split_first()?;
+        let item = T::unpack(&rest[..n as usize]);
+        words = &rest[n as usize + 1..];
+        Some(item)
+    })
+}
+
+impl<T: Packed> JobQueue<T> {
     /// An empty queue with the [`DEFAULT_BATCH_CAPACITY`].
     pub fn new() -> Self {
         Self::with_batch_capacity(DEFAULT_BATCH_CAPACITY)
     }
 
-    /// An empty queue sealing batches at `batch_capacity` jobs, retaining
+    /// An empty queue sealing chunks at `batch_capacity` jobs, retaining
     /// at most [`DEFAULT_MAX_SPARE_BUFFERS`] spare buffers.
     ///
     /// # Panics
@@ -182,10 +123,10 @@ impl<T> JobQueue<T> {
 
     /// An empty queue with explicit batch capacity *and* spare-pool bound.
     ///
-    /// A deep backlog seals many batches whose buffers all come home when
+    /// A deep backlog seals many chunks whose buffers all come home when
     /// the queue drains; without a bound the pool would keep the burst's
     /// peak allocation for the rest of the run. `spare_cap = 0` disables
-    /// recycling entirely — every sealed batch allocates fresh — which a
+    /// recycling entirely — every sealed chunk allocates fresh — which a
     /// multi-tenant host can use to cap aggregate spare-buffer memory
     /// across many co-resident queues.
     ///
@@ -195,16 +136,20 @@ impl<T> JobQueue<T> {
         assert!(batch_capacity > 0, "batch capacity must be positive");
         JobQueue {
             active: Vec::new(),
+            cursor: 0,
             sealed: VecDeque::new(),
-            tail: Batch::new(),
+            tail: Vec::new(),
+            tail_jobs: 0,
             len: 0,
             batch_capacity,
             spare: Vec::new(),
             spare_cap,
+            chunk_words: 0,
+            _jobs: PhantomData,
         }
     }
 
-    /// Jobs per sealed batch.
+    /// Jobs per sealed chunk.
     #[inline]
     pub fn batch_capacity(&self) -> usize {
         self.batch_capacity
@@ -235,72 +180,77 @@ impl<T> JobQueue<T> {
         self.len == 0
     }
 
-    /// Number of batches currently materialized (active head counts as one
-    /// while non-empty, plus sealed batches, plus a non-empty tail).
-    pub fn n_batches(&self) -> usize {
-        usize::from(!self.active.is_empty())
-            + self.sealed.len()
-            + usize::from(!self.tail.is_empty())
+    /// Heap bytes the queue holds right now: the capacity of every chunk
+    /// buffer, live or spare, plus the tables that list them — what a
+    /// queued job really costs, to set against the memory model's charge.
+    pub fn heap_bytes(&self) -> usize {
+        let words: usize = [&self.active, &self.tail]
+            .into_iter()
+            .chain(&self.sealed)
+            .chain(&self.spare)
+            .map(Vec::capacity)
+            .sum();
+        words * std::mem::size_of::<u64>()
+            + (self.sealed.capacity() + self.spare.capacity()) * std::mem::size_of::<Vec<u64>>()
     }
 
-    /// Take a recycled buffer (or allocate the first time around).
-    fn fresh_buf(&mut self) -> Vec<T> {
-        self.spare
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(self.batch_capacity))
+    /// Detach the tail chunk, leaving a recycled (or new) buffer sized for
+    /// the widest chunk seen so far in its place.
+    fn roll_tail(&mut self) -> Vec<u64> {
+        self.chunk_words = self.chunk_words.max(self.tail.capacity());
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.reserve(self.chunk_words);
+        self.tail_jobs = 0;
+        std::mem::replace(&mut self.tail, buf)
     }
 
     /// Return a drained buffer to the spare pool, unless the pool is
     /// already at [`Self::spare_cap`] (then the buffer is freed).
-    fn recycle(&mut self, buf: Vec<T>) {
-        debug_assert!(buf.is_empty());
+    fn recycle(&mut self, mut buf: Vec<u64>) {
+        buf.clear();
         if buf.capacity() > 0 && self.spare.len() < self.spare_cap {
             self.spare.push(buf);
         }
     }
 
+    /// Recycle the fully drained active chunk.
+    fn retire_active(&mut self) {
+        debug_assert_eq!(self.cursor, self.active.len());
+        self.cursor = 0;
+        let buf = std::mem::take(&mut self.active);
+        self.recycle(buf);
+    }
+
     /// Enqueue one job at the back.
     pub fn push(&mut self, item: T) {
-        if self.tail.len() == self.batch_capacity {
-            let buf = self.fresh_buf();
-            let full = std::mem::replace(&mut self.tail, Batch::from_vec(buf));
+        self.push_packed(&item);
+    }
+
+    /// Enqueue, at the back, the job `item` packs as — for a stand-in
+    /// that writes a `T`'s words without building the `T`.
+    pub fn push_packed(&mut self, item: &impl Pack<T>) {
+        if self.tail_jobs == self.batch_capacity {
+            let full = self.roll_tail();
             self.sealed.push_back(full);
         }
-        self.tail.push(item);
+        let at = self.tail.len();
+        self.tail.push(0);
+        item.pack(&mut self.tail);
+        let n = (self.tail.len() - at - 1) as u64;
+        self.tail[at] = n;
+        self.tail.push(n);
+        self.tail_jobs += 1;
         self.len += 1;
     }
 
-    /// Enqueue a whole batch behind everything queued so far (the open tail
-    /// is sealed first so older jobs keep draining first).
-    pub fn push_batch(&mut self, batch: Batch<T>) {
-        if batch.is_empty() {
-            return;
-        }
-        if !self.tail.is_empty() {
-            let buf = self.fresh_buf();
-            let part = std::mem::replace(&mut self.tail, Batch::from_vec(buf));
-            self.sealed.push_back(part);
-        }
-        self.len += batch.len();
-        self.sealed.push_back(batch);
-    }
-
-    /// Move the oldest unsealed-or-sealed batch into the (empty) active
-    /// head, reversed for O(1) FIFO pops.
+    /// Move the oldest sealed-or-tail chunk into the (empty) active head.
     fn promote(&mut self) -> bool {
-        debug_assert!(self.active.is_empty());
-        let next = match self.sealed.pop_front() {
-            Some(b) => b,
-            None if !self.tail.is_empty() => {
-                let buf = self.fresh_buf();
-                std::mem::replace(&mut self.tail, Batch::from_vec(buf))
-            }
+        debug_assert!(self.active.is_empty() && self.cursor == 0);
+        self.active = match self.sealed.pop_front() {
+            Some(chunk) => chunk,
+            None if self.tail_jobs > 0 => self.roll_tail(),
             None => return false,
         };
-        let mut items = next.into_items();
-        items.reverse();
-        let old = std::mem::replace(&mut self.active, items);
-        self.recycle(old);
         true
     }
 
@@ -309,17 +259,15 @@ impl<T> JobQueue<T> {
         if self.active.is_empty() && !self.promote() {
             return None;
         }
-        let item = self.active.pop();
-        debug_assert!(item.is_some());
-        if item.is_some() {
-            self.len -= 1;
-            if self.active.is_empty() {
-                // Recycle the drained buffer for a future tail batch.
-                let buf = std::mem::take(&mut self.active);
-                self.recycle(buf);
-            }
+        let start = self.cursor + 1;
+        let end = start + self.active[self.cursor] as usize;
+        let item = T::unpack(&self.active[start..end]);
+        self.cursor = end + 1;
+        self.len -= 1;
+        if self.cursor == self.active.len() {
+            self.retire_active();
         }
-        item
+        Some(item)
     }
 
     /// Dequeue the **newest** job — the opposite end from [`pop`](Self::pop).
@@ -328,63 +276,48 @@ impl<T> JobQueue<T> {
     /// reorder fault: the job removed is the one that would otherwise drain
     /// last. All other jobs keep their exact FIFO order.
     pub fn pop_newest(&mut self) -> Option<T> {
-        if let Some(item) = self.tail.pop() {
-            self.len -= 1;
-            return Some(item);
-        }
-        if let Some(back) = self.sealed.back_mut() {
-            let item = back.pop();
-            debug_assert!(item.is_some(), "sealed batches are never empty");
-            if item.is_some() {
-                self.len -= 1;
-                if back.is_empty() {
-                    // Drop the emptied batch so `promote` never sees it;
-                    // recycle its buffer like any drained batch.
-                    if let Some(empty) = self.sealed.pop_back() {
-                        let buf = empty.into_items();
-                        self.recycle(buf);
-                    }
-                }
-                return item;
+        let item = if self.tail_jobs > 0 {
+            self.tail_jobs -= 1;
+            take_last(&mut self.tail)
+        } else if let Some(back) = self.sealed.back_mut() {
+            let item = take_last(back);
+            if back.is_empty() {
+                // Drop the emptied chunk so `promote` never sees it;
+                // recycle its buffer like any drained chunk.
+                let buf = self.sealed.pop_back().expect("back_mut was Some");
+                self.recycle(buf);
             }
-        }
-        if self.active.is_empty() {
+            item
+        } else if self.active.is_empty() {
             return None;
-        }
-        // `active` is reversed (oldest last), so the newest sits at index 0.
+        } else {
+            let item = take_last(&mut self.active);
+            if self.cursor == self.active.len() {
+                self.retire_active();
+            }
+            item
+        };
         self.len -= 1;
-        Some(self.active.remove(0))
+        Some(item)
     }
 
-    /// Dequeue the oldest whole batch (the partially drained head batch
-    /// counts: its remaining jobs come out as one batch).
-    pub fn pop_batch(&mut self) -> Option<Batch<T>> {
-        if self.active.is_empty() && !self.promote() {
-            return None;
-        }
-        let mut items = std::mem::take(&mut self.active);
-        items.reverse(); // back to oldest-first
-        self.len -= items.len();
-        Some(Batch::from_vec(items))
-    }
-
-    /// Iterate all queued jobs, oldest first (diagnostics; not on the hot
-    /// path).
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.active
-            .iter()
-            .rev()
-            .chain(self.sealed.iter().flat_map(|b| b.iter()))
-            .chain(self.tail.iter())
+    /// Decode all queued jobs, oldest first (diagnostics and snapshots;
+    /// not on the hot path).
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        std::iter::once(&self.active[self.cursor..])
+            .chain(self.sealed.iter().map(Vec::as_slice))
+            .chain(std::iter::once(self.tail.as_slice()))
+            .flat_map(jobs_of)
     }
 
     /// Serialize the live backlog into a snapshot section: batch capacity,
     /// job count, then every queued job oldest-first via `put`.
     ///
-    /// Only *live* jobs are captured. Spare-pool buffers are working
-    /// storage, not state — a queue restored by [`load_jobs`]
+    /// Only *live* jobs are captured, in the caller's format — the packed
+    /// words are working storage, not a snapshot format. Spare-pool
+    /// buffers are not state either: a queue restored by [`load_jobs`]
     /// (Self::load_jobs) starts with an empty pool and re-warms it lazily
-    /// as batches drain, exactly like a freshly built queue.
+    /// as chunks drain, exactly like a freshly built queue.
     pub fn save_jobs(
         &self,
         w: &mut crate::snapshot::SectionWriter,
@@ -393,14 +326,14 @@ impl<T> JobQueue<T> {
         w.put_usize(self.batch_capacity);
         w.put_usize(self.len);
         for job in self.iter() {
-            put(w, job);
+            put(w, &job);
         }
     }
 
     /// Rebuild a queue from a section written by [`save_jobs`]
     /// (Self::save_jobs), reading each job with `get`.
     ///
-    /// Jobs re-enter through [`push`](Self::push), so internal batch
+    /// Jobs re-enter through [`push`](Self::push), so internal chunk
     /// boundaries may differ from the saved queue's — irrelevant at the
     /// job level, where the queue is pinned indistinguishable from a
     /// `VecDeque` under any `pop`/`pop_newest` interleaving.
@@ -434,36 +367,35 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
 
-    #[test]
-    fn batch_basics() {
-        let mut b = Batch::with_capacity(4);
-        assert!(b.is_empty());
-        b.push(1);
-        b.push(2);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.as_slice(), &[1, 2]);
-        assert_eq!(b.iter().copied().collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(b.clone().into_items(), vec![1, 2]);
-        assert_eq!((&b).into_iter().count(), 2);
-        assert_eq!(b.into_iter().collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(Batch::from(vec![7]).as_slice(), &[7]);
+    /// The oracle tests queue bare integers: one payload word each.
+    impl Pack<u64> for u64 {
+        fn pack(&self, out: &mut Vec<u64>) {
+            out.push(*self);
+        }
+    }
+
+    impl Packed for u64 {
+        fn unpack(words: &[u64]) -> u64 {
+            assert_eq!(words.len(), 1);
+            words[0]
+        }
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
-        let _ = JobQueue::<u32>::with_batch_capacity(0);
+        let _ = JobQueue::<u64>::with_batch_capacity(0);
     }
 
     #[test]
     fn fifo_across_batch_boundaries() {
         let mut q = JobQueue::with_batch_capacity(3);
-        for i in 0..10 {
+        for i in 0..10u64 {
             q.push(i);
         }
         assert_eq!(q.len(), 10);
-        assert!(q.n_batches() >= 4, "10 jobs at cap 3: {}", q.n_batches());
-        let drained: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(q.sealed.len(), 3, "10 jobs at cap 3 seal three chunks");
+        let drained: Vec<u64> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(drained, (0..10).collect::<Vec<_>>());
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
@@ -500,48 +432,18 @@ mod tests {
     #[test]
     fn iter_reports_queue_order() {
         let mut q = JobQueue::with_batch_capacity(2);
-        for i in 0..7 {
+        for i in 0..7u64 {
             q.push(i);
         }
-        q.pop(); // partially drain the head batch
-        assert_eq!(
-            q.iter().copied().collect::<Vec<_>>(),
-            vec![1, 2, 3, 4, 5, 6]
-        );
-    }
-
-    #[test]
-    fn push_batch_seals_the_tail_first() {
-        let mut q = JobQueue::with_batch_capacity(8);
-        q.push(1);
-        q.push(2);
-        q.push_batch(Batch::from(vec![3, 4]));
-        q.push(5);
-        q.push_batch(Batch::new()); // no-op
-        let drained: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(drained, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn pop_batch_returns_oldest_first() {
-        let mut q = JobQueue::with_batch_capacity(3);
-        for i in 0..8 {
-            q.push(i);
-        }
-        assert_eq!(q.pop(), Some(0));
-        // Remaining head batch [1, 2] comes out as one batch.
-        assert_eq!(q.pop_batch().unwrap().as_slice(), &[1, 2]);
-        assert_eq!(q.pop_batch().unwrap().as_slice(), &[3, 4, 5]);
-        assert_eq!(q.pop_batch().unwrap().as_slice(), &[6, 7]);
-        assert!(q.pop_batch().is_none());
-        assert!(q.is_empty());
+        q.pop(); // partially drain the head chunk
+        assert_eq!(q.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
     fn pop_newest_takes_the_back_across_every_region() {
         // Exercise all three storage regions: tail, sealed back, active.
         let mut q = JobQueue::with_batch_capacity(3);
-        for i in 0..8 {
+        for i in 0..8u64 {
             q.push(i); // [0 1 2][3 4 5] tail:[6 7]
         }
         assert_eq!(q.pop_newest(), Some(7), "tail first");
@@ -582,31 +484,6 @@ mod tests {
             assert_eq!(q.pop(), Some(want));
         }
         assert_eq!(q.pop_newest(), None);
-    }
-
-    #[test]
-    fn split_yields_contiguous_near_equal_runs() {
-        let b = Batch::from((0..10).collect::<Vec<i32>>());
-        let runs: Vec<&[i32]> = b.split(3).collect();
-        assert_eq!(runs.len(), 3);
-        assert_eq!(runs[0], &[0, 1, 2, 3]);
-        assert_eq!(runs[1], &[4, 5, 6]);
-        assert_eq!(runs[2], &[7, 8, 9]);
-        // Fewer jobs than parts: trailing runs are empty, order intact.
-        let small = Batch::from(vec![1, 2]);
-        let runs: Vec<&[i32]> = small.split(4).collect();
-        assert_eq!(runs, vec![&[1][..], &[2][..], &[][..], &[][..]]);
-        // Concatenation of the runs is always the original batch.
-        for parts in 1..=12 {
-            let joined: Vec<i32> = b.split(parts).flatten().copied().collect();
-            assert_eq!(joined, b.as_slice());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn split_rejects_zero_parts() {
-        let _ = Batch::from(vec![1]).split(0).count();
     }
 
     #[test]
@@ -652,7 +529,7 @@ mod tests {
             q.pop();
         }
         assert!(!q.spare.is_empty(), "test needs a warmed spare pool");
-        let live: Vec<u64> = q.iter().copied().collect();
+        let live: Vec<u64> = q.iter().collect();
 
         let mut w = SectionWriter::new();
         q.save_jobs(&mut w, |w, &job| w.put_u64(job));
@@ -724,7 +601,7 @@ mod tests {
         let mut q = JobQueue::with_batch_capacity(4);
         // Fill and drain a few times; after warm-up the spare pool feeds
         // every new tail/active buffer.
-        for round in 0..5 {
+        for round in 0..5u64 {
             for i in 0..16 {
                 q.push(round * 100 + i);
             }

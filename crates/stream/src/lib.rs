@@ -7,8 +7,8 @@
 //!   tuples and search requests.
 //! * [`time`] — the deterministic virtual clock the whole simulation runs
 //!   on, and the [`Clock`] abstraction the runtime layer is written against.
-//! * [`batch`] — batch-granular job flow: the [`JobQueue`] backlog that
-//!   moves routing jobs between operators in [`Batch`]es while preserving
+//! * [`batch`] — packed job flow: the [`JobQueue`] backlog that stores
+//!   routing jobs as the words they carry ([`Packed`]) while preserving
 //!   exact FIFO order.
 //! * [`schema`] — stream schemas, attribute domains, identifiers.
 //! * [`mod@tuple`] — stream tuples and partial (intermediate) join tuples.
@@ -36,7 +36,7 @@ pub mod tuple;
 pub mod value;
 pub mod window;
 
-pub use batch::{Batch, JobQueue, DEFAULT_BATCH_CAPACITY, DEFAULT_MAX_SPARE_BUFFERS};
+pub use batch::{JobQueue, Pack, Packed, DEFAULT_BATCH_CAPACITY, DEFAULT_MAX_SPARE_BUFFERS};
 pub use error::StreamError;
 pub use fxhash::{fx_hash_u64, FxBuildHasher, FxHashMap, FxHashSet};
 pub use pattern::{AccessPattern, SearchRequest};
@@ -53,7 +53,7 @@ pub use window::{WindowBuffer, WindowSpec};
 
 /// Convenience prelude bringing the commonly used substrate types in scope.
 pub mod prelude {
-    pub use crate::batch::{Batch, JobQueue};
+    pub use crate::batch::JobQueue;
     pub use crate::error::StreamError;
     pub use crate::fxhash::{FxHashMap, FxHashSet};
     pub use crate::pattern::{AccessPattern, SearchRequest};

@@ -152,6 +152,8 @@ impl SpjQuery {
     /// # Errors
     /// * [`StreamError::InvalidQuery`] — empty FROM, too many streams,
     ///   self-join predicate, mismatched windows, disconnected join graph.
+    /// * [`StreamError::TooManyAttributes`] — a schema wider than
+    ///   [`MAX_ATTRS`], whose tuples no [`AttrVec`] could hold.
     /// * [`StreamError::UnknownStream`] / [`StreamError::UnknownAttribute`]
     ///   — dangling references in predicates.
     pub fn new(
@@ -199,6 +201,12 @@ impl SpjQuery {
                 "{} streams exceeds the {MAX_STREAMS}-stream limit",
                 self.schemas.len()
             )));
+        }
+        if let Some(wide) = self.schemas.iter().find(|s| s.arity() > MAX_ATTRS) {
+            return Err(StreamError::TooManyAttributes {
+                requested: wide.arity(),
+                max: MAX_ATTRS,
+            });
         }
         if self.windows.len() != self.schemas.len() {
             return Err(StreamError::InvalidQuery(
@@ -299,13 +307,30 @@ pub struct ProbeBinding {
     pub op: JoinOp,
 }
 
+/// Everything about a probe of one target by partial tuples covering one
+/// stream set that does not depend on the tuple's values: the bindings of
+/// every covered source stream, folded once at graph construction.
+#[derive(Debug, Clone)]
+struct ProbePlan {
+    /// The access pattern the equality bindings specify.
+    pattern: AccessPattern,
+    /// The target's JAS width zeros — the value vector before any binding
+    /// is applied (wildcard slots stay zero).
+    wildcards: AttrVec,
+    /// Equality bindings, in fold order (covered sources ascending, then
+    /// predicate order): each copies one source value into its JAS slot.
+    sets: Vec<ProbeBinding>,
+    /// Non-equality bindings, same order: evaluated per candidate.
+    residual: Vec<ProbeBinding>,
+}
+
 /// Precomputed per-target probe metadata for a query.
 ///
 /// For each target state the graph stores, per possible source stream, the
-/// bindings its predicates induce. At routing time
-/// [`JoinGraph::probe_pattern`] folds the bindings of every *covered* source
-/// stream into the access pattern and value vector of a concrete search
-/// request.
+/// bindings its predicates induce, and per possible covered stream set the
+/// [`ProbePlan`] those bindings fold into. At routing time
+/// [`JoinGraph::probe_values`] only copies the plan's source values out of
+/// the partial tuple.
 #[derive(Debug, Clone)]
 pub struct JoinGraph {
     n_streams: usize,
@@ -314,6 +339,8 @@ pub struct JoinGraph {
     /// `bindings[target][source]` — constraints on `target`'s JAS arising
     /// from predicates between `target` and `source`.
     bindings: Vec<Vec<Vec<ProbeBinding>>>,
+    /// `plans[target][covered mask]`.
+    plans: Vec<Vec<ProbePlan>>,
 }
 
 impl JoinGraph {
@@ -338,10 +365,34 @@ impl JoinGraph {
                 }
             }
         }
-        JoinGraph {
+        let mut graph = JoinGraph {
             n_streams: n,
             jas,
             bindings,
+            plans: Vec::new(),
+        };
+        graph.plans = (0..n as u16)
+            .map(|t| {
+                (0..1u16 << n)
+                    .map(|m| graph.plan(StreamMask(m), StreamId(t)))
+                    .collect()
+            })
+            .collect();
+        graph
+    }
+
+    /// Fold the bindings of every `covered` source stream against `target`.
+    fn plan(&self, covered: StreamMask, target: StreamId) -> ProbePlan {
+        let (sets, residual) = covered
+            .streams()
+            .flat_map(|src| self.bindings(target, src).iter().copied())
+            .partition(|b: &ProbeBinding| b.op.indexable());
+        ProbePlan {
+            pattern: self.probe_pattern(covered, target),
+            wildcards: AttrVec::from_slice(&[0; MAX_ATTRS][..self.jas_width(target)])
+                .expect("a JAS is no wider than its schema, which validation bounds"),
+            sets,
+            residual,
         }
     }
 
@@ -400,31 +451,20 @@ impl JoinGraph {
     /// Materialize the JAS-aligned value vector for a probe of `target` by
     /// partial tuple `pt` (wildcard slots zero), together with the residual
     /// non-equality bindings the caller must evaluate per candidate tuple.
+    /// Pattern and bindings come from the table built at construction; only
+    /// the values are per-tuple work, and nothing is allocated.
     pub fn probe_values(
         &self,
         pt: &PartialTuple,
         target: StreamId,
-    ) -> (AccessPattern, AttrVec, Vec<ProbeBinding>) {
-        let width = self.jas_width(target);
-        let mut values = AttrVec::new();
-        for _ in 0..width {
-            values.push(0);
+    ) -> (AccessPattern, AttrVec, &[ProbeBinding]) {
+        let plan = &self.plans[target.idx()][usize::from(pt.covered.0)];
+        let mut values = plan.wildcards;
+        for b in &plan.sets {
+            let part = pt.part(b.src_stream).expect("covered stream has a part");
+            values.set(b.jas_pos, part[b.src_attr.idx()]);
         }
-        let mut mask = 0u32;
-        let mut residual = Vec::new();
-        for src in pt.covered.streams() {
-            let part = pt.part(src).expect("covered stream has a part");
-            for b in self.bindings(target, src) {
-                let v = part[b.src_attr.idx()];
-                if b.op.indexable() {
-                    mask |= 1 << b.jas_pos;
-                    values.set(b.jas_pos, v);
-                } else {
-                    residual.push(*b);
-                }
-            }
-        }
-        (AccessPattern::new(mask, width), values, residual)
+        (plan.pattern, values, &plan.residual)
     }
 }
 
@@ -629,6 +669,130 @@ mod tests {
         // From B's perspective A.y < B.y reads B.y > 7.
         assert_eq!(residual[0].op, JoinOp::Gt);
         assert_eq!(residual[0].src_attr, AttrId(1));
+    }
+
+    /// The per-job fold `probe_values` ran before the plan table existed.
+    fn folded_probe_values(
+        g: &JoinGraph,
+        pt: &PartialTuple,
+        target: StreamId,
+    ) -> (AccessPattern, AttrVec, Vec<ProbeBinding>) {
+        let width = g.jas_width(target);
+        let mut values: AttrVec = std::iter::repeat_n(0, width).collect();
+        let mut mask = 0u32;
+        let mut residual = Vec::new();
+        for src in pt.covered.streams() {
+            let part = pt.part(src).expect("covered stream has a part");
+            for b in g.bindings(target, src) {
+                if b.op.indexable() {
+                    mask |= 1 << b.jas_pos;
+                    values.set(b.jas_pos, part[b.src_attr.idx()]);
+                } else {
+                    residual.push(*b);
+                }
+            }
+        }
+        (AccessPattern::new(mask, width), values, residual)
+    }
+
+    #[test]
+    fn probe_table_equals_the_fold_for_every_target_and_coverage() {
+        // A 3-way chain with two non-equality predicates and one JAS slot
+        // bound from two sources, so order within `sets`/`residual` shows.
+        let schema = |name: &str| {
+            StreamSchema::new(
+                name,
+                (0..2)
+                    .map(|i| AttrSpec::new(format!("c{i}"), AttrDomain::with_cardinality(100)))
+                    .collect(),
+                0,
+            )
+        };
+        let pred = |l: u16, la: u8, op: JoinOp, r: u16, ra: u8| JoinPredicate {
+            left: (StreamId(l), AttrId(la)),
+            op,
+            right: (StreamId(r), AttrId(ra)),
+        };
+        let mixed = SpjQuery::new(
+            "mixed",
+            vec![schema("A"), schema("B"), schema("C")],
+            vec![
+                pred(0, 0, JoinOp::Eq, 1, 0),
+                pred(2, 1, JoinOp::Eq, 1, 0),
+                pred(0, 1, JoinOp::Lt, 1, 1),
+                pred(1, 1, JoinOp::Ge, 2, 0),
+            ],
+            vec![WindowSpec::secs(10); 3],
+        )
+        .unwrap();
+        for q in [four_way(), mixed] {
+            let g = q.join_graph();
+            let n = q.n_streams();
+            for target in (0..n as u16).map(StreamId) {
+                for mask in 1..1u16 << n {
+                    let covered = StreamMask(mask);
+                    if covered.covers(target) {
+                        continue;
+                    }
+                    // Distinct values per (stream, attribute) slot.
+                    let pt = PartialTuple::from_parts(
+                        covered,
+                        VirtualTime::ZERO,
+                        covered.streams().map(|s| {
+                            (0..q.schemas[s.idx()].arity() as u64)
+                                .map(|a| 1000 * (u64::from(s.0) + 1) + a)
+                                .collect()
+                        }),
+                    );
+                    let (pattern, values, residual) = g.probe_values(&pt, target);
+                    let (want_pattern, want_values, want_residual) =
+                        folded_probe_values(&g, &pt, target);
+                    assert_eq!(pattern, want_pattern, "{} {covered:?}→{target}", q.name);
+                    assert_eq!(pattern, g.probe_pattern(covered, target));
+                    assert_eq!(values, want_values, "{} {covered:?}→{target}", q.name);
+                    assert_eq!(
+                        residual,
+                        &want_residual[..],
+                        "{} {covered:?}→{target}",
+                        q.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn schema_wider_than_an_attr_vec_is_rejected() {
+        let schema = |name: &str, arity: usize| {
+            StreamSchema::new(
+                name,
+                (0..arity)
+                    .map(|i| AttrSpec::new(format!("c{i}"), AttrDomain::with_cardinality(10)))
+                    .collect(),
+                0,
+            )
+        };
+        let build = |arity| {
+            SpjQuery::new(
+                "wide",
+                vec![schema("A", 1), schema("B", arity)],
+                vec![JoinPredicate::eq(
+                    StreamId(0),
+                    AttrId(0),
+                    StreamId(1),
+                    AttrId(0),
+                )],
+                vec![WindowSpec::secs(10); 2],
+            )
+        };
+        assert!(build(MAX_ATTRS).is_ok(), "the cap itself is a valid arity");
+        assert_eq!(
+            build(MAX_ATTRS + 1),
+            Err(StreamError::TooManyAttributes {
+                requested: MAX_ATTRS + 1,
+                max: MAX_ATTRS
+            })
+        );
     }
 
     #[test]

@@ -230,6 +230,88 @@ impl PartialTuple {
             parts: slots,
         }
     }
+
+    /// Append this partial tuple as packed words: one header word (the
+    /// covered mask in bits 0..16, then a 4-bit value count per covered
+    /// stream, ascending), `min_ts`, and only the covered streams' values
+    /// — `2 + Σ arity` words where the fixed-size struct is 56.
+    pub fn pack(&self, out: &mut Vec<u64>) {
+        pack_parts(self.covered, self.min_ts, |s| &self.parts[s.idx()], out);
+    }
+
+    /// Append the words [`pack`](Self::pack) would write for
+    /// `self.extend(s, *attrs, ts)`, without building that value: a
+    /// follow-up job is encoded from its borrowed parent plus the matched
+    /// tuple rather than cloned.
+    ///
+    /// # Panics
+    /// Panics if `s` is already covered.
+    pub fn pack_extended(&self, s: StreamId, attrs: &AttrVec, ts: VirtualTime, out: &mut Vec<u64>) {
+        assert!(!self.covered.covers(s), "stream {s} already joined");
+        pack_parts(
+            self.covered.with(s),
+            self.min_ts.min(ts),
+            |x| if x == s { attrs } else { &self.parts[x.idx()] },
+            out,
+        );
+    }
+
+    /// Rebuild the partial tuple [`pack`](Self::pack) wrote as exactly
+    /// `words`; `==` the packed one (uncovered slots zeroed, as
+    /// [`from_parts`](Self::from_parts) leaves them).
+    ///
+    /// # Panics
+    /// Panics if `words` is not one packed partial tuple.
+    pub fn unpack(words: &[u64]) -> Self {
+        let header = words[0];
+        let covered = StreamMask(header as u16);
+        let mut parts = [AttrVec::new(); MAX_STREAMS];
+        let mut at = 2;
+        for (k, s) in covered.streams().enumerate() {
+            let n = (header >> (PART_LEN_SHIFT + PART_LEN_BITS * k)) as usize & PART_LEN_MASK;
+            parts[s.idx()] = AttrVec::from_slice(&words[at..at + n])
+                .expect("a packed part length is an AttrVec length");
+            at += n;
+        }
+        assert_eq!(at, words.len(), "packed partial tuple length mismatch");
+        PartialTuple {
+            covered,
+            min_ts: VirtualTime(words[1]),
+            parts,
+        }
+    }
+}
+
+/// Bit position of the first per-part value count in a packed header word
+/// (above the 16-bit covered mask).
+const PART_LEN_SHIFT: usize = 16;
+/// Bits per value count: 4, so a count of 0..=[`MAX_ATTRS`] must stay below
+/// 16 — the bound `SpjQuery::new` enforces on every schema's arity and
+/// `AttrVec` on every value vector.
+const PART_LEN_BITS: usize = 4;
+const PART_LEN_MASK: usize = (1 << PART_LEN_BITS) - 1;
+const _: () = assert!(crate::value::MAX_ATTRS <= PART_LEN_MASK);
+const _: () = assert!(PART_LEN_SHIFT + PART_LEN_BITS * MAX_STREAMS <= 64);
+
+/// The one packed layout behind [`PartialTuple::pack`] and
+/// [`PartialTuple::pack_extended`]: `part_of` supplies each covered
+/// stream's values.
+fn pack_parts<'a>(
+    covered: StreamMask,
+    min_ts: VirtualTime,
+    part_of: impl Fn(StreamId) -> &'a AttrVec,
+    out: &mut Vec<u64>,
+) {
+    let header_at = out.len();
+    out.push(0);
+    out.push(min_ts.0);
+    let mut header = u64::from(covered.0);
+    for (k, s) in covered.streams().enumerate() {
+        let part = part_of(s);
+        header |= (part.len() as u64) << (PART_LEN_SHIFT + PART_LEN_BITS * k);
+        out.extend_from_slice(part.as_slice());
+    }
+    out[header_at] = header;
 }
 
 #[cfg(test)]
@@ -309,6 +391,41 @@ mod tests {
     fn extending_with_covered_stream_panics() {
         let p = PartialTuple::from_base(&t(0, &[1], 0));
         let _ = p.extend(StreamId(0), AttrVec::new(), VirtualTime::ZERO);
+    }
+
+    #[test]
+    fn pack_round_trips_and_carries_only_covered_values() {
+        let base = PartialTuple::from_base(&t(2, &[10, 20, 30], 5));
+        let mut words = Vec::new();
+        base.pack(&mut words);
+        assert_eq!(words.len(), 2 + 3, "header, min_ts, three values");
+        assert_eq!(PartialTuple::unpack(&words), base);
+
+        // Arity 0 and arity MAX_ATTRS parts, highest stream id.
+        let wide = AttrVec::from_slice(&[u64::MAX; crate::value::MAX_ATTRS]).unwrap();
+        let pt = PartialTuple::from_parts(
+            StreamMask::only(StreamId(0)).with(StreamId(5)),
+            VirtualTime::from_secs(9),
+            [AttrVec::new(), wide],
+        );
+        words.clear();
+        pt.pack(&mut words);
+        assert_eq!(words.len(), 2 + crate::value::MAX_ATTRS);
+        assert_eq!(PartialTuple::unpack(&words), pt);
+    }
+
+    #[test]
+    fn pack_extended_writes_what_extend_then_pack_writes() {
+        let parent = PartialTuple::from_base(&t(1, &[1, 2, 3], 10));
+        for (s, secs) in [(0u16, 3u64), (3, 20)] {
+            let attrs = AttrVec::from_slice(&[7, 8]).unwrap();
+            let ts = VirtualTime::from_secs(secs);
+            let mut direct = vec![99]; // appends, never overwrites
+            parent.pack_extended(StreamId(s), &attrs, ts, &mut direct);
+            let mut via_extend = vec![99];
+            parent.extend(StreamId(s), attrs, ts).pack(&mut via_extend);
+            assert_eq!(direct, via_extend);
+        }
     }
 
     #[test]

@@ -55,6 +55,13 @@ if grep -rnE 'IndexTuner|BanditTuner|StaticTuner' crates tests examples; then
     echo "a sibling tuner struct reappeared"; exit 1
 fi
 
+# Nor may the batch API no caller ever used: the backlog hands out jobs,
+# one per probe step (DESIGN §5).
+echo "==> no Batch API under crates/ tests/ examples/"
+if grep -rnE 'pop_batch|push_batch|Batch<' crates tests examples; then
+    echo "the Batch API reappeared"; exit 1
+fi
+
 # Sharded work borrows its slots through `parallel::for_each_slot`; that
 # file is the only one in the core crate allowed to say `unsafe`.
 echo "==> crates/core/src: unsafe only in parallel.rs"

@@ -1,26 +1,21 @@
 //! Run every §V experiment end to end and print a combined report —
 //! the one-command regeneration entry point referenced by EXPERIMENTS.md.
-//! With `--checkpoint-every N` the suite finishes with a crash-replay
-//! proof: the AMRI flavor is crashed mid-run, resumed from its latest
-//! snapshot, and must land byte-identical to an uninterrupted twin
-//! (summary under `results/crash_replay_summary.csv`).
 //!
-//! Usage: `all_experiments [--quick] [--seed N] [--threads N]
-//!         [--checkpoint-every N]`
+//! Usage: `all_experiments [--quick] [--seed N] [--threads N]`
 
 use amri_bench::{
-    fig6_assessment_with_stats, fig6_hash_with_stats, fig7_compare, parse_checkpoint_every,
-    parse_scale, parse_seed, parse_threads, render_maintenance_table, render_series_table,
-    render_summary, resume_latest, run_until_crash, table2_example, write_csv, write_summary_csv,
+    enforce_cli, fig6_assessment_with_stats, fig6_hash_with_stats, fig7_compare, parse_scale,
+    parse_seed, parse_threads, render_maintenance_table, render_series_table, render_summary,
+    table2_example, write_csv, write_summary_csv, COMMON_FLAGS,
 };
 use std::path::Path;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    enforce_cli(&args, "all_experiments", COMMON_FLAGS);
     let scale = parse_scale(&args);
     let seed = parse_seed(&args);
     let threads = parse_threads(&args);
-    let checkpoint_every = parse_checkpoint_every(&args);
 
     println!(
         "################ AMRI experiment suite ({scale:?}, seed {seed}, {threads} thread(s)) ################\n"
@@ -92,60 +87,6 @@ fn main() {
         &f7.maint,
     )
     .expect("csv");
-
-    if let Some(every) = checkpoint_every {
-        use amri_bench::apply_threads;
-        use amri_core::assess::AssessorKind;
-        use amri_engine::{Executor, FaultKind, IndexingMode};
-        use amri_synth::scenario::paper_scenario;
-
-        eprintln!("running crash-replay proof (checkpoint every {every} steps)...");
-        let mut sc = paper_scenario(amri_synth::scenario::Scale::Quick, seed);
-        apply_threads(&mut sc.engine, threads);
-        let exec = || {
-            Executor::try_new(
-                &sc.query,
-                sc.workload(),
-                IndexingMode::Amri {
-                    assessor: AssessorKind::Csria,
-                    initial: None,
-                },
-                sc.engine.clone(),
-            )
-            .expect("valid engine configuration")
-        };
-        let baseline = exec().run();
-        let dir = Path::new("results/checkpoints/all_experiments");
-        std::fs::remove_dir_all(dir).ok();
-        let crash_at = every * 3 + every / 2;
-        let (step, taken) = run_until_crash(
-            exec(),
-            dir,
-            every,
-            vec![FaultKind::CrashAt { step: crash_at }],
-        )
-        .expect("crash run");
-        let (resumed, note, maint, report) = resume_latest(exec(), dir).expect("resume");
-        assert!(report.skipped.is_empty());
-        assert_eq!(
-            format!("{baseline:#?}"),
-            format!("{resumed:#?}"),
-            "resumed run must be byte-identical to the uninterrupted one"
-        );
-        println!(
-            "== Crash replay == crashed at step {step} after {taken} snapshot(s), \
-             resumed from step {}, byte-identical",
-            note.resumed_from_step.unwrap_or(0)
-        );
-        write_summary_csv(
-            &[resumed],
-            Path::new("results/crash_replay_summary.csv"),
-            threads.get(),
-            &[note],
-            &[maint],
-        )
-        .expect("csv");
-    }
 
     println!("\nall experiment CSVs under results/");
 }

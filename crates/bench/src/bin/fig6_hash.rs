@@ -6,13 +6,14 @@
 //! Usage: `fig6_hash [--quick] [--seed N] [--threads N]`
 
 use amri_bench::{
-    fig6_hash, parse_scale, parse_seed, parse_threads, render_ascii_chart, render_series_table,
-    render_summary, write_csv,
+    enforce_cli, fig6_hash, parse_scale, parse_seed, parse_threads, render_ascii_chart,
+    render_series_table, render_summary, write_csv, COMMON_FLAGS,
 };
 use std::path::Path;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    enforce_cli(&args, "fig6_hash", COMMON_FLAGS);
     let scale = parse_scale(&args);
     let seed = parse_seed(&args);
     let threads = parse_threads(&args);

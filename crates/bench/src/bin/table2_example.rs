@@ -4,9 +4,11 @@
 //! attribute; CDIA folds them together (8% ≥ θ=5%) and recovers the true
 //! optimal configuration A:1|B:1|C:2.
 
-use amri_bench::table2_example;
+use amri_bench::{enforce_cli, table2_example};
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    enforce_cli(&args, "table2_example", &[]);
     let r = table2_example();
     println!("== Table II worked example (θ=5%, ε=0.1%, 4-bit IC) ==\n");
     println!("CSRIA frequent patterns:");

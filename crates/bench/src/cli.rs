@@ -10,6 +10,7 @@ use amri_engine::EngineConfig;
 use amri_synth::scenario::Scale;
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
+use std::str::FromStr;
 
 /// One flag an experiment binary accepts: `(--name, takes a value,
 /// one-line description)`.
@@ -48,17 +49,22 @@ pub fn wants_help(args: &[String]) -> bool {
 
 /// Scan `args` (argv, program name first) against the flag table:
 /// anything not in the table — and not a value consumed by a
-/// value-taking flag — is an error naming the offender. Typo'd flags
-/// silently falling through to defaults is how an experiment quietly
-/// runs the wrong configuration.
+/// value-taking flag — is an error naming the offender, and so is a
+/// value-taking flag with nothing after it. Typo'd flags silently falling
+/// through to defaults is how an experiment quietly runs the wrong
+/// configuration.
 ///
 /// # Errors
-/// The first unknown argument, as a human-readable message.
+/// The first unknown argument or operand-less value flag, as a
+/// human-readable message.
 pub fn check_args(args: &[String], flags: &[FlagSpec]) -> Result<(), String> {
     let mut i = 1;
     while i < args.len() {
         let a = &args[i];
         match flags.iter().find(|(name, ..)| name == a) {
+            Some((_, true, _)) if i + 1 == args.len() => {
+                return Err(format!("`{a}` needs a value"))
+            }
             Some((_, true, _)) => i += 2, // flag + its value
             Some(_) => i += 1,
             None if a == "--help" || a == "-h" => i += 1,
@@ -93,33 +99,48 @@ pub fn parse_scale(args: &[String]) -> Scale {
     }
 }
 
+/// The operand of value flag `flag`: `Ok(None)` when the flag is absent.
+///
+/// # Errors
+/// A message naming the flag and the offending operand when the operand
+/// is missing or does not parse — a seed that silently fell back to 42
+/// would report "green" for a run nobody asked for.
+pub fn operand<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let raw = args
+        .get(i + 1)
+        .ok_or_else(|| format!("`{flag}` needs a value"))?;
+    raw.parse()
+        .map(Some)
+        .map_err(|_| format!("`{flag}`: malformed value `{raw}`"))
+}
+
+/// [`operand`] for a binary's `main`: a missing or malformed operand is
+/// reported on stderr and exits 2, like an unknown flag.
+pub fn parse_operand<T: FromStr>(args: &[String], flag: &str) -> Option<T> {
+    operand(args, flag).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 /// `--seed N` (default 42).
 pub fn parse_seed(args: &[String]) -> u64 {
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42u64)
+    parse_operand(args, "--seed").unwrap_or(42)
 }
 
 /// `--threads N` (default 1): worker threads for sharded index execution.
 pub fn parse_threads(args: &[String]) -> NonZeroUsize {
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(NonZeroUsize::MIN)
+    parse_operand(args, "--threads").unwrap_or(NonZeroUsize::MIN)
 }
 
 /// `--checkpoint-every N` (default off): snapshot the run every N
-/// pipeline steps. `0` and malformed values disable checkpointing, same
-/// as omitting the flag — checkpointing is a pure observer either way.
+/// pipeline steps. `0` disables checkpointing, same as omitting the flag
+/// — checkpointing is a pure observer either way.
 pub fn parse_checkpoint_every(args: &[String]) -> Option<u64> {
-    args.iter()
-        .position(|a| a == "--checkpoint-every")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .filter(|&n: &u64| n > 0)
+    parse_operand(args, "--checkpoint-every").filter(|&n: &u64| n > 0)
 }
 
 /// The `--spill-cache N` flag spec, shared by the spill-bearing binaries.
@@ -130,14 +151,10 @@ pub const SPILL_CACHE_FLAG: FlagSpec = (
 );
 
 /// `--spill-cache N` (default 0): byte budget for the spill tier's
-/// decoded-block cache. `0` and malformed values keep the cache off —
-/// the byte-exact pre-cache read path, coin stream included.
+/// decoded-block cache. `0` keeps the cache off — the byte-exact
+/// pre-cache read path, coin stream included.
 pub fn parse_spill_cache(args: &[String]) -> u64 {
-    args.iter()
-        .position(|a| a == "--spill-cache")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+    parse_operand(args, "--spill-cache").unwrap_or(0)
 }
 
 /// The `--tuner {paper,bandit,static}` flag spec, shared by the binaries
@@ -148,17 +165,13 @@ pub const TUNER_FLAG: FlagSpec = (
     "AMRI tuning policy: paper, bandit or static (default paper)",
 );
 
-/// `--tuner K` (default [`TunerKind::Paper`]). Unlike the numeric flags,
-/// a malformed policy name is a hard error: silently tuning with the
-/// wrong policy would invalidate the whole experiment.
+/// `--tuner K` (default [`TunerKind::Paper`]). A malformed policy name is
+/// a hard error: silently tuning with the wrong policy would invalidate
+/// the whole experiment.
 pub fn parse_tuner(args: &[String]) -> TunerKind {
-    match args
-        .iter()
-        .position(|a| a == "--tuner")
-        .and_then(|i| args.get(i + 1))
-    {
+    match parse_operand::<String>(args, "--tuner") {
         None => TunerKind::default(),
-        Some(s) => TunerKind::parse(s).unwrap_or_else(|| {
+        Some(s) => TunerKind::parse(&s).unwrap_or_else(|| {
             eprintln!("unknown tuner policy `{s}` (expected paper, bandit or static)");
             std::process::exit(2);
         }),
@@ -192,10 +205,21 @@ mod tests {
         assert_eq!(parse_scale(&bare), Scale::Paper);
         assert_eq!(parse_seed(&bare), 42);
         assert_eq!(parse_threads(&bare).get(), 1);
-        // Malformed values fall back to the defaults.
+        // A malformed or missing operand is an error naming the flag and
+        // the offender, never the default.
         let bad = argv(&["bin", "--threads", "zero", "--seed"]);
-        assert_eq!(parse_threads(&bad).get(), 1);
-        assert_eq!(parse_seed(&bad), 42);
+        assert_eq!(
+            operand::<NonZeroUsize>(&bad, "--threads"),
+            Err("`--threads`: malformed value `zero`".to_string())
+        );
+        assert_eq!(
+            operand::<u64>(&bad, "--seed"),
+            Err("`--seed` needs a value".to_string())
+        );
+        assert_eq!(
+            operand::<u64>(&argv(&["bin", "--seed", "1x"]), "--seed"),
+            Err("`--seed`: malformed value `1x`".to_string())
+        );
     }
 
     #[test]
@@ -211,8 +235,11 @@ mod tests {
             "zero disables the periodic trigger"
         );
         assert_eq!(
-            parse_checkpoint_every(&argv(&["bin", "--checkpoint-every", "lots"])),
-            None
+            operand::<u64>(
+                &argv(&["bin", "--checkpoint-every", "lots"]),
+                "--checkpoint-every"
+            ),
+            Err("`--checkpoint-every`: malformed value `lots`".to_string())
         );
     }
 
@@ -224,9 +251,9 @@ mod tests {
         );
         assert_eq!(parse_spill_cache(&argv(&["bin"])), 0);
         assert_eq!(
-            parse_spill_cache(&argv(&["bin", "--spill-cache", "big"])),
-            0,
-            "malformed values keep the cache off"
+            operand::<u64>(&argv(&["bin", "--spill-cache", "big"]), "--spill-cache"),
+            Err("`--spill-cache`: malformed value `big`".to_string()),
+            "a malformed budget must not silently keep the cache off"
         );
     }
 
@@ -268,6 +295,11 @@ mod tests {
             check_args(&argv(&["bin", "--quick", "--sede", "7"]), flags),
             Err("unknown argument `--sede`".to_string())
         );
+        // A value flag at the end of argv has no operand to consume.
+        assert_eq!(
+            check_args(&argv(&["bin", "--quick", "--seed"]), flags),
+            Err("`--seed` needs a value".to_string())
+        );
         // Help tokens are always accepted.
         assert_eq!(check_args(&argv(&["bin", "-h"]), flags), Ok(()));
         assert!(wants_help(&argv(&["bin", "--help"])));
@@ -276,8 +308,8 @@ mod tests {
 
     #[test]
     fn usage_banner_lists_every_flag_and_help() {
-        let banner = usage("crash_matrix", COMMON_FLAGS);
-        assert!(banner.starts_with("usage: crash_matrix [options]"));
+        let banner = usage("tuner_duel", COMMON_FLAGS);
+        assert!(banner.starts_with("usage: tuner_duel [options]"));
         for (name, ..) in COMMON_FLAGS {
             assert!(banner.contains(name), "banner must list {name}");
         }

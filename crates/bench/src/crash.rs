@@ -1,7 +1,9 @@
-//! Crash/recovery drivers shared by the experiment binaries.
+//! The crash/recovery drives of the identity lattice
+//! ([`lattice`](crate::lattice)) — the one crash→resume sequence under
+//! `crates/bench/`.
 //!
 //! The engine side (`amri_engine::runtime::checkpoint`) owns the snapshot
-//! mechanics; this module packages the three moves a benchmark needs —
+//! mechanics; this module packages the three moves a harness needs —
 //! run-while-checkpointing, run-until-injected-crash, and
 //! resume-from-latest-good-snapshot — and reports the bench-side
 //! [`CheckpointNote`] bookkeeping that
@@ -74,12 +76,26 @@ pub fn run_until_crash<W: StreamWorkload>(
     }
 }
 
+/// What [`resume_latest`] recovered and then finished.
+#[derive(Debug)]
+pub struct Resumed {
+    /// The finished run.
+    pub result: RunResult,
+    /// Maintenance ticks, restored from the snapshot and accumulated to
+    /// the end — identical to an uninterrupted run's.
+    pub maint: MaintenanceStats,
+    /// The resume step and, in `restore_notes`, any corrupt snapshots
+    /// recovery skipped, with reasons.
+    pub note: CheckpointNote,
+    /// The full restore report.
+    pub report: RestoreReport,
+    /// Retunes already in the restored image's log: zero means the
+    /// snapshot carried a tuner that had not yet decided anything.
+    pub retunes_restored: usize,
+}
+
 /// Resume `exec` from the latest good snapshot in `dir` and run it to
-/// completion. Returns the finished result, the note recording the
-/// resume step (and, in its `restore_notes`, any corrupt snapshots that
-/// recovery skipped, with reasons), the maintenance ticks (restored from
-/// the snapshot and accumulated to the end — identical to an
-/// uninterrupted run's), and the full [`RestoreReport`].
+/// completion.
 ///
 /// # Errors
 /// Any [`EngineError::Snapshot`] from loading (no usable snapshot,
@@ -87,20 +103,23 @@ pub fn run_until_crash<W: StreamWorkload>(
 pub fn resume_latest<W: StreamWorkload>(
     exec: Executor<W>,
     dir: &Path,
-) -> Result<(RunResult, CheckpointNote, MaintenanceStats, RestoreReport), EngineError> {
+) -> Result<Resumed, EngineError> {
     let (snap, report) = load_latest(dir)?;
     let step = snap.step();
-    let (result, maint) = exec.resume_from(&snap)?.run_with_stats_ckpt(None, 0)?;
-    Ok((
+    let pipeline = exec.resume_from(&snap)?;
+    let retunes_restored = pipeline.context().retunes.len();
+    let (result, maint) = pipeline.run_with_stats_ckpt(None, 0)?;
+    Ok(Resumed {
         result,
-        CheckpointNote {
+        maint,
+        note: CheckpointNote {
             checkpoints_taken: 0,
             resumed_from_step: Some(step),
             restore_notes: report.notes(),
         },
-        maint,
         report,
-    ))
+        retunes_restored,
+    })
 }
 
 #[cfg(test)]
@@ -142,15 +161,15 @@ mod tests {
         .unwrap();
         assert_eq!(step, 150);
         assert!(taken >= 3);
-        let (resumed, note, maint, report) = resume_latest(quick_exec(8), &dir).unwrap();
-        assert!(report.skipped.is_empty());
-        assert_eq!(note.restore_notes, "");
-        assert_eq!(note.resumed_from_step, Some(120));
-        assert_eq!(format!("{baseline:#?}"), format!("{resumed:#?}"));
+        let resumed = resume_latest(quick_exec(8), &dir).unwrap();
+        assert!(resumed.report.skipped.is_empty());
+        assert_eq!(resumed.note.restore_notes, "");
+        assert_eq!(resumed.note.resumed_from_step, Some(120));
+        assert_eq!(format!("{baseline:#?}"), format!("{:#?}", resumed.result));
         // Maintenance ticks are snapshotted, so the resumed run's final
         // tally must match the uninterrupted run's.
-        assert_eq!(base_maint, maint);
-        assert!(maint.ingest_ns > 0, "{maint:?}");
+        assert_eq!(base_maint, resumed.maint);
+        assert!(resumed.maint.ingest_ns > 0, "{:?}", resumed.maint);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -185,19 +204,22 @@ mod tests {
         )
         .unwrap();
         assert_eq!(taken, 3);
-        let (resumed, note, _maint, report) = resume_latest(quick_exec(4), &dir).unwrap();
+        let resumed = resume_latest(quick_exec(4), &dir).unwrap();
         assert_eq!(
-            report.skipped.len(),
+            resumed.report.skipped.len(),
             1,
             "the torn image must be skipped by checksum"
         );
         assert!(
-            note.restore_notes.contains("checkpoint-000002.snap"),
+            resumed
+                .note
+                .restore_notes
+                .contains("checkpoint-000002.snap"),
             "the skipped file must be named in the note: {}",
-            note.restore_notes
+            resumed.note.restore_notes
         );
-        assert_eq!(note.resumed_from_step, Some(80));
-        assert_eq!(format!("{baseline:#?}"), format!("{resumed:#?}"));
+        assert_eq!(resumed.note.resumed_from_step, Some(80));
+        assert_eq!(format!("{baseline:#?}"), format!("{:#?}", resumed.result));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

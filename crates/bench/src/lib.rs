@@ -11,8 +11,12 @@
 //! * [`training`] — the paper's "quasi training data" bootstrap: observe a
 //!   short run, then select initial index configurations / hash patterns.
 //! * [`report`] — figure-shaped text tables and CSV emission.
-//! * [`crash`] — checkpointed / crash-and-resume run drivers for the
-//!   recovery experiments (`crash_matrix`, the `--checkpoint-every` flag).
+//! * [`lattice`] — the identity lattice (threads 1 ≡ 4, cache on ≡ off,
+//!   spilled ≡ unconstrained, crash + resume ≡ uninterrupted, hosted ≡
+//!   solo ≡ migrated, replay ≡ replay) as one table of cells, edges and
+//!   expectations, checked in process by the `matrix` bin.
+//! * [`crash`] — the checkpointed / crash-and-resume drives the lattice
+//!   runs its cells through.
 //! * [`parallel`] — scoped-thread fan-out over independent runs.
 //! * [`cli`] — the shared `--quick` / `--seed` / `--threads` flag parsing.
 
@@ -22,16 +26,17 @@
 pub mod cli;
 pub mod crash;
 pub mod experiments;
+pub mod lattice;
 pub mod parallel;
 pub mod report;
 pub mod training;
 
 pub use cli::{
-    apply_threads, check_args, enforce_cli, parse_checkpoint_every, parse_scale, parse_seed,
-    parse_spill_cache, parse_threads, parse_tuner, usage, wants_help, FlagSpec, COMMON_FLAGS,
-    SPILL_CACHE_FLAG, TUNER_FLAG,
+    apply_threads, check_args, enforce_cli, parse_checkpoint_every, parse_operand, parse_scale,
+    parse_seed, parse_spill_cache, parse_threads, parse_tuner, usage, wants_help, FlagSpec,
+    COMMON_FLAGS, SPILL_CACHE_FLAG, TUNER_FLAG,
 };
-pub use crash::{resume_latest, run_checkpointed, run_until_crash};
+pub use crash::{resume_latest, run_checkpointed, run_until_crash, Resumed};
 pub use experiments::{
     fig6_assessment, fig6_assessment_with_stats, fig6_hash, fig6_hash_with_stats, fig7_compare,
     table2_example, tuner_duel, DuelCell, Fig7Result, Table2Result,

@@ -7,6 +7,7 @@
 //! detected by checksum and recovery falls back to the previous good
 //! image; mismatched configurations are refused before any state moves.
 
+use amri_bench::lattice::lineup;
 use amri_core::assess::AssessorKind;
 use amri_engine::{
     load_latest, CheckpointPolicy, Checkpointer, DegradationPolicy, EngineError, Executor,
@@ -86,37 +87,12 @@ fn assert_byte_identical(baseline: &RunResult, resumed: &RunResult, label: &str)
     );
 }
 
-/// The §V lineup, one representative per flavor.
-fn all_modes() -> Vec<(&'static str, IndexingMode)> {
-    vec![
-        (
-            "amri",
-            IndexingMode::Amri {
-                assessor: AssessorKind::Csria,
-                initial: None,
-            },
-        ),
-        (
-            "multi-hash",
-            IndexingMode::AdaptiveHash {
-                n_indices: 3,
-                initial: None,
-            },
-        ),
-        (
-            "static-bitmap",
-            IndexingMode::StaticBitmap { configs: None },
-        ),
-        ("scan", IndexingMode::Scan),
-    ]
-}
-
 /// The headline guarantee: crash + resume is invisible in the result, for
 /// every indexing mode.
 #[test]
 fn resumed_runs_are_byte_identical_across_modes() {
     let sc = scenario(42);
-    for (label, mode) in all_modes() {
+    for (label, mode) in lineup() {
         let dir = tmpdir(&format!("modes-{label}"));
         let (baseline, resumed) = crash_and_resume(&sc, mode, &dir, 60, 200);
         assert_byte_identical(&baseline, &resumed, label);

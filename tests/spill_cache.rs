@@ -7,19 +7,17 @@
 //! deliberately *not* snapshotted, only its metadata and counters —
 //! must land byte-identical to the uninterrupted cached run.
 
+use amri_bench::lattice::{cached_tier, forcing_budget, lineup, without_cache_counters};
 use amri_core::assess::AssessorKind;
-use amri_core::StorageProfile;
 use amri_engine::{
     load_latest, CheckpointPolicy, Checkpointer, EngineError, Executor, FaultKind, IndexingMode,
-    MemoryBudget, RunOutcome, RunResult, SessionStatus, SpillSettings,
+    MemoryBudget, RunOutcome, SessionStatus, SpillSettings,
 };
 use amri_stream::VirtualDuration;
 use amri_synth::scenario::{paper_scenario, PaperScenario, Scale};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
-
-const CACHE_BYTES: u64 = 256 * 1024;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("amri-spill-cache-{name}-{}", std::process::id()));
@@ -52,32 +50,6 @@ fn amri_mode() -> IndexingMode {
     }
 }
 
-/// Identity-profile cache settings: zero latency everywhere (so the
-/// cache is behaviorally invisible) but readahead enabled, so the
-/// prefetch path is exercised by the comparison.
-fn cached_settings(dir: &std::path::Path) -> SpillSettings {
-    SpillSettings {
-        profile: StorageProfile {
-            readahead_blocks: 2,
-            ..StorageProfile::default()
-        },
-        ..SpillSettings::in_dir(dir)
-    }
-    .with_cache_bytes(CACHE_BYTES)
-}
-
-/// Zero the counters only the cache produces, leaving every shared
-/// observable (outputs, digest, heat-driven promotion counters, read
-/// accounting) intact for the byte comparison.
-fn normalize(mut r: RunResult) -> RunResult {
-    r.spill.cache_hits = 0;
-    r.spill.cache_misses = 0;
-    r.spill.coalesced_reads = 0;
-    r.spill.prefetched_blocks = 0;
-    r.spill.cache_evictions = 0;
-    r
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -94,7 +66,7 @@ proptest! {
         let base = scenario(seed, shards, 1);
         let baseline = executor(&base, amri_mode()).run();
         prop_assert_eq!(baseline.outcome, RunOutcome::Completed);
-        let budget = baseline.series.peak_memory() * 7 / 10;
+        let budget = forcing_budget(&amri_mode(), baseline.series.peak_memory());
 
         let dir = tmpdir(&format!("prop-{seed}-{shards}"));
         let spilled = {
@@ -111,7 +83,7 @@ proptest! {
         let cached_run = |threads: usize| {
             let mut sc = scenario(seed, shards, threads);
             sc.engine.budget = MemoryBudget { bytes: budget };
-            sc.engine.spill = Some(cached_settings(&dir.join(format!("cached-t{threads}"))));
+            sc.engine.spill = Some(cached_tier(&dir.join(format!("cached-t{threads}"))));
             let mut pipeline = executor(&sc, amri_mode()).into_pipeline();
             while pipeline.step_once() != SessionStatus::Finished {}
             let pooled = pipeline.context().pool.epochs();
@@ -124,7 +96,7 @@ proptest! {
         // normalized (a hit still charges heat and blocks_read, so every
         // shared counter agrees).
         prop_assert_eq!(
-            format!("{:#?}", normalize(cached_t1.clone())),
+            format!("{:#?}", without_cache_counters(cached_t1.clone())),
             format!("{spilled:#?}"),
             "cache on vs off diverged (seed {}, {} shards)", seed, shards
         );
@@ -163,21 +135,14 @@ proptest! {
 #[test]
 fn crash_and_resume_with_warm_cache_is_byte_identical() {
     let dir = tmpdir("crash");
-    for (label, mode) in [
-        ("amri", amri_mode()),
-        ("scan", IndexingMode::Scan),
-        (
-            "static-bitmap",
-            IndexingMode::StaticBitmap { configs: None },
-        ),
-    ] {
+    for (label, mode) in lineup() {
         let base = scenario(17, 4, 1);
         let peak = executor(&base, mode.clone()).run().series.peak_memory();
         let mut sc = base;
         sc.engine.budget = MemoryBudget {
-            bytes: peak * 7 / 10,
+            bytes: forcing_budget(&mode, peak),
         };
-        sc.engine.spill = Some(cached_settings(&dir.join(label)));
+        sc.engine.spill = Some(cached_tier(&dir.join(label)));
 
         let baseline = executor(&sc, mode.clone()).run();
         assert!(

@@ -6,6 +6,7 @@
 //! disk fault ends in recovery or a typed degraded outcome — never a
 //! panic — with same-seed replays byte-identical.
 
+use amri_bench::lattice::{forcing_budget, lineup};
 use amri_core::assess::AssessorKind;
 use amri_engine::{
     load_latest, CheckpointPolicy, Checkpointer, EngineError, Executor, FaultKind, FaultPlan,
@@ -35,43 +36,6 @@ fn executor(sc: &PaperScenario, mode: IndexingMode) -> Executor<amri_synth::Drif
         .expect("valid engine configuration")
 }
 
-/// The §V lineup, one representative per flavor.
-fn all_modes() -> Vec<(&'static str, IndexingMode)> {
-    vec![
-        (
-            "amri",
-            IndexingMode::Amri {
-                assessor: AssessorKind::Csria,
-                initial: None,
-            },
-        ),
-        (
-            "multi-hash",
-            IndexingMode::AdaptiveHash {
-                n_indices: 3,
-                initial: None,
-            },
-        ),
-        (
-            "static-bitmap",
-            IndexingMode::StaticBitmap { configs: None },
-        ),
-        ("scan", IndexingMode::Scan),
-    ]
-}
-
-/// A budget below the mode's unconstrained peak (so the all-RAM run must
-/// die) but above its spill-resident floor (so the tier can hold the
-/// working set). Stubs and index entries stay in RAM when a tuple
-/// spills; multi-hash keeps ~3 hash links per tuple resident, so its
-/// floor is much higher than the arena-dominated modes'.
-fn forcing_budget(label: &str, peak: u64) -> u64 {
-    match label {
-        "multi-hash" => peak * 9 / 10,
-        _ => peak * 7 / 10,
-    }
-}
-
 /// The headline guarantee, per indexing mode: a budget below the
 /// unconstrained run's peak kills the all-RAM engine, but the same budget
 /// with a spill tier completes — and because the identity (all-zero)
@@ -81,7 +45,7 @@ fn forcing_budget(label: &str, peak: u64) -> u64 {
 #[test]
 fn oom_budget_completes_under_spill_with_identical_outputs() {
     let sc = scenario(42);
-    for (label, mode) in all_modes() {
+    for (label, mode) in lineup() {
         let baseline = executor(&sc, mode.clone()).run();
         assert_eq!(
             baseline.outcome,
@@ -94,7 +58,7 @@ fn oom_budget_completes_under_spill_with_identical_outputs() {
         // the constrained run walks the identical trajectory up to the
         // breach — while leaving the spill tier room to hold the
         // resident set (stubs are smaller than tuples, but not free).
-        let budget = forcing_budget(label, baseline.series.peak_memory());
+        let budget = forcing_budget(&mode, baseline.series.peak_memory());
         let mut constrained = sc.clone();
         constrained.engine.budget = MemoryBudget { bytes: budget };
         let dead = executor(&constrained, mode.clone()).run();
@@ -136,10 +100,10 @@ fn oom_budget_completes_under_spill_with_identical_outputs() {
 #[test]
 fn crash_and_resume_with_spill_is_byte_identical() {
     let dir = tmpdir("crash");
-    for (label, mode) in all_modes() {
+    for (label, mode) in lineup() {
         let base = scenario(17);
         let peak = executor(&base, mode.clone()).run().series.peak_memory();
-        let budget = forcing_budget(label, peak);
+        let budget = forcing_budget(&mode, peak);
         let mut sc = base;
         sc.engine.budget = MemoryBudget { bytes: budget };
         sc.engine.spill = Some(SpillSettings::in_dir(dir.join(label)));
@@ -194,7 +158,7 @@ fn torn_block_writes_are_caught_and_replay_identically() {
     };
     let base = scenario(7);
     let baseline = executor(&base, mode.clone()).run();
-    let budget = baseline.series.peak_memory() * 7 / 10;
+    let budget = forcing_budget(&mode, baseline.series.peak_memory());
     let dir = tmpdir("torn");
     let mut sc = base;
     sc.engine.budget = MemoryBudget { bytes: budget };
@@ -245,7 +209,8 @@ fn lost_blocks_degrade_typed_and_replay_identically() {
         initial: None,
     };
     let base = scenario(11);
-    let budget = executor(&base, mode.clone()).run().series.peak_memory() * 7 / 10;
+    let peak = executor(&base, mode.clone()).run().series.peak_memory();
+    let budget = forcing_budget(&mode, peak);
     let dir = tmpdir("read-err");
     let mut sc = base;
     sc.engine.budget = MemoryBudget { bytes: budget };
@@ -322,7 +287,7 @@ fn spilled_runs_sample_resident_memory_under_the_budget() {
     let mode = IndexingMode::Scan;
     let base = scenario(5);
     let baseline = executor(&base, mode.clone()).run();
-    let budget = baseline.series.peak_memory() * 7 / 10;
+    let budget = forcing_budget(&mode, baseline.series.peak_memory());
     let dir = tmpdir("resident");
     let mut sc = base;
     sc.engine.budget = MemoryBudget { bytes: budget };

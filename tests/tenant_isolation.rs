@@ -10,6 +10,7 @@
 //! covered in `crates/serve/tests/host.rs`; this suite is only about
 //! what tenants can observe of each other: nothing.
 
+use amri_bench::lattice::fleet_lineup;
 use amri_core::assess::AssessorKind;
 use amri_engine::{
     DegradationPolicy, Executor, FaultPlan, IndexingMode, MemoryBudget, PressureWindow, RunOutcome,
@@ -42,28 +43,10 @@ fn executor(sc: &PaperScenario, mode: IndexingMode) -> Executor<DriftingWorkload
 }
 
 /// The four indexing modes of the paper's comparison, labelled.
-fn all_modes() -> Vec<(&'static str, IndexingMode)> {
-    vec![
-        (
-            "amri",
-            IndexingMode::Amri {
-                assessor: AssessorKind::Cdia(CombineStrategy::HighestCount),
-                initial: None,
-            },
-        ),
-        (
-            "hash-2",
-            IndexingMode::AdaptiveHash {
-                n_indices: 2,
-                initial: None,
-            },
-        ),
-        (
-            "static-bitmap",
-            IndexingMode::StaticBitmap { configs: None },
-        ),
-        ("scan", IndexingMode::Scan),
-    ]
+fn all_modes() -> impl Iterator<Item = (&'static str, IndexingMode)> {
+    fleet_lineup()
+        .into_iter()
+        .map(|(label, _, mode)| (label, mode))
 }
 
 /// The solo ground truth: the exact executor run alone, no host anywhere.

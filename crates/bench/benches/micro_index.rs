@@ -103,7 +103,7 @@ fn bench_search(c: &mut Criterion) {
 
 /// Sharded probes through the engine's persistent worker pool at 1, 2
 /// and 4 threads: 64 requests, each its own dispatch through the index's
-/// `search_into` — the shape `ProbeOperator` issues.
+/// `search_into` — the shape the engine's probe step issues.
 /// The index, shard count (4) and requests are identical across thread
 /// counts, so the ids differ only in executor parallelism. The probe
 /// family in `BENCH_parallel.json` was measured on the removed

@@ -158,48 +158,6 @@ impl StorageProfile {
             self.cache_hit_ns as f64 / 1000.0 / self.block_tuples as f64
         }
     }
-
-    /// Measure the actual device under `dir` by writing and re-reading a
-    /// handful of blocks, mapping wall nanoseconds 1:1 to virtual
-    /// nanoseconds. Startup calibration only — results differ run to run,
-    /// so a measured profile breaks byte-identical replay by design.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors from the probe file.
-    pub fn measure(dir: &std::path::Path) -> std::io::Result<Self> {
-        use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
-        const BLOCKS: usize = 8;
-        const BLOCK_BYTES: usize = 64 * 138; // ~64 tuples of a typical schema
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join("profile.probe");
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)?;
-        let block = vec![0xA5u8; BLOCK_BYTES];
-        let t0 = std::time::Instant::now();
-        for _ in 0..BLOCKS {
-            file.write_all(&block)?;
-        }
-        file.sync_data()?;
-        let write_ns = (t0.elapsed().as_nanos() as u64 / BLOCKS as u64).max(1);
-        let mut buf = vec![0u8; BLOCK_BYTES];
-        let t0 = std::time::Instant::now();
-        for i in 0..BLOCKS {
-            file.seek(SeekFrom::Start((i * BLOCK_BYTES) as u64))?;
-            file.read_exact(&mut buf)?;
-        }
-        let read_ns = (t0.elapsed().as_nanos() as u64 / BLOCKS as u64).max(1);
-        drop(file);
-        std::fs::remove_file(&path).ok();
-        Ok(StorageProfile {
-            read_ns,
-            write_ns,
-            ..StorageProfile::default()
-        })
-    }
 }
 
 /// Unit costs, in virtual-time ticks per primitive action, plus the ambient

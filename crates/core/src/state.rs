@@ -351,12 +351,6 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         &mut self.index
     }
 
-    /// The window specification.
-    #[inline]
-    pub fn window_spec(&self) -> WindowSpec {
-        self.window.spec()
-    }
-
     /// Extract the JAS-aligned values from a tuple of this stream.
     pub fn jas_values(&self, tuple: &Tuple) -> AttrVec {
         self.jas.iter().map(|a| tuple.attrs[a.idx()]).collect()

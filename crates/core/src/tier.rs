@@ -84,14 +84,6 @@ pub struct SpillEntry {
 /// count byte. `8 · count` attribute bytes follow it.
 const RECORD_HEAD: usize = 21;
 
-/// Verify a spill-block frame and decode it into its tuple records — the
-/// body codec [`spill_oldest`](crate::state::StateStore::spill_oldest)
-/// writes. `None` on any framing/decode mismatch (the caller treats that
-/// as corruption).
-pub fn decode_spill_block(frame: &[u8]) -> Option<Vec<SpillEntry>> {
-    decode_entries(open_block(frame).ok()?)
-}
-
 /// Decode the records of a block body [`open_block`] already verified,
 /// striding over them: one bounds check for a record's head, one for its
 /// attribute bytes. `None` exactly where a field-by-field
@@ -521,11 +513,6 @@ impl BlockCache {
     /// Bytes of decoded blocks currently held (frame-byte accounting).
     pub fn used_bytes(&self) -> u64 {
         self.used
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget
     }
 }
 
@@ -1066,11 +1053,6 @@ impl SpillTier {
     /// Configured expiry-order readahead depth (blocks per grid point).
     pub fn readahead_blocks(&self) -> u32 {
         self.profile.readahead_blocks
-    }
-
-    /// The cache's byte budget (`0` when disabled).
-    pub fn cache_budget_bytes(&self) -> u64 {
-        self.cache.as_ref().map_or(0, BlockCache::budget_bytes)
     }
 
     /// Note that one live stub of `id` expired or was evicted.

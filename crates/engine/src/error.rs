@@ -21,6 +21,9 @@ pub enum EngineError {
     /// An [`IndexingMode`](crate::IndexingMode) whose per-state vectors
     /// disagree with the query (message names the mismatch).
     InvalidMode(String),
+    /// An [`EngineConfig`](crate::EngineConfig) scalar the run cannot be
+    /// driven with (message names the field).
+    InvalidConfig(String),
     /// A [`DegradationPolicy`](crate::DegradationPolicy) with out-of-range
     /// parameters (message names the offending knob).
     InvalidDegradationPolicy(String),
@@ -49,6 +52,7 @@ impl fmt::Display for EngineError {
             EngineError::Core(e) => write!(f, "core error: {e}"),
             EngineError::Stream(e) => write!(f, "stream error: {e}"),
             EngineError::InvalidMode(msg) => write!(f, "invalid indexing mode: {msg}"),
+            EngineError::InvalidConfig(msg) => write!(f, "invalid engine configuration: {msg}"),
             EngineError::InvalidDegradationPolicy(msg) => {
                 write!(f, "invalid degradation policy: {msg}")
             }

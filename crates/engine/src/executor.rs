@@ -9,23 +9,30 @@
 //! baselines. Samples are taken on a fixed grid; tuning decisions run at
 //! every sampling step.
 //!
-//! Since the runtime split, [`Executor`] is a *thin harness*: it owns
-//! flavor construction ([`IndexingMode`]), seeding and the public
-//! [`EngineConfig`]/[`RunResult`] API, and delegates the step loop to the
+//! [`Executor`] is a *thin harness*: it owns flavor construction
+//! ([`IndexingMode`]), seeding and the public
+//! [`EngineConfig`]/[`RunResult`] API, assembles the
+//! [`RunContext`] and hands the step loop to the
 //! [`runtime`](crate::runtime) layer's
 //! [`Pipeline`](crate::runtime::Pipeline) on a `VirtualClock`.
 
 use crate::error::EngineError;
 use crate::memory::MemoryBudget;
+use crate::metrics::ThroughputSeries;
 use crate::policy::PolicyKind;
 use crate::router::Router;
-use crate::runtime::{DegradationPolicy, EngineSetup, FaultPlan, Pipeline, RunParams, TierPolicy};
+use crate::runtime::{
+    DegradationPolicy, FaultPlan, FaultState, Governor, MaintenanceStats, Pipeline, RunContext,
+    TierPolicy, WorkerPool,
+};
 use crate::stem::{HashTuner, JoinState, Stem};
 use amri_core::assess::AssessorKind;
 use amri_core::{
     CostParams, IndexConfig, SpillConfig, SpillTier, StorageProfile, TunerConfig, TunerKind,
 };
-use amri_stream::{AccessPattern, Clock, SpjQuery, StreamId, VirtualClock, VirtualDuration};
+use amri_stream::{
+    AccessPattern, Clock, JobQueue, SpjQuery, StreamId, VirtualClock, VirtualDuration, VirtualTime,
+};
 
 // Source-compatible re-exports: these types moved into the runtime layer.
 pub use crate::runtime::{RunOutcome, RunResult, StreamWorkload};
@@ -231,6 +238,9 @@ impl<W: StreamWorkload> Executor<W> {
     ///   invalid (too many bits, bad parameters).
     /// * [`EngineError::InvalidDegradationPolicy`] /
     ///   [`EngineError::InvalidFaultPlan`] from their `validate`.
+    /// * [`EngineError::InvalidConfig`] when `shards` is not a power of
+    ///   two, `lambda_d` is not finite and positive, `lambda_ramp` is not
+    ///   finite, or `sample_interval` is zero.
     pub fn try_new(
         query: &SpjQuery,
         workload: W,
@@ -265,11 +275,31 @@ impl<W: StreamWorkload> Executor<W> {
         if let Some(plan) = &config.faults {
             plan.validate()?;
         }
+        // Scalars the run would otherwise assert on: the arena splits by
+        // the shard count, the arrival schedule divides by the rate, the
+        // series divides time by the grid.
         if !config.shards.is_power_of_two() {
-            return Err(EngineError::InvalidMode(format!(
+            return Err(EngineError::InvalidConfig(format!(
                 "shards must be a power of two (≥ 1), got {}",
                 config.shards
             )));
+        }
+        if !(config.lambda_d.is_finite() && config.lambda_d > 0.0) {
+            return Err(EngineError::InvalidConfig(format!(
+                "lambda_d must be finite and positive, got {}",
+                config.lambda_d
+            )));
+        }
+        if !config.lambda_ramp.is_finite() {
+            return Err(EngineError::InvalidConfig(format!(
+                "lambda_ramp must be finite, got {}",
+                config.lambda_ramp
+            )));
+        }
+        if config.sample_interval.is_zero() {
+            return Err(EngineError::InvalidConfig(
+                "sample_interval must be positive".into(),
+            ));
         }
         let mut config = config;
         if let Some(spill) = &config.spill {
@@ -378,35 +408,55 @@ impl<W: StreamWorkload> Executor<W> {
     }
 
     /// Decompose this harness into a pipeline on an explicit clock — e.g.
-    /// [`WallClock`](crate::runtime::WallClock) for real time, or
     /// [`SkewedClock`](crate::runtime::SkewedClock) to inject clock-skew
-    /// faults on top of either.
+    /// faults on top of the simulation's `VirtualClock`.
     pub fn into_pipeline_with_clock<C: Clock>(self, clock: C) -> Pipeline<W, C> {
-        let run = RunParams {
-            duration: self.config.duration,
-            sample_interval: self.config.sample_interval,
-            lambda_d: self.config.lambda_d,
-            lambda_ramp: self.config.lambda_ramp,
-            budget: self.config.budget,
-            params: self.config.params,
-            degradation: self.config.degradation,
-            tier: self.config.spill.as_ref().map(|s| s.policy),
-            faults: self.config.faults,
-            parallelism: self.config.parallelism,
-            spare_buffer_cap: self.config.spare_buffer_cap,
-        };
-        Pipeline::with_clock(
-            EngineSetup {
-                query: self.query,
-                workload: self.workload,
-                stems: self.stems,
-                router: self.router,
-                observers: self.observers,
-                mode_label: self.mode_label,
-            },
-            run,
+        let config = self.config;
+        let n = self.query.n_streams();
+        // Stagger first arrivals so streams interleave deterministically.
+        let base_gap = VirtualDuration::from_secs_f64(1.0 / config.lambda_d);
+        let next_arrival = (0..n)
+            .map(|i| VirtualTime(base_gap.0 * i as u64 / n as u64))
+            .collect();
+        let window_secs = self
+            .query
+            .windows
+            .iter()
+            .map(|w| w.length.as_secs_f64())
+            .collect();
+        let ctx = RunContext {
             clock,
-        )
+            graph: self.query.join_graph(),
+            query: self.query,
+            stems: self.stems,
+            router: self.router,
+            observers: self.observers,
+            backlog: JobQueue::with_caps(
+                amri_stream::DEFAULT_BATCH_CAPACITY,
+                config.spare_buffer_cap,
+            ),
+            series: ThroughputSeries::new(config.sample_interval),
+            retunes: Vec::new(),
+            next_arrival,
+            outputs: 0,
+            tuple_seq: 0,
+            sojourn_ticks: 0,
+            jobs_processed: 0,
+            step: 0,
+            outcome: RunOutcome::Completed,
+            deadline: VirtualTime::ZERO + config.duration,
+            grid_due: VirtualTime::ZERO,
+            window_secs,
+            governor: config.degradation.map(Governor::new),
+            fault: config.faults.clone().map(|p| FaultState::new(p, n)),
+            pool: WorkerPool::new(config.parallelism),
+            maint: MaintenanceStats::default(),
+            output_digest: 0,
+            spill_lost: 0,
+            spill_first_at: None,
+            config,
+        };
+        Pipeline::from_parts(ctx, self.workload, self.mode_label)
     }
 
     /// Run to completion (or death) and return the results.
@@ -416,7 +466,7 @@ impl<W: StreamWorkload> Executor<W> {
 
     /// [`run`](Self::run), additionally returning the maintenance-path
     /// tick totals (see [`MaintenanceStats`](crate::MaintenanceStats)).
-    pub fn run_with_stats(self) -> (RunResult, crate::runtime::MaintenanceStats) {
+    pub fn run_with_stats(self) -> (RunResult, MaintenanceStats) {
         self.into_pipeline().run_with_stats()
     }
 
@@ -791,6 +841,29 @@ mod tests {
             .err()
             .expect("drop_prob 7.0 must be rejected");
         assert!(matches!(err, EngineError::InvalidFaultPlan(_)));
+        // A rate or grid the run would later assert on, named by field.
+        type Edit = fn(&mut EngineConfig);
+        let bad: [(&str, Edit); 6] = [
+            ("shards", |c| c.shards = 3),
+            ("lambda_d", |c| c.lambda_d = 0.0),
+            ("lambda_d", |c| c.lambda_d = -3.0),
+            ("lambda_d", |c| c.lambda_d = f64::NAN),
+            ("lambda_ramp", |c| c.lambda_ramp = f64::NAN),
+            ("sample_interval", |c| {
+                c.sample_interval = VirtualDuration(0)
+            }),
+        ];
+        for (field, edit) in bad {
+            let mut cfg = small_config();
+            edit(&mut cfg);
+            let err = Executor::try_new(&query, workload(), IndexingMode::Scan, cfg)
+                .err()
+                .unwrap_or_else(|| panic!("a bad {field} must be rejected"));
+            assert!(
+                matches!(&err, EngineError::InvalidConfig(msg) if msg.contains(field)),
+                "{field}: {err}"
+            );
+        }
         // And a valid config still builds.
         assert!(Executor::try_new(&query, workload(), IndexingMode::Scan, small_config()).is_ok());
     }

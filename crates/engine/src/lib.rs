@@ -16,11 +16,12 @@
 //! * [`router`] — routing of partial tuples through the unvisited states.
 //! * [`memory`] — the byte budget and the out-of-memory failure mode.
 //! * [`metrics`] — cumulative-throughput time series (the paper's y-axis).
-//! * [`runtime`] — the batch-first runtime layer: the `Operator` graph,
-//!   the `Pipeline` step-loop driver, the pluggable `Clock` seam
-//!   (deterministic `VirtualClock` simulation vs the real-time
-//!   `WallClock`), the overload governor (`DegradationPolicy`) and the
-//!   deterministic fault-injection harness (`FaultPlan`).
+//! * [`runtime`] — the runtime layer: the `Pipeline` and its one step
+//!   loop (sample → tune → ingest → probe one job) over a `RunContext`,
+//!   the `Clock` seam it is generic over (the deterministic `VirtualClock`
+//!   simulation, or `SkewedClock` wrapping it to inject skew), the
+//!   overload governor (`DegradationPolicy`) and the deterministic
+//!   fault-injection harness (`FaultPlan`).
 //! * [`error`] — the typed [`EngineError`] layer for fallible
 //!   construction and validation paths.
 //! * [`executor`] — the thin simulation harness on top: flavor
@@ -48,10 +49,8 @@ pub use policy::{PolicyKind, RouterStats, RoutingPolicy};
 pub use router::Router;
 pub use runtime::{
     io_faults_fired, load_latest, CheckpointPolicy, Checkpointer, DegradationPolicy,
-    DegradationReport, DegradationSample, EngineSetup, FaultKind, FaultPlan, FaultReport,
-    IngestOperator, IoFaultKind, Job, MaintenanceStats, Operator, Pipeline, PressureWindow,
-    ProbeOperator, RestoreReport, RunContext, RunParams, SampleOperator, Session, SessionStatus,
-    SheddingPolicy, SkewedClock, SkippedCheckpoint, StepStatus, TierPolicy, TornMode, TuneOperator,
-    WallClock, WorkerPool,
+    DegradationReport, DegradationSample, FaultKind, FaultPlan, FaultReport, IoFaultKind, Job,
+    MaintenanceStats, Pipeline, PressureWindow, RestoreReport, RunContext, Session, SessionStatus,
+    SheddingPolicy, SkewedClock, SkippedCheckpoint, TierPolicy, TornMode, WorkerPool,
 };
 pub use stem::{HashTuner, JoinState, Stem};

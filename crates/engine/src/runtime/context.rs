@@ -1,16 +1,16 @@
-//! [`RunContext`] — the mutable state of one engine run, shared by all
-//! operators in the pipeline.
+//! [`RunContext`] — the mutable state of one engine run, shared by the
+//! pipeline's four step functions.
 
-use crate::memory::{MemoryBudget, MemoryReport};
+use crate::executor::EngineConfig;
+use crate::memory::MemoryReport;
 use crate::metrics::{RetuneRecord, ThroughputSeries};
 use crate::router::Router;
-use crate::runtime::degrade::{DegradationPolicy, Governor, TierPolicy};
-use crate::runtime::fault::{FaultPlan, FaultState};
+use crate::runtime::degrade::Governor;
+use crate::runtime::fault::FaultState;
 use crate::stem::Stem;
-use amri_core::{layout, CostParams, CostReceipt};
+use amri_core::{layout, CostReceipt};
 use amri_stream::{
-    Clock, JobQueue, Pack, Packed, PartialTuple, SpjQuery, Tuple, VirtualClock, VirtualDuration,
-    VirtualTime,
+    Clock, JobQueue, Pack, Packed, PartialTuple, SpjQuery, Tuple, VirtualClock, VirtualTime,
 };
 use serde::{Deserialize, Serialize};
 
@@ -89,7 +89,8 @@ pub enum RunOutcome {
         at: VirtualTime,
     },
     /// Reached the configured duration, but only by shedding load or
-    /// evicting state under a [`DegradationPolicy`] — the graceful
+    /// evicting state under a
+    /// [`DegradationPolicy`](crate::DegradationPolicy) — the graceful
     /// alternative to `OutOfMemory`.
     Degraded {
         /// First instant any load was shed, state evicted, or spilled
@@ -141,44 +142,13 @@ pub struct MaintenanceStats {
     pub regret_vs_static_ns: u64,
 }
 
-/// The scalar knobs the runtime needs for one run — the pipeline-facing
-/// subset of the harness's `EngineConfig` (routing policy, seed and tuner
-/// parameters are consumed at construction time and never reread).
-#[derive(Debug, Clone)]
-pub struct RunParams {
-    /// Virtual run length.
-    pub duration: VirtualDuration,
-    /// Sampling grid (also the cadence of tuning/memory checks).
-    pub sample_interval: VirtualDuration,
-    /// Arrivals per virtual second, per stream (`λ_d`) at t = 0.
-    pub lambda_d: f64,
-    /// Linear arrival-rate growth per virtual second.
-    pub lambda_ramp: f64,
-    /// Memory budget.
-    pub budget: MemoryBudget,
-    /// Unit costs.
-    pub params: CostParams,
-    /// Overload governor; `None` runs the pre-governor hard-death path.
-    pub degradation: Option<DegradationPolicy>,
-    /// Spill-tier balancing policy; `None` when no tier is attached (the
-    /// pre-tier all-RAM engine).
-    pub tier: Option<TierPolicy>,
-    /// Injected faults; `None` leaves the arrival stream untouched.
-    pub faults: Option<FaultPlan>,
-    /// Threads executing sharded index work; 1 (the default engine
-    /// configuration) runs everything inline with no pool threads.
-    pub parallelism: std::num::NonZeroUsize,
-    /// Bound on the backlog queue's spare-buffer pool
-    /// ([`JobQueue::with_caps`](amri_stream::JobQueue::with_caps)).
-    pub spare_buffer_cap: usize,
-}
-
-/// Everything one run mutates, shared by the pipeline's operators.
+/// Everything one run mutates, shared by the pipeline's step functions.
 ///
-/// The clock is pluggable ([`Clock`]): [`VirtualClock`] for deterministic
-/// simulation, [`WallClock`](crate::runtime::WallClock) for real time.
+/// The clock is pluggable ([`Clock`]): [`VirtualClock`] is the
+/// deterministic simulation, and
+/// [`SkewedClock`](crate::runtime::SkewedClock) wraps it to inject skew.
 pub struct RunContext<C: Clock = VirtualClock> {
-    /// The source of "now"; only operators advance it.
+    /// The source of "now"; only the step functions advance it.
     pub clock: C,
     /// The query being executed.
     pub query: SpjQuery,
@@ -213,27 +183,31 @@ pub struct RunContext<C: Clock = VirtualClock> {
     /// counter feeds no routing or cost decision, so stepping it (or
     /// checkpointing at it) never perturbs the run.
     pub step: u64,
-    /// Completion or death (updated by the sample operator).
+    /// Completion or death (updated by the sample step).
     pub outcome: RunOutcome,
     /// The virtual instant the run must stop.
     pub deadline: VirtualTime,
-    /// Grid instant of the most recent sample (read by the tune operator).
+    /// Grid instant of the most recent sample (read by the tune step).
     pub grid_due: VirtualTime,
-    /// Scalar run knobs.
-    pub run: RunParams,
+    /// The configuration the run was built with. Routing policy, seed and
+    /// tuner parameters were consumed at construction and are never
+    /// reread; the step functions read the rates, the budget, the unit
+    /// costs and the tier policy.
+    pub config: EngineConfig,
     /// Per-state window lengths in seconds (cached for λ_r estimation).
     pub window_secs: Vec<f64>,
-    /// The overload governor, when a [`DegradationPolicy`] is configured.
+    /// The overload governor, when a
+    /// [`DegradationPolicy`](crate::DegradationPolicy) is configured.
     pub governor: Option<Governor>,
     /// Armed fault plan, when one is configured.
     pub fault: Option<FaultState>,
     /// Persistent worker pool for sharded index work, sized to
-    /// [`RunParams::parallelism`] (no threads at parallelism 1).
+    /// [`EngineConfig::parallelism`] (no threads at parallelism 1).
     pub pool: crate::runtime::pool::WorkerPool,
     /// Virtual-tick totals for the maintenance path (ingest, migration).
     pub maint: MaintenanceStats,
     /// Order-sensitive digest folded over every completed join output —
-    /// the byte-identity witness the spill matrix compares across
+    /// the byte-identity witness the lattice's spill group compares across
     /// budget-constrained, crash-resumed and thread-count variants.
     pub output_digest: u64,
     /// Tuples lost to unrecoverable spill-block corruption (merged into
@@ -253,7 +227,7 @@ pub(crate) fn digest_fold(h: u64, v: u64) -> u64 {
 impl<C: Clock> RunContext<C> {
     /// Effective arrival rate at virtual time `t`.
     pub fn lambda_at(&self, t: VirtualTime) -> f64 {
-        self.run.lambda_d * (1.0 + self.run.lambda_ramp * t.as_secs_f64())
+        self.config.lambda_d * (1.0 + self.config.lambda_ramp * t.as_secs_f64())
     }
 
     /// Current accounted memory: state bytes plus backlog bytes.
@@ -294,10 +268,10 @@ impl<C: Clock> RunContext<C> {
     /// the governor, so state moves to disk before any of it is evicted.
     /// All I/O work is charged to the clock like any other work.
     pub(crate) fn tier_balance(&mut self, _due: VirtualTime) {
-        let Some(policy) = self.run.tier else {
+        let Some(policy) = self.config.spill.as_ref().map(|s| s.policy) else {
             return;
         };
-        let budget = self.run.budget.bytes;
+        let budget = self.config.budget.bytes;
         let mut receipt = CostReceipt::new();
         let mut report = self.memory_report();
         let high = policy.high_water_bytes(budget);
@@ -349,12 +323,12 @@ impl<C: Clock> RunContext<C> {
         for stem in &mut self.stems {
             stem.state.store_mut().schedule_readahead();
         }
-        self.clock.advance(self.run.params.ticks(&receipt));
+        self.clock.advance(self.config.params.ticks(&receipt));
     }
 
     /// Run the overload governor at grid instant `due` and return the
     /// post-governance memory report. No-op (a fresh report) when no
-    /// [`DegradationPolicy`] is configured.
+    /// [`DegradationPolicy`](crate::DegradationPolicy) is configured.
     ///
     /// Governance order: bound the backlog to its cap, then — if
     /// utilization exceeds the high-water mark — evict oldest-first
@@ -370,7 +344,7 @@ impl<C: Clock> RunContext<C> {
         };
         let now = self.clock.now();
         gov.bound_backlog(&mut self.backlog, now);
-        let budget = self.run.budget.bytes;
+        let budget = self.config.budget.bytes;
         let mut report = self.memory_report();
         if gov.over_high_water(&report, budget) {
             let target = gov.low_water_bytes(budget);
@@ -400,7 +374,7 @@ impl<C: Clock> RunContext<C> {
                 gov.note_evicted(evicted, now);
                 report = self.memory_report();
             }
-            self.clock.advance(self.run.params.ticks(&receipt));
+            self.clock.advance(self.config.params.ticks(&receipt));
         }
         gov.sample(due);
         self.governor = Some(gov);

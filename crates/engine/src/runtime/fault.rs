@@ -20,7 +20,7 @@
 //! * late arrivals are released **after** the regular arrivals of an
 //!   ingest step and stamped with the release instant, keeping window
 //!   pushes monotone;
-//! * reordering is applied at the backlog (the probe operator pops the
+//! * reordering is applied at the backlog (the probe step pops the
 //!   newest job instead of the oldest with probability `reorder_prob`).
 
 use crate::error::EngineError;
@@ -50,7 +50,7 @@ pub struct FaultPlan {
     pub drop_prob: f64,
     /// Probability an arriving tuple is delivered twice.
     pub duplicate_prob: f64,
-    /// Probability the probe operator services the newest backlog job
+    /// Probability the probe step services the newest backlog job
     /// instead of the oldest.
     pub reorder_prob: f64,
     /// Probability an arriving tuple is held back and re-delivered late.
@@ -298,7 +298,7 @@ impl FaultState {
         self.pending.iter().map(VecDeque::len).sum()
     }
 
-    /// Should the probe operator service the newest backlog job instead
+    /// Should the probe step service the newest backlog job instead
     /// of the oldest? Draws one coin per probe step.
     pub fn reorder_next(&mut self) -> bool {
         let reorder = self.coin() < self.plan.reorder_prob;

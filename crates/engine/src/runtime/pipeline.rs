@@ -1,23 +1,21 @@
-//! The [`Pipeline`] driver: owns the operator step loop and assembles the
-//! [`RunResult`].
+//! The [`Pipeline`]: the engine's one step loop
+//! ([`step_once`](Pipeline::step_once)), its checkpoint image, and the
+//! assembly of the [`RunResult`].
 
 use crate::error::EngineError;
 use crate::metrics::{RetuneRecord, ThroughputSeries};
-use crate::router::Router;
 use crate::runtime::checkpoint::Checkpointer;
-use crate::runtime::context::{Job, MaintenanceStats, RunContext, RunOutcome, RunParams};
-use crate::runtime::degrade::{DegradationReport, Governor};
-use crate::runtime::fault::{FaultReport, FaultState};
+use crate::runtime::context::{Job, MaintenanceStats, RunContext, RunOutcome};
+use crate::runtime::degrade::DegradationReport;
+use crate::runtime::fault::FaultReport;
 use crate::runtime::operators::{
-    IngestOperator, Operator, ProbeOperator, SampleOperator, StepStatus, StreamWorkload,
-    TuneOperator,
+    close_series, ingest_step, probe_step, sample_step, tune_step, StreamWorkload,
 };
 use crate::runtime::session::SessionStatus;
-use crate::stem::Stem;
 use amri_core::assess::Assessor;
 use amri_stream::snapshot::{SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter};
 use amri_stream::{
-    AccessPattern, Clock, JobQueue, PartialTuple, SpjQuery, StreamMask, VirtualClock, VirtualTime,
+    AccessPattern, Clock, JobQueue, PartialTuple, StreamMask, VirtualClock, VirtualTime,
 };
 use serde::{Deserialize, Serialize};
 
@@ -70,106 +68,34 @@ impl RunResult {
     }
 }
 
-/// The structural pieces of an assembled engine, handed to the pipeline
-/// by the harness (which owns flavor construction and seeding).
-pub struct EngineSetup<W> {
-    /// The query being executed.
-    pub query: SpjQuery,
-    /// Attribute source for arriving tuples.
-    pub workload: W,
-    /// One STeM per stream, already built in the chosen index flavor.
-    pub stems: Vec<Stem>,
-    /// The routing policy, already seeded.
-    pub router: Router,
-    /// Always-on exact per-state pattern observers.
-    pub observers: Vec<amri_core::assess::Sria>,
-    /// Mode label for the result (e.g. `AMRI-CDIA-highest`).
-    pub mode_label: String,
-}
-
-/// The runtime's step-loop driver.
+/// The engine's step loop over one [`RunContext`].
 ///
-/// Each iteration: every due grid point gets a sample row (memory check)
-/// and a tuning pass, then the ingest operator pulls due arrivals, then
-/// the probe operator processes one routing job. When both ingest and
-/// probe are idle the clock jumps to the next arrival (or the deadline,
-/// closing the series with a final row).
+/// Each iteration ([`step_once`](Self::step_once)): every due grid point
+/// gets a sample row (memory check) and a tuning pass, then ingest pulls
+/// due arrivals, then probe processes one routing job. When both ingest
+/// and probe are idle the clock jumps to the next arrival (or the
+/// deadline, closing the series with a final row).
+///
+/// Built by [`Executor::into_pipeline`](crate::Executor::into_pipeline)
+/// (or [`resume_from`](crate::Executor::resume_from)), which owns flavor
+/// construction and seeding.
 pub struct Pipeline<W, C: Clock = VirtualClock> {
     ctx: RunContext<C>,
-    sample: SampleOperator,
-    tune: TuneOperator,
-    ingest: IngestOperator<W>,
-    probe: ProbeOperator,
+    /// Attribute source for arriving tuples.
+    workload: W,
     mode_label: String,
     /// Latched once the run reached its end (deadline or death), so
     /// [`step_once`](Self::step_once) is safely re-invocable.
     done: bool,
 }
 
-impl<W: StreamWorkload> Pipeline<W> {
-    /// A simulation pipeline on a fresh [`VirtualClock`].
-    pub fn new(setup: EngineSetup<W>, run: RunParams) -> Self {
-        Pipeline::with_clock(setup, run, VirtualClock::new())
-    }
-}
-
 impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
-    /// A pipeline on an explicit clock (e.g.
-    /// [`WallClock`](crate::runtime::WallClock)).
-    pub fn with_clock(setup: EngineSetup<W>, run: RunParams, clock: C) -> Self {
-        let n = setup.query.n_streams();
-        let deadline = VirtualTime::ZERO + run.duration;
-        // Stagger first arrivals so streams interleave deterministically.
-        let base_gap = amri_stream::VirtualDuration::from_secs_f64(1.0 / run.lambda_d);
-        let next_arrival: Vec<VirtualTime> = (0..n)
-            .map(|i| VirtualTime(base_gap.0 * i as u64 / n as u64))
-            .collect();
-        let window_secs: Vec<f64> = setup
-            .query
-            .windows
-            .iter()
-            .map(|w| w.length.as_secs_f64())
-            .collect();
-        let graph = setup.query.join_graph();
-        let governor = run.degradation.map(Governor::new);
-        let fault = run.faults.clone().map(|p| FaultState::new(p, n));
-        let pool = crate::runtime::pool::WorkerPool::new(run.parallelism);
-        let ctx = RunContext {
-            clock,
-            query: setup.query,
-            graph,
-            stems: setup.stems,
-            router: setup.router,
-            observers: setup.observers,
-            backlog: JobQueue::with_caps(amri_stream::DEFAULT_BATCH_CAPACITY, run.spare_buffer_cap),
-            series: ThroughputSeries::new(run.sample_interval),
-            retunes: Vec::new(),
-            next_arrival,
-            outputs: 0,
-            tuple_seq: 0,
-            sojourn_ticks: 0,
-            jobs_processed: 0,
-            step: 0,
-            outcome: RunOutcome::Completed,
-            deadline,
-            grid_due: VirtualTime::ZERO,
-            run,
-            window_secs,
-            governor,
-            fault,
-            pool,
-            maint: MaintenanceStats::default(),
-            output_digest: 0,
-            spill_lost: 0,
-            spill_first_at: None,
-        };
+    /// A pipeline at step 0 of the run `ctx` was assembled for.
+    pub(crate) fn from_parts(ctx: RunContext<C>, workload: W, mode_label: String) -> Self {
         Pipeline {
             ctx,
-            sample: SampleOperator,
-            tune: TuneOperator,
-            ingest: IngestOperator::new(setup.workload),
-            probe: ProbeOperator,
-            mode_label: setup.mode_label,
+            workload,
+            mode_label,
             done: false,
         }
     }
@@ -229,7 +155,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
                 if c.should_crash(step) {
                     return Err(EngineError::InjectedCrash { step });
                 }
-                let budget = self.ctx.run.budget.bytes;
+                let budget = self.ctx.config.budget.bytes;
                 let utilization = if budget == 0 {
                     0.0
                 } else {
@@ -247,10 +173,10 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
     }
 
     /// One iteration of the run loop: every due grid point gets a sample
-    /// row (memory check) and a tuning pass, then the ingest operator
-    /// pulls due arrivals and the probe operator processes one routing
-    /// job; when both are idle the clock jumps to the next arrival (or
-    /// the deadline, closing the series with a final row).
+    /// row (memory check) and a tuning pass, then ingest pulls due
+    /// arrivals and probe processes one routing job; when both are idle
+    /// the clock jumps to the next arrival (or the deadline, closing the
+    /// series with a final row).
     ///
     /// Returns [`SessionStatus::Finished`] once the run is over — the
     /// deadline was reached or the budget check killed it — after which
@@ -263,43 +189,43 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
         if self.done {
             return SessionStatus::Finished;
         }
+        let ctx = &mut self.ctx;
         // Sampling / tuning / memory checks on the grid. `now` is
         // captured once: grid points falling due *while tuning* are
         // handled on the next pipeline iteration.
-        let now = self.ctx.clock.now();
-        while self.ctx.series.next_due() <= now {
-            if let StepStatus::Finished = self.sample.step(&mut self.ctx) {
+        let now = ctx.clock.now();
+        while ctx.series.next_due() <= now {
+            if !sample_step(ctx) {
                 self.done = true; // out of memory
                 return SessionStatus::Finished;
             }
-            self.tune.step(&mut self.ctx);
+            tune_step(ctx);
         }
-        if self.ctx.clock.now() >= self.ctx.deadline {
+        if ctx.clock.now() >= ctx.deadline {
             self.done = true;
             return SessionStatus::Finished;
         }
 
-        let ingested = self.ingest.step(&mut self.ctx);
-        let probed = self.probe.step(&mut self.ctx);
-        if probed == StepStatus::Idle && ingested == StepStatus::Idle {
+        let ingested = ingest_step(ctx, &mut self.workload);
+        let probed = probe_step(ctx);
+        if !probed && !ingested {
             // Idle: jump to the next arrival.
-            let next = self
-                .ctx
+            let next = ctx
                 .next_arrival
                 .iter()
                 .min()
                 .copied()
                 .expect("SpjQuery validation guarantees at least one stream");
-            let deadline = self.ctx.deadline;
-            self.ctx.clock.advance_to(next.min(deadline));
-            if self.ctx.clock.now() >= deadline {
+            let deadline = ctx.deadline;
+            ctx.clock.advance_to(next.min(deadline));
+            if ctx.clock.now() >= deadline {
                 // Final sample row, then stop.
-                self.sample.finish(&mut self.ctx);
+                close_series(ctx);
                 self.done = true;
                 return SessionStatus::Finished;
             }
         }
-        self.ctx.step += 1;
+        ctx.step += 1;
         SessionStatus::Ready
     }
 
@@ -419,7 +345,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
         snap.add("maint", w);
 
         let mut w = SectionWriter::new();
-        self.ingest.workload().save_state(&mut w);
+        self.workload.save_state(&mut w);
         snap.add("workload", w);
 
         snap.finish()
@@ -505,7 +431,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
         // this run's configured cap to the restored queue.
         self.ctx
             .backlog
-            .set_spare_cap(self.ctx.run.spare_buffer_cap);
+            .set_spare_cap(self.ctx.config.spare_buffer_cap);
 
         let mut r = snap.section("stems")?;
         let n = r.get_usize()?;
@@ -556,33 +482,17 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
             }
         }
 
-        // Maintenance totals: tolerated as optional so snapshots taken
-        // before the section existed still resume (they restart the
-        // counters at zero — observational only, never behavioral).
-        self.ctx.maint = match snap.section("maint") {
-            Ok(mut r) => {
-                let mut maint = MaintenanceStats {
-                    ingest_ns: r.get_u64()?,
-                    migrate_ns: r.get_u64()?,
-                    migrate_stalls: r.get_u64()?,
-                    ..MaintenanceStats::default()
-                };
-                // The tuner-ledger trio postdates the section; a snapshot
-                // from before restarts them at zero (they are re-derived
-                // from the stems' tuner ledgers at the next tune step).
-                if r.remaining() > 0 {
-                    maint.retune_benefit_predicted_ns = r.get_u64()?;
-                    maint.retune_benefit_realized_ns = r.get_u64()? as i64;
-                    maint.regret_vs_static_ns = r.get_u64()?;
-                }
-                maint
-            }
-            Err(_) => MaintenanceStats::default(),
+        let mut r = snap.section("maint")?;
+        self.ctx.maint = MaintenanceStats {
+            ingest_ns: r.get_u64()?,
+            migrate_ns: r.get_u64()?,
+            migrate_stalls: r.get_u64()?,
+            retune_benefit_predicted_ns: r.get_u64()?,
+            retune_benefit_realized_ns: r.get_u64()? as i64,
+            regret_vs_static_ns: r.get_u64()?,
         };
 
-        self.ingest
-            .workload_mut()
-            .load_state(&mut snap.section("workload")?)?;
+        self.workload.load_state(&mut snap.section("workload")?)?;
         Ok(())
     }
 

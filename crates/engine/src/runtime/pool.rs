@@ -37,8 +37,25 @@ use std::time::Instant;
 use amri_core::{SequentialExecutor, ShardExecutor};
 
 /// A `&(dyn Fn(usize) + Sync)` with its lifetime erased for the duration
-/// of one `hand_off` call.
+/// of one `hand_off` call; [`erase_lifetime`] is the only way to make one.
 type RawTask = *const (dyn Fn(usize) + Sync);
+
+/// Erase `task`'s lifetime so `hand_off` can publish it to the workers —
+/// the one `transmute` in the engine.
+fn erase_lifetime(task: &(dyn Fn(usize) + Sync)) -> RawTask {
+    // SAFETY: a reference and a raw pointer to the same trait object have
+    // one layout; only the lifetime bound changes, so the conversion
+    // itself cannot go wrong. What it gives up is the borrow checker's
+    // proof that the referent outlives its users, and `hand_off` — the
+    // only caller — carries that instead, on the two terms of
+    // `ShardExecutor`'s `# Safety` section: the referent stays alive until
+    // `hand_off` returns or unwinds (it blocks on the `pending == 0`
+    // handshake and retires the pointer first, and a panicking task is
+    // caught and counted as finished, so the wait cannot be skipped), and
+    // each index is run at most once (the epoch-tagged CAS cursor gives an
+    // index to one claimant and refuses a claimant from a stale epoch).
+    unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), RawTask>(task) }
+}
 
 /// The published work for one dispatch epoch, guarded by [`Shared::job`].
 struct JobSlot {
@@ -273,11 +290,7 @@ impl WorkerPool {
             !self.dispatching.swap(true, Ordering::Acquire),
             "re-entrant WorkerPool dispatch"
         );
-        // SAFETY: erases the task's lifetime for publication. Sound
-        // because this call does not return until every claimed index has
-        // finished (the `pending == 0` handshake below) and the epoch tag
-        // stops late claims.
-        let raw: RawTask = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), RawTask>(task) };
+        let raw = erase_lifetime(task);
         let epoch = {
             let mut job = self.shared.job.lock().expect("job mutex poisoned");
             job.epoch += 1;

@@ -4,9 +4,9 @@
 //! completion in one call — fine for one query per process, useless for a
 //! host that wants to interleave many. A `Session` wraps a pipeline and
 //! exposes the loop one iteration ([`step`](Session::step)) or one bounded
-//! quantum ([`run_quantum`](Session::run_quantum)) at a time, caching the
-//! latched [`SessionStatus`] so a scheduler can poll readiness without
-//! touching the run state.
+//! quantum ([`run_quantum`](Session::run_quantum)) at a time. It keeps no
+//! state of its own: "finished" is the pipeline's own latch
+//! ([`Pipeline::is_done`]).
 //!
 //! Cooperative interleaving is *invisible* to the run: each session owns
 //! its pipeline outright — clock, RNG streams, backlog, states — and a
@@ -40,36 +40,24 @@ pub enum SessionStatus {
 /// A [`Pipeline`] wrapped as a schedulable, suspendable unit.
 pub struct Session<W, C: Clock = VirtualClock> {
     pipeline: Pipeline<W, C>,
-    status: SessionStatus,
 }
 
 impl<W: StreamWorkload, C: Clock> Session<W, C> {
     /// Wrap a pipeline (fresh, or restored from a snapshot) for
     /// step-granular driving.
     pub fn new(pipeline: Pipeline<W, C>) -> Self {
-        let status = if pipeline.is_done() {
-            SessionStatus::Finished
-        } else {
-            SessionStatus::Ready
-        };
-        Session { pipeline, status }
-    }
-
-    /// The latched status as of the last step (without stepping).
-    pub fn status(&self) -> SessionStatus {
-        self.status
+        Session { pipeline }
     }
 
     /// True once the run is over.
     pub fn is_finished(&self) -> bool {
-        self.status == SessionStatus::Finished
+        self.pipeline.is_done()
     }
 
     /// Execute one pipeline iteration (see
     /// [`Pipeline::step_once`](Pipeline::step_once)).
     pub fn step(&mut self) -> SessionStatus {
-        self.status = self.pipeline.step_once();
-        self.status
+        self.pipeline.step_once()
     }
 
     /// Execute up to `steps` iterations, stopping early when the run
@@ -81,7 +69,11 @@ impl<W: StreamWorkload, C: Clock> Session<W, C> {
                 break;
             }
         }
-        self.status
+        if self.is_finished() {
+            SessionStatus::Finished
+        } else {
+            SessionStatus::Ready
+        }
     }
 
     /// This run's private virtual "now" — the scheduler's virtual-time
@@ -108,16 +100,5 @@ impl<W: StreamWorkload, C: Clock> Session<W, C> {
     /// the partial result as of the last step.
     pub fn finish(self) -> (RunResult, MaintenanceStats) {
         self.pipeline.into_result_with_stats()
-    }
-
-    /// Unwrap back to the pipeline.
-    pub fn into_pipeline(self) -> Pipeline<W, C> {
-        self.pipeline
-    }
-}
-
-impl<W: StreamWorkload, C: Clock> From<Pipeline<W, C>> for Session<W, C> {
-    fn from(pipeline: Pipeline<W, C>) -> Self {
-        Session::new(pipeline)
     }
 }

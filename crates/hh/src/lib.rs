@@ -4,19 +4,15 @@
 //! algorithms: CSRIA is modeled on the **lossy counting** heavy-hitter
 //! method of Manku & Motwani (VLDB 2002), CDIA on the **hierarchical heavy
 //! hitter** method of Cormode et al. (VLDB 2003) specialized to the
-//! search-benefit lattice. This crate implements those algorithms — plus
-//! Misra–Gries and Space-Saving used for ablations — independently of how
-//! AMRI consumes them, with the accuracy and space guarantees property-
-//! tested.
+//! search-benefit lattice. This crate implements those algorithms
+//! independently of how AMRI consumes them, with the accuracy and space
+//! guarantees property-tested.
 //!
 //! * [`traits`] — the [`FrequencyEstimator`] abstraction all counters
 //!   share.
-//! * [`count_min`] — the Count-Min sketch (fixed-memory ablation backend).
 //! * [`exact`] — exact counting (the reference the guarantees are tested
 //!   against; also the backend of plain SRIA/DIA).
 //! * [`lossy`] — lossy counting with ε-segments and per-entry max error δ.
-//! * [`misra_gries`] — the classic deterministic k-counter summary.
-//! * [`space_saving`] — Space-Saving (stream-summary) counters.
 //! * [`lattice`] — storage + navigation over the access-pattern lattice.
 //! * [`hhh`] — hierarchical heavy hitters over that lattice with the
 //!   paper's two combination strategies (random, highest-count).
@@ -24,20 +20,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod count_min;
 pub mod exact;
 pub mod hhh;
 pub mod lattice;
 pub mod lossy;
-pub mod misra_gries;
-pub mod space_saving;
 pub mod traits;
 
-pub use count_min::{CountMin, CountMinOverUniverse, SketchItem};
 pub use exact::ExactCounter;
 pub use hhh::{CombineStrategy, HhhConfig, HierarchicalHeavyHitters};
 pub use lattice::PatternLattice;
 pub use lossy::{LossyCounter, LossyEntry};
-pub use misra_gries::MisraGries;
-pub use space_saving::SpaceSaving;
 pub use traits::FrequencyEstimator;

@@ -462,11 +462,6 @@ impl<W: StreamWorkload> TenantHost<W> {
         &self.trace
     }
 
-    /// Tenants ever admitted (any state).
-    pub fn tenant_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Consume the host into per-tenant reports, in admission (id) order
     /// — the deterministic merge order for fleet summaries.
     pub fn into_reports(self) -> Vec<TenantReport> {

@@ -506,11 +506,6 @@ impl SnapshotReader {
         self.step
     }
 
-    /// Names of all sections, in write order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
-    }
-
     /// A decoder over the named section's body.
     pub fn section(&self, name: &str) -> Result<SectionReader<'_>, SnapshotError> {
         self.sections

@@ -186,13 +186,11 @@ impl fmt::Display for VirtualDuration {
 
 /// A source of "now" the runtime advances explicitly.
 ///
-/// The operator pipeline is written against this trait so the same code can
-/// run in two modes: **simulation**, where [`VirtualClock`] advances by
-/// exactly the ticks each cost receipt charges (bit-for-bit reproducible),
-/// and **wall-clock**, where an implementation anchored to real time ignores
-/// modeled charges because real CPUs charge themselves (the engine's
-/// `WallClock` implements that mode; its `SkewedClock` wrapper injects
-/// clock-skew faults on top of either).
+/// The engine's step loop is written against this trait, and
+/// [`VirtualClock`] *is* the simulation: it advances by exactly the ticks
+/// each cost receipt charges, so a run is bit-for-bit reproducible. The
+/// seam exists so a test can substitute a fake: the engine's `SkewedClock`
+/// wraps a clock to inject clock-skew faults.
 pub trait Clock {
     /// Current instant.
     fn now(&self) -> VirtualTime;

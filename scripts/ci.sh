@@ -42,11 +42,27 @@ if grep -rnE 'crash_matri[x]|fault_matri[x]|spill_matri[x]|fleet_swee[p]|diff_wi
     echo "an identity bin or its CSV diff reappeared"; exit 1
 fi
 
+# Nor may the operator framework: the step loop is one function,
+# `Pipeline::step_once`, over four plain step functions (DESIGN §5). Nor
+# the wall-clock stub no run ever used, nor the three heavy-hitter
+# backends no assessor ran on.
+echo "==> one step loop under crates/ tests/ examples/"
+if grep -rnE 'Operator<|SampleOperator|TuneOperator|IngestOperator|ProbeOperator|EngineSetup|RunParams|WallClock|CountMin|MisraGries|SpaceSaving' \
+    crates tests examples; then
+    echo "the operator framework, WallClock or a deleted heavy-hitter backend reappeared"; exit 1
+fi
+
 # Sharded work borrows its slots through `parallel::for_each_slot`; that
 # file is the only one in the core crate allowed to say `unsafe`.
 echo "==> crates/core/src: unsafe only in parallel.rs"
 if grep -rlw unsafe crates/core/src | grep -v '^crates/core/src/parallel\.rs$'; then
     echo "unsafe outside crates/core/src/parallel.rs"; exit 1
+fi
+
+# The engine's one lifetime erasure lives behind `pool::erase_lifetime`.
+echo "==> crates/engine/src: unsafe only in runtime/pool.rs"
+if grep -rlw unsafe crates/engine/src | grep -v '^crates/engine/src/runtime/pool\.rs$'; then
+    echo "unsafe outside crates/engine/src/runtime/pool.rs"; exit 1
 fi
 
 # The spill tier opens its block file where the file is (re)created and

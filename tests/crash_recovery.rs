@@ -248,6 +248,59 @@ fn mismatched_configuration_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The maintenance totals are part of the v2 layout: an image without
+/// its `maint` section, or with the section cut to the three words an
+/// older layout wrote, is refused with the typed error — never resumed
+/// with the counters restarted at zero.
+#[test]
+fn an_image_without_its_maintenance_totals_is_refused() {
+    use amri_stream::{SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter};
+    let sc = scenario(3);
+    let exec = executor(&sc, IndexingMode::Scan);
+    let fingerprint = exec.config_fingerprint();
+    let mut pipeline = exec.into_pipeline();
+    for _ in 0..120 {
+        pipeline.step_once();
+    }
+    let taken = SnapshotReader::parse(&pipeline.snapshot_image(fingerprint)).unwrap();
+    // Hand-build a v2 image from the taken one's sections, keeping
+    // `maint_words` eight-byte words of `maint` (`None` drops it).
+    let rebuilt = |maint_words: Option<usize>| {
+        let mut image = SnapshotWriter::new(fingerprint, taken.step());
+        for name in [
+            "runtime",
+            "series",
+            "retunes",
+            "router",
+            "backlog",
+            "stems",
+            "observers",
+            "maint",
+            "workload",
+        ] {
+            let body = taken.section(name).unwrap().rest();
+            let body = match (name, maint_words) {
+                ("maint", None) => continue,
+                ("maint", Some(words)) => &body[..8 * words],
+                _ => body,
+            };
+            let mut w = SectionWriter::new();
+            body.iter().for_each(|&b| w.put_u8(b));
+            image.add(name, w);
+        }
+        let snap = SnapshotReader::parse(&image.finish()).expect("a well-formed v2 image");
+        executor(&sc, IndexingMode::Scan)
+            .resume_from(&snap)
+            .map(|_| ())
+    };
+    assert_eq!(rebuilt(Some(6)), Ok(()), "the full section resumes");
+    assert_eq!(
+        rebuilt(None),
+        Err(SnapshotError::MissingSection("maint".into()).into())
+    );
+    assert_eq!(rebuilt(Some(3)), Err(SnapshotError::Truncated.into()));
+}
+
 /// The parallel write path end to end: shards=4/parallelism=4 routes
 /// every insert/expire through the staged per-shard ingest seam and
 /// overlaps it with the probe, while the degradation governor and a

@@ -7,7 +7,7 @@
 use amri_core::assess::AssessorKind;
 use amri_engine::{
     EngineConfig, Executor, IndexingMode, Job, MemoryBudget, MemoryReport, PolicyKind, Router,
-    RunOutcome, StreamWorkload, ThroughputSeries,
+    RunOutcome, Session, SessionStatus, StreamWorkload, ThroughputSeries,
 };
 use amri_hh::CombineStrategy;
 use amri_stream::{
@@ -108,7 +108,7 @@ fn pipeline_series_has_no_grid_gaps() {
 
 /// S3: no policy ever routes a partial tuple to a state it has already
 /// visited, for any non-full visited mask — the invariant the probe
-/// operator's `expect("covered")` relies on.
+/// step's `expect("covered")` relies on.
 #[test]
 fn router_never_chooses_a_visited_state() {
     let n = 4usize;
@@ -160,7 +160,7 @@ fn round_robin_picks_lowest_unvisited() {
 }
 
 /// S3: budget-exhaustion edge cases around the comparison the sample
-/// operator makes every grid point.
+/// step makes every grid point.
 #[test]
 fn budget_exhaustion_boundaries() {
     let budget = MemoryBudget { bytes: 1000 };
@@ -229,8 +229,8 @@ fn oom_through_the_explicit_pipeline_mirrors_the_baseline() {
     assert!(r.final_time >= at);
 }
 
-/// The harness and the pipeline expose the same run: a `RunParams`-driven
-/// `Pipeline` built by `into_pipeline` equals `Executor::run` outputs.
+/// The harness and the pipeline expose the same run: the `Pipeline`
+/// `into_pipeline` assembles, driven by the caller, equals `Executor::run`.
 #[test]
 fn into_pipeline_run_equals_executor_run() {
     let sc = paper_scenario(Scale::Quick, 3);
@@ -245,6 +245,46 @@ fn into_pipeline_run_equals_executor_run() {
     let direct = build().run();
     let via_pipeline = build().into_pipeline().run();
     assert_eq!(format!("{direct:#?}"), format!("{via_pipeline:#?}"));
+}
+
+/// One latch: "finished" is the pipeline's own flag. Stepping a finished
+/// `Session` moves nothing, its result is the harness's own, and a
+/// `Session` wrapped around an already-finished pipeline says so.
+#[test]
+fn a_finished_session_is_latched_by_its_pipeline() {
+    let sc = paper_scenario(Scale::Quick, 3);
+    let build = || {
+        Executor::try_new(
+            &sc.query,
+            sc.workload(),
+            IndexingMode::Scan,
+            sc.engine.clone(),
+        )
+        .expect("valid engine configuration")
+    };
+    let mut session = Session::new(build().into_pipeline());
+    assert!(!session.is_finished());
+    while session.run_quantum(64) != SessionStatus::Finished {}
+    assert!(session.is_finished());
+
+    let at_rest = |s: &Session<_>| {
+        let ctx = s.context();
+        (ctx.step, ctx.tuple_seq, ctx.jobs_processed, s.now())
+    };
+    let before = at_rest(&session);
+    assert!(before.2 > 0, "the run must have probed something");
+    assert_eq!(session.step(), SessionStatus::Finished);
+    assert_eq!(session.run_quantum(64), SessionStatus::Finished);
+    assert_eq!(session.run_quantum(0), SessionStatus::Finished);
+    assert_eq!(at_rest(&session), before);
+    assert_eq!(
+        format!("{:#?}", session.finish()),
+        format!("{:#?}", build().run_with_stats())
+    );
+
+    let mut pipeline = build().into_pipeline();
+    while pipeline.step_once() != SessionStatus::Finished {}
+    assert!(Session::new(pipeline).is_finished());
 }
 
 /// `EngineConfig` stays the source-compatible front door: a config built

@@ -467,6 +467,27 @@ fn bench_spill_cached(c: &mut Criterion) {
         )
     });
 
+    // A batch wider than the cache: 64 stub hits striped over eight
+    // blocks, through a cache budgeted for four of their frames. Steady
+    // state: each pass finds four blocks resident and reads the other four
+    // once each, every decode serving its eight hits before its admission
+    // evicts a block the batch is already done with.
+    g.bench_function("sweep_over_budget", |b| {
+        let probe = half_spilled("sweep-probe", StorageProfile::default(), CACHE);
+        let frame = probe.tier().and_then(|t| t.block(0)).expect("a block").len;
+        let mut store = half_spilled("sweep", StorageProfile::default(), 4 * u64::from(frame));
+        let striped: Vec<TupleKey> = (0..8)
+            .flat_map(|j| (0..8).map(move |block| TupleKey(256 * block + j)))
+            .collect();
+        let mut out = Vec::new();
+        b.iter(|| {
+            let mut r = CostReceipt::new();
+            let lost = store.materialize_batch(&striped, &mut out, &mut r, &exec);
+            assert_eq!(lost, 0);
+            black_box(out.len())
+        })
+    });
+
     // Expiry-order readahead: plan the next-oldest blocks, then drain the
     // prefetch the way the engine does — ahead of the next probe, inside
     // the store's read entry (so the timed region includes that probe's

@@ -111,6 +111,14 @@ pub fn cached_tier(dir: &Path) -> SpillSettings {
     SpillSettings { profile, ..tier }.with_cache_bytes(256 * 1024)
 }
 
+/// A per-state cache budget that must evict: half of what one state of
+/// the cacheless twin wrote to its block file (the twin's `n_states` files
+/// hold `twin_disk_bytes` between them) — room for some of the state's
+/// spilled blocks, never for all of them.
+pub fn tight_cache_bytes(twin_disk_bytes: u64, n_states: u64) -> u64 {
+    twin_disk_bytes / n_states.max(1) / 2
+}
+
 /// `r` with the five counters only a block cache produces zeroed, every
 /// shared observable (answer, promotions, read accounting) left intact.
 pub fn without_cache_counters(mut r: RunResult) -> RunResult {
@@ -133,13 +141,16 @@ enum Budget {
     Forcing(String),
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 enum Tier {
     Off,
     /// The identity storage profile, no block cache.
     Cacheless,
     /// [`cached_tier`].
     Cached,
+    /// [`cached_tier`] with its budget cut to [`tight_cache_bytes`] of the
+    /// block files the named cell — its cacheless twin — wrote.
+    TightCache(String),
 }
 
 /// One engine run as a delta over `paper_scenario(scale, seed)`.
@@ -275,6 +286,8 @@ enum Must {
     SkipsASnapshot,
     Spills,
     HitsTheCache,
+    /// The budget bound: a cache that never evicts pins no policy.
+    EvictsFromTheCache,
     Checkpoints,
 }
 
@@ -559,9 +572,9 @@ fn crash_family(l: &mut Lattice) {
 
 /// Per flavor: unconstrained completes; the forcing budget kills the
 /// all-RAM run; the same budget with a tier completes with the
-/// unconstrained answer; a block cache changes only its own counters;
-/// crash + resume is invisible with the tier, cached or not; a disk-fault
-/// storm ends typed and replays.
+/// unconstrained answer; a block cache — roomy, or tight enough that it
+/// must evict — changes only its own counters; crash + resume is invisible
+/// with the tier, cached or not; a disk-fault storm ends typed and replays.
 fn spill_family(l: &mut Lattice) {
     let mut storm = FaultPlan {
         seed: l.seed ^ 0xD15C,
@@ -596,21 +609,35 @@ fn spill_family(l: &mut Lattice) {
             let cached = cell(l, "cached", with(Tier::Cached, None));
             let stormed = cell(l, "storm", with(Tier::Cacheless, Some(&storm)));
             let cached_stormed = cell(l, "cached-storm", with(Tier::Cached, Some(&storm)));
+            let tight = || Tier::TightCache(format!("spill/{flavor}/spilled@t{threads}"));
+            let tight_cached = cell(l, "tight-cache", with(tight(), None));
+            let tight_stormed = cell(l, "tight-cache-storm", with(tight(), Some(&storm)));
 
             l.expect(&free, &[Completes]);
             l.expect(&dead, &[DiesOfOom]);
             l.expect(&spilled, &[Completes, Spills]);
             l.expect(&cached, &[HitsTheCache]);
+            l.expect(&tight_cached, &[HitsTheCache, EvictsFromTheCache]);
             l.edge(&spilled, &free, AllButTheAnswer);
             l.edge(&cached, &spilled, CacheCounters);
-            for node in [&spilled, &cached] {
+            l.edge(&tight_cached, &spilled, CacheCounters);
+            for node in [&spilled, &cached, &tight_cached] {
                 l.edge(&node.via(CRASH), node, Nothing);
             }
-            for node in [&stormed, &cached_stormed] {
+            for node in [&stormed, &cached_stormed, &tight_stormed] {
                 l.replay(node);
                 l.expect(node, &[TypesItsLoss, Spills]);
             }
-            let nodes = [free, dead, spilled, cached, stormed, cached_stormed];
+            let nodes = [
+                free,
+                dead,
+                spilled,
+                cached,
+                stormed,
+                cached_stormed,
+                tight_cached,
+                tight_stormed,
+            ];
             for (t4, t1) in nodes.iter().zip(&at_t1) {
                 l.edge(t4, t1, Nothing);
             }
@@ -729,6 +756,7 @@ impl Outcome {
             SkipsASnapshot => some("snapshots skipped", self.skipped),
             Spills => some("spilled_tuples", sum(&|r| r.spill.spilled_tuples)),
             HitsTheCache => some("cache_hits", sum(&|r| r.spill.cache_hits)),
+            EvictsFromTheCache => some("cache_evictions", sum(&|r| r.spill.cache_evictions)),
             Checkpoints => some("checkpoints_taken", self.checkpoints),
         }
     }
@@ -806,6 +834,11 @@ impl<'a> Runner<'a> {
         (!green).then_some(self.root)
     }
 
+    /// Where the node's drive keeps its spill files and snapshots.
+    fn dir_of(&self, node: &Node) -> PathBuf {
+        self.root.join(node.to_string().replace('/', "_"))
+    }
+
     /// The node's outcome, driving it if nothing has yet.
     fn outcome(&mut self, node: &Node) -> Rc<Driven> {
         if let Some(done) = self.memo.get(node) {
@@ -816,12 +849,21 @@ impl<'a> Runner<'a> {
         driven
     }
 
+    /// The named cell driven straight — a twin some other cell's
+    /// configuration is derived from — and its outcome.
+    fn straight(&mut self, cell: &str) -> (Node, Rc<Driven>) {
+        let (cell, drive, again) = (cell.to_string(), Straight, false);
+        let node = Node { cell, drive, again };
+        let driven = self.outcome(&node);
+        (node, driven)
+    }
+
     fn drive(&mut self, node: &Node) -> Driven {
         let lattice = self.lattice;
         let cell = lattice.cells.iter().find(|c| c.0 == node.cell);
         let (_, threads, body) = cell.ok_or_else(|| format!("no cell named `{}`", node.cell))?;
         let threads = NonZeroUsize::new(*threads).ok_or("a cell needs a thread")?;
-        let dir = self.root.join(node.to_string().replace('/', "_"));
+        let dir = self.dir_of(node);
         let (budget, tenants) = match (body, node.drive) {
             (Body::Experiment(run), Straight) => {
                 return Ok(Outcome::of(run(self.scale, lattice.seed, threads)));
@@ -877,8 +919,7 @@ impl<'a> Runner<'a> {
             Budget::Scenario => {}
             Budget::Fixed(budget) => engine.budget = *budget,
             Budget::Forcing(twin) => {
-                let (cell, drive, again) = (twin.clone(), Straight, false);
-                let peak = match self.outcome(&Node { cell, drive, again }).as_ref() {
+                let peak = match self.straight(twin).1.as_ref() {
                     Ok(o) => o.runs.iter().map(|(r, _)| r.series.peak_memory()).max(),
                     Err(e) => return Err(format!("`{twin}` did not run: {e}")),
                 };
@@ -889,10 +930,23 @@ impl<'a> Runner<'a> {
         engine.degradation = spec.degradation;
         engine.faults = spec.faults.clone();
         engine.tuner_kind = spec.tuner;
-        engine.spill = match spec.tier {
+        engine.spill = match &spec.tier {
             Tier::Off => None,
             Tier::Cacheless => Some(SpillSettings::in_dir(dir.join("spill"))),
             Tier::Cached => Some(cached_tier(&dir.join("spill"))),
+            Tier::TightCache(twin) => {
+                let (twin, driven) = self.straight(twin);
+                if let Err(e) = driven.as_ref() {
+                    return Err(format!("`{twin}` did not run: {e}"));
+                }
+                let files = std::fs::read_dir(self.dir_of(&twin).join("spill"));
+                let files = files.map_err(|e| format!("`{twin}` left no spill directory: {e}"))?;
+                let lens: Vec<u64> = files
+                    .filter_map(|f| Some(f.ok()?.metadata().ok()?.len()))
+                    .collect();
+                let bytes = tight_cache_bytes(lens.iter().sum(), lens.len() as u64);
+                Some(cached_tier(&dir.join("spill")).with_cache_bytes(bytes))
+            }
         };
         apply_threads(engine, threads);
         Ok(sc)
@@ -1054,6 +1108,11 @@ mod tests {
             "spill/amri/cached@t1:resumed=spill/amri/cached@t1",
             "spill/static-bitmap/cached-storm@t1:must:TypesItsLoss",
             "spill/static-bitmap/storm@t1=spill/static-bitmap/storm@t1:again",
+            "spill/hash-3/tight-cache@t4=spill/hash-3/spilled@t4",
+            "spill/scan/tight-cache@t1:must:EvictsFromTheCache",
+            "spill/amri/tight-cache@t1:resumed=spill/amri/tight-cache@t1",
+            "spill/static-bitmap/tight-cache-storm@t4=spill/static-bitmap/tight-cache-storm@t4:again",
+            "spill/scan/tight-cache-storm@t1:must:TypesItsLoss",
             "fleet/lineup@t1:hosted=fleet/lineup@t1",
             "fleet/lineup@t1:migrated=fleet/lineup@t1:hosted",
             "duel/lineup@t4=duel/lineup@t1",

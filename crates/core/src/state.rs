@@ -276,8 +276,10 @@ pub struct StateStore<I: ?Sized> {
     /// Live slots currently spill-resident (stub in RAM, attrs on disk).
     spilled: usize,
     /// Reusable read plan of [`StateStore::materialize_batch`]: the
-    /// distinct spill blocks behind one batch of hits.
+    /// distinct spill blocks behind one batch of hits, and the spilled
+    /// hits themselves as `(slot in the batch, key, block)`.
     batch_blocks: Vec<u32>,
+    batch_pending: Vec<(usize, TupleKey, u32)>,
     /// The index — the last field, so a `&StateStore<I>` unsizes to
     /// `&StateStore<dyn StateIndex>` wherever the index type is irrelevant.
     index: I,
@@ -298,6 +300,7 @@ impl<I: StateIndex> StateStore<I> {
             tier: None,
             spilled: 0,
             batch_blocks: Vec::new(),
+            batch_pending: Vec::new(),
         }
     }
 
@@ -823,14 +826,15 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     }
 
     /// Materialize a batch of probe hits into `out` (parallel to `keys`),
-    /// coalescing the spill reads: with the block cache enabled, all
-    /// spilled hits are grouped by block in first-occurrence order and
-    /// each distinct block is read **once** (through
-    /// [`SpillTier::preload_missing`], which overlaps the device reads on
-    /// `exec`), then every hit is served from the warm cache. Without a
-    /// cache this is exactly the per-key [`materialize`](Self::materialize)
-    /// sequence — same reads, same fault-coin stream, same receipts — so
-    /// cacheless runs stay byte-identical to the pre-cache engine.
+    /// coalescing the spill reads. With the block cache enabled the keys
+    /// are classified once — resident tuples straight into `out`, spilled
+    /// ones onto a pending list — and each distinct block behind the
+    /// pending keys, in first-occurrence order, is fetched **once**
+    /// through [`SpillTier::fetch_batch`] and serves every pending key it
+    /// holds from that one fetch. Without a cache this is exactly the
+    /// per-key [`materialize`](Self::materialize) sequence — same reads,
+    /// same fault-coin stream, same receipts — so cacheless runs stay
+    /// byte-identical to the pre-cache engine.
     ///
     /// Returns the number of tuples lost to failed block reads (those
     /// keys' slots in `out` are `None`, as are dead keys').
@@ -844,43 +848,67 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         out.clear();
         out.reserve(keys.len());
         let mut lost = 0;
-        if self.tier.as_ref().is_some_and(SpillTier::cache_enabled) {
-            // The distinct blocks behind the spilled hits, first-occurrence
-            // order: the deterministic read plan. Hits beyond the first
-            // per block are the reads coalescing saved.
-            let mut blocks = std::mem::take(&mut self.batch_blocks);
-            blocks.clear();
-            let mut spilled_hits = 0u64;
+        if !self.tier.as_ref().is_some_and(SpillTier::cache_enabled) {
+            // The plain PR 8 read sequence.
             for &key in keys {
-                if let Some(StoredTuple::Spilled { block, .. }) = self.arena.get(key) {
-                    spilled_hits += 1;
+                match self.materialize(key, receipt) {
+                    Ok(t) => out.push(t),
+                    Err(n) => {
+                        lost += n;
+                        out.push(None);
+                    }
+                }
+            }
+            return lost;
+        }
+        let mut pending = std::mem::take(&mut self.batch_pending);
+        let mut blocks = std::mem::take(&mut self.batch_blocks);
+        for (slot, &key) in keys.iter().enumerate() {
+            out.push(match self.arena.get(key) {
+                None => None,
+                Some(StoredTuple::Resident { tuple, .. }) => Some(*tuple),
+                Some(StoredTuple::Spilled { block, .. }) => {
+                    pending.push((slot, key, *block));
                     if !blocks.contains(block) {
                         blocks.push(*block);
                     }
+                    None
                 }
-            }
-            if !blocks.is_empty() {
-                let tier = self.tier.as_mut().expect("cache implies a tier");
-                tier.note_coalesced(spilled_hits - blocks.len() as u64);
-                for (block, err) in tier.preload_missing(&blocks, receipt, exec) {
-                    if !matches!(err, BlockReadError::Gone) {
-                        lost += self.purge_block(block, receipt);
+            });
+        }
+        if !blocks.is_empty() {
+            let stream = self.stream;
+            let tier = self.tier.as_mut().expect("cache implies a tier");
+            // Hits beyond the first per block are the reads coalescing
+            // saved.
+            tier.note_coalesced((pending.len() - blocks.len()) as u64);
+            // A verified frame that lacks a key its stub points at: the
+            // metadata and the file disagree — treat as corruption.
+            let mut disagreeing = Vec::new();
+            let failed = tier.fetch_batch(&blocks, receipt, exec, &mut |block, entries| {
+                let (mut served, mut complete) = (0, true);
+                for &(slot, key, _) in pending.iter().filter(|p| p.2 == block) {
+                    match entries.iter().find(|e| e.key == key) {
+                        Some(e) => {
+                            out[slot] = Some(Tuple::new(e.id, stream, e.ts, e.attrs));
+                            served += 1;
+                        }
+                        None => complete = false,
                     }
                 }
-            }
-            self.batch_blocks = blocks;
-        }
-        // Serve per key — warm hits when the preload above ran, the plain
-        // PR 8 read sequence when cacheless.
-        for &key in keys {
-            match self.materialize(key, receipt) {
-                Ok(t) => out.push(t),
-                Err(n) => {
-                    lost += n;
-                    out.push(None);
+                if !complete {
+                    disagreeing.push(block);
                 }
+                served
+            });
+            for block in failed.into_iter().map(|(b, _)| b).chain(disagreeing) {
+                lost += self.purge_block(block, receipt);
             }
         }
+        pending.clear();
+        blocks.clear();
+        self.batch_pending = pending;
+        self.batch_blocks = blocks;
         lost
     }
 
@@ -1382,6 +1410,73 @@ mod tests {
         assert!(out[..3].iter().all(Option::is_none));
         assert!(out[3..].iter().all(Option::is_some));
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_batch_wider_than_the_cache_reads_each_cold_block_once_and_serves_every_key() {
+        let tmp = |tag: &str| {
+            std::env::temp_dir().join(format!("amri-state-wide-{}-{tag}", std::process::id()))
+        };
+        // Twelve tuples in four blocks of three; `cache_bytes` of budget.
+        let load = |tag: &str, cache_bytes: u64| {
+            let mut s = spill_store_in(tmp(tag), Default::default(), cache_bytes);
+            let mut r = CostReceipt::new();
+            for i in 0..12 {
+                s.insert(mk_tuple(i, i, &[i, 0, i]), &mut r);
+            }
+            for _ in 0..4 {
+                assert_eq!(s.spill_oldest(3, &mut r), 3);
+            }
+            s
+        };
+        let frame = u64::from(load("probe", 0).tier().unwrap().block(0).unwrap().len);
+        let mut cached = load("cached", 2 * frame);
+        let mut plain = load("plain", 0);
+        // Every key, striped across the four blocks.
+        let keys: Vec<TupleKey> = (0..3)
+            .flat_map(|k| (0..4).map(move |b| TupleKey(3 * b + k)))
+            .collect();
+        let exec = &crate::parallel::SequentialExecutor;
+        let (mut out, mut want) = (Vec::new(), Vec::new());
+        let mut r = CostReceipt::new();
+        assert_eq!(plain.materialize_batch(&keys, &mut want, &mut r, exec), 0);
+        assert!(want.iter().all(Option::is_some));
+
+        // All four blocks cold, room for two: four device reads, each
+        // serving its three keys before a later admission displaces it.
+        assert_eq!(cached.materialize_batch(&keys, &mut out, &mut r, exec), 0);
+        assert_eq!(
+            out, want,
+            "cached and cacheless materialize the same tuples"
+        );
+        let st = cached.spill_stats();
+        assert_eq!(
+            (st.cache_misses, st.cache_hits, st.cache_evictions),
+            (4, 12, 2)
+        );
+        assert_eq!((st.blocks_read, st.coalesced_reads), (12, 8));
+        assert!(cached.cache_used_bytes() <= 2 * frame);
+
+        // Again: blocks 2 and 3 are resident and serve first; only the two
+        // cold ones are read. (The parent, whose water marks kept one block
+        // of this budget, took sixteen device reads for the first batch —
+        // four preloads, then every key a miss — and fifteen for the
+        // second: 31 misses, 30 evictions, no hit.)
+        assert_eq!(cached.materialize_batch(&keys, &mut out, &mut r, exec), 0);
+        assert_eq!(out, want);
+        let st = cached.spill_stats();
+        assert_eq!(
+            (st.cache_misses, st.cache_hits, st.cache_evictions),
+            (6, 24, 4)
+        );
+        assert_eq!(
+            st.blocks_read,
+            plain.spill_stats().blocks_read * 2,
+            "demand counters are cache-invariant"
+        );
+        for tag in ["probe", "cached", "plain"] {
+            let _ = std::fs::remove_dir_all(tmp(tag));
+        }
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! hot path.
 //!
 //! The spill read path is held to the same standard: materializing a
-//! batch of spilled hits whose blocks are all cached allocates nothing,
-//! and a batch that misses one block allocates at most once — the decoded
-//! entry vector the cache admits. The read plans and the frame buffer are
-//! reused.
+//! batch of spilled hits whose blocks are all cached allocates nothing;
+//! a batch that misses one block into free space allocates at most once —
+//! the decoded entry vector the cache admits — and one whose miss evicts
+//! allocates nothing, because the victim's vector is what it decodes
+//! into. The read plans and the frame buffer are reused.
 //!
 //! The file holds a single `#[test]` so no concurrent test can allocate
 //! while the counter is armed.
@@ -243,5 +244,56 @@ fn steady_state_search_into_does_not_allocate() {
     );
     assert_eq!(tiered.spill_stats().cache_misses, misses_before + 1);
     assert!(out.iter().all(Option::is_some));
-    let _ = std::fs::remove_dir_all(spill_dir);
+    let _ = std::fs::remove_dir_all(&spill_dir);
+
+    // --- A miss that evicts. Three equal 64-tuple blocks behind a cache
+    // budgeted for exactly two of them: fetching them round-robin misses
+    // every time, and each miss fills the decode vector the block it
+    // evicts gave up. ---
+    let tight_dir = spill_dir.with_extension("tight");
+    let tight_store = |cache_bytes: u64| {
+        let mut store = loaded_store(BitAddressIndex::new(config()));
+        store.enable_spill(
+            SpillTier::create(&SpillConfig {
+                dir: tight_dir.clone(),
+                file_name: "s0.blocks".into(),
+                profile: Default::default(),
+                faults: Default::default(),
+                seed: 7,
+                cache_bytes,
+            })
+            .unwrap(),
+        );
+        let mut r = CostReceipt::new();
+        for _ in 0..3 {
+            assert_eq!(store.spill_oldest(64, &mut r), 64);
+        }
+        store
+    };
+    let frame = u64::from(tight_store(0).tier().unwrap().block(0).unwrap().len);
+    let mut tight = tight_store(2 * frame);
+    let block_keys: Vec<Vec<TupleKey>> = (0..3)
+        .map(|b| keys(64 * b..64 * b + 16).collect())
+        .collect();
+    // Warm-up: two rounds, so the first evictions have stocked the spares.
+    for b in [0, 1, 2, 0, 1, 2] {
+        tight.materialize_batch(&block_keys[b], &mut out, &mut r, &SequentialExecutor);
+    }
+    let before = tight.spill_stats();
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    for batch in &block_keys {
+        tight.materialize_batch(batch, &mut out, &mut r, &SequentialExecutor);
+    }
+    ARMED.store(false, Ordering::SeqCst);
+    let evicting_allocs = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        evicting_allocs, 0,
+        "a single-block miss that evicts must not allocate, saw {evicting_allocs} allocations"
+    );
+    let after = tight.spill_stats();
+    assert_eq!(after.cache_misses, before.cache_misses + 3);
+    assert_eq!(after.cache_evictions, before.cache_evictions + 3);
+    assert!(out.iter().all(Option::is_some));
+    let _ = std::fs::remove_dir_all(tight_dir);
 }

@@ -21,6 +21,9 @@ echo "==> cargo bench -p amri-bench --bench micro_index (best of ${BENCH_RUNS} r
 for run in $(seq "$BENCH_RUNS"); do
     echo "--- run ${run}/${BENCH_RUNS}"
     cargo bench -p amri-bench --bench micro_index 2>&1 | grep 'median_ns=' | tee -a "$OUT"
+    # Every batched spill iteration leaves a block-file directory behind:
+    # gigabytes per run, and three runs have filled an 18 GB disk.
+    find "${TMPDIR:-/tmp}" -maxdepth 1 -name 'amri-bench-spill-*' -exec rm -rf {} +
 done
 
 fail=0

@@ -52,6 +52,15 @@ if grep -rnE 'Operator<|SampleOperator|TuneOperator|IngestOperator|ProbeOperator
     echo "the operator framework, WallClock or a deleted heavy-hitter backend reappeared"; exit 1
 fi
 
+# Nor may the block cache's water marks or the preload step: the cache
+# evicts only until a newcomer fits, and a batch fetches each distinct
+# block once through `SpillTier::fetch_batch` (DESIGN §10, the read fast
+# path).
+echo "==> exact-fit cache, one read path per batch under crates/ tests/ examples/"
+if grep -rnE 'CACHE_HIGH_WATER|CACHE_LOW_WATER|preload_missing' crates tests examples; then
+    echo "a cache water mark or the preload step reappeared"; exit 1
+fi
+
 # Sharded work borrows its slots through `parallel::for_each_slot`; that
 # file is the only one in the core crate allowed to say `unsafe`.
 echo "==> crates/core/src: unsafe only in parallel.rs"
@@ -123,5 +132,20 @@ awk '$1 == "engine.pool.speedup_vs_t1" { seen = 1; print; if ($2 + 0 < 0.8) exit
      END { if (!seen) exit 1 }' "${POOL_RUN}" \
     || { echo "engine.pool.speedup_vs_t1 missing or below 0.8"; exit 1; }
 rm -f "${POOL_RUN}"
+
+# Nor may a spilled window lose to its all-RAM twin by what the cache
+# should have saved: one short traced run of the spilling workload. The
+# hit rate is a count — a function of the seed alone — and at 64 KiB of
+# cache over a ~78 KB live set per state it read 0.76 while the water
+# marks used half the budget and batches evicted their own blocks; the
+# speedup then read 0.35–0.43.
+echo "==> a 64 KiB block cache holds 64 KiB (spill_ckpt, traced)"
+TIER_RUN="$(mktemp)"
+bash benchmark/run.sh --workload spill_ckpt --seed 7 --seconds 4 --trace 1 > "${TIER_RUN}"
+awk '$1 == "core.tier.cache_hit_frac" { hit = 1; print; if ($2 + 0 < 0.9) exit 1 }
+     $1 == "core.tier.speedup_vs_ram" { fast = 1; print; if ($2 + 0 < 0.55) exit 1 }
+     END { if (!hit || !fast) exit 1 }' "${TIER_RUN}" \
+    || { echo "core.tier.cache_hit_frac below 0.9, core.tier.speedup_vs_ram below 0.55, or either missing"; exit 1; }
+rm -f "${TIER_RUN}"
 
 echo "CI green."

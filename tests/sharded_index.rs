@@ -584,6 +584,85 @@ fn readahead_is_executor_invariant_and_sized_as_block_io() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The cold half of a batch fetch is one `BLOCK_IO_NS` dispatch whatever
+/// runs it: fault coins are drawn before any read and results merged in
+/// plan order, so inline, gated and ungated pools leave the same counters,
+/// coin state, residents and receipts — under injected faults, through a
+/// cache too small to hold the batch.
+#[test]
+fn batch_fetch_is_executor_invariant_and_sized_as_block_io() {
+    use amri_core::parallel::BLOCK_IO_NS;
+    use amri_core::snapshot_io::{seal_block, SectionWriter};
+    use amri_core::{IoFaultConfig, SpillConfig, SpillTier, StorageProfile};
+    let block = |key: u32| {
+        let mut w = SectionWriter::new();
+        w.put_usize(1);
+        w.put_u32(key);
+        w.put_u64(u64::from(key));
+        w.put_time(VirtualTime::ZERO);
+        w.put_attrs(&AttrVec::new());
+        w
+    };
+    // Room for two of the seven one-record frames.
+    let budget = 2 * seal_block(block(0)).len() as u64;
+    let dir = std::env::temp_dir().join(format!("amri-batch-exec-{}", std::process::id()));
+    let run = |tag: &str, exec: &dyn ShardExecutor| {
+        let mut t = SpillTier::create(&SpillConfig {
+            dir: dir.join(tag),
+            file_name: "s0.blocks".into(),
+            profile: StorageProfile {
+                read_ns: 500,
+                cache_hit_ns: 3,
+                ..StorageProfile::default()
+            },
+            faults: IoFaultConfig {
+                read_error_prob: 0.3,
+                latency_spike_prob: 0.3,
+                spike_ns: 11,
+                ..IoFaultConfig::default()
+            },
+            seed: 7,
+            cache_bytes: budget,
+        })
+        .unwrap();
+        let mut rc = CostReceipt::new();
+        let ids: Vec<u32> = (0..7)
+            .map(|k| t.append_block(block(k), 1, &mut rc).unwrap())
+            .collect();
+        // One block warm going in; the other six are the cold plan.
+        t.fetch_entries(ids[3], &mut rc).unwrap();
+        let mut served = Vec::new();
+        let failures = t.fetch_batch(&ids, &mut rc, exec, &mut |id, entries| {
+            served.push((id, entries.to_vec()));
+            entries.len() as u64
+        });
+        assert_eq!(served.len() + failures.len(), 7, "{tag}");
+        assert_eq!(
+            served[0].0, ids[3],
+            "{tag}: the resident block serves first"
+        );
+        assert!(t.stats().cache_evictions > 0 && t.cache_used_bytes() <= budget);
+        let mut saved = SectionWriter::new();
+        t.save(&mut saved);
+        (saved.into_bytes(), rc, served, failures)
+    };
+    let pool = amri_engine::WorkerPool::new(std::num::NonZeroUsize::new(2).unwrap());
+    let gated = Recording {
+        pool: &pool,
+        sized: Default::default(),
+    };
+    let inline = run("inline", &SequentialExecutor);
+    assert_eq!(run("gated", &gated), inline);
+    assert_eq!(
+        *gated.sized.lock().unwrap(),
+        vec![(6, BLOCK_IO_NS)],
+        "the six cold blocks are the only dispatch"
+    );
+    assert_eq!(pool.epochs(), 1, "and block I/O passes the gate");
+    assert_eq!(run("ungated", &Ungated(&pool)), inline);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

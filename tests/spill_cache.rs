@@ -110,7 +110,7 @@ proptest! {
         );
         // Block I/O is never gated, so the comparison above is not two
         // inline runs: a readahead plan of two blocks (the depth
-        // configured here) or a `preload_missing` of several is a
+        // configured here) or a `fetch_batch` cold plan of several is a
         // multi-task dispatch at any shard count, and the 4-thread run
         // hands it off. A run whose every plan named a single block would
         // read inline; none of this test's seeds produces one.

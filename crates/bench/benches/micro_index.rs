@@ -7,10 +7,10 @@ use amri_core::{
     ScanIndex, SearchScratch, SequentialExecutor, SpillConfig, SpillTier, StateIndex, StateStore,
     StorageProfile, TupleKey,
 };
-use amri_engine::WorkerPool;
+use amri_engine::{Job, WorkerPool};
 use amri_stream::{
-    AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime,
-    WindowSpec,
+    AccessPattern, AttrId, AttrVec, JobQueue, PackedPartial, PartialTuple, SearchRequest, StreamId,
+    Tuple, TupleId, VirtualTime, WindowSpec,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -518,8 +518,42 @@ fn bench_spill_cached(c: &mut Criterion) {
     g.finish();
 }
 
+/// The backlog half of a probe step: push one §V-shaped job (4 streams ×
+/// 3 attributes, two of them covered: 12 words with framing), pop its
+/// words into a reused buffer and read it through the packed view — no
+/// `Job` is decoded, as in `probe_step`.
+fn bench_queue(c: &mut Criterion) {
+    let mut g = c.benchmark_group("job_queue");
+    g.bench_function("push_pop_words_view", |b| {
+        let base = Tuple::new(TupleId(1), StreamId(0), VirtualTime::from_secs(8), jas(500));
+        let job = Job {
+            pt: PartialTuple::from_base(&base).extend(
+                StreamId(2),
+                jas(7),
+                VirtualTime::from_secs(5),
+            ),
+            origin_ts: base.ts,
+            enqueued: VirtualTime::from_secs(9),
+        };
+        let mut q = JobQueue::new();
+        // A standing backlog, so pushes and pops cross chunk boundaries.
+        for _ in 0..100 {
+            q.push(job);
+        }
+        let mut words = Vec::new();
+        b.iter(|| {
+            q.push_packed(black_box(&job));
+            q.pop_words(&mut words);
+            let view = PackedPartial::new(&words[2..]);
+            black_box(view.part(StreamId(2)).map(|part| part[1]))
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_queue,
     bench_insert,
     bench_search,
     bench_parallel,

@@ -1,12 +1,12 @@
 //! The bit-address index (§III) — AMRI's physical design.
 //!
 //! One index per state. The [`IndexConfig`] maps a tuple's JAS values to a
-//! bucket id; buckets live in a *sparse* hash map because the paper's 64-bit
+//! bucket id; buckets are kept *sparsely* because the paper's 64-bit
 //! configurations address a `2^64` bucket space that can never be
 //! materialized. A search fixes the id bits of its specified attributes and
 //! must cover all `2^w` ids over its wildcard bits; the index picks the
-//! cheaper of (a) enumerating those ids and (b) filtering the occupied
-//! buckets by mask — so cost is `min(2^w, occupied)` probes plus the tuples
+//! cheaper of (a) enumerating those ids and (b) filtering the stored
+//! entries by mask — so cost is `min(2^w, occupied)` probes plus the tuples
 //! compared, preserving the `λ_d·W / 2^{B_ap}` expectation of the cost
 //! model.
 //!
@@ -15,22 +15,45 @@
 //! for low maintenance cost; and *adapting* the index is a single
 //! re-bucketing pass ([`BitAddressIndex::migrate_with`]).
 //!
-//! ## Physical layout: flat bucket arena
+//! ## Physical layout: slab, value stride, directory
 //!
-//! Entries live in one contiguous slab (`Vec<Node>`); buckets are
-//! intrusive doubly-linked chains threaded through the slab, with only a
-//! `(head, tail, len)` record per occupied bucket in a sparse map. Two hot
-//! paths profit directly:
+//! An entry is as wide as its JAS. A shard stores
 //!
-//! * **wide wildcard searches** walk the slab linearly and test each
-//!   node's cached bucket id against the probe plan's mask — no hash-map
-//!   iteration, no per-bucket `Vec` pointer chasing;
+//! * a dense **slab** of fixed 24-byte entry heads — cached bucket id, tuple
+//!   key, and the two chain links;
+//! * the JAS **values** beside it in one flat `Vec<u64>`, `config.width()`
+//!   words per entry in slab order (entry `i` owns words
+//!   `i·width .. (i+1)·width`), so matching never chases back into the
+//!   tuple arena and a three-attribute entry costs 48 bytes, not an
+//!   eight-slot inline vector;
+//! * a power-of-two **directory** of chain heads (`Vec<u32>`, at least two
+//!   slots per entry), addressed by a Fibonacci hash of the bucket id.
+//!
+//! Every entry whose id hashes to a slot is threaded on that slot's chain,
+//! so a candidate id costs one directory load and a chain walk that filters
+//! on the cached bucket id; only entries *of that id* are compared and
+//! charged. A chain appends at its tail, which the head's `prev` link names
+//! (the links are otherwise an ordinary `NIL`-terminated doubly-linked
+//! list), so FIFO expiry meets its victim at the front. The number of
+//! distinct ids stored — which prices `bucket_probes`, `memory_bytes` and
+//! the narrow/wide choice — is kept incrementally: an insert walks its chain
+//! only until it meets its own id, a remove counts same-id entries while it
+//! looks for its key, and a directory doubling relinks without recounting.
+//!
+//! Hits are sorted into key order before anything reads them, so **chain
+//! order is unobservable**: receipts and hit sets depend only on which
+//! entries are stored, never on the order they were linked. That is what
+//! lets a directory doubling, a migration and a snapshot restore all relink
+//! in slab order.
+//!
+//! * **Wide wildcard searches** walk the head slab linearly and test each
+//!   cached bucket id against the probe plan's mask;
 //! * **migration** rebuilds in place: one contiguous pass re-derives every
-//!   node's bucket id, then the chains are relinked through the existing
-//!   slab — zero per-entry allocation.
+//!   entry's bucket id from the value stride, then the chains are relinked
+//!   through the existing slab — zero per-entry allocation.
 //!
-//! Removal keeps the slab dense via `swap_remove` plus a doubly-linked
-//! fixup of the moved node, so the linear-walk invariant never degrades.
+//! Removal keeps slab and stride dense via `swap_remove` plus a fixup of the
+//! moved entry's links, so the linear-walk invariant never degrades.
 //!
 //! ## Sharding: partitioned arena for multicore execution
 //!
@@ -52,58 +75,47 @@ use crate::cost::CostReceipt;
 use crate::layout;
 use crate::parallel::{for_each_slot, SequentialExecutor, ShardExecutor, RELINK_NS, WALK_NS};
 use crate::state::{SearchScratch, ShardSlot, StateIndex, TupleKey};
-use amri_stream::{AttrVec, FxHashMap, SearchRequest};
+use amri_stream::{AttrValue, AttrVec, SearchRequest};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Null link in the intrusive bucket chains.
+/// Null chain link, and the empty directory slot.
 const NIL: u32 = u32::MAX;
 
-/// One slab entry: the tuple key plus its JAS values kept inline (so
-/// matching never chases back into the tuple arena), the cached bucket id
-/// (so wide searches and migration never re-hash), and the intrusive
-/// chain links.
+/// 2^64 / φ: the Fibonacci-hashing multiplier. Bucket ids are concatenated
+/// hash slices that differ mostly in their low bits; the multiply spreads
+/// them over the top bits a directory slot is taken from.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The fixed-width part of one slab entry: the cached bucket id (so chain
+/// walks, wide searches and migration never re-hash), the tuple key, and
+/// the chain links. The entry's JAS values live at the same position of the
+/// shard's value stride.
 #[derive(Debug, Clone, Copy)]
-struct Node {
-    key: TupleKey,
-    jas: AttrVec,
+struct EntryHead {
     bucket: u64,
+    key: TupleKey,
+    /// Next entry on the directory slot's chain; `NIL` at the tail.
     next: u32,
+    /// Previous entry on the chain; the chain's *head* names the tail here.
     prev: u32,
 }
 
-/// Per-bucket metadata: chain endpoints plus an incrementally maintained
-/// length (so fill diagnostics never walk chains). Chains append at the
-/// tail so searches yield entries in insertion order, like the bucket
-/// `Vec`s this layout replaced.
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    head: u32,
-    tail: u32,
-    len: u32,
-}
-
 /// One deferred structural index operation, already routed to its owning
-/// shard. Inserts carry the fully built node (bucket id pre-hashed at
+/// shard. Inserts carry the entry in transit (bucket id pre-hashed at
 /// stage time); removes carry the chain to walk. Replayed in arrival
 /// order per shard, so a remove staged after an insert of the same key
-/// unlinks exactly the node the sequential path would.
+/// unlinks exactly the entry the sequential path would.
 #[derive(Debug, Clone, Copy)]
 enum StagedOp {
-    Insert(Node),
-    Remove { bucket: u64, key: TupleKey },
-}
-
-impl StagedOp {
-    /// The insertion of `key` into `bucket`, as a not-yet-linked node.
-    fn insert(key: TupleKey, jas: &AttrVec, bucket: u64) -> Self {
-        StagedOp::Insert(Node {
-            key,
-            jas: *jas,
-            bucket,
-            next: NIL,
-            prev: NIL,
-        })
-    }
+    Insert {
+        key: TupleKey,
+        bucket: u64,
+        jas: AttrVec,
+    },
+    Remove {
+        bucket: u64,
+        key: TupleKey,
+    },
 }
 
 /// Per-shard lanes of deferred index maintenance (see the staging hooks
@@ -188,169 +200,274 @@ fn shard_index(bucket: u64, shard_bits: u32, total_bits: u32) -> usize {
     }
 }
 
-/// Shared fill/chi² computation over a set of maintained bucket lengths
-/// (global stats pass every shard's buckets; per-shard stats pass one
-/// shard's).
-fn fill_from_lens<'a>(
-    entries: usize,
-    occupied: usize,
-    space: f64,
-    lens: impl Iterator<Item = &'a Bucket>,
-) -> FillStats {
+/// Entries per occupied bucket across `shards`, in bucket-id order. The
+/// index keeps no per-bucket record, so the diagnostics sort the cached
+/// ids and measure the runs.
+fn bucket_lens(shards: &[Shard]) -> Vec<u64> {
+    let mut ids: Vec<u64> = shards
+        .iter()
+        .flat_map(|s| s.heads.iter().map(|e| e.bucket))
+        .collect();
+    ids.sort_unstable();
+    ids.chunk_by(|a, b| a == b)
+        .map(|run| run.len() as u64)
+        .collect()
+}
+
+/// Shared fill/chi² computation over the occupied buckets' entry counts
+/// (global stats pass every shard's; per-shard stats pass one shard's).
+fn fill_from_lens(entries: usize, space: f64, lens: &[u64]) -> FillStats {
     let n = entries as f64;
     let expected = n / space;
-    // Accumulate in integers so the statistic is independent of the
-    // bucket-map iteration order (floating-point addition isn't
-    // associative): Σ(len−e)²/e = (Σlen² − 2eΣlen + k·e²)/e for k
-    // occupied buckets. Restored snapshots rebuild the bucket map with a
-    // different insertion history, so order-sensitive float sums here
-    // would break resumed-run equivalence.
-    let mut sum_len: u64 = 0;
-    let mut sum_sq: u64 = 0;
-    let mut max = 0usize;
-    for bucket in lens {
-        let len = bucket.len as usize;
-        max = max.max(len);
-        sum_len += bucket.len as u64;
-        sum_sq += bucket.len as u64 * bucket.len as u64;
-    }
+    // Accumulate in integers so the statistic is exact whatever order the
+    // buckets are visited in (floating-point addition isn't associative):
+    // Σ(len−e)²/e = (Σlen² − 2eΣlen + k·e²)/e for k occupied buckets.
+    let sum_len: u64 = lens.iter().sum();
+    let sum_sq: u64 = lens.iter().map(|len| len * len).sum();
     let e = expected.max(1e-12);
-    let k = occupied as f64;
+    let k = lens.len() as f64;
     let mut chi2 = (sum_sq as f64 - 2.0 * e * sum_len as f64 + k * e * e) / e;
     // Empty addressable buckets contribute `expected` each.
     chi2 += (space - k).max(0.0) * expected;
     FillStats {
         entries,
-        occupied,
-        max_fill: max,
-        mean_fill: n / occupied as f64,
+        occupied: lens.len(),
+        max_fill: lens.iter().copied().max().unwrap_or(0) as usize,
+        mean_fill: n / k,
         chi_squared: chi2,
         addressable: space as u64,
     }
 }
 
-/// One shard of the arena: a dense node slab plus its occupied-bucket
-/// chains. Every bucket id maps to exactly one shard, so a shard is a
+/// One shard of the arena: a dense slab of entry heads, the value stride
+/// beside it, and the directory of chain heads (see the module docs).
+/// Every bucket id maps to exactly one shard, so a shard is a
 /// self-contained sub-index over its slice of the bucket space that
 /// concurrent tasks can fill or probe without synchronization.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Shard {
-    /// The shard's flat entry arena: dense, packed, walk-friendly.
-    nodes: Vec<Node>,
-    /// Occupied buckets only: chain head into `nodes` plus entry count.
-    heads: FxHashMap<u64, Bucket>,
+    /// The entry heads: dense, packed, walk-friendly.
+    heads: Vec<EntryHead>,
+    /// The entries' JAS values, `width` words each, in slab order.
+    vals: Vec<AttrValue>,
+    /// Words per entry in `vals` — the configuration's JAS width.
+    width: usize,
+    /// Chain heads by `slot(bucket)`; empty until the first insert, then a
+    /// power of two holding at least two slots per entry.
+    dir: Vec<u32>,
+    /// `64 − log2(dir.len())`: a slot is the top bits of the id's hash.
+    shift: u32,
+    /// Distinct bucket ids stored, maintained by every insert and remove.
+    occupied: usize,
 }
 
 impl Shard {
-    /// Link the node at slab position `idx` at the tail of its bucket's
-    /// chain (insertion order). The node's `bucket` field must already be
-    /// set.
-    fn link_at_tail(&mut self, idx: u32) {
-        let bucket = self.nodes[idx as usize].bucket;
-        let slot = self.heads.entry(bucket).or_insert(Bucket {
-            head: NIL,
-            tail: NIL,
-            len: 0,
-        });
-        let prev = slot.tail;
-        slot.tail = idx;
-        slot.len += 1;
-        if prev == NIL {
-            slot.head = idx;
-        } else {
-            self.nodes[prev as usize].next = idx;
-        }
-        self.nodes[idx as usize].next = NIL;
-        self.nodes[idx as usize].prev = prev;
-    }
-
-    /// Push a node onto the slab and link it into its bucket's chain.
-    fn push_and_link(&mut self, node: Node) {
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(node);
-        self.link_at_tail(idx);
-    }
-
-    /// Unlink the node at slab position `idx` from its chain, then keep
-    /// the slab dense by `swap_remove`, re-pointing whatever referenced
-    /// the moved (formerly last) node.
-    fn unlink_and_remove(&mut self, idx: u32) {
-        let node = self.nodes[idx as usize];
-        if node.prev != NIL {
-            self.nodes[node.prev as usize].next = node.next;
-        }
-        if node.next != NIL {
-            self.nodes[node.next as usize].prev = node.prev;
-        }
-        let slot = self
-            .heads
-            .get_mut(&node.bucket)
-            .expect("linked node's bucket exists");
-        if slot.head == idx {
-            slot.head = node.next;
-        }
-        if slot.tail == idx {
-            slot.tail = node.prev;
-        }
-        slot.len -= 1;
-        if slot.len == 0 {
-            self.heads.remove(&node.bucket);
-        }
-        let last = self.nodes.len() as u32 - 1;
-        self.nodes.swap_remove(idx as usize);
-        if idx != last {
-            // The slab's former last node now lives at `idx`: fix whatever
-            // referenced it — chain neighbors and bucket endpoints.
-            let moved = self.nodes[idx as usize];
-            if moved.prev != NIL {
-                self.nodes[moved.prev as usize].next = idx;
-            }
-            if moved.next != NIL {
-                self.nodes[moved.next as usize].prev = idx;
-            }
-            let slot = self
-                .heads
-                .get_mut(&moved.bucket)
-                .expect("linked node's bucket exists");
-            if slot.head == last {
-                slot.head = idx;
-            }
-            if slot.tail == last {
-                slot.tail = idx;
-            }
+    fn new(width: usize) -> Self {
+        Shard {
+            heads: Vec::new(),
+            vals: Vec::new(),
+            width,
+            dir: Vec::new(),
+            shift: 0,
+            occupied: 0,
         }
     }
 
-    /// Remove the entry for `key` from `bucket`'s chain, if present
-    /// (silently a no-op otherwise, matching [`StateIndex::remove`]).
-    fn remove_by_key(&mut self, bucket: u64, key: TupleKey) {
-        let Some(slot) = self.heads.get(&bucket) else {
+    /// Forget every entry, keeping the buffers.
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.vals.clear();
+        self.dir.fill(NIL);
+        self.occupied = 0;
+    }
+
+    /// The directory slot of `bucket`. The directory must be non-empty.
+    #[inline]
+    fn slot(&self, bucket: u64) -> usize {
+        (bucket.wrapping_mul(FIB) >> self.shift) as usize
+    }
+
+    /// The JAS values of the entry at slab position `idx`.
+    #[inline]
+    fn jas(&self, idx: usize) -> &[AttrValue] {
+        &self.vals[idx * self.width..][..self.width]
+    }
+
+    /// If the directory is too small for `entries` entries, re-size it to
+    /// the next power of two holding two slots per entry and relink what
+    /// is stored. Relinking moves entries between chains but adds and
+    /// removes no id, so nothing is recounted.
+    fn fit_directory(&mut self, entries: usize) {
+        if 2 * entries <= self.dir.len() {
             return;
-        };
-        let mut i = slot.head;
+        }
+        let len = (2 * entries).next_power_of_two().max(2);
+        self.dir.clear();
+        self.dir.resize(len, NIL);
+        self.shift = 64 - len.trailing_zeros();
+        for idx in 0..self.heads.len() as u32 {
+            self.link(idx);
+        }
+    }
+
+    /// True iff some linked entry has bucket id `bucket`. The walk stops at
+    /// the first one, so a chain of one id — the zero-bit configuration's
+    /// whole state — answers at its head.
+    fn holds(&self, bucket: u64) -> bool {
+        let mut i = self.dir[self.slot(bucket)];
         while i != NIL {
-            let node = &self.nodes[i as usize];
-            if node.key == key {
-                self.unlink_and_remove(i);
-                return;
+            let e = &self.heads[i as usize];
+            if e.bucket == bucket {
+                return true;
             }
-            i = node.next;
+            i = e.next;
+        }
+        false
+    }
+
+    /// Append the entry at slab position `idx` to its slot's chain. Its
+    /// `bucket` must already be set; its links are overwritten.
+    fn link(&mut self, idx: u32) {
+        let slot = self.slot(self.heads[idx as usize].bucket);
+        let head = self.dir[slot];
+        let tail = if head == NIL {
+            self.dir[slot] = idx;
+            idx
+        } else {
+            let tail = self.heads[head as usize].prev;
+            self.heads[tail as usize].next = idx;
+            self.heads[head as usize].prev = idx;
+            tail
+        };
+        let e = &mut self.heads[idx as usize];
+        e.next = NIL;
+        e.prev = tail;
+    }
+
+    /// Re-point whatever names slab position `from` — chain neighbours, the
+    /// directory slot, the head's tail link — at `to`, where the entry now
+    /// lives.
+    fn repoint(&mut self, from: u32, to: u32) {
+        let e = self.heads[to as usize];
+        let slot = self.slot(e.bucket);
+        if self.dir[slot] == from {
+            self.dir[slot] = to;
+        } else {
+            self.heads[e.prev as usize].next = to;
+        }
+        if e.next != NIL {
+            self.heads[e.next as usize].prev = to;
+        } else {
+            // The tail, named by the head (itself, on a chain of one).
+            let head = self.dir[slot];
+            self.heads[head as usize].prev = to;
+        }
+    }
+
+    /// Store a new entry and link it into its bucket's chain.
+    fn insert(&mut self, key: TupleKey, bucket: u64, jas: &[AttrValue]) {
+        // The stride is only addressable if every entry is `width` wide.
+        assert_eq!(jas.len(), self.width, "JAS width differs from the index's");
+        self.fit_directory(self.heads.len() + 1);
+        if !self.holds(bucket) {
+            self.occupied += 1;
+        }
+        let idx = self.heads.len() as u32;
+        self.heads.push(EntryHead {
+            bucket,
+            key,
+            next: NIL,
+            prev: NIL,
+        });
+        self.vals.extend_from_slice(jas);
+        self.link(idx);
+    }
+
+    /// Unlink the entry at slab position `idx` from its chain, then keep
+    /// slab and stride dense by moving the last entry into its place.
+    fn unlink_and_remove(&mut self, idx: u32) {
+        let e = self.heads[idx as usize];
+        let slot = self.slot(e.bucket);
+        let head = self.dir[slot];
+        if head == idx {
+            self.dir[slot] = e.next;
+            if e.next != NIL {
+                // The new head inherits the tail link.
+                self.heads[e.next as usize].prev = e.prev;
+            }
+        } else {
+            self.heads[e.prev as usize].next = e.next;
+            let after = if e.next != NIL { e.next } else { head };
+            self.heads[after as usize].prev = e.prev;
+        }
+        let last = self.heads.len() - 1;
+        let w = self.width;
+        self.heads.swap_remove(idx as usize);
+        self.vals
+            .copy_within(last * w..(last + 1) * w, idx as usize * w);
+        self.vals.truncate(last * w);
+        if idx as usize != last {
+            self.repoint(last as u32, idx);
+        }
+    }
+
+    /// Remove the entry for `key` from `bucket`, if present (silently a
+    /// no-op otherwise, matching [`StateIndex::remove`]). The walk counts
+    /// the bucket's entries as it goes — it needs to see a second one to
+    /// know the id stays occupied — and stops as soon as it has both.
+    fn remove_by_key(&mut self, bucket: u64, key: TupleKey) {
+        if self.dir.is_empty() {
+            return;
+        }
+        let mut i = self.dir[self.slot(bucket)];
+        let mut found = NIL;
+        let mut same_id = 0u32;
+        while i != NIL && (found == NIL || same_id < 2) {
+            let e = &self.heads[i as usize];
+            if e.bucket == bucket {
+                same_id += 1;
+                if found == NIL && e.key == key {
+                    found = i;
+                }
+            }
+            i = e.next;
+        }
+        if found == NIL {
+            return;
+        }
+        if same_id == 1 {
+            self.occupied -= 1;
+        }
+        self.unlink_and_remove(found);
+    }
+
+    /// Drop every chain and link the slab again in slab order, recounting
+    /// the distinct ids — the in-place half of a migration, after the
+    /// entries' bucket ids changed under them.
+    fn relink_all(&mut self) {
+        self.dir.fill(NIL);
+        self.occupied = 0;
+        for idx in 0..self.heads.len() as u32 {
+            if !self.holds(self.heads[idx as usize].bucket) {
+                self.occupied += 1;
+            }
+            self.link(idx);
         }
     }
 
     /// The one link/unlink entry: perform a routed maintenance operation.
-    fn apply(&mut self, op: StagedOp) {
+    fn apply(&mut self, op: &StagedOp) {
         match op {
-            StagedOp::Insert(node) => self.push_and_link(node),
-            StagedOp::Remove { bucket, key } => self.remove_by_key(bucket, key),
+            StagedOp::Insert { key, bucket, jas } => self.insert(*key, *bucket, jas.as_slice()),
+            StagedOp::Remove { bucket, key } => self.remove_by_key(*bucket, *key),
         }
     }
 
     /// Replay this shard's staged lane. Ops arrive in the shard's original
-    /// arrival order, so the resulting slab and chain state equal eager
-    /// sequential maintenance.
+    /// arrival order, so the resulting entry set equals eager sequential
+    /// maintenance.
     fn replay(&mut self, lane: &[StagedOp]) {
-        for &op in lane {
+        for op in lane {
             self.apply(op);
         }
     }
@@ -376,33 +493,34 @@ impl Shard {
         receipt: &mut CostReceipt,
     ) {
         let candidates = plan.candidate_buckets();
-        if candidates <= self.heads.len() as u64 {
+        if candidates <= self.occupied as u64 {
             // Narrow search: enumerate the 2^w candidate ids lazily (the
-            // carry-propagate submask walk) and follow each occupied
-            // bucket's chain through the slab.
+            // carry-propagate submask walk); each is one directory load
+            // and a walk of that slot's chain, comparing only the entries
+            // that carry the id.
             for id in plan.enumerate() {
-                if let Some(slot) = self.heads.get(&id) {
-                    let mut i = slot.head;
-                    while i != NIL {
-                        let node = &self.nodes[i as usize];
+                let mut i = self.dir[self.slot(id)];
+                while i != NIL {
+                    let e = &self.heads[i as usize];
+                    if e.bucket == id {
                         receipt.comparisons += 1;
-                        if req.matches(node.jas.as_slice()) {
-                            hits.push(node.key);
+                        if req.matches(self.jas(i as usize)) {
+                            hits.push(e.key);
                         }
-                        i = node.next;
                     }
+                    i = e.next;
                 }
             }
         } else {
-            // Wide search: one linear pass over the contiguous slab,
-            // filtering on each node's cached bucket id. Visits exactly
-            // the entries the per-bucket formulation would: one comparison
+            // Wide search: one linear pass over the contiguous heads,
+            // filtering on each cached bucket id. Visits exactly the
+            // entries the per-bucket formulation would: one comparison
             // per entry in a candidate bucket.
-            for node in &self.nodes {
-                if plan.matches(node.bucket) {
+            for (i, e) in self.heads.iter().enumerate() {
+                if plan.matches(e.bucket) {
                     receipt.comparisons += 1;
-                    if req.matches(node.jas.as_slice()) {
-                        hits.push(node.key);
+                    if req.matches(self.jas(i)) {
+                        hits.push(e.key);
                     }
                 }
             }
@@ -437,10 +555,11 @@ impl BitAddressIndex {
             shard_count.is_power_of_two(),
             "shard count must be a power of two, got {shard_count}"
         );
+        let width = config.width();
         BitAddressIndex {
             config,
             shard_bits: shard_count.trailing_zeros(),
-            shards: (0..shard_count).map(|_| Shard::default()).collect(),
+            shards: (0..shard_count).map(|_| Shard::new(width)).collect(),
         }
     }
 
@@ -463,38 +582,38 @@ impl BitAddressIndex {
             shard_count.is_power_of_two(),
             "shard count must be a power of two, got {shard_count}"
         );
-        if shard_count == self.shards.len() {
-            return;
+        if shard_count != self.shards.len() {
+            self.redistribute(shard_count, &SequentialExecutor);
         }
-        let all = self.drain_nodes();
-        self.shard_bits = shard_count.trailing_zeros();
-        self.shards.resize_with(shard_count, Shard::default);
-        self.relink(all, &SequentialExecutor);
     }
 
-    /// Empty every shard, returning the nodes gathered shard-major in
-    /// slab order — the deterministic arrival order a redistribution
-    /// replays.
-    fn drain_nodes(&mut self) -> Vec<Node> {
-        let mut all: Vec<Node> = Vec::with_capacity(self.entries());
-        for shard in &mut self.shards {
-            all.append(&mut shard.nodes);
-            shard.heads.clear();
-        }
-        all
-    }
-
-    /// Route `nodes` (bucket ids already current) to their owning shards
-    /// and link them in order, one task per shard.
-    fn relink(&mut self, nodes: Vec<Node>, exec: &dyn ShardExecutor) {
+    /// Empty every shard and re-route its entries (bucket ids already
+    /// current) over `shard_count` shards: gathered shard-major in slab
+    /// order — the deterministic arrival order the replay keeps — staged
+    /// per destination, then linked one task per shard.
+    fn redistribute(&mut self, shard_count: usize, exec: &dyn ShardExecutor) {
+        let shard_bits = shard_count.trailing_zeros();
+        let total_bits = self.config.total_bits();
         let mut stage = IngestStage::new();
-        for node in nodes {
-            stage.push(
-                self.shards.len(),
-                self.shard_of(node.bucket),
-                StagedOp::Insert(node),
-            );
+        for shard in &mut self.shards {
+            for (i, e) in shard.heads.iter().enumerate() {
+                let jas =
+                    AttrVec::from_slice(shard.jas(i)).expect("a stored JAS arrived as an AttrVec");
+                stage.push(
+                    shard_count,
+                    shard_index(e.bucket, shard_bits, total_bits),
+                    StagedOp::Insert {
+                        key: e.key,
+                        bucket: e.bucket,
+                        jas,
+                    },
+                );
+            }
+            shard.clear();
         }
+        self.shard_bits = shard_bits;
+        let width = self.config.width();
+        self.shards.resize_with(shard_count, || Shard::new(width));
         self.apply_stage(&mut stage, exec);
     }
 
@@ -514,94 +633,111 @@ impl BitAddressIndex {
     /// in exactly one shard).
     #[inline]
     pub fn occupied_buckets(&self) -> usize {
-        self.shards.iter().map(|s| s.heads.len()).sum()
+        self.shards.iter().map(|s| s.occupied).sum()
     }
 
     /// Size of the largest bucket.
     ///
     /// Diagnostics only (tests, operator reports) — never called on the
-    /// search/insert hot path. Reads the incrementally maintained
-    /// per-bucket lengths, so it is O(occupied buckets) with no chain
-    /// walks.
+    /// search/insert hot path: it sorts every entry's bucket id.
     pub fn max_bucket(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.heads.values())
-            .map(|b| b.len as usize)
-            .max()
-            .unwrap_or(0)
+        bucket_lens(&self.shards).into_iter().max().unwrap_or(0) as usize
     }
 
     /// Exhaustively check the arena/chain invariants, returning the first
-    /// violation found. Diagnostics only — O(entries), never on the hot
-    /// path; tests call it after every mutation to prove `swap_remove`
-    /// eviction leaves the structure sound:
+    /// violation found. Diagnostics only — O(entries log entries), never on
+    /// the hot path; tests call it after every mutation to prove
+    /// `swap_remove` eviction leaves the structure sound:
     ///
-    /// * every chain is cycle-free and its `next`/`prev` links mirror;
-    /// * each bucket's maintained `len` equals its walked chain length;
-    /// * every node's cached `bucket` matches the chain it is linked into
-    ///   and re-deriving it from the node's JAS under the active config;
-    /// * the chains partition the slab: each node is reachable exactly
+    /// * the value stride holds exactly `width` words per slab entry, and
+    ///   the directory is a power of two with two slots per entry;
+    /// * every chain is cycle-free, its `next`/`prev` links mirror, and its
+    ///   head's `prev` names its tail;
+    /// * every entry is chained under the slot its cached `bucket` hashes
+    ///   to, and that id equals re-deriving it from the entry's JAS under
+    ///   the active config;
+    /// * the chains partition the slab: each entry is reachable exactly
     ///   once (the slab is dense by construction — it's a `Vec`);
-    /// * every node lives in the shard its bucket id routes to.
+    /// * the maintained distinct-id count equals a recount;
+    /// * every entry lives in the shard its bucket id routes to.
     pub fn check_integrity(&self) -> Result<(), String> {
         for (s, shard) in self.shards.iter().enumerate() {
-            let n = shard.nodes.len();
+            let n = shard.heads.len();
+            if shard.width != self.config.width() || shard.vals.len() != n * shard.width {
+                return Err(format!(
+                    "shard {s}: {} value words for {n} entries of width {}",
+                    shard.vals.len(),
+                    self.config.width()
+                ));
+            }
+            let slots = shard.dir.len();
+            let sized = if slots == 0 {
+                n == 0
+            } else {
+                slots.is_power_of_two()
+                    && slots >= 2 * n
+                    && shard.shift == 64 - slots.trailing_zeros()
+            };
+            if !sized {
+                return Err(format!("shard {s}: directory of {slots} for {n} entries"));
+            }
             let mut seen = vec![false; n];
             let mut reached = 0usize;
-            for (&id, bucket) in &shard.heads {
-                if self.shard_of(id) != s {
-                    return Err(format!("bucket {id:#x} linked in foreign shard {s}"));
-                }
-                if bucket.len == 0 {
-                    return Err(format!("bucket {id:#x} kept with len 0"));
-                }
-                let mut i = bucket.head;
+            for (slot, &head) in shard.dir.iter().enumerate() {
+                let mut i = head;
                 let mut prev = NIL;
-                let mut walked = 0u32;
                 while i != NIL {
-                    if walked > bucket.len {
-                        return Err(format!("bucket {id:#x} chain cycles"));
-                    }
-                    let node = &shard.nodes[i as usize];
-                    if node.prev != prev {
-                        return Err(format!(
-                            "node {s}/{i} prev link {} != walk predecessor {prev}",
-                            node.prev
-                        ));
-                    }
-                    if node.bucket != id {
-                        return Err(format!(
-                            "node {s}/{i} cached bucket {:#x} linked under {id:#x}",
-                            node.bucket
-                        ));
-                    }
-                    if self.config.bucket_of(&node.jas) != id {
-                        return Err(format!("node {s}/{i} bucket stale vs config"));
+                    if i as usize >= n {
+                        return Err(format!("shard {s}: link {i} beyond slab of {n}"));
                     }
                     if seen[i as usize] {
-                        return Err(format!("node {s}/{i} reachable from two chains"));
+                        return Err(format!("entry {s}/{i} reachable twice"));
                     }
                     seen[i as usize] = true;
                     reached += 1;
-                    walked += 1;
+                    let e = &shard.heads[i as usize];
+                    if prev != NIL && e.prev != prev {
+                        return Err(format!(
+                            "entry {s}/{i} prev link {} != walk predecessor {prev}",
+                            e.prev
+                        ));
+                    }
+                    if shard.slot(e.bucket) != slot {
+                        return Err(format!(
+                            "entry {s}/{i} cached bucket {:#x} chained under slot {slot}",
+                            e.bucket
+                        ));
+                    }
+                    if self.config.bucket_of(shard.jas(i as usize)) != e.bucket {
+                        return Err(format!("entry {s}/{i} bucket stale vs config"));
+                    }
+                    if self.shard_of(e.bucket) != s {
+                        return Err(format!(
+                            "bucket {:#x} linked in foreign shard {s}",
+                            e.bucket
+                        ));
+                    }
                     prev = i;
-                    i = node.next;
+                    i = e.next;
                 }
-                if walked != bucket.len {
+                if head != NIL && shard.heads[head as usize].prev != prev {
                     return Err(format!(
-                        "bucket {id:#x} len {} != walked {walked}",
-                        bucket.len
+                        "shard {s} slot {slot}: head names tail {}, walk ended at {prev}",
+                        shard.heads[head as usize].prev
                     ));
-                }
-                if bucket.tail != prev {
-                    return Err(format!("bucket {id:#x} tail {} != {prev}", bucket.tail));
                 }
             }
             if reached != n {
                 return Err(format!(
-                    "shard {s}: {} of {n} slab nodes unreachable",
+                    "shard {s}: {} of {n} slab entries unreachable",
                     n - reached
+                ));
+            }
+            let distinct = bucket_lens(std::slice::from_ref(shard)).len();
+            if shard.occupied != distinct {
+                return Err(format!(
+                    "shard {s}: {} occupied buckets counted, {distinct} stored",
+                    shard.occupied
                 ));
             }
         }
@@ -616,29 +752,22 @@ impl BitAddressIndex {
     /// contents come, so tests (and operators) can verify the hash slices
     /// spread real value distributions.
     ///
-    /// Diagnostics only — never called on the search/insert hot path. It
-    /// reads the incrementally maintained per-bucket lengths, so the cost
-    /// is O(occupied buckets) regardless of entry count.
+    /// Diagnostics only — never called on the search/insert hot path: it
+    /// sorts every entry's bucket id to measure the buckets.
     pub fn fill_stats(&self) -> FillStats {
-        let entries = self.entries();
-        let occupied = self.occupied_buckets();
-        if occupied == 0 {
+        let lens = bucket_lens(&self.shards);
+        if lens.is_empty() {
             return FillStats::default();
         }
         // The addressable space may be astronomically larger than the
         // content; evenness is judged over the *addressable* buckets when
         // small, else over the occupied ones.
         let space = if self.config.total_bits() >= 32 {
-            occupied as f64
+            lens.len() as f64
         } else {
             (1u64 << self.config.total_bits()) as f64
         };
-        fill_from_lens(
-            entries,
-            occupied,
-            space,
-            self.shards.iter().flat_map(|s| s.heads.values()),
-        )
+        fill_from_lens(self.entries(), space, &lens)
     }
 
     /// Per-shard fill diagnostics: one [`FillStats`] per arena shard, each
@@ -653,9 +782,8 @@ impl BitAddressIndex {
             .iter()
             .enumerate()
             .map(|(s, shard)| {
-                let entries = shard.nodes.len();
-                let occupied = shard.heads.len();
-                if occupied == 0 {
+                let lens = bucket_lens(std::slice::from_ref(shard));
+                if lens.is_empty() {
                     return FillStats::default();
                 }
                 // A shard owns an equal slice of the addressable space iff
@@ -664,9 +792,9 @@ impl BitAddressIndex {
                 let space = if owns_slice {
                     (1u64 << (total_bits - effective)) as f64
                 } else {
-                    occupied as f64
+                    lens.len() as f64
                 };
-                fill_from_lens(entries, occupied, space, shard.heads.values())
+                fill_from_lens(shard.heads.len(), space, &lens)
             })
             .collect()
     }
@@ -677,28 +805,37 @@ impl BitAddressIndex {
     /// per entry plus one move per entry. The rebucket and relink passes
     /// fan out shard-by-shard over `exec` (one task per shard, two
     /// dispatches at most), so tuner reconfiguration does not serialize
-    /// the pipeline; slab order, chain order and charges are identical
+    /// the pipeline; the stored entry set and the charges are identical
     /// for any executor:
     ///
-    /// 1. **Rebucket** (parallel): each shard re-derives its nodes' bucket
-    ///    ids from the new key map and records whether any entry now
+    /// 1. **Rebucket** (parallel): each shard re-derives its entries'
+    ///    bucket ids from the new key map and records whether any entry now
     ///    belongs to a different shard. Per-shard work is independent and
     ///    order-free.
     /// 2. **Relink** (parallel) when no entry crossed shards (always true
     ///    for a single shard, and whenever the partitioning bits are
     ///    stable across the two configurations): each shard clears its
-    ///    chains and relinks its slab in slab order, in place, with no
+    ///    directory and relinks its slab in slab order, in place, with no
     ///    per-entry allocation.
-    /// 3. **Redistribute** otherwise: nodes are gathered shard-major in
+    /// 3. **Redistribute** otherwise: entries are gathered shard-major in
     ///    slab order (a deterministic sequential pass fixing arrival
     ///    order), staged per destination shard, and each destination
-    ///    relinks its staged run in one parallel task.
+    ///    links its staged run in one parallel task.
+    ///
+    /// # Panics
+    /// Panics if `new_config` covers a different JAS width: the stored
+    /// values could not be read under it.
     pub fn migrate_with(
         &mut self,
         new_config: IndexConfig,
         receipt: &mut CostReceipt,
         exec: &dyn ShardExecutor,
     ) {
+        assert_eq!(
+            new_config.width(),
+            self.config.width(),
+            "a migration keeps the JAS width"
+        );
         self.config = new_config;
         let entries = self.entries() as u64;
         let hashes_per_entry = self.config.indexed_attrs() as u64;
@@ -712,27 +849,21 @@ impl BitAddressIndex {
         let config = &self.config;
         for_each_slot(exec, work_ns, &mut self.shards, |s, shard| {
             let mut left = false;
-            for node in &mut shard.nodes {
-                node.bucket = config.bucket_of(&node.jas);
-                left |= shard_index(node.bucket, shard_bits, total_bits) != s;
+            let w = shard.width;
+            for (i, e) in shard.heads.iter_mut().enumerate() {
+                e.bucket = config.bucket_of(&shard.vals[i * w..][..w]);
+                left |= shard_index(e.bucket, shard_bits, total_bits) != s;
             }
             if left {
                 crossed.store(true, Ordering::Relaxed);
             }
         });
         if !crossed.into_inner() {
-            // In-place relink, one task per shard.
             for_each_slot(exec, work_ns, &mut self.shards, |_, shard| {
-                shard.heads.clear();
-                for idx in 0..shard.nodes.len() as u32 {
-                    shard.link_at_tail(idx);
-                }
+                shard.relink_all()
             });
         } else {
-            // Cross-shard relocation: gather deterministically, then
-            // re-route and relink per destination shard.
-            let all = self.drain_nodes();
-            self.relink(all, exec);
+            self.redistribute(self.shards.len(), exec);
         }
     }
 
@@ -755,12 +886,12 @@ impl BitAddressIndex {
     /// *global* occupancy, so receipts are shard-count invariant. Hits
     /// are then sorted by [`TupleKey`]: the raw walk order (chain order
     /// for a narrow probe, slab order for a wide one) depends on the shard
-    /// partition and on each shard's swap-remove history, whereas arena
-    /// keys are assigned by the unsharded state store — sorting is the
-    /// only order every shard count can agree on. Downstream routing
-    /// consumes hits in order, so without the canonical sort the join-job
-    /// queue (and every adaptive decision fed by it) would observe the
-    /// shard count.
+    /// partition and on each shard's swap-remove and relink history,
+    /// whereas arena keys are assigned by the unsharded state store —
+    /// sorting is the only order every shard count can agree on, and what
+    /// makes chain order free to change. Downstream routing consumes hits
+    /// in order, so without the canonical sort the join-job queue (and
+    /// every adaptive decision fed by it) would observe the shard count.
     fn probe_shards(
         &self,
         req: &SearchRequest,
@@ -813,13 +944,12 @@ impl BitAddressIndex {
         (self.shard_of(bucket), bucket)
     }
 
-    /// Serialize the full physical structure — the (possibly tuned)
-    /// active configuration, each shard's slab in slab order with chain
-    /// links verbatim, and the occupied-bucket records sorted by id — so
-    /// a restored index probes, charges, and yields hits in exactly the
-    /// original order. Chain order carries insertion history that slab
-    /// order does not (swap-remove eviction reorders the slab), which is
-    /// why the links are stored rather than re-derived.
+    /// Serialize what the index *stores*: the (possibly tuned) active
+    /// configuration and each shard's entries — key and JAS values — in
+    /// slab order. Bucket ids, chain links, the directory and the
+    /// distinct-id count are all derived from those on restore; chain
+    /// order is unobservable (see the module docs), and keeping slab
+    /// order makes restore → save reproduce the image byte for byte.
     pub fn save(&self, w: &mut crate::snapshot_io::SectionWriter) {
         w.put_str("BITADDR");
         let bits = self.config.bits();
@@ -829,94 +959,77 @@ impl BitAddressIndex {
         }
         w.put_u32(self.shard_bits);
         for shard in &self.shards {
-            w.put_usize(shard.nodes.len());
-            for node in &shard.nodes {
-                w.put_u32(node.key.0);
-                w.put_attrs(&node.jas);
-                w.put_u64(node.bucket);
-                w.put_u32(node.next);
-                w.put_u32(node.prev);
-            }
-            let mut buckets: Vec<(u64, Bucket)> =
-                shard.heads.iter().map(|(&id, &b)| (id, b)).collect();
-            buckets.sort_unstable_by_key(|&(id, _)| id);
-            w.put_usize(buckets.len());
-            for (id, b) in buckets {
-                w.put_u64(id);
-                w.put_u32(b.head);
-                w.put_u32(b.tail);
-                w.put_u32(b.len);
+            w.put_usize(shard.heads.len());
+            for (i, e) in shard.heads.iter().enumerate() {
+                w.put_u32(e.key.0);
+                w.put_attrs(shard.jas(i));
             }
         }
     }
 
     /// Rebuild an index from a [`save`](Self::save)d section.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Malformed`](crate::snapshot_io::SnapshotError)
+    /// naming the field when the image is not one `save` wrote: a count
+    /// the remaining bytes cannot hold, a JAS of the wrong width, a key
+    /// stored twice, an entry in a shard its bucket does not route to.
     pub fn restore(
         r: &mut crate::snapshot_io::SectionReader<'_>,
     ) -> Result<Self, crate::snapshot_io::SnapshotError> {
         use crate::snapshot_io::SnapshotError;
+        let malformed = |what: String| Err(SnapshotError::Malformed(what));
         crate::snapshot_io::expect_tag(r, "BITADDR")?;
+        // Every count is checked against the bytes left before it sizes a
+        // vector or bounds a loop: one byte per bit count, eight per
+        // shard's entry count, a key, a length byte and `width` values per
+        // entry.
         let width = r.get_usize()?;
-        let mut bits = Vec::with_capacity(width);
-        for _ in 0..width {
-            bits.push(r.get_u8()?);
+        if width > r.remaining() {
+            return malformed(format!("index config of {width} attributes"));
         }
+        let bits = (0..width)
+            .map(|_| r.get_u8())
+            .collect::<Result<Vec<_>, _>>()?;
         let config = IndexConfig::new(bits)
             .map_err(|e| SnapshotError::Malformed(format!("index config: {e}")))?;
         let shard_bits = r.get_u32()?;
-        if shard_bits > 16 {
-            return Err(SnapshotError::Malformed(format!(
-                "shard bits {shard_bits} out of range"
-            )));
+        if shard_bits > 16 || (8usize << shard_bits) > r.remaining() {
+            return malformed(format!("shard bits {shard_bits} out of range"));
         }
-        let shard_count = 1usize << shard_bits;
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let n_nodes = r.get_usize()?;
-            let mut nodes = Vec::with_capacity(n_nodes);
-            for _ in 0..n_nodes {
+        let mut idx = BitAddressIndex::with_shards(config, 1 << shard_bits);
+        let entry_bytes = 4 + 1 + 8 * width;
+        let mut keys = Vec::new();
+        for s in 0..idx.shards.len() {
+            let n = r.get_usize()?;
+            if n > r.remaining() / entry_bytes {
+                return malformed(format!("shard {s} entry count {n}"));
+            }
+            for _ in 0..n {
                 let key = TupleKey(r.get_u32()?);
                 let jas = r.get_attrs()?;
-                let bucket = r.get_u64()?;
-                let next = r.get_u32()?;
-                let prev = r.get_u32()?;
-                for link in [next, prev] {
-                    if link != NIL && link as usize >= n_nodes {
-                        return Err(SnapshotError::Malformed(format!(
-                            "chain link {link} beyond slab of {n_nodes}"
-                        )));
-                    }
+                if jas.len() != width {
+                    return malformed(format!(
+                        "entry {} JAS of width {}, index of width {width}",
+                        key.0,
+                        jas.len()
+                    ));
                 }
-                nodes.push(Node {
-                    key,
-                    jas,
-                    bucket,
-                    next,
-                    prev,
-                });
-            }
-            let n_buckets = r.get_usize()?;
-            let mut heads = FxHashMap::default();
-            for _ in 0..n_buckets {
-                let id = r.get_u64()?;
-                let head = r.get_u32()?;
-                let tail = r.get_u32()?;
-                let len = r.get_u32()?;
-                if head as usize >= n_nodes || tail as usize >= n_nodes {
-                    return Err(SnapshotError::Malformed(format!(
-                        "bucket {id:#x} endpoints beyond slab of {n_nodes}"
-                    )));
+                let bucket = idx.config.bucket_of(&jas);
+                if idx.shard_of(bucket) != s {
+                    return malformed(format!(
+                        "entry {} stored in shard {s}, bucket {bucket:#x} routes elsewhere",
+                        key.0
+                    ));
                 }
-                heads.insert(id, Bucket { head, tail, len });
+                idx.shards[s].insert(key, bucket, &jas);
+                keys.push(key);
             }
-            shards.push(Shard { nodes, heads });
         }
-        let idx = BitAddressIndex {
-            config,
-            shard_bits,
-            shards,
-        };
-        idx.check_integrity().map_err(SnapshotError::Malformed)?;
+        keys.sort_unstable();
+        if let Some(dup) = keys.windows(2).find(|w| w[0] == w[1]) {
+            return malformed(format!("key {} indexed twice", dup[0].0));
+        }
         Ok(idx)
     }
 }
@@ -924,12 +1037,12 @@ impl BitAddressIndex {
 impl StateIndex for BitAddressIndex {
     fn insert(&mut self, key: TupleKey, jas: &AttrVec, receipt: &mut CostReceipt) {
         let (s, bucket) = self.route(jas, receipt);
-        self.shards[s].apply(StagedOp::insert(key, jas, bucket));
+        self.shards[s].insert(key, bucket, jas);
     }
 
     fn remove(&mut self, key: TupleKey, jas: &AttrVec, receipt: &mut CostReceipt) {
         let (s, bucket) = self.route(jas, receipt);
-        self.shards[s].apply(StagedOp::Remove { bucket, key });
+        self.shards[s].remove_by_key(bucket, key);
     }
 
     fn stage_insert(
@@ -940,7 +1053,12 @@ impl StateIndex for BitAddressIndex {
         stage: &mut IngestStage,
     ) {
         let (s, bucket) = self.route(jas, receipt);
-        stage.push(self.shards.len(), s, StagedOp::insert(key, jas, bucket));
+        let op = StagedOp::Insert {
+            key,
+            bucket,
+            jas: *jas,
+        };
+        stage.push(self.shards.len(), s, op);
     }
 
     fn stage_remove(
@@ -977,17 +1095,12 @@ impl StateIndex for BitAddressIndex {
     }
 
     fn memory_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.heads.len() as u64 * layout::BUCKET_BYTES
-                    + s.nodes.len() as u64 * layout::bucket_entry_bytes(self.config.width())
-            })
-            .sum()
+        self.occupied_buckets() as u64 * layout::BUCKET_BYTES
+            + self.entries() as u64 * layout::bucket_entry_bytes(self.config.width())
     }
 
     fn entries(&self) -> usize {
-        self.shards.iter().map(|s| s.nodes.len()).sum()
+        self.shards.iter().map(|s| s.heads.len()).sum()
     }
 
     fn kind(&self) -> &'static str {
@@ -1448,6 +1561,251 @@ mod tests {
             after.sort();
             prop_assert_eq!(before, after);
         }
+    }
+
+    /// The size pins of the layout: an entry is a 24-byte head plus its
+    /// JAS words in the stride — `24 + 8·width` bytes of slab — and no
+    /// eight-slot `AttrVec` is stored per entry.
+    #[test]
+    fn an_entry_costs_its_head_and_its_jas_words() {
+        assert_eq!(std::mem::size_of::<EntryHead>(), 24);
+        assert!(std::mem::size_of::<EntryHead>() < std::mem::size_of::<AttrVec>());
+        for width in [0usize, 1, 3, amri_stream::MAX_ATTRS] {
+            let mut idx = BitAddressIndex::new(IndexConfig::even(width, 6).unwrap());
+            let mut r = CostReceipt::new();
+            for i in 0..100u64 {
+                let vals: Vec<u64> = (0..width as u64).map(|a| i * 7 + a).collect();
+                idx.insert(TupleKey(i as u32), &jas(&vals), &mut r);
+            }
+            for victim in [0u32, 50, 99] {
+                let vals: Vec<u64> = (0..width as u64).map(|a| victim as u64 * 7 + a).collect();
+                idx.remove(TupleKey(victim), &jas(&vals), &mut r);
+            }
+            let shard = &idx.shards[0];
+            assert_eq!(shard.heads.len(), 97);
+            let slab_bytes =
+                std::mem::size_of_val(&shard.heads[..]) + std::mem::size_of_val(&shard.vals[..]);
+            assert_eq!(slab_bytes, 97 * (24 + 8 * width), "width {width}");
+            idx.check_integrity().unwrap();
+        }
+    }
+
+    /// What a probe must report, from a model that knows nothing of
+    /// slabs, chains or shards: the entries by bucket id under `config`.
+    fn expected_probe(
+        config: &IndexConfig,
+        model: &std::collections::BTreeMap<TupleKey, Vec<u64>>,
+        request: &SearchRequest,
+    ) -> (Vec<TupleKey>, CostReceipt) {
+        let mut buckets: std::collections::BTreeMap<u64, Vec<TupleKey>> = Default::default();
+        for (&key, vals) in model {
+            buckets.entry(config.bucket_of(vals)).or_default().push(key);
+        }
+        let plan = config.probe_plan(request.pattern, request.values.as_slice());
+        let mut want = CostReceipt::new();
+        want.hash_ops = request
+            .pattern
+            .positions()
+            .filter(|&i| config.bits_of(i) > 0)
+            .count() as u64;
+        want.comparisons = buckets
+            .iter()
+            .filter(|(&id, _)| plan.matches(id))
+            .map(|(_, keys)| keys.len() as u64)
+            .sum();
+        want.bucket_probes = plan.candidate_buckets().min(buckets.len() as u64);
+        let hits = model
+            .iter()
+            .filter(|(_, vals)| request.matches(vals))
+            .map(|(&key, _)| key)
+            .collect();
+        (hits, want)
+    }
+
+    proptest! {
+        /// The index against a `BTreeMap` model under every operation that
+        /// reshapes it — insert, remove (present and absent keys),
+        /// migration, re-sharding, save → restore — at 1, 2 and 4 shards,
+        /// starting from the one-bucket (zero-bit) configuration or an
+        /// arbitrary one. After every step a probe returns the model's
+        /// hits in key order with the model's receipt (`hash_ops`,
+        /// `comparisons` = entries in candidate buckets, `bucket_probes` =
+        /// min(candidates, occupied)), `occupied_buckets`, `memory_bytes`
+        /// and `entries` equal the model's, and the structure is sound;
+        /// a restored index saves to the bytes it was restored from.
+        #[test]
+        fn index_matches_a_bucket_map_model_under_every_reshaping(
+            start_trivial in proptest::bool::ANY,
+            start_bits in proptest::collection::vec(0u8..4, 3),
+            start_shards in 0u32..3,
+            ops in proptest::collection::vec(
+                (
+                    (0u8..12, proptest::collection::vec(0u64..5, 3)),
+                    (0usize..64, proptest::collection::vec(0u8..4, 3), 0u32..8),
+                ),
+                1..60,
+            ),
+        ) {
+            use crate::snapshot_io::{SectionReader, SectionWriter};
+            let config = if start_trivial {
+                IndexConfig::trivial(3)
+            } else {
+                IndexConfig::new(start_bits).unwrap()
+            };
+            let mut idx = BitAddressIndex::with_shards(config, 1 << start_shards);
+            let mut model: std::collections::BTreeMap<TupleKey, Vec<u64>> = Default::default();
+            let mut next_key = 0u32;
+            let mut r = CostReceipt::new();
+            for ((op, vals), (pick, bits, mask)) in ops {
+                match op {
+                    0..=5 => {
+                        idx.insert(TupleKey(next_key), &jas(&vals), &mut r);
+                        model.insert(TupleKey(next_key), vals.clone());
+                        next_key += 1;
+                    }
+                    6 | 7 if !model.is_empty() => {
+                        let key = *model.keys().nth(pick % model.len()).unwrap();
+                        let stored = model.remove(&key).unwrap();
+                        idx.remove(key, &jas(&stored), &mut r);
+                    }
+                    // A key that was never stored: a silent no-op.
+                    6..=8 => idx.remove(TupleKey(u32::MAX), &jas(&vals), &mut r),
+                    9 => {
+                        let mut moved = CostReceipt::new();
+                        idx.migrate_with(
+                            IndexConfig::new(bits).unwrap(),
+                            &mut moved,
+                            &SequentialExecutor,
+                        );
+                        prop_assert_eq!(moved.moved, model.len() as u64);
+                    }
+                    10 => idx.set_shard_count(1 << (pick % 3)),
+                    _ => {
+                        let mut w = SectionWriter::new();
+                        idx.save(&mut w);
+                        let image = w.into_bytes();
+                        let mut reader = SectionReader::new(&image);
+                        idx = BitAddressIndex::restore(&mut reader).unwrap();
+                        prop_assert_eq!(reader.remaining(), 0);
+                        let mut again = SectionWriter::new();
+                        idx.save(&mut again);
+                        prop_assert_eq!(again.into_bytes(), image, "restore → save moved bytes");
+                    }
+                }
+                if let Err(why) = idx.check_integrity() {
+                    prop_assert!(false, "integrity violated after op {}: {}", op, why);
+                }
+                let occupied: std::collections::BTreeSet<u64> =
+                    model.values().map(|v| idx.config().bucket_of(v)).collect();
+                prop_assert_eq!(idx.entries(), model.len());
+                prop_assert_eq!(idx.occupied_buckets(), occupied.len());
+                prop_assert_eq!(
+                    idx.memory_bytes(),
+                    occupied.len() as u64 * layout::BUCKET_BYTES
+                        + model.len() as u64 * layout::bucket_entry_bytes(3)
+                );
+                let request = req(mask, 3, &vals);
+                let (want_hits, want) = expected_probe(idx.config(), &model, &request);
+                let mut got = CostReceipt::new();
+                prop_assert_eq!(search(&idx, &request, &mut got), Some(want_hits));
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// A `BITADDR` image: `bits`, `shard_bits`, then per shard its
+    /// `(key, jas)` entries — hand-built so it can lie.
+    fn image(bits: &[u8], shard_bits: u32, shards: &[&[(u32, &[u64])]]) -> Vec<u8> {
+        let mut w = crate::snapshot_io::SectionWriter::new();
+        w.put_str("BITADDR");
+        w.put_usize(bits.len());
+        bits.iter().for_each(|&b| w.put_u8(b));
+        w.put_u32(shard_bits);
+        for entries in shards {
+            w.put_usize(entries.len());
+            for (key, vals) in *entries {
+                w.put_u32(*key);
+                w.put_attrs(vals);
+            }
+        }
+        w.into_bytes()
+    }
+
+    fn restore_image(image: &[u8]) -> Result<BitAddressIndex, crate::snapshot_io::SnapshotError> {
+        BitAddressIndex::restore(&mut crate::snapshot_io::SectionReader::new(image))
+    }
+
+    /// Every way an image can lie about itself ends in `Malformed` naming
+    /// the field — never a capacity-overflow panic, an allocator abort or
+    /// an out-of-bounds index — and a good image still restores afterwards.
+    #[test]
+    fn restore_refuses_an_image_that_lies() {
+        use crate::snapshot_io::{SectionWriter, SnapshotError};
+        let good = image(&[2, 2, 2], 0, &[&[(1, &[1, 2, 3]), (2, &[4, 5, 6])]]);
+        let refused = |image: &[u8], field: &str| match restore_image(image) {
+            Err(SnapshotError::Malformed(why)) => {
+                assert!(why.contains(field), "{why:?} does not name {field:?}")
+            }
+            other => panic!("expected Malformed({field}), got {other:?}"),
+        };
+
+        // A bit-vector length no image could hold.
+        let mut w = SectionWriter::new();
+        w.put_str("BITADDR");
+        w.put_usize(usize::MAX);
+        refused(&w.into_bytes(), "index config");
+        // A shard count the remaining bytes cannot list.
+        let mut w = SectionWriter::new();
+        w.put_str("BITADDR");
+        w.put_usize(1);
+        w.put_u8(4);
+        w.put_u32(16);
+        refused(&w.into_bytes(), "shard bits");
+        // An entry count the remaining bytes cannot hold.
+        let mut lying = image(&[2, 2, 2], 0, &[&[]]);
+        let count_at = lying.len() - 8;
+        lying[count_at..].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        refused(&lying, "entry count");
+        // A JAS narrower than the configuration (it would misalign the
+        // stride and index past the slice in `bucket_of`), its missing
+        // word made up by a wider one so the byte count adds up.
+        refused(
+            &image(&[2, 2, 2], 0, &[&[(1, &[1, 2]), (2, &[4, 5, 6, 7])]]),
+            "JAS of width 2",
+        );
+        // The same key indexed twice, in one shard and across two.
+        refused(
+            &image(&[2, 2, 2], 0, &[&[(7, &[1, 2, 3]), (7, &[4, 5, 6])]]),
+            "key 7 indexed twice",
+        );
+        let config = IndexConfig::new(vec![2, 2, 2]).unwrap();
+        let home = |vals: &[u64]| shard_index(config.bucket_of(vals), 1, 6);
+        let (a, b): (&[u64], &[u64]) = (&[1, 2, 3], &[4, 5, 6]);
+        let mut lanes: [Vec<(u32, &[u64])>; 2] = Default::default();
+        lanes[home(a)].push((7, a));
+        lanes[home(b)].push((7, b));
+        refused(
+            &image(&[2, 2, 2], 1, &[&lanes[0], &lanes[1]]),
+            "key 7 indexed twice",
+        );
+        // An entry listed under a shard its bucket does not route to.
+        let mut lanes: [Vec<(u32, &[u64])>; 2] = Default::default();
+        lanes[1 - home(a)].push((1, a));
+        refused(
+            &image(&[2, 2, 2], 1, &[&lanes[0], &lanes[1]]),
+            "routes elsewhere",
+        );
+        // A truncated image is the reader's own typed error.
+        assert!(restore_image(&good[..good.len() - 3]).is_err());
+
+        let idx = restore_image(&good).unwrap();
+        assert_eq!(idx.entries(), 2);
+        idx.check_integrity().unwrap();
+        let mut r = CostReceipt::new();
+        assert_eq!(
+            search(&idx, &req(0b111, 3, &[4, 5, 6]), &mut r),
+            Some(vec![TupleKey(2)])
+        );
     }
 
     fn populated_sharded(config: IndexConfig, shards: usize, n: u64) -> BitAddressIndex {

@@ -2,12 +2,14 @@
 //!
 //! A counting global allocator wraps `System`; after warming the scratch
 //! buffer up to its steady-state capacity, a burst of searches — bare
-//! index probes (narrow and wide wildcard) and the store-level read entry
+//! index probes (narrow and wide wildcard), each beside an insert and a
+//! remove that keep the population constant, and the store-level read entry
 //! (scan fallback, plain and sharded bit-address
 //! stores, and a store with a cache-enabled spill tier attached but no
 //! readahead queued) — must record exactly zero allocations. This is the
-//! acceptance check for the flat bucket arena + scratch-buffered search
-//! hot path.
+//! acceptance check for the slab + stride + directory index and the
+//! scratch-buffered search hot path: at a constant population nothing in
+//! the index grows, so nothing allocates.
 //!
 //! The spill read path is held to the same standard: materializing a
 //! batch of spilled hits whose blocks are all cached allocates nothing;
@@ -172,6 +174,18 @@ fn steady_state_search_into_does_not_allocate() {
     ARMED.store(true, Ordering::SeqCst);
     for round in 0..100u64 {
         for i in 0..64u64 {
+            // The window slides: the oldest entry leaves, a new one enters.
+            let (old, new) = (round * 64 + i, 10_000 + round * 64 + i);
+            idx.remove(
+                TupleKey(old as u32),
+                &jas(&[old % 64, old % 37, old % 19]),
+                &mut r,
+            );
+            idx.insert(
+                TupleKey(new as u32),
+                &jas(&[new % 64, new % 37, new % 19]),
+                &mut r,
+            );
             // Wide wildcard probe (256 candidate ids > occupied buckets).
             idx.search_into(&req(0b001, &[i, 0, 0]), &mut scratch, &mut r, exec);
             // Narrow exact probe (one candidate id).
@@ -192,8 +206,9 @@ fn steady_state_search_into_does_not_allocate() {
 
     assert_eq!(
         allocs, 0,
-        "steady-state search_into must not allocate, saw {allocs} allocations"
+        "steady-state insert, remove and search_into must not allocate, saw {allocs} allocations"
     );
+    assert_eq!(idx.entries(), 10_000, "the population stayed constant");
     // Sanity: the searches actually produced matches.
     for (_, store_scratch) in &stores {
         assert!(!store_scratch.hits.is_empty());

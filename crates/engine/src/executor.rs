@@ -435,6 +435,7 @@ impl<W: StreamWorkload> Executor<W> {
                 amri_stream::DEFAULT_BATCH_CAPACITY,
                 config.spare_buffer_cap,
             ),
+            job_words: Vec::new(),
             series: ThroughputSeries::new(config.sample_interval),
             retunes: Vec::new(),
             next_arrival,

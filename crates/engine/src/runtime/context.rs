@@ -1,5 +1,9 @@
 //! [`RunContext`] — the mutable state of one engine run, shared by the
-//! pipeline's four step functions.
+//! pipeline's four step functions — and the three forms a routing job
+//! takes: the decoded [`Job`] value (snapshots, diagnostics, tests), the
+//! packed words the backlog stores, and `JobView`, the borrowed read of
+//! those words that the probe step works from (`FollowUp` encodes a
+//! hit's follow-up job from a view, so the step never builds a `Job`).
 
 use crate::executor::EngineConfig;
 use crate::memory::MemoryReport;
@@ -10,7 +14,8 @@ use crate::runtime::fault::FaultState;
 use crate::stem::Stem;
 use amri_core::{layout, CostReceipt};
 use amri_stream::{
-    Clock, JobQueue, Pack, Packed, PartialTuple, SpjQuery, Tuple, VirtualClock, VirtualTime,
+    Clock, JobQueue, Pack, Packed, PackedPartial, PartialTuple, SpjQuery, Tuple, VirtualClock,
+    VirtualTime,
 };
 use serde::{Deserialize, Serialize};
 
@@ -52,15 +57,43 @@ impl Packed for Job {
     }
 }
 
+/// A queued job read where it lies: the words [`Job`]'s `pack` wrote —
+/// popped undecoded ([`JobQueue::pop_words`]) into the buffer the
+/// [`RunContext`] reuses — exposing what the probe step reads of a job
+/// without building the 464-byte struct.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JobView<'a> {
+    /// The partial tuple being routed, still packed.
+    pub pt: PackedPartial<'a>,
+    /// Arrival instant of the base tuple that spawned this job.
+    pub origin_ts: VirtualTime,
+    /// When this job entered the backlog.
+    pub enqueued: VirtualTime,
+}
+
+impl<'a> JobView<'a> {
+    /// View `words` as the job packed into exactly them.
+    ///
+    /// # Panics
+    /// Panics if `words` is not one packed job, as `Job::unpack` does.
+    pub fn new(words: &'a [u64]) -> Self {
+        JobView {
+            origin_ts: VirtualTime(words[0]),
+            enqueued: VirtualTime(words[1]),
+            pt: PackedPartial::new(&words[2..]),
+        }
+    }
+}
+
 /// The job a probe hit spawns — `parent` extended by `matched` on the
 /// probed stream, entering the backlog at `enqueued` — as something to
 /// encode straight into the queue: it packs exactly the words of
 /// `Job { pt: parent.pt.extend(matched.stream, matched.attrs, matched.ts),
-/// origin_ts: parent.origin_ts, enqueued }` without cloning the parent's
-/// 448-byte partial tuple to build it.
+/// origin_ts: parent.origin_ts, enqueued }` from the parent's own words,
+/// never building either partial tuple.
 pub(crate) struct FollowUp<'a> {
     /// The job whose probe produced the hit.
-    pub parent: &'a Job,
+    pub parent: &'a JobView<'a>,
     /// The matched tuple of the probed stream.
     pub matched: &'a Tuple,
     /// When the follow-up enters the backlog.
@@ -164,6 +197,9 @@ pub struct RunContext<C: Clock = VirtualClock> {
     pub observers: Vec<amri_core::assess::Sria>,
     /// The backlog of routing jobs, stored as packed words, drained FIFO.
     pub backlog: JobQueue<Job>,
+    /// The words of the job being probed: each probe step pops its job
+    /// into this one buffer and reads it through a [`JobView`].
+    pub(crate) job_words: Vec<u64>,
     /// The cumulative-throughput series being recorded.
     pub series: ThroughputSeries,
     /// Index migrations, time-ordered.
@@ -415,32 +451,106 @@ mod tests {
             })
     }
 
+    /// The view of `words` exposes exactly what the decoded `job` holds.
+    fn assert_view_reads(words: &[u64], job: &Job) {
+        let view = JobView::new(words);
+        assert_eq!(view.origin_ts, job.origin_ts);
+        assert_eq!(view.enqueued, job.enqueued);
+        assert_eq!(view.pt.covered(), job.pt.covered);
+        assert_eq!(view.pt.min_ts(), job.pt.min_ts);
+        for s in (0..MAX_STREAMS as u16).map(StreamId) {
+            assert_eq!(view.pt.part(s), job.pt.part(s).map(AttrVec::as_slice));
+        }
+    }
+
+    /// The follow-up encoded from `parent`'s words by a hit on the first
+    /// stream it does not cover is, word for word, the extended `Job`
+    /// packed; a parent covering every stream has no follow-up.
+    fn assert_follow_up_packs_as_extended(words: &[u64], parent: &Job) {
+        let Some(s) = (0..MAX_STREAMS as u16)
+            .map(StreamId)
+            .find(|&s| !parent.pt.covered.covers(s))
+        else {
+            return;
+        };
+        // Earlier or later than the parent's `min_ts`, by its low bit.
+        let ts = VirtualTime(parent.pt.min_ts.0 ^ 1);
+        let attrs = AttrVec::from_slice(&words[..words.len().min(MAX_ATTRS)]).unwrap();
+        let matched = Tuple::new(TupleId(0), s, ts, attrs);
+        let enqueued = VirtualTime(parent.enqueued.0.wrapping_add(7));
+        let mut encoded = Vec::new();
+        FollowUp {
+            parent: &JobView::new(words),
+            matched: &matched,
+            enqueued,
+        }
+        .pack(&mut encoded);
+        let mut built = Vec::new();
+        Job {
+            pt: parent.pt.extend(s, attrs, ts),
+            origin_ts: parent.origin_ts,
+            enqueued,
+        }
+        .pack(&mut built);
+        assert_eq!(encoded, built);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The packed queue against its oracle, at every job shape: any
-        /// push/pop/pop_newest interleaving across chunk boundaries equals
-        /// a `VecDeque<Job>`, `iter()` lists the drain order, and a
-        /// snapshot round-trip restores the same sequence.
+        /// interleaving of pushes with decoding, word-level and discarding
+        /// removals at either end, across chunk boundaries, equals a
+        /// `VecDeque<Job>`; a job popped as words reads through its view
+        /// as the decoded job and encodes the follow-up the decoded job
+        /// would; a word slice one short or one long is refused by the
+        /// view as `unpack` refuses it; `iter()` lists the drain order,
+        /// and a snapshot round-trip restores the same sequence.
         #[test]
         fn packed_backlog_matches_vecdeque_at_every_job_shape(
             batch_capacity in 1usize..6,
-            ops in vec((0u8..5, any_job()), 1..200),
+            ops in vec((0u8..12, any_job()), 1..200),
         ) {
             let mut q = JobQueue::with_batch_capacity(batch_capacity);
             let mut oracle: VecDeque<Job> = VecDeque::new();
+            let mut words = vec![u64::MAX]; // replaced by every word-level pop
             for (op, job) in ops {
                 match op {
-                    0..=2 => {
+                    0..=5 => {
                         q.push(job);
                         oracle.push_back(job);
                     }
-                    3 => prop_assert_eq!(q.pop(), oracle.pop_front()),
-                    _ => prop_assert_eq!(q.pop_newest(), oracle.pop_back()),
+                    6 => prop_assert_eq!(q.pop(), oracle.pop_front()),
+                    7 => prop_assert_eq!(q.pop_newest(), oracle.pop_back()),
+                    8 | 9 => {
+                        let (popped, want) = if op == 8 {
+                            (q.pop_words(&mut words), oracle.pop_front())
+                        } else {
+                            (q.pop_newest_words(&mut words), oracle.pop_back())
+                        };
+                        prop_assert_eq!(popped, want.is_some());
+                        if let Some(want) = want {
+                            assert_view_reads(&words, &want);
+                            assert_follow_up_packs_as_extended(&words, &want);
+                        }
+                    }
+                    10 => prop_assert_eq!(q.discard(), oracle.pop_front().is_some()),
+                    _ => prop_assert_eq!(q.discard_newest(), oracle.pop_back().is_some()),
                 }
                 prop_assert_eq!(q.len(), oracle.len());
             }
             prop_assert_eq!(q.iter().collect::<VecDeque<_>>(), oracle.clone());
+
+            if let Some(job) = oracle.back() {
+                let mut exact = Vec::new();
+                job.pack(&mut exact);
+                let mut long = exact.clone();
+                long.push(0);
+                for bad in [&exact[..exact.len() - 1], &long[..]] {
+                    prop_assert!(std::panic::catch_unwind(|| JobView::new(bad)).is_err());
+                    prop_assert!(std::panic::catch_unwind(|| Job::unpack(bad)).is_err());
+                }
+            }
 
             let mut w = SectionWriter::new();
             q.save_jobs(&mut w, |w, job| {
@@ -463,6 +573,7 @@ mod tests {
             }
             prop_assert_eq!(q.pop(), None);
             prop_assert_eq!(restored.pop_newest(), None);
+            prop_assert!(!q.pop_words(&mut words) && !q.discard_newest());
         }
     }
 
@@ -487,8 +598,11 @@ mod tests {
         );
         let enqueued = VirtualTime::from_secs(10);
         let mut q = JobQueue::new();
+        q.push(parent);
+        let mut words = Vec::new();
+        assert!(q.pop_words(&mut words));
         q.push_packed(&FollowUp {
-            parent: &parent,
+            parent: &JobView::new(&words),
             matched: &matched,
             enqueued,
         });

@@ -269,7 +269,7 @@ impl Governor {
         self.report.shed_jobs += 1;
         self.note_degraded(now);
         if !drop_incoming {
-            backlog.pop();
+            backlog.discard();
             backlog.push_packed(job);
         }
     }
@@ -278,18 +278,19 @@ impl Governor {
     /// governor engaged, e.g. when a policy is attached mid-run).
     pub fn bound_backlog(&mut self, backlog: &mut JobQueue<Job>, now: VirtualTime) {
         while backlog.len() > self.policy.max_backlog {
+            // Shed jobs are dropped where they lie, never decoded.
             let dropped = match self.policy.shedding {
-                SheddingPolicy::DropOldest => backlog.pop(),
-                SheddingPolicy::DropNewest => backlog.pop_newest(),
+                SheddingPolicy::DropOldest => backlog.discard(),
+                SheddingPolicy::DropNewest => backlog.discard_newest(),
                 SheddingPolicy::Probabilistic { drop_prob } => {
                     if self.coin() < drop_prob {
-                        backlog.pop_newest()
+                        backlog.discard_newest()
                     } else {
-                        backlog.pop()
+                        backlog.discard()
                     }
                 }
             };
-            debug_assert!(dropped.is_some(), "len > cap ≥ 1 implies non-empty");
+            debug_assert!(dropped, "len > cap ≥ 1 implies non-empty");
             self.report.shed_jobs += 1;
             self.note_degraded(now);
         }

@@ -10,7 +10,7 @@
 //! test pins the two byte-identical.
 
 use crate::metrics::RetuneRecord;
-use crate::runtime::context::{digest_fold, FollowUp, Job, RunContext, RunOutcome};
+use crate::runtime::context::{digest_fold, FollowUp, Job, JobView, RunContext, RunOutcome};
 use crate::runtime::degrade::push_governed;
 use crate::runtime::fault::ArrivalFate;
 use amri_core::assess::Assessor;
@@ -253,25 +253,25 @@ fn deliver<C: Clock>(
 ///
 /// One job per step: draining the backlog a job at a time preserves the
 /// pre-refactor interleaving with sampling and ingest (and therefore
-/// byte-identical results). The step touches a job's bytes twice — the
-/// decode on `pop`, and one [`FollowUp`] encode per surviving hit — and
-/// allocates nothing in steady state. `false` when the backlog was empty.
+/// byte-identical results). The step never decodes its job: the packed
+/// words are popped into the context's one buffer and read through a
+/// [`JobView`] — probe values, residual operands, the output digest and
+/// each surviving hit's [`FollowUp`] encode all read the 9–15 words the
+/// queue held — and it allocates nothing in steady state. `false` when
+/// the backlog was empty.
 pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
     // Reorder fault: service the newest job instead of the oldest
     // with the plan's probability. The coin is only drawn when a job
     // is actually there to divert.
-    let popped = if ctx.backlog.is_empty() {
-        None
-    } else {
+    let popped = !ctx.backlog.is_empty() && {
         let reorder = ctx.fault.as_mut().is_some_and(|f| f.reorder_next());
         if reorder {
-            ctx.backlog.pop_newest()
+            ctx.backlog.pop_newest_words(&mut ctx.job_words)
         } else {
-            ctx.backlog.pop()
+            ctx.backlog.pop_words(&mut ctx.job_words)
         }
     };
-    // Borrowed, not moved out: a decoded `Job` is 464 bytes.
-    let Some(job) = &popped else {
+    if !popped {
         // No job to probe for: drain every STeM's staged ingest work
         // before reporting idle — the pipeline observes memory (and
         // may checkpoint) at the loop boundary, and the visibility
@@ -281,11 +281,7 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
             stem.state.flush_ingest(&mut stem.ingest_stage, pool);
         }
         return false;
-    };
-    let n = ctx.query.n_streams();
-    let pt = &job.pt;
-    ctx.sojourn_ticks += ctx.clock.now().since(job.enqueued).0;
-    ctx.jobs_processed += 1;
+    }
     let RunContext {
         clock,
         query,
@@ -294,7 +290,10 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
         router,
         observers,
         backlog,
+        job_words,
         outputs,
+        sojourn_ticks,
+        jobs_processed,
         config,
         governor,
         pool,
@@ -303,7 +302,12 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
         spill_first_at,
         ..
     } = ctx;
-    let target = router.choose_next(pt.covered);
+    let n = query.n_streams();
+    let job = &JobView::new(job_words);
+    let pt = &job.pt;
+    *sojourn_ticks += clock.now().since(job.enqueued).0;
+    *jobs_processed += 1;
+    let target = router.choose_next(pt.covered());
     let (pattern, values, residual) = graph.probe_values(pt, target);
     let req = SearchRequest::new(pattern, values);
     observers[target.idx()].record(pattern);
@@ -335,7 +339,7 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
     let window = query.windows[target.idx()];
     let now = clock.now();
     let target_jas = graph.jas(target);
-    let completes = pt.covered.with(target) == StreamMask::all(n);
+    let completes = pt.covered().with(target) == StreamMask::all(n);
     let mut matches = 0usize;
     let mut on_hit = |t: &Tuple| {
         // Lazy expiry: skip tuples that slid out of the window.
@@ -369,12 +373,12 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
             let mut h = digest_fold(*output_digest, job.origin_ts.0);
             for s in (0..n as u16).map(StreamId) {
                 let part = if s == target {
-                    &t.attrs
+                    t.attrs.as_slice()
                 } else {
                     pt.part(s)
                         .expect("a completing probe's parent covers every other stream")
                 };
-                for &v in part.as_slice() {
+                for &v in part {
                     h = digest_fold(h, v);
                 }
             }

@@ -1,20 +1,21 @@
 //! The steady-state request loop must never touch the allocator.
 //!
 //! `crates/core/tests/zero_alloc.rs` holds the index to that standard;
-//! this file holds the whole probe step — pop and decode a job, route it,
-//! build the request, search, read the hits, encode the follow-ups — plus
-//! the ingest step beside it. A counting global allocator wraps `System`;
+//! this file holds the whole probe step — pop a job's words into the
+//! context's one reused buffer, view them, route, build the request,
+//! search, read the hits, encode the follow-ups — plus the ingest step
+//! beside it. A counting global allocator wraps `System`;
 //! a quick-scale AMRI session is warmed past its first retune, and every
 //! later quantum that contains no grid point (sampling and tuning append
 //! to the run's series and may migrate the index; they are not the
 //! request loop) must record exactly zero allocations, under both
 //! statistics-driven routing policies.
 //!
-//! The session assesses with exact SRIA. The compact assessors fold their
-//! statistics every `1/ε` requests, and that sweep (`crates/hh`'s
-//! `compress`: the node list it walks, the parent list of each folded
-//! node) builds two small vectors — assessment's own cost, not the
-//! request loop's, and the only allocation a CDIA session makes here.
+//! The session assesses with CDIA-highest, the assessor all five
+//! benchmark workloads run. It folds its statistics every `1/ε` requests
+//! (`crates/hh`'s `compress`) inside a probe step; that sweep walks a
+//! scratch list the sketch owns and reads each folded node's parents off
+//! an iterator, so it is held to zero with everything else.
 //!
 //! The file holds a single `#[test]` so no concurrent test can allocate
 //! while the counter is armed.
@@ -24,6 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use amri_core::assess::AssessorKind;
 use amri_engine::{Executor, IndexingMode, PolicyKind, Session, SessionStatus};
+use amri_hh::CombineStrategy;
 use amri_synth::scenario::{paper_scenario, Scale};
 
 struct CountingAlloc;
@@ -90,7 +92,7 @@ fn steady_state_probe_step_does_not_allocate() {
         let mut sc = paper_scenario(Scale::Quick, 42);
         sc.engine.policy = policy;
         let mode = IndexingMode::Amri {
-            assessor: AssessorKind::Sria,
+            assessor: AssessorKind::Cdia(CombineStrategy::HighestCount),
             initial: None,
         };
         let exec = Executor::try_new(&sc.query, sc.workload(), mode, sc.engine.clone())

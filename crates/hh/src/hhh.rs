@@ -62,6 +62,9 @@ pub struct HierarchicalHeavyHitters {
     peak_entries: usize,
     /// Mass folded off the lattice top (full-scan pattern) and discarded.
     dropped: u64,
+    /// Scratch for [`compress`](Self::compress)'s sweep order, kept so a
+    /// segment boundary allocates nothing. Not state: refilled every use.
+    sweep: Vec<AccessPattern>,
 }
 
 impl HierarchicalHeavyHitters {
@@ -83,6 +86,7 @@ impl HierarchicalHeavyHitters {
             rng: StdRng::seed_from_u64(config.seed),
             peak_entries: 0,
             dropped: 0,
+            sweep: Vec::new(),
         }
     }
 
@@ -175,20 +179,19 @@ impl HierarchicalHeavyHitters {
         strategy: CombineStrategy,
         leaf: AccessPattern,
     ) -> Option<AccessPattern> {
-        let parents: Vec<AccessPattern> = leaf.direct_parents().collect();
-        if parents.is_empty() {
-            return None; // lattice top
-        }
+        // Read off the parent iterator, never collected: this runs inside
+        // a probe step. The lattice top has no parent (and draws no coin).
         match strategy {
             CombineStrategy::Random => {
-                let i = rng.gen_range(0..parents.len());
-                Some(parents[i])
+                let parents = leaf.direct_parents().count();
+                if parents == 0 {
+                    return None;
+                }
+                leaf.direct_parents().nth(rng.gen_range(0..parents))
             }
-            CombineStrategy::HighestCount => parents
-                .iter()
-                .copied()
-                .max_by_key(|p| (lattice.get(*p).map(|e| e.count).unwrap_or(0), p.mask()))
-                .or(Some(parents[0])),
+            CombineStrategy::HighestCount => leaf
+                .direct_parents()
+                .max_by_key(|p| (lattice.get(*p).map(|e| e.count).unwrap_or(0), p.mask())),
         }
     }
 
@@ -207,7 +210,9 @@ impl HierarchicalHeavyHitters {
     /// simply the common case.
     fn compress(&mut self) {
         let sid = self.segment_id();
-        for node in self.lattice.by_level_desc() {
+        let mut sweep = std::mem::take(&mut self.sweep);
+        self.lattice.by_level_desc(&mut sweep);
+        for &node in &sweep {
             let Some(e) = self.lattice.get(node).copied() else {
                 continue;
             };
@@ -231,6 +236,7 @@ impl HierarchicalHeavyHitters {
                 },
             }
         }
+        self.sweep = sweep;
     }
 
     /// Final-results pass (§IV-D2): bottom-up, roll any node whose rolled

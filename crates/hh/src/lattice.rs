@@ -10,7 +10,7 @@
 //! `PatternLattice<V>` is that partial lattice: an access-pattern-keyed map
 //! plus the navigation queries, generic in the per-node payload `V`.
 
-use amri_stream::{AccessPattern, FxHashMap};
+use amri_stream::{AccessPattern, FxHashMap, MAX_ATTRS};
 
 /// A partial lattice of access patterns with per-node payloads.
 #[derive(Debug, Clone)]
@@ -21,10 +21,16 @@ pub struct PatternLattice<V> {
 }
 
 impl<V> PatternLattice<V> {
-    /// New empty lattice over a JAS of `width` attributes.
+    /// New empty lattice over a JAS of `width` attributes, with room for
+    /// twice the `2^width` patterns there are: CDIA folds and re-inserts
+    /// nodes inside a probe step, and a table that is never more than half
+    /// full reclaims its tombstones in place instead of reallocating.
     pub fn new(width: usize) -> Self {
         PatternLattice {
-            nodes: FxHashMap::default(),
+            nodes: FxHashMap::with_capacity_and_hasher(
+                2 << width.min(MAX_ATTRS),
+                Default::default(),
+            ),
             width,
         }
     }
@@ -120,11 +126,15 @@ impl<V> PatternLattice<V> {
     }
 
     /// All stored patterns, deepest level first, then by mask — the
-    /// bottom-up sweep order of the CDIA final-results pass.
-    pub fn by_level_desc(&self) -> Vec<AccessPattern> {
-        let mut out: Vec<AccessPattern> = self.nodes.keys().copied().collect();
-        out.sort_by_key(|ap| (std::cmp::Reverse(ap.level()), ap.mask()));
-        out
+    /// bottom-up sweep order of CDIA's compression — replacing the
+    /// contents of `out`, a buffer the caller reuses: the sweep runs inside
+    /// a probe step every 1/ε requests and must not allocate. (The sort
+    /// key is unique per pattern, so the unstable sort — the one that
+    /// needs no merge buffer — yields the one possible order.)
+    pub fn by_level_desc(&self, out: &mut Vec<AccessPattern>) {
+        out.clear();
+        out.extend(self.nodes.keys().copied());
+        out.sort_unstable_by_key(|ap| (std::cmp::Reverse(ap.level()), ap.mask()));
     }
 }
 
@@ -192,7 +202,8 @@ mod tests {
         for m in [0b000, 0b010, 0b110, 0b111, 0b001] {
             l.insert(ap(m), 0);
         }
-        let sweep = l.by_level_desc();
+        let mut sweep = vec![ap(0b101)]; // replaced, never appended to
+        l.by_level_desc(&mut sweep);
         assert_eq!(
             sweep,
             vec![ap(0b111), ap(0b110), ap(0b001), ap(0b010), ap(0b000)]
@@ -237,7 +248,8 @@ mod tests {
             #[test]
             fn sweep_respects_levels(masks in proptest::collection::vec(0u32..16, 1..12)) {
                 let l = build(&masks);
-                let order = l.by_level_desc();
+                let mut order = Vec::new();
+                l.by_level_desc(&mut order);
                 for (i, a) in order.iter().enumerate() {
                     for b in &order[i + 1..] {
                         prop_assert!(

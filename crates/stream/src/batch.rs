@@ -9,9 +9,18 @@
 //! queue owns framing, chunking and recycling.
 //!
 //! Single-job order is preserved **exactly**: `push` → `pop` round-trips
-//! in precisely `VecDeque` order under any `pop`/`pop_newest`
-//! interleaving, so the deterministic simulation harness drains
-//! job-by-job with byte-identical results.
+//! in precisely `VecDeque` order under any interleaving of removals at
+//! either end, so the deterministic simulation harness drains job-by-job
+//! with byte-identical results.
+//!
+//! A job leaves in one of three ways, at either end, through one cursor
+//! walk per end: **as words** ([`JobQueue::pop_words`] /
+//! [`JobQueue::pop_newest_words`]) — copied undecoded into a buffer the
+//! caller reuses, which is how the engine's probe step takes every job and
+//! reads it through a borrowed view; **unread** ([`JobQueue::discard`] /
+//! [`JobQueue::discard_newest`]) — how load shedding drops one; or
+//! **decoded** ([`JobQueue::pop`] / [`JobQueue::pop_newest`]) into a `T`,
+//! for snapshots, diagnostics and tests that want the value.
 //!
 //! Steady state allocates nothing: drained chunk buffers are recycled into
 //! a spare pool and reused for new tail chunks.
@@ -46,14 +55,15 @@ pub trait Packed: Pack<Self> + Sized {
 /// A FIFO backlog of jobs stored as packed words, chunk-granularly.
 ///
 /// Pushes encode into an open tail chunk; once it holds the batch capacity
-/// it is sealed and a fresh (recycled) buffer opens. Pops decode the
-/// oldest chunk job-by-job through a cursor before touching younger ones,
-/// so the queue is indistinguishable from `VecDeque<T>` at the job level —
-/// the property the byte-identical §V equivalence suite pins.
+/// it is sealed and a fresh (recycled) buffer opens. Removals at the old
+/// end drain the oldest chunk job-by-job through a cursor before touching
+/// younger ones, so the queue is indistinguishable from `VecDeque<T>` at
+/// the job level — the property the byte-identical §V equivalence suite
+/// pins.
 ///
 /// Inside a chunk every job is framed `[n, n payload words, n]`: the
-/// leading count lets `pop` walk forwards, the trailing one lets
-/// [`pop_newest`](Self::pop_newest) walk backwards.
+/// leading count lets the old end walk forwards, the trailing one lets
+/// the new end walk backwards.
 #[derive(Debug, Clone)]
 pub struct JobQueue<T> {
     /// Head chunk being drained; the jobs before `cursor` are gone. Empty
@@ -87,13 +97,14 @@ impl<T: Packed> Default for JobQueue<T> {
     }
 }
 
-/// Decode and remove the newest job of a non-empty chunk.
-fn take_last<T: Packed>(chunk: &mut Vec<u64>) -> T {
+/// Remove the newest job of a non-empty chunk, handing its payload words
+/// to `read` first.
+fn take_last<R>(chunk: &mut Vec<u64>, read: impl FnOnce(&[u64]) -> R) -> R {
     let end = chunk.len() - 1;
     let n = chunk[end] as usize;
-    let item = T::unpack(&chunk[end - n..end]);
+    let out = read(&chunk[end - n..end]);
     chunk.truncate(end - n - 1);
-    item
+    out
 }
 
 /// Decode the jobs framed in `words`, oldest first.
@@ -104,6 +115,12 @@ fn jobs_of<T: Packed>(mut words: &[u64]) -> impl Iterator<Item = T> + '_ {
         words = &rest[n as usize + 1..];
         Some(item)
     })
+}
+
+/// Replace `buf`'s contents with `job`'s words.
+fn copy_into(buf: &mut Vec<u64>, job: &[u64]) {
+    buf.clear();
+    buf.extend_from_slice(job);
 }
 
 impl<T: Packed> JobQueue<T> {
@@ -254,51 +271,93 @@ impl<T: Packed> JobQueue<T> {
         true
     }
 
-    /// Dequeue the oldest job.
-    pub fn pop(&mut self) -> Option<T> {
+    /// Remove the oldest job, handing its payload words to `read` first —
+    /// the one walk of the head cursor, behind [`pop`](Self::pop),
+    /// [`pop_words`](Self::pop_words) and [`discard`](Self::discard).
+    fn take_oldest<R>(&mut self, read: impl FnOnce(&[u64]) -> R) -> Option<R> {
         if self.active.is_empty() && !self.promote() {
             return None;
         }
         let start = self.cursor + 1;
         let end = start + self.active[self.cursor] as usize;
-        let item = T::unpack(&self.active[start..end]);
+        let out = read(&self.active[start..end]);
         self.cursor = end + 1;
         self.len -= 1;
         if self.cursor == self.active.len() {
             self.retire_active();
         }
-        Some(item)
+        Some(out)
     }
 
-    /// Dequeue the **newest** job — the opposite end from [`pop`](Self::pop).
-    ///
-    /// This is the load-shedding primitive for drop-newest policies and the
-    /// reorder fault: the job removed is the one that would otherwise drain
-    /// last. All other jobs keep their exact FIFO order.
-    pub fn pop_newest(&mut self) -> Option<T> {
-        let item = if self.tail_jobs > 0 {
+    /// Remove the **newest** job, handing its payload words to `read`
+    /// first — the one backward walk, behind
+    /// [`pop_newest`](Self::pop_newest),
+    /// [`pop_newest_words`](Self::pop_newest_words) and
+    /// [`discard_newest`](Self::discard_newest).
+    fn take_newest<R>(&mut self, read: impl FnOnce(&[u64]) -> R) -> Option<R> {
+        let out = if self.tail_jobs > 0 {
             self.tail_jobs -= 1;
-            take_last(&mut self.tail)
+            take_last(&mut self.tail, read)
         } else if let Some(back) = self.sealed.back_mut() {
-            let item = take_last(back);
+            let out = take_last(back, read);
             if back.is_empty() {
                 // Drop the emptied chunk so `promote` never sees it;
                 // recycle its buffer like any drained chunk.
                 let buf = self.sealed.pop_back().expect("back_mut was Some");
                 self.recycle(buf);
             }
-            item
+            out
         } else if self.active.is_empty() {
             return None;
         } else {
-            let item = take_last(&mut self.active);
+            let out = take_last(&mut self.active, read);
             if self.cursor == self.active.len() {
                 self.retire_active();
             }
-            item
+            out
         };
         self.len -= 1;
-        Some(item)
+        Some(out)
+    }
+
+    /// Dequeue the oldest job, decoded. The engine's probe step reads its
+    /// jobs undecoded through [`pop_words`](Self::pop_words); this is for
+    /// callers that want the value.
+    pub fn pop(&mut self) -> Option<T> {
+        self.take_oldest(T::unpack)
+    }
+
+    /// Dequeue the **newest** job, decoded — the opposite end from
+    /// [`pop`](Self::pop).
+    ///
+    /// This is the load-shedding primitive for drop-newest policies and the
+    /// reorder fault: the job removed is the one that would otherwise drain
+    /// last. All other jobs keep their exact FIFO order.
+    pub fn pop_newest(&mut self) -> Option<T> {
+        self.take_newest(T::unpack)
+    }
+
+    /// Dequeue the oldest job *undecoded*: its packed words — exactly what
+    /// its [`Pack::pack`] wrote — replace the contents of `words`, a
+    /// buffer the caller reuses. `false` (and `words` untouched) when the
+    /// queue is empty.
+    pub fn pop_words(&mut self, words: &mut Vec<u64>) -> bool {
+        self.take_oldest(|job| copy_into(words, job)).is_some()
+    }
+
+    /// [`pop_words`](Self::pop_words) from the **newest** end.
+    pub fn pop_newest_words(&mut self, words: &mut Vec<u64>) -> bool {
+        self.take_newest(|job| copy_into(words, job)).is_some()
+    }
+
+    /// Drop the oldest job without reading it; `false` when empty.
+    pub fn discard(&mut self) -> bool {
+        self.take_oldest(|_| ()).is_some()
+    }
+
+    /// Drop the **newest** job without reading it; `false` when empty.
+    pub fn discard_newest(&mut self) -> bool {
+        self.take_newest(|_| ()).is_some()
     }
 
     /// Decode all queued jobs, oldest first (diagnostics and snapshots;

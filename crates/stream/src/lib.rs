@@ -47,7 +47,7 @@ pub use snapshot::{
     SnapshotWriter, SNAPSHOT_VERSION,
 };
 pub use time::{Clock, VirtualClock, VirtualDuration, VirtualTime, TICKS_PER_SEC};
-pub use tuple::{PartialTuple, StreamMask, Tuple, TupleId};
+pub use tuple::{PackedPartial, PartialTuple, Parts, StreamMask, Tuple, TupleId};
 pub use value::{AttrValue, AttrVec, MAX_ATTRS};
 pub use window::{WindowBuffer, WindowSpec};
 

@@ -13,7 +13,7 @@
 use crate::error::StreamError;
 use crate::pattern::AccessPattern;
 use crate::schema::{AttrId, StreamId, StreamSchema};
-use crate::tuple::{PartialTuple, StreamMask, MAX_STREAMS};
+use crate::tuple::{Parts, StreamMask, MAX_STREAMS};
 use crate::value::{AttrValue, AttrVec, MAX_ATTRS};
 use crate::window::WindowSpec;
 use serde::{Deserialize, Serialize};
@@ -452,13 +452,15 @@ impl JoinGraph {
     /// partial tuple `pt` (wildcard slots zero), together with the residual
     /// non-equality bindings the caller must evaluate per candidate tuple.
     /// Pattern and bindings come from the table built at construction; only
-    /// the values are per-tuple work, and nothing is allocated.
+    /// the values are per-tuple work, and nothing is allocated. `pt` is
+    /// read through [`Parts`], so a job still packed in its queue words
+    /// probes without being decoded.
     pub fn probe_values(
         &self,
-        pt: &PartialTuple,
+        pt: &impl Parts,
         target: StreamId,
     ) -> (AccessPattern, AttrVec, &[ProbeBinding]) {
-        let plan = &self.plans[target.idx()][usize::from(pt.covered.0)];
+        let plan = &self.plans[target.idx()][usize::from(pt.covered().0)];
         let mut values = plan.wildcards;
         for b in &plan.sets {
             let part = pt.part(b.src_stream).expect("covered stream has a part");
@@ -473,7 +475,7 @@ mod tests {
     use super::*;
     use crate::schema::{AttrDomain, AttrSpec};
     use crate::time::VirtualTime;
-    use crate::tuple::{Tuple, TupleId};
+    use crate::tuple::{PartialTuple, Tuple, TupleId};
 
     /// The paper's evaluation query shape: 4 streams, each joined to the 3
     /// others via a unique attribute (3 join attributes per state).

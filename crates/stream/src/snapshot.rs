@@ -36,7 +36,7 @@
 
 use crate::fxhash::FxHasher;
 use crate::time::{VirtualDuration, VirtualTime};
-use crate::value::AttrVec;
+use crate::value::{AttrValue, AttrVec, MAX_ATTRS};
 use std::fmt;
 use std::hash::Hasher;
 
@@ -45,8 +45,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AMRISNAP";
 
 /// Current format revision. Bump on any layout change; readers refuse
 /// other revisions with [`SnapshotError::Version`]. Revision 2 gave the
-/// three tuner policies' sections one field order.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// three tuner policies' sections one field order; revision 3 stores a
+/// bit-address index as its entries alone (no links, no bucket table).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be written, parsed, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,9 +207,18 @@ impl SectionWriter {
         self.put_u64(d.0);
     }
 
-    /// Append an [`AttrVec`] (length byte + values).
-    pub fn put_attrs(&mut self, a: &AttrVec) {
-        let vals = a.as_slice();
+    /// Append an [`AttrVec`]'s values (length byte + values), from the
+    /// vector or from wherever its values are stored.
+    ///
+    /// # Panics
+    /// Panics if `vals` is longer than an [`AttrVec`] can be, which
+    /// [`get_attrs`](SectionReader::get_attrs) would refuse to read back.
+    pub fn put_attrs(&mut self, vals: &[AttrValue]) {
+        assert!(
+            vals.len() <= MAX_ATTRS,
+            "attr vector of width {}",
+            vals.len()
+        );
         self.put_u8(vals.len() as u8);
         for &v in vals {
             self.put_u64(v);
@@ -317,7 +327,7 @@ impl<'a> SectionReader<'a> {
     /// Read an [`AttrVec`].
     pub fn get_attrs(&mut self) -> Result<AttrVec, SnapshotError> {
         let len = self.get_u8()? as usize;
-        let mut vals = [0u64; crate::value::MAX_ATTRS];
+        let mut vals = [0u64; MAX_ATTRS];
         if len > vals.len() {
             return Err(SnapshotError::Malformed(format!(
                 "attr vector of width {len}"
@@ -645,18 +655,22 @@ mod tests {
 
         // Corrupting the version also breaks the file checksum; rebuild a
         // valid file with a bumped version via the writer internals
-        // instead: patch bytes then re-seal the tail checksum.
-        let mut bytes = sample();
-        bytes[8] = SNAPSHOT_VERSION as u8 + 1;
-        let n = bytes.len();
-        let sum = super::checksum(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            SnapshotReader::parse(&bytes).unwrap_err(),
-            SnapshotError::Version {
-                found: SNAPSHOT_VERSION + 1,
-                expected: SNAPSHOT_VERSION
-            }
-        );
+        // instead: patch bytes then re-seal the tail checksum. A newer
+        // revision and the previous one (2: bit-address sections carried
+        // links and a bucket table) are refused alike.
+        for found in [SNAPSHOT_VERSION + 1, 2] {
+            let mut bytes = sample();
+            bytes[8] = found as u8;
+            let n = bytes.len();
+            let sum = super::checksum(&bytes[..n - 8]);
+            bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                SnapshotReader::parse(&bytes).unwrap_err(),
+                SnapshotError::Version {
+                    found,
+                    expected: SNAPSHOT_VERSION
+                }
+            );
+        }
     }
 }

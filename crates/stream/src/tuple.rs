@@ -7,10 +7,19 @@
 //! paper: a tuple routed `A⋈B` first probes `C` with *both* join attributes;
 //! one routed directly probes with one) — this coupling between routing and
 //! access patterns is the entire motivation for AMRI.
+//!
+//! A partial tuple has two representations and this module owns both: the
+//! fixed-size [`PartialTuple`] value, and the **packed words** a backlog
+//! stores it as — header, `min_ts`, covered values only. `pack_parts` is
+//! the one writer of that layout and `read_parts` the one reader;
+//! [`PackedPartial`] is a borrowed view over the words that answers what
+//! the struct answers ([`Parts`] is what the two have in common), so a
+//! queued job is probed, filtered and extended into its follow-up without
+//! ever being decoded.
 
 use crate::schema::StreamId;
 use crate::time::VirtualTime;
-use crate::value::AttrVec;
+use crate::value::{AttrValue, AttrVec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -235,25 +244,9 @@ impl PartialTuple {
     /// covered mask in bits 0..16, then a 4-bit value count per covered
     /// stream, ascending), `min_ts`, and only the covered streams' values
     /// — `2 + Σ arity` words where the fixed-size struct is 56.
+    /// [`PackedPartial`] reads them back in place.
     pub fn pack(&self, out: &mut Vec<u64>) {
         pack_parts(self.covered, self.min_ts, |s| &self.parts[s.idx()], out);
-    }
-
-    /// Append the words [`pack`](Self::pack) would write for
-    /// `self.extend(s, *attrs, ts)`, without building that value: a
-    /// follow-up job is encoded from its borrowed parent plus the matched
-    /// tuple rather than cloned.
-    ///
-    /// # Panics
-    /// Panics if `s` is already covered.
-    pub fn pack_extended(&self, s: StreamId, attrs: &AttrVec, ts: VirtualTime, out: &mut Vec<u64>) {
-        assert!(!self.covered.covers(s), "stream {s} already joined");
-        pack_parts(
-            self.covered.with(s),
-            self.min_ts.min(ts),
-            |x| if x == s { attrs } else { &self.parts[x.idx()] },
-            out,
-        );
     }
 
     /// Rebuild the partial tuple [`pack`](Self::pack) wrote as exactly
@@ -263,22 +256,130 @@ impl PartialTuple {
     /// # Panics
     /// Panics if `words` is not one packed partial tuple.
     pub fn unpack(words: &[u64]) -> Self {
-        let header = words[0];
-        let covered = StreamMask(header as u16);
         let mut parts = [AttrVec::new(); MAX_STREAMS];
-        let mut at = 2;
-        for (k, s) in covered.streams().enumerate() {
-            let n = (header >> (PART_LEN_SHIFT + PART_LEN_BITS * k)) as usize & PART_LEN_MASK;
+        let (covered, min_ts) = read_parts(words, |s, at, n| {
             parts[s.idx()] = AttrVec::from_slice(&words[at..at + n])
                 .expect("a packed part length is an AttrVec length");
-            at += n;
-        }
-        assert_eq!(at, words.len(), "packed partial tuple length mismatch");
+        });
         PartialTuple {
             covered,
-            min_ts: VirtualTime(words[1]),
+            min_ts,
             parts,
         }
+    }
+}
+
+/// What a probe reads of a partial tuple — which streams it covers and
+/// each covered stream's values — whether the tuple is a decoded
+/// [`PartialTuple`] or still lies packed in a queue ([`PackedPartial`]).
+pub trait Parts {
+    /// Which streams' tuples the partial result contains.
+    fn covered(&self) -> StreamMask;
+
+    /// Attribute values of the covered stream `s`, or `None` if `s` is not
+    /// covered.
+    fn part(&self, s: StreamId) -> Option<&[AttrValue]>;
+}
+
+impl Parts for PartialTuple {
+    fn covered(&self) -> StreamMask {
+        self.covered
+    }
+
+    fn part(&self, s: StreamId) -> Option<&[AttrValue]> {
+        PartialTuple::part(self, s).map(AttrVec::as_slice)
+    }
+}
+
+/// A partial tuple read where it lies: a borrowed view of the words
+/// [`PartialTuple::pack`] wrote, exposing what the decoded struct does
+/// without copying a value. Building one parses the header word only — a
+/// handful of shifts — and checks the length exactly as
+/// [`PartialTuple::unpack`] does.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedPartial<'a> {
+    covered: StreamMask,
+    min_ts: VirtualTime,
+    words: &'a [u64],
+    /// Per stream id, where its values start in `words` and how many there
+    /// are (zero for an uncovered stream).
+    spans: [(u8, u8); MAX_STREAMS],
+}
+
+impl<'a> PackedPartial<'a> {
+    /// View `words` as the partial tuple packed into exactly them.
+    ///
+    /// # Panics
+    /// Panics if `words` is not one packed partial tuple.
+    pub fn new(words: &'a [u64]) -> Self {
+        let mut spans = [(0u8, 0u8); MAX_STREAMS];
+        let (covered, min_ts) = read_parts(words, |s, at, n| spans[s.idx()] = (at as u8, n as u8));
+        PackedPartial {
+            covered,
+            min_ts,
+            words,
+            spans,
+        }
+    }
+
+    /// Which streams' tuples this partial result already contains.
+    #[inline]
+    pub fn covered(&self) -> StreamMask {
+        self.covered
+    }
+
+    /// Earliest arrival instant among the constituent base tuples.
+    #[inline]
+    pub fn min_ts(&self) -> VirtualTime {
+        self.min_ts
+    }
+
+    /// The words stream `s`'s span names (empty for an uncovered stream).
+    #[inline]
+    fn span(&self, s: StreamId) -> &'a [AttrValue] {
+        let (at, n) = self.spans[s.idx()];
+        &self.words[at as usize..][..n as usize]
+    }
+
+    /// Attribute values of the covered stream `s`, or `None` if `s` is not
+    /// covered.
+    #[inline]
+    pub fn part(&self, s: StreamId) -> Option<&'a [AttrValue]> {
+        self.covered.covers(s).then(|| self.span(s))
+    }
+
+    /// Append the words [`PartialTuple::pack`] would write for this
+    /// partial tuple extended by stream `s`'s `attrs` arriving at `ts`
+    /// ([`PartialTuple::extend`]), without building that value: a
+    /// follow-up job is encoded from its parent's words plus the matched
+    /// tuple.
+    ///
+    /// # Panics
+    /// Panics if `s` is already covered.
+    pub fn pack_extended(
+        &self,
+        s: StreamId,
+        attrs: &[AttrValue],
+        ts: VirtualTime,
+        out: &mut Vec<u64>,
+    ) {
+        assert!(!self.covered.covers(s), "stream {s} already joined");
+        pack_parts(
+            self.covered.with(s),
+            self.min_ts.min(ts),
+            |x| if x == s { attrs } else { self.span(x) },
+            out,
+        );
+    }
+}
+
+impl Parts for PackedPartial<'_> {
+    fn covered(&self) -> StreamMask {
+        self.covered
+    }
+
+    fn part(&self, s: StreamId) -> Option<&[AttrValue]> {
+        PackedPartial::part(self, s)
     }
 }
 
@@ -292,14 +393,41 @@ const PART_LEN_BITS: usize = 4;
 const PART_LEN_MASK: usize = (1 << PART_LEN_BITS) - 1;
 const _: () = assert!(crate::value::MAX_ATTRS <= PART_LEN_MASK);
 const _: () = assert!(PART_LEN_SHIFT + PART_LEN_BITS * MAX_STREAMS <= 64);
+// A span's start is a `u8`: the longest packed partial tuple must fit.
+const _: () = assert!(2 + MAX_STREAMS * crate::value::MAX_ATTRS <= u8::MAX as usize);
 
-/// The one packed layout behind [`PartialTuple::pack`] and
-/// [`PartialTuple::pack_extended`]: `part_of` supplies each covered
+/// The one reader of the packed layout, behind [`PackedPartial::new`] and
+/// [`PartialTuple::unpack`]: the covered mask and `min_ts` of the partial
+/// tuple packed into exactly `words`, after handing `each` every covered
+/// stream, ascending, with where its values start in `words` and how many
+/// there are.
+///
+/// # Panics
+/// Panics if `words` is not one packed partial tuple: the part lengths of
+/// its header must add up to its length.
+fn read_parts(
+    words: &[u64],
+    mut each: impl FnMut(StreamId, usize, usize),
+) -> (StreamMask, VirtualTime) {
+    let header = words[0];
+    let covered = StreamMask(header as u16);
+    let mut at = 2;
+    for (k, s) in covered.streams().enumerate() {
+        let n = (header >> (PART_LEN_SHIFT + PART_LEN_BITS * k)) as usize & PART_LEN_MASK;
+        each(s, at, n);
+        at += n;
+    }
+    assert_eq!(at, words.len(), "packed partial tuple length mismatch");
+    (covered, VirtualTime(words[1]))
+}
+
+/// The one writer of the packed layout, behind [`PartialTuple::pack`] and
+/// [`PackedPartial::pack_extended`]: `part_of` supplies each covered
 /// stream's values.
 fn pack_parts<'a>(
     covered: StreamMask,
     min_ts: VirtualTime,
-    part_of: impl Fn(StreamId) -> &'a AttrVec,
+    part_of: impl Fn(StreamId) -> &'a [AttrValue],
     out: &mut Vec<u64>,
 ) {
     let header_at = out.len();
@@ -309,7 +437,7 @@ fn pack_parts<'a>(
     for (k, s) in covered.streams().enumerate() {
         let part = part_of(s);
         header |= (part.len() as u64) << (PART_LEN_SHIFT + PART_LEN_BITS * k);
-        out.extend_from_slice(part.as_slice());
+        out.extend_from_slice(part);
     }
     out[header_at] = header;
 }
@@ -417,14 +545,48 @@ mod tests {
     #[test]
     fn pack_extended_writes_what_extend_then_pack_writes() {
         let parent = PartialTuple::from_base(&t(1, &[1, 2, 3], 10));
+        let mut packed = Vec::new();
+        parent.pack(&mut packed);
+        let view = PackedPartial::new(&packed);
         for (s, secs) in [(0u16, 3u64), (3, 20)] {
             let attrs = AttrVec::from_slice(&[7, 8]).unwrap();
             let ts = VirtualTime::from_secs(secs);
             let mut direct = vec![99]; // appends, never overwrites
-            parent.pack_extended(StreamId(s), &attrs, ts, &mut direct);
+            view.pack_extended(StreamId(s), &attrs, ts, &mut direct);
             let mut via_extend = vec![99];
             parent.extend(StreamId(s), attrs, ts).pack(&mut via_extend);
             assert_eq!(direct, via_extend);
+        }
+    }
+
+    #[test]
+    fn a_packed_view_reads_what_unpack_decodes_and_rejects_what_it_rejects() {
+        let pt = PartialTuple::from_parts(
+            StreamMask::only(StreamId(0))
+                .with(StreamId(2))
+                .with(StreamId(5)),
+            VirtualTime::from_secs(9),
+            [
+                AttrVec::new(),
+                AttrVec::from_slice(&[4, 5, 6]).unwrap(),
+                AttrVec::from_slice(&[u64::MAX; crate::value::MAX_ATTRS]).unwrap(),
+            ],
+        );
+        let mut words = Vec::new();
+        pt.pack(&mut words);
+        let view = PackedPartial::new(&words);
+        assert_eq!(view.covered(), pt.covered);
+        assert_eq!(view.min_ts(), pt.min_ts);
+        for s in (0..MAX_STREAMS as u16).map(StreamId) {
+            assert_eq!(view.part(s), pt.part(s).map(AttrVec::as_slice), "{s}");
+        }
+        // One word short and one word long are both refused, by the view
+        // and by the decode built on it.
+        let mut long = words.clone();
+        long.push(0);
+        for bad in [&words[..words.len() - 1], &long[..]] {
+            assert!(std::panic::catch_unwind(|| PackedPartial::new(bad)).is_err());
+            assert!(std::panic::catch_unwind(|| PartialTuple::unpack(bad)).is_err());
         }
     }
 

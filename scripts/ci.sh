@@ -61,6 +61,20 @@ if grep -rnE 'CACHE_HIGH_WATER|CACHE_LOW_WATER|preload_missing' crates tests exa
     echo "a cache water mark or the preload step reappeared"; exit 1
 fi
 
+# Nor may the per-bucket map, its records or the tail-append link of the
+# bit-address index: a shard is one slab of entry heads, a value stride and
+# a directory of chain heads (DESIGN §4). Nor a decoding pop on the probe
+# or shedding path: a job is read where it lies, through a view of its
+# packed words, and a shed job is discarded unread (DESIGN §5).
+echo "==> one index entry layout; no decoded job on the probe or shedding path"
+if grep -nE 'link_at_tail|struct Bucket|FxHashMap<u64' crates/core/src/bitaddr.rs; then
+    echo "the bucket map, a Bucket record or a tail pointer reappeared in bitaddr.rs"; exit 1
+fi
+if grep -nE 'backlog\.pop\(\)|pop_newest\(\)' \
+    crates/engine/src/runtime/operators.rs crates/engine/src/runtime/degrade.rs; then
+    echo "a decoding pop reappeared on the probe or shedding path"; exit 1
+fi
+
 # Sharded work borrows its slots through `parallel::for_each_slot`; that
 # file is the only one in the core crate allowed to say `unsafe`.
 echo "==> crates/core/src: unsafe only in parallel.rs"

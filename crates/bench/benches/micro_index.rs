@@ -98,6 +98,53 @@ fn bench_search(c: &mut Criterion) {
             black_box(hits)
         })
     });
+    // The §V a3 shape: an exact probe whose bucket it shares with other
+    // entries. Under [5, 5, 0] each of the 1 024 ids holds ~10 of the 10k
+    // entries (13 in the probe's), exactly one of them the probe's: the rest
+    // differ in a value the bucket id does not tell apart, and the walk
+    // rejects them by tag.
+    let crowded = populated_bitaddr(n, vec![5, 5, 0]);
+    let mut r = CostReceipt::new();
+    let mut scratch = SearchScratch::new();
+    crowded.search_into(&exact, &mut scratch, &mut r, &SequentialExecutor);
+    assert!(
+        scratch.hits.len() == 1 && r.comparisons >= 8,
+        "crowded bucket: {} hits over {} compared",
+        scratch.hits.len(),
+        r.comparisons
+    );
+    g.bench_function("bitaddr_exact_crowded_into", |b| {
+        let mut scratch = SearchScratch::new();
+        b.iter(|| {
+            let mut r = CostReceipt::new();
+            crowded.search_into(black_box(&exact), &mut scratch, &mut r, &SequentialExecutor);
+            black_box(scratch.hits.len())
+        })
+    });
+    // The scan fallback as the engine calls it: `StateStore::search` on a
+    // `ScanIndex` store of 10k tuples, which compares every arena row
+    // against the request decoded once.
+    g.bench_function("scan_state_into", |b| {
+        let mut store = StateStore::new(
+            StreamId(0),
+            vec![AttrId(0), AttrId(1), AttrId(2)],
+            WindowSpec::secs(1 << 20),
+            ScanIndex::new(),
+        );
+        let mut r = CostReceipt::new();
+        for i in 0..n {
+            store.insert(
+                Tuple::new(TupleId(i), StreamId(0), VirtualTime::from_secs(i), jas(i)),
+                &mut r,
+            );
+        }
+        let mut scratch = SearchScratch::new();
+        b.iter(|| {
+            let mut r = CostReceipt::new();
+            store.search(black_box(&exact), &mut scratch, &mut r, &SequentialExecutor);
+            black_box(scratch.hits.len())
+        })
+    });
     g.finish();
 }
 

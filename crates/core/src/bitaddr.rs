@@ -20,7 +20,8 @@
 //! An entry is as wide as its JAS. A shard stores
 //!
 //! * a dense **slab** of fixed 24-byte entry heads — cached bucket id, tuple
-//!   key, and the two chain links;
+//!   key, the two chain links, and a four-byte value tag in what was the
+//!   head's padding;
 //! * the JAS **values** beside it in one flat `Vec<u64>`, `config.width()`
 //!   words per entry in slab order (entry `i` owns words
 //!   `i·width .. (i+1)·width`), so matching never chases back into the
@@ -32,9 +33,20 @@
 //! Every entry whose id hashes to a slot is threaded on that slot's chain,
 //! so a candidate id costs one directory load and a chain walk that filters
 //! on the cached bucket id; only entries *of that id* are compared and
-//! charged. A chain appends at its tail, which the head's `prev` link names
-//! (the links are otherwise an ordinary `NIL`-terminated doubly-linked
-//! list), so FIFO expiry meets its victim at the front. The number of
+//! charged. The compare itself starts in the head the walk already loaded:
+//! byte `i` of the value tag is the low byte of JAS position `i`'s hash
+//! (positions 0–3; the head has no room for more), and the probe plan
+//! carries the request's tag bytes for its bound positions, so an entry
+//! whose tag disagrees is rejected without a load from the value stride.
+//! The model still charges it one comparison, and an entry whose values
+//! match always carries the request's tag bytes, so neither hits nor
+//! receipts depend on the tag — only the wall time does. The values that
+//! are read are compared against the request decoded once per search
+//! ([`SearchRequest::bound`]).
+//!
+//! A chain appends at its tail, which the head's `prev` link names (the
+//! links are otherwise an ordinary `NIL`-terminated doubly-linked list),
+//! so FIFO expiry meets its victim at the front. The number of
 //! distinct ids stored — which prices `bucket_probes`, `memory_bytes` and
 //! the narrow/wide choice — is kept incrementally: an insert walks its chain
 //! only until it meets its own id, a remove counts same-id entries while it
@@ -47,10 +59,13 @@
 //! in slab order.
 //!
 //! * **Wide wildcard searches** walk the head slab linearly and test each
-//!   cached bucket id against the probe plan's mask;
+//!   cached bucket id against the probe plan's mask, and each tag of an
+//!   entry that passes against the plan's tag bytes;
 //! * **migration** rebuilds in place: one contiguous pass re-derives every
 //!   entry's bucket id from the value stride, then the chains are relinked
-//!   through the existing slab — zero per-entry allocation.
+//!   through the existing slab — zero per-entry allocation. Tags depend on
+//!   the values alone, so a migration keeps them; a snapshot does not save
+//!   them, and a restore derives them with the bucket ids.
 //!
 //! Removal keeps slab and stride dense via `swap_remove` plus a fixup of the
 //! moved entry's links, so the linear-walk invariant never degrades.
@@ -75,7 +90,7 @@ use crate::cost::CostReceipt;
 use crate::layout;
 use crate::parallel::{for_each_slot, SequentialExecutor, ShardExecutor, RELINK_NS, WALK_NS};
 use crate::state::{SearchScratch, ShardSlot, StateIndex, TupleKey};
-use amri_stream::{AttrValue, AttrVec, SearchRequest};
+use amri_stream::{AttrValue, AttrVec, BoundValues, SearchRequest};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Null chain link, and the empty directory slot.
@@ -87,9 +102,9 @@ const NIL: u32 = u32::MAX;
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The fixed-width part of one slab entry: the cached bucket id (so chain
-/// walks, wide searches and migration never re-hash), the tuple key, and
-/// the chain links. The entry's JAS values live at the same position of the
-/// shard's value stride.
+/// walks, wide searches and migration never re-hash), the tuple key, the
+/// chain links and the value tag. The entry's JAS values live at the same
+/// position of the shard's value stride.
 #[derive(Debug, Clone, Copy)]
 struct EntryHead {
     bucket: u64,
@@ -98,11 +113,15 @@ struct EntryHead {
     next: u32,
     /// Previous entry on the chain; the chain's *head* names the tail here.
     prev: u32,
+    /// Low hash byte of each of the first four JAS values
+    /// ([`IndexConfig::bucket_and_tag`]): a walk reads the value stride
+    /// only for an entry whose tag the probe plan admits.
+    tag: u32,
 }
 
 /// One deferred structural index operation, already routed to its owning
-/// shard. Inserts carry the entry in transit (bucket id pre-hashed at
-/// stage time); removes carry the chain to walk. Replayed in arrival
+/// shard. Inserts carry the entry in transit (bucket id and tag pre-hashed
+/// at stage time); removes carry the chain to walk. Replayed in arrival
 /// order per shard, so a remove staged after an insert of the same key
 /// unlinks exactly the entry the sequential path would.
 #[derive(Debug, Clone, Copy)]
@@ -110,6 +129,7 @@ enum StagedOp {
     Insert {
         key: TupleKey,
         bucket: u64,
+        tag: u32,
         jas: AttrVec,
     },
     Remove {
@@ -365,7 +385,7 @@ impl Shard {
     }
 
     /// Store a new entry and link it into its bucket's chain.
-    fn insert(&mut self, key: TupleKey, bucket: u64, jas: &[AttrValue]) {
+    fn insert(&mut self, key: TupleKey, bucket: u64, tag: u32, jas: &[AttrValue]) {
         // The stride is only addressable if every entry is `width` wide.
         assert_eq!(jas.len(), self.width, "JAS width differs from the index's");
         self.fit_directory(self.heads.len() + 1);
@@ -378,6 +398,7 @@ impl Shard {
             key,
             next: NIL,
             prev: NIL,
+            tag,
         });
         self.vals.extend_from_slice(jas);
         self.link(idx);
@@ -458,7 +479,12 @@ impl Shard {
     /// The one link/unlink entry: perform a routed maintenance operation.
     fn apply(&mut self, op: &StagedOp) {
         match op {
-            StagedOp::Insert { key, bucket, jas } => self.insert(*key, *bucket, jas.as_slice()),
+            StagedOp::Insert {
+                key,
+                bucket,
+                tag,
+                jas,
+            } => self.insert(*key, *bucket, *tag, jas.as_slice()),
             StagedOp::Remove { bucket, key } => self.remove_by_key(*bucket, *key),
         }
     }
@@ -472,23 +498,25 @@ impl Shard {
         }
     }
 
-    /// Probe this shard under `plan`, appending matches to `hits` in walk
-    /// order and charging `receipt` one comparison per entry whose
-    /// bucket is a candidate. The narrow (enumerate candidate ids) vs wide
-    /// (linear slab walk) decision is made per shard against this shard's
-    /// occupied-bucket count — it picks the cheaper walk without changing
-    /// the hit *set* or the comparisons; the caller sorts the merged hits
-    /// into canonical key order, so the walk-order difference never
-    /// escapes. `bucket_probes` are deliberately *not* charged
-    /// here: the per-shard `min(candidates, occupied)` would sum to less
-    /// than the unsharded charge (min is not additive), making the receipt
+    /// Probe this shard under `plan`, appending the entries that match
+    /// `bound` to `hits` in walk order and charging `receipt` one
+    /// comparison per entry whose bucket is a candidate — whether the walk
+    /// compared its values or its tag already ruled it out (the model
+    /// charges the comparison, not the load). The narrow (enumerate
+    /// candidate ids) vs wide (linear slab walk) decision is made per shard
+    /// against this shard's occupied-bucket count — it picks the cheaper
+    /// walk without changing the hit *set* or the comparisons; the caller
+    /// sorts the merged hits into canonical key order, so the walk-order
+    /// difference never escapes. `bucket_probes` are deliberately *not*
+    /// charged here: the per-shard `min(candidates, occupied)` would sum to
+    /// less than the unsharded charge (min is not additive), making the receipt
     /// depend on the shard count. The caller charges the canonical
     /// `min(candidate_buckets, occupied_buckets)` against global totals
     /// instead, so receipts are shard-count invariant.
     fn probe(
         &self,
         plan: &ProbePlan,
-        req: &SearchRequest,
+        bound: &BoundValues<'_>,
         hits: &mut Vec<TupleKey>,
         receipt: &mut CostReceipt,
     ) {
@@ -504,7 +532,7 @@ impl Shard {
                     let e = &self.heads[i as usize];
                     if e.bucket == id {
                         receipt.comparisons += 1;
-                        if req.matches(self.jas(i as usize)) {
+                        if plan.admits_tag(e.tag) && bound.matches(self.jas(i as usize)) {
                             hits.push(e.key);
                         }
                     }
@@ -519,7 +547,7 @@ impl Shard {
             for (i, e) in self.heads.iter().enumerate() {
                 if plan.matches(e.bucket) {
                     receipt.comparisons += 1;
-                    if req.matches(self.jas(i)) {
+                    if plan.admits_tag(e.tag) && bound.matches(self.jas(i)) {
                         hits.push(e.key);
                     }
                 }
@@ -605,6 +633,7 @@ impl BitAddressIndex {
                     StagedOp::Insert {
                         key: e.key,
                         bucket: e.bucket,
+                        tag: e.tag,
                         jas,
                     },
                 );
@@ -617,9 +646,13 @@ impl BitAddressIndex {
         self.apply_stage(&mut stage, exec);
     }
 
-    /// The shard a bucket id routes to.
+    /// The shard a bucket id routes to — shard 0 of one without summing the
+    /// configuration's bits.
     #[inline]
     fn shard_of(&self, bucket: u64) -> usize {
+        if self.shard_bits == 0 {
+            return 0;
+        }
         shard_index(bucket, self.shard_bits, self.config.total_bits())
     }
 
@@ -654,8 +687,8 @@ impl BitAddressIndex {
     /// * every chain is cycle-free, its `next`/`prev` links mirror, and its
     ///   head's `prev` names its tail;
     /// * every entry is chained under the slot its cached `bucket` hashes
-    ///   to, and that id equals re-deriving it from the entry's JAS under
-    ///   the active config;
+    ///   to, and that id and its tag equal re-deriving them from the
+    ///   entry's JAS under the active config;
     /// * the chains partition the slab: each entry is reachable exactly
     ///   once (the slab is dense by construction — it's a `Vec`);
     /// * the maintained distinct-id count equals a recount;
@@ -708,8 +741,8 @@ impl BitAddressIndex {
                             e.bucket
                         ));
                     }
-                    if self.config.bucket_of(shard.jas(i as usize)) != e.bucket {
-                        return Err(format!("entry {s}/{i} bucket stale vs config"));
+                    if self.config.bucket_and_tag(shard.jas(i as usize)) != (e.bucket, e.tag) {
+                        return Err(format!("entry {s}/{i} bucket or tag stale vs config"));
                     }
                     if self.shard_of(e.bucket) != s {
                         return Err(format!(
@@ -900,18 +933,14 @@ impl BitAddressIndex {
         exec: &dyn ShardExecutor,
     ) {
         scratch.hits.clear();
-        // Hash the specified-and-indexed attributes once (C_hash,Sr) —
-        // planning happens once, not per shard.
-        let hashed = req
-            .pattern
-            .positions()
-            .filter(|&i| self.config.bits_of(i) > 0)
-            .count() as u64;
-        receipt.hash_ops += hashed;
+        // Hash the specified-and-indexed attributes once (C_hash,Sr) and
+        // decode the request once — per search, not per shard or entry.
         let plan = self.config.probe_plan(req.pattern, req.values.as_slice());
+        receipt.hash_ops += u64::from(plan.hashes);
+        let bound = req.bound();
         let s_count = self.shards.len();
         if s_count == 1 {
-            self.shards[0].probe(&plan, req, &mut scratch.hits, receipt);
+            self.shards[0].probe(&plan, &bound, &mut scratch.hits, receipt);
         } else {
             let total_bits = self.config.total_bits();
             let mut slots = scratch.take_shard_slots();
@@ -921,7 +950,7 @@ impl BitAddressIndex {
                 slot.hits.clear();
                 slot.receipt = CostReceipt::new();
                 if let Some(slice) = plan.shard_slice(s as u64, self.shard_bits, total_bits) {
-                    self.shards[s].probe(&slice, req, &mut slot.hits, &mut slot.receipt);
+                    self.shards[s].probe(&slice, &bound, &mut slot.hits, &mut slot.receipt);
                 }
             });
             for slot in &slots[..s_count] {
@@ -936,18 +965,31 @@ impl BitAddressIndex {
 
     /// Charge one maintenance operation — `indexed_attrs` hashes plus one
     /// bucket probe, data-independent, so charging at stage time is exact
-    /// — and route it: returns the owning shard and the bucket id.
-    fn route(&self, jas: &AttrVec, receipt: &mut CostReceipt) -> (usize, u64) {
-        receipt.hash_ops += self.config.indexed_attrs() as u64;
-        receipt.bucket_probes += 1;
+    /// — and route an insert: returns the owning shard, the bucket id and
+    /// the value tag, hashed together.
+    fn route(&self, jas: &AttrVec, receipt: &mut CostReceipt) -> (usize, u64, u32) {
+        self.charge(receipt);
+        let (bucket, tag) = self.config.bucket_and_tag(jas);
+        (self.shard_of(bucket), bucket, tag)
+    }
+
+    /// [`route`](Self::route) for a remove, which finds its entry by bucket
+    /// id and key and so hashes no tag.
+    fn route_remove(&self, jas: &AttrVec, receipt: &mut CostReceipt) -> (usize, u64) {
+        self.charge(receipt);
         let bucket = self.config.bucket_of(jas);
         (self.shard_of(bucket), bucket)
     }
 
+    fn charge(&self, receipt: &mut CostReceipt) {
+        receipt.hash_ops += self.config.indexed_attrs() as u64;
+        receipt.bucket_probes += 1;
+    }
+
     /// Serialize what the index *stores*: the (possibly tuned) active
     /// configuration and each shard's entries — key and JAS values — in
-    /// slab order. Bucket ids, chain links, the directory and the
-    /// distinct-id count are all derived from those on restore; chain
+    /// slab order. Bucket ids, value tags, chain links, the directory and
+    /// the distinct-id count are all derived from those on restore; chain
     /// order is unobservable (see the module docs), and keeping slab
     /// order makes restore → save reproduce the image byte for byte.
     pub fn save(&self, w: &mut crate::snapshot_io::SectionWriter) {
@@ -1015,14 +1057,14 @@ impl BitAddressIndex {
                         jas.len()
                     ));
                 }
-                let bucket = idx.config.bucket_of(&jas);
+                let (bucket, tag) = idx.config.bucket_and_tag(&jas);
                 if idx.shard_of(bucket) != s {
                     return malformed(format!(
                         "entry {} stored in shard {s}, bucket {bucket:#x} routes elsewhere",
                         key.0
                     ));
                 }
-                idx.shards[s].insert(key, bucket, &jas);
+                idx.shards[s].insert(key, bucket, tag, &jas);
                 keys.push(key);
             }
         }
@@ -1036,12 +1078,12 @@ impl BitAddressIndex {
 
 impl StateIndex for BitAddressIndex {
     fn insert(&mut self, key: TupleKey, jas: &AttrVec, receipt: &mut CostReceipt) {
-        let (s, bucket) = self.route(jas, receipt);
-        self.shards[s].insert(key, bucket, jas);
+        let (s, bucket, tag) = self.route(jas, receipt);
+        self.shards[s].insert(key, bucket, tag, jas);
     }
 
     fn remove(&mut self, key: TupleKey, jas: &AttrVec, receipt: &mut CostReceipt) {
-        let (s, bucket) = self.route(jas, receipt);
+        let (s, bucket) = self.route_remove(jas, receipt);
         self.shards[s].remove_by_key(bucket, key);
     }
 
@@ -1052,10 +1094,11 @@ impl StateIndex for BitAddressIndex {
         receipt: &mut CostReceipt,
         stage: &mut IngestStage,
     ) {
-        let (s, bucket) = self.route(jas, receipt);
+        let (s, bucket, tag) = self.route(jas, receipt);
         let op = StagedOp::Insert {
             key,
             bucket,
+            tag,
             jas: *jas,
         };
         stage.push(self.shards.len(), s, op);
@@ -1068,7 +1111,7 @@ impl StateIndex for BitAddressIndex {
         receipt: &mut CostReceipt,
         stage: &mut IngestStage,
     ) {
-        let (s, bucket) = self.route(jas, receipt);
+        let (s, bucket) = self.route_remove(jas, receipt);
         stage.push(self.shards.len(), s, StagedOp::Remove { bucket, key });
     }
 
@@ -1710,6 +1753,126 @@ mod tests {
                 prop_assert_eq!(search(&idx, &request, &mut got), Some(want_hits));
                 prop_assert_eq!(got, want);
             }
+        }
+    }
+
+    /// The value tag lives in what was the head's padding: 20 bytes of
+    /// fields (id, key, two links) plus the four-byte tag fill the 24.
+    #[test]
+    fn the_tag_lives_in_the_heads_padding() {
+        assert_eq!(std::mem::size_of::<EntryHead>(), 24);
+    }
+
+    /// `v` and a distinct value whose hash shares `v`'s low byte — its tag
+    /// byte at every position.
+    fn tag_twin(v: u64) -> u64 {
+        let byte = |x: u64| amri_stream::fx_hash_u64(x) & 0xFF;
+        (v + 1..).find(|&x| byte(x) == byte(v)).unwrap()
+    }
+
+    /// A hand-found pair of distinct values with equal tag bytes: a probe
+    /// bound to one meets the other in the same bucket (the position owns
+    /// no id bits), its tag agrees, and only the value compare turns it
+    /// away — charged one comparison like any other entry of the bucket.
+    #[test]
+    fn a_tag_collision_is_caught_by_the_value_compare() {
+        let byte = |x: u64| amri_stream::fx_hash_u64(x) & 0xFF;
+        let (a, b) = (2u64, 22u64);
+        assert_eq!(byte(a), byte(b), "the pair must collide in its tag byte");
+        assert_eq!(tag_twin(a), b);
+        for shards in [1usize, 2, 4] {
+            let mut idx =
+                BitAddressIndex::with_shards(IndexConfig::new(vec![2, 0, 2]).unwrap(), shards);
+            let mut r = CostReceipt::new();
+            idx.insert(TupleKey(1), &jas(&[7, a, 9]), &mut r);
+            idx.insert(TupleKey(2), &jas(&[7, b, 9]), &mut r);
+            for mask in [0b010, 0b011, 0b111] {
+                let request = req(mask, 3, &[7, a, 9]);
+                let mut r = CostReceipt::new();
+                assert_eq!(search(&idx, &request, &mut r), Some(vec![TupleKey(1)]));
+                assert_eq!(r.comparisons, 2, "{shards} shards, mask {mask:#b}");
+            }
+        }
+    }
+
+    proptest! {
+        /// Tags change neither hits nor receipts, even where they collide.
+        /// Widths 1–6, so positions 4 and 5 go untagged; values from a
+        /// domain of 1 024, where 80 rows share tag bytes by the pigeonhole,
+        /// plus twins that differ from a stored row in one value of the
+        /// same tag byte. Every pattern probes with a stored row's values —
+        /// the full pattern walks a chain, a wildcard over many bits the
+        /// slab — at 1, 2 and 4 shards, against a brute-force filter.
+        #[test]
+        fn colliding_tags_change_no_hit_and_no_receipt(
+            width in 1usize..=6,
+            bits in proptest::collection::vec(0u8..4, 6),
+            rows in proptest::collection::vec(proptest::collection::vec(0u64..1024, 6), 1..80),
+            twins in proptest::collection::vec((0usize..80, 0usize..6), 0..20),
+            probe_row in 0usize..80,
+            shard_bits in 0u32..3,
+        ) {
+            let config = IndexConfig::new(bits[..width].to_vec()).unwrap();
+            let mut idx = BitAddressIndex::with_shards(config.clone(), 1 << shard_bits);
+            let mut rows: Vec<Vec<u64>> = rows.into_iter().map(|row| row[..width].to_vec()).collect();
+            for (row, pos) in twins {
+                let mut twin = rows[row % rows.len()].clone();
+                twin[pos % width] = tag_twin(twin[pos % width]);
+                rows.push(twin);
+            }
+            let mut model = std::collections::BTreeMap::new();
+            let mut r = CostReceipt::new();
+            for (i, row) in rows.iter().enumerate() {
+                idx.insert(TupleKey(i as u32), &jas(row), &mut r);
+                model.insert(TupleKey(i as u32), row.clone());
+            }
+            let probe = &rows[probe_row % rows.len()];
+            for pattern in AccessPattern::all(width) {
+                let request = SearchRequest::new(pattern, jas(probe));
+                let (want_hits, want) = expected_probe(&config, &model, &request);
+                let mut got = CostReceipt::new();
+                prop_assert_eq!(search(&idx, &request, &mut got), Some(want_hits));
+                prop_assert_eq!(got, want, "{}", pattern);
+            }
+        }
+
+        /// Tags are derived state: save → restore reproduces every probe's
+        /// hits and receipt, and restore → save reproduces the image.
+        #[test]
+        fn a_restored_index_answers_every_probe_as_the_saved_one(
+            width in 1usize..=6,
+            bits in proptest::collection::vec(0u8..4, 6),
+            rows in proptest::collection::vec(proptest::collection::vec(0u64..8, 6), 1..60),
+            probes in proptest::collection::vec(0usize..60, 1..4),
+            shard_bits in 0u32..3,
+        ) {
+            use crate::snapshot_io::{SectionReader, SectionWriter};
+            let config = IndexConfig::new(bits[..width].to_vec()).unwrap();
+            let mut idx = BitAddressIndex::with_shards(config, 1 << shard_bits);
+            let mut r = CostReceipt::new();
+            for (i, row) in rows.iter().enumerate() {
+                idx.insert(TupleKey(i as u32), &jas(&row[..width]), &mut r);
+            }
+            let mut w = SectionWriter::new();
+            idx.save(&mut w);
+            let image = w.into_bytes();
+            let restored = BitAddressIndex::restore(&mut SectionReader::new(&image)).unwrap();
+            restored.check_integrity().unwrap();
+            for p in probes {
+                let probe = &rows[p % rows.len()][..width];
+                for pattern in AccessPattern::all(width) {
+                    let request = SearchRequest::new(pattern, jas(probe));
+                    let (mut before, mut after) = (CostReceipt::new(), CostReceipt::new());
+                    prop_assert_eq!(
+                        search(&idx, &request, &mut before),
+                        search(&restored, &request, &mut after)
+                    );
+                    prop_assert_eq!(before, after, "{}", pattern);
+                }
+            }
+            let mut again = SectionWriter::new();
+            restored.save(&mut again);
+            prop_assert_eq!(again.into_bytes(), image);
         }
     }
 

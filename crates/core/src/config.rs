@@ -14,6 +14,13 @@
 //! (mask, fixed-bits) pair so the index can choose between enumerating the
 //! `2^w` candidate ids and filtering the occupied buckets, whichever is
 //! cheaper.
+//!
+//! The same per-value hashes give every entry a **value tag**: byte `i` of
+//! a `u32` is the low byte of JAS position `i`'s hash, for positions 0–3
+//! (a fifth would not fit the head's free bytes, so later positions are
+//! untagged). A plan carries the tag bytes its bound values fix, and a
+//! walk compares an entry's values only when its tag agrees — see
+//! [`ProbePlan`].
 
 use crate::error::CoreError;
 use amri_stream::{fx_hash_u64, AccessPattern, AttrValue};
@@ -124,16 +131,6 @@ impl IndexConfig {
         Self::new(bits)
     }
 
-    /// The `b`-bit slice of attribute value `v` (top bits of its hash).
-    #[inline]
-    fn slice(v: AttrValue, b: u32) -> u64 {
-        if b == 0 {
-            0
-        } else {
-            fx_hash_u64(v) >> (64 - b)
-        }
-    }
-
     /// The bucket id a JAS-aligned value vector maps to.
     ///
     /// # Panics
@@ -144,40 +141,90 @@ impl IndexConfig {
         for (i, &b) in self.bits.iter().enumerate() {
             let b = b as u32;
             if b > 0 {
-                id = (id << b) | Self::slice(jas_values[i], b);
+                id = (id << b) | (fx_hash_u64(jas_values[i]) >> (64 - b));
             }
         }
         id
     }
 
+    /// The bucket id and the value tag of a JAS-aligned value vector, from
+    /// one hash per value: each indexed position's hash gives its bucket-id
+    /// slice, and each tagged position's the same hash's low byte. What an
+    /// insert stores; [`bucket_of`](Self::bucket_of) is the id alone.
+    ///
+    /// # Panics
+    /// Debug-panics if the value count differs from the width.
+    pub fn bucket_and_tag(&self, jas_values: &[AttrValue]) -> (u64, u32) {
+        debug_assert_eq!(jas_values.len(), self.width());
+        let (tagged, untagged) = self.bits.split_at(self.bits.len().min(TAG_BYTES));
+        let mut id = 0u64;
+        let mut tag = 0u32;
+        for (i, (&b, &v)) in tagged.iter().zip(jas_values).enumerate() {
+            let h = fx_hash_u64(v);
+            tag |= tag_byte(i, h);
+            if b > 0 {
+                id = (id << b) | (h >> (64 - b));
+            }
+        }
+        for (&b, &v) in untagged.iter().zip(&jas_values[tagged.len()..]) {
+            if b > 0 {
+                id = (id << b) | (fx_hash_u64(v) >> (64 - b));
+            }
+        }
+        (id, tag)
+    }
+
     /// Plan a search for `ap`: which bucket-id bits the specified attributes
-    /// fix, and the fixed bit values for `values`.
+    /// fix and their values, and which tag bytes they fix and theirs — one
+    /// hash per bound value, counted in [`ProbePlan::hashes`].
     pub fn probe_plan(&self, ap: AccessPattern, jas_values: &[AttrValue]) -> ProbePlan {
         debug_assert_eq!(ap.n_attrs(), self.width());
         debug_assert_eq!(jas_values.len(), self.width());
-        let mut mask = 0u64;
-        let mut fixed = 0u64;
-        let mut wildcard_bits = 0u32;
+        let mut plan = ProbePlan {
+            mask: 0,
+            fixed: 0,
+            wildcard_bits: 0,
+            tag: 0,
+            tag_mask: 0,
+            hashes: 0,
+        };
         for (i, &b) in self.bits.iter().enumerate() {
             let b = b as u32;
-            if b == 0 {
+            if b > 0 {
+                plan.mask <<= b;
+                plan.fixed <<= b;
+            }
+            if !ap.uses(i) {
+                plan.wildcard_bits += b;
                 continue;
             }
-            mask <<= b;
-            fixed <<= b;
-            if ap.uses(i) {
-                mask |= (1u64 << b) - 1;
-                fixed |= Self::slice(jas_values[i], b);
-            } else {
-                wildcard_bits += b;
+            if b == 0 && i >= TAG_BYTES {
+                continue;
+            }
+            let h = fx_hash_u64(jas_values[i]);
+            if b > 0 {
+                plan.mask |= (1u64 << b) - 1;
+                plan.fixed |= h >> (64 - b);
+                plan.hashes += 1;
+            }
+            if i < TAG_BYTES {
+                plan.tag |= tag_byte(i, h);
+                plan.tag_mask |= tag_byte(i, u64::MAX);
             }
         }
-        ProbePlan {
-            mask,
-            fixed,
-            wildcard_bits,
-        }
+        plan
     }
+}
+
+/// JAS positions that carry a byte of the value tag: one per byte of the
+/// `u32` an entry head has room for. Later positions are untagged.
+const TAG_BYTES: usize = std::mem::size_of::<u32>();
+
+/// Byte `i` of a value tag: the low byte of position `i`'s value hash `h`,
+/// whose top bits are that position's bucket-id slice.
+#[inline]
+fn tag_byte(i: usize, h: u64) -> u32 {
+    ((h & 0xFF) as u32) << (8 * i)
 }
 
 impl fmt::Debug for IndexConfig {
@@ -199,7 +246,15 @@ impl fmt::Display for IndexConfig {
     }
 }
 
-/// The bucket-id constraint a search imposes.
+/// The constraint a search imposes on a stored entry's head: which bucket
+/// ids it must visit, and which value-tag bytes a matching entry carries.
+///
+/// The id constraint decides what a search visits and is charged for; the
+/// tag constraint only lets a walk skip the value compare of a visited
+/// entry that cannot match. A tag byte is the low byte of the same hash
+/// whose top bits are the bucket-id slice, so an entry whose bound values
+/// equal the request's carries the request's tag bytes: the tag never
+/// turns a match away, and an equal tag still goes on to the full compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbePlan {
     /// Bits of the bucket id fixed by the search's specified attributes.
@@ -209,6 +264,14 @@ pub struct ProbePlan {
     /// Total bits left free by wildcards: the search must cover
     /// `2^wildcard_bits` bucket ids.
     pub wildcard_bits: u32,
+    /// Tag bytes of the bound values at tagged positions (zero elsewhere).
+    pub tag: u32,
+    /// The tag bytes a matching entry must carry: `0xFF` per bound tagged
+    /// position.
+    pub tag_mask: u32,
+    /// Bound values hashed into the fixed bits — the search's `C_hash`
+    /// charge.
+    pub hashes: u32,
 }
 
 impl ProbePlan {
@@ -216,6 +279,13 @@ impl ProbePlan {
     #[inline]
     pub fn matches(&self, id: u64) -> bool {
         id & self.mask == self.fixed
+    }
+
+    /// False iff an entry tagged `tag` cannot match the search: it differs
+    /// from the request in a bound value's tag byte.
+    #[inline]
+    pub fn admits_tag(&self, tag: u32) -> bool {
+        (tag ^ self.tag) & self.tag_mask == 0
     }
 
     /// Number of candidate bucket ids (`2^w`), saturating.
@@ -258,37 +328,28 @@ impl ProbePlan {
             mask: self.mask | top_mask,
             fixed: (self.fixed & !top_mask) | shard_fixed,
             wildcard_bits: self.wildcard_bits - free_top.count_ones(),
+            ..*self
         })
     }
 
     /// Enumerate all candidate bucket ids.
     ///
-    /// Only call when [`candidate_buckets`](Self::candidate_buckets) is
-    /// small; the index falls back to filtering occupied buckets otherwise.
-    pub fn enumerate(&self) -> impl Iterator<Item = u64> + '_ {
-        // Iterate the submasks of !mask restricted to the used bit range by
-        // the standard (s - 1) & m trick, OR-ing each onto the fixed bits.
-        let free = !self.mask;
-        let mut cur = Some(0u64);
-        let fixed = self.fixed;
-        let mask = self.mask;
-        let wildcard = self.wildcard_bits;
-        // Free bits outside the total-bits range must not be enumerated:
-        // restrict to bits below the highest mask/fixed bit... we instead
-        // track the count and stop after 2^w ids.
-        let total = 1u64.checked_shl(wildcard).unwrap_or(u64::MAX);
-        let mut produced = 0u64;
-        std::iter::from_fn(move || {
-            if produced >= total {
-                return None;
-            }
-            let c = cur?;
-            produced += 1;
-            // Next submask of `free` (ascending enumeration).
-            let next = (c.wrapping_sub(free)) & free;
-            cur = if next == 0 { None } else { Some(next) };
-            let _ = mask;
-            Some(fixed | c)
+    /// The plain ascending submask walk over the plan's free bits
+    /// (`c ← (c − free) & free`), each submask OR-ed onto the fixed bits.
+    /// `free` also holds the bits above the id range, but an ascending walk
+    /// sets a higher bit only after every combination of the lower ones,
+    /// so the first [`candidate_buckets`](Self::candidate_buckets) steps
+    /// are exactly the ids in range.
+    ///
+    /// Only call when `candidate_buckets` is small; the index falls back to
+    /// filtering occupied buckets otherwise.
+    pub fn enumerate(&self) -> impl Iterator<Item = u64> {
+        let (free, fixed) = (!self.mask, self.fixed);
+        let mut c = 0u64;
+        (0..self.candidate_buckets()).map(move |_| {
+            let id = fixed | c;
+            c = c.wrapping_sub(free) & free;
+            id
         })
     }
 }

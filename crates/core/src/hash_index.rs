@@ -17,7 +17,7 @@ use crate::cost::CostReceipt;
 use crate::layout;
 use crate::parallel::ShardExecutor;
 use crate::state::{SearchScratch, StateIndex, TupleKey};
-use amri_stream::{fx_hash_u64, AccessPattern, AttrVec, FxHashMap, SearchRequest};
+use amri_stream::{fx_hash_u64, AccessPattern, AttrVec, FxHashMap, SearchRequest, MAX_JAS};
 
 /// One hash sub-index over a fixed attribute combination.
 #[derive(Debug, Clone)]
@@ -158,34 +158,75 @@ impl MultiHashIndex {
     }
 
     /// Rebuild a module from a [`save`](Self::save)d section.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Malformed`](crate::snapshot_io::SnapshotError)
+    /// naming the field when the image is not one `save` wrote: a width
+    /// above `MAX_JAS`, a count the remaining bytes cannot hold, an empty
+    /// pattern or one with a bit outside the width, an empty bucket, an
+    /// entry JAS of the wrong width, or a sub-index that does not hold
+    /// exactly the module's tuple count.
     pub fn restore(
         r: &mut crate::snapshot_io::SectionReader<'_>,
     ) -> Result<Self, crate::snapshot_io::SnapshotError> {
         use crate::snapshot_io::SnapshotError;
+        let malformed = |what: String| Err(SnapshotError::Malformed(what));
         crate::snapshot_io::expect_tag(r, "MULTIHASH")?;
         let jas_width = r.get_usize()?;
-        let n_tuples = r.get_usize()?;
-        let n_subs = r.get_usize()?;
-        if n_subs == 0 {
-            return Err(SnapshotError::Malformed(
-                "multi-hash module with no sub-indices".into(),
-            ));
+        if jas_width > MAX_JAS {
+            return malformed(format!("multi-hash JAS width {jas_width}"));
         }
+        let n_tuples = r.get_usize()?;
+        // Every count is checked against the bytes left before it sizes a
+        // vector or bounds a loop: a mask and a bucket count per
+        // sub-index, a hash key and an entry count per bucket, a key, a
+        // length byte and `jas_width` values per entry.
+        let n_subs = r.get_usize()?;
+        if n_subs == 0 || n_subs > r.remaining() / (4 + 8) {
+            return malformed(format!("multi-hash sub-index count {n_subs}"));
+        }
+        let entry_bytes = 4 + 1 + 8 * jas_width;
         let mut subs = Vec::with_capacity(n_subs);
-        for _ in 0..n_subs {
-            let pattern = AccessPattern::new(r.get_u32()?, jas_width);
+        for s in 0..n_subs {
+            let mask = r.get_u32()?;
+            if mask == 0 || mask >> jas_width != 0 {
+                return malformed(format!(
+                    "sub-index {s} pattern {mask:#b} over width {jas_width}"
+                ));
+            }
+            let pattern = AccessPattern::new(mask, jas_width);
             let n_buckets = r.get_usize()?;
+            if n_buckets > r.remaining() / (8 + 8) {
+                return malformed(format!("sub-index {s} bucket count {n_buckets}"));
+            }
             let mut map = FxHashMap::default();
+            let mut held = 0usize;
             for _ in 0..n_buckets {
                 let k = r.get_u64()?;
                 let n_entries = r.get_usize()?;
+                if n_entries == 0 || n_entries > r.remaining() / entry_bytes {
+                    return malformed(format!("sub-index {s} bucket entry count {n_entries}"));
+                }
                 let mut entries = Vec::with_capacity(n_entries);
                 for _ in 0..n_entries {
                     let key = TupleKey(r.get_u32()?);
                     let jas = r.get_attrs()?;
+                    if jas.len() != jas_width {
+                        return malformed(format!(
+                            "sub-index {s} entry {} JAS of width {}, module of width {jas_width}",
+                            key.0,
+                            jas.len()
+                        ));
+                    }
                     entries.push((key, jas));
                 }
+                held += n_entries;
                 map.insert(k, entries);
+            }
+            if held != n_tuples {
+                return malformed(format!(
+                    "sub-index {s} holds {held} entries, module of {n_tuples} tuples"
+                ));
             }
             subs.push(SubIndex { pattern, map });
         }
@@ -242,9 +283,10 @@ impl StateIndex for MultiHashIndex {
         receipt.bucket_probes += 1;
         let k = sub.key_of(&req.values);
         if let Some(entries) = sub.map.get(&k) {
+            let bound = req.bound();
             for (key, jas) in entries {
                 receipt.comparisons += 1;
-                if req.matches(jas.as_slice()) {
+                if bound.matches(jas.as_slice()) {
                     scratch.hits.push(*key);
                 }
             }
@@ -420,6 +462,116 @@ mod tests {
             panic!()
         };
         assert_eq!(got.len(), tuples.iter().filter(|(_, v)| v[1] == 1).count());
+    }
+
+    /// One bucket of a hand-built image: its hash key and `(key, jas)`
+    /// entries.
+    type ImageBucket<'a> = (u64, &'a [(u32, &'a [u64])]);
+
+    /// A `MULTIHASH` image: width, tuple count, then per sub-index its
+    /// mask and buckets — hand-built so it can lie.
+    fn image(width: usize, n_tuples: usize, subs: &[(u32, &[ImageBucket<'_>])]) -> Vec<u8> {
+        let mut w = crate::snapshot_io::SectionWriter::new();
+        w.put_str("MULTIHASH");
+        w.put_usize(width);
+        w.put_usize(n_tuples);
+        w.put_usize(subs.len());
+        for (mask, buckets) in subs {
+            w.put_u32(*mask);
+            w.put_usize(buckets.len());
+            for (k, entries) in *buckets {
+                w.put_u64(*k);
+                w.put_usize(entries.len());
+                for (key, vals) in *entries {
+                    w.put_u32(*key);
+                    w.put_attrs(vals);
+                }
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// Every way an image can lie about itself ends in `Malformed` naming
+    /// the field — never an `AccessPattern` assertion, a capacity-overflow
+    /// panic or an allocator abort — and a good image still restores
+    /// afterwards.
+    #[test]
+    fn restore_refuses_an_image_that_lies() {
+        use crate::snapshot_io::{SectionReader, SnapshotError};
+        let restore = |image: &[u8]| MultiHashIndex::restore(&mut SectionReader::new(image));
+        let refused = |image: &[u8], field: &str| match restore(image) {
+            Err(SnapshotError::Malformed(why)) => {
+                assert!(why.contains(field), "{why:?} does not name {field:?}")
+            }
+            other => panic!("expected Malformed({field}), got {other:?}"),
+        };
+        let mut saved = MultiHashIndex::new(vec![ap(0b001), ap(0b011)]);
+        let mut r = CostReceipt::new();
+        saved.insert(TupleKey(1), &jas(&[1, 2, 3]), &mut r);
+        saved.insert(TupleKey(2), &jas(&[1, 5, 6]), &mut r);
+        let mut w = crate::snapshot_io::SectionWriter::new();
+        saved.save(&mut w);
+        let good = w.into_bytes();
+
+        // A width no access pattern can range over.
+        refused(&image(9, 0, &[(0b1, &[])]), "JAS width 9");
+        // No sub-index, or more than the remaining bytes can list.
+        refused(&image(3, 0, &[]), "sub-index count 0");
+        let mut lying = image(3, 0, &[]);
+        let count_at = lying.len() - 8;
+        lying[count_at..].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        refused(&lying, "sub-index count");
+        // An empty pattern, and a mask bit outside the width.
+        refused(&image(3, 0, &[(0, &[])]), "pattern 0b0 over width 3");
+        refused(
+            &image(3, 0, &[(0b1000, &[])]),
+            "pattern 0b1000 over width 3",
+        );
+        // A bucket count, and an entry count, the bytes left cannot hold.
+        let mut lying = image(3, 0, &[(0b001, &[])]);
+        let count_at = lying.len() - 8;
+        lying[count_at..].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        refused(&lying, "bucket count");
+        let mut lying = image(3, 0, &[(0b001, &[(10, &[])])]);
+        let count_at = lying.len() - 8;
+        lying[count_at..].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        refused(&lying, "bucket entry count");
+        // An empty bucket, which `save` never writes.
+        refused(
+            &image(3, 0, &[(0b001, &[(10, &[])])]),
+            "bucket entry count 0",
+        );
+        // An entry JAS narrower than the module, its missing word made up
+        // by a wider one so the byte count adds up.
+        refused(
+            &image(
+                3,
+                2,
+                &[(0b001, &[(10, &[(1, &[1, 2]), (2, &[4, 5, 6, 7])])])],
+            ),
+            "entry 1 JAS of width 2",
+        );
+        // A sub-index holding fewer entries than the module's tuple count.
+        let both: &[(u32, &[u64])] = &[(1, &[1, 2, 3]), (2, &[1, 5, 6])];
+        let one: &[(u32, &[u64])] = &[(1, &[1, 2, 3])];
+        refused(
+            &image(3, 2, &[(0b001, &[(10, both)]), (0b011, &[(20, one)])]),
+            "sub-index 1 holds 1 entries, module of 2 tuples",
+        );
+        // A truncated image is the reader's own typed error.
+        assert!(restore(&good[..good.len() - 3]).is_err());
+
+        let back = restore(&good).unwrap();
+        assert_eq!(back.entries(), saved.entries());
+        assert_eq!(back.patterns(), saved.patterns());
+        for request in [req(0b001, &[1, 0, 0]), req(0b011, &[1, 5, 0])] {
+            let (mut r1, mut r2) = (CostReceipt::new(), CostReceipt::new());
+            assert_eq!(
+                search(&back, &request, &mut r1),
+                search(&saved, &request, &mut r2)
+            );
+            assert_eq!(r1, r2);
+        }
     }
 
     proptest! {

@@ -537,13 +537,14 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// The arena-scan fallback: compare every live tuple against `req`.
     fn scan_into(&self, req: &SearchRequest, hits: &mut Vec<TupleKey>, receipt: &mut CostReceipt) {
         hits.clear();
+        let bound = req.bound();
         for (key, stored) in self.arena.iter() {
             // A full scan materializes the stored tuple and then
             // compares: twice the work of an in-bucket comparison
             // over inline JAS values (§I-A's "complete scans" are
             // what drown the few-index access modules).
             receipt.comparisons += 2;
-            if req.matches(stored.jas_values()) {
+            if bound.matches(stored.jas_values()) {
                 hits.push(key);
             }
         }

@@ -437,7 +437,13 @@ impl JoinState {
             (JoinState::Amri(s), "amri") => s.restore_from(r),
             (JoinState::MultiHash { store, tuner }, "multi-hash") => {
                 store.restore_state(r)?;
-                *store.index_mut() = MultiHashIndex::restore(r)?;
+                let index = MultiHashIndex::restore(r)?;
+                indexes_the_store(
+                    "multi-hash",
+                    index.entries() / index.n_indices(),
+                    store.len(),
+                )?;
+                *store.index_mut() = index;
                 let saved_tuner = r.get_bool()?;
                 match (tuner, saved_tuner) {
                     (Some(t), true) => t.restore_from(r),
@@ -454,7 +460,9 @@ impl JoinState {
             }
             (JoinState::Scan(s), "scan") => {
                 s.restore_state(r)?;
-                *s.index_mut() = ScanIndex::restore(r)?;
+                let index = ScanIndex::restore(r)?;
+                indexes_the_store("scan", index.entries(), s.len())?;
+                *s.index_mut() = index;
                 Ok(())
             }
             (state, _) => Err(SnapshotError::Malformed(format!(
@@ -462,6 +470,23 @@ impl JoinState {
                 state.kind()
             ))),
         }
+    }
+}
+
+/// A restored index must count exactly the live tuples of the store
+/// restored just before it: one that counts more underflows at the next
+/// expiry, one that counts fewer misses tuples.
+fn indexes_the_store(
+    kind: &str,
+    indexed: usize,
+    live: usize,
+) -> Result<(), amri_core::snapshot_io::SnapshotError> {
+    if indexed == live {
+        Ok(())
+    } else {
+        Err(amri_core::snapshot_io::SnapshotError::Malformed(format!(
+            "{kind} index counts {indexed} tuples, its store holds {live}"
+        )))
     }
 }
 
@@ -776,6 +801,85 @@ mod tests {
                     .maybe_retune(VirtualTime::from_secs(100), 100.0, 100.0, 30.0, &mut r)
                     .is_none());
             }
+        }
+    }
+
+    /// A restored multi-hash or scan index must count the live tuples of
+    /// the store restored just before it. An image whose index counts
+    /// more (the next expiry would underflow) or fewer is refused with
+    /// `Malformed` naming both counts, and a good image still restores —
+    /// and expires — afterwards.
+    #[test]
+    fn restore_refuses_an_index_that_miscounts_its_store() {
+        use amri_core::snapshot_io::{SectionReader, SectionWriter, SnapshotError};
+        let w = WindowSpec::secs(30);
+        let fresh = |hash: bool| {
+            if hash {
+                JoinState::multi_hash(
+                    StreamId(0),
+                    jas3(),
+                    w,
+                    vec![AccessPattern::new(0b001, 3)],
+                    None,
+                    0,
+                )
+            } else {
+                JoinState::scan(StreamId(0), jas3(), w, 0)
+            }
+        };
+        let filled = |hash: bool, n: u64| {
+            let mut state = fresh(hash);
+            let mut r = CostReceipt::new();
+            for i in 0..n {
+                state.insert(tuple(i, i, &[i, 1, 2]), &mut r);
+            }
+            state
+        };
+        // The store of `store_of`, then the index of `index_of`.
+        let spliced = |store_of: &JoinState, index_of: &JoinState| {
+            let mut w = SectionWriter::new();
+            match (store_of, index_of) {
+                (JoinState::MultiHash { store, .. }, JoinState::MultiHash { store: other, .. }) => {
+                    w.put_str("multi-hash");
+                    store.save_state(&mut w);
+                    other.index().save(&mut w);
+                    w.put_bool(false);
+                }
+                (JoinState::Scan(store), JoinState::Scan(other)) => {
+                    w.put_str("scan");
+                    store.save_state(&mut w);
+                    other.index().save(&mut w);
+                }
+                _ => unreachable!("the test splices like flavors"),
+            }
+            w.into_bytes()
+        };
+        for hash in [true, false] {
+            let kind = if hash { "multi-hash" } else { "scan" };
+            let (two, three) = (filled(hash, 2), filled(hash, 3));
+            for (store_of, index_of, counts) in [(&two, &three, "3"), (&three, &two, "2")] {
+                let holds = store_of.len();
+                match fresh(hash)
+                    .restore_from(&mut SectionReader::new(&spliced(store_of, index_of)))
+                {
+                    Err(SnapshotError::Malformed(why)) => assert_eq!(
+                        why,
+                        format!("{kind} index counts {counts} tuples, its store holds {holds}")
+                    ),
+                    other => panic!("{kind}: expected Malformed, got {other:?}"),
+                }
+            }
+            let mut state = fresh(hash);
+            state
+                .restore_from(&mut SectionReader::new(&spliced(&two, &two)))
+                .unwrap();
+            assert_eq!(state.len(), 2);
+            let mut r = CostReceipt::new();
+            assert_eq!(
+                state.expire(VirtualTime::from_secs(100), &mut r),
+                2,
+                "{kind}"
+            );
         }
     }
 

@@ -39,7 +39,7 @@ pub mod window;
 pub use batch::{JobQueue, Pack, Packed, DEFAULT_BATCH_CAPACITY, DEFAULT_MAX_SPARE_BUFFERS};
 pub use error::StreamError;
 pub use fxhash::{fx_hash_u64, FxBuildHasher, FxHashMap, FxHashSet};
-pub use pattern::{AccessPattern, SearchRequest};
+pub use pattern::{AccessPattern, BoundValues, SearchRequest, MAX_JAS};
 pub use query::{JoinGraph, JoinOp, JoinPredicate, Selection, SpjQuery};
 pub use schema::{AttrDomain, AttrId, AttrSpec, StreamId, StreamSchema};
 pub use snapshot::{

@@ -12,6 +12,13 @@
 //! empty pattern (full scan), the *bottom* the pattern naming every join
 //! attribute. A node's *parents* (one attribute removed) provide search
 //! benefit to it.
+//!
+//! A [`SearchRequest`] pairs a pattern with the values it binds. Every
+//! index flavor compares many stored rows against one request, so a search
+//! decodes the request once ([`SearchRequest::bound`]) into a fixed list of
+//! `(position, value)` pairs on the stack and compares each row against
+//! that list, stopping at the first mismatch; [`SearchRequest::matches`]
+//! stays as the reference compare the tests filter with.
 
 use crate::error::StreamError;
 use crate::value::{AttrValue, AttrVec, MAX_ATTRS};
@@ -304,13 +311,76 @@ impl SearchRequest {
     }
 
     /// True iff a JAS-aligned tuple attribute slice satisfies this request
-    /// under equality semantics.
+    /// under equality semantics — the reference compare. It decodes the
+    /// pattern's mask on every call; a loop comparing many rows against
+    /// one request decodes it once instead, through [`bound`](Self::bound).
     #[inline]
     pub fn matches(&self, jas_values: &[AttrValue]) -> bool {
         debug_assert_eq!(jas_values.len(), self.pattern.n_attrs());
         self.pattern
             .positions()
             .all(|i| jas_values[i] == self.values[i])
+    }
+
+    /// The request's bound `(position, value)` pairs, decoded once: a
+    /// fixed list on the stack whose [`BoundValues::matches`] answers
+    /// exactly what [`matches`](Self::matches) does. Decoding is one
+    /// table load, so even a search that compares one row gains.
+    #[inline]
+    pub fn bound(&self) -> BoundValues<'_> {
+        BoundValues {
+            positions: PACKED_POSITIONS[self.pattern.mask as usize],
+            len: self.pattern.specified(),
+            values: self.values.as_slice(),
+        }
+    }
+}
+
+/// Byte `k` of entry `m` is the `k`-th set bit of the mask `m`: every
+/// pattern's bound positions, ascending, packed one per byte.
+static PACKED_POSITIONS: [u64; 1 << MAX_JAS] = {
+    let mut table = [0u64; 1 << MAX_JAS];
+    let mut mask = 0;
+    while mask < table.len() {
+        let (mut packed, mut k, mut i) = (0u64, 0, 0);
+        while i < MAX_JAS {
+            if mask & (1 << i) != 0 {
+                packed |= (i as u64) << (8 * k);
+                k += 1;
+            }
+            i += 1;
+        }
+        table[mask] = packed;
+        mask += 1;
+    }
+    table
+};
+
+/// A search request's bound `(position, value)` pairs in ascending position
+/// order ([`SearchRequest::bound`]) — what every search loop compares a
+/// stored JAS against, so no row pays for walking the pattern's mask: the
+/// positions packed one per byte, the values read from the request.
+#[derive(Debug, Clone, Copy)]
+pub struct BoundValues<'a> {
+    positions: u64,
+    len: u32,
+    values: &'a [AttrValue],
+}
+
+impl BoundValues<'_> {
+    /// True iff the JAS-aligned `jas_values` agree with every bound pair;
+    /// the compare stops at the first mismatch.
+    #[inline]
+    pub fn matches(&self, jas_values: &[AttrValue]) -> bool {
+        let mut positions = self.positions;
+        for _ in 0..self.len {
+            let i = (positions & 0xFF) as usize;
+            if jas_values[i] != self.values[i] {
+                return false;
+            }
+            positions >>= 8;
+        }
+        true
     }
 }
 
@@ -464,6 +534,29 @@ mod tests {
             let p = AccessPattern::new(mask, 8);
             for c in p.direct_children() {
                 prop_assert!(c.direct_parents().any(|q| q == p));
+            }
+        }
+
+        /// The decoded-once compare answers exactly what the reference
+        /// compare does, for every pattern at every width up to `MAX_JAS`.
+        /// Values come from a three-value domain so rows agree on some
+        /// positions and not others.
+        #[test]
+        fn bound_values_match_exactly_what_the_request_matches(
+            probe in proptest::collection::vec(0u64..3, MAX_JAS),
+            rows in proptest::collection::vec(proptest::collection::vec(0u64..3, MAX_JAS), 1..8),
+        ) {
+            for width in 0..=MAX_JAS {
+                let values = AttrVec::from_slice(&probe[..width]).unwrap();
+                for pattern in AccessPattern::all(width) {
+                    let request = SearchRequest::new(pattern, values);
+                    let bound = request.bound();
+                    for row in &rows {
+                        let row = &row[..width];
+                        prop_assert_eq!(bound.matches(row), request.matches(row),
+                            "{} over {:?} vs {:?}", pattern, request.values, row);
+                    }
+                }
             }
         }
 

@@ -75,6 +75,19 @@ if grep -nE 'backlog\.pop\(\)|pop_newest\(\)' \
     echo "a decoding pop reappeared on the probe or shedding path"; exit 1
 fi
 
+# Nor may a search loop decode its request per entry: every index flavor
+# decodes it once (`SearchRequest::bound`), and a bit-address walk checks
+# the entry's value tag before it reads the value stride (DESIGN §4). The
+# test modules' `request.matches` reference filters are not search loops.
+echo "==> one decoded request per search in bitaddr.rs, hash_index.rs, state.rs"
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /^ *\/\// { next }
+        /req(uest)?\.matches\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' \
+    crates/core/src/bitaddr.rs crates/core/src/hash_index.rs crates/core/src/state.rs; then
+    echo "a per-entry req.matches( reappeared in an index search loop"; exit 1
+fi
+
 # Sharded work borrows its slots through `parallel::for_each_slot`; that
 # file is the only one in the core crate allowed to say `unsafe`.
 echo "==> crates/core/src: unsafe only in parallel.rs"

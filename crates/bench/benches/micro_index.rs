@@ -361,12 +361,24 @@ fn spill_store_with(tag: &str, profile: StorageProfile, cache_bytes: u64) -> Sta
     store
 }
 
+/// Materialize `key` alone: the one-key batch a probe with one spilled
+/// hit hands its store.
+fn materialize_one(
+    store: &mut StateStore<ScanIndex>,
+    key: TupleKey,
+    out: &mut Vec<Option<Tuple>>,
+) -> Tuple {
+    let lost = store.materialize_batch(&[key], out, &mut CostReceipt::new(), &SequentialExecutor);
+    assert_eq!(lost, 0, "block store intact");
+    out[0].expect("spilled and live")
+}
+
 /// The spill tier's data path (the robustness tentpole): cold tuples
 /// leave RAM for the checksummed block store in 256-tuple chunks, hot
 /// blocks come home through `promote_hottest`, and a probe-hit stub is
-/// materialized from disk. Wall time here is the real `fsync`-free file
-/// I/O plus frame checksumming — the physical cost the virtual
-/// `StorageProfile` models.
+/// materialized from disk through a zero-byte cache. Wall time here is
+/// the real `fsync`-free file I/O plus frame checksumming — the physical
+/// cost the virtual `StorageProfile` models.
 fn bench_spill(c: &mut Criterion) {
     let mut g = c.benchmark_group("spill_4k");
     g.sample_size(20);
@@ -377,7 +389,9 @@ fn bench_spill(c: &mut Criterion) {
                 let mut r = CostReceipt::new();
                 let mut moved = 0usize;
                 while store.spilled_frac() < 0.5 {
-                    moved += store.spill_oldest(256, &mut r);
+                    moved += store
+                        .spill_oldest(256, &mut r)
+                        .expect("no faults are injected");
                 }
                 // min_reads 0: promote unconditionally, one block per call.
                 while store.spilled_len() > 0 {
@@ -394,19 +408,16 @@ fn bench_spill(c: &mut Criterion) {
                 let mut store = spill_store("materialize");
                 let mut r = CostReceipt::new();
                 while store.spilled_frac() < 0.5 {
-                    store.spill_oldest(256, &mut r);
+                    store
+                        .spill_oldest(256, &mut r)
+                        .expect("no faults are injected");
                 }
-                store
+                (store, Vec::new())
             },
-            |mut store| {
-                let mut r = CostReceipt::new();
+            |(mut store, mut out)| {
                 // The oldest tuple is spill-resident; a hit on it pays one
                 // verified block read.
-                let t = store
-                    .materialize(TupleKey(0), &mut r)
-                    .expect("block store intact")
-                    .expect("tuple 0 was spilled and live");
-                black_box(t.id)
+                black_box(materialize_one(&mut store, TupleKey(0), &mut out).id)
             },
             criterion::BatchSize::LargeInput,
         )
@@ -428,7 +439,9 @@ fn bench_spill_cached(c: &mut Criterion) {
         let mut store = spill_store_with(tag, profile, cache);
         let mut r = CostReceipt::new();
         while store.spilled_frac() < 0.5 {
-            store.spill_oldest(256, &mut r);
+            store
+                .spill_oldest(256, &mut r)
+                .expect("no faults are injected");
         }
         store
     };
@@ -436,40 +449,29 @@ fn bench_spill_cached(c: &mut Criterion) {
     let mut g = c.benchmark_group("spill_cached_4k");
     g.sample_size(20);
 
-    // Cold read: cache enabled but empty — a miss pays the verified
+    // Cold read: a 1 MiB cache, empty — a miss pays the verified
     // device read plus decode plus admission.
     g.bench_function("cold_read", |b| {
         b.iter_batched(
-            || half_spilled("cold", StorageProfile::default(), CACHE),
-            |mut store| {
-                let mut r = CostReceipt::new();
-                let t = store
-                    .materialize(TupleKey(0), &mut r)
-                    .expect("block store intact")
-                    .expect("tuple 0 was spilled and live");
-                black_box(t.id)
+            || {
+                (
+                    half_spilled("cold", StorageProfile::default(), CACHE),
+                    Vec::new(),
+                )
             },
+            |(mut store, mut out)| black_box(materialize_one(&mut store, TupleKey(0), &mut out).id),
             criterion::BatchSize::LargeInput,
         )
     });
 
     // Warm hit: the block is already decoded in the cache — no file I/O,
-    // no checksum, no decode; just the slot lookup and the entry scan.
+    // no checksum, no decode; the batch bookkeeping, the slot lookup and
+    // the entry scan.
     g.bench_function("warm_hit", |b| {
         let mut store = half_spilled("warm", StorageProfile::default(), CACHE);
-        let mut r = CostReceipt::new();
-        store
-            .materialize(TupleKey(0), &mut r)
-            .expect("block store intact")
-            .expect("warming read");
-        b.iter(|| {
-            let mut r = CostReceipt::new();
-            let t = store
-                .materialize(TupleKey(0), &mut r)
-                .expect("block store intact")
-                .expect("tuple 0 stays cached");
-            black_box(t.id)
-        })
+        let mut out = Vec::new();
+        materialize_one(&mut store, TupleKey(0), &mut out); // the warming read
+        b.iter(|| black_box(materialize_one(&mut store, TupleKey(0), &mut out).id))
     });
 
     // Coalesced batch: 64 stub hits in one probe batch, grouped by
@@ -493,20 +495,20 @@ fn bench_spill_cached(c: &mut Criterion) {
         )
     });
 
-    // The baseline the batch replaces: 64 independent cacheless reads,
-    // each paying its own device read.
+    // The baseline the batch replaces: 64 one-key batches through a
+    // zero-byte cache, each paying its own device read.
     g.bench_function("independent_64", |b| {
         b.iter_batched(
-            || half_spilled("indep", StorageProfile::default(), 0),
-            |mut store| {
-                let mut r = CostReceipt::new();
+            || {
+                (
+                    half_spilled("indep", StorageProfile::default(), 0),
+                    Vec::new(),
+                )
+            },
+            |(mut store, mut out)| {
                 let mut sum = 0u64;
-                for k in &keys {
-                    let t = store
-                        .materialize(*k, &mut r)
-                        .expect("block store intact")
-                        .expect("spilled and live");
-                    sum += t.id.0;
+                for &k in &keys {
+                    sum += materialize_one(&mut store, k, &mut out).id.0;
                 }
                 black_box(sum)
             },

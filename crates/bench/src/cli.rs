@@ -147,12 +147,11 @@ pub fn parse_checkpoint_every(args: &[String]) -> Option<u64> {
 pub const SPILL_CACHE_FLAG: FlagSpec = (
     "--spill-cache",
     true,
-    "spill-tier block cache budget in bytes (default 0: cache off)",
+    "spill-tier block cache budget in bytes (default 0: no spill tier)",
 );
 
 /// `--spill-cache N` (default 0): byte budget for the spill tier's
-/// decoded-block cache. `0` keeps the cache off — the byte-exact
-/// pre-cache read path, coin stream included.
+/// decoded-block cache; `0` attaches no tier.
 pub fn parse_spill_cache(args: &[String]) -> u64 {
     parse_operand(args, "--spill-cache").unwrap_or(0)
 }

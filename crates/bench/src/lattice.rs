@@ -3,9 +3,9 @@
 //! Every number this reproduction reports is relative (AMRI vs hash vs
 //! bitmap on the same arrivals), so what makes the numbers mean anything
 //! is that a run is a function of its seed and configuration alone:
-//! threads 1 ≡ 4, cache on ≡ off, spilled ≡ unconstrained, crash + resume
-//! ≡ uninterrupted, hosted ≡ solo ≡ migrated, replay ≡ replay. This
-//! module is where that is written down, once.
+//! threads 1 ≡ 4, cached ≡ zero-byte cache, spilled ≡ unconstrained,
+//! crash + resume ≡ uninterrupted, hosted ≡ solo ≡ migrated, replay ≡
+//! replay. This module is where that is written down, once.
 //!
 //! * A **cell** is a name (`<group>/<label>@t<threads>`) and what to run:
 //!   one engine run (an `IndexingMode` plus a `RunSpec` delta over
@@ -112,9 +112,9 @@ pub fn cached_tier(dir: &Path) -> SpillSettings {
 }
 
 /// A per-state cache budget that must evict: half of what one state of
-/// the cacheless twin wrote to its block file (the twin's `n_states` files
-/// hold `twin_disk_bytes` between them) — room for some of the state's
-/// spilled blocks, never for all of them.
+/// the zero-byte-cache twin wrote to its block file (the twin's
+/// `n_states` files hold `twin_disk_bytes` between them) — room for some
+/// of the state's spilled blocks, never for all of them.
 pub fn tight_cache_bytes(twin_disk_bytes: u64, n_states: u64) -> u64 {
     twin_disk_bytes / n_states.max(1) / 2
 }
@@ -144,12 +144,13 @@ enum Budget {
 #[derive(Clone)]
 enum Tier {
     Off,
-    /// The identity storage profile, no block cache.
+    /// The identity storage profile and a zero-byte block cache: each
+    /// batch reads each of its blocks once, keeps none, reads none ahead.
     Cacheless,
     /// [`cached_tier`].
     Cached,
     /// [`cached_tier`] with its budget cut to [`tight_cache_bytes`] of the
-    /// block files the named cell — its cacheless twin — wrote.
+    /// block files the named cell — its zero-byte-cache twin — wrote.
     TightCache(String),
 }
 

@@ -11,7 +11,7 @@
 //! * [`training`] — the paper's "quasi training data" bootstrap: observe a
 //!   short run, then select initial index configurations / hash patterns.
 //! * [`report`] — figure-shaped text tables and CSV emission.
-//! * [`lattice`] — the identity lattice (threads 1 ≡ 4, cache on ≡ off,
+//! * [`lattice`] — the identity lattice (threads 1 ≡ 4, cached ≡ zero-byte,
 //!   spilled ≡ unconstrained, crash + resume ≡ uninterrupted, hosted ≡
 //!   solo ≡ migrated, replay ≡ replay) as one table of cells, edges and
 //!   expectations, checked in process by the `matrix` bin.

@@ -90,7 +90,7 @@ pub fn render_summary(runs: &[RunResult]) -> String {
 /// so ns/1000 per tick). The trailing spill columns come from each run's
 /// [`SpillStats`](amri_core::SpillStats) rollup: demand block reads, the
 /// block-cache hit fraction, and readahead-loaded blocks (all zeros for
-/// tierless or cacheless runs). `maint` aligns with `runs`; missing
+/// tierless runs). `maint` aligns with `runs`; missing
 /// entries render as zeros, so lineups that never collected stats still
 /// tabulate.
 pub fn render_maintenance_table(runs: &[RunResult], maint: &[MaintenanceStats]) -> String {

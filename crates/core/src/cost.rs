@@ -95,7 +95,7 @@ pub struct StorageProfile {
     /// Virtual nanoseconds a demand read costs when the block is resident
     /// in the decoded block cache (a RAM lookup, orders of magnitude below
     /// `read_ns`). Zero in the identity profile, so cache hits charge
-    /// nothing and cached runs stay byte-identical to cacheless ones.
+    /// nothing and runs at every cache budget stay byte-identical.
     #[serde(default)]
     pub cache_hit_ns: u64,
     /// Blocks of expiry-order readahead issued per maintenance grid point
@@ -304,7 +304,7 @@ pub struct WorkloadProfile {
     /// Fraction of spill-tier demand reads served by the decoded block
     /// cache, in `[0, 1]` — the tier's observed `hits / (hits + misses)`.
     /// Zero (the default) prices every spilled tuple at full device
-    /// latency, the cacheless PR 8 model.
+    /// latency.
     #[serde(default)]
     pub cache_hit_frac: f64,
 }

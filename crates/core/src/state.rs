@@ -12,7 +12,9 @@ use crate::bitaddr::IngestStage;
 use crate::cost::CostReceipt;
 use crate::layout;
 use crate::parallel::ShardExecutor;
-use crate::tier::{BlockReadError, SpillEntry, SpillOutcome, SpillStats, SpillTier};
+use crate::tier::{
+    BlockReadError, BlockWriteError, SpillEntry, SpillOutcome, SpillStats, SpillTier,
+};
 use amri_stream::{
     AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime, WindowBuffer, WindowSpec,
 };
@@ -551,8 +553,8 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     }
 
     /// The stored tuple for `key`, if live **and fully in RAM**. A
-    /// spill-resident key returns `None`; use
-    /// [`materialize`](Self::materialize) to read it back from disk.
+    /// spill-resident key returns `None`;
+    /// [`materialize_batch`](Self::materialize_batch) reads it from disk.
     pub fn tuple(&self, key: TupleKey) -> Option<&Tuple> {
         self.arena.get(key).and_then(|s| s.tuple())
     }
@@ -626,7 +628,7 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     }
 
     /// Bytes the decoded-block cache currently holds (the `MemoryReport`
-    /// cache column; `0` without a tier or with the cache disabled).
+    /// cache column; `0` without a tier or under a zero-byte cache).
     pub fn cache_used_bytes(&self) -> u64 {
         self.tier.as_ref().map_or(0, SpillTier::cache_used_bytes)
     }
@@ -640,16 +642,14 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     }
 
     /// Queue the expiry-order readahead plan: walk the window oldest
-    /// first, collect up to `readahead_blocks` distinct live, uncached
-    /// spill blocks, and hand them to the tier, which reads them at the
-    /// next [`search`](Self::search). No-op without an enabled cache.
+    /// first, collect up to [`SpillTier::readahead_blocks`] distinct live,
+    /// uncached spill blocks, and hand them to the tier, which reads them
+    /// at the next [`search`](Self::search). No-op without a tier or
+    /// under a zero-byte cache.
     pub fn schedule_readahead(&mut self) {
         let Some(tier) = self.tier.as_ref() else {
             return;
         };
-        if !tier.cache_enabled() {
-            return;
-        }
         let max = tier.readahead_blocks() as usize;
         if max == 0 {
             return;
@@ -674,12 +674,18 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// Spill up to `max` of the **oldest resident** tuples into one disk
     /// block, leaving probe-ready stubs behind. Walks the window in
     /// arrival order, skipping tuples that are already spilled. Returns
-    /// how many tuples moved; `0` with no tier, nothing resident, or a
-    /// persistently torn write (in which case every tuple simply stays
-    /// resident — a torn block never loses data).
-    pub fn spill_oldest(&mut self, max: usize, receipt: &mut CostReceipt) -> usize {
+    /// how many tuples moved, `Ok(0)` with no tier or nothing resident.
+    ///
+    /// # Errors
+    /// The block write's: every tuple then stays resident, and a torn
+    /// write ([`BlockWriteError::Torn`]) may be retried with a new coin.
+    pub fn spill_oldest(
+        &mut self,
+        max: usize,
+        receipt: &mut CostReceipt,
+    ) -> Result<usize, BlockWriteError> {
         if self.tier.is_none() || max == 0 {
-            return 0;
+            return Ok(0);
         }
         let mut victims: Vec<TupleKey> = Vec::with_capacity(max);
         for &(_, key) in self.window.iter() {
@@ -691,7 +697,7 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
             }
         }
         if victims.is_empty() {
-            return 0;
+            return Ok(0);
         }
         let mut body = crate::snapshot_io::SectionWriter::new();
         body.put_usize(victims.len());
@@ -704,30 +710,25 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
             body.put_time(tuple.ts);
             body.put_attrs(&tuple.attrs);
         }
-        let written = self
+        let block = self
             .tier
             .as_mut()
             .expect("tier checked above")
-            .append_block(body, victims.len() as u32, receipt);
-        match written {
-            Ok(block) => {
-                for &key in &victims {
-                    if let Some(slot) = self.arena.get_mut(key) {
-                        if let StoredTuple::Resident { tuple, jas_values } = *slot {
-                            *slot = StoredTuple::Spilled {
-                                id: tuple.id,
-                                ts: tuple.ts,
-                                jas_values,
-                                block,
-                            };
-                            self.spilled += 1;
-                        }
-                    }
+            .append_block(body, victims.len() as u32, receipt)?;
+        for &key in &victims {
+            if let Some(slot) = self.arena.get_mut(key) {
+                if let StoredTuple::Resident { tuple, jas_values } = *slot {
+                    *slot = StoredTuple::Spilled {
+                        id: tuple.id,
+                        ts: tuple.ts,
+                        jas_values,
+                        block,
+                    };
+                    self.spilled += 1;
                 }
-                victims.len()
             }
-            Err(_) => 0,
         }
+        Ok(victims.len())
     }
 
     /// Promote the hottest spill block (most materialization reads, at
@@ -789,56 +790,17 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         promoted
     }
 
-    /// Read the full tuple behind `key`, from RAM or from its spill
-    /// block. `Ok(None)` for a dead key.
+    /// Read the tuples behind a batch of probe hits into `out` (parallel
+    /// to `keys`). The keys are classified once — resident tuples straight
+    /// into `out`, spilled ones onto a pending list — and each distinct
+    /// block behind the pending keys, in first-occurrence order, is
+    /// fetched **once** through [`SpillTier::fetch_batch`], at any cache
+    /// budget, zero included, and serves every pending key it holds.
     ///
-    /// # Errors
-    /// When the block is lost (double injected read error, checksum
-    /// corruption, or a real filesystem failure), every stub of that
-    /// block — `key` included — is purged from the state and the number
-    /// of tuples lost is returned; the caller converts that into a typed
-    /// degradation instead of a panic.
-    pub fn materialize(
-        &mut self,
-        key: TupleKey,
-        receipt: &mut CostReceipt,
-    ) -> Result<Option<Tuple>, usize> {
-        let block = match self.arena.get(key) {
-            None => return Ok(None),
-            Some(StoredTuple::Resident { tuple, .. }) => return Ok(Some(*tuple)),
-            Some(StoredTuple::Spilled { block, .. }) => *block,
-        };
-        let stream = self.stream;
-        let fetched = self
-            .tier
-            .as_mut()
-            .expect("spilled slot requires a tier")
-            .fetch_entries(block, receipt);
-        let found = match fetched {
-            Ok(entries) => entries.iter().find(|e| e.key == key).copied(),
-            Err(_) => return Err(self.purge_block(block, receipt)),
-        };
-        match found {
-            Some(e) => Ok(Some(Tuple::new(e.id, stream, e.ts, e.attrs))),
-            // The frame verified but does not hold this key: the
-            // metadata and the file disagree — treat as corruption.
-            None => Err(self.purge_block(block, receipt)),
-        }
-    }
-
-    /// Materialize a batch of probe hits into `out` (parallel to `keys`),
-    /// coalescing the spill reads. With the block cache enabled the keys
-    /// are classified once — resident tuples straight into `out`, spilled
-    /// ones onto a pending list — and each distinct block behind the
-    /// pending keys, in first-occurrence order, is fetched **once**
-    /// through [`SpillTier::fetch_batch`] and serves every pending key it
-    /// holds from that one fetch. Without a cache this is exactly the
-    /// per-key [`materialize`](Self::materialize) sequence — same reads,
-    /// same fault-coin stream, same receipts — so cacheless runs stay
-    /// byte-identical to the pre-cache engine.
-    ///
-    /// Returns the number of tuples lost to failed block reads (those
-    /// keys' slots in `out` are `None`, as are dead keys').
+    /// Returns the tuples lost: a block that fails to read, or verifies
+    /// without a key its stubs point at, has every stub purged (a typed
+    /// degradation, never a panic) and those keys' slots left `None`, as
+    /// are dead keys'.
     pub fn materialize_batch(
         &mut self,
         keys: &[TupleKey],
@@ -849,19 +811,6 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         out.clear();
         out.reserve(keys.len());
         let mut lost = 0;
-        if !self.tier.as_ref().is_some_and(SpillTier::cache_enabled) {
-            // The plain PR 8 read sequence.
-            for &key in keys {
-                match self.materialize(key, receipt) {
-                    Ok(t) => out.push(t),
-                    Err(n) => {
-                        lost += n;
-                        out.push(None);
-                    }
-                }
-            }
-            return lost;
-        }
         let mut pending = std::mem::take(&mut self.batch_pending);
         let mut blocks = std::mem::take(&mut self.batch_blocks);
         for (slot, &key) in keys.iter().enumerate() {
@@ -879,7 +828,7 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         }
         if !blocks.is_empty() {
             let stream = self.stream;
-            let tier = self.tier.as_mut().expect("cache implies a tier");
+            let tier = self.tier.as_mut().expect("a spilled stub implies a tier");
             // Hits beyond the first per block are the reads coalescing
             // saved.
             tier.note_coalesced((pending.len() - blocks.len()) as u64);
@@ -1126,6 +1075,20 @@ mod tests {
         s.evict_oldest_with(max, r, &mut IngestStage::new(), &SequentialExecutor)
     }
 
+    /// `key` alone through `materialize_batch`: its tuple, or the tuples
+    /// lost with its block.
+    fn materialize_one(
+        s: &mut StateStore<ScanIndex>,
+        key: TupleKey,
+        r: &mut CostReceipt,
+    ) -> Result<Option<Tuple>, usize> {
+        let mut out = Vec::new();
+        match s.materialize_batch(&[key], &mut out, r, &SequentialExecutor) {
+            0 => Ok(out[0]),
+            lost => Err(lost),
+        }
+    }
+
     #[test]
     fn insert_search_expire_lifecycle() {
         let mut s = store();
@@ -1299,7 +1262,7 @@ mod tests {
         let full_mem = s.memory_bytes();
 
         // Spill the three oldest; stubs keep searches working disk-free.
-        assert_eq!(s.spill_oldest(3, &mut r), 3);
+        assert_eq!(s.spill_oldest(3, &mut r), Ok(3));
         assert_eq!(s.spilled_len(), 3);
         assert!((s.spilled_frac() - 0.5).abs() < 1e-12);
         assert!(s.memory_bytes() < full_mem, "spilling must free RAM");
@@ -1315,7 +1278,7 @@ mod tests {
         // materialize reads it back intact.
         assert!(s.tuple(keys[5]).is_some());
         assert!(s.tuple(keys[0]).is_none());
-        let t0 = s.materialize(keys[0], &mut r).unwrap().unwrap();
+        let t0 = materialize_one(&mut s, keys[0], &mut r).unwrap().unwrap();
         assert_eq!(t0.id.0, 0);
         assert_eq!(t0.attrs.as_slice(), &[0, 0, 0]);
         assert_eq!(s.spill_stats().blocks_read, 1);
@@ -1342,7 +1305,7 @@ mod tests {
         for i in 0..4 {
             s.insert(mk_tuple(i, i, &[i, 0, i]), &mut r);
         }
-        assert_eq!(s.spill_oldest(2, &mut r), 2);
+        assert_eq!(s.spill_oldest(2, &mut r), Ok(2));
         let reads_before = s.spill_stats().blocks_read;
         // Window is 10 s: at t=11 the two spilled (t=0,1) and nothing else
         // expire; expiry of stubs must not read the block.
@@ -1364,9 +1327,9 @@ mod tests {
         for i in 0..5 {
             s.insert(mk_tuple(i, i, &[i, 0, i]), &mut r);
         }
-        assert_eq!(s.spill_oldest(3, &mut r), 3);
+        assert_eq!(s.spill_oldest(3, &mut r), Ok(3));
         let victim = TupleKey(0);
-        let lost = s.materialize(victim, &mut r).unwrap_err();
+        let lost = materialize_one(&mut s, victim, &mut r).unwrap_err();
         assert_eq!(lost, 3, "the whole block's stubs are purged");
         assert_eq!(s.len(), 2);
         assert_eq!(s.spilled_len(), 0);
@@ -1378,7 +1341,10 @@ mod tests {
         );
         assert_eq!(search_vec(&mut s, &req, &mut CostReceipt::new()).len(), 2);
         // The purged key is dead now.
-        assert_eq!(s.materialize(victim, &mut CostReceipt::new()), Ok(None));
+        assert_eq!(
+            materialize_one(&mut s, victim, &mut CostReceipt::new()),
+            Ok(None)
+        );
     }
 
     #[test]
@@ -1389,7 +1355,7 @@ mod tests {
         let keys: Vec<TupleKey> = (0..5)
             .map(|i| s.insert(mk_tuple(i, i, &[i, 0, i]), &mut r))
             .collect();
-        assert_eq!(s.spill_oldest(3, &mut r), 3);
+        assert_eq!(s.spill_oldest(3, &mut r), Ok(3));
         // The tier has held its handle since `create`; flip the block's
         // last byte on disk behind it.
         let file = dir.join("s0.blocks");
@@ -1426,7 +1392,7 @@ mod tests {
                 s.insert(mk_tuple(i, i, &[i, 0, i]), &mut r);
             }
             for _ in 0..4 {
-                assert_eq!(s.spill_oldest(3, &mut r), 3);
+                assert_eq!(s.spill_oldest(3, &mut r), Ok(3));
             }
             s
         };
@@ -1442,6 +1408,13 @@ mod tests {
         let mut r = CostReceipt::new();
         assert_eq!(plain.materialize_batch(&keys, &mut want, &mut r, exec), 0);
         assert!(want.iter().all(Option::is_some));
+        // A zero-byte cache keeps nothing, yet reads each block once.
+        let st = plain.spill_stats();
+        assert_eq!(
+            (st.cache_misses, st.cache_hits, st.cache_evictions),
+            (4, 12, 0)
+        );
+        assert_eq!(plain.cache_used_bytes(), 0);
 
         // All four blocks cold, room for two: four device reads, each
         // serving its three keys before a later admission displaces it.
@@ -1491,7 +1464,11 @@ mod tests {
         for i in 0..3 {
             s.insert(mk_tuple(i, i, &[i, 0, i]), &mut r);
         }
-        assert_eq!(s.spill_oldest(2, &mut r), 0, "torn write aborts the spill");
+        assert_eq!(
+            s.spill_oldest(2, &mut r),
+            Err(BlockWriteError::Torn),
+            "a torn write aborts the spill, and says so"
+        );
         assert_eq!(s.spilled_len(), 0);
         assert_eq!(s.len(), 3, "no data lost");
         assert!(s.spill_stats().torn_writes > 0);
@@ -1504,8 +1481,8 @@ mod tests {
         for i in 0..6 {
             s.insert(mk_tuple(i, i, &[i % 2, 0, i]), &mut r);
         }
-        assert_eq!(s.spill_oldest(3, &mut r), 3);
-        let _ = s.materialize(TupleKey(1), &mut r); // heat + coin draws
+        assert_eq!(s.spill_oldest(3, &mut r), Ok(3));
+        let _ = materialize_one(&mut s, TupleKey(1), &mut r); // heat + coin draws
         let mut w = crate::snapshot_io::SectionWriter::new();
         s.save_state(&mut w);
         let bytes = w.into_bytes();
@@ -1518,8 +1495,8 @@ mod tests {
         assert_eq!(twin.spill_stats(), s.spill_stats());
         assert_eq!(twin.memory_bytes(), s.memory_bytes());
         // The rebuilt block file serves the same data.
-        let a = s.materialize(TupleKey(2), &mut CostReceipt::new());
-        let b = twin.materialize(TupleKey(2), &mut CostReceipt::new());
+        let a = materialize_one(&mut s, TupleKey(2), &mut CostReceipt::new());
+        let b = materialize_one(&mut twin, TupleKey(2), &mut CostReceipt::new());
         assert_eq!(a, b);
         assert!(matches!(a, Ok(Some(_))));
     }

@@ -33,7 +33,9 @@
 //!   resident one where it stands, the cold ones as one planned, fanned-
 //!   out read — and serves a block's tuples before admitting it, so the
 //!   batch cannot evict what it has yet to read. A miss decodes into the
-//!   vector its eviction freed.
+//!   vector its eviction freed. Every tier has a cache: a zero-byte one
+//!   keeps nothing, so each batch reads each of its blocks once and drops
+//!   the decode, and it plans no readahead it could not keep.
 //! * **Seeded fault injection.** [`IoFaultConfig`] drives a splitmix64
 //!   coin stream with a *fixed draw discipline* — one draw per write, three
 //!   per modeled read, none for verify-reads or restore-time file rebuilds
@@ -150,11 +152,8 @@ fn read_entries(
     entries: &mut Vec<SpillEntry>,
 ) -> Result<(), BlockReadError> {
     let body = read_verified(file, meta.offset, meta.len, buf)?;
+    let undecodable = || BlockReadError::Corrupt("spill block body does not decode".into());
     decode_entries(body, entries).ok_or_else(undecodable)
-}
-
-fn undecodable() -> BlockReadError {
-    BlockReadError::Corrupt("spill block body does not decode".into())
 }
 
 /// Injected disk-fault probabilities. All-zero ([`Default`]) injects
@@ -212,9 +211,9 @@ pub struct SpillConfig {
     pub faults: IoFaultConfig,
     /// Seed of this tier's private coin stream.
     pub seed: u64,
-    /// Byte budget of the decoded-block read cache; 0 disables the cache
-    /// entirely, reproducing the per-hit device-read path exactly (coin
-    /// stream included).
+    /// Byte budget of the decoded-block read cache. 0 is a cache that
+    /// keeps nothing: every batch still reads each of its blocks once,
+    /// serves it and drops it, and no readahead is planned.
     pub cache_bytes: u64,
 }
 
@@ -245,8 +244,8 @@ pub struct SpillStats {
     /// Demand fetches served from the decoded-block cache.
     #[serde(default)]
     pub cache_hits: u64,
-    /// Distinct device reads taken on the demand path while the cache was
-    /// enabled (one per cold block, however many tuples it serves).
+    /// Device reads taken on the demand path (one per cold block of a
+    /// batch, however many tuples it serves).
     #[serde(default)]
     pub cache_misses: u64,
     /// Batch stub hits that shared another hit's block read instead of
@@ -498,16 +497,12 @@ impl BlockCache {
             .swap_remove(at.expect("an occupied slot is listed in `resident`"));
         Some(slot.entries)
     }
-
-    /// Bytes of decoded blocks currently held (frame-byte accounting).
-    pub fn used_bytes(&self) -> u64 {
-        self.used
-    }
 }
 
 /// One state's disk spill tier: the block file, its metadata table, the
-/// seeded fault coin stream, the decoded-block read cache, and the
-/// replay-identical counters.
+/// seeded fault coin stream, the decoded-block read cache (zero bytes
+/// keeps nothing, and is still the read path), and the replay-identical
+/// counters.
 #[derive(Debug, Clone)]
 pub struct SpillTier {
     path: PathBuf,
@@ -524,15 +519,14 @@ pub struct SpillTier {
     /// `blocks` so [`disk_bytes`](Self::disk_bytes) never walks the table.
     live_disk_bytes: u64,
     stats: SpillStats,
-    cache: Option<BlockCache>,
+    cache: BlockCache,
     /// Expiry-order readahead plan queued at the last maintenance grid
     /// point, drained by the next [`run_readahead`](Self::run_readahead).
     pending_prefetch: Vec<u32>,
-    /// Cacheless decode scratch: the most recent block served through
-    /// [`fetch_entries`](Self::fetch_entries) with the cache disabled.
-    /// Never consulted as a cache — every cacheless fetch re-reads the
-    /// device — it only gives the returned slice a place to live.
-    scratch: Option<(u32, Vec<SpillEntry>)>,
+    /// The decode of the last block [`fetch_entries`](Self::fetch_entries)
+    /// served but the cache could not keep. Never consulted as a cache —
+    /// it only gives the returned slice a place to live.
+    scratch: Vec<SpillEntry>,
     /// The one reusable frame buffer: demand reads land here to be
     /// verified and decoded, appends read back through it.
     frame_buf: Vec<u8>,
@@ -574,8 +568,7 @@ impl PartialEq for SpillTier {
             && self.blocks == other.blocks
             && self.stats == other.stats
             && self.pending_prefetch == other.pending_prefetch
-            && self.cache.as_ref().map(BlockCache::meta)
-                == other.cache.as_ref().map(BlockCache::meta)
+            && self.cache.meta() == other.cache.meta()
     }
 }
 
@@ -599,9 +592,9 @@ impl SpillTier {
             blocks: Vec::new(),
             live_disk_bytes: 0,
             stats: SpillStats::default(),
-            cache: (cfg.cache_bytes > 0).then(|| BlockCache::new(cfg.cache_bytes)),
+            cache: BlockCache::new(cfg.cache_bytes),
             pending_prefetch: Vec::new(),
-            scratch: None,
+            scratch: Vec::new(),
             frame_buf: Vec::new(),
             read_plan: Vec::new(),
             spare: Vec::new(),
@@ -811,7 +804,7 @@ impl SpillTier {
     /// ([`rewarm`](Self::rewarm)) if a restore left it without contents.
     #[inline]
     fn resident(&mut self, id: u32) -> Result<bool, BlockReadError> {
-        match self.cache.as_ref().and_then(|c| c.slot(id)) {
+        match self.cache.slot(id) {
             None => Ok(false),
             Some(slot) if slot.warm => Ok(true),
             Some(_) => self.rewarm(id).map(|()| true),
@@ -825,8 +818,7 @@ impl SpillTier {
     /// this read inlined a warm hit measured 8.3 ns against 6.5 ns.
     #[cold]
     fn rewarm(&mut self, id: u32) -> Result<(), BlockReadError> {
-        let slots = self.cache.as_mut().map(|c| &mut c.slots);
-        let slot = slots.and_then(|s| s.get_mut(id as usize)?.as_mut());
+        let slot = self.cache.slots[id as usize].as_mut();
         let slot = slot.expect("the caller found the slot");
         let meta = &self.blocks[id as usize];
         read_entries(&self.file, meta, &mut self.frame_buf, &mut slot.entries)?;
@@ -841,18 +833,16 @@ impl SpillTier {
     }
 
     /// Serve the decoded tuple records of block `id` for one demand fetch
-    /// (materialization or promotion).
+    /// (a promotion).
     ///
-    /// * **Cache disabled** — exactly the [`read_block`](Self::read_block)
-    ///   path (three coins, device latency) plus a decode; byte-for-byte
-    ///   the PR 8 behavior.
     /// * **Cache hit** — no coins, `cache_hit_ns` charged (zero under the
     ///   identity profile), recency touched. `blocks_read` and block heat
-    ///   still accrue, so cached and cacheless runs agree on every PR 8
-    ///   counter under the identity profile.
-    /// * **Cache miss** — one device read (three coins), decoded into a
-    ///   spare vector and admitted into the cache, evicting exactly what
-    ///   it needs to fit.
+    ///   still accrue, so runs at every cache budget agree on them.
+    /// * **Cache miss** — one device read, drawing the three coins and
+    ///   charging what [`read_block`](Self::read_block) would, decoded into
+    ///   a spare vector and admitted into the cache, evicting exactly what
+    ///   it needs to fit. A block larger than the whole budget (at zero
+    ///   bytes, every block) is served from that read and not kept.
     ///
     /// # Errors
     /// As [`read_block`](Self::read_block); additionally a verified frame
@@ -862,24 +852,12 @@ impl SpillTier {
         id: u32,
         receipt: &mut CostReceipt,
     ) -> Result<&[SpillEntry], BlockReadError> {
-        if self.cache.is_none() {
-            let meta = self.begin_device_read(id, receipt)?;
-            let (_, mut entries) = self.scratch.take().unwrap_or_default();
-            let body = read_verified(&self.file, meta.offset, meta.len, &mut self.frame_buf)?;
-            let decoded = decode_entries(body, &mut entries);
-            // Counted like `read_block`: once the frame verified, whether
-            // or not its body then decodes.
-            self.note_demand_read(id);
-            decoded.ok_or_else(undecodable)?;
-            return Ok(&self.scratch.insert((id, entries)).1);
-        }
         if !matches!(self.blocks.get(id as usize), Some(m) if m.live > 0) {
             return Err(BlockReadError::Gone);
         }
         if self.resident(id)? {
             self.charge_served(id, 1, receipt);
-            let cache = self.cache.as_mut().expect("cache checked above");
-            return Ok(cache.touch_get(id).expect("residency checked above"));
+            return Ok(self.cache.touch_get(id).expect("residency checked above"));
         }
         self.stats.cache_misses += 1;
         let meta = self.begin_device_read(id, receipt)?;
@@ -889,21 +867,18 @@ impl SpillTier {
             return Err(e);
         }
         self.note_demand_read(id);
-        let cache = self.cache.as_mut().expect("cache checked above");
-        match cache.admit(
-            id,
-            entries,
-            u64::from(meta.len),
-            &mut self.stats,
-            &mut self.spare,
-        ) {
-            Ok(()) => Ok(&cache.slot(id).expect("just admitted").entries),
-            // Larger than the whole budget: serve transiently.
-            Err(entries) => Ok(&self.scratch.insert((id, entries)).1),
+        let (len, stats, spare) = (u64::from(meta.len), &mut self.stats, &mut self.spare);
+        match self.cache.admit(id, entries, len, stats, spare) {
+            Ok(()) => Ok(&self.cache.slot(id).expect("just admitted").entries),
+            Err(entries) => {
+                let served = std::mem::replace(&mut self.scratch, entries);
+                self.recycle(served);
+                Ok(&self.scratch)
+            }
         }
     }
 
-    /// The cached read path of one materialization batch: fetch each of
+    /// The read path of one materialization batch: fetch each of
     /// the distinct live blocks `ids` (first-occurrence order) **once**
     /// and hand its records to `serve`, which returns how many tuples it
     /// took from them (a `dyn` callback: one call per block, and the walk
@@ -917,7 +892,8 @@ impl SpillTier {
     /// serve, *then* admit, so no admission of this batch can displace a
     /// block before its tuples are taken. Counters, charges and the coin
     /// stream are therefore identical for any executor. A block larger
-    /// than the whole budget is served from its one read and not kept.
+    /// than the whole budget — at zero bytes, every block — is served from
+    /// its one read and not kept.
     ///
     /// Per cold block: one `cache_misses`, three coins, `read_ns` per
     /// attempt plus any spike. Per tuple served, cold block or warm: one
@@ -928,9 +904,6 @@ impl SpillTier {
     /// coins and charged their latency exactly like a sequential failed
     /// read. Allocates nothing when every block is resident or every
     /// miss finds a spare vector.
-    ///
-    /// # Panics
-    /// If the cache is disabled.
     pub fn fetch_batch(
         &mut self,
         ids: &[u32],
@@ -943,8 +916,8 @@ impl SpillTier {
         for &id in ids {
             match self.resident(id) {
                 Ok(true) => {
-                    let cache = self.cache.as_mut().expect("residency implies a cache");
-                    let n = serve(id, cache.touch_get(id).expect("residency checked above"));
+                    let entries = self.cache.touch_get(id).expect("residency checked above");
+                    let n = serve(id, entries);
                     self.charge_served(id, n, receipt);
                     continue;
                 }
@@ -988,10 +961,10 @@ impl SpillTier {
             }
             let n = serve(p.id, &p.entries);
             self.charge_served(p.id, n, receipt);
-            let cache = self.cache.as_mut().expect("a batch fetch implies a cache");
             let len = u64::from(p.meta.len);
             if let Err(entries) =
-                cache.admit(p.id, p.entries, len, &mut self.stats, &mut self.spare)
+                self.cache
+                    .admit(p.id, p.entries, len, &mut self.stats, &mut self.spare)
             {
                 self.recycle(entries);
             }
@@ -1026,13 +999,10 @@ impl SpillTier {
     }
 
     /// Queue an expiry-order readahead plan (distinct live block ids,
-    /// oldest first), replacing any previous plan. Ignored without a
-    /// cache. The plan is drained by the next
-    /// [`run_readahead`](Self::run_readahead).
+    /// oldest first), replacing any previous plan. The plan is drained by
+    /// the next [`run_readahead`](Self::run_readahead).
     pub fn set_prefetch_plan(&mut self, ids: Vec<u32>) {
-        if self.cache.is_some() {
-            self.pending_prefetch = ids;
-        }
+        self.pending_prefetch = ids;
     }
 
     /// The queued readahead plan (empty when nothing is pending).
@@ -1049,7 +1019,7 @@ impl SpillTier {
     /// observable state — and one that fails to read or verify charges
     /// and changes nothing. Allocates nothing when nothing is queued.
     pub fn run_readahead(&mut self, receipt: &mut CostReceipt, exec: &dyn ShardExecutor) {
-        if self.pending_prefetch.is_empty() || self.cache.is_none() {
+        if self.pending_prefetch.is_empty() {
             return;
         }
         let ids = std::mem::take(&mut self.pending_prefetch);
@@ -1069,13 +1039,13 @@ impl SpillTier {
         self.read_planned(&mut plan, exec);
         let io_ns = self.profile.read_ns;
         for p in plan.drain(..) {
-            let cache = self.cache.as_mut().expect("cache checked above");
             // `contains`: a plan that names a block twice admits it once.
             let len = u64::from(p.meta.len);
-            let kept = if p.failed.is_some() || cache.contains(p.id) {
+            let kept = if p.failed.is_some() || self.cache.contains(p.id) {
                 Err(p.entries)
             } else {
-                cache.admit(p.id, p.entries, len, &mut self.stats, &mut self.spare)
+                self.cache
+                    .admit(p.id, p.entries, len, &mut self.stats, &mut self.spare)
             };
             match kept {
                 Ok(()) => {
@@ -1089,25 +1059,26 @@ impl SpillTier {
         self.read_plan = plan;
     }
 
-    /// True iff the decoded-block cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Bytes the decoded-block cache currently holds (its `MemoryReport`
     /// column; budgeted separately from the engine's window budget).
     pub fn cache_used_bytes(&self) -> u64 {
-        self.cache.as_ref().map_or(0, BlockCache::used_bytes)
+        self.cache.used
     }
 
     /// True iff block `id` is cache-resident.
     pub fn cached(&self, id: u32) -> bool {
-        self.cache.as_ref().is_some_and(|c| c.contains(id))
+        self.cache.contains(id)
     }
 
-    /// Configured expiry-order readahead depth (blocks per grid point).
+    /// Expiry-order readahead depth (blocks per grid point): the
+    /// profile's, or none when the cache budget is zero — a block read
+    /// ahead into a cache that keeps nothing would be read for nothing.
     pub fn readahead_blocks(&self) -> u32 {
-        self.profile.readahead_blocks
+        if self.cache.budget == 0 {
+            0
+        } else {
+            self.profile.readahead_blocks
+        }
     }
 
     /// Note that one live stub of `id` expired or was evicted.
@@ -1120,9 +1091,7 @@ impl SpillTier {
             if m.live == 0 {
                 // The block died by expiry: invalidate, don't count an
                 // eviction — nothing was displaced for budget.
-                if let Some(cache) = self.cache.as_mut() {
-                    cache.remove(id);
-                }
+                self.cache.remove(id);
             }
         }
     }
@@ -1141,12 +1110,7 @@ impl SpillTier {
             }
             m.live = 0;
         }
-        if let Some(cache) = self.cache.as_mut() {
-            cache.remove(id);
-        }
-        if self.scratch.as_ref().is_some_and(|(sid, _)| *sid == id) {
-            self.scratch = None;
-        }
+        self.cache.remove(id);
     }
 
     /// Note `n` tuples were promoted back to RAM.
@@ -1218,16 +1182,13 @@ impl SpillTier {
         // deliberately not saved: a resume rewarms each slot lazily from
         // the rebuilt block file, with no coins and no counters, so the
         // observable run is byte-identical while snapshots stay small.
-        w.put_bool(self.cache.is_some());
-        if let Some(cache) = &self.cache {
-            w.put_u64(cache.seq);
-            let resident = cache.resident_meta();
-            w.put_usize(resident.len());
-            for (id, bytes, touch) in resident {
-                w.put_u32(id);
-                w.put_u64(touch);
-                w.put_u64(bytes);
-            }
+        w.put_u64(self.cache.seq);
+        let resident = self.cache.resident_meta();
+        w.put_usize(resident.len());
+        for (id, bytes, touch) in resident {
+            w.put_u32(id);
+            w.put_u64(touch);
+            w.put_u64(bytes);
         }
     }
 
@@ -1239,8 +1200,8 @@ impl SpillTier {
     /// The section is parsed and checked whole before the file or the
     /// tier is touched: every count is bounded by the bytes left to hold
     /// it, and a cached id must name a live block, once, at its frame
-    /// length — the exact-fit accounting of the cache rests on `used`
-    /// being the sum of what is resident.
+    /// length, within this tier's cache budget — the exact-fit accounting
+    /// of the cache rests on `used` being the sum of what is resident.
     ///
     /// # Errors
     /// Decode failures, [`SnapshotError::Malformed`] naming the field
@@ -1309,49 +1270,40 @@ impl SpillTier {
         for _ in 0..n_pending {
             pending.push(r.get_u32()?);
         }
-        let saved_cache = r.get_bool()?;
-        let mut restored_cache = self.cache.as_ref().map(|c| BlockCache::new(c.budget));
-        if saved_cache {
-            let seq = r.get_u64()?;
-            let n_cached = bounded(r.get_usize()?, 20, r, "cached block count")?;
-            if let Some(cache) = restored_cache.as_mut() {
-                cache.seq = seq;
-            }
-            for _ in 0..n_cached {
-                let id = r.get_u32()?;
-                let touch = r.get_u64()?;
-                let bytes = r.get_u64()?;
-                let bad = |what: &str| {
-                    Err(SnapshotError::Malformed(format!(
-                        "TIER cached block id {id} {what}"
-                    )))
-                };
-                match blocks.get(id as usize) {
-                    None => return bad("is not in the block table"),
-                    Some(m) if m.live == 0 => return bad("names a dead block"),
-                    Some(m) if u64::from(m.len) != bytes => {
-                        return bad("carries bytes unequal to its frame length")
-                    }
-                    Some(_) => {}
+        let mut cache = BlockCache::new(self.cache.budget);
+        cache.seq = r.get_u64()?;
+        let n_cached = bounded(r.get_usize()?, 20, r, "cached block count")?;
+        for _ in 0..n_cached {
+            let id = r.get_u32()?;
+            let touch = r.get_u64()?;
+            let bytes = r.get_u64()?;
+            let bad = |what: &str| {
+                Err(SnapshotError::Malformed(format!(
+                    "TIER cached block id {id} {what}"
+                )))
+            };
+            match blocks.get(id as usize) {
+                None => return bad("is not in the block table"),
+                Some(m) if m.live == 0 => return bad("names a dead block"),
+                Some(m) if u64::from(m.len) != bytes => {
+                    return bad("carries bytes unequal to its frame length")
                 }
-                // Metadata-only slot: contents rewarm lazily on first
-                // touch. Dropped silently when this tier was configured
-                // without a cache (resume under a different config).
-                if let Some(cache) = restored_cache.as_mut() {
-                    if cache.contains(id) {
-                        return bad("is listed twice");
-                    }
-                    cache.place(
-                        id,
-                        CacheSlot {
-                            entries: Vec::new(),
-                            bytes,
-                            touch,
-                            warm: false,
-                        },
-                    );
+                Some(_) if cache.contains(id) => return bad("is listed twice"),
+                Some(_) if cache.used + bytes > cache.budget => {
+                    return bad("overfills the cache budget")
                 }
+                Some(_) => {}
             }
+            // Metadata-only slot: contents rewarm lazily on first touch.
+            cache.place(
+                id,
+                CacheSlot {
+                    entries: Vec::new(),
+                    bytes,
+                    touch,
+                    warm: false,
+                },
+            );
         }
         let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
         let file = Self::open_truncated(&self.path).map_err(io)?;
@@ -1369,8 +1321,7 @@ impl SpillTier {
         self.live_disk_bytes = offset;
         self.file_len = offset;
         self.pending_prefetch = pending;
-        self.cache = restored_cache;
-        self.scratch = None;
+        self.cache = cache;
         Ok(())
     }
 }
@@ -1658,6 +1609,9 @@ mod tests {
         assert_eq!(t.block(id).unwrap().reads, 2);
     }
 
+    /// A zero-byte cache keeps nothing, so every `fetch_entries` is a
+    /// device read: the same coins, charges and demand counters as
+    /// `read_block`, with a `cache_misses` apiece on top.
     #[test]
     fn cacheless_fetch_matches_read_block_exactly() {
         let faults = IoFaultConfig {
@@ -1665,6 +1619,11 @@ mod tests {
             latency_spike_prob: 0.3,
             spike_ns: 11,
             ..IoFaultConfig::default()
+        };
+        let profile = StorageProfile {
+            read_ns: 100,
+            cache_hit_ns: 7,
+            ..StorageProfile::default()
         };
         let run_reads = |mut t: SpillTier, via_fetch: bool| {
             let mut rc = CostReceipt::new();
@@ -1678,14 +1637,17 @@ mod tests {
                 };
                 trace.push(ok);
             }
-            (trace, *t.stats(), rc)
+            (trace, *t.stats(), rc, t.rng)
         };
-        let (ta, sa, ra) = run_reads(tier("fvr-a", faults, StorageProfile::default()), true);
-        let (tb, sb, rb) = run_reads(tier("fvr-b", faults, StorageProfile::default()), false);
+        let (ta, mut sa, ra, ga) = run_reads(tier("fvr-a", faults, profile), true);
+        let (tb, sb, rb, gb) = run_reads(tier("fvr-b", faults, profile), false);
         assert_eq!(
             ta, tb,
-            "cacheless fetch must replay read_block's coin stream"
+            "a zero-byte fetch must replay read_block's coin stream"
         );
+        assert_eq!(ga, gb);
+        assert_eq!(sa.cache_misses, 16, "every fetch is a device read");
+        sa.cache_misses = 0;
         assert_eq!(sa, sb);
         assert_eq!(ra, rb);
     }
@@ -1863,6 +1825,48 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_byte_batch_reads_each_block_once_and_serves_what_a_large_cache_does() {
+        let profile = StorageProfile {
+            read_ns: 1000,
+            cache_hit_ns: 10,
+            readahead_blocks: 2,
+            ..StorageProfile::default()
+        };
+        let run = |tag: &str, cache_bytes: u64| {
+            let mut t = tier_cached(tag, IoFaultConfig::default(), profile, cache_bytes);
+            let mut rc = CostReceipt::new();
+            let ids: Vec<u32> = (0..4u32)
+                .map(|b| t.append_block(entry_body(&[3 * b, 3 * b + 1, 3 * b + 2]), 3, &mut rc))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            let before = t.rng;
+            let (served, failures) = fetch_batch_collect(&mut t, &ids, &mut rc, all_records);
+            assert!(failures.is_empty());
+            let mut once = t.clone();
+            once.rng = before;
+            for _ in 0..3 * ids.len() {
+                once.next_coin();
+            }
+            assert_eq!(t.rng, once.rng, "three coins per block, once each");
+            let heat: Vec<u32> = ids.iter().map(|&b| t.block(b).unwrap().reads).collect();
+            (served, t, heat, rc)
+        };
+        let (served, zero, heat, rc) = run("zero-batch", 0);
+        let (big_served, big, big_heat, big_rc) = run("big-batch-twin", 1 << 20);
+        assert_eq!(served, big_served, "the same records, in plan order");
+        assert_eq!(heat, big_heat);
+        assert_eq!(heat, vec![3; 4]);
+        assert_eq!(zero.stats().blocks_read, big.stats().blocks_read);
+        assert_eq!(zero.stats().cache_misses, 4, "one device read per block");
+        assert_eq!(zero.stats().cache_hits, 12, "one hit per record served");
+        assert_eq!(rc, big_rc, "4 reads and 12 hits charged either way");
+        assert_eq!(zero.cache_used_bytes(), 0, "nothing is kept");
+        assert!(big.cached(0) && !zero.cached(0));
+        // Nothing read ahead into a cache that would keep none of it.
+        assert_eq!((zero.readahead_blocks(), big.readahead_blocks()), (0, 2));
+    }
+
+    #[test]
     fn prefetch_charges_latency_draws_no_coins_and_counts() {
         let profile = StorageProfile {
             read_ns: 500,
@@ -1925,8 +1929,8 @@ mod tests {
         assert_eq!(twin.file_len, live.file_len);
         assert_eq!(twin.prefetch_pending(), live.prefetch_pending());
         assert_eq!(
-            twin.cache.as_ref().map(BlockCache::meta),
-            live.cache.as_ref().map(BlockCache::meta),
+            twin.cache.meta(),
+            live.cache.meta(),
             "cache metadata equality (contents rewarm lazily)"
         );
         // Identical future: the restored twin's first touch rewarms from
@@ -2195,7 +2199,6 @@ mod tests {
                 }
             }
             w.put_usize(self.n_pending);
-            w.put_bool(true);
             w.put_u64(9);
             w.put_usize(self.n_cached);
             for &(id, touch, bytes) in &self.cached {
@@ -2212,17 +2215,18 @@ mod tests {
         let frame = seal_block(entry_body(&[1]));
         let len = frame.len() as u64;
         let good = Image {
-            n_blocks: 2,
-            blocks: vec![(1, frame), (0, Vec::new())],
+            n_blocks: 3,
+            blocks: vec![(1, frame.clone()), (0, Vec::new()), (1, frame)],
             n_pending: 0,
             n_cached: 1,
             cached: vec![(0, 4, len)],
         };
+        // Room for one frame, not two.
         let mut t = tier_cached(
             "lies",
             IoFaultConfig::default(),
             StorageProfile::default(),
-            1 << 20,
+            len + len / 2,
         );
         let mut rc = CostReceipt::new();
         let own = t.append_block(entry_body(&[7, 8]), 2, &mut rc).unwrap();
@@ -2274,6 +2278,14 @@ mod tests {
                 "unequal to its frame length",
                 Image {
                     cached: vec![(0, 4, len + 1)],
+                    ..good.clone()
+                },
+            ),
+            (
+                "overfills the cache budget",
+                Image {
+                    n_cached: 2,
+                    cached: vec![(0, 4, len), (2, 5, len)],
                     ..good.clone()
                 },
             ),

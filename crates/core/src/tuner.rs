@@ -651,7 +651,7 @@ impl Tuner {
     /// folds the tier's [`crate::cost::StorageProfile`] into `C_D`, so
     /// the tuner prices scans that touch disk-resident buckets;
     /// `cache_hit_frac` (the tier's observed block-cache hit rate, 0
-    /// without a cache) discounts those touches toward `cache_hit_ns`, so
+    /// before any demand read) discounts those touches toward `cache_hit_ns`, so
     /// ICs whose cold STeMs are actually cache-resident stop being
     /// over-penalized.
     ///

@@ -151,7 +151,7 @@ fn steady_state_search_into_does_not_allocate() {
         })
         .unwrap(),
     );
-    assert_eq!(tiered.spill_oldest(500, &mut r), 500);
+    assert_eq!(tiered.spill_oldest(500, &mut r), Ok(500));
     let mut scan = loaded_store(ScanIndex::new());
     let mut plain = loaded_store(BitAddressIndex::new(config()));
     let mut sharded = loaded_store(BitAddressIndex::with_shards(config(), 4));
@@ -217,7 +217,7 @@ fn steady_state_search_into_does_not_allocate() {
     // --- Spilled hits. Block 0 holds keys 0..500; three more blocks of
     // 64 follow (keys 500..564, 564..628, 628..692). ---
     for _ in 0..3 {
-        assert_eq!(tiered.spill_oldest(64, &mut r), 64);
+        assert_eq!(tiered.spill_oldest(64, &mut r), Ok(64));
     }
     let keys = |ids: std::ops::Range<u32>| ids.map(TupleKey);
     let warm_keys: Vec<TupleKey> = keys(0..16)
@@ -281,7 +281,7 @@ fn steady_state_search_into_does_not_allocate() {
         );
         let mut r = CostReceipt::new();
         for _ in 0..3 {
-            assert_eq!(store.spill_oldest(64, &mut r), 64);
+            assert_eq!(store.spill_oldest(64, &mut r), Ok(64));
         }
         store
     };

@@ -57,7 +57,8 @@ pub enum IndexingMode {
         /// patterns).
         initial: Option<Vec<Vec<AccessPattern>>>,
     },
-    /// Non-adapting bit-address index (the §V bitmap baseline).
+    /// Non-adapting bit-address index (the §V bitmap baseline): AMRI under
+    /// [`TunerKind::Static`], whatever [`EngineConfig::tuner_kind`] says.
     StaticBitmap {
         /// Fixed configuration per state (even 64-bit split when `None`).
         configs: Option<Vec<IndexConfig>>,
@@ -93,16 +94,16 @@ pub struct SpillSettings {
     /// [`StorageProfile::default`] makes the tier behaviorally invisible
     /// (byte-identical outputs to an all-RAM run that never dies).
     pub profile: StorageProfile,
-    /// Byte budget of each state's decoded-block cache (`0` disables —
-    /// the exact pre-cache read path, fault-coin stream included). Under
-    /// the identity profile, enabling the cache keeps runs byte-identical
-    /// to cacheless ones (the cache's own counters aside).
+    /// Byte budget of each state's decoded-block cache. `0` keeps nothing
+    /// and plans no readahead, yet each batch still reads each of its
+    /// blocks once. Under the identity profile every budget gives a
+    /// byte-identical run (the cache's own counters aside).
     pub cache_bytes: u64,
 }
 
 impl SpillSettings {
     /// Settings with the default balancing policy, the all-zero
-    /// (identity) storage profile, and no block cache.
+    /// (identity) storage profile, and a zero-byte block cache.
     pub fn in_dir(dir: impl Into<std::path::PathBuf>) -> Self {
         SpillSettings {
             dir: dir.into(),

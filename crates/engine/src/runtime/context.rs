@@ -12,7 +12,7 @@ use crate::router::Router;
 use crate::runtime::degrade::Governor;
 use crate::runtime::fault::FaultState;
 use crate::stem::Stem;
-use amri_core::{layout, CostReceipt};
+use amri_core::{layout, tier::WRITE_ATTEMPTS, BlockWriteError, CostReceipt};
 use amri_stream::{
     Clock, JobQueue, Pack, Packed, PackedPartial, PartialTuple, SpjQuery, Tuple, VirtualClock,
     VirtualTime,
@@ -326,11 +326,18 @@ impl<C: Clock> RunContext<C> {
                 let Some((_, idx)) = victim else {
                     break; // nothing resident anywhere
                 };
-                let moved = self.stems[idx]
-                    .state
-                    .spill_oldest(policy.spill_chunk, &mut receipt);
-                if moved == 0 {
-                    break; // torn write or nothing spillable: leave it to the governor
+                // A torn write lost nothing and a new one draws a new coin:
+                // retry it, at most `WRITE_ATTEMPTS` times.
+                let store = self.stems[idx].state.store_mut();
+                let mut spilled = store.spill_oldest(policy.spill_chunk, &mut receipt);
+                for _ in 0..WRITE_ATTEMPTS {
+                    if spilled != Err(BlockWriteError::Torn) {
+                        break;
+                    }
+                    spilled = store.spill_oldest(policy.spill_chunk, &mut receipt);
+                }
+                if spilled.unwrap_or(0) == 0 {
+                    break; // nothing spillable or unwritable: leave it to the governor
                 }
                 report = self.memory_report();
             }
@@ -354,8 +361,8 @@ impl<C: Clock> RunContext<C> {
         }
         // Queue expiry-order readahead for the next grid interval: each
         // state nominates its next-oldest uncached spill blocks, and its
-        // tier reads them ahead of the next probe. No-op without an
-        // enabled block cache.
+        // tier reads them ahead of the next probe. No-op under a zero-byte
+        // block cache.
         for stem in &mut self.stems {
             stem.state.store_mut().schedule_readahead();
         }

@@ -402,9 +402,9 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
         }
     } else {
         // Some of the state is on disk: materialize every hit up
-        // front, one batch call. The tier's block cache (when enabled)
-        // groups hits by block and reads each distinct block once —
-        // cacheless, this is exactly the per-hit read sequence. A lost
+        // front, one batch call. The tier groups hits by block and reads
+        // each distinct block not in its cache once, whatever the cache
+        // budget. A lost
         // block — double read error or real corruption — purges its
         // stubs and counts as typed degradation, never a panic; its
         // hits come back `None`.

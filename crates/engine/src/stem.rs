@@ -5,7 +5,7 @@
 //! |---|---|---|
 //! | [`JoinState::Amri`] | bit-address | online (SRIA/CSRIA/DIA/CDIA) |
 //! | [`JoinState::MultiHash`] | k hash indices (access modules) | optional: CDIA statistics + conventional selection (re-target the k indices at the k most frequent patterns) |
-//! | [`JoinState::StaticBitmap`] | bit-address | none (the §V "non-adapting bitmap index") |
+//! | [`JoinState::static_bitmap`] | bit-address | none: an AMRI state under [`TunerKind::Static`] (the §V "non-adapting bitmap index") |
 //! | [`JoinState::Scan`] | none | none |
 //!
 //! All flavors run the identical [`StateStore`] storage code; only the
@@ -13,9 +13,9 @@
 
 use amri_core::assess::{Assessor, AssessorKind};
 use amri_core::{
-    AmriState, BitAddressIndex, CostParams, CostReceipt, IndexConfig, IngestStage, MultiHashIndex,
-    ScanIndex, SearchScratch, SequentialExecutor, ShardExecutor, StateIndex, StateStore,
-    TuneLedger, TunerConfig, TunerKind, TupleKey,
+    AmriState, CostParams, CostReceipt, IndexConfig, IngestStage, MultiHashIndex, ScanIndex,
+    SearchScratch, SequentialExecutor, ShardExecutor, StateIndex, StateStore, TuneLedger,
+    TunerConfig, TunerKind, TupleKey,
 };
 use amri_stream::{
     AccessPattern, AttrId, SearchRequest, StreamId, Tuple, VirtualDuration, VirtualTime, WindowSpec,
@@ -124,8 +124,6 @@ pub enum JoinState {
         /// Conventional re-selection of the indexed patterns, if adaptive.
         tuner: Option<HashTuner>,
     },
-    /// Non-adapting bit-address index (the §V bitmap baseline).
-    StaticBitmap(StateStore<BitAddressIndex>),
     /// No index at all.
     Scan(StateStore<ScanIndex>),
 }
@@ -148,7 +146,6 @@ macro_rules! erased_store {
         match $state {
             JoinState::Amri(s) => s.$store(),
             JoinState::MultiHash { store, .. } => store,
-            JoinState::StaticBitmap(s) => s,
             JoinState::Scan(s) => s,
         }
     };
@@ -188,10 +185,10 @@ impl JoinState {
     /// Flavor label for reports.
     pub fn kind(&self) -> &'static str {
         match self {
+            JoinState::Amri(s) if s.tuner().kind() == TunerKind::Static => "static-bitmap",
             JoinState::Amri(_) => "amri",
             JoinState::MultiHash { tuner: Some(_), .. } => "multi-hash-adaptive",
             JoinState::MultiHash { tuner: None, .. } => "multi-hash-static",
-            JoinState::StaticBitmap(_) => "static-bitmap",
             JoinState::Scan(_) => "scan",
         }
     }
@@ -226,7 +223,6 @@ impl JoinState {
     pub fn set_shards(&mut self, shard_count: usize) {
         match self {
             JoinState::Amri(s) => s.store_mut().index_mut().set_shard_count(shard_count),
-            JoinState::StaticBitmap(s) => s.index_mut().set_shard_count(shard_count),
             JoinState::MultiHash { .. } | JoinState::Scan(_) => {}
         }
     }
@@ -238,9 +234,9 @@ impl JoinState {
     }
 
     /// Spill up to `max` of the oldest resident tuples into one disk
-    /// block (see [`StateStore::spill_oldest`]).
+    /// block (see [`StateStore::spill_oldest`]); 0 if none moved.
     pub fn spill_oldest(&mut self, max: usize, receipt: &mut CostReceipt) -> usize {
-        self.store_mut().spill_oldest(max, receipt)
+        self.store_mut().spill_oldest(max, receipt).unwrap_or(0)
     }
 
     /// Ingest one arrival: expire out-of-window tuples, then store the
@@ -290,7 +286,6 @@ impl JoinState {
                 }
                 store.search(req, scratch, receipt, exec)
             }
-            JoinState::StaticBitmap(s) => s.search(req, scratch, receipt, exec),
             JoinState::Scan(s) => s.search(req, scratch, receipt, exec),
         }
     }
@@ -387,7 +382,7 @@ impl JoinState {
                     moved: receipt.moved - before,
                 })
             }
-            JoinState::StaticBitmap(_) | JoinState::Scan(_) => None,
+            JoinState::Scan(_) => None,
         }
     }
 
@@ -410,11 +405,6 @@ impl JoinState {
                     }
                     None => w.put_bool(false),
                 }
-            }
-            JoinState::StaticBitmap(s) => {
-                w.put_str("static-bitmap");
-                s.save_state(w);
-                s.index().save(w);
             }
             JoinState::Scan(s) => {
                 w.put_str("scan");
@@ -452,11 +442,6 @@ impl JoinState {
                         "hash-tuner presence mismatch".into(),
                     )),
                 }
-            }
-            (JoinState::StaticBitmap(s), "static-bitmap") => {
-                s.restore_state(r)?;
-                *s.index_mut() = amri_core::BitAddressIndex::restore(r)?;
-                Ok(())
             }
             (JoinState::Scan(s), "scan") => {
                 s.restore_state(r)?;
@@ -600,7 +585,9 @@ impl JoinState {
         JoinState::MultiHash { store, tuner }
     }
 
-    /// A non-adapting bit-address state.
+    /// A non-adapting bit-address state: AMRI under [`TunerKind::Static`],
+    /// which builds no assessor (the method is moot) and never decides.
+    /// Panics unless `config` is as wide as the JAS.
     pub fn static_bitmap(
         stream: StreamId,
         jas: Vec<AttrId>,
@@ -608,10 +595,20 @@ impl JoinState {
         config: IndexConfig,
         payload_bytes: u32,
     ) -> Self {
-        JoinState::StaticBitmap(
-            StateStore::new(stream, jas, window, BitAddressIndex::new(config))
-                .with_payload_bytes(payload_bytes),
+        let (kind, fixed) = (AssessorKind::Sria, TunerKind::Static);
+        let (tuner, params) = (TunerConfig::default(), CostParams::default());
+        Self::amri(
+            stream,
+            jas,
+            window,
+            kind,
+            config,
+            tuner,
+            params,
+            payload_bytes,
+            fixed,
         )
+        .expect("a configuration as wide as the JAS")
     }
 
     /// A scan-only state.
@@ -792,7 +789,7 @@ mod tests {
     #[test]
     fn static_flavors_never_retune() {
         for mut state in all_flavors() {
-            if matches!(state, JoinState::StaticBitmap(_) | JoinState::Scan(_)) {
+            if matches!(state.kind(), "static-bitmap" | "scan") {
                 let mut r = CostReceipt::new();
                 for i in 0..200u64 {
                     search(&mut state, &req(0b001, &[i, 0, 0]), &mut r);

@@ -46,8 +46,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AMRISNAP";
 /// Current format revision. Bump on any layout change; readers refuse
 /// other revisions with [`SnapshotError::Version`]. Revision 2 gave the
 /// three tuner policies' sections one field order; revision 3 stores a
-/// bit-address index as its entries alone (no links, no bucket table).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// bit-address index as its entries alone (no links, no bucket table);
+/// revision 4 drops the tier's cache-presence flag and saves a static
+/// bitmap as an AMRI section under the static tuner's `STUN` tag.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot could not be written, parsed, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -656,9 +658,10 @@ mod tests {
         // Corrupting the version also breaks the file checksum; rebuild a
         // valid file with a bumped version via the writer internals
         // instead: patch bytes then re-seal the tail checksum. A newer
-        // revision and the previous one (2: bit-address sections carried
-        // links and a bucket table) are refused alike.
-        for found in [SNAPSHOT_VERSION + 1, 2] {
+        // revision and the two before (3: a tier section carried a
+        // cache-presence flag; 2: bit-address sections carried links and a
+        // bucket table) are refused alike.
+        for found in [SNAPSHOT_VERSION + 1, 3, 2] {
             let mut bytes = sample();
             bytes[8] = found as u8;
             let n = bytes.len();

@@ -3,8 +3,8 @@
 # cold verified block read (cache miss), warm decoded-block cache hit,
 # coalesced 64-hit batch vs 64 independent reads, a 64-hit batch over
 # twice the blocks its cache holds, and expiry-order readahead — plus
-# the PR-8 baseline cold materialize, and record medians, derived
-# speedups and the environment.
+# the cold materialize through a zero-byte cache, and record medians,
+# every run's median, derived speedups and the environment.
 #
 # Like bench_parallel.sh, each median is the *minimum* over BENCH_RUNS
 # runs (noise only inflates a run). The two acceptance bars are recorded
@@ -20,8 +20,8 @@ OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
 RETIRED="$(jq -c '.retired // null' BENCH_spill.json 2>/dev/null || echo null)"
 
-# `spill` is a substring match, so one invocation covers the PR-8 group
-# (spill_4k: round trip + cold materialize) and the fast-path group
+# `spill` is a substring match, so one invocation covers the data-path
+# group (spill_4k: round trip + cold materialize) and the fast-path group
 # (spill_cached_4k: cold read, warm hit, batch, independent, sweep,
 # readahead).
 echo "==> cargo bench -p amri-bench --bench micro_index -- spill (best of ${BENCH_RUNS})"
@@ -41,6 +41,10 @@ median_for() {
     } END { if (best == "") exit 1; print best }' "$OUT"
 }
 
+# Every run's median of every id, in run order, as a JSON object.
+ALL_RUNS="$(awk '{ id = $1; sub(/.*median_ns=/, ""); runs[id] = runs[id] sep[id] ($0 + 0); sep[id] = ", " }
+    END { printf "{"; n = 0; for (id in runs) printf "%s\"%s\": [%s]", (n++ ? ", " : ""), id, runs[id]; print "}" }' "$OUT")"
+
 MAT="$(median_for spill_4k/materialize_spilled_hit)"
 COLD="$(median_for spill_cached_4k/cold_read)"
 WARM="$(median_for spill_cached_4k/warm_hit)"
@@ -55,10 +59,10 @@ jq -n \
     --argjson batch "$BATCH" --argjson indep "$INDEP" \
     --argjson readahead "$READAHEAD" --argjson sweep "$SWEEP" \
     --argjson cores "$CORES" --argjson runs "$BENCH_RUNS" \
-    --argjson retired "$RETIRED" \
+    --argjson retired "$RETIRED" --argjson all_runs "$ALL_RUNS" \
     --arg kernel "$(uname -sr)" --arg arch "$(uname -m)" '
 {
-  description: "Spill-tier read fast path: all benches over the identical 4k-tuple ScanIndex StateStore with half its window spilled to the checksummed block store in 256-tuple blocks. spill_4k/materialize_spilled_hit is the PR-8 baseline (cacheless cold materialize: one verified device read + decode + entry scan). spill_cached_4k/cold_read is the same read through an empty 1 MiB decoded-block cache (miss + admission); warm_hit re-reads a cached block (no file I/O, no checksum, no decode); coalesced_batch_64 materializes 64 stub hits of one probe batch grouped by block (one verified read serves all 64); independent_64 is the baseline it replaces (64 cacheless reads, one per hit); sweep_over_budget is the steady state of a 64-hit batch striped over eight blocks through a cache budgeted for four of their frames (each pass: four blocks resident, four read once each, every decode serving its eight hits before its admission evicts; under the water-mark policy and the preload step this id read 490 us, every hit a device read); readahead_drain_2 plans a 2-block expiry-order prefetch and drains it into the cache ahead of the next probe, inside the read entry of the store (the timed region includes the arena scan of that probe; recordings made while the stand-alone drain_prefetch existed timed the plan and drain alone). The single-read ids (materialize_spilled_hit, cold_read, coalesced_batch_64) time one device read plus the teardown of the 4k-tuple store the routine consumes, and move +-30 % with host state between runs; independent_64 pays that teardown once per 64 reads and is the id that resolves the per-read cost.",
+  description: "Spill-tier read fast path: all benches over the identical 4k-tuple ScanIndex StateStore with half its window spilled to the checksummed block store in 256-tuple blocks. Every materialization is a StateStore::materialize_batch through SpillTier::fetch_batch, the one read path. spill_4k/materialize_spilled_hit is a one-key batch through a zero-byte cache (one verified device read + decode + entry scan, nothing kept). spill_cached_4k/cold_read is the same one-key batch through an empty 1 MiB decoded-block cache (miss + admission); warm_hit repeats it with the block cached (no file I/O, no checksum, no decode: the batch bookkeeping and the slot lookup); coalesced_batch_64 materializes 64 stub hits of one probe batch grouped by block (one verified read serves all 64); independent_64 is the baseline it replaces (64 one-key batches through a zero-byte cache, one device read each); sweep_over_budget is the steady state of a 64-hit batch striped over eight blocks through a cache budgeted for four of their frames (each pass: four blocks resident, four read once each, every decode serving its eight hits before its admission evicts; under the water-mark policy and the preload step this id read 490 us, every hit a device read); readahead_drain_2 plans a 2-block expiry-order prefetch and drains it into the cache ahead of the next probe, inside the read entry of the store (the timed region includes the arena scan of that probe; recordings made while the stand-alone drain_prefetch existed timed the plan and drain alone). The single-read ids (materialize_spilled_hit, cold_read, coalesced_batch_64) time one device read plus the teardown of the 4k-tuple store the routine consumes, and move +-30 % with host state between runs; independent_64 pays that teardown once per 64 reads and is the id that resolves the per-read cost. micro_index_runs_ns lists the median of every run, in run order; micro_index_median_ns is their minimum",
   regenerate: "scripts/bench_spill.sh  # best-of-N medians; BENCH_RUNS to change N",
   environment: {
     cores: $cores,
@@ -81,6 +85,7 @@ jq -n \
     "spill_cached_4k/sweep_over_budget": $sweep,
     "spill_cached_4k/readahead_drain_2": $readahead
   },
+  micro_index_runs_ns: $all_runs,
   speedup: {
     warm_hit_vs_cold_materialize: (($mat / $warm * 100 | round) / 100),
     warm_hit_vs_cold_read: (($cold / $warm * 100 | round) / 100),

@@ -61,6 +61,15 @@ if grep -rnE 'CACHE_HIGH_WATER|CACHE_LOW_WATER|preload_missing' crates tests exa
     echo "a cache water mark or the preload step reappeared"; exit 1
 fi
 
+# Nor may a second spill read path: `cache_bytes = 0` is a zero-byte block
+# cache, so every materialization is a `materialize_batch` through
+# `SpillTier::fetch_batch` (DESIGN §10). Nor a static-bitmap variant: the
+# §V bitmap is AMRI under the static tuner (DESIGN §11).
+echo "==> one spill read path, one bit-address state under crates/ tests/ examples/"
+if grep -rnE 'cache_enabled|fn materialize\(|JoinState::StaticBitmap' crates tests examples; then
+    echo "the cacheless read path or the StaticBitmap variant reappeared"; exit 1
+fi
+
 # Nor may the per-bucket map, its records or the tail-append link of the
 # bit-address index: a shard is one slab of entry heads, a value stride and
 # a directory of chain heads (DESIGN §4). Nor a decoding pop on the probe
@@ -129,12 +138,16 @@ cargo test -q
 # edges and expectations, each distinct run driven once and compared in
 # process: t4 ≡ t1 everywhere, replay ≡ replay, observed ≡ straight, crash
 # + resume ≡ uninterrupted (plain, torn, bandit), spilled ≡ unconstrained
-# in the answer, cached ≡ cacheless modulo the cache counters, hosted ≡
-# solo ≡ migrated. Exits non-zero naming every violated edge or
+# in the answer, cached ≡ zero-byte cache modulo the cache counters,
+# hosted ≡ solo ≡ migrated. Exits non-zero naming every violated edge or
 # expectation — a vacuous one included — and the name reproduces it:
-# matrix --quick --seed 42 --only <name>.
-echo "==> identity lattice"
-cargo run --release -q -p amri-bench --bin matrix -- --quick
+# matrix --quick --seed 42 --only <name>. Three seeds, about 10 s each on
+# a 2-core host; seed 1 is the one whose torn spill once ended a storm
+# cell in OOM.
+for seed in 42 7 1; do
+    echo "==> identity lattice, seed ${seed}"
+    cargo run --release -q -p amri-bench --bin matrix -- --quick --seed "${seed}"
+done
 
 # The frozen benchmark package path-depends on crates/* but sits outside
 # the workspace, so nothing above compiles it: build it against the
@@ -160,19 +173,23 @@ awk '$1 == "engine.pool.speedup_vs_t1" { seen = 1; print; if ($2 + 0 < 0.8) exit
     || { echo "engine.pool.speedup_vs_t1 missing or below 0.8"; exit 1; }
 rm -f "${POOL_RUN}"
 
-# Nor may a spilled window lose to its all-RAM twin by what the cache
-# should have saved: one short traced run of the spilling workload. The
-# hit rate is a count — a function of the seed alone — and at 64 KiB of
-# cache over a ~78 KB live set per state it read 0.76 while the water
-# marks used half the budget and batches evicted their own blocks; the
-# speedup then read 0.35–0.43.
-echo "==> a 64 KiB block cache holds 64 KiB (spill_ckpt, traced)"
+# Nor may a spilled window pay for what the cache should have saved: one
+# short traced run of the spilling workload. The hit rate is a count — a
+# function of the seed alone — and at 64 KiB of cache over a ~78 KB live
+# set per state it read 0.76 while the water marks used half the budget
+# and batches evicted their own blocks. The tier's own cost is read by
+# name: `core.tier.materialize_batch_us`, wall µs per materialization
+# batch, read 1.22–1.55 over six runs at seed 7 on the 2-core reference
+# host (the parent binary, alternated with them, 1.31–1.93), so the bound
+# sits at 3.0. The ratio to the all-RAM twin is not gated: every RAM-path
+# speedup lowers it, and in those same runs it read 0.52–0.76.
+echo "==> a 64 KiB block cache holds 64 KiB and a batch costs what it did (spill_ckpt, traced)"
 TIER_RUN="$(mktemp)"
 bash benchmark/run.sh --workload spill_ckpt --seed 7 --seconds 4 --trace 1 > "${TIER_RUN}"
 awk '$1 == "core.tier.cache_hit_frac" { hit = 1; print; if ($2 + 0 < 0.9) exit 1 }
-     $1 == "core.tier.speedup_vs_ram" { fast = 1; print; if ($2 + 0 < 0.55) exit 1 }
-     END { if (!hit || !fast) exit 1 }' "${TIER_RUN}" \
-    || { echo "core.tier.cache_hit_frac below 0.9, core.tier.speedup_vs_ram below 0.55, or either missing"; exit 1; }
+     $1 == "core.tier.materialize_batch_us" { cost = 1; print; if ($2 + 0 > 3.0) exit 1 }
+     END { if (!hit || !cost) exit 1 }' "${TIER_RUN}" \
+    || { echo "core.tier.cache_hit_frac below 0.9, core.tier.materialize_batch_us above 3.0 us, or either missing"; exit 1; }
 rm -f "${TIER_RUN}"
 
 echo "CI green."

@@ -1,8 +1,9 @@
 //! Acceptance for the spill-tier read fast path: the decoded-block
 //! cache, batch read coalescing and expiry-order readahead are pure
-//! accelerations. Under the identity [`StorageProfile`] a cache-enabled
-//! run must be byte-identical to the cacheless one (the cache's own
-//! counters aside), at any worker-thread count and any shard count; and
+//! accelerations. Under the identity [`StorageProfile`] a run with a
+//! 256 KiB cache must be byte-identical to one with a zero-byte cache
+//! (the cache's own counters aside, on both sides), at any worker-thread
+//! count and any shard count; and
 //! crash + resume with a warm cache — whose decoded contents are
 //! deliberately *not* snapshotted, only its metadata and counters —
 //! must land byte-identical to the uninterrupted cached run.
@@ -53,9 +54,9 @@ fn amri_mode() -> IndexingMode {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Across seeds and shard counts S ∈ {1, 2, 4, 8}: the cacheless
-    /// spilled run, the cache-enabled run at one thread and the
-    /// cache-enabled run at four threads are all byte-identical under
+    /// Across seeds and shard counts S ∈ {1, 2, 4, 8}: the spilled run
+    /// through a zero-byte cache, the 256 KiB-cache run at one thread and
+    /// the 256 KiB-cache run at four threads are all byte-identical under
     /// the identity profile (cache-only counters normalized away).
     #[test]
     fn cache_and_threads_are_invisible_under_identity_profile(
@@ -92,13 +93,14 @@ proptest! {
         let (cached_t1, _) = cached_run(1);
         let (cached_t4, pooled_t4) = cached_run(4);
 
-        // Cache on vs off: identical once the cache's own counters are
-        // normalized (a hit still charges heat and blocks_read, so every
-        // shared counter agrees).
+        // 256 KiB vs zero bytes: identical once the cache's own counters
+        // are normalized on both sides (a hit still charges heat and
+        // blocks_read, so every shared counter agrees).
+        prop_assert!(spilled.spill.cache_misses > 0, "a zero-byte cache still counts");
         prop_assert_eq!(
             format!("{:#?}", without_cache_counters(cached_t1.clone())),
-            format!("{spilled:#?}"),
-            "cache on vs off diverged (seed {}, {} shards)", seed, shards
+            format!("{:#?}", without_cache_counters(spilled)),
+            "256 KiB vs zero-byte cache diverged (seed {}, {} shards)", seed, shards
         );
         // Threads 1 vs 4 at the same shard count: identical including
         // the cache counters — coins are pre-drawn sequentially and

@@ -4,9 +4,9 @@
 //! Usage: `all_experiments [--quick] [--seed N] [--threads N]`
 
 use amri_bench::{
-    enforce_cli, fig6_assessment_with_stats, fig6_hash_with_stats, fig7_compare, parse_scale,
-    parse_seed, parse_threads, render_maintenance_table, render_series_table, render_summary,
-    table2_example, write_csv, write_summary_csv, COMMON_FLAGS,
+    enforce_cli, fig6_assessment, fig6_hash, fig7_compare, parse_scale, parse_seed, parse_threads,
+    render_maintenance_table, render_series_table, render_summary, table2_example, write_csv,
+    write_summary_csv, COMMON_FLAGS,
 };
 use std::path::Path;
 
@@ -31,38 +31,30 @@ fn main() {
     println!();
 
     eprintln!("running Figure 6 assessment lineup...");
-    let (assess, assess_maint): (Vec<_>, Vec<_>) = fig6_assessment_with_stats(scale, seed, threads)
-        .into_iter()
-        .unzip();
+    let assess = fig6_assessment(scale, seed, threads);
     println!("== Figure 6 — assessment methods ==");
     println!("{}", render_series_table(&assess, 12));
     println!("{}", render_summary(&assess));
-    println!("{}", render_maintenance_table(&assess, &assess_maint));
+    println!("{}", render_maintenance_table(&assess));
     write_csv(&assess, Path::new("results/fig6_assessment.csv")).expect("csv");
     write_summary_csv(
         &assess,
         Path::new("results/fig6_assessment_summary.csv"),
         threads.get(),
-        &[],
-        &assess_maint,
     )
     .expect("csv");
 
     eprintln!("running Figure 6 hash sweep...");
-    let (hash, hash_maint): (Vec<_>, Vec<_>) = fig6_hash_with_stats(scale, seed, threads)
-        .into_iter()
-        .unzip();
+    let hash = fig6_hash(scale, seed, threads);
     println!("== Figure 6 — hash baselines ==");
     println!("{}", render_series_table(&hash, 12));
     println!("{}", render_summary(&hash));
-    println!("{}", render_maintenance_table(&hash, &hash_maint));
+    println!("{}", render_maintenance_table(&hash));
     write_csv(&hash, Path::new("results/fig6_hash.csv")).expect("csv");
     write_summary_csv(
         &hash,
         Path::new("results/fig6_hash_summary.csv"),
         threads.get(),
-        &[],
-        &hash_maint,
     )
     .expect("csv");
 
@@ -72,7 +64,7 @@ fn main() {
     println!("== Figure 7 ==");
     println!("{}", render_series_table(&f7_runs, 12));
     println!("{}", render_summary(&f7_runs));
-    println!("{}", render_maintenance_table(&f7_runs, &f7.maint));
+    println!("{}", render_maintenance_table(&f7_runs));
     println!(
         "AMRI vs best hash: {:+.0}% (paper +93%) | AMRI vs static bitmap: {:+.0}% (paper +75%)",
         f7.gain_over_hash() * 100.0,
@@ -83,8 +75,6 @@ fn main() {
         &f7_runs,
         Path::new("results/fig7_compare_summary.csv"),
         threads.get(),
-        &[],
-        &f7.maint,
     )
     .expect("csv");
 

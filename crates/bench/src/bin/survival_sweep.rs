@@ -2,11 +2,7 @@
 //! every index flavor on the identical trained scenario, with death times,
 //! peak memory/backlog and mean job latency. This is the calibration view
 //! of the §V experiments (the figure binaries print the aligned series).
-//!
-//! With `--checkpoint-every N` every run also snapshots itself every N
-//! steps (a pure observer — the numbers are unchanged), the table gains a
-//! `ckpts` column, and the sweep writes `results/survival_summary.csv`
-//! with the checkpoint bookkeeping columns populated.
+//! The sweep writes `results/survival_summary.csv`.
 //!
 //! With `--spill-cache N` every flavor additionally carries a disk spill
 //! tier with an N-byte decoded-block cache (its own directory per
@@ -17,41 +13,29 @@
 //! table can compare safe tuning against the paper's greedy loop.
 //!
 //! Usage: `survival_sweep [--quick] [--seed N] [--threads N]
-//!         [--checkpoint-every N] [--spill-cache N] [--tuner K]`
+//!         [--spill-cache N] [--tuner K]`
 
 use amri_bench::training::train_initial;
 use amri_bench::{
-    apply_threads, enforce_cli, parse_checkpoint_every, parse_scale, parse_seed, parse_spill_cache,
-    parse_threads, parse_tuner, run_checkpointed, write_summary_csv, CheckpointNote, FlagSpec,
-    COMMON_FLAGS, SPILL_CACHE_FLAG, TUNER_FLAG,
+    apply_threads, enforce_cli, parse_scale, parse_seed, parse_spill_cache, parse_threads,
+    parse_tuner, write_summary_csv, FlagSpec, COMMON_FLAGS, SPILL_CACHE_FLAG, TUNER_FLAG,
 };
 use amri_core::assess::AssessorKind;
 use amri_engine::{Executor, IndexingMode, SpillSettings};
 use amri_hh::CombineStrategy;
 use amri_synth::scenario::{paper_scenario, Scale};
 
-const EXTRA_FLAGS: &[FlagSpec] = &[
-    (
-        "--checkpoint-every",
-        true,
-        "snapshot every N pipeline steps (default off)",
-    ),
-    SPILL_CACHE_FLAG,
-    TUNER_FLAG,
-];
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let flags: Vec<FlagSpec> = COMMON_FLAGS
         .iter()
-        .chain(EXTRA_FLAGS.iter())
+        .chain([SPILL_CACHE_FLAG, TUNER_FLAG].iter())
         .copied()
         .collect();
     enforce_cli(&args, "survival_sweep", &flags);
     let scale = parse_scale(&args);
     let seed = parse_seed(&args);
     let threads = parse_threads(&args);
-    let checkpoint_every = parse_checkpoint_every(&args);
     let cache_bytes = parse_spill_cache(&args);
     let tuner_kind = parse_tuner(&args);
 
@@ -90,12 +74,10 @@ fn main() {
     ));
 
     println!(
-        "{:>14} {:>10} {:>8} {:>12} {:>10} {:>12} {:>6}",
-        "flavor", "outputs", "death", "peak-mem(B)", "backlog", "latency(tk)", "ckpts"
+        "{:>14} {:>10} {:>8} {:>12} {:>10} {:>12}",
+        "flavor", "outputs", "death", "peak-mem(B)", "backlog", "latency(tk)"
     );
     let mut runs = Vec::new();
-    let mut notes: Vec<CheckpointNote> = Vec::new();
-    let mut maints = Vec::new();
     for (label, mode) in modes {
         let mut engine = sc.engine.clone();
         if cache_bytes > 0 {
@@ -104,43 +86,28 @@ fn main() {
                     .with_cache_bytes(cache_bytes),
             );
         }
-        let exec = Executor::try_new(&sc.query, sc.workload(), mode, engine)
-            .expect("valid engine configuration");
-        let (r, note, maint) = match checkpoint_every {
-            Some(every) => {
-                let dir = format!("results/checkpoints/survival/{label}");
-                std::fs::remove_dir_all(&dir).ok();
-                run_checkpointed(exec, std::path::Path::new(&dir), every).expect("checkpointed run")
-            }
-            None => {
-                let (r, maint) = exec.run_with_stats();
-                (r, CheckpointNote::default(), maint)
-            }
-        };
+        let r = Executor::try_new(&sc.query, sc.workload(), mode, engine)
+            .expect("valid engine configuration")
+            .run();
         let death = r
             .death_time()
             .map(|t| format!("{:.1}m", t.as_mins_f64()))
             .unwrap_or_else(|| "-".into());
         println!(
-            "{:>14} {:>10} {:>8} {:>12} {:>10} {:>12.0} {:>6}",
+            "{:>14} {:>10} {:>8} {:>12} {:>10} {:>12.0}",
             label,
             r.outputs,
             death,
             r.series.peak_memory(),
             r.series.peak_backlog(),
             r.mean_job_latency_ticks,
-            note.checkpoints_taken
         );
         runs.push(r);
-        notes.push(note);
-        maints.push(maint);
     }
     write_summary_csv(
         &runs,
         std::path::Path::new("results/survival_summary.csv"),
         threads.get(),
-        &notes,
-        &maints,
     )
     .expect("summary csv");
 }

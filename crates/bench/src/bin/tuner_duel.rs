@@ -35,9 +35,8 @@ fn main() {
     for drift in ["paper", "adversarial"] {
         let group: Vec<&amri_bench::DuelCell> = cells.iter().filter(|c| c.drift == drift).collect();
         let runs: Vec<_> = group.iter().map(|c| c.run.clone()).collect();
-        let maints: Vec<_> = group.iter().map(|c| c.maint).collect();
         println!("\n== {drift} drift ==");
-        print!("{}", render_maintenance_table(&runs, &maints));
+        print!("{}", render_maintenance_table(&runs));
         let by = |kind: amri_core::TunerKind| {
             group
                 .iter()
@@ -51,8 +50,8 @@ fn main() {
             "verdict: paper {} retunes (predicted {} ns, realized {} ns), \
              bandit {} retunes, outputs paper/bandit/static = {}/{}/{}",
             paper.run.retunes.len(),
-            paper.maint.retune_benefit_predicted_ns,
-            paper.maint.retune_benefit_realized_ns,
+            paper.run.maint.retune_benefit_predicted_ns,
+            paper.run.maint.retune_benefit_realized_ns,
             bandit.run.retunes.len(),
             paper.run.outputs,
             bandit.run.outputs,
@@ -60,14 +59,11 @@ fn main() {
         );
     }
 
-    let runs: Vec<_> = cells.iter().map(|c| c.run.clone()).collect();
-    let maints: Vec<_> = cells.iter().map(|c| c.maint).collect();
+    let runs: Vec<_> = cells.into_iter().map(|c| c.run).collect();
     write_summary_csv(
         &runs,
         std::path::Path::new("results/tuner_duel_summary.csv"),
         threads.get(),
-        &[],
-        &maints,
     )
     .expect("summary csv");
     println!("\nsummary: results/tuner_duel_summary.csv");

@@ -136,13 +136,6 @@ pub fn parse_threads(args: &[String]) -> NonZeroUsize {
     parse_operand(args, "--threads").unwrap_or(NonZeroUsize::MIN)
 }
 
-/// `--checkpoint-every N` (default off): snapshot the run every N
-/// pipeline steps. `0` disables checkpointing, same as omitting the flag
-/// — checkpointing is a pure observer either way.
-pub fn parse_checkpoint_every(args: &[String]) -> Option<u64> {
-    parse_operand(args, "--checkpoint-every").filter(|&n: &u64| n > 0)
-}
-
 /// The `--spill-cache N` flag spec, shared by the spill-bearing binaries.
 pub const SPILL_CACHE_FLAG: FlagSpec = (
     "--spill-cache",
@@ -218,27 +211,6 @@ mod tests {
         assert_eq!(
             operand::<u64>(&argv(&["bin", "--seed", "1x"]), "--seed"),
             Err("`--seed`: malformed value `1x`".to_string())
-        );
-    }
-
-    #[test]
-    fn checkpoint_every_parses_and_defaults_off() {
-        assert_eq!(
-            parse_checkpoint_every(&argv(&["bin", "--checkpoint-every", "500"])),
-            Some(500)
-        );
-        assert_eq!(parse_checkpoint_every(&argv(&["bin"])), None);
-        assert_eq!(
-            parse_checkpoint_every(&argv(&["bin", "--checkpoint-every", "0"])),
-            None,
-            "zero disables the periodic trigger"
-        );
-        assert_eq!(
-            operand::<u64>(
-                &argv(&["bin", "--checkpoint-every", "lots"]),
-                "--checkpoint-every"
-            ),
-            Err("`--checkpoint-every`: malformed value `lots`".to_string())
         );
     }
 

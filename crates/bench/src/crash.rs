@@ -5,27 +5,21 @@
 //! The engine side (`amri_engine::runtime::checkpoint`) owns the snapshot
 //! mechanics; this module packages the three moves a harness needs —
 //! run-while-checkpointing, run-until-injected-crash, and
-//! resume-from-latest-good-snapshot — and reports the bench-side
-//! [`CheckpointNote`] bookkeeping that
-//! [`write_summary_csv`](crate::report::write_summary_csv) emits. The
-//! `RunResult` itself never mentions checkpointing: it is the
-//! byte-identity oracle the recovery checks diff, so the counters ride
-//! alongside it instead.
+//! resume-from-latest-good-snapshot. The `RunResult` itself never
+//! mentions checkpointing: it is the byte-identity oracle the recovery
+//! checks diff, so the snapshot counts ride alongside it instead.
 
-use crate::report::CheckpointNote;
 use amri_engine::{
-    load_latest, CheckpointPolicy, Checkpointer, EngineError, Executor, FaultKind,
-    MaintenanceStats, RestoreReport, RunResult, StreamWorkload,
+    load_latest, CheckpointPolicy, Checkpointer, EngineError, Executor, FaultKind, RestoreReport,
+    RunResult, StreamWorkload,
 };
 use std::path::Path;
 
-/// Run to completion while snapshotting every `every` steps into `dir`.
+/// Run to completion while snapshotting every `every` steps into `dir`;
+/// returns the result and how many snapshots were written.
 ///
 /// Checkpointing is a pure observer, so the returned [`RunResult`] is
-/// byte-identical to what `exec.run()` would have produced. The
-/// [`MaintenanceStats`] ride along for the summary CSV's maintenance
-/// columns; they are part of the snapshot image, so a resumed run reports
-/// the same final ticks as an uninterrupted one.
+/// byte-identical to what `exec.run()` would have produced.
 ///
 /// # Errors
 /// [`EngineError::Snapshot`] on checkpoint I/O failures.
@@ -33,21 +27,13 @@ pub fn run_checkpointed<W: StreamWorkload>(
     exec: Executor<W>,
     dir: &Path,
     every: u64,
-) -> Result<(RunResult, CheckpointNote, MaintenanceStats), EngineError> {
+) -> Result<(RunResult, u64), EngineError> {
     let fingerprint = exec.config_fingerprint();
     let mut ckpt = Checkpointer::new(dir, CheckpointPolicy::every(every))?;
-    let (result, maint) = exec
+    let result = exec
         .into_pipeline()
-        .run_with_stats_ckpt(Some(&mut ckpt), fingerprint)?;
-    Ok((
-        result,
-        CheckpointNote {
-            checkpoints_taken: ckpt.checkpoints_taken(),
-            resumed_from_step: None,
-            restore_notes: String::new(),
-        },
-        maint,
-    ))
+        .run_with(Some(&mut ckpt), fingerprint)?;
+    Ok((result, ckpt.checkpoints_taken()))
 }
 
 /// Run with checkpointing and the given checkpoint-layer `faults` armed;
@@ -79,15 +65,12 @@ pub fn run_until_crash<W: StreamWorkload>(
 /// What [`resume_latest`] recovered and then finished.
 #[derive(Debug)]
 pub struct Resumed {
-    /// The finished run.
+    /// The finished run; its maintenance totals were restored from the
+    /// snapshot and accumulated to the end — identical to an
+    /// uninterrupted run's.
     pub result: RunResult,
-    /// Maintenance ticks, restored from the snapshot and accumulated to
-    /// the end — identical to an uninterrupted run's.
-    pub maint: MaintenanceStats,
-    /// The resume step and, in `restore_notes`, any corrupt snapshots
-    /// recovery skipped, with reasons.
-    pub note: CheckpointNote,
-    /// The full restore report.
+    /// The restore report: the snapshot restored, and any corrupt ones
+    /// recovery skipped on the way, with reasons.
     pub report: RestoreReport,
     /// Retunes already in the restored image's log: zero means the
     /// snapshot carried a tuner that had not yet decided anything.
@@ -105,18 +88,11 @@ pub fn resume_latest<W: StreamWorkload>(
     dir: &Path,
 ) -> Result<Resumed, EngineError> {
     let (snap, report) = load_latest(dir)?;
-    let step = snap.step();
     let pipeline = exec.resume_from(&snap)?;
     let retunes_restored = pipeline.context().retunes.len();
-    let (result, maint) = pipeline.run_with_stats_ckpt(None, 0)?;
+    let result = pipeline.run_with(None, 0)?;
     Ok(Resumed {
         result,
-        maint,
-        note: CheckpointNote {
-            checkpoints_taken: 0,
-            resumed_from_step: Some(step),
-            restore_notes: report.notes(),
-        },
         report,
         retunes_restored,
     })
@@ -150,7 +126,7 @@ mod tests {
 
     #[test]
     fn crash_resume_round_trip_matches_the_straight_run() {
-        let (baseline, base_maint) = quick_exec(8).run_with_stats();
+        let baseline = quick_exec(8).run();
         let dir = tmpdir("roundtrip");
         let (step, taken) = run_until_crash(
             quick_exec(8),
@@ -163,25 +139,26 @@ mod tests {
         assert!(taken >= 3);
         let resumed = resume_latest(quick_exec(8), &dir).unwrap();
         assert!(resumed.report.skipped.is_empty());
-        assert_eq!(resumed.note.restore_notes, "");
-        assert_eq!(resumed.note.resumed_from_step, Some(120));
+        // Snapshots at 40/80/120: the one at 120 (seq 2) restores.
+        assert!(resumed.report.path.ends_with("checkpoint-000002.snap"));
+        // The render carries the maintenance totals, which are
+        // snapshotted: the resumed run's tally is the uninterrupted one's.
         assert_eq!(format!("{baseline:#?}"), format!("{:#?}", resumed.result));
-        // Maintenance ticks are snapshotted, so the resumed run's final
-        // tally must match the uninterrupted run's.
-        assert_eq!(base_maint, resumed.maint);
-        assert!(resumed.maint.ingest_ns > 0, "{:?}", resumed.maint);
+        assert!(
+            resumed.result.maint.ingest_ns > 0,
+            "{:?}",
+            resumed.result.maint
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn observer_run_reports_its_checkpoints() {
         let dir = tmpdir("observer");
-        let (baseline, base_maint) = quick_exec(3).run_with_stats();
-        let (result, note, maint) = run_checkpointed(quick_exec(3), &dir, 100).unwrap();
-        assert!(note.checkpoints_taken > 0);
-        assert_eq!(note.resumed_from_step, None);
+        let baseline = quick_exec(3).run();
+        let (result, taken) = run_checkpointed(quick_exec(3), &dir, 100).unwrap();
+        assert!(taken > 0);
         assert_eq!(format!("{baseline:#?}"), format!("{result:#?}"));
-        assert_eq!(base_maint, maint);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -210,15 +187,11 @@ mod tests {
             1,
             "the torn image must be skipped by checksum"
         );
-        assert!(
-            resumed
-                .note
-                .restore_notes
-                .contains("checkpoint-000002.snap"),
-            "the skipped file must be named in the note: {}",
-            resumed.note.restore_notes
+        assert_eq!(
+            resumed.report.skipped[0].file, "checkpoint-000002.snap",
+            "the skipped file must be named in the report"
         );
-        assert_eq!(resumed.note.resumed_from_step, Some(80));
+        assert!(resumed.report.path.ends_with("checkpoint-000001.snap"));
         assert_eq!(format!("{baseline:#?}"), format!("{:#?}", resumed.result));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -10,7 +10,7 @@ use crate::parallel::run_all;
 use crate::training::{train_initial, TrainedInit};
 use amri_core::assess::AssessorKind;
 use amri_core::{IndexConfig, TunerKind};
-use amri_engine::{Executor, IndexingMode, MaintenanceStats, RunResult};
+use amri_engine::{Executor, IndexingMode, RunResult};
 use amri_hh::CombineStrategy;
 use amri_stream::AccessPattern;
 use amri_synth::scenario::{adversarial_scenario, paper_scenario, Scale};
@@ -35,10 +35,7 @@ fn prepared(scale: Scale, seed: u64, threads: NonZeroUsize) -> (PaperScenario, T
     (scenario, init)
 }
 
-fn run_mode_with_stats(
-    scenario: &PaperScenario,
-    mode: IndexingMode,
-) -> (RunResult, MaintenanceStats) {
+fn run_mode(scenario: &PaperScenario, mode: IndexingMode) -> RunResult {
     Executor::try_new(
         &scenario.query,
         scenario.workload(),
@@ -46,7 +43,7 @@ fn run_mode_with_stats(
         scenario.engine.clone(),
     )
     .expect("valid engine configuration")
-    .run_with_stats()
+    .run()
 }
 
 /// `EXP-F6-ASSESS` — Figure 6, assessment methods: AMRI under SRIA, CSRIA,
@@ -60,19 +57,6 @@ fn run_mode_with_stats(
 /// headroom produces exactly the workload's join results regardless of
 /// index quality.)
 pub fn fig6_assessment(scale: Scale, seed: u64, threads: NonZeroUsize) -> Vec<RunResult> {
-    fig6_assessment_with_stats(scale, seed, threads)
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
-}
-
-/// [`fig6_assessment`] plus per-run [`MaintenanceStats`] — the deterministic
-/// virtual ticks each variant spent on ingest and migration.
-pub fn fig6_assessment_with_stats(
-    scale: Scale,
-    seed: u64,
-    threads: NonZeroUsize,
-) -> Vec<(RunResult, MaintenanceStats)> {
     let (scenario, init) = match scale {
         Scale::Paper => {
             let mut sc = paper_scenario(scale, seed);
@@ -101,7 +85,7 @@ pub fn fig6_assessment_with_stats(
             let scenario = &scenario;
             let configs: Vec<IndexConfig> = init.configs.clone();
             move || {
-                run_mode_with_stats(
+                run_mode(
                     scenario,
                     IndexingMode::Amri {
                         assessor: kind,
@@ -118,25 +102,13 @@ pub fn fig6_assessment_with_stats(
 /// with 1..=7 hash indices (CDIA-highest statistics, conventional
 /// selection), trained starting patterns.
 pub fn fig6_hash(scale: Scale, seed: u64, threads: NonZeroUsize) -> Vec<RunResult> {
-    fig6_hash_with_stats(scale, seed, threads)
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
-}
-
-/// [`fig6_hash`] plus per-run [`MaintenanceStats`].
-pub fn fig6_hash_with_stats(
-    scale: Scale,
-    seed: u64,
-    threads: NonZeroUsize,
-) -> Vec<(RunResult, MaintenanceStats)> {
     let (scenario, init) = prepared(scale, seed, threads);
     let jobs: Vec<_> = (1..=7usize)
         .map(|k| {
             let scenario = &scenario;
             let patterns: Vec<Vec<AccessPattern>> = init.hash_patterns(k);
             move || {
-                run_mode_with_stats(
+                run_mode(
                     scenario,
                     IndexingMode::AdaptiveHash {
                         n_indices: k,
@@ -159,10 +131,6 @@ pub struct Fig7Result {
     pub best_hash: RunResult,
     /// The non-adapting bitmap starting from the same trained optimum.
     pub bitmap: RunResult,
-    /// Maintenance ticks for `[amri, best_hash, bitmap]`, in that order —
-    /// aligned with the run fields so callers can feed both straight into
-    /// the summary CSV.
-    pub maint: [MaintenanceStats; 3],
 }
 
 impl Fig7Result {
@@ -188,7 +156,7 @@ pub fn fig7_compare(scale: Scale, seed: u64, threads: NonZeroUsize) -> Fig7Resul
                 let scenario = &scenario;
                 let patterns = init.hash_patterns(k);
                 move || {
-                    run_mode_with_stats(
+                    run_mode(
                         scenario,
                         IndexingMode::AdaptiveHash {
                             n_indices: k,
@@ -204,9 +172,9 @@ pub fn fig7_compare(scale: Scale, seed: u64, threads: NonZeroUsize) -> Fig7Resul
         let configs = init.configs.clone();
         let configs2 = init.configs.clone();
         let scenario_ref = &scenario;
-        let jobs: Vec<Box<dyn FnOnce() -> (RunResult, MaintenanceStats) + Send>> = vec![
+        let jobs: Vec<Box<dyn FnOnce() -> RunResult + Send>> = vec![
             Box::new(move || {
-                run_mode_with_stats(
+                run_mode(
                     scenario_ref,
                     IndexingMode::Amri {
                         assessor: AssessorKind::Cdia(CombineStrategy::HighestCount),
@@ -215,7 +183,7 @@ pub fn fig7_compare(scale: Scale, seed: u64, threads: NonZeroUsize) -> Fig7Resul
                 )
             }),
             Box::new(move || {
-                run_mode_with_stats(
+                run_mode(
                     scenario_ref,
                     IndexingMode::StaticBitmap {
                         configs: Some(configs2),
@@ -225,17 +193,16 @@ pub fn fig7_compare(scale: Scale, seed: u64, threads: NonZeroUsize) -> Fig7Resul
         ];
         run_all(jobs)
     };
-    let (bitmap, bitmap_maint) = pair.pop().expect("two jobs");
-    let (amri, amri_maint) = pair.pop().expect("two jobs");
-    let (best_hash, best_hash_maint) = hash_runs
+    let bitmap = pair.pop().expect("two jobs");
+    let amri = pair.pop().expect("two jobs");
+    let best_hash = hash_runs
         .into_iter()
-        .max_by_key(|(r, _)| r.outputs)
+        .max_by_key(|r| r.outputs)
         .expect("seven hash runs");
     Fig7Result {
         amri,
         best_hash,
         bitmap,
-        maint: [amri_maint, best_hash_maint, bitmap_maint],
     }
 }
 
@@ -248,8 +215,6 @@ pub struct DuelCell {
     pub tuner: TunerKind,
     /// The run itself, relabeled `<drift>/<tuner>`.
     pub run: RunResult,
-    /// Maintenance ticks including the tuner-ledger trio.
-    pub maint: MaintenanceStats,
 }
 
 /// `EXP-DUEL` — the safe-tuning head-to-head: the paper's greedy tuner,
@@ -258,8 +223,8 @@ pub struct DuelCell {
 /// undercuts the migration-amortization horizon
 /// ([`adversarial_scenario`]). All six cells share the query, the
 /// quasi-trained starting configurations and the seed, so the only degree
-/// of freedom is the tuning policy — the regret/thrash columns in the
-/// returned [`MaintenanceStats`] are directly comparable.
+/// of freedom is the tuning policy — the regret/thrash totals in each
+/// run's [`maint`](RunResult::maint) are directly comparable.
 pub fn tuner_duel(scale: Scale, seed: u64, threads: NonZeroUsize) -> Vec<DuelCell> {
     let scenarios: Vec<(&'static str, PaperScenario, TrainedInit)> =
         [("paper", false), ("adversarial", true)]
@@ -284,7 +249,7 @@ pub fn tuner_duel(scale: Scale, seed: u64, threads: NonZeroUsize) -> Vec<DuelCel
                 move || {
                     let mut sc = sc.clone();
                     sc.engine.tuner_kind = tuner;
-                    let (mut run, maint) = run_mode_with_stats(
+                    let mut run = run_mode(
                         &sc,
                         IndexingMode::Amri {
                             assessor: AssessorKind::Cdia(CombineStrategy::HighestCount),
@@ -292,12 +257,7 @@ pub fn tuner_duel(scale: Scale, seed: u64, threads: NonZeroUsize) -> Vec<DuelCel
                         },
                     );
                     run.label = format!("{drift}/{}", tuner.label());
-                    DuelCell {
-                        drift,
-                        tuner,
-                        run,
-                        maint,
-                    }
+                    DuelCell { drift, tuner, run }
                 }
             })
         })

@@ -23,23 +23,20 @@
 //!
 //! [`lattice`] builds the table and [`check`] runs it: each distinct node
 //! is driven once however many edges touch it, one comparer renders both
-//! sides (`RunResult` and `MaintenanceStats`, Debug), and a violation is
-//! reported under the name of its edge or expectation — the reproduction
-//! handle: `matrix --quick --seed N --only <name>`. DESIGN.md § *The
-//! identity lattice* holds the table in prose.
+//! sides (each `RunResult`, maintenance totals included, Debug), and a
+//! violation is reported under the name of its edge or expectation — the
+//! reproduction handle: `matrix --quick --seed N --only <name>`.
+//! DESIGN.md § *The identity lattice* holds the table in prose.
 
 use self::{Drive::*, Modulo::*, Must::*};
 use crate::cli::apply_threads;
 use crate::crash::{resume_latest, run_checkpointed, run_until_crash};
-use crate::experiments::{
-    fig6_assessment_with_stats, fig6_hash_with_stats, fig7_compare, tuner_duel,
-};
+use crate::experiments::{fig6_assessment, fig6_hash, fig7_compare, tuner_duel};
 use amri_core::assess::AssessorKind;
 use amri_core::{StorageProfile, TunerKind};
 use amri_engine::{
-    DegradationPolicy, Executor, FaultKind, FaultPlan, IndexingMode, MaintenanceStats,
-    MemoryBudget, PressureWindow, RunOutcome, RunResult, SheddingPolicy, SkewedClock,
-    SpillSettings, TornMode,
+    DegradationPolicy, Executor, FaultKind, FaultPlan, IndexingMode, MemoryBudget, PressureWindow,
+    RunOutcome, RunResult, SheddingPolicy, SkewedClock, SpillSettings, TornMode,
 };
 use amri_hh::CombineStrategy;
 use amri_serve::{run_fleet, run_fleet_migrated, FleetCell, HostConfig};
@@ -128,8 +125,7 @@ pub fn without_cache_counters(mut r: RunResult) -> RunResult {
     r
 }
 
-type Run = (RunResult, MaintenanceStats);
-type Experiment = fn(Scale, u64, NonZeroUsize) -> Vec<Run>;
+type Experiment = fn(Scale, u64, NonZeroUsize) -> Vec<RunResult>;
 
 #[derive(Clone)]
 enum Budget {
@@ -460,8 +456,9 @@ fn faults_family(l: &mut Lattice) {
             musts.extend(governed.map(|_| Sheds));
             l.expect(&t1, &musts);
             if *plan_name == "mixed" {
-                // MaintenanceStats ride every compare, so a replay that
-                // silently re-migrates fails even when the outputs agree.
+                // The maintenance totals ride every compare, so a replay
+                // that silently re-migrates fails even when the outputs
+                // agree.
                 l.replay(&t1);
                 l.replay(&t4);
                 let observed = t1.via(Observed(1000));
@@ -675,18 +672,17 @@ fn fleet_family(l: &mut Lattice) {
 fn experiment_families(l: &mut Lattice) {
     let duel: Experiment = |scale, seed, threads| {
         let cells = tuner_duel(scale, seed, threads);
-        cells.into_iter().map(|c| (c.run, c.maint)).collect()
+        cells.into_iter().map(|c| c.run).collect()
     };
     let fig7: Experiment = |scale, seed, threads| {
         let f = fig7_compare(scale, seed, threads);
-        let runs = [f.amri, f.best_hash, f.bitmap];
-        runs.into_iter().zip(f.maint).collect()
+        vec![f.amri, f.best_hash, f.bitmap]
     };
     let [t1, _] = l.pair("duel/lineup", Body::Experiment(duel));
     l.expect(&t1, &[Retunes]);
     let figures: [(&str, Experiment); 3] = [
-        ("figures/fig6-assessment", fig6_assessment_with_stats),
-        ("figures/fig6-hash", fig6_hash_with_stats),
+        ("figures/fig6-assessment", fig6_assessment),
+        ("figures/fig6-hash", fig6_hash),
         ("figures/fig7-compare", fig7),
     ];
     for (label, lineup) in figures {
@@ -699,7 +695,7 @@ fn experiment_families(l: &mut Lattice) {
 /// member, plus what the checkpointing drives saw.
 #[derive(Default)]
 struct Outcome {
-    runs: Vec<Run>,
+    runs: Vec<RunResult>,
     checkpoints: u64,
     skipped: u64,
     /// Retunes already in the image a crashed run resumed from.
@@ -710,7 +706,7 @@ struct Outcome {
 type Driven = Result<Outcome, String>;
 
 impl Outcome {
-    fn of(runs: Vec<Run>) -> Outcome {
+    fn of(runs: Vec<RunResult>) -> Outcome {
         Outcome {
             runs,
             ..Outcome::default()
@@ -719,7 +715,7 @@ impl Outcome {
 
     fn check(&self, must: Must) -> Result<(), String> {
         let all = |holds: &dyn Fn(&RunResult) -> bool| {
-            let Some((r, _)) = self.runs.iter().find(|(r, _)| !holds(r)) else {
+            let Some(r) = self.runs.iter().find(|r| !holds(r)) else {
                 return Ok(());
             };
             let (label, outcome, outputs, spill) = (&r.label, r.outcome, r.outputs, r.spill);
@@ -727,7 +723,7 @@ impl Outcome {
                 "`{label}` ended {outcome:?}, {outputs} outputs, {spill:?}"
             ))
         };
-        let sum = |f: &dyn Fn(&RunResult) -> u64| self.runs.iter().map(|(r, _)| f(r)).sum::<u64>();
+        let sum = |f: &dyn Fn(&RunResult) -> u64| self.runs.iter().map(f).sum::<u64>();
         let some = |what: &str, count: u64| match count {
             0 => Err(format!("vacuous: {what} = 0")),
             _ => Ok(()),
@@ -762,19 +758,19 @@ impl Outcome {
         }
     }
 
-    /// The comparer's view of a node: every run's result and maintenance
-    /// stats, Debug-rendered after the edge's normaliser.
+    /// The comparer's view of a node: every run's result, maintenance
+    /// totals included, Debug-rendered after the edge's normaliser.
     fn render(&self, modulo: Modulo) -> String {
-        let one = |(r, m): &Run| match modulo {
-            Nothing => format!("{r:#?}\n{m:#?}\n"),
-            CacheCounters => format!("{:#?}\n{m:#?}\n", without_cache_counters(r.clone())),
+        let one = |r: &RunResult| match modulo {
+            Nothing => format!("{r:#?}\n"),
+            CacheCounters => format!("{:#?}\n", without_cache_counters(r.clone())),
             AllButTheAnswer => format!("{:?}\n", (r.outputs, r.output_digest)),
         };
         self.runs.iter().map(one).collect()
     }
 
     fn answers(&self) -> String {
-        let pair = |(r, _): &Run| format!("({}, {:#018x})", r.outputs, r.output_digest);
+        let pair = |r: &RunResult| format!("({}, {:#018x})", r.outputs, r.output_digest);
         self.runs.iter().map(pair).collect::<Vec<_>>().join(" ")
     }
 }
@@ -899,7 +895,7 @@ impl<'a> Runner<'a> {
         };
         let outcomes = outcomes.map_err(|e| e.to_string())?;
         Ok(Outcome::of(
-            outcomes.into_iter().map(|o| (o.result, o.maint)).collect(),
+            outcomes.into_iter().map(|o| o.result).collect(),
         ))
     }
 
@@ -921,7 +917,7 @@ impl<'a> Runner<'a> {
             Budget::Fixed(budget) => engine.budget = *budget,
             Budget::Forcing(twin) => {
                 let peak = match self.straight(twin).1.as_ref() {
-                    Ok(o) => o.runs.iter().map(|(r, _)| r.series.peak_memory()).max(),
+                    Ok(o) => o.runs.iter().map(|r| r.series.peak_memory()).max(),
                     Err(e) => return Err(format!("`{twin}` did not run: {e}")),
                 };
                 let bytes = forcing_budget(&spec.mode, peak.unwrap_or(0));
@@ -962,18 +958,18 @@ fn drive_one(sc: &PaperScenario, mode: &IndexingMode, drive: Drive, dir: &Path) 
     };
     let snapshots = dir.join("snapshots");
     match drive {
-        Straight => Ok(Outcome::of(vec![exec()?.run_with_stats()])),
+        Straight => Ok(Outcome::of(vec![exec()?.run()])),
         Skewed(rate_ppm) => {
             let clock = SkewedClock::new(VirtualClock::new(), rate_ppm);
             let pipeline = exec()?.into_pipeline_with_clock(clock);
-            Ok(Outcome::of(vec![pipeline.run_with_stats()]))
+            Ok(Outcome::of(vec![pipeline.run()]))
         }
         Observed(every) => {
             let observed = run_checkpointed(exec()?, &snapshots, every);
-            let (result, note, maint) = observed.map_err(|e| e.to_string())?;
+            let (result, checkpoints) = observed.map_err(|e| e.to_string())?;
             Ok(Outcome {
-                checkpoints: note.checkpoints_taken,
-                ..Outcome::of(vec![(result, maint)])
+                checkpoints,
+                ..Outcome::of(vec![result])
             })
         }
         Crashed(every, at, torn) => {
@@ -992,7 +988,7 @@ fn drive_one(sc: &PaperScenario, mode: &IndexingMode, drive: Drive, dir: &Path) 
             let resumed = resume_latest(exec()?, &snapshots).map_err(|e| format!("resume: {e}"))?;
             let skipped = resumed.report.skipped.len() as u64;
             let retunes_restored = resumed.retunes_restored as u64;
-            let runs = vec![(resumed.result, resumed.maint)];
+            let runs = vec![resumed.result];
             Ok(Outcome {
                 runs,
                 checkpoints,

@@ -1,7 +1,7 @@
 //! Figure-shaped reporting: aligned time-series tables, run summaries and
 //! CSV emission.
 
-use amri_engine::{MaintenanceStats, RunOutcome, RunResult};
+use amri_engine::{RunOutcome, RunResult};
 use amri_stream::VirtualTime;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -90,10 +90,8 @@ pub fn render_summary(runs: &[RunResult]) -> String {
 /// so ns/1000 per tick). The trailing spill columns come from each run's
 /// [`SpillStats`](amri_core::SpillStats) rollup: demand block reads, the
 /// block-cache hit fraction, and readahead-loaded blocks (all zeros for
-/// tierless runs). `maint` aligns with `runs`; missing
-/// entries render as zeros, so lineups that never collected stats still
-/// tabulate.
-pub fn render_maintenance_table(runs: &[RunResult], maint: &[MaintenanceStats]) -> String {
+/// tierless runs).
+pub fn render_maintenance_table(runs: &[RunResult]) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -112,8 +110,8 @@ pub fn render_maintenance_table(runs: &[RunResult], maint: &[MaintenanceStats]) 
         "prefetched"
     )
     .unwrap();
-    for (i, r) in runs.iter().enumerate() {
-        let m = maint.get(i).copied().unwrap_or_default();
+    for r in runs {
+        let m = r.maint;
         let total = r.final_time.0.max(1);
         let pct = 100.0 * (m.ingest_ns as f64 / 1000.0) / total as f64;
         writeln!(
@@ -217,41 +215,25 @@ pub fn write_csv(runs: &[RunResult], path: &Path) -> std::io::Result<()> {
     std::fs::write(path, body)
 }
 
-/// Per-run checkpoint bookkeeping for [`write_summary_csv`]: how many
-/// snapshots the run wrote and, when it was resumed from one, the step it
-/// restarted at. This lives bench-side on purpose — checkpointing is a
-/// pure observer and must not appear in [`RunResult`], whose Debug render
-/// is the byte-identity oracle the recovery tests diff.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CheckpointNote {
-    /// Snapshots written during the run (0 when checkpointing was off).
-    pub checkpoints_taken: u64,
-    /// Step the run was resumed at, `None` for uninterrupted runs.
-    pub resumed_from_step: Option<u64>,
-    /// Corrupt snapshot files recovery skipped on the way to the restored
-    /// one, with reasons (from
-    /// [`RestoreReport::notes`](amri_engine::RestoreReport::notes));
-    /// empty for clean restores and uninterrupted runs.
-    pub restore_notes: String,
-}
+/// A summary CSV column: its header name, and how a run fills its cell.
+type Column<'a> = (&'static str, &'a dyn Fn(&RunResult) -> String);
 
 /// Write one summary row per run as CSV, including the degradation and
 /// fault-injection counters — the experiment-facing face of
 /// [`RunOutcome::Degraded`] (empty cells where a counter does not apply).
 /// `threads` records the worker-thread count the runs executed with, so a
 /// summary produced under `--threads N` is distinguishable from (and
-/// diffable against) the sequential one. `notes` aligns with `runs` and
-/// fills the `checkpoints_taken`/`resumed_from_step` columns; pass `&[]`
-/// for uncheckpointed lineups (zero / empty cells). `maint` aligns with
-/// `runs` and fills the maintenance-cost columns (`ingest_ns`,
-/// `migrate_ns`, `migrate_stalls`) plus the tuner-ledger trio
+/// diffable against) the sequential one.
+///
+/// The maintenance columns come from each run's
+/// [`maint`](RunResult::maint): `ingest_ns`, `migrate_ns`,
+/// `migrate_stalls`, and the tuner-ledger trio
 /// (`retune_benefit_predicted_ns`, `retune_benefit_realized_ns`,
 /// `regret_vs_static_ns`) that makes thrash observable: predicted vs
 /// realized retune benefit and cumulative regret against the static seed
 /// IC. The `_ns` columns carry deterministic *virtual* nanoseconds, not
 /// wall-clock ones, so repeated runs diff byte-for-byte (realized benefit
-/// is signed — a mispredicted retune loses time). Pass `&[]` when stats
-/// were not collected (zeros).
+/// is signed — a mispredicted retune loses time).
 ///
 /// The trailing spill columns come from each run's own
 /// [`SpillStats`](amri_core::SpillStats) rollup: `spilled_buckets`
@@ -260,85 +242,66 @@ pub struct CheckpointNote {
 /// for block reads), then the block-cache counters — `cache_hits`,
 /// `cache_misses`, `coalesced_reads`, `prefetched_blocks`,
 /// `cache_evictions` — all zeros when no spill tier (or no cache) was
-/// configured. The final `notes` column carries each run's restore notes
-/// (corrupt checkpoints skipped during recovery); commas are folded to
-/// `;` to keep the CSV one-cell-per-column.
-pub fn write_summary_csv(
-    runs: &[RunResult],
-    path: &Path,
-    threads: usize,
-    notes: &[CheckpointNote],
-    maint: &[MaintenanceStats],
-) -> std::io::Result<()> {
-    let mut body = String::from(
-        "label,outcome,outputs,peak_mem_bytes,peak_backlog,retunes,\
-         shed_jobs,evicted_tuples,first_degraded_secs,death_secs,\
-         faults_dropped,faults_duplicated,faults_delayed,faults_reordered,\
-         threads,checkpoints_taken,resumed_from_step,\
-         ingest_ns,migrate_ns,migrate_stalls,\
-         retune_benefit_predicted_ns,retune_benefit_realized_ns,regret_vs_static_ns,\
-         spilled_buckets,promoted_buckets,spill_read_ns,\
-         cache_hits,cache_misses,coalesced_reads,prefetched_blocks,\
-         cache_evictions,notes\n",
-    );
-    for (i, r) in runs.iter().enumerate() {
-        let note = notes.get(i).cloned().unwrap_or_default();
-        let m = maint.get(i).copied().unwrap_or_default();
-        let outcome = match r.outcome {
-            RunOutcome::Completed => "completed",
-            RunOutcome::OutOfMemory { .. } => "oom",
-            RunOutcome::Degraded { .. } => "degraded",
-        };
-        let first_degraded = r
-            .degradation
-            .first_at
-            .map(|t| format!("{:.3}", t.as_secs_f64()))
-            .unwrap_or_default();
-        let death = r
-            .death_time()
-            .map(|t| format!("{:.3}", t.as_secs_f64()))
-            .unwrap_or_default();
-        let resumed = note
-            .resumed_from_step
-            .map(|s| s.to_string())
-            .unwrap_or_default();
-        writeln!(
-            body,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            r.label,
-            outcome,
-            r.outputs,
-            r.series.peak_memory(),
-            r.series.peak_backlog(),
-            r.retunes.len(),
-            r.degradation.shed_jobs,
-            r.degradation.evicted_tuples,
-            first_degraded,
-            death,
-            r.faults.dropped,
-            r.faults.duplicated,
-            r.faults.delayed,
-            r.faults.reordered,
-            threads,
-            note.checkpoints_taken,
-            resumed,
-            m.ingest_ns,
-            m.migrate_ns,
-            m.migrate_stalls,
-            m.retune_benefit_predicted_ns,
-            m.retune_benefit_realized_ns,
-            m.regret_vs_static_ns,
-            r.spill.blocks_written,
-            r.spill.promoted_blocks,
-            r.spill.read_ns,
-            r.spill.cache_hits,
-            r.spill.cache_misses,
-            r.spill.coalesced_reads,
-            r.spill.prefetched_blocks,
-            r.spill.cache_evictions,
-            note.restore_notes.replace(',', ";")
-        )
-        .unwrap();
+/// configured.
+pub fn write_summary_csv(runs: &[RunResult], path: &Path, threads: usize) -> std::io::Result<()> {
+    let secs = |t: Option<VirtualTime>| {
+        t.map(|t| format!("{:.3}", t.as_secs_f64()))
+            .unwrap_or_default()
+    };
+    let threads = threads.to_string();
+    let columns: &[Column<'_>] = &[
+        ("label", &|r| r.label.clone()),
+        ("outcome", &|r| {
+            let word = match r.outcome {
+                RunOutcome::Completed => "completed",
+                RunOutcome::OutOfMemory { .. } => "oom",
+                RunOutcome::Degraded { .. } => "degraded",
+            };
+            word.to_string()
+        }),
+        ("outputs", &|r| r.outputs.to_string()),
+        ("peak_mem_bytes", &|r| r.series.peak_memory().to_string()),
+        ("peak_backlog", &|r| r.series.peak_backlog().to_string()),
+        ("retunes", &|r| r.retunes.len().to_string()),
+        ("shed_jobs", &|r| r.degradation.shed_jobs.to_string()),
+        ("evicted_tuples", &|r| {
+            r.degradation.evicted_tuples.to_string()
+        }),
+        ("first_degraded_secs", &|r| secs(r.degradation.first_at)),
+        ("death_secs", &|r| secs(r.death_time())),
+        ("faults_dropped", &|r| r.faults.dropped.to_string()),
+        ("faults_duplicated", &|r| r.faults.duplicated.to_string()),
+        ("faults_delayed", &|r| r.faults.delayed.to_string()),
+        ("faults_reordered", &|r| r.faults.reordered.to_string()),
+        ("threads", &|_| threads.clone()),
+        ("ingest_ns", &|r| r.maint.ingest_ns.to_string()),
+        ("migrate_ns", &|r| r.maint.migrate_ns.to_string()),
+        ("migrate_stalls", &|r| r.maint.migrate_stalls.to_string()),
+        ("retune_benefit_predicted_ns", &|r| {
+            r.maint.retune_benefit_predicted_ns.to_string()
+        }),
+        ("retune_benefit_realized_ns", &|r| {
+            r.maint.retune_benefit_realized_ns.to_string()
+        }),
+        ("regret_vs_static_ns", &|r| {
+            r.maint.regret_vs_static_ns.to_string()
+        }),
+        ("spilled_buckets", &|r| r.spill.blocks_written.to_string()),
+        ("promoted_buckets", &|r| r.spill.promoted_blocks.to_string()),
+        ("spill_read_ns", &|r| r.spill.read_ns.to_string()),
+        ("cache_hits", &|r| r.spill.cache_hits.to_string()),
+        ("cache_misses", &|r| r.spill.cache_misses.to_string()),
+        ("coalesced_reads", &|r| r.spill.coalesced_reads.to_string()),
+        ("prefetched_blocks", &|r| {
+            r.spill.prefetched_blocks.to_string()
+        }),
+        ("cache_evictions", &|r| r.spill.cache_evictions.to_string()),
+    ];
+    let header: Vec<&str> = columns.iter().map(|(name, _)| *name).collect();
+    let mut body = header.join(",") + "\n";
+    for r in runs {
+        let row: Vec<String> = columns.iter().map(|(_, cell)| cell(r)).collect();
+        writeln!(body, "{}", row.join(",")).unwrap();
     }
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
@@ -349,7 +312,7 @@ pub fn write_summary_csv(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amri_engine::ThroughputSeries;
+    use amri_engine::{MaintenanceStats, ThroughputSeries};
     use amri_stream::VirtualDuration;
 
     fn fake_run(label: &str, per_sec: u64, secs: u64, die_at: Option<u64>) -> RunResult {
@@ -377,6 +340,7 @@ mod tests {
             faults: Default::default(),
             spill: Default::default(),
             output_digest: 0,
+            maint: Default::default(),
         }
     }
 
@@ -441,6 +405,14 @@ mod tests {
         degraded.degradation.shed_jobs = 7;
         degraded.degradation.evicted_tuples = 40;
         degraded.faults.dropped = 3;
+        degraded.maint = MaintenanceStats {
+            ingest_ns: 900,
+            migrate_ns: 70,
+            migrate_stalls: 2,
+            retune_benefit_predicted_ns: 500,
+            retune_benefit_realized_ns: -120,
+            regret_vs_static_ns: 64,
+        };
         let runs = vec![degraded, fake_run("plain", 10, 20, None)];
         let s = render_summary(&runs);
         assert!(s.contains("deg@0.2m"), "{s}");
@@ -448,55 +420,42 @@ mod tests {
 
         let dir = std::env::temp_dir().join("amri_bench_summary_test");
         let path = dir.join("summary.csv");
-        let notes = [CheckpointNote {
-            checkpoints_taken: 5,
-            resumed_from_step: Some(120),
-            restore_notes: "skipped checkpoint-000002.snap (checksum mismatch, torn)".into(),
-        }];
-        let maint = [MaintenanceStats {
-            ingest_ns: 900,
-            migrate_ns: 70,
-            migrate_stalls: 2,
-            retune_benefit_predicted_ns: 500,
-            retune_benefit_realized_ns: -120,
-            regret_vs_static_ns: 64,
-        }];
-        write_summary_csv(&runs, &path, 4, &notes, &maint).unwrap();
+        write_summary_csv(&runs, &path, 4).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = body.lines().collect();
         assert!(lines[0].starts_with("label,outcome,outputs"));
         assert!(lines[0].contains("shed_jobs"));
         assert!(
             lines[0].ends_with(
-                ",threads,checkpoints_taken,resumed_from_step,\
+                ",threads,\
                  ingest_ns,migrate_ns,migrate_stalls,\
                  retune_benefit_predicted_ns,retune_benefit_realized_ns,\
                  regret_vs_static_ns,\
                  spilled_buckets,promoted_buckets,spill_read_ns,\
                  cache_hits,cache_misses,coalesced_reads,prefetched_blocks,\
-                 cache_evictions,notes"
+                 cache_evictions"
             ),
             "{}",
             lines[0]
         );
+        // One cell per column on every row, the empty ones included.
+        let width = lines[0].split(',').count();
+        assert_eq!(width, 29, "{}", lines[0]);
+        for line in &lines[1..] {
+            assert_eq!(line.split(',').count(), width, "{line}");
+        }
         assert!(lines[1].contains("degraded"), "{}", lines[1]);
         assert!(lines[1].contains(",7,40,12.000,"), "{}", lines[1]);
-        // Restore notes land in the final cell with commas folded to ';'
-        // so the row keeps one value per column.
+        // The run's own maintenance totals fill the maintenance columns.
         assert!(
-            lines[1].ends_with(
-                "3,0,0,0,4,5,120,900,70,2,500,-120,64,0,0,0,0,0,0,0,0,\
-                 skipped checkpoint-000002.snap (checksum mismatch; torn)"
-            ),
+            lines[1].ends_with("3,0,0,0,4,900,70,2,500,-120,64,0,0,0,0,0,0,0,0"),
             "{}",
             lines[1]
         );
         assert!(lines[2].contains("completed"), "{}", lines[2]);
-        // Runs without a note get zero / empty checkpoint cells, runs
-        // without maintenance stats get zero maintenance columns, and
-        // runs without a spill tier get zero spill columns.
+        // A run that maintained nothing and had no spill tier: zeros.
         assert!(
-            lines[2].ends_with(",4,0,,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"),
+            lines[2].ends_with(",,0,0,0,0,4,0,0,0,0,0,0,0,0,0,0,0,0,0,0"),
             "{}",
             lines[2]
         );
@@ -506,30 +465,28 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_table_renders_ticks_and_tolerates_missing_stats() {
-        let runs = vec![
-            fake_run("amri", 100, 10, None),
-            fake_run("hash", 50, 10, None),
-        ];
-        let maint = [MaintenanceStats {
+    fn maintenance_table_renders_each_runs_own_ticks() {
+        let mut amri = fake_run("amri", 100, 10, None);
+        amri.maint = MaintenanceStats {
             ingest_ns: 1234,
             migrate_ns: 56,
             migrate_stalls: 3,
             retune_benefit_predicted_ns: 77,
             retune_benefit_realized_ns: -9,
             regret_vs_static_ns: 5,
-        }];
-        let table = render_maintenance_table(&runs, &maint);
+        };
+        let runs = vec![amri, fake_run("hash", 50, 10, None)];
+        let table = render_maintenance_table(&runs);
         assert!(table.contains("ingest-ns"), "{table}");
         assert!(table.contains("regret-ns"), "{table}");
-        assert!(table.contains("1234"), "{table}");
-        assert!(table.contains("56"), "{table}");
-        assert!(table.contains("77"), "{table}");
-        assert!(table.contains("-9"), "{table}");
-        // The second run has no stats entry: zeros, not a panic.
+        let amri_row = table.lines().nth(1).unwrap();
+        for cell in ["1234", "56", "77", "-9"] {
+            assert!(amri_row.contains(cell), "{table}");
+        }
+        // The second run maintained nothing: its row reads zeros.
         let last = table.lines().last().unwrap();
         assert!(last.contains("hash"), "{table}");
-        assert!(last.contains('0'), "{table}");
+        assert!(!last.contains("1234"), "{table}");
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl Assessor for Cdia {
         }
         let peak = r.get_usize()?;
         let dropped = r.get_u64()?;
-        let n_nodes = r.get_usize()?;
+        let n_nodes = r.get_count(4 + 8 + 8, "CDIA node count")?;
         let width = self.hhh.width();
         let mut nodes = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
@@ -202,6 +202,23 @@ mod tests {
                 hh.iter().any(|(p, _)| p.mask() == m),
                 "missing {m:#b}: {hh:?}"
             );
+        }
+    }
+
+    /// An image claiming more nodes than its bytes hold is `Malformed`,
+    /// not an allocation abort.
+    #[test]
+    fn load_refuses_a_node_count_the_section_cannot_hold() {
+        let fresh = || Cdia::new(3, 0.01, CombineStrategy::HighestCount, 1);
+        let mut w = SectionWriter::new();
+        fresh().save(&mut w);
+        let mut image = w.into_bytes();
+        // An empty lattice ends in its node count.
+        let at = image.len() - 8;
+        image[at..].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        match fresh().load(&mut SectionReader::new(&image)) {
+            Err(SnapshotError::Malformed(why)) => assert!(why.contains("node count"), "{why}"),
+            other => panic!("expected Malformed(node count), got {other:?}"),
         }
     }
 

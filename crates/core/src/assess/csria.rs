@@ -85,7 +85,7 @@ impl Assessor for Csria {
         check_tag(r, "CSRIA")?;
         let n = r.get_u64()?;
         let peak = r.get_usize()?;
-        let n_entries = r.get_usize()?;
+        let n_entries = r.get_count(4 + 8 + 8, "CSRIA entry count")?;
         let mut entries = Vec::with_capacity(n_entries);
         for _ in 0..n_entries {
             let mask = r.get_u32()?;
@@ -124,6 +124,22 @@ mod tests {
         // The five ≥5% patterns survive.
         for m in [0b010, 0b100, 0b101, 0b110, 0b111] {
             assert!(masks.contains(&m), "missing {m:#b} in {hh:?}");
+        }
+    }
+
+    /// An image claiming more entries than its bytes hold is `Malformed`,
+    /// not an allocation abort.
+    #[test]
+    fn load_refuses_an_entry_count_the_section_cannot_hold() {
+        let mut w = SectionWriter::new();
+        Csria::new(3, 0.01).save(&mut w);
+        let mut image = w.into_bytes();
+        // An empty table ends in its entry count.
+        let at = image.len() - 8;
+        image[at..].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        match Csria::new(3, 0.01).load(&mut SectionReader::new(&image)) {
+            Err(SnapshotError::Malformed(why)) => assert!(why.contains("entry count"), "{why}"),
+            other => panic!("expected Malformed(entry count), got {other:?}"),
         }
     }
 

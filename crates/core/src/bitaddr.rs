@@ -1026,10 +1026,7 @@ impl BitAddressIndex {
         // vector or bounds a loop: one byte per bit count, eight per
         // shard's entry count, a key, a length byte and `width` values per
         // entry.
-        let width = r.get_usize()?;
-        if width > r.remaining() {
-            return malformed(format!("index config of {width} attributes"));
-        }
+        let width = r.get_count(1, "index config width")?;
         let bits = (0..width)
             .map(|_| r.get_u8())
             .collect::<Result<Vec<_>, _>>()?;
@@ -1043,10 +1040,7 @@ impl BitAddressIndex {
         let entry_bytes = 4 + 1 + 8 * width;
         let mut keys = Vec::new();
         for s in 0..idx.shards.len() {
-            let n = r.get_usize()?;
-            if n > r.remaining() / entry_bytes {
-                return malformed(format!("shard {s} entry count {n}"));
-            }
+            let n = r.get_count(entry_bytes, &format!("shard {s} entry count"))?;
             for _ in 0..n {
                 let key = TupleKey(r.get_u32()?);
                 let jas = r.get_attrs()?;

@@ -181,9 +181,9 @@ impl MultiHashIndex {
         // vector or bounds a loop: a mask and a bucket count per
         // sub-index, a hash key and an entry count per bucket, a key, a
         // length byte and `jas_width` values per entry.
-        let n_subs = r.get_usize()?;
-        if n_subs == 0 || n_subs > r.remaining() / (4 + 8) {
-            return malformed(format!("multi-hash sub-index count {n_subs}"));
+        let n_subs = r.get_count(4 + 8, "multi-hash sub-index count")?;
+        if n_subs == 0 {
+            return malformed("multi-hash sub-index count 0".into());
         }
         let entry_bytes = 4 + 1 + 8 * jas_width;
         let mut subs = Vec::with_capacity(n_subs);
@@ -195,17 +195,15 @@ impl MultiHashIndex {
                 ));
             }
             let pattern = AccessPattern::new(mask, jas_width);
-            let n_buckets = r.get_usize()?;
-            if n_buckets > r.remaining() / (8 + 8) {
-                return malformed(format!("sub-index {s} bucket count {n_buckets}"));
-            }
+            let n_buckets = r.get_count(8 + 8, &format!("sub-index {s} bucket count"))?;
             let mut map = FxHashMap::default();
             let mut held = 0usize;
             for _ in 0..n_buckets {
                 let k = r.get_u64()?;
-                let n_entries = r.get_usize()?;
-                if n_entries == 0 || n_entries > r.remaining() / entry_bytes {
-                    return malformed(format!("sub-index {s} bucket entry count {n_entries}"));
+                let n_entries =
+                    r.get_count(entry_bytes, &format!("sub-index {s} bucket entry count"))?;
+                if n_entries == 0 {
+                    return malformed(format!("sub-index {s} bucket entry count 0"));
                 }
                 let mut entries = Vec::with_capacity(n_entries);
                 for _ in 0..n_entries {

@@ -1230,16 +1230,7 @@ impl SpillTier {
             prefetched_blocks: vals[13],
             cache_evictions: vals[14],
         };
-        // A count the bytes left cannot hold, at `min_bytes` per item.
-        let bounded = |n: usize, min_bytes: usize, r: &SectionReader<'_>, field: &str| {
-            if n > r.remaining() / min_bytes {
-                return Err(SnapshotError::Malformed(format!(
-                    "TIER {field} {n} exceeds the section"
-                )));
-            }
-            Ok(n)
-        };
-        let n = bounded(r.get_usize()?, 12, r, "block count")?;
+        let n = r.get_count(12, "TIER block count")?;
         let mut blocks = Vec::with_capacity(n);
         let mut frames: Vec<&[u8]> = Vec::new();
         let mut offset = 0u64;
@@ -1265,14 +1256,14 @@ impl SpillTier {
             }
             blocks.push(meta);
         }
-        let n_pending = bounded(r.get_usize()?, 4, r, "readahead plan length")?;
+        let n_pending = r.get_count(4, "TIER readahead plan length")?;
         let mut pending = Vec::with_capacity(n_pending);
         for _ in 0..n_pending {
             pending.push(r.get_u32()?);
         }
         let mut cache = BlockCache::new(self.cache.budget);
         cache.seq = r.get_u64()?;
-        let n_cached = bounded(r.get_usize()?, 20, r, "cached block count")?;
+        let n_cached = r.get_count(20, "TIER cached block count")?;
         for _ in 0..n_cached {
             let id = r.get_u32()?;
             let touch = r.get_u64()?;

@@ -507,7 +507,8 @@ impl Bandit {
     }
 
     fn restore(r: &mut SectionReader<'_>, width: usize) -> Result<Self, SnapshotError> {
-        let n_arms = r.get_usize()?;
+        // A config's width and bits, pulls, last price.
+        let n_arms = r.get_count(8 + width + 8 + 8, "bandit arm count")?;
         if n_arms == 0 {
             return Err(SnapshotError::Malformed("bandit tuner with no arms".into()));
         }
@@ -1472,6 +1473,19 @@ mod tests {
                     "{policy:?}, position {at}: {refused:?}"
                 );
             }
+        }
+    }
+
+    /// An image claiming more arms than its bytes hold is `Malformed`,
+    /// not an allocation abort.
+    #[test]
+    fn bandit_restore_refuses_an_arm_count_the_section_cannot_hold() {
+        let mut w = SectionWriter::new();
+        w.put_usize(1 << 40);
+        let image = w.into_bytes();
+        match Bandit::restore(&mut SectionReader::new(&image), 3) {
+            Err(SnapshotError::Malformed(why)) => assert!(why.contains("arm count"), "{why}"),
+            other => panic!("expected Malformed(arm count), got {:?}", other.err()),
         }
     }
 

@@ -466,12 +466,6 @@ impl<W: StreamWorkload> Executor<W> {
         self.into_pipeline().run()
     }
 
-    /// [`run`](Self::run), additionally returning the maintenance-path
-    /// tick totals (see [`MaintenanceStats`](crate::MaintenanceStats)).
-    pub fn run_with_stats(self) -> (RunResult, MaintenanceStats) {
-        self.into_pipeline().run_with_stats()
-    }
-
     /// A fingerprint of everything that shapes this run besides its
     /// mutable state: the query, the index flavor, and the full engine
     /// configuration. Snapshots are stamped with it at write time and

@@ -127,7 +127,7 @@ impl ThroughputSeries {
                 self.interval
             )));
         }
-        let n = r.get_usize()?;
+        let n = r.get_count(4 * 8, "series sample count")?;
         let mut samples = Vec::with_capacity(n);
         for _ in 0..n {
             samples.push(Sample {
@@ -208,6 +208,23 @@ mod tests {
         assert_eq!(s.peak_memory(), 50);
         assert_eq!(s.peak_backlog(), 9);
         assert_eq!(s.interval(), VirtualDuration::from_secs(1));
+    }
+
+    /// An image claiming more samples than its bytes hold is `Malformed`,
+    /// not an allocation abort.
+    #[test]
+    fn restore_refuses_a_sample_count_the_section_cannot_hold() {
+        use amri_core::snapshot_io::{SectionReader, SectionWriter, SnapshotError};
+        let mut w = SectionWriter::new();
+        w.put_str("SERIES");
+        w.put_duration(VirtualDuration::from_secs(1));
+        w.put_usize(1 << 40);
+        let image = w.into_bytes();
+        let mut s = ThroughputSeries::new(VirtualDuration::from_secs(1));
+        match s.restore_from(&mut SectionReader::new(&image)) {
+            Err(SnapshotError::Malformed(why)) => assert!(why.contains("sample count"), "{why}"),
+            other => panic!("expected Malformed(sample count), got {other:?}"),
+        }
     }
 
     #[test]

@@ -188,26 +188,14 @@ pub struct SkippedCheckpoint {
 }
 
 /// What [`load_latest`] found: which file was restored and every newer
-/// corrupt file it skipped to get there, with the parse-failure reason.
-/// Surfaced in the bench summary notes so silent fallback leaves a trace.
+/// corrupt file it skipped to get there, with the parse-failure reason,
+/// so a silent fallback leaves a trace.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RestoreReport {
     /// Path of the snapshot that parsed and was restored.
     pub path: PathBuf,
     /// Newer files that failed to parse, newest first.
     pub skipped: Vec<SkippedCheckpoint>,
-}
-
-impl RestoreReport {
-    /// Compact one-line rendering of the skipped files for CSV notes;
-    /// empty string when nothing was skipped.
-    pub fn notes(&self) -> String {
-        self.skipped
-            .iter()
-            .map(|s| format!("skipped {} ({})", s.file, s.reason))
-            .collect::<Vec<_>>()
-            .join("; ")
-    }
 }
 
 /// Load the newest snapshot in `dir` that parses and verifies, falling
@@ -330,7 +318,6 @@ mod tests {
         let (snap, report) = load_latest(c.dir()).unwrap();
         assert_eq!(snap.step(), 4);
         assert!(report.skipped.is_empty());
-        assert_eq!(report.notes(), "");
         let _ = std::fs::remove_dir_all(c.dir());
     }
 
@@ -357,7 +344,6 @@ mod tests {
                 !report.skipped[0].reason.is_empty(),
                 "skip carries the parse-failure reason"
             );
-            assert!(report.notes().contains("checkpoint-000002.snap"));
             assert!(report.path.to_str().unwrap().contains("checkpoint-000001"));
             let _ = std::fs::remove_dir_all(dir);
         }

@@ -146,9 +146,9 @@ pub enum RunOutcome {
 /// wall time: the totals are byte-identical across thread counts and
 /// replayable through the CI byte-diff. Nanoseconds rather than whole
 /// ticks because one arrival's ingest work costs well under a tick and
-/// would otherwise round to zero everywhere. Surfaced per run through
-/// [`Executor::run_with_stats`](crate::Executor::run_with_stats) and the
-/// bench summary CSV's `ingest_ns`/`migrate_ns` columns.
+/// would otherwise round to zero everywhere. Part of every run's answer:
+/// [`RunResult::maint`](crate::RunResult::maint), and the bench summary
+/// CSV's `ingest_ns`/`migrate_ns` columns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MaintenanceStats {
     /// Virtual ns charged to ingest-side maintenance: window expiry,

@@ -369,7 +369,7 @@ impl Governor {
         };
         self.report.shed_jobs = r.get_u64()?;
         self.report.evicted_tuples = r.get_u64()?;
-        let n = r.get_usize()?;
+        let n = r.get_count(3 * 8, "governor sample count")?;
         let mut samples = Vec::with_capacity(n);
         for _ in 0..n {
             samples.push(DegradationSample {
@@ -587,6 +587,26 @@ mod tests {
             },
             100
         ));
+    }
+
+    /// An image claiming more samples than its bytes hold is `Malformed`,
+    /// not an allocation abort.
+    #[test]
+    fn restore_refuses_a_sample_count_the_section_cannot_hold() {
+        use amri_core::snapshot_io::{SectionReader, SectionWriter, SnapshotError};
+        let mut w = SectionWriter::new();
+        w.put_str("GOVERNOR");
+        w.put_u64(7);
+        w.put_bool(false);
+        w.put_u64(0);
+        w.put_u64(0);
+        w.put_usize(1 << 40);
+        let image = w.into_bytes();
+        let mut gov = Governor::new(DegradationPolicy::default());
+        match gov.restore_from(&mut SectionReader::new(&image)) {
+            Err(SnapshotError::Malformed(why)) => assert!(why.contains("sample count"), "{why}"),
+            other => panic!("expected Malformed(sample count), got {other:?}"),
+        }
     }
 
     #[test]

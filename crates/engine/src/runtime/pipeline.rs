@@ -19,7 +19,11 @@ use amri_stream::{
 };
 use serde::{Deserialize, Serialize};
 
-/// Everything a run produced.
+/// Everything a run produced: its answer, how it ended, and what it cost.
+/// The `Debug` render is the byte-identity witness the lattice, the
+/// recovery tests and the benchmark's fingerprint compare, so every field
+/// — the maintenance totals included — is a function of the seed and the
+/// configuration alone.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunResult {
     /// Mode label (e.g. `AMRI-CDIA-highest`, `hash-3`).
@@ -55,6 +59,10 @@ pub struct RunResult {
     /// byte-identity witness compared across budget/crash/thread variants.
     #[serde(default)]
     pub output_digest: u64,
+    /// Virtual ns spent on ingest and migration, and the tuner's predicted
+    /// and realized retune benefit and regret.
+    #[serde(default)]
+    pub maint: MaintenanceStats,
 }
 
 impl RunResult {
@@ -111,14 +119,6 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
             .expect("a run without a checkpointer has no crash or I/O path")
     }
 
-    /// [`run`](Self::run), additionally returning the maintenance-path
-    /// tick totals (where ingest and migration time went). Kept out of
-    /// [`RunResult`] so the result schema the reports pin stays frozen.
-    pub fn run_with_stats(self) -> (RunResult, MaintenanceStats) {
-        self.run_with_stats_ckpt(None, 0)
-            .expect("a run without a checkpointer has no crash or I/O path")
-    }
-
     /// Run to completion (or death), taking checkpoints through `ckpt`
     /// when one is supplied. `fingerprint` stamps each snapshot with the
     /// configuration that produced it (see
@@ -132,23 +132,10 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
     ///   [`FaultKind::CrashAt`](crate::FaultKind::CrashAt) kills the run.
     /// * [`EngineError::Snapshot`] when a checkpoint write fails.
     pub fn run_with(
-        self,
-        ckpt: Option<&mut Checkpointer>,
-        fingerprint: u64,
-    ) -> Result<RunResult, EngineError> {
-        self.run_with_stats_ckpt(ckpt, fingerprint).map(|(r, _)| r)
-    }
-
-    /// [`run_with`](Self::run_with), additionally returning the
-    /// maintenance-path tick totals.
-    ///
-    /// # Errors
-    /// As [`run_with`](Self::run_with).
-    pub fn run_with_stats_ckpt(
         mut self,
         mut ckpt: Option<&mut Checkpointer>,
         fingerprint: u64,
-    ) -> Result<(RunResult, MaintenanceStats), EngineError> {
+    ) -> Result<RunResult, EngineError> {
         loop {
             if let Some(c) = ckpt.as_deref_mut() {
                 let step = self.ctx.step;
@@ -169,7 +156,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
                 break;
             }
         }
-        Ok(self.into_result_with_stats())
+        Ok(self.into_result())
     }
 
     /// One iteration of the run loop: every due grid point gets a sample
@@ -233,15 +220,6 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
     /// [`SessionStatus::Finished`].
     pub fn is_done(&self) -> bool {
         self.done
-    }
-
-    /// Consume the pipeline into its results plus the maintenance-path
-    /// tick totals. The terminal step for callers driving the loop
-    /// themselves; the `run*` drivers all end here. Calling this before
-    /// the run finished yields the partial result as of the last step.
-    pub fn into_result_with_stats(self) -> (RunResult, MaintenanceStats) {
-        let maint = self.ctx.maint;
-        (self.into_result(), maint)
     }
 
     /// Capture the complete mutable run state as a snapshot file image.
@@ -394,7 +372,8 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
         self.ctx.series.restore_from(&mut snap.section("series")?)?;
 
         let mut r = snap.section("retunes")?;
-        let n = r.get_usize()?;
+        // Time, state, an empty config string's length, moved.
+        let n = r.get_count(8 + 2 + 8 + 8, "retune count")?;
         let mut retunes = Vec::with_capacity(n);
         for _ in 0..n {
             retunes.push(RetuneRecord {
@@ -496,7 +475,11 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
         Ok(())
     }
 
-    fn into_result(self) -> RunResult {
+    /// Consume the pipeline into its results. The terminal step for
+    /// callers driving the loop themselves; the `run*` drivers all end
+    /// here. Calling this before the run finished yields the partial
+    /// result as of the last step.
+    pub fn into_result(self) -> RunResult {
         let ctx = self.ctx;
         let pattern_stats = ctx.observers.iter().map(|o| o.frequent(0.0)).collect();
         let mut spill = amri_core::SpillStats::default();
@@ -543,6 +526,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
             faults,
             spill,
             output_digest: ctx.output_digest,
+            maint: ctx.maint,
         }
     }
 }

@@ -95,10 +95,16 @@ impl<W: StreamWorkload, C: Clock> Session<W, C> {
     }
 
     /// Consume the session into its results (see
-    /// [`Pipeline::into_result_with_stats`]). Meaningful after
+    /// [`Pipeline::into_result`]). Meaningful after
     /// [`is_finished`](Self::is_finished); on a live session it yields
     /// the partial result as of the last step.
+    ///
+    /// The second element is the result's own
+    /// [`maint`](RunResult::maint): the pair stays because the
+    /// benchmark package, whose engine API is frozen, destructures it.
     pub fn finish(self) -> (RunResult, MaintenanceStats) {
-        self.pipeline.into_result_with_stats()
+        let result = self.pipeline.into_result();
+        let maint = result.maint;
+        (result, maint)
     }
 }

@@ -11,7 +11,7 @@
 use crate::error::ServeError;
 use crate::host::{HostConfig, TenantHost};
 use crate::tenant::TenantState;
-use amri_engine::{EngineError, Executor, MaintenanceStats, RunResult, StreamWorkload};
+use amri_engine::{EngineError, Executor, RunResult, StreamWorkload};
 use std::path::Path;
 
 /// One sweep cell: a label, a fair-share weight, and a builder that can
@@ -56,8 +56,6 @@ pub struct FleetOutcome {
     pub label: String,
     /// The run's results — byte-identical to the cell run solo.
     pub result: RunResult,
-    /// Maintenance-path totals.
-    pub maint: MaintenanceStats,
     /// Scheduling quanta the tenant received in the host that completed
     /// its run.
     pub quanta: u64,
@@ -125,7 +123,6 @@ pub fn run_fleet_migrated<W: StreamWorkload>(
                 carried.push(Some(FleetOutcome {
                     label: cell.label.clone(),
                     result: report.result.expect("Completed tenants carry results"),
-                    maint: report.maint.expect("Completed tenants carry stats"),
                     quanta: report.quanta,
                 }));
             }
@@ -173,7 +170,6 @@ fn collect<W: StreamWorkload>(
         outcomes.push(FleetOutcome {
             label: cell.label.clone(),
             result: report.result.expect("Completed tenants carry results"),
-            maint: report.maint.expect("Completed tenants carry stats"),
             quanta: report.quanta,
         });
     }

@@ -4,9 +4,7 @@ use crate::budget::BudgetLedger;
 use crate::error::ServeError;
 use crate::scheduler::{FairScheduler, ScheduleKey};
 use crate::tenant::{TenantId, TenantReport, TenantState};
-use amri_engine::{
-    Executor, MaintenanceStats, MemoryBudget, RunResult, Session, SessionStatus, StreamWorkload,
-};
+use amri_engine::{Executor, MemoryBudget, RunResult, Session, SessionStatus, StreamWorkload};
 use amri_stream::SnapshotReader;
 use std::path::{Path, PathBuf};
 
@@ -59,13 +57,8 @@ impl Admission {
 enum Runtime<W> {
     Queued(Box<Executor<W>>),
     Running(Box<Session<W>>),
-    Suspended {
-        snap: PathBuf,
-    },
-    Completed {
-        result: Box<RunResult>,
-        maint: MaintenanceStats,
-    },
+    Suspended { snap: PathBuf },
+    Completed(Box<RunResult>),
     Evicted,
 }
 
@@ -75,7 +68,7 @@ impl<W> Runtime<W> {
             Runtime::Queued(_) => TenantState::Queued,
             Runtime::Running(_) => TenantState::Running,
             Runtime::Suspended { .. } => TenantState::Suspended,
-            Runtime::Completed { .. } => TenantState::Completed,
+            Runtime::Completed(_) => TenantState::Completed,
             Runtime::Evicted => TenantState::Evicted,
         }
     }
@@ -396,12 +389,9 @@ impl<W: StreamWorkload> TenantHost<W> {
             else {
                 unreachable!("just matched Running");
             };
-            let (result, maint) = session.finish();
+            let (result, _) = session.finish();
             let reservation = slot.reservation;
-            slot.runtime = Runtime::Completed {
-                result: Box::new(result),
-                maint,
-            };
+            slot.runtime = Runtime::Completed(Box::new(result));
             self.ledger.release(reservation);
             self.activate_queued();
         }
@@ -469,9 +459,9 @@ impl<W: StreamWorkload> TenantHost<W> {
             .into_iter()
             .map(|slot| {
                 let state = slot.runtime.state();
-                let (result, maint) = match slot.runtime {
-                    Runtime::Completed { result, maint } => (Some(*result), Some(maint)),
-                    _ => (None, None),
+                let result = match slot.runtime {
+                    Runtime::Completed(result) => Some(*result),
+                    _ => None,
                 };
                 TenantReport {
                     id: slot.id,
@@ -480,8 +470,8 @@ impl<W: StreamWorkload> TenantHost<W> {
                     reservation: slot.reservation,
                     state,
                     quanta: slot.quanta,
+                    maint: result.as_ref().map(|r| r.maint),
                     result,
-                    maint,
                 }
             })
             .collect()

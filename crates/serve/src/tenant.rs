@@ -63,6 +63,8 @@ pub struct TenantReport {
     /// byte for byte, to the same configuration run solo (the isolation
     /// suite pins this).
     pub result: Option<RunResult>,
-    /// Maintenance-path totals for the completed run.
+    /// The completed run's maintenance totals: always `result`'s own
+    /// [`maint`](RunResult::maint). The copy stays because the benchmark
+    /// package, whose engine API is frozen, reads it from here.
     pub maint: Option<MaintenanceStats>,
 }

@@ -6,7 +6,7 @@
 //! faults) live in `tests/tenant_isolation.rs` at the workspace root.
 
 use amri_core::assess::AssessorKind;
-use amri_engine::{Executor, IndexingMode, MemoryBudget, RunOutcome};
+use amri_engine::{Executor, IndexingMode, MemoryBudget, RunOutcome, Session, SessionStatus};
 use amri_hh::CombineStrategy;
 use amri_serve::{Admission, HostConfig, ServeError, TenantHost, TenantState};
 use amri_stream::VirtualDuration;
@@ -117,6 +117,35 @@ fn identical_call_sequences_replay_byte_for_byte() {
     assert_eq!(trace_a, trace_b, "the schedule itself must replay");
     assert_eq!(reports_a, reports_b, "and so must every result");
     assert!(trace_a.len() > 10, "expected a real interleaving");
+}
+
+/// The two copies of a run's maintenance totals that the benchmark
+/// package reads — `TenantReport::maint` and the second element of
+/// `Session::finish` — are the result's own `maint`.
+#[test]
+fn frozen_maintenance_copies_equal_the_results_own() {
+    let sc = scenario(29);
+    let mut host = TenantHost::new(HostConfig::default());
+    host.admit("amri", 1, executor(&sc, amri_mode())).unwrap();
+    host.admit("scan", 1, executor(&sc, IndexingMode::Scan))
+        .unwrap();
+    host.drive();
+    for report in host.into_reports() {
+        let result = report.result.expect("completed tenants carry results");
+        assert!(
+            result.maint.ingest_ns > 0,
+            "{}: {:?}",
+            report.label,
+            result.maint
+        );
+        assert_eq!(report.maint, Some(result.maint), "{}", report.label);
+    }
+
+    let mut session = Session::new(executor(&sc, amri_mode()).into_pipeline());
+    while session.run_quantum(64) != SessionStatus::Finished {}
+    let (result, maint) = session.finish();
+    assert!(result.maint.ingest_ns > 0, "{:?}", result.maint);
+    assert_eq!(maint, result.maint);
 }
 
 #[test]

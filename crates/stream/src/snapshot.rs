@@ -293,6 +293,30 @@ impl<'a> SectionReader<'a> {
         usize::try_from(v).map_err(|_| SnapshotError::Malformed(format!("length {v} overflows")))
     }
 
+    /// Read the count of a list whose items take at least
+    /// `min_item_bytes` each. A count the bytes left cannot hold is
+    /// refused as [`SnapshotError::Malformed`] naming `field`, before it
+    /// sizes a vector or bounds a loop.
+    pub fn get_count(
+        &mut self,
+        min_item_bytes: usize,
+        field: &str,
+    ) -> Result<usize, SnapshotError> {
+        let n = self.get_usize()?;
+        self.fits(n, min_item_bytes, field)
+    }
+
+    /// `n` if the bytes left can hold `n` items of `min_item_bytes`.
+    fn fits(&self, n: usize, min_item_bytes: usize, field: &str) -> Result<usize, SnapshotError> {
+        if n > self.remaining() / min_item_bytes.max(1) {
+            return Err(SnapshotError::Malformed(format!(
+                "{field} {n} exceeds the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Read an `f64` from its bit pattern.
     pub fn get_f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.get_u64()?))
@@ -487,7 +511,9 @@ impl SnapshotReader {
         }
         let fingerprint = r.get_u64()?;
         let step = r.get_u64()?;
+        // A name length, a body length and a checksum per section.
         let count = r.get_u32()? as usize;
+        let count = r.fits(count, 4 + 8 + 8, "section count")?;
         let mut sections = Vec::with_capacity(count);
         for _ in 0..count {
             let name_len = r.get_u32()? as usize;
@@ -596,6 +622,22 @@ mod tests {
                 ),
                 "cut at {cut}: {err:?}"
             );
+        }
+    }
+
+    /// A re-sealed file whose header claims more sections than its bytes
+    /// can frame is `Malformed`, not a four-billion-slot allocation.
+    #[test]
+    fn a_section_count_the_file_cannot_hold_is_refused() {
+        let mut bytes = sample();
+        let at = SNAPSHOT_MAGIC.len() + 4 + 8 + 8;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let n = bytes.len();
+        let sum = super::checksum(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        match SnapshotReader::parse(&bytes) {
+            Err(SnapshotError::Malformed(why)) => assert!(why.contains("section count"), "{why}"),
+            other => panic!("expected Malformed(section count), got {other:?}"),
         }
     }
 

@@ -97,6 +97,17 @@ if awk '/^#\[cfg\(test\)\]/ { nextfile }
     echo "a per-entry req.matches( reappeared in an index search loop"; exit 1
 fi
 
+# Nor may a second carrier of a run's maintenance totals: they are
+# `RunResult::maint`, so no driver returns them beside the result and no
+# report takes them as a parallel slice. Nor the checkpoint note, whose
+# last producer was `survival_sweep --checkpoint-every` (the lattice's
+# observed drive pins observer-mode checkpointing).
+echo "==> one run result, maintenance totals inside it, under crates/ tests/ examples/"
+if grep -rnE 'run_with_stats|into_result_with_stats|fig6_assessment_with_stats|fig6_hash_with_stats|CheckpointNote|parse_checkpoint_every' \
+    crates tests examples; then
+    echo "a (RunResult, MaintenanceStats) twin or the checkpoint note reappeared"; exit 1
+fi
+
 # Sharded work borrows its slots through `parallel::for_each_slot`; that
 # file is the only one in the core crate allowed to say `unsafe`.
 echo "==> crates/core/src: unsafe only in parallel.rs"

@@ -248,13 +248,12 @@ fn mismatched_configuration_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The maintenance totals are part of the v2 layout: an image without
-/// its `maint` section, or with the section cut to the three words an
-/// older layout wrote, is refused with the typed error — never resumed
-/// with the counters restarted at zero.
-#[test]
-fn an_image_without_its_maintenance_totals_is_refused() {
-    use amri_stream::{SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter};
+/// Resume a scan run of `scenario(3)` from an image rebuilt, and
+/// re-sealed, out of the sections of one taken at step 120: `edit` maps
+/// each section's name and body to the body to write (`None` drops the
+/// section), so the image can lie only where `edit` makes it.
+fn resume_rebuilt(edit: impl Fn(&str, &[u8]) -> Option<Vec<u8>>) -> Result<(), EngineError> {
+    use amri_stream::{SectionWriter, SnapshotReader, SnapshotWriter};
     let sc = scenario(3);
     let exec = executor(&sc, IndexingMode::Scan);
     let fingerprint = exec.config_fingerprint();
@@ -263,35 +262,45 @@ fn an_image_without_its_maintenance_totals_is_refused() {
         pipeline.step_once();
     }
     let taken = SnapshotReader::parse(&pipeline.snapshot_image(fingerprint)).unwrap();
-    // Hand-build a v2 image from the taken one's sections, keeping
-    // `maint_words` eight-byte words of `maint` (`None` drops it).
-    let rebuilt = |maint_words: Option<usize>| {
-        let mut image = SnapshotWriter::new(fingerprint, taken.step());
-        for name in [
-            "runtime",
-            "series",
-            "retunes",
-            "router",
-            "backlog",
-            "stems",
-            "observers",
-            "maint",
-            "workload",
-        ] {
-            let body = taken.section(name).unwrap().rest();
-            let body = match (name, maint_words) {
-                ("maint", None) => continue,
-                ("maint", Some(words)) => &body[..8 * words],
-                _ => body,
-            };
-            let mut w = SectionWriter::new();
-            body.iter().for_each(|&b| w.put_u8(b));
-            image.add(name, w);
-        }
-        let snap = SnapshotReader::parse(&image.finish()).expect("a well-formed v2 image");
-        executor(&sc, IndexingMode::Scan)
-            .resume_from(&snap)
-            .map(|_| ())
+    let mut image = SnapshotWriter::new(fingerprint, taken.step());
+    for name in [
+        "runtime",
+        "series",
+        "retunes",
+        "router",
+        "backlog",
+        "stems",
+        "observers",
+        "maint",
+        "workload",
+    ] {
+        let Some(body) = edit(name, taken.section(name).unwrap().rest()) else {
+            continue;
+        };
+        let mut w = SectionWriter::new();
+        body.iter().for_each(|&b| w.put_u8(b));
+        image.add(name, w);
+    }
+    let snap = SnapshotReader::parse(&image.finish()).expect("a well-formed image");
+    executor(&sc, IndexingMode::Scan)
+        .resume_from(&snap)
+        .map(|_| ())
+}
+
+/// The maintenance totals are part of the v2 layout: an image without
+/// its `maint` section, or with the section cut to the three words an
+/// older layout wrote, is refused with the typed error — never resumed
+/// with the counters restarted at zero.
+#[test]
+fn an_image_without_its_maintenance_totals_is_refused() {
+    use amri_stream::SnapshotError;
+    // Keep `words` eight-byte words of `maint` (`None` drops it).
+    let rebuilt = |words: Option<usize>| {
+        resume_rebuilt(|name, body| match (name, words) {
+            ("maint", None) => None,
+            ("maint", Some(words)) => Some(body[..8 * words].to_vec()),
+            _ => Some(body.to_vec()),
+        })
     };
     assert_eq!(rebuilt(Some(6)), Ok(()), "the full section resumes");
     assert_eq!(
@@ -299,6 +308,23 @@ fn an_image_without_its_maintenance_totals_is_refused() {
         Err(SnapshotError::MissingSection("maint".into()).into())
     );
     assert_eq!(rebuilt(Some(3)), Err(SnapshotError::Truncated.into()));
+}
+
+/// An image whose retune log claims more records than its bytes hold is
+/// refused as `Malformed`, not sized into an allocation abort.
+#[test]
+fn an_image_that_lies_about_its_retune_count_is_refused() {
+    use amri_stream::SnapshotError;
+    let refused = resume_rebuilt(|name, body| match name {
+        "retunes" => Some((1u64 << 40).to_le_bytes().to_vec()),
+        _ => Some(body.to_vec()),
+    });
+    match refused {
+        Err(EngineError::Snapshot(SnapshotError::Malformed(why))) => {
+            assert!(why.contains("retune count"), "{why}")
+        }
+        other => panic!("expected Malformed(retune count), got {other:?}"),
+    }
 }
 
 /// The parallel write path end to end: shards=4/parallelism=4 routes

@@ -331,7 +331,18 @@ impl<W: StreamWorkload> Reference<W> {
             faults: Default::default(),
             spill: Default::default(),
             output_digest,
+            maint: Default::default(),
         }
+    }
+}
+
+/// The pipeline's run with its maintenance totals cleared: the frozen
+/// loop predates them and reports none.
+fn run_without_maint<W: StreamWorkload>(exec: Executor<W>) -> RunResult {
+    let maint = Default::default();
+    RunResult {
+        maint,
+        ..exec.run()
     }
 }
 
@@ -342,9 +353,10 @@ fn assert_equivalent(mode: IndexingMode, scale: Scale, seed: u64, truncate: Opti
         sc.engine.duration = VirtualDuration::from_secs(secs);
     }
     let old = Reference::new(&sc.query, sc.workload(), mode.clone(), sc.engine.clone()).run();
-    let new = Executor::try_new(&sc.query, sc.workload(), mode.clone(), sc.engine.clone())
-        .expect("valid engine configuration")
-        .run();
+    let new = run_without_maint(
+        Executor::try_new(&sc.query, sc.workload(), mode.clone(), sc.engine.clone())
+            .expect("valid engine configuration"),
+    );
     assert_eq!(
         format!("{old:#?}"),
         format!("{new:#?}"),
@@ -414,7 +426,7 @@ fn assert_parallelism_invariant(
     while par.step_once() != amri_engine::SessionStatus::Finished {}
     let ctx = par.context();
     let counts = (ctx.pool.epochs(), ctx.jobs_processed);
-    let par = par.into_result_with_stats().0;
+    let par = par.into_result();
     assert_eq!(
         format!("{seq:#?}"),
         format!("{par:#?}"),
@@ -513,9 +525,10 @@ fn oom_death_is_byte_identical() {
         initial: None,
     };
     let old = Reference::new(&sc.query, sc.workload(), mode.clone(), sc.engine.clone()).run();
-    let new = Executor::try_new(&sc.query, sc.workload(), mode, sc.engine.clone())
-        .expect("valid engine configuration")
-        .run();
+    let new = run_without_maint(
+        Executor::try_new(&sc.query, sc.workload(), mode, sc.engine.clone())
+            .expect("valid engine configuration"),
+    );
     assert!(
         matches!(old.outcome, RunOutcome::OutOfMemory { .. }),
         "the tight budget must kill the reference run: {:?}",

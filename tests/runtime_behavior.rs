@@ -278,8 +278,8 @@ fn a_finished_session_is_latched_by_its_pipeline() {
     assert_eq!(session.run_quantum(0), SessionStatus::Finished);
     assert_eq!(at_rest(&session), before);
     assert_eq!(
-        format!("{:#?}", session.finish()),
-        format!("{:#?}", build().run_with_stats())
+        format!("{:#?}", session.finish().0),
+        format!("{:#?}", build().run())
     );
 
     let mut pipeline = build().into_pipeline();

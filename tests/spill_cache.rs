@@ -88,7 +88,7 @@ proptest! {
             let mut pipeline = executor(&sc, amri_mode()).into_pipeline();
             while pipeline.step_once() != SessionStatus::Finished {}
             let pooled = pipeline.context().pool.epochs();
-            (pipeline.into_result_with_stats().0, pooled)
+            (pipeline.into_result(), pooled)
         };
         let (cached_t1, _) = cached_run(1);
         let (cached_t4, pooled_t4) = cached_run(4);

@@ -669,14 +669,6 @@ impl BitAddressIndex {
         self.shards.iter().map(|s| s.occupied).sum()
     }
 
-    /// Size of the largest bucket.
-    ///
-    /// Diagnostics only (tests, operator reports) — never called on the
-    /// search/insert hot path: it sorts every entry's bucket id.
-    pub fn max_bucket(&self) -> usize {
-        bucket_lens(&self.shards).into_iter().max().unwrap_or(0) as usize
-    }
-
     /// Exhaustively check the arena/chain invariants, returning the first
     /// violation found. Diagnostics only — O(entries log entries), never on
     /// the hot path; tests call it after every mutation to prove
@@ -1272,7 +1264,7 @@ mod tests {
         let mut r = CostReceipt::new();
         idx.migrate_with(IndexConfig::trivial(3), &mut r, &SequentialExecutor);
         assert_eq!(idx.occupied_buckets(), 1);
-        assert_eq!(idx.max_bucket(), 30);
+        assert_eq!(idx.fill_stats().max_fill, 30);
     }
 
     #[test]
@@ -1383,7 +1375,7 @@ mod tests {
                 TupleKey(6)
             ]
         );
-        assert_eq!(idx.max_bucket(), 5);
+        assert_eq!(idx.fill_stats().max_fill, 5);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! surrounding prose and \[14\]'s unit-cost model.)
 
 use crate::config::IndexConfig;
+use crate::tier::BLOCK_TUPLES;
 use amri_stream::{AccessPattern, VirtualDuration};
 use serde::{Deserialize, Serialize};
 
@@ -75,23 +76,22 @@ impl CostReceipt {
 /// Latency profile of one storage tier, in virtual nanoseconds per block
 /// operation. Folded into [`CostParams::expected_cd`] so the tuner prices
 /// probes that touch spill-resident tuples, and used to charge
-/// [`CostReceipt::io_ns`] for actual block I/O.
+/// [`CostReceipt::io_ns`] for actual block I/O. A block holds
+/// [`BLOCK_TUPLES`] tuples, the chunk the engine's balancer spills, so
+/// the per-tuple prices amortize over exactly the blocks that run.
 ///
 /// The all-zero [`Default`] models an infinitely fast disk: cost folding
 /// becomes the identity (the proptests pin this), so enabling the spill
 /// tier with the default profile is behaviorally invisible. Use
 /// [`committed_default`](Self::committed_default) for a realistic committed
-/// profile, or [`measure`](Self::measure) to benchmark the actual device —
-/// the latter is wall-clock dependent and must never be used where
-/// deterministic replay matters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// profile. A profile is never measured at run time: a wall-clock number
+/// would break deterministic replay.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct StorageProfile {
     /// Virtual nanoseconds to read one block.
     pub read_ns: u64,
     /// Virtual nanoseconds to write (and verify) one block.
     pub write_ns: u64,
-    /// Tuples per block, for amortizing block latency to per-tuple cost.
-    pub block_tuples: u32,
     /// Virtual nanoseconds a demand read costs when the block is resident
     /// in the decoded block cache (a RAM lookup, orders of magnitude below
     /// `read_ns`). Zero in the identity profile, so cache hits charge
@@ -105,18 +105,6 @@ pub struct StorageProfile {
     pub readahead_blocks: u32,
 }
 
-impl Default for StorageProfile {
-    fn default() -> Self {
-        StorageProfile {
-            read_ns: 0,
-            write_ns: 0,
-            block_tuples: 64,
-            cache_hit_ns: 0,
-            readahead_blocks: 0,
-        }
-    }
-}
-
 impl StorageProfile {
     /// The committed default profile: round numbers for a local NVMe-class
     /// device (~120 µs per 64-tuple block read, ~2 µs per warm cache hit)
@@ -125,7 +113,6 @@ impl StorageProfile {
         StorageProfile {
             read_ns: 120_000,
             write_ns: 180_000,
-            block_tuples: 64,
             cache_hit_ns: 2_000,
             readahead_blocks: 2,
         }
@@ -140,23 +127,15 @@ impl StorageProfile {
     }
 
     /// Amortized per-scanned-tuple read penalty, in ticks (a tick models a
-    /// microsecond): one block read shared by `block_tuples` tuples.
+    /// microsecond): one block read shared by [`BLOCK_TUPLES`] tuples.
     pub fn per_tuple_read_ticks(&self) -> f64 {
-        if self.block_tuples == 0 {
-            0.0
-        } else {
-            self.read_ns as f64 / 1000.0 / self.block_tuples as f64
-        }
+        self.read_ns as f64 / 1000.0 / BLOCK_TUPLES as f64
     }
 
     /// Amortized per-scanned-tuple penalty when the block is cache-warm,
-    /// in ticks: one `cache_hit_ns` lookup shared by `block_tuples`.
+    /// in ticks: one `cache_hit_ns` lookup shared by [`BLOCK_TUPLES`].
     pub fn per_tuple_hit_ticks(&self) -> f64 {
-        if self.block_tuples == 0 {
-            0.0
-        } else {
-            self.cache_hit_ns as f64 / 1000.0 / self.block_tuples as f64
-        }
+        self.cache_hit_ns as f64 / 1000.0 / BLOCK_TUPLES as f64
     }
 }
 
@@ -465,19 +444,13 @@ mod tests {
         let prof = StorageProfile {
             read_ns: 128_000,
             write_ns: 0,
-            block_tuples: 64,
+            cache_hit_ns: 6_400,
             ..StorageProfile::default()
         };
-        // 128 µs per 64-tuple block ⇒ 2 ticks per tuple.
+        // 128 µs per 64-tuple block ⇒ 2 ticks per tuple; a 6.4 µs hit ⇒ 0.1.
+        assert_eq!(BLOCK_TUPLES, 64);
         assert!((prof.per_tuple_read_ticks() - 2.0).abs() < 1e-12);
-        let degenerate = StorageProfile {
-            read_ns: 1,
-            write_ns: 1,
-            block_tuples: 0,
-            ..StorageProfile::default()
-        };
-        assert_eq!(degenerate.per_tuple_read_ticks(), 0.0);
-        assert_eq!(degenerate.per_tuple_hit_ticks(), 0.0);
+        assert!((prof.per_tuple_hit_ticks() - 0.1).abs() < 1e-12);
     }
 
     #[test]

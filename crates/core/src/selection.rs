@@ -291,7 +291,6 @@ mod tests {
             frac in 0.0f64..1.0,
             budget in 1u32..8,
             write_ns in 0u64..1_000_000,
-            block_tuples in 1u32..512,
         ) {
             let total: f64 = freqs.iter().sum();
             let aps: Vec<(u32, f64)> = freqs
@@ -305,7 +304,6 @@ mod tests {
                 storage: crate::cost::StorageProfile {
                     read_ns: 0,
                     write_ns,
-                    block_tuples,
                     ..crate::cost::StorageProfile::default()
                 },
                 ..CostParams::default()
@@ -344,15 +342,15 @@ mod tests {
                 storage: crate::cost::StorageProfile {
                     read_ns,
                     write_ns: 0,
-                    block_tuples: 1,
                     ..crate::cost::StorageProfile::default()
                 },
                 ..CostParams::default()
             };
             // Expected scanned tuples of `ic` under `prof`, via the identity
-            // above with a unit-tick reference disk (1000 ns/tuple = 1 tick).
+            // above with a unit-tick reference disk (1000 ns per tuple of a
+            // block = 1 tick).
             let scanned_of = |ic: &IndexConfig| {
-                let unit = params_at(1000);
+                let unit = params_at(1000 * crate::tier::BLOCK_TUPLES as u64);
                 (unit.expected_cd(ic, &prof)
                     - CostParams::default().expected_cd(ic, &prof))
                     / frac

@@ -464,7 +464,7 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     }
 
     /// Arrival time of the oldest tuple still fully in RAM — the victim
-    /// key the tier policy compares across states when choosing where to
+    /// key the tier balancer compares across states when choosing where to
     /// spill next. Skips spill-resident stubs (promotion punches holes in
     /// the spilled prefix, so this walks rather than peeks).
     pub fn oldest_resident_ts(&self) -> Option<VirtualTime> {
@@ -943,6 +943,14 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// [`save_state`](Self::save_state)d section. The receiver must be
     /// freshly constructed with the original configuration; the index is
     /// restored separately.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Malformed`](crate::snapshot_io::SnapshotError)
+    /// naming the field, before the tier is touched, for an image whose
+    /// arena this state could not run on: a slot of another stream, JAS
+    /// values that are not this state's projection of the slot's
+    /// attributes, a free list that is not each empty slot once, a window
+    /// that is not each live slot once, or spilled stubs without a tier.
     pub fn restore_state(
         &mut self,
         r: &mut crate::snapshot_io::SectionReader<'_>,
@@ -952,50 +960,82 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         let n_slots = r.get_usize()?;
         let mut arena = Slab::default();
         let mut spilled = 0usize;
-        for _ in 0..n_slots {
-            match r.get_u8()? {
+        for slot in 0..n_slots {
+            let stored = match r.get_u8()? {
                 1 => {
                     let id = TupleId(r.get_u64()?);
                     let stream = StreamId(r.get_u16()?);
                     let ts = r.get_time()?;
                     let attrs = r.get_attrs()?;
                     let jas_values = r.get_attrs()?;
-                    arena.slots.push(Some(StoredTuple::Resident {
+                    if stream != self.stream {
+                        return Err(SnapshotError::Malformed(format!(
+                            "arena slot {slot} holds a tuple of stream {}, the state's is {}",
+                            stream.0, self.stream.0
+                        )));
+                    }
+                    // Expiry unindexes a tuple under the bucket of these
+                    // values, so they must be what its entry was made from.
+                    let projected: Option<AttrVec> =
+                        self.jas.iter().map(|a| attrs.get(a.idx())).collect();
+                    if projected != Some(jas_values) {
+                        return Err(SnapshotError::Malformed(format!(
+                            "arena slot {slot}'s JAS values are not the projection of its attributes"
+                        )));
+                    }
+                    Some(StoredTuple::Resident {
                         tuple: Tuple::new(id, stream, ts, attrs),
                         jas_values,
-                    }));
-                    arena.len += 1;
+                    })
                 }
                 2 => {
                     let id = TupleId(r.get_u64()?);
                     let ts = r.get_time()?;
                     let jas_values = r.get_attrs()?;
                     let block = r.get_u32()?;
-                    arena.slots.push(Some(StoredTuple::Spilled {
+                    if jas_values.len() != self.jas.len() {
+                        return Err(SnapshotError::Malformed(format!(
+                            "arena slot {slot}'s stub holds {} JAS values, the state's JAS {}",
+                            jas_values.len(),
+                            self.jas.len()
+                        )));
+                    }
+                    spilled += 1;
+                    Some(StoredTuple::Spilled {
                         id,
                         ts,
                         jas_values,
                         block,
-                    }));
-                    arena.len += 1;
-                    spilled += 1;
+                    })
                 }
-                0 => arena.slots.push(None),
+                0 => None,
                 tag => {
                     return Err(SnapshotError::Malformed(format!(
                         "unknown arena slot tag {tag}"
                     )))
                 }
-            }
+            };
+            arena.len += usize::from(stored.is_some());
+            arena.slots.push(stored);
         }
+        // Each empty slot is free exactly once (one named twice would go
+        // to two inserts), and the window names each live slot exactly
+        // once (its entry is that tuple's expiry).
+        let mut named = vec![false; n_slots];
+        let mut name_once = |k: u32, live: bool, list: &str| match arena.slots.get(k as usize) {
+            Some(slot) if slot.is_some() == live && !named[k as usize] => {
+                named[k as usize] = true;
+                Ok(())
+            }
+            _ => Err(SnapshotError::Malformed(format!(
+                "{list} slot {k} is not a {} arena slot, or is named twice",
+                if live { "live" } else { "empty" }
+            ))),
+        };
         let n_free = r.get_usize()?;
         for _ in 0..n_free {
             let k = r.get_u32()?;
-            if k as usize >= n_slots || arena.slots[k as usize].is_some() {
-                return Err(SnapshotError::Malformed(format!(
-                    "free-list slot {k} is not an empty arena slot"
-                )));
-            }
+            name_once(k, false, "free-list")?;
             arena.free.push(k);
         }
         if arena.len + arena.free.len() != n_slots {
@@ -1006,9 +1046,23 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
             )));
         }
         let window = amri_stream::WindowBuffer::load_items(self.window.spec(), r, |r| {
-            Ok(TupleKey(r.get_u32()?))
+            let k = r.get_u32()?;
+            name_once(k, true, "window")?;
+            Ok(TupleKey(k))
         })?;
+        if window.len() != arena.len {
+            return Err(SnapshotError::Malformed(format!(
+                "window holds {} of {} live slots",
+                window.len(),
+                arena.len
+            )));
+        }
         let has_tier = r.get_bool()?;
+        if spilled > 0 && !has_tier {
+            return Err(SnapshotError::Malformed(format!(
+                "{spilled} spilled arena slots but no spill tier"
+            )));
+        }
         match (self.tier.as_mut(), has_tier) {
             (Some(tier), true) => tier.restore_from(r)?,
             (None, true) => {
@@ -1016,9 +1070,8 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
                     "snapshot carries a spill tier but this state has none configured".into(),
                 ))
             }
-            // A snapshot without a tier restores into a (fresh, empty)
-            // tier or into a tierless state unchanged; with no spilled
-            // slots there is nothing to reconcile.
+            // A snapshot without a tier (and so without spilled slots)
+            // restores into a fresh, empty tier or into a tierless state.
             (_, false) => {}
         }
         self.arena = arena;
@@ -1472,6 +1525,158 @@ mod tests {
         assert_eq!(s.spilled_len(), 0);
         assert_eq!(s.len(), 3, "no data lost");
         assert!(s.spill_stats().torn_writes > 0);
+    }
+
+    /// One arena slot of a hand-built `STATE` image.
+    enum Slot {
+        Empty,
+        Resident {
+            stream: u16,
+            attrs: &'static [u64],
+            jas: &'static [u64],
+        },
+        Spilled(&'static [u64]),
+    }
+
+    /// A tierless `STATE` section in `save_state`'s layout, whose window
+    /// names `window` in that order at one-second steps.
+    fn state_image(slots: &[Slot], free: &[u32], window: &[u32]) -> Vec<u8> {
+        let mut w = crate::snapshot_io::SectionWriter::new();
+        w.put_str("STATE");
+        w.put_usize(slots.len());
+        for (i, slot) in slots.iter().enumerate() {
+            match slot {
+                Slot::Empty => w.put_u8(0),
+                Slot::Resident { stream, attrs, jas } => {
+                    w.put_u8(1);
+                    w.put_u64(i as u64);
+                    w.put_u16(*stream);
+                    w.put_time(VirtualTime::from_secs(i as u64));
+                    w.put_attrs(&AttrVec::from_slice(attrs).unwrap());
+                    w.put_attrs(&AttrVec::from_slice(jas).unwrap());
+                }
+                Slot::Spilled(jas) => {
+                    w.put_u8(2);
+                    w.put_u64(i as u64);
+                    w.put_time(VirtualTime::from_secs(i as u64));
+                    w.put_attrs(&AttrVec::from_slice(jas).unwrap());
+                    w.put_u32(0);
+                }
+            }
+        }
+        w.put_usize(free.len());
+        free.iter().for_each(|&k| w.put_u32(k));
+        w.put_usize(window.len());
+        for (i, &k) in window.iter().enumerate() {
+            w.put_time(VirtualTime::from_secs(i as u64));
+            w.put_u32(k);
+        }
+        w.put_bool(false);
+        w.into_bytes()
+    }
+
+    /// Each image lies about the arena in one way the state could not run
+    /// on, and the restore refuses it, naming the field, and leaves the
+    /// store as it was. Accepted, each one breaks the run later:
+    /// * a free slot named twice hands one key to two inserts, and the
+    ///   first tuple's index entry keeps serving the second tuple;
+    /// * a window entry on an empty slot expires that slot's next
+    ///   occupant early, one named twice expires it twice, and a live
+    ///   slot the window omits never expires or spills;
+    /// * a spilled stub without a tier panics at its first probe hit;
+    /// * a slot of another stream joins as this one's;
+    /// * JAS values narrower than the JAS panic at expiry, and values that
+    ///   are not the attributes' projection unindex the wrong bucket, so
+    ///   the index keeps a key whose slot is later reused.
+    #[test]
+    fn restore_refuses_an_arena_it_could_not_run_on() {
+        use crate::snapshot_io::{SectionReader, SnapshotError};
+        const A: Slot = Slot::Resident {
+            stream: 0,
+            attrs: &[1, 9, 3],
+            jas: &[1, 3],
+        };
+        let lies: [(&str, Vec<u8>, &str); 8] = [
+            (
+                "a free slot named twice",
+                state_image(&[A, Slot::Empty, Slot::Empty, A], &[1, 1], &[0, 3]),
+                "free-list slot 1",
+            ),
+            (
+                "a window entry on an empty slot",
+                state_image(&[A, Slot::Empty, A], &[1], &[0, 1, 2]),
+                "window slot 1",
+            ),
+            (
+                "a window entry named twice",
+                state_image(&[A, Slot::Empty, A], &[1], &[0, 0, 2]),
+                "window slot 0",
+            ),
+            (
+                "a live slot the window omits",
+                state_image(&[A, Slot::Empty, A], &[1], &[0]),
+                "window holds 1 of 2",
+            ),
+            (
+                "a spilled stub without a tier",
+                state_image(&[A, Slot::Spilled(&[4, 6])], &[], &[0, 1]),
+                "no spill tier",
+            ),
+            (
+                "a slot of another stream",
+                state_image(
+                    &[Slot::Resident {
+                        stream: 1,
+                        attrs: &[1, 9, 3],
+                        jas: &[1, 3],
+                    }],
+                    &[],
+                    &[0],
+                ),
+                "stream 1",
+            ),
+            (
+                "a stub narrower than the JAS",
+                state_image(&[A, Slot::Spilled(&[4])], &[], &[0, 1]),
+                "holds 1 JAS values",
+            ),
+            (
+                "JAS values that are not the projection",
+                state_image(
+                    &[Slot::Resident {
+                        stream: 0,
+                        attrs: &[1, 9, 3],
+                        jas: &[1, 9],
+                    }],
+                    &[],
+                    &[0],
+                ),
+                "projection",
+            ),
+        ];
+        let honest = state_image(&[A, Slot::Empty, A], &[1], &[0, 2]);
+        let mut s = store();
+        s.restore_state(&mut SectionReader::new(&honest)).unwrap();
+        assert_eq!((s.len(), s.oldest_ts()), (2, Some(VirtualTime::ZERO)));
+        let accepted: Vec<&str> = lies
+            .iter()
+            .filter(
+                |(what, image, field)| match s.restore_state(&mut SectionReader::new(image)) {
+                    Err(SnapshotError::Malformed(why)) => {
+                        assert!(why.contains(field), "{what}: {why}");
+                        assert_eq!(s.len(), 2, "{what}: the refused restore changed the store");
+                        assert_eq!(s.jas_of(TupleKey(2)).unwrap().as_slice(), &[1, 3]);
+                        false
+                    }
+                    other => {
+                        assert!(other.is_ok(), "{what}: {other:?}");
+                        true
+                    }
+                },
+            )
+            .map(|(what, ..)| *what)
+            .collect();
+        assert!(accepted.is_empty(), "restored a lying image: {accepted:?}");
     }
 
     #[test]

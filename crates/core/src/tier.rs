@@ -65,6 +65,23 @@ use std::sync::Arc;
 /// Retry budget for a torn block write (first attempt + two retries).
 pub const WRITE_ATTEMPTS: u32 = 3;
 
+/// Tuples per spill block: the engine's balancer spills in chunks of this
+/// many, and [`StorageProfile`] amortizes one block access over them.
+pub const BLOCK_TUPLES: usize = 64;
+
+/// Budget utilization fraction above which the balancer spills the
+/// oldest resident tuples — also the RAM a host reserves for a tenant
+/// that runs a tier.
+pub const SPILL_HIGH_WATER: f64 = 0.8;
+
+/// Budget utilization fraction below which the balancer promotes the
+/// hottest spilled block back into RAM.
+pub const PROMOTE_LOW_WATER: f64 = 0.5;
+
+/// Materialization reads a spilled block needs before it is promoted:
+/// cold blocks stay on disk.
+pub const PROMOTE_MIN_READS: u32 = 2;
+
 /// One decoded tuple record of a spill block — the cached form, ready to
 /// serve a materialization without touching the device or re-parsing the
 /// frame.
@@ -1382,7 +1399,6 @@ mod tests {
         let profile = StorageProfile {
             read_ns: 1000,
             write_ns: 2000,
-            block_tuples: 64,
             ..StorageProfile::default()
         };
         let mut t = tier("cost", IoFaultConfig::default(), profile);
@@ -1441,7 +1457,6 @@ mod tests {
         let profile = StorageProfile {
             read_ns: 100,
             write_ns: 0,
-            block_tuples: 64,
             ..StorageProfile::default()
         };
         let mut t = tier("spike", faults, profile);

@@ -3,9 +3,11 @@
 //! Fallible construction paths (flavor building, fault plans, degradation
 //! policies) return [`EngineError`] instead of panicking, so injected
 //! faults and bad configurations surface as structured errors or
-//! degradation events — never as ad-hoc `unwrap()` panics. Invariant-backed
-//! `expect`s that remain in the codebase carry reason strings naming the
-//! invariant that guarantees them.
+//! degradation events — never as ad-hoc `unwrap()` panics. A variant is a
+//! class of failure a caller may treat differently, not a field: every bad
+//! setting is one [`EngineError::InvalidConfig`] whose message names it.
+//! Invariant-backed `expect`s that remain in the codebase carry reason
+//! strings naming the invariant that guarantees them.
 
 use amri_core::CoreError;
 use amri_stream::{SnapshotError, StreamError};
@@ -18,18 +20,13 @@ pub enum EngineError {
     Core(CoreError),
     /// A stream-layer error (schema, query, window validation).
     Stream(StreamError),
-    /// An [`IndexingMode`](crate::IndexingMode) whose per-state vectors
-    /// disagree with the query (message names the mismatch).
-    InvalidMode(String),
-    /// An [`EngineConfig`](crate::EngineConfig) scalar the run cannot be
-    /// driven with (message names the field).
+    /// A configuration the run cannot be driven with (message names the
+    /// field): an [`IndexingMode`](crate::IndexingMode) whose per-state
+    /// vectors disagree with the query, an out-of-range
+    /// [`EngineConfig`](crate::EngineConfig) scalar, or a
+    /// [`DegradationPolicy`](crate::DegradationPolicy) or
+    /// [`FaultPlan`](crate::FaultPlan) knob.
     InvalidConfig(String),
-    /// A [`DegradationPolicy`](crate::DegradationPolicy) with out-of-range
-    /// parameters (message names the offending knob).
-    InvalidDegradationPolicy(String),
-    /// A [`FaultPlan`](crate::FaultPlan) with out-of-range parameters
-    /// (message names the offending knob).
-    InvalidFaultPlan(String),
     /// A checkpoint could not be written, parsed, or restored — carries
     /// the typed snapshot failure (I/O, checksum mismatch, version
     /// mismatch, configuration mismatch, malformed contents).
@@ -51,12 +48,7 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Core(e) => write!(f, "core error: {e}"),
             EngineError::Stream(e) => write!(f, "stream error: {e}"),
-            EngineError::InvalidMode(msg) => write!(f, "invalid indexing mode: {msg}"),
             EngineError::InvalidConfig(msg) => write!(f, "invalid engine configuration: {msg}"),
-            EngineError::InvalidDegradationPolicy(msg) => {
-                write!(f, "invalid degradation policy: {msg}")
-            }
-            EngineError::InvalidFaultPlan(msg) => write!(f, "invalid fault plan: {msg}"),
             EngineError::Snapshot(e) => write!(f, "checkpoint error: {e}"),
             EngineError::Spill(msg) => write!(f, "spill tier error: {msg}"),
             EngineError::InjectedCrash { step } => {
@@ -104,15 +96,11 @@ mod tests {
         assert!(EngineError::from(CoreError::TooManyBits(70))
             .to_string()
             .contains("70"));
-        assert!(EngineError::InvalidMode("3 configs for 4 streams".into())
-            .to_string()
-            .contains("3 configs"));
-        assert!(EngineError::InvalidFaultPlan("drop_prob = 2".into())
-            .to_string()
-            .contains("drop_prob"));
-        assert!(EngineError::InvalidDegradationPolicy("high_water".into())
-            .to_string()
-            .contains("high_water"));
+        assert!(
+            EngineError::InvalidConfig("fault plan drop_prob = 2".into())
+                .to_string()
+                .contains("drop_prob")
+        );
     }
 
     #[test]
@@ -122,6 +110,6 @@ mod tests {
         assert!(e.source().unwrap().to_string().contains("theta"));
         let e = EngineError::from(StreamError::InvalidWindow);
         assert!(e.source().is_some());
-        assert!(EngineError::InvalidMode("x".into()).source().is_none());
+        assert!(EngineError::InvalidConfig("x".into()).source().is_none());
     }
 }

@@ -23,7 +23,7 @@ use crate::policy::PolicyKind;
 use crate::router::Router;
 use crate::runtime::{
     DegradationPolicy, FaultPlan, FaultState, Governor, MaintenanceStats, Pipeline, RunContext,
-    TierPolicy, WorkerPool,
+    WorkerPool,
 };
 use crate::stem::{HashTuner, JoinState, Stem};
 use amri_core::assess::AssessorKind;
@@ -80,14 +80,14 @@ impl IndexingMode {
 }
 
 /// Disk spill tier settings for a run: where the per-state block files
-/// live, when buckets move between tiers, and what the disk costs.
+/// live, what the disk costs, and how much decoded-block cache each state
+/// keeps. When tuples spill or promote, and how many a block holds, are
+/// constants of [`amri_core::tier`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpillSettings {
     /// Directory holding the per-state block files (created if absent;
     /// files are named `state-<i>.blocks`).
     pub dir: std::path::PathBuf,
-    /// When cold buckets spill and hot blocks promote.
-    pub policy: TierPolicy,
     /// Per-tier latency profile — also folded into
     /// [`CostParams::storage`](amri_core::CostParams) so the tuner prices
     /// probes that touch spill-resident tuples. The all-zero
@@ -102,12 +102,11 @@ pub struct SpillSettings {
 }
 
 impl SpillSettings {
-    /// Settings with the default balancing policy, the all-zero
-    /// (identity) storage profile, and a zero-byte block cache.
+    /// Settings with the all-zero (identity) storage profile and a
+    /// zero-byte block cache.
     pub fn in_dir(dir: impl Into<std::path::PathBuf>) -> Self {
         SpillSettings {
             dir: dir.into(),
-            policy: TierPolicy::default(),
             profile: StorageProfile::default(),
             cache_bytes: 0,
         }
@@ -233,15 +232,13 @@ impl<W: StreamWorkload> Executor<W> {
     /// [`EngineError`] instead of panicking.
     ///
     /// # Errors
-    /// * [`EngineError::InvalidMode`] when a mode's per-state vector
-    ///   length disagrees with the query's stream count.
+    /// * [`EngineError::InvalidConfig`] when a mode's per-state vector
+    ///   length disagrees with the query's stream count, the degradation
+    ///   policy or fault plan fails its `validate`, `shards` is not a
+    ///   power of two, `lambda_d` is not finite and positive,
+    ///   `lambda_ramp` is not finite, or `sample_interval` is zero.
     /// * [`EngineError::Core`] when an index or tuner configuration is
     ///   invalid (too many bits, bad parameters).
-    /// * [`EngineError::InvalidDegradationPolicy`] /
-    ///   [`EngineError::InvalidFaultPlan`] from their `validate`.
-    /// * [`EngineError::InvalidConfig`] when `shards` is not a power of
-    ///   two, `lambda_d` is not finite and positive, `lambda_ramp` is not
-    ///   finite, or `sample_interval` is zero.
     pub fn try_new(
         query: &SpjQuery,
         workload: W,
@@ -251,7 +248,7 @@ impl<W: StreamWorkload> Executor<W> {
         let n = query.n_streams();
         let check_len = |what: &str, len: usize| {
             if len != n {
-                Err(EngineError::InvalidMode(format!(
+                Err(EngineError::InvalidConfig(format!(
                     "{what} supplies {len} per-state entries for {n} streams"
                 )))
             } else {
@@ -304,7 +301,6 @@ impl<W: StreamWorkload> Executor<W> {
         }
         let mut config = config;
         if let Some(spill) = &config.spill {
-            spill.policy.validate()?;
             // The tuner must price probes knowing what the disk costs:
             // fold the tier's latency profile into the cost model every
             // flavor is constructed with.
@@ -816,30 +812,25 @@ mod tests {
         )
         .err()
         .expect("1 config for 2 streams must be rejected");
-        assert!(matches!(err, EngineError::InvalidMode(_)), "{err}");
-        // Out-of-range degradation policy.
-        let mut cfg = small_config();
-        cfg.degradation = Some(DegradationPolicy {
-            high_water: 2.0,
-            ..DegradationPolicy::default()
-        });
-        let err = Executor::try_new(&query, workload(), IndexingMode::Scan, cfg)
-            .err()
-            .expect("high_water 2.0 must be rejected");
-        assert!(matches!(err, EngineError::InvalidDegradationPolicy(_)));
-        // Out-of-range fault plan.
-        let mut cfg = small_config();
-        cfg.faults = Some(FaultPlan {
-            drop_prob: 7.0,
-            ..FaultPlan::default()
-        });
-        let err = Executor::try_new(&query, workload(), IndexingMode::Scan, cfg)
-            .err()
-            .expect("drop_prob 7.0 must be rejected");
-        assert!(matches!(err, EngineError::InvalidFaultPlan(_)));
-        // A rate or grid the run would later assert on, named by field.
+        assert!(
+            matches!(&err, EngineError::InvalidConfig(msg) if msg.contains("StaticBitmap")),
+            "{err}"
+        );
+        // An out-of-range policy, plan, rate or grid, named by field.
         type Edit = fn(&mut EngineConfig);
-        let bad: [(&str, Edit); 6] = [
+        let bad: [(&str, Edit); 8] = [
+            ("high_water", |c| {
+                c.degradation = Some(DegradationPolicy {
+                    high_water: 2.0,
+                    ..DegradationPolicy::default()
+                })
+            }),
+            ("drop_prob", |c| {
+                c.faults = Some(FaultPlan {
+                    drop_prob: 7.0,
+                    ..FaultPlan::default()
+                })
+            }),
             ("shards", |c| c.shards = 3),
             ("lambda_d", |c| c.lambda_d = 0.0),
             ("lambda_d", |c| c.lambda_d = -3.0),

@@ -48,9 +48,9 @@ pub use metrics::{RetuneRecord, Sample, ThroughputSeries};
 pub use policy::{PolicyKind, RouterStats, RoutingPolicy};
 pub use router::Router;
 pub use runtime::{
-    io_faults_fired, load_latest, CheckpointPolicy, Checkpointer, DegradationPolicy,
-    DegradationReport, DegradationSample, FaultKind, FaultPlan, FaultReport, IoFaultKind, Job,
-    MaintenanceStats, Pipeline, PressureWindow, RestoreReport, RunContext, Session, SessionStatus,
-    SheddingPolicy, SkewedClock, SkippedCheckpoint, TierPolicy, TornMode, WorkerPool,
+    load_latest, CheckpointPolicy, Checkpointer, DegradationPolicy, DegradationReport,
+    DegradationSample, FaultKind, FaultPlan, FaultReport, Job, MaintenanceStats, Pipeline,
+    PressureWindow, RestoreReport, RunContext, Session, SessionStatus, SheddingPolicy, SkewedClock,
+    SkippedCheckpoint, TornMode, WorkerPool,
 };
 pub use stem::{HashTuner, JoinState, Stem};

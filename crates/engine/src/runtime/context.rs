@@ -9,10 +9,10 @@ use crate::executor::EngineConfig;
 use crate::memory::MemoryReport;
 use crate::metrics::{RetuneRecord, ThroughputSeries};
 use crate::router::Router;
-use crate::runtime::degrade::Governor;
+use crate::runtime::degrade::{water_bytes, Governor};
 use crate::runtime::fault::FaultState;
 use crate::stem::Stem;
-use amri_core::{layout, tier::WRITE_ATTEMPTS, BlockWriteError, CostReceipt};
+use amri_core::{layout, tier, BlockWriteError, CostReceipt};
 use amri_stream::{
     Clock, JobQueue, Pack, Packed, PackedPartial, PartialTuple, SpjQuery, Tuple, VirtualClock,
     VirtualTime,
@@ -228,7 +228,7 @@ pub struct RunContext<C: Clock = VirtualClock> {
     /// The configuration the run was built with. Routing policy, seed and
     /// tuner parameters were consumed at construction and are never
     /// reread; the step functions read the rates, the budget, the unit
-    /// costs and the tier policy.
+    /// costs and whether a spill tier is attached.
     pub config: EngineConfig,
     /// Per-state window lengths in seconds (cached for λ_r estimation).
     pub window_secs: Vec<f64>,
@@ -297,20 +297,22 @@ impl<C: Clock> RunContext<C> {
         }
     }
 
-    /// Balance the spill tier at a grid point: above the tier's
-    /// high-water mark, spill the globally oldest resident tuples to disk
-    /// in chunks until utilization is back under it; below the low-water
-    /// mark, promote at most one hot block back into RAM. Runs *before*
-    /// the governor, so state moves to disk before any of it is evicted.
-    /// All I/O work is charged to the clock like any other work.
+    /// Balance the spill tier at a grid point: above
+    /// [`tier::SPILL_HIGH_WATER`] of the budget, spill the globally oldest
+    /// resident tuples to disk in blocks of [`tier::BLOCK_TUPLES`] until
+    /// utilization is back under it; below [`tier::PROMOTE_LOW_WATER`],
+    /// promote at most one block read at least [`tier::PROMOTE_MIN_READS`]
+    /// times back into RAM. Runs *before* the governor, so state moves to disk before
+    /// any of it is evicted. All I/O work is charged to the clock like any
+    /// other work.
     pub(crate) fn tier_balance(&mut self, _due: VirtualTime) {
-        let Some(policy) = self.config.spill.as_ref().map(|s| s.policy) else {
+        if self.config.spill.is_none() {
             return;
-        };
+        }
         let budget = self.config.budget.bytes;
         let mut receipt = CostReceipt::new();
         let mut report = self.memory_report();
-        let high = policy.high_water_bytes(budget);
+        let high = water_bytes(budget, tier::SPILL_HIGH_WATER);
         if report.total() > high {
             while report.total() > high {
                 // Spill from the state holding the globally oldest
@@ -329,26 +331,26 @@ impl<C: Clock> RunContext<C> {
                 // A torn write lost nothing and a new one draws a new coin:
                 // retry it, at most `WRITE_ATTEMPTS` times.
                 let store = self.stems[idx].state.store_mut();
-                let mut spilled = store.spill_oldest(policy.spill_chunk, &mut receipt);
-                for _ in 0..WRITE_ATTEMPTS {
+                let mut spilled = store.spill_oldest(tier::BLOCK_TUPLES, &mut receipt);
+                for _ in 0..tier::WRITE_ATTEMPTS {
                     if spilled != Err(BlockWriteError::Torn) {
                         break;
                     }
-                    spilled = store.spill_oldest(policy.spill_chunk, &mut receipt);
+                    spilled = store.spill_oldest(tier::BLOCK_TUPLES, &mut receipt);
                 }
                 if spilled.unwrap_or(0) == 0 {
                     break; // nothing spillable or unwritable: leave it to the governor
                 }
                 report = self.memory_report();
             }
-        } else if report.total() < policy.low_water_bytes(budget) {
+        } else if report.total() < water_bytes(budget, tier::PROMOTE_LOW_WATER) {
             // Plenty of headroom: bring back at most one hot block per
             // grid point (bounded work; keeps the decision deterministic).
             for stem in &mut self.stems {
                 let outcome = stem
                     .state
                     .store_mut()
-                    .promote_hottest(policy.promote_min_reads, &mut receipt);
+                    .promote_hottest(tier::PROMOTE_MIN_READS, &mut receipt);
                 if outcome.lost > 0 {
                     self.spill_lost += outcome.lost as u64;
                     let now = self.clock.now();
@@ -528,7 +530,10 @@ mod tests {
                         oracle.push_back(job);
                     }
                     6 => prop_assert_eq!(q.pop(), oracle.pop_front()),
-                    7 => prop_assert_eq!(q.pop_newest(), oracle.pop_back()),
+                    7 => {
+                        let popped = q.pop_newest_words(&mut words).then(|| Job::unpack(&words));
+                        prop_assert_eq!(popped, oracle.pop_back());
+                    }
                     8 | 9 => {
                         let (popped, want) = if op == 8 {
                             (q.pop_words(&mut words), oracle.pop_front())
@@ -579,7 +584,7 @@ mod tests {
                 prop_assert_eq!(restored.pop(), Some(want));
             }
             prop_assert_eq!(q.pop(), None);
-            prop_assert_eq!(restored.pop_newest(), None);
+            prop_assert!(!restored.pop_newest_words(&mut words));
             prop_assert!(!q.pop_words(&mut words) && !q.discard_newest());
         }
     }

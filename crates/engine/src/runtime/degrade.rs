@@ -72,12 +72,12 @@ impl DegradationPolicy {
     /// Validate the knobs.
     ///
     /// # Errors
-    /// [`EngineError::InvalidDegradationPolicy`] naming the offending knob.
+    /// [`EngineError::InvalidConfig`] naming the offending knob.
     pub fn validate(&self) -> Result<(), EngineError> {
         let frac = |name: &str, v: f64| {
             if !(0.0..=1.0).contains(&v) {
-                Err(EngineError::InvalidDegradationPolicy(format!(
-                    "{name} = {v} must lie in [0, 1]"
+                Err(EngineError::InvalidConfig(format!(
+                    "degradation {name} = {v} must lie in [0, 1]"
                 )))
             } else {
                 Ok(())
@@ -86,93 +86,20 @@ impl DegradationPolicy {
         frac("high_water", self.high_water)?;
         frac("low_water", self.low_water)?;
         if self.low_water > self.high_water {
-            return Err(EngineError::InvalidDegradationPolicy(format!(
-                "low_water {} exceeds high_water {}",
+            return Err(EngineError::InvalidConfig(format!(
+                "degradation low_water {} exceeds high_water {}",
                 self.low_water, self.high_water
             )));
         }
         if self.max_backlog == 0 {
-            return Err(EngineError::InvalidDegradationPolicy(
-                "max_backlog must be positive".into(),
+            return Err(EngineError::InvalidConfig(
+                "degradation max_backlog must be positive".into(),
             ));
         }
         if let SheddingPolicy::Probabilistic { drop_prob } = self.shedding {
             frac("shedding drop_prob", drop_prob)?;
         }
         Ok(())
-    }
-}
-
-/// The spill-tier balancing configuration: when cold buckets move to
-/// disk and when hot spilled blocks come back. Works alongside the
-/// [`DegradationPolicy`] governor — spilling engages *below* the
-/// governor's eviction band, so state moves to disk before any of it has
-/// to be destroyed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TierPolicy {
-    /// Budget utilization fraction above which cold tuples spill to disk.
-    pub high_water: f64,
-    /// Utilization fraction below which hot spilled blocks are promoted
-    /// back into RAM.
-    pub low_water: f64,
-    /// Tuples spilled per balancing round before the memory report is
-    /// recomputed.
-    pub spill_chunk: usize,
-    /// Minimum reads a spilled block needs before it qualifies for
-    /// promotion (cold blocks stay on disk).
-    pub promote_min_reads: u32,
-}
-
-impl Default for TierPolicy {
-    fn default() -> Self {
-        TierPolicy {
-            high_water: 0.8,
-            low_water: 0.5,
-            spill_chunk: 64,
-            promote_min_reads: 2,
-        }
-    }
-}
-
-impl TierPolicy {
-    /// Validate the knobs.
-    ///
-    /// # Errors
-    /// [`EngineError::InvalidDegradationPolicy`] naming the offending knob.
-    pub fn validate(&self) -> Result<(), EngineError> {
-        let frac = |name: &str, v: f64| {
-            if !(0.0..=1.0).contains(&v) {
-                Err(EngineError::InvalidDegradationPolicy(format!(
-                    "tier {name} = {v} must lie in [0, 1]"
-                )))
-            } else {
-                Ok(())
-            }
-        };
-        frac("high_water", self.high_water)?;
-        frac("low_water", self.low_water)?;
-        if self.low_water > self.high_water {
-            return Err(EngineError::InvalidDegradationPolicy(format!(
-                "tier low_water {} exceeds high_water {}",
-                self.low_water, self.high_water
-            )));
-        }
-        if self.spill_chunk == 0 {
-            return Err(EngineError::InvalidDegradationPolicy(
-                "tier spill_chunk must be positive".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Bytes above which the balancer spills.
-    pub fn high_water_bytes(&self, budget_bytes: u64) -> u64 {
-        water_bytes(budget_bytes, self.high_water)
-    }
-
-    /// Bytes below which the balancer promotes.
-    pub fn low_water_bytes(&self, budget_bytes: u64) -> u64 {
-        water_bytes(budget_bytes, self.low_water)
     }
 }
 
@@ -384,7 +311,7 @@ impl Governor {
 }
 
 /// `budget * fraction`, saturating (an unlimited budget stays unlimited).
-fn water_bytes(budget_bytes: u64, fraction: f64) -> u64 {
+pub(crate) fn water_bytes(budget_bytes: u64, fraction: f64) -> u64 {
     let scaled = budget_bytes as f64 * fraction;
     if scaled >= u64::MAX as f64 {
         u64::MAX
@@ -442,10 +369,7 @@ mod tests {
             high_water: 1.5,
             ..DegradationPolicy::default()
         };
-        assert!(matches!(
-            bad.validate(),
-            Err(EngineError::InvalidDegradationPolicy(_))
-        ));
+        assert!(matches!(bad.validate(), Err(EngineError::InvalidConfig(_))));
         let inverted = DegradationPolicy {
             high_water: 0.5,
             low_water: 0.8,
@@ -456,26 +380,6 @@ mod tests {
         assert!(zero_cap.validate().is_err());
         let bad_coin = policy(SheddingPolicy::Probabilistic { drop_prob: -0.1 }, 8);
         assert!(bad_coin.validate().is_err());
-    }
-
-    #[test]
-    fn tier_policy_validation() {
-        assert!(TierPolicy::default().validate().is_ok());
-        let inverted = TierPolicy {
-            high_water: 0.4,
-            low_water: 0.6,
-            ..TierPolicy::default()
-        };
-        assert!(inverted.validate().is_err());
-        let zero_chunk = TierPolicy {
-            spill_chunk: 0,
-            ..TierPolicy::default()
-        };
-        assert!(zero_chunk.validate().is_err());
-        let p = TierPolicy::default();
-        assert_eq!(p.high_water_bytes(1000), 800);
-        assert_eq!(p.low_water_bytes(1000), 500);
-        assert!(p.high_water_bytes(u64::MAX) > u64::MAX / 2, "saturates");
     }
 
     #[test]

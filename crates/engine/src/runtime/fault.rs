@@ -24,8 +24,8 @@
 //!   newest job instead of the oldest with probability `reorder_prob`).
 
 use crate::error::EngineError;
-use amri_core::{IoFaultConfig, SpillStats};
-use amri_stream::{AttrVec, Clock, VirtualDuration, VirtualTime};
+use amri_core::IoFaultConfig;
+use amri_stream::{AttrVec, Clock, StreamSchema, VirtualDuration, VirtualTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -70,12 +70,12 @@ impl FaultPlan {
     /// Validate the knobs.
     ///
     /// # Errors
-    /// [`EngineError::InvalidFaultPlan`] naming the offending knob.
+    /// [`EngineError::InvalidConfig`] naming the offending knob.
     pub fn validate(&self) -> Result<(), EngineError> {
         let frac = |name: &str, v: f64| {
             if !(0.0..=1.0).contains(&v) {
-                Err(EngineError::InvalidFaultPlan(format!(
-                    "{name} = {v} must lie in [0, 1]"
+                Err(EngineError::InvalidConfig(format!(
+                    "fault plan {name} = {v} must lie in [0, 1]"
                 )))
             } else {
                 Ok(())
@@ -87,13 +87,13 @@ impl FaultPlan {
         frac("late_prob", self.late_prob)?;
         for (i, w) in self.pressure.iter().enumerate() {
             if w.until < w.from {
-                return Err(EngineError::InvalidFaultPlan(format!(
-                    "pressure window {i} ends at {:?} before it starts at {:?}",
+                return Err(EngineError::InvalidConfig(format!(
+                    "fault plan pressure window {i} ends at {:?} before it starts at {:?}",
                     w.until, w.from
                 )));
             }
         }
-        self.io.validate().map_err(EngineError::InvalidFaultPlan)?;
+        self.io.validate().map_err(EngineError::InvalidConfig)?;
         Ok(())
     }
 
@@ -138,26 +138,11 @@ pub enum TornMode {
     FlipByte,
 }
 
-/// One flavor of injected disk fault against the spill tier's block
-/// store. The probabilities live in [`FaultPlan::io`]
-/// ([`IoFaultConfig`]); the draws happen inside
-/// [`amri_core::SpillTier`] from its own seeded stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum IoFaultKind {
-    /// A block write is cut short: the tail of the frame never lands, so
-    /// the checksum fails on the write-verify read-back.
-    TornBlockWrite,
-    /// A block read returns garbage (checksum mismatch) and must retry.
-    ReadError,
-    /// A block read stalls for `spike_ns` beyond the profiled latency.
-    LatencySpike,
-}
-
 /// A fault injected at the durability layer rather than the arrival
-/// stream. `CrashAt`/`TornWrite` are carried by the
-/// [`Checkpointer`](crate::runtime::checkpoint::Checkpointer); `Io`
-/// faults are carried by [`FaultPlan::io`] and fire inside the spill
-/// tier's block store.
+/// stream, carried by the
+/// [`Checkpointer`](crate::runtime::checkpoint::Checkpointer). Disk
+/// faults against the spill tier are [`FaultPlan::io`]'s, and the tier's
+/// own counters ([`SpillStats`](amri_core::SpillStats)) report them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultKind {
     /// Kill the run when the pipeline's step counter reaches `step`
@@ -175,33 +160,6 @@ pub enum FaultKind {
         /// How the bytes are damaged.
         mode: TornMode,
     },
-    /// A disk fault fired inside the spill tier's block store.
-    Io {
-        /// Which flavor of disk fault.
-        kind: IoFaultKind,
-    },
-}
-
-/// The disk-fault kinds that actually fired during a run, read off the
-/// spill tier's counters. Same seed → same stats → identical report.
-pub fn io_faults_fired(stats: &SpillStats) -> Vec<FaultKind> {
-    let mut fired = Vec::new();
-    if stats.torn_writes > 0 {
-        fired.push(FaultKind::Io {
-            kind: IoFaultKind::TornBlockWrite,
-        });
-    }
-    if stats.read_errors > 0 {
-        fired.push(FaultKind::Io {
-            kind: IoFaultKind::ReadError,
-        });
-    }
-    if stats.latency_spikes > 0 {
-        fired.push(FaultKind::Io {
-            kind: IoFaultKind::LatencySpike,
-        });
-    }
-    fired
 }
 
 /// The fate of one arriving tuple, decided after its attributes exist.
@@ -329,30 +287,42 @@ impl FaultState {
     }
 
     /// Overwrite the mutable fault state from a [`save`](Self::save)d
-    /// section; the restored decision stream continues exactly.
+    /// section; the restored decision stream continues exactly. `schemas`
+    /// are this run's streams, one per held-back queue.
     ///
     /// # Errors
     /// [`SnapshotError`](amri_core::snapshot_io::SnapshotError) on decode
-    /// failure or a stream count that disagrees with this run.
+    /// failure, a stream count that disagrees with this run, or a
+    /// held-back arrival narrower than its stream's schema.
     pub fn restore_from(
         &mut self,
         r: &mut amri_core::snapshot_io::SectionReader<'_>,
+        schemas: &[StreamSchema],
     ) -> Result<(), amri_core::snapshot_io::SnapshotError> {
+        use amri_core::snapshot_io::SnapshotError;
         amri_core::snapshot_io::expect_tag(r, "FAULT")?;
         self.rng = r.get_u64()?;
         let n = r.get_usize()?;
         if n != self.pending.len() {
-            return Err(amri_core::snapshot_io::SnapshotError::Malformed(format!(
+            return Err(SnapshotError::Malformed(format!(
                 "fault state covers {n} streams, this run has {}",
                 self.pending.len()
             )));
         }
-        for q in &mut self.pending {
+        for (s, (q, schema)) in self.pending.iter_mut().zip(schemas).enumerate() {
             q.clear();
             let k = r.get_usize()?;
             for _ in 0..k {
                 let at = r.get_time()?;
                 let attrs = r.get_attrs()?;
+                // Its release reads every JAS attribute of the stream.
+                if attrs.len() < schema.arity() {
+                    return Err(SnapshotError::Malformed(format!(
+                        "held-back arrival of stream {s} has {} values, its schema {}",
+                        attrs.len(),
+                        schema.arity()
+                    )));
+                }
                 q.push_back((at, attrs));
             }
         }
@@ -441,10 +411,7 @@ mod tests {
             drop_prob: 1.5,
             ..FaultPlan::default()
         };
-        assert!(matches!(
-            bad.validate(),
-            Err(EngineError::InvalidFaultPlan(_))
-        ));
+        assert!(matches!(bad.validate(), Err(EngineError::InvalidConfig(_))));
         let inverted = FaultPlan {
             pressure: vec![PressureWindow {
                 from: VirtualTime::from_secs(10),
@@ -463,7 +430,7 @@ mod tests {
         };
         assert!(matches!(
             bad_io.validate(),
-            Err(EngineError::InvalidFaultPlan(_))
+            Err(EngineError::InvalidConfig(_))
         ));
         let io_only = FaultPlan {
             io: IoFaultConfig {
@@ -473,27 +440,6 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(!io_only.is_noop());
-    }
-
-    #[test]
-    fn io_fault_kinds_are_read_off_spill_counters() {
-        assert!(io_faults_fired(&SpillStats::default()).is_empty());
-        let stats = SpillStats {
-            torn_writes: 2,
-            latency_spikes: 1,
-            ..SpillStats::default()
-        };
-        assert_eq!(
-            io_faults_fired(&stats),
-            vec![
-                FaultKind::Io {
-                    kind: IoFaultKind::TornBlockWrite
-                },
-                FaultKind::Io {
-                    kind: IoFaultKind::LatencySpike
-                },
-            ]
-        );
     }
 
     #[test]

@@ -54,11 +54,11 @@ pub use checkpoint::{
 };
 pub use context::{Job, MaintenanceStats, RunContext, RunOutcome};
 pub use degrade::{
-    DegradationPolicy, DegradationReport, DegradationSample, Governor, SheddingPolicy, TierPolicy,
+    DegradationPolicy, DegradationReport, DegradationSample, Governor, SheddingPolicy,
 };
 pub use fault::{
-    io_faults_fired, ArrivalFate, FaultKind, FaultPlan, FaultReport, FaultState, IoFaultKind,
-    PressureWindow, SkewedClock, TornMode,
+    ArrivalFate, FaultKind, FaultPlan, FaultReport, FaultState, PressureWindow, SkewedClock,
+    TornMode,
 };
 pub use operators::StreamWorkload;
 pub use pipeline::{Pipeline, RunResult};

@@ -387,7 +387,8 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
 
         self.ctx.router.restore_from(&mut snap.section("router")?)?;
 
-        let n_streams = self.ctx.query.n_streams();
+        let schemas = &self.ctx.query.schemas;
+        let n_streams = schemas.len();
         self.ctx.backlog = JobQueue::load_jobs(&mut snap.section("backlog")?, |r| {
             let covered = StreamMask(r.get_u16()?);
             if covered.is_empty() || covered.streams().any(|s| s.idx() >= n_streams) {
@@ -397,8 +398,18 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
             }
             let min_ts = r.get_time()?;
             let mut parts = Vec::with_capacity(covered.count() as usize);
-            for _ in 0..covered.count() {
-                parts.push(r.get_attrs()?);
+            for s in covered.streams() {
+                let part = r.get_attrs()?;
+                // The job's probes read every join attribute of each part.
+                let arity = schemas[s.idx()].arity();
+                if part.len() < arity {
+                    return Err(SnapshotError::Malformed(format!(
+                        "backlog job's part of stream {} has {} values, its schema {arity}",
+                        s.idx(),
+                        part.len()
+                    )));
+                }
+                parts.push(part);
             }
             Ok(Job {
                 pt: PartialTuple::from_parts(covered, min_ts, parts),
@@ -450,7 +461,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
             }
         }
         match (&mut self.ctx.fault, snap.section("fault")) {
-            (Some(fault), Ok(mut r)) => fault.restore_from(&mut r)?,
+            (Some(fault), Ok(mut r)) => fault.restore_from(&mut r, &self.ctx.query.schemas)?,
             (None, Err(_)) => {}
             (Some(_), Err(e)) => return Err(e.into()),
             (None, Ok(_)) => {

@@ -519,15 +519,6 @@ impl Stem {
         }
     }
 
-    /// Observed matches-per-request (1.0 until data exists).
-    pub fn observed_fanout(&self) -> f64 {
-        if self.requests_served == 0 {
-            1.0
-        } else {
-            self.matches_returned as f64 / self.requests_served as f64
-        }
-    }
-
     /// Serialize the STeM: its join state plus the served/matched counters
     /// that feed λ_r and selectivity estimation. The search scratch is
     /// transient and not captured.
@@ -878,15 +869,6 @@ mod tests {
                 "{kind}"
             );
         }
-    }
-
-    #[test]
-    fn stem_tracks_fanout() {
-        let mut stem = Stem::new(StreamId(0), all_flavors().pop().unwrap());
-        assert_eq!(stem.observed_fanout(), 1.0);
-        stem.requests_served = 10;
-        stem.matches_returned = 25;
-        assert!((stem.observed_fanout() - 2.5).abs() < 1e-12);
     }
 
     #[test]

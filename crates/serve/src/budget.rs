@@ -8,6 +8,7 @@
 //! are untouched — so the ledger never has to police a running tenant,
 //! only decide who gets to hold memory at all.
 
+use amri_core::tier::SPILL_HIGH_WATER;
 use amri_engine::MemoryBudget;
 
 /// Tracks how much of the global budget is committed to reservations.
@@ -69,23 +70,23 @@ impl BudgetLedger {
 
     /// The RAM bytes admission actually has to carve for a tenant: its
     /// whole engine budget, or — when the tenant runs a disk spill tier —
-    /// only the tier's high-water carve, because the tier's balancer
-    /// keeps the resident set at or below that mark and the overflow
-    /// lives on disk, outside the global RAM pool. Spill is thus an
-    /// *admission alternative*: a tenant too large to fit the remaining
+    /// only the [`SPILL_HIGH_WATER`] share of it, because the tier's
+    /// balancer keeps the resident set at or below that mark and the
+    /// overflow lives on disk, outside the global RAM pool. Spill is thus
+    /// an *admission alternative*: a tenant too large to fit the remaining
     /// budget outright can still be admitted by bringing a tier.
     ///
-    /// A spill tier may additionally run a decoded-block cache; its byte
-    /// budget (`spill` tuple's second element) is real RAM *outside* the
-    /// engine's window budget, so it is carved here — on top of the
-    /// high-water carve — rather than charged against the run. This is
-    /// what lets [`MemoryReport::total`](amri_engine::MemoryReport::total)
-    /// exclude the `cache` column without under-reserving.
+    /// `cache_bytes` is `None` without a tier, else the tier's
+    /// decoded-block cache budget: real RAM *outside* the engine's window
+    /// budget, so it is carved here — on top of the high-water carve —
+    /// rather than charged against the run. This is what lets
+    /// [`MemoryReport::total`](amri_engine::MemoryReport::total) exclude
+    /// the `cache` column without under-reserving.
     /// Unlimited budgets stay unlimited.
-    pub fn effective_reservation(budget: u64, spill: Option<(f64, u64)>) -> u64 {
-        match spill {
-            Some((hw, cache_bytes)) if budget != u64::MAX => {
-                ((budget as f64 * hw).ceil() as u64).saturating_add(cache_bytes)
+    pub fn effective_reservation(budget: u64, cache_bytes: Option<u64>) -> u64 {
+        match cache_bytes {
+            Some(cache_bytes) if budget != u64::MAX => {
+                ((budget as f64 * SPILL_HIGH_WATER).ceil() as u64).saturating_add(cache_bytes)
             }
             _ => budget,
         }
@@ -129,24 +130,15 @@ mod tests {
     fn spill_tier_shrinks_the_effective_reservation() {
         // No tier: the full budget is carved.
         assert_eq!(BudgetLedger::effective_reservation(1000, None), 1000);
-        // A tier with high water 0.8 only needs the resident carve.
-        assert_eq!(
-            BudgetLedger::effective_reservation(1000, Some((0.8, 0))),
-            800
-        );
+        // A tier (high water 0.8) only needs the resident carve.
+        assert_eq!(BudgetLedger::effective_reservation(1000, Some(0)), 800);
         // Rounding is conservative (ceil): never under-reserve.
-        assert_eq!(
-            BudgetLedger::effective_reservation(1001, Some((0.8, 0))),
-            801
-        );
+        assert_eq!(BudgetLedger::effective_reservation(1001, Some(0)), 801);
         // A block cache is extra RAM, carved on top of the resident set.
-        assert_eq!(
-            BudgetLedger::effective_reservation(1000, Some((0.8, 256))),
-            1056
-        );
+        assert_eq!(BudgetLedger::effective_reservation(1000, Some(256)), 1056);
         // Unlimited budgets stay unlimited either way.
         assert_eq!(
-            BudgetLedger::effective_reservation(u64::MAX, Some((0.5, 256))),
+            BudgetLedger::effective_reservation(u64::MAX, Some(256)),
             u64::MAX
         );
     }

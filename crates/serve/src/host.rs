@@ -486,9 +486,7 @@ impl<W: StreamWorkload> TenantHost<W> {
         let cfg = exec.config();
         BudgetLedger::effective_reservation(
             cfg.budget.bytes,
-            cfg.spill
-                .as_ref()
-                .map(|s| (s.policy.high_water, s.cache_bytes)),
+            cfg.spill.as_ref().map(|s| s.cache_bytes),
         )
     }
 

@@ -361,8 +361,8 @@ fn spill_tier_is_an_admission_alternative() {
         matches!(c, Admission::Admitted(_)),
         "the spill tier's smaller carve must fit where the full budget did not"
     );
-    let expected = 8 * 1024 * 1024
-        + amri_serve::BudgetLedger::effective_reservation(8 * 1024 * 1024, Some((0.8, 0)));
+    let expected =
+        8 * 1024 * 1024 + amri_serve::BudgetLedger::effective_reservation(8 * 1024 * 1024, Some(0));
     assert_eq!(host.committed_bytes(), expected);
 
     // Everyone completes; the freed carves activate the queued tenant.

@@ -13,14 +13,14 @@
 //! either end, so the deterministic simulation harness drains job-by-job
 //! with byte-identical results.
 //!
-//! A job leaves in one of three ways, at either end, through one cursor
-//! walk per end: **as words** ([`JobQueue::pop_words`] /
-//! [`JobQueue::pop_newest_words`]) — copied undecoded into a buffer the
-//! caller reuses, which is how the engine's probe step takes every job and
-//! reads it through a borrowed view; **unread** ([`JobQueue::discard`] /
-//! [`JobQueue::discard_newest`]) — how load shedding drops one; or
-//! **decoded** ([`JobQueue::pop`] / [`JobQueue::pop_newest`]) into a `T`,
-//! for snapshots, diagnostics and tests that want the value.
+//! A job leaves through one cursor walk per end: **as words**
+//! ([`JobQueue::pop_words`] / [`JobQueue::pop_newest_words`]) — copied
+//! undecoded into a buffer the caller reuses, which is how the engine's
+//! probe step takes every job and reads it through a borrowed view;
+//! **unread** ([`JobQueue::discard`] / [`JobQueue::discard_newest`]) — how
+//! load shedding drops one; or, from the oldest end, **decoded**
+//! ([`JobQueue::pop`]) into a `T`, for snapshots, diagnostics and tests
+//! that want the value.
 //!
 //! Steady state allocates nothing: drained chunk buffers are recycled into
 //! a spare pool and reused for new tail chunks.
@@ -291,7 +291,6 @@ impl<T: Packed> JobQueue<T> {
 
     /// Remove the **newest** job, handing its payload words to `read`
     /// first — the one backward walk, behind
-    /// [`pop_newest`](Self::pop_newest),
     /// [`pop_newest_words`](Self::pop_newest_words) and
     /// [`discard_newest`](Self::discard_newest).
     fn take_newest<R>(&mut self, read: impl FnOnce(&[u64]) -> R) -> Option<R> {
@@ -327,16 +326,6 @@ impl<T: Packed> JobQueue<T> {
         self.take_oldest(T::unpack)
     }
 
-    /// Dequeue the **newest** job, decoded — the opposite end from
-    /// [`pop`](Self::pop).
-    ///
-    /// This is the load-shedding primitive for drop-newest policies and the
-    /// reorder fault: the job removed is the one that would otherwise drain
-    /// last. All other jobs keep their exact FIFO order.
-    pub fn pop_newest(&mut self) -> Option<T> {
-        self.take_newest(T::unpack)
-    }
-
     /// Dequeue the oldest job *undecoded*: its packed words — exactly what
     /// its [`Pack::pack`] wrote — replace the contents of `words`, a
     /// buffer the caller reuses. `false` (and `words` untouched) when the
@@ -345,7 +334,9 @@ impl<T: Packed> JobQueue<T> {
         self.take_oldest(|job| copy_into(words, job)).is_some()
     }
 
-    /// [`pop_words`](Self::pop_words) from the **newest** end.
+    /// [`pop_words`](Self::pop_words) from the **newest** end — the job
+    /// that would otherwise drain last, which the reorder fault serves
+    /// first. All other jobs keep their exact FIFO order.
     pub fn pop_newest_words(&mut self, words: &mut Vec<u64>) -> bool {
         self.take_newest(|job| copy_into(words, job)).is_some()
     }
@@ -395,7 +386,7 @@ impl<T: Packed> JobQueue<T> {
     /// Jobs re-enter through [`push`](Self::push), so internal chunk
     /// boundaries may differ from the saved queue's — irrelevant at the
     /// job level, where the queue is pinned indistinguishable from a
-    /// `VecDeque` under any `pop`/`pop_newest` interleaving.
+    /// `VecDeque` under any interleaving of pops at either end.
     ///
     /// # Errors
     /// Propagates decode failures from `get` and rejects a corrupt
@@ -438,6 +429,12 @@ mod tests {
             assert_eq!(words.len(), 1);
             words[0]
         }
+    }
+
+    /// The newest job, popped as words and decoded.
+    fn newest(q: &mut JobQueue<u64>) -> Option<u64> {
+        let mut words = Vec::new();
+        q.pop_newest_words(&mut words).then(|| u64::unpack(&words))
     }
 
     #[test]
@@ -505,16 +502,16 @@ mod tests {
         for i in 0..8u64 {
             q.push(i); // [0 1 2][3 4 5] tail:[6 7]
         }
-        assert_eq!(q.pop_newest(), Some(7), "tail first");
-        assert_eq!(q.pop_newest(), Some(6));
-        assert_eq!(q.pop_newest(), Some(5), "then the newest sealed batch");
+        assert_eq!(newest(&mut q), Some(7), "tail first");
+        assert_eq!(newest(&mut q), Some(6));
+        assert_eq!(newest(&mut q), Some(5), "then the newest sealed batch");
         assert_eq!(q.pop(), Some(0), "head order is untouched");
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         // Active now holds the promoted [3, 4]; newest is 4.
         assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop_newest(), Some(4), "active region, newest end");
-        assert_eq!(q.pop_newest(), None);
+        assert_eq!(newest(&mut q), Some(4), "active region, newest end");
+        assert_eq!(newest(&mut q), None);
         assert!(q.is_empty());
     }
 
@@ -535,14 +532,14 @@ mod tests {
                     next += 1;
                 }
                 2 => assert_eq!(q.pop(), reference.pop_front()),
-                _ => assert_eq!(q.pop_newest(), reference.pop_back()),
+                _ => assert_eq!(newest(&mut q), reference.pop_back()),
             }
             assert_eq!(q.len(), reference.len());
         }
         while let Some(want) = reference.pop_front() {
             assert_eq!(q.pop(), Some(want));
         }
-        assert_eq!(q.pop_newest(), None);
+        assert_eq!(newest(&mut q), None);
     }
 
     #[test]
@@ -565,11 +562,11 @@ mod tests {
             }
             assert!(q.is_empty());
         }
-        // pop_newest drains recycle through the same bounded path.
+        // Newest-end drains recycle through the same bounded path.
         for i in 0..400u64 {
             q.push(i);
         }
-        while q.pop_newest().is_some() {
+        while newest(&mut q).is_some() {
             assert!(q.spare.len() <= cap);
         }
         assert!(q.spare.len() <= cap);

@@ -79,9 +79,22 @@ echo "==> one index entry layout; no decoded job on the probe or shedding path"
 if grep -nE 'link_at_tail|struct Bucket|FxHashMap<u64' crates/core/src/bitaddr.rs; then
     echo "the bucket map, a Bucket record or a tail pointer reappeared in bitaddr.rs"; exit 1
 fi
-if grep -nE 'backlog\.pop\(\)|pop_newest\(\)' \
+if grep -nE 'backlog\.pop\(\)' \
     crates/engine/src/runtime/operators.rs crates/engine/src/runtime/degrade.rs; then
     echo "a decoding pop reappeared on the probe or shedding path"; exit 1
+fi
+
+# Nor may a setting no caller sets, or a second copy of one: the spill
+# tier's water marks, promotion floor and block size are constants of
+# `amri_core::tier`, read by the balancer, the cost model and the host
+# alike; a bad setting is one `EngineError::InvalidConfig`. Nor the public
+# items no code read: the disk-fault report, the decoding newest-end pop,
+# a second way to read a bucket's fill, and a second fan-out statistic.
+# Whole words only, so a test named after a behaviour does not trip it.
+echo "==> configuration is what callers set, under crates/ tests/ examples/"
+if grep -rnwE 'TierPolicy|block_tuples|InvalidMode|InvalidDegradationPolicy|InvalidFaultPlan|IoFaultKind|io_faults_fired|FaultKind::Io|fn pop_newest\(|max_bucket|observed_fanout' \
+    crates tests examples; then
+    echo "a deleted setting, error variant or unread public item reappeared"; exit 1
 fi
 
 # Nor may a search loop decode its request per entry: every index flavor

@@ -248,14 +248,16 @@ fn mismatched_configuration_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Resume a scan run of `scenario(3)` from an image rebuilt, and
-/// re-sealed, out of the sections of one taken at step 120: `edit` maps
-/// each section's name and body to the body to write (`None` drops the
-/// section), so the image can lie only where `edit` makes it.
-fn resume_rebuilt(edit: impl Fn(&str, &[u8]) -> Option<Vec<u8>>) -> Result<(), EngineError> {
+/// Resume a scan run of `sc` from an image rebuilt, and re-sealed, out of
+/// the sections of one taken at step 120: `edit` maps each section's name
+/// and body to the body to write (`None` drops the section), so the image
+/// can lie only where `edit` makes it.
+fn resume_rebuilt(
+    sc: &PaperScenario,
+    edit: impl Fn(&str, &[u8]) -> Option<Vec<u8>>,
+) -> Result<(), EngineError> {
     use amri_stream::{SectionWriter, SnapshotReader, SnapshotWriter};
-    let sc = scenario(3);
-    let exec = executor(&sc, IndexingMode::Scan);
+    let exec = executor(sc, IndexingMode::Scan);
     let fingerprint = exec.config_fingerprint();
     let mut pipeline = exec.into_pipeline();
     for _ in 0..120 {
@@ -271,10 +273,15 @@ fn resume_rebuilt(edit: impl Fn(&str, &[u8]) -> Option<Vec<u8>>) -> Result<(), E
         "backlog",
         "stems",
         "observers",
+        "fault",
         "maint",
         "workload",
     ] {
-        let Some(body) = edit(name, taken.section(name).unwrap().rest()) else {
+        // Only a run with a fault plan has a `fault` section.
+        let Ok(section) = taken.section(name) else {
+            continue;
+        };
+        let Some(body) = edit(name, section.rest()) else {
             continue;
         };
         let mut w = SectionWriter::new();
@@ -282,7 +289,7 @@ fn resume_rebuilt(edit: impl Fn(&str, &[u8]) -> Option<Vec<u8>>) -> Result<(), E
         image.add(name, w);
     }
     let snap = SnapshotReader::parse(&image.finish()).expect("a well-formed image");
-    executor(&sc, IndexingMode::Scan)
+    executor(sc, IndexingMode::Scan)
         .resume_from(&snap)
         .map(|_| ())
 }
@@ -296,7 +303,7 @@ fn an_image_without_its_maintenance_totals_is_refused() {
     use amri_stream::SnapshotError;
     // Keep `words` eight-byte words of `maint` (`None` drops it).
     let rebuilt = |words: Option<usize>| {
-        resume_rebuilt(|name, body| match (name, words) {
+        resume_rebuilt(&scenario(3), |name, body| match (name, words) {
             ("maint", None) => None,
             ("maint", Some(words)) => Some(body[..8 * words].to_vec()),
             _ => Some(body.to_vec()),
@@ -315,7 +322,7 @@ fn an_image_without_its_maintenance_totals_is_refused() {
 #[test]
 fn an_image_that_lies_about_its_retune_count_is_refused() {
     use amri_stream::SnapshotError;
-    let refused = resume_rebuilt(|name, body| match name {
+    let refused = resume_rebuilt(&scenario(3), |name, body| match name {
         "retunes" => Some((1u64 << 40).to_le_bytes().to_vec()),
         _ => Some(body.to_vec()),
     });
@@ -325,6 +332,79 @@ fn an_image_that_lies_about_its_retune_count_is_refused() {
         }
         other => panic!("expected Malformed(retune count), got {other:?}"),
     }
+}
+
+/// Resume `scenario(3)`, under a fault plan that perturbs nothing, from
+/// an image whose `section` is `image` built around stream 0 values as
+/// wide as its schema, then one value narrower. The first resumes; the
+/// second is refused as `Malformed` naming the stream.
+fn narrower_than_the_stream_is_refused(
+    section: &str,
+    image: impl Fn(&amri_stream::AttrVec, usize) -> Vec<u8>,
+) {
+    use amri_stream::{AttrVec, SnapshotError};
+    let mut sc = scenario(3);
+    sc.engine.faults = Some(FaultPlan::default());
+    let (arity, n_streams) = (sc.query.schemas[0].arity(), sc.query.n_streams());
+    let resume = |width: usize| {
+        let body = image(&AttrVec::from_slice(&vec![1; width]).unwrap(), n_streams);
+        resume_rebuilt(&sc, |name, taken| {
+            Some(if name == section {
+                body.clone()
+            } else {
+                taken.to_vec()
+            })
+        })
+    };
+    assert_eq!(
+        resume(arity),
+        Ok(()),
+        "{section}: the full-width image resumes"
+    );
+    match resume(arity - 1) {
+        Err(EngineError::Snapshot(SnapshotError::Malformed(why))) => {
+            assert!(why.contains("stream 0"), "{section}: {why}")
+        }
+        other => panic!("{section}: expected Malformed(stream 0), got {other:?}"),
+    }
+}
+
+/// A queued job whose part is narrower than its stream's schema would
+/// panic at the first probe that reads the part past its end: a probe
+/// reads it by join attribute.
+#[test]
+fn an_image_with_a_job_narrower_than_its_stream_is_refused() {
+    use amri_stream::{SectionWriter, VirtualTime};
+    narrower_than_the_stream_is_refused("backlog", |part, _| {
+        let mut w = SectionWriter::new();
+        w.put_usize(64);
+        w.put_usize(1);
+        w.put_u16(0b1); // covers stream 0
+        w.put_time(VirtualTime::from_secs(1));
+        w.put_attrs(part);
+        w.put_time(VirtualTime::from_secs(1));
+        w.put_time(VirtualTime::from_secs(1));
+        w.into_bytes()
+    });
+}
+
+/// A held-back late arrival narrower than its stream's schema would panic
+/// when it is released, at 1 s, and its JAS values are read.
+#[test]
+fn an_image_with_a_late_arrival_narrower_than_its_stream_is_refused() {
+    use amri_stream::{SectionWriter, VirtualTime};
+    narrower_than_the_stream_is_refused("fault", |held, n_streams| {
+        let mut w = SectionWriter::new();
+        w.put_str("FAULT");
+        w.put_u64(0);
+        w.put_usize(n_streams);
+        w.put_usize(1);
+        w.put_time(VirtualTime::from_secs(1));
+        w.put_attrs(held);
+        (1..n_streams).for_each(|_| w.put_usize(0));
+        (0..4).for_each(|_| w.put_u64(0));
+        w.into_bytes()
+    });
 }
 
 /// The parallel write path end to end: shards=4/parallelism=4 routes

@@ -306,3 +306,36 @@ fn spilled_runs_sample_resident_memory_under_the_budget() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The balancer's other branch: a spilling run whose load then falls
+/// drops back under the low-water mark while spilled tuples are still
+/// live, and the hottest spilled blocks come home — under the identity
+/// profile with the all-RAM twin's exact answer. Here the arrival rate
+/// falls from 160 to 6.4 tuples/s per stream over 12 s.
+#[test]
+fn falling_load_promotes_hot_blocks_home() {
+    let mode = IndexingMode::Scan;
+    let mut base = scenario(42);
+    base.engine.lambda_d = 160.0;
+    base.engine.lambda_ramp = -0.08;
+    base.engine.duration = VirtualDuration::from_secs(12);
+    let baseline = executor(&base, mode.clone()).run();
+    let budget = forcing_budget(&mode, baseline.series.peak_memory());
+    let dir = tmpdir("promote");
+    let mut sc = base;
+    sc.engine.budget = MemoryBudget { bytes: budget };
+    sc.engine.spill = Some(SpillSettings::in_dir(&dir));
+    let r = executor(&sc, mode).run();
+    assert_eq!(r.outcome, RunOutcome::Completed);
+    assert!(
+        r.spill.promoted_blocks >= 1 && r.spill.promoted_tuples > 0,
+        "the falling load must promote a block home: {:?}",
+        r.spill
+    );
+    assert_eq!(
+        (r.outputs, r.output_digest),
+        (baseline.outputs, baseline.output_digest),
+        "promotion must not change the join answer"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -4,7 +4,7 @@
 
 use amri_core::{
     BitAddressIndex, CostReceipt, IndexConfig, IngestStage, IoFaultConfig, MultiHashIndex,
-    ScanIndex, SearchScratch, SequentialExecutor, SpillConfig, SpillTier, StateIndex, StateStore,
+    SearchScratch, SequentialExecutor, SpillConfig, SpillTier, StateIndex, StateStore,
     StorageProfile, TupleKey,
 };
 use amri_engine::{Job, WorkerPool};
@@ -45,7 +45,7 @@ fn bench_insert(c: &mut Criterion) {
                 .filter(|p| !p.is_empty())
                 .take(k)
                 .collect();
-            let mut idx = MultiHashIndex::new(patterns);
+            let mut idx = MultiHashIndex::new(3, patterns);
             let mut i = 0u64;
             b.iter(|| {
                 let mut r = CostReceipt::new();
@@ -122,14 +122,14 @@ fn bench_search(c: &mut Criterion) {
         })
     });
     // The scan fallback as the engine calls it: `StateStore::search` on a
-    // `ScanIndex` store of 10k tuples, which compares every arena row
+    // store of 10k tuples with no index, which compares every arena row
     // against the request decoded once.
     g.bench_function("scan_state_into", |b| {
         let mut store = StateStore::new(
             StreamId(0),
             vec![AttrId(0), AttrId(1), AttrId(2)],
             WindowSpec::secs(1 << 20),
-            ScanIndex::new(),
+            MultiHashIndex::new(3, Vec::new()),
         );
         let mut r = CostReceipt::new();
         for i in 0..n {
@@ -323,12 +323,16 @@ fn bench_migrate_parallel(c: &mut Criterion) {
 
 /// A populated state with a disk spill tier attached: 4k tuples over a
 /// window wide enough that nothing expires mid-measurement.
-fn spill_store(tag: &str) -> StateStore<ScanIndex> {
+fn spill_store(tag: &str) -> StateStore<MultiHashIndex> {
     spill_store_with(tag, StorageProfile::default(), 0)
 }
 
 /// `spill_store` with an explicit storage profile and block-cache budget.
-fn spill_store_with(tag: &str, profile: StorageProfile, cache_bytes: u64) -> StateStore<ScanIndex> {
+fn spill_store_with(
+    tag: &str,
+    profile: StorageProfile,
+    cache_bytes: u64,
+) -> StateStore<MultiHashIndex> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static N: AtomicU64 = AtomicU64::new(0);
     let n = N.fetch_add(1, Ordering::Relaxed);
@@ -347,7 +351,7 @@ fn spill_store_with(tag: &str, profile: StorageProfile, cache_bytes: u64) -> Sta
         StreamId(0),
         vec![AttrId(0), AttrId(1), AttrId(2)],
         WindowSpec::secs(1 << 20),
-        ScanIndex::new(),
+        MultiHashIndex::new(3, Vec::new()),
     )
     .with_payload_bytes(64);
     store.enable_spill(tier);
@@ -364,7 +368,7 @@ fn spill_store_with(tag: &str, profile: StorageProfile, cache_bytes: u64) -> Sta
 /// Materialize `key` alone: the one-key batch a probe with one spilled
 /// hit hands its store.
 fn materialize_one(
-    store: &mut StateStore<ScanIndex>,
+    store: &mut StateStore<MultiHashIndex>,
     key: TupleKey,
     out: &mut Vec<Option<Tuple>>,
 ) -> Tuple {

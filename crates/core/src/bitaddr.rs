@@ -1131,10 +1131,6 @@ impl StateIndex for BitAddressIndex {
     fn entries(&self) -> usize {
         self.shards.iter().map(|s| s.heads.len()).sum()
     }
-
-    fn kind(&self) -> &'static str {
-        "bit-address"
-    }
 }
 
 #[cfg(test)]
@@ -1318,7 +1314,6 @@ mod tests {
         let expected = idx.occupied_buckets() as u64 * layout::BUCKET_BYTES
             + 100 * layout::bucket_entry_bytes(3);
         assert_eq!(idx.memory_bytes(), expected);
-        assert_eq!(idx.kind(), "bit-address");
     }
 
     #[test]

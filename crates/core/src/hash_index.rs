@@ -12,6 +12,9 @@
 //!   key computations + k link writes);
 //! * memory — each sub-index stores a per-tuple link
 //!   ([`layout::hash_link_bytes`]), so bytes scale with `k × tuples`.
+//!
+//! A module with no sub-index is the no-index baseline: it charges nothing
+//! on insert or remove, holds no bytes, and every search scans.
 
 use crate::cost::CostReceipt;
 use crate::layout;
@@ -49,16 +52,14 @@ pub struct MultiHashIndex {
 }
 
 impl MultiHashIndex {
-    /// Build an access module with one hash sub-index per given pattern.
+    /// Build an access module over a JAS of `jas_width` attributes with one
+    /// hash sub-index per given pattern (none: every search scans).
     ///
     /// # Panics
-    /// Panics if patterns disagree on JAS width, a pattern is empty, or
-    /// `patterns` is empty.
-    pub fn new(patterns: Vec<AccessPattern>) -> Self {
-        assert!(!patterns.is_empty(), "need at least one hash index");
-        let width = patterns[0].n_attrs();
+    /// Panics if a pattern is not `jas_width` wide or is empty.
+    pub fn new(jas_width: usize, patterns: Vec<AccessPattern>) -> Self {
         for p in &patterns {
-            assert_eq!(p.n_attrs(), width, "pattern width mismatch");
+            assert_eq!(p.n_attrs(), jas_width, "pattern width mismatch");
             assert!(!p.is_empty(), "a hash index needs at least one attribute");
         }
         MultiHashIndex {
@@ -69,9 +70,14 @@ impl MultiHashIndex {
                     map: FxHashMap::default(),
                 })
                 .collect(),
-            jas_width: width,
+            jas_width,
             n_tuples: 0,
         }
+    }
+
+    /// Tuples the module indexes — whether or not it has a sub-index.
+    pub fn n_tuples(&self) -> usize {
+        self.n_tuples
     }
 
     /// The attribute combinations currently indexed.
@@ -106,7 +112,6 @@ impl MultiHashIndex {
         live: impl Iterator<Item = (TupleKey, &'a AttrVec)> + Clone,
         receipt: &mut CostReceipt,
     ) {
-        assert!(!new_patterns.is_empty(), "need at least one hash index");
         let kept: Vec<SubIndex> = self
             .subs
             .drain(..)
@@ -165,7 +170,8 @@ impl MultiHashIndex {
     /// above `MAX_JAS`, a count the remaining bytes cannot hold, an empty
     /// pattern or one with a bit outside the width, an empty bucket, an
     /// entry JAS of the wrong width, or a sub-index that does not hold
-    /// exactly the module's tuple count.
+    /// exactly the module's tuple count. Only the store can vouch for the
+    /// tuple count of a module with no sub-index.
     pub fn restore(
         r: &mut crate::snapshot_io::SectionReader<'_>,
     ) -> Result<Self, crate::snapshot_io::SnapshotError> {
@@ -182,9 +188,6 @@ impl MultiHashIndex {
         // sub-index, a hash key and an entry count per bucket, a key, a
         // length byte and `jas_width` values per entry.
         let n_subs = r.get_count(4 + 8, "multi-hash sub-index count")?;
-        if n_subs == 0 {
-            return malformed("multi-hash sub-index count 0".into());
-        }
         let entry_bytes = 4 + 1 + 8 * jas_width;
         let mut subs = Vec::with_capacity(n_subs);
         for s in 0..n_subs {
@@ -306,10 +309,6 @@ impl StateIndex for MultiHashIndex {
     fn entries(&self) -> usize {
         self.n_tuples * self.subs.len()
     }
-
-    fn kind(&self) -> &'static str {
-        "multi-hash"
-    }
 }
 
 #[cfg(test)]
@@ -342,19 +341,35 @@ mod tests {
 
     /// The paper's §I-A module: indices on A1, A1&A2, A2&A3.
     fn paper_module() -> MultiHashIndex {
-        MultiHashIndex::new(vec![ap(0b001), ap(0b011), ap(0b110)])
+        MultiHashIndex::new(3, vec![ap(0b001), ap(0b011), ap(0b110)])
     }
 
+    /// A module with no sub-index is the scan flavor: it counts its tuples,
+    /// charges nothing and holds no bytes, and defers every search.
     #[test]
-    #[should_panic(expected = "at least one hash index")]
-    fn rejects_empty_module() {
-        let _ = MultiHashIndex::new(vec![]);
+    fn always_defers_to_scan() {
+        let mut idx = MultiHashIndex::new(1, vec![]);
+        let mut r = CostReceipt::new();
+        idx.insert(TupleKey(0), &AttrVec::from_slice(&[1]).unwrap(), &mut r);
+        assert_eq!((idx.n_tuples(), idx.entries()), (1, 0));
+        assert_eq!(idx.memory_bytes(), 0);
+        let request =
+            SearchRequest::new(AccessPattern::full(1), AttrVec::from_slice(&[1]).unwrap());
+        assert_eq!(
+            search(&idx, &request, &mut r),
+            None,
+            "a module with no sub-index always defers: search_into must return false"
+        );
+        assert_eq!(r.total_actions(), 0, "the module itself charges nothing");
+        idx.remove(TupleKey(0), &AttrVec::from_slice(&[1]).unwrap(), &mut r);
+        assert_eq!(idx.n_tuples(), 0);
+        assert_eq!(r.total_actions(), 0);
     }
 
     #[test]
     #[should_panic(expected = "at least one attribute")]
     fn rejects_empty_pattern_index() {
-        let _ = MultiHashIndex::new(vec![AccessPattern::empty(3)]);
+        let _ = MultiHashIndex::new(3, vec![AccessPattern::empty(3)]);
     }
 
     #[test]
@@ -422,7 +437,7 @@ mod tests {
     #[test]
     fn memory_scales_with_index_count() {
         let mk = |patterns: Vec<AccessPattern>| {
-            let mut m = MultiHashIndex::new(patterns);
+            let mut m = MultiHashIndex::new(3, patterns);
             let mut r = CostReceipt::new();
             for i in 0..100u32 {
                 m.insert(TupleKey(i), &jas(&[i as u64, 1, 2]), &mut r);
@@ -439,7 +454,7 @@ mod tests {
 
     #[test]
     fn retarget_swaps_attribute_combinations() {
-        let mut m = MultiHashIndex::new(vec![ap(0b001)]);
+        let mut m = MultiHashIndex::new(3, vec![ap(0b001)]);
         let mut r = CostReceipt::new();
         let tuples: Vec<(TupleKey, AttrVec)> = (0..10u32)
             .map(|i| (TupleKey(i), jas(&[i as u64 % 2, i as u64 % 3, i as u64])))
@@ -503,7 +518,7 @@ mod tests {
             }
             other => panic!("expected Malformed({field}), got {other:?}"),
         };
-        let mut saved = MultiHashIndex::new(vec![ap(0b001), ap(0b011)]);
+        let mut saved = MultiHashIndex::new(3, vec![ap(0b001), ap(0b011)]);
         let mut r = CostReceipt::new();
         saved.insert(TupleKey(1), &jas(&[1, 2, 3]), &mut r);
         saved.insert(TupleKey(2), &jas(&[1, 5, 6]), &mut r);
@@ -513,8 +528,7 @@ mod tests {
 
         // A width no access pattern can range over.
         refused(&image(9, 0, &[(0b1, &[])]), "JAS width 9");
-        // No sub-index, or more than the remaining bytes can list.
-        refused(&image(3, 0, &[]), "sub-index count 0");
+        // More sub-indices than the remaining bytes can list.
         let mut lying = image(3, 0, &[]);
         let count_at = lying.len() - 8;
         lying[count_at..].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
@@ -570,6 +584,9 @@ mod tests {
             );
             assert_eq!(r1, r2);
         }
+        // A module with no sub-index restores its tuple count unchecked.
+        let scan = restore(&image(3, 5, &[])).unwrap();
+        assert_eq!((scan.n_indices(), scan.n_tuples()), (0, 5));
     }
 
     proptest! {
@@ -581,7 +598,7 @@ mod tests {
             mask in 0u32..8,
             probe in proptest::collection::vec(0u64..5, 3),
         ) {
-            let mut m = MultiHashIndex::new(patterns.into_iter().map(ap).collect());
+            let mut m = MultiHashIndex::new(3, patterns.into_iter().map(ap).collect());
             let mut r = CostReceipt::new();
             for (i, t) in tuples.iter().enumerate() {
                 m.insert(TupleKey(i as u32), &jas(t), &mut r);

@@ -20,8 +20,8 @@
 //! * [`parallel`] — the shard-task execution seam ([`ShardExecutor`]):
 //!   sequential here, the engine's worker pool in `amri-engine`.
 //! * [`hash_index`] — the state-of-the-art baseline: multiple hash indices
-//!   per state (access modules, Raman et al. \[5\]).
-//! * [`scan`] — the no-index baseline (always full scan).
+//!   per state (access modules, Raman et al. \[5\]); with no index, the
+//!   no-index baseline (every search scans).
 //! * [`assess`] — the four assessment methods: SRIA, CSRIA, DIA, CDIA
 //!   (§IV-C, §IV-D), behind one [`Assessor`] trait.
 //! * [`selection`] — picking the cheapest configuration for a set of
@@ -34,15 +34,21 @@
 //! * [`tuner`] — the online tuning loop: assess → select → migrate. Three
 //!   policies behind the [`TunerKind`] seam: the paper's greedy tuner, a
 //!   safe bandit tuner with bounded regret, and a static baseline.
-//! * [`amri`] — [`AmriState`], the glued-together product:
-//!   a tuned bit-address-indexed state ready for an AMR engine.
+//!
+//! The glued-together product — a [`StateStore`] over a
+//! [`BitAddressIndex`] plus the [`Tuner`] that retunes it — is
+//! `amri_engine::JoinState::amri`, the state an AMR engine instantiates
+//! per stream.
 //!
 //! # Example
 //!
 //! ```
 //! use amri_core::assess::AssessorKind;
-//! use amri_core::state::SearchScratch;
-//! use amri_core::{AmriState, CostParams, CostReceipt, IndexConfig, TunerConfig, TunerKind};
+//! use amri_core::{
+//!     CostParams, CostReceipt, IndexConfig, IngestStage, SearchScratch, SequentialExecutor,
+//!     TunerConfig, TunerKind,
+//! };
+//! use amri_engine::JoinState;
 //! use amri_hh::CombineStrategy;
 //! use amri_stream::{
 //!     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId,
@@ -50,7 +56,7 @@
 //! };
 //!
 //! // One state with a 3-attribute JAS, tuned by CDIA.
-//! let mut state = AmriState::new(
+//! let mut state = JoinState::amri(
 //!     StreamId(0),
 //!     vec![AttrId(0), AttrId(1), AttrId(2)],
 //!     WindowSpec::secs(30),
@@ -63,6 +69,7 @@
 //!         ..TunerConfig::default()
 //!     },
 //!     CostParams::default(),
+//!     0,
 //!     TunerKind::Paper,
 //! )?;
 //!
@@ -78,28 +85,29 @@
 //! }
 //!
 //! // A workload that searches only on the first attribute...
-//! let mut scratch = SearchScratch::new();
+//! let (mut scratch, mut stage) = (SearchScratch::new(), IngestStage::new());
 //! for i in 0..50u64 {
 //!     let request = SearchRequest::new(
 //!         AccessPattern::from_positions(&[0], 3).unwrap(),
 //!         AttrVec::from_slice(&[i % 10, 0, 0]).unwrap(),
 //!     );
-//!     state.search_into(&request, &mut scratch, &mut receipt);
+//!     let exec = &SequentialExecutor;
+//!     state.flush_ingest_then_search(&request, &mut scratch, &mut receipt, &mut stage, exec);
 //!     assert_eq!(scratch.hits.len(), 10);
 //! }
 //!
 //! // ...drives the tuner to concentrate the key map on that attribute.
-//! let report = state
-//!     .maybe_retune(VirtualTime::from_secs(2), 1000.0, 50.0, 30.0, &mut receipt)
+//! let now = VirtualTime::from_secs(2);
+//! let retune = state
+//!     .maybe_retune_with(now, 1000.0, 50.0, 30.0, &mut receipt, &SequentialExecutor)
 //!     .expect("a single-pattern workload forces a migration");
-//! assert!(report.config.bits_of(0) >= 10);
+//! assert_eq!(retune.moved, 100);
 //! # Ok::<(), amri_core::CoreError>(())
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod amri;
 pub mod assess;
 pub mod bitaddr;
 pub mod config;
@@ -108,7 +116,6 @@ pub mod error;
 pub mod hash_index;
 pub mod layout;
 pub mod parallel;
-pub mod scan;
 pub mod selection;
 pub mod snapshot_io;
 pub mod state;
@@ -116,7 +123,6 @@ pub mod tier;
 pub mod tuner;
 pub mod whatif;
 
-pub use amri::AmriState;
 pub use assess::{Assessor, AssessorKind};
 pub use bitaddr::{BitAddressIndex, IngestStage};
 pub use config::IndexConfig;
@@ -124,7 +130,6 @@ pub use cost::{ApStat, CostParams, CostReceipt, StorageProfile, WorkloadProfile}
 pub use error::CoreError;
 pub use hash_index::MultiHashIndex;
 pub use parallel::{for_each_slot, SequentialExecutor, ShardExecutor};
-pub use scan::ScanIndex;
 pub use state::{SearchScratch, StateIndex, StateStore, TupleKey};
 pub use tier::{
     BlockMeta, BlockReadError, BlockWriteError, IoFaultConfig, SpillConfig, SpillOutcome,

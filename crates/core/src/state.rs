@@ -162,9 +162,6 @@ pub trait StateIndex {
     /// Number of indexed entries (should equal the state's live tuples,
     /// possibly multiplied by the number of sub-indices).
     fn entries(&self) -> usize;
-
-    /// Human-readable kind for reports.
-    fn kind(&self) -> &'static str;
 }
 
 /// One arena slot's contents: a fully resident tuple, or the RAM stub of
@@ -1084,8 +1081,8 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash_index::MultiHashIndex;
     use crate::parallel::SequentialExecutor;
-    use crate::scan::ScanIndex;
     use amri_stream::{AccessPattern, TupleId};
 
     fn mk_tuple(id: u64, ts_secs: u64, attrs: &[u64]) -> Tuple {
@@ -1097,21 +1094,21 @@ mod tests {
         )
     }
 
-    fn store() -> StateStore<ScanIndex> {
+    fn store() -> StateStore<MultiHashIndex> {
         // JAS = schema attrs 0 and 2 (attr 1 is payload-only).
         StateStore::new(
             StreamId(0),
             vec![AttrId(0), AttrId(2)],
             WindowSpec::secs(10),
-            ScanIndex::new(),
+            MultiHashIndex::new(2, Vec::new()),
         )
     }
 
-    // A scan index never defers work, so these helpers hand the store a
+    // A module with no index never defers work, so these helpers hand the store a
     // throwaway stage that stays empty.
 
     fn search_vec(
-        s: &mut StateStore<ScanIndex>,
+        s: &mut StateStore<MultiHashIndex>,
         req: &SearchRequest,
         r: &mut CostReceipt,
     ) -> Vec<TupleKey> {
@@ -1120,18 +1117,18 @@ mod tests {
         scratch.hits
     }
 
-    fn expire(s: &mut StateStore<ScanIndex>, secs: u64, r: &mut CostReceipt) -> usize {
+    fn expire(s: &mut StateStore<MultiHashIndex>, secs: u64, r: &mut CostReceipt) -> usize {
         s.expire_staged(VirtualTime::from_secs(secs), r, &mut IngestStage::new())
     }
 
-    fn evict(s: &mut StateStore<ScanIndex>, max: usize, r: &mut CostReceipt) -> usize {
+    fn evict(s: &mut StateStore<MultiHashIndex>, max: usize, r: &mut CostReceipt) -> usize {
         s.evict_oldest_with(max, r, &mut IngestStage::new(), &SequentialExecutor)
     }
 
     /// `key` alone through `materialize_batch`: its tuple, or the tuples
     /// lost with its block.
     fn materialize_one(
-        s: &mut StateStore<ScanIndex>,
+        s: &mut StateStore<MultiHashIndex>,
         key: TupleKey,
         r: &mut CostReceipt,
     ) -> Result<Option<Tuple>, usize> {
@@ -1276,7 +1273,7 @@ mod tests {
         assert_eq!(evict(&mut s, 1, &mut CostReceipt::new()), 0);
     }
 
-    fn spill_store(tag: &str, faults: crate::tier::IoFaultConfig) -> StateStore<ScanIndex> {
+    fn spill_store(tag: &str, faults: crate::tier::IoFaultConfig) -> StateStore<MultiHashIndex> {
         use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
@@ -1290,7 +1287,7 @@ mod tests {
         dir: std::path::PathBuf,
         faults: crate::tier::IoFaultConfig,
         cache_bytes: u64,
-    ) -> StateStore<ScanIndex> {
+    ) -> StateStore<MultiHashIndex> {
         let tier = SpillTier::create(&crate::tier::SpillConfig {
             dir,
             file_name: "s0.blocks".into(),

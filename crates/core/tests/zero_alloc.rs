@@ -25,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use amri_core::{
-    BitAddressIndex, CostReceipt, IndexConfig, ScanIndex, SearchScratch, SequentialExecutor,
+    BitAddressIndex, CostReceipt, IndexConfig, MultiHashIndex, SearchScratch, SequentialExecutor,
     SpillConfig, SpillTier, StateIndex, StateStore, TupleKey,
 };
 use amri_stream::{
@@ -152,7 +152,7 @@ fn steady_state_search_into_does_not_allocate() {
         .unwrap(),
     );
     assert_eq!(tiered.spill_oldest(500, &mut r), Ok(500));
-    let mut scan = loaded_store(ScanIndex::new());
+    let mut scan = loaded_store(MultiHashIndex::new(3, Vec::new()));
     let mut plain = loaded_store(BitAddressIndex::new(config()));
     let mut sharded = loaded_store(BitAddressIndex::with_shards(config(), 4));
     let mut stores: [(&mut StateStore<dyn StateIndex>, SearchScratch); 4] = [

@@ -233,10 +233,13 @@ impl<W: StreamWorkload> Executor<W> {
     ///
     /// # Errors
     /// * [`EngineError::InvalidConfig`] when a mode's per-state vector
-    ///   length disagrees with the query's stream count, the degradation
-    ///   policy or fault plan fails its `validate`, `shards` is not a
-    ///   power of two, `lambda_d` is not finite and positive,
-    ///   `lambda_ramp` is not finite, or `sample_interval` is zero.
+    ///   length disagrees with the query's stream count, a static bitmap
+    ///   config is not as wide as its JAS, a hash state would have no
+    ///   index or an index pattern that is empty or not as wide as its
+    ///   JAS, the degradation policy or fault plan fails its `validate`,
+    ///   `shards` is not a power of two, `lambda_d` is not finite and
+    ///   positive, `lambda_ramp` is not finite, or `sample_interval` is
+    ///   zero.
     /// * [`EngineError::Core`] when an index or tuner configuration is
     ///   invalid (too many bits, bad parameters).
     pub fn try_new(
@@ -339,6 +342,22 @@ impl<W: StreamWorkload> Executor<W> {
                             .take(*n_indices)
                             .collect()
                     });
+                    if *n_indices == 0 || patterns.is_empty() {
+                        return Err(EngineError::InvalidConfig(format!(
+                            "AdaptiveHash state {i}: needs a hash index, got n_indices \
+                             {n_indices} and {} patterns",
+                            patterns.len()
+                        )));
+                    }
+                    if let Some(p) = patterns
+                        .iter()
+                        .find(|p| p.is_empty() || p.n_attrs() != width)
+                    {
+                        return Err(EngineError::InvalidConfig(format!(
+                            "AdaptiveHash state {i}: pattern {p} is empty or not {width} \
+                             attributes wide"
+                        )));
+                    }
                     let tuner = HashTuner::new(
                         AssessorKind::Cdia(amri_hh::CombineStrategy::HighestCount),
                         width,
@@ -352,6 +371,13 @@ impl<W: StreamWorkload> Executor<W> {
                         Some(v) => v[i].clone(),
                         None => IndexConfig::even(width, config.tuner.total_bits)?,
                     };
+                    if init.width() != width {
+                        return Err(EngineError::InvalidConfig(format!(
+                            "StaticBitmap state {i}: config {init} is {} attributes wide, \
+                             its JAS {width}",
+                            init.width()
+                        )));
+                    }
                     JoinState::static_bitmap(sid, jas, window, init, payload)
                 }
                 IndexingMode::Scan => JoinState::scan(sid, jas, window, payload),
@@ -853,5 +879,70 @@ mod tests {
         }
         // And a valid config still builds.
         assert!(Executor::try_new(&query, workload(), IndexingMode::Scan, small_config()).is_ok());
+    }
+
+    /// `try_new` refuses `mode` with an `InvalidConfig` whose message
+    /// contains `names` (the state and what is wrong with it).
+    fn refused(mode: IndexingMode, names: &str) {
+        let workload = PairWorkload {
+            rng: StdRng::seed_from_u64(3),
+            cardinality: 64,
+        };
+        match Executor::try_new(&two_way_query(), workload, mode, small_config()) {
+            Err(crate::EngineError::InvalidConfig(msg)) => {
+                assert!(msg.contains(names), "{msg:?} does not name {names:?}")
+            }
+            Err(other) => panic!("expected InvalidConfig naming {names:?}, got {other}"),
+            Ok(_) => panic!("a mode that would panic mid-run must be refused: {names}"),
+        }
+    }
+
+    #[test]
+    fn static_bitmap_config_of_another_width_is_refused() {
+        let two_wide = IndexConfig::even(2, 16).unwrap();
+        refused(
+            IndexingMode::StaticBitmap {
+                configs: Some(vec![two_wide; 2]),
+            },
+            "StaticBitmap state 0: config IC[A:8|B:8] is 2 attributes wide, its JAS 1",
+        );
+    }
+
+    #[test]
+    fn hash_mode_of_no_index_is_refused() {
+        refused(
+            IndexingMode::AdaptiveHash {
+                n_indices: 0,
+                initial: None,
+            },
+            "AdaptiveHash state 0: needs a hash index, got n_indices 0 and 0 patterns",
+        );
+    }
+
+    #[test]
+    fn hash_mode_of_no_initial_pattern_is_refused() {
+        refused(
+            IndexingMode::AdaptiveHash {
+                n_indices: 1,
+                initial: Some(vec![vec![]; 2]),
+            },
+            "AdaptiveHash state 0: needs a hash index, got n_indices 1 and 0 patterns",
+        );
+    }
+
+    #[test]
+    fn hash_pattern_wider_than_the_jas_or_empty_is_refused() {
+        for (pattern, shown) in [
+            (AccessPattern::new(0b10, 2), "<*, B>"),
+            (AccessPattern::empty(1), "<*>"),
+        ] {
+            refused(
+                IndexingMode::AdaptiveHash {
+                    n_indices: 1,
+                    initial: Some(vec![vec![pattern]; 2]),
+                },
+                &format!("AdaptiveHash state 0: pattern {shown} is empty or not 1 attributes wide"),
+            );
+        }
     }
 }

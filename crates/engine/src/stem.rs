@@ -1,21 +1,21 @@
 //! STeM operators — one windowed, indexed join state per stream, in the
-//! four flavors the paper compares.
+//! four flavors the paper compares, built from two index structures.
 //!
-//! | Flavor | Index | Tuning |
+//! | Flavor | State | Tuning |
 //! |---|---|---|
-//! | [`JoinState::Amri`] | bit-address | online (SRIA/CSRIA/DIA/CDIA) |
-//! | [`JoinState::MultiHash`] | k hash indices (access modules) | optional: CDIA statistics + conventional selection (re-target the k indices at the k most frequent patterns) |
-//! | [`JoinState::static_bitmap`] | bit-address | none: an AMRI state under [`TunerKind::Static`] (the §V "non-adapting bitmap index") |
-//! | [`JoinState::Scan`] | none | none |
+//! | [`JoinState::amri`] | [`JoinState::Amri`]: bit-address | online (SRIA/CSRIA/DIA/CDIA) |
+//! | [`JoinState::multi_hash`] | [`JoinState::MultiHash`]: k hash indices (access modules) | optional: CDIA statistics + conventional selection (re-target the k indices at the k most frequent patterns) |
+//! | [`JoinState::static_bitmap`] | [`JoinState::Amri`] under [`TunerKind::Static`] | none (the §V "non-adapting bitmap index") |
+//! | [`JoinState::scan`] | [`JoinState::MultiHash`] with no index | none: every search scans |
 //!
 //! All flavors run the identical [`StateStore`] storage code; only the
 //! index and the tuning differ — the controlled comparison of §V.
 
 use amri_core::assess::{Assessor, AssessorKind};
 use amri_core::{
-    AmriState, CostParams, CostReceipt, IndexConfig, IngestStage, MultiHashIndex, ScanIndex,
-    SearchScratch, SequentialExecutor, ShardExecutor, StateIndex, StateStore, TuneLedger,
-    TunerConfig, TunerKind, TupleKey,
+    BitAddressIndex, CostParams, CostReceipt, IndexConfig, IngestStage, MultiHashIndex,
+    SearchScratch, ShardExecutor, StateIndex, StateStore, TuneLedger, Tuner, TunerConfig,
+    TunerEvent, TunerKind, TupleKey,
 };
 use amri_stream::{
     AccessPattern, AttrId, SearchRequest, StreamId, Tuple, VirtualDuration, VirtualTime, WindowSpec,
@@ -110,22 +110,28 @@ impl std::fmt::Debug for HashTuner {
     }
 }
 
-/// A join state in one of the paper's four index flavors.
+/// A join state in one of the paper's four index flavors: a store plus
+/// what tunes it.
 // Amri is the common case in every experiment; boxing it to shrink the
-// rare variants would put a deref on the probe hot path.
+// hash variant would put a deref on the probe hot path.
 #[allow(clippy::large_enum_variant)]
 pub enum JoinState {
-    /// AMRI: tuned bit-address index (the contribution).
-    Amri(AmriState),
-    /// State-of-the-art baseline: k hash indices, optionally re-targeted.
+    /// AMRI: tuned bit-address index (the contribution); under
+    /// [`TunerKind::Static`], the non-adapting bitmap.
+    Amri {
+        /// The underlying store.
+        store: StateStore<BitAddressIndex>,
+        /// Assessment and retune decisions for the index configuration.
+        tuner: Tuner,
+    },
+    /// State-of-the-art baseline: k hash indices, optionally re-targeted;
+    /// with no index and no tuner, the scan flavor.
     MultiHash {
         /// The underlying store.
         store: StateStore<MultiHashIndex>,
         /// Conventional re-selection of the indexed patterns, if adaptive.
         tuner: Option<HashTuner>,
     },
-    /// No index at all.
-    Scan(StateStore<ScanIndex>),
 }
 
 /// What a retune did (surfaced to run metrics).
@@ -137,26 +143,15 @@ pub struct StemRetune {
     pub moved: u64,
 }
 
-/// The flavor's backing store with its index type erased — the four arms
-/// every index-agnostic operation shares, written once. `$store` picks
-/// [`AmriState::store`] or [`AmriState::store_mut`] to match `$state`'s
-/// mutability.
-macro_rules! erased_store {
-    ($state:expr, $store:ident) => {
-        match $state {
-            JoinState::Amri(s) => s.$store(),
-            JoinState::MultiHash { store, .. } => store,
-            JoinState::Scan(s) => s,
-        }
-    };
-}
-
 impl JoinState {
     /// The backing store, whatever its index: every index-agnostic read
     /// (window ages, spill and cache accounting, stored tuples) is called
     /// on it directly.
     pub fn store(&self) -> &StateStore<dyn StateIndex> {
-        erased_store!(self, store)
+        match self {
+            JoinState::Amri { store, .. } => store,
+            JoinState::MultiHash { store, .. } => store,
+        }
     }
 
     /// The backing store, mutably: eviction, spilling, promotion and
@@ -164,7 +159,10 @@ impl JoinState {
     /// [`flush_ingest_then_search`](Self::flush_ingest_then_search) so the
     /// flavor's tuner sees their patterns.
     pub fn store_mut(&mut self) -> &mut StateStore<dyn StateIndex> {
-        erased_store!(self, store_mut)
+        match self {
+            JoinState::Amri { store, .. } => store,
+            JoinState::MultiHash { store, .. } => store,
+        }
     }
 
     /// Live tuples in the state.
@@ -185,45 +183,42 @@ impl JoinState {
     /// Flavor label for reports.
     pub fn kind(&self) -> &'static str {
         match self {
-            JoinState::Amri(s) if s.tuner().kind() == TunerKind::Static => "static-bitmap",
-            JoinState::Amri(_) => "amri",
+            JoinState::Amri { tuner, .. } if tuner.kind() == TunerKind::Static => "static-bitmap",
+            JoinState::Amri { .. } => "amri",
             JoinState::MultiHash { tuner: Some(_), .. } => "multi-hash-adaptive",
-            JoinState::MultiHash { tuner: None, .. } => "multi-hash-static",
-            JoinState::Scan(_) => "scan",
+            JoinState::MultiHash { store, .. } if store.index().n_indices() == 0 => "scan",
+            JoinState::MultiHash { .. } => "multi-hash-static",
         }
     }
 
     /// The AMRI tuner's cumulative decision ledger (retunes, predicted /
     /// realized retune benefit, regret vs the static seed IC). Zero for
-    /// the non-AMRI flavors, whose tuning has no what-if accounting.
+    /// the hash flavors, whose tuning has no what-if accounting.
     pub fn tune_ledger(&self) -> TuneLedger {
-        if let JoinState::Amri(s) = self {
-            s.tuner().ledger()
-        } else {
-            TuneLedger::default()
+        match self {
+            JoinState::Amri { tuner, .. } => tuner.ledger(),
+            JoinState::MultiHash { .. } => TuneLedger::default(),
         }
     }
 
     /// Accounted bytes (store + index + the flavor's tuning statistics).
     pub fn memory_bytes(&self) -> u64 {
         let stat_entries = match self {
-            JoinState::Amri(s) => s.tuner().assessor_entries(),
-            JoinState::MultiHash { tuner: Some(t), .. } => t.entries(),
-            _ => 0,
+            JoinState::Amri { tuner, .. } => tuner.assessor_entries(),
+            JoinState::MultiHash { tuner, .. } => tuner.as_ref().map_or(0, HashTuner::entries),
         };
         self.store().memory_bytes() + stat_entries as u64 * amri_core::layout::ASSESS_ENTRY_BYTES
     }
 
     /// Re-partition the flavor's bit-address arena into `shard_count`
-    /// shards (construction-time plumbing; charges nothing). The hash and
-    /// scan flavors have no bit-address arena and ignore the call.
+    /// shards (construction-time plumbing; charges nothing). The hash
+    /// flavors have no bit-address arena and ignore the call.
     ///
     /// # Panics
     /// Panics unless `shard_count` is a power of two (≥ 1).
     pub fn set_shards(&mut self, shard_count: usize) {
-        match self {
-            JoinState::Amri(s) => s.store_mut().index_mut().set_shard_count(shard_count),
-            JoinState::MultiHash { .. } | JoinState::Scan(_) => {}
+        if let JoinState::Amri { store, .. } = self {
+            store.index_mut().set_shard_count(shard_count);
         }
     }
 
@@ -279,14 +274,16 @@ impl JoinState {
     ) {
         self.flush_ingest(stage, exec);
         match self {
-            JoinState::Amri(s) => s.search(req, scratch, receipt, exec),
+            JoinState::Amri { store, tuner } => {
+                tuner.record(req.pattern);
+                store.search(req, scratch, receipt, exec)
+            }
             JoinState::MultiHash { store, tuner } => {
                 if let Some(t) = tuner {
                     t.record(req.pattern);
                 }
                 store.search(req, scratch, receipt, exec)
             }
-            JoinState::Scan(s) => s.search(req, scratch, receipt, exec),
         }
     }
 
@@ -313,38 +310,14 @@ impl JoinState {
     pub fn expire(&mut self, now: VirtualTime, receipt: &mut CostReceipt) -> usize {
         let mut stage = IngestStage::new();
         let removed = self.store_mut().expire_staged(now, receipt, &mut stage);
-        self.flush_ingest(&mut stage, &SequentialExecutor);
+        self.flush_ingest(&mut stage, &amri_core::SequentialExecutor);
         removed
     }
 
-    /// [`flush_ingest_then_search`](Self::flush_ingest_then_search) with
-    /// nothing staged, inline.
-    pub fn search_into(
-        &mut self,
-        req: &SearchRequest,
-        scratch: &mut SearchScratch,
-        receipt: &mut CostReceipt,
-    ) {
-        let mut stage = IngestStage::new();
-        self.flush_ingest_then_search(req, scratch, receipt, &mut stage, &SequentialExecutor);
-    }
-
-    /// [`maybe_retune_with`](Self::maybe_retune_with), inline.
-    pub fn maybe_retune(
-        &mut self,
-        now: VirtualTime,
-        lambda_d: f64,
-        lambda_r: f64,
-        window_secs: f64,
-        receipt: &mut CostReceipt,
-    ) -> Option<StemRetune> {
-        let exec = &SequentialExecutor;
-        self.maybe_retune_with(now, lambda_d, lambda_r, window_secs, receipt, exec)
-    }
-
-    /// Take a tuning decision if this flavor tunes and one is due. AMRI's
-    /// index migration fans out shard-by-shard through `exec` (see
-    /// [`AmriState::maybe_retune_with`]); the hash flavor's retarget has
+    /// Take a tuning decision if this flavor tunes and one is due. AMRI
+    /// migrates its index on [`TunerEvent::Retune`] — rebucket and relink
+    /// passes fanned out shard-by-shard through `exec` (see
+    /// [`BitAddressIndex::migrate_with`]); the hash flavor's retarget has
     /// no sharded arena and stays sequential. Decisions, outcomes, and
     /// charges are identical for any executor.
     pub fn maybe_retune_with(
@@ -356,19 +329,23 @@ impl JoinState {
         receipt: &mut CostReceipt,
         exec: &dyn ShardExecutor,
     ) -> Option<StemRetune> {
-        match self {
-            JoinState::Amri(s) => s
-                .maybe_retune_with(now, lambda_d, lambda_r, window_secs, receipt, exec)
-                .map(|r| StemRetune {
-                    description: r.config.to_string(),
-                    moved: r.moved,
-                }),
+        let before = receipt.moved;
+        let description = match self {
+            JoinState::Amri { store, tuner } => {
+                let (spilled, hits) = (store.spilled_frac(), store.cache_hit_frac());
+                let event = tuner.maybe_retune(now, lambda_d, lambda_r, window_secs, spilled, hits);
+                let TunerEvent::Retune { config, .. } = event else {
+                    return None;
+                };
+                let description = config.to_string();
+                store.index_mut().migrate_with(config, receipt, exec);
+                description
+            }
             JoinState::MultiHash { store, tuner } => {
                 let picks = tuner.as_mut()?.maybe_select(now)?;
                 if picks == store.index().patterns() {
                     return None;
                 }
-                let before = receipt.moved;
                 // Split borrows: retarget needs the live entries and the
                 // index mutably; clone the (key, jas) pairs first.
                 let live: Vec<(TupleKey, amri_stream::AttrVec)> =
@@ -377,101 +354,90 @@ impl JoinState {
                 store
                     .index_mut()
                     .retarget(picks, live.iter().map(|(k, v)| (*k, v)), receipt);
-                Some(StemRetune {
-                    description,
-                    moved: receipt.moved - before,
-                })
+                description
             }
-            JoinState::Scan(_) => None,
-        }
+        };
+        Some(StemRetune {
+            description,
+            moved: receipt.moved - before,
+        })
     }
 
-    /// Serialize the flavor's full mutable state (stored tuples, index
-    /// structure, tuner statistics) behind a flavor tag.
+    /// Serialize the flavor's full mutable state behind a flavor tag:
+    /// stored tuples and window, the index structure (with its tuned
+    /// configuration or indexed patterns), and the tuner, if any.
     pub fn save(&self, w: &mut amri_core::snapshot_io::SectionWriter) {
         match self {
-            JoinState::Amri(s) => {
+            JoinState::Amri { store, tuner } => {
                 w.put_str("amri");
-                s.save(w);
+                store.save_state(w);
+                store.index().save(w);
+                tuner.save(w);
             }
             JoinState::MultiHash { store, tuner } => {
                 w.put_str("multi-hash");
                 store.save_state(w);
                 store.index().save(w);
-                match tuner {
-                    Some(t) => {
-                        w.put_bool(true);
-                        t.save(w);
-                    }
-                    None => w.put_bool(false),
+                w.put_bool(tuner.is_some());
+                if let Some(t) = tuner {
+                    t.save(w);
                 }
-            }
-            JoinState::Scan(s) => {
-                w.put_str("scan");
-                s.save_state(w);
-                s.index().save(w);
             }
         }
     }
 
     /// Overwrite this state from a [`save`](Self::save)d section. The
     /// receiver must be the same flavor, freshly constructed with the
-    /// original configuration.
+    /// original configuration; the bit-address shard count is restored
+    /// from the section.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Malformed`](amri_core::snapshot_io::SnapshotError)
+    /// for another flavor's section; for a hash index whose tuple count is
+    /// not the live count of the store restored just before it (one that
+    /// counts more underflows at the next expiry, one that counts fewer
+    /// misses tuples); for one with no index when the state has one, or
+    /// the reverse; and for a tuner present in only one of the two.
     pub fn restore_from(
         &mut self,
         r: &mut amri_core::snapshot_io::SectionReader<'_>,
     ) -> Result<(), amri_core::snapshot_io::SnapshotError> {
         use amri_core::snapshot_io::SnapshotError;
+        let malformed = |why: String| Err(SnapshotError::Malformed(why));
         let tag = r.get_str()?;
         match (self, tag.as_str()) {
-            (JoinState::Amri(s), "amri") => s.restore_from(r),
+            (JoinState::Amri { store, tuner }, "amri") => {
+                store.restore_state(r)?;
+                *store.index_mut() = BitAddressIndex::restore(r)?;
+                tuner.restore_from(r)
+            }
             (JoinState::MultiHash { store, tuner }, "multi-hash") => {
                 store.restore_state(r)?;
                 let index = MultiHashIndex::restore(r)?;
-                indexes_the_store(
-                    "multi-hash",
-                    index.entries() / index.n_indices(),
-                    store.len(),
-                )?;
+                let (indexed, live) = (index.n_tuples(), store.len());
+                if indexed != live {
+                    return malformed(format!(
+                        "multi-hash index counts {indexed} tuples, its store holds {live}"
+                    ));
+                }
+                let (saved, fresh) = (index.n_indices(), store.index().n_indices());
+                if (saved == 0) != (fresh == 0) {
+                    return malformed(format!(
+                        "multi-hash image holds {saved} indices, the state {fresh}"
+                    ));
+                }
                 *store.index_mut() = index;
-                let saved_tuner = r.get_bool()?;
-                match (tuner, saved_tuner) {
+                match (tuner, r.get_bool()?) {
                     (Some(t), true) => t.restore_from(r),
                     (None, false) => Ok(()),
-                    _ => Err(SnapshotError::Malformed(
-                        "hash-tuner presence mismatch".into(),
-                    )),
+                    _ => malformed("hash-tuner presence mismatch".into()),
                 }
             }
-            (JoinState::Scan(s), "scan") => {
-                s.restore_state(r)?;
-                let index = ScanIndex::restore(r)?;
-                indexes_the_store("scan", index.entries(), s.len())?;
-                *s.index_mut() = index;
-                Ok(())
-            }
-            (state, _) => Err(SnapshotError::Malformed(format!(
+            (state, _) => malformed(format!(
                 "state section holds {tag}, expected {}",
                 state.kind()
-            ))),
+            )),
         }
-    }
-}
-
-/// A restored index must count exactly the live tuples of the store
-/// restored just before it: one that counts more underflows at the next
-/// expiry, one that counts fewer misses tuples.
-fn indexes_the_store(
-    kind: &str,
-    indexed: usize,
-    live: usize,
-) -> Result<(), amri_core::snapshot_io::SnapshotError> {
-    if indexed == live {
-        Ok(())
-    } else {
-        Err(amri_core::snapshot_io::SnapshotError::Malformed(format!(
-            "{kind} index counts {indexed} tuples, its store holds {live}"
-        )))
     }
 }
 
@@ -541,7 +507,19 @@ impl Stem {
 
 /// Convenience constructors for the four flavors.
 impl JoinState {
-    /// An AMRI state (see [`AmriState::new`]).
+    /// An AMRI state.
+    ///
+    /// * `stream`, `jas`, `window` — the state's identity (from the query).
+    /// * `kind` — which assessment method tunes it.
+    /// * `initial` — the starting index configuration (the paper seeds it
+    ///   from quasi-training statistics; [`IndexConfig::even`] works too).
+    /// * `payload_bytes` — per-tuple payload, for memory accounting.
+    /// * `tuner_kind` — the tuning policy: the paper's greedy tuner, the
+    ///   safe bandit, or the pinned static seed IC (see [`TunerKind`]).
+    ///
+    /// # Errors
+    /// Propagates tuner parameter validation, including a configuration
+    /// not as wide as the JAS.
     #[allow(clippy::too_many_arguments)]
     pub fn amri(
         stream: StreamId,
@@ -554,15 +532,17 @@ impl JoinState {
         payload_bytes: u32,
         tuner_kind: TunerKind,
     ) -> Result<Self, amri_core::CoreError> {
-        let s = AmriState::new(
-            stream, jas, window, kind, initial, tuner, params, tuner_kind,
-        )?
-        .with_payload_bytes(payload_bytes);
-        Ok(JoinState::Amri(s))
+        let tuner = Tuner::new(tuner_kind, kind, jas.len(), initial.clone(), tuner, params)?;
+        let store = StateStore::new(stream, jas, window, BitAddressIndex::new(initial))
+            .with_payload_bytes(payload_bytes);
+        Ok(JoinState::Amri { store, tuner })
     }
 
     /// A multi-hash (access module) state over `patterns`, optionally with
     /// conventional adaptive re-selection.
+    ///
+    /// # Panics
+    /// Panics unless every pattern is non-empty and as wide as the JAS.
     pub fn multi_hash(
         stream: StreamId,
         jas: Vec<AttrId>,
@@ -571,8 +551,8 @@ impl JoinState {
         tuner: Option<HashTuner>,
         payload_bytes: u32,
     ) -> Self {
-        let store = StateStore::new(stream, jas, window, MultiHashIndex::new(patterns))
-            .with_payload_bytes(payload_bytes);
+        let index = MultiHashIndex::new(jas.len(), patterns);
+        let store = StateStore::new(stream, jas, window, index).with_payload_bytes(payload_bytes);
         JoinState::MultiHash { store, tuner }
     }
 
@@ -602,23 +582,22 @@ impl JoinState {
         .expect("a configuration as wide as the JAS")
     }
 
-    /// A scan-only state.
+    /// A scan-only state: an access module with no index and no tuner.
     pub fn scan(
         stream: StreamId,
         jas: Vec<AttrId>,
         window: WindowSpec,
         payload_bytes: u32,
     ) -> Self {
-        JoinState::Scan(
-            StateStore::new(stream, jas, window, ScanIndex::new())
-                .with_payload_bytes(payload_bytes),
-        )
+        Self::multi_hash(stream, jas, window, Vec::new(), None, payload_bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amri_core::snapshot_io::{SectionReader, SectionWriter, SnapshotError};
+    use amri_core::SequentialExecutor;
     use amri_hh::CombineStrategy;
     use amri_stream::{AttrVec, TupleId};
 
@@ -647,9 +626,49 @@ mod tests {
         request: &SearchRequest,
         r: &mut CostReceipt,
     ) -> Vec<TupleKey> {
-        let mut scratch = SearchScratch::new();
-        state.search_into(request, &mut scratch, r);
+        let (mut scratch, mut stage) = (SearchScratch::new(), IngestStage::new());
+        state.flush_ingest_then_search(request, &mut scratch, r, &mut stage, &SequentialExecutor);
         scratch.hits
+    }
+
+    fn retune(
+        state: &mut JoinState,
+        secs: u64,
+        (lambda_d, lambda_r, window_secs): (f64, f64, f64),
+        r: &mut CostReceipt,
+    ) -> Option<StemRetune> {
+        let now = VirtualTime::from_secs(secs);
+        state.maybe_retune_with(now, lambda_d, lambda_r, window_secs, r, &SequentialExecutor)
+    }
+
+    /// An AMRI state over a 3-attribute JAS, 12 bits, deciding every 10 s
+    /// once 50 requests were seen.
+    fn amri(kind: AssessorKind) -> JoinState {
+        JoinState::amri(
+            StreamId(0),
+            jas3(),
+            WindowSpec::secs(30),
+            kind,
+            IndexConfig::even(3, 12).unwrap(),
+            TunerConfig {
+                assess_period: VirtualDuration::from_secs(10),
+                min_requests: 50,
+                total_bits: 12,
+                ..TunerConfig::default()
+            },
+            CostParams::default(),
+            0,
+            TunerKind::Paper,
+        )
+        .unwrap()
+    }
+
+    /// The index configuration of an AMRI state.
+    fn config(state: &JoinState) -> &IndexConfig {
+        match state {
+            JoinState::Amri { store, .. } => store.index().config(),
+            JoinState::MultiHash { .. } => unreachable!("only AMRI states have a configuration"),
+        }
     }
 
     fn all_flavors() -> Vec<JoinState> {
@@ -722,6 +741,36 @@ mod tests {
         );
     }
 
+    /// The scan flavor is a hash module with no index, and charges what a
+    /// state with no index always charged: no hash op or bucket probe on
+    /// insert or expiry, 2 comparisons per live tuple on a search, and no
+    /// index bytes.
+    #[test]
+    fn scan_receipts_are_a_full_scan() {
+        let mut scan = JoinState::scan(StreamId(0), jas3(), WindowSpec::secs(30), 0);
+        assert_eq!(scan.kind(), "scan");
+        let bare = scan.memory_bytes();
+        let mut r = CostReceipt::new();
+        for i in 0..40u64 {
+            scan.insert(tuple(i, i, &[i % 4, i % 5, i % 6]), &mut r);
+        }
+        assert_eq!(scan.expire(VirtualTime::from_secs(39), &mut r), 10);
+        assert_eq!((r.hash_ops, r.bucket_probes), (0, 0));
+        assert_eq!(scan.len(), 30);
+        for mask in 1..8u32 {
+            let mut r = CostReceipt::new();
+            search(&mut scan, &req(mask, &[1, 1, 1]), &mut r);
+            assert_eq!((r.hash_ops, r.bucket_probes), (0, 0), "mask {mask:#b}");
+            assert_eq!(r.comparisons, 2 * scan.len() as u64, "mask {mask:#b}");
+        }
+        let JoinState::MultiHash { store, tuner: None } = &scan else {
+            panic!("the scan flavor is a hash module with no tuner")
+        };
+        assert_eq!(store.index().n_indices(), 0);
+        assert_eq!(store.index().memory_bytes(), 0);
+        assert!(scan.memory_bytes() > bare);
+    }
+
     #[test]
     fn expiry_works_across_flavors() {
         for mut state in all_flavors() {
@@ -732,6 +781,75 @@ mod tests {
             assert_eq!(state.len(), 1, "{}", state.kind());
             assert!(!state.is_empty());
         }
+    }
+
+    #[test]
+    fn search_finds_inserted_tuples_and_records_patterns() {
+        let mut s = amri(AssessorKind::Cdia(CombineStrategy::HighestCount));
+        let mut r = CostReceipt::new();
+        let k = s.insert(tuple(1, 0, &[7, 8, 9]), &mut r);
+        s.insert(tuple(2, 0, &[7, 0, 1]), &mut r);
+        let hits = search(&mut s, &req(0b111, &[7, 8, 9]), &mut r);
+        assert_eq!(hits, vec![k]);
+        assert_eq!(s.store().tuple(k).unwrap().id, TupleId(1));
+        let JoinState::Amri { tuner, .. } = &s else {
+            unreachable!()
+        };
+        assert_eq!(tuner.window_requests(), 1);
+        assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn retune_migrates_the_live_index() {
+        let mut s = amri(AssessorKind::Cdia(CombineStrategy::HighestCount));
+        let mut r = CostReceipt::new();
+        for i in 0..200 {
+            s.insert(tuple(i, 0, &[i % 16, i % 8, i % 4]), &mut r);
+        }
+        // Workload exclusively on attribute A.
+        for i in 0..300 {
+            search(&mut s, &req(0b001, &[i % 16, 0, 0]), &mut r);
+        }
+        let mut mig = CostReceipt::new();
+        let report =
+            retune(&mut s, 10, (1000.0, 500.0, 30.0), &mut mig).expect("must retune toward A");
+        assert_eq!(report.moved, 200, "every live tuple relocated");
+        assert_eq!(s.tune_ledger().retunes, 1);
+        assert!(config(&s).bits_of(0) >= 10, "{}", config(&s));
+        assert_eq!(report.description, config(&s).to_string());
+        // Searches still correct after migration.
+        let hits = search(&mut s, &req(0b001, &[3, 0, 0]), &mut r);
+        assert_eq!(
+            hits.len(),
+            200 / 16 + usize::from(3 < 200 % 16),
+            "all A==3 tuples found"
+        );
+    }
+
+    #[test]
+    fn expiry_keeps_index_consistent() {
+        let mut s = amri(AssessorKind::Sria);
+        let mut r = CostReceipt::new();
+        s.insert(tuple(1, 0, &[1, 1, 1]), &mut r);
+        s.insert(tuple(2, 40, &[1, 1, 1]), &mut r);
+        assert_eq!(s.expire(VirtualTime::from_secs(35), &mut r), 1);
+        let hits = search(&mut s, &req(0b111, &[1, 1, 1]), &mut r);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(s.store().tuple(hits[0]).unwrap().id, TupleId(2));
+    }
+
+    #[test]
+    fn memory_includes_assessor_entries() {
+        let mut s = amri(AssessorKind::Sria);
+        let base = s.memory_bytes();
+        let mut r = CostReceipt::new();
+        for m in 1..8u32 {
+            search(&mut s, &req(m, &[0, 0, 0]), &mut r);
+        }
+        assert!(
+            s.memory_bytes() >= base + 7 * amri_core::layout::ASSESS_ENTRY_BYTES,
+            "assessor table must be charged"
+        );
     }
 
     #[test]
@@ -761,8 +879,7 @@ mod tests {
         for i in 0..100u64 {
             search(&mut state, &req(0b100, &[0, 0, i % 6]), &mut r);
         }
-        let retune = state
-            .maybe_retune(VirtualTime::from_secs(10), 100.0, 100.0, 30.0, &mut r)
+        let retune = retune(&mut state, 10, (100.0, 100.0, 30.0), &mut r)
             .expect("hash module must re-target");
         assert!(retune.description.contains("C"), "{retune:?}");
         assert_eq!(retune.moved, 40, "one rebuilt index over 40 tuples");
@@ -785,89 +902,97 @@ mod tests {
                 for i in 0..200u64 {
                     search(&mut state, &req(0b001, &[i, 0, 0]), &mut r);
                 }
-                assert!(state
-                    .maybe_retune(VirtualTime::from_secs(100), 100.0, 100.0, 30.0, &mut r)
-                    .is_none());
+                assert!(retune(&mut state, 100, (100.0, 100.0, 30.0), &mut r).is_none());
             }
         }
     }
 
-    /// A restored multi-hash or scan index must count the live tuples of
-    /// the store restored just before it. An image whose index counts
-    /// more (the next expiry would underflow) or fewer is refused with
-    /// `Malformed` naming both counts, and a good image still restores —
-    /// and expires — afterwards.
+    /// A hash state over the A index (`indexed`) or the scan flavor.
+    fn hash_state(indexed: bool) -> JoinState {
+        let patterns = if indexed {
+            vec![AccessPattern::new(0b001, 3)]
+        } else {
+            Vec::new()
+        };
+        JoinState::multi_hash(StreamId(0), jas3(), WindowSpec::secs(30), patterns, None, 0)
+    }
+
+    /// A hash state holding `n` tuples.
+    fn filled(indexed: bool, n: u64) -> JoinState {
+        let mut state = hash_state(indexed);
+        let mut r = CostReceipt::new();
+        for i in 0..n {
+            state.insert(tuple(i, i, &[i, 1, 2]), &mut r);
+        }
+        state
+    }
+
+    /// A state section holding the store of `store_of`, then the index
+    /// of `index_of`, with no tuner.
+    fn spliced(store_of: &JoinState, index_of: &JoinState) -> Vec<u8> {
+        let (JoinState::MultiHash { store, .. }, JoinState::MultiHash { store: other, .. }) =
+            (store_of, index_of)
+        else {
+            unreachable!("the tests splice hash states")
+        };
+        let mut w = SectionWriter::new();
+        w.put_str("multi-hash");
+        store.save_state(&mut w);
+        other.index().save(&mut w);
+        w.put_bool(false);
+        w.into_bytes()
+    }
+
+    /// A restored hash index — with sub-indices or none — must count the
+    /// live tuples of the store restored just before it. An image whose
+    /// index counts more (the next expiry would underflow) or fewer is
+    /// refused with `Malformed` naming both counts, and a good image still
+    /// restores — and expires — afterwards.
     #[test]
     fn restore_refuses_an_index_that_miscounts_its_store() {
-        use amri_core::snapshot_io::{SectionReader, SectionWriter, SnapshotError};
-        let w = WindowSpec::secs(30);
-        let fresh = |hash: bool| {
-            if hash {
-                JoinState::multi_hash(
-                    StreamId(0),
-                    jas3(),
-                    w,
-                    vec![AccessPattern::new(0b001, 3)],
-                    None,
-                    0,
-                )
-            } else {
-                JoinState::scan(StreamId(0), jas3(), w, 0)
-            }
-        };
-        let filled = |hash: bool, n: u64| {
-            let mut state = fresh(hash);
-            let mut r = CostReceipt::new();
-            for i in 0..n {
-                state.insert(tuple(i, i, &[i, 1, 2]), &mut r);
-            }
-            state
-        };
-        // The store of `store_of`, then the index of `index_of`.
-        let spliced = |store_of: &JoinState, index_of: &JoinState| {
-            let mut w = SectionWriter::new();
-            match (store_of, index_of) {
-                (JoinState::MultiHash { store, .. }, JoinState::MultiHash { store: other, .. }) => {
-                    w.put_str("multi-hash");
-                    store.save_state(&mut w);
-                    other.index().save(&mut w);
-                    w.put_bool(false);
-                }
-                (JoinState::Scan(store), JoinState::Scan(other)) => {
-                    w.put_str("scan");
-                    store.save_state(&mut w);
-                    other.index().save(&mut w);
-                }
-                _ => unreachable!("the test splices like flavors"),
-            }
-            w.into_bytes()
-        };
-        for hash in [true, false] {
-            let kind = if hash { "multi-hash" } else { "scan" };
-            let (two, three) = (filled(hash, 2), filled(hash, 3));
+        for indexed in [true, false] {
+            let (two, three) = (filled(indexed, 2), filled(indexed, 3));
             for (store_of, index_of, counts) in [(&two, &three, "3"), (&three, &two, "2")] {
                 let holds = store_of.len();
-                match fresh(hash)
-                    .restore_from(&mut SectionReader::new(&spliced(store_of, index_of)))
-                {
+                let image = spliced(store_of, index_of);
+                match hash_state(indexed).restore_from(&mut SectionReader::new(&image)) {
                     Err(SnapshotError::Malformed(why)) => assert_eq!(
                         why,
-                        format!("{kind} index counts {counts} tuples, its store holds {holds}")
+                        format!("multi-hash index counts {counts} tuples, its store holds {holds}")
                     ),
-                    other => panic!("{kind}: expected Malformed, got {other:?}"),
+                    other => panic!("indexed {indexed}: expected Malformed, got {other:?}"),
                 }
             }
-            let mut state = fresh(hash);
+            let mut state = hash_state(indexed);
             state
                 .restore_from(&mut SectionReader::new(&spliced(&two, &two)))
                 .unwrap();
             assert_eq!(state.len(), 2);
             let mut r = CostReceipt::new();
-            assert_eq!(
-                state.expire(VirtualTime::from_secs(100), &mut r),
-                2,
-                "{kind}"
-            );
+            assert_eq!(state.expire(VirtualTime::from_secs(100), &mut r), 2);
+        }
+    }
+
+    /// A no-index image restored into an indexed hash state would leave it
+    /// scanning, and the reverse would leave the scan flavor indexed:
+    /// either is refused with `Malformed` naming both index counts.
+    #[test]
+    fn restore_refuses_an_image_of_the_other_index_count() {
+        for (image_indexed, why) in [
+            (false, "multi-hash image holds 0 indices, the state 1"),
+            (true, "multi-hash image holds 1 indices, the state 0"),
+        ] {
+            let image = filled(image_indexed, 2);
+            let mut w = SectionWriter::new();
+            image.save(&mut w);
+            let bytes = w.into_bytes();
+            match hash_state(!image_indexed).restore_from(&mut SectionReader::new(&bytes)) {
+                Err(SnapshotError::Malformed(got)) => assert_eq!(got, why),
+                other => panic!("expected Malformed({why}), got {other:?}"),
+            }
+            let mut same = hash_state(image_indexed);
+            same.restore_from(&mut SectionReader::new(&bytes)).unwrap();
+            assert_eq!((same.len(), same.kind()), (2, image.kind()));
         }
     }
 

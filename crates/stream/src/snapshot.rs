@@ -48,8 +48,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AMRISNAP";
 /// three tuner policies' sections one field order; revision 3 stores a
 /// bit-address index as its entries alone (no links, no bucket table);
 /// revision 4 drops the tier's cache-presence flag and saves a static
-/// bitmap as an AMRI section under the static tuner's `STUN` tag.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// bitmap as an AMRI section under the static tuner's `STUN` tag;
+/// revision 5 drops the AMRI state's nested `AMRI` tag and saves a scan
+/// state as a multi-hash state with no index.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be written, parsed, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -700,10 +702,11 @@ mod tests {
         // Corrupting the version also breaks the file checksum; rebuild a
         // valid file with a bumped version via the writer internals
         // instead: patch bytes then re-seal the tail checksum. A newer
-        // revision and the two before (3: a tier section carried a
+        // revision and the three before (4: an AMRI state nested its own
+        // tag and a scan state had its own; 3: a tier section carried a
         // cache-presence flag; 2: bit-address sections carried links and a
         // bucket table) are refused alike.
-        for found in [SNAPSHOT_VERSION + 1, 3, 2] {
+        for found in [SNAPSHOT_VERSION + 1, 4, 3, 2] {
             let mut bytes = sample();
             bytes[8] = found as u8;
             let n = bytes.len();

@@ -7,9 +7,8 @@
 //!
 //! Run with `cargo run -p amri-apps --example package_tracking`.
 
-use amri_core::{
-    BitAddressIndex, CostParams, CostReceipt, IndexConfig, MultiHashIndex, ScanIndex, StateStore,
-};
+use amri_core::{CostParams, CostReceipt, IndexConfig, IngestStage, SequentialExecutor};
+use amri_engine::JoinState;
 use amri_stream::{
     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime,
     WindowSpec,
@@ -38,21 +37,13 @@ fn main() {
     let ap = |m: u32| AccessPattern::new(m, 3);
 
     // The paper's Figure 1 access module: A1, A1&A2, A2&A3.
-    let mut hash_state = StateStore::new(
-        StreamId(0),
-        jas.clone(),
-        window,
-        MultiHashIndex::new(vec![ap(0b001), ap(0b011), ap(0b110)]),
-    );
+    let patterns = vec![ap(0b001), ap(0b011), ap(0b110)];
+    let mut hash_state = JoinState::multi_hash(StreamId(0), jas.clone(), window, patterns, None, 0);
     // The paper's Figure 3 bit-address index: 10 bits = 5|2|3.
-    let mut bi_state = StateStore::new(
-        StreamId(0),
-        jas.clone(),
-        window,
-        BitAddressIndex::new(IndexConfig::new(vec![5, 2, 3]).unwrap()),
-    );
+    let config = IndexConfig::new(vec![5, 2, 3]).unwrap();
+    let mut bi_state = JoinState::static_bitmap(StreamId(0), jas.clone(), window, config, 0);
     // Reference: no index.
-    let mut scan_state = StateStore::new(StreamId(0), jas, window, ScanIndex::new());
+    let mut scan_state = JoinState::scan(StreamId(0), jas, window, 0);
 
     let mut rng = StdRng::seed_from_u64(2012);
     let mut insert_hash = CostReceipt::new();
@@ -70,7 +61,7 @@ fn main() {
         params.ticks(&insert_bi).0
     );
     println!(
-        "index memory bytes multi-hash: {:>10}   bit-address: {:>10}",
+        "state memory bytes multi-hash: {:>10}   bit-address: {:>10}",
         hash_state.memory_bytes(),
         bi_state.memory_bytes()
     );
@@ -88,7 +79,7 @@ fn main() {
             run(&mut scan_state, sr),
         ] {
             println!(
-                "  {label:<12} {hits:>4} hits  {:>8} comparisons  {:>6} bucket probes  {:>8.0} ticks",
+                "  {label:<17} {hits:>4} hits  {:>8} comparisons  {:>6} bucket probes  {:>8.0} ticks",
                 receipt.comparisons,
                 receipt.bucket_probes,
                 params.ticks(&receipt).0
@@ -101,18 +92,11 @@ fn main() {
     );
 }
 
-/// One search through the store's read entry, inline.
-fn run(
-    state: &mut StateStore<dyn amri_core::StateIndex>,
-    sr: &SearchRequest,
-) -> (&'static str, usize, CostReceipt) {
+/// One search through the state's read entry, inline.
+fn run(state: &mut JoinState, sr: &SearchRequest) -> (&'static str, usize, CostReceipt) {
     let mut scratch = amri_core::SearchScratch::new();
     let mut receipt = CostReceipt::new();
-    state.search(
-        sr,
-        &mut scratch,
-        &mut receipt,
-        &amri_core::SequentialExecutor,
-    );
-    (state.index().kind(), scratch.hits.len(), receipt)
+    let (stage, exec) = (&mut IngestStage::new(), &SequentialExecutor);
+    state.flush_ingest_then_search(sr, &mut scratch, &mut receipt, stage, exec);
+    (state.kind(), scratch.hits.len(), receipt)
 }

@@ -5,8 +5,10 @@
 
 use amri_core::assess::AssessorKind;
 use amri_core::{
-    AmriState, CostParams, CostReceipt, IndexConfig, SearchScratch, TunerConfig, TunerKind,
+    CostParams, CostReceipt, IndexConfig, IngestStage, SearchScratch, SequentialExecutor,
+    TunerConfig, TunerKind,
 };
+use amri_engine::JoinState;
 use amri_hh::CombineStrategy;
 use amri_stream::{
     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualDuration,
@@ -17,12 +19,14 @@ fn main() {
     // A state for a stream with three join attributes, 30-second window,
     // tuned by CDIA with highest-count combination, starting from an even
     // 12-bit index configuration.
-    let mut state = AmriState::new(
+    let initial = IndexConfig::even(3, 12).unwrap();
+    println!("initial configuration: {initial}");
+    let mut state = JoinState::amri(
         StreamId(0),
         vec![AttrId(0), AttrId(1), AttrId(2)],
         WindowSpec::secs(30),
         AssessorKind::Cdia(CombineStrategy::HighestCount),
-        IndexConfig::even(3, 12).unwrap(),
+        initial,
         TunerConfig {
             assess_period: VirtualDuration::from_secs(5),
             min_requests: 100,
@@ -30,11 +34,10 @@ fn main() {
             ..TunerConfig::default()
         },
         CostParams::default(),
+        0,
         TunerKind::Paper,
     )
     .expect("valid configuration");
-
-    println!("initial configuration: {}", state.config());
 
     // Store 1000 tuples.
     let mut receipt = CostReceipt::new();
@@ -49,13 +52,15 @@ fn main() {
     }
     println!(
         "stored {} tuples ({} hash ops charged)",
-        state.store().len(),
+        state.len(),
         receipt.hash_ops
     );
 
     // A workload that only ever searches on attribute A. The scratch
-    // buffer is reused across requests, so steady state never allocates.
-    let mut scratch = SearchScratch::new();
+    // buffer and the ingest stage are reused across requests, so steady
+    // state never allocates.
+    let (mut scratch, mut stage) = (SearchScratch::new(), IngestStage::new());
+    let exec = &SequentialExecutor;
     let mut receipt = CostReceipt::new();
     let mut hits = 0;
     for i in 0..500u64 {
@@ -63,7 +68,7 @@ fn main() {
             AccessPattern::from_positions(&[0], 3).unwrap(),
             AttrVec::from_slice(&[i % 50, 0, 0]).unwrap(),
         );
-        state.search_into(&req, &mut scratch, &mut receipt);
+        state.flush_ingest_then_search(&req, &mut scratch, &mut receipt, &mut stage, exec);
         hits += scratch.hits.len();
     }
     println!(
@@ -73,18 +78,13 @@ fn main() {
 
     // Let the tuner react.
     let mut migration = CostReceipt::new();
-    let report = state
-        .maybe_retune(
-            VirtualTime::from_secs(5),
-            1000.0,
-            100.0,
-            30.0,
-            &mut migration,
-        )
+    let now = VirtualTime::from_secs(5);
+    let retune = state
+        .maybe_retune_with(now, 1000.0, 100.0, 30.0, &mut migration, exec)
         .expect("the tuner must react to a single-pattern workload");
     println!(
-        "retuned to {} (moved {} entries, predicted gain {:.0} ticks/s)",
-        report.config, report.moved, report.predicted_gain
+        "retuned to {} (moved {} entries)",
+        retune.description, retune.moved
     );
 
     // The same searches are now cheaper.
@@ -94,7 +94,7 @@ fn main() {
             AccessPattern::from_positions(&[0], 3).unwrap(),
             AttrVec::from_slice(&[i % 50, 0, 0]).unwrap(),
         );
-        state.search_into(&req, &mut scratch, &mut receipt);
+        state.flush_ingest_then_search(&req, &mut scratch, &mut receipt, &mut stage, exec);
     }
     println!(
         "same searches after tuning: {} comparisons",

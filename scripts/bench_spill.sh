@@ -62,7 +62,7 @@ jq -n \
     --argjson retired "$RETIRED" --argjson all_runs "$ALL_RUNS" \
     --arg kernel "$(uname -sr)" --arg arch "$(uname -m)" '
 {
-  description: "Spill-tier read fast path: all benches over the identical 4k-tuple ScanIndex StateStore with half its window spilled to the checksummed block store in 256-tuple blocks. Every materialization is a StateStore::materialize_batch through SpillTier::fetch_batch, the one read path. spill_4k/materialize_spilled_hit is a one-key batch through a zero-byte cache (one verified device read + decode + entry scan, nothing kept). spill_cached_4k/cold_read is the same one-key batch through an empty 1 MiB decoded-block cache (miss + admission); warm_hit repeats it with the block cached (no file I/O, no checksum, no decode: the batch bookkeeping and the slot lookup); coalesced_batch_64 materializes 64 stub hits of one probe batch grouped by block (one verified read serves all 64); independent_64 is the baseline it replaces (64 one-key batches through a zero-byte cache, one device read each); sweep_over_budget is the steady state of a 64-hit batch striped over eight blocks through a cache budgeted for four of their frames (each pass: four blocks resident, four read once each, every decode serving its eight hits before its admission evicts; under the water-mark policy and the preload step this id read 490 us, every hit a device read); readahead_drain_2 plans a 2-block expiry-order prefetch and drains it into the cache ahead of the next probe, inside the read entry of the store (the timed region includes the arena scan of that probe; recordings made while the stand-alone drain_prefetch existed timed the plan and drain alone). The single-read ids (materialize_spilled_hit, cold_read, coalesced_batch_64) time one device read plus the teardown of the 4k-tuple store the routine consumes, and move +-30 % with host state between runs; independent_64 pays that teardown once per 64 reads and is the id that resolves the per-read cost. micro_index_runs_ns lists the median of every run, in run order; micro_index_median_ns is their minimum",
+  description: "Spill-tier read fast path: all benches over the identical 4k-tuple StateStore, under a hash module with no index, with half its window spilled to the checksummed block store in 256-tuple blocks. Every materialization is a StateStore::materialize_batch through SpillTier::fetch_batch, the one read path. spill_4k/materialize_spilled_hit is a one-key batch through a zero-byte cache (one verified device read + decode + entry scan, nothing kept). spill_cached_4k/cold_read is the same one-key batch through an empty 1 MiB decoded-block cache (miss + admission); warm_hit repeats it with the block cached (no file I/O, no checksum, no decode: the batch bookkeeping and the slot lookup); coalesced_batch_64 materializes 64 stub hits of one probe batch grouped by block (one verified read serves all 64); independent_64 is the baseline it replaces (64 one-key batches through a zero-byte cache, one device read each); sweep_over_budget is the steady state of a 64-hit batch striped over eight blocks through a cache budgeted for four of their frames (each pass: four blocks resident, four read once each, every decode serving its eight hits before its admission evicts; under the water-mark policy and the preload step this id read 490 us, every hit a device read); readahead_drain_2 plans a 2-block expiry-order prefetch and drains it into the cache ahead of the next probe, inside the read entry of the store (the timed region includes the arena scan of that probe; recordings made while the stand-alone drain_prefetch existed timed the plan and drain alone). The single-read ids (materialize_spilled_hit, cold_read, coalesced_batch_64) time one device read plus the teardown of the 4k-tuple store the routine consumes, and move +-30 % with host state between runs; independent_64 pays that teardown once per 64 reads and is the id that resolves the per-read cost. micro_index_runs_ns lists the median of every run, in run order; micro_index_median_ns is their minimum",
   regenerate: "scripts/bench_spill.sh  # best-of-N medians; BENCH_RUNS to change N",
   environment: {
     cores: $cores,

@@ -121,6 +121,17 @@ if grep -rnE 'run_with_stats|into_result_with_stats|fig6_assessment_with_stats|f
     echo "a (RunResult, MaintenanceStats) twin or the checkpoint note reappeared"; exit 1
 fi
 
+# Nor may a third join-state shape: a join state is a store plus what
+# tunes it, AMRI's `Tuner` or the hash flavors' optional `HashTuner`, and
+# the scan flavor is a hash module with no index (DESIGN §4). Whole words,
+# so a test named after a behaviour does not trip it.
+echo "==> two join-state shapes, no index type for scan, under crates/ tests/ examples/"
+if grep -rnE 'JoinState::Scan' crates tests examples \
+    || grep -rnwE 'AmriState|ScanIndex|RetuneReport|erased_store' crates tests examples; then
+    echo "a scan variant, the AMRI wrapper, the scan index or the store-erasing macro reappeared"
+    exit 1
+fi
+
 # Sharded work borrows its slots through `parallel::for_each_slot`; that
 # file is the only one in the core crate allowed to say `unsafe`.
 echo "==> crates/core/src: unsafe only in parallel.rs"

@@ -294,6 +294,40 @@ fn resume_rebuilt(
         .map(|_| ())
 }
 
+/// A revision-4 image — its AMRI states nested a second tag, its scan
+/// states had a tag of their own — is refused for its version before any
+/// section is read, never misread into a panic.
+#[test]
+fn a_revision_4_image_is_refused_for_its_version() {
+    use amri_stream::fxhash::FxHasher;
+    use amri_stream::{SnapshotError, SnapshotReader, SNAPSHOT_VERSION};
+    use std::hash::Hasher;
+    for (label, mode) in lineup() {
+        let exec = executor(&scenario(3), mode);
+        let fingerprint = exec.config_fingerprint();
+        let mut pipeline = exec.into_pipeline();
+        for _ in 0..120 {
+            pipeline.step_once();
+        }
+        let mut image = pipeline.snapshot_image(fingerprint);
+        assert!(SnapshotReader::parse(&image).is_ok(), "{label}");
+        // The version follows the 8-byte magic; re-seal the file checksum.
+        image[8..12].copy_from_slice(&4u32.to_le_bytes());
+        let sealed = image.len() - 8;
+        let mut sum = FxHasher::default();
+        sum.write(&image[..sealed]);
+        image[sealed..].copy_from_slice(&sum.finish().to_le_bytes());
+        assert_eq!(
+            SnapshotReader::parse(&image).unwrap_err(),
+            SnapshotError::Version {
+                found: 4,
+                expected: SNAPSHOT_VERSION
+            },
+            "{label}"
+        );
+    }
+}
+
 /// The maintenance totals are part of the v2 layout: an image without
 /// its `maint` section, or with the section cut to the three words an
 /// older layout wrote, is refused with the typed error — never resumed

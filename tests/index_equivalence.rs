@@ -5,8 +5,8 @@
 //! reference. Figures compare their costs; this file pins their semantics.
 
 use amri_core::{
-    BitAddressIndex, CostReceipt, IndexConfig, IngestStage, MultiHashIndex, ScanIndex,
-    SequentialExecutor, StateStore,
+    BitAddressIndex, CostReceipt, IndexConfig, IngestStage, MultiHashIndex, SequentialExecutor,
+    StateStore,
 };
 use amri_stream::{
     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime,
@@ -142,8 +142,8 @@ proptest! {
     #[test]
     fn all_flavors_agree_on_random_scripts(ops in proptest::collection::vec(op_strategy(), 1..80)) {
         let mut bitaddr = Runner::new(BitAddressIndex::new(config(0)));
-        let mut hash = Runner::new(MultiHashIndex::new(hash_patterns(0)));
-        let mut scan = Runner::new(ScanIndex::new());
+        let mut hash = Runner::new(MultiHashIndex::new(3, hash_patterns(0)));
+        let mut scan = Runner::new(MultiHashIndex::new(3, Vec::new()));
         for (step, op) in ops.iter().enumerate() {
             match *op {
                 Op::Insert(vals, t) => {

@@ -4,17 +4,10 @@
 
 use amri_core::assess::AssessorKind;
 use amri_core::{
-    AmriState, CostParams, CostReceipt, IndexConfig, ScanIndex, SearchScratch, SequentialExecutor,
-    StateStore, TunerConfig, TunerKind, TupleKey,
+    CostParams, CostReceipt, IndexConfig, IngestStage, SearchScratch, SequentialExecutor,
+    TunerConfig, TunerKind, TupleKey,
 };
-
-/// Scratch-buffered search, collected: the migration probes care about the
-/// hit *sets*, so each call copies the reused scratch buffer out.
-fn search_amri(state: &mut AmriState, req: &SearchRequest, r: &mut CostReceipt) -> Vec<TupleKey> {
-    let mut scratch = SearchScratch::new();
-    state.search_into(req, &mut scratch, r);
-    scratch.hits
-}
+use amri_engine::JoinState;
 use amri_hh::CombineStrategy;
 use amri_stream::{
     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualDuration,
@@ -22,8 +15,22 @@ use amri_stream::{
 };
 use proptest::prelude::*;
 
-fn build_amri(seed: u64) -> AmriState {
-    AmriState::new(
+/// Scratch-buffered search, collected: the migration probes care about the
+/// hit *sets*, so each call copies the reused scratch buffer out.
+fn search(state: &mut JoinState, req: &SearchRequest, r: &mut CostReceipt) -> Vec<TupleKey> {
+    let (mut scratch, mut stage) = (SearchScratch::new(), IngestStage::new());
+    state.flush_ingest_then_search(req, &mut scratch, r, &mut stage, &SequentialExecutor);
+    scratch.hits
+}
+
+/// Let the tuner decide (and migrate) at `secs`, over a 1000 s window.
+fn retune(state: &mut JoinState, secs: u64, lambda_d: f64, lambda_r: f64, r: &mut CostReceipt) {
+    let now = VirtualTime::from_secs(secs);
+    state.maybe_retune_with(now, lambda_d, lambda_r, 1000.0, r, &SequentialExecutor);
+}
+
+fn build_amri(seed: u64) -> JoinState {
+    JoinState::amri(
         StreamId(0),
         vec![AttrId(0), AttrId(1), AttrId(2)],
         WindowSpec::secs(1000),
@@ -37,6 +44,7 @@ fn build_amri(seed: u64) -> AmriState {
             ..TunerConfig::default()
         },
         CostParams::default(),
+        0,
         TunerKind::Paper,
     )
     .unwrap()
@@ -54,11 +62,11 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let mut amri = build_amri(seed);
-        let mut reference = StateStore::new(
+        let mut reference = JoinState::scan(
             StreamId(0),
             vec![AttrId(0), AttrId(1), AttrId(2)],
             WindowSpec::secs(1000),
-            ScanIndex::new(),
+            0,
         );
         let mut r = CostReceipt::new();
         for (i, vals) in tuples.iter().enumerate() {
@@ -76,23 +84,13 @@ proptest! {
                 AccessPattern::new(*mask, 3),
                 AttrVec::from_slice(vals).unwrap(),
             );
-            let mut got = search_amri(&mut amri, &req, &mut r);
-            let mut expect = {
-                let mut scratch = SearchScratch::new();
-                reference.search(&req, &mut scratch, &mut r, &SequentialExecutor);
-                scratch.hits
-            };
+            let mut got = search(&mut amri, &req, &mut r);
+            let mut expect = search(&mut reference, &req, &mut r);
             got.sort();
             expect.sort();
             prop_assert_eq!(&got, &expect, "divergence at probe {}", step);
             // Let the tuner migrate mid-stream.
-            amri.maybe_retune(
-                VirtualTime::from_secs(step as u64 + 1),
-                100.0,
-                100.0,
-                1000.0,
-                &mut r,
-            );
+            retune(&mut amri, step as u64 + 1, 100.0, 100.0, &mut r);
         }
     }
 }
@@ -116,7 +114,7 @@ fn forced_migration_chain_preserves_answers() {
         AttrVec::from_slice(&[0, 4, 0]).unwrap(),
     );
     let baseline = {
-        let mut v = search_amri(&mut amri, &req, &mut r);
+        let mut v = search(&mut amri, &req, &mut r);
         v.sort();
         v
     };
@@ -130,20 +128,17 @@ fn forced_migration_chain_preserves_answers() {
             vals.set(hot_attr, i % 5);
             let probe =
                 SearchRequest::new(AccessPattern::from_positions(&[hot_attr], 3).unwrap(), vals);
-            search_amri(&mut amri, &probe, &mut r);
+            search(&mut amri, &probe, &mut r);
         }
-        amri.maybe_retune(
-            VirtualTime::from_secs(round + 1),
-            1000.0,
-            200.0,
-            1000.0,
-            &mut r,
-        );
-        let mut now = search_amri(&mut amri, &req, &mut r);
+        retune(&mut amri, round + 1, 1000.0, 200.0, &mut r);
+        let mut now = search(&mut amri, &req, &mut r);
         now.sort();
-        assert_eq!(now, baseline, "round {round}, config {}", amri.config());
+        let JoinState::Amri { tuner, .. } = &amri else {
+            unreachable!("an AMRI state")
+        };
+        assert_eq!(now, baseline, "round {round}, config {}", tuner.current());
     }
-    let (_, migrations) = amri.tuner().stats();
+    let migrations = amri.tune_ledger().retunes;
     assert!(
         migrations >= 2,
         "the drifting workload must force migrations"

@@ -15,7 +15,7 @@
 //! clock advancement fails the assert.
 
 use amri_core::assess::{Assessor, AssessorKind, Sria};
-use amri_core::{layout, CostReceipt, IndexConfig};
+use amri_core::{layout, CostReceipt, IndexConfig, IngestStage, SequentialExecutor};
 use amri_engine::{
     EngineConfig, Executor, HashTuner, IndexingMode, JoinState, MemoryBudget, MemoryReport,
     RetuneRecord, Router, RunOutcome, RunResult, Stem, StreamWorkload, ThroughputSeries,
@@ -189,12 +189,13 @@ impl<W: StreamWorkload> Reference<W> {
                 for (i, stem) in self.stems.iter_mut().enumerate() {
                     let lambda_r = stem.requests_served as f64 / elapsed;
                     let mut receipt = CostReceipt::new();
-                    if let Some(r) = stem.state.maybe_retune(
+                    if let Some(r) = stem.state.maybe_retune_with(
                         due,
                         lambda_now,
                         lambda_r,
                         window_secs[i],
                         &mut receipt,
+                        &SequentialExecutor,
                     ) {
                         retunes.push(RetuneRecord {
                             t: due,
@@ -248,8 +249,13 @@ impl<W: StreamWorkload> Reference<W> {
                 self.observers[target.idx()].record(pattern);
                 let mut receipt = CostReceipt::new();
                 let stem = &mut self.stems[target.idx()];
-                stem.state
-                    .search_into(&req, &mut stem.scratch, &mut receipt);
+                stem.state.flush_ingest_then_search(
+                    &req,
+                    &mut stem.scratch,
+                    &mut receipt,
+                    &mut IngestStage::new(),
+                    &SequentialExecutor,
+                );
                 stem.requests_served += 1;
                 let window = self.query.windows[target.idx()];
                 let now = clock.now();

@@ -10,8 +10,8 @@
 //! shard after every structural change.
 
 use amri_core::{
-    BitAddressIndex, CostReceipt, IndexConfig, IngestStage, MultiHashIndex, ScanIndex,
-    SearchScratch, SequentialExecutor, ShardExecutor, StateIndex, StateStore, TupleKey,
+    BitAddressIndex, CostReceipt, IndexConfig, IngestStage, MultiHashIndex, SearchScratch,
+    SequentialExecutor, ShardExecutor, StateIndex, StateStore, TupleKey,
 };
 use amri_stream::{
     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime,
@@ -91,8 +91,6 @@ impl Scripted for BitAddressIndex {
 }
 
 impl Scripted for MultiHashIndex {}
-
-impl Scripted for ScanIndex {}
 
 /// The independent eager reference: no [`StateStore`], no stage, no
 /// executor — a bare index driven through the [`StateIndex::insert`] /
@@ -822,6 +820,7 @@ proptest! {
         );
         let module = || {
             MultiHashIndex::new(
+                3,
                 [0b001, 0b011, 0b110]
                     .iter()
                     .map(|&m| AccessPattern::new(m, 3))
@@ -829,11 +828,8 @@ proptest! {
             )
         };
         check_staged_matches_eager(&ops, module(), vec![module()]);
-        check_staged_matches_eager(
-            &ops,
-            ScanIndex::new(),
-            vec![ScanIndex::new()],
-        );
+        let scan = || MultiHashIndex::new(3, Vec::new());
+        check_staged_matches_eager(&ops, scan(), vec![scan()]);
     }
 
     /// Collector round trip: every assessment method restored from a

@@ -1,19 +1,7 @@
 //! Snapshot codec surface for the core structures: re-exports the section
-//! encoder/decoder from `amri-stream` plus small shared helpers, so every
+//! encoder/decoder and its tag check from `amri-stream`, so every
 //! `save`/`restore` pair in this crate speaks one dialect.
 
-pub use amri_stream::{open_block, seal_block, SectionReader, SectionWriter, SnapshotError};
-
-/// Read and verify a structure tag. Each `save` implementation opens its
-/// section body with a short ASCII tag; `restore` calls this first so a
-/// section routed to the wrong structure fails with a typed error instead
-/// of decoding garbage.
-pub fn expect_tag(r: &mut SectionReader<'_>, expect: &str) -> Result<(), SnapshotError> {
-    let tag = r.get_str()?;
-    if tag != expect {
-        return Err(SnapshotError::Malformed(format!(
-            "section holds {tag}, expected {expect}"
-        )));
-    }
-    Ok(())
-}
+pub use amri_stream::{
+    expect_tag, open_block, seal_block, SectionReader, SectionWriter, SnapshotError,
+};

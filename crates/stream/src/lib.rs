@@ -43,8 +43,8 @@ pub use pattern::{AccessPattern, BoundValues, SearchRequest, MAX_JAS};
 pub use query::{JoinGraph, JoinOp, JoinPredicate, Selection, SpjQuery};
 pub use schema::{AttrDomain, AttrId, AttrSpec, StreamId, StreamSchema};
 pub use snapshot::{
-    open_block, seal_block, SectionReader, SectionWriter, SnapshotError, SnapshotReader,
-    SnapshotWriter, SNAPSHOT_VERSION,
+    expect_tag, open_block, seal_block, SectionReader, SectionWriter, SnapshotError,
+    SnapshotReader, SnapshotWriter, SNAPSHOT_VERSION,
 };
 pub use time::{Clock, VirtualClock, VirtualDuration, VirtualTime, TICKS_PER_SEC};
 pub use tuple::{PackedPartial, PartialTuple, Parts, StreamMask, Tuple, TupleId};

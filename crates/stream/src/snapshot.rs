@@ -369,6 +369,20 @@ impl<'a> SectionReader<'a> {
     }
 }
 
+/// Read and verify a structure tag. Each `save` implementation opens its
+/// section body with a short ASCII tag; `restore` calls this first so a
+/// section routed to the wrong structure fails with a typed error instead
+/// of decoding garbage.
+pub fn expect_tag(r: &mut SectionReader<'_>, expect: &str) -> Result<(), SnapshotError> {
+    let tag = r.get_str()?;
+    if tag != expect {
+        return Err(SnapshotError::Malformed(format!(
+            "section holds {tag}, expected {expect}"
+        )));
+    }
+    Ok(())
+}
+
 /// Leading magic bytes of every spill-tier block (see [`seal_block`]).
 pub const BLOCK_MAGIC: [u8; 4] = *b"AMRB";
 

@@ -55,6 +55,7 @@ use crate::layout;
 use crate::parallel::{for_each_slot, ShardExecutor, BLOCK_IO_NS};
 use crate::snapshot_io::{open_block, seal_block, SectionReader, SectionWriter, SnapshotError};
 use crate::state::TupleKey;
+use amri_stream::coin::{splitmix64, unit, GOLDEN};
 use amri_stream::{AttrVec, TupleId, VirtualTime, MAX_ATTRS};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
@@ -358,15 +359,10 @@ pub enum BlockReadError {
     Gone,
 }
 
+/// `z` stepped by the golden increment and finalized. The tier's coins
+/// step their state once in [`SpillTier::next_coin`] and once more here.
 fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit(bits: u64) -> f64 {
-    (bits >> 11) as f64 / (1u64 << 53) as f64
+    splitmix64(&mut z)
 }
 
 /// One cached block: the decoded tuple records plus the bookkeeping the
@@ -604,7 +600,7 @@ impl SpillTier {
             file,
             profile: cfg.profile,
             faults: cfg.faults,
-            rng: cfg.seed ^ 0x9E37_79B9_7F4A_7C15,
+            rng: cfg.seed ^ GOLDEN,
             file_len: 0,
             blocks: Vec::new(),
             live_disk_bytes: 0,
@@ -631,7 +627,7 @@ impl SpillTier {
     }
 
     fn next_coin(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.rng = self.rng.wrapping_add(GOLDEN);
         mix(self.rng)
     }
 

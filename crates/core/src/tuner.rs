@@ -42,6 +42,7 @@ use crate::error::CoreError;
 use crate::selection::select_config_greedy_capped;
 use crate::snapshot_io::{expect_tag, SectionReader, SectionWriter, SnapshotError};
 use crate::whatif::{self, WindowObservation};
+use amri_stream::coin::splitmix64;
 use amri_stream::{AccessPattern, VirtualDuration, VirtualTime};
 
 /// Which tuning policy drives a state's index configuration.
@@ -374,28 +375,17 @@ fn restore_config(r: &mut SectionReader<'_>, width: usize) -> Result<IndexConfig
 #[derive(Debug, Clone)]
 struct Arm {
     config: IndexConfig,
-    /// Times this arm was migrated to.
-    pulls: u64,
     /// Its what-if price under the most recent observed window.
     last_price: f64,
-}
-
-/// Minimal deterministic RNG for the bandit's exploration stream:
-/// SplitMix64. One `u64` of state, serialized verbatim into snapshots,
-/// advanced only on the sequential tuning path — the stream is identical
-/// across thread counts and across checkpoint/restore.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// What the bandit policy keeps beyond the shared window bookkeeping.
 struct Bandit {
     /// Arm 0 is the static seed IC and is never evicted.
     arms: Vec<Arm>,
+    /// The exploration stream ([`splitmix64`]), advanced only on the
+    /// sequential tuning path — identical across thread counts and
+    /// across checkpoint/restore.
     rng: u64,
     /// Decision windows migration stays blocked after a missed retune.
     cooldown_windows: u32,
@@ -450,7 +440,6 @@ impl Bandit {
         if !self.arms.iter().any(|a| a.config == greedy) {
             self.arms.push(Arm {
                 config: greedy,
-                pulls: 0,
                 last_price: 0.0,
             });
         }
@@ -497,7 +486,6 @@ impl Bandit {
         w.put_usize(self.arms.len());
         for arm in &self.arms {
             save_config(w, &arm.config);
-            w.put_u64(arm.pulls);
             w.put_f64(arm.last_price);
         }
         w.put_u64(self.rng);
@@ -507,8 +495,8 @@ impl Bandit {
     }
 
     fn restore(r: &mut SectionReader<'_>, width: usize) -> Result<Self, SnapshotError> {
-        // A config's width and bits, pulls, last price.
-        let n_arms = r.get_count(8 + width + 8 + 8, "bandit arm count")?;
+        // A config's width and bits, last price.
+        let n_arms = r.get_count(8 + width + 8, "bandit arm count")?;
         if n_arms == 0 {
             return Err(SnapshotError::Malformed("bandit tuner with no arms".into()));
         }
@@ -516,7 +504,6 @@ impl Bandit {
         for _ in 0..n_arms {
             arms.push(Arm {
                 config: restore_config(r, width)?,
-                pulls: r.get_u64()?,
                 last_price: r.get_f64()?,
             });
         }
@@ -544,8 +531,6 @@ pub struct Tuner {
     /// bandit's hard fallback reverts to.
     static_config: IndexConfig,
     last_decision: VirtualTime,
-    decisions: u64,
-    migrations: u64,
     pending: Option<PendingRetune>,
     ledger: TuneLedger,
     /// `Some` under the bandit policy only.
@@ -582,7 +567,6 @@ impl Tuner {
             bandit: (tuner_kind == TunerKind::Bandit).then(|| Bandit {
                 arms: vec![Arm {
                     config: initial.clone(),
-                    pulls: 0,
                     last_price: 0.0,
                 }],
                 rng: config.seed ^ 0xBA_4D17,
@@ -596,8 +580,6 @@ impl Tuner {
             current: initial.clone(),
             static_config: initial,
             last_decision: VirtualTime::ZERO,
-            decisions: 0,
-            migrations: 0,
             pending: None,
             ledger: TuneLedger::default(),
         })
@@ -622,11 +604,6 @@ impl Tuner {
     /// Statistics entries currently materialized (memory accounting).
     pub fn assessor_entries(&self) -> usize {
         self.assessor.as_ref().map_or(0, |a| a.entries())
-    }
-
-    /// Decisions taken (including "keep") and migrations triggered.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.decisions, self.migrations)
     }
 
     /// The cumulative safety ledger (predicted/realized retune benefit,
@@ -678,7 +655,6 @@ impl Tuner {
         }
         let prev_decision = self.last_decision;
         self.last_decision = now;
-        self.decisions += 1;
         let frequent = assessor.frequent(self.config.theta);
         assessor.reset();
         if frequent.is_empty() {
@@ -740,15 +716,15 @@ impl Tuner {
             &self.params,
             self.config.max_bits_per_attr,
         );
-        let (candidate, candidate_cd, chosen) = match &mut self.bandit {
+        let (candidate, candidate_cd) = match &mut self.bandit {
             None => {
                 let price = whatif::price(&self.params, &greedy, &obs);
-                (greedy, price, None)
+                (greedy, price)
             }
             Some(bandit) => {
                 let i = bandit.choose(greedy, &self.current, &self.config, &self.params, &obs);
                 let arm = &bandit.arms[i];
-                (arm.config.clone(), arm.last_price, Some(i))
+                (arm.config.clone(), arm.last_price)
             }
         };
 
@@ -773,9 +749,6 @@ impl Tuner {
             && candidate != self.current
             && candidate_cd < current_cd * (1.0 - self.config.hysteresis)
         {
-            if let (Some(bandit), Some(i)) = (&mut self.bandit, chosen) {
-                bandit.arms[i].pulls += 1;
-            }
             self.pending = Some(PendingRetune {
                 prev: self.migrate_to(candidate.clone()),
                 predicted_rate: current_cd - candidate_cd,
@@ -795,10 +768,9 @@ impl Tuner {
         }
     }
 
-    /// Endorse `config`, counting the migration; returns the displaced
-    /// configuration.
+    /// Endorse `config`, counting the migration in the ledger; returns
+    /// the displaced configuration.
     fn migrate_to(&mut self, config: IndexConfig) -> IndexConfig {
-        self.migrations += 1;
         self.ledger.retunes += 1;
         std::mem::replace(&mut self.current, config)
     }
@@ -814,7 +786,7 @@ impl Tuner {
     }
 
     /// Serialize the mutable tuning state under the policy's tag: the
-    /// endorsed and seed configurations, the decision clock and counters,
+    /// endorsed and seed configurations, the decision clock,
     /// the pending settlement, the safety ledger, the bandit's arm set,
     /// RNG stream and backoff machine, and the assessor's statistics. The
     /// constructor arguments (policy, method, width, [`TunerConfig`],
@@ -825,8 +797,6 @@ impl Tuner {
         save_config(w, &self.current);
         save_config(w, &self.static_config);
         w.put_time(self.last_decision);
-        w.put_u64(self.decisions);
-        w.put_u64(self.migrations);
         w.put_bool(self.pending.is_some());
         if let Some(pending) = &self.pending {
             pending.save(w);
@@ -853,8 +823,6 @@ impl Tuner {
         self.current = restore_config(r, self.width)?;
         self.static_config = restore_config(r, self.width)?;
         self.last_decision = r.get_time()?;
-        self.decisions = r.get_u64()?;
-        self.migrations = r.get_u64()?;
         self.pending = if r.get_bool()? {
             Some(PendingRetune::restore(r, self.width)?)
         } else {
@@ -880,8 +848,6 @@ impl std::fmt::Debug for Tuner {
                 &self.assessor.as_ref().map(|a| a.kind().label()),
             )
             .field("current", &self.current)
-            .field("decisions", &self.decisions)
-            .field("migrations", &self.migrations)
             .field("pending", &self.pending)
             .field("ledger", &self.ledger);
         if let Some(bandit) = &self.bandit {
@@ -1092,7 +1058,6 @@ mod tests {
         assert!(candidate_cd < current_cd);
         assert_eq!(based_on[0].0, ap(0b001));
         assert_eq!(t.current(), &config);
-        assert_eq!(t.stats(), (1, 1));
         assert_eq!(t.ledger().retunes, 1);
         // Statistics were reset for the next window.
         assert_eq!(t.window_requests(), 0);
@@ -1115,7 +1080,7 @@ mod tests {
             matches!(event, TunerEvent::Kept { .. }),
             "stable workload must not thrash: {event:?}"
         );
-        assert_eq!(t.stats().1, 1, "exactly one migration");
+        assert_eq!(t.ledger().retunes, 1, "exactly one migration");
         // The settled retune realized its predicted benefit: the stable
         // window prices the displaced even config worse than the new one.
         let ledger = t.ledger();
@@ -1231,7 +1196,7 @@ mod tests {
             matches!(event, TunerEvent::Kept { .. }),
             "migration gate must block an unamortizable move: {event:?}"
         );
-        assert_eq!(t.stats().1, 0);
+        assert_eq!(t.ledger().retunes, 0);
     }
 
     #[test]
@@ -1430,8 +1395,6 @@ mod tests {
             config(&mut w, widths[0]);
             config(&mut w, widths[1]);
             w.put_time(VirtualTime::from_secs(10));
-            w.put_u64(1);
-            w.put_u64(1);
             w.put_bool(true);
             config(&mut w, widths[2]);
             w.put_f64(1.0);
@@ -1440,7 +1403,6 @@ mod tests {
             if policy == TunerKind::Bandit {
                 w.put_usize(1);
                 config(&mut w, widths[3]);
-                w.put_u64(0);
                 w.put_f64(0.0);
                 w.put_u64(7);
                 w.put_u32(0);

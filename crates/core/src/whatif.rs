@@ -216,6 +216,7 @@ mod realized_cost_props {
     use crate::bitaddr::BitAddressIndex;
     use crate::cost::{CostReceipt, StorageProfile};
     use crate::state::{SearchScratch, StateStore};
+    use amri_stream::coin::splitmix64 as next;
     use amri_stream::{
         AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime, WindowSpec,
     };
@@ -224,14 +225,6 @@ mod realized_cost_props {
     const N_TUPLES: u64 = 1024;
     const N_REQUESTS: u64 = 256;
     const WINDOW_SECS: f64 = 30.0;
-
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 
     /// Build a window under `config`, serve it, and return the
     /// (realized, predicted) ticks over the whole window — realized from

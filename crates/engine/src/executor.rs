@@ -19,8 +19,7 @@
 use crate::error::EngineError;
 use crate::memory::MemoryBudget;
 use crate::metrics::ThroughputSeries;
-use crate::policy::PolicyKind;
-use crate::router::Router;
+use crate::router::{PolicyKind, Router};
 use crate::runtime::{
     DegradationPolicy, FaultPlan, FaultState, Governor, MaintenanceStats, Pipeline, RunContext,
     WorkerPool,
@@ -238,8 +237,9 @@ impl<W: StreamWorkload> Executor<W> {
     ///   index or an index pattern that is empty or not as wide as its
     ///   JAS, the degradation policy or fault plan fails its `validate`,
     ///   `shards` is not a power of two, `lambda_d` is not finite and
-    ///   positive, `lambda_ramp` is not finite, or `sample_interval` is
-    ///   zero.
+    ///   positive, `lambda_ramp` is not finite, `sample_interval` is
+    ///   zero, or the routing policy's exploration rate is not a
+    ///   probability.
     /// * [`EngineError::Core`] when an index or tuner configuration is
     ///   invalid (too many bits, bad parameters).
     pub fn try_new(
@@ -301,6 +301,15 @@ impl<W: StreamWorkload> Executor<W> {
             return Err(EngineError::InvalidConfig(
                 "sample_interval must be positive".into(),
             ));
+        }
+        if let PolicyKind::SelectivityGreedy { exploration } | PolicyKind::Lottery { exploration } =
+            config.policy
+        {
+            if !(0.0..=1.0).contains(&exploration) {
+                return Err(EngineError::InvalidConfig(format!(
+                    "routing exploration must be a probability, got {exploration}"
+                )));
+            }
         }
         let mut config = config;
         if let Some(spill) = &config.spill {
@@ -879,6 +888,34 @@ mod tests {
         }
         // And a valid config still builds.
         assert!(Executor::try_new(&query, workload(), IndexingMode::Scan, small_config()).is_ok());
+    }
+
+    /// An exploration rate outside `[0, 1]` is a typed refusal naming
+    /// the rate, for both exploring policies — not the router's panic.
+    #[test]
+    fn try_new_refuses_a_routing_exploration_rate_that_is_no_probability() {
+        for rate in [1.5, f64::NAN, -0.1] {
+            for policy in [
+                PolicyKind::SelectivityGreedy { exploration: rate },
+                PolicyKind::Lottery { exploration: rate },
+            ] {
+                let workload = PairWorkload {
+                    rng: StdRng::seed_from_u64(3),
+                    cardinality: 64,
+                };
+                let config = EngineConfig {
+                    policy,
+                    ..small_config()
+                };
+                match Executor::try_new(&two_way_query(), workload, IndexingMode::Scan, config) {
+                    Err(crate::EngineError::InvalidConfig(msg)) => {
+                        assert!(msg.contains(&rate.to_string()), "{policy:?}: {msg}")
+                    }
+                    Err(other) => panic!("{policy:?}: expected InvalidConfig, got {other}"),
+                    Ok(_) => panic!("{policy:?} must be refused"),
+                }
+            }
+        }
     }
 
     /// `try_new` refuses `mode` with an `InvalidConfig` whose message

@@ -11,9 +11,9 @@
 //! * [`stem`] — the STeM join operator: one windowed, indexed state per
 //!   stream, in four flavors (AMRI, adaptive multi-hash, static bitmap,
 //!   scan) matching the paper's comparison lineup.
-//! * [`policy`] — Eddy routing policies: selectivity-greedy with
-//!   exploration, lottery scheduling, round-robin.
-//! * [`router`] — routing of partial tuples through the unvisited states.
+//! * [`router`] — routing of partial tuples through the unvisited states
+//!   under an Eddy policy: selectivity-greedy with exploration, lottery
+//!   scheduling, round-robin.
 //! * [`memory`] — the byte budget and the out-of-memory failure mode.
 //! * [`metrics`] — cumulative-throughput time series (the paper's y-axis).
 //! * [`runtime`] — the runtime layer: the `Pipeline` and its one step
@@ -34,7 +34,6 @@ pub mod error;
 pub mod executor;
 pub mod memory;
 pub mod metrics;
-pub mod policy;
 pub mod router;
 pub mod runtime;
 pub mod stem;
@@ -45,8 +44,7 @@ pub use executor::{
 };
 pub use memory::{MemoryBudget, MemoryReport};
 pub use metrics::{RetuneRecord, Sample, ThroughputSeries};
-pub use policy::{PolicyKind, RouterStats, RoutingPolicy};
-pub use router::Router;
+pub use router::{PolicyKind, Router};
 pub use runtime::{
     load_latest, CheckpointPolicy, Checkpointer, DegradationPolicy, DegradationReport,
     DegradationSample, FaultKind, FaultPlan, FaultReport, Job, MaintenanceStats, Pipeline,

@@ -241,6 +241,9 @@ pub struct RunContext<C: Clock = VirtualClock> {
     /// [`EngineConfig::parallelism`] (no threads at parallelism 1).
     pub pool: crate::runtime::pool::WorkerPool,
     /// Virtual-tick totals for the maintenance path (ingest, migration).
+    /// Its three tuner-ledger totals stay zero during the run:
+    /// [`Pipeline::into_result`](crate::runtime::Pipeline::into_result)
+    /// sums them from the states' own ledgers.
     pub maint: MaintenanceStats,
     /// Order-sensitive digest folded over every completed join output —
     /// the byte-identity witness the lattice's spill group compares across

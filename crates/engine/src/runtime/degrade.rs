@@ -18,6 +18,7 @@
 use crate::error::EngineError;
 use crate::memory::MemoryReport;
 use crate::runtime::context::Job;
+use amri_stream::coin::{coin, GOLDEN};
 use amri_stream::{JobQueue, Pack, VirtualTime};
 use serde::{Deserialize, Serialize};
 
@@ -154,7 +155,7 @@ impl Governor {
     /// A governor enforcing `policy`.
     pub fn new(policy: DegradationPolicy) -> Self {
         Governor {
-            rng: policy.seed ^ 0x9E37_79B9_7F4A_7C15,
+            rng: policy.seed ^ GOLDEN,
             policy,
             report: DegradationReport::default(),
         }
@@ -163,16 +164,6 @@ impl Governor {
     /// The configured policy.
     pub fn policy(&self) -> &DegradationPolicy {
         &self.policy
-    }
-
-    /// Next coin in [0, 1) — deterministic splitmix64.
-    fn coin(&mut self) -> f64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
     }
 
     fn note_degraded(&mut self, now: VirtualTime) {
@@ -191,7 +182,7 @@ impl Governor {
         let drop_incoming = match self.policy.shedding {
             SheddingPolicy::DropOldest => false,
             SheddingPolicy::DropNewest => true,
-            SheddingPolicy::Probabilistic { drop_prob } => self.coin() < drop_prob,
+            SheddingPolicy::Probabilistic { drop_prob } => coin(&mut self.rng) < drop_prob,
         };
         self.report.shed_jobs += 1;
         self.note_degraded(now);
@@ -210,7 +201,7 @@ impl Governor {
                 SheddingPolicy::DropOldest => backlog.discard(),
                 SheddingPolicy::DropNewest => backlog.discard_newest(),
                 SheddingPolicy::Probabilistic { drop_prob } => {
-                    if self.coin() < drop_prob {
+                    if coin(&mut self.rng) < drop_prob {
                         backlog.discard_newest()
                     } else {
                         backlog.discard()

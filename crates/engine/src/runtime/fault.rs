@@ -25,6 +25,7 @@
 
 use crate::error::EngineError;
 use amri_core::IoFaultConfig;
+use amri_stream::coin::coin;
 use amri_stream::{AttrVec, Clock, StreamSchema, VirtualDuration, VirtualTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -203,21 +204,12 @@ impl FaultState {
         &self.plan
     }
 
-    /// Next coin in [0, 1) — deterministic splitmix64.
-    fn coin(&mut self) -> f64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Decide an arriving tuple's fate. Exactly three coins are drawn per
     /// call regardless of outcome, so the decision stream stays aligned
     /// across plans that differ only in probabilities.
     pub fn arrival_fate(&mut self) -> ArrivalFate {
-        let (drop, dup, late) = (self.coin(), self.coin(), self.coin());
+        let rng = &mut self.rng;
+        let (drop, dup, late) = (coin(rng), coin(rng), coin(rng));
         if drop < self.plan.drop_prob {
             self.report.dropped += 1;
             ArrivalFate::Drop
@@ -259,7 +251,7 @@ impl FaultState {
     /// Should the probe step service the newest backlog job instead
     /// of the oldest? Draws one coin per probe step.
     pub fn reorder_next(&mut self) -> bool {
-        let reorder = self.coin() < self.plan.reorder_prob;
+        let reorder = coin(&mut self.rng) < self.plan.reorder_prob;
         if reorder {
             self.report.reordered += 1;
         }

@@ -138,18 +138,6 @@ pub(crate) fn tune_step<C: Clock>(ctx: &mut RunContext<C>) {
         }
         clock.advance(ticks);
     }
-    // Refresh the run-level tuner-ledger totals from the states'
-    // cumulative ledgers (overwrite, not accumulate: each state's
-    // ledger is already a running sum that rides its snapshot).
-    maint.retune_benefit_predicted_ns = 0;
-    maint.retune_benefit_realized_ns = 0;
-    maint.regret_vs_static_ns = 0;
-    for stem in stems.iter() {
-        let ledger = stem.state.tune_ledger();
-        maint.retune_benefit_predicted_ns += ledger.predicted_benefit_ns;
-        maint.retune_benefit_realized_ns += ledger.realized_benefit_ns;
-        maint.regret_vs_static_ns += ledger.regret_vs_static_ns;
-    }
 }
 
 /// Pulls every due arrival off the schedule: generates the tuple, filters

@@ -317,9 +317,6 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
         w.put_u64(ctx.maint.ingest_ns);
         w.put_u64(ctx.maint.migrate_ns);
         w.put_u64(ctx.maint.migrate_stalls);
-        w.put_u64(ctx.maint.retune_benefit_predicted_ns);
-        w.put_u64(ctx.maint.retune_benefit_realized_ns as u64);
-        w.put_u64(ctx.maint.regret_vs_static_ns);
         snap.add("maint", w);
 
         let mut w = SectionWriter::new();
@@ -477,9 +474,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
             ingest_ns: r.get_u64()?,
             migrate_ns: r.get_u64()?,
             migrate_stalls: r.get_u64()?,
-            retune_benefit_predicted_ns: r.get_u64()?,
-            retune_benefit_realized_ns: r.get_u64()? as i64,
-            regret_vs_static_ns: r.get_u64()?,
+            ..MaintenanceStats::default()
         };
 
         self.workload.load_state(&mut snap.section("workload")?)?;
@@ -506,6 +501,15 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
             (a, b) => a.or(b),
         };
         let faults = ctx.fault.map(|f| f.report).unwrap_or_default();
+        // The tuner-ledger totals are summed once, here: each state's
+        // ledger is the running record, and rides its snapshot.
+        let mut maint = ctx.maint;
+        for s in &ctx.stems {
+            let ledger = s.state.tune_ledger();
+            maint.retune_benefit_predicted_ns += ledger.predicted_benefit_ns;
+            maint.retune_benefit_realized_ns += ledger.realized_benefit_ns;
+            maint.regret_vs_static_ns += ledger.regret_vs_static_ns;
+        }
         // A run that completed only by shedding/evicting/losing is
         // Degraded.
         let outcome = match ctx.outcome {
@@ -537,7 +541,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
             faults,
             spill,
             output_digest: ctx.output_digest,
-            maint: ctx.maint,
+            maint,
         }
     }
 }

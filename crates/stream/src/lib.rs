@@ -18,6 +18,8 @@
 //!   the search-benefit (subset) relation that organizes them into a lattice.
 //! * [`fxhash`] — a fast, deterministic non-cryptographic hasher (the
 //!   rustc-hash algorithm) used in all hot paths instead of SipHash.
+//! * [`coin`] — the one seeded SplitMix64 coin every replayable random
+//!   stream outside the router draws from.
 //!
 //! Everything is deterministic: no wall-clock reads, no unseeded randomness.
 
@@ -25,6 +27,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod batch;
+pub mod coin;
 pub mod error;
 pub mod fxhash;
 pub mod pattern;

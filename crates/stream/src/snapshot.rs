@@ -50,8 +50,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AMRISNAP";
 /// revision 4 drops the tier's cache-presence flag and saves a static
 /// bitmap as an AMRI section under the static tuner's `STUN` tag;
 /// revision 5 drops the AMRI state's nested `AMRI` tag and saves a scan
-/// state as a multi-hash state with no index.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// state as a multi-hash state with no index; revision 6 drops the
+/// router's per-state cost, probe count and smoothing factor, the
+/// tuner's decision and migration counters, the bandit arms' pull counts
+/// and the three tuner-ledger totals of the `maint` section.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why a snapshot could not be written, parsed, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -716,11 +719,12 @@ mod tests {
         // Corrupting the version also breaks the file checksum; rebuild a
         // valid file with a bumped version via the writer internals
         // instead: patch bytes then re-seal the tail checksum. A newer
-        // revision and the three before (4: an AMRI state nested its own
-        // tag and a scan state had its own; 3: a tier section carried a
-        // cache-presence flag; 2: bit-address sections carried links and a
-        // bucket table) are refused alike.
-        for found in [SNAPSHOT_VERSION + 1, 4, 3, 2] {
+        // revision and the four before (5: the router, tuner and `maint`
+        // section kept copied or unread counters; 4: an AMRI state nested
+        // its own tag and a scan state had its own; 3: a tier section
+        // carried a cache-presence flag; 2: bit-address sections carried
+        // links and a bucket table) are refused alike.
+        for found in [SNAPSHOT_VERSION + 1, 5, 4, 3, 2] {
             let mut bytes = sample();
             bytes[8] = found as u8;
             let n = bytes.len();

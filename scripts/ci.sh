@@ -139,6 +139,19 @@ if grep -rnE 'JoinState::Scan' crates tests examples \
     exit 1
 fi
 
+# Nor may a second holder of the router's state or a second seeded coin:
+# `Router` holds the policy, one fan-out per state and the RNG (DESIGN §5),
+# and every replayable random stream outside it draws from
+# `amri_stream::coin` (DESIGN §8). Whole words, so a test named after a
+# behaviour does not trip it.
+echo "==> one router, one seeded coin, under crates/ tests/ examples/"
+if grep -rnwE 'RoutingPolicy|RouterStats|policy_kind' crates tests examples; then
+    echo "the routing policy or the router statistics split from the router again"; exit 1
+fi
+if grep -rln '0xBF58_476D_1CE4_E5B9' crates/*/src | grep -v '^crates/stream/src/coin\.rs$'; then
+    echo "a splitmix64 finalizer outside crates/stream/src/coin.rs"; exit 1
+fi
+
 # Sharded work borrows its slots through `parallel::for_each_slot`; that
 # file is the only one in the core crate allowed to say `unsafe`.
 echo "==> crates/core/src: unsafe only in parallel.rs"

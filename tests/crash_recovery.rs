@@ -294,11 +294,11 @@ fn resume_rebuilt(
         .map(|_| ())
 }
 
-/// A revision-4 image — its AMRI states nested a second tag, its scan
-/// states had a tag of their own — is refused for its version before any
-/// section is read, never misread into a panic.
+/// A revision-5 image — its router, tuner and `maint` sections carried
+/// counters this revision no longer writes — is refused for its version
+/// before any section is read, never misread into a panic.
 #[test]
-fn a_revision_4_image_is_refused_for_its_version() {
+fn a_revision_5_image_is_refused_for_its_version() {
     use amri_stream::fxhash::FxHasher;
     use amri_stream::{SnapshotError, SnapshotReader, SNAPSHOT_VERSION};
     use std::hash::Hasher;
@@ -312,7 +312,7 @@ fn a_revision_4_image_is_refused_for_its_version() {
         let mut image = pipeline.snapshot_image(fingerprint);
         assert!(SnapshotReader::parse(&image).is_ok(), "{label}");
         // The version follows the 8-byte magic; re-seal the file checksum.
-        image[8..12].copy_from_slice(&4u32.to_le_bytes());
+        image[8..12].copy_from_slice(&5u32.to_le_bytes());
         let sealed = image.len() - 8;
         let mut sum = FxHasher::default();
         sum.write(&image[..sealed]);
@@ -320,7 +320,7 @@ fn a_revision_4_image_is_refused_for_its_version() {
         assert_eq!(
             SnapshotReader::parse(&image).unwrap_err(),
             SnapshotError::Version {
-                found: 4,
+                found: 5,
                 expected: SNAPSHOT_VERSION
             },
             "{label}"
@@ -328,10 +328,10 @@ fn a_revision_4_image_is_refused_for_its_version() {
     }
 }
 
-/// The maintenance totals are part of the v2 layout: an image without
-/// its `maint` section, or with the section cut to the three words an
-/// older layout wrote, is refused with the typed error — never resumed
-/// with the counters restarted at zero.
+/// The maintenance totals are part of the layout: an image without its
+/// `maint` section, or with the section cut short of its three words, is
+/// refused with the typed error — never resumed with the counters
+/// restarted at zero.
 #[test]
 fn an_image_without_its_maintenance_totals_is_refused() {
     use amri_stream::SnapshotError;
@@ -343,12 +343,47 @@ fn an_image_without_its_maintenance_totals_is_refused() {
             _ => Some(body.to_vec()),
         })
     };
-    assert_eq!(rebuilt(Some(6)), Ok(()), "the full section resumes");
+    assert_eq!(rebuilt(Some(3)), Ok(()), "the full section resumes");
     assert_eq!(
         rebuilt(None),
         Err(SnapshotError::MissingSection("maint".into()).into())
     );
-    assert_eq!(rebuilt(Some(3)), Err(SnapshotError::Truncated.into()));
+    assert_eq!(rebuilt(Some(2)), Err(SnapshotError::Truncated.into()));
+}
+
+/// A `router` section built for another stream count is refused as
+/// `Malformed` naming both counts; the same section built for this run's
+/// streams resumes.
+#[test]
+fn an_image_whose_router_covers_another_stream_count_is_refused() {
+    use amri_stream::SnapshotError;
+    let sc = scenario(3);
+    let n = sc.query.n_streams();
+    // The section ends in its state count and one fan-out word per state;
+    // keep the tag and RNG words before them, and cover `states` states.
+    let router = |states: usize| {
+        resume_rebuilt(&sc, |name, body| {
+            if name != "router" {
+                return Some(body.to_vec());
+            }
+            let mut bytes = body[..body.len() - 8 * (n + 1)].to_vec();
+            bytes.extend_from_slice(&(states as u64).to_le_bytes());
+            (0..states).for_each(|_| bytes.extend_from_slice(&1.0f64.to_le_bytes()));
+            Some(bytes)
+        })
+    };
+    assert_eq!(router(n), Ok(()), "this run's stream count resumes");
+    for states in [n - 1, n + 1] {
+        match router(states) {
+            Err(EngineError::Snapshot(SnapshotError::Malformed(why))) => {
+                assert!(
+                    why.contains(&format!("router covers {states} states, this run has {n}")),
+                    "{why}"
+                )
+            }
+            other => panic!("{states} states: expected Malformed, got {other:?}"),
+        }
+    }
 }
 
 /// An image whose retune log claims more records than its bytes hold is

@@ -959,7 +959,7 @@ impl BitAddressIndex {
     /// bucket probe, data-independent, so charging at stage time is exact
     /// — and route an insert: returns the owning shard, the bucket id and
     /// the value tag, hashed together.
-    fn route(&self, jas: &AttrVec, receipt: &mut CostReceipt) -> (usize, u64, u32) {
+    fn route(&self, jas: &[AttrValue], receipt: &mut CostReceipt) -> (usize, u64, u32) {
         self.charge(receipt);
         let (bucket, tag) = self.config.bucket_and_tag(jas);
         (self.shard_of(bucket), bucket, tag)
@@ -967,7 +967,7 @@ impl BitAddressIndex {
 
     /// [`route`](Self::route) for a remove, which finds its entry by bucket
     /// id and key and so hashes no tag.
-    fn route_remove(&self, jas: &AttrVec, receipt: &mut CostReceipt) -> (usize, u64) {
+    fn route_remove(&self, jas: &[AttrValue], receipt: &mut CostReceipt) -> (usize, u64) {
         self.charge(receipt);
         let bucket = self.config.bucket_of(jas);
         (self.shard_of(bucket), bucket)
@@ -1063,12 +1063,12 @@ impl BitAddressIndex {
 }
 
 impl StateIndex for BitAddressIndex {
-    fn insert(&mut self, key: TupleKey, jas: &AttrVec, receipt: &mut CostReceipt) {
+    fn insert(&mut self, key: TupleKey, jas: &[AttrValue], receipt: &mut CostReceipt) {
         let (s, bucket, tag) = self.route(jas, receipt);
         self.shards[s].insert(key, bucket, tag, jas);
     }
 
-    fn remove(&mut self, key: TupleKey, jas: &AttrVec, receipt: &mut CostReceipt) {
+    fn remove(&mut self, key: TupleKey, jas: &[AttrValue], receipt: &mut CostReceipt) {
         let (s, bucket) = self.route_remove(jas, receipt);
         self.shards[s].remove_by_key(bucket, key);
     }
@@ -1076,7 +1076,7 @@ impl StateIndex for BitAddressIndex {
     fn stage_insert(
         &mut self,
         key: TupleKey,
-        jas: &AttrVec,
+        jas: &[AttrValue],
         receipt: &mut CostReceipt,
         stage: &mut IngestStage,
     ) {
@@ -1085,7 +1085,7 @@ impl StateIndex for BitAddressIndex {
             key,
             bucket,
             tag,
-            jas: *jas,
+            jas: AttrVec::from_slice(jas).expect("a JAS fits an AttrVec"),
         };
         stage.push(self.shards.len(), s, op);
     }
@@ -1093,7 +1093,7 @@ impl StateIndex for BitAddressIndex {
     fn stage_remove(
         &mut self,
         key: TupleKey,
-        jas: &AttrVec,
+        jas: &[AttrValue],
         receipt: &mut CostReceipt,
         stage: &mut IngestStage,
     ) {

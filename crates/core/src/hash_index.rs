@@ -20,26 +20,55 @@ use crate::cost::CostReceipt;
 use crate::layout;
 use crate::parallel::ShardExecutor;
 use crate::state::{SearchScratch, StateIndex, TupleKey};
-use amri_stream::{fx_hash_u64, AccessPattern, AttrVec, FxHashMap, SearchRequest, MAX_JAS};
+use amri_stream::{fx_hash_u64, AccessPattern, AttrValue, FxHashMap, SearchRequest, MAX_JAS};
 
 /// One hash sub-index over a fixed attribute combination.
 #[derive(Debug, Clone)]
 struct SubIndex {
     /// The attribute combination this sub-index accelerates.
     pattern: AccessPattern,
-    /// Hash key → entries. Entries carry JAS values for collision/residual
-    /// filtering.
-    map: FxHashMap<u64, Vec<(TupleKey, AttrVec)>>,
+    /// Hash key → bucket. A bucket packs its entries as `[key, v0..v_{w-1}]`
+    /// words, one stride of `1 + jas_width` per stored tuple, in insertion
+    /// order; the JAS values ride along for collision/residual filtering.
+    map: FxHashMap<u64, Vec<u64>>,
 }
 
 impl SubIndex {
     /// Combined hash key of the pattern's attributes in `jas`.
-    fn key_of(&self, jas: &AttrVec) -> u64 {
+    fn key_of(&self, jas: &[AttrValue]) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for i in self.pattern.positions() {
             h = fx_hash_u64(h ^ jas[i]);
         }
         h
+    }
+
+    /// Append `key`'s entry to the bucket of its values.
+    fn link(&mut self, key: TupleKey, jas: &[AttrValue]) {
+        let bucket = self.map.entry(self.key_of(jas)).or_default();
+        bucket.reserve(1 + jas.len());
+        bucket.push(u64::from(key.0));
+        bucket.extend_from_slice(jas);
+    }
+
+    /// Drop `key`'s entry from the bucket of its values: the bucket's last
+    /// entry moves into the hole, and an emptied bucket goes.
+    fn unlink(&mut self, key: TupleKey, jas: &[AttrValue]) {
+        let k = self.key_of(jas);
+        let stride = 1 + jas.len();
+        if let Some(bucket) = self.map.get_mut(&k) {
+            if let Some(at) = bucket
+                .chunks_exact(stride)
+                .position(|e| e[0] == u64::from(key.0))
+            {
+                let last = bucket.len() - stride;
+                bucket.copy_within(last.., at * stride);
+                bucket.truncate(last);
+                if bucket.is_empty() {
+                    self.map.remove(&k);
+                }
+            }
+        }
     }
 }
 
@@ -109,7 +138,7 @@ impl MultiHashIndex {
     pub fn retarget<'a>(
         &mut self,
         new_patterns: Vec<AccessPattern>,
-        live: impl Iterator<Item = (TupleKey, &'a AttrVec)> + Clone,
+        live: impl Iterator<Item = (TupleKey, &'a [AttrValue])> + Clone,
         receipt: &mut CostReceipt,
     ) {
         let kept: Vec<SubIndex> = self
@@ -129,8 +158,7 @@ impl MultiHashIndex {
             for (key, jas) in live.clone() {
                 receipt.hash_ops += p.specified() as u64;
                 receipt.moved += 1;
-                let k = sub.key_of(jas);
-                sub.map.entry(k).or_default().push((key, *jas));
+                sub.link(key, jas);
             }
             subs.push(sub);
         }
@@ -145,18 +173,18 @@ impl MultiHashIndex {
         w.put_usize(self.jas_width);
         w.put_usize(self.n_tuples);
         w.put_usize(self.subs.len());
+        let stride = 1 + self.jas_width;
         for sub in &self.subs {
             w.put_u32(sub.pattern.mask());
-            let mut buckets: Vec<(u64, &Vec<(TupleKey, AttrVec)>)> =
-                sub.map.iter().map(|(&k, v)| (k, v)).collect();
+            let mut buckets: Vec<(u64, &Vec<u64>)> = sub.map.iter().map(|(&k, v)| (k, v)).collect();
             buckets.sort_unstable_by_key(|&(k, _)| k);
             w.put_usize(buckets.len());
             for (k, entries) in buckets {
                 w.put_u64(k);
-                w.put_usize(entries.len());
-                for (key, jas) in entries {
-                    w.put_u32(key.0);
-                    w.put_attrs(jas);
+                w.put_usize(entries.len() / stride);
+                for e in entries.chunks_exact(stride) {
+                    w.put_u32(e[0] as u32);
+                    w.put_attrs(&e[1..]);
                 }
             }
         }
@@ -208,18 +236,18 @@ impl MultiHashIndex {
                 if n_entries == 0 {
                     return malformed(format!("sub-index {s} bucket entry count 0"));
                 }
-                let mut entries = Vec::with_capacity(n_entries);
+                let mut entries = Vec::with_capacity(n_entries * (1 + jas_width));
                 for _ in 0..n_entries {
-                    let key = TupleKey(r.get_u32()?);
+                    let key = r.get_u32()?;
                     let jas = r.get_attrs()?;
                     if jas.len() != jas_width {
                         return malformed(format!(
-                            "sub-index {s} entry {} JAS of width {}, module of width {jas_width}",
-                            key.0,
+                            "sub-index {s} entry {key} JAS of width {}, module of width {jas_width}",
                             jas.len()
                         ));
                     }
-                    entries.push((key, jas));
+                    entries.push(u64::from(key));
+                    entries.extend_from_slice(&jas);
                 }
                 held += n_entries;
                 map.insert(k, entries);
@@ -240,30 +268,22 @@ impl MultiHashIndex {
 }
 
 impl StateIndex for MultiHashIndex {
-    fn insert(&mut self, key: TupleKey, jas: &AttrVec, receipt: &mut CostReceipt) {
+    fn insert(&mut self, key: TupleKey, jas: &[AttrValue], receipt: &mut CostReceipt) {
         debug_assert_eq!(jas.len(), self.jas_width);
         for sub in &mut self.subs {
             receipt.hash_ops += sub.pattern.specified() as u64;
             receipt.bucket_probes += 1;
-            let k = sub.key_of(jas);
-            sub.map.entry(k).or_default().push((key, *jas));
+            sub.link(key, jas);
         }
         self.n_tuples += 1;
     }
 
-    fn remove(&mut self, key: TupleKey, jas: &AttrVec, receipt: &mut CostReceipt) {
+    fn remove(&mut self, key: TupleKey, jas: &[AttrValue], receipt: &mut CostReceipt) {
+        debug_assert_eq!(jas.len(), self.jas_width);
         for sub in &mut self.subs {
             receipt.hash_ops += sub.pattern.specified() as u64;
             receipt.bucket_probes += 1;
-            let k = sub.key_of(jas);
-            if let Some(entries) = sub.map.get_mut(&k) {
-                if let Some(pos) = entries.iter().position(|(t, _)| *t == key) {
-                    entries.swap_remove(pos);
-                    if entries.is_empty() {
-                        sub.map.remove(&k);
-                    }
-                }
-            }
+            sub.unlink(key, jas);
         }
         self.n_tuples -= 1;
     }
@@ -285,10 +305,10 @@ impl StateIndex for MultiHashIndex {
         let k = sub.key_of(&req.values);
         if let Some(entries) = sub.map.get(&k) {
             let bound = req.bound();
-            for (key, jas) in entries {
+            for e in entries.chunks_exact(1 + self.jas_width) {
                 receipt.comparisons += 1;
-                if bound.matches(jas.as_slice()) {
-                    scratch.hits.push(*key);
+                if bound.matches(&e[1..]) {
+                    scratch.hits.push(TupleKey(e[0] as u32));
                 }
             }
         }
@@ -314,6 +334,7 @@ impl StateIndex for MultiHashIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amri_stream::AttrVec;
     use proptest::prelude::*;
 
     fn ap(mask: u32) -> AccessPattern {
@@ -456,8 +477,8 @@ mod tests {
     fn retarget_swaps_attribute_combinations() {
         let mut m = MultiHashIndex::new(3, vec![ap(0b001)]);
         let mut r = CostReceipt::new();
-        let tuples: Vec<(TupleKey, AttrVec)> = (0..10u32)
-            .map(|i| (TupleKey(i), jas(&[i as u64 % 2, i as u64 % 3, i as u64])))
+        let tuples: Vec<(TupleKey, [u64; 3])> = (0..10u32)
+            .map(|i| (TupleKey(i), [i as u64 % 2, i as u64 % 3, i as u64]))
             .collect();
         for (k, v) in &tuples {
             m.insert(*k, v, &mut r);
@@ -465,7 +486,7 @@ mod tests {
         let mut r = CostReceipt::new();
         m.retarget(
             vec![ap(0b001), ap(0b010)],
-            tuples.iter().map(|(k, v)| (*k, v)),
+            tuples.iter().map(|(k, v)| (*k, &v[..])),
             &mut r,
         );
         assert_eq!(m.n_indices(), 2);

@@ -16,7 +16,8 @@ use crate::tier::{
     BlockReadError, BlockWriteError, SpillEntry, SpillOutcome, SpillStats, SpillTier,
 };
 use amri_stream::{
-    AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime, WindowBuffer, WindowSpec,
+    AttrId, AttrValue, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime, WindowBuffer,
+    WindowSpec, MAX_ATTRS,
 };
 
 /// Key of a stored tuple within its state's arena.
@@ -102,17 +103,17 @@ impl SearchScratch {
 /// and before the index is reconfigured.
 pub trait StateIndex {
     /// Index a newly stored tuple, eagerly.
-    fn insert(&mut self, key: TupleKey, jas_values: &AttrVec, receipt: &mut CostReceipt);
+    fn insert(&mut self, key: TupleKey, jas_values: &[AttrValue], receipt: &mut CostReceipt);
 
     /// Remove an expired tuple, eagerly.
-    fn remove(&mut self, key: TupleKey, jas_values: &AttrVec, receipt: &mut CostReceipt);
+    fn remove(&mut self, key: TupleKey, jas_values: &[AttrValue], receipt: &mut CostReceipt);
 
     /// Charge the insertion of `key` now; the physical linking may be
     /// deferred into `stage` until [`apply_stage`](Self::apply_stage).
     fn stage_insert(
         &mut self,
         key: TupleKey,
-        jas_values: &AttrVec,
+        jas_values: &[AttrValue],
         receipt: &mut CostReceipt,
         stage: &mut IngestStage,
     ) {
@@ -125,7 +126,7 @@ pub trait StateIndex {
     fn stage_remove(
         &mut self,
         key: TupleKey,
-        jas_values: &AttrVec,
+        jas_values: &[AttrValue],
         receipt: &mut CostReceipt,
         stage: &mut IngestStage,
     ) {
@@ -164,96 +165,222 @@ pub trait StateIndex {
     fn entries(&self) -> usize;
 }
 
-/// One arena slot's contents: a fully resident tuple, or the RAM stub of
-/// a tuple whose attributes live in a disk spill block. The stub keeps
-/// everything index probes, the scan fallback, and expiry need (arrival
-/// time + inline JAS values), so only materializing a probe *hit* reads
-/// the block.
+/// Where an arena slot's tuple lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Residence {
+    /// No tuple: the slot is on the free list.
+    Free,
+    /// Every value is in the stride.
+    Resident,
+    /// Only the JAS values are in the stride — what index probes, the
+    /// scan fallback and expiry need — and the whole tuple is in this
+    /// spill block, read only to materialize a probe *hit*.
+    Spilled(u32),
+}
+
+/// The fixed part of one arena slot. Its values sit at the slot's
+/// position of the arena's value stride.
 #[derive(Debug, Clone, Copy)]
-enum StoredTuple {
-    /// Fully in RAM.
-    Resident {
-        /// The stored tuple.
-        tuple: Tuple,
-        /// Its JAS-aligned values, extracted at insert.
-        jas_values: AttrVec,
-    },
-    /// Attributes spilled to disk; only the probe-relevant stub remains.
-    Spilled {
-        /// Tuple identity (needed to rebuild the tuple on materialize).
-        id: TupleId,
-        /// Arrival time (window membership).
-        ts: VirtualTime,
-        /// Inline JAS values (index/scan comparisons without disk).
-        jas_values: AttrVec,
-        /// Spill block holding the full attributes.
-        block: u32,
-    },
+struct SlotHead {
+    id: TupleId,
+    ts: VirtualTime,
+    at: Residence,
 }
 
-impl StoredTuple {
-    #[inline]
-    fn jas_values(&self) -> &AttrVec {
-        match self {
-            StoredTuple::Resident { jas_values, .. } | StoredTuple::Spilled { jas_values, .. } => {
-                jas_values
-            }
-        }
-    }
+const FREE_HEAD: SlotHead = SlotHead {
+    id: TupleId(0),
+    ts: VirtualTime::ZERO,
+    at: Residence::Free,
+};
 
-    #[inline]
-    fn tuple(&self) -> Option<&Tuple> {
-        match self {
-            StoredTuple::Resident { tuple, .. } => Some(tuple),
-            StoredTuple::Spilled { .. } => None,
-        }
-    }
-}
-
-/// A minimal slab allocator: stable `u32` keys, O(1) insert/remove, dense
-/// iteration. (Local implementation per the dependency policy.)
-#[derive(Debug, Clone, Default)]
-struct Slab {
-    slots: Vec<Option<StoredTuple>>,
+/// The tuple arena: a slab of fixed slot heads with stable `u32` keys and
+/// O(1) insert/remove, beside one flat value stride of `order.len()`
+/// values per slot. A stored tuple's values are stored once, JAS first,
+/// so the JAS values of any slot are a borrowed prefix.
+#[derive(Debug, Clone)]
+struct Arena {
+    heads: Vec<SlotHead>,
+    values: Vec<AttrValue>,
+    /// The schema attribute behind each stride position: the JAS in
+    /// position order (the first `jas_width`), then — once a tuple has
+    /// shown the arity — the other attributes ascending.
+    order: Vec<AttrId>,
+    jas_width: usize,
+    /// Attributes per stored tuple; `None` until the first one arrives.
+    arity: Option<usize>,
     free: Vec<u32>,
     len: usize,
 }
 
-impl Slab {
-    fn insert(&mut self, value: StoredTuple) -> TupleKey {
+impl Arena {
+    fn new(jas: Vec<AttrId>) -> Self {
+        Arena {
+            heads: Vec::new(),
+            values: Vec::new(),
+            jas_width: jas.len(),
+            order: jas,
+            arity: None,
+            free: Vec::new(),
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn width(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether tuples of `arity` attributes can live here: the arena's
+    /// arity once one is known, else any arity that holds the JAS.
+    fn fits(&self, arity: usize) -> bool {
+        self.arity.map_or_else(
+            || self.order[..self.jas_width].iter().all(|a| a.idx() < arity),
+            |known| known == arity,
+        )
+    }
+
+    /// Fix the stride to tuples of `arity` attributes, widening every slot
+    /// the first time; `false`, changing nothing, if they do not
+    /// [`fit`](Self::fits).
+    fn learn_arity(&mut self, arity: usize) -> bool {
+        if !self.fits(arity) {
+            return false;
+        }
+        if self.arity.is_some() {
+            return true;
+        }
+        let old = self.width();
+        let jas = &self.order[..self.jas_width];
+        let rest: Vec<AttrId> = (0..arity as u8)
+            .map(AttrId)
+            .filter(|a| !jas.contains(a))
+            .collect();
+        self.order.extend(rest);
+        let new = self.width();
+        if new > old {
+            let mut values = vec![0; self.heads.len() * new];
+            for i in 0..self.heads.len() {
+                values[i * new..i * new + old]
+                    .copy_from_slice(&self.values[i * old..(i + 1) * old]);
+            }
+            self.values = values;
+        }
+        self.arity = Some(arity);
+        true
+    }
+
+    /// Claim a slot (the free list's last, else a new one) for `head`.
+    fn claim(&mut self, head: SlotHead) -> TupleKey {
         self.len += 1;
         if let Some(k) = self.free.pop() {
-            self.slots[k as usize] = Some(value);
+            self.heads[k as usize] = head;
             TupleKey(k)
         } else {
-            self.slots.push(Some(value));
-            TupleKey((self.slots.len() - 1) as u32)
+            self.push(head);
+            TupleKey((self.heads.len() - 1) as u32)
         }
     }
 
-    fn remove(&mut self, key: TupleKey) -> Option<StoredTuple> {
-        let slot = self.slots.get_mut(key.0 as usize)?;
-        let old = slot.take();
-        if old.is_some() {
-            self.len -= 1;
-            self.free.push(key.0);
+    /// Append a slot holding `head`, its values zero.
+    fn push(&mut self, head: SlotHead) {
+        self.heads.push(head);
+        self.values.resize(self.values.len() + self.width(), 0);
+    }
+
+    /// Store `tuple` resident in a claimed slot.
+    ///
+    /// # Panics
+    /// Panics if the tuple's arity is not the arena's.
+    fn insert(&mut self, tuple: &Tuple) -> TupleKey {
+        assert!(
+            self.learn_arity(tuple.attrs.len()),
+            "tuple of arity {} in a state of arity {:?}",
+            tuple.attrs.len(),
+            self.arity
+        );
+        let key = self.claim(SlotHead {
+            id: tuple.id,
+            ts: tuple.ts,
+            at: Residence::Resident,
+        });
+        self.scatter(key, &tuple.attrs);
+        key
+    }
+
+    /// Write a tuple's attributes into `key`'s stride, JAS first.
+    fn scatter(&mut self, key: TupleKey, attrs: &[AttrValue]) {
+        let w = self.width();
+        let at = key.0 as usize * w;
+        for (v, a) in self.values[at..at + w].iter_mut().zip(&self.order) {
+            *v = attrs[a.idx()];
         }
-        old
     }
 
-    fn get(&self, key: TupleKey) -> Option<&StoredTuple> {
-        self.slots.get(key.0 as usize)?.as_ref()
+    /// Free `key`'s slot, returning its head. The values stay in the
+    /// stride until the slot is claimed again.
+    fn remove(&mut self, key: TupleKey) -> Option<SlotHead> {
+        let slot = self.heads.get_mut(key.0 as usize)?;
+        if slot.at == Residence::Free {
+            return None;
+        }
+        let old = std::mem::replace(slot, FREE_HEAD);
+        self.len -= 1;
+        self.free.push(key.0);
+        Some(old)
     }
 
-    fn get_mut(&mut self, key: TupleKey) -> Option<&mut StoredTuple> {
-        self.slots.get_mut(key.0 as usize)?.as_mut()
+    /// Where `key`'s tuple lives (`Free` for a key past the arena).
+    #[inline]
+    fn at(&self, key: TupleKey) -> Residence {
+        self.heads
+            .get(key.0 as usize)
+            .map_or(Residence::Free, |h| h.at)
     }
 
-    fn iter(&self) -> impl Iterator<Item = (TupleKey, &StoredTuple)> {
-        self.slots
+    /// `key`'s JAS values, whatever the slot holds.
+    #[inline]
+    fn jas(&self, key: TupleKey) -> &[AttrValue] {
+        let at = key.0 as usize * self.width();
+        &self.values[at..at + self.jas_width]
+    }
+
+    /// `f` of `key`'s head and attributes in schema order, gathered on the
+    /// stack, if the tuple is resident.
+    #[inline]
+    fn read<R>(&self, key: TupleKey, f: impl FnOnce(&SlotHead, &[AttrValue]) -> R) -> Option<R> {
+        if self.at(key) != Residence::Resident {
+            return None;
+        }
+        let head = &self.heads[key.0 as usize];
+        let w = self.width();
+        let at = key.0 as usize * w;
+        let mut attrs = [0; MAX_ATTRS];
+        for (&v, a) in self.values[at..at + w].iter().zip(&self.order) {
+            attrs[a.idx()] = v;
+        }
+        let arity = self.arity.expect("a resident tuple fixed the arity");
+        Some(f(head, &attrs[..arity]))
+    }
+
+    /// The tuple of stream `stream` in `key`'s slot, rebuilt from its head
+    /// and stride, if it is resident.
+    fn tuple(&self, key: TupleKey, stream: StreamId) -> Option<Tuple> {
+        self.read(key, |head, attrs| {
+            let attrs = AttrVec::from_slice(attrs).expect("a stored tuple's arity fits");
+            Tuple::new(head.id, stream, head.ts, attrs)
+        })
+    }
+
+    /// Live slots in key order, each with its JAS values.
+    fn iter(&self) -> impl Iterator<Item = (TupleKey, &[AttrValue])> + Clone {
+        self.heads
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|t| (TupleKey(i as u32), t)))
+            .filter(|(_, h)| h.at != Residence::Free)
+            .map(|(i, _)| {
+                let key = TupleKey(i as u32);
+                (key, self.jas(key))
+            })
     }
 }
 
@@ -261,9 +388,7 @@ impl Slab {
 #[derive(Debug, Clone)]
 pub struct StateStore<I: ?Sized> {
     stream: StreamId,
-    /// Schema attribute ids forming the JAS, in JAS-position order.
-    jas: Vec<AttrId>,
-    arena: Slab,
+    arena: Arena,
     window: WindowBuffer<TupleKey>,
     /// Payload bytes per tuple (schema-declared, memory accounting only).
     payload_bytes: u32,
@@ -290,8 +415,7 @@ impl<I: StateIndex> StateStore<I> {
     pub fn new(stream: StreamId, jas: Vec<AttrId>, window: WindowSpec, index: I) -> Self {
         StateStore {
             stream,
-            jas,
-            arena: Slab::default(),
+            arena: Arena::new(jas),
             window: WindowBuffer::new(window),
             index,
             payload_bytes: 0,
@@ -320,13 +444,13 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// JAS width.
     #[inline]
     pub fn jas_width(&self) -> usize {
-        self.jas.len()
+        self.arena.jas_width
     }
 
     /// The JAS attribute ids in position order.
     #[inline]
     pub fn jas(&self) -> &[AttrId] {
-        &self.jas
+        &self.arena.order[..self.arena.jas_width]
     }
 
     /// Number of live tuples.
@@ -353,26 +477,19 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         &mut self.index
     }
 
-    /// Extract the JAS-aligned values from a tuple of this stream.
-    pub fn jas_values(&self, tuple: &Tuple) -> AttrVec {
-        self.jas.iter().map(|a| tuple.attrs[a.idx()]).collect()
-    }
-
     /// The arena/window half of an arrival: claim a slot, queue the
     /// window entry, charge the base op. Sequential by design — slot
     /// assignment and window order are what every later step keys on.
     ///
     /// # Panics
-    /// Panics if the tuple is from a different stream.
-    fn admit(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> (TupleKey, AttrVec) {
+    /// Panics if the tuple is from a different stream, or of another
+    /// arity than the tuples stored before it.
+    fn admit(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> TupleKey {
         assert_eq!(tuple.stream, self.stream, "tuple from wrong stream");
-        let jas_values = self.jas_values(&tuple);
-        let key = self
-            .arena
-            .insert(StoredTuple::Resident { tuple, jas_values });
+        let key = self.arena.insert(&tuple);
         self.window.push(tuple.ts, key);
         receipt.base_ops += 1;
-        (key, jas_values)
+        key
     }
 
     /// Store an arriving tuple and index it eagerly — the stage-less
@@ -381,8 +498,8 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// # Panics
     /// Panics if the tuple is from a different stream.
     pub fn insert(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> TupleKey {
-        let (key, jas_values) = self.admit(tuple, receipt);
-        self.index.insert(key, &jas_values, receipt);
+        let key = self.admit(tuple, receipt);
+        self.index.insert(key, self.arena.jas(key), receipt);
         key
     }
 
@@ -397,8 +514,9 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         receipt: &mut CostReceipt,
         stage: &mut IngestStage,
     ) -> TupleKey {
-        let (key, jas_values) = self.admit(tuple, receipt);
-        self.index.stage_insert(key, &jas_values, receipt, stage);
+        let key = self.admit(tuple, receipt);
+        self.index
+            .stage_insert(key, self.arena.jas(key), receipt, stage);
         key
     }
 
@@ -411,10 +529,10 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         receipt: &mut CostReceipt,
         stage: &mut IngestStage,
     ) -> bool {
-        let Some(stored) = self.arena.remove(key) else {
+        let Some(head) = self.arena.remove(key) else {
             return false;
         };
-        if let StoredTuple::Spilled { block, .. } = stored {
+        if let Residence::Spilled(block) = head.at {
             self.spilled -= 1;
             if let Some(tier) = self.tier.as_mut() {
                 tier.note_dropped(block);
@@ -422,7 +540,7 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         }
         receipt.base_ops += 1;
         self.index
-            .stage_remove(key, stored.jas_values(), receipt, stage);
+            .stage_remove(key, self.arena.jas(key), receipt, stage);
         true
     }
 
@@ -465,9 +583,9 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// spill next. Skips spill-resident stubs (promotion punches holes in
     /// the spilled prefix, so this walks rather than peeks).
     pub fn oldest_resident_ts(&self) -> Option<VirtualTime> {
-        self.window.iter().find_map(|&(ts, key)| {
-            matches!(self.arena.get(key), Some(StoredTuple::Resident { .. })).then_some(ts)
-        })
+        self.window
+            .iter()
+            .find_map(|&(ts, key)| (self.arena.at(key) == Residence::Resident).then_some(ts))
     }
 
     /// Forcibly remove up to `max` of the **oldest** live tuples — the
@@ -537,36 +655,69 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     fn scan_into(&self, req: &SearchRequest, hits: &mut Vec<TupleKey>, receipt: &mut CostReceipt) {
         hits.clear();
         let bound = req.bound();
-        for (key, stored) in self.arena.iter() {
+        for (key, jas) in self.arena.iter() {
             // A full scan materializes the stored tuple and then
             // compares: twice the work of an in-bucket comparison
             // over inline JAS values (§I-A's "complete scans" are
             // what drown the few-index access modules).
             receipt.comparisons += 2;
-            if bound.matches(stored.jas_values()) {
+            if bound.matches(jas) {
                 hits.push(key);
             }
         }
     }
 
-    /// The stored tuple for `key`, if live **and fully in RAM**. A
-    /// spill-resident key returns `None`;
+    /// The stored tuple for `key`, if live **and fully in RAM**, rebuilt
+    /// from its slot. A spill-resident key returns `None`;
     /// [`materialize_batch`](Self::materialize_batch) reads it from disk.
-    pub fn tuple(&self, key: TupleKey) -> Option<&Tuple> {
-        self.arena.get(key).and_then(|s| s.tuple())
+    pub fn tuple(&self, key: TupleKey) -> Option<Tuple> {
+        self.arena.tuple(key, self.stream)
+    }
+
+    /// The arrival time of `key`'s tuple, if live and fully in RAM — read
+    /// from its slot head alone, so a hit turned away by its time never
+    /// loads its values.
+    #[inline]
+    pub fn resident_ts(&self, key: TupleKey) -> Option<VirtualTime> {
+        let head = self.arena.heads.get(key.0 as usize)?;
+        (head.at == Residence::Resident).then_some(head.ts)
+    }
+
+    /// `f` of the arrival time and attributes (in schema order) of `key`'s
+    /// tuple, if live and fully in RAM — gathered on the stack, with no
+    /// [`Tuple`] built.
+    #[inline]
+    pub fn read_resident<R>(
+        &self,
+        key: TupleKey,
+        f: impl FnOnce(VirtualTime, &[AttrValue]) -> R,
+    ) -> Option<R> {
+        self.arena.read(key, |head, attrs| f(head.ts, attrs))
     }
 
     /// The stored JAS values for `key`, if live (spilled stubs included —
     /// JAS values never leave RAM).
-    pub fn jas_of(&self, key: TupleKey) -> Option<&AttrVec> {
-        self.arena.get(key).map(|s| s.jas_values())
+    pub fn jas_of(&self, key: TupleKey) -> Option<&[AttrValue]> {
+        (self.arena.at(key) != Residence::Free).then(|| self.arena.jas(key))
     }
 
-    /// Iterate over `(key, jas_values)` of live tuples (used by index
-    /// migration and by tests). Spilled stubs participate: their JAS
-    /// values are inline, so migration never touches disk.
-    pub fn iter_jas(&self) -> impl Iterator<Item = (TupleKey, &AttrVec)> {
-        self.arena.iter().map(|(k, s)| (k, s.jas_values()))
+    /// Iterate over `(key, jas_values)` of live tuples in key order.
+    /// Spilled stubs participate: their JAS values are inline, so an
+    /// index rebuilt from them never touches disk.
+    pub fn iter_jas(&self) -> impl Iterator<Item = (TupleKey, &[AttrValue])> + Clone {
+        self.arena.iter()
+    }
+
+    /// The index, mutably, beside [`iter_jas`](Self::iter_jas): what
+    /// rebuilding the index from the stored tuples borrows, with nothing
+    /// copied.
+    pub fn index_mut_with_jas(
+        &mut self,
+    ) -> (
+        &mut I,
+        impl Iterator<Item = (TupleKey, &[AttrValue])> + Clone,
+    ) {
+        (&mut self.index, self.arena.iter())
     }
 
     /// Bytes this state occupies in RAM: resident tuples at full cost
@@ -576,11 +727,11 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// [`disk_bytes`](Self::disk_bytes) instead.
     pub fn memory_bytes(&self) -> u64 {
         let per_tuple = layout::TUPLE_BASE_BYTES
-            + layout::ATTR_BYTES * self.jas.len() as u64
+            + layout::ATTR_BYTES * self.jas_width() as u64
             + self.payload_bytes as u64
             + 16; // window-queue slot
         let resident = (self.arena.len - self.spilled) as u64;
-        let stub = layout::spilled_stub_bytes(self.jas.len()) + 16;
+        let stub = layout::spilled_stub_bytes(self.jas_width()) + 16;
         let tier_meta = self.tier.as_ref().map_or(0, |t| t.meta_bytes());
         resident * per_tuple + self.spilled as u64 * stub + self.index.memory_bytes() + tier_meta
     }
@@ -656,9 +807,9 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
             if plan.len() >= max {
                 break;
             }
-            if let Some(StoredTuple::Spilled { block, .. }) = self.arena.get(key) {
-                if !plan.contains(block) && !tier.cached(*block) {
-                    plan.push(*block);
+            if let Residence::Spilled(block) = self.arena.at(key) {
+                if !plan.contains(&block) && !tier.cached(block) {
+                    plan.push(block);
                 }
             }
         }
@@ -689,7 +840,7 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
             if victims.len() >= max {
                 break;
             }
-            if matches!(self.arena.get(key), Some(StoredTuple::Resident { .. })) {
+            if self.arena.at(key) == Residence::Resident {
                 victims.push(key);
             }
         }
@@ -699,9 +850,10 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         let mut body = crate::snapshot_io::SectionWriter::new();
         body.put_usize(victims.len());
         for &key in &victims {
-            let Some(StoredTuple::Resident { tuple, .. }) = self.arena.get(key) else {
-                unreachable!("victim vanished between walk and write");
-            };
+            let tuple = self
+                .arena
+                .tuple(key, self.stream)
+                .expect("victim vanished between walk and write");
             body.put_u32(key.0);
             body.put_u64(tuple.id.0);
             body.put_time(tuple.ts);
@@ -713,25 +865,17 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
             .expect("tier checked above")
             .append_block(body, victims.len() as u32, receipt)?;
         for &key in &victims {
-            if let Some(slot) = self.arena.get_mut(key) {
-                if let StoredTuple::Resident { tuple, jas_values } = *slot {
-                    *slot = StoredTuple::Spilled {
-                        id: tuple.id,
-                        ts: tuple.ts,
-                        jas_values,
-                        block,
-                    };
-                    self.spilled += 1;
-                }
-            }
+            self.arena.heads[key.0 as usize].at = Residence::Spilled(block);
         }
+        self.spilled += victims.len();
         Ok(victims.len())
     }
 
     /// Promote the hottest spill block (most materialization reads, at
     /// least `min_reads`) back to RAM, rebuilding full tuples from the
-    /// block and retiring it. A block that fails to read is purged
-    /// instead: its stubs are removed and counted as lost.
+    /// block and retiring it. A block that fails to read, or whose tuples
+    /// are of an arity the arena cannot hold, is purged instead: its stubs
+    /// are removed and counted as lost.
     pub fn promote_hottest(&mut self, min_reads: u32, receipt: &mut CostReceipt) -> SpillOutcome {
         let Some(block) = self.tier.as_ref().and_then(|t| t.hottest_block(min_reads)) else {
             return SpillOutcome::default();
@@ -751,7 +895,12 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
                 }
             }
         };
-        let promoted = self.rebuild_from_entries(block, &entries);
+        let Some(promoted) = self.rebuild_from_entries(block, &entries) else {
+            return SpillOutcome {
+                moved: 0,
+                lost: self.purge_block(block, receipt),
+            };
+        };
         let tier = self.tier.as_mut().expect("tier checked above");
         tier.mark_dead(block, false);
         tier.note_promoted(promoted as u64);
@@ -761,30 +910,34 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         }
     }
 
-    /// Convert a decoded block's still-live stubs back to resident tuples.
-    fn rebuild_from_entries(&mut self, block: u32, entries: &[SpillEntry]) -> usize {
-        let mut promoted = 0;
-        for e in entries {
-            if let Some(slot) = self.arena.get_mut(e.key) {
-                if let StoredTuple::Spilled {
-                    id: sid,
-                    jas_values,
-                    block: b,
-                    ..
-                } = *slot
-                {
-                    if b == block && sid == e.id {
-                        *slot = StoredTuple::Resident {
-                            tuple: Tuple::new(e.id, self.stream, e.ts, e.attrs),
-                            jas_values,
-                        };
-                        self.spilled -= 1;
-                        promoted += 1;
-                    }
-                }
+    /// Convert a decoded block's still-live stubs back to resident tuples,
+    /// fixing the arena's arity if only stubs have been stored. `None`,
+    /// changing nothing, for a block whose live tuples do not share one
+    /// arity the arena can hold — a frame that disagrees with its stubs.
+    fn rebuild_from_entries(&mut self, block: u32, entries: &[SpillEntry]) -> Option<usize> {
+        let live = |arena: &Arena, e: &SpillEntry| {
+            arena.at(e.key) == Residence::Spilled(block) && arena.heads[e.key.0 as usize].id == e.id
+        };
+        let mut arity = None;
+        for e in entries.iter().filter(|e| live(&self.arena, e)) {
+            let n = e.attrs.len();
+            if !self.arena.fits(n) || *arity.get_or_insert(n) != n {
+                return None;
             }
         }
-        promoted
+        if let Some(n) = arity {
+            self.arena.learn_arity(n);
+        }
+        let mut promoted = 0;
+        for e in entries {
+            if live(&self.arena, e) {
+                self.arena.scatter(e.key, &e.attrs);
+                self.arena.heads[e.key.0 as usize].at = Residence::Resident;
+                self.spilled -= 1;
+                promoted += 1;
+            }
+        }
+        Some(promoted)
     }
 
     /// Read the tuples behind a batch of probe hits into `out` (parallel
@@ -811,16 +964,15 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         let mut pending = std::mem::take(&mut self.batch_pending);
         let mut blocks = std::mem::take(&mut self.batch_blocks);
         for (slot, &key) in keys.iter().enumerate() {
-            out.push(match self.arena.get(key) {
-                None => None,
-                Some(StoredTuple::Resident { tuple, .. }) => Some(*tuple),
-                Some(StoredTuple::Spilled { block, .. }) => {
-                    pending.push((slot, key, *block));
-                    if !blocks.contains(block) {
-                        blocks.push(*block);
+            out.push(match self.arena.at(key) {
+                Residence::Spilled(block) => {
+                    pending.push((slot, key, block));
+                    if !blocks.contains(&block) {
+                        blocks.push(block);
                     }
                     None
                 }
+                _ => self.arena.tuple(key, self.stream),
             });
         }
         if !blocks.is_empty() {
@@ -864,18 +1016,14 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// path and pulled from the window queue; the block is marked dead.
     /// Returns how many tuples were lost.
     pub fn purge_block(&mut self, block: u32, receipt: &mut CostReceipt) -> usize {
-        let victims: Vec<TupleKey> = self
-            .arena
-            .iter()
-            .filter_map(|(k, s)| match s {
-                StoredTuple::Spilled { block: b, .. } if *b == block => Some(k),
-                _ => None,
-            })
+        let victims: Vec<TupleKey> = (self.arena.heads.iter().enumerate())
+            .filter(|(_, h)| h.at == Residence::Spilled(block))
+            .map(|(i, _)| TupleKey(i as u32))
             .collect();
         for &key in &victims {
-            if let Some(stored) = self.arena.remove(key) {
+            if self.arena.remove(key).is_some() {
                 receipt.base_ops += 1;
-                self.index.remove(key, stored.jas_values(), receipt);
+                self.index.remove(key, self.arena.jas(key), receipt);
                 self.spilled -= 1;
             }
         }
@@ -896,31 +1044,28 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// captured.
     pub fn save_state(&self, w: &mut crate::snapshot_io::SectionWriter) {
         w.put_str("STATE");
-        w.put_usize(self.arena.slots.len());
-        for slot in &self.arena.slots {
+        w.put_usize(self.arena.heads.len());
+        for (i, head) in self.arena.heads.iter().enumerate() {
+            let key = TupleKey(i as u32);
             // Per-slot tag: 0 empty, 1 resident, 2 spilled stub.
-            match slot {
-                Some(StoredTuple::Resident { tuple, jas_values }) => {
+            match head.at {
+                Residence::Resident => {
+                    let tuple = self.arena.tuple(key, self.stream).expect("a resident slot");
                     w.put_u8(1);
                     w.put_u64(tuple.id.0);
                     w.put_u16(tuple.stream.0);
                     w.put_time(tuple.ts);
                     w.put_attrs(&tuple.attrs);
-                    w.put_attrs(jas_values);
+                    w.put_attrs(self.arena.jas(key));
                 }
-                Some(StoredTuple::Spilled {
-                    id,
-                    ts,
-                    jas_values,
-                    block,
-                }) => {
+                Residence::Spilled(block) => {
                     w.put_u8(2);
-                    w.put_u64(id.0);
-                    w.put_time(*ts);
-                    w.put_attrs(jas_values);
-                    w.put_u32(*block);
+                    w.put_u64(head.id.0);
+                    w.put_time(head.ts);
+                    w.put_attrs(self.arena.jas(key));
+                    w.put_u32(block);
                 }
-                None => w.put_u8(0),
+                Residence::Free => w.put_u8(0),
             }
         }
         w.put_usize(self.arena.free.len());
@@ -955,10 +1100,11 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         use crate::snapshot_io::SnapshotError;
         crate::snapshot_io::expect_tag(r, "STATE")?;
         let n_slots = r.get_usize()?;
-        let mut arena = Slab::default();
+        let mut arena = Arena::new(self.jas().to_vec());
         let mut spilled = 0usize;
         for slot in 0..n_slots {
-            let stored = match r.get_u8()? {
+            let key = TupleKey(slot as u32);
+            match r.get_u8()? {
                 1 => {
                     let id = TupleId(r.get_u64()?);
                     let stream = StreamId(r.get_u16()?);
@@ -974,53 +1120,61 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
                     // Expiry unindexes a tuple under the bucket of these
                     // values, so they must be what its entry was made from.
                     let projected: Option<AttrVec> =
-                        self.jas.iter().map(|a| attrs.get(a.idx())).collect();
+                        self.jas().iter().map(|a| attrs.get(a.idx())).collect();
                     if projected != Some(jas_values) {
                         return Err(SnapshotError::Malformed(format!(
                             "arena slot {slot}'s JAS values are not the projection of its attributes"
                         )));
                     }
-                    Some(StoredTuple::Resident {
-                        tuple: Tuple::new(id, stream, ts, attrs),
-                        jas_values,
-                    })
+                    if !arena.learn_arity(attrs.len()) {
+                        return Err(SnapshotError::Malformed(format!(
+                            "arena slot {slot} holds {} attributes, an earlier slot {:?}",
+                            attrs.len(),
+                            arena.arity
+                        )));
+                    }
+                    arena.claim(SlotHead {
+                        id,
+                        ts,
+                        at: Residence::Resident,
+                    });
+                    arena.scatter(key, &attrs);
                 }
                 2 => {
                     let id = TupleId(r.get_u64()?);
                     let ts = r.get_time()?;
                     let jas_values = r.get_attrs()?;
                     let block = r.get_u32()?;
-                    if jas_values.len() != self.jas.len() {
+                    if jas_values.len() != self.jas_width() {
                         return Err(SnapshotError::Malformed(format!(
                             "arena slot {slot}'s stub holds {} JAS values, the state's JAS {}",
                             jas_values.len(),
-                            self.jas.len()
+                            self.jas_width()
                         )));
                     }
                     spilled += 1;
-                    Some(StoredTuple::Spilled {
+                    arena.claim(SlotHead {
                         id,
                         ts,
-                        jas_values,
-                        block,
-                    })
+                        at: Residence::Spilled(block),
+                    });
+                    let at = slot * arena.width();
+                    arena.values[at..at + jas_values.len()].copy_from_slice(&jas_values);
                 }
-                0 => None,
+                0 => arena.push(FREE_HEAD),
                 tag => {
                     return Err(SnapshotError::Malformed(format!(
                         "unknown arena slot tag {tag}"
                     )))
                 }
-            };
-            arena.len += usize::from(stored.is_some());
-            arena.slots.push(stored);
+            }
         }
         // Each empty slot is free exactly once (one named twice would go
         // to two inserts), and the window names each live slot exactly
         // once (its entry is that tuple's expiry).
         let mut named = vec![false; n_slots];
-        let mut name_once = |k: u32, live: bool, list: &str| match arena.slots.get(k as usize) {
-            Some(slot) if slot.is_some() == live && !named[k as usize] => {
+        let mut name_once = |k: u32, live: bool, list: &str| match arena.heads.get(k as usize) {
+            Some(head) if (head.at != Residence::Free) == live && !named[k as usize] => {
                 named[k as usize] = true;
                 Ok(())
             }
@@ -1184,10 +1338,14 @@ mod tests {
 
     #[test]
     fn jas_extraction_picks_declared_attributes() {
-        let s = store();
+        let mut s = store();
         let t = mk_tuple(1, 0, &[10, 20, 30]);
-        let jas = s.jas_values(&t);
-        assert_eq!(jas.as_slice(), &[10, 30], "attrs 0 and 2");
+        let k = s.insert(t, &mut CostReceipt::new());
+        assert_eq!(s.jas_of(k).unwrap(), &[10, 30], "attrs 0 and 2");
+        assert_eq!(s.tuple(k), Some(t), "the stride rebuilds the tuple");
+        let read = s.read_resident(k, |ts, attrs| (ts, attrs.to_vec()));
+        assert_eq!(s.resident_ts(k), Some(t.ts));
+        assert_eq!(read, Some((t.ts, vec![10, 20, 30])), "in schema order");
     }
 
     #[test]
@@ -1212,7 +1370,26 @@ mod tests {
         let k2 = s.insert(mk_tuple(2, 21, &[2, 0, 2]), &mut r);
         assert_eq!(k1, k2, "freed slot must be reused");
         assert_eq!(s.len(), 1);
-        assert_eq!(s.jas_of(k2).unwrap().as_slice(), &[2, 2]);
+        assert_eq!(s.jas_of(k2).unwrap(), &[2, 2]);
+    }
+
+    /// The size pins of the layout: a slot is a 24-byte head plus its
+    /// tuple's values in the stride, once — `24 + 8·arity` bytes — and no
+    /// eight-slot `AttrVec` is stored per slot.
+    #[test]
+    fn a_slot_costs_its_head_and_its_values() {
+        assert_eq!(std::mem::size_of::<SlotHead>(), 24);
+        assert!(std::mem::size_of::<SlotHead>() < std::mem::size_of::<AttrVec>());
+        let mut s = store();
+        let mut r = CostReceipt::new();
+        for i in 0..100 {
+            s.insert(mk_tuple(i, 0, &[i, 50 + i, 2 * i]), &mut r);
+        }
+        expire(&mut s, 20, &mut r);
+        s.insert(mk_tuple(100, 21, &[7, 8, 9]), &mut r);
+        assert_eq!((s.arena.heads.len(), s.arena.values.len()), (100, 300));
+        // JAS first: attrs 0 and 2, then the payload-only attr 1.
+        assert_eq!(&s.arena.values[297..], &[7, 9, 8]);
     }
 
     #[test]
@@ -1584,7 +1761,8 @@ mod tests {
     /// * a slot of another stream joins as this one's;
     /// * JAS values narrower than the JAS panic at expiry, and values that
     ///   are not the attributes' projection unindex the wrong bucket, so
-    ///   the index keeps a key whose slot is later reused.
+    ///   the index keeps a key whose slot is later reused;
+    /// * a slot wider than the others does not fit the value stride.
     #[test]
     fn restore_refuses_an_arena_it_could_not_run_on() {
         use crate::snapshot_io::{SectionReader, SnapshotError};
@@ -1593,7 +1771,7 @@ mod tests {
             attrs: &[1, 9, 3],
             jas: &[1, 3],
         };
-        let lies: [(&str, Vec<u8>, &str); 8] = [
+        let lies: [(&str, Vec<u8>, &str); 9] = [
             (
                 "a free slot named twice",
                 state_image(&[A, Slot::Empty, Slot::Empty, A], &[1, 1], &[0, 3]),
@@ -1650,6 +1828,22 @@ mod tests {
                 ),
                 "projection",
             ),
+            (
+                "slots of two arities",
+                state_image(
+                    &[
+                        A,
+                        Slot::Resident {
+                            stream: 0,
+                            attrs: &[1, 9, 3, 4],
+                            jas: &[1, 3],
+                        },
+                    ],
+                    &[],
+                    &[0, 1],
+                ),
+                "holds 4 attributes",
+            ),
         ];
         let honest = state_image(&[A, Slot::Empty, A], &[1], &[0, 2]);
         let mut s = store();
@@ -1662,7 +1856,7 @@ mod tests {
                     Err(SnapshotError::Malformed(why)) => {
                         assert!(why.contains(field), "{what}: {why}");
                         assert_eq!(s.len(), 2, "{what}: the refused restore changed the store");
-                        assert_eq!(s.jas_of(TupleKey(2)).unwrap().as_slice(), &[1, 3]);
+                        assert_eq!(s.jas_of(TupleKey(2)).unwrap(), &[1, 3]);
                         false
                     }
                     other => {
@@ -1674,6 +1868,109 @@ mod tests {
             .map(|(what, ..)| *what)
             .collect();
         assert!(accepted.is_empty(), "restored a lying image: {accepted:?}");
+    }
+
+    /// An image of `s` (state and index) after spilling its three tuples,
+    /// restored into a twin that has stored nothing but stubs.
+    fn all_spilled_twin(s: &mut StateStore<MultiHashIndex>) -> StateStore<MultiHashIndex> {
+        let mut r = CostReceipt::new();
+        for i in 0..3 {
+            s.insert(mk_tuple(i, i, &[i, 10 + i, 20 + i]), &mut r);
+        }
+        assert_eq!(s.spill_oldest(3, &mut r), Ok(3));
+        let mut w = crate::snapshot_io::SectionWriter::new();
+        s.save_state(&mut w);
+        s.index().save(&mut w);
+        let bytes = w.into_bytes();
+        let mut twin = spill_store("twin", crate::tier::IoFaultConfig::default());
+        let mut rd = crate::snapshot_io::SectionReader::new(&bytes);
+        twin.restore_state(&mut rd).unwrap();
+        *twin.index_mut() = MultiHashIndex::restore(&mut rd).unwrap();
+        twin
+    }
+
+    fn saved(s: &StateStore<MultiHashIndex>) -> Vec<u8> {
+        let mut w = crate::snapshot_io::SectionWriter::new();
+        s.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// A restored arena whose every slot is a stub has seen no tuple's
+    /// arity; the first tuple stored widens every slot, and the stubs keep
+    /// their JAS values and their blocks.
+    #[test]
+    fn an_all_spilled_restore_widens_on_its_first_tuple() {
+        let mut s = spill_store("widen", crate::tier::IoFaultConfig::default());
+        let mut twin = all_spilled_twin(&mut s);
+        let mut r = CostReceipt::new();
+        assert_eq!(twin.arena.values.len(), 3 * 2, "JAS values only");
+        let k = twin.insert(mk_tuple(3, 3, &[3, 13, 23]), &mut r);
+        assert_eq!(twin.arena.values.len(), 4 * 3);
+        assert_eq!(twin.tuple(k).unwrap().attrs.as_slice(), &[3, 13, 23]);
+        for key in (0..3).map(TupleKey) {
+            assert_eq!(twin.jas_of(key), s.jas_of(key));
+            assert_eq!(
+                materialize_one(&mut twin, key, &mut r),
+                materialize_one(&mut s, key, &mut r)
+            );
+        }
+    }
+
+    /// Promoting a block into such an arena fixes the arity from the
+    /// block, so the promoted slots read whole before any tuple arrives.
+    #[test]
+    fn an_all_spilled_restore_promotes_before_its_first_tuple() {
+        let mut s = spill_store("promote", crate::tier::IoFaultConfig::default());
+        let mut twin = all_spilled_twin(&mut s);
+        let mut r = CostReceipt::new();
+        assert_eq!(
+            twin.resident_ts(TupleKey(1)),
+            None,
+            "a stub is not resident"
+        );
+        for st in [&mut s, &mut twin] {
+            let _ = materialize_one(st, TupleKey(1), &mut r); // heat
+            assert_eq!(st.promote_hottest(0, &mut r).moved, 3);
+        }
+        assert_eq!(twin.spilled_len(), 0);
+        for key in (0..3).map(TupleKey) {
+            assert_eq!(twin.tuple(key), s.tuple(key));
+            assert_eq!(
+                twin.resident_ts(key),
+                Some(VirtualTime::from_secs(key.0 as u64))
+            );
+            let read = |st: &StateStore<MultiHashIndex>| {
+                st.read_resident(key, |ts, attrs| (ts, attrs.to_vec()))
+            };
+            assert_eq!(read(&twin), read(&s));
+            assert_eq!(
+                read(&twin).unwrap().1,
+                vec![key.0 as u64, 10 + key.0 as u64, 20 + key.0 as u64]
+            );
+        }
+        assert_eq!(saved(&twin), saved(&s));
+        // A later first insert keeps the promoted tuples whole.
+        let k = twin.insert(mk_tuple(3, 3, &[3, 13, 23]), &mut r);
+        assert_eq!(twin.tuple(k).unwrap().attrs.as_slice(), &[3, 13, 23]);
+        assert_eq!(twin.tuple(TupleKey(2)), s.tuple(TupleKey(2)));
+    }
+
+    #[test]
+    fn a_block_of_another_arity_is_purged_not_promoted() {
+        let mut s = spill_store("arity", crate::tier::IoFaultConfig::default());
+        let mut twin = all_spilled_twin(&mut s);
+        let mut r = CostReceipt::new();
+        twin.insert(mk_tuple(3, 3, &[3, 13, 23, 33]), &mut r);
+        let _ = materialize_one(&mut twin, TupleKey(1), &mut r); // heat
+        assert_eq!(
+            twin.promote_hottest(0, &mut r),
+            SpillOutcome { moved: 0, lost: 3 }
+        );
+        assert_eq!((twin.len(), twin.spilled_len()), (1, 0));
+        assert_eq!(
+            twin.tuple(TupleKey(3)).unwrap().attrs.as_slice(),
+            &[3, 13, 23, 33]
+        );
     }
 
     #[test]

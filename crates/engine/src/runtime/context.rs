@@ -14,8 +14,8 @@ use crate::runtime::fault::FaultState;
 use crate::stem::Stem;
 use amri_core::{layout, tier, BlockWriteError, CostReceipt};
 use amri_stream::{
-    Clock, JobQueue, Pack, Packed, PackedPartial, PartialTuple, SpjQuery, Tuple, VirtualClock,
-    VirtualTime,
+    AttrValue, Clock, JobQueue, Pack, Packed, PackedPartial, PartialTuple, SpjQuery, StreamId,
+    VirtualClock, VirtualTime,
 };
 use serde::{Deserialize, Serialize};
 
@@ -85,17 +85,22 @@ impl<'a> JobView<'a> {
     }
 }
 
-/// The job a probe hit spawns — `parent` extended by `matched` on the
-/// probed stream, entering the backlog at `enqueued` — as something to
-/// encode straight into the queue: it packs exactly the words of
-/// `Job { pt: parent.pt.extend(matched.stream, matched.attrs, matched.ts),
-/// origin_ts: parent.origin_ts, enqueued }` from the parent's own words,
-/// never building either partial tuple.
+/// The job a probe hit spawns — `parent` extended by the matched tuple
+/// (`attrs`, arrived at `ts`) of the probed `stream`, entering the backlog
+/// at `enqueued` — as something to encode straight into the queue: it
+/// packs exactly the words of `Job { pt: parent.pt.extend(stream, attrs,
+/// ts), origin_ts: parent.origin_ts, enqueued }` from the parent's own
+/// words and the matched values where they lie, never building either
+/// partial tuple or the matched one.
 pub(crate) struct FollowUp<'a> {
     /// The job whose probe produced the hit.
     pub parent: &'a JobView<'a>,
-    /// The matched tuple of the probed stream.
-    pub matched: &'a Tuple,
+    /// The probed stream.
+    pub stream: StreamId,
+    /// The matched tuple's arrival time.
+    pub ts: VirtualTime,
+    /// The matched tuple's attributes, in schema order.
+    pub attrs: &'a [AttrValue],
     /// When the follow-up enters the backlog.
     pub enqueued: VirtualTime,
 }
@@ -103,10 +108,9 @@ pub(crate) struct FollowUp<'a> {
 impl Pack<Job> for FollowUp<'_> {
     fn pack(&self, out: &mut Vec<u64>) {
         out.extend([self.parent.origin_ts.0, self.enqueued.0]);
-        let hit = self.matched;
         self.parent
             .pt
-            .pack_extended(hit.stream, &hit.attrs, hit.ts, out);
+            .pack_extended(self.stream, self.attrs, self.ts, out);
     }
 }
 
@@ -435,7 +439,7 @@ mod tests {
     use super::*;
     use amri_stream::tuple::MAX_STREAMS;
     use amri_stream::{
-        AttrVec, SectionReader, SectionWriter, StreamId, StreamMask, TupleId, MAX_ATTRS,
+        AttrVec, SectionReader, SectionWriter, StreamMask, Tuple, TupleId, MAX_ATTRS,
     };
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -493,7 +497,9 @@ mod tests {
         let mut encoded = Vec::new();
         FollowUp {
             parent: &JobView::new(words),
-            matched: &matched,
+            stream: matched.stream,
+            ts: matched.ts,
+            attrs: &matched.attrs,
             enqueued,
         }
         .pack(&mut encoded);
@@ -618,7 +624,9 @@ mod tests {
         assert!(q.pop_words(&mut words));
         q.push_packed(&FollowUp {
             parent: &JobView::new(&words),
-            matched: &matched,
+            stream: matched.stream,
+            ts: matched.ts,
+            attrs: &matched.attrs,
             enqueued,
         });
         let want = Job {

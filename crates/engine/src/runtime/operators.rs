@@ -16,7 +16,7 @@ use crate::runtime::fault::ArrivalFate;
 use amri_core::assess::Assessor;
 use amri_core::CostReceipt;
 use amri_stream::{
-    AttrVec, Clock, PartialTuple, SearchRequest, StreamId, StreamMask, Tuple, TupleId,
+    AttrValue, AttrVec, Clock, PartialTuple, SearchRequest, StreamId, StreamMask, Tuple, TupleId,
     VirtualDuration, VirtualTime,
 };
 
@@ -329,19 +329,13 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
     let target_jas = graph.jas(target);
     let completes = pt.covered().with(target) == StreamMask::all(n);
     let mut matches = 0usize;
-    let mut on_hit = |t: &Tuple| {
-        // Lazy expiry: skip tuples that slid out of the window.
-        if !window.live(t.ts, now) {
-            return;
-        }
-        // MJoin dedup: only match tuples older than the job's origin
-        // arrival.
-        if t.ts >= job.origin_ts {
-            return;
-        }
+    // Lazy expiry skips tuples that slid out of the window; MJoin dedup
+    // matches only tuples older than the job's origin arrival.
+    let wanted = |ts: VirtualTime| window.live(ts, now) && ts < job.origin_ts;
+    let mut on_hit = |ts: VirtualTime, attrs: &[AttrValue]| {
         // Residual (non-equality) predicates.
         let ok = residual.iter().all(|b| {
-            let lhs = t.attrs[target_jas[b.jas_pos].idx()];
+            let lhs = attrs[target_jas[b.jas_pos].idx()];
             let rhs = pt
                 .part(b.src_stream)
                 .expect("graph only emits residuals whose source stream the partial covers")
@@ -361,7 +355,7 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
             let mut h = digest_fold(*output_digest, job.origin_ts.0);
             for s in (0..n as u16).map(StreamId) {
                 let part = if s == target {
-                    t.attrs.as_slice()
+                    attrs
                 } else {
                     pt.part(s)
                         .expect("a completing probe's parent covers every other stream")
@@ -374,18 +368,21 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
         } else {
             let follow_up = FollowUp {
                 parent: job,
-                matched: t,
+                stream: target,
+                ts,
+                attrs,
                 enqueued: now,
             };
             push_governed(governor, backlog, &follow_up, now);
         }
     };
     if stem.state.spilled_len() == 0 {
-        // Every hit is RAM-resident: read it where it lives.
+        // Every hit is RAM-resident: its slot head says whether it is
+        // wanted, and only a wanted hit's values are read.
         let store = stem.state.store();
         for &key in &stem.scratch.hits {
-            if let Some(t) = store.tuple(key) {
-                on_hit(t);
+            if store.resident_ts(key).is_some_and(wanted) {
+                store.read_resident(key, &mut on_hit);
             }
         }
     } else {
@@ -404,7 +401,9 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
             *spill_lost += lost as u64;
             spill_first_at.get_or_insert(now);
         }
-        mat.iter().flatten().for_each(&mut on_hit);
+        for t in mat.iter().flatten().filter(|t| wanted(t.ts)) {
+            on_hit(t.ts, &t.attrs);
+        }
         stem.mat_buf = mat;
     }
     stem.matches_returned += matches as u64;

@@ -346,14 +346,9 @@ impl JoinState {
                 if picks == store.index().patterns() {
                     return None;
                 }
-                // Split borrows: retarget needs the live entries and the
-                // index mutably; clone the (key, jas) pairs first.
-                let live: Vec<(TupleKey, amri_stream::AttrVec)> =
-                    store.iter_jas().map(|(k, v)| (k, *v)).collect();
                 let description = format!("hash{:?}", &picks);
-                store
-                    .index_mut()
-                    .retarget(picks, live.iter().map(|(k, v)| (*k, v)), receipt);
+                let (index, live) = store.index_mut_with_jas();
+                index.retarget(picks, live, receipt);
                 description
             }
         };

@@ -152,6 +152,17 @@ if grep -rln '0xBF58_476D_1CE4_E5B9' crates/*/src | grep -v '^crates/stream/src/
     echo "a splitmix64 finalizer outside crates/stream/src/coin.rs"; exit 1
 fi
 
+# Nor may a second copy of a stored tuple's values: an arena slot is a
+# fixed head plus the tuple's values, once, JAS first, in the state's value
+# stride, and an access-module bucket packs `[key, JAS…]` words (DESIGN §4).
+echo "==> one copy of each stored value in state.rs and hash_index.rs"
+if grep -nE 'enum StoredTuple|jas_values: AttrVec' crates/core/src/state.rs; then
+    echo "a per-slot Tuple with a second JAS AttrVec reappeared in state.rs"; exit 1
+fi
+if grep -nF 'Vec<(TupleKey, AttrVec)>' crates/core/src/hash_index.rs; then
+    echo "a bucket of (TupleKey, AttrVec) pairs reappeared in hash_index.rs"; exit 1
+fi
+
 # Sharded work borrows its slots through `parallel::for_each_slot`; that
 # file is the only one in the core crate allowed to say `unsafe`.
 echo "==> crates/core/src: unsafe only in parallel.rs"

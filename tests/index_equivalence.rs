@@ -175,16 +175,8 @@ proptest! {
                         &SequentialExecutor,
                     );
                     hash.flush();
-                    let live: Vec<(amri_core::TupleKey, AttrVec)> = hash
-                        .store
-                        .iter_jas()
-                        .map(|(k, v)| (k, *v))
-                        .collect();
-                    hash.store.index_mut().retarget(
-                        hash_patterns(i),
-                        live.iter().map(|(k, v)| (*k, v)),
-                        &mut CostReceipt::new(),
-                    );
+                    let (index, live) = hash.store.index_mut_with_jas();
+                    index.retarget(hash_patterns(i), live, &mut CostReceipt::new());
                 }
             }
         }

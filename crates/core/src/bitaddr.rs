@@ -1001,6 +1001,13 @@ impl BitAddressIndex {
         }
     }
 
+    /// Every entry's key and JAS values, shard-major in slab order.
+    pub fn iter_entries(&self) -> impl Iterator<Item = (TupleKey, &[AttrValue])> {
+        (self.shards.iter()).flat_map(|shard| {
+            (shard.heads.iter().enumerate()).map(move |(i, e)| (e.key, shard.jas(i)))
+        })
+    }
+
     /// Rebuild an index from a [`save`](Self::save)d section.
     ///
     /// # Errors

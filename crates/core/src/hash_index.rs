@@ -120,6 +120,17 @@ impl MultiHashIndex {
         self.subs.len()
     }
 
+    /// Sub-index `s`'s entries, bucket by bucket: each key and JAS values.
+    ///
+    /// # Panics
+    /// Panics if there is no sub-index `s`.
+    pub fn sub_entries(&self, s: usize) -> impl Iterator<Item = (TupleKey, &[AttrValue])> {
+        let stride = 1 + self.jas_width;
+        (self.subs[s].map.values())
+            .flat_map(move |bucket| bucket.chunks_exact(stride))
+            .map(|e| (TupleKey(e[0] as u32), &e[1..]))
+    }
+
     /// Pick the most suitable sub-index for a request (§I-A): the largest
     /// attribute set that is a subset of the request's — and no attributes
     /// outside it. Ties break toward the lower pattern mask.
@@ -197,9 +208,11 @@ impl MultiHashIndex {
     /// naming the field when the image is not one `save` wrote: a width
     /// above `MAX_JAS`, a count the remaining bytes cannot hold, an empty
     /// pattern or one with a bit outside the width, an empty bucket, an
-    /// entry JAS of the wrong width, or a sub-index that does not hold
-    /// exactly the module's tuple count. Only the store can vouch for the
-    /// tuple count of a module with no sub-index.
+    /// entry JAS of the wrong width, a sub-index that does not hold
+    /// exactly the module's tuple count, or an entry filed under a hash
+    /// key its values do not hash to (removal, which looks in that
+    /// bucket, would miss it). Only the store can vouch for the tuple
+    /// count of a module with no sub-index.
     pub fn restore(
         r: &mut crate::snapshot_io::SectionReader<'_>,
     ) -> Result<Self, crate::snapshot_io::SnapshotError> {
@@ -258,6 +271,18 @@ impl MultiHashIndex {
                 ));
             }
             subs.push(SubIndex { pattern, map });
+        }
+        // Removal looks an entry up under the hash key of its values.
+        for (s, sub) in subs.iter().enumerate() {
+            for (&k, bucket) in &sub.map {
+                let mut entries = bucket.chunks_exact(1 + jas_width);
+                if let Some(e) = entries.find(|e| sub.key_of(&e[1..]) != k) {
+                    return malformed(format!(
+                        "sub-index {s} files key {} under a hash key its values do not hash to",
+                        e[0]
+                    ));
+                }
+            }
         }
         Ok(MultiHashIndex {
             subs,
@@ -590,6 +615,11 @@ mod tests {
         refused(
             &image(3, 2, &[(0b001, &[(10, both)]), (0b011, &[(20, one)])]),
             "sub-index 1 holds 1 entries, module of 2 tuples",
+        );
+        // An entry filed under a hash key its values do not hash to.
+        refused(
+            &image(3, 1, &[(0b001, &[(10, &[(1, &[1, 2, 3])])])]),
+            "sub-index 0 files key 1 under a hash key",
         );
         // A truncated image is the reader's own typed error.
         assert!(restore(&good[..good.len() - 3]).is_err());

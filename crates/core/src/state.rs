@@ -16,8 +16,8 @@ use crate::tier::{
     BlockReadError, BlockWriteError, SpillEntry, SpillOutcome, SpillStats, SpillTier,
 };
 use amri_stream::{
-    AttrId, AttrValue, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime, WindowBuffer,
-    WindowSpec, MAX_ATTRS,
+    AttrId, AttrValue, AttrVec, BoundValues, SearchRequest, StreamId, Tuple, TupleId, VirtualTime,
+    WindowBuffer, WindowSpec, MAX_ATTRS,
 };
 
 /// Key of a stored tuple within its state's arena.
@@ -371,6 +371,27 @@ impl Arena {
         })
     }
 
+    /// Append the live slots whose JAS values agree with `bound` to
+    /// `hits`, in key order. The walk reads stride column `p` of the first
+    /// bound pair `(p, v)`, and only a row holding `v` there has its JAS
+    /// compared and then its head checked — a freed slot keeps its stale
+    /// values. Nothing bound takes every live slot by its head.
+    fn scan_into(&self, bound: &BoundValues<'_>, hits: &mut Vec<TupleKey>) {
+        let Some((p, v)) = bound.first() else {
+            hits.extend(
+                (self.heads.iter().enumerate())
+                    .filter(|(_, h)| h.at != Residence::Free)
+                    .map(|(i, _)| TupleKey(i as u32)),
+            );
+            return;
+        };
+        for (i, row) in self.values.chunks_exact(self.width()).enumerate() {
+            if row[p] == v && bound.matches(row) && self.heads[i].at != Residence::Free {
+                hits.push(TupleKey(i as u32));
+            }
+        }
+    }
+
     /// Live slots in key order, each with its JAS values.
     fn iter(&self) -> impl Iterator<Item = (TupleKey, &[AttrValue])> + Clone {
         self.heads
@@ -651,20 +672,15 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         }
     }
 
-    /// The arena-scan fallback: compare every live tuple against `req`.
+    /// The arena-scan fallback: every live tuple that matches `req`.
     fn scan_into(&self, req: &SearchRequest, hits: &mut Vec<TupleKey>, receipt: &mut CostReceipt) {
+        // The model's full scan materializes each stored tuple and then
+        // compares: twice the work of an in-bucket comparison over inline
+        // JAS values (§I-A's "complete scans" are what drown the
+        // few-index access modules). The walk itself reads less.
+        receipt.comparisons += 2 * self.arena.len as u64;
         hits.clear();
-        let bound = req.bound();
-        for (key, jas) in self.arena.iter() {
-            // A full scan materializes the stored tuple and then
-            // compares: twice the work of an in-bucket comparison
-            // over inline JAS values (§I-A's "complete scans" are
-            // what drown the few-index access modules).
-            receipt.comparisons += 2;
-            if bound.matches(jas) {
-                hits.push(key);
-            }
-        }
+        self.arena.scan_into(&req.bound(), hits);
     }
 
     /// The stored tuple for `key`, if live **and fully in RAM**, rebuilt
@@ -718,6 +734,34 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         impl Iterator<Item = (TupleKey, &[AttrValue])> + Clone,
     ) {
         (&mut self.index, self.arena.iter())
+    }
+
+    /// `Err` naming a key unless `entries` index every live tuple exactly
+    /// once, under the JAS values stored for it — what an index restored
+    /// beside this store must hold, since expiry unlinks a tuple by
+    /// exactly those values.
+    pub fn check_indexes<'a>(
+        &self,
+        entries: impl Iterator<Item = (TupleKey, &'a [AttrValue])>,
+    ) -> Result<(), String> {
+        let mut seen = vec![false; self.arena.heads.len()];
+        for (key, jas) in entries {
+            let k = key.0;
+            match self.jas_of(key) {
+                None => return Err(format!("indexes key {k}, which no live slot holds")),
+                Some(held) if held != jas => {
+                    return Err(format!(
+                        "indexes key {k} under values its slot does not hold"
+                    ))
+                }
+                _ if seen[k as usize] => return Err(format!("indexes key {k} twice")),
+                _ => seen[k as usize] = true,
+            }
+        }
+        match self.arena.iter().find(|(key, _)| !seen[key.0 as usize]) {
+            Some((key, _)) => Err(format!("does not index live key {}", key.0)),
+            None => Ok(()),
+        }
     }
 
     /// Bytes this state occupies in RAM: resident tuples at full cost
@@ -1971,6 +2015,199 @@ mod tests {
             twin.tuple(TupleKey(3)).unwrap().attrs.as_slice(),
             &[3, 13, 23, 33]
         );
+    }
+
+    /// What the column-filtered scan replaced: every live slot
+    /// `Arena::iter` yields, compared through `BoundValues::matches`, at
+    /// two comparisons a row.
+    fn reference_scan(
+        s: &StateStore<MultiHashIndex>,
+        req: &SearchRequest,
+    ) -> (Vec<TupleKey>, CostReceipt) {
+        let mut r = CostReceipt::new();
+        let bound = req.bound();
+        let hits = (s.arena.iter())
+            .inspect(|_| r.comparisons += 2)
+            .filter(|(_, jas)| bound.matches(jas))
+            .map(|(key, _)| key)
+            .collect();
+        (hits, r)
+    }
+
+    /// `s` scans every pattern of its JAS width over `values` exactly as
+    /// the reference does — the same hits in the same order, the same
+    /// receipt — and returns how many hits the patterns found in all.
+    fn scans_like_the_reference(s: &StateStore<MultiHashIndex>, values: &[u64]) -> usize {
+        let values = AttrVec::from_slice(&values[..s.jas_width()]).unwrap();
+        let mut found = 0;
+        for pattern in AccessPattern::all(s.jas_width()) {
+            let req = SearchRequest::new(pattern, values);
+            // A stale key in the buffer, which the scan must clear.
+            let (mut hits, mut r) = (vec![TupleKey(u32::MAX)], CostReceipt::new());
+            s.scan_into(&req, &mut hits, &mut r);
+            found += hits.len();
+            assert_eq!((hits, r), reference_scan(s, &req), "{pattern}");
+        }
+        found
+    }
+
+    /// Expiry frees a slot and leaves its values in the stride; a request
+    /// for exactly those values must not return the freed key, and is
+    /// charged for the live tuples only.
+    #[test]
+    fn a_freed_slot_whose_stale_values_match_is_not_scanned() {
+        let mut s = store();
+        let mut r = CostReceipt::new();
+        let gone = s.insert(mk_tuple(1, 0, &[4, 7, 9]), &mut r);
+        let kept = s.insert(mk_tuple(2, 5, &[4, 8, 1]), &mut r);
+        assert_eq!(expire(&mut s, 10, &mut r), 1);
+        assert_eq!(s.arena.jas(gone), &[4, 9], "the freed slot's values stay");
+        for (mask, hits) in [(0b11, vec![]), (0b01, vec![kept]), (0b10, vec![])] {
+            let req = SearchRequest::new(
+                AccessPattern::new(mask, 2),
+                AttrVec::from_slice(&[4, 9]).unwrap(),
+            );
+            let mut r = CostReceipt::new();
+            assert_eq!(search_vec(&mut s, &req, &mut r), hits, "mask {mask:#b}");
+            assert_eq!(r.comparisons, 2);
+        }
+        assert_eq!(scans_like_the_reference(&s, &[4, 9]), 2);
+    }
+
+    /// An arena restored from stubs alone has not learned its arity, so
+    /// its stride is the JAS width; the scan walks that stride and finds
+    /// what the source store finds.
+    #[test]
+    fn an_all_stub_restore_of_unknown_arity_scans_its_jas_stride() {
+        let mut s = spill_store("scan-stubs", crate::tier::IoFaultConfig::default());
+        let twin = all_spilled_twin(&mut s);
+        assert_eq!((twin.arena.arity, twin.arena.width()), (None, 2));
+        for values in [[1, 21], [2, 0], [0, 20], [5, 5]] {
+            scans_like_the_reference(&twin, &values);
+            for pattern in AccessPattern::all(2) {
+                let req = SearchRequest::new(pattern, AttrVec::from_slice(&values).unwrap());
+                assert_eq!(reference_scan(&twin, &req), reference_scan(&s, &req));
+            }
+        }
+        assert_eq!(scans_like_the_reference(&twin, &[1, 21]), 1 + 1 + 1 + 3);
+    }
+
+    /// A JAS narrower than the arity (attributes 0 and 2 of 3) puts the
+    /// other attribute last in the stride; the scan compares the JAS
+    /// columns only, even where that attribute holds the requested value.
+    #[test]
+    fn a_jas_narrower_than_the_arity_scans_its_jas_columns() {
+        let mut s = store();
+        let mut r = CostReceipt::new();
+        let a = s.insert(mk_tuple(1, 0, &[1, 5, 2]), &mut r);
+        let b = s.insert(mk_tuple(2, 0, &[5, 1, 5]), &mut r);
+        s.insert(mk_tuple(3, 0, &[2, 5, 1]), &mut r);
+        let req = SearchRequest::new(
+            AccessPattern::from_positions(&[1], 2).unwrap(),
+            AttrVec::from_slice(&[0, 5]).unwrap(),
+        );
+        assert_eq!(search_vec(&mut s, &req, &mut CostReceipt::new()), vec![b]);
+        let req = SearchRequest::new(
+            AccessPattern::full(2),
+            AttrVec::from_slice(&[1, 2]).unwrap(),
+        );
+        assert_eq!(search_vec(&mut s, &req, &mut CostReceipt::new()), vec![a]);
+        for values in [[1, 5], [5, 5], [2, 1], [5, 1]] {
+            scans_like_the_reference(&s, &values);
+        }
+    }
+
+    /// Drive a width-3 scan store — the JAS is attributes 2, 0 and 3 of
+    /// 4, with a tier — through `ops`, checking after each one that the
+    /// scan of every pattern over the op's values equals the reference.
+    /// Op codes: 0 and 1 insert the values, 2 advances time and expires,
+    /// 3 evicts, 4 spills, 5 heats a block and promotes the hottest.
+    /// Returns the scans' hits, and the freed slots and stubs the scans
+    /// ran beside, summed over the ops.
+    fn scan_run(ops: &[(u8, Vec<u64>)]) -> [usize; 3] {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static N: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "amri-state-scan-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        ));
+        let mut s = StateStore::new(
+            StreamId(0),
+            vec![AttrId(2), AttrId(0), AttrId(3)],
+            WindowSpec::secs(10),
+            MultiHashIndex::new(3, Vec::new()),
+        );
+        s.enable_spill(
+            SpillTier::create(&crate::tier::SpillConfig {
+                dir: dir.clone(),
+                file_name: "s0.blocks".into(),
+                profile: crate::cost::StorageProfile::default(),
+                faults: Default::default(),
+                seed: 11,
+                cache_bytes: 0,
+            })
+            .unwrap(),
+        );
+        let (mut r, mut now, mut id) = (CostReceipt::new(), 0, 0);
+        let mut seen = [0; 3];
+        for (op, v) in ops {
+            match op {
+                0 | 1 => {
+                    id += 1;
+                    s.insert(mk_tuple(id, now, v), &mut r);
+                }
+                2 => {
+                    now += 1 + v[0] * 4;
+                    expire(&mut s, now, &mut r);
+                }
+                3 => {
+                    evict(&mut s, v[0] as usize, &mut r);
+                }
+                4 => {
+                    s.spill_oldest(1 + v[0] as usize, &mut r).unwrap();
+                }
+                _ => {
+                    let key = s.iter_jas().nth(v[0] as usize).map(|(key, _)| key);
+                    if let Some(key) = key {
+                        let _ = materialize_one(&mut s, key, &mut r);
+                    }
+                    s.promote_hottest(0, &mut r);
+                }
+            }
+            seen[0] += scans_like_the_reference(&s, &v[..3]);
+            seen[1] += s.arena.free.len();
+            seen[2] += s.spilled_len();
+        }
+        let _ = std::fs::remove_dir_all(dir);
+        seen
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// Through any sequence of inserts, expiries, evictions, spills
+        /// and promotions, the scan of every width-3 pattern — the empty
+        /// one included — returns the reference's hits and receipt. Values
+        /// come from a three-value domain, so freed slots' stale values,
+        /// spilled stubs and the non-JAS attribute all collide with
+        /// requests.
+        #[test]
+        fn the_scan_equals_the_reference_scan(
+            ops in proptest::collection::vec((0u8..6, proptest::collection::vec(0u64..3, 4)), 1..60),
+        ) {
+            scan_run(&ops);
+        }
+    }
+
+    /// The fuzzer's driver reaches what it claims to cover: scans that
+    /// hit, beside freed slots and beside spilled stubs.
+    #[test]
+    fn the_scan_run_reaches_hits_freed_slots_and_stubs() {
+        let ops: Vec<(u8, Vec<u64>)> = (0..40u64)
+            .map(|i| ((i * 7 % 6) as u8, vec![i % 3, i * 5 % 3, i / 3 % 3, i % 2]))
+            .collect();
+        let [hits, freed, stubs] = scan_run(&ops);
+        assert!(hits > 0 && freed > 0 && stubs > 0, "{hits} {freed} {stubs}");
     }
 
     #[test]

@@ -392,7 +392,12 @@ impl JoinState {
     /// not the live count of the store restored just before it (one that
     /// counts more underflows at the next expiry, one that counts fewer
     /// misses tuples); for one with no index when the state has one, or
-    /// the reverse; and for a tuner present in only one of the two.
+    /// the reverse; for an index — the bit-address index, or any hash
+    /// sub-index — that does not hold each live tuple of that store once
+    /// under the JAS values the store holds for it (expiry would miss the
+    /// entry, and once the slot is reused a probe for the stale values
+    /// would return the new tuple); and for a tuner present in only one
+    /// of the two.
     pub fn restore_from(
         &mut self,
         r: &mut amri_core::snapshot_io::SectionReader<'_>,
@@ -403,7 +408,11 @@ impl JoinState {
         match (self, tag.as_str()) {
             (JoinState::Amri { store, tuner }, "amri") => {
                 store.restore_state(r)?;
-                *store.index_mut() = BitAddressIndex::restore(r)?;
+                let index = BitAddressIndex::restore(r)?;
+                if let Err(why) = store.check_indexes(index.iter_entries()) {
+                    return malformed(format!("bit-address index {why}"));
+                }
+                *store.index_mut() = index;
                 tuner.restore_from(r)
             }
             (JoinState::MultiHash { store, tuner }, "multi-hash") => {
@@ -420,6 +429,11 @@ impl JoinState {
                     return malformed(format!(
                         "multi-hash image holds {saved} indices, the state {fresh}"
                     ));
+                }
+                for s in 0..saved {
+                    if let Err(why) = store.check_indexes(index.sub_entries(s)) {
+                        return malformed(format!("multi-hash sub-index {s} {why}"));
+                    }
                 }
                 *store.index_mut() = index;
                 match (tuner, r.get_bool()?) {
@@ -938,11 +952,85 @@ mod tests {
         w.into_bytes()
     }
 
-    /// A restored hash index — with sub-indices or none — must count the
-    /// live tuples of the store restored just before it. An image whose
-    /// index counts more (the next expiry would underflow) or fewer is
-    /// refused with `Malformed` naming both counts, and a good image still
-    /// restores — and expires — afterwards.
+    /// `state` holding three tuples, `[i, 1, 2]` at `i` s in slot `i`.
+    fn three_of(mut state: JoinState) -> JoinState {
+        let mut r = CostReceipt::new();
+        for i in 0..3 {
+            state.insert(tuple(i, i, &[i, 1, 2]), &mut r);
+        }
+        state
+    }
+
+    /// A section of `state`'s flavor holding its store, then the index
+    /// section `index`, then (AMRI) its tuner or (hash) no tuner.
+    fn with_index(state: &JoinState, index: &[u8]) -> Vec<u8> {
+        let (mut head, mut tail) = (SectionWriter::new(), SectionWriter::new());
+        match state {
+            JoinState::Amri { store, tuner } => {
+                head.put_str("amri");
+                store.save_state(&mut head);
+                tuner.save(&mut tail);
+            }
+            JoinState::MultiHash { store, .. } => {
+                head.put_str("multi-hash");
+                store.save_state(&mut head);
+                tail.put_bool(false);
+            }
+        }
+        [head.into_bytes(), index.to_vec(), tail.into_bytes()].concat()
+    }
+
+    /// The section of an index of `state`'s configuration holding
+    /// `entries`, each linked through the index's own insert.
+    fn index_holding(state: &JoinState, entries: &[(u32, [u64; 3])]) -> Vec<u8> {
+        let (mut w, mut r) = (SectionWriter::new(), CostReceipt::new());
+        match state {
+            JoinState::Amri { store, .. } => {
+                let mut index = BitAddressIndex::new(store.index().config().clone());
+                for (key, jas) in entries {
+                    index.insert(TupleKey(*key), jas, &mut r);
+                }
+                index.save(&mut w);
+            }
+            JoinState::MultiHash { store, .. } => {
+                let mut index = MultiHashIndex::new(3, store.index().patterns());
+                for (key, jas) in entries {
+                    index.insert(TupleKey(*key), jas, &mut r);
+                }
+                index.save(&mut w);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// `index` with the hash key of its first sub-index's first bucket
+    /// changed, so that bucket's entries are filed where their values do
+    /// not hash.
+    fn misfiled(index: &[u8]) -> Vec<u8> {
+        let mut head = SectionWriter::new();
+        head.put_str("MULTIHASH");
+        (0..3).for_each(|_| head.put_usize(0)); // width, tuples, sub-indices
+        head.put_u32(0); // the first sub-index's mask
+        head.put_usize(0); // its bucket count
+        let at = head.len();
+        let mut bytes = index.to_vec();
+        bytes[at] ^= 1;
+        bytes
+    }
+
+    /// A restored index must index exactly the store restored before it:
+    /// each live tuple once — once per hash sub-index — under the JAS
+    /// values the store holds for it, and nothing else.
+    ///
+    /// A hash index — with sub-indices or none — that counts more tuples
+    /// than the store (the next expiry would underflow) or fewer is
+    /// refused with `Malformed` naming both counts. Each other image below
+    /// breaks the rule one way, and is refused naming a key; until the
+    /// restore checked entries, every AMRI lie here, and the hash lies of
+    /// the right count, restored. The bit-address image carries no bucket
+    /// ids (restore derives them from the values), so only the hash module
+    /// can misfile an entry; its own restore refuses that. A good image
+    /// still restores — and expires — afterwards.
     #[test]
     fn restore_refuses_an_index_that_miscounts_its_store() {
         for indexed in [true, false] {
@@ -966,6 +1054,97 @@ mod tests {
             let mut r = CostReceipt::new();
             assert_eq!(state.expire(VirtualTime::from_secs(100), &mut r), 2);
         }
+        let honest: [(u32, [u64; 3]); 3] = [(0, [0, 1, 2]), (1, [1, 1, 2]), (2, [2, 1, 2])];
+        let fewer = &honest[..2];
+        let foreign = [honest[0], honest[1], (7, [2, 1, 2])];
+        let changed = [honest[0], (1, [1, 1, 9]), honest[2]];
+        let fresh = [|| amri(AssessorKind::Sria), || hash_state(true)];
+        for fresh in fresh {
+            let state = three_of(fresh());
+            let hash = matches!(state, JoinState::MultiHash { .. });
+            let mut lies = vec![
+                (
+                    "a count that differs",
+                    index_holding(&state, fewer),
+                    if hash {
+                        "multi-hash index counts 2 tuples, its store holds 3"
+                    } else {
+                        "bit-address index does not index live key 2"
+                    },
+                ),
+                (
+                    "a foreign key",
+                    index_holding(&state, &foreign),
+                    "indexes key 7, which no live slot holds",
+                ),
+                (
+                    "a changed value",
+                    index_holding(&state, &changed),
+                    "indexes key 1 under values its slot does not hold",
+                ),
+            ];
+            if hash {
+                lies.push((
+                    "a misfiled entry",
+                    misfiled(&index_holding(&state, &honest)),
+                    "under a hash key its values do not hash to",
+                ));
+            }
+            for (what, index, why) in lies {
+                let image = with_index(&state, &index);
+                match fresh().restore_from(&mut SectionReader::new(&image)) {
+                    Err(SnapshotError::Malformed(got)) => {
+                        assert!(got.contains(why), "{} {what}: {got}", state.kind())
+                    }
+                    other => panic!("{} {what}: expected Malformed, got {other:?}", state.kind()),
+                }
+            }
+            let mut back = fresh();
+            back.restore_from(&mut SectionReader::new(&with_index(
+                &state,
+                &index_holding(&state, &honest),
+            )))
+            .unwrap();
+            let mut r = CostReceipt::new();
+            assert_eq!(back.expire(VirtualTime::from_secs(100), &mut r), 3);
+        }
+    }
+
+    /// What the AMRI image with a changed value did once restored: expiry
+    /// unlinks key 1 by its stored values, misses the entry filed under
+    /// the stale ones, and once slot 1 is reused, a probe for the stale
+    /// values returns the new tuple, which does not hold them.
+    #[test]
+    fn an_unchecked_index_returns_a_reused_slot_for_stale_values() {
+        let state = three_of(amri(AssessorKind::Sria));
+        let changed = [(0, [0, 1, 2]), (1, [1, 1, 9]), (2, [2, 1, 2])];
+        let image = with_index(&state, &index_holding(&state, &changed));
+        // The restore without the check: the store, then the index as is.
+        let mut lied = amri(AssessorKind::Sria);
+        let JoinState::Amri { store, .. } = &mut lied else {
+            unreachable!()
+        };
+        let mut rd = SectionReader::new(&image);
+        assert_eq!(rd.get_str().unwrap(), "amri");
+        store.restore_state(&mut rd).unwrap();
+        *store.index_mut() = BitAddressIndex::restore(&mut rd).unwrap();
+        let mut r = CostReceipt::new();
+        assert_eq!(lied.expire(VirtualTime::from_secs(31), &mut r), 2);
+        let reused = lied.insert(tuple(9, 31, &[5, 5, 5]), &mut r);
+        assert_eq!(reused, TupleKey(1));
+        assert_eq!(
+            search(&mut lied, &req(0b111, &[1, 1, 9]), &mut r),
+            vec![reused]
+        );
+        assert_eq!(
+            lied.store().tuple(reused).unwrap().attrs.as_slice(),
+            &[5, 5, 5]
+        );
+        // The checked restore refuses the image.
+        assert!(matches!(
+            amri(AssessorKind::Sria).restore_from(&mut SectionReader::new(&image)),
+            Err(SnapshotError::Malformed(_))
+        ));
     }
 
     /// A no-index image restored into an indexed hash state would leave it

@@ -368,6 +368,14 @@ pub struct BoundValues<'a> {
 }
 
 impl BoundValues<'_> {
+    /// The lowest bound `(position, value)` pair; `None` when nothing is
+    /// bound.
+    #[inline]
+    pub fn first(&self) -> Option<(usize, AttrValue)> {
+        let i = (self.positions & 0xFF) as usize;
+        (self.len > 0).then(|| (i, self.values[i]))
+    }
+
     /// True iff the JAS-aligned `jas_values` agree with every bound pair;
     /// the compare stops at the first mismatch.
     #[inline]
@@ -551,6 +559,8 @@ mod tests {
                 for pattern in AccessPattern::all(width) {
                     let request = SearchRequest::new(pattern, values);
                     let bound = request.bound();
+                    let first = pattern.positions().next().map(|i| (i, probe[i]));
+                    prop_assert_eq!(bound.first(), first, "{}", pattern);
                     for row in &rows {
                         let row = &row[..width];
                         prop_assert_eq!(bound.matches(row), request.matches(row),

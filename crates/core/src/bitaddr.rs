@@ -53,10 +53,11 @@
 //! looks for its key, and a directory doubling relinks without recounting.
 //!
 //! Hits are sorted into key order before anything reads them, so **chain
-//! order is unobservable**: receipts and hit sets depend only on which
-//! entries are stored, never on the order they were linked. That is what
-//! lets a directory doubling, a migration and a snapshot restore all relink
-//! in slab order.
+//! and slab order are unobservable**: receipts and hit sets depend only on
+//! which entries are stored, never on the order they were linked. That is
+//! what lets a directory doubling and a migration relink in slab order, and
+//! a snapshot carry no index at all: a restore rebuilds it from the stored
+//! tuples in key order ([`BitAddressIndex::rebuild`]).
 //!
 //! * **Wide wildcard searches** walk the head slab linearly and test each
 //!   cached bucket id against the probe plan's mask, and each tag of an
@@ -64,8 +65,7 @@
 //! * **migration** rebuilds in place: one contiguous pass re-derives every
 //!   entry's bucket id from the value stride, then the chains are relinked
 //!   through the existing slab — zero per-entry allocation. Tags depend on
-//!   the values alone, so a migration keeps them; a snapshot does not save
-//!   them, and a restore derives them with the bucket ids.
+//!   the values alone, so a migration keeps them.
 //!
 //! Removal keeps slab and stride dense via `swap_remove` plus a fixup of the
 //! moved entry's links, so the linear-walk invariant never degrades.
@@ -978,94 +978,26 @@ impl BitAddressIndex {
         receipt.bucket_probes += 1;
     }
 
-    /// Serialize what the index *stores*: the (possibly tuned) active
-    /// configuration and each shard's entries — key and JAS values — in
-    /// slab order. Bucket ids, value tags, chain links, the directory and
-    /// the distinct-id count are all derived from those on restore; chain
-    /// order is unobservable (see the module docs), and keeping slab
-    /// order makes restore → save reproduce the image byte for byte.
-    pub fn save(&self, w: &mut crate::snapshot_io::SectionWriter) {
-        w.put_str("BITADDR");
-        let bits = self.config.bits();
-        w.put_usize(bits.len());
-        for &b in bits {
-            w.put_u8(b);
-        }
-        w.put_u32(self.shard_bits);
-        for shard in &self.shards {
-            w.put_usize(shard.heads.len());
-            for (i, e) in shard.heads.iter().enumerate() {
-                w.put_u32(e.key.0);
-                w.put_attrs(shard.jas(i));
-            }
-        }
-    }
-
-    /// Every entry's key and JAS values, shard-major in slab order.
-    pub fn iter_entries(&self) -> impl Iterator<Item = (TupleKey, &[AttrValue])> {
-        (self.shards.iter()).flat_map(|shard| {
-            (shard.heads.iter().enumerate()).map(move |(i, e)| (e.key, shard.jas(i)))
-        })
-    }
-
-    /// Rebuild an index from a [`save`](Self::save)d section.
+    /// Replace the index with an empty one under `config`, at this
+    /// index's shard count, holding each of `live` — the `(key, JAS)` of
+    /// every stored tuple. A snapshot restore rebuilds the index this way
+    /// from the restored store and the tuner's endorsed configuration, so
+    /// no image carries it; chain order is unobservable (see the module
+    /// docs). Charges nothing.
     ///
-    /// # Errors
-    /// [`SnapshotError::Malformed`](crate::snapshot_io::SnapshotError)
-    /// naming the field when the image is not one `save` wrote: a count
-    /// the remaining bytes cannot hold, a JAS of the wrong width, a key
-    /// stored twice, an entry in a shard its bucket does not route to.
-    pub fn restore(
-        r: &mut crate::snapshot_io::SectionReader<'_>,
-    ) -> Result<Self, crate::snapshot_io::SnapshotError> {
-        use crate::snapshot_io::SnapshotError;
-        let malformed = |what: String| Err(SnapshotError::Malformed(what));
-        crate::snapshot_io::expect_tag(r, "BITADDR")?;
-        // Every count is checked against the bytes left before it sizes a
-        // vector or bounds a loop: one byte per bit count, eight per
-        // shard's entry count, a key, a length byte and `width` values per
-        // entry.
-        let width = r.get_count(1, "index config width")?;
-        let bits = (0..width)
-            .map(|_| r.get_u8())
-            .collect::<Result<Vec<_>, _>>()?;
-        let config = IndexConfig::new(bits)
-            .map_err(|e| SnapshotError::Malformed(format!("index config: {e}")))?;
-        let shard_bits = r.get_u32()?;
-        if shard_bits > 16 || (8usize << shard_bits) > r.remaining() {
-            return malformed(format!("shard bits {shard_bits} out of range"));
+    /// # Panics
+    /// Panics if a JAS is not as wide as `config`.
+    pub fn rebuild<'a>(
+        &mut self,
+        config: IndexConfig,
+        live: impl Iterator<Item = (TupleKey, &'a [AttrValue])>,
+    ) {
+        *self = Self::with_shards(config, self.shard_count());
+        for (key, jas) in live {
+            let (bucket, tag) = self.config.bucket_and_tag(jas);
+            let s = self.shard_of(bucket);
+            self.shards[s].insert(key, bucket, tag, jas);
         }
-        let mut idx = BitAddressIndex::with_shards(config, 1 << shard_bits);
-        let entry_bytes = 4 + 1 + 8 * width;
-        let mut keys = Vec::new();
-        for s in 0..idx.shards.len() {
-            let n = r.get_count(entry_bytes, &format!("shard {s} entry count"))?;
-            for _ in 0..n {
-                let key = TupleKey(r.get_u32()?);
-                let jas = r.get_attrs()?;
-                if jas.len() != width {
-                    return malformed(format!(
-                        "entry {} JAS of width {}, index of width {width}",
-                        key.0,
-                        jas.len()
-                    ));
-                }
-                let (bucket, tag) = idx.config.bucket_and_tag(&jas);
-                if idx.shard_of(bucket) != s {
-                    return malformed(format!(
-                        "entry {} stored in shard {s}, bucket {bucket:#x} routes elsewhere",
-                        key.0
-                    ));
-                }
-                idx.shards[s].insert(key, bucket, tag, &jas);
-                keys.push(key);
-            }
-        }
-        keys.sort_unstable();
-        if let Some(dup) = keys.windows(2).find(|w| w[0] == w[1]) {
-            return malformed(format!("key {} indexed twice", dup[0].0));
-        }
-        Ok(idx)
     }
 }
 
@@ -1656,14 +1588,15 @@ mod tests {
     proptest! {
         /// The index against a `BTreeMap` model under every operation that
         /// reshapes it — insert, remove (present and absent keys),
-        /// migration, re-sharding, save → restore — at 1, 2 and 4 shards,
+        /// migration, re-sharding, a rebuild from the stored `(key, JAS)`
+        /// pairs in key order (what a snapshot restore does) — at 1, 2
+        /// and 4 shards,
         /// starting from the one-bucket (zero-bit) configuration or an
         /// arbitrary one. After every step a probe returns the model's
         /// hits in key order with the model's receipt (`hash_ops`,
         /// `comparisons` = entries in candidate buckets, `bucket_probes` =
         /// min(candidates, occupied)), `occupied_buckets`, `memory_bytes`
-        /// and `entries` equal the model's, and the structure is sound;
-        /// a restored index saves to the bytes it was restored from.
+        /// and `entries` equal the model's, and the structure is sound.
         #[test]
         fn index_matches_a_bucket_map_model_under_every_reshaping(
             start_trivial in proptest::bool::ANY,
@@ -1677,7 +1610,6 @@ mod tests {
                 1..60,
             ),
         ) {
-            use crate::snapshot_io::{SectionReader, SectionWriter};
             let config = if start_trivial {
                 IndexConfig::trivial(3)
             } else {
@@ -1712,15 +1644,8 @@ mod tests {
                     }
                     10 => idx.set_shard_count(1 << (pick % 3)),
                     _ => {
-                        let mut w = SectionWriter::new();
-                        idx.save(&mut w);
-                        let image = w.into_bytes();
-                        let mut reader = SectionReader::new(&image);
-                        idx = BitAddressIndex::restore(&mut reader).unwrap();
-                        prop_assert_eq!(reader.remaining(), 0);
-                        let mut again = SectionWriter::new();
-                        idx.save(&mut again);
-                        prop_assert_eq!(again.into_bytes(), image, "restore → save moved bytes");
+                        let config = idx.config().clone();
+                        idx.rebuild(config, model.iter().map(|(&k, v)| (k, v.as_slice())));
                     }
                 }
                 if let Err(why) = idx.check_integrity() {
@@ -1823,140 +1748,6 @@ mod tests {
                 prop_assert_eq!(got, want, "{}", pattern);
             }
         }
-
-        /// Tags are derived state: save → restore reproduces every probe's
-        /// hits and receipt, and restore → save reproduces the image.
-        #[test]
-        fn a_restored_index_answers_every_probe_as_the_saved_one(
-            width in 1usize..=6,
-            bits in proptest::collection::vec(0u8..4, 6),
-            rows in proptest::collection::vec(proptest::collection::vec(0u64..8, 6), 1..60),
-            probes in proptest::collection::vec(0usize..60, 1..4),
-            shard_bits in 0u32..3,
-        ) {
-            use crate::snapshot_io::{SectionReader, SectionWriter};
-            let config = IndexConfig::new(bits[..width].to_vec()).unwrap();
-            let mut idx = BitAddressIndex::with_shards(config, 1 << shard_bits);
-            let mut r = CostReceipt::new();
-            for (i, row) in rows.iter().enumerate() {
-                idx.insert(TupleKey(i as u32), &jas(&row[..width]), &mut r);
-            }
-            let mut w = SectionWriter::new();
-            idx.save(&mut w);
-            let image = w.into_bytes();
-            let restored = BitAddressIndex::restore(&mut SectionReader::new(&image)).unwrap();
-            restored.check_integrity().unwrap();
-            for p in probes {
-                let probe = &rows[p % rows.len()][..width];
-                for pattern in AccessPattern::all(width) {
-                    let request = SearchRequest::new(pattern, jas(probe));
-                    let (mut before, mut after) = (CostReceipt::new(), CostReceipt::new());
-                    prop_assert_eq!(
-                        search(&idx, &request, &mut before),
-                        search(&restored, &request, &mut after)
-                    );
-                    prop_assert_eq!(before, after, "{}", pattern);
-                }
-            }
-            let mut again = SectionWriter::new();
-            restored.save(&mut again);
-            prop_assert_eq!(again.into_bytes(), image);
-        }
-    }
-
-    /// A `BITADDR` image: `bits`, `shard_bits`, then per shard its
-    /// `(key, jas)` entries — hand-built so it can lie.
-    fn image(bits: &[u8], shard_bits: u32, shards: &[&[(u32, &[u64])]]) -> Vec<u8> {
-        let mut w = crate::snapshot_io::SectionWriter::new();
-        w.put_str("BITADDR");
-        w.put_usize(bits.len());
-        bits.iter().for_each(|&b| w.put_u8(b));
-        w.put_u32(shard_bits);
-        for entries in shards {
-            w.put_usize(entries.len());
-            for (key, vals) in *entries {
-                w.put_u32(*key);
-                w.put_attrs(vals);
-            }
-        }
-        w.into_bytes()
-    }
-
-    fn restore_image(image: &[u8]) -> Result<BitAddressIndex, crate::snapshot_io::SnapshotError> {
-        BitAddressIndex::restore(&mut crate::snapshot_io::SectionReader::new(image))
-    }
-
-    /// Every way an image can lie about itself ends in `Malformed` naming
-    /// the field — never a capacity-overflow panic, an allocator abort or
-    /// an out-of-bounds index — and a good image still restores afterwards.
-    #[test]
-    fn restore_refuses_an_image_that_lies() {
-        use crate::snapshot_io::{SectionWriter, SnapshotError};
-        let good = image(&[2, 2, 2], 0, &[&[(1, &[1, 2, 3]), (2, &[4, 5, 6])]]);
-        let refused = |image: &[u8], field: &str| match restore_image(image) {
-            Err(SnapshotError::Malformed(why)) => {
-                assert!(why.contains(field), "{why:?} does not name {field:?}")
-            }
-            other => panic!("expected Malformed({field}), got {other:?}"),
-        };
-
-        // A bit-vector length no image could hold.
-        let mut w = SectionWriter::new();
-        w.put_str("BITADDR");
-        w.put_usize(usize::MAX);
-        refused(&w.into_bytes(), "index config");
-        // A shard count the remaining bytes cannot list.
-        let mut w = SectionWriter::new();
-        w.put_str("BITADDR");
-        w.put_usize(1);
-        w.put_u8(4);
-        w.put_u32(16);
-        refused(&w.into_bytes(), "shard bits");
-        // An entry count the remaining bytes cannot hold.
-        let mut lying = image(&[2, 2, 2], 0, &[&[]]);
-        let count_at = lying.len() - 8;
-        lying[count_at..].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        refused(&lying, "entry count");
-        // A JAS narrower than the configuration (it would misalign the
-        // stride and index past the slice in `bucket_of`), its missing
-        // word made up by a wider one so the byte count adds up.
-        refused(
-            &image(&[2, 2, 2], 0, &[&[(1, &[1, 2]), (2, &[4, 5, 6, 7])]]),
-            "JAS of width 2",
-        );
-        // The same key indexed twice, in one shard and across two.
-        refused(
-            &image(&[2, 2, 2], 0, &[&[(7, &[1, 2, 3]), (7, &[4, 5, 6])]]),
-            "key 7 indexed twice",
-        );
-        let config = IndexConfig::new(vec![2, 2, 2]).unwrap();
-        let home = |vals: &[u64]| shard_index(config.bucket_of(vals), 1, 6);
-        let (a, b): (&[u64], &[u64]) = (&[1, 2, 3], &[4, 5, 6]);
-        let mut lanes: [Vec<(u32, &[u64])>; 2] = Default::default();
-        lanes[home(a)].push((7, a));
-        lanes[home(b)].push((7, b));
-        refused(
-            &image(&[2, 2, 2], 1, &[&lanes[0], &lanes[1]]),
-            "key 7 indexed twice",
-        );
-        // An entry listed under a shard its bucket does not route to.
-        let mut lanes: [Vec<(u32, &[u64])>; 2] = Default::default();
-        lanes[1 - home(a)].push((1, a));
-        refused(
-            &image(&[2, 2, 2], 1, &[&lanes[0], &lanes[1]]),
-            "routes elsewhere",
-        );
-        // A truncated image is the reader's own typed error.
-        assert!(restore_image(&good[..good.len() - 3]).is_err());
-
-        let idx = restore_image(&good).unwrap();
-        assert_eq!(idx.entries(), 2);
-        idx.check_integrity().unwrap();
-        let mut r = CostReceipt::new();
-        assert_eq!(
-            search(&idx, &req(0b111, 3, &[4, 5, 6]), &mut r),
-            Some(vec![TupleKey(2)])
-        );
     }
 
     fn populated_sharded(config: IndexConfig, shards: usize, n: u64) -> BitAddressIndex {

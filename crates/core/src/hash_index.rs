@@ -19,8 +19,8 @@
 use crate::cost::CostReceipt;
 use crate::layout;
 use crate::parallel::ShardExecutor;
-use crate::state::{SearchScratch, StateIndex, TupleKey};
-use amri_stream::{fx_hash_u64, AccessPattern, AttrValue, FxHashMap, SearchRequest, MAX_JAS};
+use crate::state::{SearchScratch, StateIndex, StateStore, TupleKey};
+use amri_stream::{fx_hash_u64, AccessPattern, AttrValue, FxHashMap, FxHashSet, SearchRequest};
 
 /// One hash sub-index over a fixed attribute combination.
 #[derive(Debug, Clone)]
@@ -120,17 +120,6 @@ impl MultiHashIndex {
         self.subs.len()
     }
 
-    /// Sub-index `s`'s entries, bucket by bucket: each key and JAS values.
-    ///
-    /// # Panics
-    /// Panics if there is no sub-index `s`.
-    pub fn sub_entries(&self, s: usize) -> impl Iterator<Item = (TupleKey, &[AttrValue])> {
-        let stride = 1 + self.jas_width;
-        (self.subs[s].map.values())
-            .flat_map(move |bucket| bucket.chunks_exact(stride))
-            .map(|e| (TupleKey(e[0] as u32), &e[1..]))
-    }
-
     /// Pick the most suitable sub-index for a request (§I-A): the largest
     /// attribute set that is a subset of the request's — and no attributes
     /// outside it. Ties break toward the lower pattern mask.
@@ -176,61 +165,48 @@ impl MultiHashIndex {
         self.subs = subs;
     }
 
-    /// Serialize the module: each sub-index's pattern plus its buckets
-    /// sorted by hash key, entries in stored order (search yields hits in
-    /// bucket order, so the order is part of the observable state).
+    /// Serialize the module's bucket order, which search yields hits in
+    /// and so is observable: per sub-index its mask, then its keys,
+    /// buckets in ascending hash-key order and each bucket's entries in
+    /// stored order. The JAS values and the tuple count are the store's,
+    /// and restore reads them there.
     pub fn save(&self, w: &mut crate::snapshot_io::SectionWriter) {
         w.put_str("MULTIHASH");
-        w.put_usize(self.jas_width);
-        w.put_usize(self.n_tuples);
         w.put_usize(self.subs.len());
         let stride = 1 + self.jas_width;
         for sub in &self.subs {
             w.put_u32(sub.pattern.mask());
             let mut buckets: Vec<(u64, &Vec<u64>)> = sub.map.iter().map(|(&k, v)| (k, v)).collect();
             buckets.sort_unstable_by_key(|&(k, _)| k);
-            w.put_usize(buckets.len());
-            for (k, entries) in buckets {
-                w.put_u64(k);
-                w.put_usize(entries.len() / stride);
-                for e in entries.chunks_exact(stride) {
-                    w.put_u32(e[0] as u32);
-                    w.put_attrs(&e[1..]);
-                }
+            for (_, entries) in buckets {
+                entries
+                    .chunks_exact(stride)
+                    .for_each(|e| w.put_u32(e[0] as u32));
             }
         }
     }
 
-    /// Rebuild a module from a [`save`](Self::save)d section.
+    /// Rebuild the module of `store` from a [`save`](Self::save)d section:
+    /// each sub-index links `store.len()` keys in saved order, each under
+    /// the JAS values the store holds for it.
     ///
     /// # Errors
     /// [`SnapshotError::Malformed`](crate::snapshot_io::SnapshotError)
-    /// naming the field when the image is not one `save` wrote: a width
-    /// above `MAX_JAS`, a count the remaining bytes cannot hold, an empty
-    /// pattern or one with a bit outside the width, an empty bucket, an
-    /// entry JAS of the wrong width, a sub-index that does not hold
-    /// exactly the module's tuple count, or an entry filed under a hash
-    /// key its values do not hash to (removal, which looks in that
-    /// bucket, would miss it). Only the store can vouch for the tuple
-    /// count of a module with no sub-index.
-    pub fn restore(
+    /// naming the field for a sub-index count the remaining bytes cannot
+    /// hold, an empty pattern or one with a bit outside the width, a key
+    /// that no live slot holds, or a key named twice in one sub-index.
+    pub fn restore<I: StateIndex + ?Sized>(
         r: &mut crate::snapshot_io::SectionReader<'_>,
+        store: &StateStore<I>,
     ) -> Result<Self, crate::snapshot_io::SnapshotError> {
         use crate::snapshot_io::SnapshotError;
         let malformed = |what: String| Err(SnapshotError::Malformed(what));
         crate::snapshot_io::expect_tag(r, "MULTIHASH")?;
-        let jas_width = r.get_usize()?;
-        if jas_width > MAX_JAS {
-            return malformed(format!("multi-hash JAS width {jas_width}"));
-        }
-        let n_tuples = r.get_usize()?;
-        // Every count is checked against the bytes left before it sizes a
-        // vector or bounds a loop: a mask and a bucket count per
-        // sub-index, a hash key and an entry count per bucket, a key, a
-        // length byte and `jas_width` values per entry.
-        let n_subs = r.get_count(4 + 8, "multi-hash sub-index count")?;
-        let entry_bytes = 4 + 1 + 8 * jas_width;
+        let (jas_width, n_tuples) = (store.jas_width(), store.len());
+        // A mask and a four-byte key per live tuple.
+        let n_subs = r.get_count(4 + 4 * n_tuples, "multi-hash sub-index count")?;
         let mut subs = Vec::with_capacity(n_subs);
+        let mut named = FxHashSet::default();
         for s in 0..n_subs {
             let mask = r.get_u32()?;
             if mask == 0 || mask >> jas_width != 0 {
@@ -238,51 +214,25 @@ impl MultiHashIndex {
                     "sub-index {s} pattern {mask:#b} over width {jas_width}"
                 ));
             }
-            let pattern = AccessPattern::new(mask, jas_width);
-            let n_buckets = r.get_count(8 + 8, &format!("sub-index {s} bucket count"))?;
-            let mut map = FxHashMap::default();
-            let mut held = 0usize;
-            for _ in 0..n_buckets {
-                let k = r.get_u64()?;
-                let n_entries =
-                    r.get_count(entry_bytes, &format!("sub-index {s} bucket entry count"))?;
-                if n_entries == 0 {
-                    return malformed(format!("sub-index {s} bucket entry count 0"));
-                }
-                let mut entries = Vec::with_capacity(n_entries * (1 + jas_width));
-                for _ in 0..n_entries {
-                    let key = r.get_u32()?;
-                    let jas = r.get_attrs()?;
-                    if jas.len() != jas_width {
-                        return malformed(format!(
-                            "sub-index {s} entry {key} JAS of width {}, module of width {jas_width}",
-                            jas.len()
-                        ));
-                    }
-                    entries.push(u64::from(key));
-                    entries.extend_from_slice(&jas);
-                }
-                held += n_entries;
-                map.insert(k, entries);
-            }
-            if held != n_tuples {
-                return malformed(format!(
-                    "sub-index {s} holds {held} entries, module of {n_tuples} tuples"
-                ));
-            }
-            subs.push(SubIndex { pattern, map });
-        }
-        // Removal looks an entry up under the hash key of its values.
-        for (s, sub) in subs.iter().enumerate() {
-            for (&k, bucket) in &sub.map {
-                let mut entries = bucket.chunks_exact(1 + jas_width);
-                if let Some(e) = entries.find(|e| sub.key_of(&e[1..]) != k) {
+            let mut sub = SubIndex {
+                pattern: AccessPattern::new(mask, jas_width),
+                map: FxHashMap::default(),
+            };
+            named.clear();
+            for _ in 0..n_tuples {
+                let key = TupleKey(r.get_u32()?);
+                let Some(jas) = store.jas_of(key) else {
                     return malformed(format!(
-                        "sub-index {s} files key {} under a hash key its values do not hash to",
-                        e[0]
+                        "sub-index {s} names key {}, which no live slot holds",
+                        key.0
                     ));
+                };
+                if !named.insert(key) {
+                    return malformed(format!("sub-index {s} names key {} twice", key.0));
                 }
+                sub.link(key, jas);
             }
+            subs.push(sub);
         }
         Ok(MultiHashIndex {
             subs,
@@ -523,121 +473,95 @@ mod tests {
         assert_eq!(got.len(), tuples.iter().filter(|(_, v)| v[1] == 1).count());
     }
 
-    /// One bucket of a hand-built image: its hash key and `(key, jas)`
-    /// entries.
-    type ImageBucket<'a> = (u64, &'a [(u32, &'a [u64])]);
-
-    /// A `MULTIHASH` image: width, tuple count, then per sub-index its
-    /// mask and buckets — hand-built so it can lie.
-    fn image(width: usize, n_tuples: usize, subs: &[(u32, &[ImageBucket<'_>])]) -> Vec<u8> {
+    /// A `MULTIHASH` image: per sub-index its mask and keys — hand-built
+    /// so it can lie.
+    fn image(subs: &[(u32, &[u32])]) -> Vec<u8> {
         let mut w = crate::snapshot_io::SectionWriter::new();
         w.put_str("MULTIHASH");
-        w.put_usize(width);
-        w.put_usize(n_tuples);
         w.put_usize(subs.len());
-        for (mask, buckets) in subs {
+        for (mask, keys) in subs {
             w.put_u32(*mask);
-            w.put_usize(buckets.len());
-            for (k, entries) in *buckets {
-                w.put_u64(*k);
-                w.put_usize(entries.len());
-                for (key, vals) in *entries {
-                    w.put_u32(*key);
-                    w.put_attrs(vals);
-                }
-            }
+            keys.iter().for_each(|&k| w.put_u32(k));
         }
         w.into_bytes()
     }
 
-    /// Every way an image can lie about itself ends in `Malformed` naming
-    /// the field — never an `AccessPattern` assertion, a capacity-overflow
-    /// panic or an allocator abort — and a good image still restores
-    /// afterwards.
+    /// Every way an image can still lie ends in `Malformed` naming the
+    /// field — never an `AccessPattern` assertion or an allocator abort —
+    /// and a good image restores every probe's hits, order and receipt.
     #[test]
     fn restore_refuses_an_image_that_lies() {
-        use crate::snapshot_io::{SectionReader, SnapshotError};
-        let restore = |image: &[u8]| MultiHashIndex::restore(&mut SectionReader::new(image));
+        use crate::snapshot_io::{SectionReader, SectionWriter, SnapshotError};
+        use amri_stream::{AttrId, StreamId, Tuple, TupleId, VirtualTime, WindowSpec};
+        let mut store = StateStore::new(
+            StreamId(0),
+            vec![AttrId(0), AttrId(1), AttrId(2)],
+            WindowSpec::secs(100),
+            MultiHashIndex::new(3, vec![ap(0b001), ap(0b011)]),
+        );
+        let mut r = CostReceipt::new();
+        for (i, vals) in [[1, 2, 3], [1, 5, 6], [1, 2, 9]].iter().enumerate() {
+            let ts = VirtualTime::from_secs(i as u64);
+            store.insert(
+                Tuple::new(TupleId(i as u64), StreamId(0), ts, jas(vals)),
+                &mut r,
+            );
+        }
+        let restore =
+            |image: &[u8]| MultiHashIndex::restore(&mut SectionReader::new(image), &store);
         let refused = |image: &[u8], field: &str| match restore(image) {
             Err(SnapshotError::Malformed(why)) => {
                 assert!(why.contains(field), "{why:?} does not name {field:?}")
             }
             other => panic!("expected Malformed({field}), got {other:?}"),
         };
-        let mut saved = MultiHashIndex::new(3, vec![ap(0b001), ap(0b011)]);
-        let mut r = CostReceipt::new();
-        saved.insert(TupleKey(1), &jas(&[1, 2, 3]), &mut r);
-        saved.insert(TupleKey(2), &jas(&[1, 5, 6]), &mut r);
-        let mut w = crate::snapshot_io::SectionWriter::new();
-        saved.save(&mut w);
+        let mut w = SectionWriter::new();
+        store.index().save(&mut w);
         let good = w.into_bytes();
 
-        // A width no access pattern can range over.
-        refused(&image(9, 0, &[(0b1, &[])]), "JAS width 9");
         // More sub-indices than the remaining bytes can list.
-        let mut lying = image(3, 0, &[]);
+        let mut lying = image(&[]);
         let count_at = lying.len() - 8;
         lying[count_at..].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
         refused(&lying, "sub-index count");
         // An empty pattern, and a mask bit outside the width.
-        refused(&image(3, 0, &[(0, &[])]), "pattern 0b0 over width 3");
+        refused(&image(&[(0, &[0, 1, 2])]), "pattern 0b0 over width 3");
         refused(
-            &image(3, 0, &[(0b1000, &[])]),
+            &image(&[(0b1000, &[0, 1, 2])]),
             "pattern 0b1000 over width 3",
         );
-        // A bucket count, and an entry count, the bytes left cannot hold.
-        let mut lying = image(3, 0, &[(0b001, &[])]);
-        let count_at = lying.len() - 8;
-        lying[count_at..].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        refused(&lying, "bucket count");
-        let mut lying = image(3, 0, &[(0b001, &[(10, &[])])]);
-        let count_at = lying.len() - 8;
-        lying[count_at..].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        refused(&lying, "bucket entry count");
-        // An empty bucket, which `save` never writes.
+        // A key that no live slot holds, and a key named twice.
         refused(
-            &image(3, 0, &[(0b001, &[(10, &[])])]),
-            "bucket entry count 0",
+            &image(&[(0b001, &[0, 1, 7])]),
+            "names key 7, which no live slot",
         );
-        // An entry JAS narrower than the module, its missing word made up
-        // by a wider one so the byte count adds up.
         refused(
-            &image(
-                3,
-                2,
-                &[(0b001, &[(10, &[(1, &[1, 2]), (2, &[4, 5, 6, 7])])])],
-            ),
-            "entry 1 JAS of width 2",
+            &image(&[(0b001, &[0, 1, 1])]),
+            "sub-index 0 names key 1 twice",
         );
-        // A sub-index holding fewer entries than the module's tuple count.
-        let both: &[(u32, &[u64])] = &[(1, &[1, 2, 3]), (2, &[1, 5, 6])];
-        let one: &[(u32, &[u64])] = &[(1, &[1, 2, 3])];
-        refused(
-            &image(3, 2, &[(0b001, &[(10, both)]), (0b011, &[(20, one)])]),
-            "sub-index 1 holds 1 entries, module of 2 tuples",
-        );
-        // An entry filed under a hash key its values do not hash to.
-        refused(
-            &image(3, 1, &[(0b001, &[(10, &[(1, &[1, 2, 3])])])]),
-            "sub-index 0 files key 1 under a hash key",
-        );
-        // A truncated image is the reader's own typed error.
+        // A key list cut short leaves too few bytes for the sub-index
+        // count; a truncated image is the reader's own typed error.
+        refused(&image(&[(0b001, &[0, 1])]), "sub-index count 1 exceeds");
         assert!(restore(&good[..good.len() - 3]).is_err());
 
         let back = restore(&good).unwrap();
-        assert_eq!(back.entries(), saved.entries());
+        let saved = store.index();
+        assert_eq!((back.entries(), back.n_tuples()), (saved.entries(), 3));
         assert_eq!(back.patterns(), saved.patterns());
-        for request in [req(0b001, &[1, 0, 0]), req(0b011, &[1, 5, 0])] {
+        for request in [req(0b001, &[1, 0, 0]), req(0b011, &[1, 2, 0])] {
             let (mut r1, mut r2) = (CostReceipt::new(), CostReceipt::new());
             assert_eq!(
                 search(&back, &request, &mut r1),
-                search(&saved, &request, &mut r2)
+                search(saved, &request, &mut r2)
             );
             assert_eq!(r1, r2);
         }
-        // A module with no sub-index restores its tuple count unchecked.
-        let scan = restore(&image(3, 5, &[])).unwrap();
-        assert_eq!((scan.n_indices(), scan.n_tuples()), (0, 5));
+        let mut again = SectionWriter::new();
+        back.save(&mut again);
+        assert_eq!(again.into_bytes(), good);
+        // A module with no sub-index counts the store's tuples.
+        let scan = restore(&image(&[])).unwrap();
+        assert_eq!((scan.n_indices(), scan.n_tuples()), (0, 3));
     }
 
     proptest! {

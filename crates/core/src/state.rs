@@ -736,34 +736,6 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         (&mut self.index, self.arena.iter())
     }
 
-    /// `Err` naming a key unless `entries` index every live tuple exactly
-    /// once, under the JAS values stored for it — what an index restored
-    /// beside this store must hold, since expiry unlinks a tuple by
-    /// exactly those values.
-    pub fn check_indexes<'a>(
-        &self,
-        entries: impl Iterator<Item = (TupleKey, &'a [AttrValue])>,
-    ) -> Result<(), String> {
-        let mut seen = vec![false; self.arena.heads.len()];
-        for (key, jas) in entries {
-            let k = key.0;
-            match self.jas_of(key) {
-                None => return Err(format!("indexes key {k}, which no live slot holds")),
-                Some(held) if held != jas => {
-                    return Err(format!(
-                        "indexes key {k} under values its slot does not hold"
-                    ))
-                }
-                _ if seen[k as usize] => return Err(format!("indexes key {k} twice")),
-                _ => seen[k as usize] = true,
-            }
-        }
-        match self.arena.iter().find(|(key, _)| !seen[key.0 as usize]) {
-            Some((key, _)) => Err(format!("does not index live key {}", key.0)),
-            None => Ok(()),
-        }
-    }
-
     /// Bytes this state occupies in RAM: resident tuples at full cost
     /// (base + attrs + payload), spilled tuples at stub cost, plus the
     /// index, the window queue, and the tier's metadata table. Spilled
@@ -1082,8 +1054,11 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
 
     /// Serialize the stored contents — arena slots verbatim (holes and
     /// free-list order included, so restored [`TupleKey`]s and future slot
-    /// reuse match the original exactly) plus the window queue. The index
-    /// is saved separately by its concrete type; construction-time
+    /// reuse match the original exactly) plus the window queue. A resident
+    /// slot is its id, arrival time and attributes — its JAS values are
+    /// their projection — and a spilled stub its id, arrival time, JAS
+    /// values (their only copy in RAM) and block. The index is saved, or
+    /// rebuilt on restore, by its concrete type; construction-time
     /// configuration (stream, JAS, window spec, payload bytes) is not
     /// captured.
     pub fn save_state(&self, w: &mut crate::snapshot_io::SectionWriter) {
@@ -1094,13 +1069,10 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
             // Per-slot tag: 0 empty, 1 resident, 2 spilled stub.
             match head.at {
                 Residence::Resident => {
-                    let tuple = self.arena.tuple(key, self.stream).expect("a resident slot");
                     w.put_u8(1);
-                    w.put_u64(tuple.id.0);
-                    w.put_u16(tuple.stream.0);
-                    w.put_time(tuple.ts);
-                    w.put_attrs(&tuple.attrs);
-                    w.put_attrs(self.arena.jas(key));
+                    w.put_u64(head.id.0);
+                    w.put_time(head.ts);
+                    self.arena.read(key, |_, attrs| w.put_attrs(attrs));
                 }
                 Residence::Spilled(block) => {
                     w.put_u8(2);
@@ -1133,9 +1105,9 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// # Errors
     /// [`SnapshotError::Malformed`](crate::snapshot_io::SnapshotError)
     /// naming the field, before the tier is touched, for an image whose
-    /// arena this state could not run on: a slot of another stream, JAS
-    /// values that are not this state's projection of the slot's
-    /// attributes, a free list that is not each empty slot once, a window
+    /// arena this state could not run on: a resident slot too narrow for
+    /// the JAS or of another arity than an earlier one, a stub of another
+    /// JAS width, a free list that is not each empty slot once, a window
     /// that is not each live slot once, or spilled stubs without a tier.
     pub fn restore_state(
         &mut self,
@@ -1151,30 +1123,16 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
             match r.get_u8()? {
                 1 => {
                     let id = TupleId(r.get_u64()?);
-                    let stream = StreamId(r.get_u16()?);
                     let ts = r.get_time()?;
                     let attrs = r.get_attrs()?;
-                    let jas_values = r.get_attrs()?;
-                    if stream != self.stream {
-                        return Err(SnapshotError::Malformed(format!(
-                            "arena slot {slot} holds a tuple of stream {}, the state's is {}",
-                            stream.0, self.stream.0
-                        )));
-                    }
-                    // Expiry unindexes a tuple under the bucket of these
-                    // values, so they must be what its entry was made from.
-                    let projected: Option<AttrVec> =
-                        self.jas().iter().map(|a| attrs.get(a.idx())).collect();
-                    if projected != Some(jas_values) {
-                        return Err(SnapshotError::Malformed(format!(
-                            "arena slot {slot}'s JAS values are not the projection of its attributes"
-                        )));
-                    }
                     if !arena.learn_arity(attrs.len()) {
                         return Err(SnapshotError::Malformed(format!(
-                            "arena slot {slot} holds {} attributes, an earlier slot {:?}",
+                            "arena slot {slot} holds {} attributes, {}",
                             attrs.len(),
-                            arena.arity
+                            match arena.arity {
+                                Some(arity) => format!("an earlier slot {arity}"),
+                                None => "too few for the JAS".into(),
+                            }
                         )));
                     }
                     arena.claim(SlotHead {
@@ -1748,11 +1706,7 @@ mod tests {
     /// One arena slot of a hand-built `STATE` image.
     enum Slot {
         Empty,
-        Resident {
-            stream: u16,
-            attrs: &'static [u64],
-            jas: &'static [u64],
-        },
+        Resident(&'static [u64]),
         Spilled(&'static [u64]),
     }
 
@@ -1765,19 +1719,17 @@ mod tests {
         for (i, slot) in slots.iter().enumerate() {
             match slot {
                 Slot::Empty => w.put_u8(0),
-                Slot::Resident { stream, attrs, jas } => {
+                Slot::Resident(attrs) => {
                     w.put_u8(1);
                     w.put_u64(i as u64);
-                    w.put_u16(*stream);
                     w.put_time(VirtualTime::from_secs(i as u64));
-                    w.put_attrs(&AttrVec::from_slice(attrs).unwrap());
-                    w.put_attrs(&AttrVec::from_slice(jas).unwrap());
+                    w.put_attrs(attrs);
                 }
                 Slot::Spilled(jas) => {
                     w.put_u8(2);
                     w.put_u64(i as u64);
                     w.put_time(VirtualTime::from_secs(i as u64));
-                    w.put_attrs(&AttrVec::from_slice(jas).unwrap());
+                    w.put_attrs(jas);
                     w.put_u32(0);
                 }
             }
@@ -1802,20 +1754,14 @@ mod tests {
     ///   occupant early, one named twice expires it twice, and a live
     ///   slot the window omits never expires or spills;
     /// * a spilled stub without a tier panics at its first probe hit;
-    /// * a slot of another stream joins as this one's;
-    /// * JAS values narrower than the JAS panic at expiry, and values that
-    ///   are not the attributes' projection unindex the wrong bucket, so
-    ///   the index keeps a key whose slot is later reused;
+    /// * a slot too narrow for the JAS has no JAS values to index, and
+    ///   JAS values narrower than the JAS panic at expiry;
     /// * a slot wider than the others does not fit the value stride.
     #[test]
     fn restore_refuses_an_arena_it_could_not_run_on() {
         use crate::snapshot_io::{SectionReader, SnapshotError};
-        const A: Slot = Slot::Resident {
-            stream: 0,
-            attrs: &[1, 9, 3],
-            jas: &[1, 3],
-        };
-        let lies: [(&str, Vec<u8>, &str); 9] = [
+        const A: Slot = Slot::Resident(&[1, 9, 3]);
+        let lies: [(&str, Vec<u8>, &str); 8] = [
             (
                 "a free slot named twice",
                 state_image(&[A, Slot::Empty, Slot::Empty, A], &[1, 1], &[0, 3]),
@@ -1842,50 +1788,18 @@ mod tests {
                 "no spill tier",
             ),
             (
-                "a slot of another stream",
-                state_image(
-                    &[Slot::Resident {
-                        stream: 1,
-                        attrs: &[1, 9, 3],
-                        jas: &[1, 3],
-                    }],
-                    &[],
-                    &[0],
-                ),
-                "stream 1",
-            ),
-            (
                 "a stub narrower than the JAS",
                 state_image(&[A, Slot::Spilled(&[4])], &[], &[0, 1]),
                 "holds 1 JAS values",
             ),
             (
-                "JAS values that are not the projection",
-                state_image(
-                    &[Slot::Resident {
-                        stream: 0,
-                        attrs: &[1, 9, 3],
-                        jas: &[1, 9],
-                    }],
-                    &[],
-                    &[0],
-                ),
-                "projection",
+                "a resident slot whose arity cannot hold the JAS",
+                state_image(&[Slot::Resident(&[1, 9])], &[], &[0]),
+                "holds 2 attributes, too few for the JAS",
             ),
             (
                 "slots of two arities",
-                state_image(
-                    &[
-                        A,
-                        Slot::Resident {
-                            stream: 0,
-                            attrs: &[1, 9, 3, 4],
-                            jas: &[1, 3],
-                        },
-                    ],
-                    &[],
-                    &[0, 1],
-                ),
+                state_image(&[A, Slot::Resident(&[1, 9, 3, 4])], &[], &[0, 1]),
                 "holds 4 attributes",
             ),
         ];
@@ -1929,7 +1843,7 @@ mod tests {
         let mut twin = spill_store("twin", crate::tier::IoFaultConfig::default());
         let mut rd = crate::snapshot_io::SectionReader::new(&bytes);
         twin.restore_state(&mut rd).unwrap();
-        *twin.index_mut() = MultiHashIndex::restore(&mut rd).unwrap();
+        *twin.index_mut() = MultiHashIndex::restore(&mut rd, &twin).unwrap();
         twin
     }
 

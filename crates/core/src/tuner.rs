@@ -507,11 +507,27 @@ impl Bandit {
                 last_price: r.get_f64()?,
             });
         }
+        let rng = r.get_u64()?;
+        // `settled` never produces more than these.
+        let most_cooldown = 1 << Self::MAX_BACKOFF_LEVEL;
+        let cooldown_windows = r.get_u32()?;
+        if cooldown_windows > most_cooldown {
+            return Err(SnapshotError::Malformed(format!(
+                "bandit cooldown_windows {cooldown_windows} above {most_cooldown}"
+            )));
+        }
+        let backoff_level = r.get_u32()?;
+        if backoff_level > Self::MAX_BACKOFF_LEVEL {
+            return Err(SnapshotError::Malformed(format!(
+                "bandit backoff_level {backoff_level} above {}",
+                Self::MAX_BACKOFF_LEVEL
+            )));
+        }
         Ok(Bandit {
             arms,
-            rng: r.get_u64()?,
-            cooldown_windows: r.get_u32()?,
-            backoff_level: r.get_u32()?,
+            rng,
+            cooldown_windows,
+            backoff_level,
             fallback: r.get_bool()?,
         })
     }
@@ -1449,6 +1465,43 @@ mod tests {
             Err(SnapshotError::Malformed(why)) => assert!(why.contains("arm count"), "{why}"),
             other => panic!("expected Malformed(arm count), got {:?}", other.err()),
         }
+    }
+
+    /// A backoff state `settled` never produces — a level past
+    /// `MAX_BACKOFF_LEVEL` (the next miss overflowed it) or a cooldown
+    /// past `1 << MAX_BACKOFF_LEVEL` windows (it blocked migration for
+    /// 2³² windows) — is `Malformed` naming the field; the largest of
+    /// each restores.
+    #[test]
+    fn bandit_restore_refuses_a_backoff_settled_never_produces() {
+        let image = |cooldown: u32, level: u32| {
+            let mut w = SectionWriter::new();
+            w.put_usize(1);
+            save_config(&mut w, &IndexConfig::even(3, 12).unwrap());
+            w.put_f64(0.0);
+            w.put_u64(7);
+            w.put_u32(cooldown);
+            w.put_u32(level);
+            w.put_bool(false);
+            w.into_bytes()
+        };
+        let max = Bandit::MAX_BACKOFF_LEVEL;
+        for (cooldown, level, field) in [
+            (0, u32::MAX, "backoff_level"),
+            (u32::MAX, 0, "cooldown_windows"),
+        ] {
+            match Bandit::restore(&mut SectionReader::new(&image(cooldown, level)), 3) {
+                Err(SnapshotError::Malformed(why)) => assert!(why.contains(field), "{why}"),
+                other => panic!("expected Malformed({field}), got {:?}", other.err()),
+            }
+        }
+        let mut bandit =
+            Bandit::restore(&mut SectionReader::new(&image(1 << max, max)), 3).unwrap();
+        bandit.settled(true);
+        assert_eq!(
+            (bandit.backoff_level, bandit.cooldown_windows),
+            (max, 1 << max)
+        );
     }
 
     /// The scripted stream of `decision_sequences_are_pinned`: three

@@ -581,12 +581,14 @@ mod tests {
                 words.into_iter().for_each(|x| w.put_u64(x));
             });
             let bytes = w.into_bytes();
-            let mut restored = JobQueue::load_jobs(&mut SectionReader::new(&bytes), |r| {
-                let n = r.get_usize()?;
-                let words = (0..n).map(|_| r.get_u64()).collect::<Result<Vec<_>, _>>()?;
-                Ok(Job::unpack(&words))
-            })
-            .unwrap();
+            let mut restored = JobQueue::with_batch_capacity(batch_capacity);
+            restored
+                .load_jobs(&mut SectionReader::new(&bytes), |r| {
+                    let n = r.get_usize()?;
+                    let words = (0..n).map(|_| r.get_u64()).collect::<Result<Vec<_>, _>>()?;
+                    Ok(Job::unpack(&words))
+                })
+                .unwrap();
             prop_assert_eq!(restored.iter().collect::<VecDeque<_>>(), oracle.clone());
             while let Some(want) = oracle.pop_front() {
                 prop_assert_eq!(q.pop(), Some(want));

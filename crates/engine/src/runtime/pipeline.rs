@@ -14,9 +14,7 @@ use crate::runtime::operators::{
 use crate::runtime::session::SessionStatus;
 use amri_core::assess::Assessor;
 use amri_stream::snapshot::{SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter};
-use amri_stream::{
-    AccessPattern, Clock, JobQueue, PartialTuple, StreamMask, VirtualClock, VirtualTime,
-};
+use amri_stream::{AccessPattern, Clock, PartialTuple, StreamMask, VirtualClock, VirtualTime};
 use serde::{Deserialize, Serialize};
 
 /// Everything a run produced: its answer, how it ended, and what it cost.
@@ -386,39 +384,36 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
 
         let schemas = &self.ctx.query.schemas;
         let n_streams = schemas.len();
-        self.ctx.backlog = JobQueue::load_jobs(&mut snap.section("backlog")?, |r| {
-            let covered = StreamMask(r.get_u16()?);
-            if covered.is_empty() || covered.streams().any(|s| s.idx() >= n_streams) {
-                return Err(SnapshotError::Malformed(format!(
-                    "backlog job covers streams {covered:?} outside this {n_streams}-way query"
-                )));
-            }
-            let min_ts = r.get_time()?;
-            let mut parts = Vec::with_capacity(covered.count() as usize);
-            for s in covered.streams() {
-                let part = r.get_attrs()?;
-                // The job's probes read every join attribute of each part.
-                let arity = schemas[s.idx()].arity();
-                if part.len() < arity {
-                    return Err(SnapshotError::Malformed(format!(
-                        "backlog job's part of stream {} has {} values, its schema {arity}",
-                        s.idx(),
-                        part.len()
-                    )));
-                }
-                parts.push(part);
-            }
-            Ok(Job {
-                pt: PartialTuple::from_parts(covered, min_ts, parts),
-                origin_ts: r.get_time()?,
-                enqueued: r.get_time()?,
-            })
-        })?;
-        // Spare buffers are working storage, not snapshot state: re-apply
-        // this run's configured cap to the restored queue.
         self.ctx
             .backlog
-            .set_spare_cap(self.ctx.config.spare_buffer_cap);
+            .load_jobs(&mut snap.section("backlog")?, |r| {
+                let covered = StreamMask(r.get_u16()?);
+                if covered.is_empty() || covered.streams().any(|s| s.idx() >= n_streams) {
+                    return Err(SnapshotError::Malformed(format!(
+                        "backlog job covers streams {covered:?} outside this {n_streams}-way query"
+                    )));
+                }
+                let min_ts = r.get_time()?;
+                let mut parts = Vec::with_capacity(covered.count() as usize);
+                for s in covered.streams() {
+                    let part = r.get_attrs()?;
+                    // The job's probes read every join attribute of each part.
+                    let arity = schemas[s.idx()].arity();
+                    if part.len() < arity {
+                        return Err(SnapshotError::Malformed(format!(
+                            "backlog job's part of stream {} has {} values, its schema {arity}",
+                            s.idx(),
+                            part.len()
+                        )));
+                    }
+                    parts.push(part);
+                }
+                Ok(Job {
+                    pt: PartialTuple::from_parts(covered, min_ts, parts),
+                    origin_ts: r.get_time()?,
+                    enqueued: r.get_time()?,
+                })
+            })?;
 
         let mut r = snap.section("stems")?;
         let n = r.get_usize()?;

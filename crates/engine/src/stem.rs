@@ -358,15 +358,16 @@ impl JoinState {
         })
     }
 
-    /// Serialize the flavor's full mutable state behind a flavor tag:
-    /// stored tuples and window, the index structure (with its tuned
-    /// configuration or indexed patterns), and the tuner, if any.
+    /// Serialize the flavor's mutable state behind a flavor tag: the
+    /// stored tuples and window, then (AMRI) the tuner, whose endorsed
+    /// configuration is the index's, or (hash) the hash index's bucket
+    /// order and the tuner, if any. A bit-address index is derived from
+    /// the store and that configuration, and is not saved.
     pub fn save(&self, w: &mut amri_core::snapshot_io::SectionWriter) {
         match self {
             JoinState::Amri { store, tuner } => {
                 w.put_str("amri");
                 store.save_state(w);
-                store.index().save(w);
                 tuner.save(w);
             }
             JoinState::MultiHash { store, tuner } => {
@@ -383,21 +384,16 @@ impl JoinState {
 
     /// Overwrite this state from a [`save`](Self::save)d section. The
     /// receiver must be the same flavor, freshly constructed with the
-    /// original configuration; the bit-address shard count is restored
-    /// from the section.
+    /// original configuration, shard count included. AMRI rebuilds its
+    /// index from the restored store under the restored tuner's
+    /// configuration ([`BitAddressIndex::rebuild`]); a hash index relinks
+    /// its saved keys under the store's values ([`MultiHashIndex::restore`]).
     ///
     /// # Errors
     /// [`SnapshotError::Malformed`](amri_core::snapshot_io::SnapshotError)
-    /// for another flavor's section; for a hash index whose tuple count is
-    /// not the live count of the store restored just before it (one that
-    /// counts more underflows at the next expiry, one that counts fewer
-    /// misses tuples); for one with no index when the state has one, or
-    /// the reverse; for an index — the bit-address index, or any hash
-    /// sub-index — that does not hold each live tuple of that store once
-    /// under the JAS values the store holds for it (expiry would miss the
-    /// entry, and once the slot is reused a probe for the stale values
-    /// would return the new tuple); and for a tuner present in only one
-    /// of the two.
+    /// for another flavor's section, for an image with no hash index when
+    /// the state has one or the reverse, for a tuner present in only one
+    /// of the two, and for whatever the store, index or tuner refuses.
     pub fn restore_from(
         &mut self,
         r: &mut amri_core::snapshot_io::SectionReader<'_>,
@@ -408,32 +404,19 @@ impl JoinState {
         match (self, tag.as_str()) {
             (JoinState::Amri { store, tuner }, "amri") => {
                 store.restore_state(r)?;
-                let index = BitAddressIndex::restore(r)?;
-                if let Err(why) = store.check_indexes(index.iter_entries()) {
-                    return malformed(format!("bit-address index {why}"));
-                }
-                *store.index_mut() = index;
-                tuner.restore_from(r)
+                tuner.restore_from(r)?;
+                let (index, live) = store.index_mut_with_jas();
+                index.rebuild(tuner.current().clone(), live);
+                Ok(())
             }
             (JoinState::MultiHash { store, tuner }, "multi-hash") => {
                 store.restore_state(r)?;
-                let index = MultiHashIndex::restore(r)?;
-                let (indexed, live) = (index.n_tuples(), store.len());
-                if indexed != live {
-                    return malformed(format!(
-                        "multi-hash index counts {indexed} tuples, its store holds {live}"
-                    ));
-                }
+                let index = MultiHashIndex::restore(r, store)?;
                 let (saved, fresh) = (index.n_indices(), store.index().n_indices());
                 if (saved == 0) != (fresh == 0) {
                     return malformed(format!(
                         "multi-hash image holds {saved} indices, the state {fresh}"
                     ));
-                }
-                for s in 0..saved {
-                    if let Err(why) = store.check_indexes(index.sub_entries(s)) {
-                        return malformed(format!("multi-hash sub-index {s} {why}"));
-                    }
                 }
                 *store.index_mut() = index;
                 match (tuner, r.get_bool()?) {
@@ -936,215 +919,86 @@ mod tests {
         state
     }
 
-    /// A state section holding the store of `store_of`, then the index
-    /// of `index_of`, with no tuner.
-    fn spliced(store_of: &JoinState, index_of: &JoinState) -> Vec<u8> {
-        let (JoinState::MultiHash { store, .. }, JoinState::MultiHash { store: other, .. }) =
-            (store_of, index_of)
-        else {
+    /// A hash-state section holding the store of `store_of`, then
+    /// `index`, with no tuner.
+    fn with_index(store_of: &JoinState, index: &[u8]) -> Vec<u8> {
+        let JoinState::MultiHash { store, .. } = store_of else {
             unreachable!("the tests splice hash states")
         };
-        let mut w = SectionWriter::new();
-        w.put_str("multi-hash");
-        store.save_state(&mut w);
-        other.index().save(&mut w);
-        w.put_bool(false);
-        w.into_bytes()
-    }
-
-    /// `state` holding three tuples, `[i, 1, 2]` at `i` s in slot `i`.
-    fn three_of(mut state: JoinState) -> JoinState {
-        let mut r = CostReceipt::new();
-        for i in 0..3 {
-            state.insert(tuple(i, i, &[i, 1, 2]), &mut r);
-        }
-        state
-    }
-
-    /// A section of `state`'s flavor holding its store, then the index
-    /// section `index`, then (AMRI) its tuner or (hash) no tuner.
-    fn with_index(state: &JoinState, index: &[u8]) -> Vec<u8> {
-        let (mut head, mut tail) = (SectionWriter::new(), SectionWriter::new());
-        match state {
-            JoinState::Amri { store, tuner } => {
-                head.put_str("amri");
-                store.save_state(&mut head);
-                tuner.save(&mut tail);
-            }
-            JoinState::MultiHash { store, .. } => {
-                head.put_str("multi-hash");
-                store.save_state(&mut head);
-                tail.put_bool(false);
-            }
-        }
+        let mut head = SectionWriter::new();
+        head.put_str("multi-hash");
+        store.save_state(&mut head);
+        let mut tail = SectionWriter::new();
+        tail.put_bool(false);
         [head.into_bytes(), index.to_vec(), tail.into_bytes()].concat()
     }
 
-    /// The section of an index of `state`'s configuration holding
-    /// `entries`, each linked through the index's own insert.
-    fn index_holding(state: &JoinState, entries: &[(u32, [u64; 3])]) -> Vec<u8> {
-        let (mut w, mut r) = (SectionWriter::new(), CostReceipt::new());
-        match state {
-            JoinState::Amri { store, .. } => {
-                let mut index = BitAddressIndex::new(store.index().config().clone());
-                for (key, jas) in entries {
-                    index.insert(TupleKey(*key), jas, &mut r);
-                }
-                index.save(&mut w);
-            }
-            JoinState::MultiHash { store, .. } => {
-                let mut index = MultiHashIndex::new(3, store.index().patterns());
-                for (key, jas) in entries {
-                    index.insert(TupleKey(*key), jas, &mut r);
-                }
-                index.save(&mut w);
-            }
-        }
+    /// The index section of `state`.
+    fn index_of(state: &JoinState) -> Vec<u8> {
+        let JoinState::MultiHash { store, .. } = state else {
+            unreachable!("the tests splice hash states")
+        };
+        let mut w = SectionWriter::new();
+        store.index().save(&mut w);
         w.into_bytes()
     }
 
-    /// `index` with the hash key of its first sub-index's first bucket
-    /// changed, so that bucket's entries are filed where their values do
-    /// not hash.
-    fn misfiled(index: &[u8]) -> Vec<u8> {
-        let mut head = SectionWriter::new();
-        head.put_str("MULTIHASH");
-        (0..3).for_each(|_| head.put_usize(0)); // width, tuples, sub-indices
-        head.put_u32(0); // the first sub-index's mask
-        head.put_usize(0); // its bucket count
-        let at = head.len();
-        let mut bytes = index.to_vec();
-        bytes[at] ^= 1;
-        bytes
-    }
-
-    /// A restored index must index exactly the store restored before it:
-    /// each live tuple once — once per hash sub-index — under the JAS
-    /// values the store holds for it, and nothing else.
-    ///
-    /// A hash index — with sub-indices or none — that counts more tuples
-    /// than the store (the next expiry would underflow) or fewer is
-    /// refused with `Malformed` naming both counts. Each other image below
-    /// breaks the rule one way, and is refused naming a key; until the
-    /// restore checked entries, every AMRI lie here, and the hash lies of
-    /// the right count, restored. The bit-address image carries no bucket
-    /// ids (restore derives them from the values), so only the hash module
-    /// can misfile an entry; its own restore refuses that. A good image
-    /// still restores — and expires — afterwards.
+    /// A restored hash index indexes exactly the store restored before
+    /// it: the image names keys, not values or counts, so the module
+    /// counts the store's tuples — with sub-indices or none — and links
+    /// each named key under the values the store holds for it. The keys
+    /// of a store of another size are refused with `Malformed`: a key list
+    /// cut short names the sub-index count the bytes left cannot hold, a
+    /// key no live slot holds names the key. A good image still restores
+    /// and expires afterwards.
     #[test]
     fn restore_refuses_an_index_that_miscounts_its_store() {
+        let (two, three) = (filled(true, 2), filled(true, 3));
+        let short = with_index(&three, &index_of(&two));
+        match hash_state(true).restore_from(&mut SectionReader::new(&short)) {
+            Err(SnapshotError::Malformed(why)) => {
+                assert!(why.contains("sub-index count 1 exceeds"), "{why}")
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        let mut w = SectionWriter::new();
+        w.put_str("MULTIHASH");
+        w.put_usize(1);
+        w.put_u32(0b001);
+        [2u32, 0].iter().for_each(|&k| w.put_u32(k));
+        let foreign = with_index(&two, &w.into_bytes());
+        match hash_state(true).restore_from(&mut SectionReader::new(&foreign)) {
+            Err(SnapshotError::Malformed(why)) => {
+                assert!(
+                    why.contains("names key 2, which no live slot holds"),
+                    "{why}"
+                )
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
         for indexed in [true, false] {
             let (two, three) = (filled(indexed, 2), filled(indexed, 3));
-            for (store_of, index_of, counts) in [(&two, &three, "3"), (&three, &two, "2")] {
-                let holds = store_of.len();
-                let image = spliced(store_of, index_of);
-                match hash_state(indexed).restore_from(&mut SectionReader::new(&image)) {
-                    Err(SnapshotError::Malformed(why)) => assert_eq!(
-                        why,
-                        format!("multi-hash index counts {counts} tuples, its store holds {holds}")
-                    ),
-                    other => panic!("indexed {indexed}: expected Malformed, got {other:?}"),
-                }
-            }
             let mut state = hash_state(indexed);
             state
-                .restore_from(&mut SectionReader::new(&spliced(&two, &two)))
+                .restore_from(&mut SectionReader::new(&with_index(
+                    &three,
+                    &index_of(&three),
+                )))
                 .unwrap();
-            assert_eq!(state.len(), 2);
+            let JoinState::MultiHash { store, .. } = &state else {
+                unreachable!()
+            };
+            assert_eq!((state.len(), store.index().n_tuples()), (3, 3));
             let mut r = CostReceipt::new();
-            assert_eq!(state.expire(VirtualTime::from_secs(100), &mut r), 2);
-        }
-        let honest: [(u32, [u64; 3]); 3] = [(0, [0, 1, 2]), (1, [1, 1, 2]), (2, [2, 1, 2])];
-        let fewer = &honest[..2];
-        let foreign = [honest[0], honest[1], (7, [2, 1, 2])];
-        let changed = [honest[0], (1, [1, 1, 9]), honest[2]];
-        let fresh = [|| amri(AssessorKind::Sria), || hash_state(true)];
-        for fresh in fresh {
-            let state = three_of(fresh());
-            let hash = matches!(state, JoinState::MultiHash { .. });
-            let mut lies = vec![
-                (
-                    "a count that differs",
-                    index_holding(&state, fewer),
-                    if hash {
-                        "multi-hash index counts 2 tuples, its store holds 3"
-                    } else {
-                        "bit-address index does not index live key 2"
-                    },
-                ),
-                (
-                    "a foreign key",
-                    index_holding(&state, &foreign),
-                    "indexes key 7, which no live slot holds",
-                ),
-                (
-                    "a changed value",
-                    index_holding(&state, &changed),
-                    "indexes key 1 under values its slot does not hold",
-                ),
-            ];
-            if hash {
-                lies.push((
-                    "a misfiled entry",
-                    misfiled(&index_holding(&state, &honest)),
-                    "under a hash key its values do not hash to",
-                ));
+            assert_eq!(state.expire(VirtualTime::from_secs(100), &mut r), 3);
+            if !indexed {
+                // A scan image names no key, so it fits any store.
+                let mut scan = hash_state(false);
+                let image = with_index(&two, &index_of(&three));
+                scan.restore_from(&mut SectionReader::new(&image)).unwrap();
+                assert_eq!(scan.len(), 2);
             }
-            for (what, index, why) in lies {
-                let image = with_index(&state, &index);
-                match fresh().restore_from(&mut SectionReader::new(&image)) {
-                    Err(SnapshotError::Malformed(got)) => {
-                        assert!(got.contains(why), "{} {what}: {got}", state.kind())
-                    }
-                    other => panic!("{} {what}: expected Malformed, got {other:?}", state.kind()),
-                }
-            }
-            let mut back = fresh();
-            back.restore_from(&mut SectionReader::new(&with_index(
-                &state,
-                &index_holding(&state, &honest),
-            )))
-            .unwrap();
-            let mut r = CostReceipt::new();
-            assert_eq!(back.expire(VirtualTime::from_secs(100), &mut r), 3);
         }
-    }
-
-    /// What the AMRI image with a changed value did once restored: expiry
-    /// unlinks key 1 by its stored values, misses the entry filed under
-    /// the stale ones, and once slot 1 is reused, a probe for the stale
-    /// values returns the new tuple, which does not hold them.
-    #[test]
-    fn an_unchecked_index_returns_a_reused_slot_for_stale_values() {
-        let state = three_of(amri(AssessorKind::Sria));
-        let changed = [(0, [0, 1, 2]), (1, [1, 1, 9]), (2, [2, 1, 2])];
-        let image = with_index(&state, &index_holding(&state, &changed));
-        // The restore without the check: the store, then the index as is.
-        let mut lied = amri(AssessorKind::Sria);
-        let JoinState::Amri { store, .. } = &mut lied else {
-            unreachable!()
-        };
-        let mut rd = SectionReader::new(&image);
-        assert_eq!(rd.get_str().unwrap(), "amri");
-        store.restore_state(&mut rd).unwrap();
-        *store.index_mut() = BitAddressIndex::restore(&mut rd).unwrap();
-        let mut r = CostReceipt::new();
-        assert_eq!(lied.expire(VirtualTime::from_secs(31), &mut r), 2);
-        let reused = lied.insert(tuple(9, 31, &[5, 5, 5]), &mut r);
-        assert_eq!(reused, TupleKey(1));
-        assert_eq!(
-            search(&mut lied, &req(0b111, &[1, 1, 9]), &mut r),
-            vec![reused]
-        );
-        assert_eq!(
-            lied.store().tuple(reused).unwrap().attrs.as_slice(),
-            &[5, 5, 5]
-        );
-        // The checked restore refuses the image.
-        assert!(matches!(
-            amri(AssessorKind::Sria).restore_from(&mut SectionReader::new(&image)),
-            Err(SnapshotError::Malformed(_))
-        ));
     }
 
     /// A no-index image restored into an indexed hash state would leave it
@@ -1167,6 +1021,173 @@ mod tests {
             let mut same = hash_state(image_indexed);
             same.restore_from(&mut SectionReader::new(&bytes)).unwrap();
             assert_eq!((same.len(), same.kind()), (2, image.kind()));
+        }
+    }
+
+    /// Round-trip flavor `flavor` — AMRI at 1, 2 and 4 shards (0–2), a
+    /// hash module re-targeting k = 1 or 2 indices (3, 4) — with a spill
+    /// tier of its own, deciding every 5 s once 5 requests were seen.
+    fn round_trip_state(flavor: usize) -> (JoinState, std::path::PathBuf) {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static N: AtomicU64 = AtomicU64::new(0);
+        let tuning = TunerConfig {
+            assess_period: VirtualDuration::from_secs(5),
+            min_requests: 5,
+            total_bits: 12,
+            ..TunerConfig::default()
+        };
+        let (w, kind) = (WindowSpec::secs(30), AssessorKind::Sria);
+        let mut state = if flavor < 3 {
+            let initial = IndexConfig::even(3, 12).unwrap();
+            let params = CostParams::default();
+            let paper = TunerKind::Paper;
+            let mut s = JoinState::amri(
+                StreamId(0),
+                jas3(),
+                w,
+                kind,
+                initial,
+                tuning,
+                params,
+                0,
+                paper,
+            )
+            .unwrap();
+            s.set_shards(1 << flavor);
+            s
+        } else {
+            let k = flavor - 2;
+            let patterns = [0b001, 0b110][..k]
+                .iter()
+                .map(|&m| AccessPattern::new(m, 3))
+                .collect();
+            let tuner = HashTuner::new(kind, 3, k, tuning);
+            JoinState::multi_hash(StreamId(0), jas3(), w, patterns, Some(tuner), 0)
+        };
+        let n = N.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("amri-stem-rt-{}-{n}", std::process::id()));
+        let tier = amri_core::SpillTier::create(&amri_core::SpillConfig {
+            dir: dir.clone(),
+            file_name: "s.blocks".into(),
+            profile: amri_core::StorageProfile::default(),
+            faults: amri_core::IoFaultConfig::default(),
+            seed: 5,
+            cache_bytes: 1 << 12,
+        })
+        .unwrap();
+        state.enable_spill(tier);
+        (state, dir)
+    }
+
+    /// Step `t` of a round-trip script: by `op`, ingest `vals`, expire,
+    /// evict, spill, promote, search `(mask, vals)` or retune. Returns the
+    /// step's receipt, hits and retune.
+    fn round_trip_step(
+        state: &mut JoinState,
+        t: u64,
+        (op, vals, mask): (u8, [u64; 3], u32),
+    ) -> (CostReceipt, Vec<TupleKey>, Option<StemRetune>) {
+        let (exec, now) = (&SequentialExecutor, VirtualTime::from_secs(t));
+        let (mut r, mut stage) = (CostReceipt::new(), IngestStage::new());
+        let (mut hits, mut retuned) = (Vec::new(), None);
+        match op {
+            0..=3 => state.ingest_arrival(tuple(t, t, &vals), now, &mut r, &mut stage),
+            4 => {
+                state.expire(now, &mut r);
+            }
+            5 => {
+                let max = mask as usize % 3 + 1;
+                state
+                    .store_mut()
+                    .evict_oldest_with(max, &mut r, &mut stage, exec);
+            }
+            6 => {
+                state.spill_oldest(mask as usize % 4 + 1, &mut r);
+            }
+            7 => {
+                state.store_mut().promote_hottest(0, &mut r);
+            }
+            8..=10 => hits = search(state, &req(mask, &vals), &mut r),
+            _ => retuned = retune(state, t, (10.0, 10.0, 30.0), &mut r),
+        }
+        state.flush_ingest(&mut stage, exec);
+        (r, hits, retuned)
+    }
+
+    /// `a` and `b` answer every width-3 pattern over values 0–2 with the
+    /// same hits, in the same order, and the same receipt.
+    fn answers_alike(a: &mut JoinState, b: &mut JoinState) {
+        for mask in 0..8u32 {
+            for v in 0..27u64 {
+                let request = req(mask, &[v % 3, v / 3 % 3, v / 9]);
+                let (mut ra, mut rb) = (CostReceipt::new(), CostReceipt::new());
+                let hits = search(a, &request, &mut ra);
+                assert_eq!(search(b, &request, &mut rb), hits, "{mask:#b} {v}");
+                assert_eq!(ra, rb, "{mask:#b} {v}");
+            }
+        }
+    }
+
+    fn saved(state: &JoinState) -> Vec<u8> {
+        let mut w = SectionWriter::new();
+        state.save(&mut w);
+        w.into_bytes()
+    }
+
+    fn sound(state: &JoinState) {
+        if let JoinState::Amri { store, tuner } = state {
+            store.index().check_integrity().unwrap();
+            assert_eq!(store.index().config(), tuner.current());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A state saved after any script of ingest, expiry, eviction,
+        /// spill, promotion, search and retune restores into a fresh state
+        /// of its configuration that answers every probe alike — hits,
+        /// their order, receipts — is sound, saves to the same bytes, and
+        /// stays alike while the script goes on.
+        #[test]
+        fn a_restored_state_answers_and_continues_as_the_saved_one(
+            ops in proptest::collection::vec(
+                (0u8..12, proptest::array::uniform3(0u64..3), 0u32..8),
+                1..80,
+            ),
+            tail in proptest::collection::vec(
+                (0u8..12, proptest::array::uniform3(0u64..3), 0u32..8),
+                1..30,
+            ),
+        ) {
+            for flavor in 0..5 {
+                let (mut a, dir_a) = round_trip_state(flavor);
+                for (t, &op) in ops.iter().enumerate() {
+                    round_trip_step(&mut a, t as u64, op);
+                }
+                let image = saved(&a);
+                let (mut b, dir_b) = round_trip_state(flavor);
+                let mut r = SectionReader::new(&image);
+                b.restore_from(&mut r).unwrap();
+                proptest::prop_assert_eq!(r.remaining(), 0);
+                proptest::prop_assert_eq!(saved(&b), image, "flavor {}", flavor);
+                sound(&b);
+                answers_alike(&mut a, &mut b);
+                for (t, &op) in tail.iter().enumerate() {
+                    let t = (ops.len() + t) as u64;
+                    proptest::prop_assert_eq!(
+                        round_trip_step(&mut a, t, op),
+                        round_trip_step(&mut b, t, op),
+                        "flavor {} step {}", flavor, t
+                    );
+                }
+                sound(&b);
+                answers_alike(&mut a, &mut b);
+                proptest::prop_assert_eq!(saved(&a), saved(&b));
+                for dir in [dir_a, dir_b] {
+                    let _ = std::fs::remove_dir_all(dir);
+                }
+            }
         }
     }
 

@@ -178,13 +178,6 @@ impl<T: Packed> JobQueue<T> {
         self.spare_cap
     }
 
-    /// Re-bound the spare pool, freeing buffers beyond the new cap
-    /// immediately. Live jobs are untouched.
-    pub fn set_spare_cap(&mut self, spare_cap: usize) {
-        self.spare_cap = spare_cap;
-        self.spare.truncate(spare_cap);
-    }
-
     /// Total queued jobs.
     #[inline]
     pub fn len(&self) -> usize {
@@ -360,28 +353,28 @@ impl<T: Packed> JobQueue<T> {
             .flat_map(jobs_of)
     }
 
-    /// Serialize the live backlog into a snapshot section: batch capacity,
-    /// job count, then every queued job oldest-first via `put`.
+    /// Serialize the live backlog into a snapshot section: job count,
+    /// then every queued job oldest-first via `put`.
     ///
     /// Only *live* jobs are captured, in the caller's format — the packed
-    /// words are working storage, not a snapshot format. Spare-pool
-    /// buffers are not state either: a queue restored by [`load_jobs`]
-    /// (Self::load_jobs) starts with an empty pool and re-warms it lazily
-    /// as chunks drain, exactly like a freshly built queue.
+    /// words are working storage, not a snapshot format, and the batch
+    /// capacity is the constructor's. Spare-pool buffers are not state
+    /// either: a queue restored by [`load_jobs`](Self::load_jobs) keeps
+    /// whatever pool it had and re-warms it lazily as chunks drain.
     pub fn save_jobs(
         &self,
         w: &mut crate::snapshot::SectionWriter,
         mut put: impl FnMut(&mut crate::snapshot::SectionWriter, &T),
     ) {
-        w.put_usize(self.batch_capacity);
         w.put_usize(self.len);
         for job in self.iter() {
             put(w, &job);
         }
     }
 
-    /// Rebuild a queue from a section written by [`save_jobs`]
-    /// (Self::save_jobs), reading each job with `get`.
+    /// Push every job of a section written by [`save_jobs`]
+    /// (Self::save_jobs), reading each with `get`, onto this queue —
+    /// freshly built, so empty, by the restoring run's constructor.
     ///
     /// Jobs re-enter through [`push`](Self::push), so internal chunk
     /// boundaries may differ from the saved queue's — irrelevant at the
@@ -389,26 +382,18 @@ impl<T: Packed> JobQueue<T> {
     /// `VecDeque` under any interleaving of pops at either end.
     ///
     /// # Errors
-    /// Propagates decode failures from `get` and rejects a corrupt
-    /// (zero) batch capacity.
+    /// Propagates decode failures from `get`.
     pub fn load_jobs(
+        &mut self,
         r: &mut crate::snapshot::SectionReader<'_>,
         mut get: impl FnMut(
             &mut crate::snapshot::SectionReader<'_>,
         ) -> Result<T, crate::snapshot::SnapshotError>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let batch_capacity = r.get_usize()?;
-        if batch_capacity == 0 {
-            return Err(crate::snapshot::SnapshotError::Malformed(
-                "job queue batch capacity is zero".into(),
-            ));
+    ) -> Result<(), crate::snapshot::SnapshotError> {
+        for _ in 0..r.get_usize()? {
+            self.push(get(r)?);
         }
-        let n = r.get_usize()?;
-        let mut q = JobQueue::with_batch_capacity(batch_capacity);
-        for _ in 0..n {
-            q.push(get(r)?);
-        }
-        Ok(q)
+        Ok(())
     }
 }
 
@@ -590,12 +575,14 @@ mod tests {
         let mut w = SectionWriter::new();
         q.save_jobs(&mut w, |w, &job| w.put_u64(job));
         let bytes = w.into_bytes();
-        // The image holds capacity + count + the live jobs, nothing more:
-        // spare buffers must not inflate the snapshot.
-        assert_eq!(bytes.len(), 16 + live.len() * 8);
+        // The image holds the count and the live jobs, nothing more: the
+        // batch capacity is the constructor's, and spare buffers must not
+        // inflate the snapshot.
+        assert_eq!(bytes.len(), 8 + live.len() * 8);
 
         let mut r = SectionReader::new(&bytes);
-        let mut restored: JobQueue<u64> = JobQueue::load_jobs(&mut r, |r| r.get_u64()).unwrap();
+        let mut restored = JobQueue::with_batch_capacity(4);
+        restored.load_jobs(&mut r, |r| r.get_u64()).unwrap();
         assert_eq!(r.remaining(), 0);
         assert_eq!(restored.batch_capacity(), 4);
         assert_eq!(restored.len(), live.len());
@@ -633,23 +620,6 @@ mod tests {
                 "a 0-spare queue must never retain buffers"
             );
         }
-        // Tightening a warmed queue frees the excess immediately.
-        let mut warm = JobQueue::with_batch_capacity(4);
-        for i in 0..64u64 {
-            warm.push(i);
-        }
-        while warm.pop().is_some() {}
-        assert!(warm.spare.len() > 2, "test needs a warmed pool");
-        warm.set_spare_cap(2);
-        assert_eq!(warm.spare.len(), 2);
-        warm.set_spare_cap(0);
-        assert!(warm.spare.is_empty());
-        // And it keeps working, just allocation-per-batch.
-        for i in 0..64u64 {
-            warm.push(i);
-        }
-        while warm.pop().is_some() {}
-        assert!(warm.spare.is_empty());
     }
 
     #[test]

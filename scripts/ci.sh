@@ -163,6 +163,16 @@ if grep -nF 'Vec<(TupleKey, AttrVec)>' crates/core/src/hash_index.rs; then
     echo "a bucket of (TupleKey, AttrVec) pairs reappeared in hash_index.rs"; exit 1
 fi
 
+# Nor may a checkpoint hold a second copy: a snapshot carries no
+# bit-address section (restore rebuilds the index from the store under the
+# tuner's configuration), a hash section names keys, not values, and
+# nothing checks one copy of the store against another (DESIGN §8).
+echo "==> a checkpoint holds each stored value once, under crates/*/src"
+if grep -rnE '"BITADDR"|fn iter_entries|fn sub_entries|fn check_indexes|BitAddressIndex::restore' \
+    crates/*/src; then
+    echo "an index section or a store-against-index check reappeared"; exit 1
+fi
+
 # Sharded work borrows its slots through `parallel::for_each_slot`; that
 # file is the only one in the core crate allowed to say `unsafe`.
 echo "==> crates/core/src: unsafe only in parallel.rs"

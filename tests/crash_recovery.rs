@@ -446,7 +446,6 @@ fn an_image_with_a_job_narrower_than_its_stream_is_refused() {
     use amri_stream::{SectionWriter, VirtualTime};
     narrower_than_the_stream_is_refused("backlog", |part, _| {
         let mut w = SectionWriter::new();
-        w.put_usize(64);
         w.put_usize(1);
         w.put_u16(0b1); // covers stream 0
         w.put_time(VirtualTime::from_secs(1));

@@ -36,7 +36,7 @@ use amri_core::assess::AssessorKind;
 use amri_core::{StorageProfile, TunerKind};
 use amri_engine::{
     DegradationPolicy, Executor, FaultKind, FaultPlan, IndexingMode, MemoryBudget, PressureWindow,
-    RunOutcome, RunResult, SheddingPolicy, SkewedClock, SpillSettings, TornMode,
+    RunOutcome, RunResult, SessionStatus, SheddingPolicy, SkewedClock, SpillSettings, TornMode,
 };
 use amri_hh::CombineStrategy;
 use amri_serve::{run_fleet, run_fleet_migrated, FleetCell, HostConfig};
@@ -202,6 +202,9 @@ enum Drive {
     /// snapshot before it torn in flight when `.2` — then resumed from the
     /// latest good snapshot and run to the end.
     Crashed(u64, u64, bool),
+    /// `Crashed`, torn when `.0`, at the cadence and crash step
+    /// [`mid_tuning`] derives from the cell's straight run.
+    CrashedMidTuning(bool),
     /// Straight, on a clock running `.0` / 1e6 fast.
     Skewed(u64),
     Hosted,
@@ -235,8 +238,8 @@ impl std::fmt::Display for Node {
         let drive = match self.drive {
             Straight => "",
             Observed(_) => ":observed",
-            Crashed(.., false) => ":resumed",
-            Crashed(.., true) => ":torn-resumed",
+            Crashed(.., false) | CrashedMidTuning(false) => ":resumed",
+            Crashed(.., true) | CrashedMidTuning(true) => ":torn-resumed",
             Skewed(_) => ":skewed",
             Hosted => ":hosted",
             Migrated(_) => ":migrated",
@@ -496,11 +499,11 @@ const TUNING_SECS: u64 = 32;
 
 /// The four flavors plus AMRI governed and faulted: crash + resume ≡
 /// uninterrupted — plain, with the latest snapshot torn, and (the AMRI
-/// cells) under the bandit tuner. The AMRI cells crash between their
-/// second and third verdict and resume from the snapshot 10 000 steps
-/// back (20 000 when that one is torn), so the image holds moved indices,
-/// a settled and a pending retune and — under the bandit — the arm
-/// statistics, backoff level and RNG word the third verdict depends on.
+/// cells) under the bandit tuner. The AMRI cells crash and resume between
+/// their first and last retune, at steps derived from the uninterrupted
+/// twin ([`mid_tuning`]), so the image holds moved indices, a settled and
+/// a pending retune and — under the bandit — the arm statistics, backoff
+/// level and RNG word the later verdicts depend on.
 fn crash_family(l: &mut Lattice) {
     let seed = l.seed;
     // The governor's counters and RNG and the injector's pending queues
@@ -521,27 +524,26 @@ fn crash_family(l: &mut Lattice) {
         spec.with(|s| (s.horizon, s.tuner) = (Some(TUNING_SECS), tuner))
     };
     let short = |mode| RunSpec::new(mode).with(|s| s.horizon = Some(SHORT_SECS));
-    let mut cells: Vec<(&str, RunSpec, u64)> = Vec::new();
+    let mut cells: Vec<(&str, RunSpec, bool)> = Vec::new();
     for (label, mode) in lineup() {
         match mode {
-            IndexingMode::Amri { .. } => cells.push((label, tuning(TunerKind::Paper), 50_000)),
-            mode => cells.push((label, short(mode), 0)),
+            IndexingMode::Amri { .. } => cells.push((label, tuning(TunerKind::Paper), true)),
+            mode => cells.push((label, short(mode), false)),
         }
     }
     let faulted = |tuner| tuning(tuner).with(perturb);
-    cells.push(("amri-governed-faulted", faulted(TunerKind::Paper), 33_000));
-    cells.push(("amri-bandit", tuning(TunerKind::Bandit), 50_000));
+    cells.push(("amri-governed-faulted", faulted(TunerKind::Paper), true));
+    cells.push(("amri-bandit", tuning(TunerKind::Bandit), true));
     cells.push((
         "amri-governed-faulted-bandit",
         faulted(TunerKind::Bandit),
-        33_000,
+        true,
     ));
-    for (label, spec, at) in cells {
-        let tuned = at > 0;
+    for (label, spec, tuned) in cells {
         // The short cells crash where every 8 s cell does: see `CRASH`.
         let crashed = |torn| {
             if tuned {
-                Crashed(10_000, at, torn)
+                CrashedMidTuning(torn)
             } else {
                 Crashed(60, 200, torn)
             }
@@ -700,6 +702,8 @@ struct Outcome {
     skipped: u64,
     /// Retunes already in the image a crashed run resumed from.
     retunes_restored: u64,
+    /// The steps at which a straight run's retune log grew, ascending.
+    retune_steps: Vec<u64>,
 }
 
 /// A node's outcome, or why it could not be driven.
@@ -865,6 +869,16 @@ impl<'a> Runner<'a> {
             (Body::Experiment(run), Straight) => {
                 return Ok(Outcome::of(run(self.scale, lattice.seed, threads)));
             }
+            (Body::Run(spec), CrashedMidTuning(torn)) => {
+                let (_, twin) = self.straight(&node.cell);
+                let twin = twin
+                    .as_ref()
+                    .as_ref()
+                    .map_err(|e| format!("straight: {e}"))?;
+                let (every, at) = mid_tuning(&twin.retune_steps)?;
+                let sc = self.scenario(spec, threads, &dir)?;
+                return drive_one(&sc, &spec.mode, Crashed(every, at, torn), &dir);
+            }
             (Body::Run(spec), drive) => {
                 let sc = self.scenario(spec, threads, &dir)?;
                 return drive_one(&sc, &spec.mode, drive, &dir);
@@ -958,7 +972,23 @@ fn drive_one(sc: &PaperScenario, mode: &IndexingMode, drive: Drive, dir: &Path) 
     };
     let snapshots = dir.join("snapshots");
     match drive {
-        Straight => Ok(Outcome::of(vec![exec()?.run()])),
+        Straight => {
+            let mut pipeline = exec()?.into_pipeline();
+            let mut retune_steps = Vec::new();
+            loop {
+                let (step, seen) = (pipeline.context().step, pipeline.context().retunes.len());
+                if pipeline.step_once() == SessionStatus::Finished {
+                    break;
+                }
+                if pipeline.context().retunes.len() > seen {
+                    retune_steps.push(step);
+                }
+            }
+            Ok(Outcome {
+                retune_steps,
+                ..Outcome::of(vec![pipeline.into_result()])
+            })
+        }
         Skewed(rate_ppm) => {
             let clock = SkewedClock::new(VirtualClock::new(), rate_ppm);
             let pipeline = exec()?.into_pipeline_with_clock(clock);
@@ -988,15 +1018,30 @@ fn drive_one(sc: &PaperScenario, mode: &IndexingMode, drive: Drive, dir: &Path) 
             let resumed = resume_latest(exec()?, &snapshots).map_err(|e| format!("resume: {e}"))?;
             let skipped = resumed.report.skipped.len() as u64;
             let retunes_restored = resumed.retunes_restored as u64;
-            let runs = vec![resumed.result];
             Ok(Outcome {
-                runs,
                 checkpoints,
                 skipped,
                 retunes_restored,
+                ..Outcome::of(vec![resumed.result])
             })
         }
+        CrashedMidTuning(_) => Err(format!("{drive:?} needs the cell's straight run")),
         Hosted | Migrated(_) => Err(format!("{drive:?} needs a fleet")),
+    }
+}
+
+/// Snapshot cadence and crash step for a crash that resumes mid-tuning,
+/// from the steps at which the uninterrupted run's retune log grew: `a`
+/// the first and `b` the last. Snapshots every `(b - a) / 2` steps and a
+/// crash at `b + 1` resume from a snapshot after step `a` and at or
+/// before `b`, and so does the one before it when the latest is torn: the
+/// image holds a retune and at least one follows it.
+fn mid_tuning(steps: &[u64]) -> Result<(u64, u64), String> {
+    match (steps.first(), steps.last()) {
+        (Some(&a), Some(&b)) if b - a >= 2 => Ok(((b - a) / 2, b + 1)),
+        _ => Err(format!(
+            "the straight run retunes at steps {steps:?}: no snapshot falls between two retunes"
+        )),
     }
 }
 

@@ -17,8 +17,9 @@
 //!   pluggable [`StateIndex`].
 //! * [`bitaddr`] — the bit-address index itself, including live migration
 //!   between configurations.
-//! * [`parallel`] — the shard-task execution seam ([`ShardExecutor`]):
-//!   sequential here, the engine's worker pool in `amri-engine`.
+//! * [`parallel`] — the shard-task execution seam ([`ShardExecutor`]) and
+//!   the scoped fan-out behind it: sequential here, sized by the engine's
+//!   worker pool in `amri-engine`.
 //! * [`hash_index`] — the state-of-the-art baseline: multiple hash indices
 //!   per state (access modules, Raman et al. \[5\]); with no index, the
 //!   no-index baseline (every search scans).

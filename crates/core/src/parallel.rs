@@ -2,40 +2,39 @@
 //!
 //! Sharded search and insert decompose into independent per-shard tasks
 //! whose results are merged in a fixed shard order. [`ShardExecutor`] is
-//! the narrow contract the index needs from whoever runs those tasks:
-//! *run task `0..n`, each exactly once, in any interleaving*. The core
-//! crate ships only the trivially-correct [`SequentialExecutor`]; the
-//! engine's worker pool implements the same trait over persistent std
-//! threads, so an index probe is oblivious to whether its shards ran on
-//! one core or eight — the merged output is identical by construction.
+//! the narrow contract the index needs from whoever runs those tasks: *how
+//! many threads is this much work worth?* The core crate ships only
+//! [`SequentialExecutor`], which always answers one; the engine's worker
+//! pool answers from its parallelism and hand-off cost. Either way the
+//! tasks run here, on the caller and on scoped threads, so an index probe
+//! is oblivious to whether its shards ran on one core or eight — the
+//! merged output is identical by construction.
 
-use std::marker::PhantomData;
+use std::panic::resume_unwind;
+use std::time::Instant;
 
-/// Runs `n` independent tasks, each exactly once.
-///
-/// Implementations may interleave or parallelize tasks arbitrarily.
-///
-/// # Safety
-/// An implementation must not drop, duplicate, or outlive the tasks: when
-/// `run_tasks` or `run_sized` returns — or unwinds — every index the
-/// closure was called with is in `0..n`, none was passed twice, and the
-/// closure is no longer referenced by any thread. [`for_each_slot`] hands
-/// task `i` an exclusive `&mut` to slot `i` on the strength of this
-/// contract, so an executor that runs an index twice creates aliasing
-/// mutable references from safe code.
-pub unsafe trait ShardExecutor {
-    /// Execute `task(0)`, `task(1)`, ..., `task(n - 1)`.
-    fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync));
+/// Decides how many threads a dispatch of independent tasks runs on.
+pub trait ShardExecutor {
+    /// Threads to run `n` tasks on, given the caller's estimate of their
+    /// total work in nanoseconds (see [`WALK_NS`]). The index reports
+    /// work; the executor decides. Tasks write disjoint slots merged in
+    /// index order, so the answer is unobservable; anything below 2 runs
+    /// the tasks inline.
+    fn threads_for(&self, n: usize, work_ns: u64) -> usize;
 
-    /// [`run_tasks`](Self::run_tasks) carrying the caller's estimate of
-    /// the tasks' total work, in nanoseconds (see [`WALK_NS`]). The index
-    /// reports work; the executor decides: one whose hand-off costs more
-    /// than `work_ns` may run the tasks inline instead. Tasks write
-    /// disjoint slots merged in index order, so the choice is
-    /// unobservable. The default drops the estimate.
-    fn run_sized(&self, n: usize, work_ns: u64, task: &(dyn Fn(usize) + Sync)) {
-        let _ = work_ns;
-        self.run_tasks(n, task);
+    /// Execute `task(0)`, `task(1)`, ..., `task(n - 1)`, each exactly
+    /// once. A dispatch that comes without an estimate is sized here:
+    /// index 0 runs on the caller either way, timed, and the rest are
+    /// taken to cost the same each.
+    fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
+        if n <= 1 {
+            return (0..n).for_each(task);
+        }
+        let start = Instant::now();
+        task(0);
+        let rest_ns = start.elapsed().as_nanos().saturating_mul(n as u128 - 1);
+        let threads = self.threads_for(n - 1, u64::try_from(rest_ns).unwrap_or(u64::MAX));
+        on_threads(threads, &mut vec![(); n - 1], |i, ()| task(i + 1));
     }
 }
 
@@ -43,56 +42,9 @@ pub unsafe trait ShardExecutor {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialExecutor;
 
-// SAFETY: one pass of a `for` loop over `0..n` on the calling thread: each
-// index once, and the borrow of `task` ends with the call.
-unsafe impl ShardExecutor for SequentialExecutor {
-    fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
-        for i in 0..n {
-            task(i);
-        }
-    }
-}
-
-/// A disjoint-slot view over a mutable slice, claimable from `Fn` tasks.
-///
-/// The executor only hands out `&(dyn Fn(usize) + Sync)`, so tasks cannot
-/// borrow a slot vector mutably through safe code. `SlotArena` carries the
-/// raw base pointer instead and [`claim`](Self::claim)s one exclusive
-/// `&mut` per index. Private: [`for_each_slot`] is its one user and the
-/// only place the claim contract has to be upheld.
-struct SlotArena<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: the arena is only a channel for handing each slot to exactly one
-// task (the documented contract); `T: Send` makes moving a `&mut T` into
-// another thread sound, and the arena itself holds no shared state.
-unsafe impl<T: Send> Sync for SlotArena<'_, T> {}
-
-impl<'a, T> SlotArena<'a, T> {
-    /// Wrap a slice whose slots will each be claimed by exactly one task.
-    fn new(slots: &'a mut [T]) -> Self {
-        SlotArena {
-            ptr: slots.as_mut_ptr(),
-            len: slots.len(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Exclusive access to slot `i`.
-    ///
-    /// # Safety
-    /// Each index must be claimed at most once for the lifetime of any
-    /// returned reference (one claim per task per `run_tasks` call).
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn claim(&self, i: usize) -> &mut T {
-        assert!(i < self.len, "slot {i} out of bounds (len {})", self.len);
-        &mut *self.ptr.add(i)
+impl ShardExecutor for SequentialExecutor {
+    fn threads_for(&self, _n: usize, _work_ns: u64) -> usize {
+        1
     }
 }
 
@@ -101,26 +53,49 @@ impl<'a, T> SlotArena<'a, T> {
 /// sharded work turns a `&mut [T]` into per-task exclusive borrows.
 ///
 /// Each task writes only its own slot and the caller merges the slots in
-/// index order afterwards, so which thread ran which task never shows. A
-/// panic in `work` reaches the caller once the dispatch has drained.
+/// index order afterwards, so which thread ran which task never shows.
 pub fn for_each_slot<T: Send>(
     exec: &dyn ShardExecutor,
     work_ns: u64,
     slots: &mut [T],
     work: impl Fn(usize, &mut T) + Sync,
 ) {
-    let n = slots.len();
-    let arena = SlotArena::new(slots);
-    exec.run_sized(n, work_ns, &|i| {
-        // SAFETY: the `ShardExecutor` contract passes each index at most
-        // once and lets go of the closure before `run_sized` returns, so
-        // task `i` holds the only reference to slot `i`, inside the
-        // arena's borrow of `slots`.
-        work(i, unsafe { arena.claim(i) });
+    on_threads(exec.threads_for(slots.len(), work_ns), slots, work);
+}
+
+/// `work(i, &mut slots[i])` for every slot on `threads` threads. On one
+/// this is a plain loop on the caller. On more, one `std::thread::scope`
+/// splits the slots into that many contiguous runs: the caller takes the
+/// first and a scoped thread each of the others. A panic in `work`
+/// reaches the caller once every thread has joined (the scope joins the
+/// rest before it lets a panic go).
+fn on_threads<T: Send>(threads: usize, slots: &mut [T], work: impl Fn(usize, &mut T) + Sync) {
+    if threads <= 1 || slots.len() <= 1 {
+        for (i, slot) in slots.iter_mut().enumerate() {
+            work(i, slot);
+        }
+        return;
+    }
+    let per = slots.len().div_ceil(threads);
+    let run = &|(c, chunk): (usize, &mut [T])| {
+        for (j, slot) in chunk.iter_mut().enumerate() {
+            work(c * per + j, slot);
+        }
+    };
+    let mut chunks = slots.chunks_mut(per).enumerate();
+    let mine = chunks.next().expect("two slots or more");
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = chunks.map(|c| s.spawn(move || run(c))).collect();
+        run(mine);
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                resume_unwind(payload);
+            }
+        }
     });
 }
 
-// Per-unit work estimates for `run_sized`, in ns: floors, from std-only
+// Per-unit work estimates for `threads_for`, in ns: floors, from std-only
 // timing loops on the reference host (2 vCPUs) at 1 k–50 k entries. They
 // size a dispatch from counts the caller already holds; the executor
 // compares the total against its own hand-off cost. A floor errs towards
@@ -143,32 +118,39 @@ pub const BLOCK_IO_NS: u64 = u64::MAX;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Always asks for `.0` threads, whatever the work.
+    struct Forced(usize);
+
+    impl ShardExecutor for Forced {
+        fn threads_for(&self, _n: usize, _work_ns: u64) -> usize {
+            self.0
+        }
+    }
 
     #[test]
     fn sequential_executor_runs_every_task_in_order() {
-        let order = std::sync::Mutex::new(Vec::new());
+        let order = Mutex::new(Vec::new());
         SequentialExecutor.run_tasks(5, &|i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
-    fn slot_arena_hands_out_disjoint_slots() {
-        let mut slots = vec![0u64; 8];
-        let arena = SlotArena::new(&mut slots);
-        SequentialExecutor.run_tasks(8, &|i| {
-            // SAFETY: each task claims only its own index, once.
-            let slot = unsafe { arena.claim(i) };
-            *slot = i as u64 * 10;
-        });
-        assert_eq!(slots, vec![0, 10, 20, 30, 40, 50, 60, 70]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn slot_arena_bounds_checks() {
-        let mut slots = vec![0u8; 2];
-        let arena = SlotArena::new(&mut slots);
-        // SAFETY: out-of-bounds claim must panic before any deref.
-        let _ = unsafe { arena.claim(2) };
+    fn every_slot_and_task_runs_once_at_any_thread_count() {
+        for threads in 1..=9 {
+            for n in 0..=11 {
+                let mut slots = vec![0u32; n];
+                for_each_slot(&Forced(threads), 0, &mut slots, |i, slot| {
+                    *slot += i as u32 + 1
+                });
+                assert_eq!(slots, (1..=n as u32).collect::<Vec<_>>(), "{threads} × {n}");
+                let ran = Mutex::new(Vec::new());
+                Forced(threads).run_tasks(n, &|i| ran.lock().unwrap().push(i));
+                let mut ran = ran.into_inner().unwrap();
+                ran.sort_unstable();
+                assert_eq!(ran, (0..n).collect::<Vec<_>>(), "{threads} × {n}");
+            }
+        }
     }
 }

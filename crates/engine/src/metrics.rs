@@ -95,22 +95,23 @@ impl ThroughputSeries {
         self.samples.iter().map(|s| s.backlog).max().unwrap_or(0)
     }
 
-    /// Serialize the recorded samples into a snapshot section (the
+    /// Serialize the recorded samples into a snapshot section. Sample *i*
+    /// is at `i × interval` by construction, so no time is written; the
     /// interval is construction-time configuration, saved only to be
-    /// cross-checked on restore).
+    /// cross-checked on restore.
     pub fn save(&self, w: &mut amri_core::snapshot_io::SectionWriter) {
         w.put_str("SERIES");
         w.put_duration(self.interval);
         w.put_usize(self.samples.len());
         for s in &self.samples {
-            w.put_time(s.t);
             w.put_u64(s.outputs);
             w.put_u64(s.memory);
             w.put_u64(s.backlog);
         }
     }
 
-    /// Overwrite the samples from a [`save`](Self::save)d section.
+    /// Overwrite the samples from a [`save`](Self::save)d section, each
+    /// at its grid instant.
     ///
     /// # Errors
     /// [`SnapshotError`](amri_core::snapshot_io::SnapshotError) on decode
@@ -127,11 +128,11 @@ impl ThroughputSeries {
                 self.interval
             )));
         }
-        let n = r.get_count(4 * 8, "series sample count")?;
+        let n = r.get_count(3 * 8, "series sample count")?;
         let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
+        for i in 0..n {
             samples.push(Sample {
-                t: r.get_time()?,
+                t: VirtualTime(i as u64 * self.interval.0),
                 outputs: r.get_u64()?,
                 memory: r.get_u64()?,
                 backlog: r.get_u64()?,

@@ -241,7 +241,7 @@ pub struct RunContext<C: Clock = VirtualClock> {
     pub governor: Option<Governor>,
     /// Armed fault plan, when one is configured.
     pub fault: Option<FaultState>,
-    /// Persistent worker pool for sharded index work, sized to
+    /// The executor for sharded index work, sized to
     /// [`EngineConfig::parallelism`] (no threads at parallelism 1).
     pub pool: crate::runtime::pool::WorkerPool,
     /// Virtual-tick totals for the maintenance path (ingest, migration).

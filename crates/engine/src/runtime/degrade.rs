@@ -17,6 +17,7 @@
 
 use crate::error::EngineError;
 use crate::memory::MemoryReport;
+use crate::metrics::ThroughputSeries;
 use crate::runtime::context::Job;
 use amri_stream::coin::{coin, GOLDEN};
 use amri_stream::{JobQueue, Pack, VirtualTime};
@@ -247,7 +248,8 @@ impl Governor {
     }
 
     /// Serialize the mutable governor state (shedding coin + report). The
-    /// policy is construction-time configuration and not captured.
+    /// policy is construction-time configuration and not captured, nor
+    /// are the sample times: sample *i* is the series' sample *i*.
     pub fn save(&self, w: &mut amri_core::snapshot_io::SectionWriter) {
         w.put_str("GOVERNOR");
         w.put_u64(self.rng);
@@ -262,7 +264,6 @@ impl Governor {
         w.put_u64(self.report.evicted_tuples);
         w.put_usize(self.report.samples.len());
         for s in &self.report.samples {
-            w.put_time(s.t);
             w.put_u64(s.shed_jobs);
             w.put_u64(s.evicted_tuples);
         }
@@ -270,13 +271,18 @@ impl Governor {
 
     /// Overwrite the mutable governor state from a [`save`](Self::save)d
     /// section; the restored coin continues the exact decision stream.
+    /// The governor samples once per grid point, as the run's `series`
+    /// does, so sample *i* takes the time of the restored series' sample
+    /// *i*.
     ///
     /// # Errors
     /// [`SnapshotError`](amri_core::snapshot_io::SnapshotError) on decode
-    /// failure.
+    /// failure, or `Malformed` when the section holds another number of
+    /// samples than `series`.
     pub fn restore_from(
         &mut self,
         r: &mut amri_core::snapshot_io::SectionReader<'_>,
+        series: &ThroughputSeries,
     ) -> Result<(), amri_core::snapshot_io::SnapshotError> {
         amri_core::snapshot_io::expect_tag(r, "GOVERNOR")?;
         self.rng = r.get_u64()?;
@@ -287,11 +293,18 @@ impl Governor {
         };
         self.report.shed_jobs = r.get_u64()?;
         self.report.evicted_tuples = r.get_u64()?;
-        let n = r.get_count(3 * 8, "governor sample count")?;
+        let n = r.get_count(2 * 8, "governor sample count")?;
+        let grid = series.samples();
+        if n != grid.len() {
+            return Err(amri_core::snapshot_io::SnapshotError::Malformed(format!(
+                "governor holds {n} samples, the series {}",
+                grid.len()
+            )));
+        }
         let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
+        for s in grid {
             samples.push(DegradationSample {
-                t: r.get_time()?,
+                t: s.t,
                 shed_jobs: r.get_u64()?,
                 evicted_tuples: r.get_u64()?,
             });
@@ -498,7 +511,8 @@ mod tests {
         w.put_usize(1 << 40);
         let image = w.into_bytes();
         let mut gov = Governor::new(DegradationPolicy::default());
-        match gov.restore_from(&mut SectionReader::new(&image)) {
+        let series = ThroughputSeries::new(amri_stream::VirtualDuration::from_secs(1));
+        match gov.restore_from(&mut SectionReader::new(&image), &series) {
             Err(SnapshotError::Malformed(why)) => assert!(why.contains("sample count"), "{why}"),
             other => panic!("expected Malformed(sample count), got {other:?}"),
         }

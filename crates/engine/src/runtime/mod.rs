@@ -28,10 +28,10 @@
 //!   with bounded retention and checksum-verified fallback recovery
 //!   ([`checkpoint::load_latest`]). A crashed run resumed from its latest
 //!   good snapshot is byte-identical to an uninterrupted one.
-//! * [`pool`] — [`WorkerPool`]: the persistent shard-task worker pool
-//!   behind `parallelism > 1` runs; it implements
-//!   `amri_core::ShardExecutor`, so sharded index probes fan out across
-//!   its threads and still merge deterministically.
+//! * [`pool`] — [`WorkerPool`]: the shard-task executor behind
+//!   `parallelism > 1` runs; it implements `amri_core::ShardExecutor`, so
+//!   a sharded dispatch large enough to repay it fans out across scoped
+//!   threads and still merges deterministically.
 //!
 //! Partial tuples flow between ingest and probe through a
 //! [`amri_stream::JobQueue`] as packed words; the probe step drains it

@@ -111,8 +111,9 @@ pub(crate) fn tune_step<C: Clock>(ctx: &mut RunContext<C>) {
         let lambda_r = stem.requests_served as f64 / elapsed;
         let mut receipt = CostReceipt::new();
         // Migration work is split shard by shard; the run's worker
-        // pool takes it when the state is large enough to repay the
-        // hand-off (see `WorkerPool::run_sized`), else it runs inline.
+        // pool sends it to scoped threads when the state is large enough
+        // to repay the hand-off (see `HANDOFF_NS` in `runtime/pool.rs`),
+        // else it runs inline.
         let retuned = stem.state.maybe_retune_with(
             due,
             lambda_now,

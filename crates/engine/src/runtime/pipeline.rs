@@ -442,7 +442,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
         }
 
         match (&mut self.ctx.governor, snap.section("governor")) {
-            (Some(gov), Ok(mut r)) => gov.restore_from(&mut r)?,
+            (Some(gov), Ok(mut r)) => gov.restore_from(&mut r, &self.ctx.series)?,
             (None, Err(_)) => {}
             (Some(_), Err(e)) => return Err(e.into()),
             (None, Ok(_)) => {

@@ -57,8 +57,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AMRISNAP";
 /// drops a resident slot's stream id and JAS copy, the `BITADDR` section
 /// (restore rebuilds the bit-address index from the store), the
 /// `MULTIHASH` width, tuple count, hash keys and values, and the backlog's
-/// batch capacity.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// batch capacity; revision 8 drops the sample times of the `SERIES` and
+/// `GOVERNOR` sections (restore puts sample *i* at `i × interval`).
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Why a snapshot could not be written, parsed, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -723,13 +724,14 @@ mod tests {
         // Corrupting the version also breaks the file checksum; rebuild a
         // valid file with a bumped version via the writer internals
         // instead: patch bytes then re-seal the tail checksum. A newer
-        // revision and the five before (6: index sections and the store
+        // revision and the six before (7: the series and governor wrote
+        // every sample's time; 6: index sections and the store
         // held second copies of stored values; 5: the router, tuner and
         // `maint` section kept copied or unread counters; 4: an AMRI state nested
         // its own tag and a scan state had its own; 3: a tier section
         // carried a cache-presence flag; 2: bit-address sections carried
         // links and a bucket table) are refused alike.
-        for found in [SNAPSHOT_VERSION + 1, 6, 5, 4, 3, 2] {
+        for found in [SNAPSHOT_VERSION + 1, 7, 6, 5, 4, 3, 2] {
             let mut bytes = sample();
             bytes[8] = found as u8;
             let n = bytes.len();

@@ -173,17 +173,18 @@ if grep -rnE '"BITADDR"|fn iter_entries|fn sub_entries|fn check_indexes|BitAddre
     echo "an index section or a store-against-index check reappeared"; exit 1
 fi
 
-# Sharded work borrows its slots through `parallel::for_each_slot`; that
-# file is the only one in the core crate allowed to say `unsafe`.
-echo "==> crates/core/src: unsafe only in parallel.rs"
-if grep -rlw unsafe crates/core/src | grep -v '^crates/core/src/parallel\.rs$'; then
-    echo "unsafe outside crates/core/src/parallel.rs"; exit 1
+# Sharded work runs on scoped threads over `chunks_mut` runs of its slots
+# (`parallel::for_each_slot`), so the borrow checker proves them disjoint:
+# no crate source says `unsafe`, and neither the persistent pool's
+# lifetime-erased task pointer nor the raw-pointer slot arena may return.
+# The counting allocators of the crates' own tests keep their
+# `unsafe impl GlobalAlloc`; they are not under `src`.
+echo "==> no unsafe under crates/*/src; no persistent-pool machinery under crates/ tests/ examples/"
+if grep -rnw unsafe crates/*/src; then
+    echo "unsafe reappeared under crates/*/src"; exit 1
 fi
-
-# The engine's one lifetime erasure lives behind `pool::erase_lifetime`.
-echo "==> crates/engine/src: unsafe only in runtime/pool.rs"
-if grep -rlw unsafe crates/engine/src | grep -v '^crates/engine/src/runtime/pool\.rs$'; then
-    echo "unsafe outside crates/engine/src/runtime/pool.rs"; exit 1
+if grep -rnE 'transmute|SlotArena|erase_lifetime|worker_loop|run_sized' crates tests examples; then
+    echo "the persistent pool's task hand-off or the slot arena reappeared"; exit 1
 fi
 
 # The spill tier opens its block file where the file is (re)created and
@@ -217,10 +218,11 @@ cargo test -q
 # in the answer, cached ≡ zero-byte cache modulo the cache counters,
 # hosted ≡ solo ≡ migrated. Exits non-zero naming every violated edge or
 # expectation — a vacuous one included — and the name reproduces it:
-# matrix --quick --seed 42 --only <name>. Three seeds, about 10 s each on
+# matrix --quick --seed 42 --only <name>. Four seeds, about 10 s each on
 # a 2-core host; seed 1 is the one whose torn spill once ended a storm
-# cell in OOM.
-for seed in 42 7 1; do
+# cell in OOM, seed 5 the one whose hand-sized crash steps once resumed a
+# tuned cell after its last retune.
+for seed in 42 7 1 5; do
     echo "==> identity lattice, seed ${seed}"
     cargo run --release -q -p amri-bench --bin matrix -- --quick --seed "${seed}"
 done

@@ -273,11 +273,13 @@ fn resume_rebuilt(
         "backlog",
         "stems",
         "observers",
+        "governor",
         "fault",
         "maint",
         "workload",
     ] {
-        // Only a run with a fault plan has a `fault` section.
+        // Only a run with a degradation policy has a `governor` section,
+        // and only one with a fault plan a `fault` section.
         let Ok(section) = taken.section(name) else {
             continue;
         };
@@ -400,6 +402,49 @@ fn an_image_that_lies_about_its_retune_count_is_refused() {
             assert!(why.contains("retune count"), "{why}")
         }
         other => panic!("expected Malformed(retune count), got {other:?}"),
+    }
+}
+
+/// The governor samples at every grid point the series does, and restore
+/// puts governor sample *i* at series sample *i*'s instant: an image whose
+/// `governor` section holds one sample more or fewer than its `series` is
+/// refused as `Malformed`, never resumed with a report off its grid.
+#[test]
+fn an_image_whose_governor_disagrees_with_its_series_is_refused() {
+    use amri_stream::SnapshotError;
+    let mut sc = scenario(3);
+    sc.engine.degradation = Some(DegradationPolicy::default());
+    // The section is its tag, coin word, first-degradation flag (and
+    // instant), two totals, the sample count and the samples: keep the
+    // head, and write `n + delta` samples by dropping the last or
+    // repeating it.
+    let resume = |delta: i64| {
+        resume_rebuilt(&sc, |name, body| {
+            if name != "governor" {
+                return Some(body.to_vec());
+            }
+            let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+            let at = 8 + 8 + 8 + 1 + 8 * usize::from(body[24]) + 8 + 8;
+            let n = word(at) as usize;
+            let width = (body.len() - at - 8) / n;
+            let kept = (n as i64 + delta) as usize;
+            let mut bytes = body[..at].to_vec();
+            bytes.extend_from_slice(&(kept as u64).to_le_bytes());
+            for i in 0..kept {
+                let i = i.min(n - 1);
+                bytes.extend_from_slice(&body[at + 8 + i * width..][..width]);
+            }
+            Some(bytes)
+        })
+    };
+    assert_eq!(resume(0), Ok(()), "as many samples as the series resumes");
+    for delta in [-1, 1] {
+        match resume(delta) {
+            Err(EngineError::Snapshot(SnapshotError::Malformed(why))) => {
+                assert!(why.contains("governor holds"), "{why}")
+            }
+            other => panic!("{delta:+} samples: expected Malformed, got {other:?}"),
+        }
     }
 }
 

@@ -290,17 +290,14 @@ fn sharded_runner(shards: usize) -> IngestRunner<BitAddressIndex> {
     IngestRunner::new(BitAddressIndex::with_shards(config(0), shards))
 }
 
-/// A `WorkerPool` with its work-size gate taken off: `run_sized` stays
-/// at the trait default, which drops the estimate, and `run_tasks` vouches
-/// for more work than any threshold — so every dispatch, however small,
-/// crosses to the worker threads.
+/// A `WorkerPool` with its work-size gate taken off: it asks the pool
+/// about more work than any threshold, so every dispatch of two tasks or
+/// more, however small, crosses to a scoped thread (and is counted).
 struct Ungated<'a>(&'a amri_engine::WorkerPool);
 
-// SAFETY: forwards every dispatch to `WorkerPool`, unchanged but for its
-// size, so the pool's exactly-once / does-not-outlive guarantee carries.
-unsafe impl ShardExecutor for Ungated<'_> {
-    fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.0.run_sized(n, u64::MAX, task);
+impl ShardExecutor for Ungated<'_> {
+    fn threads_for(&self, n: usize, _work_ns: u64) -> usize {
+        self.0.threads_for(n, u64::MAX)
     }
 }
 
@@ -423,16 +420,10 @@ struct Recording<'a> {
     sized: std::sync::Mutex<Vec<(usize, u64)>>,
 }
 
-// SAFETY: forwards every dispatch to `WorkerPool` as it came; the pool's
-// guarantee carries.
-unsafe impl ShardExecutor for Recording<'_> {
-    fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.pool.run_tasks(n, task);
-    }
-
-    fn run_sized(&self, n: usize, work_ns: u64, task: &(dyn Fn(usize) + Sync)) {
+impl ShardExecutor for Recording<'_> {
+    fn threads_for(&self, n: usize, work_ns: u64) -> usize {
         self.sized.lock().unwrap().push((n, work_ns));
-        self.pool.run_sized(n, work_ns, task);
+        self.pool.threads_for(n, work_ns)
     }
 }
 

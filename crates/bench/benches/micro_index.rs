@@ -3,9 +3,8 @@
 //! multi-hash access module vs a full scan.
 
 use amri_core::{
-    BitAddressIndex, CostReceipt, IndexConfig, IngestStage, IoFaultConfig, MultiHashIndex,
-    SearchScratch, SequentialExecutor, SpillConfig, SpillTier, StateIndex, StateStore,
-    StorageProfile, TupleKey,
+    BitAddressIndex, CostReceipt, IndexConfig, IoFaultConfig, MultiHashIndex, SearchScratch,
+    SequentialExecutor, SpillConfig, SpillTier, StateIndex, StateStore, StorageProfile, TupleKey,
 };
 use amri_engine::{Job, WorkerPool};
 use amri_stream::{
@@ -216,70 +215,6 @@ fn bench_migrate(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
-    g.finish();
-}
-
-/// Staged parallel ingest — the tentpole's write path. 10k tuples arrive
-/// in 256-tuple bursts; each burst stages its index linking per shard and
-/// is applied through the worker pool, then the whole window expires in
-/// one staged batch. The 4-shard index and arrival sequence are identical
-/// across thread counts (the arena/window half is sequential by design),
-/// so the ids differ only in executor parallelism. Like
-/// `index_parallel_10k`, these ids feed `BENCH_parallel.json` and are
-/// deliberately absent from `BENCH_index.json`/`bench_guard.sh`.
-fn bench_ingest_parallel(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ingest_parallel_10k");
-    g.sample_size(10);
-    let n = 10_000u64;
-    for threads in [1usize, 2, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("insert_expire_threads", threads),
-            &threads,
-            |b, &threads| {
-                let pool = WorkerPool::new(std::num::NonZeroUsize::new(threads).unwrap());
-                b.iter_batched(
-                    || {
-                        StateStore::new(
-                            StreamId(0),
-                            vec![AttrId(0), AttrId(1), AttrId(2)],
-                            WindowSpec::secs(60),
-                            BitAddressIndex::with_shards(
-                                IndexConfig::new(vec![8, 8, 8]).unwrap(),
-                                4,
-                            ),
-                        )
-                    },
-                    |mut store| {
-                        let mut receipt = CostReceipt::new();
-                        let mut stage = IngestStage::new();
-                        for i in 0..n {
-                            let tuple = Tuple::new(
-                                TupleId(i),
-                                StreamId(0),
-                                VirtualTime::from_secs(i / 200),
-                                jas(i),
-                            );
-                            store.insert_staged(tuple, &mut receipt, &mut stage);
-                            if i % 256 == 255 {
-                                store.apply_staged(&mut stage, &pool);
-                            }
-                        }
-                        store.apply_staged(&mut stage, &pool);
-                        // Slide the window past every arrival: one staged
-                        // expiry batch unlinks all 10k entries.
-                        let expired = store.expire_staged(
-                            VirtualTime::from_secs(10_000),
-                            &mut receipt,
-                            &mut stage,
-                        );
-                        store.apply_staged(&mut stage, &pool);
-                        black_box((expired, receipt.hash_ops))
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            },
-        );
-    }
     g.finish();
 }
 
@@ -611,7 +546,6 @@ criterion_group!(
     bench_search,
     bench_parallel,
     bench_migrate,
-    bench_ingest_parallel,
     bench_migrate_parallel,
     bench_spill,
     bench_spill_cached

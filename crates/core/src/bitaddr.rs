@@ -90,7 +90,7 @@ use crate::cost::CostReceipt;
 use crate::layout;
 use crate::parallel::{for_each_slot, SequentialExecutor, ShardExecutor, RELINK_NS, WALK_NS};
 use crate::state::{SearchScratch, ShardSlot, StateIndex, TupleKey};
-use amri_stream::{AttrValue, AttrVec, BoundValues, SearchRequest};
+use amri_stream::{AttrValue, BoundValues, SearchRequest};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Null chain link, and the empty directory slot.
@@ -119,72 +119,18 @@ struct EntryHead {
     tag: u32,
 }
 
-/// One deferred structural index operation, already routed to its owning
-/// shard. Inserts carry the entry in transit (bucket id and tag pre-hashed
-/// at stage time); removes carry the chain to walk. Replayed in arrival
-/// order per shard, so a remove staged after an insert of the same key
-/// unlinks exactly the entry the sequential path would.
-#[derive(Debug, Clone, Copy)]
-enum StagedOp {
-    Insert {
-        key: TupleKey,
-        bucket: u64,
-        tag: u32,
-        jas: AttrVec,
-    },
-    Remove {
-        bucket: u64,
-        key: TupleKey,
-    },
-}
-
-/// Per-shard lanes of deferred index maintenance (see the staging hooks
-/// of [`StateIndex`]).
-/// Cost receipts are charged when an op is *staged* — insert/remove
-/// charges are data-independent, so staging is exact — and the physical
-/// link/unlink work is replayed later, one task per shard, in arrival
-/// order. Lanes are retained across flushes so steady-state ingest does
-/// not allocate.
+/// What `JoinState::ingest_arrival` and its two flush forwarders take
+/// (`amri-engine`): nothing. Every insert and remove links or unlinks its
+/// entry in the call that charges it, so there is nothing to stage; the
+/// type only keeps the frozen benchmark API compiling, and ROADMAP item 11
+/// deletes it.
 #[derive(Debug, Clone, Default)]
-pub struct IngestStage {
-    ops: Vec<Vec<StagedOp>>,
-    pending: usize,
-}
+pub struct IngestStage;
 
 impl IngestStage {
-    /// An empty stage (equivalent to `Default::default()`).
+    /// The (empty) stage.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when nothing is staged — flushing is then free.
-    pub fn is_empty(&self) -> bool {
-        self.pending == 0
-    }
-
-    /// Number of staged, not-yet-applied operations.
-    pub fn pending_ops(&self) -> usize {
-        self.pending
-    }
-
-    fn push(&mut self, s_count: usize, s: usize, op: StagedOp) {
-        if self.ops.len() < s_count {
-            self.ops.resize_with(s_count, Vec::new);
-        }
-        self.ops[s].push(op);
-        self.pending += 1;
-    }
-
-    /// Shard `s`'s staged run (empty when nothing was ever routed to it).
-    fn lane(&self, s: usize) -> &[StagedOp] {
-        self.ops.get(s).map_or(&[], Vec::as_slice)
-    }
-
-    fn clear(&mut self) {
-        for lane in &mut self.ops {
-            lane.clear();
-        }
-        self.pending = 0;
+        Self
     }
 }
 
@@ -291,14 +237,6 @@ impl Shard {
             shift: 0,
             occupied: 0,
         }
-    }
-
-    /// Forget every entry, keeping the buffers.
-    fn clear(&mut self) {
-        self.heads.clear();
-        self.vals.clear();
-        self.dir.fill(NIL);
-        self.occupied = 0;
     }
 
     /// The directory slot of `bucket`. The directory must be non-empty.
@@ -476,28 +414,6 @@ impl Shard {
         }
     }
 
-    /// The one link/unlink entry: perform a routed maintenance operation.
-    fn apply(&mut self, op: &StagedOp) {
-        match op {
-            StagedOp::Insert {
-                key,
-                bucket,
-                tag,
-                jas,
-            } => self.insert(*key, *bucket, *tag, jas.as_slice()),
-            StagedOp::Remove { bucket, key } => self.remove_by_key(*bucket, *key),
-        }
-    }
-
-    /// Replay this shard's staged lane. Ops arrive in the shard's original
-    /// arrival order, so the resulting entry set equals eager sequential
-    /// maintenance.
-    fn replay(&mut self, lane: &[StagedOp]) {
-        for op in lane {
-            self.apply(op);
-        }
-    }
-
     /// Probe this shard under `plan`, appending the entries that match
     /// `bound` to `hits` in walk order and charging `receipt` one
     /// comparison per entry whose bucket is a candidate — whether the walk
@@ -615,35 +531,39 @@ impl BitAddressIndex {
         }
     }
 
-    /// Empty every shard and re-route its entries (bucket ids already
-    /// current) over `shard_count` shards: gathered shard-major in slab
-    /// order — the deterministic arrival order the replay keeps — staged
-    /// per destination, then linked one task per shard.
+    /// Re-route every entry (bucket ids already current) over
+    /// `shard_count` fresh shards, one task per destination: each walks
+    /// the old shards shard-major in slab order and links the entries
+    /// routed to it, so every destination's slab and chains are the same
+    /// for any executor. A destination keeps the directory buffer of the
+    /// old shard at its position, emptied.
     fn redistribute(&mut self, shard_count: usize, exec: &dyn ShardExecutor) {
-        let shard_bits = shard_count.trailing_zeros();
-        let total_bits = self.config.total_bits();
-        let mut stage = IngestStage::new();
-        for shard in &mut self.shards {
-            for (i, e) in shard.heads.iter().enumerate() {
-                let jas =
-                    AttrVec::from_slice(shard.jas(i)).expect("a stored JAS arrived as an AttrVec");
-                stage.push(
-                    shard_count,
-                    shard_index(e.bucket, shard_bits, total_bits),
-                    StagedOp::Insert {
-                        key: e.key,
-                        bucket: e.bucket,
-                        tag: e.tag,
-                        jas,
-                    },
-                );
-            }
-            shard.clear();
-        }
-        self.shard_bits = shard_bits;
+        let mut old = std::mem::take(&mut self.shards);
+        let work_ns = old.iter().map(|s| s.heads.len() as u64).sum::<u64>() * RELINK_NS;
+        self.shard_bits = shard_count.trailing_zeros();
+        let (shard_bits, total_bits) = (self.shard_bits, self.config.total_bits());
         let width = self.config.width();
-        self.shards.resize_with(shard_count, || Shard::new(width));
-        self.apply_stage(&mut stage, exec);
+        self.shards = (0..shard_count)
+            .map(|d| {
+                let mut fresh = Shard::new(width);
+                if let Some(shard) = old.get_mut(d) {
+                    fresh.dir = std::mem::take(&mut shard.dir);
+                    fresh.dir.fill(NIL);
+                    fresh.shift = shard.shift;
+                }
+                fresh
+            })
+            .collect();
+        let old = &old;
+        for_each_slot(exec, work_ns, &mut self.shards, |d, dest| {
+            for shard in old {
+                for (i, e) in shard.heads.iter().enumerate() {
+                    if shard_index(e.bucket, shard_bits, total_bits) == d {
+                        dest.insert(e.key, e.bucket, e.tag, shard.jas(i));
+                    }
+                }
+            }
+        });
     }
 
     /// The shard a bucket id routes to — shard 0 of one without summing the
@@ -842,10 +762,9 @@ impl BitAddressIndex {
     ///    stable across the two configurations): each shard clears its
     ///    directory and relinks its slab in slab order, in place, with no
     ///    per-entry allocation.
-    /// 3. **Redistribute** otherwise: entries are gathered shard-major in
-    ///    slab order (a deterministic sequential pass fixing arrival
-    ///    order), staged per destination shard, and each destination
-    ///    links its staged run in one parallel task.
+    /// 3. **Redistribute** otherwise (parallel): one task per destination
+    ///    shard walks the old shards shard-major in slab order and links
+    ///    the entries routed to it.
     ///
     /// # Panics
     /// Panics if `new_config` covers a different JAS width: the stored
@@ -956,9 +875,8 @@ impl BitAddressIndex {
     }
 
     /// Charge one maintenance operation — `indexed_attrs` hashes plus one
-    /// bucket probe, data-independent, so charging at stage time is exact
-    /// — and route an insert: returns the owning shard, the bucket id and
-    /// the value tag, hashed together.
+    /// bucket probe, data-independent — and route an insert: returns the
+    /// owning shard, the bucket id and the value tag, hashed together.
     fn route(&self, jas: &[AttrValue], receipt: &mut CostReceipt) -> (usize, u64, u32) {
         self.charge(receipt);
         let (bucket, tag) = self.config.bucket_and_tag(jas);
@@ -1012,45 +930,6 @@ impl StateIndex for BitAddressIndex {
         self.shards[s].remove_by_key(bucket, key);
     }
 
-    fn stage_insert(
-        &mut self,
-        key: TupleKey,
-        jas: &[AttrValue],
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) {
-        let (s, bucket, tag) = self.route(jas, receipt);
-        let op = StagedOp::Insert {
-            key,
-            bucket,
-            tag,
-            jas: AttrVec::from_slice(jas).expect("a JAS fits an AttrVec"),
-        };
-        stage.push(self.shards.len(), s, op);
-    }
-
-    fn stage_remove(
-        &mut self,
-        key: TupleKey,
-        jas: &[AttrValue],
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) {
-        let (s, bucket) = self.route_remove(jas, receipt);
-        stage.push(self.shards.len(), s, StagedOp::Remove { bucket, key });
-    }
-
-    fn apply_stage(&mut self, stage: &mut IngestStage, exec: &dyn ShardExecutor) {
-        if stage.is_empty() {
-            return;
-        }
-        let work_ns = stage.pending_ops() as u64 * RELINK_NS;
-        for_each_slot(exec, work_ns, &mut self.shards, |s, shard| {
-            shard.replay(stage.lane(s));
-        });
-        stage.clear();
-    }
-
     fn search_into(
         &self,
         req: &SearchRequest,
@@ -1075,7 +954,7 @@ impl StateIndex for BitAddressIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amri_stream::AccessPattern;
+    use amri_stream::{AccessPattern, AttrVec};
     use proptest::prelude::*;
 
     fn jas(vals: &[u64]) -> AttrVec {
@@ -1413,13 +1292,12 @@ mod tests {
             prop_assert_eq!(got, expected);
         }
 
-        /// Memory-pressure eviction through `StateStore::evict_oldest_with`
+        /// Memory-pressure eviction through `StateStore::evict_oldest`
         /// interleaved with inserts and searches: after every step the
         /// flat arena stays dense with cycle-free, fully consistent
         /// chains, and `search_into` agrees with a scan oracle over the
-        /// model's survivor set. Eviction runs through one reusable
-        /// `IngestStage` and charges, per evicted entry, exactly one base
-        /// op, `indexed_attrs` hashes and one bucket probe.
+        /// model's survivor set. Eviction charges, per evicted entry,
+        /// exactly one base op, `indexed_attrs` hashes and one bucket probe.
         #[test]
         fn eviction_interleavings_keep_the_arena_sound(
             bits in proptest::collection::vec(0u8..4, 3),
@@ -1441,7 +1319,6 @@ mod tests {
                 WindowSpec::secs(1_000_000), // never expires: evictions only
                 BitAddressIndex::new(config),
             );
-            let mut stage = IngestStage::new();
             // Oracle: arrival-ordered (key, jas) survivors.
             let mut model: Vec<(TupleKey, Vec<u64>)> = Vec::new();
             let mut r = CostReceipt::new();
@@ -1463,14 +1340,8 @@ mod tests {
                 } else if op < 7 {
                     // Evict the `count` oldest live tuples.
                     let mut charged = CostReceipt::new();
-                    let evicted = store.evict_oldest_with(
-                        count,
-                        &mut charged,
-                        &mut stage,
-                        &SequentialExecutor,
-                    );
+                    let evicted = store.evict_oldest(count, &mut charged);
                     prop_assert_eq!(evicted, count.min(model.len()));
-                    prop_assert!(stage.is_empty(), "eviction must drain the stage it filled");
                     let n = evicted as u64;
                     let mut expected = CostReceipt::new();
                     expected.base_ops = n;

@@ -46,8 +46,8 @@
 //! ```
 //! use amri_core::assess::AssessorKind;
 //! use amri_core::{
-//!     CostParams, CostReceipt, IndexConfig, IngestStage, SearchScratch, SequentialExecutor,
-//!     TunerConfig, TunerKind,
+//!     CostParams, CostReceipt, IndexConfig, SearchScratch, SequentialExecutor, TunerConfig,
+//!     TunerKind,
 //! };
 //! use amri_engine::JoinState;
 //! use amri_hh::CombineStrategy;
@@ -82,18 +82,17 @@
 //!         VirtualTime::ZERO,
 //!         AttrVec::from_slice(&[i % 10, i % 5, i % 3]).unwrap(),
 //!     );
-//!     state.insert(tuple, &mut receipt);
+//!     state.ingest(tuple, VirtualTime::ZERO, &mut receipt);
 //! }
 //!
 //! // A workload that searches only on the first attribute...
-//! let (mut scratch, mut stage) = (SearchScratch::new(), IngestStage::new());
+//! let mut scratch = SearchScratch::new();
 //! for i in 0..50u64 {
 //!     let request = SearchRequest::new(
 //!         AccessPattern::from_positions(&[0], 3).unwrap(),
 //!         AttrVec::from_slice(&[i % 10, 0, 0]).unwrap(),
 //!     );
-//!     let exec = &SequentialExecutor;
-//!     state.flush_ingest_then_search(&request, &mut scratch, &mut receipt, &mut stage, exec);
+//!     state.search(&request, &mut scratch, &mut receipt, &SequentialExecutor);
 //!     assert_eq!(scratch.hits.len(), 10);
 //! }
 //!

@@ -107,8 +107,8 @@ fn on_threads<T: Send>(threads: usize, slots: &mut [T], work: impl Fn(usize, &mu
 pub const WALK_NS: u64 = 1;
 
 /// One index entry linked, unlinked or rebucketed: an in-place migration
-/// pass reads 8.5–10 ns per entry and a replayed link about the same into
-/// warm shards (30–40 ns into growing ones); a replayed unlink 25–86 ns.
+/// pass reads 8.5–10 ns per entry and a link about the same into
+/// warm shards (30–40 ns into growing ones); an unlink 25–86 ns.
 pub const RELINK_NS: u64 = 10;
 
 /// The size of any dispatch that reads spill blocks: device latency

@@ -8,7 +8,6 @@
 //! the identical storage code and differs only in the index, mirroring the
 //! paper's controlled comparison.
 
-use crate::bitaddr::IngestStage;
 use crate::cost::CostReceipt;
 use crate::layout;
 use crate::parallel::ShardExecutor;
@@ -85,66 +84,18 @@ impl SearchScratch {
 ///
 /// Implementations receive the tuple's JAS-aligned values on insert/remove
 /// and fill in a [`CostReceipt`] for every primitive action, so the engine
-/// charges virtual time faithfully.
-///
-/// The engine drives every index through the *staged* hooks: the cost
-/// charges and shard routing of an insert/remove happen at arrival time,
-/// while a sharded index may defer the physical link/unlink work into an
-/// [`IngestStage`] and replay it per shard in arrival order — inline or
-/// fanned out across a worker pool. Because every operation touches
-/// exactly one shard and each shard replays its own subsequence in the
-/// original order, the applied structure is byte-identical to eager
-/// sequential maintenance regardless of the executor. The hooks default to
-/// the eager [`insert`](Self::insert)/[`remove`](Self::remove) primitives,
-/// which is all an unsharded index needs: its stage stays empty.
-///
-/// Contract: the stage must be drained (applied) before any observation
-/// of the index — searches, memory accounting, migration, snapshots —
-/// and before the index is reconfigured.
+/// charges virtual time faithfully. An insert or remove links or unlinks
+/// its entry in the call that charges it, so every later search sees it.
 pub trait StateIndex {
-    /// Index a newly stored tuple, eagerly.
+    /// Index a newly stored tuple.
     fn insert(&mut self, key: TupleKey, jas_values: &[AttrValue], receipt: &mut CostReceipt);
 
-    /// Remove an expired tuple, eagerly.
+    /// Remove an expired or evicted tuple.
     fn remove(&mut self, key: TupleKey, jas_values: &[AttrValue], receipt: &mut CostReceipt);
-
-    /// Charge the insertion of `key` now; the physical linking may be
-    /// deferred into `stage` until [`apply_stage`](Self::apply_stage).
-    fn stage_insert(
-        &mut self,
-        key: TupleKey,
-        jas_values: &[AttrValue],
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) {
-        let _ = stage;
-        self.insert(key, jas_values, receipt);
-    }
-
-    /// Charge the removal of `key` now; the physical unlinking may be
-    /// deferred into `stage` until [`apply_stage`](Self::apply_stage).
-    fn stage_remove(
-        &mut self,
-        key: TupleKey,
-        jas_values: &[AttrValue],
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) {
-        let _ = stage;
-        self.remove(key, jas_values, receipt);
-    }
-
-    /// Apply every staged operation, fanning the per-shard runs out
-    /// through `exec`. Charges nothing — all costs were taken at stage
-    /// time. Leaves the stage empty.
-    fn apply_stage(&mut self, stage: &mut IngestStage, exec: &dyn ShardExecutor) {
-        let _ = (stage, exec);
-    }
 
     /// Find tuples matching `req` (equality on the specified attributes),
     /// writing them into `scratch.hits` (cleared first). A sharded index
-    /// fans its per-shard walks out through `exec`; the stage must already
-    /// be applied.
+    /// fans its per-shard walks out through `exec`.
     ///
     /// Returns `true` when the index served the request; `false` when it
     /// cannot and the caller must scan the arena. Steady-state calls must
@@ -413,7 +364,7 @@ pub struct StateStore<I: ?Sized> {
     window: WindowBuffer<TupleKey>,
     /// Payload bytes per tuple (schema-declared, memory accounting only).
     payload_bytes: u32,
-    /// Reusable drain buffer for [`StateStore::expire_staged`] (borrow discipline:
+    /// Reusable drain buffer for [`StateStore::expire`] (borrow discipline:
     /// the window queue and the arena/index cannot be borrowed at once).
     expire_buf: Vec<TupleKey>,
     /// The disk spill tier, when enabled for this state.
@@ -498,58 +449,25 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         &mut self.index
     }
 
-    /// The arena/window half of an arrival: claim a slot, queue the
-    /// window entry, charge the base op. Sequential by design — slot
-    /// assignment and window order are what every later step keys on.
+    /// Store an arriving tuple — claim a slot, queue the window entry,
+    /// charge the base op — and index it.
     ///
     /// # Panics
     /// Panics if the tuple is from a different stream, or of another
     /// arity than the tuples stored before it.
-    fn admit(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> TupleKey {
+    pub fn insert(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> TupleKey {
         assert_eq!(tuple.stream, self.stream, "tuple from wrong stream");
         let key = self.arena.insert(&tuple);
         self.window.push(tuple.ts, key);
         receipt.base_ops += 1;
-        key
-    }
-
-    /// Store an arriving tuple and index it eagerly — the stage-less
-    /// convenience over [`insert_staged`](Self::insert_staged).
-    ///
-    /// # Panics
-    /// Panics if the tuple is from a different stream.
-    pub fn insert(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> TupleKey {
-        let key = self.admit(tuple, receipt);
         self.index.insert(key, self.arena.jas(key), receipt);
         key
     }
 
-    /// Store an arriving tuple, charging full ingest cost now but staging
-    /// the index linking for a later [`apply_staged`](Self::apply_staged).
-    ///
-    /// # Panics
-    /// Panics if the tuple is from a different stream.
-    pub fn insert_staged(
-        &mut self,
-        tuple: Tuple,
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) -> TupleKey {
-        let key = self.admit(tuple, receipt);
-        self.index
-            .stage_insert(key, self.arena.jas(key), receipt, stage);
-        key
-    }
-
-    /// Free `key`'s arena slot and stage its index removal — the shared
-    /// tail of expiry and eviction. A spilled stub releases its block
-    /// reference. Returns whether the key was live.
-    fn retire(
-        &mut self,
-        key: TupleKey,
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) -> bool {
+    /// Free `key`'s arena slot and unindex it — the shared tail of expiry
+    /// and eviction. A spilled stub releases its block reference. Returns
+    /// whether the key was live.
+    fn retire(&mut self, key: TupleKey, receipt: &mut CostReceipt) -> bool {
         let Some(head) = self.arena.remove(key) else {
             return false;
         };
@@ -560,23 +478,13 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
             }
         }
         receipt.base_ops += 1;
-        self.index
-            .stage_remove(key, self.arena.jas(key), receipt, stage);
+        self.index.remove(key, self.arena.jas(key), receipt);
         true
     }
 
-    /// Expire every tuple that has slid out of the window at `now`;
-    /// returns how many were removed. The window drains and the arena
-    /// frees slots immediately (preserving free-list order), while the
-    /// unlink work joins the stage *in order* — so a staged removal and a
-    /// staged same-key re-insert within one batch replay exactly as they
-    /// would have executed eagerly.
-    pub fn expire_staged(
-        &mut self,
-        now: VirtualTime,
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) -> usize {
+    /// Expire every tuple that has slid out of the window at `now`, oldest
+    /// first; returns how many were removed.
+    pub fn expire(&mut self, now: VirtualTime, receipt: &mut CostReceipt) -> usize {
         // Drain the expiration queue into the state-owned reusable buffer
         // (the window queue and the arena/index cannot be borrowed at
         // once). Steady state touches no allocator: the buffer's capacity
@@ -586,7 +494,7 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         expired.extend(self.window.expire(now).map(|(_, k)| k));
         let mut removed = 0;
         for &key in &expired {
-            removed += usize::from(self.retire(key, receipt, stage));
+            removed += usize::from(self.retire(key, receipt));
         }
         self.expire_buf = expired;
         removed
@@ -610,39 +518,21 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     }
 
     /// Forcibly remove up to `max` of the **oldest** live tuples — the
-    /// memory-pressure eviction path. Unlike
-    /// [`expire_staged`](Self::expire_staged) this ignores the window:
-    /// evicted tuples may still be live, trading recall for survival.
-    /// Window pops and arena removals (and thus free-list order) stay
-    /// sequential in eviction order; the unlinks join whatever `stage`
-    /// already holds and the whole stage is applied through `exec`, so
-    /// the index is observable again on return. Returns how many tuples
-    /// were evicted.
-    pub fn evict_oldest_with(
-        &mut self,
-        max: usize,
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-        exec: &dyn ShardExecutor,
-    ) -> usize {
+    /// memory-pressure eviction path. Unlike [`expire`](Self::expire) this
+    /// ignores the window: evicted tuples may still be live, trading
+    /// recall for survival. Returns how many tuples were evicted.
+    pub fn evict_oldest(&mut self, max: usize, receipt: &mut CostReceipt) -> usize {
         let mut evicted = 0;
         while evicted < max {
             let Some((_, key)) = self.window.pop_oldest() else {
                 break;
             };
-            evicted += usize::from(self.retire(key, receipt, stage));
+            evicted += usize::from(self.retire(key, receipt));
         }
-        self.index.apply_stage(stage, exec);
         evicted
     }
 
-    /// Apply every staged index operation through `exec`. Charges nothing.
-    pub fn apply_staged(&mut self, stage: &mut IngestStage, exec: &dyn ShardExecutor) {
-        self.index.apply_stage(stage, exec);
-    }
-
-    /// Serve `req` — the one read entry. The stage must already be
-    /// applied ([`apply_staged`](Self::apply_staged)).
+    /// Serve `req` — the one read entry.
     ///
     /// `scratch.hits` is cleared and then filled with the keys of matching
     /// live tuples, in canonical key order when an index served them. A
@@ -1239,6 +1129,7 @@ mod tests {
     use super::*;
     use crate::hash_index::MultiHashIndex;
     use crate::parallel::SequentialExecutor;
+    use crate::tier::scratch::{Dir, In};
     use amri_stream::{AccessPattern, TupleId};
 
     fn mk_tuple(id: u64, ts_secs: u64, attrs: &[u64]) -> Tuple {
@@ -1260,9 +1151,6 @@ mod tests {
         )
     }
 
-    // A module with no index never defers work, so these helpers hand the store a
-    // throwaway stage that stays empty.
-
     fn search_vec(
         s: &mut StateStore<MultiHashIndex>,
         req: &SearchRequest,
@@ -1274,11 +1162,7 @@ mod tests {
     }
 
     fn expire(s: &mut StateStore<MultiHashIndex>, secs: u64, r: &mut CostReceipt) -> usize {
-        s.expire_staged(VirtualTime::from_secs(secs), r, &mut IngestStage::new())
-    }
-
-    fn evict(s: &mut StateStore<MultiHashIndex>, max: usize, r: &mut CostReceipt) -> usize {
-        s.evict_oldest_with(max, r, &mut IngestStage::new(), &SequentialExecutor)
+        s.expire(VirtualTime::from_secs(secs), r)
     }
 
     /// `key` alone through `materialize_batch`: its tuple, or the tuples
@@ -1432,7 +1316,7 @@ mod tests {
         assert_eq!(s.oldest_ts(), Some(VirtualTime::from_secs(0)));
         // All five are live under the 10 s window; evict the two oldest.
         let mut r = CostReceipt::new();
-        assert_eq!(evict(&mut s, 2, &mut r), 2);
+        assert_eq!(s.evict_oldest(2, &mut r), 2);
         assert!(r.base_ops >= 2, "eviction charges the removal cost");
         assert_eq!(s.len(), 3);
         assert!(s.tuple(keys[0]).is_none());
@@ -1446,29 +1330,27 @@ mod tests {
         );
         assert_eq!(search_vec(&mut s, &req, &mut CostReceipt::new()).len(), 3);
         // Asking for more than remain drains the state and stops cleanly.
-        assert_eq!(evict(&mut s, 100, &mut CostReceipt::new()), 3);
+        assert_eq!(s.evict_oldest(100, &mut CostReceipt::new()), 3);
         assert!(s.is_empty());
         assert_eq!(s.oldest_ts(), None);
-        assert_eq!(evict(&mut s, 1, &mut CostReceipt::new()), 0);
+        assert_eq!(s.evict_oldest(1, &mut CostReceipt::new()), 0);
     }
 
-    fn spill_store(tag: &str, faults: crate::tier::IoFaultConfig) -> StateStore<MultiHashIndex> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("amri-state-spill-{}-{tag}-{n}", std::process::id()));
-        spill_store_in(dir, faults, 0)
+    fn spill_store(
+        tag: &str,
+        faults: crate::tier::IoFaultConfig,
+    ) -> In<StateStore<MultiHashIndex>> {
+        spill_store_in(Dir::new(&format!("state-spill-{tag}")), faults, 0)
     }
 
     /// A store whose tier keeps its blocks in `dir/s0.blocks`.
     fn spill_store_in(
-        dir: std::path::PathBuf,
+        dir: Dir,
         faults: crate::tier::IoFaultConfig,
         cache_bytes: u64,
-    ) -> StateStore<MultiHashIndex> {
+    ) -> In<StateStore<MultiHashIndex>> {
         let tier = SpillTier::create(&crate::tier::SpillConfig {
-            dir,
+            dir: dir.path().to_path_buf(),
             file_name: "s0.blocks".into(),
             profile: crate::cost::StorageProfile::default(),
             faults,
@@ -1478,7 +1360,7 @@ mod tests {
         .unwrap();
         let mut s = store().with_payload_bytes(64);
         s.enable_spill(tier);
-        s
+        In::new(s, dir)
     }
 
     #[test]
@@ -1578,8 +1460,9 @@ mod tests {
 
     #[test]
     fn block_corrupted_under_the_open_handle_is_purged() {
-        let dir = std::env::temp_dir().join(format!("amri-state-corrupt-{}", std::process::id()));
-        let mut s = spill_store_in(dir.clone(), Default::default(), 1 << 20);
+        let dir = Dir::new("state-corrupt");
+        let path = dir.path().to_path_buf();
+        let mut s = spill_store_in(dir, Default::default(), 1 << 20);
         let mut r = CostReceipt::new();
         let keys: Vec<TupleKey> = (0..5)
             .map(|i| s.insert(mk_tuple(i, i, &[i, 0, i]), &mut r))
@@ -1587,7 +1470,7 @@ mod tests {
         assert_eq!(s.spill_oldest(3, &mut r), Ok(3));
         // The tier has held its handle since `create`; flip the block's
         // last byte on disk behind it.
-        let file = dir.join("s0.blocks");
+        let file = path.join("s0.blocks");
         let mut raw = std::fs::read(&file).unwrap();
         *raw.last_mut().unwrap() ^= 0x01;
         std::fs::write(&file, &raw).unwrap();
@@ -1605,17 +1488,14 @@ mod tests {
         assert_eq!(s.cache_used_bytes(), 0, "a corrupt block is never cached");
         assert!(out[..3].iter().all(Option::is_none));
         assert!(out[3..].iter().all(Option::is_some));
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn a_batch_wider_than_the_cache_reads_each_cold_block_once_and_serves_every_key() {
-        let tmp = |tag: &str| {
-            std::env::temp_dir().join(format!("amri-state-wide-{}-{tag}", std::process::id()))
-        };
         // Twelve tuples in four blocks of three; `cache_bytes` of budget.
         let load = |tag: &str, cache_bytes: u64| {
-            let mut s = spill_store_in(tmp(tag), Default::default(), cache_bytes);
+            let dir = Dir::new(&format!("state-wide-{tag}"));
+            let mut s = spill_store_in(dir, Default::default(), cache_bytes);
             let mut r = CostReceipt::new();
             for i in 0..12 {
                 s.insert(mk_tuple(i, i, &[i, 0, i]), &mut r);
@@ -1677,9 +1557,6 @@ mod tests {
             plain.spill_stats().blocks_read * 2,
             "demand counters are cache-invariant"
         );
-        for tag in ["probe", "cached", "plain"] {
-            let _ = std::fs::remove_dir_all(tmp(tag));
-        }
     }
 
     #[test]
@@ -1830,7 +1707,7 @@ mod tests {
 
     /// An image of `s` (state and index) after spilling its three tuples,
     /// restored into a twin that has stored nothing but stubs.
-    fn all_spilled_twin(s: &mut StateStore<MultiHashIndex>) -> StateStore<MultiHashIndex> {
+    fn all_spilled_twin(s: &mut StateStore<MultiHashIndex>) -> In<StateStore<MultiHashIndex>> {
         let mut r = CostReceipt::new();
         for i in 0..3 {
             s.insert(mk_tuple(i, i, &[i, 10 + i, 20 + i]), &mut r);
@@ -2039,13 +1916,7 @@ mod tests {
     /// Returns the scans' hits, and the freed slots and stubs the scans
     /// ran beside, summed over the ops.
     fn scan_run(ops: &[(u8, Vec<u64>)]) -> [usize; 3] {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static N: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "amri-state-scan-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
+        let dir = Dir::new("state-scan");
         let mut s = StateStore::new(
             StreamId(0),
             vec![AttrId(2), AttrId(0), AttrId(3)],
@@ -2054,7 +1925,7 @@ mod tests {
         );
         s.enable_spill(
             SpillTier::create(&crate::tier::SpillConfig {
-                dir: dir.clone(),
+                dir: dir.path().to_path_buf(),
                 file_name: "s0.blocks".into(),
                 profile: crate::cost::StorageProfile::default(),
                 faults: Default::default(),
@@ -2076,7 +1947,7 @@ mod tests {
                     expire(&mut s, now, &mut r);
                 }
                 3 => {
-                    evict(&mut s, v[0] as usize, &mut r);
+                    s.evict_oldest(v[0] as usize, &mut r);
                 }
                 4 => {
                     s.spill_oldest(1 + v[0] as usize, &mut r).unwrap();
@@ -2093,7 +1964,6 @@ mod tests {
             seen[1] += s.arena.free.len();
             seen[2] += s.spilled_len();
         }
-        let _ = std::fs::remove_dir_all(dir);
         seen
     }
 

@@ -1331,17 +1331,69 @@ impl SpillTier {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
+/// Scratch directories for the crate's tests, each removed with
+/// everything in it when its guard drops, so a test run leaves nothing in
+/// the temp dir.
+pub(crate) mod scratch {
+    use std::ops::{Deref, DerefMut};
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn scratch_dir(tag: &str) -> PathBuf {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("amri-tier-{}-{tag}-{n}", std::process::id()))
+    /// `amri-<tag>-<pid>-<n>` in the temp dir, removed on drop.
+    pub(crate) struct Dir(PathBuf);
+
+    impl Dir {
+        pub(crate) fn new(tag: &str) -> Self {
+            static N: AtomicU64 = AtomicU64::new(0);
+            let n = N.fetch_add(1, Ordering::Relaxed);
+            let name = format!("amri-{tag}-{}-{n}", std::process::id());
+            Dir(std::env::temp_dir().join(name))
+        }
+
+        pub(crate) fn path(&self) -> &Path {
+            &self.0
+        }
     }
 
-    fn tier(tag: &str, faults: IoFaultConfig, profile: StorageProfile) -> SpillTier {
+    impl Drop for Dir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A value that keeps its files in a scratch directory: it derefs to
+    /// the value, and drops the value before the directory.
+    pub(crate) struct In<T> {
+        value: T,
+        _dir: Dir,
+    }
+
+    impl<T> In<T> {
+        pub(crate) fn new(value: T, dir: Dir) -> Self {
+            In { value, _dir: dir }
+        }
+    }
+
+    impl<T> Deref for In<T> {
+        type Target = T;
+        fn deref(&self) -> &T {
+            &self.value
+        }
+    }
+
+    impl<T> DerefMut for In<T> {
+        fn deref_mut(&mut self) -> &mut T {
+            &mut self.value
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::scratch::{Dir, In};
+    use super::*;
+
+    fn tier(tag: &str, faults: IoFaultConfig, profile: StorageProfile) -> In<SpillTier> {
         tier_cached(tag, faults, profile, 0)
     }
 
@@ -1350,16 +1402,18 @@ mod tests {
         faults: IoFaultConfig,
         profile: StorageProfile,
         cache_bytes: u64,
-    ) -> SpillTier {
-        SpillTier::create(&SpillConfig {
-            dir: scratch_dir(tag),
+    ) -> In<SpillTier> {
+        let dir = Dir::new(&format!("tier-{tag}"));
+        let tier = SpillTier::create(&SpillConfig {
+            dir: dir.path().to_path_buf(),
             file_name: "s0.blocks".into(),
             profile,
             faults,
             seed: 7,
             cache_bytes,
         })
-        .unwrap()
+        .unwrap();
+        In::new(tier, dir)
     }
 
     fn body(vals: &[u64]) -> SectionWriter {
@@ -1627,7 +1681,7 @@ mod tests {
             cache_hit_ns: 7,
             ..StorageProfile::default()
         };
-        let run_reads = |mut t: SpillTier, via_fetch: bool| {
+        let run_reads = |mut t: In<SpillTier>, via_fetch: bool| {
             let mut rc = CostReceipt::new();
             let id = t.append_block(entry_body(&[7]), 1, &mut rc).unwrap();
             let mut trace = Vec::new();

@@ -156,7 +156,7 @@ pub enum RunOutcome {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MaintenanceStats {
     /// Virtual ns charged to ingest-side maintenance: window expiry,
-    /// arena stores, and staged index link/unlink work.
+    /// arena stores, and index link/unlink work.
     pub ingest_ns: u64,
     /// Virtual ns charged to index reconfiguration (AMRI migrations and
     /// hash retargets).
@@ -411,15 +411,10 @@ impl<C: Clock> RunContext<C> {
                 let Some((_, idx)) = victim else {
                     break; // every state drained; nothing left to shed
                 };
-                // The unlinks ride the STeM's reusable ingest stage and are
-                // applied before the next memory report.
-                let stem = &mut self.stems[idx];
-                let evicted = stem.state.store_mut().evict_oldest_with(
-                    gov.evict_chunk(),
-                    &mut receipt,
-                    &mut stem.ingest_stage,
-                    &self.pool,
-                );
+                let evicted = self.stems[idx]
+                    .state
+                    .store_mut()
+                    .evict_oldest(gov.evict_chunk(), &mut receipt);
                 if evicted == 0 {
                     break;
                 }

@@ -202,13 +202,8 @@ pub(crate) fn ingest_step<W: StreamWorkload, C: Clock>(
 
 /// Store one arriving tuple in its stream's STeM and enqueue its routing
 /// job — the ingest tail shared by regular, duplicated and late-released
-/// arrivals.
-///
-/// Expiry and insertion charge eagerly (arena slot, window order, and
-/// receipts are exactly the sequential path's), but the physical index
-/// link/unlink work is *staged* per shard; the same iteration's probe
-/// step replays it, one task per shard, before it probes. The stage is
-/// always drained before anything observes the index.
+/// arrivals. Expiry and insertion link and unlink their index entries in
+/// the call that charges them.
 fn deliver<C: Clock>(
     ctx: &mut RunContext<C>,
     s: usize,
@@ -219,9 +214,7 @@ fn deliver<C: Clock>(
     let tuple = Tuple::new(TupleId(ctx.tuple_seq), StreamId(s as u16), ts, attrs);
     ctx.tuple_seq += 1;
     let mut receipt = CostReceipt::new();
-    let stem = &mut ctx.stems[s];
-    stem.state
-        .ingest_arrival(tuple, now, &mut receipt, &mut stem.ingest_stage);
+    ctx.stems[s].state.ingest(tuple, now, &mut receipt);
     ctx.maint.ingest_ns += ctx.config.params.nanos(&receipt);
     ctx.clock.advance(ctx.config.params.ticks(&receipt));
     push_governed(
@@ -261,14 +254,6 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
         }
     };
     if !popped {
-        // No job to probe for: drain every STeM's staged ingest work
-        // before reporting idle — the pipeline observes memory (and
-        // may checkpoint) at the loop boundary, and the visibility
-        // contract requires an applied index by then.
-        let RunContext { stems, pool, .. } = ctx;
-        for stem in stems.iter_mut() {
-            stem.state.flush_ingest(&mut stem.ingest_stage, pool);
-        }
         return false;
     }
     let RunContext {
@@ -301,29 +286,14 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
     let req = SearchRequest::new(pattern, values);
     observers[target.idx()].record(pattern);
     let mut receipt = CostReceipt::new();
-    // Drain the staged ingest work of every *other* STeM first (almost
-    // always none: only the arrivals since the last probe staged any);
-    // the probe target's stage is flushed by its own read call below.
-    for (i, stem) in stems.iter_mut().enumerate() {
-        if i != target.idx() && !stem.ingest_stage.is_empty() {
-            stem.state.flush_ingest(&mut stem.ingest_stage, pool);
-        }
-    }
     let stem = &mut stems[target.idx()];
     // Scratch-buffered search: the per-STeM buffer is reused across
-    // requests, so steady state never allocates here. Apply, then
-    // probe: two sized dispatches. A probe step is a few staged ops
-    // and about one match, far below a hand-off's worth of work, so
-    // the pool runs both on this thread at any parallelism; only a
-    // dispatch sized above the pool's threshold, or the tier's block
-    // reads, crosses threads.
-    stem.state.flush_ingest_then_search(
-        &req,
-        &mut stem.scratch,
-        &mut receipt,
-        &mut stem.ingest_stage,
-        pool,
-    );
+    // requests, so steady state never allocates here. A probe is about
+    // one match, far below a hand-off's worth of work, so the pool runs
+    // it on this thread at any parallelism; only a dispatch sized above
+    // the pool's threshold, or the tier's block reads, crosses threads.
+    stem.state
+        .search(&req, &mut stem.scratch, &mut receipt, pool);
     stem.requests_served += 1;
     let window = query.windows[target.idx()];
     let now = clock.now();

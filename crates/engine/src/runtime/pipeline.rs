@@ -168,8 +168,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
     /// further calls are no-ops. This is the scheduling granule a host
     /// interleaves: the iteration boundary is exactly where
     /// [`run_with`](Self::run_with) checkpoints, so a pipeline may be
-    /// [snapshotted](Self::snapshot_image) between any two calls (all
-    /// staged ingest work is flushed within each iteration).
+    /// [snapshotted](Self::snapshot_image) between any two calls.
     pub fn step_once(&mut self) -> SessionStatus {
         if self.done {
             return SessionStatus::Finished;

@@ -15,11 +15,9 @@
 //! isolation argument, and the tenant-isolation suite pins it
 //! byte-for-byte.
 //!
-//! Step boundaries are also snapshot boundaries: staged ingest work is
-//! flushed within every iteration and checkpoints are taken between
-//! iterations, so [`snapshot_image`](Session::snapshot_image) at any step
-//! is a valid suspend point (the PR 5 crash-recovery guarantee carries
-//! over verbatim).
+//! Step boundaries are also snapshot boundaries: checkpoints are taken
+//! between iterations, so [`snapshot_image`](Session::snapshot_image) at
+//! any step is a valid suspend point.
 
 use crate::runtime::context::{MaintenanceStats, RunContext};
 use crate::runtime::operators::StreamWorkload;

@@ -156,8 +156,7 @@ impl JoinState {
 
     /// The backing store, mutably: eviction, spilling, promotion and
     /// readahead are called on it directly. Searches go through
-    /// [`flush_ingest_then_search`](Self::flush_ingest_then_search) so the
-    /// flavor's tuner sees their patterns.
+    /// [`search`](Self::search) so the flavor's tuner sees their patterns.
     pub fn store_mut(&mut self) -> &mut StateStore<dyn StateIndex> {
         match self {
             JoinState::Amri { store, .. } => store,
@@ -234,45 +233,26 @@ impl JoinState {
         self.store_mut().spill_oldest(max, receipt).unwrap_or(0)
     }
 
-    /// Ingest one arrival: expire out-of-window tuples, then store the
-    /// tuple. Every cost is charged now; a sharded index defers its
-    /// physical link/unlink work into `stage` (replayed per shard by
-    /// [`flush_ingest`](Self::flush_ingest) /
-    /// [`flush_ingest_then_search`](Self::flush_ingest_then_search)), an
-    /// unsharded one applies it immediately and leaves the stage empty.
-    pub fn ingest_arrival(
-        &mut self,
-        tuple: Tuple,
-        now: VirtualTime,
-        receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
-    ) {
+    /// Ingest one arrival: expire out-of-window tuples, then store and
+    /// index the tuple.
+    pub fn ingest(&mut self, tuple: Tuple, now: VirtualTime, receipt: &mut CostReceipt) {
         let store = self.store_mut();
-        store.expire_staged(now, receipt, stage);
-        store.insert_staged(tuple, receipt, stage);
+        store.expire(now, receipt);
+        store.insert(tuple, receipt);
     }
 
-    /// Flush every staged ingest operation through `exec` (no charges —
-    /// costs were taken at ingest time). Must run before any observation
-    /// of the state: memory accounting, retuning, eviction, snapshots.
-    pub fn flush_ingest(&mut self, stage: &mut IngestStage, exec: &dyn ShardExecutor) {
-        self.store_mut().apply_staged(stage, exec);
-    }
-
-    /// Flush the stage, then serve `req` into the caller's scratch,
-    /// recording the pattern into the flavor's tuner statistics if it has
-    /// one. The zero-allocation hot path — the engine reuses one scratch
-    /// per STeM ([`Stem::scratch`]) — so each flavor's store is searched
-    /// by its concrete type.
-    pub fn flush_ingest_then_search(
+    /// Serve `req` into the caller's scratch, recording the pattern into
+    /// the flavor's tuner statistics if it has one. The zero-allocation
+    /// hot path — the engine reuses one scratch per STeM
+    /// ([`Stem::scratch`]) — so each flavor's store is searched by its
+    /// concrete type.
+    pub fn search(
         &mut self,
         req: &SearchRequest,
         scratch: &mut SearchScratch,
         receipt: &mut CostReceipt,
-        stage: &mut IngestStage,
         exec: &dyn ShardExecutor,
     ) {
-        self.flush_ingest(stage, exec);
         match self {
             JoinState::Amri { store, tuner } => {
                 tuner.record(req.pattern);
@@ -298,20 +278,6 @@ impl JoinState {
         exec: &dyn ShardExecutor,
     ) -> usize {
         self.store_mut().materialize_batch(keys, out, receipt, exec)
-    }
-
-    /// Insert an arriving tuple, eagerly (see [`StateStore::insert`]).
-    pub fn insert(&mut self, tuple: Tuple, receipt: &mut CostReceipt) -> TupleKey {
-        self.store_mut().insert(tuple, receipt)
-    }
-
-    /// Expire out-of-window tuples with nothing left staged: the stage-less
-    /// convenience over [`StateStore::expire_staged`].
-    pub fn expire(&mut self, now: VirtualTime, receipt: &mut CostReceipt) -> usize {
-        let mut stage = IngestStage::new();
-        let removed = self.store_mut().expire_staged(now, receipt, &mut stage);
-        self.flush_ingest(&mut stage, &amri_core::SequentialExecutor);
-        removed
     }
 
     /// Take a tuning decision if this flavor tunes and one is due. AMRI
@@ -433,6 +399,37 @@ impl JoinState {
     }
 }
 
+/// The staged-ingest entry points the benchmark package calls, kept as
+/// forwarders: the index links at arrival, so there is no stage to flush.
+/// ROADMAP item 11 deletes them with [`IngestStage`].
+impl JoinState {
+    /// [`ingest`](Self::ingest); the stage is unused.
+    pub fn ingest_arrival(
+        &mut self,
+        tuple: Tuple,
+        now: VirtualTime,
+        receipt: &mut CostReceipt,
+        _stage: &mut IngestStage,
+    ) {
+        self.ingest(tuple, now, receipt)
+    }
+
+    /// Nothing: every arrival was linked when it was ingested.
+    pub fn flush_ingest(&mut self, _stage: &mut IngestStage, _exec: &dyn ShardExecutor) {}
+
+    /// [`search`](Self::search); the stage is unused.
+    pub fn flush_ingest_then_search(
+        &mut self,
+        req: &SearchRequest,
+        scratch: &mut SearchScratch,
+        receipt: &mut CostReceipt,
+        _stage: &mut IngestStage,
+        exec: &dyn ShardExecutor,
+    ) {
+        self.search(req, scratch, receipt, exec)
+    }
+}
+
 impl std::fmt::Debug for JoinState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "JoinState::{}(len={})", self.kind(), self.len())
@@ -447,13 +444,8 @@ pub struct Stem {
     /// The state.
     pub state: JoinState,
     /// Reusable search buffer: one per STeM, so the executor's inner loop
-    /// never allocates per request
-    /// ([`JoinState::flush_ingest_then_search`]).
+    /// never allocates per request ([`JoinState::search`]).
     pub scratch: SearchScratch,
-    /// Reusable staged-ingest lanes ([`JoinState::ingest_arrival`]).
-    /// Transient like `scratch` — always drained before any observation
-    /// (and therefore before every snapshot), so it is never captured.
-    pub ingest_stage: IngestStage,
     /// Reusable batch-materialization buffer, parallel to
     /// `scratch.hits` ([`JoinState::materialize_batch`]). Transient.
     pub mat_buf: Vec<Option<Tuple>>,
@@ -470,7 +462,6 @@ impl Stem {
             stream,
             state,
             scratch: SearchScratch::new(),
-            ingest_stage: IngestStage::new(),
             mat_buf: Vec::new(),
             requests_served: 0,
             matches_returned: 0,
@@ -618,8 +609,8 @@ mod tests {
         request: &SearchRequest,
         r: &mut CostReceipt,
     ) -> Vec<TupleKey> {
-        let (mut scratch, mut stage) = (SearchScratch::new(), IngestStage::new());
-        state.flush_ingest_then_search(request, &mut scratch, r, &mut stage, &SequentialExecutor);
+        let mut scratch = SearchScratch::new();
+        state.search(request, &mut scratch, r, &SequentialExecutor);
         scratch.hits
     }
 
@@ -711,7 +702,9 @@ mod tests {
         for mut state in all_flavors() {
             let mut r = CostReceipt::new();
             for i in 0..50u64 {
-                state.insert(tuple(i, 0, &[i % 5, i % 3, i % 7]), &mut r);
+                state
+                    .store_mut()
+                    .insert(tuple(i, 0, &[i % 5, i % 3, i % 7]), &mut r);
             }
             let mut r = CostReceipt::new();
             let mut hits = search(&mut state, &req(0b001, &[2, 0, 0]), &mut r);
@@ -744,9 +737,13 @@ mod tests {
         let bare = scan.memory_bytes();
         let mut r = CostReceipt::new();
         for i in 0..40u64 {
-            scan.insert(tuple(i, i, &[i % 4, i % 5, i % 6]), &mut r);
+            scan.store_mut()
+                .insert(tuple(i, i, &[i % 4, i % 5, i % 6]), &mut r);
         }
-        assert_eq!(scan.expire(VirtualTime::from_secs(39), &mut r), 10);
+        assert_eq!(
+            scan.store_mut().expire(VirtualTime::from_secs(39), &mut r),
+            10
+        );
         assert_eq!((r.hash_ops, r.bucket_probes), (0, 0));
         assert_eq!(scan.len(), 30);
         for mask in 1..8u32 {
@@ -767,9 +764,12 @@ mod tests {
     fn expiry_works_across_flavors() {
         for mut state in all_flavors() {
             let mut r = CostReceipt::new();
-            state.insert(tuple(1, 0, &[1, 1, 1]), &mut r);
-            state.insert(tuple(2, 50, &[1, 1, 1]), &mut r);
-            assert_eq!(state.expire(VirtualTime::from_secs(40), &mut r), 1);
+            state.store_mut().insert(tuple(1, 0, &[1, 1, 1]), &mut r);
+            state.store_mut().insert(tuple(2, 50, &[1, 1, 1]), &mut r);
+            assert_eq!(
+                state.store_mut().expire(VirtualTime::from_secs(40), &mut r),
+                1
+            );
             assert_eq!(state.len(), 1, "{}", state.kind());
             assert!(!state.is_empty());
         }
@@ -779,8 +779,8 @@ mod tests {
     fn search_finds_inserted_tuples_and_records_patterns() {
         let mut s = amri(AssessorKind::Cdia(CombineStrategy::HighestCount));
         let mut r = CostReceipt::new();
-        let k = s.insert(tuple(1, 0, &[7, 8, 9]), &mut r);
-        s.insert(tuple(2, 0, &[7, 0, 1]), &mut r);
+        let k = s.store_mut().insert(tuple(1, 0, &[7, 8, 9]), &mut r);
+        s.store_mut().insert(tuple(2, 0, &[7, 0, 1]), &mut r);
         let hits = search(&mut s, &req(0b111, &[7, 8, 9]), &mut r);
         assert_eq!(hits, vec![k]);
         assert_eq!(s.store().tuple(k).unwrap().id, TupleId(1));
@@ -796,7 +796,8 @@ mod tests {
         let mut s = amri(AssessorKind::Cdia(CombineStrategy::HighestCount));
         let mut r = CostReceipt::new();
         for i in 0..200 {
-            s.insert(tuple(i, 0, &[i % 16, i % 8, i % 4]), &mut r);
+            s.store_mut()
+                .insert(tuple(i, 0, &[i % 16, i % 8, i % 4]), &mut r);
         }
         // Workload exclusively on attribute A.
         for i in 0..300 {
@@ -822,9 +823,9 @@ mod tests {
     fn expiry_keeps_index_consistent() {
         let mut s = amri(AssessorKind::Sria);
         let mut r = CostReceipt::new();
-        s.insert(tuple(1, 0, &[1, 1, 1]), &mut r);
-        s.insert(tuple(2, 40, &[1, 1, 1]), &mut r);
-        assert_eq!(s.expire(VirtualTime::from_secs(35), &mut r), 1);
+        s.store_mut().insert(tuple(1, 0, &[1, 1, 1]), &mut r);
+        s.store_mut().insert(tuple(2, 40, &[1, 1, 1]), &mut r);
+        assert_eq!(s.store_mut().expire(VirtualTime::from_secs(35), &mut r), 1);
         let hits = search(&mut s, &req(0b111, &[1, 1, 1]), &mut r);
         assert_eq!(hits.len(), 1);
         assert_eq!(s.store().tuple(hits[0]).unwrap().id, TupleId(2));
@@ -865,7 +866,9 @@ mod tests {
         );
         let mut r = CostReceipt::new();
         for i in 0..40u64 {
-            state.insert(tuple(i, 0, &[i % 4, i % 5, i % 6]), &mut r);
+            state
+                .store_mut()
+                .insert(tuple(i, 0, &[i % 4, i % 5, i % 6]), &mut r);
         }
         // The workload only ever searches pattern C.
         for i in 0..100u64 {
@@ -914,7 +917,7 @@ mod tests {
         let mut state = hash_state(indexed);
         let mut r = CostReceipt::new();
         for i in 0..n {
-            state.insert(tuple(i, i, &[i, 1, 2]), &mut r);
+            state.store_mut().insert(tuple(i, i, &[i, 1, 2]), &mut r);
         }
         state
     }
@@ -990,7 +993,12 @@ mod tests {
             };
             assert_eq!((state.len(), store.index().n_tuples()), (3, 3));
             let mut r = CostReceipt::new();
-            assert_eq!(state.expire(VirtualTime::from_secs(100), &mut r), 3);
+            assert_eq!(
+                state
+                    .store_mut()
+                    .expire(VirtualTime::from_secs(100), &mut r),
+                3
+            );
             if !indexed {
                 // A scan image names no key, so it fits any store.
                 let mut scan = hash_state(false);
@@ -1087,19 +1095,17 @@ mod tests {
         t: u64,
         (op, vals, mask): (u8, [u64; 3], u32),
     ) -> (CostReceipt, Vec<TupleKey>, Option<StemRetune>) {
-        let (exec, now) = (&SequentialExecutor, VirtualTime::from_secs(t));
-        let (mut r, mut stage) = (CostReceipt::new(), IngestStage::new());
+        let now = VirtualTime::from_secs(t);
+        let mut r = CostReceipt::new();
         let (mut hits, mut retuned) = (Vec::new(), None);
         match op {
-            0..=3 => state.ingest_arrival(tuple(t, t, &vals), now, &mut r, &mut stage),
+            0..=3 => state.ingest(tuple(t, t, &vals), now, &mut r),
             4 => {
-                state.expire(now, &mut r);
+                state.store_mut().expire(now, &mut r);
             }
             5 => {
                 let max = mask as usize % 3 + 1;
-                state
-                    .store_mut()
-                    .evict_oldest_with(max, &mut r, &mut stage, exec);
+                state.store_mut().evict_oldest(max, &mut r);
             }
             6 => {
                 state.spill_oldest(mask as usize % 4 + 1, &mut r);
@@ -1110,7 +1116,6 @@ mod tests {
             8..=10 => hits = search(state, &req(mask, &vals), &mut r),
             _ => retuned = retune(state, t, (10.0, 10.0, 30.0), &mut r),
         }
-        state.flush_ingest(&mut stage, exec);
         (r, hits, retuned)
     }
 
@@ -1221,8 +1226,10 @@ mod tests {
         .unwrap();
         let mut r = CostReceipt::new();
         for i in 0..500u64 {
-            hash.insert(tuple(i, 0, &[i % 5, i % 3, i % 7]), &mut r);
-            amri.insert(tuple(i, 0, &[i % 5, i % 3, i % 7]), &mut r);
+            hash.store_mut()
+                .insert(tuple(i, 0, &[i % 5, i % 3, i % 7]), &mut r);
+            amri.store_mut()
+                .insert(tuple(i, 0, &[i % 5, i % 3, i % 7]), &mut r);
         }
         assert!(
             hash.memory_bytes() > amri.memory_bytes() * 2,

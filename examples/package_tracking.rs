@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run -p amri-apps --example package_tracking`.
 
-use amri_core::{CostParams, CostReceipt, IndexConfig, IngestStage, SequentialExecutor};
+use amri_core::{CostParams, CostReceipt, IndexConfig, SequentialExecutor};
 use amri_engine::JoinState;
 use amri_stream::{
     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime,
@@ -50,9 +50,9 @@ fn main() {
     let mut insert_bi = CostReceipt::new();
     for i in 0..50_000 {
         let t = sensor_tuple(&mut rng, i);
-        hash_state.insert(t, &mut insert_hash);
-        bi_state.insert(t, &mut insert_bi);
-        scan_state.insert(t, &mut CostReceipt::new());
+        hash_state.ingest(t, VirtualTime::ZERO, &mut insert_hash);
+        bi_state.ingest(t, VirtualTime::ZERO, &mut insert_bi);
+        scan_state.ingest(t, VirtualTime::ZERO, &mut CostReceipt::new());
     }
     println!("50k sensor readings stored");
     println!(
@@ -96,7 +96,6 @@ fn main() {
 fn run(state: &mut JoinState, sr: &SearchRequest) -> (&'static str, usize, CostReceipt) {
     let mut scratch = amri_core::SearchScratch::new();
     let mut receipt = CostReceipt::new();
-    let (stage, exec) = (&mut IngestStage::new(), &SequentialExecutor);
-    state.flush_ingest_then_search(sr, &mut scratch, &mut receipt, stage, exec);
+    state.search(sr, &mut scratch, &mut receipt, &SequentialExecutor);
     (state.kind(), scratch.hits.len(), receipt)
 }

@@ -5,8 +5,7 @@
 
 use amri_core::assess::AssessorKind;
 use amri_core::{
-    CostParams, CostReceipt, IndexConfig, IngestStage, SearchScratch, SequentialExecutor,
-    TunerConfig, TunerKind,
+    CostParams, CostReceipt, IndexConfig, SearchScratch, SequentialExecutor, TunerConfig, TunerKind,
 };
 use amri_engine::JoinState;
 use amri_hh::CombineStrategy;
@@ -48,7 +47,7 @@ fn main() {
             VirtualTime::ZERO,
             AttrVec::from_slice(&[i % 50, i % 20, i % 10]).unwrap(),
         );
-        state.insert(t, &mut receipt);
+        state.ingest(t, VirtualTime::ZERO, &mut receipt);
     }
     println!(
         "stored {} tuples ({} hash ops charged)",
@@ -57,9 +56,8 @@ fn main() {
     );
 
     // A workload that only ever searches on attribute A. The scratch
-    // buffer and the ingest stage are reused across requests, so steady
-    // state never allocates.
-    let (mut scratch, mut stage) = (SearchScratch::new(), IngestStage::new());
+    // buffer is reused across requests, so steady state never allocates.
+    let mut scratch = SearchScratch::new();
     let exec = &SequentialExecutor;
     let mut receipt = CostReceipt::new();
     let mut hits = 0;
@@ -68,7 +66,7 @@ fn main() {
             AccessPattern::from_positions(&[0], 3).unwrap(),
             AttrVec::from_slice(&[i % 50, 0, 0]).unwrap(),
         );
-        state.flush_ingest_then_search(&req, &mut scratch, &mut receipt, &mut stage, exec);
+        state.search(&req, &mut scratch, &mut receipt, exec);
         hits += scratch.hits.len();
     }
     println!(
@@ -94,7 +92,7 @@ fn main() {
             AccessPattern::from_positions(&[0], 3).unwrap(),
             AttrVec::from_slice(&[i % 50, 0, 0]).unwrap(),
         );
-        state.flush_ingest_then_search(&req, &mut scratch, &mut receipt, &mut stage, exec);
+        state.search(&req, &mut scratch, &mut receipt, exec);
     }
     println!(
         "same searches after tuning: {} comparisons",

@@ -20,6 +20,17 @@ if grep -rnE 'SideTasks|run_fused|take_fire|run_leftover|apply_stage_then_search
     echo "the fused dispatch reappeared"; exit 1
 fi
 
+# Nor may the staged-ingest layer: every insert, expiry and eviction links
+# or unlinks its index entry in the call that charges it, so the store has
+# one insert, one expire and one evict and the index no staging hooks
+# (DESIGN §4). Whole words, so a test named after a behaviour does not
+# trip it.
+echo "==> index maintenance at arrival: no staged ingest under crates/ tests/ examples/"
+if grep -rnwE 'StagedOp|stage_insert|stage_remove|apply_stage|insert_staged|expire_staged|apply_staged|ingest_stage|evict_oldest_with' \
+    crates tests examples; then
+    echo "the staged-ingest layer reappeared"; exit 1
+fi
+
 # Nor may the three sibling tuner structs: the policies are points of one
 # `Tuner::maybe_retune` (DESIGN §11).
 echo "==> one Tuner under crates/ tests/ examples/"

@@ -520,13 +520,12 @@ fn an_image_with_a_late_arrival_narrower_than_its_stream_is_refused() {
     });
 }
 
-/// The parallel write path end to end: shards=4/parallelism=4 routes
-/// every insert/expire through the staged per-shard ingest seam and
-/// overlaps it with the probe, while the degradation governor and a
-/// fault plan perturb the stream. A checkpoint taken between a parallel
-/// ingest burst and the probe that flushes it must capture the logical
-/// state exactly, so crash + resume stays invisible even with every
-/// concurrent subsystem engaged at once.
+/// The sharded write path end to end: shards=4/parallelism=4 links every
+/// insert and unlinks every expiry in its shard at arrival, while the
+/// degradation governor and a fault plan perturb the stream. A checkpoint
+/// taken between an ingest burst and the next probe must capture the
+/// logical state exactly, so crash + resume stays invisible even with
+/// every concurrent subsystem engaged at once.
 #[test]
 fn parallel_ingest_with_degradation_and_faults_recovers_byte_identically() {
     let mut sc = scenario(9);

@@ -5,8 +5,7 @@
 //! reference. Figures compare their costs; this file pins their semantics.
 
 use amri_core::{
-    BitAddressIndex, CostReceipt, IndexConfig, IngestStage, MultiHashIndex, SequentialExecutor,
-    StateStore,
+    BitAddressIndex, CostReceipt, IndexConfig, MultiHashIndex, SequentialExecutor, StateStore,
 };
 use amri_stream::{
     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime,
@@ -38,12 +37,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 /// Time must be monotone for window pushes: scripts carry arbitrary times,
 /// so we run them through a monotonic clock (max-so-far). Every flavor is
-/// driven through the engine's one write path and one read path: arrivals
-/// and expirations accumulate in the stage, a search applies it and
-/// probes, and an adaptation flushes first.
+/// driven through the engine's one write path and one read path.
 struct Runner<I: amri_core::StateIndex> {
     store: StateStore<I>,
-    stage: IngestStage,
     now: u64,
     seq: u64,
 }
@@ -57,7 +53,6 @@ impl<I: amri_core::StateIndex> Runner<I> {
                 WindowSpec::secs(20),
                 index,
             ),
-            stage: IngestStage::new(),
             now: 0,
             seq: 0,
         }
@@ -72,22 +67,13 @@ impl<I: amri_core::StateIndex> Runner<I> {
             AttrVec::from_slice(&vals).unwrap(),
         );
         self.seq += 1;
-        self.store
-            .insert_staged(tuple, &mut CostReceipt::new(), &mut self.stage);
+        self.store.insert(tuple, &mut CostReceipt::new());
     }
 
     fn expire(&mut self, t: u64) {
         self.now = self.now.max(t);
-        self.store.expire_staged(
-            VirtualTime::from_secs(self.now),
-            &mut CostReceipt::new(),
-            &mut self.stage,
-        );
-    }
-
-    fn flush(&mut self) {
         self.store
-            .apply_staged(&mut self.stage, &SequentialExecutor);
+            .expire(VirtualTime::from_secs(self.now), &mut CostReceipt::new());
     }
 
     fn search(&mut self, mask: u32, vals: [u64; 3]) -> Vec<u64> {
@@ -96,7 +82,6 @@ impl<I: amri_core::StateIndex> Runner<I> {
             AttrVec::from_slice(&vals).unwrap(),
         );
         let mut scratch = amri_core::SearchScratch::new();
-        self.flush();
         self.store.search(
             &req,
             &mut scratch,
@@ -168,13 +153,11 @@ proptest! {
                     );
                 }
                 Op::Adapt(i) => {
-                    bitaddr.flush();
                     bitaddr.store.index_mut().migrate_with(
                         config(i),
                         &mut CostReceipt::new(),
                         &SequentialExecutor,
                     );
-                    hash.flush();
                     let (index, live) = hash.store.index_mut_with_jas();
                     index.retarget(hash_patterns(i), live, &mut CostReceipt::new());
                 }

@@ -4,8 +4,8 @@
 
 use amri_core::assess::AssessorKind;
 use amri_core::{
-    CostParams, CostReceipt, IndexConfig, IngestStage, SearchScratch, SequentialExecutor,
-    TunerConfig, TunerKind, TupleKey,
+    CostParams, CostReceipt, IndexConfig, SearchScratch, SequentialExecutor, TunerConfig,
+    TunerKind, TupleKey,
 };
 use amri_engine::JoinState;
 use amri_hh::CombineStrategy;
@@ -18,8 +18,8 @@ use proptest::prelude::*;
 /// Scratch-buffered search, collected: the migration probes care about the
 /// hit *sets*, so each call copies the reused scratch buffer out.
 fn search(state: &mut JoinState, req: &SearchRequest, r: &mut CostReceipt) -> Vec<TupleKey> {
-    let (mut scratch, mut stage) = (SearchScratch::new(), IngestStage::new());
-    state.flush_ingest_then_search(req, &mut scratch, r, &mut stage, &SequentialExecutor);
+    let mut scratch = SearchScratch::new();
+    state.search(req, &mut scratch, r, &SequentialExecutor);
     scratch.hits
 }
 
@@ -76,8 +76,8 @@ proptest! {
                 VirtualTime::ZERO,
                 AttrVec::from_slice(vals).unwrap(),
             );
-            amri.insert(t, &mut r);
-            reference.insert(t, &mut r);
+            amri.ingest(t, VirtualTime::ZERO, &mut r);
+            reference.ingest(t, VirtualTime::ZERO, &mut r);
         }
         for (step, (mask, vals)) in probes.iter().enumerate() {
             let req = SearchRequest::new(
@@ -107,7 +107,7 @@ fn forced_migration_chain_preserves_answers() {
             VirtualTime::ZERO,
             AttrVec::from_slice(&[i % 5, i % 7, i % 3]).unwrap(),
         );
-        amri.insert(t, &mut r);
+        amri.ingest(t, VirtualTime::ZERO, &mut r);
     }
     let req = SearchRequest::new(
         AccessPattern::from_positions(&[1], 3).unwrap(),

@@ -15,7 +15,7 @@
 //! clock advancement fails the assert.
 
 use amri_core::assess::{Assessor, AssessorKind, Sria};
-use amri_core::{layout, CostReceipt, IndexConfig, IngestStage, SequentialExecutor};
+use amri_core::{layout, CostReceipt, IndexConfig, SequentialExecutor};
 use amri_engine::{
     EngineConfig, Executor, HashTuner, IndexingMode, JoinState, MemoryBudget, MemoryReport,
     RetuneRecord, Router, RunOutcome, RunResult, Stem, StreamWorkload, ThroughputSeries,
@@ -228,8 +228,9 @@ impl<W: StreamWorkload> Reference<W> {
                     let tuple = Tuple::new(TupleId(tuple_seq), sid, ts, attrs);
                     tuple_seq += 1;
                     let mut receipt = CostReceipt::new();
-                    self.stems[s].state.expire(now, &mut receipt);
-                    self.stems[s].state.insert(tuple, &mut receipt);
+                    let store = self.stems[s].state.store_mut();
+                    store.expire(now, &mut receipt);
+                    store.insert(tuple, &mut receipt);
                     clock.advance(self.config.params.ticks(&receipt));
                     backlog.push_back(Job {
                         pt: PartialTuple::from_base(&tuple),
@@ -249,13 +250,8 @@ impl<W: StreamWorkload> Reference<W> {
                 self.observers[target.idx()].record(pattern);
                 let mut receipt = CostReceipt::new();
                 let stem = &mut self.stems[target.idx()];
-                stem.state.flush_ingest_then_search(
-                    &req,
-                    &mut stem.scratch,
-                    &mut receipt,
-                    &mut IngestStage::new(),
-                    &SequentialExecutor,
-                );
+                stem.state
+                    .search(&req, &mut stem.scratch, &mut receipt, &SequentialExecutor);
                 stem.requests_served += 1;
                 let window = self.query.windows[target.idx()];
                 let now = clock.now();

@@ -13,6 +13,7 @@ use amri_core::{
     BitAddressIndex, CostReceipt, IndexConfig, IngestStage, MultiHashIndex, SearchScratch,
     SequentialExecutor, ShardExecutor, StateIndex, StateStore, TupleKey,
 };
+use amri_engine::JoinState;
 use amri_stream::{
     AccessPattern, AttrId, AttrVec, SearchRequest, StreamId, Tuple, TupleId, VirtualTime,
     WindowSpec,
@@ -92,7 +93,7 @@ impl Scripted for BitAddressIndex {
 
 impl Scripted for MultiHashIndex {}
 
-/// The independent eager reference: no [`StateStore`], no stage, no
+/// The independent eager reference: no [`StateStore`], no shards, no
 /// executor — a bare index driven through the [`StateIndex::insert`] /
 /// [`StateIndex::remove`] / [`StateIndex::search_into`] primitives, with
 /// the window, the per-slot base charge and the arena-scan fallback
@@ -178,16 +179,11 @@ impl<I: Scripted> EagerReference<I> {
     }
 }
 
-/// Monotone-clock script runner for the staged write path, over any index
-/// flavor (same store shape as the cross-flavor equivalence runner), with
-/// an explicit cumulative receipt and a persistent [`IngestStage`]. The
-/// flush discipline mirrors the
-/// engine's: inserts and expirations accumulate in the stage across steps;
-/// any observation of the index flushes first — searches and migration
-/// via an explicit `apply_staged`, eviction by riding the same stage.
+/// Monotone-clock script runner over a [`StateStore`] of any index flavor
+/// (same store shape as the cross-flavor equivalence runner), with an
+/// explicit cumulative receipt.
 struct IngestRunner<I> {
     store: StateStore<I>,
-    stage: IngestStage,
     receipt: CostReceipt,
     now: u64,
     seq: u64,
@@ -202,7 +198,6 @@ impl<I: Scripted> IngestRunner<I> {
                 WindowSpec::secs(20),
                 index,
             ),
-            stage: IngestStage::new(),
             receipt: CostReceipt::new(),
             now: 0,
             seq: 0,
@@ -218,30 +213,22 @@ impl<I: Scripted> IngestRunner<I> {
             AttrVec::from_slice(&vals).unwrap(),
         );
         self.seq += 1;
-        self.store
-            .insert_staged(tuple, &mut self.receipt, &mut self.stage);
+        self.store.insert(tuple, &mut self.receipt);
     }
 
     fn expire(&mut self, t: u64) {
         self.now = self.now.max(t);
         let now = VirtualTime::from_secs(self.now);
-        self.store
-            .expire_staged(now, &mut self.receipt, &mut self.stage);
+        self.store.expire(now, &mut self.receipt);
     }
 
-    fn flush(&mut self, exec: &dyn ShardExecutor) {
-        self.store.apply_staged(&mut self.stage, exec);
-    }
-
-    /// Sorted matching tuple ids; the pending stage is applied, then the
-    /// probe served.
+    /// Sorted matching tuple ids.
     fn search(&mut self, mask: u32, vals: [u64; 3], exec: &dyn ShardExecutor) -> Vec<u64> {
         let req = SearchRequest::new(
             AccessPattern::new(mask, 3),
             AttrVec::from_slice(&vals).unwrap(),
         );
         let mut scratch = SearchScratch::new();
-        self.flush(exec);
         self.store
             .search(&req, &mut scratch, &mut self.receipt, exec);
         let mut ids: Vec<u64> = scratch
@@ -254,22 +241,14 @@ impl<I: Scripted> IngestRunner<I> {
     }
 
     fn migrate(&mut self, i: u8, exec: &dyn ShardExecutor) {
-        self.flush(exec);
         self.store.index_mut().migrate(i, &mut self.receipt, exec);
     }
 
-    /// Evict through the runner's reusable stage; the store applies the
-    /// whole stage, so it must come back empty.
-    fn evict(&mut self, n: usize, exec: &dyn ShardExecutor) -> usize {
-        let evicted = self
-            .store
-            .evict_oldest_with(n, &mut self.receipt, &mut self.stage, exec);
-        assert!(self.stage.is_empty(), "eviction left staged work behind");
-        evicted
+    fn evict(&mut self, n: usize) -> usize {
+        self.store.evict_oldest(n, &mut self.receipt)
     }
 
-    /// Apply one scripted op and leave the index applied, so snapshots and
-    /// accounting can observe it (searches are compared separately by the
+    /// Apply one scripted op (searches are compared separately by the
     /// callers that need them).
     fn apply(&mut self, op: &Op, exec: &dyn ShardExecutor) {
         match *op {
@@ -278,10 +257,9 @@ impl<I: Scripted> IngestRunner<I> {
             Op::Search(..) => {}
             Op::Migrate(i) => self.migrate(i, exec),
             Op::Evict(n) => {
-                self.evict(n as usize, exec);
+                self.evict(n as usize);
             }
         }
-        self.flush(exec);
     }
 }
 
@@ -301,12 +279,16 @@ impl ShardExecutor for Ungated<'_> {
     }
 }
 
-/// One script through the staged path of every `candidate`, once per
-/// executor — a real 2-thread `WorkerPool` as the engine uses it (gated:
-/// scripts this small stay on the caller), the same pool [`Ungated`] (so
-/// the threaded path is what runs), and the inline `SequentialExecutor` —
-/// each against the eager `reference`, hence all three equal.
-fn check_staged_matches_eager<I: Scripted + Clone>(ops: &[Op], reference: I, candidates: Vec<I>) {
+/// One script through a store over every `candidate`, once per executor —
+/// a real 2-thread `WorkerPool` as the engine uses it (gated: scripts this
+/// small stay on the caller), the same pool [`Ungated`] (so the threaded
+/// path is what runs), and the inline `SequentialExecutor` — each against
+/// the eager `reference`, hence all three equal.
+fn check_matches_eager_reference<I: Scripted + Clone>(
+    ops: &[Op],
+    reference: I,
+    candidates: Vec<I>,
+) {
     let pool = amri_engine::WorkerPool::new(std::num::NonZeroUsize::new(2).unwrap());
     let ungated = Ungated(&pool);
     let execs: [&dyn ShardExecutor; 3] = [&pool, &ungated, &SequentialExecutor];
@@ -339,7 +321,7 @@ fn check_staged_matches_eager<I: Scripted + Clone>(ops: &[Op], reference: I, can
                     prop_assert_eq!(
                         &got,
                         &want,
-                        "staged search diverged at step {} (candidate {})",
+                        "search diverged at step {} (candidate {})",
                         step,
                         i
                     );
@@ -352,7 +334,7 @@ fn check_staged_matches_eager<I: Scripted + Clone>(ops: &[Op], reference: I, can
                 for (ci, c) in candidates.iter_mut().enumerate() {
                     c.migrate(i, execs[ci % 3]);
                     let sound = c.store.index().check_sound();
-                    prop_assert!(sound.is_ok(), "after staged migrate: {:?}", sound);
+                    prop_assert!(sound.is_ok(), "after migrate: {:?}", sound);
                 }
             }
             Op::Evict(n) => {
@@ -361,19 +343,15 @@ fn check_staged_matches_eager<I: Scripted + Clone>(ops: &[Op], reference: I, can
                 // whatever `StateIndex::remove` charges — for the
                 // bit-address index `indexed_attrs` hashes + 1 bucket probe.
                 let want = reference.evict(n as usize);
-                for (ci, c) in candidates.iter_mut().enumerate() {
-                    let got = c.evict(n as usize, execs[ci % 3]);
-                    prop_assert_eq!(got, want, "staged eviction count diverged");
+                for c in &mut candidates {
+                    prop_assert_eq!(c.evict(n as usize), want, "eviction count diverged");
                     let sound = c.store.index().check_sound();
-                    prop_assert!(sound.is_ok(), "after staged evict: {:?}", sound);
+                    prop_assert!(sound.is_ok(), "after evict: {:?}", sound);
                 }
             }
         }
-        // Cost accounting is path-invariant at every step: staged ops
-        // charge at stage time, exactly what eager execution charges.
-        // Live-tuple counts agree too (the arena half is never
-        // deferred). Index-internal views (entries, memory) are only
-        // comparable at flush points — see the terminal sweep.
+        // Cost accounting, live-tuple counts and the index's own
+        // accounting agree with the reference at every step.
         for c in &candidates {
             prop_assert_eq!(
                 c.receipt,
@@ -382,20 +360,19 @@ fn check_staged_matches_eager<I: Scripted + Clone>(ops: &[Op], reference: I, can
                 step
             );
             prop_assert_eq!(c.store.len(), reference.live.len());
+            prop_assert_eq!(c.store.index().entries(), reference.index.entries());
+            prop_assert_eq!(
+                c.store.index().memory_bytes(),
+                reference.index.memory_bytes()
+            );
         }
     }
 
-    // Terminal sweep: flush everything, then the staged stores must be
-    // indistinguishable from the eager reference in every observable.
-    for (ci, c) in candidates.iter_mut().enumerate() {
-        c.flush(execs[ci % 3]);
+    // Terminal sweep: every store is indistinguishable from the eager
+    // reference in every observable.
+    for c in &candidates {
         let sound = c.store.index().check_sound();
-        prop_assert!(sound.is_ok(), "terminal staged integrity: {:?}", sound);
-        prop_assert_eq!(c.store.index().entries(), reference.index.entries());
-        prop_assert_eq!(
-            c.store.index().memory_bytes(),
-            reference.index.memory_bytes()
-        );
+        prop_assert!(sound.is_ok(), "terminal integrity: {:?}", sound);
     }
     for mask in 0..8u32 {
         for v in 0..6u64 {
@@ -405,7 +382,7 @@ fn check_staged_matches_eager<I: Scripted + Clone>(ops: &[Op], reference: I, can
                 prop_assert_eq!(
                     c.search(mask, vals, execs[ci % 3]),
                     want.clone(),
-                    "terminal staged probe diverged"
+                    "terminal probe diverged"
                 );
             }
         }
@@ -447,8 +424,8 @@ fn small_dispatches_stay_inline_and_large_ones_reach_the_threads() {
     assert_eq!(r.search(0b111, [6, 6, 6], &exec), vec![6]);
     assert_eq!(
         *exec.sized.lock().unwrap(),
-        vec![(4, 64 * RELINK_NS), (4, WALK_NS), (4, WALK_NS)],
-        "64 staged links applied, then one candidate bucket per probe"
+        vec![(4, WALK_NS), (4, WALK_NS)],
+        "one candidate bucket per probe"
     );
     assert_eq!(pool.epochs(), 0, "a small probe must not cross threads");
 
@@ -456,7 +433,6 @@ fn small_dispatches_stay_inline_and_large_ones_reach_the_threads() {
     for i in 64..ENTRIES {
         r.insert([i % 1000, i / 1000, i], 0);
     }
-    r.flush(&exec);
     exec.sized.lock().unwrap().clear();
     let before = pool.epochs();
     r.migrate(4, &exec);
@@ -465,6 +441,121 @@ fn small_dispatches_stay_inline_and_large_ones_reach_the_threads() {
     assert_eq!(sized[0], (4, ENTRIES * RELINK_NS), "the rebucket pass");
     assert_eq!(sized.len(), 2, "rebucket, then relink or redistribute");
     assert_eq!(pool.epochs(), before + 2, "both passes must cross threads");
+}
+
+/// An AMRI state over a 3-attribute JAS at `shards` shards, windowed 20 s.
+fn amri_state(shards: usize) -> JoinState {
+    use amri_core::{assess::AssessorKind, CostParams, TunerConfig, TunerKind};
+    let mut state = JoinState::amri(
+        StreamId(0),
+        vec![AttrId(0), AttrId(1), AttrId(2)],
+        WindowSpec::secs(20),
+        AssessorKind::Sria,
+        config(0),
+        TunerConfig {
+            total_bits: 12,
+            ..TunerConfig::default()
+        },
+        CostParams::default(),
+        0,
+        TunerKind::Paper,
+    )
+    .unwrap();
+    state.set_shards(shards);
+    state
+}
+
+/// An arrival is linked into the index in the call that ingests it: the
+/// store's own search finds it with no flush in between, through the
+/// frozen staged entry point too, and an arrival that slides an older
+/// tuple out of the window has unlinked it by the time it returns.
+#[test]
+fn an_arrival_is_searchable_before_any_flush() {
+    for shards in [1usize, 4] {
+        let mut state = amri_state(shards);
+        let (mut stage, mut r) = (IngestStage::new(), CostReceipt::new());
+        let mut search = |state: &mut JoinState, vals: [u64; 3]| {
+            let req = SearchRequest::new(
+                AccessPattern::new(0b111, 3),
+                AttrVec::from_slice(&vals).unwrap(),
+            );
+            let mut scratch = SearchScratch::new();
+            let store = state.store_mut();
+            store.search(&req, &mut scratch, &mut r, &SequentialExecutor);
+            let ids = scratch.hits.iter().map(|&k| store.tuple(k).unwrap().id.0);
+            ids.collect::<Vec<u64>>()
+        };
+        for (id, secs) in [(0u64, 0u64), (1, 30)] {
+            let now = VirtualTime::from_secs(secs);
+            let tuple = Tuple::new(
+                TupleId(id),
+                StreamId(0),
+                now,
+                AttrVec::from_slice(&[id, 7, 9]).unwrap(),
+            );
+            state.ingest_arrival(tuple, now, &mut CostReceipt::new(), &mut stage);
+            assert_eq!(search(&mut state, [id, 7, 9]), vec![id], "{shards} shards");
+        }
+        assert_eq!(search(&mut state, [0, 7, 9]), Vec::<u64>::new(), "expired");
+        let JoinState::Amri { store, .. } = &state else {
+            unreachable!()
+        };
+        assert_eq!((store.index().entries(), store.len()), (1, 1));
+    }
+}
+
+/// The governor's eviction unlinks every evicted entry before it returns:
+/// in a governed run that evicts, after every step that evicted, each
+/// AMRI state's index holds exactly its live tuples and its arena is
+/// sound — at one shard and at four on a 2-thread pool.
+#[test]
+fn governor_eviction_leaves_every_index_matching_its_store() {
+    use amri_core::assess::AssessorKind;
+    use amri_engine::{DegradationPolicy, Executor, IndexingMode, MemoryBudget, SheddingPolicy};
+    use amri_synth::scenario::{paper_scenario, Scale};
+    for (shards, threads) in [(1usize, 1usize), (4, 2)] {
+        let mut sc = paper_scenario(Scale::Quick, 42);
+        sc.engine.budget = MemoryBudget { bytes: 150_000 };
+        sc.engine.degradation = Some(DegradationPolicy {
+            high_water: 0.9,
+            low_water: 0.7,
+            max_backlog: 512,
+            shedding: SheddingPolicy::DropOldest,
+            seed: 1,
+        });
+        sc.engine.shards = shards;
+        sc.engine.parallelism = std::num::NonZeroUsize::new(threads).unwrap();
+        let mode = IndexingMode::Amri {
+            assessor: AssessorKind::Sria,
+            initial: None,
+        };
+        let mut pipeline = Executor::try_new(&sc.query, sc.workload(), mode, sc.engine.clone())
+            .expect("valid engine configuration")
+            .into_pipeline();
+        let evicted = |p: &amri_engine::Pipeline<_>| {
+            p.context().governor.as_ref().unwrap().report.evicted_tuples
+        };
+        let (mut seen, mut checks) = (0, 0);
+        while !pipeline.is_done() {
+            pipeline.step_once();
+            if evicted(&pipeline) == seen {
+                continue;
+            }
+            seen = evicted(&pipeline);
+            checks += 1;
+            for stem in &pipeline.context().stems {
+                let JoinState::Amri { store, .. } = &stem.state else {
+                    unreachable!("an AMRI run")
+                };
+                assert_eq!(store.index().entries(), store.len(), "{shards} shards");
+                store.index().check_integrity().unwrap();
+            }
+        }
+        assert!(
+            checks > 0,
+            "the budget must force eviction at {shards} shards"
+        );
+    }
 }
 
 /// `for_each_slot` is the one place a dispatch becomes per-task `&mut`
@@ -673,9 +764,9 @@ proptest! {
                     }
                 }
                 Op::Evict(n) => {
-                    let evicted = runners[0].evict(n as usize, exec);
+                    let evicted = runners[0].evict(n as usize);
                     for r in &mut runners[1..] {
-                        prop_assert_eq!(r.evict(n as usize, exec), evicted, "eviction count diverged");
+                        prop_assert_eq!(r.evict(n as usize), evicted, "eviction count diverged");
                     }
                 }
                 _ => {
@@ -786,24 +877,21 @@ proptest! {
         }
     }
 
-    /// Write-path invariance, for every index flavor: the staged ingest
-    /// path — `insert_staged`/`expire_staged` accumulating an
-    /// [`IngestStage`], flushed through a real 2-thread `WorkerPool`
-    /// (gated and ungated) or the inline `SequentialExecutor`, with
-    /// apply-then-search, staged eviction and parallel migration — must be
-    /// indistinguishable from
-    /// the eager, unsharded, sequential reference built on the bare
-    /// `StateIndex` primitives: identical result sets, identical
-    /// cumulative cost receipts after every op, identical live-tuple
-    /// counts, and a structurally sound arena at every flush point. The
-    /// bit-address index runs staged at every shard count; the hash and
-    /// scan flavors inherit the staging hooks that apply immediately and
-    /// run once per executor.
+    /// Sharded stores against the eager reference, for every index flavor:
+    /// a store driven through `insert`/`expire`/`evict_oldest`, searched
+    /// and migrated through a real 2-thread `WorkerPool` (gated and
+    /// ungated) or the inline `SequentialExecutor`, must be
+    /// indistinguishable from the eager, unsharded, sequential reference
+    /// built on the bare `StateIndex` primitives: identical result sets,
+    /// identical cumulative cost receipts, live-tuple counts and index
+    /// accounting after every op, and a structurally sound arena after
+    /// every migration and eviction. The bit-address index runs at every
+    /// shard count; the hash and scan flavors run once per executor.
     #[test]
-    fn staged_parallel_ingest_matches_sequential_eager(
+    fn sharded_stores_match_the_eager_reference(
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
-        check_staged_matches_eager(
+        check_matches_eager_reference(
             &ops,
             BitAddressIndex::new(config(0)),
             [1usize, 2, 4, 8]
@@ -820,9 +908,9 @@ proptest! {
                     .collect(),
             )
         };
-        check_staged_matches_eager(&ops, module(), vec![module()]);
+        check_matches_eager_reference(&ops, module(), vec![module()]);
         let scan = || MultiHashIndex::new(3, Vec::new());
-        check_staged_matches_eager(&ops, scan(), vec![scan()]);
+        check_matches_eager_reference(&ops, scan(), vec![scan()]);
     }
 
     /// Collector round trip: every assessment method restored from a

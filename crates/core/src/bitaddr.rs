@@ -10,65 +10,75 @@
 //! compared, preserving the `λ_d·W / 2^{B_ap}` expectation of the cost
 //! model.
 //!
-//! Unlike the multi-hash baseline, **nothing per-tuple is stored beyond the
-//! bucket entry itself** — no hash-key links — which is the §III argument
-//! for low maintenance cost; and *adapting* the index is a single
-//! re-bucketing pass ([`BitAddressIndex::migrate_with`]).
+//! Unlike the multi-hash baseline, **a tuple is stored once, as its bucket
+//! entry** — a head, its JAS values and its place in a group of its bucket,
+//! no hash-key link per indexed attribute — which is the §III argument for
+//! low maintenance cost; and *adapting* the index is a single re-bucketing
+//! pass ([`BitAddressIndex::migrate_with`]).
 //!
-//! ## Physical layout: slab, value stride, directory
+//! ## Physical layout: slab, value stride, groups, directory
 //!
 //! An entry is as wide as its JAS. A shard stores
 //!
 //! * a dense **slab** of fixed 24-byte entry heads — cached bucket id, tuple
-//!   key, the two chain links, and a four-byte value tag in what was the
-//!   head's padding;
+//!   key, the group that lists the entry and a four-byte value tag;
 //! * the JAS **values** beside it in one flat `Vec<u64>`, `config.width()`
 //!   words per entry in slab order (entry `i` owns words
 //!   `i·width .. (i+1)·width`), so matching never chases back into the
 //!   tuple arena and a three-attribute entry costs 48 bytes, not an
 //!   eight-slot inline vector;
-//! * a power-of-two **directory** of chain heads (`Vec<u32>`, at least two
+//! * **groups**: 64-byte, line-aligned records, each listing up to six
+//!   entries of one bucket id — the id, a chain link, a length, and the
+//!   entries' value tags and slab positions side by side. A bucket of more
+//!   than six entries spans several groups; an emptied group goes on a free
+//!   list threaded through its link, so the steady state allocates nothing;
+//! * a power-of-two **directory** of group chains (`Vec<u32>`, at least two
 //!   slots per entry), addressed by a Fibonacci hash of the bucket id.
 //!
-//! Every entry whose id hashes to a slot is threaded on that slot's chain,
-//! so a candidate id costs one directory load and a chain walk that filters
-//! on the cached bucket id; only entries *of that id* are compared and
-//! charged. The compare itself starts in the head the walk already loaded:
-//! byte `i` of the value tag is the low byte of JAS position `i`'s hash
-//! (positions 0–3; the head has no room for more), and the probe plan
-//! carries the request's tag bytes for its bound positions, so an entry
-//! whose tag disagrees is rejected without a load from the value stride.
-//! The model still charges it one comparison, and an entry whose values
-//! match always carries the request's tag bytes, so neither hits nor
-//! receipts depend on the tag — only the wall time does. The values that
-//! are read are compared against the request decoded once per search
+//! Every group whose id hashes to a slot is chained from that slot, so a
+//! candidate id costs one directory load and a walk of the slot's groups
+//! that skips the groups of other ids; a group of the id is charged all its
+//! entries at once and tag-tested from the line already loaded. Byte `i`
+//! of an entry's value tag is the low byte of JAS position `i`'s hash
+//! (positions 0–3; a tag is one `u32`), and the probe plan carries the
+//! request's tag bytes for its bound positions, so an entry whose tag
+//! disagrees is rejected without a load from the value stride. The model
+//! still charges it one comparison, and an entry whose values match always
+//! carries the request's tag bytes, so neither hits nor receipts depend on
+//! the tag — only the wall time does. The values that are read are
+//! compared against the request decoded once per search
 //! ([`SearchRequest::bound`]).
 //!
-//! A chain appends at its tail, which the head's `prev` link names (the
-//! links are otherwise an ordinary `NIL`-terminated doubly-linked list),
-//! so FIFO expiry meets its victim at the front. The number of
+//! An insert fills a group of its id with room on its chain, or puts a
+//! fresh one first on the chain; a remove moves its group's last entry
+//! into the hole and frees the group when it empties. The number of
 //! distinct ids stored — which prices `bucket_probes`, `memory_bytes` and
-//! the narrow/wide choice — is kept incrementally: an insert walks its chain
-//! only until it meets its own id, a remove counts same-id entries while it
-//! looks for its key, and a directory doubling relinks without recounting.
+//! the narrow/wide choice — is kept incrementally: an insert counts its id
+//! if the chain held no group of it, a remove that frees a group looks for
+//! another group of the id, and a directory doubling re-chains the groups
+//! without recounting.
 //!
-//! Hits are sorted into key order before anything reads them, so **chain
-//! and slab order are unobservable**: receipts and hit sets depend only on
-//! which entries are stored, never on the order they were linked. That is
-//! what lets a directory doubling and a migration relink in slab order, and
-//! a snapshot carry no index at all: a restore rebuilds it from the stored
-//! tuples in key order ([`BitAddressIndex::rebuild`]).
+//! Hits are sorted into key order before anything reads them, so **group,
+//! chain and slab order are unobservable**: receipts and hit sets depend
+//! only on which entries are stored, never on how they were grouped. That
+//! is what lets a directory doubling and a migration regroup in slab
+//! order, and a snapshot carry no index at all: a restore rebuilds it from
+//! the stored tuples in key order ([`BitAddressIndex::rebuild`]).
 //!
-//! * **Wide wildcard searches** walk the head slab linearly and test each
-//!   cached bucket id against the probe plan's mask, and each tag of an
-//!   entry that passes against the plan's tag bytes;
+//! * **Wide wildcard searches** walk the head slab linearly, test each
+//!   cached bucket id against the probe plan's mask and each tag of an
+//!   entry that passes against the plan's tag bytes. Where buckets are
+//!   sparse a group lists one entry, so walking the groups would read 64
+//!   bytes per entry, and the head again for a hit's key;
 //! * **migration** rebuilds in place: one contiguous pass re-derives every
-//!   entry's bucket id from the value stride, then the chains are relinked
-//!   through the existing slab — zero per-entry allocation. Tags depend on
-//!   the values alone, so a migration keeps them.
+//!   entry's bucket id from the value stride, then the groups are rebuilt
+//!   in slab order through the existing buffers — zero per-entry
+//!   allocation. Tags depend on the values alone, so a migration keeps
+//!   them.
 //!
-//! Removal keeps slab and stride dense via `swap_remove` plus a fixup of the
-//! moved entry's links, so the linear-walk invariant never degrades.
+//! Removal keeps slab and stride dense via `swap_remove` plus a fixup of
+//! the moved entry's position in its group, so the linear-walk invariant
+//! never degrades.
 //!
 //! ## Sharding: partitioned arena for multicore execution
 //!
@@ -93,7 +103,7 @@ use crate::state::{SearchScratch, ShardSlot, StateIndex, TupleKey};
 use amri_stream::{AttrValue, BoundValues, SearchRequest};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Null chain link, and the empty directory slot.
+/// Null chain link, the empty directory slot and the empty free list.
 const NIL: u32 = u32::MAX;
 
 /// 2^64 / φ: the Fibonacci-hashing multiplier. Bucket ids are concatenated
@@ -101,22 +111,45 @@ const NIL: u32 = u32::MAX;
 /// them over the top bits a directory slot is taken from.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The fixed-width part of one slab entry: the cached bucket id (so chain
-/// walks, wide searches and migration never re-hash), the tuple key, the
-/// chain links and the value tag. The entry's JAS values live at the same
+/// Entries per group: what fits one 64-byte line beside the group's id,
+/// link and length.
+const GROUP: usize = 6;
+
+/// The fixed-width part of one slab entry: the cached bucket id (so wide
+/// searches, migration and the diagnostics never re-hash), the tuple key,
+/// the group that lists it and its value tag again — a wide search walks
+/// the heads, not the groups. The entry's JAS values live at the same
 /// position of the shard's value stride.
 #[derive(Debug, Clone, Copy)]
 struct EntryHead {
     bucket: u64,
     key: TupleKey,
-    /// Next entry on the directory slot's chain; `NIL` at the tail.
-    next: u32,
-    /// Previous entry on the chain; the chain's *head* names the tail here.
-    prev: u32,
+    /// The group whose `slot` names this entry.
+    group: u32,
     /// Low hash byte of each of the first four JAS values
-    /// ([`IndexConfig::bucket_and_tag`]): a walk reads the value stride
+    /// ([`IndexConfig::bucket_and_tag`]): a probe reads the value stride
     /// only for an entry whose tag the probe plan admits.
     tag: u32,
+}
+
+/// Up to [`GROUP`] entries of one bucket id on one cache line: their slab
+/// positions and their value tags side by side, so a probe charges and
+/// tag-tests them from the line the directory or the previous group
+/// pointed at.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Group {
+    bucket: u64,
+    /// Next group on the directory slot's chain, or on the free list;
+    /// `NIL` at the end.
+    next: u32,
+    /// Entries held: `1..=GROUP` on a chain, 0 on the free list.
+    len: u32,
+    /// The entries' value tags, beside each other so a narrow probe
+    /// tests them from the line it already loaded.
+    tag: [u32; GROUP],
+    /// The entries' slab positions.
+    slot: [u32; GROUP],
 }
 
 /// What `JoinState::ingest_arrival` and its two flush forwarders take
@@ -206,20 +239,26 @@ fn fill_from_lens(entries: usize, space: f64, lens: &[u64]) -> FillStats {
 }
 
 /// One shard of the arena: a dense slab of entry heads, the value stride
-/// beside it, and the directory of chain heads (see the module docs).
-/// Every bucket id maps to exactly one shard, so a shard is a
-/// self-contained sub-index over its slice of the bucket space that
-/// concurrent tasks can fill or probe without synchronization.
+/// beside it, the groups that list the entries by bucket id and the
+/// directory of group chains (see the module docs). Every bucket id maps
+/// to exactly one shard, so a shard is a self-contained sub-index over its
+/// slice of the bucket space that concurrent tasks can fill or probe
+/// without synchronization.
 #[derive(Debug, Clone)]
 struct Shard {
-    /// The entry heads: dense, packed, walk-friendly.
+    /// The entry heads, dense.
     heads: Vec<EntryHead>,
     /// The entries' JAS values, `width` words each, in slab order.
     vals: Vec<AttrValue>,
     /// Words per entry in `vals` — the configuration's JAS width.
     width: usize,
-    /// Chain heads by `slot(bucket)`; empty until the first insert, then a
-    /// power of two holding at least two slots per entry.
+    /// Every group ever taken: the live ones on the directory's chains,
+    /// the emptied ones on the free list.
+    groups: Vec<Group>,
+    /// First group of the free list, or `NIL`.
+    free: u32,
+    /// First group of each chain by `slot(bucket)`; empty until the first
+    /// insert, then a power of two holding at least two slots per entry.
     dir: Vec<u32>,
     /// `64 − log2(dir.len())`: a slot is the top bits of the id's hash.
     shift: u32,
@@ -233,6 +272,8 @@ impl Shard {
             heads: Vec::new(),
             vals: Vec::new(),
             width,
+            groups: Vec::new(),
+            free: NIL,
             dir: Vec::new(),
             shift: 0,
             occupied: 0,
@@ -252,9 +293,9 @@ impl Shard {
     }
 
     /// If the directory is too small for `entries` entries, re-size it to
-    /// the next power of two holding two slots per entry and relink what
-    /// is stored. Relinking moves entries between chains but adds and
-    /// removes no id, so nothing is recounted.
+    /// the next power of two holding two slots per entry and chain the
+    /// live groups again. Groups keep their entries, so nothing is
+    /// recounted.
     fn fit_directory(&mut self, entries: usize) {
         if 2 * entries <= self.dir.len() {
             return;
@@ -263,101 +304,128 @@ impl Shard {
         self.dir.clear();
         self.dir.resize(len, NIL);
         self.shift = 64 - len.trailing_zeros();
-        for idx in 0..self.heads.len() as u32 {
-            self.link(idx);
-        }
-    }
-
-    /// True iff some linked entry has bucket id `bucket`. The walk stops at
-    /// the first one, so a chain of one id — the zero-bit configuration's
-    /// whole state — answers at its head.
-    fn holds(&self, bucket: u64) -> bool {
-        let mut i = self.dir[self.slot(bucket)];
-        while i != NIL {
-            let e = &self.heads[i as usize];
-            if e.bucket == bucket {
-                return true;
+        for g in 0..self.groups.len() {
+            if self.groups[g].len != 0 {
+                let slot = self.slot(self.groups[g].bucket);
+                self.groups[g].next = self.dir[slot];
+                self.dir[slot] = g as u32;
             }
-            i = e.next;
-        }
-        false
-    }
-
-    /// Append the entry at slab position `idx` to its slot's chain. Its
-    /// `bucket` must already be set; its links are overwritten.
-    fn link(&mut self, idx: u32) {
-        let slot = self.slot(self.heads[idx as usize].bucket);
-        let head = self.dir[slot];
-        let tail = if head == NIL {
-            self.dir[slot] = idx;
-            idx
-        } else {
-            let tail = self.heads[head as usize].prev;
-            self.heads[tail as usize].next = idx;
-            self.heads[head as usize].prev = idx;
-            tail
-        };
-        let e = &mut self.heads[idx as usize];
-        e.next = NIL;
-        e.prev = tail;
-    }
-
-    /// Re-point whatever names slab position `from` — chain neighbours, the
-    /// directory slot, the head's tail link — at `to`, where the entry now
-    /// lives.
-    fn repoint(&mut self, from: u32, to: u32) {
-        let e = self.heads[to as usize];
-        let slot = self.slot(e.bucket);
-        if self.dir[slot] == from {
-            self.dir[slot] = to;
-        } else {
-            self.heads[e.prev as usize].next = to;
-        }
-        if e.next != NIL {
-            self.heads[e.next as usize].prev = to;
-        } else {
-            // The tail, named by the head (itself, on a chain of one).
-            let head = self.dir[slot];
-            self.heads[head as usize].prev = to;
         }
     }
 
-    /// Store a new entry and link it into its bucket's chain.
+    /// List the entry at slab position `idx` under its bucket id: in a
+    /// group of that id with room on the slot's chain, else in a group
+    /// taken from the free list (or pushed) and put first on the chain.
+    /// Counts the id if the chain held no group of it.
+    fn place(&mut self, idx: u32) {
+        let EntryHead { bucket, tag, .. } = self.heads[idx as usize];
+        let slot = self.slot(bucket);
+        let mut g = self.dir[slot];
+        let mut held = false;
+        while g != NIL {
+            let grp = &self.groups[g as usize];
+            if grp.bucket == bucket {
+                held = true;
+                if (grp.len as usize) < GROUP {
+                    break;
+                }
+            }
+            g = grp.next;
+        }
+        if g == NIL {
+            if !held {
+                self.occupied += 1;
+            }
+            let fresh = Group {
+                bucket,
+                next: self.dir[slot],
+                len: 0,
+                tag: [0; GROUP],
+                slot: [0; GROUP],
+            };
+            g = if self.free == NIL {
+                self.groups.push(fresh);
+                (self.groups.len() - 1) as u32
+            } else {
+                let g = self.free;
+                self.free = self.groups[g as usize].next;
+                self.groups[g as usize] = fresh;
+                g
+            };
+            self.dir[slot] = g;
+        }
+        let grp = &mut self.groups[g as usize];
+        let k = grp.len as usize;
+        grp.tag[k] = tag;
+        grp.slot[k] = idx;
+        grp.len += 1;
+        self.heads[idx as usize].group = g;
+    }
+
+    /// Store a new entry and list it in a group of its bucket id.
     fn insert(&mut self, key: TupleKey, bucket: u64, tag: u32, jas: &[AttrValue]) {
         // The stride is only addressable if every entry is `width` wide.
         assert_eq!(jas.len(), self.width, "JAS width differs from the index's");
         self.fit_directory(self.heads.len() + 1);
-        if !self.holds(bucket) {
-            self.occupied += 1;
-        }
         let idx = self.heads.len() as u32;
         self.heads.push(EntryHead {
             bucket,
             key,
-            next: NIL,
-            prev: NIL,
+            group: NIL,
             tag,
         });
         self.vals.extend_from_slice(jas);
-        self.link(idx);
+        self.place(idx);
     }
 
-    /// Unlink the entry at slab position `idx` from its chain, then keep
-    /// slab and stride dense by moving the last entry into its place.
-    fn unlink_and_remove(&mut self, idx: u32) {
-        let e = self.heads[idx as usize];
-        let slot = self.slot(e.bucket);
-        let head = self.dir[slot];
-        if head == idx {
-            self.dir[slot] = e.next;
-            if e.next != NIL {
-                // The new head inherits the tail link.
-                self.heads[e.next as usize].prev = e.prev;
+    /// Remove the entry for `key` from `bucket`, if present (silently a
+    /// no-op otherwise, matching [`StateIndex::remove`]). The group's last
+    /// entry fills the hole; a group that empties leaves the chain for the
+    /// free list, and the id stays counted only if another group of it is
+    /// chained. Then the slab's last entry moves into the freed position
+    /// and its group's `slot` follows it.
+    fn remove_by_key(&mut self, bucket: u64, key: TupleKey) {
+        if self.dir.is_empty() {
+            return;
+        }
+        let slot = self.slot(bucket);
+        let (mut prev, mut g) = (NIL, self.dir[slot]);
+        let k = 'walk: loop {
+            if g == NIL {
+                return;
             }
-        } else {
-            self.heads[e.prev as usize].next = e.next;
-            let after = if e.next != NIL { e.next } else { head };
-            self.heads[after as usize].prev = e.prev;
+            let grp = &self.groups[g as usize];
+            if grp.bucket == bucket {
+                for k in 0..grp.len as usize {
+                    if self.heads[grp.slot[k] as usize].key == key {
+                        break 'walk k;
+                    }
+                }
+            }
+            (prev, g) = (g, grp.next);
+        };
+        let grp = &mut self.groups[g as usize];
+        let idx = grp.slot[k];
+        let last = grp.len as usize - 1;
+        grp.tag[k] = grp.tag[last];
+        grp.slot[k] = grp.slot[last];
+        grp.len -= 1;
+        if grp.len == 0 {
+            let next = grp.next;
+            grp.next = self.free;
+            self.free = g;
+            if prev == NIL {
+                self.dir[slot] = next;
+            } else {
+                self.groups[prev as usize].next = next;
+            }
+            let mut g = self.dir[slot];
+            while g != NIL && self.groups[g as usize].bucket != bucket {
+                g = self.groups[g as usize].next;
+            }
+            if g == NIL {
+                self.occupied -= 1;
+            }
         }
         let last = self.heads.len() - 1;
         let w = self.width;
@@ -366,51 +434,52 @@ impl Shard {
             .copy_within(last * w..(last + 1) * w, idx as usize * w);
         self.vals.truncate(last * w);
         if idx as usize != last {
-            self.repoint(last as u32, idx);
+            let grp = &mut self.groups[self.heads[idx as usize].group as usize];
+            let listed = &mut grp.slot[..grp.len as usize];
+            let k = listed.iter().position(|&p| p == last as u32).unwrap();
+            listed[k] = idx;
         }
     }
 
-    /// Remove the entry for `key` from `bucket`, if present (silently a
-    /// no-op otherwise, matching [`StateIndex::remove`]). The walk counts
-    /// the bucket's entries as it goes — it needs to see a second one to
-    /// know the id stays occupied — and stops as soon as it has both.
-    fn remove_by_key(&mut self, bucket: u64, key: TupleKey) {
-        if self.dir.is_empty() {
-            return;
-        }
-        let mut i = self.dir[self.slot(bucket)];
-        let mut found = NIL;
-        let mut same_id = 0u32;
-        while i != NIL && (found == NIL || same_id < 2) {
-            let e = &self.heads[i as usize];
-            if e.bucket == bucket {
-                same_id += 1;
-                if found == NIL && e.key == key {
-                    found = i;
-                }
-            }
-            i = e.next;
-        }
-        if found == NIL {
-            return;
-        }
-        if same_id == 1 {
-            self.occupied -= 1;
-        }
-        self.unlink_and_remove(found);
-    }
-
-    /// Drop every chain and link the slab again in slab order, recounting
+    /// Drop every group and list the slab again in slab order, recounting
     /// the distinct ids — the in-place half of a migration, after the
-    /// entries' bucket ids changed under them.
+    /// entries' bucket ids changed under them. Tags depend on the values
+    /// alone, so they stay. The group buffer keeps its capacity.
     fn relink_all(&mut self) {
         self.dir.fill(NIL);
+        self.groups.clear();
+        self.free = NIL;
         self.occupied = 0;
         for idx in 0..self.heads.len() as u32 {
-            if !self.holds(self.heads[idx as usize].bucket) {
-                self.occupied += 1;
+            self.place(idx);
+        }
+    }
+
+    /// Charge `grp`'s entries one comparison each and append the keys of
+    /// those that match to `hits`: a fixed-trip pass builds the mask of
+    /// entries whose tag the plan admits, and only those load their values
+    /// from the stride.
+    #[inline(always)]
+    fn scan(
+        &self,
+        grp: &Group,
+        plan: &ProbePlan,
+        bound: &BoundValues<'_>,
+        hits: &mut Vec<TupleKey>,
+        receipt: &mut CostReceipt,
+    ) {
+        receipt.comparisons += u64::from(grp.len);
+        let mut admitted = 0u32;
+        for (k, &tag) in grp.tag.iter().enumerate() {
+            admitted |= u32::from(plan.admits_tag(tag)) << k;
+        }
+        admitted &= (1 << grp.len) - 1;
+        while admitted != 0 {
+            let p = grp.slot[admitted.trailing_zeros() as usize] as usize;
+            admitted &= admitted - 1;
+            if bound.matches(self.jas(p)) {
+                hits.push(self.heads[p].key);
             }
-            self.link(idx);
         }
     }
 
@@ -419,16 +488,17 @@ impl Shard {
     /// comparison per entry whose bucket is a candidate — whether the walk
     /// compared its values or its tag already ruled it out (the model
     /// charges the comparison, not the load). The narrow (enumerate
-    /// candidate ids) vs wide (linear slab walk) decision is made per shard
-    /// against this shard's occupied-bucket count — it picks the cheaper
-    /// walk without changing the hit *set* or the comparisons; the caller
-    /// sorts the merged hits into canonical key order, so the walk-order
-    /// difference never escapes. `bucket_probes` are deliberately *not*
-    /// charged here: the per-shard `min(candidates, occupied)` would sum to
-    /// less than the unsharded charge (min is not additive), making the receipt
-    /// depend on the shard count. The caller charges the canonical
-    /// `min(candidate_buckets, occupied_buckets)` against global totals
-    /// instead, so receipts are shard-count invariant.
+    /// candidate ids) vs wide (linear group walk) decision is made per
+    /// shard against this shard's occupied-bucket count — it picks the
+    /// cheaper walk without changing the hit *set* or the comparisons; the
+    /// caller sorts the merged hits into canonical key order, so the
+    /// walk-order difference never escapes. `bucket_probes` are
+    /// deliberately *not* charged here: the per-shard `min(candidates,
+    /// occupied)` would sum to less than the unsharded charge (min is not
+    /// additive), making the receipt depend on the shard count. The caller
+    /// charges the canonical `min(candidate_buckets, occupied_buckets)`
+    /// against global totals instead, so receipts are shard-count
+    /// invariant.
     fn probe(
         &self,
         plan: &ProbePlan,
@@ -440,26 +510,26 @@ impl Shard {
         if candidates <= self.occupied as u64 {
             // Narrow search: enumerate the 2^w candidate ids lazily (the
             // carry-propagate submask walk); each is one directory load
-            // and a walk of that slot's chain, comparing only the entries
+            // and a walk of that slot's groups, scanning only the groups
             // that carry the id.
             for id in plan.enumerate() {
-                let mut i = self.dir[self.slot(id)];
-                while i != NIL {
-                    let e = &self.heads[i as usize];
-                    if e.bucket == id {
-                        receipt.comparisons += 1;
-                        if plan.admits_tag(e.tag) && bound.matches(self.jas(i as usize)) {
-                            hits.push(e.key);
-                        }
+                let mut g = self.dir[self.slot(id)];
+                while g != NIL {
+                    let grp = &self.groups[g as usize];
+                    if grp.bucket == id {
+                        self.scan(grp, plan, bound, hits, receipt);
                     }
-                    i = e.next;
+                    g = grp.next;
                 }
             }
         } else {
             // Wide search: one linear pass over the contiguous heads,
             // filtering on each cached bucket id. Visits exactly the
             // entries the per-bucket formulation would: one comparison
-            // per entry in a candidate bucket.
+            // per entry in a candidate bucket. The heads, not the groups:
+            // a wide search of sparse buckets meets one entry per group,
+            // and would load a group line and the head for its key where
+            // the head alone serves.
             for (i, e) in self.heads.iter().enumerate() {
                 if plan.matches(e.bucket) {
                     receipt.comparisons += 1;
@@ -533,10 +603,10 @@ impl BitAddressIndex {
 
     /// Re-route every entry (bucket ids already current) over
     /// `shard_count` fresh shards, one task per destination: each walks
-    /// the old shards shard-major in slab order and links the entries
-    /// routed to it, so every destination's slab and chains are the same
-    /// for any executor. A destination keeps the directory buffer of the
-    /// old shard at its position, emptied.
+    /// the old shards shard-major in slab order and inserts the entries
+    /// routed to it, so every destination's slab and groups are the same
+    /// for any executor. A destination keeps the
+    /// directory buffer of the old shard at its position, emptied.
     fn redistribute(&mut self, shard_count: usize, exec: &dyn ShardExecutor) {
         let mut old = std::mem::take(&mut self.shards);
         let work_ns = old.iter().map(|s| s.heads.len() as u64).sum::<u64>() * RELINK_NS;
@@ -589,22 +659,23 @@ impl BitAddressIndex {
         self.shards.iter().map(|s| s.occupied).sum()
     }
 
-    /// Exhaustively check the arena/chain invariants, returning the first
+    /// Exhaustively check the slab/group invariants, returning the first
     /// violation found. Diagnostics only — O(entries log entries), never on
     /// the hot path; tests call it after every mutation to prove
-    /// `swap_remove` eviction leaves the structure sound:
+    /// `swap_remove` and group recycling leave the structure sound:
     ///
     /// * the value stride holds exactly `width` words per slab entry, and
     ///   the directory is a power of two with two slots per entry;
-    /// * every chain is cycle-free, its `next`/`prev` links mirror, and its
-    ///   head's `prev` names its tail;
-    /// * every entry is chained under the slot its cached `bucket` hashes
-    ///   to, and that id and its tag equal re-deriving them from the
-    ///   entry's JAS under the active config;
-    /// * the chains partition the slab: each entry is reachable exactly
-    ///   once (the slab is dense by construction — it's a `Vec`);
-    /// * the maintained distinct-id count equals a recount;
-    /// * every entry lives in the shard its bucket id routes to.
+    /// * every chained group is non-empty, cycle-free, holds one id and is
+    ///   chained under the slot that id hashes to, in the shard it routes
+    ///   to;
+    /// * the groups list every slab entry exactly once, each entry's
+    ///   `group` names the group that lists it, and its cached id and tag —
+    ///   in its head and in its group — equal re-deriving them from its JAS
+    ///   under the active config;
+    /// * the free list holds only empty groups, has no cycle, and with the
+    ///   chains accounts for every group;
+    /// * the maintained distinct-id count equals a recount.
     pub fn check_integrity(&self) -> Result<(), String> {
         for (s, shard) in self.shards.iter().enumerate() {
             let n = shard.heads.len();
@@ -626,57 +697,68 @@ impl BitAddressIndex {
             if !sized {
                 return Err(format!("shard {s}: directory of {slots} for {n} entries"));
             }
+            let groups = shard.groups.len();
+            let mut group_seen = vec![false; groups];
+            let mut visit = |g: u32, what: &str| {
+                if g as usize >= groups {
+                    return Err(format!("shard {s}: {what} names group {g} of {groups}"));
+                }
+                if std::mem::replace(&mut group_seen[g as usize], true) {
+                    return Err(format!("shard {s}: group {g} reached twice ({what})"));
+                }
+                Ok(&shard.groups[g as usize])
+            };
             let mut seen = vec![false; n];
             let mut reached = 0usize;
-            for (slot, &head) in shard.dir.iter().enumerate() {
-                let mut i = head;
-                let mut prev = NIL;
-                while i != NIL {
-                    if i as usize >= n {
-                        return Err(format!("shard {s}: link {i} beyond slab of {n}"));
+            for (slot, &first) in shard.dir.iter().enumerate() {
+                let mut g = first;
+                while g != NIL {
+                    let grp = visit(g, "a chain")?;
+                    if grp.len == 0 || grp.len as usize > GROUP {
+                        return Err(format!("group {s}/{g} on a chain holds {}", grp.len));
                     }
-                    if seen[i as usize] {
-                        return Err(format!("entry {s}/{i} reachable twice"));
-                    }
-                    seen[i as usize] = true;
-                    reached += 1;
-                    let e = &shard.heads[i as usize];
-                    if prev != NIL && e.prev != prev {
+                    if shard.slot(grp.bucket) != slot || self.shard_of(grp.bucket) != s {
                         return Err(format!(
-                            "entry {s}/{i} prev link {} != walk predecessor {prev}",
-                            e.prev
+                            "group {s}/{g} of bucket {:#x} chained under slot {slot}",
+                            grp.bucket
                         ));
                     }
-                    if shard.slot(e.bucket) != slot {
-                        return Err(format!(
-                            "entry {s}/{i} cached bucket {:#x} chained under slot {slot}",
-                            e.bucket
-                        ));
+                    for k in 0..grp.len as usize {
+                        let i = grp.slot[k] as usize;
+                        if i >= n || std::mem::replace(&mut seen[i], true) {
+                            return Err(format!("group {s}/{g} lists entry {i} twice or past {n}"));
+                        }
+                        reached += 1;
+                        let e = &shard.heads[i];
+                        if e.group != g {
+                            return Err(format!("entry {s}/{i} names group {}, not {g}", e.group));
+                        }
+                        let derived = self.config.bucket_and_tag(shard.jas(i));
+                        if derived != (e.bucket, e.tag)
+                            || (e.bucket, e.tag) != (grp.bucket, grp.tag[k])
+                        {
+                            return Err(format!("entry {s}/{i} bucket or tag stale vs config"));
+                        }
                     }
-                    if self.config.bucket_and_tag(shard.jas(i as usize)) != (e.bucket, e.tag) {
-                        return Err(format!("entry {s}/{i} bucket or tag stale vs config"));
-                    }
-                    if self.shard_of(e.bucket) != s {
-                        return Err(format!(
-                            "bucket {:#x} linked in foreign shard {s}",
-                            e.bucket
-                        ));
-                    }
-                    prev = i;
-                    i = e.next;
-                }
-                if head != NIL && shard.heads[head as usize].prev != prev {
-                    return Err(format!(
-                        "shard {s} slot {slot}: head names tail {}, walk ended at {prev}",
-                        shard.heads[head as usize].prev
-                    ));
+                    g = grp.next;
                 }
             }
             if reached != n {
                 return Err(format!(
-                    "shard {s}: {} of {n} slab entries unreachable",
+                    "shard {s}: {} of {n} slab entries unlisted",
                     n - reached
                 ));
+            }
+            let mut g = shard.free;
+            while g != NIL {
+                let grp = visit(g, "the free list")?;
+                if grp.len != 0 {
+                    return Err(format!("free group {s}/{g} holds {}", grp.len));
+                }
+                g = grp.next;
+            }
+            if let Some(lost) = group_seen.iter().position(|&seen| !seen) {
+                return Err(format!("group {s}/{lost} on no chain and not free"));
             }
             let distinct = bucket_lens(std::slice::from_ref(shard)).len();
             if shard.occupied != distinct {
@@ -1399,7 +1481,8 @@ mod tests {
 
     /// The size pins of the layout: an entry is a 24-byte head plus its
     /// JAS words in the stride — `24 + 8·width` bytes of slab — and no
-    /// eight-slot `AttrVec` is stored per entry.
+    /// eight-slot `AttrVec` is stored per entry. Its place in a group is
+    /// paid per group, not here.
     #[test]
     fn an_entry_costs_its_head_and_its_jas_words() {
         assert_eq!(std::mem::size_of::<EntryHead>(), 24);
@@ -1463,7 +1546,8 @@ mod tests {
         /// pairs in key order (what a snapshot restore does) — at 1, 2
         /// and 4 shards,
         /// starting from the one-bucket (zero-bit) configuration or an
-        /// arbitrary one. After every step a probe returns the model's
+        /// arbitrary one, over an even value domain or a skewed one whose
+        /// buckets span several groups. After every step a probe returns the model's
         /// hits in key order with the model's receipt (`hash_ops`,
         /// `comparisons` = entries in candidate buckets, `bucket_probes` =
         /// min(candidates, occupied)), `occupied_buckets`, `memory_bytes`
@@ -1471,6 +1555,7 @@ mod tests {
         #[test]
         fn index_matches_a_bucket_map_model_under_every_reshaping(
             start_trivial in proptest::bool::ANY,
+            skewed in proptest::bool::ANY,
             start_bits in proptest::collection::vec(0u8..4, 3),
             start_shards in 0u32..3,
             ops in proptest::collection::vec(
@@ -1491,6 +1576,13 @@ mod tests {
             let mut next_key = 0u32;
             let mut r = CostReceipt::new();
             for ((op, vals), (pick, bits, mask)) in ops {
+                // A skewed domain of mostly zeros: its few buckets overflow
+                // a group.
+                let vals: Vec<u64> = if skewed {
+                    vals.iter().map(|v| v / 4).collect()
+                } else {
+                    vals
+                };
                 match op {
                     0..=5 => {
                         idx.insert(TupleKey(next_key), &jas(&vals), &mut r);
@@ -1540,11 +1632,76 @@ mod tests {
         }
     }
 
-    /// The value tag lives in what was the head's padding: 20 bytes of
-    /// fields (id, key, two links) plus the four-byte tag fill the 24.
+    /// A group is one cache line: id, link and length (16 bytes) plus six
+    /// tags and six slab positions fill the 64, aligned to the line so a
+    /// narrow probe's load of it touches one. The head's group index takes
+    /// the place of the two chain links it drops: id, key, group and tag
+    /// are 20 bytes of the 24.
     #[test]
-    fn the_tag_lives_in_the_heads_padding() {
+    fn a_group_fills_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Group>(), 64);
+        assert_eq!(std::mem::align_of::<Group>(), 64);
         assert_eq!(std::mem::size_of::<EntryHead>(), 24);
+    }
+
+    /// One bucket of `3·GROUP + 1` entries (the zero-bit configuration puts
+    /// every entry in it) spans four groups; removing from the first, a
+    /// middle and the last group in every order keeps the structure sound,
+    /// every probe charges the bucket's size, and emptying and refilling
+    /// the bucket reuses the freed groups.
+    #[test]
+    fn a_bucket_spanning_groups_survives_removal_in_every_order() {
+        let n = 3 * GROUP as u32 + 1;
+        let row = |i: u32| jas(&[u64::from(i % 3), 1, u64::from(i)]);
+        let victims = [0, GROUP as u32 + 1, n - 1];
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let mut idx = BitAddressIndex::new(IndexConfig::trivial(3));
+            let mut r = CostReceipt::new();
+            for i in 0..n {
+                idx.insert(TupleKey(i), &row(i), &mut r);
+            }
+            let groups = idx.shards[0].groups.len();
+            assert_eq!(groups, 4, "{n} entries of one id fill four groups");
+            let mut alive: Vec<u32> = (0..n).collect();
+            let probe = |idx: &BitAddressIndex, alive: &[u32]| {
+                idx.check_integrity().unwrap();
+                for (mask, vals) in [(0b000, [0, 0, 0]), (0b011, [2, 1, 0])] {
+                    let request = req(mask, 3, &vals);
+                    let mut r = CostReceipt::new();
+                    let want: Vec<TupleKey> = alive
+                        .iter()
+                        .filter(|&&i| request.matches(&row(i)))
+                        .map(|&i| TupleKey(i))
+                        .collect();
+                    assert_eq!(search(idx, &request, &mut r), Some(want), "{order:?}");
+                    assert_eq!(r.comparisons, alive.len() as u64, "{order:?}");
+                }
+            };
+            for &v in &order {
+                let key = victims[v];
+                idx.remove(TupleKey(key), &row(key), &mut r);
+                alive.retain(|&i| i != key);
+                probe(&idx, &alive);
+            }
+            for key in alive.drain(..) {
+                idx.remove(TupleKey(key), &row(key), &mut r);
+                idx.check_integrity().unwrap();
+            }
+            assert_eq!(idx.occupied_buckets(), 0);
+            for i in 0..n {
+                idx.insert(TupleKey(i), &row(i), &mut r);
+                alive.push(i);
+            }
+            probe(&idx, &alive);
+            assert_eq!(idx.shards[0].groups.len(), groups, "refill took new groups");
+        }
     }
 
     /// `v` and a distinct value whose hash shares `v`'s low byte — its tag

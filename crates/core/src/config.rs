@@ -217,7 +217,7 @@ impl IndexConfig {
 }
 
 /// JAS positions that carry a byte of the value tag: one per byte of the
-/// `u32` an entry head has room for. Later positions are untagged.
+/// `u32` a group keeps per entry. Later positions are untagged.
 const TAG_BYTES: usize = std::mem::size_of::<u32>();
 
 /// Byte `i` of a value tag: the low byte of position `i`'s value hash `h`,

@@ -1,6 +1,6 @@
 //! The disk spill tier: a checksummed, append-only block store cold
 //! window buckets migrate into when the memory budget cannot hold the
-//! full window (ROADMAP open item 1 — beyond-RAM windows).
+//! full window (DESIGN §10, tiered storage).
 //!
 //! Design:
 //!

@@ -89,13 +89,19 @@ if grep -rnE 'cache_enabled|fn materialize\(|JoinState::StaticBitmap' crates tes
 fi
 
 # Nor may the per-bucket map, its records or the tail-append link of the
-# bit-address index: a shard is one slab of entry heads, a value stride and
-# a directory of chain heads (DESIGN §4). Nor a decoding pop on the probe
-# or shedding path: a job is read where it lies, through a view of its
-# packed words, and a shed job is discarded unread (DESIGN §5).
+# bit-address index: a shard is a slab of entry heads, a value stride
+# beside it, 64-byte groups that list up to six entries of one bucket id
+# with their tags, and a directory of group chains (DESIGN §4). Nor may the
+# per-entry chain it replaced, whose re-pointing and unlinking helpers are
+# matched as whole words. Nor a decoding pop on the probe or shedding path:
+# a job is read where it lies, through a view of its packed words, and a
+# shed job is discarded unread (DESIGN §5).
 echo "==> one index entry layout; no decoded job on the probe or shedding path"
 if grep -nE 'link_at_tail|struct Bucket|FxHashMap<u64' crates/core/src/bitaddr.rs; then
     echo "the bucket map, a Bucket record or a tail pointer reappeared in bitaddr.rs"; exit 1
+fi
+if grep -nwE 'repoint|unlink_and_remove' crates/core/src/bitaddr.rs; then
+    echo "the per-entry chain reappeared in bitaddr.rs"; exit 1
 fi
 if grep -nE 'backlog\.pop\(\)' \
     crates/engine/src/runtime/operators.rs crates/engine/src/runtime/degrade.rs; then
@@ -266,19 +272,31 @@ rm -f "${POOL_RUN}"
 # short traced run of the spilling workload. The hit rate is a count — a
 # function of the seed alone — and at 64 KiB of cache over a ~78 KB live
 # set per state it read 0.76 while the water marks used half the budget
-# and batches evicted their own blocks. The tier's own cost is read by
-# name: `core.tier.materialize_batch_us`, wall µs per materialization
-# batch, read 1.22–1.55 over six runs at seed 7 on the 2-core reference
-# host (the parent binary, alternated with them, 1.31–1.93), so the bound
-# sits at 3.0. The ratio to the all-RAM twin is not gated: every RAM-path
-# speedup lowers it, and in those same runs it read 0.52–0.76.
+# and batches evicted their own blocks. The tier's own cost,
+# `core.tier.materialize_batch_us` (wall µs per materialization batch), is
+# gated as a ratio to `synth.attrs_ns` (wall ns per generated tuple), which
+# the same run measures outside every engine layer: the host's speed moves
+# both, so the ratio holds where a wall-clock ceiling did not (a ceiling of
+# 3.0 µs failed about half its runs on unchanged code). Twenty runs at
+# seed 7 on the 2-core reference host read the ratio 38.0–47.0 while
+# materialize_batch_us alone read 1.98–3.00, so the bound sits at 52. A
+# planted spin per `SpillTier::fetch_batch` call read 49.6 at 300 ns, 53.0
+# and 50.7 at 400 ns (about +17 % on the batch), 53.2 at 500 ns and 55.9
+# at 700 ns; the half-budget cache reads 78–82 and fails the hit rate. The ratio to the all-RAM twin is
+# not gated: every RAM-path speedup lowers it.
 echo "==> a 64 KiB block cache holds 64 KiB and a batch costs what it did (spill_ckpt, traced)"
 TIER_RUN="$(mktemp)"
 bash benchmark/run.sh --workload spill_ckpt --seed 7 --seconds 4 --trace 1 > "${TIER_RUN}"
-awk '$1 == "core.tier.cache_hit_frac" { hit = 1; print; if ($2 + 0 < 0.9) exit 1 }
-     $1 == "core.tier.materialize_batch_us" { cost = 1; print; if ($2 + 0 > 3.0) exit 1 }
-     END { if (!hit || !cost) exit 1 }' "${TIER_RUN}" \
-    || { echo "core.tier.cache_hit_frac below 0.9, core.tier.materialize_batch_us above 3.0 us, or either missing"; exit 1; }
+awk '$1 == "core.tier.cache_hit_frac" { hit = $2 + 0; seen_hit = 1; print }
+     $1 == "core.tier.materialize_batch_us" { cost = $2 + 0; print }
+     $1 == "synth.attrs_ns" { ref = $2 + 0; print }
+     END {
+         if (!seen_hit || cost <= 0 || ref <= 0) exit 1
+         ratio = cost * 1000 / ref
+         printf "materialize_batch_us / synth.attrs_ns (ns per ns) %.2f\n", ratio
+         if (hit < 0.9 || ratio > 52) exit 1
+     }' "${TIER_RUN}" \
+    || { echo "core.tier.cache_hit_frac below 0.9, materialize_batch_us / synth.attrs_ns above 52, or a metric missing"; exit 1; }
 rm -f "${TIER_RUN}"
 
 echo "CI green."

@@ -340,6 +340,7 @@ mod tests {
             faults: Default::default(),
             spill: Default::default(),
             output_digest: 0,
+            output_set: 0,
             maint: Default::default(),
         }
     }

@@ -485,6 +485,7 @@ impl<W: StreamWorkload> Executor<W> {
             pool: WorkerPool::new(config.parallelism),
             maint: MaintenanceStats::default(),
             output_digest: 0,
+            output_set: 0,
             spill_lost: 0,
             spill_first_at: None,
             config,

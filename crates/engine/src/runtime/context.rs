@@ -253,6 +253,10 @@ pub struct RunContext<C: Clock = VirtualClock> {
     /// the byte-identity witness the lattice's spill group compares across
     /// budget-constrained, crash-resumed and thread-count variants.
     pub output_digest: u64,
+    /// Order-free digest of the same outputs: a wrapping sum, over them,
+    /// of each output's words folded from [`OUTPUT_HASH_SEED`], so flavors
+    /// whose job order differs agree on it when they compute one join.
+    pub output_set: u64,
     /// Tuples lost to unrecoverable spill-block corruption (merged into
     /// the degradation report at run end).
     pub spill_lost: u64,
@@ -266,6 +270,9 @@ pub struct RunContext<C: Clock = VirtualClock> {
 pub(crate) fn digest_fold(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
+
+/// The seed [`RunContext::output_set`] folds each output's words from.
+pub(crate) const OUTPUT_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 impl<C: Clock> RunContext<C> {
     /// Effective arrival rate at virtual time `t`.

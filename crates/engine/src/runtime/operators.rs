@@ -10,7 +10,9 @@
 //! test pins the two byte-identical.
 
 use crate::metrics::RetuneRecord;
-use crate::runtime::context::{digest_fold, FollowUp, Job, JobView, RunContext, RunOutcome};
+use crate::runtime::context::{
+    digest_fold, FollowUp, Job, JobView, RunContext, RunOutcome, OUTPUT_HASH_SEED,
+};
 use crate::runtime::degrade::push_governed;
 use crate::runtime::fault::ArrivalFate;
 use amri_core::assess::Assessor;
@@ -272,6 +274,7 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
         governor,
         pool,
         output_digest,
+        output_set,
         spill_lost,
         spill_first_at,
         ..
@@ -322,8 +325,10 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
             // Fold the completed output into the order-sensitive run
             // digest — the identity witness the lattice's spill group pins:
             // origin, then every stream's part ascending, the target's
-            // being the matched tuple.
+            // being the matched tuple — and add its own hash of the same
+            // words to the order-free output set.
             let mut h = digest_fold(*output_digest, job.origin_ts.0);
+            let mut o = digest_fold(OUTPUT_HASH_SEED, job.origin_ts.0);
             for s in (0..n as u16).map(StreamId) {
                 let part = if s == target {
                     attrs
@@ -333,9 +338,11 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
                 };
                 for &v in part {
                     h = digest_fold(h, v);
+                    o = digest_fold(o, v);
                 }
             }
             *output_digest = h;
+            *output_set = output_set.wrapping_add(o);
         } else {
             let follow_up = FollowUp {
                 parent: job,

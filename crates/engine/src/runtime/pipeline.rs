@@ -57,6 +57,11 @@ pub struct RunResult {
     /// byte-identity witness compared across budget/crash/thread variants.
     #[serde(default)]
     pub output_digest: u64,
+    /// Order-free digest of the same outputs (a wrapping sum of one hash
+    /// per output): the join's answer as a set, equal across flavors that
+    /// compute the same join in a different job order.
+    #[serde(default)]
+    pub output_set: u64,
     /// Virtual ns spent on ingest and migration, and the tuner's predicted
     /// and realized retune benefit and regret.
     #[serde(default)]
@@ -245,6 +250,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
         w.put_u64(ctx.jobs_processed);
         w.put_time(ctx.grid_due);
         w.put_u64(ctx.output_digest);
+        w.put_u64(ctx.output_set);
         w.put_u64(ctx.spill_lost);
         match ctx.spill_first_at {
             Some(t) => {
@@ -354,6 +360,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
         self.ctx.jobs_processed = r.get_u64()?;
         self.ctx.grid_due = r.get_time()?;
         self.ctx.output_digest = r.get_u64()?;
+        self.ctx.output_set = r.get_u64()?;
         self.ctx.spill_lost = r.get_u64()?;
         self.ctx.spill_first_at = if r.get_bool()? {
             Some(r.get_time()?)
@@ -535,6 +542,7 @@ impl<W: StreamWorkload, C: Clock> Pipeline<W, C> {
             faults,
             spill,
             output_digest: ctx.output_digest,
+            output_set: ctx.output_set,
             maint,
         }
     }

@@ -30,10 +30,15 @@ use std::collections::VecDeque;
 
 /// Mirror of the runtime's output-digest fold — a pure observer over the
 /// completed-output stream, so it cannot perturb the frozen loop's
-/// behavior; it only lets the baseline fill `RunResult::output_digest`.
+/// behavior; it only lets the baseline fill `RunResult::output_digest`
+/// and `RunResult::output_set`.
 fn digest_fold(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
+
+/// The seed the runtime folds each output's words from for
+/// `RunResult::output_set`.
+const OUTPUT_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One routing job, as the pre-refactor loop represented it.
 #[derive(Debug, Clone, Copy)]
@@ -162,6 +167,7 @@ impl<W: StreamWorkload> Reference<W> {
             .collect();
         let mut outputs: u64 = 0;
         let mut output_digest: u64 = 0;
+        let mut output_set: u64 = 0;
         let mut tuple_seq: u64 = 0;
         let mut sojourn_ticks: u64 = 0;
         let mut jobs_processed: u64 = 0;
@@ -279,14 +285,17 @@ impl<W: StreamWorkload> Reference<W> {
                     if extended.is_complete(n) {
                         outputs += 1;
                         let mut h = digest_fold(output_digest, job.origin_ts.0);
+                        let mut o = digest_fold(OUTPUT_HASH_SEED, job.origin_ts.0);
                         for s in 0..n {
                             if let Some(part) = extended.part(StreamId(s as u16)) {
                                 for &v in part.as_slice() {
                                     h = digest_fold(h, v);
+                                    o = digest_fold(o, v);
                                 }
                             }
                         }
                         output_digest = h;
+                        output_set = output_set.wrapping_add(o);
                     } else {
                         backlog.push_back(Job {
                             pt: extended,
@@ -333,6 +342,7 @@ impl<W: StreamWorkload> Reference<W> {
             faults: Default::default(),
             spill: Default::default(),
             output_digest,
+            output_set,
             maint: Default::default(),
         }
     }

@@ -499,11 +499,13 @@ const TUNING_SECS: u64 = 32;
 
 /// The four flavors plus AMRI governed and faulted: crash + resume ≡
 /// uninterrupted — plain, with the latest snapshot torn, and (the AMRI
-/// cells) under the bandit tuner. The AMRI cells crash and resume between
-/// their first and last retune, at steps derived from the uninterrupted
-/// twin ([`mid_tuning`]), so the image holds moved indices, a settled and
-/// a pending retune and — under the bandit — the arm statistics, backoff
-/// level and RNG word the later verdicts depend on.
+/// cells) under the bandit tuner. The AMRI and hash cells crash and resume
+/// between their first and last retune, at steps derived from the
+/// uninterrupted twin ([`mid_tuning`]), so the image holds moved indices,
+/// a settled and a pending retune and — under the bandit — the arm
+/// statistics, backoff level and RNG word the later verdicts depend on.
+/// The hash image holds a retargeted module, whose bucket order is
+/// furthest from the key order its restore rebuilds in.
 fn crash_family(l: &mut Lattice) {
     let seed = l.seed;
     // The governor's counters and RNG and the injector's pending queues
@@ -523,12 +525,15 @@ fn crash_family(l: &mut Lattice) {
         let spec = RunSpec::new(amri(AssessorKind::Csria));
         spec.with(|s| (s.horizon, s.tuner) = (Some(TUNING_SECS), tuner))
     };
-    let short = |mode| RunSpec::new(mode).with(|s| s.horizon = Some(SHORT_SECS));
+    let run_for = |mode, secs| RunSpec::new(mode).with(|s| s.horizon = Some(secs));
     let mut cells: Vec<(&str, RunSpec, bool)> = Vec::new();
     for (label, mode) in lineup() {
         match mode {
             IndexingMode::Amri { .. } => cells.push((label, tuning(TunerKind::Paper), true)),
-            mode => cells.push((label, short(mode), false)),
+            IndexingMode::AdaptiveHash { .. } => {
+                cells.push((label, run_for(mode, TUNING_SECS), true))
+            }
+            mode => cells.push((label, run_for(mode, SHORT_SECS), false)),
         }
     }
     let faulted = |tuner| tuning(tuner).with(perturb);
@@ -1143,6 +1148,7 @@ mod tests {
             "crash/amri-governed-faulted@t1:resumed=crash/amri-governed-faulted@t1",
             "crash/scan@t1:torn-resumed:must:SkipsASnapshot",
             "crash/amri-bandit@t1:resumed:must:ResumesMidTuning",
+            "crash/hash-3@t1:resumed:must:ResumesMidTuning",
             "spill/hash-3/starved@t1:must:DiesOfOom",
             "spill/hash-3/spilled@t1=spill/hash-3/unconstrained@t1",
             "spill/scan/cached@t4=spill/scan/spilled@t4",

@@ -58,12 +58,13 @@
 //! another group of the id, and a directory doubling re-chains the groups
 //! without recounting.
 //!
-//! Hits are sorted into key order before anything reads them, so **group,
-//! chain and slab order are unobservable**: receipts and hit sets depend
-//! only on which entries are stored, never on how they were grouped. That
-//! is what lets a directory doubling and a migration regroup in slab
-//! order, and a snapshot carry no index at all: a restore rebuilds it from
-//! the stored tuples in key order ([`BitAddressIndex::rebuild`]).
+//! [`StateStore::search`](crate::StateStore::search) sorts hits into key
+//! order before anything reads them, so **group, chain and slab order are
+//! unobservable**: receipts and hit sets depend only on which entries are
+//! stored, never on how they were grouped. That is what lets a directory
+//! doubling and a migration regroup in slab order, and a snapshot carry no
+//! index at all: a restore rebuilds it from the stored tuples
+//! ([`StateStore::reindex`](crate::StateStore::reindex)).
 //!
 //! * **Wide wildcard searches** walk the head slab linearly, test each
 //!   cached bucket id against the probe plan's mask and each tag of an
@@ -89,8 +90,8 @@
 //! tasks with no synchronization. A probe's candidate-id set splits
 //! cleanly by shard ([`ProbePlan::shard_slice`]): each shard either owns a
 //! disjoint sub-plan or is skipped outright. Results merge in **fixed
-//! shard order**, so a sharded search returns the same hits in the same
-//! order whether its shard tasks ran inline or on a worker pool — the
+//! shard order**, so a sharded search returns the same hits and receipt
+//! whether its shard tasks ran inline or on a worker pool — the
 //! determinism contract `tests/pipeline_equivalence.rs` pins. With one
 //! shard (the default) every code path below degenerates to the exact
 //! pre-sharding behavior, bit for bit, receipt for receipt.
@@ -491,8 +492,8 @@ impl Shard {
     /// candidate ids) vs wide (linear group walk) decision is made per
     /// shard against this shard's occupied-bucket count — it picks the
     /// cheaper walk without changing the hit *set* or the comparisons; the
-    /// caller sorts the merged hits into canonical key order, so the
-    /// walk-order difference never escapes. `bucket_probes` are
+    /// state store sorts the merged hits into key order, so the walk-order
+    /// difference never escapes. `bucket_probes` are
     /// deliberately *not* charged here: the per-shard `min(candidates,
     /// occupied)` would sum to less than the unsharded charge (min is not
     /// additive), making the receipt depend on the shard count. The caller
@@ -894,7 +895,7 @@ impl BitAddressIndex {
     }
 
     /// The one probe core: plan once, charge, dispatch one task per shard,
-    /// merge hits and costs in fixed shard order, then canonicalize.
+    /// merge hits and costs in fixed shard order.
     ///
     /// With `S` shards the plan is sliced per shard
     /// ([`ProbePlan::shard_slice`] partitions the candidate-id set; a
@@ -909,15 +910,10 @@ impl BitAddressIndex {
     /// Shards pick their own walk strategy but never charge probes
     /// themselves: the canonical charge is the cheaper of enumerating
     /// every candidate id and touching every occupied bucket, against the
-    /// *global* occupancy, so receipts are shard-count invariant. Hits
-    /// are then sorted by [`TupleKey`]: the raw walk order (chain order
-    /// for a narrow probe, slab order for a wide one) depends on the shard
-    /// partition and on each shard's swap-remove and relink history,
-    /// whereas arena keys are assigned by the unsharded state store —
-    /// sorting is the only order every shard count can agree on, and what
-    /// makes chain order free to change. Downstream routing consumes hits
-    /// in order, so without the canonical sort the join-job queue (and
-    /// every adaptive decision fed by it) would observe the shard count.
+    /// *global* occupancy, so receipts are shard-count invariant. The hits
+    /// stay in walk order (group order for a narrow probe, slab order for
+    /// a wide one); [`StateStore::search`](crate::StateStore::search)
+    /// sorts them into the key order every shard count agrees on.
     fn probe_shards(
         &self,
         req: &SearchRequest,
@@ -953,7 +949,6 @@ impl BitAddressIndex {
             scratch.put_shard_slots(slots);
         }
         receipt.bucket_probes += plan.candidate_buckets().min(self.occupied_buckets() as u64);
-        scratch.hits.sort_unstable();
     }
 
     /// Charge one maintenance operation — `indexed_attrs` hashes plus one
@@ -976,28 +971,6 @@ impl BitAddressIndex {
     fn charge(&self, receipt: &mut CostReceipt) {
         receipt.hash_ops += self.config.indexed_attrs() as u64;
         receipt.bucket_probes += 1;
-    }
-
-    /// Replace the index with an empty one under `config`, at this
-    /// index's shard count, holding each of `live` — the `(key, JAS)` of
-    /// every stored tuple. A snapshot restore rebuilds the index this way
-    /// from the restored store and the tuner's endorsed configuration, so
-    /// no image carries it; chain order is unobservable (see the module
-    /// docs). Charges nothing.
-    ///
-    /// # Panics
-    /// Panics if a JAS is not as wide as `config`.
-    pub fn rebuild<'a>(
-        &mut self,
-        config: IndexConfig,
-        live: impl Iterator<Item = (TupleKey, &'a [AttrValue])>,
-    ) {
-        *self = Self::with_shards(config, self.shard_count());
-        for (key, jas) in live {
-            let (bucket, tag) = self.config.bucket_and_tag(jas);
-            let s = self.shard_of(bucket);
-            self.shards[s].insert(key, bucket, tag, jas);
-        }
     }
 }
 
@@ -1064,7 +1037,11 @@ mod tests {
     ) -> Option<Vec<TupleKey>> {
         let mut scratch = SearchScratch::new();
         idx.search_into(request, &mut scratch, r, &SequentialExecutor)
-            .then_some(scratch.hits)
+            .then(|| {
+                // The index answers in walk order; the store sorts.
+                scratch.hits.sort_unstable();
+                scratch.hits
+            })
     }
 
     #[test]
@@ -1542,8 +1519,9 @@ mod tests {
     proptest! {
         /// The index against a `BTreeMap` model under every operation that
         /// reshapes it — insert, remove (present and absent keys),
-        /// migration, re-sharding, a rebuild from the stored `(key, JAS)`
-        /// pairs in key order (what a snapshot restore does) — at 1, 2
+        /// migration, re-sharding, a fresh index filled with the stored
+        /// `(key, JAS)` pairs in key order (what a snapshot restore does,
+        /// [`StateStore::reindex`]) — at 1, 2
         /// and 4 shards,
         /// starting from the one-bucket (zero-bit) configuration or an
         /// arbitrary one, over an even value domain or a skewed one whose
@@ -1608,7 +1586,10 @@ mod tests {
                     10 => idx.set_shard_count(1 << (pick % 3)),
                     _ => {
                         let config = idx.config().clone();
-                        idx.rebuild(config, model.iter().map(|(&k, v)| (k, v.as_slice())));
+                        idx = BitAddressIndex::with_shards(config, idx.shard_count());
+                        for (&key, vals) in &model {
+                            idx.insert(key, &jas(vals), &mut r);
+                        }
                     }
                 }
                 if let Err(why) = idx.check_integrity() {

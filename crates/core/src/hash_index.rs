@@ -15,12 +15,19 @@
 //!
 //! A module with no sub-index is the no-index baseline: it charges nothing
 //! on insert or remove, holds no bytes, and every search scans.
+//!
+//! A search yields a bucket's hits in entry order, which depends on the
+//! history of inserts and removals;
+//! [`StateStore::search`](crate::StateStore::search) sorts them into key
+//! order, so that history is unobservable and a snapshot carries only the
+//! sub-indices' patterns: a restore rebuilds the module from the stored
+//! tuples ([`StateStore::reindex`](crate::StateStore::reindex)).
 
 use crate::cost::CostReceipt;
 use crate::layout;
 use crate::parallel::ShardExecutor;
-use crate::state::{SearchScratch, StateIndex, StateStore, TupleKey};
-use amri_stream::{fx_hash_u64, AccessPattern, AttrValue, FxHashMap, FxHashSet, SearchRequest};
+use crate::state::{SearchScratch, StateIndex, TupleKey};
+use amri_stream::{fx_hash_u64, AccessPattern, AttrValue, FxHashMap, SearchRequest};
 
 /// One hash sub-index over a fixed attribute combination.
 #[derive(Debug, Clone)]
@@ -163,82 +170,6 @@ impl MultiHashIndex {
             subs.push(sub);
         }
         self.subs = subs;
-    }
-
-    /// Serialize the module's bucket order, which search yields hits in
-    /// and so is observable: per sub-index its mask, then its keys,
-    /// buckets in ascending hash-key order and each bucket's entries in
-    /// stored order. The JAS values and the tuple count are the store's,
-    /// and restore reads them there.
-    pub fn save(&self, w: &mut crate::snapshot_io::SectionWriter) {
-        w.put_str("MULTIHASH");
-        w.put_usize(self.subs.len());
-        let stride = 1 + self.jas_width;
-        for sub in &self.subs {
-            w.put_u32(sub.pattern.mask());
-            let mut buckets: Vec<(u64, &Vec<u64>)> = sub.map.iter().map(|(&k, v)| (k, v)).collect();
-            buckets.sort_unstable_by_key(|&(k, _)| k);
-            for (_, entries) in buckets {
-                entries
-                    .chunks_exact(stride)
-                    .for_each(|e| w.put_u32(e[0] as u32));
-            }
-        }
-    }
-
-    /// Rebuild the module of `store` from a [`save`](Self::save)d section:
-    /// each sub-index links `store.len()` keys in saved order, each under
-    /// the JAS values the store holds for it.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Malformed`](crate::snapshot_io::SnapshotError)
-    /// naming the field for a sub-index count the remaining bytes cannot
-    /// hold, an empty pattern or one with a bit outside the width, a key
-    /// that no live slot holds, or a key named twice in one sub-index.
-    pub fn restore<I: StateIndex + ?Sized>(
-        r: &mut crate::snapshot_io::SectionReader<'_>,
-        store: &StateStore<I>,
-    ) -> Result<Self, crate::snapshot_io::SnapshotError> {
-        use crate::snapshot_io::SnapshotError;
-        let malformed = |what: String| Err(SnapshotError::Malformed(what));
-        crate::snapshot_io::expect_tag(r, "MULTIHASH")?;
-        let (jas_width, n_tuples) = (store.jas_width(), store.len());
-        // A mask and a four-byte key per live tuple.
-        let n_subs = r.get_count(4 + 4 * n_tuples, "multi-hash sub-index count")?;
-        let mut subs = Vec::with_capacity(n_subs);
-        let mut named = FxHashSet::default();
-        for s in 0..n_subs {
-            let mask = r.get_u32()?;
-            if mask == 0 || mask >> jas_width != 0 {
-                return malformed(format!(
-                    "sub-index {s} pattern {mask:#b} over width {jas_width}"
-                ));
-            }
-            let mut sub = SubIndex {
-                pattern: AccessPattern::new(mask, jas_width),
-                map: FxHashMap::default(),
-            };
-            named.clear();
-            for _ in 0..n_tuples {
-                let key = TupleKey(r.get_u32()?);
-                let Some(jas) = store.jas_of(key) else {
-                    return malformed(format!(
-                        "sub-index {s} names key {}, which no live slot holds",
-                        key.0
-                    ));
-                };
-                if !named.insert(key) {
-                    return malformed(format!("sub-index {s} names key {} twice", key.0));
-                }
-                sub.link(key, jas);
-            }
-            subs.push(sub);
-        }
-        Ok(MultiHashIndex {
-            subs,
-            jas_width,
-            n_tuples,
-        })
     }
 }
 
@@ -471,97 +402,6 @@ mod tests {
             panic!()
         };
         assert_eq!(got.len(), tuples.iter().filter(|(_, v)| v[1] == 1).count());
-    }
-
-    /// A `MULTIHASH` image: per sub-index its mask and keys — hand-built
-    /// so it can lie.
-    fn image(subs: &[(u32, &[u32])]) -> Vec<u8> {
-        let mut w = crate::snapshot_io::SectionWriter::new();
-        w.put_str("MULTIHASH");
-        w.put_usize(subs.len());
-        for (mask, keys) in subs {
-            w.put_u32(*mask);
-            keys.iter().for_each(|&k| w.put_u32(k));
-        }
-        w.into_bytes()
-    }
-
-    /// Every way an image can still lie ends in `Malformed` naming the
-    /// field — never an `AccessPattern` assertion or an allocator abort —
-    /// and a good image restores every probe's hits, order and receipt.
-    #[test]
-    fn restore_refuses_an_image_that_lies() {
-        use crate::snapshot_io::{SectionReader, SectionWriter, SnapshotError};
-        use amri_stream::{AttrId, StreamId, Tuple, TupleId, VirtualTime, WindowSpec};
-        let mut store = StateStore::new(
-            StreamId(0),
-            vec![AttrId(0), AttrId(1), AttrId(2)],
-            WindowSpec::secs(100),
-            MultiHashIndex::new(3, vec![ap(0b001), ap(0b011)]),
-        );
-        let mut r = CostReceipt::new();
-        for (i, vals) in [[1, 2, 3], [1, 5, 6], [1, 2, 9]].iter().enumerate() {
-            let ts = VirtualTime::from_secs(i as u64);
-            store.insert(
-                Tuple::new(TupleId(i as u64), StreamId(0), ts, jas(vals)),
-                &mut r,
-            );
-        }
-        let restore =
-            |image: &[u8]| MultiHashIndex::restore(&mut SectionReader::new(image), &store);
-        let refused = |image: &[u8], field: &str| match restore(image) {
-            Err(SnapshotError::Malformed(why)) => {
-                assert!(why.contains(field), "{why:?} does not name {field:?}")
-            }
-            other => panic!("expected Malformed({field}), got {other:?}"),
-        };
-        let mut w = SectionWriter::new();
-        store.index().save(&mut w);
-        let good = w.into_bytes();
-
-        // More sub-indices than the remaining bytes can list.
-        let mut lying = image(&[]);
-        let count_at = lying.len() - 8;
-        lying[count_at..].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        refused(&lying, "sub-index count");
-        // An empty pattern, and a mask bit outside the width.
-        refused(&image(&[(0, &[0, 1, 2])]), "pattern 0b0 over width 3");
-        refused(
-            &image(&[(0b1000, &[0, 1, 2])]),
-            "pattern 0b1000 over width 3",
-        );
-        // A key that no live slot holds, and a key named twice.
-        refused(
-            &image(&[(0b001, &[0, 1, 7])]),
-            "names key 7, which no live slot",
-        );
-        refused(
-            &image(&[(0b001, &[0, 1, 1])]),
-            "sub-index 0 names key 1 twice",
-        );
-        // A key list cut short leaves too few bytes for the sub-index
-        // count; a truncated image is the reader's own typed error.
-        refused(&image(&[(0b001, &[0, 1])]), "sub-index count 1 exceeds");
-        assert!(restore(&good[..good.len() - 3]).is_err());
-
-        let back = restore(&good).unwrap();
-        let saved = store.index();
-        assert_eq!((back.entries(), back.n_tuples()), (saved.entries(), 3));
-        assert_eq!(back.patterns(), saved.patterns());
-        for request in [req(0b001, &[1, 0, 0]), req(0b011, &[1, 2, 0])] {
-            let (mut r1, mut r2) = (CostReceipt::new(), CostReceipt::new());
-            assert_eq!(
-                search(&back, &request, &mut r1),
-                search(saved, &request, &mut r2)
-            );
-            assert_eq!(r1, r2);
-        }
-        let mut again = SectionWriter::new();
-        back.save(&mut again);
-        assert_eq!(again.into_bytes(), good);
-        // A module with no sub-index counts the store's tuples.
-        let scan = restore(&image(&[])).unwrap();
-        assert_eq!((scan.n_indices(), scan.n_tuples()), (0, 3));
     }
 
     proptest! {

@@ -94,8 +94,9 @@ pub trait StateIndex {
     fn remove(&mut self, key: TupleKey, jas_values: &[AttrValue], receipt: &mut CostReceipt);
 
     /// Find tuples matching `req` (equality on the specified attributes),
-    /// writing them into `scratch.hits` (cleared first). A sharded index
-    /// fans its per-shard walks out through `exec`.
+    /// writing them into `scratch.hits` (cleared first) in any order:
+    /// [`StateStore::search`] sorts them. A sharded index fans its
+    /// per-shard walks out through `exec`.
     ///
     /// Returns `true` when the index served the request; `false` when it
     /// cannot and the caller must scan the arena. Steady-state calls must
@@ -404,6 +405,19 @@ impl<I: StateIndex> StateStore<I> {
         self.payload_bytes = bytes;
         self
     }
+
+    /// Replace the index with `fresh`, an empty one, and insert every live
+    /// `(key, JAS)` into it in key order, charging nothing. A snapshot
+    /// restore rebuilds its index this way from the restored store, so
+    /// no image carries an index: how an index lists its entries is
+    /// unobservable, because [`search`](Self::search) sorts its hits.
+    pub fn reindex(&mut self, fresh: I) {
+        self.index = fresh;
+        let mut uncharged = CostReceipt::new();
+        for (key, jas) in self.arena.iter() {
+            self.index.insert(key, jas, &mut uncharged);
+        }
+    }
 }
 
 impl<I: StateIndex + ?Sized> StateStore<I> {
@@ -535,12 +549,24 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// Serve `req` — the one read entry.
     ///
     /// `scratch.hits` is cleared and then filled with the keys of matching
-    /// live tuples, in canonical key order when an index served them. A
-    /// sharded index fans its per-shard walks out through `exec`. Falls
-    /// back to a full arena scan when the index cannot serve the request,
-    /// charging two comparisons per live tuple — the §I-A "no suitable
-    /// hash index exists" path. With nothing queued on the tier,
-    /// steady-state calls do not allocate.
+    /// live tuples in ascending key order. A sharded index fans its
+    /// per-shard walks out through `exec`. Falls back to a full arena scan
+    /// when the index cannot serve the request, charging two comparisons
+    /// per live tuple — the §I-A "no suitable hash index exists" path.
+    /// With nothing queued on the tier, steady-state calls do not
+    /// allocate.
+    ///
+    /// Key order is the one order every index agrees on, so the hits an
+    /// index served are sorted here, once; the scan walks the arena in key
+    /// order and is not sorted again. An index's own order — a bit-address
+    /// probe's chain or slab order, which depends on the shard partition
+    /// and each shard's swap-remove and regrouping history, or a hash
+    /// bucket's entry order, which depends on the history of inserts and
+    /// removals — never escapes. Downstream routing consumes hits in order,
+    /// so without the sort the join-job queue (and every adaptive decision
+    /// fed by it) would observe the shard count and the index's history,
+    /// and a checkpoint would have to carry the index to restore it. The
+    /// sort is `O(k log k)` on the hits only and charges nothing.
     ///
     /// Any readahead queued by [`schedule_readahead`] runs first, through
     /// the same `exec` ([`SpillTier::run_readahead`]).
@@ -557,7 +583,9 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         if let Some(tier) = self.tier.as_mut() {
             tier.run_readahead(receipt, exec);
         }
-        if !self.index.search_into(req, scratch, receipt, exec) {
+        if self.index.search_into(req, scratch, receipt, exec) {
+            scratch.hits.sort_unstable();
+        } else {
             self.scan_into(req, &mut scratch.hits, receipt);
         }
     }
@@ -1705,8 +1733,8 @@ mod tests {
         assert!(accepted.is_empty(), "restored a lying image: {accepted:?}");
     }
 
-    /// An image of `s` (state and index) after spilling its three tuples,
-    /// restored into a twin that has stored nothing but stubs.
+    /// An image of `s` after spilling its three tuples, restored into a
+    /// twin that has stored nothing but stubs, its index rebuilt from them.
     fn all_spilled_twin(s: &mut StateStore<MultiHashIndex>) -> In<StateStore<MultiHashIndex>> {
         let mut r = CostReceipt::new();
         for i in 0..3 {
@@ -1715,12 +1743,12 @@ mod tests {
         assert_eq!(s.spill_oldest(3, &mut r), Ok(3));
         let mut w = crate::snapshot_io::SectionWriter::new();
         s.save_state(&mut w);
-        s.index().save(&mut w);
         let bytes = w.into_bytes();
         let mut twin = spill_store("twin", crate::tier::IoFaultConfig::default());
         let mut rd = crate::snapshot_io::SectionReader::new(&bytes);
         twin.restore_state(&mut rd).unwrap();
-        *twin.index_mut() = MultiHashIndex::restore(&mut rd, &twin).unwrap();
+        let width = twin.jas_width();
+        twin.reindex(MultiHashIndex::new(width, s.index().patterns()));
         twin
     }
 

@@ -4,9 +4,10 @@
 //! buffer up to its steady-state capacity, a burst of searches — bare
 //! index probes (narrow and wide wildcard), each beside an insert and a
 //! remove that keep the population constant, and the store-level read entry
-//! (scan fallback, plain and sharded bit-address
-//! stores, and a store with a cache-enabled spill tier attached but no
-//! readahead queued) — must record exactly zero allocations. This is the
+//! (scan fallback, a hash store, plain and sharded bit-address stores, and
+//! a store with a cache-enabled spill tier attached but no readahead
+//! queued), which sorts what an index served — must record exactly zero
+//! allocations. This is the
 //! acceptance check for the slab + stride + directory index and the
 //! scratch-buffered search hot path: at a constant population nothing in
 //! the index grows, so nothing allocates.
@@ -133,8 +134,9 @@ fn steady_state_search_into_does_not_allocate() {
         );
     }
 
-    // --- The store-level read entry: the scan
-    // fallback, a plain and a 4-shard bit-address store, and a
+    // --- The store-level read entry, which sorts an index's hits: the
+    // scan fallback, a hash store, a plain and a 4-shard bit-address store,
+    // and a
     // bit-address store with a cache-enabled spill tier attached whose
     // oldest half is spilled but which has no readahead queued. ---
     let config = || IndexConfig::new(vec![4, 4, 4]).unwrap();
@@ -153,10 +155,12 @@ fn steady_state_search_into_does_not_allocate() {
     );
     assert_eq!(tiered.spill_oldest(500, &mut r), Ok(500));
     let mut scan = loaded_store(MultiHashIndex::new(3, Vec::new()));
+    let mut hashed = loaded_store(MultiHashIndex::new(3, vec![AccessPattern::new(0b001, 3)]));
     let mut plain = loaded_store(BitAddressIndex::new(config()));
     let mut sharded = loaded_store(BitAddressIndex::with_shards(config(), 4));
-    let mut stores: [(&mut StateStore<dyn StateIndex>, SearchScratch); 4] = [
+    let mut stores: [(&mut StateStore<dyn StateIndex>, SearchScratch); 5] = [
         (&mut scan, SearchScratch::new()),
+        (&mut hashed, SearchScratch::new()),
         (&mut plain, SearchScratch::new()),
         (&mut sharded, SearchScratch::new()),
         (&mut tiered, SearchScratch::new()),

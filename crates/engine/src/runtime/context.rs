@@ -267,12 +267,25 @@ pub struct RunContext<C: Clock = VirtualClock> {
 /// Fold one observation into an order-sensitive digest (rotate-xor-mul;
 /// same shape as splitmix64's finalizer constants).
 #[inline]
-pub(crate) fn digest_fold(h: u64, v: u64) -> u64 {
+fn digest_fold(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 /// The seed [`RunContext::output_set`] folds each output's words from.
-pub(crate) const OUTPUT_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+const OUTPUT_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold one completed output — `words`: its origin, then every stream's
+/// part in ascending stream order — into the order-sensitive run `digest`,
+/// and add a hash of the same words to the order-free output `set`.
+pub(crate) fn fold_output(digest: &mut u64, set: &mut u64, words: impl Iterator<Item = u64>) {
+    let (mut h, mut o) = (*digest, OUTPUT_HASH_SEED);
+    for v in words {
+        h = digest_fold(h, v);
+        o = digest_fold(o, v);
+    }
+    *digest = h;
+    *set = set.wrapping_add(o);
+}
 
 impl<C: Clock> RunContext<C> {
     /// Effective arrival rate at virtual time `t`.
@@ -446,6 +459,25 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
     use std::collections::VecDeque;
+
+    /// Two outputs folded in either order give one output set and two
+    /// digests; a changed word changes both.
+    #[test]
+    fn the_output_set_ignores_order_and_the_digest_does_not() {
+        let fold = |outputs: &[&[u64]]| {
+            let (mut digest, mut set) = (0, 0);
+            for words in outputs {
+                fold_output(&mut digest, &mut set, words.iter().copied());
+            }
+            (digest, set)
+        };
+        let (a, b, c): (&[u64], &[u64], &[u64]) = (&[7, 1, 2, 3], &[9, 4, 5, 6], &[9, 4, 5, 7]);
+        let (ab, ba) = (fold(&[a, b]), fold(&[b, a]));
+        assert_eq!(ab.1, ba.1, "the set is order-free");
+        assert_ne!(ab.0, ba.0, "the digest is order-sensitive");
+        let ac = fold(&[a, c]);
+        assert!(ab.0 != ac.0 && ab.1 != ac.1);
+    }
 
     /// A job of any shape the engine can queue: every non-empty covered
     /// mask over `MAX_STREAMS` streams, each covered part 0..=`MAX_ATTRS`

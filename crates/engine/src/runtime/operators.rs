@@ -10,9 +10,7 @@
 //! test pins the two byte-identical.
 
 use crate::metrics::RetuneRecord;
-use crate::runtime::context::{
-    digest_fold, FollowUp, Job, JobView, RunContext, RunOutcome, OUTPUT_HASH_SEED,
-};
+use crate::runtime::context::{fold_output, FollowUp, Job, JobView, RunContext, RunOutcome};
 use crate::runtime::degrade::push_governed;
 use crate::runtime::fault::ArrivalFate;
 use amri_core::assess::Assessor;
@@ -323,26 +321,20 @@ pub(crate) fn probe_step<C: Clock>(ctx: &mut RunContext<C>) -> bool {
         if completes {
             *outputs += 1;
             // Fold the completed output into the order-sensitive run
-            // digest — the identity witness the lattice's spill group pins:
-            // origin, then every stream's part ascending, the target's
-            // being the matched tuple — and add its own hash of the same
-            // words to the order-free output set.
-            let mut h = digest_fold(*output_digest, job.origin_ts.0);
-            let mut o = digest_fold(OUTPUT_HASH_SEED, job.origin_ts.0);
-            for s in (0..n as u16).map(StreamId) {
+            // digest — the identity witness the lattice's spill group pins —
+            // and the order-free output set: origin, then every stream's
+            // part ascending, the target's being the matched tuple.
+            let parts = (0..n as u16).map(StreamId).flat_map(|s| {
                 let part = if s == target {
                     attrs
                 } else {
                     pt.part(s)
                         .expect("a completing probe's parent covers every other stream")
                 };
-                for &v in part {
-                    h = digest_fold(h, v);
-                    o = digest_fold(o, v);
-                }
-            }
-            *output_digest = h;
-            *output_set = output_set.wrapping_add(o);
+                part.iter().copied()
+            });
+            let words = std::iter::once(job.origin_ts.0).chain(parts);
+            fold_output(output_digest, output_set, words);
         } else {
             let follow_up = FollowUp {
                 parent: job,

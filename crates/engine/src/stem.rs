@@ -326,9 +326,10 @@ impl JoinState {
 
     /// Serialize the flavor's mutable state behind a flavor tag: the
     /// stored tuples and window, then (AMRI) the tuner, whose endorsed
-    /// configuration is the index's, or (hash) the hash index's bucket
-    /// order and the tuner, if any. A bit-address index is derived from
-    /// the store and that configuration, and is not saved.
+    /// configuration is the index's, or (hash) the sub-indices' masks and
+    /// the tuner, if any. No index is saved: each is derived from the
+    /// store and its configuration, and answers in key order whatever
+    /// order it was built in ([`StateStore::search`]).
     pub fn save(&self, w: &mut amri_core::snapshot_io::SectionWriter) {
         match self {
             JoinState::Amri { store, tuner } => {
@@ -339,7 +340,12 @@ impl JoinState {
             JoinState::MultiHash { store, tuner } => {
                 w.put_str("multi-hash");
                 store.save_state(w);
-                store.index().save(w);
+                w.put_str("MULTIHASH");
+                let patterns = store.index().patterns();
+                w.put_usize(patterns.len());
+                for p in patterns {
+                    w.put_u32(p.mask());
+                }
                 w.put_bool(tuner.is_some());
                 if let Some(t) = tuner {
                     t.save(w);
@@ -350,16 +356,18 @@ impl JoinState {
 
     /// Overwrite this state from a [`save`](Self::save)d section. The
     /// receiver must be the same flavor, freshly constructed with the
-    /// original configuration, shard count included. AMRI rebuilds its
-    /// index from the restored store under the restored tuner's
-    /// configuration ([`BitAddressIndex::rebuild`]); a hash index relinks
-    /// its saved keys under the store's values ([`MultiHashIndex::restore`]).
+    /// original configuration, shard count included. Either flavor
+    /// rebuilds its index from the restored store ([`StateStore::reindex`]):
+    /// AMRI under the restored tuner's configuration, a hash state over
+    /// the saved masks.
     ///
     /// # Errors
     /// [`SnapshotError::Malformed`](amri_core::snapshot_io::SnapshotError)
-    /// for another flavor's section, for an image with no hash index when
-    /// the state has one or the reverse, for a tuner present in only one
-    /// of the two, and for whatever the store, index or tuner refuses.
+    /// for another flavor's section, for a sub-index count the bytes left
+    /// cannot hold, an empty mask or one wider than the JAS, for an image
+    /// with no hash index when the state has one or the reverse, for a
+    /// tuner present in only one of the two, and for whatever the store or
+    /// tuner refuses.
     pub fn restore_from(
         &mut self,
         r: &mut amri_core::snapshot_io::SectionReader<'_>,
@@ -371,20 +379,35 @@ impl JoinState {
             (JoinState::Amri { store, tuner }, "amri") => {
                 store.restore_state(r)?;
                 tuner.restore_from(r)?;
-                let (index, live) = store.index_mut_with_jas();
-                index.rebuild(tuner.current().clone(), live);
+                let shards = store.index().shard_count();
+                store.reindex(BitAddressIndex::with_shards(
+                    tuner.current().clone(),
+                    shards,
+                ));
                 Ok(())
             }
             (JoinState::MultiHash { store, tuner }, "multi-hash") => {
                 store.restore_state(r)?;
-                let index = MultiHashIndex::restore(r, store)?;
-                let (saved, fresh) = (index.n_indices(), store.index().n_indices());
+                amri_core::snapshot_io::expect_tag(r, "MULTIHASH")?;
+                let width = store.jas_width();
+                let saved = r.get_count(4, "multi-hash sub-index count")?;
+                let mut patterns = Vec::with_capacity(saved);
+                for s in 0..saved {
+                    let mask = r.get_u32()?;
+                    if mask == 0 || u64::from(mask) >> width != 0 {
+                        return malformed(format!(
+                            "sub-index {s} pattern {mask:#b} over width {width}"
+                        ));
+                    }
+                    patterns.push(AccessPattern::new(mask, width));
+                }
+                let fresh = store.index().n_indices();
                 if (saved == 0) != (fresh == 0) {
                     return malformed(format!(
                         "multi-hash image holds {saved} indices, the state {fresh}"
                     ));
                 }
-                *store.index_mut() = index;
+                store.reindex(MultiHashIndex::new(width, patterns));
                 match (tuner, r.get_bool()?) {
                     (Some(t), true) => t.restore_from(r),
                     (None, false) => Ok(()),
@@ -922,91 +945,119 @@ mod tests {
         state
     }
 
-    /// A hash-state section holding the store of `store_of`, then
-    /// `index`, with no tuner.
-    fn with_index(store_of: &JoinState, index: &[u8]) -> Vec<u8> {
-        let JoinState::MultiHash { store, .. } = store_of else {
-            unreachable!("the tests splice hash states")
-        };
-        let mut head = SectionWriter::new();
-        head.put_str("multi-hash");
-        store.save_state(&mut head);
-        let mut tail = SectionWriter::new();
-        tail.put_bool(false);
-        [head.into_bytes(), index.to_vec(), tail.into_bytes()].concat()
-    }
-
-    /// The index section of `state`.
-    fn index_of(state: &JoinState) -> Vec<u8> {
-        let JoinState::MultiHash { store, .. } = state else {
-            unreachable!("the tests splice hash states")
+    /// A hash-state section holding the store of `filled(true, 3)`, then a
+    /// `MULTIHASH` section naming `count` sub-indices and listing `masks`,
+    /// with no tuner — hand-built so it can lie.
+    fn with_masks(count: u64, masks: &[u32]) -> Vec<u8> {
+        let JoinState::MultiHash { store, .. } = filled(true, 3) else {
+            unreachable!("a hash state")
         };
         let mut w = SectionWriter::new();
-        store.index().save(&mut w);
+        w.put_str("multi-hash");
+        store.save_state(&mut w);
+        w.put_str("MULTIHASH");
+        w.put_u64(count);
+        masks.iter().for_each(|&m| w.put_u32(m));
+        w.put_bool(false);
         w.into_bytes()
     }
 
-    /// A restored hash index indexes exactly the store restored before
-    /// it: the image names keys, not values or counts, so the module
-    /// counts the store's tuples — with sub-indices or none — and links
-    /// each named key under the values the store holds for it. The keys
-    /// of a store of another size are refused with `Malformed`: a key list
-    /// cut short names the sub-index count the bytes left cannot hold, a
-    /// key no live slot holds names the key. A good image still restores
-    /// and expires afterwards.
+    /// A `MULTIHASH` section is its masks alone, so every way it can lie
+    /// is refused with `Malformed` naming the field — a count the bytes
+    /// left cannot hold, an empty mask, a mask wider than the JAS — never
+    /// an `AccessPattern` assertion or an allocator abort. A good image
+    /// indexes exactly the store restored before it, under its own masks.
     #[test]
-    fn restore_refuses_an_index_that_miscounts_its_store() {
-        let (two, three) = (filled(true, 2), filled(true, 3));
-        let short = with_index(&three, &index_of(&two));
-        match hash_state(true).restore_from(&mut SectionReader::new(&short)) {
-            Err(SnapshotError::Malformed(why)) => {
-                assert!(why.contains("sub-index count 1 exceeds"), "{why}")
-            }
-            other => panic!("expected Malformed, got {other:?}"),
-        }
-        let mut w = SectionWriter::new();
-        w.put_str("MULTIHASH");
-        w.put_usize(1);
-        w.put_u32(0b001);
-        [2u32, 0].iter().for_each(|&k| w.put_u32(k));
-        let foreign = with_index(&two, &w.into_bytes());
-        match hash_state(true).restore_from(&mut SectionReader::new(&foreign)) {
-            Err(SnapshotError::Malformed(why)) => {
-                assert!(
-                    why.contains("names key 2, which no live slot holds"),
-                    "{why}"
-                )
-            }
-            other => panic!("expected Malformed, got {other:?}"),
-        }
-        for indexed in [true, false] {
-            let (two, three) = (filled(indexed, 2), filled(indexed, 3));
-            let mut state = hash_state(indexed);
-            state
-                .restore_from(&mut SectionReader::new(&with_index(
-                    &three,
-                    &index_of(&three),
-                )))
-                .unwrap();
-            let JoinState::MultiHash { store, .. } = &state else {
-                unreachable!()
-            };
-            assert_eq!((state.len(), store.index().n_tuples()), (3, 3));
-            let mut r = CostReceipt::new();
-            assert_eq!(
-                state
-                    .store_mut()
-                    .expire(VirtualTime::from_secs(100), &mut r),
-                3
-            );
-            if !indexed {
-                // A scan image names no key, so it fits any store.
-                let mut scan = hash_state(false);
-                let image = with_index(&two, &index_of(&three));
-                scan.restore_from(&mut SectionReader::new(&image)).unwrap();
-                assert_eq!(scan.len(), 2);
+    fn restore_refuses_a_mask_it_could_not_index() {
+        for (image, field) in [
+            (with_masks(u64::MAX / 2, &[]), "multi-hash sub-index count"),
+            (
+                with_masks(2, &[0b001]),
+                "multi-hash sub-index count 2 exceeds",
+            ),
+            (with_masks(1, &[0]), "sub-index 0 pattern 0b0 over width 3"),
+            (
+                with_masks(2, &[0b001, 0b1000]),
+                "sub-index 1 pattern 0b1000 over width 3",
+            ),
+        ] {
+            match hash_state(true).restore_from(&mut SectionReader::new(&image)) {
+                Err(SnapshotError::Malformed(why)) => {
+                    assert!(why.contains(field), "{why:?} does not name {field:?}")
+                }
+                other => panic!("expected Malformed({field}), got {other:?}"),
             }
         }
+        let mut state = hash_state(true);
+        let image = with_masks(2, &[0b110, 0b001]);
+        let mut r = SectionReader::new(&image);
+        state.restore_from(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0);
+        let JoinState::MultiHash { store, .. } = &state else {
+            unreachable!()
+        };
+        let masks: Vec<u32> = store.index().patterns().iter().map(|p| p.mask()).collect();
+        assert_eq!(masks, [0b110, 0b001]);
+        assert_eq!((store.index().n_tuples(), store.index().entries()), (3, 6));
+        let mut r = CostReceipt::new();
+        let hits = search(&mut state, &req(0b110, &[0, 1, 2]), &mut r);
+        assert_eq!(
+            (hits, r.hash_ops),
+            (vec![TupleKey(0), TupleKey(1), TupleKey(2)], 2)
+        );
+        assert_eq!(saved(&state), image);
+        let now = VirtualTime::from_secs(100);
+        assert_eq!(state.store_mut().expire(now, &mut r), 3);
+    }
+
+    /// A hash bucket lists its entries in the order of the inserts and
+    /// removals that made it: here slots freed by expiry are reused after
+    /// younger keys, and a retarget keeps one sub-index and builds
+    /// another that churns again. `JoinState::search` still answers every
+    /// probe with its hits in ascending key order — the order a state
+    /// rebuilt from a checkpoint answers in.
+    #[test]
+    fn a_hash_state_answers_in_key_order_whatever_its_history() {
+        let mut state = hash_state(true);
+        let mut r = CostReceipt::new();
+        let ingest = |state: &mut JoinState, ids: std::ops::Range<u64>, t0: u64| {
+            for (i, id) in ids.enumerate() {
+                let t = t0 + i as u64;
+                let now = VirtualTime::from_secs(t);
+                let mut r = CostReceipt::new();
+                state.ingest(tuple(id, t, &[1, id % 2, id % 3]), now, &mut r);
+            }
+        };
+        // Keys 0–2 expire at t = 40 and their slots go to ids 6–8, which
+        // the bucket lists after keys 3–5.
+        ingest(&mut state, 0..3, 0);
+        ingest(&mut state, 3..6, 20);
+        ingest(&mut state, 6..9, 40);
+        let JoinState::MultiHash { store, .. } = &mut state else {
+            unreachable!()
+        };
+        let (index, live) = store.index_mut_with_jas();
+        let (a, b) = (AccessPattern::new(0b001, 3), AccessPattern::new(0b010, 3));
+        index.retarget(vec![a, b], live, &mut r);
+        // Keys 3–5 expire at t = 60 and their slots go to ids 9–11.
+        ingest(&mut state, 9..12, 60);
+        let mut served = 0;
+        for mask in 0..8u32 {
+            for v in 0..6u64 {
+                let request = req(mask, &[1, v % 2, v % 3]);
+                let hits = search(&mut state, &request, &mut r);
+                let mut want: Vec<TupleKey> = state
+                    .store()
+                    .iter_jas()
+                    .filter(|(_, jas)| request.matches(jas))
+                    .map(|(key, _)| key)
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(hits, want, "{mask:#b} {v}");
+                served += usize::from(hits.len() > 1);
+            }
+        }
+        assert!(served > 0, "no probe had two hits to order");
     }
 
     /// A no-index image restored into an indexed hash state would leave it

@@ -59,7 +59,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AMRISNAP";
 /// `MULTIHASH` width, tuple count, hash keys and values, and the backlog's
 /// batch capacity; revision 8 drops the sample times of the `SERIES` and
 /// `GOVERNOR` sections (restore puts sample *i* at `i × interval`);
-/// revision 9 adds the run's order-free output set after its digest.
+/// revision 9 adds the run's order-free output set after its digest and
+/// drops the `MULTIHASH` key lists (restore rebuilds every access module
+/// from the store, and the store sorts every index's hits).
 pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Why a snapshot could not be written, parsed, or restored.
@@ -726,7 +728,8 @@ mod tests {
         // valid file with a bumped version via the writer internals
         // instead: patch bytes then re-seal the tail checksum. A newer
         // revision and the seven before (8: the runtime section had no
-        // output set; 7: the series and
+        // output set and `MULTIHASH` listed every sub-index's keys; 7: the
+        // series and
         // governor wrote every sample's time; 6: index sections and the store
         // held second copies of stored values; 5: the router, tuner and
         // `maint` section kept copied or unread counters; 4: an AMRI state nested

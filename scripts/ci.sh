@@ -182,12 +182,26 @@ fi
 
 # Nor may a checkpoint hold a second copy: a snapshot carries no
 # bit-address section (restore rebuilds the index from the store under the
-# tuner's configuration), a hash section names keys, not values, and
-# nothing checks one copy of the store against another (DESIGN §8).
+# tuner's configuration), and nothing checks one copy of the store against
+# another (DESIGN §8).
 echo "==> a checkpoint holds each stored value once, under crates/*/src"
 if grep -rnE '"BITADDR"|fn iter_entries|fn sub_entries|fn check_indexes|BitAddressIndex::restore' \
     crates/*/src; then
     echo "an index section or a store-against-index check reappeared"; exit 1
+fi
+
+# Nor may a checkpoint hold an index at all: `StateStore::search` sorts
+# whatever an index served, so the order an access module lists its
+# entries in is unobservable, a hash section is its masks alone, and every
+# restore rebuilds its index from the store through `StateStore::reindex`
+# (DESIGN §8). So no access module saves, restores or rebuilds itself, and
+# the refusals of a `MULTIHASH` key list stay gone with the list.
+echo "==> no access module has snapshot code; a checkpoint holds no index"
+if grep -nE 'fn (save|restore|rebuild)\b' crates/core/src/hash_index.rs crates/core/src/bitaddr.rs; then
+    echo "an access module's save, restore or rebuild reappeared"; exit 1
+fi
+if grep -rnE 'BitAddressIndex::rebuild|which no live slot holds' crates tests examples; then
+    echo "BitAddressIndex::rebuild or a MULTIHASH key-list refusal reappeared"; exit 1
 fi
 
 # Sharded work runs on scoped threads over `chunks_mut` runs of its slots

@@ -67,18 +67,13 @@ fn fig6_hash_quick_sweep_has_seven_labeled_runs() {
     }
     // All seven compute the same join when unconstrained (quick scale has
     // an unlimited budget), so the answer agrees as a set — the
-    // controlled-comparison sanity check — while each flavor's costs order
-    // its jobs differently, so the order-sensitive digests do not all agree.
+    // controlled-comparison sanity check, whatever order each flavor's
+    // costs gave its jobs.
     let answer = |r: &RunResult| (r.outputs, r.output_set);
     assert!(
         runs.iter().all(|r| answer(r) == answer(&runs[0])),
         "unconstrained runs must agree: {:?}",
         runs.iter().map(answer).collect::<Vec<_>>()
-    );
-    assert!(
-        runs.iter()
-            .any(|r| r.output_digest != runs[0].output_digest),
-        "the output set must ignore the order the digest folds"
     );
 }
 

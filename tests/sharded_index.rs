@@ -834,8 +834,9 @@ proptest! {
             restored.store.restore_state(&mut r).expect("state section");
             prop_assert_eq!(r.remaining(), 0, "trailing bytes at {} shards", shards);
             let config = original.store.index().config().clone();
-            let (index, live) = restored.store.index_mut_with_jas();
-            index.rebuild(config, live);
+            restored
+                .store
+                .reindex(BitAddressIndex::with_shards(config, shards));
             restored.now = original.now;
             restored.seq = original.seq;
 

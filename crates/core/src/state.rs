@@ -556,17 +556,15 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// With nothing queued on the tier, steady-state calls do not
     /// allocate.
     ///
-    /// Key order is the one order every index agrees on, so the hits an
-    /// index served are sorted here, once; the scan walks the arena in key
-    /// order and is not sorted again. An index's own order — a bit-address
-    /// probe's chain or slab order, which depends on the shard partition
-    /// and each shard's swap-remove and regrouping history, or a hash
-    /// bucket's entry order, which depends on the history of inserts and
-    /// removals — never escapes. Downstream routing consumes hits in order,
-    /// so without the sort the join-job queue (and every adaptive decision
-    /// fed by it) would observe the shard count and the index's history,
-    /// and a checkpoint would have to carry the index to restore it. The
-    /// sort is `O(k log k)` on the hits only and charges nothing.
+    /// Key order is the one order every index agrees on, so an index's
+    /// hits are sorted here, once (the scan already walks in key order).
+    /// An index's own order — a bit-address probe's group or slab order,
+    /// which follows the shard partition and each shard's history, or a
+    /// hash bucket's entry order, which follows its inserts and removals —
+    /// never escapes: routing consumes hits in order, so the job queue and
+    /// every adaptive decision fed by it would otherwise observe the shard
+    /// count and the index's history, and a checkpoint would have to carry
+    /// the index. The sort charges nothing.
     ///
     /// Any readahead queued by [`schedule_readahead`] runs first, through
     /// the same `exec` ([`SpillTier::run_readahead`]).
@@ -975,8 +973,8 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// reuse match the original exactly) plus the window queue. A resident
     /// slot is its id, arrival time and attributes — its JAS values are
     /// their projection — and a spilled stub its id, arrival time, JAS
-    /// values (their only copy in RAM) and block. The index is saved, or
-    /// rebuilt on restore, by its concrete type; construction-time
+    /// values (their only copy in RAM) and block. No index is saved: a
+    /// restore rebuilds it ([`reindex`](StateStore::reindex)); construction-time
     /// configuration (stream, JAS, window spec, payload bytes) is not
     /// captured.
     pub fn save_state(&self, w: &mut crate::snapshot_io::SectionWriter) {
@@ -1018,7 +1016,7 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
     /// Overwrite this state's stored contents from a
     /// [`save_state`](Self::save_state)d section. The receiver must be
     /// freshly constructed with the original configuration; the index is
-    /// restored separately.
+    /// rebuilt separately ([`reindex`](StateStore::reindex)).
     ///
     /// # Errors
     /// [`SnapshotError::Malformed`](crate::snapshot_io::SnapshotError)

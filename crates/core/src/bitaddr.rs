@@ -380,12 +380,14 @@ impl Shard {
     }
 
     /// Remove the entry for `key` from `bucket`, if present (silently a
-    /// no-op otherwise, matching [`StateIndex::remove`]). The group's last
-    /// entry fills the hole; a group that empties leaves the chain for the
-    /// free list, and the id stays counted only if another group of it is
-    /// chained. Then the slab's last entry moves into the freed position
-    /// and its group's `slot` follows it.
-    fn remove_by_key(&mut self, bucket: u64, key: TupleKey) {
+    /// no-op otherwise, matching [`StateIndex::remove`]). `tag` is the
+    /// entry's value tag: the walk tests it from the group line it already
+    /// loaded, so only an entry of that tag loads its head to compare the
+    /// key. The group's last entry fills the hole; a group that empties
+    /// leaves the chain for the free list, and the id stays counted only
+    /// if another group of it is chained. Then the slab's last entry moves
+    /// into the freed position and its group's `slot` follows it.
+    fn remove_by_key(&mut self, bucket: u64, tag: u32, key: TupleKey) {
         if self.dir.is_empty() {
             return;
         }
@@ -398,7 +400,7 @@ impl Shard {
             let grp = &self.groups[g as usize];
             if grp.bucket == bucket {
                 for k in 0..grp.len as usize {
-                    if self.heads[grp.slot[k] as usize].key == key {
+                    if grp.tag[k] == tag && self.heads[grp.slot[k] as usize].key == key {
                         break 'walk k;
                     }
                 }
@@ -472,7 +474,7 @@ impl Shard {
         receipt.comparisons += u64::from(grp.len);
         let mut admitted = 0u32;
         for (k, &tag) in grp.tag.iter().enumerate() {
-            admitted |= u32::from(plan.admits_tag(tag)) << k;
+            admitted |= u32::from(plan.tag.admits(tag)) << k;
         }
         admitted &= (1 << grp.len) - 1;
         while admitted != 0 {
@@ -534,7 +536,7 @@ impl Shard {
             for (i, e) in self.heads.iter().enumerate() {
                 if plan.matches(e.bucket) {
                     receipt.comparisons += 1;
-                    if plan.admits_tag(e.tag) && bound.matches(self.jas(i)) {
+                    if plan.tag.admits(e.tag) && bound.matches(self.jas(i)) {
                         hits.push(e.key);
                     }
                 }
@@ -952,25 +954,14 @@ impl BitAddressIndex {
     }
 
     /// Charge one maintenance operation — `indexed_attrs` hashes plus one
-    /// bucket probe, data-independent — and route an insert: returns the
-    /// owning shard, the bucket id and the value tag, hashed together.
+    /// bucket probe, data-independent — and route an insert or a remove:
+    /// returns the owning shard, the bucket id and the value tag, hashed
+    /// together.
     fn route(&self, jas: &[AttrValue], receipt: &mut CostReceipt) -> (usize, u64, u32) {
-        self.charge(receipt);
-        let (bucket, tag) = self.config.bucket_and_tag(jas);
-        (self.shard_of(bucket), bucket, tag)
-    }
-
-    /// [`route`](Self::route) for a remove, which finds its entry by bucket
-    /// id and key and so hashes no tag.
-    fn route_remove(&self, jas: &[AttrValue], receipt: &mut CostReceipt) -> (usize, u64) {
-        self.charge(receipt);
-        let bucket = self.config.bucket_of(jas);
-        (self.shard_of(bucket), bucket)
-    }
-
-    fn charge(&self, receipt: &mut CostReceipt) {
         receipt.hash_ops += self.config.indexed_attrs() as u64;
         receipt.bucket_probes += 1;
+        let (bucket, tag) = self.config.bucket_and_tag(jas);
+        (self.shard_of(bucket), bucket, tag)
     }
 }
 
@@ -981,8 +972,8 @@ impl StateIndex for BitAddressIndex {
     }
 
     fn remove(&mut self, key: TupleKey, jas: &[AttrValue], receipt: &mut CostReceipt) {
-        let (s, bucket) = self.route_remove(jas, receipt);
-        self.shards[s].remove_by_key(bucket, key);
+        let (s, bucket, tag) = self.route(jas, receipt);
+        self.shards[s].remove_by_key(bucket, tag, key);
     }
 
     fn search_into(

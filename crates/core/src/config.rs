@@ -184,8 +184,7 @@ impl IndexConfig {
             mask: 0,
             fixed: 0,
             wildcard_bits: 0,
-            tag: 0,
-            tag_mask: 0,
+            tag: TagFilter::default(),
             hashes: 0,
         };
         for (i, &b) in self.bits.iter().enumerate() {
@@ -208,8 +207,7 @@ impl IndexConfig {
                 plan.hashes += 1;
             }
             if i < TAG_BYTES {
-                plan.tag |= tag_byte(i, h);
-                plan.tag_mask |= tag_byte(i, u64::MAX);
+                plan.tag.bind(i, h);
             }
         }
         plan
@@ -225,6 +223,66 @@ const TAG_BYTES: usize = std::mem::size_of::<u32>();
 #[inline]
 fn tag_byte(i: usize, h: u64) -> u32 {
     ((h & 0xFF) as u32) << (8 * i)
+}
+
+/// The value tag of a JAS-aligned value vector — what the arena keeps per
+/// slot. [`IndexConfig::bucket_and_tag`] computes the same tag from the
+/// hashes it shares with the bucket id.
+pub(crate) fn value_tag(jas_values: &[AttrValue]) -> u32 {
+    (jas_values.iter().take(TAG_BYTES).enumerate())
+        .fold(0, |tag, (i, &v)| tag | tag_byte(i, fx_hash_u64(v)))
+}
+
+/// The value-tag bytes a search's bound values fix.
+///
+/// A tag byte is the low byte of the same hash whose top bits are the
+/// bucket-id slice, so an entry whose bound values equal the request's
+/// carries the request's tag bytes: the filter never turns a match away,
+/// and an admitted tag still goes on to the full compare. A request that
+/// binds no tagged position admits every tag.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TagFilter {
+    /// Tag bytes of the bound values at tagged positions (zero elsewhere).
+    pub tag: u32,
+    /// The tag bytes a matching entry must carry: `0xFF` per bound tagged
+    /// position.
+    pub mask: u32,
+}
+
+impl TagFilter {
+    /// The filter of a request binding `ap`'s positions to the
+    /// JAS-aligned `jas_values`: one hash per bound tagged position.
+    pub(crate) fn of_request(ap: AccessPattern, jas_values: &[AttrValue]) -> Self {
+        let mut filter = TagFilter::default();
+        for i in ap.positions().filter(|&i| i < TAG_BYTES) {
+            filter.bind(i, fx_hash_u64(jas_values[i]));
+        }
+        filter
+    }
+
+    /// Fix byte `i` to that of the value hashing to `h` (`i` tagged).
+    #[inline]
+    fn bind(&mut self, i: usize, h: u64) {
+        self.tag |= tag_byte(i, h);
+        self.mask |= tag_byte(i, u64::MAX);
+    }
+
+    /// False iff an entry tagged `tag` cannot match the request: it
+    /// differs from it in a bound value's tag byte.
+    #[inline]
+    pub fn admits(self, tag: u32) -> bool {
+        (tag ^ self.tag) & self.mask == 0
+    }
+
+    /// Whether the filter admits any of `tags`: a branch-free pass the
+    /// compiler vectorizes for a block of known length.
+    #[inline]
+    pub(crate) fn admits_any(self, tags: &[u32]) -> bool {
+        let any = tags
+            .iter()
+            .fold(0, |any, &tag| any | u32::from(self.admits(tag)));
+        any != 0
+    }
 }
 
 impl fmt::Debug for IndexConfig {
@@ -250,11 +308,8 @@ impl fmt::Display for IndexConfig {
 /// ids it must visit, and which value-tag bytes a matching entry carries.
 ///
 /// The id constraint decides what a search visits and is charged for; the
-/// tag constraint only lets a walk skip the value compare of a visited
-/// entry that cannot match. A tag byte is the low byte of the same hash
-/// whose top bits are the bucket-id slice, so an entry whose bound values
-/// equal the request's carries the request's tag bytes: the tag never
-/// turns a match away, and an equal tag still goes on to the full compare.
+/// [`TagFilter`] only lets a walk skip the value compare of a visited
+/// entry that cannot match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbePlan {
     /// Bits of the bucket id fixed by the search's specified attributes.
@@ -264,11 +319,8 @@ pub struct ProbePlan {
     /// Total bits left free by wildcards: the search must cover
     /// `2^wildcard_bits` bucket ids.
     pub wildcard_bits: u32,
-    /// Tag bytes of the bound values at tagged positions (zero elsewhere).
-    pub tag: u32,
-    /// The tag bytes a matching entry must carry: `0xFF` per bound tagged
-    /// position.
-    pub tag_mask: u32,
+    /// The value-tag bytes the search's bound values fix.
+    pub tag: TagFilter,
     /// Bound values hashed into the fixed bits — the search's `C_hash`
     /// charge.
     pub hashes: u32,
@@ -279,13 +331,6 @@ impl ProbePlan {
     #[inline]
     pub fn matches(&self, id: u64) -> bool {
         id & self.mask == self.fixed
-    }
-
-    /// False iff an entry tagged `tag` cannot match the search: it differs
-    /// from the request in a bound value's tag byte.
-    #[inline]
-    pub fn admits_tag(&self, tag: u32) -> bool {
-        (tag ^ self.tag) & self.tag_mask == 0
     }
 
     /// Number of candidate bucket ids (`2^w`), saturating.
@@ -600,6 +645,31 @@ mod tests {
             prop_assert!(plan.matches(bucket),
                 "tuple bucket {bucket:#b} escapes plan mask={:#b} fixed={:#b}",
                 plan.mask, plan.fixed);
+        }
+
+        /// One tag everywhere: a stored vector's [`value_tag`] is the tag
+        /// [`IndexConfig::bucket_and_tag`] stores, a plan's filter is the
+        /// request's [`TagFilter`], and the filter admits every vector that
+        /// agrees with the request on the bound positions.
+        #[test]
+        fn value_tag_and_request_filter_agree(
+            bits in proptest::collection::vec(0u8..4, 1..7),
+            mask in 0u32..64,
+            vals in proptest::collection::vec(0u64..1000, 6),
+            others in proptest::collection::vec(0u64..1000, 6),
+        ) {
+            let ic = IndexConfig::new(bits).unwrap();
+            let w = ic.width();
+            let pattern = ap(mask & ((1 << w) - 1), w);
+            let filter = TagFilter::of_request(pattern, &vals[..w]);
+            prop_assert_eq!(ic.probe_plan(pattern, &vals[..w]).tag, filter);
+            let mut tuple = others[..w].to_vec();
+            for p in pattern.positions() {
+                tuple[p] = vals[p];
+            }
+            let tag = value_tag(&tuple);
+            prop_assert_eq!(ic.bucket_and_tag(&tuple).1, tag);
+            prop_assert!(filter.admits(tag));
         }
 
         /// enumerate() yields exactly the ids matching the plan, each once.

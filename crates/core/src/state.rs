@@ -8,6 +8,7 @@
 //! the identical storage code and differs only in the index, mirroring the
 //! paper's controlled comparison.
 
+use crate::config::{value_tag, TagFilter};
 use crate::cost::CostReceipt;
 use crate::layout;
 use crate::parallel::ShardExecutor;
@@ -145,14 +146,22 @@ const FREE_HEAD: SlotHead = SlotHead {
     at: Residence::Free,
 };
 
+/// Slots per block of the arena scan's tag test.
+const SCAN_BLOCK: usize = 16;
+
 /// The tuple arena: a slab of fixed slot heads with stable `u32` keys and
 /// O(1) insert/remove, beside one flat value stride of `order.len()`
-/// values per slot. A stored tuple's values are stored once, JAS first,
-/// so the JAS values of any slot are a borrowed prefix.
+/// values per slot and one dense column of value tags. A stored tuple's
+/// values are stored once, JAS first, so the JAS values of any slot are a
+/// borrowed prefix; its tag is the [`value_tag`] of that prefix, written
+/// with it, so the scan tests four bytes per slot before it reads a row.
 #[derive(Debug, Clone)]
 struct Arena {
     heads: Vec<SlotHead>,
     values: Vec<AttrValue>,
+    /// Each slot's [`value_tag`] of its JAS values — stale, with them, in
+    /// a freed slot.
+    tags: Vec<u32>,
     /// The schema attribute behind each stride position: the JAS in
     /// position order (the first `jas_width`), then — once a tuple has
     /// shown the arity — the other attributes ascending.
@@ -169,6 +178,7 @@ impl Arena {
         Arena {
             heads: Vec::new(),
             values: Vec::new(),
+            tags: Vec::new(),
             jas_width: jas.len(),
             order: jas,
             arity: None,
@@ -233,10 +243,11 @@ impl Arena {
         }
     }
 
-    /// Append a slot holding `head`, its values zero.
+    /// Append a slot holding `head`, its values and tag zero.
     fn push(&mut self, head: SlotHead) {
         self.heads.push(head);
         self.values.resize(self.values.len() + self.width(), 0);
+        self.tags.push(0);
     }
 
     /// Store `tuple` resident in a claimed slot.
@@ -259,13 +270,15 @@ impl Arena {
         key
     }
 
-    /// Write a tuple's attributes into `key`'s stride, JAS first.
+    /// Write a tuple's attributes into `key`'s stride, JAS first, and tag
+    /// the slot.
     fn scatter(&mut self, key: TupleKey, attrs: &[AttrValue]) {
         let w = self.width();
         let at = key.0 as usize * w;
         for (v, a) in self.values[at..at + w].iter_mut().zip(&self.order) {
             *v = attrs[a.idx()];
         }
+        self.tags[key.0 as usize] = value_tag(&self.values[at..at + self.jas_width]);
     }
 
     /// Free `key`'s slot, returning its head. The values stay in the
@@ -324,22 +337,50 @@ impl Arena {
     }
 
     /// Append the live slots whose JAS values agree with `bound` to
-    /// `hits`, in key order. The walk reads stride column `p` of the first
-    /// bound pair `(p, v)`, and only a row holding `v` there has its JAS
-    /// compared and then its head checked — a freed slot keeps its stale
-    /// values. Nothing bound takes every live slot by its head.
-    fn scan_into(&self, bound: &BoundValues<'_>, hits: &mut Vec<TupleKey>) {
-        let Some((p, v)) = bound.first() else {
+    /// `hits`, in key order. `filter` is the request's [`TagFilter`]. The
+    /// walk tests the tag column in blocks of [`SCAN_BLOCK`] with one
+    /// branch-free "any slot admitted" pass each, and skips a block that
+    /// admits none; only an admitted slot has its JAS compared and then
+    /// its head checked — a freed slot keeps its stale values and tag. A
+    /// request that binds no tagged position admits every slot. Nothing
+    /// bound takes every live slot by its head.
+    fn scan_into(&self, bound: &BoundValues<'_>, filter: TagFilter, hits: &mut Vec<TupleKey>) {
+        if bound.first().is_none() {
             hits.extend(
                 (self.heads.iter().enumerate())
                     .filter(|(_, h)| h.at != Residence::Free)
                     .map(|(i, _)| TupleKey(i as u32)),
             );
             return;
-        };
-        for (i, row) in self.values.chunks_exact(self.width()).enumerate() {
-            if row[p] == v && bound.matches(row) && self.heads[i].at != Residence::Free {
-                hits.push(TupleKey(i as u32));
+        }
+        let mut blocks = self.tags.chunks_exact(SCAN_BLOCK);
+        for (b, block) in blocks.by_ref().enumerate() {
+            if filter.admits_any(block) {
+                self.scan_admitted(b * SCAN_BLOCK, block, filter, bound, hits);
+            }
+        }
+        let tail = blocks.remainder();
+        self.scan_admitted(self.tags.len() - tail.len(), tail, filter, bound, hits);
+    }
+
+    /// Append to `hits` each live slot `base + k` whose tag `tags[k]`
+    /// `filter` admits and whose JAS values agree with `bound`.
+    #[inline(always)]
+    fn scan_admitted(
+        &self,
+        base: usize,
+        tags: &[u32],
+        filter: TagFilter,
+        bound: &BoundValues<'_>,
+        hits: &mut Vec<TupleKey>,
+    ) {
+        for (k, &tag) in tags.iter().enumerate() {
+            let key = TupleKey((base + k) as u32);
+            if filter.admits(tag)
+                && bound.matches(self.jas(key))
+                && self.heads[key.0 as usize].at != Residence::Free
+            {
+                hits.push(key);
             }
         }
     }
@@ -596,7 +637,8 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
         // few-index access modules). The walk itself reads less.
         receipt.comparisons += 2 * self.arena.len as u64;
         hits.clear();
-        self.arena.scan_into(&req.bound(), hits);
+        let filter = TagFilter::of_request(req.pattern, req.values.as_slice());
+        self.arena.scan_into(&req.bound(), filter, hits);
     }
 
     /// The stored tuple for `key`, if live **and fully in RAM**, rebuilt
@@ -1078,6 +1120,7 @@ impl<I: StateIndex + ?Sized> StateStore<I> {
                     });
                     let at = slot * arena.width();
                     arena.values[at..at + jas_values.len()].copy_from_slice(&jas_values);
+                    arena.tags[slot] = value_tag(&jas_values);
                 }
                 0 => arena.push(FREE_HEAD),
                 tag => {
@@ -1745,6 +1788,7 @@ mod tests {
         let mut twin = spill_store("twin", crate::tier::IoFaultConfig::default());
         let mut rd = crate::snapshot_io::SectionReader::new(&bytes);
         twin.restore_state(&mut rd).unwrap();
+        assert_tags_fresh(&twin);
         let width = twin.jas_width();
         twin.reindex(MultiHashIndex::new(width, s.index().patterns()));
         twin
@@ -1851,6 +1895,15 @@ mod tests {
         (hits, r)
     }
 
+    /// Every live slot of `s`, resident or stub, carries the tag of its JAS
+    /// values, and every slot has a tag.
+    fn assert_tags_fresh(s: &StateStore<MultiHashIndex>) {
+        assert_eq!(s.arena.tags.len(), s.arena.heads.len());
+        for (key, jas) in s.arena.iter() {
+            assert_eq!(s.arena.tags[key.0 as usize], value_tag(jas), "slot {key:?}");
+        }
+    }
+
     /// `s` scans every pattern of its JAS width over `values` exactly as
     /// the reference does — the same hits in the same order, the same
     /// receipt — and returns how many hits the patterns found in all.
@@ -1907,6 +1960,68 @@ mod tests {
             }
         }
         assert_eq!(scans_like_the_reference(&twin, &[1, 21]), 1 + 1 + 1 + 3);
+    }
+
+    /// Position 4 of a width-5 JAS carries no tag byte: a request binding
+    /// it alone fixes no tag, so every slot is admitted and its values
+    /// decide — across full blocks of the tag column and the tail.
+    #[test]
+    fn a_request_binding_only_an_untagged_position_compares_every_slot() {
+        let mut s = StateStore::new(
+            StreamId(0),
+            (0..5).map(AttrId).collect(),
+            WindowSpec::secs(10),
+            MultiHashIndex::new(5, Vec::new()),
+        );
+        let mut r = CostReceipt::new();
+        let n = 2 * SCAN_BLOCK as u64 + 7;
+        for i in 0..n {
+            s.insert(mk_tuple(i, 0, &[i, i % 3, 7, i % 5, i % 4]), &mut r);
+        }
+        let values = [1, 1, 7, 1, 2];
+        let req = SearchRequest::new(
+            AccessPattern::from_positions(&[4], 5).unwrap(),
+            AttrVec::from_slice(&values).unwrap(),
+        );
+        assert_eq!(
+            TagFilter::of_request(req.pattern, req.values.as_slice()),
+            TagFilter::default()
+        );
+        let mut r = CostReceipt::new();
+        let want: Vec<TupleKey> = (2..n as u32).step_by(4).map(TupleKey).collect();
+        assert_eq!(search_vec(&mut s, &req, &mut r), want);
+        assert_eq!(r.comparisons, 2 * n);
+        assert!(scans_like_the_reference(&s, &values) > want.len());
+    }
+
+    /// Two distinct values whose hashes share a low byte give two slots
+    /// one tag: the tag admits both, and the value compare settles which
+    /// one a request binds.
+    #[test]
+    fn a_tag_collision_is_settled_by_the_values() {
+        let byte = |x: u64| amri_stream::fx_hash_u64(x) & 0xFF;
+        let (a, b) = (2u64, 22u64);
+        assert_eq!(byte(a), byte(b), "the pair must collide in its tag byte");
+        let mut s = store();
+        let mut r = CostReceipt::new();
+        let ka = s.insert(mk_tuple(1, 0, &[a, 0, 5]), &mut r);
+        let kb = s.insert(mk_tuple(2, 0, &[b, 0, 5]), &mut r);
+        assert_eq!(s.arena.tags[ka.0 as usize], s.arena.tags[kb.0 as usize]);
+        for (v, want) in [(a, ka), (b, kb)] {
+            for mask in [0b01, 0b11] {
+                let req = SearchRequest::new(
+                    AccessPattern::new(mask, 2),
+                    AttrVec::from_slice(&[v, 5]).unwrap(),
+                );
+                let mut r = CostReceipt::new();
+                assert_eq!(
+                    search_vec(&mut s, &req, &mut r),
+                    vec![want],
+                    "mask {mask:#b}"
+                );
+                assert_eq!(r.comparisons, 4);
+            }
+        }
     }
 
     /// A JAS narrower than the arity (attributes 0 and 2 of 3) puts the
@@ -1986,6 +2101,7 @@ mod tests {
                     s.promote_hottest(0, &mut r);
                 }
             }
+            assert_tags_fresh(&s);
             seen[0] += scans_like_the_reference(&s, &v[..3]);
             seen[1] += s.arena.free.len();
             seen[2] += s.spilled_len();
@@ -2036,6 +2152,7 @@ mod tests {
         let mut twin = spill_store("snap-twin", crate::tier::IoFaultConfig::default());
         let mut rd = crate::snapshot_io::SectionReader::new(&bytes);
         twin.restore_state(&mut rd).unwrap();
+        assert_tags_fresh(&twin);
         assert_eq!(twin.len(), s.len());
         assert_eq!(twin.spilled_len(), s.spilled_len());
         assert_eq!(twin.spill_stats(), s.spill_stats());

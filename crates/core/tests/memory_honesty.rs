@@ -13,7 +13,7 @@
 //! `Vec` and hash table is at its emptiest.
 //!
 //! The file holds a single `#[test]` so no concurrent test can allocate
-//! while the counter runs.
+//! while the counter runs; `-- --nocapture` prints both figures per `n`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -81,6 +81,7 @@ fn bytes_per_tuple(n: u64) -> (f64, f64) {
 fn a_stored_tuple_takes_no_more_heap_than_the_model_charges() {
     for n in [1_025u64, 4_097, 16_385] {
         let (real, charged) = bytes_per_tuple(n);
+        println!("{n} tuples: {real:.0} real heap bytes per tuple, {charged:.0} charged");
         assert!(
             real <= charged,
             "{n} tuples: {real:.0} real heap bytes per tuple, {charged:.0} charged"

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Sample where one benchmark run spends its wall time.
 #
-#   scripts/profile.sh <workload> <seed> <seconds>
+#   scripts/profile.sh <workload> <seed> <seconds> [function]
 #   scripts/profile.sh fleet_lineup 7 8
+#   scripts/profile.sh fleet_lineup 7 8 Arena::scan_into
 #
 # Builds benchmark/'s amri-benchmark (as benchmark/run.sh does), compiles a
 # small LD_PRELOAD sampler with the system gcc, and runs
@@ -16,17 +17,23 @@
 # innermost frames, and the samples outside the binary by the library
 # (mapping) they hit.
 #
+# With a fourth argument, a fifth table breaks down the samples of every
+# function whose name contains it, inlined frames included: each sample
+# whose inline chain holds such a frame counts under that frame's own
+# source line, followed — when the sample sits in a function inlined into
+# it — by the innermost frame's function and line.
+#
 # Diagnostics only: nothing here gates CI, and the benchmark's own output
 # goes to the run directory, not to stdout. Needs gcc and llvm-symbolizer
 # on PATH; the release profile's line tables supply the source lines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [ "$#" -ne 3 ]; then
-    echo "usage: $0 <workload> <seed> <seconds>" >&2
+if [ "$#" -lt 3 ] || [ "$#" -gt 4 ]; then
+    echo "usage: $0 <workload> <seed> <seconds> [function]" >&2
     exit 2
 fi
-workload="$1" seed="$2" seconds="$3"
+workload="$1" seed="$2" seconds="$3" focus="${4:-}"
 for tool in gcc llvm-symbolizer; do
     if ! command -v "$tool" >/dev/null; then
         echo "profile.sh: '$tool' is not on PATH; the sampler needs gcc to build and llvm-symbolizer to read its samples" >&2
@@ -165,7 +172,7 @@ total="$(cat "$dir/total")"
 awk '{ print $2 }' "$dir/inside" \
     | llvm-symbolizer --obj="$bin" --inlining --demangle > "$dir/frames"
 
-awk -v total="$total" '
+awk -v total="$total" -v focus="$focus" '
     BEGIN { hash = "::h"; for (i = 0; i < 16; i++) hash = hash "[0-9a-f]"; hash = hash "$" }
     # What the symbolizer leaves of a legacy-mangled Rust name, readable.
     function rust(s) {
@@ -181,7 +188,14 @@ awk -v total="$total" '
     /^$/ {
         if (nf > 0) {
             c = count[++addr]
-            inner[fn[1]] += c; outer[fn[nf]] += c; lines[src] += c
+            inner[fn[1]] += c; outer[fn[nf]] += c; lines[src[1]] += c
+            for (j = 1; focus != "" && j <= nf; j++) {
+                if (index(fn[j], focus)) {
+                    at = (j == 1) ? src[j] : src[j] "  <- " fn[1] " " src[1]
+                    focused[at] += c; focused["(all of them)"] += c
+                    break
+                }
+            }
         }
         nf = odd = 0
         next
@@ -189,17 +203,18 @@ awk -v total="$total" '
     {
         if (odd = !odd) {
             fn[++nf] = rust($0)
-        } else if (nf == 1) {
-            src = $0
-            sub(/:[0-9]+$/, "", src)
-            sub(/^.*\/crates\//, "crates/", src)
-            sub(/^.*\/library\//, "library/", src)
+        } else {
+            src[nf] = $0
+            sub(/:[0-9]+$/, "", src[nf])
+            sub(/^.*\/crates\//, "crates/", src[nf])
+            sub(/^.*\/library\//, "library/", src[nf])
         }
     }
     END {
         for (k in inner) printf "inner\t%.1f\t%s\n", 100 * inner[k] / total, k
         for (k in outer) printf "outer\t%.1f\t%s\n", 100 * outer[k] / total, k
         for (k in lines) printf "line\t%.1f\t%s\n", 100 * lines[k] / total, k
+        for (k in focused) printf "focus\t%.1f\t%s\n", 100 * focused[k] / total, k
     }
 ' "$dir/inside" "$dir/frames" > "$dir/shares"
 awk -v total="$total" '{ printf "other\t%.1f\t%s\n", 100 * $1 / total, $2 }' \
@@ -208,13 +223,15 @@ awk -v total="$total" '{ printf "other\t%.1f\t%s\n", 100 * $1 / total, $2 }' \
 echo "$workload seed $seed, $seconds s: $total samples every 50 us"
 # The top 25 of each table (awk, not head, ends the pipe: no SIGPIPE).
 while IFS='|' read -r kind title; do
+    [ -n "$kind" ] || continue
     echo
     echo "== $title (% of all samples)"
     awk -F'\t' -v k="$kind" '$1 == k { printf "%6s %%  %s\n", $2, $3 }' "$dir/shares" \
         | sort -rn -k1,1 | awk 'NR <= 25'
-done <<'TABLES'
+done <<TABLES
 inner|innermost frames
 outer|outermost functions
 line|source lines of the innermost frames
 other|samples outside the binary, by mapping
+${focus:+focus|lines of functions named *$focus*, inlined frames included}
 TABLES

@@ -33,12 +33,21 @@
 //!   than six entries spans several groups; an emptied group goes on a free
 //!   list threaded through its link, so the steady state allocates nothing;
 //! * a power-of-two **directory** of group chains (`Vec<u32>`, at least two
-//!   slots per entry), addressed by a Fibonacci hash of the bucket id.
+//!   slots per entry), addressed by the top bits of a Fibonacci hash of the
+//!   bucket id, and beside it a **filter** of one `u16` per slot: the four
+//!   hash bits below the slot bits pick an id's filter bit, and a slot's
+//!   word holds exactly the bits of the ids chained there.
 //!
-//! Every group whose id hashes to a slot is chained from that slot, so a
-//! candidate id costs one directory load and a walk of the slot's groups
-//! that skips the groups of other ids; a group of the id is charged all its
-//! entries at once and tag-tested from the line already loaded. Byte `i`
+//! Every group whose id hashes to a slot is chained from that slot. A
+//! candidate id whose filter bit is clear holds nothing, and costs one
+//! filter load and one well-predicted branch — most candidate ids of a
+//! wildcard search are such. Any other costs one directory load and a walk
+//! of the slot's groups that skips the groups of other ids; a group of the
+//! id is charged all its entries at once and tag-tested from the line
+//! already loaded. The filter is exact, not a superset: an insert that
+//! chains a fresh group sets the bit, and a remove after which no group of
+//! the id is chained recomputes the slot's word from its short chain (the
+//! same place it recounts the distinct ids). Byte `i`
 //! of an entry's value tag is the low byte of JAS position `i`'s hash
 //! (positions 0–3; a tag is one `u32`), and the probe plan carries the
 //! request's tag bytes for its bound positions, so an entry whose tag
@@ -50,13 +59,16 @@
 //! ([`SearchRequest::bound`]).
 //!
 //! An insert fills a group of its id with room on its chain, or puts a
-//! fresh one first on the chain; a remove moves its group's last entry
-//! into the hole and frees the group when it empties. The number of
-//! distinct ids stored — which prices `bucket_probes`, `memory_bytes` and
-//! the narrow/wide choice — is kept incrementally: an insert counts its id
-//! if the chain held no group of it, a remove that frees a group looks for
-//! another group of the id, and a directory doubling re-chains the groups
-//! without recounting.
+//! fresh one first on the chain; a clear filter bit tells it the chain
+//! holds no group of the id without the walk. A remove moves its group's
+//! last entry into the hole and frees the group when it empties. The
+//! number of distinct ids stored — which prices `bucket_probes`,
+//! `memory_bytes` and the narrow/wide choice — is kept incrementally: an
+//! insert counts its id if the chain held no group of it, a remove that
+//! frees a group looks for another group of the id, and a directory
+//! doubling re-chains the groups and rebuilds the filter without
+//! recounting. The filter is not charged by the model: it only skips
+//! loads, never an entry the model counts.
 //!
 //! [`StateStore::search`](crate::StateStore::search) sorts hits into key
 //! order before anything reads them, so **group, chain and slab order are
@@ -240,11 +252,11 @@ fn fill_from_lens(entries: usize, space: f64, lens: &[u64]) -> FillStats {
 }
 
 /// One shard of the arena: a dense slab of entry heads, the value stride
-/// beside it, the groups that list the entries by bucket id and the
-/// directory of group chains (see the module docs). Every bucket id maps
-/// to exactly one shard, so a shard is a self-contained sub-index over its
-/// slice of the bucket space that concurrent tasks can fill or probe
-/// without synchronization.
+/// beside it, the groups that list the entries by bucket id, the
+/// directory of group chains and its filter of one word per slot (see the
+/// module docs). Every bucket id maps to exactly one shard, so a shard is
+/// a self-contained sub-index over its slice of the bucket space that
+/// concurrent tasks can fill or probe without synchronization.
 #[derive(Debug, Clone)]
 struct Shard {
     /// The entry heads, dense.
@@ -258,9 +270,13 @@ struct Shard {
     groups: Vec<Group>,
     /// First group of the free list, or `NIL`.
     free: u32,
-    /// First group of each chain by `slot(bucket)`; empty until the first
+    /// First group of each chain by the id's slot; empty until the first
     /// insert, then a power of two holding at least two slots per entry.
     dir: Vec<u32>,
+    /// One word per directory slot: the filter bits ([`Shard::locate`]) of
+    /// the ids chained there and no others, so a narrow probe skips a
+    /// candidate id whose bit is clear without touching its chain.
+    filter: Vec<u16>,
     /// `64 − log2(dir.len())`: a slot is the top bits of the id's hash.
     shift: u32,
     /// Distinct bucket ids stored, maintained by every insert and remove.
@@ -276,15 +292,33 @@ impl Shard {
             groups: Vec::new(),
             free: NIL,
             dir: Vec::new(),
+            filter: Vec::new(),
             shift: 0,
             occupied: 0,
         }
     }
 
-    /// The directory slot of `bucket`. The directory must be non-empty.
+    /// The directory slot of `bucket` and its filter bit: the slot is the
+    /// top bits of the id's hash, the bit is chosen by the four hash bits
+    /// just below them. The directory must be non-empty.
     #[inline]
-    fn slot(&self, bucket: u64) -> usize {
-        (bucket.wrapping_mul(FIB) >> self.shift) as usize
+    fn locate(&self, bucket: u64) -> (usize, u16) {
+        let h = bucket.wrapping_mul(FIB);
+        (
+            (h >> self.shift) as usize,
+            1 << ((h >> (self.shift - 4)) & 15),
+        )
+    }
+
+    /// The filter word of `slot` recomputed from its chain.
+    fn chain_filter(&self, slot: usize) -> u16 {
+        let (mut g, mut word) = (self.dir[slot], 0);
+        while g != NIL {
+            let grp = &self.groups[g as usize];
+            word |= self.locate(grp.bucket).1;
+            g = grp.next;
+        }
+        word
     }
 
     /// The JAS values of the entry at slab position `idx`.
@@ -293,10 +327,10 @@ impl Shard {
         &self.vals[idx * self.width..][..self.width]
     }
 
-    /// If the directory is too small for `entries` entries, re-size it to
-    /// the next power of two holding two slots per entry and chain the
-    /// live groups again. Groups keep their entries, so nothing is
-    /// recounted.
+    /// If the directory is too small for `entries` entries, re-size it
+    /// and its filter to the next power of two holding two slots per entry
+    /// and chain the live groups again. Groups keep their entries, so
+    /// nothing is recounted.
     fn fit_directory(&mut self, entries: usize) {
         if 2 * entries <= self.dir.len() {
             return;
@@ -304,12 +338,15 @@ impl Shard {
         let len = (2 * entries).next_power_of_two().max(2);
         self.dir.clear();
         self.dir.resize(len, NIL);
+        self.filter.clear();
+        self.filter.resize(len, 0);
         self.shift = 64 - len.trailing_zeros();
         for g in 0..self.groups.len() {
             if self.groups[g].len != 0 {
-                let slot = self.slot(self.groups[g].bucket);
+                let (slot, bit) = self.locate(self.groups[g].bucket);
                 self.groups[g].next = self.dir[slot];
                 self.dir[slot] = g as u32;
+                self.filter[slot] |= bit;
             }
         }
     }
@@ -317,11 +354,16 @@ impl Shard {
     /// List the entry at slab position `idx` under its bucket id: in a
     /// group of that id with room on the slot's chain, else in a group
     /// taken from the free list (or pushed) and put first on the chain.
-    /// Counts the id if the chain held no group of it.
+    /// Counts the id if the chain held no group of it. A clear filter bit
+    /// says so without the walk.
     fn place(&mut self, idx: u32) {
         let EntryHead { bucket, tag, .. } = self.heads[idx as usize];
-        let slot = self.slot(bucket);
-        let mut g = self.dir[slot];
+        let (slot, bit) = self.locate(bucket);
+        let mut g = if self.filter[slot] & bit != 0 {
+            self.dir[slot]
+        } else {
+            NIL
+        };
         let mut held = false;
         while g != NIL {
             let grp = &self.groups[g as usize];
@@ -354,6 +396,7 @@ impl Shard {
                 g
             };
             self.dir[slot] = g;
+            self.filter[slot] |= bit;
         }
         let grp = &mut self.groups[g as usize];
         let k = grp.len as usize;
@@ -384,14 +427,15 @@ impl Shard {
     /// entry's value tag: the walk tests it from the group line it already
     /// loaded, so only an entry of that tag loads its head to compare the
     /// key. The group's last entry fills the hole; a group that empties
-    /// leaves the chain for the free list, and the id stays counted only
-    /// if another group of it is chained. Then the slab's last entry moves
-    /// into the freed position and its group's `slot` follows it.
+    /// leaves the chain for the free list, and the id stays counted — and
+    /// its filter bit set — only if another group of it is chained. Then
+    /// the slab's last entry moves into the freed position and its group's
+    /// `slot` follows it.
     fn remove_by_key(&mut self, bucket: u64, tag: u32, key: TupleKey) {
         if self.dir.is_empty() {
             return;
         }
-        let slot = self.slot(bucket);
+        let slot = self.locate(bucket).0;
         let (mut prev, mut g) = (NIL, self.dir[slot]);
         let k = 'walk: loop {
             if g == NIL {
@@ -428,6 +472,7 @@ impl Shard {
             }
             if g == NIL {
                 self.occupied -= 1;
+                self.filter[slot] = self.chain_filter(slot);
             }
         }
         let last = self.heads.len() - 1;
@@ -444,12 +489,14 @@ impl Shard {
         }
     }
 
-    /// Drop every group and list the slab again in slab order, recounting
-    /// the distinct ids — the in-place half of a migration, after the
-    /// entries' bucket ids changed under them. Tags depend on the values
-    /// alone, so they stay. The group buffer keeps its capacity.
+    /// Drop every group and the filter and list the slab again in slab
+    /// order, recounting the distinct ids — the in-place half of a
+    /// migration, after the entries' bucket ids changed under them. Tags
+    /// depend on the values alone, so they stay. The group buffer keeps its
+    /// capacity.
     fn relink_all(&mut self) {
         self.dir.fill(NIL);
+        self.filter.fill(0);
         self.groups.clear();
         self.free = NIL;
         self.occupied = 0;
@@ -512,11 +559,16 @@ impl Shard {
         let candidates = plan.candidate_buckets();
         if candidates <= self.occupied as u64 {
             // Narrow search: enumerate the 2^w candidate ids lazily (the
-            // carry-propagate submask walk); each is one directory load
-            // and a walk of that slot's groups, scanning only the groups
-            // that carry the id.
+            // carry-propagate submask walk); each is one filter test, and
+            // an id that passes it a directory load and a walk of that
+            // slot's groups, scanning only the groups that carry the id.
+            // Most candidate ids hold nothing, and their bit is clear.
             for id in plan.enumerate() {
-                let mut g = self.dir[self.slot(id)];
+                let (slot, bit) = self.locate(id);
+                if self.filter[slot] & bit == 0 {
+                    continue;
+                }
+                let mut g = self.dir[slot];
                 while g != NIL {
                     let grp = &self.groups[g as usize];
                     if grp.bucket == id {
@@ -608,8 +660,8 @@ impl BitAddressIndex {
     /// `shard_count` fresh shards, one task per destination: each walks
     /// the old shards shard-major in slab order and inserts the entries
     /// routed to it, so every destination's slab and groups are the same
-    /// for any executor. A destination keeps the
-    /// directory buffer of the old shard at its position, emptied.
+    /// for any executor. A destination keeps the directory and filter
+    /// buffers of the old shard at its position, emptied.
     fn redistribute(&mut self, shard_count: usize, exec: &dyn ShardExecutor) {
         let mut old = std::mem::take(&mut self.shards);
         let work_ns = old.iter().map(|s| s.heads.len() as u64).sum::<u64>() * RELINK_NS;
@@ -622,6 +674,8 @@ impl BitAddressIndex {
                 if let Some(shard) = old.get_mut(d) {
                     fresh.dir = std::mem::take(&mut shard.dir);
                     fresh.dir.fill(NIL);
+                    fresh.filter = std::mem::take(&mut shard.filter);
+                    fresh.filter.fill(0);
                     fresh.shift = shard.shift;
                 }
                 fresh
@@ -668,10 +722,12 @@ impl BitAddressIndex {
     /// `swap_remove` and group recycling leave the structure sound:
     ///
     /// * the value stride holds exactly `width` words per slab entry, and
-    ///   the directory is a power of two with two slots per entry;
+    ///   the directory is a power of two with two slots per entry and one
+    ///   filter word per slot;
     /// * every chained group is non-empty, cycle-free, holds one id and is
     ///   chained under the slot that id hashes to, in the shard it routes
-    ///   to;
+    ///   to, and each slot's filter word holds exactly the bits of the ids
+    ///   chained there;
     /// * the groups list every slab entry exactly once, each entry's
     ///   `group` names the group that lists it, and its cached id and tag —
     ///   in its head and in its group — equal re-deriving them from its JAS
@@ -697,8 +753,11 @@ impl BitAddressIndex {
                     && slots >= 2 * n
                     && shard.shift == 64 - slots.trailing_zeros()
             };
-            if !sized {
-                return Err(format!("shard {s}: directory of {slots} for {n} entries"));
+            if !sized || shard.filter.len() != slots {
+                return Err(format!(
+                    "shard {s}: directory of {slots} and filter of {} for {n} entries",
+                    shard.filter.len()
+                ));
             }
             let groups = shard.groups.len();
             let mut group_seen = vec![false; groups];
@@ -715,12 +774,14 @@ impl BitAddressIndex {
             let mut reached = 0usize;
             for (slot, &first) in shard.dir.iter().enumerate() {
                 let mut g = first;
+                let mut word = 0u16;
                 while g != NIL {
                     let grp = visit(g, "a chain")?;
                     if grp.len == 0 || grp.len as usize > GROUP {
                         return Err(format!("group {s}/{g} on a chain holds {}", grp.len));
                     }
-                    if shard.slot(grp.bucket) != slot || self.shard_of(grp.bucket) != s {
+                    let (home, bit) = shard.locate(grp.bucket);
+                    if home != slot || self.shard_of(grp.bucket) != s {
                         return Err(format!(
                             "group {s}/{g} of bucket {:#x} chained under slot {slot}",
                             grp.bucket
@@ -743,7 +804,14 @@ impl BitAddressIndex {
                             return Err(format!("entry {s}/{i} bucket or tag stale vs config"));
                         }
                     }
+                    word |= bit;
                     g = grp.next;
+                }
+                if shard.filter[slot] != word {
+                    return Err(format!(
+                        "shard {s}: slot {slot} filter {:#06x}, its chain's ids set {word:#06x}",
+                        shard.filter[slot]
+                    ));
                 }
             }
             if reached != n {
@@ -1673,6 +1741,108 @@ mod tests {
             }
             probe(&idx, &alive);
             assert_eq!(idx.shards[0].groups.len(), groups, "refill took new groups");
+        }
+    }
+
+    /// Four ids forced into one directory slot — two sharing a filter bit,
+    /// two with bits of their own, one of them stored twice — removed in
+    /// every order. After each step the slot's filter word is exactly the
+    /// bits of the ids still chained, so a bit clears only with the last id
+    /// that carries it; and a probe of any id of the slot, absent ones
+    /// whose bit is set or clear included, charges what the bucket model
+    /// charges. A word with a stray or a missing bit fails the integrity
+    /// check.
+    #[test]
+    fn a_filter_bit_clears_with_the_last_id_that_carries_it() {
+        type Model = std::collections::BTreeMap<TupleKey, Vec<u64>>;
+        let config = IndexConfig::new(vec![12, 0, 0]).unwrap();
+        let row = |v: u64| vec![v, 0, 0];
+        // Five entries size the directory to 16 slots; any index of five
+        // entries locates ids as the tested one will.
+        let sizer = populated(config.clone(), 5);
+        let mut by_slot: std::collections::BTreeMap<usize, Vec<(u16, u64, u64)>> =
+            Default::default();
+        let mut ids = std::collections::BTreeSet::new();
+        for v in 0..4096u64 {
+            let id = config.bucket_of(&row(v));
+            if ids.insert(id) {
+                let (slot, bit) = sizer.shards[0].locate(id);
+                by_slot.entry(slot).or_default().push((bit, id, v));
+            }
+        }
+        // A slot with two ids of one bit and two more ids of two other
+        // bits, and absent ids of a bit they carry and of one they do not.
+        let (slot, stored, absent) = by_slot
+            .iter()
+            .find_map(|(&slot, members)| {
+                let (a, b) = members.iter().enumerate().find_map(|(i, x)| {
+                    let j = members[i + 1..].iter().position(|y| y.0 == x.0)?;
+                    Some((*x, members[i + 1 + j]))
+                })?;
+                let mut others = members.iter().filter(|y| y.0 != a.0);
+                let c = *others.next()?;
+                let d = *others.find(|y| y.0 != c.0)?;
+                let stored = [a, b, c, d];
+                let absent: Vec<_> = members
+                    .iter()
+                    .filter(|y| !stored.iter().any(|x| x.1 == y.1))
+                    .copied()
+                    .collect();
+                let word = stored.iter().fold(0, |w, x| w | x.0);
+                let carried = |y: &(u16, u64, u64)| y.0 & word != 0;
+                (absent.iter().any(carried) && !absent.iter().all(carried))
+                    .then_some((slot, stored, absent))
+            })
+            .expect("some slot holds such ids");
+        // Entry 0 and 1 are the first id, stored twice.
+        let entries: Vec<u64> = [0, 0, 1, 2, 3].map(|k| stored[k].2).to_vec();
+        let word_of = |model: &Model| {
+            stored
+                .iter()
+                .filter(|x| model.values().any(|r| r[0] == x.2))
+                .fold(0u16, |w, x| w | x.0)
+        };
+        let check = |idx: &BitAddressIndex, model: &Model| {
+            idx.check_integrity().unwrap();
+            assert_eq!(idx.shards[0].filter[slot], word_of(model));
+            for &(_, _, v) in stored.iter().chain(&absent) {
+                let request = req(0b111, 3, &row(v));
+                let (want_hits, want) = expected_probe(&config, model, &request);
+                let mut got = CostReceipt::new();
+                assert_eq!(search(idx, &request, &mut got), Some(want_hits));
+                assert_eq!(got, want, "probe of {v}");
+            }
+        };
+        let n = entries.len();
+        let orders = (0..n.pow(n as u32)).filter_map(|code| {
+            let order: Vec<usize> = (0..n).map(|d| code / n.pow(d as u32) % n).collect();
+            let distinct: std::collections::BTreeSet<_> = order.iter().collect();
+            (distinct.len() == n).then_some(order)
+        });
+        let mut tried = 0;
+        for order in orders {
+            let mut idx = BitAddressIndex::new(config.clone());
+            let mut model = Model::new();
+            let mut r = CostReceipt::new();
+            for (k, &v) in entries.iter().enumerate() {
+                idx.insert(TupleKey(k as u32), &jas(&row(v)), &mut r);
+                model.insert(TupleKey(k as u32), row(v));
+            }
+            assert_eq!(idx.shards[0].dir.len(), 16);
+            check(&idx, &model);
+            for &k in &order {
+                let key = TupleKey(k as u32);
+                idx.remove(key, &jas(&model.remove(&key).unwrap()), &mut r);
+                check(&idx, &model);
+            }
+            tried += 1;
+        }
+        assert_eq!(tried, 120);
+        let idx = populated(config.clone(), 5);
+        for stale in [0x8000u16, 0xFFFF] {
+            let mut bad = idx.clone();
+            bad.shards[0].filter[slot] ^= stale;
+            assert!(bad.check_integrity().unwrap_err().contains("filter"));
         }
     }
 

@@ -10,12 +10,12 @@
 //!   probe *hit* reads a block. The stub costs
 //!   [`layout::spilled_stub_bytes`] against the memory model instead of
 //!   the full tuple footprint.
-//! * **Blocks reuse the snapshot codec.** Each block is a
-//!   [`seal_block`](crate::snapshot_io::seal_block) frame — magic, length,
-//!   fxhash checksum, section body — appended to one file per state. A
-//!   block id is an index into the in-RAM [`BlockMeta`] table; the file is
-//!   append-only and never compacted (dead frames stay as dead space; the
-//!   window bounds live data, so the file is bounded per run).
+//! * **Blocks reuse the snapshot codec.** Each block is a [`seal_block`]
+//!   frame — magic, length, fxhash checksum, section body — appended to
+//!   one file per state. A block id is an index into the in-RAM
+//!   [`BlockMeta`] table; the file is append-only and never compacted
+//!   (dead frames stay as dead space; the window bounds live data, so the
+//!   file is bounded per run).
 //! * **Write-verify.** Every append is read back and checksum-verified
 //!   before the spill commits. A torn write (injected or real) is retried
 //!   at the same offset up to [`WRITE_ATTEMPTS`] times; persistent failure

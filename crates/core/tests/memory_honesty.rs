@@ -1,24 +1,35 @@
-//! The memory model is an upper bound on the heap a stored tuple really
-//! takes.
+//! What a stored tuple really takes on the heap, against what the memory
+//! model charges for it.
 //!
 //! The §V comparisons are decided by memory: a flavor dies when the bytes
 //! `StateStore::memory_bytes` charges pass its budget. That verdict means
-//! something only if the engine never holds more than it is charged for. A
-//! global allocator that tracks live heap bytes wraps `System`; a
-//! multi-hash state with the paper's three sub-indices is loaded with `n`
-//! tuples of width 3 whose values are all distinct — every bucket of every
-//! sub-index holds one tuple, the layout's worst case — and the heap it
-//! grew by, per live tuple, must not pass the model's charge per live
-//! tuple. Each `n` sits just past a power of two, where every doubling
-//! `Vec` and hash table is at its emptiest.
+//! something only if the engine holds about what it is charged for. A
+//! global allocator that tracks live heap bytes wraps `System`; a state is
+//! loaded with `n` tuples of width 3 whose values are all distinct — every
+//! bucket holds one tuple, the layout's worst case — and the heap it grew
+//! by, per live tuple, is set against the model's charge per live tuple.
+//! Each `n` sits just past a power of two, where every doubling `Vec` and
+//! hash table is at its emptiest.
+//!
+//! * For a **multi-hash** state with the paper's three sub-indices the
+//!   model is an upper bound: the real bytes never pass the charge.
+//! * For a **bit-address** state it is not. Its slab, value stride,
+//!   64-byte groups, directory and directory filter take more than the
+//!   model's bucket and entry charges (about 1.9× at 21–22 bits per
+//!   attribute, 1.6–1.8× at 1–4), and closing that gap would change the charges
+//!   and so every budget verdict. The test only holds the real bytes under
+//!   a fixed ceiling per tuple, so the layout cannot grow unnoticed.
 //!
 //! The file holds a single `#[test]` so no concurrent test can allocate
-//! while the counter runs; `-- --nocapture` prints both figures per `n`.
+//! while the counter runs; `-- --nocapture` prints both figures per state
+//! and `n`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 
-use amri_core::{CostReceipt, MultiHashIndex, StateStore};
+use amri_core::{
+    BitAddressIndex, CostReceipt, IndexConfig, MultiHashIndex, StateIndex, StateStore,
+};
 use amri_stream::{
     AccessPattern, AttrId, AttrVec, StreamId, Tuple, TupleId, VirtualTime, WindowSpec,
 };
@@ -52,16 +63,21 @@ unsafe impl GlobalAlloc for LiveBytes {
 #[global_allocator]
 static ALLOCATOR: LiveBytes = LiveBytes;
 
-/// `(real heap bytes, charged bytes)` per live tuple of a paper-module
-/// state holding `n` tuples with all-distinct values.
-fn bytes_per_tuple(n: u64) -> (f64, f64) {
-    let patterns = [0b001, 0b011, 0b110].map(|m| AccessPattern::new(m, 3));
+/// The heap a bit-address state may take per stored tuple, at any of the
+/// tested sizes and configurations: the layout takes at most 352 bytes
+/// (at `[21, 21, 22]`, 8 of them the directory filter), so this leaves 16
+/// bytes of room. It is a growth guard, not the model's charge.
+const BITADDR_CEILING: f64 = 368.0;
+
+/// `(real heap bytes, charged bytes)` per live tuple of a state over
+/// `index` holding `n` tuples with all-distinct values.
+fn bytes_per_tuple<I: StateIndex>(n: u64, index: impl FnOnce() -> I) -> (f64, f64) {
     let before = LIVE.load(Ordering::SeqCst);
     let mut store = StateStore::new(
         StreamId(0),
         vec![AttrId(0), AttrId(1), AttrId(2)],
         WindowSpec::secs(1_000_000),
-        MultiHashIndex::new(3, patterns.to_vec()),
+        index(),
     );
     let mut r = CostReceipt::new();
     for i in 0..n {
@@ -78,13 +94,25 @@ fn bytes_per_tuple(n: u64) -> (f64, f64) {
 }
 
 #[test]
-fn a_stored_tuple_takes_no_more_heap_than_the_model_charges() {
+fn a_stored_tuple_stays_under_its_charge_or_its_ceiling() {
+    let patterns = [0b001, 0b011, 0b110].map(|m| AccessPattern::new(m, 3));
     for n in [1_025u64, 4_097, 16_385] {
-        let (real, charged) = bytes_per_tuple(n);
-        println!("{n} tuples: {real:.0} real heap bytes per tuple, {charged:.0} charged");
+        let (real, charged) = bytes_per_tuple(n, || MultiHashIndex::new(3, patterns.to_vec()));
+        println!(
+            "multi-hash, {n} tuples: {real:.0} real heap bytes per tuple, {charged:.0} charged"
+        );
         assert!(
             real <= charged,
-            "{n} tuples: {real:.0} real heap bytes per tuple, {charged:.0} charged"
+            "multi-hash, {n} tuples: {real:.0} real heap bytes per tuple, {charged:.0} charged"
         );
+        for bits in [[21, 21, 22], [4, 4, 4], [1, 0, 0]] {
+            let config = IndexConfig::new(bits.to_vec()).unwrap();
+            let (real, charged) = bytes_per_tuple(n, || BitAddressIndex::new(config));
+            println!("bit-address {bits:?}, {n} tuples: {real:.0} real heap bytes per tuple, {charged:.0} charged");
+            assert!(
+                real <= BITADDR_CEILING,
+                "bit-address {bits:?}, {n} tuples: {real:.0} real heap bytes per tuple, over {BITADDR_CEILING}"
+            );
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! [`EngineConfig`]/[`RunResult`] API, assembles the
 //! [`RunContext`] and hands the step loop to the
 //! [`runtime`](crate::runtime) layer's
-//! [`Pipeline`](crate::runtime::Pipeline) on a `VirtualClock`.
+//! [`Pipeline`] on a `VirtualClock`.
 
 use crate::error::EngineError;
 use crate::memory::MemoryBudget;

@@ -254,7 +254,7 @@ pub struct RunContext<C: Clock = VirtualClock> {
     /// budget-constrained, crash-resumed and thread-count variants.
     pub output_digest: u64,
     /// Order-free digest of the same outputs: a wrapping sum, over them,
-    /// of each output's words folded from [`OUTPUT_HASH_SEED`], so flavors
+    /// of each output's words folded from `OUTPUT_HASH_SEED`, so flavors
     /// whose job order differs agree on it when they compute one join.
     pub output_set: u64,
     /// Tuples lost to unrecoverable spill-block corruption (merged into

@@ -9,7 +9,7 @@
 //! experiments replay bit-for-bit (pinned by `tests/fault_injection.rs`).
 //!
 //! Clock-skew faults live in
-//! [`SkewedClock`](crate::runtime::SkewedClock) — a [`Clock`] wrapper —
+//! [`SkewedClock`] — a [`Clock`] wrapper —
 //! because skew is a property of the time source, not of the tuple
 //! stream.
 //!
@@ -148,7 +148,7 @@ pub enum TornMode {
 pub enum FaultKind {
     /// Kill the run when the pipeline's step counter reaches `step`
     /// (before the step executes), surfacing as
-    /// [`EngineError::InjectedCrash`](crate::EngineError::InjectedCrash).
+    /// [`EngineError::InjectedCrash`].
     CrashAt {
         /// The step at which the simulated process dies.
         step: u64,

@@ -11,7 +11,7 @@
 //! A hand-off is only worth paying for enough work. Index dispatches
 //! arrive with an estimate of their total work; a bare `run_tasks` is
 //! sized by timing its first task. Either way the pool keeps anything
-//! under [`HANDOFF_NS`] on the caller — the same tasks in index order, so
+//! under `HANDOFF_NS` on the caller — the same tasks in index order, so
 //! the choice never shows in any result.
 
 use std::num::NonZeroUsize;

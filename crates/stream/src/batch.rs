@@ -372,9 +372,9 @@ impl<T: Packed> JobQueue<T> {
         }
     }
 
-    /// Push every job of a section written by [`save_jobs`]
-    /// (Self::save_jobs), reading each with `get`, onto this queue —
-    /// freshly built, so empty, by the restoring run's constructor.
+    /// Push every job of a section written by [`save_jobs`](Self::save_jobs),
+    /// reading each with `get`, onto this queue — freshly built, so empty,
+    /// by the restoring run's constructor.
     ///
     /// Jobs re-enter through [`push`](Self::push), so internal chunk
     /// boundaries may differ from the saved queue's — irrelevant at the

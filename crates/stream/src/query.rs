@@ -328,7 +328,7 @@ struct ProbePlan {
 ///
 /// For each target state the graph stores, per possible source stream, the
 /// bindings its predicates induce, and per possible covered stream set the
-/// [`ProbePlan`] those bindings fold into. At routing time
+/// `ProbePlan` those bindings fold into. At routing time
 /// [`JoinGraph::probe_values`] only copies the plan's source values out of
 /// the partial tuple.
 #[derive(Debug, Clone)]

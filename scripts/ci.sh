@@ -91,7 +91,8 @@ fi
 # Nor may the per-bucket map, its records or the tail-append link of the
 # bit-address index: a shard is a slab of entry heads, a value stride
 # beside it, 64-byte groups that list up to six entries of one bucket id
-# with their tags, and a directory of group chains (DESIGN §4). Nor may the
+# with their tags, and a directory of group chains with one 16-bit filter
+# word per slot, set for the ids chained there (DESIGN §4). Nor may the
 # per-entry chain it replaced, whose re-pointing and unlinking helpers are
 # matched as whole words. Nor a decoding pop on the probe or shedding path:
 # a job is read where it lies, through a view of its packed words, and a
@@ -234,6 +235,15 @@ fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Every intra-doc link of the workspace's own crates resolves, names a
+# public item and is written once. The vendored shims warn on their own,
+# so the gate documents the `amri-*` packages only, by name from their
+# manifests.
+echo "==> rustdoc -D warnings for the amri-* crates"
+# shellcheck disable=SC2046
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps \
+    $(sed -n 's/^name = "\(amri-[a-z]*\)"$/-p \1/p' crates/*/Cargo.toml)
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
